@@ -45,281 +45,139 @@ import (
 	"time"
 
 	"uvacg/internal/admission"
-	"uvacg/internal/core"
+	"uvacg/internal/daemon"
 	"uvacg/internal/lease"
+	"uvacg/internal/master"
 	"uvacg/internal/pipeline"
 	"uvacg/internal/resourcedb"
-	"uvacg/internal/services/filesystem"
-	"uvacg/internal/services/nodeinfo"
 	"uvacg/internal/services/scheduler"
-	"uvacg/internal/soap"
 	"uvacg/internal/transport"
 	"uvacg/internal/wsa"
-	"uvacg/internal/wsn"
-	"uvacg/internal/wsrf"
 	"uvacg/internal/wssec"
 )
 
+// The flag surface: the process flags every grid binary shares, plus the
+// master's own.
+var (
+	shared       = daemon.RegisterFlags(flag.CommandLine)
+	addr         = flag.String("addr", ":8700", "listen address (host:port)")
+	hostName     = flag.String("host", "localhost", "public host name services advertise in EPRs")
+	policyName   = flag.String("policy", "greedy", "scheduling policy: greedy, round-robin, random or data-aware (weigh where staged inputs already live into placement)")
+	replicas     = flag.Int("replicas", 0, "run the replication layer: fan staged job-set inputs out to this many FSS nodes, journaling acked holder sets (0 disables)")
+	accountsFlag = flag.String("accounts", "", "comma-separated user:password accounts; empty disables WS-Security")
+	jobTimeout   = flag.Duration("job-timeout", 0, "fail dispatched jobs with no completion inside this window (0 disables)")
+	maxInflight  = flag.Int("max-inflight", 0, "max concurrent job dispatches (0 = default 8, 1 = serial)")
+	catalogTTL   = flag.Duration("catalog-ttl", 0, "processor-catalog cache staleness bound (0 = default 2s, negative = poll NIS per dispatch)")
+	queueDepth   = flag.Int("queue-depth", 0, "run an admission queue in front of the scheduler, bounding parked job sets grid-wide (-1 = queue without bound, 0 disables admission)")
+	tenantQuota  = flag.String("tenant-quota", "", "per-tenant admission quota as queued[:running], e.g. 10:2 (with -queue-depth)")
+	fairShare    = flag.String("fair-share", "", "comma-separated tenant:weight admission fair-share list, e.g. alice:4,bob:1 (with -queue-depth)")
+	anonTenant   = flag.String("anonymous-tenant", "", "admission bucket for unauthenticated submissions (default anonymous)")
+	retryAfter   = flag.Duration("retry-after", 0, "backoff hint attached to admission QueueFullFaults (default 1s)")
+	retryDefault = flag.String("retry-default", "", "retry budget for jobs whose spec has none, as limit[:backoff], e.g. 2:500ms (empty disables)")
+	preempt      = flag.Bool("preempt", false, "let interactive-class arrivals preempt a tenant's running scavenger-class set back into the admission queue (with -queue-depth)")
+	peersFlag    = flag.String("peers", "", "comma-separated base URLs of every master replica, this one included; enables sharded multi-master mode")
+	shardsFlag   = flag.Int("shards", 0, "shard-ring size in -peers mode (0 = 4 per replica)")
+	leaseTTL     = flag.Duration("lease-ttl", 5*time.Second, "shard lease duration in -peers mode; bounds how long a crashed master's claims outlive it")
+)
+
 func main() {
-	addr := flag.String("addr", ":8700", "listen address (host:port)")
-	host := flag.String("host", "localhost", "public host name services advertise in EPRs")
-	policyName := flag.String("policy", "greedy", "scheduling policy: greedy, round-robin, random or data-aware")
-	dataAware := flag.Bool("data-aware", false, "shorthand for -policy data-aware: weigh where staged inputs already live into placement")
-	replicas := flag.Int("replicas", 0, "run the replication layer: fan staged job-set inputs out to this many FSS nodes, journaling acked holder sets (0 disables)")
-	accountsFlag := flag.String("accounts", "", "comma-separated user:password accounts; empty disables WS-Security")
-	snapshot := flag.String("snapshot", "", "path for resource database snapshots: loaded at startup if present, written on shutdown")
-	dataDir := flag.String("data-dir", "", "durable data directory (WAL + snapshot): every state change is journaled and survives a crash; overrides -snapshot")
-	fsync := flag.Bool("fsync", true, "fsync each WAL group commit (with -data-dir); off trades machine-crash safety for throughput")
-	compactBytes := flag.Int64("compact-bytes", 8<<20, "WAL bytes that trigger background snapshot compaction (with -data-dir); negative disables")
-	walFlushWindow := flag.Duration("wal-flush-window", 0, "adaptive WAL group-commit linger: how long a flush leader waits for concurrent committers before fsyncing a lone record (0 disables)")
-	noFastCodec := flag.Bool("nofastcodec", false, "disable the streaming SOAP fast-path codec; every envelope goes through encoding/xml")
-	jobTimeout := flag.Duration("job-timeout", 0, "fail dispatched jobs with no completion inside this window (0 disables)")
-	maxInflight := flag.Int("max-inflight", 0, "max concurrent job dispatches (0 = default 8, 1 = serial)")
-	catalogTTL := flag.Duration("catalog-ttl", 0, "processor-catalog cache staleness bound (0 = default 2s, negative = poll NIS per dispatch)")
-	metricsFlag := flag.Bool("metrics", false, "dump per-action call metrics on shutdown")
-	retries := flag.Int("retries", 1, "max attempts for idempotent outbound calls (1 disables retry)")
-	trace := flag.Bool("trace", false, "log one line per call with its request ID")
-	noAttach := flag.Bool("noattach", false, "inline binary content as base64 instead of soap.tcp attachments")
-	tcpPool := flag.Int("tcp-pool", 8, "max idle pooled soap.tcp connections per host (0 dials per message)")
-	queueDepth := flag.Int("queue-depth", 0, "run an admission queue in front of the scheduler, bounding parked job sets grid-wide (-1 = queue without bound, 0 disables admission)")
-	tenantQuota := flag.String("tenant-quota", "", "per-tenant admission quota as queued[:running], e.g. 10:2 (with -queue-depth)")
-	fairShare := flag.String("fair-share", "", "comma-separated tenant:weight admission fair-share list, e.g. alice:4,bob:1 (with -queue-depth)")
-	anonTenant := flag.String("anonymous-tenant", "", "admission bucket for unauthenticated submissions (default anonymous)")
-	retryAfter := flag.Duration("retry-after", 0, "backoff hint attached to admission QueueFullFaults (default 1s)")
-	retryDefault := flag.String("retry-default", "", "retry budget for jobs whose spec has none, as limit[:backoff], e.g. 2:500ms (empty disables)")
-	preempt := flag.Bool("preempt", false, "let interactive-class arrivals preempt a tenant's running scavenger-class set back into the admission queue (with -queue-depth)")
-	peersFlag := flag.String("peers", "", "comma-separated base URLs of every master replica, this one included; enables sharded multi-master mode")
-	shardsFlag := flag.Int("shards", 0, "shard-ring size in -peers mode (0 = 4 per replica)")
-	leaseTTL := flag.Duration("lease-ttl", 5*time.Second, "shard lease duration in -peers mode; bounds how long a crashed master's claims outlive it")
 	flag.Parse()
 
-	if *noFastCodec {
-		soap.SetFastCodec(false)
-	}
-	port := portOf(*addr)
-	address := fmt.Sprintf("http://%s:%s", *host, port)
-	client := transport.NewClient()
-	tcpTransport := transport.NewTCPTransport()
-	tcpTransport.MaxIdlePerHost = *tcpPool
-	tcpTransport.DisableAttachments = *noAttach
-	client.RegisterScheme(transport.SchemeTCP, tcpTransport)
-	if *noAttach {
-		client.DisableAttachments()
-	}
-	client.Use(pipeline.ClientRequestID(), pipeline.ClientDeadline())
-	if *trace {
-		client.Use(pipeline.Trace(log.Default()))
-	}
-	if *retries > 1 {
-		client.Use(pipeline.Retry(pipeline.RetryPolicy{
-			MaxAttempts: *retries,
-			Idempotent:  core.IdempotentActions(),
-		}))
-	}
-	var metrics *pipeline.Metrics
-	if *metricsFlag {
-		metrics = pipeline.NewMetrics()
-		client.Use(metrics.Interceptor())
-	}
-	var store *resourcedb.Store
-	var durable *resourcedb.DurableStore
-	if *dataDir != "" {
-		var err error
-		durable, err = resourcedb.OpenDurable(*dataDir, resourcedb.DurableOptions{
-			Sync:         *fsync,
-			CompactBytes: *compactBytes,
-			FlushWindow:  *walFlushWindow,
-			Metrics:      metrics,
-		})
-		if err != nil {
-			log.Fatalf("open data dir %s: %v", *dataDir, err)
-		}
-		st := durable.Stats()
-		torn := ""
-		if st.TornTail {
-			torn = " (torn tail truncated)"
-		}
-		log.Printf("durable store %s: replayed %d WAL record(s)%s", *dataDir, st.ReplayedRecords, torn)
-		store = durable.Store
-	} else {
-		store = resourcedb.NewStore()
-		if *snapshot != "" {
-			if err := store.LoadFile(*snapshot); err == nil {
-				log.Printf("resource database restored from %s", *snapshot)
-			}
-		}
-	}
-
-	broker, err := wsn.NewBroker("/NotificationBroker", address,
-		wsrf.NewStateHome(store.MustTable("subscriptions", resourcedb.BlobCodec{})), client)
+	host, err := shared.Open()
 	if err != nil {
 		log.Fatal(err)
 	}
-	nis, err := nodeinfo.New(nodeinfo.Config{
-		Address: address,
-		Home:    wsrf.NewStateHome(store.MustTable("nodeinfo", resourcedb.BlobCodec{})),
-		Client:  client,
-		Broker:  broker.EPR(),
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	if *dataAware {
-		*policyName = "data-aware"
-	}
+	address := daemon.Advertised(*hostName, *addr)
+	policy := pickPolicy(*policyName)
 	ssCfg := scheduler.Config{
-		Address:    address,
-		Home:       wsrf.NewStateHome(store.MustTable("jobsets", resourcedb.BlobCodec{})),
-		Client:     client,
-		NIS:        nis.EPR(),
-		Broker:     broker.EPR(),
-		Policy:     pickPolicy(*policyName),
-		JobTimeout: *jobTimeout,
-
+		Policy:              policy,
+		JobTimeout:          *jobTimeout,
 		MaxInflightDispatch: *maxInflight,
 		CatalogTTL:          *catalogTTL,
 	}
 	if *retryDefault != "" {
-		rp, err := parseRetryDefault(*retryDefault)
+		ssCfg.DefaultRetry, err = parseRetryDefault(*retryDefault)
 		if err != nil {
 			log.Fatalf("gridmaster: %v", err)
 		}
-		ssCfg.DefaultRetry = rp
 	}
 	if *peersFlag != "" {
-		sharding, err := buildSharding(*peersFlag, *shardsFlag, *leaseTTL, address, store)
+		ssCfg.Sharding, err = buildSharding(*peersFlag, *shardsFlag, *leaseTTL, address, host.Store)
 		if err != nil {
 			log.Fatalf("gridmaster: %v", err)
 		}
-		ssCfg.Sharding = sharding
 	}
-	var admQueue *admission.Queue
 	if *queueDepth != 0 {
-		admCfg, err := buildAdmission(*queueDepth, *tenantQuota, *fairShare, *anonTenant, *retryAfter, metrics)
+		admCfg, err := buildAdmission(*queueDepth, *tenantQuota, *fairShare, *anonTenant, *retryAfter, host.Metrics)
 		if err != nil {
 			log.Fatalf("gridmaster: %v", err)
 		}
-		admQueue = admission.New(admCfg)
-		ssCfg.Admission = admQueue
+		ssCfg.Admission = admission.New(admCfg)
 		ssCfg.Preempt = *preempt
 	} else if *preempt {
 		log.Fatal("gridmaster: -preempt needs the admission queue (-queue-depth)")
 	}
-	accounts := parseAccounts(*accountsFlag)
+	accounts, err := daemon.ParseAccounts(*accountsFlag)
+	if err != nil {
+		log.Fatalf("gridmaster: %v", err)
+	}
 	if accounts != nil {
 		// HTTP deployment note: credentials cross as UsernameToken
 		// digests; header encryption needs out-of-band certificate
 		// distribution, which the CLI deployment does not do.
 		ssCfg.Security = &wssec.VerifierConfig{Accounts: accounts, Required: true}
 	}
-	ss, err := scheduler.New(ssCfg)
+
+	m, err := master.Assemble(master.Config{
+		Address:   address,
+		Store:     host.Store,
+		Client:    host.Client,
+		Scheduler: &ssCfg,
+		Replicas:  *replicas,
+		Metrics:   host.Metrics,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	mux := soap.NewMux()
-	mux.Handle(broker.Service().Path(), broker.Service().Dispatcher())
-	mux.Handle(broker.Producer().SubscriptionService().Path(), broker.Producer().SubscriptionService().Dispatcher())
-	mux.Handle(nis.WSRF().Path(), nis.WSRF().Dispatcher())
-	mux.Handle(ss.WSRF().Path(), ss.WSRF().Dispatcher())
-	ss.Consumer().Mount(mux, ss.ConsumerPath())
-	var replicator *filesystem.Replicator
-	if *replicas > 0 {
-		replicator = filesystem.NewReplicator(filesystem.ReplicatorConfig{
-			Address:  address,
-			Client:   client,
-			Broker:   broker.EPR(),
-			NIS:      nis.EPR(),
-			Replicas: *replicas,
-			Journal:  store.MustTable("replicas", resourcedb.BlobCodec{}),
-			Metrics:  metrics,
-		})
-		replicator.Consumer().Mount(mux, replicator.ConsumerPath())
-	}
-
-	srv := transport.NewServer(mux)
-	srv.Use(pipeline.ServerRequestID(), pipeline.ServerDeadline())
-	if *trace {
-		srv.Use(pipeline.Trace(log.Default()))
-	}
-	if metrics != nil {
-		srv.Use(metrics.Interceptor())
-	}
-	base, shutdown, err := transport.ListenHTTP(srv, *addr)
+	srv := transport.NewServer(m.Mux)
+	srv.Use(host.Interceptors()...)
+	base, stop, err := host.ListenHTTP(srv, *addr)
 	if err != nil {
 		log.Fatal(err)
 	}
-	// Claim this replica's preferred shards before Recover, so the
-	// recovery pass below covers exactly the sets it now owns. The
-	// background lease maintenance keeps renewing (and claiming
-	// orphans) until shutdown.
-	shardCtx, stopSharding := context.WithCancel(context.Background())
-	defer stopSharding()
-	if ssCfg.Sharding != nil {
-		owned := ss.StartSharding(shardCtx)
-		log.Printf("sharding: claimed %d of %d shard(s) at startup: %v",
-			len(owned), ssCfg.Sharding.Manager.Shards(), owned)
+	startCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	resumed, err := m.Start(startCtx)
+	cancel()
+	defer m.Stop()
+	if err != nil {
+		log.Printf("start: %v", err)
 	}
-	{
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		if resumed, err := ss.Recover(ctx); err != nil {
-			log.Printf("job set recovery: %v", err)
-		} else if resumed > 0 {
-			log.Printf("resumed %d job set(s) from the previous run", resumed)
-		}
-		cancel()
+	if resumed > 0 {
+		log.Printf("resumed %d job set(s) from the previous run", resumed)
 	}
-	// Recover requeued any parked sets from the journal; only now may
-	// the fair-share pump start activating them.
-	if admQueue != nil {
-		ss.StartAdmission(shardCtx)
+	if sh := ssCfg.Sharding; sh != nil {
+		owned := sh.Manager.Owned()
+		log.Printf("sharding: holding %d of %d shard(s) after startup: %v", len(owned), sh.Manager.Shards(), owned)
+	}
+	if ssCfg.Admission != nil {
 		log.Printf("admission queue enabled (depth %d)", *queueDepth)
 	}
-	if replicator != nil {
-		rctx, rcancel := context.WithTimeout(context.Background(), 10*time.Second)
-		if err := replicator.Start(rctx); err != nil {
-			log.Printf("replicator subscription: %v (staged inputs will not be fanned out)", err)
-		} else {
-			st := replicator.Stats()
-			log.Printf("replication enabled (K=%d, %d journaled holder set(s) recovered)", *replicas, st.Tracked)
-		}
-		rcancel()
+	if m.Replicator != nil {
+		log.Printf("replication enabled (K=%d, %d journaled holder set(s) recovered)", *replicas, m.Replicator.Stats().Tracked)
 	}
 	log.Printf("gridmaster up at %s (advertising %s)", base, address)
-	log.Printf("  broker:    %s", broker.EPR().Address)
-	log.Printf("  node info: %s", nis.EPR().Address)
-	log.Printf("  scheduler: %s  (policy %s)", ss.EPR().Address, pickPolicy(*policyName).Name())
+	log.Printf("  broker:    %s", m.Broker.EPR().Address)
+	log.Printf("  node info: %s", m.NIS.EPR().Address)
+	log.Printf("  scheduler: %s  (policy %s)", m.Scheduler.EPR().Address, policy.Name())
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
-	if durable != nil {
-		// Fold the log into a snapshot so the next start replays little,
-		// then stop journaling cleanly.
-		if err := durable.Compact(); err != nil {
-			log.Printf("compact: %v", err)
-		}
-		if err := durable.Close(); err != nil {
-			log.Printf("close durable store: %v", err)
-		}
-	} else if *snapshot != "" {
-		if err := store.SaveFile(*snapshot); err != nil {
-			log.Printf("snapshot: %v", err)
-		} else {
-			log.Printf("resource database saved to %s", *snapshot)
-		}
-	}
-	shCtx, shCancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer shCancel()
-	if err := shutdown(shCtx); err != nil {
-		log.Printf("shutdown: %v", err)
-	}
-	if metrics != nil {
-		metrics.Dump(os.Stderr)
-		if admQueue != nil {
-			admQueue.Dump(os.Stderr)
-		}
+	host.Close()
+	stop()
+	host.DumpMetrics(os.Stderr)
+	if host.Metrics != nil && ssCfg.Admission != nil {
+		ssCfg.Admission.Dump(os.Stderr)
 	}
 }
 
@@ -409,7 +267,7 @@ func buildSharding(peersFlag string, shards int, ttl time.Duration, address stri
 	// simulator (gridsim -masters N) exercises it.
 	mgr, err := lease.NewManager(lease.Config{
 		Store:      lease.NewTableStore(store.MustTable("leases", resourcedb.BlobCodec{})),
-		Owner:      address + "/SchedulerService",
+		Owner:      address + scheduler.ServicePath,
 		Shards:     shards,
 		Preferred:  preferred,
 		TTL:        ttl,
@@ -421,7 +279,7 @@ func buildSharding(peersFlag string, shards int, ttl time.Duration, address stri
 	return &scheduler.Sharding{
 		Manager: mgr,
 		PeerForShard: func(shard int) (wsa.EndpointReference, bool) {
-			return wsa.NewEPR(peers[shard%len(peers)] + "/SchedulerService"), true
+			return wsa.NewEPR(peers[shard%len(peers)] + scheduler.ServicePath), true
 		},
 	}, nil
 }
@@ -444,13 +302,6 @@ func parseRetryDefault(s string) (scheduler.RetryPolicy, error) {
 	return scheduler.RetryPolicy{Limit: limit, Backoff: backoff}, nil
 }
 
-func portOf(addr string) string {
-	if i := strings.LastIndex(addr, ":"); i >= 0 {
-		return addr[i+1:]
-	}
-	return addr
-}
-
 func pickPolicy(name string) scheduler.Policy {
 	switch name {
 	case "round-robin":
@@ -462,19 +313,4 @@ func pickPolicy(name string) scheduler.Policy {
 	default:
 		return scheduler.Greedy{}
 	}
-}
-
-func parseAccounts(s string) wssec.StaticAccounts {
-	if s == "" {
-		return nil
-	}
-	accounts := make(wssec.StaticAccounts)
-	for _, pair := range strings.Split(s, ",") {
-		user, pw, ok := strings.Cut(pair, ":")
-		if !ok {
-			log.Fatalf("bad account %q (want user:password)", pair)
-		}
-		accounts[user] = pw
-	}
-	return accounts
 }

@@ -10,229 +10,85 @@ package main
 import (
 	"context"
 	"flag"
-	"fmt"
 	"log"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
-	"uvacg/internal/core"
-	"uvacg/internal/pipeline"
-	"uvacg/internal/procspawn"
-	"uvacg/internal/resourcedb"
-	"uvacg/internal/services/execution"
-	"uvacg/internal/services/filesystem"
-	"uvacg/internal/services/nodeinfo"
-	"uvacg/internal/soap"
-	"uvacg/internal/transport"
-	"uvacg/internal/vfs"
+	"uvacg/internal/daemon"
+	"uvacg/internal/node"
 	"uvacg/internal/wsa"
-	"uvacg/internal/wsrf"
-	"uvacg/internal/wssec"
+)
+
+// The flag surface: the process flags every grid binary shares, plus the
+// machine's own.
+var (
+	shared        = daemon.RegisterFlags(flag.CommandLine)
+	name          = flag.String("name", "", "machine name (required)")
+	addr          = flag.String("addr", ":8701", "listen address")
+	hostName      = flag.String("host", "localhost", "public host name for EPRs")
+	masterURL     = flag.String("master", "http://localhost:8700", "gridmaster base URL")
+	cores         = flag.Int("cores", 2, "processor cores")
+	speed         = flag.Float64("speed", 2000, "clock speed (MHz)")
+	ram           = flag.Int("ram", 1024, "RAM (MB)")
+	accountsFlag  = flag.String("accounts", "", "comma-separated user:password local accounts")
+	threshold     = flag.Float64("threshold", 0.1, "utilization report threshold")
+	replicaEvents = flag.Bool("replica-events", false, "publish replica-manifest stored events for staged files (pair with gridmaster -replicas / -policy data-aware)")
 )
 
 func main() {
-	name := flag.String("name", "", "machine name (required)")
-	addr := flag.String("addr", ":8701", "listen address")
-	host := flag.String("host", "localhost", "public host name for EPRs")
-	master := flag.String("master", "http://localhost:8700", "gridmaster base URL")
-	cores := flag.Int("cores", 2, "processor cores")
-	speed := flag.Float64("speed", 2000, "clock speed (MHz)")
-	ram := flag.Int("ram", 1024, "RAM (MB)")
-	accountsFlag := flag.String("accounts", "", "comma-separated user:password local accounts")
-	threshold := flag.Float64("threshold", 0.1, "utilization report threshold")
-	dataDir := flag.String("data-dir", "", "durable data directory (WAL + snapshot): job and directory resources survive a crash")
-	fsync := flag.Bool("fsync", true, "fsync each WAL group commit (with -data-dir)")
-	compactBytes := flag.Int64("compact-bytes", 8<<20, "WAL bytes that trigger background snapshot compaction (with -data-dir); negative disables")
-	walFlushWindow := flag.Duration("wal-flush-window", 0, "adaptive WAL group-commit linger: how long a flush leader waits for concurrent committers before fsyncing a lone record (0 disables)")
-	noFastCodec := flag.Bool("nofastcodec", false, "disable the streaming SOAP fast-path codec; every envelope goes through encoding/xml")
-	metricsFlag := flag.Bool("metrics", false, "dump per-action call metrics on shutdown")
-	retries := flag.Int("retries", 1, "max attempts for idempotent outbound calls (1 disables retry)")
-	trace := flag.Bool("trace", false, "log one line per call with its request ID")
-	noAttach := flag.Bool("noattach", false, "inline binary content as base64 instead of soap.tcp attachments")
-	tcpPool := flag.Int("tcp-pool", 8, "max idle pooled soap.tcp connections per host (0 dials per message)")
-	replicaEvents := flag.Bool("replica-events", false, "publish replica-manifest stored events for staged files (pair with gridmaster -replicas / -data-aware)")
 	flag.Parse()
 	if *name == "" {
 		log.Fatal("gridnode: -name is required")
 	}
-	if *noFastCodec {
-		soap.SetFastCodec(false)
+	accounts, err := daemon.ParseAccounts(*accountsFlag)
+	if err != nil {
+		log.Fatalf("gridnode: %v", err)
 	}
-
-	port := (*addr)[strings.LastIndex(*addr, ":")+1:]
-	address := fmt.Sprintf("http://%s:%s", *host, port)
-	client := transport.NewClient()
-	tcpTransport := transport.NewTCPTransport()
-	tcpTransport.MaxIdlePerHost = *tcpPool
-	tcpTransport.DisableAttachments = *noAttach
-	client.RegisterScheme(transport.SchemeTCP, tcpTransport)
-	if *noAttach {
-		client.DisableAttachments()
-	}
-	client.Use(pipeline.ClientRequestID(), pipeline.ClientDeadline())
-	if *trace {
-		client.Use(pipeline.Trace(log.Default()))
-	}
-	if *retries > 1 {
-		client.Use(pipeline.Retry(pipeline.RetryPolicy{
-			MaxAttempts: *retries,
-			Idempotent:  core.IdempotentActions(),
-		}))
-	}
-	var metrics *pipeline.Metrics
-	if *metricsFlag {
-		metrics = pipeline.NewMetrics()
-		client.Use(metrics.Interceptor())
-	}
-	fs := vfs.New()
-	var store *resourcedb.Store
-	var durable *resourcedb.DurableStore
-	if *dataDir != "" {
-		var err error
-		durable, err = resourcedb.OpenDurable(*dataDir, resourcedb.DurableOptions{
-			Sync:         *fsync,
-			CompactBytes: *compactBytes,
-			FlushWindow:  *walFlushWindow,
-			Metrics:      metrics,
-		})
-		if err != nil {
-			log.Fatalf("open data dir %s: %v", *dataDir, err)
-		}
-		st := durable.Stats()
-		log.Printf("durable store %s: replayed %d WAL record(s)", *dataDir, st.ReplayedRecords)
-		store = durable.Store
-	} else {
-		store = resourcedb.NewStore()
-	}
-	brokerEPR := wsa.NewEPR(*master + "/NotificationBroker")
-	nisEPR := wsa.NewEPR(*master + "/NodeInfoService")
-
-	fssCfg := filesystem.Config{
-		Address: address,
-		FS:      fs,
-		Client:  client,
-		Home:    wsrf.NewStateHome(store.MustTable("directories", resourcedb.StructuredCodec{})),
-		Host:    *name,
-	}
-	if *replicaEvents {
-		fssCfg.Broker = brokerEPR
-	}
-	fss, err := filesystem.New(fssCfg)
+	host, err := shared.Open()
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	spawnCfg := procspawn.Config{FS: fs, Cores: *cores, SpeedMHz: *speed}
-	accounts := parseAccounts(*accountsFlag)
-	if accounts != nil {
-		spawnCfg.Accounts = accounts
-	}
-	var monitor *procspawn.UtilizationMonitor
-	spawnCfg.OnChange = func() {
-		if monitor != nil {
-			monitor.Sample()
-		}
-	}
-	spawner, err := procspawn.NewSpawner(spawnCfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	esCfg := execution.Config{
-		Address: address,
-		Home:    wsrf.NewStateHome(store.MustTable("jobs", resourcedb.StructuredCodec{})),
-		Client:  client,
-		FSS:     fss.EPR(),
-		Spawner: spawner,
-		Broker:  brokerEPR,
-	}
-	if accounts != nil {
-		esCfg.Security = &wssec.VerifierConfig{Accounts: accounts, Required: true}
-	}
-	es, err := execution.New(esCfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	processor := func(util float64) nodeinfo.Processor {
-		return nodeinfo.Processor{
-			Host: *name, ES: es.EPR(),
-			Cores: *cores, SpeedMHz: *speed, RAMMB: *ram,
-			Utilization: util,
-		}
-	}
-	monitor = procspawn.NewUtilizationMonitor(spawner, procspawn.MonitorConfig{
-		Threshold: *threshold,
-		Notify: func(util float64) {
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer cancel()
-			if _, err := client.Call(ctx, nisEPR, nodeinfo.ActionReport, nodeinfo.ReportRequest(processor(util))); err != nil {
-				log.Printf("utilization report: %v", err)
-			}
-		},
+	nisEPR := wsa.NewEPR(*masterURL + "/NodeInfoService")
+	n, err := node.New(node.Config{
+		Name:                 *name,
+		Address:              daemon.Advertised(*hostName, *addr),
+		Client:               host.Client,
+		Cores:                *cores,
+		SpeedMHz:             *speed,
+		RAMMB:                *ram,
+		Accounts:             accounts,
+		Broker:               wsa.NewEPR(*masterURL + "/NotificationBroker"),
+		NIS:                  nisEPR,
+		UtilizationThreshold: *threshold,
+		Store:                host.Store,
+		Interceptors:         host.Interceptors(),
+		ReplicaEvents:        *replicaEvents,
 	})
-
-	mux := soap.NewMux()
-	mux.Handle(fss.WSRF().Path(), fss.WSRF().Dispatcher())
-	mux.Handle(es.WSRF().Path(), es.WSRF().Dispatcher())
-	srv := transport.NewServer(mux)
-	srv.Use(pipeline.ServerRequestID(), pipeline.ServerDeadline())
-	if *trace {
-		srv.Use(pipeline.Trace(log.Default()))
+	if err != nil {
+		log.Fatal(err)
 	}
-	if metrics != nil {
-		srv.Use(metrics.Interceptor())
-	}
-	base, shutdown, err := transport.ListenHTTP(srv, *addr)
+	base, stop, err := host.ListenHTTP(n.Server(), *addr)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	if _, err := client.Call(ctx, nisEPR, nodeinfo.ActionReport, nodeinfo.ReportRequest(processor(0))); err != nil {
+	if err := n.Register(ctx); err != nil {
 		log.Fatalf("register with NIS at %s: %v", nisEPR.Address, err)
 	}
 	cancel()
-	monitor.Start()
+	n.Start()
 	log.Printf("gridnode %s up at %s: %d cores @ %.0f MHz, %d MB, registered with %s",
-		*name, base, *cores, *speed, *ram, *master)
+		*name, base, *cores, *speed, *ram, *masterURL)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
-	monitor.Stop()
-	if durable != nil {
-		if err := durable.Compact(); err != nil {
-			log.Printf("compact: %v", err)
-		}
-		if err := durable.Close(); err != nil {
-			log.Printf("close durable store: %v", err)
-		}
-	}
-	shCtx, shCancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer shCancel()
-	if err := shutdown(shCtx); err != nil {
-		log.Printf("shutdown: %v", err)
-	}
-	if metrics != nil {
-		metrics.Dump(os.Stderr)
-	}
-}
-
-func parseAccounts(s string) wssec.StaticAccounts {
-	if s == "" {
-		return nil
-	}
-	accounts := make(wssec.StaticAccounts)
-	for _, pair := range strings.Split(s, ",") {
-		user, pw, ok := strings.Cut(pair, ":")
-		if !ok {
-			log.Fatalf("bad account %q (want user:password)", pair)
-		}
-		accounts[user] = pw
-	}
-	return accounts
+	n.Stop()
+	host.Close()
+	stop()
+	host.DumpMetrics(os.Stderr)
 }

@@ -30,7 +30,7 @@ import (
 
 	"uvacg/internal/admission"
 	"uvacg/internal/core"
-	"uvacg/internal/pipeline"
+	"uvacg/internal/daemon"
 	"uvacg/internal/resourcedb"
 	"uvacg/internal/services/execution"
 	"uvacg/internal/services/filesystem"
@@ -44,34 +44,29 @@ import (
 	"uvacg/internal/xmlutil"
 )
 
+// The flag surface: the process flags every grid binary shares, plus the
+// submission's own. With -data-dir the journal holds the submission, so
+// a restarted gridsub resumes following the job set instead of
+// resubmitting it.
+var (
+	shared        = daemon.RegisterFlags(flag.CommandLine)
+	masterURL     = flag.String("master", "http://localhost:8700", "gridmaster base URL")
+	jobsetPath    = flag.String("jobset", "", "job set description file (required)")
+	user          = flag.String("user", "", "account user name")
+	pass          = flag.String("pass", "", "account password")
+	listen        = flag.String("listen", "127.0.0.1:0", "notification listener address")
+	outDir        = flag.String("out", ".", "directory fetched outputs are written to")
+	timeout       = flag.Duration("timeout", 5*time.Minute, "overall deadline")
+	class         = flag.String("class", "", "admission priority class: interactive, batch or scavenger")
+	replicas      = flag.Int("replicas", 0, "ask the master's replication layer to keep this set's staged inputs on at least this many FSS nodes (0 leaves the master default)")
+	maxRetryAfter = flag.Duration("max-retry-after", 30*time.Second, "cap on the Retry-After hint honored between submit retries when the admission queue sheds")
+	verbose       = flag.Bool("v", false, "verbose: print the admission queue position of an accepted submit")
+)
+
 func main() {
-	master := flag.String("master", "http://localhost:8700", "gridmaster base URL")
-	jobsetPath := flag.String("jobset", "", "job set description file (required)")
-	user := flag.String("user", "", "account user name")
-	pass := flag.String("pass", "", "account password")
-	listen := flag.String("listen", "127.0.0.1:0", "notification listener address")
-	outDir := flag.String("out", ".", "directory fetched outputs are written to")
-	timeout := flag.Duration("timeout", 5*time.Minute, "overall deadline")
-	metricsFlag := flag.Bool("metrics", false, "dump per-action call metrics after the run")
-	retries := flag.Int("retries", 1, "max attempts for idempotent calls (1 disables retry)")
-	trace := flag.Bool("trace", false, "log one line per call with its request ID")
-	noAttach := flag.Bool("noattach", false, "inline binary content as base64 instead of soap.tcp attachments")
-	tcpPool := flag.Int("tcp-pool", 8, "max idle pooled soap.tcp connections per host (0 dials per message)")
-	dataDir := flag.String("data-dir", "", "durable data directory: journals the submission so a restarted gridsub resumes following the job set instead of resubmitting")
-	fsync := flag.Bool("fsync", true, "fsync each WAL group commit (with -data-dir)")
-	compactBytes := flag.Int64("compact-bytes", 8<<20, "WAL bytes that trigger background snapshot compaction (with -data-dir); negative disables")
-	walFlushWindow := flag.Duration("wal-flush-window", 0, "adaptive WAL group-commit linger: how long a flush leader waits for concurrent committers before fsyncing a lone record (0 disables)")
-	noFastCodec := flag.Bool("nofastcodec", false, "disable the streaming SOAP fast-path codec; every envelope goes through encoding/xml")
-	class := flag.String("class", "", "admission priority class: interactive, batch or scavenger")
-	replicas := flag.Int("replicas", 0, "ask the master's replication layer to keep this set's staged inputs on at least this many FSS nodes (0 leaves the master default)")
-	maxRetryAfter := flag.Duration("max-retry-after", 30*time.Second, "cap on the Retry-After hint honored between submit retries when the admission queue sheds")
-	verbose := flag.Bool("v", false, "verbose: print the admission queue position of an accepted submit")
 	flag.Parse()
 	if *jobsetPath == "" {
 		log.Fatal("gridsub: -jobset is required")
-	}
-	if *noFastCodec {
-		soap.SetFastCodec(false)
 	}
 
 	f, err := os.Open(*jobsetPath)
@@ -96,30 +91,13 @@ func main() {
 		desc.Spec.Replicas = *replicas
 	}
 
-	client := transport.NewClient()
-	tcpTransport := transport.NewTCPTransport()
-	tcpTransport.MaxIdlePerHost = *tcpPool
-	tcpTransport.DisableAttachments = *noAttach
-	client.RegisterScheme(transport.SchemeTCP, tcpTransport)
-	if *noAttach {
-		client.DisableAttachments()
+	host, err := shared.Open()
+	if err != nil {
+		log.Fatal(err)
 	}
-	client.Use(pipeline.ClientRequestID(), pipeline.ClientDeadline())
-	if *trace {
-		client.Use(pipeline.Trace(log.Default()))
-	}
-	if *retries > 1 {
-		client.Use(pipeline.Retry(pipeline.RetryPolicy{
-			MaxAttempts: *retries,
-			Idempotent:  core.IdempotentActions(),
-		}))
-	}
-	var metrics *pipeline.Metrics
-	if *metricsFlag {
-		metrics = pipeline.NewMetrics()
-		client.Use(metrics.Interceptor())
-		defer metrics.Dump(os.Stderr)
-	}
+	defer host.DumpMetrics(os.Stderr)
+	defer host.Close()
+	client := host.Client
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
 
@@ -127,18 +105,8 @@ func main() {
 	// and per-job output directories survive a gridsub crash, so a rerun
 	// re-attaches to the in-flight job set instead of resubmitting it.
 	var subs *resourcedb.Table
-	if *dataDir != "" {
-		durable, err := resourcedb.OpenDurable(*dataDir, resourcedb.DurableOptions{
-			Sync:         *fsync,
-			CompactBytes: *compactBytes,
-			FlushWindow:  *walFlushWindow,
-			Metrics:      metrics,
-		})
-		if err != nil {
-			log.Fatalf("open data dir %s: %v", *dataDir, err)
-		}
-		defer durable.Close()
-		subs = durable.MustTable("submissions", resourcedb.StructuredCodec{})
+	if host.Durable != nil {
+		subs = host.Store.MustTable("submissions", resourcedb.StructuredCodec{})
 	}
 
 	// The client's TCP file server (step 5 of Fig. 3).
@@ -167,25 +135,18 @@ func main() {
 	listenerMux := soap.NewMux()
 	consumer.Mount(listenerMux, "/listener")
 	listenerSrv := transport.NewServer(listenerMux)
-	listenerSrv.Use(pipeline.ServerRequestID(), pipeline.ServerDeadline())
-	if *trace {
-		listenerSrv.Use(pipeline.Trace(log.Default()))
-	}
-	listenerBase, stopListener, err := transport.ListenHTTP(listenerSrv, *listen)
+	listenerSrv.Use(host.Interceptors()...)
+	listenerBase, stopListener, err := host.ListenHTTP(listenerSrv, *listen)
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer func() {
-		shCtx, shCancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer shCancel()
-		stopListener(shCtx)
-	}()
+	defer stopListener()
 	listenerEPR := wsa.NewEPR(listenerBase + "/listener")
 
 	// Submit (step 1) — unless the journal holds an in-flight submission
 	// for this job set, in which case re-attach to it.
-	ssEPR := wsa.NewEPR(*master + "/SchedulerService")
-	brokerEPR := wsa.NewEPR(*master + "/NotificationBroker")
+	ssEPR := wsa.NewEPR(*masterURL + scheduler.ServicePath)
+	brokerEPR := wsa.NewEPR(*masterURL + "/NotificationBroker")
 	dirs := make(map[string]wsa.EndpointReference)
 	status := ""
 	var setEPR wsa.EndpointReference

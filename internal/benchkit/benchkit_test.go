@@ -112,6 +112,11 @@ func TestTransferHarnessAllRoutes(t *testing.T) {
 	if _, err := h.Fetch(ctx, "carrier-pigeon"); err == nil {
 		t.Fatal("unknown scheme accepted")
 	}
+	// The E6 baseline: the byte-only client gets the attached reply
+	// inlined by the transport and still reads every byte.
+	if n, err := h.FetchLegacy(ctx, "soap.tcp"); err != nil || n != 8<<10 {
+		t.Fatalf("soap.tcp-v1 baseline: fetched %d bytes, err %v", n, err)
+	}
 	if err := h.LocalStage(ctx); err != nil {
 		t.Fatal(err)
 	}

@@ -20,9 +20,10 @@ import (
 // files of configurable size.
 type TransferHarness struct {
 	Client *transport.Client
-	// Legacy fetches with the pre-attachment wire behaviour — inline
-	// base64 and a fresh dial per message — so E6 can report the fast
-	// path and its baseline side by side on identical payloads.
+	// Legacy fetches the way soap.tcp did before attachments and
+	// pooling — content inline as base64, a fresh dial per message — so
+	// E6 can report the fast path and its baseline side by side on
+	// identical payloads.
 	Legacy *transport.Client
 
 	fssA *filesystem.Service // source machine
@@ -47,11 +48,10 @@ type TransferHarness struct {
 func NewTransferHarness(payloadSize int) (*TransferHarness, error) {
 	network := transport.NewNetwork()
 	client := transport.NewClient().WithNetwork(network)
-	legacy := transport.NewClient().WithNetwork(network).DisableAttachments()
 	legacyTCP := transport.NewTCPTransport()
 	legacyTCP.MaxIdlePerHost = 0 // dial per message, as before pooling
-	legacyTCP.DisableAttachments = true
-	legacy.RegisterScheme(transport.SchemeTCP, legacyTCP)
+	legacy := transport.NewClient()
+	legacy.RegisterScheme(transport.SchemeTCP, byteOnly{legacyTCP})
 	h := &TransferHarness{Client: client, Legacy: legacy, uploadDone: make(chan struct{}, 64)}
 
 	mkFSS := func(host string) (*filesystem.Service, *soap.Mux, error) {
@@ -131,6 +131,12 @@ func NewTransferHarness(payloadSize int) (*TransferHarness, error) {
 	return h, nil
 }
 
+// byteOnly hides a transport's attachment path: implementing
+// RoundTripper but not MessageRoundTripper, it makes the client inline
+// content as base64 and take the plain byte exchange — the E6 baseline,
+// kept here rather than as a knob on the daemons' transport.
+type byteOnly struct{ transport.RoundTripper }
+
 // Close stops the real listeners.
 func (h *TransferHarness) Close() {
 	if h.httpShutdown != nil {
@@ -165,8 +171,8 @@ func (h *TransferHarness) Fetch(ctx context.Context, scheme string) (int, error)
 	return len(data), err
 }
 
-// FetchLegacy is Fetch with the pre-attachment wire behaviour (inline
-// base64, dial per message) — the E6 baseline rows.
+// FetchLegacy is Fetch through the byte-only, dial-per-message client —
+// the E6 soap.tcp-v1 baseline row.
 func (h *TransferHarness) FetchLegacy(ctx context.Context, scheme string) (int, error) {
 	src, err := h.Source(scheme)
 	if err != nil {

@@ -67,7 +67,7 @@ func (g *Grid) NewClient(creds wssec.Credentials, useTCP bool) (*Client, error) 
 		c.filesEPR = wsa.NewEPR("inproc://" + host + c.files.Path())
 	}
 	srv := transport.NewServer(mux)
-	srv.Use(serverInterceptors()...)
+	srv.Use(ServerInterceptors()...)
 	g.Network.Register(host, srv)
 	return c, nil
 }

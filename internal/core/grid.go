@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"uvacg/internal/admission"
+	"uvacg/internal/master"
 	"uvacg/internal/node"
 	"uvacg/internal/pipeline"
 	"uvacg/internal/resourcedb"
@@ -75,8 +76,6 @@ type GridConfig struct {
 	// terminal event inside the window (a crashed or partitioned
 	// machine) instead of letting the job set hang.
 	JobTimeout time.Duration
-	// MasterHost names the master machine (default "master").
-	MasterHost string
 	// Metrics, when set, records every outbound call the grid makes
 	// (per wire attempt, retries included), keyed by service path and
 	// action.
@@ -126,22 +125,21 @@ type Grid struct {
 	Replicator *filesystem.Replicator
 
 	cfg        GridConfig
+	master     *master.Master
 	ssIdentity *wssec.Identity
 	clientSeq  int
-	stopPump   context.CancelFunc
 }
+
+// masterHost names the master machine on the grid's network.
+const masterHost = "master"
 
 // NewGrid builds and starts a grid.
 func NewGrid(cfg GridConfig) (*Grid, error) {
 	if len(cfg.Nodes) == 0 {
 		return nil, fmt.Errorf("core: grid needs at least one node")
 	}
-	if cfg.MasterHost == "" {
-		cfg.MasterHost = "master"
-	}
 	network := transport.NewNetwork()
 	client := transport.NewClient().WithNetwork(network)
-	masterAddr := "inproc://" + cfg.MasterHost
 
 	// The invocation pipeline: request correlation and deadline
 	// propagation always on; retry and metrics by configuration.
@@ -170,41 +168,10 @@ func NewGrid(cfg GridConfig) (*Grid, error) {
 
 	g := &Grid{Network: network, Client: client, cfg: cfg}
 
-	masterStore := resourcedb.NewStore()
-	broker, err := wsn.NewBroker("/NotificationBroker", masterAddr,
-		wsrf.NewStateHome(masterStore.MustTable("subscriptions", resourcedb.BlobCodec{})), client)
-	if err != nil {
-		return nil, err
+	if cfg.Preempt && cfg.Admission == nil {
+		return nil, fmt.Errorf("core: Preempt needs an Admission queue")
 	}
-	g.Broker = broker
-	if cfg.Retry != nil {
-		// Notification delivery gets the same bounded backoff: a slow
-		// consumer's transient failure is absorbed instead of counting
-		// toward its subscription's destruction. SetDeliveryRetry gates
-		// on the Notify action itself, so the configured predicate (which
-		// excludes one-way sends) is not carried over.
-		p := *cfg.Retry
-		p.Idempotent = nil
-		broker.Producer().SetDeliveryRetry(p)
-	}
-
-	nis, err := nodeinfo.New(nodeinfo.Config{
-		Address: masterAddr,
-		Home:    wsrf.NewStateHome(masterStore.MustTable("nodeinfo", resourcedb.BlobCodec{})),
-		Client:  client,
-		Broker:  broker.EPR(),
-	})
-	if err != nil {
-		return nil, err
-	}
-	g.NIS = nis
-
 	ssCfg := scheduler.Config{
-		Address:    masterAddr,
-		Home:       wsrf.NewStateHome(masterStore.MustTable("jobsets", resourcedb.BlobCodec{})),
-		Client:     client,
-		NIS:        nis.EPR(),
-		Broker:     broker.EPR(),
 		Policy:     cfg.Policy,
 		ESCerts:    g.certFor,
 		JobTimeout: cfg.JobTimeout,
@@ -212,15 +179,12 @@ func NewGrid(cfg GridConfig) (*Grid, error) {
 		MaxInflightDispatch: cfg.MaxInflightDispatch,
 		CatalogTTL:          cfg.CatalogTTL,
 		DefaultRetry:        cfg.DefaultRetry,
-	}
-	if cfg.Admission != nil {
-		ssCfg.Admission = cfg.Admission
-		ssCfg.Preempt = cfg.Preempt
-	} else if cfg.Preempt {
-		return nil, fmt.Errorf("core: Preempt needs an Admission queue")
+		Admission:           cfg.Admission,
+		Preempt:             cfg.Preempt,
 	}
 	if cfg.Accounts != nil {
-		g.ssIdentity, err = wssec.NewIdentity("CN=SchedulerService/" + cfg.MasterHost)
+		var err error
+		g.ssIdentity, err = wssec.NewIdentity("CN=SchedulerService/" + masterHost)
 		if err != nil {
 			return nil, err
 		}
@@ -230,45 +194,41 @@ func NewGrid(cfg GridConfig) (*Grid, error) {
 			Required: true,
 		}
 	}
-	ss, err := scheduler.New(ssCfg)
+	mcfg := master.Config{
+		Address:   "inproc://" + masterHost,
+		Store:     resourcedb.NewStore(),
+		Client:    client,
+		Scheduler: &ssCfg,
+		Replicas:  cfg.Replicas,
+		Metrics:   cfg.Metrics,
+	}
+	if cfg.Retry != nil {
+		// Notification delivery gets the same bounded backoff: a slow
+		// consumer's transient failure is absorbed instead of counting
+		// toward its subscription's destruction. Delivery retry gates on
+		// the Notify action itself, so the configured predicate (which
+		// excludes one-way sends) is not carried over.
+		mcfg.DeliveryRetry = *cfg.Retry
+		mcfg.DeliveryRetry.Idempotent = nil
+	}
+	m, err := master.Assemble(mcfg)
 	if err != nil {
 		return nil, err
 	}
-	g.Scheduler = ss
-
-	masterMux := soap.NewMux()
-	masterMux.Handle(broker.Service().Path(), broker.Service().Dispatcher())
-	masterMux.Handle(broker.Producer().SubscriptionService().Path(), broker.Producer().SubscriptionService().Dispatcher())
-	masterMux.Handle(nis.WSRF().Path(), nis.WSRF().Dispatcher())
-	masterMux.Handle(ss.WSRF().Path(), ss.WSRF().Dispatcher())
-	ss.Consumer().Mount(masterMux, ss.ConsumerPath())
-	if cfg.Replicas > 0 {
-		g.Replicator = filesystem.NewReplicator(filesystem.ReplicatorConfig{
-			Address:  masterAddr,
-			Client:   client,
-			Broker:   broker.EPR(),
-			NIS:      nis.EPR(),
-			Replicas: cfg.Replicas,
-			Journal:  masterStore.MustTable("replicas", resourcedb.BlobCodec{}),
-			Metrics:  cfg.Metrics,
-		})
-		g.Replicator.Consumer().Mount(masterMux, g.Replicator.ConsumerPath())
-	}
-	g.Master = transport.NewServer(masterMux)
-	g.Master.Use(serverInterceptors()...)
-	network.Register(cfg.MasterHost, g.Master)
-	if g.Replicator != nil {
-		rctx, rcancel := context.WithTimeout(context.Background(), 10*time.Second)
-		if err := g.Replicator.Start(rctx); err != nil {
-			rcancel()
-			return nil, fmt.Errorf("core: replicator subscription: %w", err)
-		}
-		rcancel()
+	g.master = m
+	g.Broker, g.NIS, g.Scheduler, g.Replicator = m.Broker, m.NIS, m.Scheduler, m.Replicator
+	g.Master = transport.NewServer(m.Mux)
+	g.Master.Use(ServerInterceptors()...)
+	network.Register(masterHost, g.Master)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if _, err := m.Start(ctx); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
 
 	for _, spec := range cfg.Nodes {
 		n, err := node.New(node.Config{
-			Interceptors:         serverInterceptors(),
+			Interceptors:         ServerInterceptors(),
 			Name:                 spec.Name,
 			Network:              network,
 			Client:               client,
@@ -277,8 +237,8 @@ func NewGrid(cfg GridConfig) (*Grid, error) {
 			RAMMB:                spec.RAMMB,
 			UnitTime:             cfg.UnitTime,
 			Accounts:             cfg.Accounts,
-			Broker:               broker.EPR(),
-			NIS:                  nis.EPR(),
+			Broker:               g.Broker.EPR(),
+			NIS:                  g.NIS.EPR(),
 			UtilizationThreshold: cfg.UtilizationThreshold,
 			Background:           spec.Background,
 			OnStage:              cfg.OnStage,
@@ -289,30 +249,18 @@ func NewGrid(cfg GridConfig) (*Grid, error) {
 		}
 		g.Nodes = append(g.Nodes, n)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
 	for _, n := range g.Nodes {
 		if err := n.Register(ctx); err != nil {
 			return nil, fmt.Errorf("core: register %s with NIS: %w", n.Name, err)
 		}
 	}
-	// Resume any job sets a previous scheduler instance left running
-	// (no-op for fresh stores).
-	if _, err := ss.Recover(ctx); err != nil {
-		return nil, fmt.Errorf("core: scheduler recovery: %w", err)
-	}
-	if cfg.Admission != nil {
-		pumpCtx, stopPump := context.WithCancel(context.Background())
-		g.stopPump = stopPump
-		ss.StartAdmission(pumpCtx)
-	}
 	return g, nil
 }
 
-// serverInterceptors is the receive pipeline every grid host runs:
+// ServerInterceptors is the receive pipeline every grid host runs:
 // lift the propagated request ID onto the handler context and
 // re-establish the caller's deadline.
-func serverInterceptors() []soap.Interceptor {
+func ServerInterceptors() []soap.Interceptor {
 	return []soap.Interceptor{pipeline.ServerRequestID(), pipeline.ServerDeadline()}
 }
 
@@ -355,8 +303,8 @@ func (g *Grid) StartMonitors() {
 
 // Close stops the grid's background activity.
 func (g *Grid) Close() {
-	if g.stopPump != nil {
-		g.stopPump()
+	if g.master != nil {
+		g.master.Stop()
 	}
 	for _, n := range g.Nodes {
 		n.Stop()

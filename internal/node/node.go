@@ -1,9 +1,12 @@
-// Package node assembles one simulated grid machine: the Windows box of
-// the paper's campus grid, running a File System Service, an Execution
+// Package node assembles one grid machine: the Windows box of the
+// paper's campus grid, running a File System Service, an Execution
 // Service, the ProcSpawn service and the Processor Utilization service
-// (paper §4, Fig. 3). Hardware heterogeneity (clock speed, cores, RAM)
-// and background load are configurable so the Scheduler has real
-// differences to exploit.
+// (paper §4, Fig. 3). It is the only place a machine is put together —
+// an in-process machine on a simulated Network and the gridnode daemon
+// behind an HTTP listener are the same construction, differing in what
+// hosts Server(). Hardware heterogeneity (clock speed, cores, RAM) and
+// background load are configurable so the Scheduler has real differences
+// to exploit.
 package node
 
 import (
@@ -26,9 +29,14 @@ import (
 
 // Config describes one machine.
 type Config struct {
-	// Name is the machine's inproc host name.
+	// Name is the machine's host name, as the NIS catalog lists it.
 	Name string
-	// Network is the simulated fabric the machine joins.
+	// Address is the base address the machine's services advertise in
+	// their EPRs; empty means "inproc://" + Name.
+	Address string
+	// Network, when set, is the simulated fabric the machine joins under
+	// Name. Without one the caller hosts Server() behind a binding of
+	// its own at Address.
 	Network *transport.Network
 	// Client is the shared outbound client.
 	Client *transport.Client
@@ -56,8 +64,6 @@ type Config struct {
 	UtilizationThreshold float64
 	// Background supplies non-grid load (0..1); nil means idle.
 	Background func() float64
-	// Codec selects the resource database codec (default structured).
-	Codec resourcedb.Codec
 	// Store, when set, backs the machine's WS-Resources (e.g. a
 	// resourcedb.DurableStore's Store for crash/restart drills); nil
 	// gets a fresh in-memory store.
@@ -92,10 +98,10 @@ type Node struct {
 	server *transport.Server
 }
 
-// New builds and registers a machine on the network.
+// New builds a machine and, given a Network, registers it there.
 func New(cfg Config) (*Node, error) {
-	if cfg.Name == "" || cfg.Network == nil || cfg.Client == nil {
-		return nil, fmt.Errorf("node: config requires Name, Network and Client")
+	if cfg.Name == "" || cfg.Client == nil {
+		return nil, fmt.Errorf("node: config requires Name and Client")
 	}
 	if cfg.Cores == 0 {
 		cfg.Cores = 1
@@ -109,10 +115,10 @@ func New(cfg Config) (*Node, error) {
 	if cfg.UtilizationThreshold == 0 {
 		cfg.UtilizationThreshold = 0.1
 	}
-	if cfg.Codec == nil {
-		cfg.Codec = resourcedb.StructuredCodec{}
+	address := cfg.Address
+	if address == "" {
+		address = "inproc://" + cfg.Name
 	}
-	address := "inproc://" + cfg.Name
 
 	n := &Node{Name: cfg.Name, cfg: cfg, client: cfg.Client}
 	n.FS = vfs.New()
@@ -121,11 +127,15 @@ func New(cfg Config) (*Node, error) {
 		n.Store = resourcedb.NewStore()
 	}
 
-	identity, err := wssec.NewIdentity("CN=ExecutionService/" + cfg.Name)
-	if err != nil {
-		return nil, err
+	// Only a secured ES has use for a key pair, and minting one costs
+	// tens of milliseconds of start-up.
+	var err error
+	if cfg.Accounts != nil || cfg.GridAccounts != nil {
+		n.Identity, err = wssec.NewIdentity("CN=ExecutionService/" + cfg.Name)
+		if err != nil {
+			return nil, err
+		}
 	}
-	n.Identity = identity
 
 	spawnCfg := procspawn.Config{
 		FS:       n.FS,
@@ -154,7 +164,7 @@ func New(cfg Config) (*Node, error) {
 		Address: address,
 		FS:      n.FS,
 		Client:  cfg.Client,
-		Home:    wsrf.NewStateHome(n.Store.MustTable("directories", cfg.Codec)),
+		Home:    wsrf.NewStateHome(n.Store.MustTable("directories", resourcedb.StructuredCodec{})),
 		Host:    cfg.Name,
 		OnStage: cfg.OnStage,
 	}
@@ -168,7 +178,7 @@ func New(cfg Config) (*Node, error) {
 
 	esCfg := execution.Config{
 		Address: address,
-		Home:    wsrf.NewStateHome(n.Store.MustTable("jobs", cfg.Codec)),
+		Home:    wsrf.NewStateHome(n.Store.MustTable("jobs", resourcedb.StructuredCodec{})),
 		Client:  cfg.Client,
 		FSS:     n.FSS.EPR(),
 		Spawner: n.Spawner,
@@ -177,14 +187,14 @@ func New(cfg Config) (*Node, error) {
 	switch {
 	case cfg.GridAccounts != nil:
 		esCfg.Security = &wssec.VerifierConfig{
-			Identity: identity,
+			Identity: n.Identity,
 			Accounts: cfg.GridAccounts,
 			Required: true,
 		}
 		esCfg.MapAccount = cfg.GridMap
 	case cfg.Accounts != nil:
 		esCfg.Security = &wssec.VerifierConfig{
-			Identity: identity,
+			Identity: n.Identity,
 			Accounts: cfg.Accounts,
 			Required: true,
 		}
@@ -205,12 +215,15 @@ func New(cfg Config) (*Node, error) {
 	mux.Handle(n.ES.WSRF().Path(), n.ES.WSRF().Dispatcher())
 	n.server = transport.NewServer(mux)
 	n.server.Use(cfg.Interceptors...)
-	cfg.Network.Register(cfg.Name, n.server)
+	if cfg.Network != nil {
+		cfg.Network.Register(cfg.Name, n.server)
+	}
 	return n, nil
 }
 
-// Server exposes the machine's transport server, e.g. for installing
-// additional receive interceptors.
+// Server is the machine's transport server with FSS and ES mounted:
+// already registered when the machine joined a Network, otherwise for
+// the caller to put behind a listener.
 func (n *Node) Server() *transport.Server { return n.server }
 
 // Processor describes this machine for the NIS.
@@ -259,13 +272,20 @@ func (n *Node) Register(ctx context.Context) error {
 // Start launches the background utilization monitor.
 func (n *Node) Start() { n.Monitor.Start() }
 
-// Stop halts background activity and removes the machine from the
-// network.
+// Stop halts background activity and removes the machine from its
+// network, if it joined one.
 func (n *Node) Stop() {
 	n.Monitor.Stop()
-	n.cfg.Network.Deregister(n.Name)
+	if n.cfg.Network != nil {
+		n.cfg.Network.Deregister(n.Name)
+	}
 }
 
 // Certificate returns the machine's ES certificate for credential
-// encryption.
-func (n *Node) Certificate() wssec.Certificate { return n.Identity.Certificate() }
+// encryption; zero on a machine that runs unsecured.
+func (n *Node) Certificate() wssec.Certificate {
+	if n.Identity == nil {
+		return wssec.Certificate{}
+	}
+	return n.Identity.Certificate()
+}

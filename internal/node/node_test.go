@@ -147,7 +147,7 @@ func TestNodeUtilizationStreamReachesNIS(t *testing.T) {
 func TestNodeCertificateStable(t *testing.T) {
 	network := transport.NewNetwork()
 	client := transport.NewClient().WithNetwork(network)
-	n, err := New(Config{Name: "c", Network: network, Client: client})
+	n, err := New(Config{Name: "c", Network: network, Client: client, Accounts: wssec.StaticAccounts{"u": "p"}})
 	if err != nil {
 		t.Fatal(err)
 	}

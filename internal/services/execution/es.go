@@ -77,8 +77,6 @@ const (
 type Config struct {
 	// Address is the machine's base address.
 	Address string
-	// Path defaults to "/ExecutionService".
-	Path string
 	// Home backs the job WS-Resources.
 	Home wsrf.ResourceHome
 	// Client performs outbound calls (FSS, broker).
@@ -129,10 +127,7 @@ func New(cfg Config) (*Service, error) {
 	if cfg.FSS.IsZero() {
 		return nil, fmt.Errorf("es: config requires the local FSS EPR")
 	}
-	if cfg.Path == "" {
-		cfg.Path = "/ExecutionService"
-	}
-	svc, err := wsrf.NewService(wsrf.ServiceConfig{Path: cfg.Path, Address: cfg.Address, Home: cfg.Home})
+	svc, err := wsrf.NewService(wsrf.ServiceConfig{Path: "/ExecutionService", Address: cfg.Address, Home: cfg.Home})
 	if err != nil {
 		return nil, err
 	}

@@ -164,8 +164,6 @@ type Service struct {
 type Config struct {
 	// Address is the machine's base address ("inproc://node-a").
 	Address string
-	// Path is the service path; defaults to "/FileSystemService".
-	Path string
 	// FS is the machine's grid file system.
 	FS *vfs.FS
 	// Client performs outbound retrievals.
@@ -189,13 +187,10 @@ func New(cfg Config) (*Service, error) {
 	if cfg.FS == nil || cfg.Client == nil || cfg.Home == nil {
 		return nil, fmt.Errorf("fss: config requires FS, Client and Home")
 	}
-	if cfg.Path == "" {
-		cfg.Path = "/FileSystemService"
-	}
 	if cfg.GridRoot == "" {
 		cfg.GridRoot = "/grid"
 	}
-	svc, err := wsrf.NewService(wsrf.ServiceConfig{Path: cfg.Path, Address: cfg.Address, Home: cfg.Home})
+	svc, err := wsrf.NewService(wsrf.ServiceConfig{Path: "/FileSystemService", Address: cfg.Address, Home: cfg.Home})
 	if err != nil {
 		return nil, err
 	}

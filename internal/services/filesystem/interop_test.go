@@ -9,28 +9,46 @@ import (
 	"uvacg/internal/soap"
 	"uvacg/internal/transport"
 	"uvacg/internal/vfs"
+	"uvacg/internal/wsa"
 	"uvacg/internal/wsrf"
 )
 
-// TestFSSOverTCPMixedVersions runs a real soap.tcp FSS and crosses file
-// content between an attachment-capable client and one pinned to inline
-// base64 (the old wire form): each must read what the other wrote,
-// byte-for-byte, proving the attachment fast path changed no observable
-// FSS semantics.
-func TestFSSOverTCPMixedVersions(t *testing.T) {
-	mux := soap.NewMux()
+// hostileContent is binary and XML-hostile: nulls, markup characters,
+// high bytes — whatever base64 inlining or escaping could mangle.
+var hostileContent = bytes.Repeat([]byte{0x00, '<', '&', 0xFE, '\n', '>'}, 2000)
+
+// serveBoth hosts one mux behind a soap.tcp and an HTTP listener and
+// returns both base URLs.
+func serveBoth(t *testing.T, mux *soap.Mux) (tcpBase, httpBase string) {
+	t.Helper()
 	tl, err := transport.ListenTCP(transport.NewServer(mux), "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer tl.Close()
+	t.Cleanup(func() { tl.Close() })
+	httpBase, shutdown, err := transport.ListenHTTP(transport.NewServer(mux), "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { shutdown(context.Background()) })
+	return tl.BaseURL(), httpBase
+}
 
-	newClient := transport.NewClient()
+// TestFSSOverTCPMixedVersions (the name predates the single framing: the
+// two wire forms that still coexist are soap.tcp's attachment section
+// and HTTP's inline base64) serves one FSS from one mux on both bindings
+// and crosses file content between them: what is written attached over
+// soap.tcp must read back inline over HTTP and the reverse, byte for
+// byte.
+func TestFSSOverTCPMixedVersions(t *testing.T) {
+	mux := soap.NewMux()
+	tcpBase, httpBase := serveBoth(t, mux)
+	client := transport.NewClient()
 	store := resourcedb.NewStore()
 	svc, err := New(Config{
-		Address: tl.BaseURL(),
+		Address: tcpBase,
 		FS:      vfs.New(),
-		Client:  newClient,
+		Client:  client,
 		Home:    wsrf.NewStateHome(store.MustTable("dirs", resourcedb.StructuredCodec{})),
 	})
 	if err != nil {
@@ -38,58 +56,54 @@ func TestFSSOverTCPMixedVersions(t *testing.T) {
 	}
 	mux.Handle(svc.WSRF().Path(), svc.WSRF().Dispatcher())
 
-	oldClient := transport.NewClient().DisableAttachments()
 	ctx := context.Background()
-	dir, err := CreateDirectoryVia(ctx, newClient, svc.EPR(), "mixed")
+	overTCP, err := CreateDirectoryVia(ctx, client, svc.EPR(), "mixed")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Binary, XML-hostile content: nulls, markup characters, high bytes.
-	content := bytes.Repeat([]byte{0x00, '<', '&', 0xFE, '\n'}, 2000)
-
-	// New writer, old reader.
-	if err := WriteFile(ctx, newClient, dir, "a.bin", content); err != nil {
-		t.Fatal(err)
-	}
-	got, err := FetchFile(ctx, oldClient, dir, "a.bin")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, content) {
-		t.Fatalf("inline reader corrupted attached write (%d bytes back)", len(got))
+	// The same directory resource, addressed through the HTTP listener.
+	overHTTP := wsa.EndpointReference{
+		Address:             httpBase + svc.WSRF().Path(),
+		ReferenceProperties: overTCP.ReferenceProperties,
 	}
 
-	// Old writer, new reader.
-	if err := WriteFile(ctx, oldClient, dir, "b.bin", content); err != nil {
-		t.Fatal(err)
-	}
-	got, err = FetchFile(ctx, newClient, dir, "b.bin")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, content) {
-		t.Fatalf("attachment reader corrupted inline write (%d bytes back)", len(got))
+	for _, tc := range []struct {
+		file          string
+		write, readAs wsa.EndpointReference
+	}{
+		{"attached-write-inline-read.bin", overTCP, overHTTP},
+		{"inline-write-attached-read.bin", overHTTP, overTCP},
+	} {
+		if err := WriteFile(ctx, client, tc.write, tc.file, hostileContent); err != nil {
+			t.Fatalf("%s: %v", tc.file, err)
+		}
+		got, err := FetchFile(ctx, client, tc.readAs, tc.file)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.file, err)
+		}
+		if !bytes.Equal(got, hostileContent) {
+			t.Fatalf("%s: corrupted content (%d bytes back)", tc.file, len(got))
+		}
 	}
 }
 
-// TestFileServerInlineFallback fetches from the client's TCP file server
-// with a client pinned to the inline wire form — the path an unupgraded
-// FSS takes against a new client machine.
+// TestFileServerInlineFallback fetches from the client's file server
+// over the binding with no attachment section: the server attaches the
+// bytes regardless, and the HTTP reply path inlines them.
 func TestFileServerInlineFallback(t *testing.T) {
 	fsrv := NewFileServer("")
-	epr, err := fsrv.ListenTCP("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fsrv.Close()
-	content := bytes.Repeat([]byte{0x7F, 0x00, '>'}, 1000)
-	fsrv.Publish("data.bin", content)
+	mux := soap.NewMux()
+	fsrv.Mount(mux)
+	tcpBase, httpBase := serveBoth(t, mux)
+	fsrv.Publish("data.bin", hostileContent)
 
-	got, err := FetchFile(context.Background(), transport.NewClient().DisableAttachments(), epr, "data.bin")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, content) {
-		t.Fatal("inline fetch corrupted data")
+	for _, base := range []string{tcpBase, httpBase} {
+		got, err := FetchFile(context.Background(), transport.NewClient(), wsa.NewEPR(base+fsrv.Path()), "data.bin")
+		if err != nil {
+			t.Fatalf("%s: %v", base, err)
+		}
+		if !bytes.Equal(got, hostileContent) {
+			t.Fatalf("%s: fetch corrupted data", base)
+		}
 	}
 }

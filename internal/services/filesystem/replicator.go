@@ -36,12 +36,9 @@ type ReplicatorConfig struct {
 	// Address is the base address of the host mounting the consumer,
 	// e.g. "inproc://master" or "soap.tcp://host:port".
 	Address string
-	// ConsumerPath is where the notification consumer is mounted
-	// (default "/ReplicaConsumer").
-	ConsumerPath string
-	Client       *transport.Client
-	Broker       wsa.EndpointReference
-	NIS          wsa.EndpointReference
+	Client  *transport.Client
+	Broker  wsa.EndpointReference
+	NIS     wsa.EndpointReference
 	// Replicas is the target holder count K per blob (default 2).
 	// Job-set specs may ask for more; the larger value wins.
 	Replicas int
@@ -59,16 +56,15 @@ type ReplicatorConfig struct {
 // Replicator fans stored content out to K FSS nodes and journals the
 // acked holder sets.
 type Replicator struct {
-	addr         string
-	consumerPath string
-	client       *transport.Client
-	broker       wsa.EndpointReference
-	nis          wsa.EndpointReference
-	replicas     int
-	journal      *resourcedb.Table
-	metrics      *pipeline.Metrics
-	onAck        func(hash string, holders []string)
-	consumer     *wsn.Consumer
+	addr     string
+	client   *transport.Client
+	broker   wsa.EndpointReference
+	nis      wsa.EndpointReference
+	replicas int
+	journal  *resourcedb.Table
+	metrics  *pipeline.Metrics
+	onAck    func(hash string, holders []string)
+	consumer *wsn.Consumer
 
 	mu         sync.Mutex
 	holders    map[string]map[string]bool // hash → FSS addr set
@@ -91,25 +87,21 @@ type ReplicatorStats struct {
 // NewReplicator builds a replicator, rebuilding holder state from the
 // journal so acked replica sets survive a restart.
 func NewReplicator(cfg ReplicatorConfig) *Replicator {
-	if cfg.ConsumerPath == "" {
-		cfg.ConsumerPath = "/ReplicaConsumer"
-	}
 	if cfg.Replicas <= 0 {
 		cfg.Replicas = 2
 	}
 	r := &Replicator{
-		addr:         cfg.Address,
-		consumerPath: cfg.ConsumerPath,
-		client:       cfg.Client,
-		broker:       cfg.Broker,
-		nis:          cfg.NIS,
-		replicas:     cfg.Replicas,
-		journal:      cfg.Journal,
-		metrics:      cfg.Metrics,
-		onAck:        cfg.OnAck,
-		consumer:     wsn.NewConsumer(),
-		holders:      make(map[string]map[string]bool),
-		sizes:        make(map[string]int64),
+		addr:     cfg.Address,
+		client:   cfg.Client,
+		broker:   cfg.Broker,
+		nis:      cfg.NIS,
+		replicas: cfg.Replicas,
+		journal:  cfg.Journal,
+		metrics:  cfg.Metrics,
+		onAck:    cfg.OnAck,
+		consumer: wsn.NewConsumer(),
+		holders:  make(map[string]map[string]bool),
+		sizes:    make(map[string]int64),
 	}
 	r.recover()
 	r.consumer.Handle(wsn.Simple(ReplicaTopic), r.onNotification)
@@ -153,11 +145,11 @@ func (r *Replicator) recover() {
 func (r *Replicator) Consumer() *wsn.Consumer { return r.consumer }
 
 // ConsumerPath returns the consumer's mount path.
-func (r *Replicator) ConsumerPath() string { return r.consumerPath }
+func (r *Replicator) ConsumerPath() string { return "/ReplicaConsumer" }
 
 // ConsumerEPR returns the consumer's endpoint.
 func (r *Replicator) ConsumerEPR() wsa.EndpointReference {
-	return wsa.NewEPR(r.addr + r.consumerPath)
+	return wsa.NewEPR(r.addr + r.ConsumerPath())
 }
 
 // Start subscribes the replicator to the replica topic. Best-effort:

@@ -89,8 +89,6 @@ type Service struct {
 type Config struct {
 	// Address is the master host's base address.
 	Address string
-	// Path defaults to "/NodeInfoService".
-	Path string
 	// Home backs the service-group resource.
 	Home wsrf.ResourceHome
 	// Client and Broker, when both set, make the NIS publish a
@@ -106,10 +104,7 @@ func New(cfg Config) (*Service, error) {
 	if cfg.Home == nil {
 		return nil, fmt.Errorf("nis: config requires Home")
 	}
-	if cfg.Path == "" {
-		cfg.Path = "/NodeInfoService"
-	}
-	svc, err := wsrf.NewService(wsrf.ServiceConfig{Path: cfg.Path, Address: cfg.Address, Home: cfg.Home})
+	svc, err := wsrf.NewService(wsrf.ServiceConfig{Path: "/NodeInfoService", Address: cfg.Address, Home: cfg.Home})
 	if err != nil {
 		return nil, err
 	}

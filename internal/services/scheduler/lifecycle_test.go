@@ -16,6 +16,7 @@ import (
 	"uvacg/internal/wsa"
 	"uvacg/internal/wsn"
 	"uvacg/internal/wsrf"
+	"uvacg/internal/wssec"
 	"uvacg/internal/xmlutil"
 )
 
@@ -301,5 +302,82 @@ func TestFailedTerminalPublishLeavesUnnotified(t *testing.T) {
 	}
 	if doc.Attr(qNotifiedAttr) != "true" {
 		t.Fatal("replayed set not stamped notified")
+	}
+}
+
+// loadHookHome counts Loads and runs a one-shot hook on the next one —
+// the point where a document write already holds its resource and is
+// about to apply its change.
+type loadHookHome struct {
+	wsrf.ResourceHome
+	loads  int
+	onLoad func()
+}
+
+func (h *loadHookHome) Load(id string) (*xmlutil.Element, error) {
+	h.loads++
+	if hook := h.onLoad; hook != nil {
+		h.onLoad = nil
+		hook()
+	}
+	return h.ResourceHome.Load(id)
+}
+
+// TestJobDocWriteCarriesStateAtWriteTime is the I8 regression: the
+// started handler's document write and the exited handler's transition
+// race, and the older write is the one delayed — it reaches the resource
+// only after the job went Completed. It must then write Completed. Before
+// the fix it wrote the Running it had snapshotted on the way in, and a
+// terminal set could persist a live job.
+func TestJobDocWriteCarriesStateAtWriteTime(t *testing.T) {
+	home := &loadHookHome{}
+	h := newSSHarnessCfg(t, nil, nil, func(cfg *Config) {
+		home.ResourceHome = cfg.Home
+		cfg.Home = home
+	})
+	spec := &JobSetSpec{Name: "set", Jobs: []JobSpec{{Name: "j"}, {Name: "k"}}}
+	setEPR, err := h.ss.svc.CreateResource("", jobSetDocument(spec, wsa.EndpointReference{}, wsa.EndpointReference{}, wssec.Principal{}, SetRunning))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &run{id: setEPR.Property(wsrf.QResourceID), status: SetRunning, jobs: map[string]*jobRun{
+		"j": {spec: &spec.Jobs[0], state: JobRunning, node: "n1"},
+		"k": {spec: &spec.Jobs[1], state: JobPending},
+	}}
+
+	// The started handler's write is under way when the exit lands.
+	home.onLoad = func() {
+		r.mu.Lock()
+		r.jobs["j"].state = JobCompleted
+		r.mu.Unlock()
+	}
+	h.ss.updateJobDoc(r, "j")
+
+	states := func() map[string]string {
+		doc, err := home.ResourceHome.Load(r.id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make(map[string]string)
+		for _, j := range ParseJobSetDocument(doc).Jobs {
+			out[j.Name] = j.Status
+		}
+		return out
+	}
+	if got := states(); got["j"] != JobCompleted || got["k"] != JobPending {
+		t.Fatalf("delayed write persisted %v, want j=%s (the state at write time) and k untouched", got, JobCompleted)
+	}
+
+	// The all-jobs form is one write of every job's current state.
+	r.mu.Lock()
+	r.jobs["k"].state = JobCancelled
+	r.mu.Unlock()
+	before := home.loads
+	h.ss.updateAllJobDocs(r)
+	if got := states(); got["j"] != JobCompleted || got["k"] != JobCancelled {
+		t.Fatalf("updateAllJobDocs persisted %v", got)
+	}
+	if n := home.loads - before; n != 1 {
+		t.Fatalf("updateAllJobDocs rewrote the document %d times, want 1", n)
 	}
 }

@@ -81,11 +81,6 @@ var (
 type Config struct {
 	// Address is the master host's base address.
 	Address string
-	// Path defaults to "/SchedulerService".
-	Path string
-	// ConsumerPath is where the wiring mounts the SS's notification
-	// consumer; defaults to "/SchedulerConsumer".
-	ConsumerPath string
 	// Home backs the job-set WS-Resources.
 	Home wsrf.ResourceHome
 	// Client performs outbound calls.
@@ -128,10 +123,6 @@ type Config struct {
 	// OnDispatch, when set, observes every committed job dispatch —
 	// the simulator's single-writer ledger.
 	OnDispatch func(rec DispatchRecord)
-	// TrackReplicas forces the replica cache on even for policies that
-	// ignore locality, so dispatched FileRefs carry content hashes and
-	// replica EPRs. A DataAware policy enables tracking implicitly.
-	TrackReplicas bool
 	// DefaultRetry applies to jobs whose spec carries no retry policy of
 	// its own. Zero keeps the historical fail-on-first-error behaviour.
 	DefaultRetry RetryPolicy
@@ -140,6 +131,15 @@ type Config struct {
 	// running scavenger set. Requires Admission.
 	Preempt bool
 }
+
+// ServicePath is where a master mounts the SS — lease owner identities
+// and shard→peer maps embed it, so a lease record doubles as a redirect
+// target — and consumerPath where it mounts the SS's notification
+// consumer.
+const (
+	ServicePath  = "/SchedulerService"
+	consumerPath = "/SchedulerConsumer"
+)
 
 // Dispatch-path defaults.
 const (
@@ -155,7 +155,6 @@ type Service struct {
 	broker       wsa.EndpointReference
 	policy       Policy
 	consumer     *wsn.Consumer
-	consumerPath string
 	esCerts      func(wsa.EndpointReference) (wssec.Certificate, bool)
 	jobTimeout   time.Duration
 	catalogTTL   time.Duration
@@ -263,12 +262,6 @@ func New(cfg Config) (*Service, error) {
 	if cfg.NIS.IsZero() || cfg.Broker.IsZero() {
 		return nil, fmt.Errorf("scheduler: config requires NIS and Broker EPRs")
 	}
-	if cfg.Path == "" {
-		cfg.Path = "/SchedulerService"
-	}
-	if cfg.ConsumerPath == "" {
-		cfg.ConsumerPath = "/SchedulerConsumer"
-	}
 	if cfg.Policy == nil {
 		cfg.Policy = Greedy{}
 	}
@@ -281,7 +274,7 @@ func New(cfg Config) (*Service, error) {
 	if cfg.CatalogTTL == 0 {
 		cfg.CatalogTTL = DefaultCatalogTTL
 	}
-	svc, err := wsrf.NewService(wsrf.ServiceConfig{Path: cfg.Path, Address: cfg.Address, Home: cfg.Home})
+	svc, err := wsrf.NewService(wsrf.ServiceConfig{Path: ServicePath, Address: cfg.Address, Home: cfg.Home})
 	if err != nil {
 		return nil, err
 	}
@@ -292,7 +285,6 @@ func New(cfg Config) (*Service, error) {
 		broker:       cfg.Broker,
 		policy:       cfg.Policy,
 		consumer:     wsn.NewConsumer(),
-		consumerPath: cfg.ConsumerPath,
 		esCerts:      cfg.ESCerts,
 		jobTimeout:   cfg.JobTimeout,
 		catalogTTL:   cfg.CatalogTTL,
@@ -308,9 +300,7 @@ func New(cfg Config) (*Service, error) {
 		defaultRetry: cfg.DefaultRetry,
 		preempt:      cfg.Preempt && cfg.Admission != nil,
 	}
-	if _, ok := cfg.Policy.(DataAware); ok || cfg.TrackReplicas {
-		s.trackReplicas = true
-	}
+	_, s.trackReplicas = cfg.Policy.(DataAware)
 	if cfg.Sharding != nil && cfg.Sharding.Manager == nil {
 		return nil, fmt.Errorf("scheduler: Sharding requires a lease Manager")
 	}
@@ -338,11 +328,11 @@ func (s *Service) EPR() wsa.EndpointReference { return s.svc.EPR() }
 func (s *Service) Consumer() *wsn.Consumer { return s.consumer }
 
 // ConsumerPath returns the consumer's mount path.
-func (s *Service) ConsumerPath() string { return s.consumerPath }
+func (s *Service) ConsumerPath() string { return consumerPath }
 
 // ConsumerEPR returns the consumer's endpoint.
 func (s *Service) ConsumerEPR() wsa.EndpointReference {
-	return wsa.NewEPR(s.svc.Address() + s.consumerPath)
+	return wsa.NewEPR(s.svc.Address() + consumerPath)
 }
 
 // SubmitRequest builds a Submit body: the job set description plus the
@@ -1291,50 +1281,45 @@ func (s *Service) setStatus(r *run, status string) {
 	})
 }
 
-// updateJobDoc mirrors one job's runtime state into the resource doc.
+// updateAllJobDocs mirrors every job's runtime state in one write.
+func (s *Service) updateAllJobDocs(r *run) { s.updateJobDoc(r, "") }
+
+// updateJobDoc mirrors runtime job state into the resource document:
+// the job named, or every job when jobName is empty. The state is read
+// inside the UpdateResource callback (per-resource lock, then r.mu — the
+// order handleCancel uses), never before it: a snapshot taken outside
+// could be overtaken by a later transition's write while waiting for the
+// resource, and then land on top of it — a terminal set persisting a
+// Running job.
 func (s *Service) updateJobDoc(r *run, jobName string) {
-	r.mu.Lock()
-	if r.lost {
-		r.mu.Unlock()
-		return
-	}
-	j := r.jobs[jobName]
-	state, node, exit := j.state, j.node, j.exitCode
-	dir := j.dirEPR
-	attempts := j.attempts
-	r.mu.Unlock()
 	_ = s.svc.UpdateResource(r.id, func(doc *xmlutil.Element) error {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		if r.lost {
+			return errors.New("scheduler: run lost to another master") // aborts the write
+		}
 		for _, st := range doc.ChildrenNamed(QJobState) {
-			if st.Attr(qNameAttr) == jobName {
-				st.SetAttr(qStatusAttr, state)
-				if node != "" {
-					st.SetAttr(qNodeAttr, node)
-				}
-				if !dir.IsZero() {
-					st.SetAttr(qDirAttr, dir.String())
-				}
-				if attempts > 0 {
-					st.SetAttr(qAttemptAttr, strconv.Itoa(attempts))
-				}
-				if state == JobCompleted || state == JobFailed {
-					st.SetAttr(qExitAttr, strconv.Itoa(exit))
-				}
+			name := st.Attr(qNameAttr)
+			j := r.jobs[name]
+			if j == nil || (jobName != "" && name != jobName) {
+				continue
+			}
+			st.SetAttr(qStatusAttr, j.state)
+			if j.node != "" {
+				st.SetAttr(qNodeAttr, j.node)
+			}
+			if !j.dirEPR.IsZero() {
+				st.SetAttr(qDirAttr, j.dirEPR.String())
+			}
+			if j.attempts > 0 {
+				st.SetAttr(qAttemptAttr, strconv.Itoa(j.attempts))
+			}
+			if j.state == JobCompleted || j.state == JobFailed {
+				st.SetAttr(qExitAttr, strconv.Itoa(j.exitCode))
 			}
 		}
 		return nil
 	})
-}
-
-func (s *Service) updateAllJobDocs(r *run) {
-	r.mu.Lock()
-	names := make([]string, 0, len(r.jobs))
-	for name := range r.jobs {
-		names = append(names, name)
-	}
-	r.mu.Unlock()
-	for _, name := range names {
-		s.updateJobDoc(r, name)
-	}
 }
 
 // publishSetEvent broadcasts a set-level event on "<topic>/jobset/<kind>".

@@ -87,7 +87,7 @@ func (c *Cluster) noteAdmissionEvent(ev admission.Event) {
 func (c *Cluster) liveAdmissionStats() map[string]admission.QueueStats {
 	out := make(map[string]admission.QueueStats)
 	if !c.MultiMaster() {
-		if st, ok := c.Master().ss.AdmissionStats(); ok {
+		if st, ok := c.Master().m.Scheduler.AdmissionStats(); ok {
 			out[MasterHost] = st
 		}
 		return out
@@ -99,7 +99,7 @@ func (c *Cluster) liveAdmissionStats() map[string]admission.QueueStats {
 		if m == nil || m.f.dead.Load() {
 			continue
 		}
-		if st, ok := m.ss.AdmissionStats(); ok {
+		if st, ok := m.m.Scheduler.AdmissionStats(); ok {
 			out[m.host] = st
 		}
 	}

@@ -10,12 +10,13 @@ import (
 
 	"uvacg/internal/admission"
 	"uvacg/internal/core"
+	"uvacg/internal/lease"
+	"uvacg/internal/master"
 	"uvacg/internal/node"
 	"uvacg/internal/pipeline"
 	"uvacg/internal/resourcedb"
 	"uvacg/internal/services/execution"
 	"uvacg/internal/services/filesystem"
-	"uvacg/internal/services/nodeinfo"
 	"uvacg/internal/services/scheduler"
 	"uvacg/internal/soap"
 	"uvacg/internal/transport"
@@ -101,26 +102,23 @@ type Ack struct {
 	Topic string
 }
 
-// masterServices is one incarnation of the master machine. Crashing the
-// master abandons the incarnation (its goroutines die against a closed
-// store, like a killed process's in-flight writes) and a restart builds
-// a fresh one over the same data directory.
-type masterServices struct {
-	store  *resourcedb.DurableStore
-	client *transport.Client
-	broker *wsn.Broker
-	nis    *nodeinfo.Service
-	ss     *scheduler.Service
-	rep    *filesystem.Replicator // nil unless ClusterConfig.Replicas > 0
-	f      *fence                 // trips on crash: no outbound I/O survives
-	cancel context.CancelFunc     // stops the incarnation's admission pump
+// masterHost is one incarnation of a scheduler-bearing machine: the
+// single master, or one replica of the multi-master layout. Crashing it
+// abandons the incarnation (its goroutines die against a tripped fence
+// and, for the single master, a closed store — like a killed process's
+// in-flight I/O) and a restart builds a fresh one.
+type masterHost struct {
+	host  string
+	store *resourcedb.DurableStore // the single master's; a replica keeps no store
+	m     *master.Master
+	mgr   *lease.Manager // replicas only
+	f     *fence         // trips on crash: no outbound I/O survives
 }
 
 // nodeHost is one incarnation of an execution machine.
 type nodeHost struct {
-	store  *resourcedb.DurableStore
-	client *transport.Client
-	node   *node.Node
+	store *resourcedb.DurableStore
+	node  *node.Node
 }
 
 // Cluster is a whole in-process grid wired over fault-injecting
@@ -137,9 +135,9 @@ type Cluster struct {
 	cfg ClusterConfig
 
 	mu      sync.Mutex
-	master  *masterServices // single-master layout
-	core    *coreServices   // multi-master layout: the hub
-	masters []*masterHost   // multi-master layout: scheduler replicas
+	master  *masterHost   // single-master layout
+	core    *coreServices // multi-master layout: the hub
+	masters []*masterHost // multi-master layout: scheduler replicas
 	nodes   map[string]*nodeHost
 	acked   []Ack
 	rr      int // round-robin submit cursor (multi-master)
@@ -192,23 +190,23 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	// probe. The same host's file server stays faultable.
 	c.Chaos.ExemptAddr(ObserverHost, "/listener")
 
-	c.Observer = newObserver(c.hostClient(ObserverHost))
+	c.Observer = newObserver(c.clientWith(ObserverHost, nil))
 	c.Network.Register(ObserverHost, c.Observer.server)
 
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
 	if cfg.Masters > 1 {
-		if err := c.startCore(); err != nil {
+		if err := c.startCore(ctx); err != nil {
 			return nil, err
 		}
 		for i := 0; i < cfg.Masters; i++ {
-			if err := c.startMasterN(i); err != nil {
+			if err := c.startMasterN(ctx, i); err != nil {
 				return nil, err
 			}
 		}
-	} else if err := c.startMaster(); err != nil {
+	} else if err := c.startMaster(ctx); err != nil {
 		return nil, err
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
 	// Machines join in parallel — a multi-master scenario runs hundreds
 	// of them — with concurrency capped so store opens do not stampede.
 	// Registration order was never part of the determinism contract
@@ -234,19 +232,14 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	return c, nil
 }
 
-// hostClient builds the outbound pipeline for one host: request
+// clientWith builds the outbound pipeline for one host: request
 // correlation, deadline propagation and a small deterministic retry for
-// idempotent actions, over a chaos-wrapped transport. Jitter is
-// disabled so a replayed seed retries on the same schedule.
-func (c *Cluster) hostClient(host string) *transport.Client {
-	return c.clientWith(host, nil)
-}
-
-// clientWith is hostClient plus two optional behaviors: a fence that
-// kills every outbound message once the host's incarnation is crashed
-// (a multi-master replica keeps no store of its own, so SIGKILL is
-// "all its I/O fails" rather than "its store closes"), and the
-// configured constant wire delay on cross-host messages.
+// idempotent actions (jitter disabled, so a replayed seed retries on the
+// same schedule) over a chaos-wrapped transport with the configured
+// constant wire delay on cross-host messages. A non-nil fence kills every
+// outbound message once the host's incarnation is crashed (a
+// multi-master replica keeps no store of its own, so SIGKILL is "all its
+// I/O fails" rather than "its store closes").
 func (c *Cluster) clientWith(host string, f *fence) *transport.Client {
 	client := transport.NewClient().WithNetwork(c.Network)
 	client.Use(
@@ -279,14 +272,57 @@ func (c *Cluster) clientWith(host string, f *fence) *transport.Client {
 	return client
 }
 
-func serverInterceptors() []soap.Interceptor {
-	return []soap.Interceptor{pipeline.ServerRequestID(), pipeline.ServerDeadline()}
+// bringUp builds a master-side host through the one shared assembly —
+// the wiring gridmaster ships — puts it on the network and starts it, so
+// the start order every crash drill exercises is master.Start's. The
+// host is up whenever m is non-nil; err then carries what Start could
+// not recover.
+func (c *Cluster) bringUp(ctx context.Context, host string, cfg master.Config) (m *master.Master, err error) {
+	cfg.Address = "inproc://" + host
+	// Notification delivery rides the same retry the product path uses:
+	// transient consumer failures are absorbed; permanent ones are the
+	// producer's failure-count problem.
+	cfg.DeliveryRetry = pipeline.RetryPolicy{
+		MaxAttempts: 3,
+		BaseDelay:   2 * time.Millisecond,
+		MaxDelay:    20 * time.Millisecond,
+		Jitter:      -1,
+	}
+	m, err = master.Assemble(cfg)
+	if err != nil {
+		return nil, err
+	}
+	srv := transport.NewServer(m.Mux)
+	srv.Use(core.ServerInterceptors()...)
+	c.Network.Register(host, srv)
+	_, err = m.Start(ctx)
+	return m, err
 }
 
-// startMaster opens (or reopens) the master's durable store and mounts
-// broker, NIS and scheduler over it; on a reopened store the broker
-// recovers its subscriptions and Recover resumes interrupted runs.
-func (c *Cluster) startMaster() error {
+// schedulerConfig is what every scheduler in the cluster shares,
+// whatever the layout.
+func (c *Cluster) schedulerConfig() *scheduler.Config {
+	cfg := &scheduler.Config{
+		JobTimeout:          c.cfg.JobTimeout,
+		CatalogTTL:          c.cfg.CatalogTTL,
+		MaxInflightDispatch: c.cfg.MaxInflight,
+		DefaultRetry:        c.cfg.DefaultRetry,
+		OnDispatch:          c.noteDispatch,
+	}
+	if c.cfg.Admission != nil {
+		cfg.Admission = c.newAdmissionQueue()
+		cfg.Security = c.admissionVerifier()
+		cfg.Preempt = c.cfg.Preempt
+	}
+	return cfg
+}
+
+// startMaster opens (or reopens) the master's durable store and brings
+// broker, NIS, scheduler and replicator up over it; on a reopened store
+// the broker recovers its subscriptions and Start's Recover resumes
+// interrupted runs. The returned error carries per-set recovery
+// failures; the master is up once c.master is set.
+func (c *Cluster) startMaster(ctx context.Context) error {
 	store, err := resourcedb.OpenDurable(filepath.Join(c.cfg.DataDir, MasterHost), resourcedb.DurableOptions{})
 	if err != nil {
 		return fmt.Errorf("simgrid: open master store: %w", err)
@@ -296,101 +332,25 @@ func (c *Cluster) startMaster() error {
 	// timers) must not keep dispatching work or publishing events — a
 	// dead process makes no network calls.
 	f := &fence{}
-	client := c.clientWith(MasterHost, f)
-	addr := "inproc://" + MasterHost
-
-	broker, err := wsn.NewBroker("/NotificationBroker", addr,
-		wsrf.NewStateHome(store.MustTable("subscriptions", resourcedb.BlobCodec{})), client)
-	if err != nil {
-		return err
-	}
-	// Notification delivery rides the same retry the product path uses:
-	// transient consumer failures are absorbed; permanent ones are the
-	// producer's failure-count problem.
-	broker.Producer().SetDeliveryRetry(pipeline.RetryPolicy{
-		MaxAttempts: 3,
-		BaseDelay:   2 * time.Millisecond,
-		MaxDelay:    20 * time.Millisecond,
-		Jitter:      -1,
-	})
-	nis, err := nodeinfo.New(nodeinfo.Config{
-		Address: addr,
-		Home:    wsrf.NewStateHome(store.MustTable("nodeinfo", resourcedb.BlobCodec{})),
-		Client:  client,
-		Broker:  broker.EPR(),
-	})
-	if err != nil {
-		return err
-	}
-	ssCfg := scheduler.Config{
-		Address:             addr,
-		Home:                wsrf.NewStateHome(store.MustTable("jobsets", resourcedb.BlobCodec{})),
-		Client:              client,
-		NIS:                 nis.EPR(),
-		Broker:              broker.EPR(),
-		JobTimeout:          c.cfg.JobTimeout,
-		CatalogTTL:          c.cfg.CatalogTTL,
-		MaxInflightDispatch: c.cfg.MaxInflight,
-		DefaultRetry:        c.cfg.DefaultRetry,
-		OnDispatch:          c.noteDispatch,
-	}
-	if c.cfg.Admission != nil {
-		ssCfg.Admission = c.newAdmissionQueue()
-		ssCfg.Security = c.admissionVerifier()
-		ssCfg.Preempt = c.cfg.Preempt
-	}
+	ssCfg := c.schedulerConfig()
 	if c.cfg.DataAware {
 		ssCfg.Policy = scheduler.DataAware{}
 	}
-	ss, err := scheduler.New(ssCfg)
-	if err != nil {
+	m, err := c.bringUp(ctx, MasterHost, master.Config{
+		Store:     store.Store,
+		Client:    c.clientWith(MasterHost, f),
+		Scheduler: ssCfg,
+		Replicas:  c.cfg.Replicas,
+		OnAck:     c.noteReplicaAck,
+	})
+	if m == nil {
+		store.Close()
 		return err
 	}
-	var rep *filesystem.Replicator
-	if c.cfg.Replicas > 0 {
-		rep = filesystem.NewReplicator(filesystem.ReplicatorConfig{
-			Address:  addr,
-			Client:   client,
-			Broker:   broker.EPR(),
-			NIS:      nis.EPR(),
-			Replicas: c.cfg.Replicas,
-			Journal:  store.MustTable("replicas", resourcedb.BlobCodec{}),
-			OnAck:    c.noteReplicaAck,
-		})
-	}
-
-	mux := soap.NewMux()
-	mux.Handle(broker.Service().Path(), broker.Service().Dispatcher())
-	mux.Handle(broker.Producer().SubscriptionService().Path(), broker.Producer().SubscriptionService().Dispatcher())
-	mux.Handle(nis.WSRF().Path(), nis.WSRF().Dispatcher())
-	mux.Handle(ss.WSRF().Path(), ss.WSRF().Dispatcher())
-	ss.Consumer().Mount(mux, ss.ConsumerPath())
-	if rep != nil {
-		rep.Consumer().Mount(mux, rep.ConsumerPath())
-	}
-	srv := transport.NewServer(mux)
-	srv.Use(serverInterceptors()...)
-	c.Network.Register(MasterHost, srv)
-
-	mctx, cancel := context.WithCancel(context.Background())
-	ss.StartAdmission(mctx)
-	if rep != nil {
-		// Subscribe after the master is reachable on the network; the
-		// broker delivers through the same faultable fabric as everyone
-		// else once chaos is on, but setup must succeed.
-		sctx, scancel := context.WithTimeout(mctx, 10*time.Second)
-		err := rep.Start(sctx)
-		scancel()
-		if err != nil {
-			cancel()
-			return fmt.Errorf("simgrid: replicator subscription: %w", err)
-		}
-	}
-
 	c.mu.Lock()
-	c.master = &masterServices{store: store, client: client, broker: broker, nis: nis, ss: ss, rep: rep, f: f, cancel: cancel}
+	c.master = &masterHost{host: MasterHost, store: store, m: m, f: f}
 	c.mu.Unlock()
-	return nil
+	return err
 }
 
 // startNode opens (or reopens) one machine's durable store and joins it
@@ -403,17 +363,16 @@ func (c *Cluster) startNode(ctx context.Context, name string) error {
 	if err != nil {
 		return fmt.Errorf("simgrid: open %s store: %w", name, err)
 	}
-	client := c.hostClient(name)
 	n, err := node.New(node.Config{
-		Interceptors:  serverInterceptors(),
+		Interceptors:  core.ServerInterceptors(),
 		Name:          name,
 		Network:       c.Network,
-		Client:        client,
+		Client:        c.clientWith(name, nil),
 		Cores:         2,
 		SpeedMHz:      2000,
 		UnitTime:      5 * time.Microsecond,
-		Broker:        c.brokerEPR(),
-		NIS:           c.nisEPR(),
+		Broker:        c.directory().Broker.EPR(),
+		NIS:           c.directory().NIS.EPR(),
 		Store:         store.Store,
 		OnStage:       c.noteStage,
 		ReplicaEvents: c.cfg.Replicas > 0,
@@ -430,7 +389,7 @@ func (c *Cluster) startNode(ctx context.Context, name string) error {
 		time.Sleep(5 * time.Millisecond)
 	}
 	c.mu.Lock()
-	c.nodes[name] = &nodeHost{store: store, client: client, node: n}
+	c.nodes[name] = &nodeHost{store: store, node: n}
 	c.mu.Unlock()
 	if regErr != nil && !c.nisKnows(ctx, name) {
 		return fmt.Errorf("simgrid: register %s: %w", name, regErr)
@@ -441,7 +400,7 @@ func (c *Cluster) startNode(ctx context.Context, name string) error {
 // nisKnows reports whether the NIS catalog (read locally on its host)
 // already lists host from an earlier incarnation.
 func (c *Cluster) nisKnows(ctx context.Context, host string) bool {
-	procs, err := c.nisService().Processors()
+	procs, err := c.directory().NIS.Processors()
 	if err != nil {
 		return false
 	}
@@ -454,7 +413,7 @@ func (c *Cluster) nisKnows(ctx context.Context, host string) bool {
 }
 
 // Master returns the current master incarnation (single-master layout).
-func (c *Cluster) Master() *masterServices {
+func (c *Cluster) Master() *masterHost {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.master
@@ -466,31 +425,16 @@ func (c *Cluster) Scheduler() *scheduler.Service {
 	if c.MultiMaster() {
 		return c.SchedulerN(0)
 	}
-	return c.Master().ss
+	return c.Master().m.Scheduler
 }
 
-// brokerEPR locates the Notification Broker, wherever the layout put it.
-func (c *Cluster) brokerEPR() wsa.EndpointReference {
+// directory returns the host carrying the broker and the NIS: the hub in
+// the multi-master layout, the master otherwise.
+func (c *Cluster) directory() *master.Master {
 	if c.MultiMaster() {
-		return c.core.broker.EPR()
+		return c.core.m
 	}
-	return c.Master().broker.EPR()
-}
-
-// nisEPR locates the Node Info Service.
-func (c *Cluster) nisEPR() wsa.EndpointReference {
-	if c.MultiMaster() {
-		return c.core.nis.EPR()
-	}
-	return c.Master().nis.EPR()
-}
-
-// nisService returns the in-process NIS handle for local catalog reads.
-func (c *Cluster) nisService() *nodeinfo.Service {
-	if c.MultiMaster() {
-		return c.core.nis
-	}
-	return c.Master().nis
+	return c.Master().m
 }
 
 // NodeNames lists the execution machines.
@@ -512,7 +456,7 @@ func (c *Cluster) CrashMaster() {
 	m := c.Master()
 	m.f.dead.Store(true)
 	c.Network.Deregister(MasterHost)
-	m.cancel()
+	m.m.Stop()
 	_ = m.store.Close()
 }
 
@@ -520,11 +464,7 @@ func (c *Cluster) CrashMaster() {
 // resumes interrupted job sets. The returned error carries per-set
 // recovery failures; the master is up either way.
 func (c *Cluster) RestartMaster(ctx context.Context) error {
-	if err := c.startMaster(); err != nil {
-		return err
-	}
-	_, err := c.Master().ss.Recover(ctx)
-	return err
+	return c.startMaster(ctx)
 }
 
 // CrashNode kills one machine: network drop plus store close. Jobs it
@@ -690,7 +630,7 @@ func (c *Cluster) Close() {
 	c.mu.Unlock()
 	for _, mh := range masters {
 		if mh != nil {
-			mh.cancel()
+			mh.m.Stop()
 		}
 	}
 	for _, h := range nodes {
@@ -698,7 +638,7 @@ func (c *Cluster) Close() {
 		_ = h.store.Close()
 	}
 	if m != nil {
-		m.cancel()
+		m.m.Stop()
 		_ = m.store.Close()
 	}
 	if core != nil {

@@ -10,14 +10,10 @@ import (
 
 	"uvacg/internal/admission"
 	"uvacg/internal/lease"
-	"uvacg/internal/pipeline"
+	"uvacg/internal/master"
 	"uvacg/internal/resourcedb"
-	"uvacg/internal/services/nodeinfo"
 	"uvacg/internal/services/scheduler"
-	"uvacg/internal/soap"
-	"uvacg/internal/transport"
 	"uvacg/internal/wsa"
-	"uvacg/internal/wsn"
 	"uvacg/internal/wsrf"
 	"uvacg/internal/wssec"
 	"uvacg/internal/xmlutil"
@@ -29,11 +25,6 @@ import (
 // kept its WS-Resources in. Masters are scheduler-only replicas named
 // by MasterName.
 const CoreHost = "core"
-
-// schedulerPath is the scheduler service's default mount path, which a
-// master's lease owner identity and the static shard→peer map both
-// embed so a lease record doubles as a redirect target.
-const schedulerPath = "/SchedulerService"
 
 // MasterName names replica i (1-based): "master-1" .. "master-M".
 func MasterName(i int) string { return fmt.Sprintf("master-%d", i) }
@@ -147,69 +138,28 @@ func (g *gatedLeaseStore) CompareAndSave(rec lease.Record, expectEpoch uint64) e
 // database, the single point the paper's architecture also assumes.
 type coreServices struct {
 	store   *resourcedb.DurableStore
-	client  *transport.Client
-	broker  *wsn.Broker
-	nis     *nodeinfo.Service
+	m       *master.Master
 	jobsets *resourcedb.Table
 	leases  *lease.TableStore
 }
 
-// masterHost is one incarnation of a scheduler replica.
-type masterHost struct {
-	host   string
-	client *transport.Client
-	f      *fence
-	mgr    *lease.Manager
-	ss     *scheduler.Service
-	cancel context.CancelFunc // stops the incarnation's lease Maintain loop
-}
-
-// startCore opens the hub's durable store and mounts broker and NIS
-// over it, plus the shared jobsets and leases tables the masters
-// attach to.
-func (c *Cluster) startCore() error {
+// startCore opens the hub's durable store and brings broker and NIS up
+// over it, plus the shared jobsets and leases tables the masters attach
+// to.
+func (c *Cluster) startCore(ctx context.Context) error {
 	store, err := resourcedb.OpenDurable(filepath.Join(c.cfg.DataDir, CoreHost), resourcedb.DurableOptions{})
 	if err != nil {
 		return fmt.Errorf("simgrid: open core store: %w", err)
 	}
-	client := c.hostClient(CoreHost)
-	addr := "inproc://" + CoreHost
-
-	broker, err := wsn.NewBroker("/NotificationBroker", addr,
-		wsrf.NewStateHome(store.MustTable("subscriptions", resourcedb.BlobCodec{})), client)
+	m, err := c.bringUp(ctx, CoreHost, master.Config{Store: store.Store, Client: c.clientWith(CoreHost, nil)})
 	if err != nil {
+		store.Close()
 		return err
 	}
-	broker.Producer().SetDeliveryRetry(pipeline.RetryPolicy{
-		MaxAttempts: 3,
-		BaseDelay:   2 * time.Millisecond,
-		MaxDelay:    20 * time.Millisecond,
-		Jitter:      -1,
-	})
-	nis, err := nodeinfo.New(nodeinfo.Config{
-		Address: addr,
-		Home:    wsrf.NewStateHome(store.MustTable("nodeinfo", resourcedb.BlobCodec{})),
-		Client:  client,
-		Broker:  broker.EPR(),
-	})
-	if err != nil {
-		return err
-	}
-
-	mux := soap.NewMux()
-	mux.Handle(broker.Service().Path(), broker.Service().Dispatcher())
-	mux.Handle(broker.Producer().SubscriptionService().Path(), broker.Producer().SubscriptionService().Dispatcher())
-	mux.Handle(nis.WSRF().Path(), nis.WSRF().Dispatcher())
-	srv := transport.NewServer(mux)
-	srv.Use(serverInterceptors()...)
-	c.Network.Register(CoreHost, srv)
-
 	c.mu.Lock()
 	c.core = &coreServices{
 		store:   store,
-		client:  client,
-		broker:  broker,
-		nis:     nis,
+		m:       m,
 		jobsets: store.MustTable("jobsets", resourcedb.BlobCodec{}),
 		leases:  lease.NewTableStore(store.MustTable("leases", resourcedb.BlobCodec{})),
 	}
@@ -231,19 +181,18 @@ func preferredShards(self, masters, shards int) []int {
 
 // startMasterN builds incarnation i (0-based) of a scheduler replica:
 // a fenced view of the shared tables, a lease manager for its shard
-// claims, and the scheduler itself, then starts the lease protocol —
-// the initial synchronous Tick claims the replica's preferred shards
-// before startMasterN returns, so a following Recover covers them.
-func (c *Cluster) startMasterN(i int) error {
+// claims, and the scheduler itself beside the hub's broker and NIS.
+// master.Start claims the replica's preferred shards and recovers them
+// before the admission pump runs. The returned error carries per-set
+// recovery failures; the replica is up once c.masters[i] is set.
+func (c *Cluster) startMasterN(ctx context.Context, i int) error {
 	host := MasterName(i + 1)
 	f := &fence{}
-	client := c.clientWith(host, f)
-	addr := "inproc://" + host
 	masters := c.cfg.Masters
 
 	mgr, err := lease.NewManager(lease.Config{
 		Store:     &gatedLeaseStore{inner: c.core.leases, f: f, chaos: c.Chaos, host: host},
-		Owner:     addr + schedulerPath,
+		Owner:     c.masterEPR(i).Address,
 		Shards:    c.cfg.Shards,
 		Preferred: preferredShards(i, masters, c.cfg.Shards),
 		TTL:       c.cfg.LeaseTTL,
@@ -251,53 +200,31 @@ func (c *Cluster) startMasterN(i int) error {
 	if err != nil {
 		return err
 	}
-	ssCfg := scheduler.Config{
-		Address:             addr,
-		Home:                &fencedHome{inner: wsrf.NewStateHome(c.core.jobsets), f: f},
-		Client:              client,
-		NIS:                 c.core.nis.EPR(),
-		Broker:              c.core.broker.EPR(),
-		JobTimeout:          c.cfg.JobTimeout,
-		CatalogTTL:          c.cfg.CatalogTTL,
-		MaxInflightDispatch: c.cfg.MaxInflight,
-		DefaultRetry:        c.cfg.DefaultRetry,
-		Sharding: &scheduler.Sharding{
-			Manager: mgr,
-			PeerForShard: func(shard int) (wsa.EndpointReference, bool) {
-				return c.masterEPR(shard % masters), true
-			},
-			Observer: c.noteShardEvent,
+	ssCfg := c.schedulerConfig()
+	ssCfg.Sharding = &scheduler.Sharding{
+		Manager: mgr,
+		PeerForShard: func(shard int) (wsa.EndpointReference, bool) {
+			return c.masterEPR(shard % masters), true
 		},
-		OnDispatch: c.noteDispatch,
+		Observer: c.noteShardEvent,
 	}
-	if c.cfg.Admission != nil {
-		ssCfg.Admission = c.newAdmissionQueue()
-		ssCfg.Security = c.admissionVerifier()
-		ssCfg.Preempt = c.cfg.Preempt
-	}
-	ss, err := scheduler.New(ssCfg)
-	if err != nil {
+	m, err := c.bringUp(ctx, host, master.Config{
+		Client:    c.clientWith(host, f),
+		Scheduler: ssCfg,
+		Broker:    c.core.m.Broker.EPR(),
+		NIS:       c.core.m.NIS.EPR(),
+		JobSets:   &fencedHome{inner: wsrf.NewStateHome(c.core.jobsets), f: f},
+	})
+	if m == nil {
 		return err
 	}
-
-	mux := soap.NewMux()
-	mux.Handle(ss.WSRF().Path(), ss.WSRF().Dispatcher())
-	ss.Consumer().Mount(mux, ss.ConsumerPath())
-	srv := transport.NewServer(mux)
-	srv.Use(serverInterceptors()...)
-	c.Network.Register(host, srv)
-
-	mctx, cancel := context.WithCancel(context.Background())
-	ss.StartSharding(mctx)
-	ss.StartAdmission(mctx)
-
 	c.mu.Lock()
 	for len(c.masters) <= i {
 		c.masters = append(c.masters, nil)
 	}
-	c.masters[i] = &masterHost{host: host, client: client, f: f, mgr: mgr, ss: ss, cancel: cancel}
+	c.masters[i] = &masterHost{host: host, m: m, mgr: mgr, f: f}
 	c.mu.Unlock()
-	return nil
+	return err
 }
 
 // CrashMasterN kills replica i: it vanishes from the network and its
@@ -311,7 +238,7 @@ func (c *Cluster) CrashMasterN(i int) {
 	c.mu.Unlock()
 	c.Network.Deregister(m.host)
 	m.f.dead.Store(true)
-	m.cancel()
+	m.m.Stop()
 }
 
 // RestartMasterN brings replica i back as a fresh incarnation and
@@ -319,14 +246,7 @@ func (c *Cluster) CrashMasterN(i int) {
 // the lease had not expired (a self-reclaim bumps the epoch), nothing
 // if a peer already took them over.
 func (c *Cluster) RestartMasterN(ctx context.Context, i int) error {
-	if err := c.startMasterN(i); err != nil {
-		return err
-	}
-	c.mu.Lock()
-	m := c.masters[i]
-	c.mu.Unlock()
-	_, err := m.ss.Recover(ctx)
-	return err
+	return c.startMasterN(ctx, i)
 }
 
 // MultiMaster reports whether the cluster runs the sharded layout.
@@ -344,7 +264,7 @@ func (c *Cluster) Shards() int {
 func (c *Cluster) SchedulerN(i int) *scheduler.Service {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.masters[i].ss
+	return c.masters[i].m.Scheduler
 }
 
 // LeaseManagerN returns replica i's current lease manager.
@@ -356,7 +276,7 @@ func (c *Cluster) LeaseManagerN(i int) *lease.Manager {
 
 // masterEPR is the static scheduler endpoint of replica i (0-based).
 func (c *Cluster) masterEPR(i int) wsa.EndpointReference {
-	return wsa.NewEPR("inproc://" + MasterName(i+1) + schedulerPath)
+	return wsa.NewEPR("inproc://" + MasterName(i+1) + scheduler.ServicePath)
 }
 
 // noteShardEvent appends one ownership transition to the lease ledger.

@@ -69,5 +69,5 @@ func (c *Cluster) Replicator() *filesystem.Replicator {
 	if c.master == nil {
 		return nil
 	}
-	return c.master.rep
+	return c.master.m.Replicator
 }

@@ -19,7 +19,7 @@ var (
 )
 
 // Attachment is one binary part riding outside the XML envelope. On
-// bindings with attachment support (soap.tcp v2 frames, inproc) the
+// bindings with attachment support (soap.tcp, inproc) the
 // bytes travel raw; on others they are inlined back into the body as
 // base64 text before marshalling (InlineAttachments).
 type Attachment struct {

@@ -109,9 +109,6 @@ func (e *Envelope) Clone() *Envelope {
 // can be ruled out in production without a rebuild (-nofastcodec).
 func SetFastCodec(enabled bool) { fastcodec.SetEnabled(enabled) }
 
-// FastCodecEnabled reports whether the fast-path codec is active.
-func FastCodecEnabled() bool { return fastcodec.Enabled() }
-
 // maxEnvelopeBytes bounds how much soap.Read (and the transport request
 // readers that feed Unmarshal) will buffer for one envelope. A corrupt
 // or malicious peer otherwise drives io.ReadAll into unbounded

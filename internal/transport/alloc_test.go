@@ -98,7 +98,7 @@ func TestVectoredLargeFrameRoundTrip(t *testing.T) {
 // TestVectoredFrameBytesIdentical checks the vectored writer puts the
 // exact same bytes on the wire as the buffered writer.
 func TestVectoredFrameBytesIdentical(t *testing.T) {
-	fr := &frame{kind: frameRequest2, path: "/Blob", body: bytes.Repeat([]byte("e"), 20<<10)}
+	fr := &frame{kind: frameRequest, path: "/Blob", body: bytes.Repeat([]byte("e"), 20<<10)}
 	fr.atts = []soap.Attachment{
 		{ID: "cid:part-0", Data: bytes.Repeat([]byte{7}, 30<<10)},
 		{ID: "cid:part-1", Data: []byte{}},

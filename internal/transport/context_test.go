@@ -302,6 +302,38 @@ func TestListenHTTPShutdownHonorsContext(t *testing.T) {
 	}
 }
 
+// TestListenHTTPShutdownClosesUnusedConnections: a connection that never
+// sent a request — the spare dial a peer's http.Transport leaves behind —
+// must not make a graceful shutdown sit out net/http's five-second
+// StateNew grace.
+func TestListenHTTPShutdownClosesUnusedConnections(t *testing.T) {
+	mux, _ := testService(t)
+	base, shutdown, err := ListenHTTP(NewServer(mux), "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spare, err := net.Dial("tcp", strings.TrimPrefix(base, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer spare.Close()
+	// Connections are accepted in order, so a completed call on a later
+	// one proves the server has taken the spare one in.
+	if _, err := NewClient().Call(context.Background(), wsa.NewEPR(base+"/Test"), "urn:Echo", xmlutil.NewElement(qPing, "hi")); err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	start := time.Now()
+	if err := shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if elapsed := time.Since(start); elapsed > 500*time.Millisecond {
+		t.Fatalf("shutdown waited %v on a connection that never sent a request", elapsed)
+	}
+}
+
 // TestInvokePreCancelled covers the uniform fast-path: a context dead
 // before Invoke starts never touches the wire.
 func TestInvokePreCancelled(t *testing.T) {

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"sync"
 	"time"
 
 	"uvacg/internal/soap"
@@ -138,7 +139,33 @@ func ListenHTTP(srv *Server, addr string) (baseURL string, shutdown func(context
 	if err != nil {
 		return "", nil, err
 	}
-	hs := &http.Server{Handler: NewHTTPHandler(srv)}
+	// http.Server.Shutdown counts a connection that has not yet sent a
+	// request (StateNew) as busy for five seconds (net/http issue 22682),
+	// and a peer's http.Transport leaves exactly such never-used spare
+	// dials behind. Nothing on them has reached a handler, so shutdown
+	// closes them first instead of waiting them out.
+	var mu sync.Mutex
+	unused := make(map[net.Conn]struct{})
+	hs := &http.Server{
+		Handler: NewHTTPHandler(srv),
+		ConnState: func(c net.Conn, st http.ConnState) {
+			mu.Lock()
+			if st == http.StateNew {
+				unused[c] = struct{}{}
+			} else {
+				delete(unused, c)
+			}
+			mu.Unlock()
+		},
+	}
 	go hs.Serve(l)
-	return "http://" + l.Addr().String(), hs.Shutdown, nil
+	shutdown = func(ctx context.Context) error {
+		mu.Lock()
+		for c := range unused {
+			c.Close()
+		}
+		mu.Unlock()
+		return hs.Shutdown(ctx)
+	}
+	return "http://" + l.Addr().String(), shutdown, nil
 }

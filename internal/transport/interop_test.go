@@ -1,10 +1,8 @@
 package transport
 
 import (
-	"bufio"
 	"bytes"
 	"context"
-	"encoding/base64"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -65,182 +63,119 @@ func blobResponseData(t *testing.T, resp *soap.Envelope) []byte {
 	return data
 }
 
-// legacyTCPServer replicates the pre-attachment soap.tcp listener on the
-// wire: one v1 frame per connection, reply, close — and an unknown frame
-// kind drops the connection without a reply. It is the stand-in "old
-// server" for mixed-version interop tests.
-type legacyTCPServer struct {
-	l   net.Listener
-	srv *Server
-
-	mu    sync.Mutex
-	conns int
-}
-
-func startLegacyTCPServer(t *testing.T, srv *Server) *legacyTCPServer {
+// startResetFirstListener serves srv over soap.tcp but cuts the first
+// connection as soon as its request starts arriving — a peer restarting
+// mid-exchange. Later connections get the real listener loop.
+func startResetFirstListener(t *testing.T, srv *Server) *TCPListener {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ls := &legacyTCPServer{l: l, srv: srv}
+	tl := &TCPListener{srv: srv, listener: l, closed: make(chan struct{}), conns: make(map[net.Conn]struct{})}
+	tl.wg.Add(1)
 	go func() {
-		for {
-			conn, err := l.Accept()
-			if err != nil {
-				return
-			}
-			ls.mu.Lock()
-			ls.conns++
-			ls.mu.Unlock()
-			go ls.serve(conn)
+		if conn, err := l.Accept(); err == nil {
+			conn.Read(make([]byte, 1))
+			conn.Close()
 		}
+		tl.acceptLoop()
 	}()
-	t.Cleanup(func() { l.Close() })
-	return ls
+	t.Cleanup(func() { tl.Close() })
+	return tl
 }
 
-func (ls *legacyTCPServer) connCount() int {
-	ls.mu.Lock()
-	defer ls.mu.Unlock()
-	return ls.conns
-}
-
-func (ls *legacyTCPServer) serve(conn net.Conn) {
-	defer conn.Close()
-	br := bufio.NewReader(conn)
-	// The v1 header: kind, pathLen, path, bodyLen, body. An old server
-	// knows nothing of the attachment section that v2 kinds append.
-	var hdr [4]byte
-	if _, err := io.ReadFull(br, hdr[:1]); err != nil {
-		return
-	}
-	kind := hdr[0]
-	if _, err := io.ReadFull(br, hdr[:2]); err != nil {
-		return
-	}
-	path := make([]byte, binary.BigEndian.Uint16(hdr[:2]))
-	if _, err := io.ReadFull(br, path); err != nil {
-		return
-	}
-	if _, err := io.ReadFull(br, hdr[:4]); err != nil {
-		return
-	}
-	body := make([]byte, binary.BigEndian.Uint32(hdr[:4]))
-	if _, err := io.ReadFull(br, body); err != nil {
-		return
-	}
-	switch kind {
-	case frameOneWay:
-		ls.srv.HandleOneWay(context.Background(), string(path), body)
-	case frameRequest:
-		resp := ls.srv.HandleRequest(context.Background(), string(path), body)
-		bw := bufio.NewWriter(conn)
-		if writeFrame(bw, &frame{kind: frameReply, body: resp}) == nil {
-			bw.Flush()
-		}
-	default:
-		// Unknown kind (a v2 frame from a new client): close without
-		// replying, exactly what the old listener did.
-	}
-}
-
-// TestNewClientAgainstLegacyServer: a current client carrying a request
-// attachment discovers the old peer (connection closed on the v2 frame),
-// marks it legacy, inlines as base64, and the exchange still completes.
-// Subsequent calls skip the probe and go straight to v1 framing.
-func TestNewClientAgainstLegacyServer(t *testing.T) {
-	ls := startLegacyTCPServer(t, NewServer(blobService()))
+// TestConnectionResetLeavesHostAttachedAndPooled: a server that drops
+// one connection mid-exchange says nothing about what framing it
+// speaks. The failed call surfaces its error; the next call to the same
+// host still carries real attachments and its connection is pooled.
+func TestConnectionResetLeavesHostAttachedAndPooled(t *testing.T) {
+	tl := startResetFirstListener(t, NewServer(blobService()))
+	tr := NewTCPTransport()
 	client := NewClient()
-	to := wsa.NewEPR(SchemeTCP + "://" + ls.l.Addr().String() + "/Blob")
-	data := bytes.Repeat([]byte{0x00, 0xFF, '<', '&'}, 4096) // binary + XML-hostile bytes
+	client.RegisterScheme(SchemeTCP, tr)
+	to := wsa.NewEPR(tl.BaseURL() + "/Blob")
+	data := bytes.Repeat([]byte{0x00, 0xFF, '<', '&'}, 4096)
 
-	resp, err := client.Invoke(context.Background(), to, "urn:Blob", blobRequest(data))
-	if err != nil {
-		t.Fatal(err)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if _, err := client.Invoke(ctx, to, "urn:Blob", blobRequest(data)); err == nil {
+		t.Fatal("call on the reset connection reported success")
 	}
-	if got := blobResponseData(t, resp); !bytes.Equal(got, data) {
-		t.Fatalf("round trip corrupted data (%d vs %d bytes)", len(got), len(data))
+	for i := 0; i < 2; i++ {
+		resp, err := client.Invoke(ctx, to, "urn:Blob", blobRequest(data))
+		if err != nil {
+			t.Fatalf("call %d after the reset: %v", i, err)
+		}
+		if !resp.HasAttachments() {
+			t.Fatalf("call %d after the reset fell back to inline content", i)
+		}
+		if got := blobResponseData(t, resp); !bytes.Equal(got, data) {
+			t.Fatalf("call %d after the reset corrupted data", i)
+		}
 	}
-	if resp.HasAttachments() {
-		t.Fatal("legacy server cannot have produced real attachments")
-	}
-	if n := ls.connCount(); n != 2 {
-		t.Fatalf("first call should probe v2 then retry v1 (2 connections), saw %d", n)
-	}
-
-	// Second call: the peer is marked legacy, no v2 probe.
-	resp, err = client.Invoke(context.Background(), to, "urn:Blob", blobRequest(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := blobResponseData(t, resp); !bytes.Equal(got, data) {
-		t.Fatal("second round trip corrupted data")
-	}
-	if n := ls.connCount(); n != 3 {
-		t.Fatalf("marked-legacy call should use one v1 connection, total %d", n)
+	tl.mu.Lock()
+	live := len(tl.conns)
+	tl.mu.Unlock()
+	if live != 1 {
+		t.Fatalf("server tracked %d connections after the reset, want 1 (pooled reuse)", live)
 	}
 }
 
-// TestLegacyClientWireAgainstNewServer hand-rolls the old client's exact
-// bytes — a v1 frameRequest with inline base64 content — against a new
-// listener, and requires a v1 frameReply with the content inlined: the
-// upgraded server stays wire-compatible with unupgraded peers.
-func TestLegacyClientWireAgainstNewServer(t *testing.T) {
-	tl, err := ListenTCP(NewServer(blobService()), "127.0.0.1:0")
+// TestRetiredFrameKindClosesConnection: the pre-attachment frame kinds
+// 0–2 are unknown to the listener — it closes the connection without
+// dispatching anything or replying.
+func TestRetiredFrameKindClosesConnection(t *testing.T) {
+	d := soap.NewDispatcher()
+	handled := make(chan struct{}, 1)
+	d.Register("urn:Blob", func(ctx context.Context, req *soap.Envelope) (*soap.Envelope, error) {
+		handled <- struct{}{}
+		return nil, nil
+	})
+	mux := soap.NewMux()
+	mux.Handle("/Blob", d)
+	tl, err := ListenTCP(NewServer(mux), "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tl.Close()
 
-	data := bytes.Repeat([]byte{0xAB, 0x00, '>'}, 1024)
-	env := soap.New(xmlutil.NewContainer(qBlob,
-		xmlutil.NewElement(qData, base64.StdEncoding.EncodeToString(data)),
-	))
+	env := soap.New(xmlutil.NewContainer(qBlob))
 	wsa.Apply(env, wsa.NewEPR(tl.BaseURL()+"/Blob"), "urn:Blob")
-	reqBytes, err := env.Marshal()
+	body, err := env.Marshal()
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	conn, err := net.Dial("tcp", tl.Addr())
-	if err != nil {
-		t.Fatal(err)
+	for kind := byte(0); kind < frameRequest; kind++ {
+		conn, err := net.Dial("tcp", tl.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The retired layout: kind, path, body — no attachment section.
+		old := []byte{kind}
+		old = binary.BigEndian.AppendUint16(old, uint16(len("/Blob")))
+		old = append(old, "/Blob"...)
+		old = binary.BigEndian.AppendUint32(old, uint32(len(body)))
+		old = append(old, body...)
+		if _, err := conn.Write(old); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if n, err := conn.Read(make([]byte, 1)); err != io.EOF {
+			t.Fatalf("kind %d: want the connection closed with no reply, read %d bytes, err %v", kind, n, err)
+		}
+		conn.Close()
 	}
-	defer conn.Close()
-	bw := bufio.NewWriter(conn)
-	if err := writeFrame(bw, &frame{kind: frameRequest, path: "/Blob", body: reqBytes}); err != nil {
-		t.Fatal(err)
-	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	reply, err := readFrame(bufio.NewReader(conn))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reply.kind != frameReply {
-		t.Fatalf("old client must receive a v1 reply frame, got kind %d", reply.kind)
-	}
-	if len(reply.atts) != 0 {
-		t.Fatalf("v1 reply carried %d attachments", len(reply.atts))
-	}
-	resp, err := soap.Unmarshal(reply.body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := base64.StdEncoding.DecodeString(resp.Body.Child(qData).Text)
-	if err != nil {
-		t.Fatalf("reply content is not inline base64: %v", err)
-	}
-	if !bytes.Equal(got, data) {
-		t.Fatal("inline reply corrupted data")
+	select {
+	case <-handled:
+		t.Fatal("a retired frame kind reached a handler")
+	default:
 	}
 }
 
 // TestPoolReuseAndPeerTracking drives two calls through one transport and
 // proves they share a single TCP connection (the server tracked exactly
-// one), that the peer was promoted to v2, and that CloseIdleConnections
+// one), that both replies were attached, and that CloseIdleConnections
 // empties the pool.
 func TestPoolReuseAndPeerTracking(t *testing.T) {
 	tl, err := ListenTCP(NewServer(blobService()), "127.0.0.1:0")
@@ -267,9 +202,6 @@ func TestPoolReuseAndPeerTracking(t *testing.T) {
 		}
 	}
 
-	if st := tr.peerState(tl.Addr()); st != peerV2 {
-		t.Fatalf("peer state = %d, want peerV2", st)
-	}
 	tl.mu.Lock()
 	live := len(tl.conns)
 	tl.mu.Unlock()
@@ -368,28 +300,34 @@ func TestConcurrentPooledClients(t *testing.T) {
 	}
 }
 
-// TestDisableAttachmentsStaysInline pins the -noattach behaviour: with
-// attachments disabled the same exchange completes purely inline, and
-// with them enabled the reply content arrives as a real attachment.
-func TestDisableAttachmentsStaysInline(t *testing.T) {
-	tl, err := ListenTCP(NewServer(blobService()), "127.0.0.1:0")
+// TestHTTPStaysInlineWhereTCPAttaches runs the same exchange over both
+// wire forms that exist: soap.tcp carries the reply content as a real
+// attachment, HTTP — which has no attachment section — completes it
+// purely inline, and the bytes are the same.
+func TestHTTPStaysInlineWhereTCPAttaches(t *testing.T) {
+	srv := NewServer(blobService())
+	tl, err := ListenTCP(srv, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tl.Close()
-	to := wsa.NewEPR(tl.BaseURL() + "/Blob")
-	data := bytes.Repeat([]byte{0xC0, 0x01}, 512)
+	httpBase, shutdown, err := ListenHTTP(srv, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shutdown(context.Background())
+	data := bytes.Repeat([]byte{0xC0, 0x01, '<', 0x00}, 512)
 
 	for _, tc := range []struct {
 		name       string
-		client     *Client
+		base       string
 		wantAttach bool
 	}{
-		{"attachments", NewClient(), true},
-		{"noattach", NewClient().DisableAttachments(), false},
+		{"soap.tcp", tl.BaseURL(), true},
+		{"http", httpBase, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			resp, err := tc.client.Invoke(context.Background(), to, "urn:Blob", blobRequest(data))
+			resp, err := NewClient().Invoke(context.Background(), wsa.NewEPR(tc.base+"/Blob"), "urn:Blob", blobRequest(data))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -2,7 +2,6 @@ package transport
 
 import (
 	"context"
-	"fmt"
 	"log"
 
 	"uvacg/internal/soap"
@@ -40,7 +39,7 @@ func (s *Server) Use(ics ...soap.Interceptor) {
 // HandleRequest processes one request-response exchange for the service
 // at path, returning the serialized reply (possibly a fault envelope).
 // The reply channel is byte-only, so reply attachments are inlined as
-// base64 — the path HTTP and old-framing TCP peers take.
+// base64 — the path HTTP takes.
 func (s *Server) HandleRequest(ctx context.Context, path string, request []byte) []byte {
 	resp := s.process(ctx, path, &Message{Envelope: request}, false)
 	resp.InlineAttachments()
@@ -140,9 +139,4 @@ func (s *Server) logf(format string, args ...any) {
 		return
 	}
 	log.Printf("transport: "+format, args...)
-}
-
-// servicePathError standardizes bad-path failures across bindings.
-func servicePathError(path string) error {
-	return fmt.Errorf("transport: invalid service path %q", path)
 }

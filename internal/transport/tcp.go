@@ -4,12 +4,10 @@ import (
 	"bufio"
 	"context"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/url"
-	"strings"
 	"sync"
 	"time"
 
@@ -21,23 +19,16 @@ import (
 // moving large files (paper §4.1).
 const SchemeTCP = "soap.tcp"
 
-// Frame kinds on the wire. The low kinds are the original (v1) framing:
-// envelope bytes only. The v2 kinds append an attachment section after
-// the body — the MTOM/XOP-style binary fast path — and double as the
-// protocol version byte: an old peer reading an unknown kind closes the
-// connection, which a new client detects and downgrades on.
+// Frame kinds on the wire. Every frame carries the attachment section
+// after the body — the MTOM/XOP-style binary fast path; a frame without
+// attachments pays two bytes for the zero count. Values 0–2 belonged to
+// a retired framing without that section and are rejected like any
+// other unknown kind.
 const (
-	frameRequest  byte = 0 // v1 request-response request; a response frame follows
-	frameOneWay   byte = 1 // v1 one-way message
-	frameReply    byte = 2 // v1 response to a request frame
-	frameRequest2 byte = 3 // v2 request: body followed by attachment section
-	frameOneWay2  byte = 4 // v2 one-way with attachment section
-	frameReply2   byte = 5 // v2 response with attachment section
+	frameRequest byte = 3 // request; a reply frame follows
+	frameOneWay  byte = 4 // one-way message, no reply
+	frameReply   byte = 5 // response to a request frame
 )
-
-// kindHasAttachments reports whether the frame kind carries the v2
-// attachment section after the body.
-func kindHasAttachments(kind byte) bool { return kind >= frameRequest2 && kind <= frameReply2 }
 
 // maxFrameSize bounds a single message section (64 MiB): large enough
 // for the testbed's file chunks, small enough to stop a corrupt length
@@ -55,9 +46,6 @@ const maxAttachments = 256
 //	path    [pathLen]byte
 //	bodyLen uint32 (big endian)
 //	body    [bodyLen]byte         serialized SOAP envelope
-//
-// v2 kinds append the attachment section:
-//
 //	attCount uint16 (big endian)
 //	per attachment:
 //	  idLen   uint16
@@ -78,12 +66,6 @@ func checkFrame(fr *frame) error {
 	}
 	if len(fr.body) > maxFrameSize {
 		return fmt.Errorf("transport: frame body %d exceeds limit %d", len(fr.body), maxFrameSize)
-	}
-	if !kindHasAttachments(fr.kind) {
-		if len(fr.atts) > 0 {
-			return fmt.Errorf("transport: frame kind %d cannot carry %d attachments", fr.kind, len(fr.atts))
-		}
-		return nil
 	}
 	if len(fr.atts) > maxAttachments {
 		return fmt.Errorf("transport: %d attachments exceed limit %d", len(fr.atts), maxAttachments)
@@ -163,30 +145,24 @@ func (fw *frameWriter) writeFrame(fr *frame) error {
 	if _, err := fw.bw.Write(fr.body); err != nil {
 		return err
 	}
-	if !kindHasAttachments(fr.kind) {
-		return nil
-	}
-	var hdr [6]byte
-	binary.BigEndian.PutUint16(hdr[:2], uint16(len(fr.atts)))
-	if _, err := fw.bw.Write(hdr[:2]); err != nil {
+	// The attachment section's headers reuse the scratch: bufio has
+	// copied (or written out) the fixed header by now.
+	h := binary.BigEndian.AppendUint16(fw.hdr[:0], uint16(len(fr.atts)))
+	if _, err := fw.bw.Write(h); err != nil {
 		return err
 	}
 	for _, a := range fr.atts {
-		binary.BigEndian.PutUint16(hdr[:2], uint16(len(a.ID)))
-		if _, err := fw.bw.Write(hdr[:2]); err != nil {
-			return err
-		}
-		if _, err := fw.bw.WriteString(a.ID); err != nil {
-			return err
-		}
-		binary.BigEndian.PutUint32(hdr[:4], uint32(len(a.Data)))
-		if _, err := fw.bw.Write(hdr[:4]); err != nil {
+		h = binary.BigEndian.AppendUint16(h[:0], uint16(len(a.ID)))
+		h = append(h, a.ID...)
+		h = binary.BigEndian.AppendUint32(h, uint32(len(a.Data)))
+		if _, err := fw.bw.Write(h); err != nil {
 			return err
 		}
 		if _, err := fw.bw.Write(a.Data); err != nil {
 			return err
 		}
 	}
+	fw.hdr = h
 	return nil
 }
 
@@ -210,17 +186,15 @@ func (fw *frameWriter) writeVectored(fr *frame) error {
 	}
 	h := fw.appendHeader(fr)
 	vecs := append(fw.vecs[:0], h, fr.body)
-	if kindHasAttachments(fr.kind) {
-		mark := len(fw.hdr)
-		fw.hdr = binary.BigEndian.AppendUint16(fw.hdr, uint16(len(fr.atts)))
-		vecs = append(vecs, fw.hdr[mark:])
-		for _, a := range fr.atts {
-			mark = len(fw.hdr)
-			fw.hdr = binary.BigEndian.AppendUint16(fw.hdr, uint16(len(a.ID)))
-			fw.hdr = append(fw.hdr, a.ID...)
-			fw.hdr = binary.BigEndian.AppendUint32(fw.hdr, uint32(len(a.Data)))
-			vecs = append(vecs, fw.hdr[mark:], a.Data)
-		}
+	mark := len(fw.hdr)
+	fw.hdr = binary.BigEndian.AppendUint16(fw.hdr, uint16(len(fr.atts)))
+	vecs = append(vecs, fw.hdr[mark:])
+	for _, a := range fr.atts {
+		mark = len(fw.hdr)
+		fw.hdr = binary.BigEndian.AppendUint16(fw.hdr, uint16(len(a.ID)))
+		fw.hdr = append(fw.hdr, a.ID...)
+		fw.hdr = binary.BigEndian.AppendUint32(fw.hdr, uint32(len(a.Data)))
+		vecs = append(vecs, fw.hdr[mark:], a.Data)
 	}
 	// WriteTo consumes vecs as segments drain; keep the backing array
 	// for reuse but drop the consumed view.
@@ -228,27 +202,6 @@ func (fw *frameWriter) writeVectored(fr *frame) error {
 	_, err := consumable.WriteTo(fw.conn)
 	fw.vecs = vecs[:0]
 	return err
-}
-
-// writeFrame is the plain-io.Writer form used by tests and one-shot
-// callers; connection-bound paths use a frameWriter for the scratch
-// reuse and the vectored large-frame path.
-func writeFrame(w io.Writer, fr *frame) error {
-	if err := checkFrame(fr); err != nil {
-		return err
-	}
-	bw, ok := w.(*bufio.Writer)
-	if !ok {
-		bw = bufio.NewWriter(w)
-	}
-	fw := frameWriter{bw: bw}
-	if err := fw.writeFrame(fr); err != nil {
-		return err
-	}
-	if !ok {
-		return bw.Flush()
-	}
-	return nil
 }
 
 func readFrame(r io.Reader) (*frame, error) {
@@ -260,6 +213,9 @@ func readFrame(r io.Reader) (*frame, error) {
 		return nil, err
 	}
 	fr := &frame{kind: hdr[0]}
+	if fr.kind < frameRequest || fr.kind > frameReply {
+		return nil, fmt.Errorf("transport: unknown frame kind %d", fr.kind)
+	}
 	if _, err := io.ReadFull(r, hdr[:2]); err != nil {
 		return nil, err
 	}
@@ -281,9 +237,6 @@ func readFrame(r io.Reader) (*frame, error) {
 	fr.body = make([]byte, blen)
 	if _, err := io.ReadFull(r, fr.body); err != nil {
 		return nil, err
-	}
-	if !kindHasAttachments(fr.kind) {
-		return fr, nil
 	}
 	if _, err := io.ReadFull(r, hdr[:2]); err != nil {
 		return nil, err
@@ -317,10 +270,8 @@ func readFrame(r io.Reader) (*frame, error) {
 	return fr, nil
 }
 
-// TCPTransport is the soap.tcp:// client binding. Connections to peers
-// that speak the v2 framing persist in a bounded per-host pool and are
-// reused across messages; old-framing peers keep the original
-// dial-per-message discipline (they close after each exchange anyway).
+// TCPTransport is the soap.tcp:// client binding. Connections persist
+// in a bounded per-host pool and are reused across messages.
 type TCPTransport struct {
 	dialer net.Dialer
 
@@ -329,24 +280,9 @@ type TCPTransport struct {
 	MaxIdlePerHost int
 	// IdleTimeout discards pooled connections idle longer than this.
 	IdleTimeout time.Duration
-	// DisableAttachments forces the v1 framing (inline base64 only),
-	// for wire compatibility drills and the cmds' -noattach flag.
-	DisableAttachments bool
 
-	pool   connPool
-	peerMu sync.Mutex
-	peers  map[string]byte // hostport -> peerV2 / peerLegacy
+	pool connPool
 }
-
-const (
-	peerV2     byte = 1 // replied to a v2 frame: persistent + attachments
-	peerLegacy byte = 2 // closed on a v2 frame: v1 framing only
-)
-
-// legacyTTL bounds how long a peer stays marked legacy, so a server
-// upgrade (or a misdiagnosed network failure) heals without a client
-// restart.
-const legacyTTL = 5 * time.Minute
 
 // NewTCPTransport builds the binding with pooling enabled.
 func NewTCPTransport() *TCPTransport {
@@ -354,31 +290,6 @@ func NewTCPTransport() *TCPTransport {
 		dialer:         net.Dialer{Timeout: 10 * time.Second},
 		MaxIdlePerHost: 8,
 		IdleTimeout:    60 * time.Second,
-	}
-}
-
-func (t *TCPTransport) peerState(hostport string) byte {
-	t.peerMu.Lock()
-	defer t.peerMu.Unlock()
-	return t.peers[hostport]
-}
-
-func (t *TCPTransport) setPeerState(hostport string, state byte) {
-	t.peerMu.Lock()
-	defer t.peerMu.Unlock()
-	if t.peers == nil {
-		t.peers = make(map[string]byte)
-	}
-	t.peers[hostport] = state
-	if state == peerLegacy {
-		// Forget the marking eventually so an upgraded server is retried.
-		time.AfterFunc(legacyTTL, func() {
-			t.peerMu.Lock()
-			defer t.peerMu.Unlock()
-			if t.peers[hostport] == peerLegacy {
-				delete(t.peers, hostport)
-			}
-		})
 	}
 }
 
@@ -440,10 +351,8 @@ func ctxIOErr(ctx context.Context, err error) error {
 // exchange performs one framed exchange (write fr, read one reply when
 // wantReply) on a pooled or fresh connection. A failure on a reused
 // pooled connection — the peer may have dropped it while idle — is
-// retried once on a fresh dial. Healthy connections return to the pool
-// only once the peer is known to speak v2 (old servers close after
-// every exchange, so pooling to them would silently lose one-way sends
-// and waste a round trip on every request).
+// retried once on a fresh dial. Every healthy connection returns to the
+// pool.
 func (t *TCPTransport) exchange(ctx context.Context, hostport string, fr *frame, wantReply bool) (*frame, error) {
 	for attempt := 0; ; attempt++ {
 		var pc *pooledConn
@@ -465,10 +374,11 @@ func (t *TCPTransport) exchange(ctx context.Context, hostport string, fr *frame,
 			}
 			return nil, err
 		}
-		if reply != nil && kindHasAttachments(reply.kind) {
-			t.setPeerState(hostport, peerV2)
+		if wantReply && reply.kind != frameReply {
+			pc.Close()
+			return nil, fmt.Errorf("unexpected frame kind %d in reply", reply.kind)
 		}
-		if t.MaxIdlePerHost > 0 && t.peerState(hostport) == peerV2 {
+		if t.MaxIdlePerHost > 0 {
 			t.pool.put(hostport, pc, t.MaxIdlePerHost, t.IdleTimeout)
 		} else {
 			pc.Close()
@@ -502,78 +412,41 @@ func (t *TCPTransport) exchangeOn(ctx context.Context, pc *pooledConn, fr *frame
 	return reply, nil
 }
 
-// peerClosed reports an error shape consistent with "the peer closed
-// the connection without replying" — what an old-framing server does on
-// seeing a v2 frame kind.
-func peerClosed(err error) bool {
-	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-		return true
-	}
-	return strings.Contains(err.Error(), "connection reset")
-}
-
-// RoundTrip implements RoundTripper with the original v1 framing.
+// RoundTrip implements RoundTripper, the byte-only form: the request
+// carries no attachments, and any the reply carries are inlined as
+// base64 so the caller loses nothing.
 func (t *TCPTransport) RoundTrip(ctx context.Context, addr string, request []byte) ([]byte, error) {
-	hostport, path, err := splitTCPAddr(addr)
+	reply, err := t.RoundTripMsg(ctx, addr, &Message{Envelope: request})
 	if err != nil {
 		return nil, err
 	}
-	reply, err := t.exchange(ctx, hostport, &frame{kind: frameRequest, path: path, body: request}, true)
+	if len(reply.Attachments) == 0 {
+		return reply.Envelope, nil
+	}
+	env, err := soap.Unmarshal(reply.Envelope)
 	if err != nil {
 		return nil, err
 	}
-	if reply.kind != frameReply {
-		return nil, fmt.Errorf("unexpected frame kind %d in reply", reply.kind)
-	}
-	return reply.body, nil
+	env.Attachments = reply.Attachments
+	env.InlineAttachments()
+	return env.Marshal()
 }
 
-// RoundTripMsg implements MessageRoundTripper: the v2 framing with the
-// attachment section. Against a peer that closes on the v2 frame kind,
-// the transport marks it legacy and downgrades — transparently when the
-// request has no attachments, with ErrAttachmentsUnsupported otherwise
-// so the caller re-marshals with attachments inlined.
+// RoundTripMsg implements MessageRoundTripper: attachments travel raw in
+// the frame's attachment section, both ways.
 func (t *TCPTransport) RoundTripMsg(ctx context.Context, addr string, req *Message) (*Message, error) {
 	hostport, path, err := splitTCPAddr(addr)
 	if err != nil {
 		return nil, err
 	}
-	if t.DisableAttachments || t.peerState(hostport) == peerLegacy {
-		return t.roundTripV1(ctx, addr, req)
-	}
-	reply, err := t.exchange(ctx, hostport, &frame{kind: frameRequest2, path: path, body: req.Envelope, atts: req.Attachments}, true)
-	if err != nil {
-		if peerClosed(err) && ctx.Err() == nil {
-			t.setPeerState(hostport, peerLegacy)
-			return t.roundTripV1(ctx, addr, req)
-		}
-		return nil, err
-	}
-	switch reply.kind {
-	case frameReply2, frameReply:
-		return &Message{Envelope: reply.body, Attachments: reply.atts}, nil
-	}
-	return nil, fmt.Errorf("unexpected frame kind %d in reply", reply.kind)
-}
-
-// roundTripV1 is the downgrade path: v1 framing carries no attachments,
-// so requests that need them must be re-marshalled inline by the caller.
-func (t *TCPTransport) roundTripV1(ctx context.Context, addr string, req *Message) (*Message, error) {
-	if len(req.Attachments) > 0 {
-		return nil, ErrAttachmentsUnsupported
-	}
-	body, err := t.RoundTrip(ctx, addr, req.Envelope)
+	reply, err := t.exchange(ctx, hostport, &frame{kind: frameRequest, path: path, body: req.Envelope, atts: req.Attachments}, true)
 	if err != nil {
 		return nil, err
 	}
-	return &Message{Envelope: body}, nil
+	return &Message{Envelope: reply.body, Attachments: reply.atts}, nil
 }
 
-// Send implements RoundTripper's one-way hand-off. One-way messages
-// always use the v1 frame kind: there is no reply on which to detect an
-// old peer, and v1 one-way frames are understood by every server
-// generation (attachments on one-way sends are inlined by the client
-// layer for the same reason).
+// Send implements RoundTripper's one-way hand-off.
 func (t *TCPTransport) Send(ctx context.Context, addr string, request []byte) error {
 	hostport, path, err := splitTCPAddr(addr)
 	if err != nil {
@@ -694,9 +567,8 @@ func (tl *TCPListener) acceptLoop() {
 	}
 }
 
-// serveConn serves frames until the peer goes away: persistent clients
-// multiplex many sequential exchanges over one connection; old clients
-// close after their single exchange and the loop simply ends on EOF.
+// serveConn serves frames until the peer goes away: clients multiplex
+// many sequential exchanges over one persistent connection.
 func (tl *TCPListener) serveConn(conn net.Conn) {
 	defer tl.untrack(conn)
 	defer conn.Close()
@@ -718,31 +590,23 @@ func (tl *TCPListener) serveConn(conn net.Conn) {
 	for {
 		fr, err := readFrame(br)
 		if err != nil {
+			// Includes an unknown frame kind — another protocol or
+			// corruption: drop the connection.
 			return
 		}
 		switch fr.kind {
-		case frameOneWay, frameOneWay2:
+		case frameOneWay:
 			tl.srv.HandleOneWayMsg(ctx, fr.path, &Message{Envelope: fr.body, Attachments: fr.atts})
 		case frameRequest:
-			// v1 peer: the reply must inline any attachments.
-			resp := tl.srv.HandleRequest(ctx, fr.path, fr.body)
-			if err := fw.writeFrame(&frame{kind: frameReply, body: resp}); err != nil {
-				return
-			}
-			if err := bw.Flush(); err != nil {
-				return
-			}
-		case frameRequest2:
 			resp := tl.srv.HandleRequestMsg(ctx, fr.path, &Message{Envelope: fr.body, Attachments: fr.atts})
-			if err := fw.writeFrame(&frame{kind: frameReply2, body: resp.Envelope, atts: resp.Attachments}); err != nil {
+			if err := fw.writeFrame(&frame{kind: frameReply, body: resp.Envelope, atts: resp.Attachments}); err != nil {
 				return
 			}
 			if err := bw.Flush(); err != nil {
 				return
 			}
 		default:
-			// Unknown frame kind: future protocol or corruption — drop
-			// the connection, mirroring what old servers do with v2.
+			// A reply frame has no business arriving at a server.
 			return
 		}
 	}

@@ -1,7 +1,9 @@
 package transport
 
 import (
+	"bufio"
 	"bytes"
+	"io"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -9,10 +11,31 @@ import (
 	"uvacg/internal/soap"
 )
 
+// writeFrame is the plain-io.Writer form for tests; connection-bound
+// paths use a frameWriter for the scratch reuse and the vectored
+// large-frame path.
+func writeFrame(w io.Writer, fr *frame) error {
+	if err := checkFrame(fr); err != nil {
+		return err
+	}
+	bw, ok := w.(*bufio.Writer)
+	if !ok {
+		bw = bufio.NewWriter(w)
+	}
+	fw := frameWriter{bw: bw}
+	if err := fw.writeFrame(fr); err != nil {
+		return err
+	}
+	if !ok {
+		return bw.Flush()
+	}
+	return nil
+}
+
 func TestFrameRoundTripProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		kind := byte(r.Intn(6)) // v1 and v2 kinds
+		kind := frameRequest + byte(r.Intn(3))
 		path := "/Svc"
 		if r.Intn(2) == 0 {
 			path = ""
@@ -20,12 +43,10 @@ func TestFrameRoundTripProperty(t *testing.T) {
 		body := make([]byte, r.Intn(4096))
 		r.Read(body)
 		fr := &frame{kind: kind, path: path, body: body}
-		if kindHasAttachments(kind) {
-			for i := 0; i < r.Intn(4); i++ {
-				data := make([]byte, r.Intn(2048))
-				r.Read(data)
-				fr.atts = append(fr.atts, soap.Attachment{ID: soap.NextAttachmentID(fr.atts), Data: data})
-			}
+		for i := 0; i < r.Intn(4); i++ {
+			data := make([]byte, r.Intn(2048))
+			r.Read(data)
+			fr.atts = append(fr.atts, soap.Attachment{ID: soap.NextAttachmentID(fr.atts), Data: data})
 		}
 
 		var buf bytes.Buffer
@@ -66,10 +87,10 @@ func TestFrameRejectsOversize(t *testing.T) {
 
 func TestFrameRejectsOversizeAttachmentSection(t *testing.T) {
 	var buf bytes.Buffer
-	buf.Write([]byte{frameRequest2, 0, 0}) // kind + empty path
-	buf.Write([]byte{0, 0, 0, 0})          // empty body
-	buf.Write([]byte{0, 1})                // one attachment
-	buf.Write([]byte{0, 1, 'a'})           // id "a"
+	buf.Write([]byte{frameRequest, 0, 0}) // kind + empty path
+	buf.Write([]byte{0, 0, 0, 0})         // empty body
+	buf.Write([]byte{0, 1})               // one attachment
+	buf.Write([]byte{0, 1, 'a'})          // id "a"
 	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF})
 	if _, err := readFrame(&buf); err == nil {
 		t.Fatal("oversize attachment accepted")
@@ -78,13 +99,13 @@ func TestFrameRejectsOversizeAttachmentSection(t *testing.T) {
 
 func TestFrameRejectsTooManyAttachments(t *testing.T) {
 	var buf bytes.Buffer
-	buf.Write([]byte{frameReply2, 0, 0})
+	buf.Write([]byte{frameReply, 0, 0})
 	buf.Write([]byte{0, 0, 0, 0})
 	buf.Write([]byte{0xFF, 0xFF}) // 65535 attachments
 	if _, err := readFrame(&buf); err == nil {
 		t.Fatal("attachment count beyond limit accepted")
 	}
-	fr := &frame{kind: frameReply2, atts: make([]soap.Attachment, maxAttachments+1)}
+	fr := &frame{kind: frameReply, atts: make([]soap.Attachment, maxAttachments+1)}
 	if err := writeFrame(&bytes.Buffer{}, fr); err == nil {
 		t.Fatal("writeFrame accepted attachment count beyond limit")
 	}
@@ -98,17 +119,24 @@ func TestWriteFrameRejectsOversizeBody(t *testing.T) {
 	}
 }
 
-func TestWriteFrameRejectsAttachmentsOnV1(t *testing.T) {
-	fr := &frame{kind: frameRequest, path: "/S", atts: []soap.Attachment{{ID: "a", Data: []byte("x")}}}
-	if err := writeFrame(&bytes.Buffer{}, fr); err == nil {
-		t.Fatal("v1 frame with attachments accepted")
+// TestReadFrameRejectsRetiredKinds: kinds 0–2 were the framing without
+// an attachment section; readFrame must refuse them before trusting any
+// length field laid out for a different format.
+func TestReadFrameRejectsRetiredKinds(t *testing.T) {
+	for _, kind := range []byte{0, 1, 2, frameReply + 1} {
+		frame := []byte{kind, 0, 0}       // kind + empty path
+		frame = append(frame, 0, 0, 0, 0) // empty body
+		frame = append(frame, 0, 0)       // no attachments
+		if _, err := readFrame(bytes.NewReader(frame)); err == nil {
+			t.Fatalf("frame kind %d accepted", kind)
+		}
 	}
 }
 
 func TestFrameTruncatedRead(t *testing.T) {
 	for _, fr := range []*frame{
 		{kind: frameRequest, path: "/Svc", body: []byte("hello world")},
-		{kind: frameRequest2, path: "/Svc", body: []byte("hello"), atts: []soap.Attachment{{ID: "att-1", Data: []byte("binary bytes")}}},
+		{kind: frameRequest, path: "/Svc", body: []byte("hello"), atts: []soap.Attachment{{ID: "att-1", Data: []byte("binary bytes")}}},
 	} {
 		var buf bytes.Buffer
 		if err := writeFrame(&buf, fr); err != nil {

@@ -17,7 +17,6 @@ package transport
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net/url"
 
@@ -43,17 +42,12 @@ type Message struct {
 }
 
 // MessageRoundTripper is the optional attachment-capable interface of a
-// binding. Transports that implement it (soap.tcp v2 framing, inproc)
-// receive requests as Messages and may return reply attachments; others
-// get envelopes with attachments inlined as base64.
+// binding. Transports that implement it (soap.tcp, inproc) receive
+// requests as Messages and may return reply attachments; others get
+// envelopes with attachments inlined as base64.
 type MessageRoundTripper interface {
 	RoundTripMsg(ctx context.Context, addr string, req *Message) (*Message, error)
 }
-
-// ErrAttachmentsUnsupported is returned by a MessageRoundTripper that
-// discovered (or knows) its peer cannot accept attachments; the caller
-// inlines them and retries over the plain byte path.
-var ErrAttachmentsUnsupported = errors.New("transport: peer does not support attachments")
 
 // idleCloser is the optional interface of transports that pool
 // connections.
@@ -68,9 +62,6 @@ type idleCloser interface{ CloseIdleConnections() }
 type Client struct {
 	schemes map[string]RoundTripper
 	chain   soap.Chain
-	// noAttach forces attachment inlining on every binding (the cmds'
-	// -noattach flag and the baseline rows of E6).
-	noAttach bool
 }
 
 // NewClient builds a client with the http and soap.tcp bindings
@@ -109,13 +100,6 @@ func (c *Client) WrapSchemes(wrap func(scheme string, rt RoundTripper) RoundTrip
 			c.schemes[scheme] = w
 		}
 	}
-	return c
-}
-
-// DisableAttachments forces inline base64 for binary content on every
-// binding and returns the client for chaining.
-func (c *Client) DisableAttachments() *Client {
-	c.noAttach = true
 	return c
 }
 
@@ -183,9 +167,8 @@ func (c *Client) Invoke(ctx context.Context, to wsa.EndpointReference, action st
 
 // roundTrip is the terminal request-response handler under the chain.
 // Bindings implementing MessageRoundTripper carry request and reply
-// attachments natively; on any other binding — or when the peer turns
-// out not to speak the attachment framing — attachments are inlined as
-// base64 and the plain byte path is used.
+// attachments natively; on any other binding (HTTP has no attachment
+// section) they are inlined as base64 and the plain byte path is used.
 func (c *Client) roundTrip(ctx context.Context, to wsa.EndpointReference, call *soap.CallInfo) (*soap.Envelope, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("transport: %s %s: %w", call.Action, to.Address, err)
@@ -195,27 +178,17 @@ func (c *Client) roundTrip(ctx context.Context, to wsa.EndpointReference, call *
 		return nil, err
 	}
 	wsa.Apply(call.Request, to, call.Action)
-	var resp *soap.Envelope
-	if mrt, ok := rt.(MessageRoundTripper); ok && !c.noAttach {
+	var reply *Message
+	if mrt, ok := rt.(MessageRoundTripper); ok {
 		data, err := call.Request.Marshal()
 		if err != nil {
 			return nil, err
 		}
-		reply, err := mrt.RoundTripMsg(ctx, to.Address, &Message{Envelope: data, Attachments: call.Request.Attachments})
-		switch {
-		case errors.Is(err, ErrAttachmentsUnsupported):
-			// Old peer: fall through to the inline path below.
-		case err != nil:
+		reply, err = mrt.RoundTripMsg(ctx, to.Address, &Message{Envelope: data, Attachments: call.Request.Attachments})
+		if err != nil {
 			return nil, fmt.Errorf("transport: %s %s: %w", call.Action, to.Address, err)
-		default:
-			resp, err = soap.Unmarshal(reply.Envelope)
-			if err != nil {
-				return nil, fmt.Errorf("transport: bad response from %s: %w", to.Address, err)
-			}
-			resp.Attachments = reply.Attachments
 		}
-	}
-	if resp == nil {
+	} else {
 		call.Request.InlineAttachments()
 		data, err := call.Request.Marshal()
 		if err != nil {
@@ -225,11 +198,13 @@ func (c *Client) roundTrip(ctx context.Context, to wsa.EndpointReference, call *
 		if err != nil {
 			return nil, fmt.Errorf("transport: %s %s: %w", call.Action, to.Address, err)
 		}
-		resp, err = soap.Unmarshal(respData)
-		if err != nil {
-			return nil, fmt.Errorf("transport: bad response from %s: %w", to.Address, err)
-		}
+		reply = &Message{Envelope: respData}
 	}
+	resp, err := soap.Unmarshal(reply.Envelope)
+	if err != nil {
+		return nil, fmt.Errorf("transport: bad response from %s: %w", to.Address, err)
+	}
+	resp.Attachments = reply.Attachments
 	if soap.IsFault(resp.Body) {
 		f, perr := soap.ParseFault(resp.Body)
 		if perr != nil {
@@ -263,9 +238,8 @@ func (c *Client) SendOneWay(ctx context.Context, to wsa.EndpointReference, actio
 }
 
 // send is the terminal one-way handler under the chain. One-way
-// messages always inline attachments: there is no reply on which to
-// discover an old peer, so the legacy-safe wire form is used
-// unconditionally.
+// messages always inline attachments: RoundTripper.Send is the byte-only
+// hand-off every binding shares, and HTTP has no attachment section.
 func (c *Client) send(ctx context.Context, to wsa.EndpointReference, call *soap.CallInfo) error {
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("transport: one-way %s %s: %w", call.Action, to.Address, err)
