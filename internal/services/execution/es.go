@@ -52,6 +52,7 @@ var (
 	QExitCode  = xmlutil.Q(NS, "ExitCode")
 	QCPUTime   = xmlutil.Q(NS, "CPUTime")
 	QTopic     = xmlutil.Q(NS, "Topic")
+	QAttempt   = xmlutil.Q(NS, "Attempt")
 	QOwner     = xmlutil.Q(NS, "Owner")
 	QDirectory = xmlutil.Q(NS, "Directory")
 
@@ -209,6 +210,14 @@ func RunRequest(jobName, topic, executable string, files []filesystem.FileRef) *
 	return req
 }
 
+// WithAttempt stamps a RunJob body with the scheduler's attempt identity.
+// The ES stores it on the job resource and echoes it in every lifecycle
+// event of that job, so the scheduler can tell which of a job's attempts
+// an event is about without comparing EPRs.
+func WithAttempt(req *xmlutil.Element, attempt string) *xmlutil.Element {
+	return req.Append(xmlutil.NewElement(QAttempt, attempt))
+}
+
 // ParseRunResponse extracts the job and directory EPRs from a RunJob
 // reply.
 func ParseRunResponse(body *xmlutil.Element) (job, dir wsa.EndpointReference, err error) {
@@ -240,6 +249,7 @@ func (s *Service) handleRun(ctx context.Context, inv *wsrf.Invocation, body *xml
 	}
 	jobName := body.ChildText(QJobName)
 	topic := body.ChildText(QTopic)
+	attempt := body.ChildText(QAttempt)
 	executable := body.ChildText(qExecutable)
 	if jobName == "" || executable == "" {
 		return nil, soap.SenderFault("es: Run requires JobName and Executable")
@@ -265,6 +275,7 @@ func (s *Service) handleRun(ctx context.Context, inv *wsrf.Invocation, body *xml
 		xmlutil.NewElement(QJobName, jobName),
 		xmlutil.NewElement(QStatus, StatusStaging),
 		xmlutil.NewElement(QTopic, topic),
+		xmlutil.NewElement(QAttempt, attempt),
 		xmlutil.NewElement(QOwner, local.Username),
 		dirEPR.Element().Clone(),
 	)
@@ -286,7 +297,7 @@ func (s *Service) handleRun(ctx context.Context, inv *wsrf.Invocation, body *xml
 	// Step 9 (first half): broadcast the directory EPR so the Scheduler
 	// can fill in dependent jobs' file sources and the client can watch
 	// the directory.
-	s.publishEvent(ctx, topic, jobName, EventDirectory, jobEPR, dirEPR, "", "")
+	s.publishEvent(ctx, jobRef{topic, jobName, attempt, jobEPR, dirEPR}, EventDirectory, "", "")
 
 	// Step 4: one-way upload request; the FSS notifies the job resource
 	// when staging finishes (step 7). The upload token carries the
@@ -312,9 +323,7 @@ func (s *Service) handleUploadComplete(ctx context.Context, inv *wsrf.Invocation
 		return nil, soap.SenderFault("%v", err)
 	}
 	jobID := inv.ResourceID
-	jobName := inv.Property(QJobName)
-	topic := inv.Property(QTopic)
-	jobEPR := inv.EPR()
+	ref := jobRef{inv.Property(QTopic), inv.Property(QJobName), inv.Property(QAttempt), inv.EPR(), dirEPR}
 
 	s.mu.Lock()
 	creds := s.creds[jobID]
@@ -330,7 +339,7 @@ func (s *Service) handleUploadComplete(ctx context.Context, inv *wsrf.Invocation
 
 	if !success {
 		inv.SetProperty(QStatus, StatusFailed)
-		s.publishEvent(ctx, topic, jobName, EventFailed, jobEPR, dirEPR, "", errMsg)
+		s.publishEvent(ctx, ref, EventFailed, "", errMsg)
 		return nil, nil
 	}
 
@@ -339,7 +348,7 @@ func (s *Service) handleUploadComplete(ctx context.Context, inv *wsrf.Invocation
 	workDir, err := rc.GetPropertyText(ctx, filesystem.QPath)
 	if err != nil {
 		inv.SetProperty(QStatus, StatusFailed)
-		s.publishEvent(ctx, topic, jobName, EventFailed, jobEPR, dirEPR, "", "resolve working directory: "+err.Error())
+		s.publishEvent(ctx, ref, EventFailed, "", "resolve working directory: "+err.Error())
 		return nil, nil
 	}
 
@@ -352,12 +361,12 @@ func (s *Service) handleUploadComplete(ctx context.Context, inv *wsrf.Invocation
 			// Detach from the Run request's cancellation but keep its
 			// values, so the exit event publishes under the same
 			// request ID as the rest of the job's lifecycle.
-			s.onProcessExit(context.WithoutCancel(ctx), jobID, jobName, topic, jobEPR, dirEPR, p)
+			s.onProcessExit(context.WithoutCancel(ctx), jobID, ref, p)
 		},
 	})
 	if err != nil {
 		inv.SetProperty(QStatus, StatusFailed)
-		s.publishEvent(ctx, topic, jobName, EventFailed, jobEPR, dirEPR, "", "spawn: "+err.Error())
+		s.publishEvent(ctx, ref, EventFailed, "", "spawn: "+err.Error())
 		return nil, nil
 	}
 	s.mu.Lock()
@@ -366,12 +375,12 @@ func (s *Service) handleUploadComplete(ctx context.Context, inv *wsrf.Invocation
 	inv.SetProperty(QStatus, StatusRunning)
 	// Step 9 (second half): the job EPR goes out so Scheduler and client
 	// "can poll the job for its status".
-	s.publishEvent(ctx, topic, jobName, EventStarted, jobEPR, dirEPR, "", "")
+	s.publishEvent(ctx, ref, EventStarted, "", "")
 	return nil, nil
 }
 
 // onProcessExit is step 10: record the exit and broadcast it.
-func (s *Service) onProcessExit(ctx context.Context, jobID, jobName, topic string, jobEPR, dirEPR wsa.EndpointReference, p *procspawn.Process) {
+func (s *Service) onProcessExit(ctx context.Context, jobID string, ref jobRef, p *procspawn.Process) {
 	code, _ := p.ExitCode()
 	status := StatusExited
 	if p.State() == procspawn.StateKilled {
@@ -386,7 +395,7 @@ func (s *Service) onProcessExit(ctx context.Context, jobID, jobName, topic strin
 		// The resource may have been destroyed; still publish the exit.
 		_ = err
 	}
-	s.publishEvent(ctx, topic, jobName, EventExited, jobEPR, dirEPR, strconv.Itoa(code), "")
+	s.publishEvent(ctx, ref, EventExited, strconv.Itoa(code), "")
 }
 
 func setChildText(doc *xmlutil.Element, name xmlutil.QName, text string) {
@@ -413,21 +422,32 @@ func (s *Service) handleKill(ctx context.Context, inv *wsrf.Invocation, body *xm
 // KillRequest builds the Kill body.
 func KillRequest() *xmlutil.Element { return &xmlutil.Element{Name: qKill} }
 
+// jobRef is what every lifecycle event of one job carries: where to
+// publish it, which job and which of the scheduler's attempts it is
+// about, and the job and working-directory resources.
+type jobRef struct {
+	topic, name, attempt string
+	job, dir             wsa.EndpointReference
+}
+
 // publishEvent broadcasts one lifecycle event through the broker on
 // topic "<topic>/<jobName>/<kind>".
-func (s *Service) publishEvent(ctx context.Context, topic, jobName, kind string, jobEPR, dirEPR wsa.EndpointReference, exitCode, errMsg string) {
-	if s.broker.IsZero() || topic == "" {
+func (s *Service) publishEvent(ctx context.Context, ref jobRef, kind, exitCode, errMsg string) {
+	if s.broker.IsZero() || ref.topic == "" {
 		return
 	}
 	payload := xmlutil.NewContainer(qJobEvent,
-		xmlutil.NewElement(QJobName, jobName),
+		xmlutil.NewElement(QJobName, ref.name),
 		xmlutil.NewElement(QStatus, kind),
 	)
-	if !jobEPR.IsZero() {
-		payload.Append(jobEPR.ElementNamed(qJob))
+	if ref.attempt != "" {
+		payload.Append(xmlutil.NewElement(QAttempt, ref.attempt))
 	}
-	if !dirEPR.IsZero() {
-		payload.Append(dirEPR.ElementNamed(QDirectory))
+	if !ref.job.IsZero() {
+		payload.Append(ref.job.ElementNamed(qJob))
+	}
+	if !ref.dir.IsZero() {
+		payload.Append(ref.dir.ElementNamed(QDirectory))
 	}
 	if exitCode != "" {
 		payload.Append(xmlutil.NewElement(QExitCode, exitCode))
@@ -436,8 +456,8 @@ func (s *Service) publishEvent(ctx context.Context, topic, jobName, kind string,
 		payload.Append(xmlutil.NewElement(qEventError, errMsg))
 	}
 	n := wsn.Notification{
-		Topic:    topic + "/" + jobName + "/" + kind,
-		Producer: jobEPR,
+		Topic:    ref.topic + "/" + ref.name + "/" + kind,
+		Producer: ref.job,
 		Message:  payload,
 	}
 	// Best effort: a broker outage must not take job execution down.
@@ -446,8 +466,11 @@ func (s *Service) publishEvent(ctx context.Context, topic, jobName, kind string,
 
 // JobEvent is a decoded lifecycle notification payload.
 type JobEvent struct {
-	JobName   string
-	Kind      string
+	JobName string
+	Kind    string
+	// Attempt echoes the identity the Run request carried; empty when the
+	// requester sent none.
+	Attempt   string
 	Job       wsa.EndpointReference
 	Directory wsa.EndpointReference
 	ExitCode  int
@@ -463,6 +486,7 @@ func ParseJobEvent(msg *xmlutil.Element) (JobEvent, error) {
 	ev := JobEvent{
 		JobName: msg.ChildText(QJobName),
 		Kind:    msg.ChildText(QStatus),
+		Attempt: msg.ChildText(QAttempt),
 		Error:   msg.ChildText(qEventError),
 	}
 	if j := msg.Child(qJob); j != nil {

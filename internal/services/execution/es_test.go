@@ -114,12 +114,16 @@ func newESHarnessWithSecurity(t *testing.T, spawnAccounts wssec.StaticAccounts, 
 
 func (h *esHarness) filesEPR() wsa.EndpointReference { return wsa.NewEPR("inproc://client/files") }
 
+// testAttempt is the attempt identity the harness's Run requests carry;
+// every lifecycle event of those jobs must echo it.
+const testAttempt = "7c9e6a01.3"
+
 func (h *esHarness) runJob(t *testing.T, creds *wssec.Credentials, script []byte) (job, dir wsa.EndpointReference) {
 	t.Helper()
 	h.files.Publish("job.app", script)
-	env := soap.New(RunRequest("job1", "jobset-t", "job.app", []filesystem.FileRef{
+	env := soap.New(WithAttempt(RunRequest("job1", "jobset-t", "job.app", []filesystem.FileRef{
 		{Source: h.filesEPR(), RemoteName: "job.app"},
-	}))
+	}), testAttempt))
 	if creds != nil {
 		if err := wssec.AttachUsernameToken(env, *creds, false, time.Now()); err != nil {
 			t.Fatal(err)
@@ -152,6 +156,9 @@ func (h *esHarness) waitEvent(t *testing.T, kind string) wsn.Notification {
 			ev, err := ParseJobEvent(n.Message)
 			if err != nil {
 				continue
+			}
+			if ev.Attempt != testAttempt {
+				t.Fatalf("%s event carries attempt %q, the Run request said %q", ev.Kind, ev.Attempt, testAttempt)
 			}
 			if ev.Kind == kind {
 				return n
@@ -243,9 +250,9 @@ func TestRunSpawnsAsRequestedUserOnly(t *testing.T) {
 func TestFailedStagingPublishesFailure(t *testing.T) {
 	h := newESHarness(t, nil)
 	// Reference a file the client never published.
-	env := soap.New(RunRequest("job1", "jobset-t", "ghost.app", []filesystem.FileRef{
+	env := soap.New(WithAttempt(RunRequest("job1", "jobset-t", "ghost.app", []filesystem.FileRef{
 		{Source: h.filesEPR(), RemoteName: "ghost.app"},
-	}))
+	}), testAttempt))
 	resp, err := h.client.Invoke(context.Background(), h.es.EPR(), ActionRun, env)
 	if err != nil {
 		t.Fatal(err)
@@ -332,6 +339,7 @@ func TestJobEventRoundTrip(t *testing.T) {
 	payload := xmlutil.NewContainer(qJobEvent,
 		xmlutil.NewElement(QJobName, "job1"),
 		xmlutil.NewElement(QStatus, EventExited),
+		xmlutil.NewElement(QAttempt, testAttempt),
 		job.ElementNamed(qJob),
 		dir.ElementNamed(QDirectory),
 		xmlutil.NewElement(QExitCode, strconv.Itoa(137)),
@@ -348,7 +356,7 @@ func TestJobEventRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ev.JobName != "job1" || ev.Kind != EventExited || !ev.HasExit || ev.ExitCode != 137 {
+	if ev.JobName != "job1" || ev.Kind != EventExited || ev.Attempt != testAttempt || !ev.HasExit || ev.ExitCode != 137 {
 		t.Fatalf("event = %+v", ev)
 	}
 	if !ev.Job.Equal(job) || !ev.Directory.Equal(dir) {

@@ -8,8 +8,6 @@ import (
 
 	"uvacg/internal/admission"
 	"uvacg/internal/soap"
-	"uvacg/internal/wsa"
-	"uvacg/internal/wsn"
 	"uvacg/internal/wsrf"
 	"uvacg/internal/wssec"
 	"uvacg/internal/xmlutil"
@@ -62,9 +60,11 @@ func ParseQueuePosition(body *xmlutil.Element) (int, bool) {
 // record), park it, and ack with the queue position. The broker
 // subscriptions the legacy path establishes here are deferred to
 // activation, so an accepted Submit costs exactly one journaled write.
-func (s *Service) admitSubmit(ctx context.Context, spec *JobSetSpec, clientFiles, clientListener wsa.EndpointReference, principal wssec.Principal) (*xmlutil.Element, error) {
-	tenant := s.adm.TenantOf(principal.Username)
-	res, err := s.adm.Reserve(tenant, spec.Class)
+// The run exists only to render that document; activation builds the
+// live one from it.
+func (s *Service) admitSubmit(ctx context.Context, r *run) (*xmlutil.Element, error) {
+	tenant := s.adm.TenantOf(r.creds.Username)
+	res, err := s.adm.Reserve(tenant, r.spec.Class)
 	if err != nil {
 		var bf *wsrf.BaseFault
 		if errors.As(err, &bf) {
@@ -75,35 +75,25 @@ func (s *Service) admitSubmit(ctx context.Context, spec *JobSetSpec, clientFiles
 		return nil, soap.SenderFault("%v", err)
 	}
 
-	doc := jobSetDocument(spec, clientFiles, clientListener, principal, SetQueued)
+	doc := jobSetDocument(r)
 	doc.SetAttr(qTenantAttr, tenant)
-	doc.SetAttr(qClassAttr, admission.NormalizeClass(spec.Class))
+	doc.SetAttr(qClassAttr, admission.NormalizeClass(r.spec.Class))
 	doc.SetAttr(qAdmitSeq, strconv.FormatUint(res.Seq, 10))
-	setEPR, err := s.svc.CreateResource("", doc)
+	setEPR, err := s.svc.CreateResource(r.id, doc)
 	if err != nil {
 		res.Abort()
 		return nil, soap.ReceiverFault("scheduler: create job set resource: %v", err)
 	}
-	id := setEPR.Property(wsrf.QResourceID)
-	topic := "jobset-" + id
-	if err := s.svc.UpdateResource(id, func(doc *xmlutil.Element) error {
-		doc.Append(xmlutil.NewElement(QTopic, topic))
-		return nil
-	}); err != nil {
-		res.Abort()
-		_ = s.svc.DestroyResource(id)
-		return nil, soap.ReceiverFault("scheduler: %v", err)
-	}
 
-	qs := &queuedSet{creds: wssec.Credentials{Username: principal.Username, Password: principal.Password}}
+	qs := &queuedSet{creds: r.creds}
 	s.mu.Lock()
 	s.wireConsumerLocked()
-	s.queued[topic] = qs
-	s.runIDs[id] = topic
+	s.queued[r.topic] = qs
+	s.runIDs[r.id] = r.topic
 	s.mu.Unlock()
-	e, pos := res.Commit(admission.Entry{ID: id, Name: spec.Name, Topic: topic})
+	e, pos := res.Commit(admission.Entry{ID: r.id, Name: r.spec.Name, Topic: r.topic})
 	s.mu.Lock()
-	if s.queued[topic] == qs {
+	if s.queued[r.topic] == qs {
 		qs.entry = e
 	}
 	s.mu.Unlock()
@@ -115,7 +105,7 @@ func (s *Service) admitSubmit(ctx context.Context, spec *JobSetSpec, clientFiles
 
 	return xmlutil.NewContainer(qSubmitResp,
 		setEPR.ElementNamed(qJobSetEPR),
-		xmlutil.NewElement(qTopicOut, topic),
+		xmlutil.NewElement(qTopicOut, r.topic),
 		xmlutil.NewElement(qQueuePos, strconv.Itoa(pos)),
 	), nil
 }
@@ -170,92 +160,43 @@ func (s *Service) activate(ctx context.Context, e admission.Entry) {
 		s.adm.Done(e.Tenant)
 		return
 	}
-	var spec *JobSetSpec
-	snap := doc.Child(qSpecSnapshot)
-	if snap != nil {
-		spec, err = parseSpec(snap)
-	}
-	if snap == nil || err != nil || len(spec.Jobs) == 0 || spec.Validate() != nil {
-		s.failUnrecoverable(ctx, e.ID, e.Topic, "queued job set has no valid spec snapshot")
-		s.adm.Done(e.Tenant)
-		return
-	}
-	secured := doc.Attr(qSecured) == "true"
 	var creds wssec.Credentials
 	if qs != nil {
 		creds = qs.creds
 	}
-	if secured && creds.Username == "" {
+	// Persisted per-job progress is honored: a preempted set comes back
+	// through the queue with completed jobs (and consumed retry budget)
+	// already journaled, and must not redo that work.
+	r, err := s.restoreRun(e.ID, doc, creds)
+	r.tenant, r.entry, r.hasEntry = e.Tenant, e, true
+	switch {
+	case err != nil:
+		// Failing the set gives the running slot back.
+		s.fire(ctx, r, event{kind: evFailed, reason: "queued job set has no valid spec snapshot"})
+		return
+	case doc.Attr(qSecured) == "true" && creds.Username == "":
 		// The credentials died with the process that accepted the
 		// submission — fail explicitly, as Recover does for secured runs.
-		s.failUnrecoverable(ctx, e.ID, e.Topic, "scheduler restarted; credentials are not persisted, resubmit the job set")
-		s.adm.Done(e.Tenant)
+		s.fire(ctx, r, event{kind: evFailed, reason: "scheduler restarted; credentials are not persisted, resubmit the job set"})
 		return
-	}
-	var clientFiles, clientListener wsa.EndpointReference
-	if el := doc.Child(qClientFiles); el != nil {
-		if epr, perr := wsa.ParseEPR(el); perr == nil {
-			clientFiles = epr
-		}
-	}
-	if el := doc.Child(qClientListener); el != nil {
-		if epr, perr := wsa.ParseEPR(el); perr == nil {
-			clientListener = epr
-		}
 	}
 
 	// Subscriptions were deferred at enqueue so the ack cost no broker
 	// round trips; establish them now, before any event can be
 	// published. The SS's own subscription is load-bearing, the client
 	// listener's best-effort (mirroring Recover).
-	if _, err := wsn.SubscribeVia(ctx, s.client, s.broker, s.ConsumerEPR(), wsn.Simple(e.Topic)); err != nil {
-		s.requeueLater(e, qs)
+	if err := s.subscribeRun(ctx, r, false); err != nil {
+		s.requeueLater(e, creds)
 		return
-	}
-	if !clientListener.IsZero() {
-		_, _ = wsn.SubscribeVia(ctx, s.client, s.broker, clientListener, wsn.Simple(e.Topic))
 	}
 	s.ensureCatalogSubscription(ctx)
 	s.ensureReplicaSubscription(ctx)
-	s.publishReplicaWant(ctx, spec.Replicas)
+	s.publishReplicaWant(ctx, r.spec.Replicas)
 
-	if err := s.svc.UpdateResource(e.ID, func(doc *xmlutil.Element) error {
-		if c := doc.Child(QStatus); c != nil {
-			c.Text = SetRunning
-		}
-		return nil
-	}); err != nil {
-		s.requeueLater(e, qs)
+	// Queued → Running in the journal, before the run can be seen.
+	if err := s.persist(r, effects{}, nil); err != nil {
+		s.requeueLater(e, creds)
 		return
-	}
-
-	r := &run{
-		id:          e.ID,
-		topic:       e.Topic,
-		spec:        spec,
-		clientFiles: clientFiles,
-		creds:       creds,
-		jobs:        make(map[string]*jobRun, len(spec.Jobs)),
-		status:      SetRunning,
-		tenant:      e.Tenant,
-		entry:       e,
-		hasEntry:    true,
-	}
-	// Honor persisted per-job progress: a preempted set comes back
-	// through the queue with completed jobs (and consumed retry budget)
-	// already journaled, and must not redo that work.
-	view := ParseJobSetDocument(doc)
-	for i := range spec.Jobs {
-		j := &spec.Jobs[i]
-		jr := &jobRun{spec: j, state: JobPending}
-		if jv := view.Job(j.Name); jv != nil {
-			jr.attempts = jv.Attempt
-			if jv.Status == JobCompleted {
-				jr.state = JobCompleted
-				jr.dirEPR = jv.Dir
-			}
-		}
-		r.jobs[j.Name] = jr
 	}
 	s.mu.Lock()
 	if s.runs[e.Topic] != nil {
@@ -266,60 +207,63 @@ func (s *Service) activate(ctx context.Context, e admission.Entry) {
 	s.runs[e.Topic] = r
 	s.runIDs[e.ID] = e.Topic
 	s.mu.Unlock()
-	go func() {
-		s.scheduleReady(ctx, r)
-		// A re-activated preempted set may already have every job
-		// terminal (preempted in the window before its completion was
-		// recorded set-wide); close it out rather than hang.
-		s.maybeComplete(ctx, r)
-	}()
+	// A re-activated preempted set may already have every job terminal
+	// (preempted in the window before its completion was recorded
+	// set-wide); the reservation that finds nothing to do closes it out.
+	go s.scheduleReady(ctx, r)
 }
 
 // requeueLater re-parks an entry whose activation hit a transient
-// failure, after a delay.
-func (s *Service) requeueLater(e admission.Entry, qs *queuedSet) {
+// failure, after a delay, and only then gives back the running slot Next
+// charged for it.
+func (s *Service) requeueLater(e admission.Entry, creds wssec.Credentials) {
 	time.AfterFunc(admissionRetryDelay, func() {
-		if qs == nil {
-			qs = &queuedSet{}
-		}
-		qs.entry = e
-		s.mu.Lock()
-		s.queued[e.Topic] = qs
-		s.runIDs[e.ID] = e.Topic
-		s.mu.Unlock()
-		s.adm.Requeue(e)
+		s.park(e, creds)
 		s.adm.Done(e.Tenant)
 	})
 }
 
-// cancelQueued aborts a still-parked set: unpark it, mark the
-// invocation's own document Cancelled (the wrapper pipeline holds this
-// resource's lock, so UpdateResource would self-deadlock — same rule as
-// handleCancel), and publish the terminal event. ok is false when the
-// set was activated or removed concurrently; the caller falls back to
-// the live-run path.
-func (s *Service) cancelQueued(ctx context.Context, inv *wsrf.Invocation, topic string) (*xmlutil.Element, bool) {
+// park puts a set's entry into the admission queue — in admission-sequence
+// order, so replay after a crash rebuilds the old queue — with the
+// credentials activation will need (memory only). Idempotent against
+// overlapping sweeps: false means the set is already parked or live here.
+func (s *Service) park(e admission.Entry, creds wssec.Credentials) bool {
+	s.mu.Lock()
+	if s.queued[e.Topic] != nil || s.runs[e.Topic] != nil {
+		s.mu.Unlock()
+		return false
+	}
+	s.wireConsumerLocked()
+	s.queued[e.Topic] = &queuedSet{entry: e, creds: creds}
+	s.runIDs[e.ID] = e.Topic
+	s.mu.Unlock()
+	s.adm.Requeue(e)
+	return true
+}
+
+// unparkForCancel takes a still-parked set out of the admission queue
+// and returns a run over the invocation's own document for the cancel
+// transition to act on. nil means the set was activated or removed
+// concurrently; the caller falls back to the live-run path.
+func (s *Service) unparkForCancel(inv *wsrf.Invocation, topic string) *run {
 	s.mu.Lock()
 	qs := s.queued[topic]
 	if qs == nil || qs.entry.Topic == "" {
 		s.mu.Unlock()
-		return nil, false
+		return nil
 	}
 	e := qs.entry
 	delete(s.queued, topic)
 	delete(s.runIDs, e.ID)
 	s.mu.Unlock()
 	if !s.adm.Remove(e.Tenant, e.Seq) {
-		return nil, false
+		return nil
 	}
-	inv.SetProperty(QStatus, SetCancelled)
-	for _, st := range inv.Doc.ChildrenNamed(QJobState) {
-		st.SetAttr(qStatusAttr, JobCancelled)
-	}
-	if s.publishSetEventRaw(ctx, inv.ResourceID, topic, SetCancelled, "cancelled while queued") == nil {
-		inv.Doc.SetAttr(qNotifiedAttr, "true")
-	}
-	return &xmlutil.Element{Name: qCancelResp}, true
+	// Whatever restoreRun thinks of the snapshot, the run it returns is
+	// good for cancelling.
+	r, _ := s.restoreRun(inv.ResourceID, inv.Doc, qs.creds)
+	r.tenant = "" // a parked set holds no running slot to give back
+	return r
 }
 
 // releaseAdmission frees the tenant's running slot exactly once, on
@@ -327,32 +271,9 @@ func (s *Service) cancelQueued(ctx context.Context, inv *wsrf.Invocation, topic 
 // reaches the run first. No-op for runs that never went through
 // admission.
 func (s *Service) releaseAdmission(r *run) {
-	if s.adm == nil || r.tenant == "" {
-		return
-	}
-	r.mu.Lock()
-	released := r.released
-	r.released = true
-	r.mu.Unlock()
-	if !released {
+	if s.adm != nil && r.tenant != "" && !r.released.Swap(true) {
 		s.adm.Done(r.tenant)
 	}
-}
-
-// requeueRecovered re-parks a journaled Queued document found during a
-// recovery sweep; idempotent against overlapping sweeps and live state.
-func (s *Service) requeueRecovered(e admission.Entry) bool {
-	s.mu.Lock()
-	if s.queued[e.Topic] != nil || s.runs[e.Topic] != nil {
-		s.mu.Unlock()
-		return false
-	}
-	s.wireConsumerLocked()
-	s.queued[e.Topic] = &queuedSet{entry: e}
-	s.runIDs[e.ID] = e.Topic
-	s.mu.Unlock()
-	s.adm.Requeue(e)
-	return true
 }
 
 // queuedEntry reads a parked document's admission coordinates back into

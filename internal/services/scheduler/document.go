@@ -7,6 +7,75 @@ import (
 	"uvacg/internal/xmlutil"
 )
 
+// jobSetDocument builds a run's job-set WS-Resource. Everything a
+// restarted scheduler needs to resume the run is persisted here: the
+// spec, the topic, the client's endpoints and per-job progress
+// (credentials excepted — they stay in memory, so secured runs cannot
+// survive a restart).
+func jobSetDocument(r *run) *xmlutil.Element {
+	doc := xmlutil.NewContainer(xmlutil.Q(NS, "JobSetState"),
+		xmlutil.NewElement(QName, r.spec.Name),
+		xmlutil.NewElement(QStatus, ""),
+	)
+	if r.creds.Username != "" {
+		doc.SetAttr(qSecured, "true")
+	}
+	snapshot := &xmlutil.Element{Name: qSpecSnapshot}
+	snapshot.Append(specElement(r.spec)...)
+	doc.Append(snapshot)
+	if !r.clientFiles.IsZero() {
+		doc.Append(r.clientFiles.ElementNamed(qClientFiles))
+	}
+	if !r.clientListener.IsZero() {
+		doc.Append(r.clientListener.ElementNamed(qClientListener))
+	}
+	touched := make([]int, len(r.spec.Jobs))
+	for i, j := range r.spec.Jobs {
+		doc.Append(xmlutil.NewElement(QJobState, "").SetAttr(qNameAttr, j.Name))
+		touched[i] = i
+	}
+	doc.Append(xmlutil.NewElement(QTopic, r.topic))
+	r.st.render(doc, touched)
+	return doc
+}
+
+// render writes the set status and the touched jobs' attributes onto a
+// job-set document: the only code that does (persist, jobSetDocument).
+// A terminal status is never written without every job's state: the
+// write that carries the verdict may be another transition's, landing
+// ahead of the terminal transition's own, and a crash between the two
+// must not leave a verdict over live job states.
+func (st *setState) render(doc *xmlutil.Element, touched []int) {
+	if c := doc.Child(QStatus); c != nil {
+		c.Text = st.status
+	}
+	all := isTerminalSetStatus(st.status)
+	mark := make([]bool, len(st.jobs))
+	for _, i := range touched {
+		mark[i] = true
+	}
+	for _, el := range doc.Children {
+		i, ok := st.index[el.Attr(qNameAttr)]
+		if el.Name != QJobState || !ok || !(all || mark[i]) {
+			continue
+		}
+		j := &st.jobs[i]
+		el.SetAttr(qStatusAttr, j.state)
+		if j.node != "" || el.Attr(qNodeAttr) != "" {
+			el.SetAttr(qNodeAttr, j.node)
+		}
+		if !j.dirEPR.IsZero() {
+			el.SetAttr(qDirAttr, j.dirEPR.String())
+		}
+		if j.retries > 0 {
+			el.SetAttr(qAttemptAttr, strconv.Itoa(j.retries))
+		}
+		if j.state == JobCompleted || j.state == JobFailed {
+			el.SetAttr(qExitAttr, strconv.Itoa(j.exitCode))
+		}
+	}
+}
+
 // JobSetView is the read-side projection of a job-set resource
 // document: what a client (or a restarted scheduler) can learn about a
 // run from the persisted WS-Resource alone. It deliberately exposes

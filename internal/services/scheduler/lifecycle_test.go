@@ -2,6 +2,7 @@ package scheduler
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -66,9 +67,9 @@ func TestCancelStopsWatchdogs(t *testing.T) {
 		t.Fatal("run gone before destroy")
 	}
 	r.mu.Lock()
-	wd := r.jobs["long"].watchdog
+	armed := len(r.watchdogs)
 	r.mu.Unlock()
-	if wd != nil {
+	if armed != 0 {
 		t.Fatal("cancel left the job watchdog armed")
 	}
 }
@@ -161,12 +162,12 @@ func TestDestroyCancelsRunningSet(t *testing.T) {
 		t.Fatal("destroyed running set still has a run")
 	}
 	r.mu.Lock()
-	status, wd := r.status, r.jobs["long"].watchdog
+	status, armed := r.st.status, len(r.watchdogs)
 	r.mu.Unlock()
 	if status != SetCancelled {
 		t.Fatalf("destroyed run left status %q", status)
 	}
-	if wd != nil {
+	if armed != 0 {
 		t.Fatal("destroy left the job watchdog armed")
 	}
 }
@@ -336,22 +337,21 @@ func TestJobDocWriteCarriesStateAtWriteTime(t *testing.T) {
 		cfg.Home = home
 	})
 	spec := &JobSetSpec{Name: "set", Jobs: []JobSpec{{Name: "j"}, {Name: "k"}}}
-	setEPR, err := h.ss.svc.CreateResource("", jobSetDocument(spec, wsa.EndpointReference{}, wsa.EndpointReference{}, wssec.Principal{}, SetRunning))
-	if err != nil {
+	r := h.ss.newRun("set-1", spec, wsa.EndpointReference{}, wsa.EndpointReference{}, wssec.Credentials{}, SetRunning)
+	r.st.jobs[0].state, r.st.jobs[0].node = JobRunning, "n1"
+	if _, err := h.ss.svc.CreateResource(r.id, jobSetDocument(r)); err != nil {
 		t.Fatal(err)
 	}
-	r := &run{id: setEPR.Property(wsrf.QResourceID), status: SetRunning, jobs: map[string]*jobRun{
-		"j": {spec: &spec.Jobs[0], state: JobRunning, node: "n1"},
-		"k": {spec: &spec.Jobs[1], state: JobPending},
-	}}
 
 	// The started handler's write is under way when the exit lands.
 	home.onLoad = func() {
 		r.mu.Lock()
-		r.jobs["j"].state = JobCompleted
+		r.st.jobs[0].state = JobCompleted
 		r.mu.Unlock()
 	}
-	h.ss.updateJobDoc(r, "j")
+	if err := h.ss.persist(r, effects{touched: []int{0}}, nil); err != nil {
+		t.Fatal(err)
+	}
 
 	states := func() map[string]string {
 		doc, err := home.ResourceHome.Load(r.id)
@@ -368,16 +368,87 @@ func TestJobDocWriteCarriesStateAtWriteTime(t *testing.T) {
 		t.Fatalf("delayed write persisted %v, want j=%s (the state at write time) and k untouched", got, JobCompleted)
 	}
 
-	// The all-jobs form is one write of every job's current state.
+	// A transition that touches every job is one write of their current
+	// states.
 	r.mu.Lock()
-	r.jobs["k"].state = JobCancelled
+	r.st.jobs[1].state = JobCancelled
 	r.mu.Unlock()
 	before := home.loads
-	h.ss.updateAllJobDocs(r)
+	if err := h.ss.persist(r, effects{touched: []int{0, 1}}, nil); err != nil {
+		t.Fatal(err)
+	}
 	if got := states(); got["j"] != JobCompleted || got["k"] != JobCancelled {
-		t.Fatalf("updateAllJobDocs persisted %v", got)
+		t.Fatalf("all-jobs write persisted %v", got)
 	}
 	if n := home.loads - before; n != 1 {
-		t.Fatalf("updateAllJobDocs rewrote the document %d times, want 1", n)
+		t.Fatalf("all-jobs write rewrote the document %d times, want 1", n)
+	}
+
+	// Another transition's write lands ahead of the terminal transition's
+	// own, after the verdict is in memory: it carries the verdict, so it
+	// must carry every job's state too — a crash right after it would
+	// otherwise leave a Failed set over a live job (simgrid seed 11).
+	r.mu.Lock()
+	r.st.status, r.st.jobs[1].state = SetFailed, JobFailed
+	r.mu.Unlock()
+	if err := h.ss.persist(r, effects{touched: []int{0}}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := states(); got["k"] != JobFailed {
+		t.Fatalf("a write carrying a terminal status persisted %v, want every job's state", got)
+	}
+}
+
+// flakyHome refuses Saves while failing is set: a journal that stopped
+// taking writes.
+type flakyHome struct {
+	wsrf.ResourceHome
+	failing bool
+}
+
+func (h *flakyHome) Save(id string, doc *xmlutil.Element) error {
+	if h.failing {
+		return errors.New("disk full")
+	}
+	return h.ResourceHome.Save(id, doc)
+}
+
+// TestJournalFailureIsReturnedAndWithholdsThePublish: a transition whose
+// journal write fails hands the error to apply's caller instead of
+// dropping it, and does not announce a verdict the document does not
+// hold — after a restart Recover acts on the document, and a client told
+// "cancelled" would watch the set run again.
+func TestJournalFailureIsReturnedAndWithholdsThePublish(t *testing.T) {
+	home := &flakyHome{}
+	h := newSSHarnessCfg(t, nil, nil, func(cfg *Config) {
+		home.ResourceHome = cfg.Home
+		cfg.Home = home
+	})
+	spec := &JobSetSpec{Name: "set", Jobs: []JobSpec{{Name: "j"}}}
+	r := h.ss.newRun("set-1", spec, wsa.EndpointReference{}, wsa.EndpointReference{}, wssec.Credentials{}, SetRunning)
+	if _, err := h.ss.svc.CreateResource(r.id, jobSetDocument(r)); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if _, err := wsn.SubscribeVia(ctx, h.client, h.ss.broker, h.listenerEPR(), wsn.Simple(r.topic)); err != nil {
+		t.Fatal(err)
+	}
+
+	home.failing = true
+	if _, err := h.ss.apply(ctx, r, event{kind: evCancel, reason: "cancelled by client"}); err == nil {
+		t.Fatal("apply swallowed the journal failure")
+	}
+	home.failing = false
+	select {
+	case n := <-h.events:
+		t.Fatalf("published %s for a transition that was never journaled", n.Topic)
+	case <-time.After(200 * time.Millisecond):
+	}
+	doc, err := h.ss.WSRF().Home().Load(r.id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := ParseJobSetDocument(doc); v.Status != SetRunning || v.Notified {
+		t.Fatalf("document says %s notified=%v after a failed write", v.Status, v.Notified)
 	}
 }

@@ -2,12 +2,8 @@ package scheduler
 
 import (
 	"context"
-	"strconv"
 
 	"uvacg/internal/admission"
-	"uvacg/internal/services/execution"
-	"uvacg/internal/wsa"
-	"uvacg/internal/xmlutil"
 )
 
 // Set-level priority preemption. An interactive-class arrival that
@@ -26,12 +22,16 @@ const SetPreempted = "Preempted"
 // maybePreempt runs after an interactive-class enqueue: if the tenant
 // cannot start the new set because its running quota is full, evict a
 // scavenger victim to make room. Best-effort — no victim, no eviction.
+// The eviction is the core's preempt transition: kill the live jobs,
+// journal the set back to Queued, requeue its entry, free the slot, tell
+// listeners ("preempted" is not a terminal kind, so terminal-event
+// watchers are undisturbed).
 func (s *Service) maybePreempt(ctx context.Context, tenant string) {
 	if !s.preempt || s.adm == nil || !s.adm.AtRunningCap(tenant) {
 		return
 	}
 	if victim := s.pickVictim(tenant); victim != nil {
-		s.preemptRun(ctx, victim)
+		s.fire(ctx, victim, event{kind: evPreempt})
 	}
 }
 
@@ -42,92 +42,26 @@ func (s *Service) pickVictim(tenant string) *run {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	var best *run
-	var bestSeq uint64
 	for _, r := range s.runs {
+		if !r.hasEntry || r.entry.Tenant != tenant || r.entry.Class != admission.ClassScavenger {
+			continue
+		}
 		r.mu.Lock()
-		ok := r.status == SetRunning && !r.lost && r.hasEntry &&
-			r.entry.Tenant == tenant && r.entry.Class == admission.ClassScavenger
-		seq := r.entry.Seq
+		running := r.st.status == SetRunning && !r.st.parked
 		r.mu.Unlock()
-		if ok && (best == nil || seq > bestSeq) {
-			best, bestSeq = r, seq
+		if running && (best == nil || r.entry.Seq > best.entry.Seq) {
+			best = r
 		}
 	}
 	return best
 }
 
-// preemptRun evicts one running set back into the admission queue.
-func (s *Service) preemptRun(ctx context.Context, r *run) {
-	r.mu.Lock()
-	if r.status != SetRunning || r.lost || !r.hasEntry {
-		r.mu.Unlock()
-		return
-	}
-	// Park the run the way a shard loss does: lost makes every write
-	// path drop it on sight, and the non-Running status makes in-flight
-	// dispatch responses reap their fresh processes as orphans.
-	r.lost = true
-	r.status = SetQueued
-	entry, creds, id, topic := r.entry, r.creds, r.id, r.topic
-	var toKill []wsa.EndpointReference
-	completed := make(map[string]bool, len(r.jobs))
-	attempts := make(map[string]int, len(r.jobs))
-	for name, j := range r.jobs {
-		stopWatchdog(j)
-		switch j.state {
-		case JobCompleted:
-			completed[name] = true
-		case JobRunning, JobDispatched:
-			if !j.jobEPR.IsZero() {
-				toKill = append(toKill, j.jobEPR)
-			}
-		}
-		attempts[name] = j.attempts
-	}
-	r.mu.Unlock()
-
-	// Free the running slot first so the interactive set can activate
-	// as soon as the pump wakes.
-	s.releaseAdmission(r)
-	for _, epr := range toKill {
-		_, _ = s.client.Call(ctx, epr, execution.ActionKill, execution.KillRequest())
-	}
-
-	// Journal the eviction: status back to Queued, unfinished jobs back
-	// to Pending (keeping their consumed retry budget), completed work
-	// untouched. This WAL write is what lets a preempted-but-acked set
-	// survive a crash — recovery re-parks Queued documents.
-	_ = s.svc.UpdateResource(id, func(doc *xmlutil.Element) error {
-		if c := doc.Child(QStatus); c != nil {
-			c.Text = SetQueued
-		}
-		for _, st := range doc.ChildrenNamed(QJobState) {
-			name := st.Attr(qNameAttr)
-			if completed[name] {
-				continue
-			}
-			st.SetAttr(qStatusAttr, JobPending)
-			st.SetAttr(qNodeAttr, "")
-			if n := attempts[name]; n > 0 {
-				st.SetAttr(qAttemptAttr, strconv.Itoa(n))
-			}
-		}
-		return nil
-	})
-
-	// Re-park in memory — the credentials survive in-process, so a
-	// secured victim resumes without a resubmit — and requeue the entry
-	// in sequence order so it heads its class when the burst drains.
+// requeue re-parks an evicted run — the credentials survive in-process,
+// so a secured victim resumes without a resubmit — and its entry heads
+// its class again when the burst drains.
+func (s *Service) requeue(r *run) {
 	s.mu.Lock()
-	delete(s.runs, topic)
-	if _, ok := s.queued[topic]; !ok {
-		s.queued[topic] = &queuedSet{entry: entry, creds: creds}
-	}
-	s.runIDs[id] = topic
+	delete(s.runs, r.topic)
 	s.mu.Unlock()
-	s.adm.Requeue(entry)
-
-	// Tell listeners, best-effort: "preempted" is not a terminal kind,
-	// so terminal-event watchers are undisturbed.
-	_ = s.publishSetEventRaw(ctx, id, topic, SetPreempted, "preempted by an interactive arrival")
+	s.park(r.entry, r.creds)
 }

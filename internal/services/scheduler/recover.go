@@ -4,10 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"time"
 
-	"uvacg/internal/wsa"
-	"uvacg/internal/wsn"
-	"uvacg/internal/xmlutil"
+	"uvacg/internal/wssec"
 )
 
 // Recover rebuilds in-memory runs for every job set that was still
@@ -46,7 +45,7 @@ func (s *Service) RecoverShard(ctx context.Context, shard int) (int, error) {
 // RecoverShard) are idempotent.
 func (s *Service) recoverFiltered(ctx context.Context, accept func(name string) bool) (int, error) {
 	home := s.svc.Home()
-	resumed := 0
+	resumed, unsubscribed := 0, false
 	var errs []error
 	// Wire the consumer and (best-effort) warm the catalog cache before
 	// touching any set: a recovering master wants pushed load data for
@@ -78,7 +77,7 @@ func (s *Service) recoverFiltered(ctx context.Context, accept func(name string) 
 			// (invariant I6 — no acked enqueue lost). Requeue inserts in
 			// admission-sequence order, so replay rebuilds the old queue.
 			if e, ok := queuedEntry(id, doc); ok {
-				if s.requeueRecovered(e) {
+				if s.park(e, wssec.Credentials{}) {
 					resumed++
 				}
 			} else {
@@ -94,10 +93,8 @@ func (s *Service) recoverFiltered(ctx context.Context, accept func(name string) 
 			// proves delivery was attempted — duplicates are fine, the
 			// contract is at-least-once.
 			if topic != "" && isTerminalSetStatus(status) && doc.Attr(qNotifiedAttr) != "true" {
-				// Keep the marker off when the republish itself fails, so
-				// the next Recover tries again (at-least-once).
-				if s.publishSetEventRaw(ctx, id, topic, status, "replayed after scheduler restart") == nil {
-					s.markNotified(id)
+				if err := s.republish(ctx, id, topic, status, "replayed after scheduler restart"); err != nil {
+					errs = append(errs, fmt.Errorf("scheduler: job set %q: %w", id, err))
 				}
 			}
 			continue
@@ -107,160 +104,81 @@ func (s *Service) recoverFiltered(ctx context.Context, accept func(name string) 
 		if topic == "" {
 			continue
 		}
-		snap := doc.Child(qSpecSnapshot)
-		if snap == nil {
-			continue // pre-snapshot document: nothing to resume from
-		}
-		spec, err := parseSpec(snap)
-		if err != nil || len(spec.Jobs) == 0 {
+		r, err := s.restoreRun(id, doc, wssec.Credentials{})
+		switch {
+		case errors.Is(err, errNoSpec):
 			errs = append(errs, fmt.Errorf("scheduler: job set %q has no recoverable spec", id))
 			continue
-		}
-		if err := spec.Validate(); err != nil {
+		case err != nil:
 			// A persisted snapshot that fails validation (cyclic DAG,
 			// missing references — possible via corruption or an old
 			// writer) would deadlock scheduleReady forever: no job ever
 			// becomes ready. Fail the set loudly instead of hanging.
-			s.failUnrecoverable(ctx, id, topic, fmt.Sprintf("recovered spec is invalid: %v", err))
+			if _, ferr := s.apply(ctx, r, event{kind: evFailed, reason: fmt.Sprintf("recovered spec is invalid: %v", err)}); ferr != nil {
+				errs = append(errs, fmt.Errorf("scheduler: job set %q: %w", id, ferr))
+			}
 			errs = append(errs, fmt.Errorf("scheduler: job set %q: invalid recovered spec: %w", id, err))
 			continue
 		}
 
-		r := &run{
-			id:     id,
-			topic:  topic,
-			spec:   spec,
-			jobs:   make(map[string]*jobRun, len(spec.Jobs)),
-			status: SetRunning,
+		// Re-establish the broker subscriptions before the run can be
+		// seen (the old process's consumer EPR died with it; a fresh one
+		// is cheap and idempotent in effect). The client's is best-effort.
+		if err := s.subscribeRun(ctx, r, false); err != nil {
+			errs = append(errs, fmt.Errorf("scheduler: recover %q: %w", id, err))
+			unsubscribed = true
+			continue
 		}
-		if s.adm != nil {
-			// The recovered set holds one of its tenant's running slots
-			// until it goes terminal, so post-crash dispatch still honors
-			// the per-tenant running cap.
-			if r.tenant = doc.Attr(qTenantAttr); r.tenant == "" {
-				r.tenant = s.adm.TenantOf("")
-			}
-			// The journaled admission coordinates keep the set
-			// preemptible after a crash.
-			if e, ok := queuedEntry(id, doc); ok {
-				r.entry = e
-				r.hasEntry = true
-			}
-		}
-		if el := doc.Child(qClientFiles); el != nil {
-			if epr, err := wsa.ParseEPR(el); err == nil {
-				r.clientFiles = epr
-			}
-		}
-		var clientListener wsa.EndpointReference
-		if el := doc.Child(qClientListener); el != nil {
-			if epr, err := wsa.ParseEPR(el); err == nil {
-				clientListener = epr
-			}
-		}
-		view := ParseJobSetDocument(doc)
-		incomplete := false
-		for i := range spec.Jobs {
-			j := &spec.Jobs[i]
-			jr := &jobRun{spec: j, state: JobPending}
-			if jv := view.Job(j.Name); jv != nil {
-				// Retry budget already consumed survives the crash: a
-				// crash between attempts must not grant a fresh one.
-				jr.attempts = jv.Attempt
-				if jv.Status == JobCompleted {
-					jr.state = JobCompleted
-					jr.dirEPR = jv.Dir
-				} else {
-					incomplete = true
-				}
-			} else {
-				incomplete = true
-			}
-			r.jobs[j.Name] = jr
-		}
-
+		unfinished := r.st.firstUnfinished() // read before the run is shared
 		s.mu.Lock()
 		if s.runs[topic] != nil {
 			// A concurrent sweep registered this set first.
 			s.mu.Unlock()
 			continue
 		}
-		s.wireConsumerLocked()
 		s.runs[topic] = r
 		s.runIDs[id] = topic
 		s.mu.Unlock()
 		if s.adm != nil {
+			// The recovered set holds one of its tenant's running slots
+			// until it goes terminal, so post-crash dispatch still honors
+			// the per-tenant running cap.
 			s.adm.AdoptRunning(r.tenant)
 		}
-
-		if doc.Attr(qSecured) == "true" && incomplete {
+		if unfinished != "" && doc.Attr(qSecured) == "true" {
 			// Credentials died with the old process: be explicit. No
 			// retry can cure this — no attempt can even be dispatched.
-			s.failJobFinal(ctx, r, firstIncomplete(r), "scheduler restarted; credentials are not persisted, resubmit the job set")
+			s.fire(ctx, r, event{kind: evFailed, job: unfinished, final: true,
+				reason: "scheduler restarted; credentials are not persisted, resubmit the job set"})
 			continue
-		}
-
-		// Re-establish the broker subscriptions (the old process's
-		// consumer EPR died with it; the address is the same, but a
-		// fresh subscription is cheap and idempotent in effect).
-		if _, err := wsn.SubscribeVia(ctx, s.client, s.broker, s.ConsumerEPR(), wsn.Simple(topic)); err != nil {
-			// Unregister the half-recovered run so a later Recover retry
-			// starts clean, and move on to the next set.
-			s.releaseAdmission(r)
-			s.mu.Lock()
-			delete(s.runs, topic)
-			delete(s.runIDs, id)
-			s.mu.Unlock()
-			errs = append(errs, fmt.Errorf("scheduler: recover %q: broker subscription: %w", id, err))
-			continue
-		}
-		if !clientListener.IsZero() {
-			_, _ = wsn.SubscribeVia(ctx, s.client, s.broker, clientListener, wsn.Simple(topic))
 		}
 		resumed++
-		go func(r *run) {
-			s.scheduleReady(context.WithoutCancel(ctx), r)
-			s.maybeComplete(context.WithoutCancel(ctx), r)
-		}(r)
+		// A set whose every job had already settled is closed out by the
+		// reservation that finds nothing left to do.
+		go s.scheduleReady(context.WithoutCancel(ctx), r)
+	}
+	if unsubscribed {
+		// Sets skipped because the broker did not answer are acked work
+		// nothing else would pick up: sweep again (idempotent) until it
+		// does. The caller has this pass's errors; the next retries itself.
+		time.AfterFunc(admissionRetryDelay, func() { _, _ = s.recoverFiltered(context.WithoutCancel(ctx), accept) })
 	}
 	return resumed, errors.Join(errs...)
+}
+
+// republish re-sends a terminal set event straight from a persisted
+// document and, once the broker took it, stamps the marker. A failed
+// publish is not an error: the marker stays off and the next sweep tries
+// again (at-least-once).
+func (s *Service) republish(ctx context.Context, id, topic, status, detail string) error {
+	if s.publishSetEvent(ctx, id, topic, status, detail) != nil {
+		return nil
+	}
+	return s.stampNotified(id, nil)
 }
 
 // isTerminalSetStatus reports whether status is one of the three
 // terminal set states.
 func isTerminalSetStatus(status string) bool {
 	return status == SetCompleted || status == SetFailed || status == SetCancelled
-}
-
-// failUnrecoverable marks a set Failed directly in its document (there
-// is no run to drive the usual path), cancels its non-terminal jobs and
-// publishes the terminal event.
-func (s *Service) failUnrecoverable(ctx context.Context, id, topic, reason string) {
-	_ = s.svc.UpdateResource(id, func(doc *xmlutil.Element) error {
-		if c := doc.Child(QStatus); c != nil {
-			c.Text = SetFailed
-		}
-		for _, st := range doc.ChildrenNamed(QJobState) {
-			switch st.Attr(qStatusAttr) {
-			case JobCompleted, JobFailed, JobCancelled:
-			default:
-				st.SetAttr(qStatusAttr, JobCancelled)
-			}
-		}
-		return nil
-	})
-	if s.publishSetEventRaw(ctx, id, topic, SetFailed, reason) == nil {
-		s.markNotified(id)
-	}
-}
-
-func firstIncomplete(r *run) string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, j := range r.spec.Jobs {
-		if r.jobs[j.Name].state != JobCompleted {
-			return j.Name
-		}
-	}
-	return r.spec.Jobs[0].Name
 }

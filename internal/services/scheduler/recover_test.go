@@ -336,3 +336,41 @@ func TestRecoverIgnoresFinishedSets(t *testing.T) {
 		t.Fatalf("finished set resumed (%d)", resumed)
 	}
 }
+
+// TestRecoverRetriesSetsTheBrokerRefused: a set whose broker subscription
+// fails during Recover is acked work nobody else will ever pick up — the
+// sweep must come back for it once the broker answers, without waiting
+// for the next restart. (simgrid seed 26: a restarted master's Subscribe
+// was dropped and the set stayed Running forever.)
+func TestRecoverRetriesSetsTheBrokerRefused(t *testing.T) {
+	h, brokerSrv := newSplitBrokerHarness(t, 0)
+	h.files.Publish("j.app", procspawn.BuildScript("exit 0"))
+	spec := &JobSetSpec{Name: "later", Jobs: []JobSpec{{Name: "j", Executable: "local://j.app"}}}
+	setEPR, topic, err := h.submit(t, spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := h.waitTerminal(t, topic); got != "completed" {
+		t.Fatalf("initial run: %q", got)
+	}
+	// "Crash" mid-run, and restart while the broker is unreachable.
+	err = h.ss.WSRF().UpdateResource(setEPR.Property(wsrf.QResourceID), func(doc *xmlutil.Element) error {
+		doc.Child(QStatus).Text = SetRunning
+		doc.ChildrenNamed(QJobState)[0].SetAttr(qStatusAttr, JobPending)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.ss.mu.Lock()
+	h.ss.runs = make(map[string]*run)
+	h.ss.mu.Unlock()
+	h.network.Deregister("broker")
+	if resumed, err := h.ss.Recover(context.Background()); err == nil || resumed != 0 {
+		t.Fatalf("Recover with no broker: resumed %d, err %v", resumed, err)
+	}
+	h.network.Register("broker", brokerSrv)
+	if got := h.waitTerminal(t, topic); got != "completed" {
+		t.Fatalf("set the broker refused was never picked up again: %q", got)
+	}
+}

@@ -4,9 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strconv"
+	"log"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"uvacg/internal/admission"
@@ -207,51 +208,236 @@ func (s *Service) wireConsumerLocked() {
 	s.consumer.Handle(wsn.MustTopicExpression(wsn.DialectFull, "*//"), s.onNotification)
 }
 
+// run is one live job set on this master: what it was submitted with
+// (fixed once built) and, under mu, its state and the watchdogs of the
+// attempts in flight. Only jobset.go's step changes st.
 type run struct {
-	mu          sync.Mutex
-	id          string
-	topic       string
-	spec        *JobSetSpec
-	clientFiles wsa.EndpointReference
-	creds       wssec.Credentials
-	jobs        map[string]*jobRun
-	seq         int
-	status      string
-	// lost marks a run parked by a shard lease loss: another master
-	// owns the set now, and every write path drops the run on sight.
-	lost bool
+	id, topic                   string
+	spec                        *JobSetSpec
+	clientFiles, clientListener wsa.EndpointReference
+	creds                       wssec.Credentials
 	// tenant is the admission bucket whose running slot this run holds;
-	// empty for runs that never went through the queue. released guards
-	// the slot's one-time return (see releaseAdmission).
+	// empty for runs that never went through the queue. entry is the
+	// admission-queue coordinate it was activated under (hasEntry marks
+	// it valid); preemption requeues through it.
 	tenant   string
-	released bool
-	// entry is the admission-queue coordinate the run was activated
-	// under; hasEntry marks it valid. Preemption requeues through it.
 	entry    admission.Entry
 	hasEntry bool
+
+	mu        sync.Mutex
+	st        *setState
+	watchdogs map[watchKey]*time.Timer
+
+	released      atomic.Bool // the running slot went back (see releaseAdmission)
+	journalFailed atomic.Bool // a failed journal write is logged once per run
 }
 
-type jobRun struct {
-	spec     *JobSpec
-	state    string
-	node     string
-	jobEPR   wsa.EndpointReference
-	dirEPR   wsa.EndpointReference
-	exitCode int
-	watchdog *time.Timer
-	// attempts counts failures already retried; retryAt holds the job
-	// out of nextReady until its backoff elapses.
-	attempts int
-	retryAt  time.Time
-}
-
-// jobTerminal reports whether a job state is final.
-func jobTerminal(state string) bool {
-	switch state {
-	case JobCompleted, JobFailed, JobCancelled:
-		return true
+// newRun is the one place a run is built, and where its attempt nonce is
+// minted: no two runs of a set — across Recover, RecoverShard and
+// re-activation after preemption — share an attempt identity.
+func (s *Service) newRun(id string, spec *JobSetSpec, clientFiles, clientListener wsa.EndpointReference, creds wssec.Credentials, status string) *run {
+	nonce := wsa.NewMessageID()[len("urn:uuid:"):][:8]
+	return &run{
+		id: id,
+		// "The Scheduler service then generates a unique topic name for
+		// events related to this job set."
+		topic:          "jobset-" + id,
+		spec:           spec,
+		clientFiles:    clientFiles,
+		clientListener: clientListener,
+		creds:          creds,
+		st:             newSetState(spec, status, nonce, s.defaultRetry),
+		watchdogs:      make(map[watchKey]*time.Timer),
 	}
-	return false
+}
+
+var (
+	// errNoSpec: a document's spec snapshot is missing, unreadable or empty.
+	errNoSpec = errors.New("scheduler: no recoverable spec")
+	// errRunParked aborts a journal write for a run that left this master.
+	errRunParked = errors.New("scheduler: run parked")
+)
+
+// restoreRun is the one document → run reader (activation, recovery):
+// spec snapshot, client endpoints, admission coordinates, and per-job
+// progress — completed jobs with their output directories, retries
+// consumed. When the snapshot cannot be read (errNoSpec) or fails
+// validation (any other error), the run returned is built over the
+// document's own job list: good only for failing or cancelling the set.
+func (s *Service) restoreRun(id string, doc *xmlutil.Element, creds wssec.Credentials) (*run, error) {
+	view := ParseJobSetDocument(doc)
+	var spec *JobSetSpec
+	err := errNoSpec
+	if snap := doc.Child(qSpecSnapshot); snap != nil {
+		if spec, err = parseSpec(snap); err != nil || len(spec.Jobs) == 0 {
+			err = errNoSpec
+		} else {
+			err = spec.Validate()
+		}
+	}
+	if err != nil {
+		spec = &JobSetSpec{Name: view.Name}
+		for _, jv := range view.Jobs {
+			spec.Jobs = append(spec.Jobs, JobSpec{Name: jv.Name})
+		}
+	}
+	// An endpoint that no longer parses is dropped, as ParseJobSetDocument
+	// drops any unparseable fragment.
+	clientFiles, _ := wsa.ParseEPR(doc.Child(qClientFiles))
+	clientListener, _ := wsa.ParseEPR(doc.Child(qClientListener))
+	r := s.newRun(id, spec, clientFiles, clientListener, creds, SetRunning)
+	if s.adm != nil {
+		// A restored set holds a running slot of its tenant's, and its
+		// journaled admission coordinates keep it preemptible.
+		if r.tenant = doc.Attr(qTenantAttr); r.tenant == "" {
+			r.tenant = s.adm.TenantOf("")
+		}
+		r.entry, r.hasEntry = queuedEntry(id, doc)
+	}
+	r.st.restore(view)
+	return r, err
+}
+
+// step runs the core on one event under r.mu, and stops and arms the
+// watchdogs it asks for before the lock drops: no stop overtakes its arm.
+func (s *Service) step(r *run, ev event) effects {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	fx := r.st.step(ev, time.Now())
+	for _, k := range fx.stop {
+		if t := r.watchdogs[k]; t != nil {
+			t.Stop()
+			delete(r.watchdogs, k)
+		}
+	}
+	for _, k := range fx.arm {
+		if s.jobTimeout > 0 {
+			r.watchdogs[k] = time.AfterFunc(s.jobTimeout, func() { s.watchdogFired(r, k) })
+		}
+	}
+	return fx
+}
+
+// watchdogFired reports that an attempt produced no terminal event in
+// time — the machine died or the network partitioned mid-job. Keyed by
+// attempt, a timer that fires late names an attempt the core has dropped.
+func (s *Service) watchdogFired(r *run, k watchKey) {
+	r.mu.Lock()
+	delete(r.watchdogs, k)
+	r.mu.Unlock()
+	s.fire(context.Background(), r, event{
+		kind:    evTimeout,
+		job:     r.spec.Jobs[k.job].Name,
+		attempt: k.attempt,
+		reason:  fmt.Sprintf("no completion within %v (machine unreachable?)", s.jobTimeout),
+	})
+}
+
+// apply is the shell around the core: one event in, its effects done.
+func (s *Service) apply(ctx context.Context, r *run, ev event) (effects, error) {
+	fx := s.step(r, ev)
+	return fx, s.perform(ctx, r, fx, nil)
+}
+
+// fire is apply for callers with nobody to return an error to: timers,
+// the notification fan-in, dispatch goroutines.
+func (s *Service) fire(ctx context.Context, r *run, ev event) {
+	_, _ = s.apply(ctx, r, ev) // perform logged the failure with the set id
+}
+
+// perform carries out a transition's effects in one fixed order: kill,
+// persist, requeue, release slot, publish, stamp notified, retry timer,
+// schedule. Kills come first so a retried job's old process is gone
+// before the document admits a new attempt. inHand is the set's document
+// when the caller already holds the resource (a WSRF method), else nil.
+//
+// A journal write refused because the resource is gone or the run parked
+// is expected. Any other failure is logged (once per run) and returned,
+// and requeue and publish are withheld: Recover acts on the document.
+func (s *Service) perform(ctx context.Context, r *run, fx effects, inHand *xmlutil.Element) error {
+	s.kill(ctx, fx.kill)
+	var err error
+	journaled := true
+	if fx.persist {
+		if err = s.persist(r, fx, inHand); err != nil {
+			journaled = false
+			if errors.Is(err, wsrf.ErrNoSuchResource) || errors.Is(err, errRunParked) {
+				err = nil
+			}
+		}
+	}
+	if fx.requeue && journaled {
+		s.requeue(r)
+	}
+	if fx.release {
+		s.releaseAdmission(r)
+	}
+	if fx.publish != "" && journaled {
+		// Only a publish the broker took earns the marker: without it
+		// Recover republishes (invariant I4, at-least-once delivery).
+		if s.publishSetEvent(ctx, r.id, r.topic, fx.publish, fx.detail) == nil && isTerminalSetStatus(fx.publish) {
+			if nerr := s.stampNotified(r.id, inHand); nerr != nil && !errors.Is(nerr, wsrf.ErrNoSuchResource) {
+				err = nerr
+			}
+		}
+	}
+	if err != nil && !r.journalFailed.Swap(true) {
+		log.Printf("scheduler: job set %s: journal write failed, document and memory diverge until restart: %v", r.id, err)
+	}
+	if fx.retry {
+		time.AfterFunc(fx.backoff, func() { s.scheduleReady(context.Background(), r) })
+	}
+	if fx.schedule {
+		s.scheduleReady(ctx, r)
+	}
+	return err
+}
+
+// persist is the one writer of lifecycle state into a job-set document:
+// status and the touched jobs' attributes, rendered from the state as it
+// is when the write holds the resource (resource lock, then r.mu — a WSRF
+// method's order), never from a snapshot taken before: that could wait
+// behind a later transition's write and land on top of it, a terminal
+// set persisting a Running job. A parked run writes nothing — its
+// document is another owner's — except the eviction write that parks it.
+func (s *Service) persist(r *run, fx effects, inHand *xmlutil.Element) error {
+	return s.write(r.id, inHand, func(doc *xmlutil.Element) error {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		if r.st.parked && !fx.requeue {
+			return errRunParked
+		}
+		r.st.render(doc, fx.touched)
+		return nil
+	})
+}
+
+// write applies fn to a job-set document: the one in hand, or the stored
+// one under its resource lock.
+func (s *Service) write(id string, inHand *xmlutil.Element, fn func(doc *xmlutil.Element) error) error {
+	if inHand != nil {
+		return fn(inHand)
+	}
+	return s.svc.UpdateResource(id, fn)
+}
+
+// stampNotified records that the broker took the terminal set event —
+// a second write because that is only known after the status write.
+func (s *Service) stampNotified(id string, inHand *xmlutil.Element) error {
+	return s.write(id, inHand, func(doc *xmlutil.Element) error {
+		doc.SetAttr(qNotifiedAttr, "true")
+		return nil
+	})
+}
+
+// kill reaps job processes.
+func (s *Service) kill(ctx context.Context, eprs []wsa.EndpointReference) {
+	for _, epr := range eprs {
+		// Best effort: the process may have exited already (the ES faults)
+		// or its machine be unreachable, and no caller could act on either;
+		// a survivor reports under an attempt nobody matches any more.
+		_, _ = s.client.Call(ctx, epr, execution.ActionKill, execution.KillRequest())
+	}
 }
 
 // New builds the SS.
@@ -398,71 +584,37 @@ func (s *Service) handleSubmit(ctx context.Context, inv *wsrf.Invocation, body *
 	}
 
 	principal, _ := wssec.PrincipalFrom(ctx)
+	creds := wssec.Credentials{Username: principal.Username, Password: principal.Password}
+	// Minted here, so the topic is in the document's first and only write.
+	id := wsa.NewMessageID()[len("urn:uuid:"):]
 
 	if s.adm != nil {
 		// Admission control is on: journal the set as Queued and ack; the
 		// fair-share pump activates it later.
-		return s.admitSubmit(ctx, spec, clientFiles, clientListener, principal)
+		return s.admitSubmit(ctx, s.newRun(id, spec, clientFiles, clientListener, creds, SetQueued))
 	}
 
-	doc := jobSetDocument(spec, clientFiles, clientListener, principal, SetRunning)
-	setEPR, err := s.svc.CreateResource("", doc)
+	r := s.newRun(id, spec, clientFiles, clientListener, creds, SetRunning)
+	setEPR, err := s.svc.CreateResource(id, jobSetDocument(r))
 	if err != nil {
 		return nil, soap.ReceiverFault("scheduler: create job set resource: %v", err)
 	}
-	id := setEPR.Property(wsrf.QResourceID)
-	// "The Scheduler service then generates a unique topic name for
-	// events related to this job set."
-	topic := "jobset-" + id
-	if err := s.svc.UpdateResource(id, func(doc *xmlutil.Element) error {
-		doc.Append(xmlutil.NewElement(QTopic, topic))
-		return nil
-	}); err != nil {
-		return nil, soap.ReceiverFault("scheduler: %v", err)
-	}
-
-	r := &run{
-		id:          id,
-		topic:       topic,
-		spec:        spec,
-		clientFiles: clientFiles,
-		creds:       wssec.Credentials{Username: principal.Username, Password: principal.Password},
-		jobs:        make(map[string]*jobRun, len(spec.Jobs)),
-		status:      SetRunning,
-	}
-	for i := range spec.Jobs {
-		j := &spec.Jobs[i]
-		r.jobs[j.Name] = &jobRun{spec: j, state: JobPending}
-	}
 	s.mu.Lock()
 	s.wireConsumerLocked()
-	s.runs[topic] = r
-	s.runIDs[id] = topic
+	s.runs[r.topic] = r
+	s.runIDs[id] = r.topic
 	s.mu.Unlock()
-
-	// On a subscription fault, undo the registration: leaving the run in
-	// s.runs and the resource in the home would let a half-born set — one
-	// the client was never acked, will never poll and can never destroy —
-	// leak forever and shadow its topic.
-	abort := func() {
-		s.mu.Lock()
-		delete(s.runs, topic)
-		delete(s.runIDs, id)
-		s.mu.Unlock()
-		_ = s.svc.DestroyResource(id)
-	}
 
 	// "subscribe both itself and the client's notification listener".
 	bg := context.WithoutCancel(ctx)
-	if _, err := wsn.SubscribeVia(bg, s.client, s.broker, s.ConsumerEPR(), wsn.Simple(topic)); err != nil {
-		abort()
-		return nil, soap.ReceiverFault("scheduler: broker subscription: %v", err)
-	}
-	if !clientListener.IsZero() {
-		if _, err := wsn.SubscribeVia(bg, s.client, s.broker, clientListener, wsn.Simple(topic)); err != nil {
-			abort()
-			return nil, soap.ReceiverFault("scheduler: client subscription: %v", err)
+	if err := s.subscribeRun(bg, r, true); err != nil {
+		// Undo: a half-born set — one the client was never acked, will never
+		// poll and can never destroy — would leak forever and shadow its
+		// topic. Destroying the resource evicts the run (onSetDestroyed).
+		if derr := s.svc.DestroyResource(id); derr != nil {
+			return nil, soap.ReceiverFault("scheduler: %v; and the half-created job set %s could not be removed: %v", err, id, derr)
 		}
+		return nil, soap.ReceiverFault("scheduler: %v", err)
 	}
 	s.ensureCatalogSubscription(bg)
 	s.ensureReplicaSubscription(bg)
@@ -473,38 +625,23 @@ func (s *Service) handleSubmit(ctx context.Context, inv *wsrf.Invocation, body *
 
 	return xmlutil.NewContainer(qSubmitResp,
 		setEPR.ElementNamed(qJobSetEPR),
-		xmlutil.NewElement(qTopicOut, topic),
+		xmlutil.NewElement(qTopicOut, r.topic),
 	), nil
 }
 
-// jobSetDocument builds the job-set WS-Resource. Everything a restarted
-// scheduler needs to resume the run is persisted here: the spec, the
-// client's endpoints and per-job progress (credentials excepted — they
-// stay in memory, so secured runs cannot survive a restart).
-func jobSetDocument(spec *JobSetSpec, clientFiles, clientListener wsa.EndpointReference, principal wssec.Principal, status string) *xmlutil.Element {
-	doc := xmlutil.NewContainer(xmlutil.Q(NS, "JobSetState"),
-		xmlutil.NewElement(QName, spec.Name),
-		xmlutil.NewElement(QStatus, status),
-	)
-	if principal.Username != "" {
-		doc.SetAttr(qSecured, "true")
+// subscribeRun subscribes the SS's consumer, then the client's listener,
+// to a run's topic. The client's subscription is best-effort unless
+// strict: only Submit can still tell the client it failed.
+func (s *Service) subscribeRun(ctx context.Context, r *run, strict bool) error {
+	if _, err := wsn.SubscribeVia(ctx, s.client, s.broker, s.ConsumerEPR(), wsn.Simple(r.topic)); err != nil {
+		return fmt.Errorf("broker subscription: %w", err)
 	}
-	snapshot := &xmlutil.Element{Name: qSpecSnapshot}
-	snapshot.Append(specElement(spec)...)
-	doc.Append(snapshot)
-	if !clientFiles.IsZero() {
-		doc.Append(clientFiles.ElementNamed(qClientFiles))
+	if !r.clientListener.IsZero() {
+		if _, err := wsn.SubscribeVia(ctx, s.client, s.broker, r.clientListener, wsn.Simple(r.topic)); err != nil && strict {
+			return fmt.Errorf("client subscription: %w", err)
+		}
 	}
-	if !clientListener.IsZero() {
-		doc.Append(clientListener.ElementNamed(qClientListener))
-	}
-	for _, j := range spec.Jobs {
-		st := xmlutil.NewElement(QJobState, "")
-		st.SetAttr(qNameAttr, j.Name)
-		st.SetAttr(qStatusAttr, JobPending)
-		doc.Append(st)
-	}
-	return doc
+	return nil
 }
 
 func needsClientFiles(spec *JobSetSpec) bool {
@@ -535,177 +672,72 @@ func needsClientFiles(spec *JobSetSpec) bool {
 func (s *Service) scheduleReady(ctx context.Context, r *run) {
 	var wg sync.WaitGroup
 	for {
-		job, seq := s.nextReady(r)
-		if job == nil {
+		fx, err := s.apply(ctx, r, event{kind: evReserve})
+		if err != nil || fx.reserved == nil {
 			break
 		}
 		s.dispatchSem <- struct{}{}
 		wg.Add(1)
-		go func(j *jobRun, seq int) {
+		go func(res reservation) {
 			defer wg.Done()
 			defer func() { <-s.dispatchSem }()
-			if err := s.dispatch(ctx, r, j, seq); err != nil {
-				if errors.Is(err, errShardLost) {
-					// The shard moved to another master mid-dispatch;
-					// the run is (or is about to be) parked. Not a job
-					// failure — the new owner re-dispatches.
-					return
-				}
-				s.failJob(ctx, r, j.spec.Name, "dispatch: "+err.Error())
-			}
-		}(job, seq)
+			s.dispatch(ctx, r, res)
+		}(*fx.reserved)
 	}
 	wg.Wait()
 }
 
-// nextReady reserves one ready job (marks it Dispatched) and returns it
-// with its dispatch sequence number. The sequence is captured here,
-// under the lock, because concurrent scheduleReady goroutines (spawned
-// by completion notifications) would otherwise read each other's
-// increments and break round-robin rotation.
-func (s *Service) nextReady(r *run) (*jobRun, int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.status != SetRunning || r.lost {
-		return nil, 0
+// dispatch sends one reserved attempt to a node and reports the outcome
+// to the core under that attempt's identity.
+func (s *Service) dispatch(ctx context.Context, r *run, res reservation) {
+	ev, err := s.runJob(ctx, r, res)
+	if errors.Is(err, errShardLost) {
+		// The shard moved to another master mid-dispatch; the run is (or
+		// is about to be) parked. Not a job failure — the new owner
+		// re-dispatches.
+		return
 	}
-	for _, name := range jobOrder(r.spec) {
-		j := r.jobs[name]
-		if j.state != JobPending {
-			continue
-		}
-		if !j.retryAt.IsZero() && time.Now().Before(j.retryAt) {
-			continue // backoff not yet elapsed
-		}
-		if readyLocked(r, j) {
-			j.state = JobDispatched
-			j.retryAt = time.Time{}
-			r.seq++
-			return j, r.seq
-		}
+	if err != nil {
+		ev.kind, ev.reason = evDispatchFailed, "dispatch: "+err.Error()
 	}
-	return nil, 0
+	s.fire(ctx, r, ev)
 }
 
-// readyLocked evaluates a pending job's run-on gate against its
-// dependencies' states. Callers hold r.mu.
-func readyLocked(r *run, j *jobRun) bool {
-	anyFailed := false
-	for _, dep := range j.spec.Dependencies() {
-		d := r.jobs[dep]
-		switch j.spec.EffectiveRunOn() {
-		case RunOnSuccess:
-			if d.state != JobCompleted {
-				return false
-			}
-		default: // RunOnFailure, RunOnAlways: deps must merely be settled
-			if !jobTerminal(d.state) {
-				return false
-			}
-			if d.state == JobFailed {
-				anyFailed = true
-			}
-		}
-	}
-	if j.spec.EffectiveRunOn() == RunOnFailure {
-		return anyFailed
-	}
-	return true
-}
-
-// impossibleLocked reports whether a pending job's run-on gate can no
-// longer ever be met, whatever happens to the jobs still in flight.
-// Callers hold r.mu.
-func impossibleLocked(r *run, j *jobRun) bool {
-	switch j.spec.EffectiveRunOn() {
-	case RunOnFailure:
-		// Doomed only once every dependency settled without a failure.
-		for _, dep := range j.spec.Dependencies() {
-			d := r.jobs[dep]
-			if !jobTerminal(d.state) || d.state == JobFailed {
-				return false
-			}
-		}
-		return true
-	case RunOnAlways:
-		return false // dependencies always settle eventually
-	default: // RunOnSuccess
-		for _, dep := range j.spec.Dependencies() {
-			if st := r.jobs[dep].state; jobTerminal(st) && st != JobCompleted {
-				return true
-			}
-		}
-		return false
-	}
-}
-
-// cancelImpossibleLocked cancels, to fixpoint, every pending job whose
-// run-on gate is unsatisfiable. Callers hold r.mu; the returned names
-// need their documents refreshed once the lock is released.
-func cancelImpossibleLocked(r *run) []string {
-	var changed []string
-	for again := true; again; {
-		again = false
-		for _, name := range jobOrder(r.spec) {
-			j := r.jobs[name]
-			if j.state != JobPending || !impossibleLocked(r, j) {
-				continue
-			}
-			stopWatchdog(j)
-			j.state = JobCancelled
-			j.retryAt = time.Time{}
-			changed = append(changed, name)
-			again = true
-		}
-	}
-	return changed
-}
-
-// jobOrder returns job names in declaration order, keeping dispatch
-// deterministic.
-func jobOrder(spec *JobSetSpec) []string {
-	out := make([]string, len(spec.Jobs))
-	for i := range spec.Jobs {
-		out[i] = spec.Jobs[i].Name
-	}
-	return out
-}
-
-// dispatch is steps 2-3 of Fig. 3: consult the processor catalog, pick
-// a node, send Run. Step 2 is served from the notification-fed cache
-// when fresh; only a stale cache costs a NIS poll.
-func (s *Service) dispatch(ctx context.Context, r *run, j *jobRun, seq int) error {
+// runJob is steps 2-3 of Fig. 3: consult the processor catalog, pick a
+// node, send Run. Step 2 is served from the notification-fed cache when
+// fresh; only a stale cache costs a NIS poll. It returns the attempt's
+// runAcked event, complete when err is nil.
+func (s *Service) runJob(ctx context.Context, r *run, res reservation) (event, error) {
+	spec := &r.spec.Jobs[res.job]
+	ack := event{kind: evRunAcked, job: spec.Name, attempt: res.attempt}
 	if err := s.dispatchFence(r); err != nil {
-		return err
+		return ack, err
 	}
 	procs, err := s.processors(ctx)
 	if err != nil {
-		return err
+		return ack, err
 	}
-	files, executable, err := s.resolveFiles(r, j.spec)
+	files, executable, err := s.resolveFiles(r, spec)
 	if err != nil {
-		return err
+		return ack, err
 	}
 	// Annotate the refs with content hashes and replica EPRs (so the
 	// staging FSS can pull from the nearest holder) and weigh where the
 	// bytes already live into the placement decision.
 	loc := s.annotateReplicas(files, procs)
-	node, err := s.policy.Pick(procs, loc, seq)
+	node, err := s.policy.Pick(procs, loc, res.seq)
 	if err != nil {
-		return err
+		return ack, err
 	}
-	req := soap.New(execution.RunRequest(j.spec.Name, r.topic, executable, files))
-	r.mu.Lock()
-	creds := r.creds
-	r.mu.Unlock()
-	if creds.Username != "" {
-		if err := wssec.AttachUsernameToken(req, creds, false, time.Now()); err != nil {
-			return err
+	req := soap.New(execution.WithAttempt(execution.RunRequest(spec.Name, r.topic, executable, files), res.attempt))
+	if r.creds.Username != "" {
+		if err := wssec.AttachUsernameToken(req, r.creds, false, time.Now()); err != nil {
+			return ack, err
 		}
 		if s.esCerts != nil {
 			if cert, ok := s.esCerts(node.ES); ok {
 				if err := wssec.EncryptSecurityHeader(req, cert); err != nil {
-					return err
+					return ack, err
 				}
 			}
 		}
@@ -715,75 +747,16 @@ func (s *Service) dispatch(ctx context.Context, r *run, j *jobRun, seq int) erro
 	// grace window peers wait out before claiming an expired shard is
 	// what makes this check-then-send safe against a concurrent owner.
 	if err := s.dispatchFence(r); err != nil {
-		return err
+		return ack, err
 	}
-	s.recordDispatch(r, j.spec.Name, node.Host)
+	s.recordDispatch(r, spec.Name, node.Host)
 	resp, err := s.client.Invoke(ctx, node.ES, execution.ActionRun, req)
 	if err != nil {
-		return fmt.Errorf("run on %s: %w", node.Host, err)
+		return ack, fmt.Errorf("run on %s: %w", node.Host, err)
 	}
-	jobEPR, dirEPR, err := execution.ParseRunResponse(resp.Body)
-	if err != nil {
-		return err
-	}
-	r.mu.Lock()
-	// The broker can deliver this attempt's started/exited events before
-	// the Run response lands, so Running/Completed with a matching (or
-	// not-yet-adopted) job EPR is still the same attempt. Anything else —
-	// set no longer Running, job failed/cancelled/queued for retry, or a
-	// different EPR — means this fresh process was overtaken and is an
-	// orphan this path must reap.
-	sameAttempt := j.state == JobDispatched ||
-		((j.state == JobRunning || j.state == JobCompleted) &&
-			(j.jobEPR.IsZero() || j.jobEPR.String() == jobEPR.String()))
-	if r.status != SetRunning || !sameAttempt {
-		// Only an attempt that was still Dispatched is marked cancelled;
-		// an overtaken job keeps the state its retry or terminal
-		// transition already chose.
-		if j.state == JobDispatched {
-			j.state = JobCancelled
-		}
-		r.mu.Unlock()
-		_, _ = s.client.Call(ctx, jobEPR, execution.ActionKill, execution.KillRequest())
-		s.updateJobDoc(r, j.spec.Name)
-		return nil
-	}
-	j.node = node.Host
-	j.jobEPR = jobEPR
-	if !dirEPR.IsZero() {
-		j.dirEPR = dirEPR
-	}
-	if s.jobTimeout > 0 && !jobTerminal(j.state) {
-		name := j.spec.Name
-		j.watchdog = time.AfterFunc(s.jobTimeout, func() {
-			s.jobTimedOut(r, name)
-		})
-	}
-	r.mu.Unlock()
-	s.updateJobDoc(r, j.spec.Name)
-	return nil
-}
-
-// jobTimedOut fires when a dispatched job produced no terminal event in
-// time — the machine died or the network partitioned mid-job.
-func (s *Service) jobTimedOut(r *run, jobName string) {
-	r.mu.Lock()
-	j := r.jobs[jobName]
-	stillLive := j != nil && (j.state == JobDispatched || j.state == JobRunning)
-	r.mu.Unlock()
-	if !stillLive {
-		return
-	}
-	s.failJob(context.Background(), r, jobName, fmt.Sprintf("no completion within %v (machine unreachable?)", s.jobTimeout))
-}
-
-// stopWatchdog cancels a job's timer on any terminal transition. Callers
-// hold r.mu.
-func stopWatchdog(j *jobRun) {
-	if j.watchdog != nil {
-		j.watchdog.Stop()
-		j.watchdog = nil
-	}
+	ack.node = node.Host
+	ack.jobEPR, ack.dirEPR, err = execution.ParseRunResponse(resp.Body)
+	return ack, err
 }
 
 // processors returns the catalog a dispatch decision should see: the
@@ -889,8 +862,7 @@ func (s *Service) resolveFiles(r *run, spec *JobSpec) ([]filesystem.FileRef, str
 			return filesystem.FileRef{Source: r.clientFiles, RemoteName: name, LocalName: localName}, nil
 		}
 		r.mu.Lock()
-		producer := r.jobs[scheme]
-		dir := producer.dirEPR
+		dir := r.st.jobs[r.st.index[scheme]].dirEPR
 		r.mu.Unlock()
 		if dir.IsZero() {
 			return filesystem.FileRef{}, fmt.Errorf("scheduler: output directory of %q is not yet known", scheme)
@@ -917,6 +889,14 @@ func (s *Service) resolveFiles(r *run, spec *JobSpec) ([]filesystem.FileRef, str
 	return files, exeName, nil
 }
 
+// jobEventKinds maps the ES's lifecycle event kinds onto core events.
+var jobEventKinds = map[string]eventKind{
+	execution.EventDirectory: evDirectory,
+	execution.EventStarted:   evStarted,
+	execution.EventExited:    evExited,
+	execution.EventFailed:    evFailed,
+}
+
 // onNotification reacts to broker events: "When the Scheduler gets the
 // message that a job has completed, it schedules the next job that no
 // longer has any uncompleted dependencies."
@@ -941,326 +921,57 @@ func (s *Service) onNotification(ctx context.Context, n wsn.Notification) {
 	if len(segs) < 3 {
 		return
 	}
-	topic := segs[0]
 	s.mu.RLock()
-	r := s.runs[topic]
+	r := s.runs[segs[0]]
 	s.mu.RUnlock()
 	if r == nil {
 		return
 	}
 	ev, err := execution.ParseJobEvent(n.Message)
-	if err != nil {
+	kind, known := jobEventKinds[ev.Kind]
+	if err != nil || !known || ev.JobName == "" { // only the shell speaks for a whole set
 		return
 	}
 	// Keep the delivery's values (request ID) but not its cancellation:
 	// scheduling the next job must outlive the notify exchange.
-	ctx = context.WithoutCancel(ctx)
-	r.mu.Lock()
-	j := r.jobs[ev.JobName]
-	if j == nil {
-		r.mu.Unlock()
-		return
-	}
-	// Stale-attempt guards: after a retry re-dispatch, the previous
-	// attempt's events may still arrive. A job that is terminal or
-	// parked between attempts (Pending) has no live attempt to report
-	// on, and an event naming a different job EPR than the current
-	// attempt is history.
-	if jobTerminal(j.state) || j.state == JobPending {
-		r.mu.Unlock()
-		return
-	}
-	if !ev.Job.IsZero() && !j.jobEPR.IsZero() && ev.Job.String() != j.jobEPR.String() {
-		r.mu.Unlock()
-		return
-	}
-	if !ev.Directory.IsZero() {
-		j.dirEPR = ev.Directory
-	}
-	if !ev.Job.IsZero() {
-		j.jobEPR = ev.Job
-	}
-	switch ev.Kind {
-	case execution.EventStarted:
-		if j.state == JobDispatched {
-			j.state = JobRunning
-		}
-		r.mu.Unlock()
-		s.updateJobDoc(r, ev.JobName)
-	case execution.EventExited:
-		stopWatchdog(j)
-		if ev.HasExit && ev.ExitCode == 0 {
-			j.state = JobCompleted
-			j.exitCode = 0
-			r.mu.Unlock()
-			s.updateJobDoc(r, ev.JobName)
-			s.maybeComplete(ctx, r)
-			s.scheduleReady(ctx, r)
-			return
-		}
-		j.exitCode = ev.ExitCode
-		r.mu.Unlock()
-		s.failJob(ctx, r, ev.JobName, fmt.Sprintf("exit code %d", ev.ExitCode))
-	case execution.EventFailed:
-		stopWatchdog(j)
-		r.mu.Unlock()
-		s.failJob(ctx, r, ev.JobName, ev.Error)
-	default:
-		r.mu.Unlock()
-	}
+	s.fire(context.WithoutCancel(ctx), r, event{
+		kind:     kind,
+		job:      ev.JobName,
+		attempt:  ev.Attempt,
+		jobEPR:   ev.Job,
+		dirEPR:   ev.Directory,
+		exitCode: ev.ExitCode,
+		hasExit:  ev.HasExit,
+		reason:   ev.Error,
+	})
 }
 
-// maybeComplete finishes the job set once no job can still run: after
-// cancelling pending jobs whose run-on gate became unsatisfiable, a set
-// with every job terminal goes Completed when nothing failed and Failed
-// otherwise (a failed sibling whose cleanup jobs have since finished).
-func (s *Service) maybeComplete(ctx context.Context, r *run) {
-	r.mu.Lock()
-	if r.status != SetRunning || r.lost {
-		r.mu.Unlock()
-		return
-	}
-	changed := cancelImpossibleLocked(r)
-	status, failedJob := SetCompleted, ""
-	for _, name := range jobOrder(r.spec) {
-		switch j := r.jobs[name]; j.state {
-		case JobFailed:
-			status = SetFailed
-			if failedJob == "" {
-				failedJob = name
-			}
-		case JobCompleted, JobCancelled:
-		default:
-			// Still pending (possibly waiting out a retry backoff),
-			// dispatched or running: not done yet.
-			r.mu.Unlock()
-			for _, n := range changed {
-				s.updateJobDoc(r, n)
-			}
-			return
-		}
-	}
-	r.status = status
-	r.mu.Unlock()
-	s.releaseAdmission(r)
-	for _, n := range changed {
-		s.updateJobDoc(r, n)
-	}
-	s.setStatus(r, status)
-	detail := ""
-	if status == SetFailed {
-		detail = fmt.Sprintf("job %q failed", failedJob)
-	}
-	// Stamp notified only when the broker actually took the event: a
-	// failed publish must leave the marker off so Recover republishes
-	// after a restart (invariant I4, at-least-once terminal delivery).
-	if s.publishSetEvent(ctx, r, status, detail) == nil {
-		s.markNotified(r.id)
-	}
-}
-
-// retryPolicy resolves the policy for one job: its own, or the
-// service-wide default when the spec carries none.
-func (s *Service) retryPolicy(spec *JobSpec) RetryPolicy {
-	if spec.Retry.Limit > 0 {
-		return spec.Retry
-	}
-	return s.defaultRetry
-}
-
-// failJob handles one job's failure — nonzero exit, watchdog timeout or
-// dispatch error. While retry budget remains the job is re-queued with
-// backoff (a re-dispatch arms a fresh watchdog); once exhausted it goes
-// Failed, sibling work that can no longer matter is cancelled and
-// killed, run-on-failure cleanup jobs are launched, and the set goes
-// terminal when nothing is left.
-func (s *Service) failJob(ctx context.Context, r *run, jobName, reason string) {
-	s.failJobOpt(ctx, r, jobName, reason, true)
-}
-
-// failJobFinal is failJob without the retry path — for failures no
-// re-dispatch can cure (unrecoverable credentials).
-func (s *Service) failJobFinal(ctx context.Context, r *run, jobName, reason string) {
-	s.failJobOpt(ctx, r, jobName, reason, false)
-}
-
-func (s *Service) failJobOpt(ctx context.Context, r *run, jobName, reason string, allowRetry bool) {
-	r.mu.Lock()
-	if r.lost {
-		r.mu.Unlock()
-		return
-	}
-	j := r.jobs[jobName]
-	if j == nil || jobTerminal(j.state) {
-		// A late duplicate verdict (watchdog racing the exit event, a
-		// stale attempt's event): the first one stood.
-		r.mu.Unlock()
-		return
-	}
-	if policy := s.retryPolicy(j.spec); allowRetry && r.status == SetRunning && j.attempts < policy.Limit {
-		j.attempts++
-		oldEPR := j.jobEPR
-		stopWatchdog(j)
-		j.state = JobPending
-		j.node = ""
-		j.jobEPR = wsa.EndpointReference{}
-		j.dirEPR = wsa.EndpointReference{}
-		j.exitCode = 0
-		j.retryAt = time.Now().Add(policy.Backoff)
-		r.mu.Unlock()
-		if !oldEPR.IsZero() {
-			// The failed attempt may still be alive (watchdog timeout on a
-			// partitioned node): reap it so two attempts never overlap.
-			_, _ = s.client.Call(ctx, oldEPR, execution.ActionKill, execution.KillRequest())
-		}
-		s.updateJobDoc(r, jobName)
-		time.AfterFunc(policy.Backoff, func() {
-			s.scheduleReady(context.Background(), r)
-		})
-		return
-	}
-
-	// Permanent failure. Collect the failed job's own process first —
-	// it may well still be running (watchdog timeout) and must die too.
-	var toKill []wsa.EndpointReference
-	if !j.jobEPR.IsZero() {
-		toKill = append(toKill, j.jobEPR)
-	}
-	stopWatchdog(j)
-	j.state = JobFailed
-	j.retryAt = time.Time{}
-	if r.status != SetRunning {
-		// The set already went terminal (cancel racing the watchdog);
-		// the verdict stands, but the straggler process still dies.
-		r.mu.Unlock()
-		for _, epr := range toKill {
-			_, _ = s.client.Call(ctx, epr, execution.ActionKill, execution.KillRequest())
-		}
-		s.updateJobDoc(r, jobName)
-		return
-	}
-	// Fail-fast doom model: ordinary (run-on-success) work is cancelled
-	// — and killed, so no process outlives its set's verdict — while
-	// run-on-failure/always handlers survive to observe the failure.
-	for _, other := range r.jobs {
-		if other == j || other.spec.EffectiveRunOn() != RunOnSuccess {
-			continue
-		}
-		switch other.state {
-		case JobPending:
-			stopWatchdog(other)
-			other.state = JobCancelled
-			other.retryAt = time.Time{}
-		case JobRunning, JobDispatched:
-			stopWatchdog(other)
-			if !other.jobEPR.IsZero() {
-				toKill = append(toKill, other.jobEPR)
-			}
-			other.state = JobCancelled
-			other.retryAt = time.Time{}
-		}
-	}
-	cancelImpossibleLocked(r)
-	done := true
-	for _, other := range r.jobs {
-		if !jobTerminal(other.state) {
-			done = false
-			break
-		}
-	}
-	if done {
-		r.status = SetFailed
-	}
-	r.mu.Unlock()
-	for _, epr := range toKill {
-		_, _ = s.client.Call(ctx, epr, execution.ActionKill, execution.KillRequest())
-	}
-	if !done {
-		// Cleanup handlers remain: persist the cancellations, launch the
-		// now-ready handlers and let their completions finish the set.
-		s.updateAllJobDocs(r)
-		s.scheduleReady(ctx, r)
-		s.maybeComplete(ctx, r)
-		return
-	}
-	s.releaseAdmission(r)
-	s.updateAllJobDocs(r)
-	s.setStatus(r, SetFailed)
-	// As in maybeComplete: only a successful publish earns the marker.
-	if s.publishSetEvent(ctx, r, SetFailed, fmt.Sprintf("job %q failed: %s", jobName, reason)) == nil {
-		s.markNotified(r.id)
-	}
-}
-
-// handleCancel aborts a job set on client request.
+// handleCancel aborts a job set on client request. A set that is already
+// terminal (or parked for another master) keeps its verdict: the core
+// answers with no effects. The wrapper pipeline holds this resource's
+// lock — UpdateResource would self-deadlock — so the transition is
+// journaled onto the invocation's own document.
 func (s *Service) handleCancel(ctx context.Context, inv *wsrf.Invocation, body *xmlutil.Element) (*xmlutil.Element, error) {
 	topic := inv.Property(QTopic)
-	s.mu.RLock()
-	r := s.runs[topic]
-	parked := r == nil && s.queued[topic] != nil
-	s.mu.RUnlock()
-	if parked {
-		if resp, ok := s.cancelQueued(ctx, inv, topic); ok {
-			return resp, nil
-		}
-		// Lost the race with activation: the run registers shortly;
-		// the client can cancel again.
+	liveRun := func() *run {
 		s.mu.RLock()
-		r = s.runs[topic]
-		s.mu.RUnlock()
+		defer s.mu.RUnlock()
+		return s.runs[topic]
+	}
+	r := liveRun()
+	if r == nil {
+		// Still parked in the admission queue, or activation just won the
+		// race for it and the run has registered by now.
+		if r = s.unparkForCancel(inv, topic); r == nil {
+			r = liveRun()
+		}
 	}
 	if r == nil {
 		return nil, wsrf.NewBaseFault("NoSuchJobSetFault", "job set %q has no active run", inv.ResourceID).SOAPFault(soap.CodeSender)
 	}
-	r.mu.Lock()
-	if r.status != SetRunning || r.lost {
-		// Already terminal (or parked for another master): the first
-		// verdict stands. Overwriting it here would clobber a
-		// Completed/Failed status and publish a second, contradictory
-		// terminal event.
-		r.mu.Unlock()
-		return &xmlutil.Element{Name: qCancelResp}, nil
-	}
-	r.status = SetCancelled
-	var toKill []wsa.EndpointReference
-	for _, j := range r.jobs {
-		stopWatchdog(j)
-		switch j.state {
-		case JobPending:
-			j.state = JobCancelled
-			j.retryAt = time.Time{}
-		case JobRunning, JobDispatched:
-			if !j.jobEPR.IsZero() {
-				toKill = append(toKill, j.jobEPR)
-			}
-			// The kill is in flight: record the verdict so the document
-			// never shows a live job inside a terminal set.
-			j.state = JobCancelled
-		}
-	}
-	states := make(map[string]string, len(r.jobs))
-	for name, j := range r.jobs {
-		states[name] = j.state
-	}
-	r.mu.Unlock()
-	s.releaseAdmission(r)
-	for _, epr := range toKill {
-		_, _ = s.client.Call(ctx, epr, execution.ActionKill, execution.KillRequest())
-	}
-	// Mutate the invocation's own document: the wrapper pipeline holds
-	// this resource's lock, so UpdateResource would self-deadlock here.
-	inv.SetProperty(QStatus, SetCancelled)
-	for _, st := range inv.Doc.ChildrenNamed(QJobState) {
-		if state, ok := states[st.Attr(qNameAttr)]; ok {
-			st.SetAttr(qStatusAttr, state)
-		}
-	}
-	if s.publishSetEvent(ctx, r, SetCancelled, "cancelled by client") == nil {
-		// The invocation pipeline holds this resource's lock (see above),
-		// so mark the invocation's own document rather than via
-		// UpdateResource. A failed publish leaves the marker off for
-		// Recover to republish.
-		inv.Doc.SetAttr(qNotifiedAttr, "true")
+	fx := s.step(r, event{kind: evCancel, reason: "cancelled by client"})
+	if err := s.perform(ctx, r, fx, inv.Doc); err != nil {
+		return nil, soap.ReceiverFault("scheduler: cancel: %v", err)
 	}
 	return &xmlutil.Element{Name: qCancelResp}, nil
 }
@@ -1268,70 +979,12 @@ func (s *Service) handleCancel(ctx context.Context, inv *wsrf.Invocation, body *
 // CancelRequest builds the Cancel body.
 func CancelRequest() *xmlutil.Element { return &xmlutil.Element{Name: qCancel} }
 
-// setStatus persists the set-level status into the resource document.
-func (s *Service) setStatus(r *run, status string) {
-	if r.fenced() {
-		return
-	}
-	_ = s.svc.UpdateResource(r.id, func(doc *xmlutil.Element) error {
-		if c := doc.Child(QStatus); c != nil {
-			c.Text = status
-		}
-		return nil
-	})
-}
-
-// updateAllJobDocs mirrors every job's runtime state in one write.
-func (s *Service) updateAllJobDocs(r *run) { s.updateJobDoc(r, "") }
-
-// updateJobDoc mirrors runtime job state into the resource document:
-// the job named, or every job when jobName is empty. The state is read
-// inside the UpdateResource callback (per-resource lock, then r.mu — the
-// order handleCancel uses), never before it: a snapshot taken outside
-// could be overtaken by a later transition's write while waiting for the
-// resource, and then land on top of it — a terminal set persisting a
-// Running job.
-func (s *Service) updateJobDoc(r *run, jobName string) {
-	_ = s.svc.UpdateResource(r.id, func(doc *xmlutil.Element) error {
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		if r.lost {
-			return errors.New("scheduler: run lost to another master") // aborts the write
-		}
-		for _, st := range doc.ChildrenNamed(QJobState) {
-			name := st.Attr(qNameAttr)
-			j := r.jobs[name]
-			if j == nil || (jobName != "" && name != jobName) {
-				continue
-			}
-			st.SetAttr(qStatusAttr, j.state)
-			if j.node != "" {
-				st.SetAttr(qNodeAttr, j.node)
-			}
-			if !j.dirEPR.IsZero() {
-				st.SetAttr(qDirAttr, j.dirEPR.String())
-			}
-			if j.attempts > 0 {
-				st.SetAttr(qAttemptAttr, strconv.Itoa(j.attempts))
-			}
-			if j.state == JobCompleted || j.state == JobFailed {
-				st.SetAttr(qExitAttr, strconv.Itoa(j.exitCode))
-			}
-		}
-		return nil
-	})
-}
-
 // publishSetEvent broadcasts a set-level event on "<topic>/jobset/<kind>".
-func (s *Service) publishSetEvent(ctx context.Context, r *run, status, detail string) error {
-	return s.publishSetEventRaw(ctx, r.id, r.topic, status, detail)
-}
-
-// publishSetEventRaw is publishSetEvent without a live run — Recover
-// republishes terminal events for crashed runs straight from the
-// persisted document. The error matters: callers use it to decide
-// whether the notified marker may be stamped.
-func (s *Service) publishSetEventRaw(ctx context.Context, id, topic, status, detail string) error {
+// It takes an id and a topic, not a run: Recover republishes terminal
+// events for crashed runs straight from the persisted document. The
+// error matters: callers use it to decide whether the notified marker
+// may be stamped.
+func (s *Service) publishSetEvent(ctx context.Context, id, topic, status, detail string) error {
 	payload := xmlutil.NewContainer(xmlutil.Q(NS, "JobSetEvent"),
 		xmlutil.NewElement(QStatus, status),
 	)
@@ -1350,21 +1003,13 @@ func (s *Service) publishSetEventRaw(ctx context.Context, id, topic, status, det
 	return wsn.PublishAckedViaBroker(ctx, s.client, s.broker, n)
 }
 
-// markNotified records that the terminal set event reached the broker.
-func (s *Service) markNotified(id string) {
-	_ = s.svc.UpdateResource(id, func(doc *xmlutil.Element) error {
-		doc.SetAttr(qNotifiedAttr, "true")
-		return nil
-	})
-}
-
 // onSetDestroyed evicts the in-memory run when its job-set resource is
 // destroyed — by the client's Destroy or by lifetime expiry. Without
 // this, terminal runs accumulate in s.runs for the master's whole
-// lifetime. A set destroyed while still running is treated as a cancel:
-// watchdogs stop, live jobs are killed best-effort. No document writes
-// happen here — the resource is gone, and the lifetime port's destroy
-// path runs this hook while holding the resource lock.
+// lifetime. A set destroyed while still running is treated as a cancel.
+// The transition is taken at once; its effects (kills: round trips to
+// other machines) run off this goroutine, because the lifetime port
+// calls this hook holding the resource lock.
 func (s *Service) onSetDestroyed(id string) {
 	s.mu.Lock()
 	topic, ok := s.runIDs[id]
@@ -1385,29 +1030,13 @@ func (s *Service) onSetDestroyed(id string) {
 	if r == nil {
 		return
 	}
-	s.releaseAdmission(r)
-	r.mu.Lock()
-	wasRunning := r.status == SetRunning
-	if wasRunning {
-		r.status = SetCancelled
-	}
-	var toKill []wsa.EndpointReference
-	for _, j := range r.jobs {
-		stopWatchdog(j)
-		if wasRunning && (j.state == JobRunning || j.state == JobDispatched) && !j.jobEPR.IsZero() {
-			toKill = append(toKill, j.jobEPR)
-		}
-	}
-	r.mu.Unlock()
-	if len(toKill) > 0 {
-		go func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			defer cancel()
-			for _, epr := range toKill {
-				_, _ = s.client.Call(ctx, epr, execution.ActionKill, execution.KillRequest())
-			}
-		}()
-	}
+	fx := s.step(r, event{kind: evDestroy})
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		_ = s.perform(ctx, r, fx, nil) // destroy journals nothing: no error
+
+	}()
 }
 
 // OutputDirectory reports where a job's outputs live, once known —
@@ -1421,9 +1050,40 @@ func (s *Service) OutputDirectory(topic, jobName string) (wsa.EndpointReference,
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	j := r.jobs[jobName]
-	if j == nil || j.dirEPR.IsZero() {
+	i, ok := r.st.index[jobName]
+	if !ok || r.st.jobs[i].dirEPR.IsZero() {
 		return wsa.EndpointReference{}, false
 	}
-	return j.dirEPR, true
+	return r.st.jobs[i].dirEPR, true
+}
+
+// InFlightJob is one unfinished job of a live running set here, with what
+// is obliged to move it on: Watchdog, a timer armed for its attempt;
+// Waiting, Pending behind an unmet gate or a backoff (whose timer fires).
+type InFlightJob struct {
+	Topic, Job, State, Node string
+	Watchdog, Waiting       bool
+}
+
+// InFlight snapshots the unfinished jobs of every live running set — the
+// input of a stuck-work check: a job neither waiting nor watched, with no
+// dispatch in flight and no live process, will never move again.
+func (s *Service) InFlight() (out []InFlightJob) {
+	now := time.Now()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for _, r := range s.runs {
+		r.mu.Lock()
+		for i := range r.st.jobs {
+			j := &r.st.jobs[i]
+			if r.st.status != SetRunning || r.st.parked || jobTerminal(j.state) {
+				continue
+			}
+			_, watched := r.watchdogs[watchKey{i, j.attempt}]
+			out = append(out, InFlightJob{r.topic, j.spec.Name, j.state, j.node, watched,
+				j.state == JobPending && (now.Before(j.retryAt) || !r.st.ready(i))})
+		}
+		r.mu.Unlock()
+	}
+	return out
 }

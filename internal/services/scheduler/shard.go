@@ -3,6 +3,7 @@ package scheduler
 import (
 	"context"
 	"errors"
+	"log"
 	"strconv"
 	"time"
 
@@ -86,13 +87,13 @@ func (s *Service) ownsSet(name string) bool {
 	return s.sharding == nil || s.sharding.Manager.Held(s.shardOf(name))
 }
 
-// fenced reports whether the run was parked by a lease loss: the shard
-// belongs to another master now, and any further write here would race
-// its recovery.
+// fenced reports whether the run was parked — its shard belongs to
+// another master now, or it was evicted back into the admission queue —
+// and any further write here would race whoever owns it next.
 func (r *run) fenced() bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.lost
+	return r.st.parked
 }
 
 // dispatchFence rejects a dispatch whose run was parked or whose shard
@@ -123,7 +124,7 @@ func (s *Service) recordDispatch(r *run, jobName, node string) {
 	}
 	if s.sharding != nil {
 		rec.Shard = s.shardOf(r.spec.Name)
-		rec.Epoch, _ = s.sharding.Manager.Epoch(rec.Shard)
+		rec.Epoch, _ = s.sharding.Manager.Epoch(rec.Shard) // not held any more: epoch 0 (see I5)
 	}
 	s.onDispatch(rec)
 }
@@ -248,15 +249,9 @@ func (s *Service) parkShard(shard int) {
 	}
 	s.mu.Unlock()
 	for _, r := range parked {
-		r.mu.Lock()
-		r.lost = true
-		for _, j := range r.jobs {
-			stopWatchdog(j)
-		}
-		r.mu.Unlock()
-		// The run now belongs to another master; give its tenant's
-		// running slot back to this one's queue.
-		s.releaseAdmission(r)
+		// The run now belongs to another master: timers stop, and its
+		// tenant's running slot goes back to this one's queue.
+		s.fire(context.Background(), r, event{kind: evShardLost})
 	}
 	if s.adm != nil {
 		for _, qs := range evicted {
@@ -297,7 +292,9 @@ func (s *Service) StartSharding(ctx context.Context) []int {
 		OnAcquired: func(rec lease.Record) {
 			announce(rec)
 			go func() {
-				_, _ = s.RecoverShard(bg, rec.Shard)
+				if _, err := s.RecoverShard(bg, rec.Shard); err != nil {
+					log.Printf("scheduler: recover shard %d: %v", rec.Shard, err)
+				}
 			}()
 		},
 		OnLost: func(shard int, epoch uint64) {
@@ -356,8 +353,8 @@ func (s *Service) republishUnnotified(ctx context.Context) {
 		if topic == "" || !isTerminalSetStatus(status) || doc.Attr(qNotifiedAttr) == "true" {
 			continue
 		}
-		if s.publishSetEventRaw(ctx, id, topic, status, "replayed after delivery failure") == nil {
-			s.markNotified(id)
-		}
+		// A marker that could not be stamped only costs a duplicate: the
+		// next sweep republishes and stamps again.
+		_ = s.republish(ctx, id, topic, status, "replayed after delivery failure")
 	}
 }

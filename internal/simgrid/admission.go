@@ -86,21 +86,24 @@ func (c *Cluster) noteAdmissionEvent(ev admission.Event) {
 // recovering owner's) responsibility.
 func (c *Cluster) liveAdmissionStats() map[string]admission.QueueStats {
 	out := make(map[string]admission.QueueStats)
-	if !c.MultiMaster() {
-		if st, ok := c.Master().m.Scheduler.AdmissionStats(); ok {
-			out[MasterHost] = st
+	for host, ss := range c.liveSchedulers() {
+		if st, ok := ss.AdmissionStats(); ok {
+			out[host] = st
 		}
-		return out
 	}
+	return out
+}
+
+// liveSchedulers maps host → scheduler for every master incarnation that
+// has not been crashed.
+func (c *Cluster) liveSchedulers() map[string]*scheduler.Service {
 	c.mu.Lock()
-	masters := append([]*masterHost(nil), c.masters...)
+	masters := append([]*masterHost{c.master}, c.masters...)
 	c.mu.Unlock()
+	out := make(map[string]*scheduler.Service)
 	for _, m := range masters {
-		if m == nil || m.f.dead.Load() {
-			continue
-		}
-		if st, ok := m.m.Scheduler.AdmissionStats(); ok {
-			out[m.host] = st
+		if m != nil && !m.f.dead.Load() {
+			out[m.host] = m.m.Scheduler
 		}
 	}
 	return out

@@ -34,11 +34,17 @@ type RouteFaults struct {
 	Error float64
 	// MaxDelay bounds a uniform random delay added before delivery.
 	MaxDelay time.Duration
+	// Reorder is the probability a one-way message is held back until
+	// the next one-way message to the same address has been handed over
+	// (transport.FaultDecision.Reorder) — a job's `exited` overtaking its
+	// `started`, which real daemons do all the time. Round trips are
+	// never reordered.
+	Reorder float64
 }
 
 // Zero reports an all-clean profile.
 func (f RouteFaults) Zero() bool {
-	return f.Drop == 0 && f.Duplicate == 0 && f.Error == 0 && f.MaxDelay == 0
+	return f == RouteFaults{}
 }
 
 // Chaos decides the fate of every message on the simulated network. One
@@ -261,6 +267,10 @@ func decisionAt(seed int64, route string, k uint64, profile RouteFaults) transpo
 	}
 	if profile.MaxDelay > 0 {
 		d.Delay = time.Duration(next() * float64(profile.MaxDelay))
+	}
+	// Drawn last, so profiles without it keep the streams they had.
+	if profile.Reorder > 0 && d.Err == nil && !d.Drop {
+		d.Reorder = next() < profile.Reorder
 	}
 	return d
 }

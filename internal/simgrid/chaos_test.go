@@ -16,7 +16,7 @@ import (
 // pure function of (seed, route, k) — two engines with the same seed
 // agree on every draw, a different seed diverges somewhere.
 func TestDecisionDeterminism(t *testing.T) {
-	profile := RouteFaults{Drop: 0.3, Duplicate: 0.2, Error: 0.2, MaxDelay: time.Millisecond}
+	profile := RouteFaults{Drop: 0.3, Duplicate: 0.2, Error: 0.2, MaxDelay: time.Millisecond, Reorder: 0.3}
 	same := 0
 	for k := uint64(0); k < 200; k++ {
 		a := decisionAt(7, "client|master", k, profile)
@@ -46,7 +46,7 @@ func TestDecisionDeterminism(t *testing.T) {
 
 func sameDecision(a, b transport.FaultDecision) bool {
 	return a.Drop == b.Drop && a.Duplicate == b.Duplicate && a.Delay == b.Delay &&
-		(a.Err == nil) == (b.Err == nil)
+		a.Reorder == b.Reorder && (a.Err == nil) == (b.Err == nil)
 }
 
 // chaosEcho wires one client through a Chaos engine to an echo server.

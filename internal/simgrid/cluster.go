@@ -448,6 +448,19 @@ func (c *Cluster) NodeNames() []string {
 	return names
 }
 
+// busy reports whether a machine — any machine, for a job not placed yet —
+// is staging or running a process.
+func (c *Cluster) busy(name string) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for n, h := range c.nodes {
+		if (name == "" || n == name) && h.node.Spawner.Load() > 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // CrashMaster kills the master machine: it vanishes from the network and
 // its durable store closes, so the incarnation's still-running
 // goroutines fail their writes exactly as a killed process's in-flight

@@ -54,6 +54,13 @@ import (
 //	    terminal job states; a Completed set holds no Failed job; and a
 //	    run-on-failure handler whose gate was met (every dependency
 //	    terminal, at least one Failed) actually ran.
+//	I9  No stuck work: on every live master, every unfinished job of a
+//	    running set has something obliged to move it on — an armed
+//	    watchdog, a retry timer or an unmet gate it is waiting behind, or
+//	    a busy machine that will still report. A job with none of these
+//	    is the signature of an event credited to the wrong attempt: it
+//	    will sit there forever, and I1 can only say so after the whole
+//	    quiescence deadline.
 func CheckInvariants(c *Cluster, sc *Scenario) []string {
 	var violations []string
 	docs := c.JobSetDocs()
@@ -196,6 +203,19 @@ func CheckInvariants(c *Cluster, sc *Scenario) []string {
 				}
 				violations = append(violations,
 					fmt.Sprintf("I8: cleanup job %s/%s gate was met but it never ran (state %s)", v.Name, js.Name, got))
+			}
+		}
+	}
+
+	// I9: stuck work, read from the live schedulers' own books. A job
+	// that is dispatchable, or whose Run is in flight, is about to move —
+	// but this runs at quiescence, long after "about to".
+	for host, ss := range c.liveSchedulers() {
+		for _, j := range ss.InFlight() {
+			if !j.Watchdog && !j.Waiting && !c.busy(j.Node) {
+				violations = append(violations,
+					fmt.Sprintf("I9: %s: job %s/%s is %s on %q with no watchdog, no retry timer and no live process",
+						host, j.Topic, j.Job, j.State, j.Node))
 			}
 		}
 	}

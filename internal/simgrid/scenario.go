@@ -15,8 +15,8 @@ import (
 // gridsim -faults flag) can select.
 var FaultProfiles = map[string]RouteFaults{
 	"none":  {},
-	"light": {Drop: 0.05, Duplicate: 0.05, Error: 0.05, MaxDelay: 2 * time.Millisecond},
-	"heavy": {Drop: 0.12, Duplicate: 0.08, Error: 0.10, MaxDelay: 3 * time.Millisecond},
+	"light": {Drop: 0.05, Duplicate: 0.05, Error: 0.05, MaxDelay: 2 * time.Millisecond, Reorder: 0.10},
+	"heavy": {Drop: 0.12, Duplicate: 0.08, Error: 0.10, MaxDelay: 3 * time.Millisecond, Reorder: 0.25},
 }
 
 // CrashPlan schedules one service kill and its rebirth.
@@ -194,6 +194,17 @@ func Generate(seed int64) *Scenario {
 			})
 		}
 	}
+	// Zero-backoff draws come last of all, for the same reason. Backoff 0
+	// is what the daemons' retry storms run with, and the only setting
+	// under which a failed attempt's late events land inside the next
+	// attempt's dispatch window.
+	for _, set := range sc.Sets {
+		for ji := range set.Jobs {
+			if set.Jobs[ji].Retry.Limit > 0 && r.Float64() < 0.5 {
+				set.Jobs[ji].Retry.Backoff = 0
+			}
+		}
+	}
 	return sc
 }
 
@@ -215,6 +226,9 @@ func (sc *Scenario) Transcript() string {
 			}
 			if j.Retry.Limit > 0 {
 				fate = fmt.Sprintf("%s,retry=%d", fate, j.Retry.Limit)
+				if j.Retry.Backoff == 0 {
+					fate += ",backoff=0"
+				}
 			}
 			if j.RunOn != "" {
 				fate = fmt.Sprintf("%s,on=%s", fate, j.RunOn)

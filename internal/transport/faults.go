@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 )
 
@@ -39,7 +40,17 @@ type FaultDecision struct {
 	// delivering anything — the error-reply fault (a middlebox or stack
 	// failing the call before it reaches the service).
 	Err error
+	// Reorder holds a one-way send back until the next one-way message
+	// to the same address has been handed over (or 20 ms have passed, so
+	// the last message of a burst is late, not lost): the sender is told
+	// the hand-off succeeded, and the receiver is handed the two out of
+	// order. Round trips ignore it.
+	Reorder bool
 }
+
+// reorderHold bounds how long a reordered one-way message waits for a
+// successor to overtake it.
+const reorderHold = 20 * time.Millisecond
 
 // FaultFunc decides the fate of one outbound message to addr. It is
 // consulted once per exchange (before any duplicate), so implementations
@@ -56,6 +67,9 @@ var ErrInjectedDrop = errors.New("transport: injected fault: message dropped")
 type FaultingTransport struct {
 	inner  RoundTripper
 	decide FaultFunc
+
+	mu   sync.Mutex
+	held map[string][]func() // addr → reordered sends waiting to be overtaken
 }
 
 // WrapFaults wraps inner with fault injection driven by decide. When
@@ -65,7 +79,7 @@ func WrapFaults(inner RoundTripper, decide FaultFunc) RoundTripper {
 	if inner == nil || decide == nil {
 		panic("transport: WrapFaults with nil transport or decider")
 	}
-	ft := &FaultingTransport{inner: inner, decide: decide}
+	ft := &FaultingTransport{inner: inner, decide: decide, held: make(map[string][]func())}
 	if _, ok := inner.(MessageRoundTripper); ok {
 		return &faultingMsgTransport{ft}
 	}
@@ -118,12 +132,43 @@ func (f *FaultingTransport) Send(ctx context.Context, addr string, request []byt
 	if done {
 		return err
 	}
+	if d.Reorder {
+		f.hold(ctx, addr, request)
+		return nil
+	}
 	if d.Duplicate {
 		if err := f.inner.Send(ctx, addr, request); err != nil {
 			return err
 		}
 	}
-	return f.inner.Send(ctx, addr, request)
+	err = f.inner.Send(ctx, addr, request)
+	f.release(addr)
+	return err
+}
+
+// hold parks a one-way message until release(addr) or reorderHold.
+func (f *FaultingTransport) hold(ctx context.Context, addr string, request []byte) {
+	ctx = context.WithoutCancel(ctx)          // the sender has long returned
+	request = append([]byte(nil), request...) // and may reuse its buffer
+	f.mu.Lock()
+	f.held[addr] = append(f.held[addr], func() {
+		// The sender was told the hand-off succeeded; a failure now is a
+		// lost one-way message, which is what one-way means.
+		_ = f.inner.Send(ctx, addr, request)
+	})
+	f.mu.Unlock()
+	time.AfterFunc(reorderHold, func() { f.release(addr) })
+}
+
+// release delivers every message held for addr.
+func (f *FaultingTransport) release(addr string) {
+	f.mu.Lock()
+	held := f.held[addr]
+	delete(f.held, addr)
+	f.mu.Unlock()
+	for _, deliver := range held {
+		deliver()
+	}
 }
 
 // faultingMsgTransport adds the attachment fast path when the inner
