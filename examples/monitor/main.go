@@ -8,14 +8,15 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"log"
-	"strings"
 	"time"
 
 	"uvacg/internal/core"
 	"uvacg/internal/services/nodeinfo"
+	"uvacg/internal/services/scheduler"
 	"uvacg/internal/wsrf"
 	"uvacg/internal/wssec"
 )
@@ -77,9 +78,8 @@ func main() {
 	fmt.Println("live events from the Notification Broker:")
 	go func() {
 		for n := range sub.Events() {
-			segs := strings.Split(n.Topic, "/")
-			if len(segs) == 3 {
-				fmt.Printf("  %-22s %-8s %s\n", time.Now().Format("15:04:05.000"), segs[1], segs[2])
+			if ev, ok := scheduler.ParseEvent(n); ok {
+				fmt.Printf("  %-22s %-8s %s\n", time.Now().Format("15:04:05.000"), cmp.Or(ev.Job, "jobset"), ev.Kind)
 			}
 		}
 	}()

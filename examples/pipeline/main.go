@@ -9,10 +9,10 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"log"
-	"strings"
 	"time"
 
 	"uvacg/internal/core"
@@ -96,9 +96,8 @@ func main() {
 	// application does, until the terminal job-set event.
 	go func() {
 		for n := range sub.Events() {
-			segs := strings.Split(n.Topic, "/")
-			if len(segs) == 3 {
-				fmt.Printf("  event: %-10s %s\n", segs[1], segs[2])
+			if ev, ok := scheduler.ParseEvent(n); ok {
+				fmt.Printf("  event: %-10s %s\n", cmp.Or(ev.Job, "jobset"), ev.Kind)
 			}
 		}
 	}()

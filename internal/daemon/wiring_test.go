@@ -17,7 +17,6 @@ import (
 	"uvacg/internal/services/scheduler"
 	"uvacg/internal/transport"
 	"uvacg/internal/wsa"
-	"uvacg/internal/wssec"
 )
 
 // freeAddr asks the kernel for an unused loopback port. A daemon needs
@@ -53,16 +52,13 @@ func openHost(t *testing.T, args ...string) *daemon.Host {
 // do — daemon.Flags.Open, master.Assemble / node.New, Host.ListenHTTP,
 // Start / Register, in cmd/gridmaster's and cmd/gridnode's order — on
 // loopback HTTP with journaled stores, and runs the README's demo job
-// set through it: gen on one machine, sum staged from it over soap.tcp
-// and HTTP, the total fetched back.
+// set through it with the client wired as cmd/gridsub wires it: gen on
+// one machine, sum staged from it over soap.tcp and HTTP, the total
+// fetched back.
 func TestShippedWiringRunsDemoJobSet(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	// The one in-process piece: core.Client's notification listener.
-	network := transport.NewNetwork()
-
 	mhost := openHost(t, "-data-dir", t.TempDir(), "-fsync=false", "-metrics")
-	mhost.Client.WithNetwork(network)
 	maddr := freeAddr(t)
 	masterURL := daemon.Advertised("127.0.0.1", maddr)
 	m, err := master.Assemble(master.Config{
@@ -126,8 +122,15 @@ func TestShippedWiringRunsDemoJobSet(t *testing.T) {
 		t.Fatal(err)
 	}
 	chost := openHost(t)
-	grid := &core.Grid{Network: network, Client: chost.Client.WithNetwork(network), Scheduler: m.Scheduler}
-	client, err := grid.NewClient(wssec.Credentials{}, true)
+	client, err := core.NewClient(core.ClientConfig{
+		Transport: chost.Client,
+		Master:    masterURL,
+		TCPFiles:  true,
+		Expose: func(srv *transport.Server) (string, func(), error) {
+			srv.Use(chost.Interceptors()...)
+			return chost.ListenHTTP(srv, "127.0.0.1:0")
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -76,12 +76,14 @@ func (fs *FileServer) ListenTCP(addr string) (wsa.EndpointReference, error) {
 	return wsa.NewEPR(tl.BaseURL() + fs.path), nil
 }
 
-// Close stops the TCP listener, if one was started.
+// Close stops the TCP listener, if one is up.
 func (fs *FileServer) Close() error {
-	if fs.listener == nil {
+	tl := fs.listener
+	if tl == nil {
 		return nil
 	}
-	return fs.listener.Close()
+	fs.listener = nil
+	return tl.Close()
 }
 
 func (fs *FileServer) handleRead(ctx context.Context, req *soap.Envelope) (*soap.Envelope, error) {

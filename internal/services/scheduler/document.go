@@ -49,7 +49,7 @@ func (st *setState) render(doc *xmlutil.Element, touched []int) {
 	if c := doc.Child(QStatus); c != nil {
 		c.Text = st.status
 	}
-	all := isTerminalSetStatus(st.status)
+	all := TerminalSetStatus(st.status)
 	mark := make([]bool, len(st.jobs))
 	for _, i := range touched {
 		mark[i] = true

@@ -371,7 +371,7 @@ func checkCore(h *coreHarness, wasTerminal string) {
 		if j.retries > j.retry.Limit {
 			h.t.Fatalf("job %s consumed %d retries, limit %d", j.spec.Name, j.retries, j.retry.Limit)
 		}
-		if isTerminalSetStatus(st.status) && !jobTerminal(j.state) {
+		if TerminalSetStatus(st.status) && !jobTerminal(j.state) {
 			h.t.Fatalf("%s set holds %s job %s", st.status, j.state, j.spec.Name)
 		}
 		if st.status == SetCompleted && j.state == JobFailed {
@@ -477,7 +477,7 @@ func fuzzCore(t *testing.T, data []byte) {
 			}
 			last = ev
 			wasTerminal, wasParked := "", h.st.parked
-			if isTerminalSetStatus(h.st.status) {
+			if TerminalSetStatus(h.st.status) {
 				wasTerminal = h.st.status
 			}
 			before := h.states()
@@ -498,7 +498,7 @@ func fuzzCore(t *testing.T, data []byte) {
 		}
 		// Drain (I1): let every live attempt finish and every backoff
 		// lapse; the set must reach a verdict in bounded steps.
-		for round := 0; !isTerminalSetStatus(h.st.status); round++ {
+		for round := 0; !TerminalSetStatus(h.st.status); round++ {
 			if round > 4*len(spec.Jobs)*4 {
 				t.Fatalf("set never drained: status %s, jobs %v", h.st.status, h.states())
 			}

@@ -92,7 +92,7 @@ func (s *Service) recoverFiltered(ctx context.Context, accept func(name string) 
 			// terminal notification. Republish unless the notified marker
 			// proves delivery was attempted — duplicates are fine, the
 			// contract is at-least-once.
-			if topic != "" && isTerminalSetStatus(status) && doc.Attr(qNotifiedAttr) != "true" {
+			if topic != "" && TerminalSetStatus(status) && doc.Attr(qNotifiedAttr) != "true" {
 				if err := s.republish(ctx, id, topic, status, "replayed after scheduler restart"); err != nil {
 					errs = append(errs, fmt.Errorf("scheduler: job set %q: %w", id, err))
 				}
@@ -177,8 +177,8 @@ func (s *Service) republish(ctx context.Context, id, topic, status, detail strin
 	return s.stampNotified(id, nil)
 }
 
-// isTerminalSetStatus reports whether status is one of the three
+// TerminalSetStatus reports whether status is one of the three
 // terminal set states.
-func isTerminalSetStatus(status string) bool {
+func TerminalSetStatus(status string) bool {
 	return status == SetCompleted || status == SetFailed || status == SetCancelled
 }

@@ -375,7 +375,7 @@ func (s *Service) perform(ctx context.Context, r *run, fx effects, inHand *xmlut
 	if fx.publish != "" && journaled {
 		// Only a publish the broker took earns the marker: without it
 		// Recover republishes (invariant I4, at-least-once delivery).
-		if s.publishSetEvent(ctx, r.id, r.topic, fx.publish, fx.detail) == nil && isTerminalSetStatus(fx.publish) {
+		if s.publishSetEvent(ctx, r.id, r.topic, fx.publish, fx.detail) == nil && TerminalSetStatus(fx.publish) {
 			if nerr := s.stampNotified(r.id, inHand); nerr != nil && !errors.Is(nerr, wsrf.ErrNoSuchResource) {
 				err = nerr
 			}
@@ -917,19 +917,13 @@ func (s *Service) onNotification(ctx context.Context, n wsn.Notification) {
 		}
 		return
 	}
-	segs := strings.Split(n.Topic, "/")
-	if len(segs) < 3 {
-		return
-	}
+	parsed, _ := ParseEvent(n)
 	s.mu.RLock()
-	r := s.runs[segs[0]]
+	r := s.runs[parsed.Set]
 	s.mu.RUnlock()
-	if r == nil {
-		return
-	}
-	ev, err := execution.ParseJobEvent(n.Message)
+	ev := parsed.JobEvent
 	kind, known := jobEventKinds[ev.Kind]
-	if err != nil || !known || ev.JobName == "" { // only the shell speaks for a whole set
+	if r == nil || !known || ev.JobName == "" { // only the shell speaks for a whole set
 		return
 	}
 	// Keep the delivery's values (request ID) but not its cancellation:
@@ -979,6 +973,41 @@ func (s *Service) handleCancel(ctx context.Context, inv *wsrf.Invocation, body *
 // CancelRequest builds the Cancel body.
 func CancelRequest() *xmlutil.Element { return &xmlutil.Element{Name: qCancel} }
 
+// Event is one notification on a job set's topic tree, which has two
+// publishers: an ES on "<set topic>/<job>/<kind>" and publishSetEvent on
+// "<set topic>/jobset/<status, lower case>".
+type Event struct {
+	Set, Job, Kind string // Job is empty on a set-level event
+	// Status and Detail are a set-level event's payload: SetCompleted,
+	// SetFailed, SetCancelled or SetPreempted, and why.
+	Status, Detail string
+	// JobEvent is a job-level event's payload; zero when it did not parse.
+	JobEvent execution.JobEvent
+}
+
+// ParseEvent is the one reader of the topic grammar; ok is false for a
+// notification neither publisher could have sent.
+func ParseEvent(n wsn.Notification) (ev Event, ok bool) {
+	segs := strings.Split(n.Topic, "/")
+	if len(segs) != 3 {
+		return ev, false
+	}
+	ev.Set, ev.Kind = segs[0], segs[2]
+	if segs[1] != "jobset" {
+		ev.Job = segs[1]
+		if je, err := execution.ParseJobEvent(n.Message); err == nil {
+			ev.JobEvent = je
+		}
+		return ev, true
+	}
+	if n.Message != nil {
+		ev.Status, ev.Detail = n.Message.ChildText(QStatus), n.Message.ChildText(qDetail)
+	}
+	return ev, ev.Status != "" && strings.ToLower(ev.Status) == ev.Kind
+}
+
+var qDetail = xmlutil.Q(NS, "Detail")
+
 // publishSetEvent broadcasts a set-level event on "<topic>/jobset/<kind>".
 // It takes an id and a topic, not a run: Recover republishes terminal
 // events for crashed runs straight from the persisted document. The
@@ -989,7 +1018,7 @@ func (s *Service) publishSetEvent(ctx context.Context, id, topic, status, detail
 		xmlutil.NewElement(QStatus, status),
 	)
 	if detail != "" {
-		payload.Append(xmlutil.NewElement(xmlutil.Q(NS, "Detail"), detail))
+		payload.Append(xmlutil.NewElement(qDetail, detail))
 	}
 	n := wsn.Notification{
 		Topic:    topic + "/jobset/" + strings.ToLower(status),

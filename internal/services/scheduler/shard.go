@@ -350,7 +350,7 @@ func (s *Service) republishUnnotified(ctx context.Context) {
 		}
 		topic := doc.ChildText(QTopic)
 		status := doc.ChildText(QStatus)
-		if topic == "" || !isTerminalSetStatus(status) || doc.Attr(qNotifiedAttr) == "true" {
+		if topic == "" || !TerminalSetStatus(status) || doc.Attr(qNotifiedAttr) == "true" {
 			continue
 		}
 		// A marker that could not be stamped only costs a duplicate: the

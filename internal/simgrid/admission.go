@@ -128,11 +128,7 @@ func (c *Cluster) SubmitAs(ctx context.Context, spec *scheduler.JobSetSpec, tena
 	if !ok {
 		return Ack{}, errUnknownTenant(tenant)
 	}
-	creds := &wssec.Credentials{Username: tenant, Password: pw}
-	if c.MultiMaster() {
-		return c.submitMulti(ctx, spec, creds)
-	}
-	return c.submitSingle(ctx, spec, creds)
+	return c.submit(ctx, spec, wssec.Credentials{Username: tenant, Password: pw})
 }
 
 // DequeueShare counts, per tenant, how many dequeues the ledger shows

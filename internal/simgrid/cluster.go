@@ -15,10 +15,8 @@ import (
 	"uvacg/internal/node"
 	"uvacg/internal/pipeline"
 	"uvacg/internal/resourcedb"
-	"uvacg/internal/services/execution"
 	"uvacg/internal/services/filesystem"
 	"uvacg/internal/services/scheduler"
-	"uvacg/internal/soap"
 	"uvacg/internal/transport"
 	"uvacg/internal/wsa"
 	"uvacg/internal/wsn"
@@ -190,8 +188,10 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	// probe. The same host's file server stays faultable.
 	c.Chaos.ExemptAddr(ObserverHost, "/listener")
 
-	c.Observer = newObserver(c.clientWith(ObserverHost, nil))
-	c.Network.Register(ObserverHost, c.Observer.server)
+	var err error
+	if c.Observer, err = c.newObserver(); err != nil {
+		return nil, err
+	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -499,62 +499,50 @@ func (c *Cluster) RestartNode(ctx context.Context, name string) error {
 }
 
 // Submit publishes nothing itself — apps must already be on the observer
-// file server — it sends the Submit and retries a few times under
-// chaos. Only a parsed response counts as an ack; a created-but-unacked
-// set is invariant I1's problem, not I3's. In the multi-master layout
-// it round-robins over the replicas and follows WrongShardFault
-// redirects the way a sharded gridsub does.
+// file server — it sends the Submit through the observer's client, which
+// builds the envelope and follows WrongShardFault redirects, and owns
+// the chaos policy: which master to try next and for how long. Only a
+// parsed response counts as an ack; a created-but-unacked set is
+// invariant I1's problem, not I3's.
 func (c *Cluster) Submit(ctx context.Context, spec *scheduler.JobSetSpec) (Ack, error) {
-	if c.MultiMaster() {
-		return c.submitMulti(ctx, spec, nil)
-	}
-	return c.submitSingle(ctx, spec, nil)
+	return c.submit(ctx, spec, wssec.Credentials{})
 }
 
-// submitEnvelope builds the Submit envelope, tagged with the tenant's
-// UsernameToken when creds are given (the SubmitAs path).
-func (c *Cluster) submitEnvelope(spec *scheduler.JobSetSpec, creds *wssec.Credentials) (*soap.Envelope, error) {
-	env := soap.New(scheduler.SubmitRequest(spec, c.Observer.FilesEPR(), c.Observer.ListenerEPR()))
-	if creds != nil {
-		if err := wssec.AttachUsernameToken(env, *creds, false, time.Now()); err != nil {
-			return nil, err
+// submit tries four times, 10 ms apart, against the single master; in
+// the sharded layout it rotates over the replicas every 25 ms for 8 s —
+// a shard can be ownerless for a full lease TTL plus grace after a
+// master death, and the submission must land once a survivor claims it.
+func (c *Cluster) submit(ctx context.Context, spec *scheduler.JobSetSpec, creds wssec.Credentials) (Ack, error) {
+	deadline := time.Now().Add(8 * time.Second)
+	c.mu.Lock()
+	at := c.rr
+	c.rr++
+	c.mu.Unlock()
+	multi := c.MultiMaster()
+	for attempt := 1; ; attempt++ {
+		target, pause := c.Scheduler().EPR(), 10*time.Millisecond
+		if multi {
+			target, pause = c.masterEPR((at+attempt-1)%c.cfg.Masters), 25*time.Millisecond
 		}
-	}
-	return env, nil
-}
-
-func (c *Cluster) submitSingle(ctx context.Context, spec *scheduler.JobSetSpec, creds *wssec.Credentials) (Ack, error) {
-	var lastErr error
-	for attempt := 0; attempt < 4; attempt++ {
-		env, err := c.submitEnvelope(spec, creds)
-		if err != nil {
-			return Ack{}, err
-		}
-		resp, err := c.Observer.client.Invoke(ctx, c.Scheduler().EPR(), scheduler.ActionSubmit, env)
+		sub, err := c.Observer.grid.SubmitTo(ctx, target, creds, spec)
 		if err == nil {
-			set, topic, perr := scheduler.ParseSubmitResponse(resp.Body)
-			if perr != nil {
-				return Ack{}, perr
-			}
-			ack := Ack{Name: spec.Name, Set: set, Topic: topic}
+			ack := Ack{Name: spec.Name, Set: sub.JobSet, Topic: sub.Topic}
 			c.mu.Lock()
 			c.acked = append(c.acked, ack)
 			c.mu.Unlock()
 			return ack, nil
 		}
-		lastErr = err
 		// Backpressure is a verdict, not an outage: propagate the typed
 		// QueueFullFault so the caller can honor its Retry-After hint.
-		if admission.IsQueueFull(err) {
+		if admission.IsQueueFull(err) || (!multi && attempt == 4) || (multi && time.Now().After(deadline)) {
 			return Ack{}, err
 		}
 		select {
 		case <-ctx.Done():
 			return Ack{}, ctx.Err()
-		case <-time.After(10 * time.Millisecond):
+		case <-time.After(pause):
 		}
 	}
-	return Ack{}, lastErr
 }
 
 // Acked returns every acknowledged submission so far.
@@ -607,7 +595,7 @@ func (c *Cluster) AwaitQuiescence(deadline time.Duration) error {
 func (c *Cluster) pendingWork() []string {
 	var pending []string
 	for _, v := range c.JobSetDocs() {
-		if v.Topic != "" && !isTerminalSet(v.Status) {
+		if v.Topic != "" && !scheduler.TerminalSetStatus(v.Status) {
 			pending = append(pending, fmt.Sprintf("set %s(%s) status %s", v.Name, v.Topic, v.Status))
 		}
 	}
@@ -620,16 +608,8 @@ func (c *Cluster) pendingWork() []string {
 	return pending
 }
 
-func isTerminalSet(status string) bool {
-	switch status {
-	case scheduler.SetCompleted, scheduler.SetFailed, scheduler.SetCancelled:
-		return true
-	}
-	return false
-}
-
 // Close tears the cluster down: nodes stop, stores close, lease loops
-// cancel, the observer's drain loop exits. Crash-closed stores close
+// cancel, the observer's client leaves the network. Crash-closed stores close
 // twice harmlessly.
 func (c *Cluster) Close() {
 	c.mu.Lock()
@@ -657,18 +637,18 @@ func (c *Cluster) Close() {
 	if core != nil {
 		_ = core.store.Close()
 	}
-	c.Observer.stop()
+	c.Observer.grid.Close()
 }
 
-// Observer is the client-side host: the file server that publishes job
-// applications, and the notification listener whose recorded event log
-// the invariant checker reads. The listener route is exempt from chaos;
-// the file server is not.
+// Observer is the client-side host: the one grid client — whose file
+// server publishes job applications and whose Submit the cluster's
+// chaos policy drives — plus the recorded log of every notification its
+// listener received, which the invariant checker reads. The listener
+// route is exempt from chaos; the file server is not.
 type Observer struct {
 	Files  *filesystem.FileServer
 	client *transport.Client
-	server *transport.Server
-	done   chan struct{}
+	grid   *core.Client
 
 	mu     sync.Mutex
 	events []ObservedEvent
@@ -690,57 +670,38 @@ type ObservedEvent struct {
 	JobEPR string
 }
 
-func newObserver(client *transport.Client) *Observer {
-	o := &Observer{
-		Files:  filesystem.NewFileServer("/files"),
-		client: client,
-		done:   make(chan struct{}),
+func (c *Cluster) newObserver() (*Observer, error) {
+	o := &Observer{client: c.clientWith(ObserverHost, nil)}
+	var err error
+	o.grid, err = core.NewClient(core.ClientConfig{
+		Transport: o.client,
+		Tap:       o.record,
+		Expose: func(srv *transport.Server) (string, func(), error) {
+			c.Network.Register(ObserverHost, srv)
+			return "inproc://" + ObserverHost, func() { c.Network.Deregister(ObserverHost) }, nil
+		},
+	})
+	if err != nil {
+		return nil, err
 	}
-	consumer := wsn.NewConsumer()
-	ch := consumer.Channel(wsn.MustTopicExpression(wsn.DialectFull, "*//"), 1024)
-	mux := soap.NewMux()
-	o.Files.Mount(mux)
-	consumer.Mount(mux, "/listener")
-	o.server = transport.NewServer(mux)
-	go o.drain(ch)
-	return o
+	o.Files = o.grid.Files
+	return o, nil
 }
 
-func (o *Observer) FilesEPR() wsa.EndpointReference {
-	return wsa.NewEPR("inproc://" + ObserverHost + "/files")
-}
+func (o *Observer) FilesEPR() wsa.EndpointReference { return o.grid.FilesEPR() }
 
-func (o *Observer) ListenerEPR() wsa.EndpointReference {
-	return wsa.NewEPR("inproc://" + ObserverHost + "/listener")
-}
-
-func (o *Observer) drain(ch <-chan wsn.Notification) {
-	for {
-		select {
-		case n := <-ch:
-			o.record(n)
-		case <-o.done:
-			return
-		}
-	}
-}
+func (o *Observer) ListenerEPR() wsa.EndpointReference { return o.grid.ListenerEPR() }
 
 func (o *Observer) record(n wsn.Notification) {
 	ev := ObservedEvent{Topic: n.Topic}
-	segs := strings.Split(n.Topic, "/")
-	if len(segs) == 3 {
-		ev.Set = segs[0]
-		if segs[1] == "jobset" {
-			ev.Kind = "jobset:" + segs[2]
-		} else {
-			ev.Job = segs[1]
-			ev.Kind = segs[2]
-			if je, err := execution.ParseJobEvent(n.Message); err == nil {
-				ev.ExitCode, ev.HasExit = je.ExitCode, je.HasExit
-				if !je.Job.IsZero() {
-					ev.JobEPR = je.Job.String()
-				}
-			}
+	if pe, ok := scheduler.ParseEvent(n); ok {
+		ev.Set, ev.Job, ev.Kind = pe.Set, pe.Job, pe.Kind
+		if pe.Job == "" {
+			ev.Kind = "jobset:" + pe.Kind
+		}
+		ev.ExitCode, ev.HasExit = pe.JobEvent.ExitCode, pe.JobEvent.HasExit
+		if !pe.JobEvent.Job.IsZero() {
+			ev.JobEPR = pe.JobEvent.Job.String()
 		}
 	}
 	o.mu.Lock()
@@ -767,5 +728,3 @@ func (o *Observer) TerminalSets() map[string]bool {
 	}
 	return out
 }
-
-func (o *Observer) stop() { close(o.done) }

@@ -72,7 +72,7 @@ func CheckInvariants(c *Cluster, sc *Scenario) []string {
 	// crash window between CreateResource and the topic write); they
 	// carry no obligation.
 	for _, v := range docs {
-		if v.Topic != "" && !isTerminalSet(v.Status) {
+		if v.Topic != "" && !scheduler.TerminalSetStatus(v.Status) {
 			violations = append(violations,
 				fmt.Sprintf("I1: set %s (topic %s) not terminal: %q", v.Name, v.Topic, v.Status))
 		}
@@ -131,7 +131,7 @@ func CheckInvariants(c *Cluster, sc *Scenario) []string {
 	// live states.
 	for _, v := range docs {
 		spec := specByName[v.Name]
-		if spec == nil || !isTerminalSet(v.Status) {
+		if spec == nil || !scheduler.TerminalSetStatus(v.Status) {
 			continue
 		}
 		jobSpec := make(map[string]*scheduler.JobSpec, len(spec.Jobs))

@@ -6,16 +6,13 @@ import (
 	"fmt"
 	"path/filepath"
 	"sync/atomic"
-	"time"
 
-	"uvacg/internal/admission"
 	"uvacg/internal/lease"
 	"uvacg/internal/master"
 	"uvacg/internal/resourcedb"
 	"uvacg/internal/services/scheduler"
 	"uvacg/internal/wsa"
 	"uvacg/internal/wsrf"
-	"uvacg/internal/wssec"
 	"uvacg/internal/xmlutil"
 )
 
@@ -321,61 +318,4 @@ func (c *Cluster) LiveHolders(shard int) []string {
 		}
 	}
 	return out
-}
-
-// submitMulti routes a submission in the sharded layout: round-robin
-// over the replicas, following WrongShardFault redirects the way
-// gridsub does, and retrying across failover windows — a shard can be
-// ownerless for a full lease TTL plus grace after a master death, and
-// the submission must land once a survivor claims it.
-func (c *Cluster) submitMulti(ctx context.Context, spec *scheduler.JobSetSpec, creds *wssec.Credentials) (Ack, error) {
-	deadline := time.Now().Add(8 * time.Second)
-	c.mu.Lock()
-	at := c.rr % c.cfg.Masters
-	c.rr++
-	c.mu.Unlock()
-	target := c.masterEPR(at)
-	hops := 0
-	var lastErr error
-	for {
-		env, err := c.submitEnvelope(spec, creds)
-		if err != nil {
-			return Ack{}, err
-		}
-		resp, err := c.Observer.client.Invoke(ctx, target, scheduler.ActionSubmit, env)
-		if err == nil {
-			set, topic, perr := scheduler.ParseSubmitResponse(resp.Body)
-			if perr != nil {
-				return Ack{}, perr
-			}
-			ack := Ack{Name: spec.Name, Set: set, Topic: topic}
-			c.mu.Lock()
-			c.acked = append(c.acked, ack)
-			c.mu.Unlock()
-			return ack, nil
-		}
-		lastErr = err
-		if admission.IsQueueFull(err) {
-			return Ack{}, err
-		}
-		// A redirect is a routing hop, not a failure; but the owner the
-		// fault names can itself be stale (a dead master's unexpired
-		// lease), so bound the hop chain and fall back to rotation.
-		if epr, ok := scheduler.RedirectTarget(err); ok && hops < 3 && epr.Address != target.Address {
-			hops++
-			target = epr
-			continue
-		}
-		if time.Now().After(deadline) {
-			return Ack{}, lastErr
-		}
-		hops = 0
-		at = (at + 1) % c.cfg.Masters
-		target = c.masterEPR(at)
-		select {
-		case <-ctx.Done():
-			return Ack{}, ctx.Err()
-		case <-time.After(25 * time.Millisecond):
-		}
-	}
 }

@@ -106,7 +106,7 @@ func TestMasterCrashRecoversAckedSet(t *testing.T) {
 	for _, v := range c.JobSetDocs() {
 		if v.Topic == ack.Topic {
 			found = true
-			if !isTerminalSet(v.Status) {
+			if !scheduler.TerminalSetStatus(v.Status) {
 				t.Fatalf("recovered set status %q", v.Status)
 			}
 		}

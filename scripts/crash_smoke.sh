@@ -1,9 +1,17 @@
 #!/usr/bin/env bash
-# Crash-recovery smoke test: start a one-node grid with a durable master
-# data directory, submit a two-stage job set, SIGKILL the master while
-# the first job is mid-compute, restart it against the same -data-dir,
-# and require the job set to resume (scheduler.Recover over the replayed
-# store) and complete, outputs fetched.
+# Crash-recovery smoke test, two phases over one one-node grid.
+#
+# 1. The master dies: start the grid with a durable master data
+#    directory, submit a two-stage job set, SIGKILL the master while the
+#    first job is mid-compute, restart it against the same -data-dir, and
+#    require the job set to resume (scheduler.Recover over the replayed
+#    store) and complete, outputs fetched.
+# 2. The client dies: submit the job set again with gridsub -data-dir,
+#    SIGKILL gridsub while gen computes, rerun the same command, and
+#    require it to resume the journaled submission, sum — whose
+#    executable is local://sum.app, dispatched after the restart — to
+#    stage from the re-bound file server and complete, and total.txt to
+#    be fetched.
 #
 #   scripts/crash_smoke.sh
 set -euo pipefail
@@ -90,3 +98,31 @@ if [ ! -s "$WORK/sum.total.txt" ]; then
   exit 1
 fi
 echo "OK: job set resumed after SIGKILL; total = $(cat "$WORK/sum.total.txt")"
+
+echo "== phase 2: submitting again with a journaled gridsub"
+mkdir -p "$WORK/out2"
+RESUB=("$BIN/gridsub" -master "$MASTER_URL" -jobset "$WORK/jobset/crash.jobset"
+  -data-dir "$WORK/gridsub-data" -out "$WORK/out2" -timeout 120s)
+"${RESUB[@]}" &
+SUB_PID=$!
+sleep 2.5
+echo "== SIGKILL gridsub ($SUB_PID) while gen computes"
+kill -9 "$SUB_PID"
+wait "$SUB_PID" 2>/dev/null || true
+
+echo "== rerunning the same gridsub command"
+if ! "${RESUB[@]}" 2>"$WORK/resume.log"; then
+  cat "$WORK/resume.log" >&2
+  echo "FAIL: rerun gridsub did not complete the job set" >&2
+  exit 1
+fi
+cat "$WORK/resume.log" >&2
+if ! grep -q 'resuming job set "crashsmoke"' "$WORK/resume.log"; then
+  echo "FAIL: rerun gridsub resubmitted instead of resuming" >&2
+  exit 1
+fi
+if [ ! -s "$WORK/out2/sum.total.txt" ]; then
+  echo "FAIL: fetched output out2/sum.total.txt missing or empty" >&2
+  exit 1
+fi
+echo "OK: gridsub resumed after SIGKILL; total = $(cat "$WORK/out2/sum.total.txt")"
