@@ -66,8 +66,6 @@ var (
 	replicas     = flag.Int("replicas", 0, "run the replication layer: fan staged job-set inputs out to this many FSS nodes, journaling acked holder sets (0 disables)")
 	accountsFlag = flag.String("accounts", "", "comma-separated user:password accounts; empty disables WS-Security")
 	jobTimeout   = flag.Duration("job-timeout", 0, "fail dispatched jobs with no completion inside this window (0 disables)")
-	maxInflight  = flag.Int("max-inflight", 0, "max concurrent job dispatches (0 = default 8, 1 = serial)")
-	catalogTTL   = flag.Duration("catalog-ttl", 0, "processor-catalog cache staleness bound (0 = default 2s, negative = poll NIS per dispatch)")
 	queueDepth   = flag.Int("queue-depth", 0, "run an admission queue in front of the scheduler, bounding parked job sets grid-wide (-1 = queue without bound, 0 disables admission)")
 	tenantQuota  = flag.String("tenant-quota", "", "per-tenant admission quota as queued[:running], e.g. 10:2 (with -queue-depth)")
 	fairShare    = flag.String("fair-share", "", "comma-separated tenant:weight admission fair-share list, e.g. alice:4,bob:1 (with -queue-depth)")
@@ -90,10 +88,8 @@ func main() {
 	address := daemon.Advertised(*hostName, *addr)
 	policy := pickPolicy(*policyName)
 	ssCfg := scheduler.Config{
-		Policy:              policy,
-		JobTimeout:          *jobTimeout,
-		MaxInflightDispatch: *maxInflight,
-		CatalogTTL:          *catalogTTL,
+		Policy:     policy,
+		JobTimeout: *jobTimeout,
 	}
 	if *retryDefault != "" {
 		ssCfg.DefaultRetry, err = parseRetryDefault(*retryDefault)

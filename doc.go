@@ -11,5 +11,6 @@
 //
 // Start at internal/core for the public API (Grid, Client, JobSet), at
 // DESIGN.md for the system inventory, and at EXPERIMENTS.md for the
-// measurement suite driven by bench_test.go and cmd/wsrfbench.
+// paper's experiments, each a `go test -bench` family beside the package
+// it measures; bench/ holds the system benchmark on real daemons.
 package uvacg

@@ -383,6 +383,18 @@ func TestResume(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// The process dies once "first" runs. Dying sooner, while the node
+		// is still pulling first.app from this client's file server, fails
+		// that job: a different (and legitimate) outcome.
+		for started := false; !started; {
+			select {
+			case n := <-old.Events():
+				ev, _ := scheduler.ParseEvent(n)
+				started = ev.Job == "first" && ev.Kind == "started"
+			case <-ctx.Done():
+				t.Fatal("first never started")
+			}
+		}
 		filesAt := first.FilesEPR()
 		first.Close() // the process dies: listener and file server gone
 

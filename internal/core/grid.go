@@ -100,29 +100,17 @@ type GridConfig struct {
 	// CatalogTTL tunes the scheduler's processor-catalog cache
 	// (0 = scheduler default, negative = poll the NIS per dispatch).
 	CatalogTTL time.Duration
-	// WireDelay, when positive, delays every outbound message by this
-	// much — a crude stand-in for a real campus network, used by the
-	// dispatch-throughput benchmarks to make RPC latency visible.
-	WireDelay time.Duration
-	// Replicas, when positive, runs the replication layer on the
-	// master: staged inputs are fanned out to this many FSS nodes and
-	// the acked holder sets journaled.
-	Replicas int
-	// OnStage, when set, observes every file staged by any node's FSS
-	// (route taken, bytes moved) — the placement benchmarks' counters.
-	OnStage func(rec filesystem.StageRecord)
 }
 
 // Grid is a running campus grid.
 type Grid struct {
-	Network    *transport.Network
-	Client     *transport.Client
-	Master     *transport.Server
-	Nodes      []*node.Node
-	Broker     *wsn.Broker
-	NIS        *nodeinfo.Service
-	Scheduler  *scheduler.Service
-	Replicator *filesystem.Replicator
+	Network   *transport.Network
+	Client    *transport.Client
+	Master    *transport.Server
+	Nodes     []*node.Node
+	Broker    *wsn.Broker
+	NIS       *nodeinfo.Service
+	Scheduler *scheduler.Service
 
 	cfg        GridConfig
 	master     *master.Master
@@ -156,14 +144,6 @@ func NewGrid(cfg GridConfig) (*Grid, error) {
 	}
 	if cfg.Metrics != nil {
 		client.Use(cfg.Metrics.Interceptor())
-	}
-	if cfg.WireDelay > 0 {
-		delay := cfg.WireDelay
-		client.WrapSchemes(func(scheme string, rt transport.RoundTripper) transport.RoundTripper {
-			return transport.WrapFaults(rt, func(transport.FaultOp, string) transport.FaultDecision {
-				return transport.FaultDecision{Delay: delay}
-			})
-		})
 	}
 
 	g := &Grid{Network: network, Client: client, cfg: cfg}
@@ -199,7 +179,6 @@ func NewGrid(cfg GridConfig) (*Grid, error) {
 		Store:     resourcedb.NewStore(),
 		Client:    client,
 		Scheduler: &ssCfg,
-		Replicas:  cfg.Replicas,
 		Metrics:   cfg.Metrics,
 	}
 	if cfg.Retry != nil {
@@ -216,7 +195,7 @@ func NewGrid(cfg GridConfig) (*Grid, error) {
 		return nil, err
 	}
 	g.master = m
-	g.Broker, g.NIS, g.Scheduler, g.Replicator = m.Broker, m.NIS, m.Scheduler, m.Replicator
+	g.Broker, g.NIS, g.Scheduler = m.Broker, m.NIS, m.Scheduler
 	g.Master = transport.NewServer(m.Mux)
 	g.Master.Use(ServerInterceptors()...)
 	network.Register(masterHost, g.Master)
@@ -241,8 +220,6 @@ func NewGrid(cfg GridConfig) (*Grid, error) {
 			NIS:                  g.NIS.EPR(),
 			UtilizationThreshold: cfg.UtilizationThreshold,
 			Background:           spec.Background,
-			OnStage:              cfg.OnStage,
-			ReplicaEvents:        cfg.Replicas > 0,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("core: node %s: %w", spec.Name, err)

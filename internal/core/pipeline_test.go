@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -48,10 +49,13 @@ func (r *hopRecorder) idsAt(path string) []string {
 }
 
 // wireCounter independently counts wire calls at the innermost client
-// position — the ground truth the metrics interceptor must match.
+// position — the ground truth the metrics interceptor must match. It
+// counts on entry (Metrics records on return) and tracks how many of the
+// calls it has seen are still inside the wire.
 type wireCounter struct {
-	mu     sync.Mutex
-	counts map[pipeline.Key]uint64
+	mu       sync.Mutex
+	counts   map[pipeline.Key]uint64
+	inflight int
 }
 
 func newWireCounter() *wireCounter {
@@ -62,19 +66,54 @@ func (w *wireCounter) interceptor() soap.Interceptor {
 	return func(ctx context.Context, call *soap.CallInfo, next soap.Handler) (*soap.Envelope, error) {
 		w.mu.Lock()
 		w.counts[pipeline.Key{Path: call.Path, Action: call.Action}]++
+		w.inflight++
 		w.mu.Unlock()
+		defer func() {
+			w.mu.Lock()
+			w.inflight--
+			w.mu.Unlock()
+		}()
 		return next(ctx, call)
 	}
 }
 
-func (w *wireCounter) snapshot() map[pipeline.Key]uint64 {
+func (w *wireCounter) snapshot() (counts map[pipeline.Key]uint64, inflight int) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	out := make(map[pipeline.Key]uint64, len(w.counts))
+	counts = make(map[pipeline.Key]uint64, len(w.counts))
 	for k, v := range w.counts {
-		out[k] = v
+		counts[k] = v
 	}
-	return out
+	return counts, w.inflight
+}
+
+// quietBaseline returns a metrics snapshot and a wire count taken while
+// the client carries no traffic. A chain is bound when a call enters
+// it, so a call already inside the client when the wire counter is
+// installed never passes through the counter, yet Metrics records it
+// when it returns: NewGrid's last catalog-changed Notify to
+// /SchedulerConsumer, a one-way send on a broker goroutine, did exactly
+// that across a baseline taken straight after Use (metrics = wire + 1
+// under load). An idle grid sends nothing, so the baseline is taken
+// only after both observers have stood still for a whole quiet window
+// with no counted call in flight.
+func quietBaseline(t *testing.T, metrics *pipeline.Metrics, wc *wireCounter) (map[pipeline.Key]pipeline.Stats, map[pipeline.Key]uint64) {
+	t.Helper()
+	const window = 100 * time.Millisecond
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		w1, _ := wc.snapshot()
+		m1 := metrics.Snapshot()
+		time.Sleep(window)
+		m2 := metrics.Snapshot()
+		w2, inflight := wc.snapshot()
+		if inflight == 0 && reflect.DeepEqual(m1, m2) && reflect.DeepEqual(w1, w2) {
+			return m2, w2
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("grid never went quiet after bootstrap")
+		}
+	}
 }
 
 // TestF3_RequestIDAndMetrics runs the paper's job-set flow with the
@@ -99,8 +138,9 @@ func TestF3_RequestIDAndMetrics(t *testing.T) {
 	t.Cleanup(g.Close)
 
 	// Recorders go in after NewGrid: grid bootstrap traffic (NIS
-	// registration) is not part of the flow under test. The metrics
-	// baseline is snapshotted for the same reason.
+	// registration) is not part of the flow under test. The metrics and
+	// wire baselines are taken, once that traffic has drained, for the
+	// same reason.
 	rec := newHopRecorder()
 	g.Master.Use(rec.interceptor())
 	for _, n := range g.Nodes {
@@ -108,7 +148,7 @@ func TestF3_RequestIDAndMetrics(t *testing.T) {
 	}
 	wc := newWireCounter()
 	g.Client.Use(wc.interceptor())
-	baseline := metrics.Snapshot()
+	baseline, wireBaseline := quietBaseline(t, metrics, wc)
 
 	c := testClient(t, g)
 	c.AddFile("gen.app", Script(
@@ -184,7 +224,10 @@ func TestF3_RequestIDAndMetrics(t *testing.T) {
 	// independently at the innermost chain position. One-way dispatch
 	// is asynchronous, so settle with a deadline.
 	for {
-		want := wc.snapshot()
+		want, _ := wc.snapshot()
+		for k, n := range wireBaseline {
+			want[k] -= n
+		}
 		got := metrics.Snapshot()
 		if match := metricsMatch(t, baseline, got, want, time.Now().After(deadline)); match {
 			break

@@ -87,7 +87,7 @@ type FileRef struct {
 }
 
 // StageRecord describes one completed staging, for observers (the
-// simulator's byte-identity ledger, benchkit's locality accounting).
+// simulator's byte-identity ledger).
 type StageRecord struct {
 	// Host is the staging machine; Dir its working-directory path.
 	Host string

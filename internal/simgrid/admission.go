@@ -130,42 +130,3 @@ func (c *Cluster) SubmitAs(ctx context.Context, spec *scheduler.JobSetSpec, tena
 	}
 	return c.submit(ctx, spec, wssec.Credentials{Username: tenant, Password: pw})
 }
-
-// DequeueShare counts, per tenant, how many dequeues the ledger shows
-// inside the contention window — the span during which every listed
-// tenant still had parked work. Shares inside that window are what the
-// fair-share weights govern; once a tenant's backlog drains its share
-// naturally collapses, so the window cut keeps the ratio meaningful.
-func DequeueShare(events []admission.Event, tenants ...string) map[string]int {
-	depth := make(map[string]int, len(tenants))
-	watched := make(map[string]bool, len(tenants))
-	for _, t := range tenants {
-		watched[t] = true
-	}
-	share := make(map[string]int, len(tenants))
-	contended := func() bool {
-		for _, t := range tenants {
-			if depth[t] == 0 {
-				return false
-			}
-		}
-		return true
-	}
-	for _, ev := range events {
-		if !watched[ev.Tenant] {
-			continue
-		}
-		switch ev.Kind {
-		case admission.EventEnqueue:
-			depth[ev.Tenant]++
-		case admission.EventDequeue:
-			if contended() {
-				share[ev.Tenant]++
-			}
-			depth[ev.Tenant]--
-		case admission.EventRemove:
-			depth[ev.Tenant]--
-		}
-	}
-	return share
-}

@@ -60,15 +60,6 @@ type ClusterConfig struct {
 	// default 500ms). Grace takes the lease package default, TTL/2, so
 	// failover completes within TTL+TTL/2 of a master death.
 	LeaseTTL time.Duration
-	// WireDelay adds a constant latency to every cross-host message —
-	// benchkit's stand-in for a real network. Unlike fault profiles it
-	// applies even while chaos is disabled.
-	WireDelay time.Duration
-	// MaxInflight overrides each scheduler's dispatch-concurrency
-	// bound (zero keeps the scheduler default). Benchkit pins it so a
-	// master's dispatch capacity — the resource multi-master replicates
-	// — is a controlled variable.
-	MaxInflight int
 	// Admission, when non-nil, fronts every scheduler with a durable
 	// multi-tenant admission queue (quotas, fair share, QueueFullFault
 	// backpressure). See AdmissionConfig.
@@ -235,9 +226,8 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 // clientWith builds the outbound pipeline for one host: request
 // correlation, deadline propagation and a small deterministic retry for
 // idempotent actions (jitter disabled, so a replayed seed retries on the
-// same schedule) over a chaos-wrapped transport with the configured
-// constant wire delay on cross-host messages. A non-nil fence kills every
-// outbound message once the host's incarnation is crashed (a
+// same schedule) over a chaos-wrapped transport. A non-nil fence kills
+// every outbound message once the host's incarnation is crashed (a
 // multi-master replica keeps no store of its own, so SIGKILL is "all its
 // I/O fails" rather than "its store closes").
 func (c *Cluster) clientWith(host string, f *fence) *transport.Client {
@@ -254,19 +244,12 @@ func (c *Cluster) clientWith(host string, f *fence) *transport.Client {
 		}),
 	)
 	decide := c.Chaos.FaultFunc(host)
-	wire := c.cfg.WireDelay
 	client.WrapSchemes(func(_ string, rt transport.RoundTripper) transport.RoundTripper {
 		return transport.WrapFaults(rt, func(op transport.FaultOp, addr string) transport.FaultDecision {
 			if f != nil && f.dead.Load() {
 				return transport.FaultDecision{Err: errMasterDead}
 			}
-			d := decide(op, addr)
-			if wire > 0 && d.Err == nil && !d.Drop {
-				if dst, _ := splitAddr(addr); dst != host {
-					d.Delay += wire
-				}
-			}
-			return d
+			return decide(op, addr)
 		})
 	})
 	return client
@@ -303,11 +286,10 @@ func (c *Cluster) bringUp(ctx context.Context, host string, cfg master.Config) (
 // whatever the layout.
 func (c *Cluster) schedulerConfig() *scheduler.Config {
 	cfg := &scheduler.Config{
-		JobTimeout:          c.cfg.JobTimeout,
-		CatalogTTL:          c.cfg.CatalogTTL,
-		MaxInflightDispatch: c.cfg.MaxInflight,
-		DefaultRetry:        c.cfg.DefaultRetry,
-		OnDispatch:          c.noteDispatch,
+		JobTimeout:   c.cfg.JobTimeout,
+		CatalogTTL:   c.cfg.CatalogTTL,
+		DefaultRetry: c.cfg.DefaultRetry,
+		OnDispatch:   c.noteDispatch,
 	}
 	if c.cfg.Admission != nil {
 		cfg.Admission = c.newAdmissionQueue()

@@ -5,10 +5,13 @@ package simgrid
 // waiting for the seed sweep to find them: a master crash between retry
 // attempts must not refresh the budget, a preempted-but-acked set must
 // survive a master crash while parked, and a run-on-failure cleanup job
-// must still run once a partition that starved its dispatch heals.
+// must still run once a partition that starved its dispatch heals. The
+// retry storm joins them: the shape that hung before events carried an
+// attempt identity.
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
@@ -259,5 +262,50 @@ func TestCleanupRunsAfterPartitionHeals(t *testing.T) {
 	}
 	if viol := CheckInvariants(c, &Scenario{Sets: []*scheduler.JobSetSpec{spec}}); len(viol) > 0 {
 		t.Fatalf("invariant violations: %v", viol)
+	}
+}
+
+// TestRetryStormAccountsEveryDispatch: eight single-job sets whose job
+// fails every attempt, each with an immediate-backoff budget of two
+// retries, pushed through a four-node journaled grid at once. One set
+// per job, because fail-fast is part of the lifecycle: a sibling's
+// permanent failure would cancel a parked retry, and the storm must
+// burn every budget in full. Before events carried an attempt identity
+// a late `started` of attempt N was adopted by attempt N+1 and a set
+// hung short of Failed in about half the runs on a small box; now
+// every set must fail, with exactly limit+1 committed dispatches each.
+func TestRetryStormAccountsEveryDispatch(t *testing.T) {
+	const sets, limit = 8, 2
+	c, err := NewCluster(ClusterConfig{Seed: 16, Nodes: 4, DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.Observer.Files.Publish("fail.app", procspawn.BuildScript("exit 1"))
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	storm := make(map[string]bool, sets)
+	for i := 0; i < sets; i++ {
+		ack, err := c.Submit(ctx, &scheduler.JobSetSpec{Name: fmt.Sprintf("storm-%03d", i), Jobs: []scheduler.JobSpec{{
+			Name:       "f",
+			Executable: "local://fail.app",
+			Retry:      scheduler.RetryPolicy{Limit: limit},
+		}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		storm[ack.Topic] = true
+	}
+	for topic := range storm {
+		waitDocStatus(t, c, topic, scheduler.SetFailed, 60*time.Second)
+	}
+	dispatches := 0
+	for _, d := range c.Dispatches() {
+		if storm[d.Topic] {
+			dispatches++
+		}
+	}
+	if want := sets * (limit + 1); dispatches != want {
+		t.Fatalf("storm dispatched %d times, want %d", dispatches, want)
 	}
 }

@@ -6,8 +6,9 @@ import (
 
 // Allocation regression pins for the envelope hot path. The fast codec
 // dropped marshal from 38 allocs/op to 1 and unmarshal from 170 to ~13
-// (BENCH_7.json); these ceilings leave modest headroom so future PRs
-// cannot silently re-introduce per-call garbage.
+// on benchEnvelope (BenchmarkEnvelopeMarshal / BenchmarkEnvelopeUnmarshal
+// with -benchmem print today's figures); these ceilings leave modest
+// headroom so future PRs cannot silently re-introduce per-call garbage.
 const (
 	maxMarshalAllocs   = 3
 	maxUnmarshalAllocs = 24

@@ -1,0 +1,195 @@
+package wsn
+
+// EXPERIMENTS.md E4, the paper-reproduction rig this package owns.
+
+import (
+	"context"
+	"fmt"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"uvacg/internal/resourcedb"
+	"uvacg/internal/soap"
+	"uvacg/internal/transport"
+	"uvacg/internal/wsa"
+	"uvacg/internal/wsrf"
+	"uvacg/internal/xmlutil"
+)
+
+const nsBench = "urn:uvacg:bench"
+
+// notifyHarness is the E4 rig: a producing service, optionally fronted
+// by a Notification Broker, and n subscribed consumers. It compares
+// push delivery against the polling a WSRF client would otherwise do.
+type notifyHarness struct {
+	client    *transport.Client
+	producer  *Producer
+	broker    *Broker // nil when consumers subscribe to the producer directly
+	consumers int
+
+	statusRC *wsrf.ResourceClient
+	received atomic.Int64
+}
+
+// newNotifyHarness wires n consumers to the producer (direct) or to a
+// broker the producer publishes through.
+func newNotifyHarness(tb testing.TB, consumers int, viaBroker bool) *notifyHarness {
+	tb.Helper()
+	must := func(err error) {
+		tb.Helper()
+		if err != nil {
+			tb.Fatal(err)
+		}
+	}
+	network := transport.NewNetwork()
+	client := transport.NewClient().WithNetwork(network)
+	store := resourcedb.NewStore()
+
+	h := &notifyHarness{client: client, consumers: consumers}
+
+	// The producing service also exposes a pollable status resource —
+	// the polling baseline reads it with GetResourceProperty.
+	owner, err := wsrf.NewService(wsrf.ServiceConfig{
+		Path:    "/ES",
+		Address: "inproc://producer",
+		Home:    wsrf.NewStateHome(store.MustTable("jobs", resourcedb.StructuredCodec{})),
+	})
+	must(err)
+	owner.Enable(wsrf.ResourcePropertiesPortType{})
+	statusEPR, err := owner.CreateResource("job-1", xmlutil.NewContainer(xmlutil.Q(nsBench, "JobState"),
+		xmlutil.NewElement(xmlutil.Q(nsBench, "Status"), "Running"),
+	))
+	must(err)
+	h.statusRC = wsrf.NewResourceClient(client, statusEPR)
+
+	h.producer, err = NewProducer(owner, wsrf.NewStateHome(store.MustTable("subs", resourcedb.BlobCodec{})), client)
+	must(err)
+
+	producerMux := soap.NewMux()
+	producerMux.Handle(owner.Path(), owner.Dispatcher())
+	producerMux.Handle(h.producer.SubscriptionService().Path(), h.producer.SubscriptionService().Dispatcher())
+	network.Register("producer", transport.NewServer(producerMux))
+
+	subscribeTo := h.producer
+	if viaBroker {
+		h.broker, err = NewBroker("/NB", "inproc://master",
+			wsrf.NewStateHome(store.MustTable("broker-subs", resourcedb.BlobCodec{})), client)
+		must(err)
+		masterMux := soap.NewMux()
+		masterMux.Handle(h.broker.Service().Path(), h.broker.Service().Dispatcher())
+		masterMux.Handle(h.broker.Producer().SubscriptionService().Path(), h.broker.Producer().SubscriptionService().Dispatcher())
+		network.Register("master", transport.NewServer(masterMux))
+		subscribeTo = h.broker.Producer()
+	}
+
+	for i := 0; i < consumers; i++ {
+		cons := NewConsumer()
+		cons.Handle(Simple("bench"), func(context.Context, Notification) {
+			h.received.Add(1)
+		})
+		mux := soap.NewMux()
+		cons.Mount(mux, "/listener")
+		host := fmt.Sprintf("consumer-%d", i)
+		network.Register(host, transport.NewServer(mux))
+		_, err := subscribeTo.Subscribe(wsa.NewEPR("inproc://"+host+"/listener"), Simple("bench"))
+		must(err)
+	}
+	return h
+}
+
+// publishAndWait publishes one event and blocks until every consumer
+// has processed it — the end-to-end push path.
+func (h *notifyHarness) publishAndWait(ctx context.Context) error {
+	start := h.received.Load()
+	payload := TextMessage(xmlutil.Q(nsBench, "Event"), "tick")
+	if h.broker != nil {
+		if err := PublishViaBroker(ctx, h.client, h.broker.EPR(), Notification{Topic: "bench/tick", Message: payload}); err != nil {
+			return err
+		}
+	} else {
+		h.producer.Publish(ctx, "bench/tick", wsa.EndpointReference{}, payload)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for h.received.Load() < start+int64(h.consumers) {
+		if time.Now().After(deadline) {
+			return fmt.Errorf("fan-out never completed (%d/%d)", h.received.Load()-start, h.consumers)
+		}
+		// Busy-spin with a tiny pause: delivery is in-process.
+		time.Sleep(time.Microsecond)
+	}
+	return nil
+}
+
+// pollOnce performs one polling-baseline status read: what all n
+// consumers would each have to do repeatedly without notification. One
+// call's cost × poll rate × consumers is the polling load.
+func (h *notifyHarness) pollOnce(ctx context.Context) error {
+	_, err := h.statusRC.GetPropertyText(ctx, xmlutil.Q(nsBench, "Status"))
+	return err
+}
+
+// BenchmarkE4_NotifyVsPoll compares push delivery against the polling a
+// client must otherwise do (§5: WS-Notification's value), direct and
+// brokered.
+func BenchmarkE4_NotifyVsPoll(b *testing.B) {
+	ctx := context.Background()
+	direct := newNotifyHarness(b, 1, false)
+	brokered := newNotifyHarness(b, 1, true)
+	b.Run("notify-direct", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if err := direct.publishAndWait(ctx); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("notify-brokered", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if err := brokered.publishAndWait(ctx); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("poll-GetResourceProperty", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if err := direct.pollOnce(ctx); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkE4_BrokerFanout scales the broker's multicast in subscriber
+// count (§4.3: the broker as a multicast mechanism).
+func BenchmarkE4_BrokerFanout(b *testing.B) {
+	ctx := context.Background()
+	for _, n := range []int{1, 4, 16, 64} {
+		b.Run(fmt.Sprintf("subscribers=%d", n), func(b *testing.B) {
+			h := newNotifyHarness(b, n, true)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := h.publishAndWait(ctx); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestNotifyHarnessDeliveryCounts keeps the rig honest: one publish
+// reaches each of three consumers exactly once, direct and brokered.
+func TestNotifyHarnessDeliveryCounts(t *testing.T) {
+	ctx := context.Background()
+	for _, viaBroker := range []bool{false, true} {
+		h := newNotifyHarness(t, 3, viaBroker)
+		if err := h.publishAndWait(ctx); err != nil {
+			t.Fatalf("viaBroker=%v: %v", viaBroker, err)
+		}
+		if got := h.received.Load(); got != 3 {
+			t.Fatalf("viaBroker=%v: received %d", viaBroker, got)
+		}
+		if err := h.pollOnce(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
