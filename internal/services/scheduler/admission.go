@@ -194,7 +194,7 @@ func (s *Service) activate(ctx context.Context, e admission.Entry) {
 	s.publishReplicaWant(ctx, r.spec.Replicas)
 
 	// Queued → Running in the journal, before the run can be seen.
-	if err := s.persist(r, effects{}, nil); err != nil {
+	if err := s.persist(r, effects{status: true}, nil); err != nil {
 		s.requeueLater(e, creds)
 		return
 	}

@@ -15,7 +15,7 @@ import (
 func jobSetDocument(r *run) *xmlutil.Element {
 	doc := xmlutil.NewContainer(xmlutil.Q(NS, "JobSetState"),
 		xmlutil.NewElement(QName, r.spec.Name),
-		xmlutil.NewElement(QStatus, ""),
+		xmlutil.NewElement(QStatus, r.st.status),
 	)
 	if r.creds.Username != "" {
 		doc.SetAttr(qSecured, "true")
@@ -29,51 +29,54 @@ func jobSetDocument(r *run) *xmlutil.Element {
 	if !r.clientListener.IsZero() {
 		doc.Append(r.clientListener.ElementNamed(qClientListener))
 	}
-	touched := make([]int, len(r.spec.Jobs))
-	for i, j := range r.spec.Jobs {
-		doc.Append(xmlutil.NewElement(QJobState, "").SetAttr(qNameAttr, j.Name))
-		touched[i] = i
+	for i := range r.st.jobs {
+		doc.Append(r.st.jobs[i].element())
 	}
 	doc.Append(xmlutil.NewElement(QTopic, r.topic))
-	r.st.render(doc, touched)
 	return doc
 }
 
-// render writes the set status and the touched jobs' attributes onto a
-// job-set document: the only code that does (persist, jobSetDocument).
-// A terminal status is never written without every job's state: the
-// write that carries the verdict may be another transition's, landing
-// ahead of the terminal transition's own, and a crash between the two
-// must not leave a verdict over live job states.
-func (st *setState) render(doc *xmlutil.Element, touched []int) {
+// element renders a job's JobState: a pure function of its state, so an
+// attempt that was abandoned leaves nothing of itself behind — a job back
+// at Pending shows no node, directory or exit code, only the retries it
+// has consumed.
+func (j *jobState) element() *xmlutil.Element {
+	el := xmlutil.NewElement(QJobState, "").SetAttr(qNameAttr, j.spec.Name).SetAttr(qStatusAttr, j.state)
+	if j.node != "" {
+		el.SetAttr(qNodeAttr, j.node)
+	}
+	if !j.dirEPR.IsZero() {
+		el.SetAttr(qDirAttr, j.dirEPR.String())
+	}
+	if j.retries > 0 {
+		el.SetAttr(qAttemptAttr, strconv.Itoa(j.retries))
+	}
+	if j.state == JobCompleted || j.state == JobFailed {
+		el.SetAttr(qExitAttr, strconv.Itoa(j.exitCode))
+	}
+	return el
+}
+
+// render is what a write of the set carries. A set-level write has the
+// document: the status and every job's state go onto it — a status never
+// goes out without the job states it was decided on. A job-level write has
+// none and gets the touched jobs' rows back.
+func (st *setState) render(doc *xmlutil.Element, touched []int) (rows []*xmlutil.Element) {
+	if doc == nil {
+		for _, i := range touched {
+			rows = append(rows, st.jobs[i].element())
+		}
+		return rows
+	}
 	if c := doc.Child(QStatus); c != nil {
 		c.Text = st.status
 	}
-	all := TerminalSetStatus(st.status)
-	mark := make([]bool, len(st.jobs))
-	for _, i := range touched {
-		mark[i] = true
-	}
-	for _, el := range doc.Children {
-		i, ok := st.index[el.Attr(qNameAttr)]
-		if el.Name != QJobState || !ok || !(all || mark[i]) {
-			continue
-		}
-		j := &st.jobs[i]
-		el.SetAttr(qStatusAttr, j.state)
-		if j.node != "" || el.Attr(qNodeAttr) != "" {
-			el.SetAttr(qNodeAttr, j.node)
-		}
-		if !j.dirEPR.IsZero() {
-			el.SetAttr(qDirAttr, j.dirEPR.String())
-		}
-		if j.retries > 0 {
-			el.SetAttr(qAttemptAttr, strconv.Itoa(j.retries))
-		}
-		if j.state == JobCompleted || j.state == JobFailed {
-			el.SetAttr(qExitAttr, strconv.Itoa(j.exitCode))
+	for k, el := range doc.Children {
+		if i, ok := st.index[el.Attr(qNameAttr)]; ok && el.Name == QJobState {
+			doc.Children[k] = st.jobs[i].element()
 		}
 	}
+	return nil
 }
 
 // JobSetView is the read-side projection of a job-set resource

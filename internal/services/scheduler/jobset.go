@@ -99,14 +99,16 @@ type reservation struct {
 }
 
 // effects is what a transition asks of the shell: watchdogs stopped and
-// armed at once, then in fixed order kill, persist (status + touched
-// jobs), requeue, release, publish (+ notified stamp), retry, schedule.
+// armed at once, then in fixed order kill, persist (the touched jobs, or
+// with status — the set status changed — the whole set), requeue, release,
+// publish (+ notified stamp), retry, schedule.
 type effects struct {
 	reserved *reservation
 	stop     []watchKey
 	arm      []watchKey
 	kill     []wsa.EndpointReference
 	persist  bool
+	status   bool
 	touched  []int
 	requeue  bool
 	release  bool
@@ -397,7 +399,7 @@ func (st *setState) settle(detail string, fx *effects) {
 			detail = fmt.Sprintf("job %q failed", st.jobs[failed].spec.Name)
 		}
 	}
-	fx.persist, fx.release = true, true
+	fx.persist, fx.status, fx.release = true, true, true
 	fx.publish, fx.detail = st.status, detail
 }
 
@@ -414,7 +416,7 @@ func (st *setState) terminate(status, detail string, fx *effects) {
 			st.abandon(i, JobCancelled, fx)
 		}
 	}
-	fx.persist, fx.release = true, true
+	fx.persist, fx.status, fx.release = true, true, true
 	fx.publish, fx.detail = status, detail
 }
 
@@ -444,7 +446,7 @@ func (st *setState) park(evict bool, fx *effects) {
 			st.abandon(i, JobPending, fx)
 		}
 	}
-	fx.persist, fx.requeue = true, true
+	fx.persist, fx.status, fx.requeue = true, true, true
 	fx.publish, fx.detail = SetPreempted, "preempted by an interactive arrival"
 }
 

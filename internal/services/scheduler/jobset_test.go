@@ -21,6 +21,9 @@ type coreHarness struct {
 	seen     map[string]bool   // EPR strings the core was handed
 	armed    map[watchKey]bool // watchdogs asked for and not yet stopped
 	publishd []string          // set-level publishes, in order
+	// after, when set, sees every event and its effects right after the
+	// step: where a test plays more of the shell than the bookkeeping here.
+	after func(ev event, fx effects)
 }
 
 func newCoreHarness(t testing.TB, spec *JobSetSpec) *coreHarness {
@@ -64,6 +67,9 @@ func (h *coreHarness) do(ev event) effects {
 	if fx.publish != "" {
 		h.publishd = append(h.publishd, fx.publish)
 	}
+	if h.after != nil {
+		h.after(ev, fx)
+	}
 	return fx
 }
 
@@ -72,10 +78,11 @@ func (h *coreHarness) reserve() *reservation {
 	return h.do(event{kind: evReserve}).reserved
 }
 
-// about builds a job event for one attempt, carrying that attempt's EPR
-// the way the ES and the Run response do.
+// about builds a job event for one attempt, carrying that attempt's job
+// and working-directory EPRs the way the ES and the Run response do.
 func about(kind eventKind, job, attempt string) event {
-	return event{kind: kind, job: job, attempt: attempt, jobEPR: eprOf(attempt), node: "node-a"}
+	dir := wsa.NewEPR("inproc://node/FileSystemService").WithProperty(QName, attempt)
+	return event{kind: kind, job: job, attempt: attempt, jobEPR: eprOf(attempt), dirEPR: dir, node: "node-a"}
 }
 
 func exited(job, attempt string, code int) event {
@@ -393,16 +400,13 @@ func checkCore(h *coreHarness, wasTerminal string) {
 	}
 }
 
-// FuzzJobSetCore drives random DAGs through random interleavings of
-// valid, duplicated, stale-attempt and reordered events, checking the
-// invariants after every step and that the stream then drains to a
-// terminal set.
-func FuzzJobSetCore(f *testing.F) {
+// fuzzCoreSeeds are the committed inputs of FuzzJobSetCore.
+var fuzzCoreSeeds = [][]byte{
 	// The retry-storm interleaving (one always-failing job, limit 2,
 	// Backoff 0): exit before started, the next reservation at once, the
 	// old attempt's started and Run response landing in the new one's
 	// Dispatched window.
-	f.Add([]byte{0, 0, 2 << 2,
+	{0, 0, 2 << 2,
 		0, 0, // reserve
 		5, 0, // exited(1), current
 		0, 0, // reserve
@@ -411,19 +415,30 @@ func FuzzJobSetCore(f *testing.F) {
 		1, 0, // runAcked, current
 		3, 0, // started, current
 		5, 0, // exited(1), current
-		0, 0, 5, 0, 3, 0x80, 0, 0, 1, 0, 5, 0})
-	f.Add([]byte{2, 0, 0, 1, 1, 3, 2, 0, 0, 0, 0, 1, 0, 4, 0, 0, 0, 1, 1, 5, 1, 0, 0})
-	f.Add([]byte{4, 0, 4, 1, 0, 1, 9, 7, 2, 15, 1, 0, 0, 0, 0, 1, 0, 1, 1, 6, 0, 8, 1, 7, 0x81, 9, 0, 0, 0})
-	f.Fuzz(fuzzCore)
+		0, 0, 5, 0, 3, 0x80, 0, 0, 1, 0, 5, 0},
+	{2, 0, 0, 1, 1, 3, 2, 0, 0, 0, 0, 1, 0, 4, 0, 0, 0, 1, 1, 5, 1, 0, 0},
+	{4, 0, 4, 1, 0, 1, 9, 7, 2, 15, 1, 0, 0, 0, 0, 1, 0, 1, 1, 6, 0, 8, 1, 7, 0x81, 9, 0, 0, 0},
 }
 
-func fuzzCore(t *testing.T, data []byte) {
+// FuzzJobSetCore drives random DAGs through random interleavings of
+// valid, duplicated, stale-attempt and reordered events, checking the
+// invariants after every step and that the stream then drains to a
+// terminal set.
+func FuzzJobSetCore(f *testing.F) {
+	for _, seed := range fuzzCoreSeeds {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) { fuzzCore(t, data, newCoreHarness) })
+}
+
+// fuzzCore runs one fuzz input against the harness mk builds for its DAG.
+func fuzzCore(t *testing.T, data []byte, mk func(testing.TB, *JobSetSpec) *coreHarness) {
 	{
 		spec, ops := fuzzSpec(data)
 		if spec == nil || spec.Validate() != nil {
 			t.Skip()
 		}
-		h := newCoreHarness(t, spec)
+		h := mk(t, spec)
 		var last event
 		for len(ops) >= 2 {
 			op, arg := ops[0], ops[1]

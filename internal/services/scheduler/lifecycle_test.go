@@ -306,32 +306,50 @@ func TestFailedTerminalPublishLeavesUnnotified(t *testing.T) {
 	}
 }
 
-// loadHookHome counts Loads and runs a one-shot hook on the next one —
-// the point where a document write already holds its resource and is
-// about to apply its change.
-type loadHookHome struct {
+// hookHome is the home under the scheduler's: it counts the rows and
+// documents written to it and runs a one-shot hook the next time a job's
+// write, already holding its resource, checks that the set exists — the
+// point just before it renders.
+type hookHome struct {
 	wsrf.ResourceHome
-	loads  int
-	onLoad func()
+	rows, docs int
+	onLookup   func()
 }
 
-func (h *loadHookHome) Load(id string) (*xmlutil.Element, error) {
-	h.loads++
-	if hook := h.onLoad; hook != nil {
-		h.onLoad = nil
+func (h *hookHome) Exists(id string) bool {
+	if hook := h.onLookup; hook != nil {
+		h.onLookup = nil
 		hook()
 	}
-	return h.ResourceHome.Load(id)
+	return h.ResourceHome.Exists(id)
+}
+
+func (h *hookHome) count(id string) {
+	if isRow(id) {
+		h.rows++
+	} else {
+		h.docs++
+	}
+}
+
+func (h *hookHome) Create(id string, doc *xmlutil.Element) error {
+	h.count(id)
+	return h.ResourceHome.Create(id, doc)
+}
+
+func (h *hookHome) Save(id string, doc *xmlutil.Element) error {
+	h.count(id)
+	return h.ResourceHome.Save(id, doc)
 }
 
 // TestJobDocWriteCarriesStateAtWriteTime is the I8 regression: the
-// started handler's document write and the exited handler's transition
-// race, and the older write is the one delayed — it reaches the resource
-// only after the job went Completed. It must then write Completed. Before
-// the fix it wrote the Running it had snapshotted on the way in, and a
-// terminal set could persist a live job.
+// started handler's write and the exited handler's transition race, and
+// the older write is the one delayed — it reaches the resource only after
+// the job went Completed. It must then write Completed. Before the fix it
+// wrote the Running it had snapshotted on the way in, and a terminal set
+// could persist a live job.
 func TestJobDocWriteCarriesStateAtWriteTime(t *testing.T) {
-	home := &loadHookHome{}
+	home := &hookHome{}
 	h := newSSHarnessCfg(t, nil, nil, func(cfg *Config) {
 		home.ResourceHome = cfg.Home
 		cfg.Home = home
@@ -344,7 +362,7 @@ func TestJobDocWriteCarriesStateAtWriteTime(t *testing.T) {
 	}
 
 	// The started handler's write is under way when the exit lands.
-	home.onLoad = func() {
+	home.onLookup = func() {
 		r.mu.Lock()
 		r.st.jobs[0].state = JobCompleted
 		r.mu.Unlock()
@@ -353,49 +371,59 @@ func TestJobDocWriteCarriesStateAtWriteTime(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	states := func() map[string]string {
-		doc, err := home.ResourceHome.Load(r.id)
+	// What a reader is shown: the materialised document.
+	read := func() (string, map[string]string) {
+		doc, err := h.ss.WSRF().Home().Load(r.id)
 		if err != nil {
 			t.Fatal(err)
 		}
+		v := ParseJobSetDocument(doc)
 		out := make(map[string]string)
-		for _, j := range ParseJobSetDocument(doc).Jobs {
+		for _, j := range v.Jobs {
 			out[j.Name] = j.Status
 		}
-		return out
+		return v.Status, out
 	}
-	if got := states(); got["j"] != JobCompleted || got["k"] != JobPending {
+	if _, got := read(); got["j"] != JobCompleted || got["k"] != JobPending {
 		t.Fatalf("delayed write persisted %v, want j=%s (the state at write time) and k untouched", got, JobCompleted)
 	}
 
-	// A transition that touches every job is one write of their current
-	// states.
+	// A transition that touches every job writes each job once, in its
+	// current state, and no document.
 	r.mu.Lock()
 	r.st.jobs[1].state = JobCancelled
 	r.mu.Unlock()
-	before := home.loads
+	home.rows, home.docs = 0, 0
 	if err := h.ss.persist(r, effects{touched: []int{0, 1}}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if got := states(); got["j"] != JobCompleted || got["k"] != JobCancelled {
+	if _, got := read(); got["j"] != JobCompleted || got["k"] != JobCancelled {
 		t.Fatalf("all-jobs write persisted %v", got)
 	}
-	if n := home.loads - before; n != 1 {
-		t.Fatalf("all-jobs write rewrote the document %d times, want 1", n)
+	if home.rows != 2 || home.docs != 0 {
+		t.Fatalf("a job-level write of two jobs wrote %d rows and %d documents, want 2 and 0", home.rows, home.docs)
 	}
 
 	// Another transition's write lands ahead of the terminal transition's
-	// own, after the verdict is in memory: it carries the verdict, so it
-	// must carry every job's state too — a crash right after it would
-	// otherwise leave a Failed set over a live job (simgrid seed 11).
+	// own, after the verdict is in memory. It writes its job and not the
+	// verdict: a crash right after it would otherwise leave a Failed set
+	// over a live job (simgrid seed 11). The verdict goes out with the
+	// terminal transition's write, on top of every job's state — its own
+	// touched list does not matter.
 	r.mu.Lock()
 	r.st.status, r.st.jobs[1].state = SetFailed, JobFailed
 	r.mu.Unlock()
 	if err := h.ss.persist(r, effects{touched: []int{0}}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if got := states(); got["k"] != JobFailed {
-		t.Fatalf("a write carrying a terminal status persisted %v, want every job's state", got)
+	if status, got := read(); status != SetRunning {
+		t.Fatalf("a job-level write carried the verdict: %s over %v", status, got)
+	}
+	if err := h.ss.persist(r, effects{status: true}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if status, got := read(); status != SetFailed || got["k"] != JobFailed {
+		t.Fatalf("the terminal write persisted %s over %v, want every job's state under the verdict", status, got)
 	}
 }
 

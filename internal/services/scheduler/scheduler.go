@@ -151,6 +151,7 @@ const (
 // Service is the Scheduler Service.
 type Service struct {
 	svc          *wsrf.Service
+	home         *jobSetHome // svc's home: how a job set is laid out in cfg.Home
 	client       *transport.Client
 	nis          wsa.EndpointReference
 	broker       wsa.EndpointReference
@@ -393,23 +394,36 @@ func (s *Service) perform(ctx context.Context, r *run, fx effects, inHand *xmlut
 	return err
 }
 
-// persist is the one writer of lifecycle state into a job-set document:
-// status and the touched jobs' attributes, rendered from the state as it
-// is when the write holds the resource (resource lock, then r.mu — a WSRF
-// method's order), never from a snapshot taken before: that could wait
-// behind a later transition's write and land on top of it, a terminal
-// set persisting a Running job. A parked run writes nothing — its
-// document is another owner's — except the eviction write that parks it.
+// persist is the one writer of lifecycle state into a job set's storage: a
+// job-level transition writes the touched jobs' rows, one that changes the
+// set status (or has the document in hand) the document. Either renders
+// from the state as it is when the write holds the resource (resource
+// lock, then r.mu — a WSRF method's order), never from a snapshot taken
+// before: that could wait behind a later transition's write and land on
+// top of it. A parked run writes nothing — its set is another owner's —
+// except the eviction write that parks it.
 func (s *Service) persist(r *run, fx effects, inHand *xmlutil.Element) error {
-	return s.write(r.id, inHand, func(doc *xmlutil.Element) error {
+	var rows []*xmlutil.Element
+	render := func(doc *xmlutil.Element) error {
 		r.mu.Lock()
 		defer r.mu.Unlock()
 		if r.st.parked && !fx.requeue {
 			return errRunParked
 		}
-		r.st.render(doc, fx.touched)
+		rows = r.st.render(doc, fx.touched)
 		return nil
-	})
+	}
+	if fx.status || inHand != nil {
+		return s.write(r.id, inHand, render)
+	}
+	defer s.svc.LockResource(r.id)()
+	if !s.home.Exists(r.id) {
+		return noSuchSet(r.id) // destroyed: leave no row behind
+	}
+	if err := render(nil); err != nil {
+		return err
+	}
+	return s.home.saveJobs(r.id, rows)
 }
 
 // write applies fn to a job-set document: the one in hand, or the stored
@@ -460,12 +474,14 @@ func New(cfg Config) (*Service, error) {
 	if cfg.CatalogTTL == 0 {
 		cfg.CatalogTTL = DefaultCatalogTTL
 	}
-	svc, err := wsrf.NewService(wsrf.ServiceConfig{Path: ServicePath, Address: cfg.Address, Home: cfg.Home})
+	home := &jobSetHome{cfg.Home}
+	svc, err := wsrf.NewService(wsrf.ServiceConfig{Path: ServicePath, Address: cfg.Address, Home: home})
 	if err != nil {
 		return nil, err
 	}
 	s := &Service{
 		svc:          svc,
+		home:         home,
 		client:       cfg.Client,
 		nis:          cfg.NIS,
 		broker:       cfg.Broker,

@@ -536,12 +536,12 @@ func (c *Cluster) Acked() []Ack {
 
 // JobSetDocs projects every persisted job-set resource — the ground
 // truth the invariants read. In the multi-master layout the shared
-// jobsets table on the core is read directly, so crashed replicas
-// cannot hide documents.
+// jobsets table on the core is read through a scheduler's view of it but
+// no master's fence, so crashed replicas cannot hide documents.
 func (c *Cluster) JobSetDocs() []scheduler.JobSetView {
 	var home wsrf.ResourceHome
 	if c.MultiMaster() {
-		home = wsrf.NewStateHome(c.core.jobsets)
+		home = scheduler.JobSetHome(wsrf.NewStateHome(c.core.jobsets))
 	} else {
 		home = c.Scheduler().WSRF().Home()
 	}

@@ -29,6 +29,9 @@ const (
 	// the E1 baseline: the "custom interfaces for manipulating state" §5
 	// weighs standardized resource properties against.
 	actionCustomGet = nsBench + "/CustomGet"
+	// actionReadGet is the same accessor registered as a method that only
+	// reads: load → dispatch, no lock, no change detection.
+	actionReadGet = nsBench + "/ReadGet"
 	// actionStatelessEcho dispatches with no resource behind it — the F1
 	// baseline without the load/save pipeline.
 	actionStatelessEcho = nsBench + "/StatelessEcho"
@@ -72,9 +75,11 @@ func newPropertyHarness(tb testing.TB, nprops int) *propertyHarness {
 	svc.RegisterProperty(qBanner, func(ctx context.Context, inv *wsrf.Invocation) ([]*xmlutil.Element, error) {
 		return []*xmlutil.Element{xmlutil.NewElement(qBanner, "state is "+inv.Property(qProp0))}, nil
 	})
-	svc.RegisterMethod(actionCustomGet, func(ctx context.Context, inv *wsrf.Invocation, body *xmlutil.Element) (*xmlutil.Element, error) {
+	customGet := func(ctx context.Context, inv *wsrf.Invocation, body *xmlutil.Element) (*xmlutil.Element, error) {
 		return xmlutil.NewElement(qProp0, inv.Property(qProp0)), nil
-	})
+	}
+	svc.RegisterMethod(actionCustomGet, customGet)
+	svc.RegisterReadMethod(actionReadGet, customGet)
 	svc.RegisterMethod(actionMutate, func(ctx context.Context, inv *wsrf.Invocation, body *xmlutil.Element) (*xmlutil.Element, error) {
 		n, _ := strconv.Atoi(inv.Property(qCounter))
 		inv.SetProperty(qCounter, strconv.Itoa(n+1))
@@ -139,6 +144,12 @@ func (h *propertyHarness) queryComputed(ctx context.Context) error {
 // customGet performs the bespoke accessor call (E1 baseline).
 func (h *propertyHarness) customGet(ctx context.Context) error {
 	_, err := h.client.Call(ctx, h.resource, actionCustomGet, xmlutil.NewElement(qEcho, ""))
+	return err
+}
+
+// readGet is customGet through the read-only form of the pipeline.
+func (h *propertyHarness) readGet(ctx context.Context) error {
+	_, err := h.client.Call(ctx, h.resource, actionReadGet, xmlutil.NewElement(qEcho, ""))
 	return err
 }
 
@@ -263,6 +274,7 @@ func BenchmarkF1_WrapperPipeline(b *testing.B) {
 	cases := map[string]func(context.Context) error{
 		"stateless-dispatch": h.statelessEcho,
 		"load-only-read":     h.customGet,
+		"read-method":        h.readGet,
 		"load-save-mutate":   h.mutate,
 	}
 	for name, fn := range cases {

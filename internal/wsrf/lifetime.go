@@ -26,7 +26,7 @@ func (LifetimePortType) Attach(s *Service) {
 }
 
 func (s *Service) handleDestroy(ctx context.Context, inv *Invocation, body *xmlutil.Element) (*xmlutil.Element, error) {
-	if err := s.DestroyResource(inv.ResourceID); err != nil {
+	if err := s.destroy(inv.ResourceID); err != nil {
 		return nil, NewBaseFault("ResourceNotDestroyedFault", "%v", err).SOAPFault(soap.CodeReceiver)
 	}
 	inv.markDestroyed()

@@ -19,10 +19,10 @@ func (ResourcePropertiesPortType) Name() string { return "WS-ResourceProperties"
 
 // Attach implements PortType.
 func (ResourcePropertiesPortType) Attach(s *Service) {
-	s.RegisterMethod(ActionGetResourceProperty, s.handleGetResourceProperty)
-	s.RegisterMethod(ActionGetResourcePropertyDocument, s.handleGetDocument)
-	s.RegisterMethod(ActionGetMultipleResourceProperties, s.handleGetMultiple)
-	s.RegisterMethod(ActionQueryResourceProperties, s.handleQuery)
+	s.RegisterReadMethod(ActionGetResourceProperty, s.handleGetResourceProperty)
+	s.RegisterReadMethod(ActionGetResourcePropertyDocument, s.handleGetDocument)
+	s.RegisterReadMethod(ActionGetMultipleResourceProperties, s.handleGetMultiple)
+	s.RegisterReadMethod(ActionQueryResourceProperties, s.handleQuery)
 	s.RegisterMethod(ActionSetResourceProperties, s.handleSet)
 }
 

@@ -144,45 +144,68 @@ func (s *Service) RegisterProperty(name xmlutil.QName, p PropertyProvider) {
 	s.providers[name] = p
 }
 
+// How a registered method uses the resource its EPR addresses.
+type resourceUse int
+
+const (
+	noResource    resourceUse = iota // nothing is loaded
+	readResource                     // load → dispatch
+	writeResource                    // lock → load → dispatch → save if changed
+)
+
 // RegisterMethod registers an author-defined resource method: the
 // pipeline resolves and loads the addressed resource, serializes access
 // per resource, runs fn, and saves the document back if changed.
 func (s *Service) RegisterMethod(action string, fn MethodFunc) {
-	s.dispatcher.Register(action, func(ctx context.Context, req *soap.Envelope) (*soap.Envelope, error) {
-		return s.invokeWithResource(ctx, req, fn, true)
-	})
+	s.register(action, fn, writeResource)
+}
+
+// RegisterReadMethod registers a resource method that only reads: it is
+// handed the last saved document without waiting for the resource's lock
+// — which a writer holds across its journal commit — and nothing is saved
+// back, so whatever fn does to the document is dropped.
+func (s *Service) RegisterReadMethod(action string, fn MethodFunc) {
+	s.register(action, fn, readResource)
 }
 
 // RegisterServiceMethod registers a method that does not address a
 // resource (factories, queries across resources). No state is loaded.
 func (s *Service) RegisterServiceMethod(action string, fn MethodFunc) {
+	s.register(action, fn, noResource)
+}
+
+func (s *Service) register(action string, fn MethodFunc, use resourceUse) {
 	s.dispatcher.Register(action, func(ctx context.Context, req *soap.Envelope) (*soap.Envelope, error) {
-		return s.invokeWithResource(ctx, req, fn, false)
+		return s.invokeWithResource(ctx, req, fn, use)
 	})
 }
 
 // invokeWithResource is the wrapper pipeline (paper Fig. 1): resolve the
-// EPR, lock + load, dispatch, save-if-changed.
-func (s *Service) invokeWithResource(ctx context.Context, req *soap.Envelope, fn MethodFunc, needResource bool) (*soap.Envelope, error) {
+// EPR, lock + load, dispatch, save-if-changed — the lock, the change
+// detection and the save only for methods that may write.
+func (s *Service) invokeWithResource(ctx context.Context, req *soap.Envelope, fn MethodFunc, use resourceUse) (*soap.Envelope, error) {
 	info, _ := wsa.FromContext(ctx)
 	inv := &Invocation{Service: s, Info: info, Req: req}
 	inv.ResourceID = info.To.Property(QResourceID)
 
-	if needResource {
+	if use != noResource {
 		if inv.ResourceID == "" {
 			return nil, NewBaseFault("ResourceUnknownFault", "invocation does not address a resource (missing ResourceID reference property)").SOAPFault(soap.CodeSender)
 		}
 		if s.home == nil {
 			return nil, soap.ReceiverFault("wsrf: service %s has no resource home", s.path)
 		}
-		release := s.locks.acquire(inv.ResourceID)
-		defer release()
+		if use == writeResource {
+			defer s.locks.acquire(inv.ResourceID)()
+		}
 		doc, err := s.home.Load(inv.ResourceID)
 		if err != nil {
 			return nil, resourceFault(err)
 		}
 		inv.Doc = doc
-		inv.pristine = doc.Clone()
+		if use == writeResource {
+			inv.pristine = doc.Clone()
+		}
 	}
 
 	ctx = invocationContext(ctx, inv)
@@ -191,7 +214,7 @@ func (s *Service) invokeWithResource(ctx context.Context, req *soap.Envelope, fn
 		return nil, err
 	}
 
-	if needResource && !inv.destroyed && inv.Doc != nil && !inv.Doc.Equal(inv.pristine) {
+	if use == writeResource && !inv.destroyed && inv.Doc != nil && !inv.Doc.Equal(inv.pristine) {
 		if err := s.home.Save(inv.ResourceID, inv.Doc); err != nil {
 			return nil, soap.ReceiverFault("wsrf: save resource state: %v", err)
 		}
@@ -220,8 +243,16 @@ func (s *Service) CreateResource(id string, initial *xmlutil.Element) (wsa.Endpo
 	return s.EPRFor(id), nil
 }
 
-// DestroyResource removes a resource and runs destroy hooks.
+// DestroyResource removes a resource and runs destroy hooks, under the
+// invocation lock: a destroy never lands inside another writer's
+// load → save.
 func (s *Service) DestroyResource(id string) error {
+	defer s.locks.acquire(id)()
+	return s.destroy(id)
+}
+
+// destroy is DestroyResource for a caller that holds the resource's lock.
+func (s *Service) destroy(id string) error {
 	if s.home == nil {
 		return fmt.Errorf("wsrf: service %s has no resource home", s.path)
 	}
@@ -243,6 +274,11 @@ func (s *Service) LoadResource(id string) (*xmlutil.Element, error) {
 	return s.home.Load(id)
 }
 
+// LockResource takes a resource's invocation lock and loads nothing —
+// for a service whose home keeps one resource in several rows and
+// rewrites one of them. The caller runs the returned release.
+func (s *Service) LockResource(id string) (release func()) { return s.locks.acquire(id) }
+
 // UpdateResource applies fn to a resource's state under the invocation
 // lock and persists the result — for server-internal state transitions
 // (a notification arriving marks a job Exited).
@@ -250,8 +286,7 @@ func (s *Service) UpdateResource(id string, fn func(doc *xmlutil.Element) error)
 	if s.home == nil {
 		return fmt.Errorf("wsrf: service %s has no resource home", s.path)
 	}
-	release := s.locks.acquire(id)
-	defer release()
+	defer s.locks.acquire(id)()
 	doc, err := s.home.Load(id)
 	if err != nil {
 		return err

@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"sync"
 	"testing"
+	"time"
 
 	"uvacg/internal/resourcedb"
 	"uvacg/internal/soap"
@@ -266,6 +267,66 @@ func TestWrapperPipelineSavesOnlyChanges(t *testing.T) {
 	// The change persisted.
 	if got, _ := rc.GetPropertyText(ctx, qCPUTime); got != "11" {
 		t.Fatalf("persisted cpu = %q", got)
+	}
+}
+
+// TestReadMethodsTakeNoLockAndSaveNothing: a method registered as
+// read-only — the four WS-ResourceProperties reads are — returns while a
+// writer holds the resource, passes reply attachments through like any
+// method, and whatever it does to the document it was handed is dropped.
+func TestReadMethodsTakeNoLockAndSaveNothing(t *testing.T) {
+	h := newHarness(t)
+	const actionPeek = nsJob + "/Peek"
+	h.svc.RegisterReadMethod(actionPeek, func(ctx context.Context, inv *Invocation, body *xmlutil.Element) (*xmlutil.Element, error) {
+		inv.SetProperty(qStatus, "scribbled")
+		return xmlutil.NewContainer(qCount, inv.Attach([]byte("payload"))), nil
+	})
+	rc := h.mustCreate(t, "job-1")
+	ctx := context.Background()
+
+	release := h.svc.LockResource("job-1") // a writer inside its journal commit
+	read := make(chan error, 1)
+	go func() {
+		read <- func() error {
+			resp, err := h.client.Invoke(ctx, rc.EPR(), actionPeek, soap.New(xmlutil.NewElement(qIncr, "")))
+			if err != nil {
+				return err
+			}
+			if data, err := resp.ContentBytes(resp.Body); err != nil || string(data) != "payload" {
+				return fmt.Errorf("reply attachment = %q %v", data, err)
+			}
+			if _, err := rc.GetProperty(ctx, qStatus); err != nil {
+				return err
+			}
+			if _, err := rc.GetDocument(ctx); err != nil {
+				return err
+			}
+			if _, err := rc.GetMultiple(ctx, qStatus, qCPUTime); err != nil {
+				return err
+			}
+			_, err = rc.Query(ctx, "/Status")
+			return err
+		}()
+	}()
+	select {
+	case err := <-read:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("read-only methods waited for the resource's lock")
+	}
+	release()
+
+	if loads, saves := h.home.counts(); loads != 5 || saves != 0 {
+		t.Fatalf("five reads: loads=%d saves=%d", loads, saves)
+	}
+	if got, _ := rc.GetPropertyText(ctx, qStatus); got != "Running" {
+		t.Fatalf("a read-only method's change was saved: status %q", got)
+	}
+	_, err := h.client.Call(ctx, h.svc.EPRFor("no-such-job"), actionPeek, xmlutil.NewElement(qIncr, ""))
+	if bf, ok := BaseFaultFromError(err); !ok || bf.ErrorCode != "ResourceUnknownFault" {
+		t.Fatalf("want ResourceUnknownFault, got %v", err)
 	}
 }
 

@@ -5,7 +5,9 @@
 #    directory, submit a two-stage job set, SIGKILL the master while the
 #    first job is mid-compute, restart it against the same -data-dir, and
 #    require the job set to resume (scheduler.Recover over the replayed
-#    store) and complete, outputs fetched.
+#    store) and complete, outputs fetched — and the job-set resource a
+#    client reads afterwards (wsrfget, JobState) to be the whole set:
+#    both jobs Completed, each with its directory.
 # 2. The client dies: submit the job set again with gridsub -data-dir,
 #    SIGKILL gridsub while gen computes, rerun the same command, and
 #    require it to resume the journaled submission, sum — whose
@@ -33,7 +35,7 @@ cleanup() {
 trap cleanup EXIT
 
 cd "$ROOT"
-go build -o "$BIN/" ./cmd/gridmaster ./cmd/gridnode ./cmd/gridsub
+go build -o "$BIN/" ./cmd/gridmaster ./cmd/gridnode ./cmd/gridsub ./cmd/wsrfget
 
 mkdir -p "$WORK/jobset"
 cat >"$WORK/jobset/gen.app" <<'EOF'
@@ -77,7 +79,7 @@ sleep 1
 
 echo "== submitting job set"
 "$BIN/gridsub" -master "$MASTER_URL" -jobset "$WORK/jobset/crash.jobset" \
-  -out "$WORK" -timeout 120s &
+  -out "$WORK" -timeout 120s 2>"$WORK/submit.log" &
 SUB_PID=$!
 
 # gen computes ~5s on the node; kill the master squarely mid-job.
@@ -90,14 +92,27 @@ echo "== restarting gridmaster with the same -data-dir"
 "$BIN/gridmaster" -addr "$MASTER_ADDR" -data-dir "$DATA" &
 
 if ! wait "$SUB_PID"; then
+  cat "$WORK/submit.log" >&2
   echo "FAIL: gridsub did not complete after master restart" >&2
   exit 1
 fi
+cat "$WORK/submit.log" >&2
 if [ ! -s "$WORK/sum.total.txt" ]; then
   echo "FAIL: fetched output sum.total.txt missing or empty" >&2
   exit 1
 fi
-echo "OK: job set resumed after SIGKILL; total = $(cat "$WORK/sum.total.txt")"
+# What a client reads now was journaled partly before the kill and partly
+# after the replay, a job at a time: it must still be the one document.
+SET_EPR="$(sed -n 's/.*submitted "crashsmoke" as \(.*\) (topic .*/\1/p' "$WORK/submit.log")"
+STATES="$("$BIN/wsrfget" -epr "$SET_EPR" -prop '{urn:uvacg:ss}JobState')"
+for job in gen sum; do
+  if ! grep "name=\"$job\"" <<<"$STATES" | grep 'status="Completed"' | grep -q 'dir="'; then
+    echo "$STATES" >&2
+    echo "FAIL: the job-set resource does not show $job Completed with a directory" >&2
+    exit 1
+  fi
+done
+echo "OK: job set resumed after SIGKILL; total = $(cat "$WORK/sum.total.txt"); JobState lists gen and sum Completed"
 
 echo "== phase 2: submitting again with a journaled gridsub"
 mkdir -p "$WORK/out2"
