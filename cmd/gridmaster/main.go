@@ -137,14 +137,13 @@ func main() {
 	}
 	srv := transport.NewServer(m.Mux)
 	srv.Use(host.Interceptors()...)
-	base, stop, err := host.ListenHTTP(srv, *addr)
+	base, stop, err := host.ListenHTTP(srv, *addr, address)
 	if err != nil {
 		log.Fatal(err)
 	}
 	startCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	resumed, err := m.Start(startCtx)
 	cancel()
-	defer m.Stop()
 	if err != nil {
 		log.Printf("start: %v", err)
 	}
@@ -169,9 +168,7 @@ func main() {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
-	host.Close()
-	stop()
-	host.DumpMetrics(os.Stderr)
+	host.Shutdown(stop, m.Stop, os.Stderr)
 	if host.Metrics != nil && ssCfg.Admission != nil {
 		ssCfg.Admission.Dump(os.Stderr)
 	}

@@ -51,10 +51,11 @@ func main() {
 		log.Fatal(err)
 	}
 
+	address := daemon.Advertised(*hostName, *addr)
 	nisEPR := wsa.NewEPR(*masterURL + "/NodeInfoService")
 	n, err := node.New(node.Config{
 		Name:                 *name,
-		Address:              daemon.Advertised(*hostName, *addr),
+		Address:              address,
 		Client:               host.Client,
 		Cores:                *cores,
 		SpeedMHz:             *speed,
@@ -70,7 +71,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	base, stop, err := host.ListenHTTP(n.Server(), *addr)
+	base, stop, err := host.ListenHTTP(n.Server(), *addr, address)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -87,8 +88,5 @@ func main() {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
-	n.Stop()
-	host.Close()
-	stop()
-	host.DumpMetrics(os.Stderr)
+	host.Shutdown(stop, n.Stop, os.Stderr)
 }

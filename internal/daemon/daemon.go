@@ -119,20 +119,39 @@ func (h *Host) Interceptors() []soap.Interceptor {
 	return ics
 }
 
-// ListenHTTP serves srv on addr. stop drains in-flight requests for up
-// to five seconds.
-func (h *Host) ListenHTTP(srv *transport.Server, addr string) (baseURL string, stop func(), err error) {
+// ListenHTTP serves srv on addr and, in the same act, tells h.Client that
+// the listener's base URL and every advertised one (what the host's EPRs
+// carry: Advertised) are this process: co-located services reach each
+// other through the same envelope and both interceptor chains, without a
+// socket. stop removes the route first — a self-call then fails like a
+// closed port — and drains in-flight requests for up to five seconds.
+func (h *Host) ListenHTTP(srv *transport.Server, addr string, advertised ...string) (baseURL string, stop func(), err error) {
 	baseURL, shutdown, err := transport.ListenHTTP(srv, addr)
 	if err != nil {
 		return "", nil, err
 	}
+	unroute := h.Client.Colocate(srv, append(advertised, baseURL)...)
 	return baseURL, func() {
+		unroute()
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		if err := shutdown(ctx); err != nil {
 			log.Printf("shutdown: %v", err)
 		}
 	}, nil
+}
+
+// Shutdown is the one order a daemon goes down in. The listener and its
+// route go first (stop, from ListenHTTP), so nothing new is accepted and
+// what is inside drains against a store that still journals; then the
+// host's background work (stopServices: Master.Stop, Node.Stop); then the
+// store; the -metrics dump stays last, the benchmark rig parses it after
+// exit.
+func (h *Host) Shutdown(stop, stopServices func(), metrics io.Writer) {
+	stop()
+	stopServices()
+	h.Close()
+	h.DumpMetrics(metrics)
 }
 
 // Close folds the WAL into a snapshot, so the next start replays

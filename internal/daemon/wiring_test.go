@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -14,9 +16,14 @@ import (
 	"uvacg/internal/daemon"
 	"uvacg/internal/master"
 	"uvacg/internal/node"
+	"uvacg/internal/pipeline"
+	"uvacg/internal/resourcedb"
 	"uvacg/internal/services/scheduler"
+	"uvacg/internal/soap"
 	"uvacg/internal/transport"
 	"uvacg/internal/wsa"
+	"uvacg/internal/wsn"
+	"uvacg/internal/xmlutil"
 )
 
 // freeAddr asks the kernel for an unused loopback port. A daemon needs
@@ -35,6 +42,15 @@ func freeAddr(t *testing.T) string {
 // openHost parses args as a grid binary would and opens its plumbing.
 func openHost(t *testing.T, args ...string) *daemon.Host {
 	t.Helper()
+	host := openHostUnclosed(t, args...)
+	t.Cleanup(host.Close)
+	return host
+}
+
+// openHostUnclosed is openHost for a test that takes the host down
+// itself.
+func openHostUnclosed(t *testing.T, args ...string) *daemon.Host {
+	t.Helper()
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	flags := daemon.RegisterFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -44,8 +60,78 @@ func openHost(t *testing.T, args ...string) *daemon.Host {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(host.Close)
 	return host
+}
+
+// dialRecorder wraps a host's http binding and notes every address that
+// actually went to a socket.
+type dialRecorder struct {
+	transport.RoundTripper
+	mu    sync.Mutex
+	addrs []string
+}
+
+func (d *dialRecorder) note(addr string) {
+	d.mu.Lock()
+	d.addrs = append(d.addrs, addr)
+	d.mu.Unlock()
+}
+
+func (d *dialRecorder) RoundTrip(ctx context.Context, addr string, request []byte) ([]byte, error) {
+	d.note(addr)
+	return d.RoundTripper.RoundTrip(ctx, addr, request)
+}
+
+func (d *dialRecorder) Send(ctx context.Context, addr string, request []byte) error {
+	d.note(addr)
+	return d.RoundTripper.Send(ctx, addr, request)
+}
+
+// recordDials installs a dialRecorder on host's http scheme; call before
+// the client carries traffic.
+func recordDials(host *daemon.Host) *dialRecorder {
+	rec := &dialRecorder{}
+	host.Client.WrapSchemes(func(scheme string, rt transport.RoundTripper) transport.RoundTripper {
+		if scheme != "http" {
+			return nil
+		}
+		rec.RoundTripper = rt
+		return rec
+	})
+	return rec
+}
+
+// dialled splits what the recorder saw into addresses under base and the
+// rest.
+func (d *dialRecorder) dialled(base string) (own, others []string) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for _, addr := range d.addrs {
+		if strings.HasPrefix(addr, base+"/") {
+			own = append(own, addr)
+		} else {
+			others = append(others, addr)
+		}
+	}
+	return own, others
+}
+
+// sideCounter is an interceptor for both chains of a host that counts the
+// messages addressed to one service path by the side they passed on.
+type sideCounter struct {
+	path           string
+	client, server atomic.Int64
+}
+
+func (c *sideCounter) intercept(ctx context.Context, call *soap.CallInfo, next soap.Handler) (*soap.Envelope, error) {
+	if call.Path == c.path {
+		if call.Side == soap.ClientSide {
+			c.client.Add(1)
+		} else {
+			c.server.Add(1)
+		}
+	}
+	return next(ctx, call)
 }
 
 // TestShippedWiringRunsDemoJobSet stands a grid up the way the binaries
@@ -55,10 +141,18 @@ func openHost(t *testing.T, args ...string) *daemon.Host {
 // set through it with the client wired as cmd/gridsub wires it: gen on
 // one machine, sum staged from it over soap.tcp and HTTP, the total
 // fetched back.
+//
+// Neither the master nor a node may ever open a socket to itself while it
+// does: Host.ListenHTTP told each client which base is its own process.
+// The broker's Notify to the co-hosted /SchedulerConsumer must all the
+// same pass the client chain and the server chain, metrics included.
 func TestShippedWiringRunsDemoJobSet(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	mhost := openHost(t, "-data-dir", t.TempDir(), "-fsync=false", "-metrics")
+	masterDials := recordDials(mhost)
+	consumer := &sideCounter{path: "/SchedulerConsumer"}
+	mhost.Client.Use(consumer.intercept)
 	maddr := freeAddr(t)
 	masterURL := daemon.Advertised("127.0.0.1", maddr)
 	m, err := master.Assemble(master.Config{
@@ -73,7 +167,8 @@ func TestShippedWiringRunsDemoJobSet(t *testing.T) {
 	}
 	srv := transport.NewServer(m.Mux)
 	srv.Use(mhost.Interceptors()...)
-	_, stop, err := mhost.ListenHTTP(srv, maddr)
+	srv.Use(consumer.intercept)
+	_, stop, err := mhost.ListenHTTP(srv, maddr, masterURL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,12 +178,15 @@ func TestShippedWiringRunsDemoJobSet(t *testing.T) {
 	}
 	t.Cleanup(m.Stop)
 
+	nodeDials := make(map[string]*dialRecorder) // by the node's own base
 	for _, name := range []string{"win-a", "win-b"} {
 		nhost := openHost(t, "-data-dir", t.TempDir(), "-fsync=false")
 		naddr := freeAddr(t)
+		nodeURL := daemon.Advertised("127.0.0.1", naddr)
+		nodeDials[nodeURL] = recordDials(nhost)
 		n, err := node.New(node.Config{
 			Name:         name,
-			Address:      daemon.Advertised("127.0.0.1", naddr),
+			Address:      nodeURL,
 			Client:       nhost.Client,
 			Cores:        2,
 			Broker:       wsa.NewEPR(masterURL + "/NotificationBroker"),
@@ -99,7 +197,7 @@ func TestShippedWiringRunsDemoJobSet(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, stop, err := nhost.ListenHTTP(n.Server(), naddr)
+		_, stop, err := nhost.ListenHTTP(n.Server(), naddr, nodeURL)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,5 +254,132 @@ func TestShippedWiringRunsDemoJobSet(t *testing.T) {
 	}
 	if got := strings.TrimSpace(string(total)); got != "100" {
 		t.Fatalf("sum/total.txt = %q, want 100", got)
+	}
+
+	// Every daemon talked to the others over sockets and to itself over
+	// none.
+	nodeDials[masterURL] = masterDials
+	for base, rec := range nodeDials {
+		own, others := rec.dialled(base)
+		if len(own) > 0 {
+			t.Errorf("%s opened a socket to itself %d time(s): %v", base, len(own), own)
+		}
+		if len(others) == 0 {
+			t.Errorf("%s dialled nobody: the recorder is not on the path the daemons use", base)
+		}
+	}
+	// The broker → /SchedulerConsumer self-call: as many messages entered
+	// the server chain as left the client chain (one-way deliveries may
+	// still be landing), and the -metrics table counted both halves.
+	deadline := time.Now().Add(5 * time.Second)
+	for consumer.server.Load() < consumer.client.Load() && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	sent, handled := consumer.client.Load(), consumer.server.Load()
+	if sent == 0 || sent != handled {
+		t.Fatalf("/SchedulerConsumer: %d Notify left the master's client chain, %d reached its server chain", sent, handled)
+	}
+	deadline = time.Now().Add(5 * time.Second)
+	row := pipeline.Key{Path: "/SchedulerConsumer", Action: wsn.ActionNotify}
+	for mhost.Metrics.Snapshot()[row].Calls < uint64(sent+handled) && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if got := mhost.Metrics.Snapshot()[row].Calls; got != uint64(sent+handled) {
+		t.Fatalf("-metrics row %v counts %d calls, want %d client-side + %d server-side", row, got, sent, handled)
+	}
+}
+
+// TestColocatedShutdownDrainsBeforeTheStoreCloses: Host.Shutdown takes the
+// listener and the route away first — a self-call then fails like a
+// closed port — and closes the store only after the requests already
+// inside have drained, so a handler that was mid-request when shutdown
+// began still commits its journaled write. (With the store closed first,
+// as both mains had it, that write faults.)
+func TestColocatedShutdownDrainsBeforeTheStoreCloses(t *testing.T) {
+	dir := t.TempDir()
+	host := openHostUnclosed(t, "-data-dir", dir, "-fsync=false", "-metrics")
+	rows := host.Store.MustTable("rows", resourcedb.BlobCodec{})
+	qRow := xmlutil.Q("urn:uvacg:test", "Row")
+
+	entered, release := make(chan struct{}), make(chan struct{})
+	d := soap.NewDispatcher()
+	d.Register("urn:SlowWrite", func(ctx context.Context, req *soap.Envelope) (*soap.Envelope, error) {
+		close(entered)
+		<-release
+		return nil, rows.Put("late", xmlutil.NewElement(qRow, "written while draining"))
+	})
+	d.Register("urn:Ping", func(ctx context.Context, req *soap.Envelope) (*soap.Envelope, error) { return nil, nil })
+	mux := soap.NewMux()
+	mux.Handle("/Svc", d)
+	srv := transport.NewServer(mux)
+	srv.Use(host.Interceptors()...)
+	// The advertised name is a loopback port nothing listens on, so only
+	// the route can answer it.
+	const advertised = "http://127.0.0.1:1"
+	base, stop, err := host.ListenHTTP(srv, "127.0.0.1:0", advertised)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	ping := func(addr string) error {
+		_, err := host.Client.Call(ctx, wsa.NewEPR(addr+"/Svc"), "urn:Ping", nil)
+		return err
+	}
+	// Both names of the listener are this process while it is up.
+	for _, addr := range []string{base, advertised} {
+		if err := ping(addr); err != nil {
+			t.Fatalf("self-call to %s before shutdown: %v", addr, err)
+		}
+	}
+
+	// A peer's request is inside the handler when the signal arrives.
+	slow := make(chan error, 1)
+	go func() {
+		_, err := transport.NewClient().Call(ctx, wsa.NewEPR(base+"/Svc"), "urn:SlowWrite", nil)
+		slow <- err
+	}()
+	<-entered
+	var order []string
+	var metrics strings.Builder
+	down := make(chan struct{})
+	go func() {
+		defer close(down)
+		host.Shutdown(func() { stop(); order = append(order, "listener") }, func() { order = append(order, "services") }, &metrics)
+	}()
+	// The route goes first: the own base now fails like a closed port,
+	// while the request that was already inside is still being waited for.
+	deadline := time.Now().Add(5 * time.Second)
+	for ping(base) == nil {
+		if time.Now().After(deadline) {
+			t.Fatal("own base still answers after shutdown began")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	select {
+	case <-down:
+		t.Fatal("Shutdown returned with a request still inside")
+	default:
+	}
+	close(release)
+	if err := <-slow; err != nil {
+		t.Fatalf("the request that was inside when shutdown began faulted: %v", err)
+	}
+	<-down
+	if strings.Join(order, ",") != "listener,services" {
+		t.Fatalf("shutdown order %v, want listener then services", order)
+	}
+	if err := rows.Put("after", xmlutil.NewElement(qRow, "x")); err == nil {
+		t.Fatal("the store still journals after Shutdown")
+	}
+	if !strings.Contains(metrics.String(), "urn:SlowWrite") {
+		t.Fatalf("-metrics dump lacks the drained request:\n%s", metrics.String())
+	}
+	reopened, err := resourcedb.OpenDurable(dir, resourcedb.DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	if doc, ok, err := reopened.Store.MustTable("rows", resourcedb.BlobCodec{}).Get("late"); err != nil || !ok || doc.Text != "written while draining" {
+		t.Fatalf("the drained write is not in the journal: %v %v %v", doc, ok, err)
 	}
 }

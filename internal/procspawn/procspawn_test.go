@@ -3,6 +3,8 @@ package procspawn
 import (
 	"context"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -461,5 +463,98 @@ func TestCoreContentionSlowsProcesses(t *testing.T) {
 	// (ideal 4x; accept >2x to stay robust under scheduler noise).
 	if crowd < solo*2 {
 		t.Fatalf("no contention: solo=%v crowd=%v", solo, crowd)
+	}
+}
+
+// scanRunning is RunningCount the way it used to be computed: every
+// process the spawner knows, asked for its state.
+func scanRunning(sp *Spawner) int {
+	n := 0
+	for _, pid := range sp.PIDs() {
+		if p, ok := sp.Process(pid); ok && p.State() == StateRunning {
+			n++
+		}
+	}
+	return n
+}
+
+// TestRunningCountMatchesScan: the counter moves where a process's state
+// moves, so whenever the spawner is quiet it equals a scan, and while
+// processes spawn, exit, are killed and are reaped on several goroutines
+// (with the utilization monitor's hook reading it on every change) it
+// never leaves [0, spawned].
+func TestRunningCountMatchesScan(t *testing.T) {
+	fs := vfs.New()
+	dir, err := fs.MkdirUnique("/grid", "job")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sp *Spawner
+	var spawned atomic.Int64
+	sp, err = NewSpawner(Config{FS: fs, Cores: 2, SpeedMHz: 2000, UnitTime: 10 * time.Microsecond,
+		OnChange: func() {
+			if n := int64(sp.RunningCount()); n < 0 || n > spawned.Load() {
+				t.Errorf("RunningCount = %d with %d spawned", n, spawned.Load())
+			}
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stage(t, fs, dir, "quick", BuildScript("exit 0"))
+	stage(t, fs, dir, "long", BuildScript("compute 100000000", "exit 0"))
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	spawn := func(exe string) *Process {
+		spawned.Add(1)
+		p, err := sp.Spawn(SpawnSpec{Executable: exe, WorkingDir: dir})
+		if err != nil {
+			t.Error(err)
+		}
+		return p
+	}
+
+	var held []*Process
+	for i := 0; i < 3; i++ {
+		held = append(held, spawn("long"))
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 25; i++ {
+				exe := "quick"
+				if (g+i)%3 == 0 {
+					exe = "long"
+				}
+				p := spawn(exe)
+				if p == nil {
+					return
+				}
+				p.Kill() // a no-op on a quick one that already exited
+				if _, err := p.Wait(ctx); err != nil {
+					t.Error(err)
+				}
+				if i%2 == 0 && !sp.Reap(p.PID) {
+					t.Errorf("reap of finished pid %d refused", p.PID)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if got, scan := sp.RunningCount(), scanRunning(sp); got != len(held) || scan != len(held) {
+		t.Fatalf("quiet spawner: RunningCount = %d, scan = %d, want %d held", got, scan, len(held))
+	}
+	for _, p := range held {
+		p.Kill()
+		if _, err := p.Wait(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, scan := sp.RunningCount(), scanRunning(sp); got != 0 || scan != 0 {
+		t.Fatalf("after the last exit: RunningCount = %d, scan = %d", got, scan)
+	}
+	if sp.Load() != 0 {
+		t.Fatalf("Load = %d on an idle spawner", sp.Load())
 	}
 }

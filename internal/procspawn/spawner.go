@@ -59,6 +59,9 @@ type Config struct {
 type Spawner struct {
 	cfg     Config
 	nextPID int64
+	// running counts processes in StateRunning; it moves where a
+	// Process's state moves, so RunningCount never scans procs.
+	running atomic.Int64
 
 	mu       sync.RWMutex
 	procs    map[int64]*Process
@@ -137,6 +140,7 @@ func (s *Spawner) Spawn(spec SpawnSpec) (*Process, error) {
 	}
 	s.mu.Lock()
 	s.procs[p.PID] = p
+	s.running.Add(1)
 	s.mu.Unlock()
 	s.notifyChange()
 
@@ -218,6 +222,7 @@ loop:
 		p.state = StateExited
 		p.exitCode = exitCode
 	}
+	s.running.Add(-1)
 	p.mu.Unlock()
 }
 
@@ -293,17 +298,7 @@ func (s *Spawner) Load() int {
 }
 
 // RunningCount reports how many processes are currently running.
-func (s *Spawner) RunningCount() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	n := 0
-	for _, p := range s.procs {
-		if p.State() == StateRunning {
-			n++
-		}
-	}
-	return n
-}
+func (s *Spawner) RunningCount() int { return int(s.running.Load()) }
 
 // PIDs lists all known processes, sorted.
 func (s *Spawner) PIDs() []int64 {

@@ -19,9 +19,19 @@ import (
 func TestCatalogChangedRoundTrip(t *testing.T) {
 	in := []Processor{proc("win-a", 0.25), proc("win-b", 0.75)}
 	in[0].UpdatedAt = time.Date(2026, 8, 6, 12, 0, 0, 0, time.UTC)
-	out, err := ParseCatalogChanged(CatalogChangedMessage(in))
+	msg := CatalogChangedMessage(in, 7)
+	out, err := ParseCatalogChanged(msg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if v := CatalogVersion(msg); v != 7 {
+		t.Fatalf("version %d, want 7", v)
+	}
+	// A peer from before versions stamps none: it reads as 0 and the
+	// processors still parse.
+	msg.Children = msg.Children[1:]
+	if old, err := ParseCatalogChanged(msg); err != nil || len(old) != 2 || CatalogVersion(msg) != 0 {
+		t.Fatalf("unversioned payload: %d processors, version %d, err %v", len(old), CatalogVersion(msg), err)
 	}
 	if len(out) != 2 {
 		t.Fatalf("%d processors", len(out))
@@ -96,11 +106,38 @@ func TestReportPublishesCatalogChanged(t *testing.T) {
 		if len(procs) != 1 || procs[0].Host != "win-a" || procs[0].Utilization != 0.4 {
 			t.Fatalf("pushed catalog %+v", procs)
 		}
+		if v := CatalogVersion(n.Message); v != 1 {
+			t.Fatalf("first change pushed at version %d, want 1", v)
+		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("no catalog-changed notification delivered")
 	}
 	if nis.CatalogPublishes() < 1 {
 		t.Fatalf("CatalogPublishes = %d", nis.CatalogPublishes())
+	}
+
+	// Every change of the group bumps the version, inside the update that
+	// makes it, and a poll reads processors and version from one load.
+	for i, util := range []float64{0.5, 0.6} {
+		if _, err := client.Call(ctx, nis.EPR(), ActionReport, ReportRequest(proc("win-b", util))); err != nil {
+			t.Fatal(err)
+		}
+		procs, version, err := GetCatalogVia(ctx, client, nis.EPR())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if version != int64(2+i) || len(procs) != 2 || procs[1].Utilization != util {
+			t.Fatalf("after report %d: version %d, catalog %+v", i, version, procs)
+		}
+	}
+	// The version lives in the group document: a NIS restarted over the
+	// same home carries on from it.
+	again, err := New(Config{Address: "inproc://master", Home: nis.WSRF().Home()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, v, err := again.catalog(); err != nil || v != 3 {
+		t.Fatalf("restarted NIS stands at version %d (err %v), want 3", v, err)
 	}
 }
 

@@ -61,7 +61,29 @@ var (
 	qUtilization      = xmlutil.Q(NS, "Utilization")
 	qUpdatedAt        = xmlutil.Q(NS, "UpdatedAt")
 	qCatalogChanged   = xmlutil.Q(NS, "CatalogChanged")
+	qVersion          = xmlutil.Q(NS, "Version")
 )
+
+// CatalogVersion reads the catalog version stamped on a CatalogChanged
+// payload, a GetProcessors reply or the group document itself. The NIS
+// bumps it with every change of the group, so a reader that has seen
+// version n can drop anything older that arrives later; a peer that
+// stamps none reads as 0.
+func CatalogVersion(el *xmlutil.Element) int64 {
+	v, _ := strconv.ParseInt(el.ChildText(qVersion), 10, 64)
+	return v
+}
+
+// setVersion stamps el; a child element, which a reader that does not
+// know it skips.
+func setVersion(el *xmlutil.Element, version int64) {
+	v := el.Child(qVersion)
+	if v == nil {
+		v = &xmlutil.Element{Name: qVersion}
+		el.Append(v)
+	}
+	v.Text = strconv.FormatInt(version, 10)
+}
 
 // Processor describes one machine's processors: the hardware
 // characteristics the Scheduler weighs ("CPU speed and total RAM",
@@ -207,6 +229,7 @@ func (s *Service) handleReport(ctx context.Context, inv *wsrf.Invocation, body *
 	content := processorContent(p, s.now())
 	if err := s.svc.UpdateResource(GroupResourceID, func(doc *xmlutil.Element) error {
 		wsrf.AddEntry(doc, member, content)
+		setVersion(doc, CatalogVersion(doc)+1)
 		return nil
 	}); err != nil {
 		return nil, err
@@ -223,14 +246,14 @@ func (s *Service) publishCatalogChanged(ctx context.Context) {
 	if s.client == nil || s.broker.IsZero() {
 		return
 	}
-	procs, err := s.Processors()
+	procs, version, err := s.catalog()
 	if err != nil {
 		return
 	}
 	n := wsn.Notification{
 		Topic:    catalogChangedTopic,
 		Producer: s.svc.EPRFor(GroupResourceID),
-		Message:  CatalogChangedMessage(procs),
+		Message:  CatalogChangedMessage(procs, version),
 	}
 	if wsn.PublishViaBroker(context.WithoutCancel(ctx), s.client, s.broker, n) == nil {
 		s.published.Add(1)
@@ -241,11 +264,11 @@ func (s *Service) publishCatalogChanged(ctx context.Context) {
 // reached the broker (accepted sends, not confirmed deliveries).
 func (s *Service) CatalogPublishes() int64 { return s.published.Load() }
 
-// CatalogChangedMessage renders a catalog as the notification payload
-// carried on the CatalogTopic.
-func CatalogChangedMessage(procs []Processor) *xmlutil.Element {
+// CatalogChangedMessage renders a catalog at a version as the
+// notification payload carried on the CatalogTopic.
+func CatalogChangedMessage(procs []Processor, version int64) *xmlutil.Element {
 	msg := &xmlutil.Element{Name: qCatalogChanged}
-	appendProcessors(msg, procs)
+	appendProcessors(msg, procs, version)
 	return msg
 }
 
@@ -261,19 +284,20 @@ func ParseCatalogChanged(msg *xmlutil.Element) ([]Processor, error) {
 // handleGetProcessors answers the Scheduler's poll with every catalogued
 // processor.
 func (s *Service) handleGetProcessors(ctx context.Context, inv *wsrf.Invocation, body *xmlutil.Element) (*xmlutil.Element, error) {
-	procs, err := s.Processors()
+	procs, version, err := s.catalog()
 	if err != nil {
 		return nil, soap.ReceiverFault("nis: %v", err)
 	}
 	resp := &xmlutil.Element{Name: qGetProcsResponse}
-	appendProcessors(resp, procs)
+	appendProcessors(resp, procs, version)
 	return resp, nil
 }
 
 // appendProcessors renders each processor (content plus its ES EPR) as
-// a child of parent — the wire shape shared by the GetProcessors
-// response and the catalog-changed payload.
-func appendProcessors(parent *xmlutil.Element, procs []Processor) {
+// a child of parent, stamped with the catalog version — the wire shape
+// shared by the GetProcessors response and the catalog-changed payload.
+func appendProcessors(parent *xmlutil.Element, procs []Processor, version int64) {
+	setVersion(parent, version)
 	for _, p := range procs {
 		el := processorContent(p, p.UpdatedAt)
 		el.Append(p.ES.ElementNamed(qES))
@@ -308,33 +332,47 @@ func parseProcessorElements(body *xmlutil.Element) ([]Processor, error) {
 
 // Processors reads the catalog server-side, sorted by host.
 func (s *Service) Processors() ([]Processor, error) {
+	procs, _, err := s.catalog()
+	return procs, err
+}
+
+// catalog reads the processors and the version they stand at from one
+// load of the group document.
+func (s *Service) catalog() ([]Processor, int64, error) {
 	doc, err := s.svc.LoadResource(GroupResourceID)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	entries, err := wsrf.Entries(doc)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	out := make([]Processor, 0, len(entries))
 	for _, e := range entries {
 		p, err := processorFromEntry(e)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		out = append(out, p)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Host < out[j].Host })
-	return out, nil
+	return out, CatalogVersion(doc), nil
 }
 
 // GetProcessorsVia polls a NIS over the wire (the Scheduler's step 2).
 func GetProcessorsVia(ctx context.Context, c *transport.Client, nis wsa.EndpointReference) ([]Processor, error) {
+	procs, _, err := GetCatalogVia(ctx, c, nis)
+	return procs, err
+}
+
+// GetCatalogVia is GetProcessorsVia with the version the reply stands at.
+func GetCatalogVia(ctx context.Context, c *transport.Client, nis wsa.EndpointReference) ([]Processor, int64, error) {
 	body, err := c.Call(ctx, nis, ActionGetProcessors, &xmlutil.Element{Name: qGetProcessors})
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	return parseProcessorElements(body)
+	procs, err := parseProcessorElements(body)
+	return procs, CatalogVersion(body), err
 }
 
 // ReportVia sends a one-way utilization report to a NIS — what each

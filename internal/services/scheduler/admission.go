@@ -189,7 +189,7 @@ func (s *Service) activate(ctx context.Context, e admission.Entry) {
 		s.requeueLater(e, creds)
 		return
 	}
-	s.ensureCatalogSubscription(ctx)
+	s.syncCatalog(ctx)
 	s.ensureReplicaSubscription(ctx)
 	s.publishReplicaWant(ctx, r.spec.Replicas)
 

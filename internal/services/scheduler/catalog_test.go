@@ -25,16 +25,55 @@ func catProc(host string) nodeinfo.Processor {
 }
 
 // pushCatalog feeds the scheduler a catalog-changed notification the way
-// the broker would deliver it.
-func pushCatalog(s *Service, hosts ...string) {
+// the broker would deliver it, from a NIS that stamps no version.
+func pushCatalog(s *Service, hosts ...string) { pushCatalogAt(s, 0, hosts...) }
+
+// pushCatalogAt is pushCatalog for a catalog at a version.
+func pushCatalogAt(s *Service, version int64, hosts ...string) {
 	procs := make([]nodeinfo.Processor, 0, len(hosts))
 	for _, h := range hosts {
 		procs = append(procs, catProc(h))
 	}
 	s.onNotification(context.Background(), wsn.Notification{
 		Topic:   nodeinfo.CatalogTopic + "/changed",
-		Message: nodeinfo.CatalogChangedMessage(procs),
+		Message: nodeinfo.CatalogChangedMessage(procs, version),
 	})
+}
+
+// TestCatalogKeepsHighestVersion: one-way pushes overtake each other, so
+// versions arrive 3, 1, 2 — and 3 must stand, not whichever landed last.
+// Once the cache has gone stale any version is taken again: a NIS that
+// lost its counter must not be ignored for ever.
+func TestCatalogKeepsHighestVersion(t *testing.T) {
+	h := newSSHarness(t, RoundRobin{}, nil)
+	ctx := context.Background()
+	pushCatalogAt(h.ss, 3, "v3")
+	pushCatalogAt(h.ss, 1, "v1")
+	pushCatalogAt(h.ss, 2, "v2")
+	procs, err := h.ss.processors(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(procs) != 1 || procs[0].Host != "v3" {
+		t.Fatalf("after versions 3, 1, 2 the cache holds %+v, want v3", procs)
+	}
+	if polls, pushes := h.ss.CatalogStats(); polls != 0 || pushes != 1 {
+		t.Fatalf("polls=%d pushes=%d, want 0 polls and 1 push applied", polls, pushes)
+	}
+	// The same version again (the broker redelivers) refreshes, a newer
+	// one replaces.
+	pushCatalogAt(h.ss, 3, "v3")
+	pushCatalogAt(h.ss, 4, "v4")
+	if procs, _ := h.ss.processors(ctx); len(procs) != 1 || procs[0].Host != "v4" {
+		t.Fatalf("version 4 did not replace 3: %+v", procs)
+	}
+
+	h.ss.catalogTTL = 20 * time.Millisecond
+	time.Sleep(30 * time.Millisecond)
+	pushCatalogAt(h.ss, 1, "restarted")
+	if procs, _ := h.ss.processors(ctx); len(procs) != 1 || procs[0].Host != "restarted" {
+		t.Fatalf("stale cache refused a restarted NIS's version 1: %+v", procs)
+	}
 }
 
 // TestCatalogPushFeedsDispatch: a pushed catalog satisfies the dispatch
@@ -128,29 +167,15 @@ func TestCatalogDisabledAlwaysPolls(t *testing.T) {
 	}
 }
 
-// TestSubmitPrimesCatalogFromCurrentMessage: the first submission
-// subscribes to the catalog topic and primes the cache from the broker's
-// current message (the NIS published one per registration report), so a
-// whole set can dispatch without a single GetProcessors poll.
-func TestSubmitPrimesCatalogFromCurrentMessage(t *testing.T) {
+// TestSubmitPrimesCatalogFromNISPoll: the first submission subscribes to
+// the catalog topic and primes the cache with exactly one GetProcessors
+// poll — the NIS is the authority, the broker's current message can trail
+// it — after which the whole set dispatches from the cache, and an older
+// catalog the broker still had in flight cannot displace what the poll
+// read.
+func TestSubmitPrimesCatalogFromNISPoll(t *testing.T) {
 	h := newSSHarness(t, RoundRobin{}, nil, "node-a")
 	h.files.Publish("q.app", procspawn.BuildScript("exit 0"))
-	// Catalog publishes are one-way: wait until the registration report's
-	// publish is actually stored at the broker before submitting.
-	ctx := context.Background()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		n, err := wsn.GetCurrentMessageVia(ctx, h.client, h.broker.EPR(), wsn.Simple(nodeinfo.CatalogTopic))
-		if err == nil {
-			if procs, perr := nodeinfo.ParseCatalogChanged(n.Message); perr == nil && len(procs) > 0 {
-				break
-			}
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("catalog-changed publish never reached the broker")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
 	spec := &JobSetSpec{Name: "primed", Jobs: []JobSpec{{Name: "q", Executable: "local://q.app"}}}
 	_, topic, err := h.submit(t, spec, nil)
 	if err != nil {
@@ -159,12 +184,19 @@ func TestSubmitPrimesCatalogFromCurrentMessage(t *testing.T) {
 	if got := h.waitTerminal(t, topic); got != "completed" {
 		t.Fatalf("terminal event %q", got)
 	}
-	polls, pushes := h.ss.CatalogStats()
-	if polls != 0 {
-		t.Fatalf("primed dispatch still polled the NIS %d times", polls)
+	if polls, _ := h.ss.CatalogStats(); polls != 1 {
+		t.Fatalf("NIS polled %d times, want the one priming poll", polls)
 	}
-	if pushes == 0 {
-		t.Fatal("catalog cache never fed")
+	pushCatalogAt(h.ss, 0, "trailing")
+	procs, err := h.ss.processors(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(procs) != 1 || procs[0].Host != "node-a" {
+		t.Fatalf("a version-0 push displaced the primed catalog: %+v", procs)
+	}
+	if polls, _ := h.ss.CatalogStats(); polls != 1 {
+		t.Fatalf("fresh primed cache polled again (polls = %d)", polls)
 	}
 }
 

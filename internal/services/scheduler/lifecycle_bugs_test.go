@@ -178,7 +178,7 @@ func TestConcurrentCatalogSubscribeOnce(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				<-start
-				h.ss.ensureCatalogSubscription(ctx)
+				h.ss.syncCatalog(ctx)
 			}()
 		}
 		close(start)

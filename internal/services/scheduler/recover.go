@@ -53,7 +53,7 @@ func (s *Service) recoverFiltered(ctx context.Context, accept func(name string) 
 	s.mu.Lock()
 	s.wireConsumerLocked()
 	s.mu.Unlock()
-	s.ensureCatalogSubscription(ctx)
+	s.syncCatalog(ctx)
 	s.ensureReplicaSubscription(ctx)
 	for _, id := range home.IDs() {
 		doc, err := home.Load(id)

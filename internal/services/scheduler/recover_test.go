@@ -4,6 +4,7 @@ import (
 	"context"
 	"strings"
 	"testing"
+	"time"
 
 	"uvacg/internal/procspawn"
 	"uvacg/internal/wsa"
@@ -270,8 +271,11 @@ func TestRecoverRepublishesUnnotifiedTerminalEvent(t *testing.T) {
 	}
 
 	// Crash between the status write and the publish: terminal on disk,
-	// marker missing.
+	// marker missing. The client hears the event before the scheduler has
+	// stamped the marker (it stamps after the broker's ack), so wait for
+	// the stamp first or it lands on top of the edit.
 	id := setEPR.Property(wsrf.QResourceID)
+	waitNotified(t, h.ss, id)
 	if err := h.ss.WSRF().UpdateResource(id, func(doc *xmlutil.Element) error {
 		doc.SetAttr(qNotifiedAttr, "")
 		return nil
@@ -372,5 +376,24 @@ func TestRecoverRetriesSetsTheBrokerRefused(t *testing.T) {
 	h.network.Register("broker", brokerSrv)
 	if got := h.waitTerminal(t, topic); got != "completed" {
 		t.Fatalf("set the broker refused was never picked up again: %q", got)
+	}
+}
+
+// waitNotified blocks until the scheduler has stamped a terminal set's
+// document notified — the set's last write, made after the broker acks
+// the terminal event and therefore possibly after a client heard it.
+func waitNotified(t *testing.T, ss *Service, id string) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		doc, err := ss.WSRF().Home().Load(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if doc.Attr(qNotifiedAttr) == "true" {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the terminal set was never stamped notified")
+		}
 	}
 }

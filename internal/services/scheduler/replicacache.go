@@ -40,7 +40,7 @@ func (s *Service) ensureReplicaSubscription(ctx context.Context) {
 	if !s.trackReplicas {
 		return
 	}
-	// Atomic claim, as in ensureCatalogSubscription: concurrent submits
+	// Atomic claim, as in syncCatalog: concurrent submits
 	// must not double-subscribe.
 	s.mu.Lock()
 	if s.repSubscribed {

@@ -193,6 +193,7 @@ type Service struct {
 type catalogCache struct {
 	mu      sync.RWMutex
 	procs   []nodeinfo.Processor
+	version int64 // the NIS's catalog version procs stands at
 	updated time.Time
 	polls   int64 // GetProcessors RPCs attempted
 	pushes  int64 // catalog-changed notifications applied
@@ -632,7 +633,7 @@ func (s *Service) handleSubmit(ctx context.Context, inv *wsrf.Invocation, body *
 		}
 		return nil, soap.ReceiverFault("scheduler: %v", err)
 	}
-	s.ensureCatalogSubscription(bg)
+	s.syncCatalog(bg)
 	s.ensureReplicaSubscription(bg)
 	s.publishReplicaWant(bg, spec.Replicas)
 
@@ -790,10 +791,15 @@ func (s *Service) processors(ctx context.Context) ([]nodeinfo.Processor, error) 
 			return procs, nil
 		}
 	}
+	return s.pollCatalog(ctx)
+}
+
+// pollCatalog asks the NIS, whatever the cache holds.
+func (s *Service) pollCatalog(ctx context.Context) ([]nodeinfo.Processor, error) {
 	s.cat.mu.Lock()
 	s.cat.polls++
 	s.cat.mu.Unlock()
-	polled, err := nodeinfo.GetProcessorsVia(ctx, s.client, s.nis)
+	polled, version, err := nodeinfo.GetCatalogVia(ctx, s.client, s.nis)
 	if err != nil {
 		if s.catalogTTL > 0 {
 			s.cat.mu.RLock()
@@ -805,23 +811,28 @@ func (s *Service) processors(ctx context.Context) ([]nodeinfo.Processor, error) 
 		}
 		return nil, fmt.Errorf("poll NIS: %w", err)
 	}
-	if s.catalogTTL > 0 {
-		s.cat.mu.Lock()
-		s.cat.procs, s.cat.updated = polled, time.Now()
-		s.cat.mu.Unlock()
-	}
+	s.storeCatalog(polled, version, false)
 	return polled, nil
 }
 
-// storeCatalog applies a pushed catalog-changed payload to the cache.
-func (s *Service) storeCatalog(procs []nodeinfo.Processor) {
+// storeCatalog applies a polled or pushed catalog to the cache, unless
+// the cache is fresh and already stands at a newer version: one-way
+// pushes overtake each other and trail a poll, and an older catalog
+// landing last must not stand for a whole TTL. A stale cache takes any
+// version (a NIS that lost its counter starts again from 0).
+func (s *Service) storeCatalog(procs []nodeinfo.Processor, version int64, pushed bool) {
 	if s.catalogTTL <= 0 {
 		return
 	}
 	s.cat.mu.Lock()
-	s.cat.pushes++
-	s.cat.procs, s.cat.updated = procs, time.Now()
-	s.cat.mu.Unlock()
+	defer s.cat.mu.Unlock()
+	if version < s.cat.version && time.Since(s.cat.updated) < s.catalogTTL {
+		return
+	}
+	if pushed {
+		s.cat.pushes++
+	}
+	s.cat.procs, s.cat.version, s.cat.updated = procs, version, time.Now()
 }
 
 // CatalogStats reports how the dispatch path has been fed: NIS
@@ -832,12 +843,16 @@ func (s *Service) CatalogStats() (polls, pushes int64) {
 	return s.cat.polls, s.cat.pushes
 }
 
-// ensureCatalogSubscription subscribes the SS consumer to the NIS
-// catalog-changed topic, once, and primes the cache from the broker's
-// current message so the first dispatch may need no poll at all. Both
-// steps are best-effort: with the broker unreachable the cache simply
-// stays cold and dispatch falls back to polling the NIS directly.
-func (s *Service) ensureCatalogSubscription(ctx context.Context) {
+// syncCatalog subscribes the SS consumer to the NIS catalog-changed topic,
+// once, and then — every time: at Recover and as each job set is taken
+// on, the paper's Fig. 3 step 2 — reads the catalog from the NIS itself.
+// The NIS is the authority and pushes trail it by two one-way hops, so a
+// set placed on pushes alone can miss a machine that registered just
+// before its Submit; after the poll the pushes only move the cache
+// forward (storeCatalog orders them by version). Both steps are
+// best-effort: with the broker unreachable the cache is fed by polls
+// alone.
+func (s *Service) syncCatalog(ctx context.Context) {
 	if s.catalogTTL <= 0 {
 		return
 	}
@@ -845,24 +860,18 @@ func (s *Service) ensureCatalogSubscription(ctx context.Context) {
 	// would let concurrent submits race past each other and register
 	// duplicate subscriptions, double-delivering every catalog push.
 	s.mu.Lock()
-	if s.catSubscribed {
-		s.mu.Unlock()
-		return
-	}
+	subscribed := s.catSubscribed
 	s.catSubscribed = true
 	s.mu.Unlock()
-	if _, err := wsn.SubscribeVia(ctx, s.client, s.broker, s.ConsumerEPR(), wsn.Simple(nodeinfo.CatalogTopic)); err != nil {
-		// Release the claim so the next submission retries.
-		s.mu.Lock()
-		s.catSubscribed = false
-		s.mu.Unlock()
-		return
-	}
-	if n, err := wsn.GetCurrentMessageVia(ctx, s.client, s.broker, wsn.Simple(nodeinfo.CatalogTopic)); err == nil {
-		if procs, perr := nodeinfo.ParseCatalogChanged(n.Message); perr == nil && len(procs) > 0 {
-			s.storeCatalog(procs)
+	if !subscribed {
+		if _, err := wsn.SubscribeVia(ctx, s.client, s.broker, s.ConsumerEPR(), wsn.Simple(nodeinfo.CatalogTopic)); err != nil {
+			// Release the claim so the next submission retries.
+			s.mu.Lock()
+			s.catSubscribed = false
+			s.mu.Unlock()
 		}
 	}
+	_, _ = s.pollCatalog(ctx)
 }
 
 // resolveFiles turns spec sources into FSS file references — the
@@ -919,7 +928,7 @@ var jobEventKinds = map[string]eventKind{
 func (s *Service) onNotification(ctx context.Context, n wsn.Notification) {
 	if root, _, _ := strings.Cut(n.Topic, "/"); root == nodeinfo.CatalogTopic {
 		if procs, err := nodeinfo.ParseCatalogChanged(n.Message); err == nil {
-			s.storeCatalog(procs)
+			s.storeCatalog(procs, nodeinfo.CatalogVersion(n.Message), true)
 		}
 		return
 	} else if root == ShardMapTopic {

@@ -286,6 +286,7 @@ func TestLostLeaseParksRunAndPeerRecovers(t *testing.T) {
 	// Reset the set to Running with one job undone, as if master 1
 	// crashed mid-set, then lapse its lease and hand the shard over.
 	id := strings.TrimPrefix(topic, "jobset-")
+	waitNotified(t, h.masters[0], id)
 	if err := h.masters[0].WSRF().UpdateResource(id, func(doc *xmlutil.Element) error {
 		doc.Child(QStatus).Text = SetRunning
 		doc.SetAttr(qNotifiedAttr, "")

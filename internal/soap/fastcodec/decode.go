@@ -2,6 +2,7 @@ package fastcodec
 
 import (
 	"strings"
+	"sync"
 
 	"uvacg/internal/xmlutil"
 )
@@ -14,13 +15,15 @@ import (
 // difference and it is checked (by FuzzCodecEquivalence) to agree with
 // encoding/xml exactly.
 //
-// Allocation discipline: nodes come from slab chunks, child slices
-// from a pointer arena, and text/attribute values are substrings of a
-// single string conversion of the input — zero-copy unless an entity
-// or line-ending normalization forces a rewrite. The returned tree is
-// owned by the caller and individually garbage-collected; nothing is
-// pooled or reused across calls, so retaining decoded documents (as
-// resource property stores do) is safe.
+// Allocation discipline: nodes come from one slab and child slices from
+// one pointer arena, both sized from the input (so a retained element
+// pins its own document's nodes and no more), and text/attribute values
+// are substrings of a single string conversion of the input — zero-copy
+// unless an entity or line-ending normalization forces a rewrite. The
+// returned tree is owned by the caller and garbage-collected; only the
+// parser's scratch stacks are pooled, cleared before they go back, so
+// the pool never references a returned tree and retaining decoded
+// documents (as resource property stores do) is safe.
 func Decode(data []byte) (*xmlutil.Element, bool) {
 	// One pass admits the ASCII subset: any byte outside printable
 	// ASCII + tab/newline/CR means encoding/xml's unicode handling is
@@ -31,7 +34,14 @@ func Decode(data []byte) (*xmlutil.Element, bool) {
 			return nil, false
 		}
 	}
-	p := parser{s: string(data)}
+	p := parserPool.Get().(*parser)
+	defer p.release()
+	p.s, p.pos = string(data), 0
+	// Every element ends in "</" or "/>", so their count bounds the nodes
+	// (and the child pointers) a well-formed document needs; the shortest
+	// element, <a/>, bounds what text full of either can ask for.
+	n := min(strings.Count(p.s, "</")+strings.Count(p.s, "/>"), len(p.s)/4)
+	p.elemSlab, p.ptrSlab = make([]xmlutil.Element, n), make([]*xmlutil.Element, n)
 	p.skipSpace()
 	// Prolog and any leading processing instructions are skipped, as
 	// encoding/xml's Unmarshal skips ProcInst tokens before the root.
@@ -91,11 +101,24 @@ type parser struct {
 	ptrSlab  []*xmlutil.Element
 }
 
-// alloc hands out one Element from the slab, amortizing node
-// allocations across the document.
+var parserPool = sync.Pool{New: func() any { return new(parser) }}
+
+// release returns the parser to the pool holding nothing of the call it
+// served: the scratch stacks keep their capacity, zeroed through to it.
+func (p *parser) release() {
+	clear(p.bindings[:cap(p.bindings)])
+	clear(p.kids[:cap(p.kids)])
+	clear(p.attrs[:cap(p.attrs)])
+	*p = parser{bindings: p.bindings[:0], kids: p.kids[:0], attrs: p.attrs[:0]}
+	parserPool.Put(p)
+}
+
+// alloc hands out one Element from the slab. The slab runs dry only on
+// input that opens more elements than it closes, which Decode refuses in
+// the end; small chunks carry the parse until it does.
 func (p *parser) alloc() *xmlutil.Element {
 	if len(p.elemSlab) == 0 {
-		p.elemSlab = make([]xmlutil.Element, 64)
+		p.elemSlab = make([]xmlutil.Element, 8)
 	}
 	e := &p.elemSlab[0]
 	p.elemSlab = p.elemSlab[1:]
@@ -106,11 +129,7 @@ func (p *parser) alloc() *xmlutil.Element {
 // length.
 func (p *parser) allocPtrs(kids []*xmlutil.Element) []*xmlutil.Element {
 	if len(p.ptrSlab) < len(kids) {
-		n := 64
-		if len(kids) > n {
-			n = len(kids)
-		}
-		p.ptrSlab = make([]*xmlutil.Element, n)
+		p.ptrSlab = make([]*xmlutil.Element, len(kids))
 	}
 	out := p.ptrSlab[:len(kids):len(kids)]
 	p.ptrSlab = p.ptrSlab[len(kids):]
@@ -183,7 +202,6 @@ func (p *parser) element(depth int) (*xmlutil.Element, bool) {
 		return nil, false
 	}
 	nsMark, attrMark := len(p.bindings), len(p.attrs)
-	defer func() { p.attrs = p.attrs[:attrMark] }()
 	p.pos++ // '<'
 	rawStart := p.pos
 	prefix, local, ok := p.name()
@@ -264,6 +282,7 @@ func (p *parser) element(depth int) (*xmlutil.Element, bool) {
 		}
 		e.SetAttr(xmlutil.QName{Space: space, Local: a.local}, val)
 	}
+	p.attrs = p.attrs[:attrMark] // consumed; a failed parse is abandoned whole
 	if selfClosing {
 		p.bindings = p.bindings[:nsMark]
 		return e, true

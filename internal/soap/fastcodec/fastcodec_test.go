@@ -3,7 +3,9 @@ package fastcodec
 import (
 	"bytes"
 	"encoding/xml"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"uvacg/internal/xmlutil"
@@ -70,6 +72,11 @@ func TestDecodeMatchesEncodingXML(t *testing.T) {
 		`<u undeclared:x="1"><xml:lang xml:space="preserve"/></u>`,
 		`<dup a="1" a="2"/>`,
 		`<ws>   </ws>`,
+		// Slab sizing counts "</" and "/>": text full of either only
+		// over-estimates, and a lone <a/> is the shortest element there is.
+		`<t>/>/>/>/>/>/>/>/>/>/> and a/>b</t>`,
+		`<a/>`,
+		`<w>` + strings.Repeat(`<k a="1"><g/></k>`, 100) + `</w>`,
 	}
 	for _, doc := range docs {
 		fast, ok := Decode([]byte(doc))
@@ -103,6 +110,7 @@ func TestDecodeFallsBackOutsideRecognizedShape(t *testing.T) {
 		`<!DOCTYPE a><a/>`,             // doctype
 		`<a ` + "\x00" + `="1"/>`,      // NUL byte
 		strings.Repeat(`<d>`, 600) + strings.Repeat(`</d>`, 600), // too deep
+		strings.Repeat(`<d>`, 40) + `</d>`,                       // opens more than it closes: outruns the sized slab
 	}
 	for _, doc := range docs {
 		if _, ok := Decode([]byte(doc)); ok {
@@ -245,5 +253,42 @@ func TestDecodeTrailingContentIgnored(t *testing.T) {
 	}
 	if !fast.Equal(&want) {
 		t.Fatalf("diverges: %s vs %s", fast, &want)
+	}
+}
+
+// TestDecodedTreeSurvivesLaterDecodes: the parser and its scratch stacks
+// are pooled, the tree is not. A retained document must read the same
+// after a thousand other documents — wider, deeper, with more attributes
+// and namespace bindings than it has — went through the pool on several
+// goroutines at once.
+func TestDecodedTreeSurvivesLaterDecodes(t *testing.T) {
+	docA := `<s:set xmlns:s="urn:s" s:id="A"><s:job name="gen" state="Completed"><s:dir>inproc://n/Files</s:dir></s:job><s:job name="sum"/>tail</s:set>`
+	a, ok := Decode([]byte(docA))
+	if !ok {
+		t.Fatal("fast decode refused the retained document")
+	}
+	want := a.Clone()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 125; i++ {
+				kids := strings.Repeat(fmt.Sprintf(`<o:k xmlns:o="urn:o%d" a="%d" b="x" c="y"><o:v>%d</o:v></o:k>`, g, i, i), 1+i%40)
+				doc := fmt.Sprintf(`<other xmlns="urn:other" n="%d">%s</other>`, i, kids)
+				got, ok := Decode([]byte(doc))
+				if !ok || len(got.Children) != 1+i%40 {
+					t.Errorf("decode %d/%d: ok=%v", g, i, ok)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if !a.Equal(want) {
+		t.Fatalf("retained tree changed under later decodes:\n got: %s\nwant: %s", a, want)
+	}
+	if again, _ := Decode([]byte(docA)); !again.Equal(want) {
+		t.Fatalf("re-decode through a used parser diverges: %s", again)
 	}
 }

@@ -44,6 +44,23 @@ func allBindings() []bindingFixture {
 			t.Cleanup(func() { tl.Close() })
 			return tl.BaseURL(), NewClient()
 		}},
+		// A daemon calling a service it hosts itself: a real HTTP listener,
+		// and a client told (Colocate) that the listener's base is this
+		// process. The message takes the route, not the socket.
+		{name: "colocated", start: func(t *testing.T, srv *Server) (string, *Client) {
+			base, shutdown, err := ListenHTTP(srv, "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() {
+				ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+				defer cancel()
+				shutdown(ctx)
+			})
+			client := NewClient()
+			client.Colocate(srv, base)
+			return base, client
+		}},
 	}
 }
 
@@ -335,19 +352,21 @@ func TestListenHTTPShutdownClosesUnusedConnections(t *testing.T) {
 }
 
 // TestInvokePreCancelled covers the uniform fast-path: a context dead
-// before Invoke starts never touches the wire.
+// before Invoke starts never touches the wire, on any binding.
 func TestInvokePreCancelled(t *testing.T) {
-	mux, _ := testService(t)
-	n := NewNetwork()
-	n.Register("host-a", NewServer(mux))
-	client := NewClient().WithNetwork(n)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, err := client.Call(ctx, wsa.NewEPR("inproc://host-a/Test"), "urn:Echo", xmlutil.NewElement(qPing, ""))
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("want context.Canceled, got %v", err)
-	}
-	if !strings.Contains(err.Error(), "urn:Echo") {
-		t.Fatalf("error should name the action: %v", err)
+	for _, b := range allBindings() {
+		t.Run(b.name, func(t *testing.T) {
+			mux, _ := testService(t)
+			base, client := b.start(t, NewServer(mux))
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			_, err := client.Call(ctx, wsa.NewEPR(base+"/Test"), "urn:Echo", xmlutil.NewElement(qPing, ""))
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("want context.Canceled, got %v", err)
+			}
+			if !strings.Contains(err.Error(), "urn:Echo") {
+				t.Fatalf("error should name the action: %v", err)
+			}
+		})
 	}
 }

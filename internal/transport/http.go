@@ -17,15 +17,19 @@ import (
 // readBounded buffers r up to soap.MaxEnvelopeBytes, failing instead of
 // allocating without limit on an oversized or malicious body.
 func readBounded(r io.Reader) ([]byte, error) {
-	max := soap.MaxEnvelopeBytes()
-	data, err := io.ReadAll(io.LimitReader(r, max+1))
+	data, err := io.ReadAll(io.LimitReader(r, soap.MaxEnvelopeBytes()+1))
 	if err != nil {
 		return nil, err
 	}
-	if int64(len(data)) > max {
-		return nil, fmt.Errorf("%w (limit %d bytes)", soap.ErrEnvelopeTooLarge, max)
+	return data, bounded(data)
+}
+
+// bounded is readBounded's verdict on an envelope already in memory.
+func bounded(envelope []byte) error {
+	if max := soap.MaxEnvelopeBytes(); int64(len(envelope)) > max {
+		return fmt.Errorf("%w (limit %d bytes)", soap.ErrEnvelopeTooLarge, max)
 	}
-	return data, nil
+	return nil
 }
 
 // contentTypeSOAP is the SOAP 1.2 media type.

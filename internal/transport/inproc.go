@@ -58,21 +58,40 @@ func (n *Network) URL(host, path string) string {
 	return SchemeInproc + "://" + host + path
 }
 
+// inprocTransport is the one in-process delivery: behind inproc:// it
+// resolves the host on a Network, behind a co-located route
+// (Client.Colocate) every address is server's.
 type inprocTransport struct {
 	network *Network
+	server  *Server
 }
 
-func (t *inprocTransport) resolve(addr string) (*Server, string, error) {
+// wireContext is what a socket would leave of the caller's context: it
+// ends when the caller's does and carries none of its values (no
+// principal, no invocation, no request ID except through the headers).
+type wireContext struct{ context.Context }
+
+func (wireContext) Value(any) any { return nil }
+
+// resolve finds the server and service path for addr, refusing a request
+// over the envelope bound as a reader on a socket would.
+func (t *inprocTransport) resolve(addr string, request []byte) (*Server, string, error) {
 	u, err := url.Parse(addr)
 	if err != nil {
 		return nil, "", err
 	}
-	if t.network == nil {
-		return nil, "", fmt.Errorf("transport: inproc binding has no network")
+	if err := bounded(request); err != nil {
+		return nil, "", err
 	}
-	srv, ok := t.network.Lookup(u.Host)
-	if !ok {
-		return nil, "", fmt.Errorf("transport: unknown inproc host %q", u.Host)
+	srv := t.server
+	if srv == nil {
+		if t.network == nil {
+			return nil, "", fmt.Errorf("transport: inproc binding has no network")
+		}
+		var ok bool
+		if srv, ok = t.network.Lookup(u.Host); !ok {
+			return nil, "", fmt.Errorf("transport: unknown inproc host %q", u.Host)
+		}
 	}
 	path := u.Path
 	if path == "" {
@@ -83,11 +102,12 @@ func (t *inprocTransport) resolve(addr string) (*Server, string, error) {
 
 // RoundTrip implements RoundTripper.
 func (t *inprocTransport) RoundTrip(ctx context.Context, addr string, request []byte) ([]byte, error) {
-	srv, path, err := t.resolve(addr)
+	srv, path, err := t.resolve(addr, request)
 	if err != nil {
 		return nil, err
 	}
-	return srv.HandleRequest(ctx, path, request), nil
+	reply := srv.HandleRequest(wireContext{ctx}, path, request)
+	return reply, bounded(reply)
 }
 
 // RoundTripMsg implements MessageRoundTripper: the envelope still
@@ -96,19 +116,21 @@ func (t *inprocTransport) RoundTrip(ctx context.Context, addr string, request []
 // attachment data as immutable, so sharing is safe (vfs copies on both
 // Read and Write).
 func (t *inprocTransport) RoundTripMsg(ctx context.Context, addr string, req *Message) (*Message, error) {
-	srv, path, err := t.resolve(addr)
+	srv, path, err := t.resolve(addr, req.Envelope)
 	if err != nil {
 		return nil, err
 	}
-	return srv.HandleRequestMsg(ctx, path, req), nil
+	reply := srv.HandleRequestMsg(wireContext{ctx}, path, req)
+	return reply, bounded(reply.Envelope)
 }
 
-// Send implements RoundTripper.
+// Send implements RoundTripper. HandleOneWay detaches the dispatch from
+// the caller's cancellation and runs it on its own goroutine.
 func (t *inprocTransport) Send(ctx context.Context, addr string, request []byte) error {
-	srv, path, err := t.resolve(addr)
+	srv, path, err := t.resolve(addr, request)
 	if err != nil {
 		return err
 	}
-	srv.HandleOneWay(ctx, path, request)
+	srv.HandleOneWay(wireContext{ctx}, path, request)
 	return nil
 }

@@ -9,6 +9,11 @@
 //	            their wire encoding so behaviour matches the networked
 //	            bindings byte-for-byte
 //
+// A process never opens a socket to itself: a Client told (Colocate) that
+// a base URL is served by a Server in its own process hands messages for
+// it to that server the way inproc:// does — same bytes, same client and
+// server interceptor chains, no socket.
+//
 // The package distinguishes request-response calls from one-way messages:
 // a one-way send completes as soon as the message is handed over, before
 // the service has processed it — the property the File System Service
@@ -19,6 +24,7 @@ import (
 	"context"
 	"fmt"
 	"net/url"
+	"sync"
 
 	"uvacg/internal/soap"
 	"uvacg/internal/wsa"
@@ -62,13 +68,18 @@ type idleCloser interface{ CloseIdleConnections() }
 type Client struct {
 	schemes map[string]RoundTripper
 	chain   soap.Chain
+	// colocated maps a base URL ("http://host:port") this process serves
+	// itself to the in-process delivery for its Server. Read on every
+	// call, written when a listener opens and closes.
+	colocatedMu sync.RWMutex
+	colocated   map[string]*inprocTransport
 }
 
 // NewClient builds a client with the http and soap.tcp bindings
 // installed. Attach an inproc Network with WithNetwork when simulated
 // in-process grids are in play.
 func NewClient() *Client {
-	c := &Client{schemes: make(map[string]RoundTripper)}
+	c := &Client{schemes: make(map[string]RoundTripper), colocated: make(map[string]*inprocTransport)}
 	c.RegisterScheme("http", NewHTTPTransport())
 	c.RegisterScheme(SchemeTCP, NewTCPTransport())
 	return c
@@ -89,11 +100,33 @@ func (c *Client) RegisterScheme(scheme string, rt RoundTripper) {
 	c.schemes[scheme] = rt
 }
 
+// Colocate routes every call this client makes to an address under one
+// of bases — base URLs srv is listening on in this same process — to srv
+// in-process. Only this client takes the route: another one in the same
+// process still dials. remove takes the route away again, after which a
+// call to bases crosses a socket or fails like one.
+func (c *Client) Colocate(srv *Server, bases ...string) (remove func()) {
+	local := &inprocTransport{server: srv}
+	c.colocatedMu.Lock()
+	defer c.colocatedMu.Unlock()
+	for _, base := range bases {
+		c.colocated[base] = local
+	}
+	return func() {
+		c.colocatedMu.Lock()
+		defer c.colocatedMu.Unlock()
+		for _, base := range bases {
+			delete(c.colocated, base)
+		}
+	}
+}
+
 // WrapSchemes replaces every installed transport with wrap(scheme, rt) —
 // the hook point for cross-cutting wrappers such as fault injection
 // (WrapFaults). A nil return keeps the existing transport. Call during
 // wiring, before the client carries traffic; the schemes map is not
-// synchronized against in-flight calls.
+// synchronized against in-flight calls. A co-located route (Colocate) is
+// not a scheme and is not wrapped.
 func (c *Client) WrapSchemes(wrap func(scheme string, rt RoundTripper) RoundTripper) *Client {
 	for scheme, rt := range c.schemes {
 		if w := wrap(scheme, rt); w != nil {
@@ -124,6 +157,12 @@ func (c *Client) transportFor(addr string) (RoundTripper, error) {
 	u, err := url.Parse(addr)
 	if err != nil {
 		return nil, fmt.Errorf("transport: bad address %q: %w", addr, err)
+	}
+	c.colocatedMu.RLock()
+	local := c.colocated[u.Scheme+"://"+u.Host]
+	c.colocatedMu.RUnlock()
+	if local != nil {
+		return local, nil
 	}
 	rt, ok := c.schemes[u.Scheme]
 	if !ok {

@@ -164,6 +164,18 @@ func TestInprocBinding(t *testing.T) {
 	exerciseBinding(t, client, "inproc://node-a", sink)
 }
 
+// TestColocatedBinding runs the binding suite over the co-located route:
+// an HTTP listener whose base the client knows to be its own process.
+func TestColocatedBinding(t *testing.T) {
+	mux, sink := testService(t)
+	srv := NewServer(mux)
+	hs := httptest.NewServer(NewHTTPHandler(srv))
+	defer hs.Close()
+	client := NewClient()
+	client.Colocate(srv, hs.URL)
+	exerciseBinding(t, client, hs.URL, sink)
+}
+
 func TestListenHTTPHelper(t *testing.T) {
 	mux, _ := testService(t)
 	base, shutdown, err := ListenHTTP(NewServer(mux), "127.0.0.1:0")

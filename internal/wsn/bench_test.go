@@ -176,6 +176,31 @@ func BenchmarkE4_BrokerFanout(b *testing.B) {
 	}
 }
 
+// BenchmarkPublishIdleSubscriptions is one publish reaching its one
+// subscriber on a producer that also holds 1 000 subscriptions to other
+// roots — a master that has run 500 job sets and dropped none of their
+// subscriptions. The cost must not depend on the idle ones.
+func BenchmarkPublishIdleSubscriptions(b *testing.B) {
+	ctx := context.Background()
+	for _, idle := range []int{0, 1000} {
+		b.Run(fmt.Sprintf("idle=%d", idle), func(b *testing.B) {
+			h := newNotifyHarness(b, 1, false)
+			for i := 0; i < idle; i++ {
+				if _, err := h.producer.Subscribe(wsa.NewEPR("inproc://consumer-0/listener"), Simple(fmt.Sprintf("set-%d", i))); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := h.publishAndWait(ctx); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // TestNotifyHarnessDeliveryCounts keeps the rig honest: one publish
 // reaches each of three consumers exactly once, direct and brokered.
 func TestNotifyHarnessDeliveryCounts(t *testing.T) {

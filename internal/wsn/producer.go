@@ -3,6 +3,7 @@ package wsn
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -61,9 +62,15 @@ type Producer struct {
 	subSvc *wsrf.Service
 	client *transport.Client
 
-	mu       sync.RWMutex
-	retry    soap.Interceptor // per-subscriber delivery retry, nil = single attempt
-	subs     map[string]subscription
+	mu    sync.RWMutex
+	retry soap.Interceptor // per-subscriber delivery retry, nil = single attempt
+	subs  map[string]subscription
+	// byRoot indexes subscription ids by their expression's first topic
+	// segment ("*" for a Full expression that starts with a wildcard), so
+	// Publish tests the subscriptions that can match and not every one
+	// the producer has ever taken. Kept in step with subs by index and
+	// unindex, nothing else.
+	byRoot   map[string]map[string]struct{}
 	failures map[string]int
 	// current caches the last notification per concrete topic for
 	// GetCurrentMessage; seq orders them so the newest match wins.
@@ -97,12 +104,13 @@ func NewProducer(owner *wsrf.Service, subHome wsrf.ResourceHome, client *transpo
 		subSvc:   subSvc,
 		client:   client,
 		subs:     make(map[string]subscription),
+		byRoot:   make(map[string]map[string]struct{}),
 		failures: make(map[string]int),
 		current:  make(map[string]currentEntry),
 	}
 	subSvc.OnDestroy(func(id string) {
 		p.mu.Lock()
-		delete(p.subs, id)
+		p.unindex(id)
 		delete(p.failures, id)
 		p.mu.Unlock()
 	})
@@ -214,9 +222,31 @@ func (p *Producer) recover() error {
 		if err != nil {
 			return fmt.Errorf("wsn: corrupt subscription %q: %w", id, err)
 		}
-		p.subs[id] = sub
+		p.index(sub)
 	}
 	return nil
+}
+
+// index files a subscription under its id and its root segment; the
+// caller holds p.mu (or, in recover, the only reference).
+func (p *Producer) index(sub subscription) {
+	p.subs[sub.id] = sub
+	root := sub.te.segs[0]
+	if p.byRoot[root] == nil {
+		p.byRoot[root] = make(map[string]struct{})
+	}
+	p.byRoot[root][sub.id] = struct{}{}
+}
+
+// unindex forgets a subscription; the caller holds p.mu.
+func (p *Producer) unindex(id string) {
+	if sub, ok := p.subs[id]; ok {
+		root := sub.te.segs[0]
+		if delete(p.byRoot[root], id); len(p.byRoot[root]) == 0 {
+			delete(p.byRoot, root)
+		}
+		delete(p.subs, id)
+	}
 }
 
 func subscriptionFromDoc(id string, doc *xmlutil.Element) (subscription, error) {
@@ -269,7 +299,7 @@ func (p *Producer) Subscribe(consumer wsa.EndpointReference, te *TopicExpression
 	}
 	id := epr.Property(wsrf.QResourceID)
 	p.mu.Lock()
-	p.subs[id] = subscription{id: id, consumer: consumer, te: te}
+	p.index(subscription{id: id, consumer: consumer, te: te})
 	p.mu.Unlock()
 	return epr, nil
 }
@@ -316,14 +346,7 @@ func (p *Producer) Publish(ctx context.Context, topic string, producerRef wsa.En
 	p.seq++
 	p.current[topic] = currentEntry{n: n, seq: p.seq}
 	p.mu.Unlock()
-	p.mu.RLock()
-	matched := make([]subscription, 0, len(p.subs))
-	for _, sub := range p.subs {
-		if !sub.paused && sub.te.Matches(topic) {
-			matched = append(matched, sub)
-		}
-	}
-	p.mu.RUnlock()
+	matched := p.matching(topic)
 
 	var delivered atomic.Int64
 	var wg sync.WaitGroup
@@ -341,6 +364,28 @@ func (p *Producer) Publish(ctx context.Context, topic string, producerRef wsa.En
 	}
 	wg.Wait()
 	return int(delivered.Load())
+}
+
+// matching lists the live subscriptions topic satisfies: Matches decides,
+// over the ones filed under the topic's root segment and the few Full
+// expressions whose first segment is a wildcard.
+func (p *Producer) matching(topic string) []subscription {
+	root, _, _ := strings.Cut(topic, "/")
+	var matched []subscription
+	test := func(ids map[string]struct{}) {
+		for id := range ids {
+			if sub := p.subs[id]; !sub.paused && sub.te.Matches(topic) {
+				matched = append(matched, sub)
+			}
+		}
+	}
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	test(p.byRoot[root])
+	if root != "*" {
+		test(p.byRoot["*"])
+	}
+	return matched
 }
 
 // deliver sends one notification to one subscriber, through the
