@@ -10,7 +10,7 @@ import (
 // out) unnoticed: every flag is a configuration the tests and the
 // benchmark would have to cover.
 func TestFlagSurface(t *testing.T) {
-	const want = "accounts addr compact-bytes cores data-dir fsync host master metrics name ram replica-events retries speed threshold trace wal-flush-window"
+	const want = "accounts addr compact-bytes cores data-dir fsync host master metrics name ram replica-events retries speed threshold trace"
 	var got []string
 	flag.VisitAll(func(f *flag.Flag) {
 		if !strings.HasPrefix(f.Name, "test.") {

@@ -23,7 +23,7 @@ import (
 // out) unnoticed: every flag is a configuration the tests and the
 // benchmark would have to cover.
 func TestFlagSurface(t *testing.T) {
-	const want = "class compact-bytes data-dir fsync jobset listen master max-retry-after metrics out pass replicas retries timeout trace user wal-flush-window"
+	const want = "class compact-bytes data-dir fsync jobset listen master max-retry-after metrics out pass replicas retries timeout trace user"
 	fs := flag.NewFlagSet("gridsub", flag.ContinueOnError)
 	registerFlags(fs)
 	var got []string

@@ -24,13 +24,12 @@ import (
 
 // Flags are the options every grid binary takes.
 type Flags struct {
-	Metrics        bool
-	Retries        int
-	Trace          bool
-	DataDir        string
-	Fsync          bool
-	CompactBytes   int64
-	WALFlushWindow time.Duration
+	Metrics      bool
+	Retries      int
+	Trace        bool
+	DataDir      string
+	Fsync        bool
+	CompactBytes int64
 }
 
 // RegisterFlags declares the shared flags on fs.
@@ -42,7 +41,6 @@ func RegisterFlags(fs *flag.FlagSet) *Flags {
 	fs.StringVar(&f.DataDir, "data-dir", "", "durable data directory (WAL + snapshot): every state change is journaled and survives a crash")
 	fs.BoolVar(&f.Fsync, "fsync", true, "fsync each WAL group commit (with -data-dir); off trades machine-crash safety for throughput")
 	fs.Int64Var(&f.CompactBytes, "compact-bytes", 8<<20, "WAL bytes that trigger background snapshot compaction (with -data-dir); negative disables")
-	fs.DurationVar(&f.WALFlushWindow, "wal-flush-window", 0, "adaptive WAL group-commit linger: how long a flush leader waits for concurrent committers before fsyncing a lone record (0 disables)")
 	return f
 }
 
@@ -89,7 +87,6 @@ func (f *Flags) Open() (*Host, error) {
 	h.Durable, err = resourcedb.OpenDurable(f.DataDir, resourcedb.DurableOptions{
 		Sync:         f.Fsync,
 		CompactBytes: f.CompactBytes,
-		FlushWindow:  f.WALFlushWindow,
 		Metrics:      h.Metrics,
 	})
 	if err != nil {

@@ -271,20 +271,21 @@ func TestShippedWiringRunsDemoJobSet(t *testing.T) {
 	// The broker → /SchedulerConsumer self-call: as many messages entered
 	// the server chain as left the client chain (one-way deliveries may
 	// still be landing), and the -metrics table counted both halves.
-	deadline := time.Now().Add(5 * time.Second)
-	for consumer.server.Load() < consumer.client.Load() && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
+	// Catalog pushes keep arriving after the set is done, so the three
+	// counters are read until one reading of all of them agrees.
+	row := pipeline.Key{Path: "/SchedulerConsumer", Action: wsn.ActionNotify}
+	var sent, handled int64
+	var got uint64
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		sent, handled, got = consumer.client.Load(), consumer.server.Load(), mhost.Metrics.Snapshot()[row].Calls
+		if (sent > 0 && sent == handled && got == uint64(sent+handled)) || time.Now().After(deadline) {
+			break
+		}
 	}
-	sent, handled := consumer.client.Load(), consumer.server.Load()
 	if sent == 0 || sent != handled {
 		t.Fatalf("/SchedulerConsumer: %d Notify left the master's client chain, %d reached its server chain", sent, handled)
 	}
-	deadline = time.Now().Add(5 * time.Second)
-	row := pipeline.Key{Path: "/SchedulerConsumer", Action: wsn.ActionNotify}
-	for mhost.Metrics.Snapshot()[row].Calls < uint64(sent+handled) && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if got := mhost.Metrics.Snapshot()[row].Calls; got != uint64(sent+handled) {
+	if got != uint64(sent+handled) {
 		t.Fatalf("-metrics row %v counts %d calls, want %d client-side + %d server-side", row, got, sent, handled)
 	}
 }

@@ -164,7 +164,7 @@ func New(cfg Config) (*Node, error) {
 		Address: address,
 		FS:      n.FS,
 		Client:  cfg.Client,
-		Home:    wsrf.NewStateHome(n.Store.MustTable("directories", resourcedb.StructuredCodec{})),
+		Home:    wsrf.NewStateHome(n.Store.MustTable("directories", resourcedb.BlobCodec{})),
 		Host:    cfg.Name,
 		OnStage: cfg.OnStage,
 	}
@@ -178,7 +178,7 @@ func New(cfg Config) (*Node, error) {
 
 	esCfg := execution.Config{
 		Address: address,
-		Home:    wsrf.NewStateHome(n.Store.MustTable("jobs", resourcedb.StructuredCodec{})),
+		Home:    wsrf.NewStateHome(n.Store.MustTable("jobs", resourcedb.BlobCodec{})),
 		Client:  cfg.Client,
 		FSS:     n.FSS.EPR(),
 		Spawner: n.Spawner,

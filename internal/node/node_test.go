@@ -11,6 +11,7 @@ import (
 	"uvacg/internal/transport"
 	"uvacg/internal/wsrf"
 	"uvacg/internal/wssec"
+	"uvacg/internal/xmlutil"
 )
 
 // newMasterNIS hosts a bare NIS on the network for nodes to report to.
@@ -180,5 +181,49 @@ func TestNodeGridAccountMapping(t *testing.T) {
 	// in the execution package.)
 	if n.ES == nil {
 		t.Fatal("no ES")
+	}
+}
+
+// TestNodeTablesKeepTheirJournaledCodec: a fresh node stores its job and
+// directory resources as blobs — nothing reads the structured codec's
+// property index, which every Put would rebuild — but a -data-dir written
+// when they were structured names that codec in its WAL and snapshot and
+// keeps it, rows and all: nothing migrates.
+func TestNodeTablesKeepTheirJournaledCodec(t *testing.T) {
+	dir := t.TempDir()
+	old, err := resourcedb.OpenDurable(dir, resourcedb.DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := xmlutil.NewContainer(xmlutil.Q("urn:t", "Job"), xmlutil.NewElement(xmlutil.Q("urn:t", "Name"), "gen"))
+	if err := old.MustTable("jobs", resourcedb.StructuredCodec{}).Put("j1", row); err != nil {
+		t.Fatal(err)
+	}
+	if err := old.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	reopened, err := resourcedb.OpenDurable(dir, resourcedb.DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	network := transport.NewNetwork()
+	n, err := New(Config{Name: "win-a", Network: network, Client: transport.NewClient().WithNetwork(network),
+		NIS: newMasterNIS(t, network).EPR(), Store: reopened.Store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Stop()
+	jobs, _ := n.Store.Table("jobs")
+	if got := jobs.Codec().Name(); got != (resourcedb.StructuredCodec{}).Name() {
+		t.Fatalf("reopened jobs table codec %q", got)
+	}
+	if doc, ok, err := jobs.Get("j1"); err != nil || !ok || !doc.Equal(row) {
+		t.Fatalf("row written by the old codec: %v, found %v, err %v", doc, ok, err)
+	}
+	dirs, _ := n.Store.Table("directories") // never journaled: declared afresh
+	if got := dirs.Codec().Name(); got != (resourcedb.BlobCodec{}).Name() {
+		t.Fatalf("fresh directories table codec %q", got)
 	}
 }

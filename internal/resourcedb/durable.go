@@ -50,11 +50,6 @@ type DurableOptions struct {
 	Sync bool
 	// SegmentBytes is the WAL segment rotation threshold (default 4 MiB).
 	SegmentBytes int64
-	// FlushWindow is the WAL's adaptive group-commit linger: a flush
-	// leader about to sync a lone record right after a multi-record
-	// batch waits this long for concurrent committers to pile in. 0
-	// disables the wait; serial workloads never pay it either way.
-	FlushWindow time.Duration
 	// CompactBytes triggers a background compaction once live WAL bytes
 	// exceed it. 0 means the 8 MiB default; negative disables automatic
 	// compaction (Compact can still be called explicitly).
@@ -98,7 +93,7 @@ func OpenDurable(dir string, opts DurableOptions) (*DurableStore, error) {
 		opts.Metrics.Record(pipeline.Key{Path: "/wal", Action: "replay"}, time.Since(start), false)
 	}
 
-	log, err := wal.Open(dir, wal.Options{Sync: opts.Sync, SegmentBytes: opts.SegmentBytes, FlushWindow: opts.FlushWindow})
+	log, err := wal.Open(dir, wal.Options{Sync: opts.Sync, SegmentBytes: opts.SegmentBytes})
 	if err != nil {
 		return nil, err
 	}

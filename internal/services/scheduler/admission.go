@@ -33,14 +33,6 @@ var (
 // pump.
 const admissionRetryDelay = 500 * time.Millisecond
 
-// queuedSet is the in-memory side of a parked submission: the queue
-// entry for cancel/park bookkeeping plus the submitting principal's
-// credentials, which are deliberately never persisted.
-type queuedSet struct {
-	entry admission.Entry
-	creds wssec.Credentials
-}
-
 // ParseQueuePosition extracts the admission queue position from a
 // SubmitJobSetResponse; ok is false when the master ran no admission
 // queue (the set started immediately).
@@ -85,18 +77,11 @@ func (s *Service) admitSubmit(ctx context.Context, r *run) (*xmlutil.Element, er
 		return nil, soap.ReceiverFault("scheduler: create job set resource: %v", err)
 	}
 
-	qs := &queuedSet{creds: r.creds}
-	s.mu.Lock()
-	s.wireConsumerLocked()
-	s.queued[r.topic] = qs
-	s.runIDs[r.id] = r.topic
-	s.mu.Unlock()
-	e, pos := res.Commit(admission.Entry{ID: r.id, Name: r.spec.Name, Topic: r.topic})
-	s.mu.Lock()
-	if s.queued[r.topic] == qs {
-		qs.entry = e
-	}
-	s.mu.Unlock()
+	// Parked before Commit shows the entry to the pump: an activation that
+	// draws it at once must find the credentials.
+	e := admission.Entry{ID: r.id, Name: r.spec.Name, Topic: r.topic, Tenant: res.Tenant, Class: res.Class, Seq: res.Seq}
+	s.sets.park(e, r.creds)
+	e, pos := res.Commit(e)
 	if e.Class == admission.ClassInteractive {
 		// An interactive arrival may evict a running scavenger set to
 		// free its tenant's quota slot; off the request path.
@@ -130,27 +115,17 @@ func (s *Service) StartAdmission(ctx context.Context) {
 	}()
 }
 
-// activate promotes one dequeued set into a live run: fence against
-// shard moves, re-load the journaled document, establish the broker
-// subscriptions deferred at enqueue, flip the status to Running and
-// hand the DAG to scheduleReady. Every path that does not produce a
-// live run either releases the tenant's running slot (charged by Next)
-// or re-parks the entry.
+// activate promotes one dequeued set into a live run: fence against shard
+// moves, re-load the journaled document and take the set on. Its own: the
+// tenant's running slot, charged by Next, which every path that does not
+// produce a live run gives back — at once, or after re-queueing the entry.
+// The set stays parked in the registry, credentials and all, until takeOn
+// makes it live: a sweep that overlaps the activation leaves it alone.
 func (s *Service) activate(ctx context.Context, e admission.Entry) {
-	s.mu.Lock()
-	qs := s.queued[e.Topic]
-	delete(s.queued, e.Topic)
-	s.mu.Unlock()
-
 	if !s.ownsSet(e.Name) {
 		// The shard moved while the set was parked. The new owner's
-		// RecoverShard re-queues it from the journaled document; this
-		// master just forgets it.
-		s.mu.Lock()
-		if s.runIDs[e.ID] == e.Topic {
-			delete(s.runIDs, e.ID)
-		}
-		s.mu.Unlock()
+		// RecoverShard re-queues it from the journaled document.
+		s.letGo(e.ID)
 		s.adm.Done(e.Tenant)
 		return
 	}
@@ -160,67 +135,22 @@ func (s *Service) activate(ctx context.Context, e admission.Entry) {
 		s.adm.Done(e.Tenant)
 		return
 	}
-	var creds wssec.Credentials
-	if qs != nil {
-		creds = qs.creds
-	}
 	// Persisted per-job progress is honored: a preempted set comes back
 	// through the queue with completed jobs (and consumed retry budget)
-	// already journaled, and must not redo that work.
-	r, err := s.restoreRun(e.ID, doc, creds)
+	// already journaled, and must not redo that work. A set that cannot be
+	// run is takeOn's to fail.
+	r, _ := s.restoreRun(e.ID, doc, s.sets.get(e.ID).creds)
 	r.tenant, r.entry, r.hasEntry = e.Tenant, e, true
-	switch {
-	case err != nil:
-		// Failing the set gives the running slot back.
-		s.fire(ctx, r, event{kind: evFailed, reason: "queued job set has no valid spec snapshot"})
-		return
-	case doc.Attr(qSecured) == "true" && creds.Username == "":
-		// The credentials died with the process that accepted the
-		// submission — fail explicitly, as Recover does for secured runs.
-		s.fire(ctx, r, event{kind: evFailed, reason: "scheduler restarted; credentials are not persisted, resubmit the job set"})
-		return
+	if live, err := s.takeOn(ctx, r, activated); err != nil {
+		// Transient: the entry goes back into the queue after a pause, and
+		// only then does the slot go back.
+		time.AfterFunc(admissionRetryDelay, func() {
+			s.adm.Requeue(e)
+			s.adm.Done(e.Tenant)
+		})
+	} else if !live {
+		s.releaseAdmission(r) // unless failing the set already has
 	}
-
-	// Subscriptions were deferred at enqueue so the ack cost no broker
-	// round trips; establish them now, before any event can be
-	// published. The SS's own subscription is load-bearing, the client
-	// listener's best-effort (mirroring Recover).
-	if err := s.subscribeRun(ctx, r, false); err != nil {
-		s.requeueLater(e, creds)
-		return
-	}
-	s.syncCatalog(ctx)
-	s.ensureReplicaSubscription(ctx)
-	s.publishReplicaWant(ctx, r.spec.Replicas)
-
-	// Queued → Running in the journal, before the run can be seen.
-	if err := s.persist(r, effects{status: true}, nil); err != nil {
-		s.requeueLater(e, creds)
-		return
-	}
-	s.mu.Lock()
-	if s.runs[e.Topic] != nil {
-		s.mu.Unlock()
-		s.adm.Done(e.Tenant)
-		return
-	}
-	s.runs[e.Topic] = r
-	s.runIDs[e.ID] = e.Topic
-	s.mu.Unlock()
-	// A re-activated preempted set may already have every job terminal
-	// (preempted in the window before its completion was recorded
-	// set-wide); the reservation that finds nothing to do closes it out.
-	go s.scheduleReady(ctx, r)
-}
-
-// requeueLater re-parks an entry whose activation hit a transient
-// failure, after a delay, and only then gives back the running slot Next
-// charged for it.
-func (s *Service) requeueLater(e admission.Entry, creds wssec.Credentials) {
-	time.AfterFunc(admissionRetryDelay, func() {
-		s.park(e, creds)
-		s.adm.Done(e.Tenant)
-	})
 }
 
 // park puts a set's entry into the admission queue — in admission-sequence
@@ -228,40 +158,27 @@ func (s *Service) requeueLater(e admission.Entry, creds wssec.Credentials) {
 // credentials activation will need (memory only). Idempotent against
 // overlapping sweeps: false means the set is already parked or live here.
 func (s *Service) park(e admission.Entry, creds wssec.Credentials) bool {
-	s.mu.Lock()
-	if s.queued[e.Topic] != nil || s.runs[e.Topic] != nil {
-		s.mu.Unlock()
+	if !s.sets.park(e, creds) {
 		return false
 	}
-	s.wireConsumerLocked()
-	s.queued[e.Topic] = &queuedSet{entry: e, creds: creds}
-	s.runIDs[e.ID] = e.Topic
-	s.mu.Unlock()
 	s.adm.Requeue(e)
 	return true
 }
 
 // unparkForCancel takes a still-parked set out of the admission queue
 // and returns a run over the invocation's own document for the cancel
-// transition to act on. nil means the set was activated or removed
-// concurrently; the caller falls back to the live-run path.
-func (s *Service) unparkForCancel(inv *wsrf.Invocation, topic string) *run {
-	s.mu.Lock()
-	qs := s.queued[topic]
-	if qs == nil || qs.entry.Topic == "" {
-		s.mu.Unlock()
+// transition to act on. nil means the set is not parked, or activation has
+// drawn its entry already (and still needs the credentials parked with
+// it); the caller falls back to the live-run path.
+func (s *Service) unparkForCancel(inv *wsrf.Invocation) *run {
+	h := s.sets.get(inv.ResourceID)
+	if !h.parked() || !s.adm.Remove(h.entry.Tenant, h.entry.Seq) {
 		return nil
 	}
-	e := qs.entry
-	delete(s.queued, topic)
-	delete(s.runIDs, e.ID)
-	s.mu.Unlock()
-	if !s.adm.Remove(e.Tenant, e.Seq) {
-		return nil
-	}
+	s.letGo(inv.ResourceID)
 	// Whatever restoreRun thinks of the snapshot, the run it returns is
 	// good for cancelling.
-	r, _ := s.restoreRun(inv.ResourceID, inv.Doc, qs.creds)
+	r, _ := s.restoreRun(inv.ResourceID, inv.Doc, h.creds)
 	r.tenant = "" // a parked set holds no running slot to give back
 	return r
 }

@@ -172,11 +172,7 @@ func TestAdmissionRecoverRequeuesQueuedSets(t *testing.T) {
 
 	// "Crash": drop every piece of in-memory runtime, including the
 	// admission queue itself — only the journaled documents remain.
-	h.ss.mu.Lock()
-	h.ss.runs = make(map[string]*run)
-	h.ss.queued = make(map[string]*queuedSet)
-	h.ss.runIDs = make(map[string]string)
-	h.ss.mu.Unlock()
+	h.ss.sets.forgetAll()
 	h.ss.adm = admission.New(admission.Config{})
 
 	resumed, err := h.ss.Recover(context.Background())
@@ -296,10 +292,7 @@ func TestAdmissionShardMoveAfterDequeue(t *testing.T) {
 		}
 		return true
 	})
-	h.masters[0].mu.Lock()
-	_, live := h.masters[0].runs[topic]
-	h.masters[0].mu.Unlock()
-	if live {
+	if h.masters[0].sets.live(topic) != nil {
 		t.Fatal("fenced master dispatched a set it no longer owns")
 	}
 

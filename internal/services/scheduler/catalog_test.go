@@ -212,7 +212,7 @@ func TestParallelDispatchWideSet(t *testing.T) {
 	// snapshot the broker holds at this instant is timing-dependent): the
 	// property under test is sequence reservation, not catalog feeding.
 	h.ss.mu.Lock()
-	h.ss.catSubscribed = true
+	h.ss.standing[nodeinfo.CatalogTopic] = true
 	h.ss.mu.Unlock()
 	pushCatalog(h.ss, "node-a", "node-b")
 	spec := &JobSetSpec{Name: "wide"}

@@ -494,9 +494,7 @@ func TestRecoverFromDocumentsOnly(t *testing.T) {
 	// The old layout of this set, crashed mid-run: first Completed with
 	// its directory, second still Running, all of it in the one document.
 	id := setEPR.Property(wsrf.QResourceID)
-	h.ss.mu.Lock()
-	h.ss.runs = make(map[string]*run)
-	h.ss.mu.Unlock()
+	h.ss.sets.forgetAll()
 	var doc *xmlutil.Element
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
 		if doc, err = h.ss.WSRF().Home().Load(id); err != nil {

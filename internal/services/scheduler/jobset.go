@@ -318,7 +318,11 @@ func (st *setState) jobEvent(ev event, now time.Time, fx *effects) {
 }
 
 // fail is one job's failure — nonzero exit, staging or spawn error,
-// dispatch error, watchdog timeout. With retry budget left the job goes
+// dispatch error, watchdog timeout. Each spends one retry, whether or not
+// a process ever started: the budget counts attempts — reservations — not
+// starts, so a dispatch that reached no node is an attempt like any other
+// and a grid with no machines ends in a verdict after Limit backoffs
+// instead of spinning. With retry budget left the job goes
 // back to Pending behind its backoff; without, it is Failed, run-on-success
 // work that can no longer matter is cancelled and killed, failure
 // handlers are left to run, and the set settles if nothing is.

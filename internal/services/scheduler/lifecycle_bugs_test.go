@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"uvacg/internal/procspawn"
+	"uvacg/internal/services/nodeinfo"
 	"uvacg/internal/soap"
 	"uvacg/internal/transport"
 	"uvacg/internal/wsa"
@@ -137,7 +138,7 @@ func TestFailedSetLeavesNoLiveJobStates(t *testing.T) {
 
 // TestConcurrentCatalogSubscribeOnce: racing first submissions must
 // establish exactly one catalog-changed subscription. The old
-// check-then-act on catSubscribed let every racer see "not yet" and
+// check-then-act on the subscribed flag let every racer see "not yet" and
 // subscribe, so each catalog change was applied N times.
 func TestConcurrentCatalogSubscribeOnce(t *testing.T) {
 	h := newSSHarness(t, Greedy{}, nil, "node-a")
@@ -169,7 +170,7 @@ func TestConcurrentCatalogSubscribeOnce(t *testing.T) {
 	const rounds, racers = 3, 8
 	for round := 0; round < rounds; round++ {
 		h.ss.mu.Lock()
-		h.ss.catSubscribed = false
+		delete(h.ss.standing, nodeinfo.CatalogTopic)
 		h.ss.mu.Unlock()
 		start := make(chan struct{})
 		var wg sync.WaitGroup

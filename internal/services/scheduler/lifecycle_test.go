@@ -60,9 +60,7 @@ func TestCancelStopsWatchdogs(t *testing.T) {
 	if got := h.waitTerminal(t, topic); got != "cancelled" {
 		t.Fatalf("terminal event %q", got)
 	}
-	h.ss.mu.Lock()
-	r := h.ss.runs[topic]
-	h.ss.mu.Unlock()
+	r := h.ss.sets.live(topic)
 	if r == nil {
 		t.Fatal("run gone before destroy")
 	}
@@ -88,11 +86,8 @@ func TestSubmitCleansUpOnSubscribeFailure(t *testing.T) {
 	if _, _, err := h.submit(t, spec, nil); err == nil {
 		t.Fatal("submit succeeded with an unreachable broker")
 	}
-	h.ss.mu.Lock()
-	nruns, nids := len(h.ss.runs), len(h.ss.runIDs)
-	h.ss.mu.Unlock()
-	if nruns != 0 || nids != 0 {
-		t.Fatalf("aborted submit left %d runs, %d run ids", nruns, nids)
+	if n := h.ss.sets.count(); n != 0 {
+		t.Fatalf("aborted submit left %d sets registered", n)
 	}
 	if ids := h.ss.WSRF().Home().IDs(); len(ids) != 0 {
 		t.Fatalf("aborted submit left %d job-set resources", len(ids))
@@ -123,12 +118,8 @@ func TestDestroyEvictsTerminalRun(t *testing.T) {
 	if err := wsrf.NewResourceClient(h.client, setEPR).Destroy(ctx); err != nil {
 		t.Fatal(err)
 	}
-	h.ss.mu.Lock()
-	_, haveRun := h.ss.runs[topic]
-	nids := len(h.ss.runIDs)
-	h.ss.mu.Unlock()
-	if haveRun || nids != 0 {
-		t.Fatalf("destroy left run=%v, %d run ids", haveRun, nids)
+	if haveRun, n := h.ss.sets.live(topic) != nil, h.ss.sets.count(); haveRun || n != 0 {
+		t.Fatalf("destroy left run=%v, %d sets registered", haveRun, n)
 	}
 	if _, ok := h.ss.OutputDirectory(topic, "first"); ok {
 		t.Fatal("destroyed set still serves an output directory")
@@ -147,17 +138,13 @@ func TestDestroyCancelsRunningSet(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitStarted(t, h.events)
-	h.ss.mu.Lock()
-	r := h.ss.runs[topic]
-	h.ss.mu.Unlock()
+	r := h.ss.sets.live(topic)
 
 	ctx := context.Background()
 	if err := wsrf.NewResourceClient(h.client, setEPR).Destroy(ctx); err != nil {
 		t.Fatal(err)
 	}
-	h.ss.mu.Lock()
-	_, haveRun := h.ss.runs[topic]
-	h.ss.mu.Unlock()
+	haveRun := h.ss.sets.live(topic) != nil
 	if haveRun {
 		t.Fatal("destroyed running set still has a run")
 	}
@@ -287,10 +274,7 @@ func TestFailedTerminalPublishLeavesUnnotified(t *testing.T) {
 
 	// Broker heals; a restarted scheduler must replay the event.
 	h.network.Register("broker", brokerSrv)
-	h.ss.mu.Lock()
-	h.ss.runs = make(map[string]*run)
-	h.ss.runIDs = make(map[string]string)
-	h.ss.mu.Unlock()
+	h.ss.sets.forgetAll()
 	if _, err := h.ss.Recover(context.Background()); err != nil {
 		t.Fatal(err)
 	}

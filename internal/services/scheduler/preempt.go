@@ -38,12 +38,10 @@ func (s *Service) maybePreempt(ctx context.Context, tenant string) {
 // pickVictim chooses the tenant's youngest (highest admission sequence)
 // running scavenger set — the one that has, in expectation, the least
 // sunk work.
-func (s *Service) pickVictim(tenant string) *run {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var best *run
-	for _, r := range s.runs {
-		if !r.hasEntry || r.entry.Tenant != tenant || r.entry.Class != admission.ClassScavenger {
+func (s *Service) pickVictim(tenant string) (best *run) {
+	for _, h := range s.sets.all() {
+		r := h.run
+		if r == nil || !r.hasEntry || r.entry.Tenant != tenant || r.entry.Class != admission.ClassScavenger {
 			continue
 		}
 		r.mu.Lock()
@@ -54,14 +52,4 @@ func (s *Service) pickVictim(tenant string) *run {
 		}
 	}
 	return best
-}
-
-// requeue re-parks an evicted run — the credentials survive in-process,
-// so a secured victim resumes without a resubmit — and its entry heads
-// its class again when the burst drains.
-func (s *Service) requeue(r *run) {
-	s.mu.Lock()
-	delete(s.runs, r.topic)
-	s.mu.Unlock()
-	s.park(r.entry, r.creds)
 }

@@ -49,9 +49,7 @@ func TestRecoverResumesRunningJobSet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.ss.mu.Lock()
-	h.ss.runs = make(map[string]*run)
-	h.ss.mu.Unlock()
+	h.ss.sets.forgetAll()
 
 	// Restart: Recover rebuilds the run and finishes it.
 	resumed, err := h.ss.Recover(context.Background())
@@ -81,9 +79,7 @@ func TestRecoverFailsSecuredRun(t *testing.T) {
 	_ = setEPR
 
 	// Crash while still running.
-	h.ss.mu.Lock()
-	h.ss.runs = make(map[string]*run)
-	h.ss.mu.Unlock()
+	h.ss.sets.forgetAll()
 
 	resumed, err := h.ss.Recover(context.Background())
 	if err != nil {
@@ -99,8 +95,8 @@ func TestRecoverFailsSecuredRun(t *testing.T) {
 
 // TestRecoverSkipsUnrecoverableSet: one job set with a gutted spec
 // snapshot must not abort the whole recovery pass — the healthy set
-// still resumes and completes, and the broken one is reported in the
-// joined error.
+// still resumes and completes, and the broken one is failed and reported
+// in the joined error.
 func TestRecoverSkipsUnrecoverableSet(t *testing.T) {
 	h := newSSHarness(t, Greedy{}, nil, "node-a")
 	h.files.Publish("good.app", procspawn.BuildScript("exit 0"))
@@ -150,9 +146,7 @@ func TestRecoverSkipsUnrecoverableSet(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	h.ss.mu.Lock()
-	h.ss.runs = make(map[string]*run)
-	h.ss.mu.Unlock()
+	h.ss.sets.forgetAll()
 
 	resumed, err := h.ss.Recover(context.Background())
 	if err == nil {
@@ -166,6 +160,11 @@ func TestRecoverSkipsUnrecoverableSet(t *testing.T) {
 	}
 	if got := h.waitTerminal(t, goodTopic); got != "completed" {
 		t.Fatalf("healthy set after partial recovery: %q", got)
+	}
+	// The broken one is failed as a set, not left Running for ever.
+	doc, err := h.ss.WSRF().Home().Load(badEPR.Property(wsrf.QResourceID))
+	if err != nil || doc.ChildText(QStatus) != SetFailed {
+		t.Fatalf("unrecoverable set left %q, err %v", doc.ChildText(QStatus), err)
 	}
 }
 
@@ -220,9 +219,7 @@ func TestRecoverFailsInvalidSnapshot(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			h.ss.mu.Lock()
-			h.ss.runs = make(map[string]*run)
-			h.ss.mu.Unlock()
+			h.ss.sets.forgetAll()
 
 			resumed, err := h.ss.Recover(context.Background())
 			if err == nil || !strings.Contains(err.Error(), "invalid recovered spec") {
@@ -282,9 +279,7 @@ func TestRecoverRepublishesUnnotifiedTerminalEvent(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	h.ss.mu.Lock()
-	h.ss.runs = make(map[string]*run)
-	h.ss.mu.Unlock()
+	h.ss.sets.forgetAll()
 
 	resumed, err := h.ss.Recover(context.Background())
 	if err != nil {
@@ -329,9 +324,7 @@ func TestRecoverIgnoresFinishedSets(t *testing.T) {
 	if got := h.waitTerminal(t, topic); got != "completed" {
 		t.Fatalf("run: %q", got)
 	}
-	h.ss.mu.Lock()
-	h.ss.runs = make(map[string]*run)
-	h.ss.mu.Unlock()
+	h.ss.sets.forgetAll()
 	resumed, err := h.ss.Recover(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -366,9 +359,7 @@ func TestRecoverRetriesSetsTheBrokerRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.ss.mu.Lock()
-	h.ss.runs = make(map[string]*run)
-	h.ss.mu.Unlock()
+	h.ss.sets.forgetAll()
 	h.network.Deregister("broker")
 	if resumed, err := h.ss.Recover(context.Background()); err == nil || resumed != 0 {
 		t.Fatalf("Recover with no broker: resumed %d, err %v", resumed, err)

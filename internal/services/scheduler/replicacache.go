@@ -37,22 +37,7 @@ type replicaCache struct {
 // Best-effort, like the catalog subscription: a cold cache only costs
 // locality-blind placement, never a failed dispatch.
 func (s *Service) ensureReplicaSubscription(ctx context.Context) {
-	if !s.trackReplicas {
-		return
-	}
-	// Atomic claim, as in syncCatalog: concurrent submits
-	// must not double-subscribe.
-	s.mu.Lock()
-	if s.repSubscribed {
-		s.mu.Unlock()
-		return
-	}
-	s.repSubscribed = true
-	s.mu.Unlock()
-	if _, err := wsn.SubscribeVia(ctx, s.client, s.broker, s.ConsumerEPR(), wsn.Simple(filesystem.ReplicaTopic)); err != nil {
-		s.mu.Lock()
-		s.repSubscribed = false
-		s.mu.Unlock()
+	if !s.trackReplicas || !s.subscribeStanding(ctx, filesystem.ReplicaTopic) {
 		return
 	}
 	if n, err := wsn.GetCurrentMessageVia(ctx, s.client, s.broker, wsn.Simple(filesystem.ReplicaTopic)); err == nil {

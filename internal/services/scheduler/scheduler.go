@@ -167,19 +167,16 @@ type Service struct {
 	defaultRetry RetryPolicy
 	preempt      bool
 
-	// mu guards the maps below. Reader-heavy paths — the notification
-	// fan-in's run lookups, cancel/output queries, shard-owner routing —
-	// take the read side so they no longer serialize against each other
-	// behind Submit's writes.
-	mu            sync.RWMutex
-	runs          map[string]*run       // topic → run
-	queued        map[string]*queuedSet // topic → parked submission
-	runIDs        map[string]string     // resource id → topic (for destroy eviction)
-	wired         bool                  // consumer handler installed (at most once)
-	catSubscribed bool                  // catalog-changed subscription established
-	repSubscribed bool                  // replica-topic subscription established
-	shardOwners   map[int]string        // pushed shard-map routing view
-	shardEpochs   map[int]uint64        // highest epoch seen per shard
+	// sets is every job set this master remembers, parked or live; takeOn
+	// and letGo are the way in and the way out.
+	sets registry
+
+	// mu guards the standing subscriptions, the shard-routing view and the
+	// replica cache; routing and dispatch take the read side.
+	mu          sync.RWMutex
+	standing    map[string]bool // topic → subscription claimed (subscribeStanding)
+	shardOwners map[int]string  // pushed shard-map routing view
+	shardEpochs map[int]uint64  // highest epoch seen per shard
 
 	trackReplicas bool
 	rep           replicaCache // guarded by mu
@@ -199,17 +196,6 @@ type catalogCache struct {
 	pushes  int64 // catalog-changed notifications applied
 }
 
-// wireConsumerLocked installs the notification handler exactly once.
-// "*//" is the Full-dialect catch-all; onNotification routes by topic
-// root. Callers hold s.mu.
-func (s *Service) wireConsumerLocked() {
-	if s.wired {
-		return
-	}
-	s.wired = true
-	s.consumer.Handle(wsn.MustTopicExpression(wsn.DialectFull, "*//"), s.onNotification)
-}
-
 // run is one live job set on this master: what it was submitted with
 // (fixed once built) and, under mu, its state and the watchdogs of the
 // attempts in flight. Only jobset.go's step changes st.
@@ -218,6 +204,9 @@ type run struct {
 	spec                        *JobSetSpec
 	clientFiles, clientListener wsa.EndpointReference
 	creds                       wssec.Credentials
+	// cannotRun, when set, is why restoreRun found this set impossible to
+	// run; takeOn fails it with that reason.
+	cannotRun string
 	// tenant is the admission bucket whose running slot this run holds;
 	// empty for runs that never went through the queue. entry is the
 	// admission-queue coordinate it was activated under (hasEntry marks
@@ -240,10 +229,8 @@ type run struct {
 func (s *Service) newRun(id string, spec *JobSetSpec, clientFiles, clientListener wsa.EndpointReference, creds wssec.Credentials, status string) *run {
 	nonce := wsa.NewMessageID()[len("urn:uuid:"):][:8]
 	return &run{
-		id: id,
-		// "The Scheduler service then generates a unique topic name for
-		// events related to this job set."
-		topic:          "jobset-" + id,
+		id:             id,
+		topic:          topicPrefix + id,
 		spec:           spec,
 		clientFiles:    clientFiles,
 		clientListener: clientListener,
@@ -255,17 +242,26 @@ func (s *Service) newRun(id string, spec *JobSetSpec, clientFiles, clientListene
 
 var (
 	// errNoSpec: a document's spec snapshot is missing, unreadable or empty.
-	errNoSpec = errors.New("scheduler: no recoverable spec")
+	errNoSpec = errors.New("no recoverable spec")
 	// errRunParked aborts a journal write for a run that left this master.
 	errRunParked = errors.New("scheduler: run parked")
 )
 
+// credentialsLost is the one verdict on a secured set whose credentials
+// died with the process that accepted it (they are never journaled).
+const credentialsLost = "scheduler restarted; credentials are not persisted, resubmit the job set"
+
 // restoreRun is the one document → run reader (activation, recovery):
 // spec snapshot, client endpoints, admission coordinates, and per-job
 // progress — completed jobs with their output directories, retries
-// consumed. When the snapshot cannot be read (errNoSpec) or fails
-// validation (any other error), the run returned is built over the
-// document's own job list: good only for failing or cancelling the set.
+// consumed. A set that cannot be run is marked (cannotRun) for takeOn to
+// fail as a set, whichever way it came: its snapshot cannot be read
+// (errNoSpec) or fails validation (any other error) — the run is then
+// built over the document's own job list, good only for failing or
+// cancelling the set — or it was secured, has work left and no
+// credentials: nothing of it, failure handlers included, can be
+// dispatched without them. A secured set with nothing left to dispatch
+// needs none; the reservation that finds nothing to do closes it out.
 func (s *Service) restoreRun(id string, doc *xmlutil.Element, creds wssec.Credentials) (*run, error) {
 	view := ParseJobSetDocument(doc)
 	var spec *JobSetSpec
@@ -273,8 +269,10 @@ func (s *Service) restoreRun(id string, doc *xmlutil.Element, creds wssec.Creden
 	if snap := doc.Child(qSpecSnapshot); snap != nil {
 		if spec, err = parseSpec(snap); err != nil || len(spec.Jobs) == 0 {
 			err = errNoSpec
-		} else {
-			err = spec.Validate()
+		} else if err = spec.Validate(); err != nil {
+			// A cyclic DAG or a missing reference — possible via corruption
+			// or an old writer — would hang for ever: no job becomes ready.
+			err = fmt.Errorf("invalid recovered spec: %w", err)
 		}
 	}
 	if err != nil {
@@ -297,6 +295,11 @@ func (s *Service) restoreRun(id string, doc *xmlutil.Element, creds wssec.Creden
 		r.entry, r.hasEntry = queuedEntry(id, doc)
 	}
 	r.st.restore(view)
+	if err != nil {
+		r.cannotRun = err.Error()
+	} else if doc.Attr(qSecured) == "true" && creds.Username == "" && r.st.firstUnfinished() != "" {
+		r.cannotRun = credentialsLost
+	}
 	return r, err
 }
 
@@ -369,7 +372,11 @@ func (s *Service) perform(ctx context.Context, r *run, fx effects, inHand *xmlut
 		}
 	}
 	if fx.requeue && journaled {
-		s.requeue(r)
+		// Evicted: the run leaves, its entry heads its class again. The
+		// credentials stay with it in memory, so a secured victim resumes
+		// without a resubmit.
+		s.letGo(r.id)
+		s.park(r.entry, r.creds)
 	}
 	if fx.release {
 		s.releaseAdmission(r)
@@ -495,9 +502,8 @@ func New(cfg Config) (*Service, error) {
 		sharding:     cfg.Sharding,
 		onDispatch:   cfg.OnDispatch,
 		adm:          cfg.Admission,
-		runs:         make(map[string]*run),
-		queued:       make(map[string]*queuedSet),
-		runIDs:       make(map[string]string),
+		sets:         registry{sets: make(map[string]held)},
+		standing:     make(map[string]bool),
 		shardOwners:  make(map[int]string),
 		shardEpochs:  make(map[int]uint64),
 		defaultRetry: cfg.DefaultRetry,
@@ -508,6 +514,8 @@ func New(cfg Config) (*Service, error) {
 		return nil, fmt.Errorf("scheduler: Sharding requires a lease Manager")
 	}
 	svc.OnDestroy(s.onSetDestroyed)
+	// "*//" is the Full-dialect catch-all; onNotification routes by topic root.
+	s.consumer.Handle(wsn.MustTopicExpression(wsn.DialectFull, "*//"), s.onNotification)
 	if cfg.Security != nil {
 		// Submit carries the account credentials; status reads and
 		// cancellation stay open like the rest of the WSRF surface.
@@ -616,30 +624,14 @@ func (s *Service) handleSubmit(ctx context.Context, inv *wsrf.Invocation, body *
 	if err != nil {
 		return nil, soap.ReceiverFault("scheduler: create job set resource: %v", err)
 	}
-	s.mu.Lock()
-	s.wireConsumerLocked()
-	s.runs[r.topic] = r
-	s.runIDs[id] = r.topic
-	s.mu.Unlock()
-
-	// "subscribe both itself and the client's notification listener".
-	bg := context.WithoutCancel(ctx)
-	if err := s.subscribeRun(bg, r, true); err != nil {
+	if _, err := s.takeOn(ctx, r, submitted); err != nil {
 		// Undo: a half-born set — one the client was never acked, will never
-		// poll and can never destroy — would leak forever and shadow its
-		// topic. Destroying the resource evicts the run (onSetDestroyed).
+		// poll and can never destroy — would leak forever and shadow its topic.
 		if derr := s.svc.DestroyResource(id); derr != nil {
 			return nil, soap.ReceiverFault("scheduler: %v; and the half-created job set %s could not be removed: %v", err, id, derr)
 		}
 		return nil, soap.ReceiverFault("scheduler: %v", err)
 	}
-	s.syncCatalog(bg)
-	s.ensureReplicaSubscription(bg)
-	s.publishReplicaWant(bg, spec.Replicas)
-
-	// Kick scheduling off the request path.
-	go s.scheduleReady(bg, r)
-
 	return xmlutil.NewContainer(qSubmitResp,
 		setEPR.ElementNamed(qJobSetEPR),
 		xmlutil.NewElement(qTopicOut, r.topic),
@@ -844,8 +836,8 @@ func (s *Service) CatalogStats() (polls, pushes int64) {
 }
 
 // syncCatalog subscribes the SS consumer to the NIS catalog-changed topic,
-// once, and then — every time: at Recover and as each job set is taken
-// on, the paper's Fig. 3 step 2 — reads the catalog from the NIS itself.
+// once, and then — every time a job set is taken on, the paper's Fig. 3
+// step 2 — reads the catalog from the NIS itself.
 // The NIS is the authority and pushes trail it by two one-way hops, so a
 // set placed on pushes alone can miss a machine that registered just
 // before its Submit; after the poll the pushes only move the cache
@@ -856,22 +848,32 @@ func (s *Service) syncCatalog(ctx context.Context) {
 	if s.catalogTTL <= 0 {
 		return
 	}
-	// Claim the flag before subscribing: a check-then-act window here
-	// would let concurrent submits race past each other and register
-	// duplicate subscriptions, double-delivering every catalog push.
-	s.mu.Lock()
-	subscribed := s.catSubscribed
-	s.catSubscribed = true
-	s.mu.Unlock()
-	if !subscribed {
-		if _, err := wsn.SubscribeVia(ctx, s.client, s.broker, s.ConsumerEPR(), wsn.Simple(nodeinfo.CatalogTopic)); err != nil {
-			// Release the claim so the next submission retries.
-			s.mu.Lock()
-			s.catSubscribed = false
-			s.mu.Unlock()
-		}
-	}
+	s.subscribeStanding(ctx, nodeinfo.CatalogTopic)
 	_, _ = s.pollCatalog(ctx)
+}
+
+// subscribeStanding subscribes the SS consumer to a topic that outlives
+// every job set (catalog, replicas, shard map) unless that is done, and
+// reports whether this call did it. Best-effort: each feeds a cache with
+// an authority behind it. The claim comes before the subscription — a
+// check-then-act window would let concurrent callers subscribe twice and
+// every push be delivered twice — and is given up if the broker refuses,
+// so the next caller retries.
+func (s *Service) subscribeStanding(ctx context.Context, topic string) bool {
+	s.mu.Lock()
+	claimed := s.standing[topic]
+	s.standing[topic] = true
+	s.mu.Unlock()
+	if claimed {
+		return false
+	}
+	if _, err := wsn.SubscribeVia(ctx, s.client, s.broker, s.ConsumerEPR(), wsn.Simple(topic)); err != nil {
+		s.mu.Lock()
+		delete(s.standing, topic)
+		s.mu.Unlock()
+		return false
+	}
+	return true
 }
 
 // resolveFiles turns spec sources into FSS file references — the
@@ -943,9 +945,7 @@ func (s *Service) onNotification(ctx context.Context, n wsn.Notification) {
 		return
 	}
 	parsed, _ := ParseEvent(n)
-	s.mu.RLock()
-	r := s.runs[parsed.Set]
-	s.mu.RUnlock()
+	r := s.sets.live(parsed.Set)
 	ev := parsed.JobEvent
 	kind, known := jobEventKinds[ev.Kind]
 	if r == nil || !known || ev.JobName == "" { // only the shell speaks for a whole set
@@ -971,18 +971,12 @@ func (s *Service) onNotification(ctx context.Context, n wsn.Notification) {
 // lock — UpdateResource would self-deadlock — so the transition is
 // journaled onto the invocation's own document.
 func (s *Service) handleCancel(ctx context.Context, inv *wsrf.Invocation, body *xmlutil.Element) (*xmlutil.Element, error) {
-	topic := inv.Property(QTopic)
-	liveRun := func() *run {
-		s.mu.RLock()
-		defer s.mu.RUnlock()
-		return s.runs[topic]
-	}
-	r := liveRun()
+	r := s.sets.get(inv.ResourceID).run
 	if r == nil {
 		// Still parked in the admission queue, or activation just won the
 		// race for it and the run has registered by now.
-		if r = s.unparkForCancel(inv, topic); r == nil {
-			r = liveRun()
+		if r = s.unparkForCancel(inv); r == nil {
+			r = s.sets.get(inv.ResourceID).run
 		}
 	}
 	if r == nil {
@@ -1057,30 +1051,14 @@ func (s *Service) publishSetEvent(ctx context.Context, id, topic, status, detail
 	return wsn.PublishAckedViaBroker(ctx, s.client, s.broker, n)
 }
 
-// onSetDestroyed evicts the in-memory run when its job-set resource is
-// destroyed — by the client's Destroy or by lifetime expiry. Without
-// this, terminal runs accumulate in s.runs for the master's whole
-// lifetime. A set destroyed while still running is treated as a cancel.
-// The transition is taken at once; its effects (kills: round trips to
-// other machines) run off this goroutine, because the lifetime port
-// calls this hook holding the resource lock.
+// onSetDestroyed lets a set go when its job-set resource is destroyed —
+// by the client's Destroy or by lifetime expiry; until then a terminal run
+// stays, serving OutputDirectory. A set destroyed while still running is
+// treated as a cancel. The transition is taken at once; its effects
+// (kills: round trips to other machines) run off this goroutine, because
+// the lifetime port calls this hook holding the resource lock.
 func (s *Service) onSetDestroyed(id string) {
-	s.mu.Lock()
-	topic, ok := s.runIDs[id]
-	if !ok {
-		s.mu.Unlock()
-		return
-	}
-	delete(s.runIDs, id)
-	r := s.runs[topic]
-	delete(s.runs, topic)
-	qs := s.queued[topic]
-	delete(s.queued, topic)
-	s.mu.Unlock()
-	if qs != nil && s.adm != nil && qs.entry.Topic != "" {
-		// Destroyed while parked: unpark, no running slot to release.
-		s.adm.Remove(qs.entry.Tenant, qs.entry.Seq)
-	}
+	r := s.letGo(id)
 	if r == nil {
 		return
 	}
@@ -1089,16 +1067,13 @@ func (s *Service) onSetDestroyed(id string) {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		_ = s.perform(ctx, r, fx, nil) // destroy journals nothing: no error
-
 	}()
 }
 
 // OutputDirectory reports where a job's outputs live, once known —
 // clients use it to retrieve result files.
 func (s *Service) OutputDirectory(topic, jobName string) (wsa.EndpointReference, bool) {
-	s.mu.RLock()
-	r := s.runs[topic]
-	s.mu.RUnlock()
+	r := s.sets.live(topic)
 	if r == nil {
 		return wsa.EndpointReference{}, false
 	}
@@ -1124,9 +1099,11 @@ type InFlightJob struct {
 // dispatch in flight and no live process, will never move again.
 func (s *Service) InFlight() (out []InFlightJob) {
 	now := time.Now()
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for _, r := range s.runs {
+	for _, h := range s.sets.all() {
+		r := h.run
+		if r == nil {
+			continue
+		}
 		r.mu.Lock()
 		for i := range r.st.jobs {
 			j := &r.st.jobs[i]

@@ -220,42 +220,20 @@ func (s *Service) noteShardOwner(shard int, epoch uint64, owner string) {
 	}
 }
 
-// parkShard drops every run in a lost shard without touching its
-// persisted documents or its live jobs: the new owner recovers from
-// the documents, and still-running jobs keep publishing events the new
-// owner's subscription will consume.
+// parkShard lets go of every set in a lost shard without touching its
+// persisted document or its live jobs: the new owner recovers from the
+// documents — a Queued one is re-parked on its own queue — and
+// still-running jobs keep publishing events the new owner's subscription
+// will consume.
 func (s *Service) parkShard(shard int) {
-	s.mu.Lock()
-	var parked []*run
-	for topic, r := range s.runs {
-		if s.shardOf(r.spec.Name) != shard {
+	for id, h := range s.sets.all() {
+		if s.shardOf(h.name()) != shard {
 			continue
 		}
-		delete(s.runs, topic)
-		delete(s.runIDs, r.id)
-		parked = append(parked, r)
-	}
-	// Queued sets of the lost shard leave the admission queue too: their
-	// journaled documents still say Queued, so the new owner's recovery
-	// sweep re-parks them on its own queue.
-	var evicted []queuedSet
-	for topic, qs := range s.queued {
-		if qs.entry.Topic == "" || s.shardOf(qs.entry.Name) != shard {
-			continue
-		}
-		delete(s.queued, topic)
-		delete(s.runIDs, qs.entry.ID)
-		evicted = append(evicted, *qs)
-	}
-	s.mu.Unlock()
-	for _, r := range parked {
-		// The run now belongs to another master: timers stop, and its
-		// tenant's running slot goes back to this one's queue.
-		s.fire(context.Background(), r, event{kind: evShardLost})
-	}
-	if s.adm != nil {
-		for _, qs := range evicted {
-			s.adm.Remove(qs.entry.Tenant, qs.entry.Seq)
+		if r := s.letGo(id); r != nil {
+			// The run now belongs to another master: timers stop, and its
+			// tenant's running slot goes back to this one's queue.
+			s.fire(context.Background(), r, event{kind: evShardLost})
 		}
 	}
 }
@@ -269,12 +247,9 @@ func (s *Service) StartSharding(ctx context.Context) []int {
 	if s.sharding == nil {
 		return nil
 	}
-	s.mu.Lock()
-	s.wireConsumerLocked()
-	s.mu.Unlock()
 	// Routing pushes are best-effort; the lease table remains the
 	// authority when the subscription cannot be established.
-	_, _ = wsn.SubscribeVia(ctx, s.client, s.broker, s.ConsumerEPR(), wsn.Simple(ShardMapTopic))
+	s.subscribeStanding(ctx, ShardMapTopic)
 
 	mgr := s.sharding.Manager
 	announce := func(rec lease.Record) {
@@ -313,13 +288,16 @@ func (s *Service) StartSharding(ctx context.Context) []int {
 	return owned
 }
 
-// republishLoop periodically re-sends the terminal event of owned sets
-// whose notified marker is off. A single-master deployment talks to a
-// co-located broker and repairs lost terminal publishes on Recover; a
-// sharded master reaches its broker over the network, so a dropped
-// publish would otherwise stay lost until the next restart — this loop
-// gives invariant "at-least-once terminal notification" a repair path
-// that does not require the master to die first.
+// republishLoop periodically sweeps the persisted job sets this master
+// owns for terminal documents not yet stamped notified and republishes
+// their terminal event. A single-master deployment talks to a co-located
+// broker and repairs lost terminal publishes on Recover; a sharded master
+// reaches its broker over the network, so a dropped publish would
+// otherwise stay lost until the next restart — this loop gives invariant
+// "at-least-once terminal notification" a repair path that does not
+// require the master to die first. Duplicates are possible — the sweep can
+// race the completion path's own first publish, and a marker that could
+// not be stamped costs one more next time — and allowed.
 func (s *Service) republishLoop(ctx context.Context, interval time.Duration) {
 	t := time.NewTicker(interval)
 	defer t.Stop()
@@ -328,33 +306,7 @@ func (s *Service) republishLoop(ctx context.Context, interval time.Duration) {
 		case <-ctx.Done():
 			return
 		case <-t.C:
-			s.republishUnnotified(ctx)
+			_ = s.sweep(ctx, s.ownsSet, "replayed after delivery failure", nil)
 		}
-	}
-}
-
-// republishUnnotified sweeps the persisted job sets this master owns
-// for terminal documents not yet stamped notified and republishes
-// their terminal event. Duplicates are possible — the sweep can race
-// the completion path's own first publish — and allowed: the delivery
-// contract is at-least-once.
-func (s *Service) republishUnnotified(ctx context.Context) {
-	home := s.svc.Home()
-	for _, id := range home.IDs() {
-		doc, err := home.Load(id)
-		if err != nil {
-			continue
-		}
-		if !s.ownsSet(doc.ChildText(QName)) {
-			continue
-		}
-		topic := doc.ChildText(QTopic)
-		status := doc.ChildText(QStatus)
-		if topic == "" || !TerminalSetStatus(status) || doc.Attr(qNotifiedAttr) == "true" {
-			continue
-		}
-		// A marker that could not be stamped only costs a duplicate: the
-		// next sweep republishes and stamps again.
-		_ = s.republish(ctx, id, topic, status, "replayed after delivery failure")
 	}
 }

@@ -320,10 +320,7 @@ func TestLostLeaseParksRunAndPeerRecovers(t *testing.T) {
 	if !m1lost {
 		t.Fatal("master 1 did not observe its lost lease")
 	}
-	h.masters[0].mu.Lock()
-	_, live := h.masters[0].runs[topic]
-	h.masters[0].mu.Unlock()
-	if live {
+	if h.masters[0].sets.live(topic) != nil {
 		t.Fatal("parked run still registered on master 1")
 	}
 	resumed, err := h.masters[1].RecoverShard(context.Background(), 0)

@@ -38,8 +38,9 @@ import (
 //	    Queued at quiescence and every live master's queue is empty —
 //	    a parked submission always ends up dispatched, cancelled or
 //	    re-queued onto the shard's new owner, never stranded. The
-//	    admission ledger must be internally consistent: every dequeue
-//	    or remove names a (tenant, seq) that a prior enqueue admitted.
+//	    admission ledger must be internally consistent: no (tenant,
+//	    seq) leaves a queue — dequeue or remove — more often than an
+//	    enqueue admitted it.
 //	I7  Byte identity and replica durability: every file any FSS
 //	    installed from the scenario's file server is byte-identical to
 //	    the submitted content — whatever replica served it, whatever
@@ -311,19 +312,22 @@ func CheckInvariants(c *Cluster, sc *Scenario) []string {
 			tenant string
 			seq    uint64
 		}
-		admitted := make(map[tenantSeq]int)
+		// Counted over the whole ledger, not prefix by prefix: a queue tells
+		// its observer outside its lock, so the pump's dequeue can be noted
+		// before the enqueue it followed.
+		balance := make(map[tenantSeq]int) // enqueues less exits
 		for _, ev := range c.AdmissionEvents() {
-			k := tenantSeq{ev.Tenant, ev.Seq}
-			switch ev.Kind {
+			switch k := (tenantSeq{ev.Tenant, ev.Seq}); ev.Kind {
 			case admission.EventEnqueue:
-				admitted[k]++
+				balance[k]++
 			case admission.EventDequeue, admission.EventRemove:
-				if admitted[k] == 0 {
-					violations = append(violations,
-						fmt.Sprintf("I6: tenant %s seq %d left the queue without a matching enqueue", ev.Tenant, ev.Seq))
-					continue
-				}
-				admitted[k]--
+				balance[k]--
+			}
+		}
+		for k, n := range balance {
+			if n < 0 {
+				violations = append(violations,
+					fmt.Sprintf("I6: tenant %s seq %d left the queue %d time(s) without a matching enqueue", k.tenant, k.seq, -n))
 			}
 		}
 	}

@@ -22,7 +22,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // segmentMagic opens every segment file.
@@ -59,14 +58,6 @@ type Options struct {
 	// SegmentBytes rotates to a fresh segment once the active one
 	// exceeds this size. Defaults to 4 MiB.
 	SegmentBytes int64
-	// FlushWindow lets an elected flush leader linger this long before
-	// writing, when it is about to commit a single record right after a
-	// batch that absorbed several — the signature of concurrent
-	// committers racing the fsync. The linger gives the stragglers time
-	// to enqueue so one sync covers them all. Serial workloads never
-	// pay it: the window only opens while batching is demonstrably
-	// happening. 0 disables the wait entirely.
-	FlushWindow time.Duration
 }
 
 // Stats are monotonic counters accumulated by a Log.
@@ -83,15 +74,14 @@ type Log struct {
 	dir  string
 	opts Options
 
-	mu        sync.Mutex
-	cond      *sync.Cond
-	buf       []byte // encoded frames awaiting the next flush
-	spare     []byte // retired batch buffer, recycled into buf (double buffering)
-	seq       uint64 // last enqueued record
-	durable   uint64 // last record on disk (synced when opts.Sync)
-	flushing  bool   // a leader is writing
-	lastBatch uint64 // records covered by the previous flush (adaptive window signal)
-	err       error  // sticky I/O failure; all later commits fail
+	mu       sync.Mutex
+	cond     *sync.Cond
+	buf      []byte // encoded frames awaiting the next flush
+	spare    []byte // retired batch buffer, recycled into buf (double buffering)
+	seq      uint64 // last enqueued record
+	durable  uint64 // last record on disk (synced when opts.Sync)
+	flushing bool   // a leader is writing
+	err      error  // sticky I/O failure; all later commits fail
 
 	seg      *os.File
 	segIndex uint64
@@ -230,21 +220,8 @@ const maxSpareBytes = 1 << 20
 
 // flushLocked writes and (optionally) syncs everything buffered, as the
 // elected leader. Called with l.mu held; releases it around the I/O.
-//
-// When FlushWindow is set, a leader about to sync a lone record right
-// after a multi-record batch lingers for the window first: that shape
-// means concurrent committers are racing the fsync, and a short wait
-// lets them pile into this batch instead of each paying their own
-// sync. A leader with several records already buffered — or one whose
-// previous batch was not absorbing anybody — writes immediately, so
-// serial commit latency is untouched.
 func (l *Log) flushLocked() {
 	l.flushing = true
-	if l.opts.FlushWindow > 0 && l.seq-l.durable == 1 && l.lastBatch > 1 {
-		l.mu.Unlock()
-		time.Sleep(l.opts.FlushWindow)
-		l.mu.Lock()
-	}
 	batch := l.buf
 	if l.spare != nil {
 		l.buf, l.spare = l.spare[:0], nil
@@ -264,7 +241,6 @@ func (l *Log) flushLocked() {
 	} else {
 		n := target - l.durable
 		l.durable = target
-		l.lastBatch = n
 		l.commits.Add(n)
 		l.batches.Add(1)
 		l.bytes.Add(uint64(len(batch)))

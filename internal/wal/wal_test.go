@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"sync"
 	"testing"
-	"time"
 )
 
 func put(table, id, row string) Record {
@@ -263,55 +262,6 @@ func TestSegmentNameRoundTrip(t *testing.T) {
 	}
 	if _, ok := parseSegmentName(filepath.Base("wal-zzzz.log")); ok {
 		t.Fatal("bad hex parsed as segment")
-	}
-}
-
-// TestFlushWindowAbsorbsConcurrentCommit: once the previous batch
-// proved concurrent committers exist (lastBatch > 1), a leader with a
-// lone record lingers for the window, and a commit arriving during the
-// linger rides the same fsync.
-func TestFlushWindowAbsorbsConcurrentCommit(t *testing.T) {
-	l, err := Open(t.TempDir(), Options{Sync: true, FlushWindow: 250 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	// Prime the adaptive signal as if the previous flush had batched.
-	l.mu.Lock()
-	l.lastBatch = 2
-	l.mu.Unlock()
-
-	done := make(chan error, 2)
-	go func() { done <- l.Append(put("t", "a", "1")) }()
-	time.Sleep(50 * time.Millisecond) // leader is lingering now
-	go func() { done <- l.Append(put("t", "b", "2")) }()
-	for i := 0; i < 2; i++ {
-		if err := <-done; err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := l.Stats(); st.Syncs != 1 || st.Commits != 2 {
-		t.Fatalf("window did not absorb the straggler: %d syncs for %d commits", st.Syncs, st.Commits)
-	}
-}
-
-// TestFlushWindowSerialCommitsDoNotLinger: a workload with no
-// concurrent committers must never pay the window — lastBatch stays at
-// one, so the leader writes immediately.
-func TestFlushWindowSerialCommitsDoNotLinger(t *testing.T) {
-	l, err := Open(t.TempDir(), Options{Sync: true, FlushWindow: 2 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	start := time.Now()
-	for i := 0; i < 5; i++ {
-		if err := l.Append(put("t", fmt.Sprintf("s-%d", i), "row")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Fatalf("serial commits took %v: the flush window leaked into the serial path", elapsed)
 	}
 }
 

@@ -40,20 +40,11 @@ var ErrNoSuchResource = fmt.Errorf("wsrf: no such resource")
 // in a resourcedb table, loaded and saved around each invocation.
 type StateHome struct {
 	table *resourcedb.Table
-	// onDestroy, when set, observes destruction (services release live
-	// handles — kill the process, remove the directory).
-	onDestroy func(id string)
 }
 
 // NewStateHome wraps a database table.
 func NewStateHome(table *resourcedb.Table) *StateHome {
 	return &StateHome{table: table}
-}
-
-// OnDestroy registers a destruction observer and returns the home.
-func (h *StateHome) OnDestroy(fn func(id string)) *StateHome {
-	h.onDestroy = fn
-	return h
 }
 
 // Create implements ResourceHome.
@@ -95,9 +86,6 @@ func (h *StateHome) Destroy(id string) error {
 	}
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrNoSuchResource, id)
-	}
-	if h.onDestroy != nil {
-		h.onDestroy(id)
 	}
 	return nil
 }
