@@ -315,8 +315,19 @@ func TestDroppedDirectoryEventsStillFetch(t *testing.T) {
 		expose := cfg.Expose
 		cfg.Expose = func(srv *transport.Server) (string, func(), error) {
 			srv.Use(func(ctx context.Context, call *soap.CallInfo, next soap.Handler) (*soap.Envelope, error) {
-				if ns, err := wsn.ParseNotifyBody(call.Request.Body); err == nil && len(ns) == 1 && !strings.Contains(ns[0].Topic, "/jobset/") {
-					return nil, nil
+				// Job-level messages are dropped whatever Notify they arrive
+				// in; what is left of it, if anything, goes through.
+				if ns, err := wsn.ParseNotifyBody(call.Request.Body); err == nil {
+					kept := ns[:0]
+					for _, n := range ns {
+						if strings.Contains(n.Topic, "/jobset/") {
+							kept = append(kept, n)
+						}
+					}
+					if len(kept) == 0 {
+						return nil, nil
+					}
+					call.Request.Body = wsn.NotifyBody(kept...)
 				}
 				return next(ctx, call)
 			})

@@ -12,6 +12,7 @@ package node
 import (
 	"context"
 	"fmt"
+	"log"
 	"time"
 
 	"uvacg/internal/procspawn"
@@ -272,10 +273,16 @@ func (n *Node) Register(ctx context.Context) error {
 // Start launches the background utilization monitor.
 func (n *Node) Start() { n.Monitor.Start() }
 
-// Stop halts background activity and removes the machine from its
+// Stop halts background activity, gives the ES's queued lifecycle events
+// five seconds to reach the broker, and removes the machine from its
 // network, if it joined one.
 func (n *Node) Stop() {
 	n.Monitor.Stop()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := n.ES.DrainEvents(ctx); err != nil {
+		log.Printf("node %s: lifecycle events still queued at stop: %v", n.Name, err)
+	}
 	if n.cfg.Network != nil {
 		n.cfg.Network.Deregister(n.Name)
 	}

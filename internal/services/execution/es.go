@@ -11,9 +11,12 @@ package execution
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"log"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"uvacg/internal/procspawn"
@@ -108,6 +111,7 @@ type Service struct {
 	spawner    *procspawn.Spawner
 	broker     wsa.EndpointReference
 	mapAccount wssec.AccountMapper
+	out        *wsn.Outbox // every lifecycle event leaves through it: in order, off the job's path
 
 	mu sync.Mutex
 	// creds holds each staged job's spawn credentials until launch; it
@@ -143,6 +147,9 @@ func New(cfg Config) (*Service, error) {
 		procs:        make(map[string]*procspawn.Process),
 		reservations: make(map[string]func()),
 	}
+	s.out = wsn.NewOutbox(func(ctx context.Context, to wsa.EndpointReference, batch []wsn.Notification) error {
+		return wsn.PublishViaBroker(ctx, s.client, to, batch...)
+	})
 	if s.mapAccount == nil {
 		s.mapAccount = wssec.IdentityMapper{}
 	}
@@ -179,6 +186,10 @@ func (s *Service) WSRF() *wsrf.Service { return s.svc }
 
 // EPR returns the service endpoint.
 func (s *Service) EPR() wsa.EndpointReference { return s.svc.EPR() }
+
+// DrainEvents waits until every lifecycle event queued for the broker was
+// sent (or refused), or ctx ends: a machine going down says what it has to.
+func (s *Service) DrainEvents(ctx context.Context) error { return s.out.Drain(ctx) }
 
 // onJobDestroyed kills any live process when a job resource is
 // destroyed and drops retained credentials.
@@ -241,8 +252,9 @@ func ParseRunResponse(body *xmlutil.Element) (job, dir wsa.EndpointReference, er
 }
 
 // handleRun is steps 3-4 of Fig. 3: provision the working directory,
-// create the job resource, broadcast the directory EPR, and direct the
-// FSS to stage the files (one-way).
+// create the job resource and direct the FSS to stage the files (one-way).
+// It publishes nothing: the response carries both EPRs to the Scheduler,
+// and the broadcast of step 9 waits for the process.
 func (s *Service) handleRun(ctx context.Context, inv *wsrf.Invocation, body *xmlutil.Element) (*xmlutil.Element, error) {
 	if body == nil {
 		return nil, soap.SenderFault("es: Run requires a body")
@@ -294,11 +306,6 @@ func (s *Service) handleRun(ctx context.Context, inv *wsrf.Invocation, body *xml
 	s.reservations[jobID] = s.spawner.Reserve()
 	s.mu.Unlock()
 
-	// Step 9 (first half): broadcast the directory EPR so the Scheduler
-	// can fill in dependent jobs' file sources and the client can watch
-	// the directory.
-	s.publishEvent(ctx, jobRef{topic, jobName, attempt, jobEPR, dirEPR}, EventDirectory, "", "")
-
 	// Step 4: one-way upload request; the FSS notifies the job resource
 	// when staging finishes (step 7). The upload token carries the
 	// executable's name so the completion handler knows what to launch
@@ -323,7 +330,7 @@ func (s *Service) handleUploadComplete(ctx context.Context, inv *wsrf.Invocation
 		return nil, soap.SenderFault("%v", err)
 	}
 	jobID := inv.ResourceID
-	ref := jobRef{inv.Property(QTopic), inv.Property(QJobName), inv.Property(QAttempt), inv.EPR(), dirEPR}
+	ref := &jobRef{topic: inv.Property(QTopic), name: inv.Property(QJobName), attempt: inv.Property(QAttempt), job: inv.EPR(), dir: dirEPR}
 
 	s.mu.Lock()
 	creds := s.creds[jobID]
@@ -336,20 +343,21 @@ func (s *Service) handleUploadComplete(ctx context.Context, inv *wsrf.Invocation
 		// by the real running process or freed on failure.
 		defer release()
 	}
+	fail := func(reason string) (*xmlutil.Element, error) {
+		inv.SetProperty(QStatus, StatusFailed)
+		s.publishEvents(ctx, ref, ref.event(EventDirectory, "", ""), ref.event(EventFailed, "", reason))
+		return nil, nil
+	}
 
 	if !success {
-		inv.SetProperty(QStatus, StatusFailed)
-		s.publishEvent(ctx, ref, EventFailed, "", errMsg)
-		return nil, nil
+		return fail(errMsg)
 	}
 
 	// Resolve the working directory path from the directory resource.
 	rc := wsrf.NewResourceClient(s.client, dirEPR)
 	workDir, err := rc.GetPropertyText(ctx, filesystem.QPath)
 	if err != nil {
-		inv.SetProperty(QStatus, StatusFailed)
-		s.publishEvent(ctx, ref, EventFailed, "", "resolve working directory: "+err.Error())
-		return nil, nil
+		return fail("resolve working directory: " + err.Error())
 	}
 
 	proc, err := s.spawner.Spawn(procspawn.SpawnSpec{
@@ -365,22 +373,21 @@ func (s *Service) handleUploadComplete(ctx context.Context, inv *wsrf.Invocation
 		},
 	})
 	if err != nil {
-		inv.SetProperty(QStatus, StatusFailed)
-		s.publishEvent(ctx, ref, EventFailed, "", "spawn: "+err.Error())
-		return nil, nil
+		return fail("spawn: " + err.Error())
 	}
 	s.mu.Lock()
 	s.procs[jobID] = proc
 	s.mu.Unlock()
 	inv.SetProperty(QStatus, StatusRunning)
-	// Step 9 (second half): the job EPR goes out so Scheduler and client
-	// "can poll the job for its status".
-	s.publishEvent(ctx, ref, EventStarted, "", "")
+	// Step 9, one broadcast: the directory EPR, for the client to watch, and
+	// the job EPR, so Scheduler and client "can poll the job for its status".
+	// Queued back to back, after the spawn: one Notify, directory first.
+	s.publishEvents(ctx, ref, ref.event(EventDirectory, "", ""), ref.event(EventStarted, "", ""))
 	return nil, nil
 }
 
 // onProcessExit is step 10: record the exit and broadcast it.
-func (s *Service) onProcessExit(ctx context.Context, jobID string, ref jobRef, p *procspawn.Process) {
+func (s *Service) onProcessExit(ctx context.Context, jobID string, ref *jobRef, p *procspawn.Process) {
 	code, _ := p.ExitCode()
 	status := StatusExited
 	if p.State() == procspawn.StateKilled {
@@ -391,11 +398,11 @@ func (s *Service) onProcessExit(ctx context.Context, jobID string, ref jobRef, p
 		setChildText(doc, QExitCode, strconv.Itoa(code))
 		return nil
 	})
-	if err != nil {
-		// The resource may have been destroyed; still publish the exit.
-		_ = err
+	if err != nil && !errors.Is(err, wsrf.ErrNoSuchResource) {
+		// Not destroyed: the resource says Running for ever. Still publish.
+		log.Printf("es: job %s (%s): recording exit: %v", jobID, ref.name, err)
 	}
-	s.publishEvent(ctx, ref, EventExited, strconv.Itoa(code), "")
+	s.publishEvents(ctx, ref, ref.event(EventExited, strconv.Itoa(code), ""))
 }
 
 func setChildText(doc *xmlutil.Element, name xmlutil.QName, text string) {
@@ -428,14 +435,11 @@ func KillRequest() *xmlutil.Element { return &xmlutil.Element{Name: qKill} }
 type jobRef struct {
 	topic, name, attempt string
 	job, dir             wsa.EndpointReference
+	sendFailed           atomic.Bool // a refused event is logged once per job
 }
 
-// publishEvent broadcasts one lifecycle event through the broker on
-// topic "<topic>/<jobName>/<kind>".
-func (s *Service) publishEvent(ctx context.Context, ref jobRef, kind, exitCode, errMsg string) {
-	if s.broker.IsZero() || ref.topic == "" {
-		return
-	}
+// event builds a lifecycle notification on "<topic>/<jobName>/<kind>".
+func (ref *jobRef) event(kind, exitCode, errMsg string) wsn.Notification {
 	payload := xmlutil.NewContainer(qJobEvent,
 		xmlutil.NewElement(QJobName, ref.name),
 		xmlutil.NewElement(QStatus, kind),
@@ -455,13 +459,30 @@ func (s *Service) publishEvent(ctx context.Context, ref jobRef, kind, exitCode, 
 	if errMsg != "" {
 		payload.Append(xmlutil.NewElement(qEventError, errMsg))
 	}
-	n := wsn.Notification{
+	return wsn.Notification{
 		Topic:    ref.topic + "/" + ref.name + "/" + kind,
 		Producer: ref.job,
 		Message:  payload,
 	}
-	// Best effort: a broker outage must not take job execution down.
-	_ = wsn.PublishViaBroker(ctx, s.client, s.broker, n)
+}
+
+// publishEvents queues lifecycle events of one job for the broker and
+// returns: they leave in order, those of one call in one Notify. Best
+// effort — a broker outage must not take jobs down — but not silent.
+func (s *Service) publishEvents(ctx context.Context, ref *jobRef, events ...wsn.Notification) {
+	if s.broker.IsZero() || ref.topic == "" {
+		return
+	}
+	sent := func(err error) {
+		if err != nil && !ref.sendFailed.Swap(true) {
+			log.Printf("es: job %s: publishing lifecycle events: %v", ref.name, err)
+		}
+	}
+	deliveries := make([]wsn.Delivery, len(events))
+	for i, n := range events {
+		deliveries[i] = wsn.Delivery{To: s.broker, N: n, Done: sent}
+	}
+	s.out.Enqueue(ctx, deliveries...)
 }
 
 // JobEvent is a decoded lifecycle notification payload.

@@ -2,7 +2,9 @@ package execution
 
 import (
 	"context"
+	"fmt"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -28,6 +30,9 @@ type esHarness struct {
 	files  *filesystem.FileServer
 	events <-chan wsn.Notification
 	seen   map[string]wsn.Notification
+	// notifies is the event kinds of each Notify the broker stand-in was
+	// sent, one entry per exchange.
+	notifies <-chan []string
 }
 
 func newESHarness(t *testing.T, accounts wssec.StaticAccounts) *esHarness {
@@ -82,7 +87,19 @@ func newESHarnessWithSecurity(t *testing.T, spawnAccounts wssec.StaticAccounts, 
 	events := consumer.Channel(wsn.MustTopicExpression(wsn.DialectFull, "*//"), 64)
 	brokerMux := soap.NewMux()
 	consumer.Mount(brokerMux, "/NotificationBroker")
-	network.Register("master", transport.NewServer(brokerMux))
+	brokerSrv := transport.NewServer(brokerMux)
+	notifies := make(chan []string, 64) // as many exchanges as events fits
+	brokerSrv.Use(func(ctx context.Context, call *soap.CallInfo, next soap.Handler) (*soap.Envelope, error) {
+		if ns, err := wsn.ParseNotifyBody(call.Request.Body); err == nil {
+			kinds := make([]string, len(ns))
+			for i, n := range ns {
+				kinds[i] = n.Topic[strings.LastIndex(n.Topic, "/")+1:]
+			}
+			notifies <- kinds
+		}
+		return next(ctx, call)
+	})
+	network.Register("master", brokerSrv)
 
 	esCfg := Config{
 		Address:    "inproc://node-a",
@@ -109,7 +126,7 @@ func newESHarnessWithSecurity(t *testing.T, spawnAccounts wssec.StaticAccounts, 
 	files.Mount(clientMux)
 	network.Register("client", transport.NewServer(clientMux))
 
-	return &esHarness{client: client, es: es, fss: fss, files: files, events: events, seen: make(map[string]wsn.Notification)}
+	return &esHarness{client: client, es: es, fss: fss, files: files, events: events, seen: make(map[string]wsn.Notification), notifies: notifies}
 }
 
 func (h *esHarness) filesEPR() wsa.EndpointReference { return wsa.NewEPR("inproc://client/files") }
@@ -472,5 +489,108 @@ func TestBrokerOutageDoesNotBlockExecution(t *testing.T) {
 	}
 	if code, _ := rc.GetPropertyText(ctx, QExitCode); code != "0" {
 		t.Fatalf("exit code %q", code)
+	}
+}
+
+// waitNotify returns the event kinds of the next Notify the broker got.
+func (h *esHarness) waitNotify(t *testing.T) string {
+	t.Helper()
+	select {
+	case kinds := <-h.notifies:
+		return fmt.Sprint(kinds)
+	case <-time.After(10 * time.Second):
+		t.Fatal("no Notify reached the broker")
+		return ""
+	}
+}
+
+// TestDirectoryRidesWithStarted: Fig. 3 step 9 is one broadcast — the
+// directory and job EPRs leave in one Notify, directory first, once the
+// process is up; Run itself publishes nothing.
+func TestDirectoryRidesWithStarted(t *testing.T) {
+	h := newESHarness(t, nil)
+	job, _ := h.runJob(t, nil, procspawn.BuildScript("compute 100000000", "exit 0"))
+	if got := h.waitNotify(t); got != "[directory started]" {
+		t.Fatalf("the job's first Notify carries %s, want [directory started]", got)
+	}
+	if _, err := h.client.Call(context.Background(), job, ActionKill, KillRequest()); err != nil {
+		t.Fatal(err)
+	}
+	if got := h.waitNotify(t); got != "[exited]" {
+		t.Fatalf("the job's second Notify carries %s, want [exited]", got)
+	}
+	for _, kind := range []string{EventDirectory, EventStarted, EventExited} {
+		ev, err := ParseJobEvent(h.waitEvent(t, kind).Message)
+		if err != nil || !ev.Job.Equal(job) || ev.Directory.IsZero() {
+			t.Fatalf("%s event = %+v, %v: want the job and directory EPRs", kind, ev, err)
+		}
+	}
+}
+
+// TestFailedStagingSendsDirectoryThenFailed: a job that never starts still
+// says where its directory is, in the same Notify as the verdict.
+func TestFailedStagingSendsDirectoryThenFailed(t *testing.T) {
+	h := newESHarness(t, nil)
+	env := soap.New(WithAttempt(RunRequest("job1", "jobset-t", "ghost.app", []filesystem.FileRef{
+		{Source: h.filesEPR(), RemoteName: "ghost.app"},
+	}), testAttempt))
+	if _, err := h.client.Invoke(context.Background(), h.es.EPR(), ActionRun, env); err != nil {
+		t.Fatal(err)
+	}
+	if got := h.waitNotify(t); got != "[directory failed]" {
+		t.Fatalf("the failed job's Notify carries %s, want [directory failed]", got)
+	}
+}
+
+// hungTransport is a peer that takes the connection and never answers.
+type hungTransport struct{ release chan struct{} }
+
+func (h hungTransport) RoundTrip(ctx context.Context, _ string, _ []byte) ([]byte, error) {
+	return nil, h.Send(ctx, "", nil)
+}
+
+func (h hungTransport) Send(ctx context.Context, _ string, _ []byte) error {
+	select {
+	case <-h.release:
+		return fmt.Errorf("hung peer went away")
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
+// TestRunDoesNotWaitForBroker: with a broker that never answers, Run
+// returns, the job stages, runs and records its exit — no lifecycle event
+// is on a job's path — and a drain says the events are still queued.
+func TestRunDoesNotWaitForBroker(t *testing.T) {
+	h := newESHarness(t, nil)
+	hung := hungTransport{release: make(chan struct{})}
+	t.Cleanup(func() { close(hung.release) })
+	h.client.RegisterScheme("hung", hung)
+	h.es.broker = wsa.NewEPR("hung://master/NotificationBroker")
+
+	h.files.Publish("job.app", procspawn.BuildScript("write out.txt done", "exit 0"))
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	env := soap.New(WithAttempt(RunRequest("job1", "jobset-t", "job.app", []filesystem.FileRef{
+		{Source: h.filesEPR(), RemoteName: "job.app"},
+	}), testAttempt))
+	resp, err := h.client.Invoke(ctx, h.es.EPR(), ActionRun, env)
+	if err != nil {
+		t.Fatalf("Run waited for the broker: %v", err)
+	}
+	job, _, err := ParseRunResponse(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc := wsrf.NewResourceClient(h.client, job)
+	for status := ""; status != StatusExited; time.Sleep(time.Millisecond) {
+		if status, err = rc.GetPropertyText(ctx, QStatus); err != nil {
+			t.Fatalf("the job never exited (status %q): %v", status, err)
+		}
+	}
+	short, cancelShort := context.WithTimeout(ctx, 10*time.Millisecond)
+	defer cancelShort()
+	if err := h.es.DrainEvents(short); err == nil {
+		t.Fatal("DrainEvents returned with the broker still holding the first Notify")
 	}
 }

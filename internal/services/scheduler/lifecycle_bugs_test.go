@@ -10,6 +10,7 @@ import (
 	"context"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -150,7 +151,9 @@ func TestConcurrentCatalogSubscribeOnce(t *testing.T) {
 	// otherwise synchronous, which would hide the check-then-act window.
 	realBroker := h.ss.broker
 	proxy := soap.NewDispatcher()
+	var asked atomic.Int64
 	proxy.Register(wsn.ActionSubscribe, func(ctx context.Context, req *soap.Envelope) (*soap.Envelope, error) {
+		asked.Add(1)
 		time.Sleep(2 * time.Millisecond)
 		body, err := h.client.Call(ctx, realBroker, wsn.ActionSubscribe, req.Body)
 		if err != nil {
@@ -164,8 +167,9 @@ func TestConcurrentCatalogSubscribeOnce(t *testing.T) {
 	h.ss.broker = wsa.NewEPR("inproc://slow-broker/NB")
 
 	// Each round models one "first submission" burst against a master
-	// whose subscription is not yet established; exactly one new
-	// subscription per round is correct.
+	// whose subscription is not yet established; exactly one Subscribe per
+	// round is correct. (The broker would answer a second one with the
+	// subscription it has, so the requests are what is counted.)
 	ctx := context.Background()
 	const rounds, racers = 3, 8
 	for round := 0; round < rounds; round++ {
@@ -186,7 +190,10 @@ func TestConcurrentCatalogSubscribeOnce(t *testing.T) {
 		wg.Wait()
 	}
 
-	if got := len(subs.IDs()) - before; got != rounds {
-		t.Fatalf("%d catalog subscriptions created over %d bursts, want exactly one each", got, rounds)
+	if got := asked.Load(); got != rounds {
+		t.Fatalf("%d catalog Subscribe requests over %d bursts, want exactly one each", got, rounds)
+	}
+	if got := len(subs.IDs()) - before; got != 1 {
+		t.Fatalf("%d catalog subscriptions at the broker, want the one", got)
 	}
 }

@@ -35,6 +35,7 @@ func TestRecoverResumesRunningJobSet(t *testing.T) {
 	// (keeping its recorded directory), second back to Pending, set
 	// Running — and drop all in-memory runtime, as a new process would.
 	id := setEPR.Property(wsrf.QResourceID)
+	h.ss.sets.forgetAll()
 	err = h.ss.WSRF().UpdateResource(id, func(doc *xmlutil.Element) error {
 		if c := doc.Child(QStatus); c != nil {
 			c.Text = SetRunning
@@ -49,7 +50,6 @@ func TestRecoverResumesRunningJobSet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.ss.sets.forgetAll()
 
 	// Restart: Recover rebuilds the run and finishes it.
 	resumed, err := h.ss.Recover(context.Background())
@@ -123,6 +123,7 @@ func TestRecoverSkipsUnrecoverableSet(t *testing.T) {
 
 	// Crash both mid-run; gut the bad set's spec snapshot so it cannot
 	// be rebuilt.
+	h.ss.sets.forgetAll()
 	for _, c := range []struct {
 		epr wsa.EndpointReference
 		gut bool
@@ -146,7 +147,6 @@ func TestRecoverSkipsUnrecoverableSet(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	h.ss.sets.forgetAll()
 
 	resumed, err := h.ss.Recover(context.Background())
 	if err == nil {
@@ -204,6 +204,7 @@ func TestRecoverFailsInvalidSnapshot(t *testing.T) {
 			// Crash mid-run, with the snapshot swapped for one that can
 			// no longer pass validation.
 			id := setEPR.Property(wsrf.QResourceID)
+			h.ss.sets.forgetAll()
 			err = h.ss.WSRF().UpdateResource(id, func(doc *xmlutil.Element) error {
 				if el := doc.Child(QStatus); el != nil {
 					el.Text = SetRunning
@@ -219,7 +220,6 @@ func TestRecoverFailsInvalidSnapshot(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			h.ss.sets.forgetAll()
 
 			resumed, err := h.ss.Recover(context.Background())
 			if err == nil || !strings.Contains(err.Error(), "invalid recovered spec") {
@@ -351,6 +351,7 @@ func TestRecoverRetriesSetsTheBrokerRefused(t *testing.T) {
 		t.Fatalf("initial run: %q", got)
 	}
 	// "Crash" mid-run, and restart while the broker is unreachable.
+	h.ss.sets.forgetAll()
 	err = h.ss.WSRF().UpdateResource(setEPR.Property(wsrf.QResourceID), func(doc *xmlutil.Element) error {
 		doc.Child(QStatus).Text = SetRunning
 		doc.ChildrenNamed(QJobState)[0].SetAttr(qStatusAttr, JobPending)
@@ -359,7 +360,6 @@ func TestRecoverRetriesSetsTheBrokerRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.ss.sets.forgetAll()
 	h.network.Deregister("broker")
 	if resumed, err := h.ss.Recover(context.Background()); err == nil || resumed != 0 {
 		t.Fatalf("Recover with no broker: resumed %d, err %v", resumed, err)
@@ -385,6 +385,79 @@ func waitNotified(t *testing.T, ss *Service, id string) {
 		}
 		if time.Now().After(deadline) {
 			t.Fatal("the terminal set was never stamped notified")
+		}
+	}
+}
+
+// TestRecoveredSetEventsArriveOnce: the broker's subscriptions are durable
+// and a restarted master subscribes again for every set it recovers. The
+// broker answers with the subscriptions it has, so each event of the
+// recovered set still reaches the client's listener once — not once per
+// restart survived.
+func TestRecoveredSetEventsArriveOnce(t *testing.T) {
+	h := newSSHarness(t, Greedy{}, nil, "node-a")
+	h.files.Publish("first.app", procspawn.BuildScript("write out.txt hello", "exit 0"))
+	h.files.Publish("second.app", procspawn.BuildScript("read in.txt", "exit 0"))
+	setEPR, topic, err := h.submit(t, twoJobSpec(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := h.waitTerminal(t, topic); got != "completed" {
+		t.Fatalf("initial run: %q", got)
+	}
+	subscriptions := h.broker.Producer().SubscriptionCount()
+
+	// Two crashes in a row, each rewinding "second" to Pending.
+	id := setEPR.Property(wsrf.QResourceID)
+	for restart := 1; restart <= 2; restart++ {
+		h.ss.sets.forgetAll()
+		err = h.ss.WSRF().UpdateResource(id, func(doc *xmlutil.Element) error {
+			doc.Child(QStatus).Text = SetRunning
+			for _, st := range doc.ChildrenNamed(QJobState) {
+				if st.Attr(qNameAttr) == "second" {
+					st.SetAttr(qStatusAttr, JobPending)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resumed, err := h.ss.Recover(context.Background()); err != nil || resumed != 1 {
+			t.Fatalf("restart %d: resumed %d runs, %v", restart, resumed, err)
+		}
+		// Counted per attempt: one-way delivery is unordered, so an event of
+		// the previous incarnation's attempt may still trail in.
+		arrived := map[string]int{}
+		settle := time.After(30 * time.Second)
+		for done := false; !done; {
+			select {
+			case n := <-h.events:
+				ev, _ := ParseEvent(n)
+				arrived[ev.Job+"/"+ev.Kind+" "+ev.JobEvent.Attempt]++
+				if n.Topic == topic+"/jobset/completed" {
+					// Whatever else is still on its way gets a moment.
+					settle = time.After(50 * time.Millisecond)
+				}
+			case <-settle:
+				done = true
+			}
+		}
+		seen := map[string]bool{}
+		for key, n := range arrived {
+			kind, _, _ := strings.Cut(key, " ")
+			seen[kind] = true
+			if n != 1 {
+				t.Errorf("restart %d: %q arrived %d times at the client's listener, want once (all: %v)", restart, key, n, arrived)
+			}
+		}
+		for _, want := range []string{"second/directory", "second/started", "second/exited", "/completed"} {
+			if !seen[want] {
+				t.Errorf("restart %d: no %s event arrived (all: %v)", restart, want, arrived)
+			}
+		}
+		if got := h.broker.Producer().SubscriptionCount(); got != subscriptions {
+			t.Errorf("restart %d: the broker holds %d subscriptions, %d before the restart", restart, got, subscriptions)
 		}
 	}
 }

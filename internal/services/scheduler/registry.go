@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"uvacg/internal/admission"
+	"uvacg/internal/pipeline"
 	"uvacg/internal/wssec"
 )
 
@@ -124,6 +125,7 @@ const (
 func (s *Service) takeOn(ctx context.Context, r *run, via way) (live bool, err error) {
 	// The set outlives the request, pump turn or sweep that brought it.
 	ctx = context.WithoutCancel(ctx)
+	r.flow, _ = pipeline.RequestIDFrom(ctx)
 	// "subscribe both itself and the client's notification listener",
 	// before any event can be published; strictly only for Submit.
 	if err := s.subscribeRun(ctx, r, via == submitted); err != nil {

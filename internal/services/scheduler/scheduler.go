@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"uvacg/internal/admission"
+	"uvacg/internal/pipeline"
 	"uvacg/internal/services/execution"
 	"uvacg/internal/services/filesystem"
 	"uvacg/internal/services/nodeinfo"
@@ -207,6 +208,9 @@ type run struct {
 	// cannotRun, when set, is why restoreRun found this set impossible to
 	// run; takeOn fails it with that reason.
 	cannotRun string
+	// flow is the request ID the set was taken on under (its Submit's): what
+	// its events cause is done under it, whichever envelope brought them.
+	flow string
 	// tenant is the admission bucket whose running slot this run holds;
 	// empty for runs that never went through the queue. entry is the
 	// admission-queue coordinate it was activated under (hasEntry marks
@@ -401,6 +405,10 @@ func (s *Service) perform(ctx context.Context, r *run, fx effects, inHand *xmlut
 	}
 	return err
 }
+
+// callsOut reports whether perform will wait on another process for fx:
+// a Kill, the acked set event, the Run round trips of scheduleReady.
+func (fx effects) callsOut() bool { return len(fx.kill) > 0 || fx.publish != "" || fx.schedule }
 
 // persist is the one writer of lifecycle state into a job set's storage: a
 // job-level transition writes the touched jobs' rows, one that changes the
@@ -951,9 +959,12 @@ func (s *Service) onNotification(ctx context.Context, n wsn.Notification) {
 	if r == nil || !known || ev.JobName == "" { // only the shell speaks for a whole set
 		return
 	}
-	// Keep the delivery's values (request ID) but not its cancellation:
-	// scheduling the next job must outlive the notify exchange.
-	s.fire(context.WithoutCancel(ctx), r, event{
+	// One set's transitions are applied, and journaled, in the order its
+	// events arrived. What one then waits for in another process — kills,
+	// the acked set event, Run round trips — is handed on: it must not hold
+	// up the rest of the Notify, and must outlive it (the delivery's values,
+	// the request ID, are kept; its cancellation is not).
+	fx := s.step(r, event{
 		kind:     kind,
 		job:      ev.JobName,
 		attempt:  ev.Attempt,
@@ -963,6 +974,15 @@ func (s *Service) onNotification(ctx context.Context, n wsn.Notification) {
 		hasExit:  ev.HasExit,
 		reason:   ev.Error,
 	})
+	ctx = context.WithoutCancel(ctx)
+	if r.flow != "" { // a Notify carries several sets' events under one ID
+		ctx = pipeline.WithRequestID(ctx, r.flow)
+	}
+	if !fx.callsOut() {
+		_ = s.perform(ctx, r, fx, nil) // perform logged the failure with the set id
+		return
+	}
+	go func() { _ = s.perform(ctx, r, fx, nil) }()
 }
 
 // handleCancel aborts a job set on client request. A set that is already

@@ -5,6 +5,7 @@ package wsn
 import (
 	"context"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -174,6 +175,61 @@ func BenchmarkE4_BrokerFanout(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkE4_BurstToOneConsumer is what a job set's dispatch does to the
+// broker: 16 events published back to back — 16 publishers, as 16 one-way
+// Notifies arriving together have — for one consumer behind a real HTTP
+// listener. It reports the socket exchanges the consumer's server answered
+// per event, and the time per event until the last handler ran.
+func BenchmarkE4_BurstToOneConsumer(b *testing.B) {
+	const burst = 16
+	ctx := context.Background()
+	owner := wsrf.MustService(wsrf.ServiceConfig{Path: "/ES", Address: "inproc://producer"})
+	producer := MustProducer(owner,
+		wsrf.NewStateHome(resourcedb.NewStore().MustTable("subs", resourcedb.BlobCodec{})), transport.NewClient())
+
+	var handled, exchanges atomic.Int64
+	cons := NewConsumer()
+	cons.Handle(Simple("bench"), func(context.Context, Notification) { handled.Add(1) })
+	mux := soap.NewMux()
+	cons.Mount(mux, "/listener")
+	srv := transport.NewServer(mux)
+	srv.Use(func(ctx context.Context, call *soap.CallInfo, next soap.Handler) (*soap.Envelope, error) {
+		exchanges.Add(1)
+		return next(ctx, call)
+	})
+	base, shutdown, err := transport.ListenHTTP(srv, "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer shutdown(ctx)
+	if _, err := producer.Subscribe(wsa.NewEPR(base+"/listener"), Simple("bench")); err != nil {
+		b.Fatal(err)
+	}
+	payload := TextMessage(xmlutil.Q(nsBench, "Event"), "tick")
+
+	b.ResetTimer()
+	for i := 1; i <= b.N; i++ {
+		var wg sync.WaitGroup
+		for e := 0; e < burst; e++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				producer.Publish(ctx, "bench/tick", wsa.EndpointReference{}, payload)
+			}()
+		}
+		wg.Wait()
+		for deadline := time.Now().Add(10 * time.Second); handled.Load() < int64(i*burst); time.Sleep(time.Microsecond) {
+			if time.Now().After(deadline) {
+				b.Fatalf("burst %d: %d of %d events handled", i, handled.Load(), i*burst)
+			}
+		}
+	}
+	b.StopTimer()
+	events := float64(b.N * burst)
+	b.ReportMetric(float64(exchanges.Load())/events, "exchanges/event")
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/events, "µs/event")
 }
 
 // BenchmarkPublishIdleSubscriptions is one publish reaching its one

@@ -74,12 +74,10 @@ func (b *Broker) handleNotify(ctx context.Context, inv *wsrf.Invocation, body *x
 	if err != nil {
 		return nil, soap.SenderFault("%v", err)
 	}
-	for _, n := range notifications {
-		b.producer.Publish(ctx, n.Topic, n.Producer, n.Message)
-		b.mu.Lock()
-		b.relayed++
-		b.mu.Unlock()
-	}
+	b.producer.publish(ctx, notifications...)
+	b.mu.Lock()
+	b.relayed += len(notifications)
+	b.mu.Unlock()
 	return nil, nil
 }
 
@@ -129,13 +127,13 @@ func RegisterPublisherRequest(publisher wsa.EndpointReference) *xmlutil.Element 
 	return xmlutil.NewContainer(qRegisterPublisher, publisher.ElementNamed(qPublisherRef))
 }
 
-// PublishViaBroker sends a notification to a broker as a one-way Notify
+// PublishViaBroker sends notifications to a broker as one one-way Notify
 // — the single call producing services use (the ES broadcasting job
 // status in paper Fig. 3 steps 9 and 10). Delivery is best-effort: a
 // dropped one-way message is indistinguishable from a delivered one at
 // the caller.
-func PublishViaBroker(ctx context.Context, c *transport.Client, broker wsa.EndpointReference, n Notification) error {
-	return c.Notify(ctx, broker, ActionNotify, NotifyBody(n))
+func PublishViaBroker(ctx context.Context, c *transport.Client, broker wsa.EndpointReference, ns ...Notification) error {
+	return c.Notify(ctx, broker, ActionNotify, NotifyBody(ns...))
 }
 
 // PublishAckedViaBroker sends a notification as a request-response

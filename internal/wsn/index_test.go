@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -103,7 +104,9 @@ func TestIndexedMatchEqualsBruteForce(t *testing.T) {
 		ctx := context.Background()
 		var eprs []wsa.EndpointReference
 		for i := 0; i < 40; i++ {
-			epr, err := h.producer.Subscribe(h.consEPR, randomExpr())
+			// A consumer of its own each: the same one asking twice for the
+			// same expression would get the same subscription back.
+			epr, err := h.producer.Subscribe(h.consEPR.WithProperty(wsrf.QResourceID, strconv.Itoa(i)), randomExpr())
 			if err != nil {
 				t.Fatal(err)
 			}

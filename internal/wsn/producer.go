@@ -61,10 +61,16 @@ type Producer struct {
 	owner  *wsrf.Service
 	subSvc *wsrf.Service
 	client *transport.Client
+	out    *Outbox // every delivery leaves through it
+
+	subscribeMu sync.Mutex // serializes Subscribe's look-up-then-create
 
 	mu    sync.RWMutex
-	retry soap.Interceptor // per-subscriber delivery retry, nil = single attempt
+	retry soap.Interceptor // per-consumer delivery retry, nil = single attempt
 	subs  map[string]subscription
+	// byKey finds the subscription a (consumer, dialect, expression) has:
+	// what makes Subscribe idempotent. Kept by index and unindex, like byRoot.
+	byKey map[string]string
 	// byRoot indexes subscription ids by their expression's first topic
 	// segment ("*" for a Full expression that starts with a wildcard), so
 	// Publish tests the subscriptions that can match and not every one
@@ -104,10 +110,12 @@ func NewProducer(owner *wsrf.Service, subHome wsrf.ResourceHome, client *transpo
 		subSvc:   subSvc,
 		client:   client,
 		subs:     make(map[string]subscription),
+		byKey:    make(map[string]string),
 		byRoot:   make(map[string]map[string]struct{}),
 		failures: make(map[string]int),
 		current:  make(map[string]currentEntry),
 	}
+	p.out = NewOutbox(p.deliver)
 	subSvc.OnDestroy(func(id string) {
 		p.mu.Lock()
 		p.unindex(id)
@@ -227,10 +235,16 @@ func (p *Producer) recover() error {
 	return nil
 }
 
-// index files a subscription under its id and its root segment; the
-// caller holds p.mu (or, in recover, the only reference).
+// key is what makes two subscriptions the same one.
+func (sub subscription) key() string {
+	return sub.consumer.String() + "\x00" + sub.te.Dialect + "\x00" + sub.te.Expr
+}
+
+// index files a subscription under its id, its key and its root segment;
+// the caller holds p.mu (or, in recover, the only reference).
 func (p *Producer) index(sub subscription) {
 	p.subs[sub.id] = sub
+	p.byKey[sub.key()] = sub.id
 	root := sub.te.segs[0]
 	if p.byRoot[root] == nil {
 		p.byRoot[root] = make(map[string]struct{})
@@ -244,6 +258,9 @@ func (p *Producer) unindex(id string) {
 		root := sub.te.segs[0]
 		if delete(p.byRoot[root], id); len(p.byRoot[root]) == 0 {
 			delete(p.byRoot, root)
+		}
+		if p.byKey[sub.key()] == id {
+			delete(p.byKey, sub.key())
 		}
 		delete(p.subs, id)
 	}
@@ -288,18 +305,29 @@ func (p *Producer) handleSubscribe(ctx context.Context, inv *wsrf.Invocation, bo
 
 // Subscribe registers a consumer directly (server-local path; the wire
 // path arrives via the Subscribe action). It returns the subscription's
-// WS-Resource EPR.
+// WS-Resource EPR. Idempotent on (consumer, dialect, expression): a master
+// that restarted beside its durable subscriptions and asks again gets the
+// subscription it has, not a second delivery of every event.
 func (p *Producer) Subscribe(consumer wsa.EndpointReference, te *TopicExpression) (wsa.EndpointReference, error) {
 	if consumer.IsZero() {
 		return wsa.EndpointReference{}, fmt.Errorf("wsn: subscribe with empty consumer EPR")
+	}
+	sub := subscription{consumer: consumer, te: te}
+	p.subscribeMu.Lock()
+	defer p.subscribeMu.Unlock()
+	p.mu.RLock()
+	existing, ok := p.byKey[sub.key()]
+	p.mu.RUnlock()
+	if ok {
+		return p.subSvc.EPRFor(existing), nil
 	}
 	epr, err := p.subSvc.CreateResource("", subscriptionDoc(consumer, te))
 	if err != nil {
 		return wsa.EndpointReference{}, err
 	}
-	id := epr.Property(wsrf.QResourceID)
+	sub.id = epr.Property(wsrf.QResourceID)
 	p.mu.Lock()
-	p.index(subscription{id: id, consumer: consumer, te: te})
+	p.index(sub)
 	p.mu.Unlock()
 	return epr, nil
 }
@@ -317,7 +345,7 @@ func (p *Producer) SubscriptionCount() int {
 }
 
 // SetDeliveryRetry installs a bounded-backoff retry (pipeline.Retry)
-// around each subscriber's Notify delivery. Notification delivery is
+// around each Notify delivery. Notification delivery is
 // at-least-once by contract, so re-sending is always safe: the policy's
 // Idempotent predicate defaults to admitting ActionNotify. A policy with
 // MaxAttempts < 2 removes any installed retry.
@@ -335,33 +363,43 @@ func (p *Producer) SetDeliveryRetry(policy pipeline.RetryPolicy) {
 }
 
 // Publish delivers a notification on a concrete topic to every matching
-// subscriber as a one-way Notify, returning the number of deliveries
-// that succeeded. Subscribers are notified concurrently — one slow or
-// dead consumer (possibly sitting out delivery retries) cannot starve
-// the others — and consumers whose deliveries keep failing across
-// publishes are unsubscribed.
+// subscriber as a one-way Notify, returning — once each delivery was
+// attempted — the number that succeeded. Deliveries leave through the
+// outbox: one slow or dead consumer (possibly sitting out delivery retries)
+// holds up only its own queue, and consumers whose deliveries keep failing
+// across publishes are unsubscribed.
 func (p *Producer) Publish(ctx context.Context, topic string, producerRef wsa.EndpointReference, message *xmlutil.Element) int {
-	n := Notification{Topic: topic, Producer: producerRef, Message: message}
+	return p.publish(ctx, Notification{Topic: topic, Producer: producerRef, Message: message})
+}
+
+// publish queues every delivery ns cause before it waits for any, so what
+// is published together reaches a consumer together.
+func (p *Producer) publish(ctx context.Context, ns ...Notification) int {
 	p.mu.Lock()
-	p.seq++
-	p.current[topic] = currentEntry{n: n, seq: p.seq}
+	for _, n := range ns {
+		p.seq++
+		p.current[n.Topic] = currentEntry{n: n, seq: p.seq}
+	}
 	p.mu.Unlock()
-	matched := p.matching(topic)
 
 	var delivered atomic.Int64
 	var wg sync.WaitGroup
-	for _, sub := range matched {
-		wg.Add(1)
-		go func(sub subscription) {
-			defer wg.Done()
-			if err := p.deliver(ctx, sub, n); err != nil {
-				p.recordFailure(sub.id)
-				return
-			}
-			p.clearFailures(sub.id)
-			delivered.Add(1)
-		}(sub)
+	var deliveries []Delivery
+	for _, n := range ns {
+		for _, sub := range p.matching(n.Topic) {
+			deliveries = append(deliveries, Delivery{To: sub.consumer, N: n, Done: func(err error) {
+				defer wg.Done()
+				if err != nil {
+					p.recordFailure(sub.id)
+					return
+				}
+				p.clearFailures(sub.id)
+				delivered.Add(1)
+			}})
+		}
 	}
+	wg.Add(len(deliveries))
+	p.out.Enqueue(ctx, deliveries...)
 	wg.Wait()
 	return int(delivered.Load())
 }
@@ -388,23 +426,23 @@ func (p *Producer) matching(topic string) []subscription {
 	return matched
 }
 
-// deliver sends one notification to one subscriber, through the
-// delivery-retry interceptor when installed. The notify body is rebuilt
-// per attempt by the client, so each retry carries fresh WS-Addressing
-// headers.
-func (p *Producer) deliver(ctx context.Context, sub subscription, n Notification) error {
+// deliver is the outbox's send: one Notify carrying batch to one consumer,
+// through the delivery-retry interceptor when installed. The notify body
+// is rebuilt per attempt by the client, so each retry carries fresh
+// WS-Addressing headers.
+func (p *Producer) deliver(ctx context.Context, to wsa.EndpointReference, batch []Notification) error {
 	p.mu.RLock()
 	retry := p.retry
 	p.mu.RUnlock()
 	notify := func(ctx context.Context) error {
-		return p.client.Notify(ctx, sub.consumer, ActionNotify, NotifyBody(n))
+		return p.client.Notify(ctx, to, ActionNotify, NotifyBody(batch...))
 	}
 	if retry == nil {
 		return notify(ctx)
 	}
 	call := &soap.CallInfo{
 		Side:   soap.ClientSide,
-		Addr:   sub.consumer.Address,
+		Addr:   to.Address,
 		Action: ActionNotify,
 		OneWay: true,
 	}

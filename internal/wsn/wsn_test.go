@@ -3,6 +3,7 @@ package wsn
 import (
 	"context"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -424,5 +425,67 @@ func TestPausedStateSurvivesRestart(t *testing.T) {
 	p2 := MustProducer(owner2, home, client)
 	if n := p2.Publish(ctx, "jobs/x", owner2.EPR(), nil); n != 0 {
 		t.Fatalf("restart lost the paused flag (%d deliveries)", n)
+	}
+}
+
+// TestSubscribeIsIdempotent: the same (consumer, dialect, expression) asked
+// for again — concurrently, or by a subscriber that restarted beside the
+// producer's durable subscriptions — is the subscription it already has,
+// and an event reaches that consumer once. A different expression, or the
+// same one after an unsubscribe, is a new subscription.
+func TestSubscribeIsIdempotent(t *testing.T) {
+	h := newWSNHarness(t)
+	ctx := context.Background()
+	events := h.consumer.Channel(Simple("jobset-1"), 16)
+
+	first, err := SubscribeVia(ctx, h.client, h.owner.EPR(), h.consEPR, Simple("jobset-1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			again, err := SubscribeVia(ctx, h.client, h.owner.EPR(), h.consEPR, Simple("jobset-1"))
+			if err != nil || !again.Equal(first) {
+				t.Errorf("asking again returned %v, %v; the subscription is %v", again, err, first)
+			}
+		}()
+	}
+	wg.Wait()
+
+	// The producer restarts over the same home; the subscriber asks again.
+	owner2 := wsrf.MustService(wsrf.ServiceConfig{Path: "/ES", Address: "inproc://node-a"})
+	restarted := MustProducer(owner2, h.producer.SubscriptionService().Home(), h.client)
+	again, err := restarted.Subscribe(h.consEPR, Simple("jobset-1"))
+	if err != nil || !again.Equal(first) {
+		t.Fatalf("after a restart Subscribe returned %v, %v; the recovered subscription is %v", again, err, first)
+	}
+	for name, p := range map[string]*Producer{"live": h.producer, "restarted": restarted} {
+		if n := p.SubscriptionCount(); n != 1 {
+			t.Fatalf("%s producer holds %d subscriptions, want 1", name, n)
+		}
+		if n := p.Publish(ctx, "jobset-1/job/exited", h.owner.EPR(), nil); n != 1 {
+			t.Fatalf("%s producer delivered the event %d times, want once", name, n)
+		}
+		waitFor(t, events)
+	}
+	select {
+	case n := <-events:
+		t.Fatalf("a second copy of %q arrived", n.Topic)
+	case <-time.After(20 * time.Millisecond):
+	}
+
+	other, err := h.producer.Subscribe(h.consEPR, MustTopicExpression(DialectConcrete, "jobset-1"))
+	if err != nil || other.Equal(first) {
+		t.Fatalf("another dialect returned %v, %v: not its own subscription", other, err)
+	}
+	if err := h.producer.Unsubscribe(first.Property(wsrf.QResourceID)); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := h.producer.Subscribe(h.consEPR, Simple("jobset-1"))
+	if err != nil || fresh.Equal(first) {
+		t.Fatalf("subscribing after an unsubscribe returned %v, %v: want a new subscription", fresh, err)
 	}
 }
