@@ -6,13 +6,8 @@
 //	gridmaster -addr :8700 [-host localhost] [-policy greedy]
 //	           [-accounts user:pw,user2:pw2]
 //
-// Several gridmasters can split one grid's job sets between them:
-// start each with the full replica roster and they shard the job-set
-// name space, owning shards through journaled leases and redirecting
-// misrouted submits to the owner with a WrongShardFault.
-//
-//	gridmaster -addr :8700 -peers http://a:8700,http://b:8700 [-shards 8]
-//	           [-lease-ttl 5s]
+// A grid has one master, as the paper's testbed does (Fig. 3); a second
+// grid is a second gridmaster with its own nodes.
 //
 // With -queue-depth the scheduler runs behind a durable multi-tenant
 // admission queue: submits are journaled Queued and acked immediately,
@@ -38,7 +33,6 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"sort"
 	"strconv"
 	"strings"
 	"syscall"
@@ -46,13 +40,10 @@ import (
 
 	"uvacg/internal/admission"
 	"uvacg/internal/daemon"
-	"uvacg/internal/lease"
 	"uvacg/internal/master"
 	"uvacg/internal/pipeline"
-	"uvacg/internal/resourcedb"
 	"uvacg/internal/services/scheduler"
 	"uvacg/internal/transport"
-	"uvacg/internal/wsa"
 	"uvacg/internal/wssec"
 )
 
@@ -73,32 +64,26 @@ var (
 	retryAfter   = flag.Duration("retry-after", 0, "backoff hint attached to admission QueueFullFaults (default 1s)")
 	retryDefault = flag.String("retry-default", "", "retry budget for jobs whose spec has none, as limit[:backoff], e.g. 2:500ms (empty disables)")
 	preempt      = flag.Bool("preempt", false, "let interactive-class arrivals preempt a tenant's running scavenger-class set back into the admission queue (with -queue-depth)")
-	peersFlag    = flag.String("peers", "", "comma-separated base URLs of every master replica, this one included; enables sharded multi-master mode")
-	shardsFlag   = flag.Int("shards", 0, "shard-ring size in -peers mode (0 = 4 per replica)")
-	leaseTTL     = flag.Duration("lease-ttl", 5*time.Second, "shard lease duration in -peers mode; bounds how long a crashed master's claims outlive it")
 )
 
 func main() {
 	flag.Parse()
 
+	policy, err := pickPolicy(*policyName)
+	if err != nil {
+		log.Fatalf("gridmaster: %v", err)
+	}
 	host, err := shared.Open()
 	if err != nil {
 		log.Fatal(err)
 	}
 	address := daemon.Advertised(*hostName, *addr)
-	policy := pickPolicy(*policyName)
 	ssCfg := scheduler.Config{
 		Policy:     policy,
 		JobTimeout: *jobTimeout,
 	}
 	if *retryDefault != "" {
 		ssCfg.DefaultRetry, err = parseRetryDefault(*retryDefault)
-		if err != nil {
-			log.Fatalf("gridmaster: %v", err)
-		}
-	}
-	if *peersFlag != "" {
-		ssCfg.Sharding, err = buildSharding(*peersFlag, *shardsFlag, *leaseTTL, address, host.Store)
 		if err != nil {
 			log.Fatalf("gridmaster: %v", err)
 		}
@@ -128,7 +113,7 @@ func main() {
 		Address:   address,
 		Store:     host.Store,
 		Client:    host.Client,
-		Scheduler: &ssCfg,
+		Scheduler: ssCfg,
 		Replicas:  *replicas,
 		Metrics:   host.Metrics,
 	})
@@ -149,10 +134,6 @@ func main() {
 	}
 	if resumed > 0 {
 		log.Printf("resumed %d job set(s) from the previous run", resumed)
-	}
-	if sh := ssCfg.Sharding; sh != nil {
-		owned := sh.Manager.Owned()
-		log.Printf("sharding: holding %d of %d shard(s) after startup: %v", len(owned), sh.Manager.Shards(), owned)
 	}
 	if ssCfg.Admission != nil {
 		log.Printf("admission queue enabled (depth %d)", *queueDepth)
@@ -218,65 +199,6 @@ func buildAdmission(depth int, quota, shares, anon string, retryAfter time.Durat
 	return cfg, nil
 }
 
-// buildSharding wires the lease protocol for -peers mode. The roster
-// is sorted so every replica derives the same shard layout from the
-// same flag value; this master finds itself in it by its advertised
-// address. Lease claims are journaled through the resource database —
-// with -data-dir that is the WAL, so a restarted master self-reclaims
-// its shards (epoch bumped) instead of waiting out its own stale
-// leases.
-func buildSharding(peersFlag string, shards int, ttl time.Duration, address string, store *resourcedb.Store) (*scheduler.Sharding, error) {
-	var peers []string
-	for _, p := range strings.Split(peersFlag, ",") {
-		if p = strings.TrimRight(strings.TrimSpace(p), "/"); p != "" {
-			peers = append(peers, p)
-		}
-	}
-	sort.Strings(peers)
-	self := -1
-	for i, p := range peers {
-		if p == address {
-			self = i
-		}
-	}
-	if self < 0 {
-		return nil, fmt.Errorf("-peers %q does not include this master's advertised address %s", peersFlag, address)
-	}
-	if shards <= 0 {
-		shards = 4 * len(peers)
-	}
-	var preferred []int
-	for shard := 0; shard < shards; shard++ {
-		if shard%len(peers) == self {
-			preferred = append(preferred, shard)
-		}
-	}
-	// Each gridmaster journals leases in its own store, so it cannot
-	// observe peer renewals: takeover is disabled (OrphanWait < 0) and
-	// the roster stays the authority for who owns what. Failover in
-	// this deployment is restarting the dead replica — same roster
-	// slot, same data-dir — and letting it self-reclaim at the next
-	// epoch. The dynamic takeover path needs a shared lease table; the
-	// simulator (gridsim -masters N) exercises it.
-	mgr, err := lease.NewManager(lease.Config{
-		Store:      lease.NewTableStore(store.MustTable("leases", resourcedb.BlobCodec{})),
-		Owner:      address + scheduler.ServicePath,
-		Shards:     shards,
-		Preferred:  preferred,
-		TTL:        ttl,
-		OrphanWait: -1,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &scheduler.Sharding{
-		Manager: mgr,
-		PeerForShard: func(shard int) (wsa.EndpointReference, bool) {
-			return wsa.NewEPR(peers[shard%len(peers)] + scheduler.ServicePath), true
-		},
-	}, nil
-}
-
 // parseRetryDefault decodes the -retry-default flag: "limit" or
 // "limit:backoff". A limit with no backoff waits 1s between attempts.
 func parseRetryDefault(s string) (scheduler.RetryPolicy, error) {
@@ -295,15 +217,18 @@ func parseRetryDefault(s string) (scheduler.RetryPolicy, error) {
 	return scheduler.RetryPolicy{Limit: limit, Backoff: backoff}, nil
 }
 
-func pickPolicy(name string) scheduler.Policy {
+// pickPolicy maps the -policy flag onto a scheduling policy; a name it
+// does not know is refused, not read as greedy.
+func pickPolicy(name string) (scheduler.Policy, error) {
 	switch name {
+	case "greedy":
+		return scheduler.Greedy{}, nil
 	case "round-robin":
-		return scheduler.RoundRobin{}
+		return scheduler.RoundRobin{}, nil
 	case "random":
-		return scheduler.NewRandom(1)
+		return scheduler.NewRandom(1), nil
 	case "data-aware":
-		return scheduler.DataAware{}
-	default:
-		return scheduler.Greedy{}
+		return scheduler.DataAware{}, nil
 	}
+	return nil, fmt.Errorf("unknown -policy %q (want greedy, round-robin, random or data-aware)", name)
 }

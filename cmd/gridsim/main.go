@@ -1,13 +1,13 @@
 // Command gridsim soaks the deterministic chaos simulator: each
 // scenario builds an in-process grid (scheduler, broker, NIS, N
 // machines) over fault-injecting transports, drives randomized job-set
-// DAGs through crashes and partitions, and checks the five invariants.
-// On a violation it prints the reproducing seed and exits nonzero.
+// DAGs through crashes and partitions, and checks the invariants
+// (simgrid.CheckInvariants lists them). On a violation it prints the
+// reproducing seed and exits nonzero.
 //
 //	gridsim                          # soak seeds 1..50
 //	gridsim -seed 1337               # replay one scenario
 //	gridsim -scenarios 500 -faults heavy
-//	gridsim -masters 2               # sharded multi-master clusters
 //
 // A failing seed replays exactly:
 //
@@ -33,7 +33,6 @@ var (
 	base      = flag.Int64("base", 1, "first seed of the sweep")
 	scenarios = flag.Int("scenarios", 50, "number of scenarios in the sweep")
 	faults    = flag.String("faults", "", "override fault profile: none, light or heavy (default: per-scenario)")
-	masters   = flag.Int("masters", 0, "override the scheduler replica count (0 = per-scenario; >1 shards job sets across masters)")
 	dir       = flag.String("dir", "", "data directory for durable stores (default: a temp dir, removed on success)")
 	verbose   = flag.Bool("v", false, "print every scenario transcript, not only failures")
 )
@@ -73,9 +72,8 @@ func main() {
 	failures := 0
 	for _, s := range seeds {
 		res := simgrid.RunSeed(s, simgrid.RunOptions{
-			Dir:     filepath.Join(root, fmt.Sprintf("seed-%d", s)),
-			Faults:  *faults,
-			Masters: *masters,
+			Dir:    filepath.Join(root, fmt.Sprintf("seed-%d", s)),
+			Faults: *faults,
 		})
 		switch {
 		case res.Failed():
@@ -91,9 +89,6 @@ func main() {
 			fmt.Printf("  replay: gridsim -seed %d", s)
 			if *faults != "" {
 				fmt.Printf(" -faults %s", *faults)
-			}
-			if *masters > 0 {
-				fmt.Printf(" -masters %d", *masters)
 			}
 			fmt.Println()
 		case *verbose:

@@ -3,8 +3,8 @@
 // flags around core.Client, which serves the job set's local:// files
 // over soap.tcp (the WSE TCP server thread of paper §4.6), runs a
 // light-weight notification receiver over HTTP, submits to the
-// Scheduler — following shard redirects and backing off when the
-// admission queue sheds — and retrieves outputs from where jobs ran.
+// Scheduler — backing off when the admission queue sheds — and
+// retrieves outputs from where jobs ran.
 // gridsub prints the events as they arrive and writes the outputs named
 // by the description's fetch directives.
 //

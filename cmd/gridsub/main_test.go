@@ -14,7 +14,6 @@ import (
 	"uvacg/internal/daemon"
 	"uvacg/internal/master"
 	"uvacg/internal/node"
-	"uvacg/internal/services/scheduler"
 	"uvacg/internal/transport"
 	"uvacg/internal/wsa"
 )
@@ -63,10 +62,9 @@ func TestRunDemoJobSet(t *testing.T) {
 	mhost, maddr := open(), freeAddr(t)
 	masterURL := daemon.Advertised("127.0.0.1", maddr)
 	m, err := master.Assemble(master.Config{
-		Address:   masterURL,
-		Store:     mhost.Store,
-		Client:    mhost.Client,
-		Scheduler: &scheduler.Config{},
+		Address: masterURL,
+		Store:   mhost.Store,
+		Client:  mhost.Client,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -484,7 +484,7 @@ func (q *Queue) AtRunningCap(tenant string) bool {
 }
 
 // Done releases one running slot for the tenant (terminal set, cancel,
-// or shard loss) and wakes the dequeue loop.
+// eviction) and wakes the dequeue loop.
 func (q *Queue) Done(tenant string) {
 	q.mu.Lock()
 	t := q.tenant(tenant)

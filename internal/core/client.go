@@ -57,12 +57,9 @@ type ClientConfig struct {
 	Tap func(wsn.Notification)
 }
 
-// Bounds of the submit loop: redirects followed per attempt, and
-// attempts made against a full admission queue.
-const (
-	maxRedirectHops = 3
-	maxShedRetries  = 10
-)
+// maxShedRetries bounds the attempts the submit loop makes against a full
+// admission queue.
+const maxShedRetries = 10
 
 // Client plays the scientist's GUI tool (paper §4.6): it serves local
 // input files to the grid, runs a light-weight notification receiver,
@@ -186,9 +183,8 @@ type Submission struct {
 }
 
 // Submit validates and submits a job set (Fig. 3 step 1) and returns the
-// handle that follows it. A Submit has three outcomes besides an error
-// to report: accepted; WrongShardFault, which names the master owning the
-// set's shard and is followed; QueueFullFault, whose Retry-After hint is
+// handle that follows it. A Submit has two outcomes besides an error to
+// report: accepted, and QueueFullFault, whose Retry-After hint is
 // honored — capped, and jittered so a shed burst of clients does not
 // come back in lockstep — for a bounded number of attempts.
 func (c *Client) Submit(ctx context.Context, spec *JobSet) (*Submission, error) {
@@ -197,7 +193,7 @@ func (c *Client) Submit(ctx context.Context, spec *JobSet) (*Submission, error) 
 	}
 	target := wsa.NewEPR(c.cfg.Master + scheduler.ServicePath)
 	for sheds := 1; ; sheds++ {
-		sub, err := c.submit(ctx, &target, c.cfg.Credentials, spec)
+		sub, err := c.SubmitTo(ctx, target, c.cfg.Credentials, spec)
 		if err == nil || !admission.IsQueueFull(err) {
 			return sub, err
 		}
@@ -219,49 +215,34 @@ func (c *Client) Submit(ctx context.Context, spec *JobSet) (*Submission, error) 
 }
 
 // SubmitTo makes one Submit attempt at the scheduler at target, as
-// creds: redirects are followed, every other failure — a full queue
-// included — is the caller's to judge. simgrid's chaos-retry policy
-// sits on it.
+// creds: every failure — a full queue included — is the caller's to
+// judge. simgrid's chaos-retry policy sits on it.
 func (c *Client) SubmitTo(ctx context.Context, target wsa.EndpointReference, creds wssec.Credentials, spec *JobSet) (*Submission, error) {
-	return c.submit(ctx, &target, creds, spec)
-}
-
-// submit sends the Submit, moving *target along WrongShardFault
-// redirects. The owner a fault names can itself be stale (a dead
-// master's unexpired lease), so the chain is bounded.
-func (c *Client) submit(ctx context.Context, target *wsa.EndpointReference, creds wssec.Credentials, spec *JobSet) (*Submission, error) {
-	for hop := 0; ; hop++ {
-		env := soap.New(scheduler.SubmitRequest(spec, c.filesEPR, c.ListenerEPR()))
-		if creds.Username != "" {
-			cert := c.cfg.SchedulerCertificate
-			if err := wssec.AttachUsernameToken(env, creds, cert == nil, time.Now()); err != nil {
+	env := soap.New(scheduler.SubmitRequest(spec, c.filesEPR, c.ListenerEPR()))
+	if creds.Username != "" {
+		cert := c.cfg.SchedulerCertificate
+		if err := wssec.AttachUsernameToken(env, creds, cert == nil, time.Now()); err != nil {
+			return nil, err
+		}
+		if cert != nil {
+			if err := wssec.EncryptSecurityHeader(env, *cert); err != nil {
 				return nil, err
 			}
-			if cert != nil {
-				if err := wssec.EncryptSecurityHeader(env, *cert); err != nil {
-					return nil, err
-				}
-			}
 		}
-		resp, err := c.cfg.Transport.Invoke(ctx, *target, scheduler.ActionSubmit, env)
-		if owner, ok := scheduler.RedirectTarget(err); ok && hop < maxRedirectHops && owner.Address != target.Address {
-			c.cfg.Logf("redirected to shard owner %s", owner.Address)
-			*target = owner
-			continue
-		}
-		if err != nil {
-			return nil, err
-		}
-		setEPR, topic, err := scheduler.ParseSubmitResponse(resp.Body)
-		if err != nil {
-			return nil, err
-		}
-		c.cfg.Logf("submitted %q as %s (topic %s)", spec.Name, setEPR, topic)
-		if pos, ok := scheduler.ParseQueuePosition(resp.Body); ok {
-			c.cfg.Logf("admitted at queue position %d", pos)
-		}
-		return c.follow(spec.Name, setEPR, topic, nil), nil
 	}
+	resp, err := c.cfg.Transport.Invoke(ctx, target, scheduler.ActionSubmit, env)
+	if err != nil {
+		return nil, err
+	}
+	setEPR, topic, err := scheduler.ParseSubmitResponse(resp.Body)
+	if err != nil {
+		return nil, err
+	}
+	c.cfg.Logf("submitted %q as %s (topic %s)", spec.Name, setEPR, topic)
+	if pos, ok := scheduler.ParseQueuePosition(resp.Body); ok {
+		c.cfg.Logf("admitted at queue position %d", pos)
+	}
+	return c.follow(spec.Name, setEPR, topic, nil), nil
 }
 
 // follow registers a submission for routing, journals it, and hands it

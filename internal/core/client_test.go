@@ -58,93 +58,38 @@ func door(g *Grid, host string, answer func(call int, req *soap.Envelope) error)
 	return wsa.NewEPR("inproc://" + host + scheduler.ServicePath), calls
 }
 
-func wrongShard(owner wsa.EndpointReference) error {
-	return wsrf.NewBaseFault(scheduler.WrongShardFaultCode, "not my shard").WithOriginator(owner).SOAPFault(soap.CodeSender)
-}
-
 func queueFull(hint time.Duration) error {
 	f := wsrf.NewBaseFault(admission.QueueFullFaultCode, "submission shed")
 	f.Cause = wsrf.NewBaseFault("RetryAfter", "%s", hint)
 	return f.SOAPFault(soap.CodeReceiver)
 }
 
-// TestSubmitLoop drives the one submit loop through its three outcomes
-// against scripted front doors: redirects followed and bounded, a full
-// queue waited out within the cap and given up on, everything else
-// returned.
+// TestSubmitLoop drives the one submit loop through its outcomes against
+// scripted front doors: a full queue waited out within the cap and given
+// up on, everything else returned.
 func TestSubmitLoop(t *testing.T) {
 	g := testGrid(t, NodeSpec{Name: "solo"})
 	ctx := testCtx(t)
-	eprOf := func(host string) wsa.EndpointReference {
-		return wsa.NewEPR("inproc://" + host + scheduler.ServicePath)
-	}
 	cases := []struct {
 		name  string
-		doors map[string]func(call int) error // host → script; the client is pointed at "a"
-		calls map[string]int                  // Submits each door must have seen
+		door  func(call int) error // the front door the client is pointed at
+		calls int                  // Submits it must have seen
 		check func(t *testing.T, err error)
 		log   string // a progress line that must have been printed
 	}{{
-		name:  "redirect followed",
-		doors: map[string]func(int) error{"a": func(int) error { return wrongShard(eprOf("b")) }, "b": func(int) error { return nil }},
-		calls: map[string]int{"a": 1, "b": 1},
-		log:   "redirected to shard owner inproc://b",
-	}, {
-		name: "three hops followed",
-		doors: map[string]func(int) error{
-			"a": func(int) error { return wrongShard(eprOf("b")) },
-			"b": func(int) error { return wrongShard(eprOf("c")) },
-			"c": func(int) error { return wrongShard(eprOf("d")) },
-			"d": func(int) error { return nil },
-		},
-		calls: map[string]int{"a": 1, "b": 1, "c": 1, "d": 1},
-	}, {
-		name: "stale owner loop bounded at three hops",
-		doors: map[string]func(int) error{
-			"a": func(int) error { return wrongShard(eprOf("b")) },
-			"b": func(int) error { return wrongShard(eprOf("a")) },
-		},
-		calls: map[string]int{"a": 2, "b": 2},
-		check: func(t *testing.T, err error) {
-			if _, ok := scheduler.RedirectTarget(err); !ok {
-				t.Fatalf("want the last WrongShardFault, got %v", err)
-			}
-		},
-	}, {
-		name:  "redirect to itself not followed",
-		doors: map[string]func(int) error{"a": func(int) error { return wrongShard(eprOf("a")) }},
-		calls: map[string]int{"a": 1},
-		check: func(t *testing.T, err error) {
-			if _, ok := scheduler.RedirectTarget(err); !ok {
-				t.Fatalf("want the WrongShardFault, got %v", err)
-			}
-		},
-	}, {
 		name: "full queue waited out, hint capped",
-		doors: map[string]func(int) error{"a": func(call int) error {
+		door: func(call int) error {
 			if call <= 2 {
 				return queueFull(time.Hour) // capped at MaxRetryAfter, or this test times out
 			}
 			return nil
-		}},
-		calls: map[string]int{"a": 3},
+		},
+		calls: 3,
 		log:   "admission queue full; retrying in",
 	}, {
-		name: "redirect remembered across a shed",
-		doors: map[string]func(int) error{
-			"a": func(int) error { return wrongShard(eprOf("b")) },
-			"b": func(call int) error {
-				if call == 1 {
-					return queueFull(time.Millisecond)
-				}
-				return nil
-			},
-		},
-		calls: map[string]int{"a": 1, "b": 2},
-	}, {
 		name:  "full queue given up after ten retries",
-		doors: map[string]func(int) error{"a": func(int) error { return queueFull(time.Millisecond) }},
-		calls: map[string]int{"a": 11},
+		door:  func(int) error { return queueFull(time.Millisecond) },
+		calls: 11,
 		check: func(t *testing.T, err error) {
 			if !admission.IsQueueFull(err) || !strings.Contains(err.Error(), "after 10 attempts") {
 				t.Fatalf("want QueueFullFault after 10 attempts, got %v", err)
@@ -152,8 +97,8 @@ func TestSubmitLoop(t *testing.T) {
 		},
 	}, {
 		name:  "any other fault returned at once",
-		doors: map[string]func(int) error{"a": func(int) error { return soap.ReceiverFault("boom") }},
-		calls: map[string]int{"a": 1},
+		door:  func(int) error { return soap.ReceiverFault("boom") },
+		calls: 1,
 		check: func(t *testing.T, err error) {
 			if err == nil || !strings.Contains(err.Error(), "boom") {
 				t.Fatalf("want the fault, got %v", err)
@@ -162,11 +107,8 @@ func TestSubmitLoop(t *testing.T) {
 	}}
 	for i, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			counters := make(map[string]*atomic.Int32)
-			for host, script := range tc.doors {
-				_, counters[host] = door(g, host, func(call int, _ *soap.Envelope) error { return script(call) })
-				defer g.Network.Deregister(host)
-			}
+			_, calls := door(g, "a", func(call int, _ *soap.Envelope) error { return tc.door(call) })
+			defer g.Network.Deregister("a")
 			var log strings.Builder
 			c := configuredClient(t, g, false, func(cfg *ClientConfig) {
 				cfg.Master = "inproc://a"
@@ -175,10 +117,8 @@ func TestSubmitLoop(t *testing.T) {
 			})
 			c.AddFile("j.app", Script("exit 0"))
 			sub, err := c.Submit(ctx, NewJobSet(fmt.Sprintf("loop-%d", i)).Add("j", Local("j.app")).Spec())
-			for host, want := range tc.calls {
-				if got := int(counters[host].Load()); got != want {
-					t.Errorf("door %s saw %d Submits, want %d", host, got, want)
-				}
+			if got := int(calls.Load()); got != tc.calls {
+				t.Errorf("the door saw %d Submits, want %d", got, tc.calls)
 			}
 			if !strings.Contains(log.String(), tc.log) {
 				t.Errorf("log lacks %q:\n%s", tc.log, log.String())
@@ -198,15 +138,14 @@ func TestSubmitLoop(t *testing.T) {
 }
 
 // TestSubmitToLeavesAFullQueueToTheCaller: the one-attempt form simgrid's
-// policy sits on follows redirects but does not wait out a shed.
+// policy sits on does not wait out a shed.
 func TestSubmitToLeavesAFullQueueToTheCaller(t *testing.T) {
 	g := testGrid(t, NodeSpec{Name: "solo"})
-	b, bCalls := door(g, "b", func(int, *soap.Envelope) error { return queueFull(time.Millisecond) })
-	a, _ := door(g, "a", func(int, *soap.Envelope) error { return wrongShard(b) })
+	a, calls := door(g, "a", func(int, *soap.Envelope) error { return queueFull(time.Millisecond) })
 	c := testClient(t, g)
 	_, err := c.SubmitTo(testCtx(t), a, scientist, NewJobSet("once").Add("j", Local("j.app")).Spec())
-	if !admission.IsQueueFull(err) || bCalls.Load() != 1 {
-		t.Fatalf("want one QueueFullFault from b, got %v after %d calls", err, bCalls.Load())
+	if !admission.IsQueueFull(err) || calls.Load() != 1 {
+		t.Fatalf("want one QueueFullFault, got %v after %d calls", err, calls.Load())
 	}
 }
 

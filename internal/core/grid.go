@@ -178,7 +178,7 @@ func NewGrid(cfg GridConfig) (*Grid, error) {
 		Address:   "inproc://" + masterHost,
 		Store:     resourcedb.NewStore(),
 		Client:    client,
-		Scheduler: &ssCfg,
+		Scheduler: ssCfg,
 		Metrics:   cfg.Metrics,
 	}
 	if cfg.Retry != nil {

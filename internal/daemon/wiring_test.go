@@ -156,11 +156,10 @@ func TestShippedWiringRunsDemoJobSet(t *testing.T) {
 	maddr := freeAddr(t)
 	masterURL := daemon.Advertised("127.0.0.1", maddr)
 	m, err := master.Assemble(master.Config{
-		Address:   masterURL,
-		Store:     mhost.Store,
-		Client:    mhost.Client,
-		Scheduler: &scheduler.Config{},
-		Metrics:   mhost.Metrics,
+		Address: masterURL,
+		Store:   mhost.Store,
+		Client:  mhost.Client,
+		Metrics: mhost.Metrics,
 	})
 	if err != nil {
 		t.Fatal(err)

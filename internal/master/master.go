@@ -1,9 +1,9 @@
 // Package master is the one place a grid master is put together —
 // broker, Node Info Service, scheduler and, when asked for, replicator,
 // over one resource store and one service mux — and the one place their
-// start order is written down. core.NewGrid, every role of the simulator
-// and the gridmaster binary all call Assemble and Start, so what the
-// simulator's invariants are proven on is the wiring that ships.
+// start order is written down. core.NewGrid, the simulator and the
+// gridmaster binary all call Assemble and Start, so what the simulator's
+// invariants are proven on is the wiring that ships.
 package master
 
 import (
@@ -18,7 +18,6 @@ import (
 	"uvacg/internal/services/scheduler"
 	"uvacg/internal/soap"
 	"uvacg/internal/transport"
-	"uvacg/internal/wsa"
 	"uvacg/internal/wsn"
 	"uvacg/internal/wsrf"
 )
@@ -29,22 +28,13 @@ type Config struct {
 	// their EPRs ("inproc://master", "http://host:8700").
 	Address string
 	// Store holds the host's tables: subscriptions, nodeinfo, jobsets
-	// and replicas. Nil only on a host that keeps none of them (a
-	// scheduler replica over external Broker/NIS and a JobSets home).
+	// and replicas.
 	Store *resourcedb.Store
 	// Client performs the host's outbound calls.
 	Client *transport.Client
 	// Scheduler is the scheduler's configuration; Assemble fills in
-	// Address, Home, Client, NIS and Broker. Nil hosts no scheduler (the
-	// hub of a multi-master grid).
-	Scheduler *scheduler.Config
-	// Broker and NIS, when set, name a broker and a Node Info Service
-	// hosted elsewhere; this host then mounts neither (a scheduler
-	// replica beside a hub).
-	Broker, NIS wsa.EndpointReference
-	// JobSets, when set, backs the job-set WS-Resources instead of the
-	// Store's jobsets table (a replica's view of the hub's shared table).
-	JobSets wsrf.ResourceHome
+	// Address, Home, Client, NIS and Broker.
+	Scheduler scheduler.Config
 	// DeliveryRetry is the broker's notification-delivery retry; the
 	// zero value delivers each notification once.
 	DeliveryRetry pipeline.RetryPolicy
@@ -61,10 +51,8 @@ type Config struct {
 // Master is an assembled master host. Mount Mux behind a binding, then
 // call Start.
 type Master struct {
-	// Broker and NIS are nil on a host configured with external ones.
-	Broker *wsn.Broker
-	NIS    *nodeinfo.Service
-	// Scheduler is nil on a hub.
+	Broker    *wsn.Broker
+	NIS       *nodeinfo.Service
 	Scheduler *scheduler.Service
 	// Replicator is nil unless Config.Replicas is positive.
 	Replicator *filesystem.Replicator
@@ -75,65 +63,52 @@ type Master struct {
 }
 
 // Assemble builds the host's services and mounts them on one mux.
-// Nothing runs yet: no lease is claimed, no job set recovered.
+// Nothing runs yet: no job set is recovered.
 func Assemble(cfg Config) (*Master, error) {
-	hostsDirectory := cfg.Broker.IsZero() || cfg.NIS.IsZero()
-	hostsJobSets := cfg.Scheduler != nil && cfg.JobSets == nil
-	if cfg.Store == nil && (hostsDirectory || hostsJobSets || cfg.Replicas > 0) {
-		return nil, fmt.Errorf("master: config requires a Store for the tables this host keeps")
+	if cfg.Store == nil {
+		return nil, fmt.Errorf("master: config requires a Store")
 	}
 	table := func(name string) *resourcedb.Table { return cfg.Store.MustTable(name, resourcedb.BlobCodec{}) }
 	m := &Master{Mux: soap.NewMux()}
 	var err error
 
-	brokerEPR, nisEPR := cfg.Broker, cfg.NIS
-	if brokerEPR.IsZero() {
-		m.Broker, err = wsn.NewBroker("/NotificationBroker", cfg.Address, wsrf.NewStateHome(table("subscriptions")), cfg.Client)
-		if err != nil {
-			return nil, err
-		}
-		m.Broker.Producer().SetDeliveryRetry(cfg.DeliveryRetry)
-		m.Mux.Handle(m.Broker.Service().Path(), m.Broker.Service().Dispatcher())
-		subSvc := m.Broker.Producer().SubscriptionService()
-		m.Mux.Handle(subSvc.Path(), subSvc.Dispatcher())
-		brokerEPR = m.Broker.EPR()
+	m.Broker, err = wsn.NewBroker("/NotificationBroker", cfg.Address, wsrf.NewStateHome(table("subscriptions")), cfg.Client)
+	if err != nil {
+		return nil, err
 	}
-	if nisEPR.IsZero() {
-		m.NIS, err = nodeinfo.New(nodeinfo.Config{
-			Address: cfg.Address,
-			Home:    wsrf.NewStateHome(table("nodeinfo")),
-			Client:  cfg.Client,
-			Broker:  brokerEPR,
-		})
-		if err != nil {
-			return nil, err
-		}
-		m.Mux.Handle(m.NIS.WSRF().Path(), m.NIS.WSRF().Dispatcher())
-		nisEPR = m.NIS.EPR()
-	}
+	m.Broker.Producer().SetDeliveryRetry(cfg.DeliveryRetry)
+	m.Mux.Handle(m.Broker.Service().Path(), m.Broker.Service().Dispatcher())
+	subSvc := m.Broker.Producer().SubscriptionService()
+	m.Mux.Handle(subSvc.Path(), subSvc.Dispatcher())
 
-	if cfg.Scheduler != nil {
-		ssCfg := *cfg.Scheduler
-		ssCfg.Address, ssCfg.Client = cfg.Address, cfg.Client
-		ssCfg.NIS, ssCfg.Broker = nisEPR, brokerEPR
-		ssCfg.Home = cfg.JobSets
-		if ssCfg.Home == nil {
-			ssCfg.Home = wsrf.NewStateHome(table("jobsets"))
-		}
-		m.Scheduler, err = scheduler.New(ssCfg)
-		if err != nil {
-			return nil, err
-		}
-		m.Mux.Handle(m.Scheduler.WSRF().Path(), m.Scheduler.WSRF().Dispatcher())
-		m.Scheduler.Consumer().Mount(m.Mux, m.Scheduler.ConsumerPath())
+	m.NIS, err = nodeinfo.New(nodeinfo.Config{
+		Address: cfg.Address,
+		Home:    wsrf.NewStateHome(table("nodeinfo")),
+		Client:  cfg.Client,
+		Broker:  m.Broker.EPR(),
+	})
+	if err != nil {
+		return nil, err
 	}
+	m.Mux.Handle(m.NIS.WSRF().Path(), m.NIS.WSRF().Dispatcher())
+
+	ssCfg := cfg.Scheduler
+	ssCfg.Address, ssCfg.Client = cfg.Address, cfg.Client
+	ssCfg.NIS, ssCfg.Broker = m.NIS.EPR(), m.Broker.EPR()
+	ssCfg.Home = wsrf.NewStateHome(table("jobsets"))
+	m.Scheduler, err = scheduler.New(ssCfg)
+	if err != nil {
+		return nil, err
+	}
+	m.Mux.Handle(m.Scheduler.WSRF().Path(), m.Scheduler.WSRF().Dispatcher())
+	m.Scheduler.Consumer().Mount(m.Mux, m.Scheduler.ConsumerPath())
 
 	if cfg.Replicas > 0 {
 		m.Replicator = filesystem.NewReplicator(filesystem.ReplicatorConfig{
 			Address:  cfg.Address,
 			Client:   cfg.Client,
-			Broker:   brokerEPR,
-			NIS:      nisEPR,
+			Broker:   m.Broker.EPR(),
+			NIS:      m.NIS.EPR(),
 			Replicas: cfg.Replicas,
 			Journal:  table("replicas"),
 			Metrics:  cfg.Metrics,
@@ -147,31 +122,27 @@ func Assemble(cfg Config) (*Master, error) {
 // Start brings the assembled host to life, once Mux is reachable at the
 // configured address. The order is the contract:
 //
-//  1. StartSharding claims this master's preferred shards, so that
-//  2. Recover resumes exactly the job sets it now owns and re-parks the
-//     journaled Queued ones in admission-sequence order, and only then
-//  3. StartAdmission lets the fair-share pump draw from the rebuilt
+//  1. Recover resumes the job sets the last run left unfinished and
+//     re-parks the journaled Queued ones in admission-sequence order, and
+//     only then
+//  2. StartAdmission lets the fair-share pump draw from the rebuilt
 //     queue — a pump started earlier would pick from a half-rebuilt one
 //     and activate sets out of their fair-share order;
-//  4. the Replicator subscribes last, to a broker that is serving.
+//  3. the Replicator subscribes last, to a broker that is serving.
 //
-// ctx bounds the start-up work; lease maintenance and the pump run until
-// Stop. The host is up whatever Start returns: the error joins the job
-// sets that could not be resumed and a failed replicator subscription,
-// for the caller to log or refuse.
+// ctx bounds the start-up work; the pump runs until Stop. The host is up
+// whatever Start returns: the error joins the job sets that could not be
+// resumed and a failed replicator subscription, for the caller to log or
+// refuse.
 func (m *Master) Start(ctx context.Context) (resumed int, err error) {
 	bg, cancel := context.WithCancel(context.Background())
 	m.cancel = cancel
 	var errs []error
-	if m.Scheduler != nil {
-		m.Scheduler.StartSharding(bg)
-		n, err := m.Scheduler.Recover(ctx)
-		if err != nil {
-			errs = append(errs, fmt.Errorf("job set recovery: %w", err))
-		}
-		resumed = n
-		m.Scheduler.StartAdmission(bg)
+	resumed, rerr := m.Scheduler.Recover(ctx)
+	if rerr != nil {
+		errs = append(errs, fmt.Errorf("job set recovery: %w", rerr))
 	}
+	m.Scheduler.StartAdmission(bg)
 	if m.Replicator != nil {
 		if err := m.Replicator.Start(ctx); err != nil {
 			errs = append(errs, fmt.Errorf("replicator subscription: %w", err))
@@ -180,8 +151,8 @@ func (m *Master) Start(ctx context.Context) (resumed int, err error) {
 	return resumed, errors.Join(errs...)
 }
 
-// Stop ends the background work Start began (lease maintenance, the
-// admission pump). Services keep answering until their binding closes.
+// Stop ends the background work Start began (the admission pump).
+// Services keep answering until their binding closes.
 func (m *Master) Stop() {
 	if m.cancel != nil {
 		m.cancel()

@@ -14,6 +14,7 @@ import (
 	"uvacg/internal/soap"
 	"uvacg/internal/transport"
 	"uvacg/internal/wsa"
+	"uvacg/internal/xmlutil"
 )
 
 // admissionLedger records queue events in commit order.
@@ -42,7 +43,7 @@ func incarnation(t *testing.T, network *transport.Network, client *transport.Cli
 		Address: "inproc://master",
 		Store:   store,
 		Client:  client,
-		Scheduler: &scheduler.Config{
+		Scheduler: scheduler.Config{
 			Admission: admission.New(admission.Config{Observer: observe}),
 		},
 	})
@@ -110,5 +111,56 @@ func TestStartRecoversBeforeAdmissionPump(t *testing.T) {
 	}
 	if events[sets].Kind != admission.EventDequeue {
 		t.Fatalf("event %d is kind %d, want the pump's first dequeue", sets, events[sets].Kind)
+	}
+}
+
+// TestDataDirWithALeasesTableStillOpens: a -data-dir written by a
+// gridmaster that still had -peers carries a "leases" table beside its job
+// sets. It opens like one without: replay creates tables by name, nothing
+// reads that one, and the sets the journal holds are recovered — there is
+// no migration to run.
+func TestDataDirWithALeasesTableStillOpens(t *testing.T) {
+	for _, leases := range []bool{false, true} {
+		t.Run(fmt.Sprintf("leases=%v", leases), func(t *testing.T) {
+			network := transport.NewNetwork()
+			client := transport.NewClient().WithNetwork(network)
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			dir := t.TempDir()
+
+			old, err := resourcedb.OpenDurable(dir, resourcedb.DurableOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			first := incarnation(t, network, client, old.Store, nil) // never started: the set stays Queued
+			spec := &scheduler.JobSetSpec{Name: "kept", Jobs: []scheduler.JobSpec{{Name: "only", Executable: "local://only.app"}}}
+			env := soap.New(scheduler.SubmitRequest(spec, wsa.NewEPR("inproc://client/files"), wsa.EndpointReference{}))
+			if _, err := client.Invoke(ctx, first.Scheduler.EPR(), scheduler.ActionSubmit, env); err != nil {
+				t.Fatal(err)
+			}
+			if leases {
+				row := xmlutil.NewContainer(xmlutil.Q("urn:uvacg:lease", "Lease"),
+					xmlutil.NewElement(xmlutil.Q("urn:uvacg:lease", "Owner"), "http://localhost:8700/SchedulerService"),
+					xmlutil.NewElement(xmlutil.Q("urn:uvacg:lease", "Epoch"), "1"))
+				if err := old.Store.MustTable("leases", resourcedb.BlobCodec{}).Put("0", row); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := old.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			reopened, err := resourcedb.OpenDurable(dir, resourcedb.DurableOptions{})
+			if err != nil {
+				t.Fatalf("the old data dir does not open: %v", err)
+			}
+			defer reopened.Close()
+			second := incarnation(t, network, client, reopened.Store, nil)
+			resumed, err := second.Start(ctx)
+			defer second.Stop()
+			if resumed != 1 || err != nil {
+				t.Fatalf("Start over the old data dir recovered %d set(s), err %v; want 1", resumed, err)
+			}
+		})
 	}
 }

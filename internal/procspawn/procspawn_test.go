@@ -430,12 +430,19 @@ func TestScriptSortTransform(t *testing.T) {
 	}
 }
 
+// TestCoreContentionSlowsProcesses: processes on one core share its speed.
+// Each run is held to the model's own floor — total work ÷ cores, which
+// the sleep-based model can only exceed and a loaded box only lengthen —
+// so no two measured durations are compared: four processes that did not
+// contend would be done in the 50 ms one takes, a quarter of their floor.
 func TestCoreContentionSlowsProcesses(t *testing.T) {
+	const unitTime = 50 * time.Microsecond
+	const work = 1000 * unitTime // "compute 1000" at 1000 MHz: 50 ms per process
 	fs := vfs.New()
 	dir, _ := fs.Mkdir("/w")
 	fs.Write(dir, "app", BuildScript("compute 1000", "exit 0"))
 	run := func(concurrent int) time.Duration {
-		sp, err := NewSpawner(Config{FS: fs, Cores: 1, SpeedMHz: 1000, UnitTime: 50 * time.Microsecond})
+		sp, err := NewSpawner(Config{FS: fs, Cores: 1, SpeedMHz: 1000, UnitTime: unitTime})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -457,12 +464,13 @@ func TestCoreContentionSlowsProcesses(t *testing.T) {
 		}
 		return time.Since(start)
 	}
-	solo := run(1)
-	crowd := run(4)
-	// Four processes on one core should take noticeably longer than one
-	// (ideal 4x; accept >2x to stay robust under scheduler noise).
-	if crowd < solo*2 {
-		t.Fatalf("no contention: solo=%v crowd=%v", solo, crowd)
+	for _, concurrent := range []int{1, 4} {
+		// A process reads the load as each 2 ms slice begins, so one spawned
+		// ahead of its rivals runs at most that slice faster than its share.
+		floor := time.Duration(concurrent) * (work - 2*time.Millisecond)
+		if took := run(concurrent); took < floor {
+			t.Fatalf("%d process(es) on one core finished in %v, under the model's floor of %v", concurrent, took, floor)
+		}
 	}
 }
 

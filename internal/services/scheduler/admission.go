@@ -115,20 +115,13 @@ func (s *Service) StartAdmission(ctx context.Context) {
 	}()
 }
 
-// activate promotes one dequeued set into a live run: fence against shard
-// moves, re-load the journaled document and take the set on. Its own: the
-// tenant's running slot, charged by Next, which every path that does not
-// produce a live run gives back — at once, or after re-queueing the entry.
+// activate promotes one dequeued set into a live run: re-load the
+// journaled document and take the set on. Its own: the tenant's running
+// slot, charged by Next, which every path that does not produce a live
+// run gives back — at once, or after re-queueing the entry.
 // The set stays parked in the registry, credentials and all, until takeOn
 // makes it live: a sweep that overlaps the activation leaves it alone.
 func (s *Service) activate(ctx context.Context, e admission.Entry) {
-	if !s.ownsSet(e.Name) {
-		// The shard moved while the set was parked. The new owner's
-		// RecoverShard re-queues it from the journaled document.
-		s.letGo(e.ID)
-		s.adm.Done(e.Tenant)
-		return
-	}
 	doc, err := s.svc.Home().Load(e.ID)
 	if err != nil || doc.ChildText(QStatus) != SetQueued {
 		// Destroyed, cancelled or already activated while parked.

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"uvacg/internal/admission"
-	"uvacg/internal/lease"
 	"uvacg/internal/procspawn"
 	"uvacg/internal/soap"
 	"uvacg/internal/wsn"
@@ -237,133 +236,5 @@ func TestAdmissionCancelWhileQueued(t *testing.T) {
 	}
 	if got, err := rc.GetPropertyText(ctx, QStatus); err != nil || got != SetCancelled {
 		t.Fatalf("status after pump = %q %v", got, err)
-	}
-}
-
-// TestAdmissionShardMoveAfterDequeue is the satellite regression for
-// the admission→sharding seam: a set is dequeued by a master whose
-// lease on its shard lapsed while the set was parked. The stale master
-// must drop it without dispatching (the fence is re-checked after
-// dequeue, not just at Submit), and the new owner's RecoverShard
-// re-queues it from the journaled document and runs it.
-func TestAdmissionShardMoveAfterDequeue(t *testing.T) {
-	const shards = 2
-	queues := make([]*admission.Queue, 2)
-	h := newMultiHarnessCfg(t, shards, func(i int, cfg *Config) {
-		queues[i] = admission.New(admission.Config{})
-		cfg.Admission = queues[i]
-	}, "node-a")
-	h.files.Publish("j.app", procspawn.BuildScript("exit 0"))
-
-	// Park a shard-0 set on master 1; its pump is not running yet.
-	name := nameForShard(0, shards)
-	spec := &JobSetSpec{Name: name, Jobs: []JobSpec{{Name: "j", Executable: "local://j.app"}}}
-	resp, err := h.submitTo(t, h.masters[0], spec)
-	if err != nil {
-		t.Fatalf("submit to owner: %v", err)
-	}
-	_, topic, err := ParseSubmitResponse(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pos, ok := ParseQueuePosition(resp.Body); !ok || pos != 1 {
-		t.Fatalf("queue position = %d, %v; want 1, true", pos, ok)
-	}
-
-	// The lease lapses while the set is parked and master 2 claims it.
-	h.clock.Advance(2 * time.Minute)
-	if _, ok, err := h.mgrs[1].Acquire(0); !ok || err != nil {
-		t.Fatalf("master 2 claim of orphaned shard: ok=%v err=%v", ok, err)
-	}
-
-	// Master 1's pump now dequeues the parked entry — and must drop it.
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	h.masters[0].StartAdmission(ctx)
-	eventually(t, "stale master to drop the dequeued set", func() bool {
-		st := queues[0].Stats()
-		if st.Dequeues != 1 {
-			return false
-		}
-		for _, ten := range st.Tenants {
-			if ten.Running != 0 {
-				return false
-			}
-		}
-		return true
-	})
-	if h.masters[0].sets.live(topic) != nil {
-		t.Fatal("fenced master dispatched a set it no longer owns")
-	}
-
-	// The journaled Queued document is intact; the new owner replays it.
-	resumed, err := h.masters[1].RecoverShard(context.Background(), 0)
-	if err != nil {
-		t.Fatalf("RecoverShard: %v", err)
-	}
-	if resumed != 1 {
-		t.Fatalf("resumed %d sets, want 1", resumed)
-	}
-	h.masters[1].StartAdmission(ctx)
-	if got := h.waitTerminal(t, topic); got != "completed" {
-		t.Fatalf("terminal event %q", got)
-	}
-}
-
-// TestAdmissionParkShardEvictsQueuedSets: when the old owner observes
-// the lost lease (Tick → parkShard) before its pump reaches the parked
-// entry, the eviction happens at park time — the entry leaves the queue
-// without a dequeue, and the new owner still recovers it.
-func TestAdmissionParkShardEvictsQueuedSets(t *testing.T) {
-	const shards = 2
-	queues := make([]*admission.Queue, 2)
-	h := newMultiHarnessCfg(t, shards, func(i int, cfg *Config) {
-		queues[i] = admission.New(admission.Config{})
-		cfg.Admission = queues[i]
-	}, "node-a")
-	h.files.Publish("j.app", procspawn.BuildScript("exit 0"))
-
-	name := nameForShard(0, shards)
-	spec := &JobSetSpec{Name: name, Jobs: []JobSpec{{Name: "j", Executable: "local://j.app"}}}
-	resp, err := h.submitTo(t, h.masters[0], spec)
-	if err != nil {
-		t.Fatalf("submit to owner: %v", err)
-	}
-	_, topic, err := ParseSubmitResponse(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	h.clock.Advance(2 * time.Minute)
-	if _, ok, err := h.mgrs[1].Acquire(0); !ok || err != nil {
-		t.Fatalf("master 2 claim of orphaned shard: ok=%v err=%v", ok, err)
-	}
-	lost := false
-	h.mgrs[0].Tick(lease.Hooks{OnLost: func(shard int, _ uint64) {
-		if shard == 0 {
-			lost = true
-			h.masters[0].parkShard(0)
-		}
-	}})
-	if !lost {
-		t.Fatal("master 1 did not observe its lost lease")
-	}
-	st := queues[0].Stats()
-	if st.Depth != 0 || st.Dequeues != 0 {
-		t.Fatalf("parkShard left the entry queued: %+v", st)
-	}
-
-	resumed, err := h.masters[1].RecoverShard(context.Background(), 0)
-	if err != nil {
-		t.Fatalf("RecoverShard: %v", err)
-	}
-	if resumed != 1 {
-		t.Fatalf("resumed %d sets, want 1", resumed)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	h.masters[1].StartAdmission(ctx)
-	if got := h.waitTerminal(t, topic); got != "completed" {
-		t.Fatalf("terminal event %q", got)
 	}
 }

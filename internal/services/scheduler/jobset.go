@@ -35,7 +35,6 @@ const (
 	evCancel                          // client Cancel
 	evDestroy                         // the job-set resource was destroyed
 	evPreempt                         // evicted back into the admission queue
-	evShardLost                       // the set's shard lease went to another master
 )
 
 // event is one input to step. Job events name a job and the attempt they
@@ -72,8 +71,8 @@ type jobState struct {
 }
 
 // setState is a job set: its status and its jobs in declaration order.
-// parked: the set left this master mid-run — preempted (status Queued) or
-// its shard lost (status unchanged) — and every later event is dropped.
+// parked: the set was evicted mid-run, back into the admission queue
+// (status Queued), and every later event is dropped.
 type setState struct {
 	status string
 	parked bool
@@ -199,9 +198,8 @@ func (st *setState) step(ev event, now time.Time) effects {
 	var fx effects
 	if st.parked {
 		// An evicted set's jobs were killed: a Run response arriving now
-		// delivers a process nobody will collect, so reap it. A lost
-		// shard's processes are the new owner's to ignore.
-		if ev.kind == evRunAcked && st.status == SetQueued {
+		// delivers a process nobody will collect, so reap it.
+		if ev.kind == evRunAcked {
 			fx.kill = append(fx.kill, ev.jobEPR)
 		}
 		return fx
@@ -215,9 +213,7 @@ func (st *setState) step(ev event, now time.Time) effects {
 			fx.persist, fx.publish = false, ""
 		}
 	case evPreempt:
-		st.park(true, &fx)
-	case evShardLost:
-		st.park(false, &fx)
+		st.park(&fx)
 	default:
 		if ev.kind == evFailed && ev.job == "" {
 			st.terminate(SetFailed, ev.reason, &fx)
@@ -424,33 +420,23 @@ func (st *setState) terminate(status, detail string, fx *effects) {
 	fx.publish, fx.detail = status, detail
 }
 
-// park takes the set off this master mid-run. Evicted (preempted), it
-// goes back to Queued: unfinished jobs are killed and reset to Pending
-// keeping their consumed retries, completed work stands, and that state
-// is journaled so the set survives a crash like any parked submission.
-// On a lost shard nothing is touched — documents and live jobs are the
-// new owner's. Either way timers stop and the running slot comes back.
-func (st *setState) park(evict bool, fx *effects) {
-	if evict && st.status != SetRunning {
+// park evicts a running set back into the admission queue: it goes back
+// to Queued, unfinished jobs are killed and reset to Pending keeping their
+// consumed retries, completed work stands, and that state is journaled so
+// the set survives a crash like any parked submission. Timers stop and the
+// running slot comes back.
+func (st *setState) park(fx *effects) {
+	if st.status != SetRunning {
 		return
 	}
 	st.parked = true
-	fx.release = true
-	if !evict {
-		for i := range st.jobs {
-			if a := st.jobs[i].attempt; a != "" {
-				fx.stop = append(fx.stop, watchKey{i, a})
-			}
-		}
-		return
-	}
 	st.status = SetQueued
 	for i := range st.jobs {
 		if st.jobs[i].state != JobCompleted {
 			st.abandon(i, JobPending, fx)
 		}
 	}
-	fx.persist, fx.status, fx.requeue = true, true, true
+	fx.persist, fx.status, fx.requeue, fx.release = true, true, true, true
 	fx.publish, fx.detail = SetPreempted, "preempted by an interactive arrival"
 }
 

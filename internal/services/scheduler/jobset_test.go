@@ -249,18 +249,6 @@ func TestJobSetCoreLifecycleBugs(t *testing.T) {
 				h.t.Fatalf("parked set reacted to an event: %+v", fx)
 			}
 		}, oneJob(0)},
-		{"shard lost mid-dispatch", func(h *coreHarness) {
-			a := h.reserve().attempt
-			fx := h.do(event{kind: evShardLost})
-			if fx.persist || len(fx.kill) != 0 || !fx.release {
-				h.t.Fatalf("a lost shard's documents and jobs are the new owner's: %+v", fx)
-			}
-			for _, ev := range []event{about(evRunAcked, "j", a), about(evStarted, "j", a), exited("j", a, 0), {kind: evReserve}, {kind: evCancel}} {
-				if fx := h.do(ev); !idle(fx) {
-					h.t.Fatalf("parked set reacted to %+v: %+v", ev, fx)
-				}
-			}
-		}, oneJob(0)},
 		{"duplicate exited", func(h *coreHarness) {
 			a, b := h.reserve().attempt, ""
 			h.do(about(evRunAcked, "first", a))
@@ -484,7 +472,10 @@ func fuzzCore(t *testing.T, data []byte, mk func(testing.TB, *JobSetSpec) *coreH
 				if arg%8 != 0 {
 					continue // keep whole-set verdicts rare
 				}
-				ev = event{kind: [...]eventKind{evCancel, evDestroy, evPreempt, evShardLost}[int(arg>>3)%4], reason: "by decree"}
+				// Four slots for three verdicts: the committed seeds were saved
+				// against this byte → event mapping, so the slot of a verdict
+				// that no longer exists repeats preempt instead of closing up.
+				ev = event{kind: [...]eventKind{evCancel, evDestroy, evPreempt, evPreempt}[int(arg>>3)%4], reason: "by decree"}
 			case 12:
 				ev = event{kind: evFailed, job: name, final: true, reason: "cannot run"}
 			case 13:

@@ -26,28 +26,12 @@ import (
 // sets still recover, and the per-set failures come back joined in the
 // error.
 //
-// Under sharding, only sets in shards this master currently holds are
-// touched — recovering (or even republishing for) a peer's shard would
-// break the single-writer guarantee.
+// Sets the registry already holds, parked or live, are left alone, so
+// overlapping sweeps (a retried Recover racing an activation) are
+// idempotent.
 func (s *Service) Recover(ctx context.Context) (int, error) {
-	return s.recoverFiltered(ctx, s.ownsSet)
-}
-
-// RecoverShard recovers the job sets of one shard — the failover path,
-// run after the lease on a dead or lapsed peer's shard is claimed.
-func (s *Service) RecoverShard(ctx context.Context, shard int) (int, error) {
-	return s.recoverFiltered(ctx, func(name string) bool {
-		return s.sharding != nil && s.shardOf(name) == shard && s.ownsSet(name)
-	})
-}
-
-// recoverFiltered is the shared recovery sweep; accept filters by
-// job-set name. Sets the registry already holds, parked or live, are left
-// alone, so overlapping sweeps (initial Recover racing a lease-acquired
-// RecoverShard racing an activation) are idempotent.
-func (s *Service) recoverFiltered(ctx context.Context, accept func(name string) bool) (int, error) {
 	resumed, unsubscribed := 0, false
-	err := s.sweep(ctx, accept, "replayed after scheduler restart", func(id string, doc *xmlutil.Element) error {
+	err := s.sweep(ctx, func(id string, doc *xmlutil.Element) error {
 		if h := s.sets.get(id); h.run != nil || h.parked() {
 			return nil
 		}
@@ -81,24 +65,24 @@ func (s *Service) recoverFiltered(ctx context.Context, accept func(name string) 
 		// Sets skipped because the broker did not answer are acked work
 		// nothing else would pick up: sweep again (idempotent) until it
 		// does. The caller has this pass's errors; the next retries itself.
-		time.AfterFunc(admissionRetryDelay, func() { _, _ = s.recoverFiltered(context.WithoutCancel(ctx), accept) })
+		time.AfterFunc(admissionRetryDelay, func() { _, _ = s.Recover(context.WithoutCancel(ctx)) })
 	}
 	return resumed, err
 }
 
-// sweep is the one walk over the stored job sets, those accept admits. A
-// terminal one whose completion event may never have left the building —
-// the status write and the broker publish are not atomic — is republished
-// unless its notified marker proves the broker took it; duplicates are
-// fine, the contract is at-least-once, and detail says why it is late.
-// Every other goes to unfinished, when given. Failures come back joined,
-// each under its set's id; none stops the walk.
-func (s *Service) sweep(ctx context.Context, accept func(name string) bool, detail string, unfinished func(id string, doc *xmlutil.Element) error) error {
+// sweep is the one walk over the stored job sets. A terminal one whose
+// completion event may never have left the building — the status write
+// and the broker publish are not atomic — is republished unless its
+// notified marker proves the broker took it; duplicates are fine, the
+// contract is at-least-once, and the event's detail says why it is late.
+// Every other goes to unfinished. Failures come back joined, each under
+// its set's id; none stops the walk.
+func (s *Service) sweep(ctx context.Context, unfinished func(id string, doc *xmlutil.Element) error) error {
 	var errs []error
 	home := s.svc.Home()
 	for _, id := range home.IDs() {
 		doc, err := home.Load(id)
-		if err != nil || !accept(doc.ChildText(QName)) {
+		if err != nil {
 			continue
 		}
 		topic, status := doc.ChildText(QTopic), doc.ChildText(QStatus)
@@ -108,10 +92,10 @@ func (s *Service) sweep(ctx context.Context, accept func(name string) bool, deta
 		case TerminalSetStatus(status):
 			// A failed publish is not an error: the marker stays off and the
 			// next sweep tries again.
-			if doc.Attr(qNotifiedAttr) != "true" && s.publishSetEvent(ctx, id, topic, status, detail) == nil {
+			if doc.Attr(qNotifiedAttr) != "true" && s.publishSetEvent(ctx, id, topic, status, "replayed after scheduler restart") == nil {
 				err = s.stampNotified(id, nil)
 			}
-		case unfinished != nil:
+		default:
 			err = unfinished(id, doc)
 		}
 		if err != nil {

@@ -38,14 +38,6 @@ type held struct {
 
 func (h held) parked() bool { return h.run == nil && h.entry.ID != "" }
 
-// name is the job set's name — what shards are hashed on.
-func (h held) name() string {
-	if h.run != nil {
-		return h.run.spec.Name
-	}
-	return h.entry.Name
-}
-
 // park adds a parked submission unless the set is already here, in either
 // form: overlapping sweeps and retried re-parks are idempotent.
 func (g *registry) park(e admission.Entry, creds wssec.Credentials) bool {
@@ -96,7 +88,7 @@ func (g *registry) live(topic string) *run {
 }
 
 // all is a snapshot of the entries by id, for walks that take a run's own
-// lock or let sets go on the way.
+// lock on the way.
 func (g *registry) all() map[string]held {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
@@ -111,7 +103,7 @@ type way int
 const (
 	submitted way = iota // a new set: its document says Running already
 	activated            // off the admission queue: Queued, its tenant's slot charged by Next
-	recovered            // a restart or a claimed shard found its document Running
+	recovered            // a restart found its document Running
 )
 
 // takeOn is the one way in: it turns a new or restored run into a live one
@@ -160,8 +152,8 @@ func (s *Service) takeOn(ctx context.Context, r *run, via way) (live bool, err e
 
 // letGo is the one way out: whatever this master remembers of a set — its
 // registry entry and, parked, its place in the admission queue — is
-// forgotten, whether the resource was destroyed, the shard lost, the set
-// evicted or cancelled while parked. It returns the run that was live,
+// forgotten, whether the resource was destroyed, the set evicted or
+// cancelled while parked. It returns the run that was live,
 // nil if none; what leaving means for it is the caller's transition.
 func (s *Service) letGo(id string) *run {
 	h := s.sets.remove(id)

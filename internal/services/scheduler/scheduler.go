@@ -113,17 +113,13 @@ type Config struct {
 	// DefaultCatalogTTL; negative disables the cache entirely, so every
 	// dispatch polls GetProcessors (the paper's literal Fig. 3 step 2).
 	CatalogTTL time.Duration
-	// Sharding, when non-nil, opts the master into the multi-master
-	// lease protocol: it only accepts and schedules job sets whose
-	// shard it holds, redirecting the rest (see shard.go).
-	Sharding *Sharding
 	// Admission, when non-nil, puts the multi-tenant admission queue in
 	// front of the dispatch engine: Submit journals the set as Queued
 	// and acks, and the StartAdmission pump activates sets in weighted
 	// fair-share order (see admission.go).
 	Admission *admission.Queue
-	// OnDispatch, when set, observes every committed job dispatch —
-	// the simulator's single-writer ledger.
+	// OnDispatch, when set, observes every committed job dispatch — the
+	// simulator's dispatch ledger.
 	OnDispatch func(rec DispatchRecord)
 	// DefaultRetry applies to jobs whose spec carries no retry policy of
 	// its own. Zero keeps the historical fail-on-first-error behaviour.
@@ -134,10 +130,8 @@ type Config struct {
 	Preempt bool
 }
 
-// ServicePath is where a master mounts the SS — lease owner identities
-// and shard→peer maps embed it, so a lease record doubles as a redirect
-// target — and consumerPath where it mounts the SS's notification
-// consumer.
+// ServicePath is where a master mounts the SS, and consumerPath where it
+// mounts the SS's notification consumer.
 const (
 	ServicePath  = "/SchedulerService"
 	consumerPath = "/SchedulerConsumer"
@@ -162,7 +156,6 @@ type Service struct {
 	jobTimeout   time.Duration
 	catalogTTL   time.Duration
 	dispatchSem  chan struct{} // bounds concurrent dispatches
-	sharding     *Sharding
 	onDispatch   func(rec DispatchRecord)
 	adm          *admission.Queue
 	defaultRetry RetryPolicy
@@ -172,12 +165,10 @@ type Service struct {
 	// and letGo are the way in and the way out.
 	sets registry
 
-	// mu guards the standing subscriptions, the shard-routing view and the
-	// replica cache; routing and dispatch take the read side.
-	mu          sync.RWMutex
-	standing    map[string]bool // topic → subscription claimed (subscribeStanding)
-	shardOwners map[int]string  // pushed shard-map routing view
-	shardEpochs map[int]uint64  // highest epoch seen per shard
+	// mu guards the standing subscriptions and the replica cache; dispatch
+	// takes the read side.
+	mu       sync.RWMutex
+	standing map[string]bool // topic → subscription claimed (subscribeStanding)
 
 	trackReplicas bool
 	rep           replicaCache // guarded by mu
@@ -228,8 +219,8 @@ type run struct {
 }
 
 // newRun is the one place a run is built, and where its attempt nonce is
-// minted: no two runs of a set — across Recover, RecoverShard and
-// re-activation after preemption — share an attempt identity.
+// minted: no two runs of a set — across Recover and re-activation after
+// preemption — share an attempt identity.
 func (s *Service) newRun(id string, spec *JobSetSpec, clientFiles, clientListener wsa.EndpointReference, creds wssec.Credentials, status string) *run {
 	nonce := wsa.NewMessageID()[len("urn:uuid:"):][:8]
 	return &run{
@@ -247,9 +238,25 @@ func (s *Service) newRun(id string, spec *JobSetSpec, clientFiles, clientListene
 var (
 	// errNoSpec: a document's spec snapshot is missing, unreadable or empty.
 	errNoSpec = errors.New("no recoverable spec")
-	// errRunParked aborts a journal write for a run that left this master.
+	// errRunParked stops a journal write or a dispatch for a run that was
+	// evicted: the set is its next activation's, built from the document.
 	errRunParked = errors.New("scheduler: run parked")
 )
+
+// DispatchRecord describes one job dispatch as the scheduler commits to it.
+type DispatchRecord struct {
+	Topic string
+	Job   string
+	Node  string
+}
+
+// fenced reports whether the run was parked — evicted back into the
+// admission queue — and so may neither write nor place work.
+func (r *run) fenced() bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.st.parked
+}
 
 // credentialsLost is the one verdict on a secured set whose credentials
 // died with the process that accepted it (they are never journaled).
@@ -416,8 +423,8 @@ func (fx effects) callsOut() bool { return len(fx.kill) > 0 || fx.publish != "" 
 // from the state as it is when the write holds the resource (resource
 // lock, then r.mu — a WSRF method's order), never from a snapshot taken
 // before: that could wait behind a later transition's write and land on
-// top of it. A parked run writes nothing — its set is another owner's —
-// except the eviction write that parks it.
+// top of it. A parked run writes nothing — its set is its next
+// activation's — except the eviction write that parks it.
 func (s *Service) persist(r *run, fx effects, inHand *xmlutil.Element) error {
 	var rows []*xmlutil.Element
 	render := func(doc *xmlutil.Element) error {
@@ -507,20 +514,14 @@ func New(cfg Config) (*Service, error) {
 		jobTimeout:   cfg.JobTimeout,
 		catalogTTL:   cfg.CatalogTTL,
 		dispatchSem:  make(chan struct{}, cfg.MaxInflightDispatch),
-		sharding:     cfg.Sharding,
 		onDispatch:   cfg.OnDispatch,
 		adm:          cfg.Admission,
 		sets:         registry{sets: make(map[string]held)},
 		standing:     make(map[string]bool),
-		shardOwners:  make(map[int]string),
-		shardEpochs:  make(map[int]uint64),
 		defaultRetry: cfg.DefaultRetry,
 		preempt:      cfg.Preempt && cfg.Admission != nil,
 	}
 	_, s.trackReplicas = cfg.Policy.(DataAware)
-	if cfg.Sharding != nil && cfg.Sharding.Manager == nil {
-		return nil, fmt.Errorf("scheduler: Sharding requires a lease Manager")
-	}
 	svc.OnDestroy(s.onSetDestroyed)
 	// "*//" is the Full-dialect catch-all; onNotification routes by topic root.
 	s.consumer.Handle(wsn.MustTopicExpression(wsn.DialectFull, "*//"), s.onNotification)
@@ -595,11 +596,6 @@ func (s *Service) handleSubmit(ctx context.Context, inv *wsrf.Invocation, body *
 	}
 	if err := spec.Validate(); err != nil {
 		return nil, wsrf.NewBaseFault("InvalidJobSetFault", "%v", err).SOAPFault(soap.CodeSender)
-	}
-	if !s.ownsSet(spec.Name) {
-		// Typed redirect, not a generic fault: the Originator names the
-		// owning master so the client can resubmit there directly.
-		return nil, s.wrongShardFault(spec.Name, s.shardOf(spec.Name))
 	}
 	var clientFiles, clientListener wsa.EndpointReference
 	if el := body.Child(qClientFiles); el != nil {
@@ -708,12 +704,6 @@ func (s *Service) scheduleReady(ctx context.Context, r *run) {
 // to the core under that attempt's identity.
 func (s *Service) dispatch(ctx context.Context, r *run, res reservation) {
 	ev, err := s.runJob(ctx, r, res)
-	if errors.Is(err, errShardLost) {
-		// The shard moved to another master mid-dispatch; the run is (or
-		// is about to be) parked. Not a job failure — the new owner
-		// re-dispatches.
-		return
-	}
 	if err != nil {
 		ev.kind, ev.reason = evDispatchFailed, "dispatch: "+err.Error()
 	}
@@ -727,9 +717,6 @@ func (s *Service) dispatch(ctx context.Context, r *run, res reservation) {
 func (s *Service) runJob(ctx context.Context, r *run, res reservation) (event, error) {
 	spec := &r.spec.Jobs[res.job]
 	ack := event{kind: evRunAcked, job: spec.Name, attempt: res.attempt}
-	if err := s.dispatchFence(r); err != nil {
-		return ack, err
-	}
 	procs, err := s.processors(ctx)
 	if err != nil {
 		return ack, err
@@ -759,14 +746,16 @@ func (s *Service) runJob(ctx context.Context, r *run, res reservation) (event, e
 			}
 		}
 	}
-	// Re-check the fence at the last possible moment: the lease may
-	// have lapsed while credentials and files were being prepared. The
-	// grace window peers wait out before claiming an expired shard is
-	// what makes this check-then-send safe against a concurrent owner.
-	if err := s.dispatchFence(r); err != nil {
-		return ack, err
+	// A set evicted since the reservation must not place work. One check, at
+	// the last moment before the send, is enough: a Run that still gets out
+	// ahead of the eviction is reaped when its response reaches the parked
+	// core, and that core drops the failure reported from here.
+	if r.fenced() {
+		return ack, errRunParked
 	}
-	s.recordDispatch(r, spec.Name, node.Host)
+	if s.onDispatch != nil {
+		s.onDispatch(DispatchRecord{Topic: r.topic, Job: spec.Name, Node: node.Host})
+	}
 	resp, err := s.client.Invoke(ctx, node.ES, execution.ActionRun, req)
 	if err != nil {
 		return ack, fmt.Errorf("run on %s: %w", node.Host, err)
@@ -861,8 +850,8 @@ func (s *Service) syncCatalog(ctx context.Context) {
 }
 
 // subscribeStanding subscribes the SS consumer to a topic that outlives
-// every job set (catalog, replicas, shard map) unless that is done, and
-// reports whether this call did it. Best-effort: each feeds a cache with
+// every job set (catalog, replicas) unless that is done, and reports
+// whether this call did it. Best-effort: each feeds a cache with
 // an authority behind it. The claim comes before the subscription — a
 // check-then-act window would let concurrent callers subscribe twice and
 // every push be delivered twice — and is given up if the broker refuses,
@@ -941,11 +930,6 @@ func (s *Service) onNotification(ctx context.Context, n wsn.Notification) {
 			s.storeCatalog(procs, nodeinfo.CatalogVersion(n.Message), true)
 		}
 		return
-	} else if root == ShardMapTopic {
-		if shard, epoch, owner, err := parseShardOwner(n.Message); err == nil {
-			s.noteShardOwner(shard, epoch, owner)
-		}
-		return
 	} else if root == filesystem.ReplicaTopic {
 		if rc, err := filesystem.ParseReplicaChanged(n.Message); err == nil {
 			s.storeReplica(rc)
@@ -986,10 +970,10 @@ func (s *Service) onNotification(ctx context.Context, n wsn.Notification) {
 }
 
 // handleCancel aborts a job set on client request. A set that is already
-// terminal (or parked for another master) keeps its verdict: the core
-// answers with no effects. The wrapper pipeline holds this resource's
-// lock — UpdateResource would self-deadlock — so the transition is
-// journaled onto the invocation's own document.
+// terminal keeps its verdict: the core answers with no effects. The
+// wrapper pipeline holds this resource's lock — UpdateResource would
+// self-deadlock — so the transition is journaled onto the invocation's
+// own document.
 func (s *Service) handleCancel(ctx context.Context, inv *wsrf.Invocation, body *xmlutil.Element) (*xmlutil.Element, error) {
 	r := s.sets.get(inv.ResourceID).run
 	if r == nil {

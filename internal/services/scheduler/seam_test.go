@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"uvacg/internal/admission"
-	"uvacg/internal/lease"
 	"uvacg/internal/procspawn"
 	"uvacg/internal/services/filesystem"
 	"uvacg/internal/wsa"
@@ -25,55 +24,46 @@ import (
 	"uvacg/internal/wssec"
 )
 
-// seam is one enter × leave case: two sharded masters over one store, a
-// one-job set that never finishes by itself in shard 0, and m, the master
-// the set is live on once it has entered.
+// seam is one enter × leave case: a master, a one-job set that never
+// finishes by itself, and every run the set has had since the master last
+// started.
 type seam struct {
-	t          *testing.T
-	h          *multiHarness
-	id         string
-	m          *Service
-	mine, peer *lease.Manager // m's lease manager and the other master's
-	runs       []*run         // every run the set has had on m
+	t    *testing.T
+	h    *ssHarness
+	m    *Service
+	id   string
+	runs []*run
 }
 
 func newSeam(t *testing.T, admit bool) *seam {
 	c := &seam{t: t}
-	c.h = newMultiHarnessCfg(t, 2, func(i int, cfg *Config) {
+	c.h = newSSHarnessCfg(t, Greedy{}, nil, func(cfg *Config) {
 		cfg.JobTimeout = time.Hour // every acked Run arms a watchdog
 		if admit {
 			cfg.Admission = admission.New(admission.Config{})
 		}
 	}, "node-a")
+	c.m = c.h.ss
 	c.h.files.Publish("long.app", procspawn.BuildScript("compute 100000000", "exit 0"))
-	spec := &JobSetSpec{Name: nameForShard(0, 2), Class: admission.ClassScavenger,
+	spec := &JobSetSpec{Name: "seam", Class: admission.ClassScavenger,
 		Jobs: []JobSpec{{Name: "long", Executable: "local://long.app"}}}
-	resp, err := c.h.submitTo(t, c.h.masters[0], spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, topic, err := ParseSubmitResponse(resp.Body)
+	_, topic, err := c.h.submit(t, spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.id = strings.TrimPrefix(topic, topicPrefix)
-	c.on(0)
 	return c
 }
 
-func (c *seam) on(i int) {
-	c.m, c.mine, c.peer = c.h.masters[i], c.h.mgrs[i], c.h.mgrs[1-i]
-}
-
-// pump runs m's admission pump until the returned stop.
+// pump runs the admission pump until the returned stop.
 func (c *seam) pump() (stop func()) {
 	ctx, cancel := context.WithCancel(context.Background())
 	c.m.StartAdmission(ctx)
 	return cancel
 }
 
-// awaitWatched waits until the set is live on m with its job's watchdog
-// armed — the Run was acked — and notes the run.
+// awaitWatched waits until the set is live with its job's watchdog armed —
+// the Run was acked — and notes the run.
 func (c *seam) awaitWatched() {
 	c.t.Helper()
 	var r *run
@@ -88,17 +78,19 @@ func (c *seam) awaitWatched() {
 	c.runs = append(c.runs, r)
 }
 
-// failOver abandons master 1 mid-run, as a crash would — it forgets the
-// set and hears nothing more of it — and hands shard 0 to master 2.
-func (c *seam) failOver() {
+// restart is a crash mid-run and the start after it: the master forgets
+// the set and hears nothing more of its old runs, whose running slots and
+// timers died with the process, then recovers from the documents.
+func (c *seam) restart() {
 	c.t.Helper()
 	c.m.sets.forgetAll()
-	c.h.clock.Advance(2 * time.Minute) // lease TTL + grace
-	if _, ok, err := c.h.mgrs[1].Acquire(0); !ok || err != nil {
-		c.t.Fatalf("master 2 claim of the orphaned shard: ok=%v err=%v", ok, err)
+	for _, r := range c.runs {
+		c.m.releaseAdmission(r)
 	}
 	c.runs = nil
-	c.on(1)
+	if n, err := c.m.Recover(context.Background()); n != 1 || err != nil {
+		c.t.Fatalf("Recover resumed %d, err %v", n, err)
+	}
 }
 
 func (c *seam) epr() wsa.EndpointReference { return c.m.svc.EPRFor(c.id) }
@@ -168,20 +160,7 @@ func TestEnterLeaveSeam(t *testing.T) {
 			stop := c.pump()
 			c.awaitWatched()
 			stop()
-			c.failOver()
-			if n, err := c.m.Recover(context.Background()); n != 1 || err != nil {
-				c.t.Fatalf("Recover resumed %d, err %v", n, err)
-			}
-			return func() {}
-		}},
-		{"RecoverShard", true, func(c *seam) func() {
-			stop := c.pump()
-			c.awaitWatched()
-			stop()
-			c.failOver()
-			if n, err := c.m.RecoverShard(context.Background(), 0); n != 1 || err != nil {
-				c.t.Fatalf("RecoverShard resumed %d, err %v", n, err)
-			}
+			c.restart()
 			return func() {}
 		}},
 	}
@@ -191,13 +170,6 @@ func TestEnterLeaveSeam(t *testing.T) {
 		leave func(c *seam)
 	}{
 		{"Destroy", false, (*seam).destroy},
-		{"shard loss", false, func(c *seam) {
-			c.h.clock.Advance(2 * time.Minute)
-			if _, ok, err := c.peer.Acquire(0); !ok || err != nil {
-				c.t.Fatalf("peer claim of the lapsed shard: ok=%v err=%v", ok, err)
-			}
-			c.mine.Tick(lease.Hooks{OnLost: func(shard int, _ uint64) { c.m.parkShard(shard) }})
-		}},
 		{"preemption, then Destroy while parked", true, func(c *seam) {
 			c.preempt()
 			c.destroy()
@@ -220,7 +192,7 @@ func TestEnterLeaveSeam(t *testing.T) {
 	for _, e := range enters {
 		for _, l := range leaves {
 			if l.admit && !e.admit {
-				continue
+				continue // a set that never queued has no queue to be evicted into
 			}
 			t.Run(e.name+"/"+l.name, func(t *testing.T) {
 				c := newSeam(t, e.admit)
@@ -365,8 +337,8 @@ func TestCredentialsLostIsOneVerdict(t *testing.T) {
 	}
 }
 
-// TestRacingWaysInRegisterOnce: an initial Recover, a lease-acquired
-// RecoverShard and the admission pump can all come by the same set at
+// TestRacingWaysInRegisterOnce: a start's Recover, the Recover it booked
+// to retry itself and the admission pump can all come by the same set at
 // once. Whichever document they find — still Queued, or Running after a
 // crash — the set is registered once, scheduled once and holds one slot.
 func TestRacingWaysInRegisterOnce(t *testing.T) {
@@ -377,20 +349,15 @@ func TestRacingWaysInRegisterOnce(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			var dispatched atomic.Int32
-			queues := make([]*admission.Queue, 2)
-			h := newMultiHarnessCfg(t, 2, func(i int, cfg *Config) {
-				queues[i] = admission.New(admission.Config{})
-				cfg.Admission = queues[i]
+			queue := admission.New(admission.Config{})
+			h := newSSHarnessCfg(t, Greedy{}, nil, func(cfg *Config) {
+				cfg.Admission = queue
 				cfg.OnDispatch = func(DispatchRecord) { dispatched.Add(1) }
 			}, "node-a")
-			m := h.masters[0]
+			m := h.ss
 			h.files.Publish("j.app", procspawn.BuildScript("compute 20000", "exit 0"))
-			spec := &JobSetSpec{Name: nameForShard(0, 2), Jobs: []JobSpec{{Name: "j", Executable: "local://j.app"}}}
-			resp, err := h.submitTo(t, m, spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, topic, err := ParseSubmitResponse(resp.Body)
+			spec := &JobSetSpec{Name: "raced", Jobs: []JobSpec{{Name: "j", Executable: "local://j.app"}}}
+			_, topic, err := h.submit(t, spec, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -400,7 +367,7 @@ func TestRacingWaysInRegisterOnce(t *testing.T) {
 				// Activated, then forgotten before anything was dispatched:
 				// the document says Running and nobody holds the set.
 				id := strings.TrimPrefix(topic, topicPrefix)
-				e, err := queues[0].Next(ctx)
+				e, err := queue.Next(ctx)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -416,29 +383,17 @@ func TestRacingWaysInRegisterOnce(t *testing.T) {
 					t.Fatal(err)
 				}
 				m.sets.forgetAll()
-				queues[0].Done(e.Tenant)
+				queue.Done(e.Tenant)
 			}
 
 			start := make(chan struct{})
 			var wg sync.WaitGroup
-			for _, way := range []func(){
-				func() { m.StartAdmission(ctx) },
-				func() {
-					if _, err := m.Recover(ctx); err != nil {
-						t.Error(err)
-					}
-				},
-				func() {
-					if _, err := m.RecoverShard(ctx, 0); err != nil {
-						t.Error(err)
-					}
-				},
-				func() {
-					if _, err := m.Recover(ctx); err != nil {
-						t.Error(err)
-					}
-				},
-			} {
+			recoverOnce := func() {
+				if _, err := m.Recover(ctx); err != nil {
+					t.Error(err)
+				}
+			}
+			for _, way := range []func(){func() { m.StartAdmission(ctx) }, recoverOnce, recoverOnce} {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
@@ -459,7 +414,7 @@ func TestRacingWaysInRegisterOnce(t *testing.T) {
 				t.Fatalf("registry holds %d entries for one set", n)
 			}
 			eventually(t, "the running-slot ledger to balance", func() bool {
-				st := queues[0].Stats()
+				st := queue.Stats()
 				for _, ten := range st.Tenants {
 					if ten.Running != 0 {
 						return false

@@ -15,7 +15,7 @@ var errNoAdmission = errors.New("simgrid: cluster runs no admission queues")
 
 func errUnknownTenant(t string) error { return fmt.Errorf("simgrid: unknown tenant %q", t) }
 
-// AdmissionConfig puts every scheduler in the cluster behind a durable
+// AdmissionConfig puts the cluster's scheduler behind a durable
 // multi-tenant admission queue: Submit journals the set as Queued and
 // acks, a fair-share pump activates it later. nil keeps the classic
 // direct-dispatch path.
@@ -31,7 +31,7 @@ type AdmissionConfig struct {
 	// RetryAfter is the QueueFullFault backoff hint.
 	RetryAfter time.Duration
 	// Tenants maps tenant account names to passwords. When non-empty the
-	// schedulers verify UsernameTokens (anonymous still allowed), so
+	// scheduler verifies UsernameTokens (anonymous still allowed), so
 	// SubmitAs can tag submissions with a tenant identity. Note that
 	// authenticated submissions are "secured" in the paper's sense:
 	// their credentials are never persisted, so they do not survive a
@@ -42,8 +42,8 @@ type AdmissionConfig struct {
 // AdmissionEnabled reports whether the cluster runs admission queues.
 func (c *Cluster) AdmissionEnabled() bool { return c.cfg.Admission != nil }
 
-// newAdmissionQueue builds one scheduler's admission queue, feeding the
-// cluster-wide event ledger invariant I6 audits.
+// newAdmissionQueue builds one master incarnation's admission queue,
+// feeding the cluster-wide event ledger invariant I6 audits.
 func (c *Cluster) newAdmissionQueue() *admission.Queue {
 	a := c.cfg.Admission
 	return admission.New(admission.Config{
@@ -71,42 +71,23 @@ func (c *Cluster) admissionVerifier() *wssec.VerifierConfig {
 }
 
 // noteAdmissionEvent appends one queue transition to the admission
-// ledger. All masters share the ledger; entries keep their admission
-// sequence across requeues, so conservation is checkable per (tenant,
-// seq) even across shard moves and restarts.
+// ledger. Every master incarnation writes to the one ledger; entries keep
+// their admission sequence across requeues, so conservation is checkable
+// per (tenant, seq) even across restarts.
 func (c *Cluster) noteAdmissionEvent(ev admission.Event) {
 	c.mu.Lock()
 	c.admEvents = append(c.admEvents, ev)
 	c.mu.Unlock()
 }
 
-// liveAdmissionStats snapshots every live master incarnation's queue,
-// keyed by host name. Crashed incarnations are skipped — their queues
-// died with them, and their parked entries are the journal's (and the
-// recovering owner's) responsibility.
-func (c *Cluster) liveAdmissionStats() map[string]admission.QueueStats {
-	out := make(map[string]admission.QueueStats)
-	for host, ss := range c.liveSchedulers() {
-		if st, ok := ss.AdmissionStats(); ok {
-			out[host] = st
-		}
+// liveScheduler returns the master's scheduler, nil while the master is
+// crashed: a dead incarnation's queue and books died with it, and what
+// it had acked is the journal's (and the next incarnation's) to honor.
+func (c *Cluster) liveScheduler() *scheduler.Service {
+	if m := c.Master(); !m.f.dead.Load() {
+		return m.m.Scheduler
 	}
-	return out
-}
-
-// liveSchedulers maps host → scheduler for every master incarnation that
-// has not been crashed.
-func (c *Cluster) liveSchedulers() map[string]*scheduler.Service {
-	c.mu.Lock()
-	masters := append([]*masterHost{c.master}, c.masters...)
-	c.mu.Unlock()
-	out := make(map[string]*scheduler.Service)
-	for _, m := range masters {
-		if m != nil && !m.f.dead.Load() {
-			out[m.host] = m.m.Scheduler
-		}
-	}
-	return out
+	return nil
 }
 
 // AdmissionEvents snapshots the admission ledger.

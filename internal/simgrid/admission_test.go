@@ -164,9 +164,7 @@ func TestAdmissionCrashMidEnqueueReplaysQueuedSets(t *testing.T) {
 	}
 	c.CrashMaster()
 	time.Sleep(50 * time.Millisecond)
-	if err := c.RestartMaster(ctx); err != nil {
-		t.Logf("recover reported: %v", err)
-	}
+	restartMaster(t, ctx, c)
 
 	if err := c.AwaitQuiescence(30 * time.Second); err != nil {
 		t.Fatalf("replayed queue never drained: %v", err)

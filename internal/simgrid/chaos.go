@@ -159,16 +159,6 @@ func (c *Chaos) PartitionBoth(a, b string) {
 	c.Partition(b, a)
 }
 
-// Blocked reports whether the directed edge src→dst is currently cut
-// (and chaos is enabled). Non-network channels that model network
-// hops — a master's route to the shared lease table on the core —
-// consult it so a partition severs them too.
-func (c *Chaos) Blocked(src, dst string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.enabled && c.blocked[src+"|"+dst]
-}
-
 // Heal removes the directed edge src→dst.
 func (c *Chaos) Heal(src, dst string) {
 	c.mu.Lock()

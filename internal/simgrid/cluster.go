@@ -2,15 +2,16 @@ package simgrid
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"uvacg/internal/admission"
 	"uvacg/internal/core"
-	"uvacg/internal/lease"
 	"uvacg/internal/master"
 	"uvacg/internal/node"
 	"uvacg/internal/pipeline"
@@ -20,7 +21,6 @@ import (
 	"uvacg/internal/transport"
 	"uvacg/internal/wsa"
 	"uvacg/internal/wsn"
-	"uvacg/internal/wsrf"
 	"uvacg/internal/wssec"
 )
 
@@ -45,30 +45,14 @@ type ClusterConfig struct {
 	// bound; zero keeps the scheduler's default, negative disables the
 	// cache (every dispatch polls the NIS).
 	CatalogTTL time.Duration
-	// Masters, when ≥2, switches to the sharded multi-master layout:
-	// broker, NIS and the shared job-set and lease tables move onto
-	// CoreHost (the central database of the WSRF.NET deployment), and
-	// each replica "master-1".."master-M" hosts a scheduler that only
-	// schedules the shards it holds a lease on. 0 or 1 keeps the
-	// classic single-master layout unchanged.
-	Masters int
-	// Shards sizes the shard ring (multi-master only); defaults to
-	// 2×Masters so failover redistributes load instead of doubling one
-	// survivor's share in the two-master case.
-	Shards int
-	// LeaseTTL is the shard lease duration (multi-master only;
-	// default 500ms). Grace takes the lease package default, TTL/2, so
-	// failover completes within TTL+TTL/2 of a master death.
-	LeaseTTL time.Duration
-	// Admission, when non-nil, fronts every scheduler with a durable
+	// Admission, when non-nil, fronts the scheduler with a durable
 	// multi-tenant admission queue (quotas, fair share, QueueFullFault
 	// backpressure). See AdmissionConfig.
 	Admission *AdmissionConfig
-	// Replicas, when positive, runs the replication layer
-	// (single-master layout only): FSS nodes publish replica manifests
-	// for staged files and a replicator on the master fans them out to
-	// this many holders, journaling acked holder sets in the master's
-	// WAL. Invariant I7 reads the resulting ledgers.
+	// Replicas, when positive, runs the replication layer: FSS nodes
+	// publish replica manifests for staged files and a replicator on the
+	// master fans them out to this many holders, journaling acked holder
+	// sets in the master's WAL. Invariant I7 reads the resulting ledgers.
 	Replicas int
 	// DataAware switches the scheduler to the data-aware placement
 	// policy (weighs replica locality against effective speed).
@@ -91,18 +75,25 @@ type Ack struct {
 	Topic string
 }
 
-// masterHost is one incarnation of a scheduler-bearing machine: the
-// single master, or one replica of the multi-master layout. Crashing it
+// masterHost is one incarnation of the master machine. Crashing it
 // abandons the incarnation (its goroutines die against a tripped fence
-// and, for the single master, a closed store — like a killed process's
-// in-flight I/O) and a restart builds a fresh one.
+// and a closed store — like a killed process's in-flight I/O) and a
+// restart builds a fresh one.
 type masterHost struct {
-	host  string
-	store *resourcedb.DurableStore // the single master's; a replica keeps no store
+	store *resourcedb.DurableStore
 	m     *master.Master
-	mgr   *lease.Manager // replicas only
-	f     *fence         // trips on crash: no outbound I/O survives
+	f     *fence // trips on crash: no outbound I/O survives
 }
+
+// fence models SIGKILL for outbound traffic: once tripped, every message
+// the incarnation's surviving goroutines (watchdogs, retry-backoff timers)
+// still try to send fails — a dead process makes no network calls. A
+// restart builds a fresh incarnation with a fresh fence; the old one
+// stays dead for ever.
+type fence struct{ dead atomic.Bool }
+
+// errMasterDead fails every outbound message of a crashed incarnation.
+var errMasterDead = errors.New("simgrid: master incarnation is dead")
 
 // nodeHost is one incarnation of an execution machine.
 type nodeHost struct {
@@ -123,18 +114,14 @@ type Cluster struct {
 
 	cfg ClusterConfig
 
-	mu      sync.Mutex
-	master  *masterHost   // single-master layout
-	core    *coreServices // multi-master layout: the hub
-	masters []*masterHost // multi-master layout: scheduler replicas
-	nodes   map[string]*nodeHost
-	acked   []Ack
-	rr      int // round-robin submit cursor (multi-master)
+	mu     sync.Mutex
+	master *masterHost
+	nodes  map[string]*nodeHost
+	acked  []Ack
 
-	// Ledgers for invariant I5: every lease transition and every
-	// committed dispatch, in commit order.
-	shardEvents []scheduler.ShardEvent
-	dispatches  []scheduler.DispatchRecord
+	// Every committed dispatch of every master incarnation, in commit
+	// order (the retry-storm drill counts them).
+	dispatches []scheduler.DispatchRecord
 	// Ledger for invariant I6: every admission-queue transition across
 	// all master incarnations, in commit order.
 	admEvents []admission.Event
@@ -160,14 +147,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.DataDir == "" {
 		return nil, fmt.Errorf("simgrid: ClusterConfig.DataDir is required")
 	}
-	if cfg.Masters > 1 {
-		if cfg.Shards <= 0 {
-			cfg.Shards = 2 * cfg.Masters
-		}
-		if cfg.LeaseTTL <= 0 {
-			cfg.LeaseTTL = 500 * time.Millisecond
-		}
-	}
 	c := &Cluster{
 		Chaos:   NewChaos(cfg.Seed),
 		Network: transport.NewNetwork(),
@@ -186,20 +165,11 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	if cfg.Masters > 1 {
-		if err := c.startCore(ctx); err != nil {
-			return nil, err
-		}
-		for i := 0; i < cfg.Masters; i++ {
-			if err := c.startMasterN(ctx, i); err != nil {
-				return nil, err
-			}
-		}
-	} else if err := c.startMaster(ctx); err != nil {
-		return nil, err
+	if unresumed, err := c.startMaster(ctx); err != nil || unresumed != nil {
+		return nil, errors.Join(err, unresumed)
 	}
-	// Machines join in parallel — a multi-master scenario runs hundreds
-	// of them — with concurrency capped so store opens do not stampede.
+	// Machines join in parallel — TestHundredsOfNodes runs 160 of them —
+	// with concurrency capped so store opens do not stampede.
 	// Registration order was never part of the determinism contract
 	// (chaos counters only start once the engine is enabled).
 	sem := make(chan struct{}, 32)
@@ -211,7 +181,8 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			errs[i-1] = c.startNode(ctx, fmt.Sprintf("node-%d", i))
+			unregistered, err := c.startNode(ctx, fmt.Sprintf("node-%d", i))
+			errs[i-1] = errors.Join(err, unregistered)
 		}(i)
 	}
 	wg.Wait()
@@ -227,9 +198,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 // correlation, deadline propagation and a small deterministic retry for
 // idempotent actions (jitter disabled, so a replayed seed retries on the
 // same schedule) over a chaos-wrapped transport. A non-nil fence kills
-// every outbound message once the host's incarnation is crashed (a
-// multi-master replica keeps no store of its own, so SIGKILL is "all its
-// I/O fails" rather than "its store closes").
+// every outbound message once the host's incarnation is crashed.
 func (c *Cluster) clientWith(host string, f *fence) *transport.Client {
 	client := transport.NewClient().WithNetwork(c.Network)
 	client.Use(
@@ -255,95 +224,75 @@ func (c *Cluster) clientWith(host string, f *fence) *transport.Client {
 	return client
 }
 
-// bringUp builds a master-side host through the one shared assembly —
-// the wiring gridmaster ships — puts it on the network and starts it, so
-// the start order every crash drill exercises is master.Start's. The
-// host is up whenever m is non-nil; err then carries what Start could
-// not recover.
-func (c *Cluster) bringUp(ctx context.Context, host string, cfg master.Config) (m *master.Master, err error) {
-	cfg.Address = "inproc://" + host
-	// Notification delivery rides the same retry the product path uses:
-	// transient consumer failures are absorbed; permanent ones are the
-	// producer's failure-count problem.
-	cfg.DeliveryRetry = pipeline.RetryPolicy{
-		MaxAttempts: 3,
-		BaseDelay:   2 * time.Millisecond,
-		MaxDelay:    20 * time.Millisecond,
-		Jitter:      -1,
-	}
-	m, err = master.Assemble(cfg)
+// startMaster opens (or reopens) the master's durable store and brings
+// broker, NIS, scheduler and replicator up over it through the one shared
+// assembly — the wiring gridmaster ships — so the start order every crash
+// drill exercises is master.Start's; on a reopened store the broker
+// recovers its subscriptions and Recover resumes interrupted runs. err
+// means there is no master: the store would not open or the services not
+// assemble. unresumed is what a master that is up could not recover.
+func (c *Cluster) startMaster(ctx context.Context) (unresumed, err error) {
+	store, err := resourcedb.OpenDurable(filepath.Join(c.cfg.DataDir, MasterHost), resourcedb.DurableOptions{})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("simgrid: open master store: %w", err)
 	}
-	srv := transport.NewServer(m.Mux)
-	srv.Use(core.ServerInterceptors()...)
-	c.Network.Register(host, srv)
-	_, err = m.Start(ctx)
-	return m, err
-}
-
-// schedulerConfig is what every scheduler in the cluster shares,
-// whatever the layout.
-func (c *Cluster) schedulerConfig() *scheduler.Config {
-	cfg := &scheduler.Config{
+	ssCfg := scheduler.Config{
 		JobTimeout:   c.cfg.JobTimeout,
 		CatalogTTL:   c.cfg.CatalogTTL,
 		DefaultRetry: c.cfg.DefaultRetry,
 		OnDispatch:   c.noteDispatch,
 	}
-	if c.cfg.Admission != nil {
-		cfg.Admission = c.newAdmissionQueue()
-		cfg.Security = c.admissionVerifier()
-		cfg.Preempt = c.cfg.Preempt
-	}
-	return cfg
-}
-
-// startMaster opens (or reopens) the master's durable store and brings
-// broker, NIS, scheduler and replicator up over it; on a reopened store
-// the broker recovers its subscriptions and Start's Recover resumes
-// interrupted runs. The returned error carries per-set recovery
-// failures; the master is up once c.master is set.
-func (c *Cluster) startMaster(ctx context.Context) error {
-	store, err := resourcedb.OpenDurable(filepath.Join(c.cfg.DataDir, MasterHost), resourcedb.DurableOptions{})
-	if err != nil {
-		return fmt.Errorf("simgrid: open master store: %w", err)
-	}
-	// The fence models SIGKILL for outbound traffic: a crashed
-	// incarnation's surviving goroutines (watchdogs, retry-backoff
-	// timers) must not keep dispatching work or publishing events — a
-	// dead process makes no network calls.
-	f := &fence{}
-	ssCfg := c.schedulerConfig()
 	if c.cfg.DataAware {
 		ssCfg.Policy = scheduler.DataAware{}
 	}
-	m, err := c.bringUp(ctx, MasterHost, master.Config{
+	if c.cfg.Admission != nil {
+		ssCfg.Admission = c.newAdmissionQueue()
+		ssCfg.Security = c.admissionVerifier()
+		ssCfg.Preempt = c.cfg.Preempt
+	}
+	f := &fence{}
+	m, err := master.Assemble(master.Config{
+		Address:   "inproc://" + MasterHost,
 		Store:     store.Store,
 		Client:    c.clientWith(MasterHost, f),
 		Scheduler: ssCfg,
-		Replicas:  c.cfg.Replicas,
-		OnAck:     c.noteReplicaAck,
+		// Notification delivery rides the same retry the product path uses:
+		// transient consumer failures are absorbed; permanent ones are the
+		// producer's failure-count problem.
+		DeliveryRetry: pipeline.RetryPolicy{
+			MaxAttempts: 3,
+			BaseDelay:   2 * time.Millisecond,
+			MaxDelay:    20 * time.Millisecond,
+			Jitter:      -1,
+		},
+		Replicas: c.cfg.Replicas,
+		OnAck:    c.noteReplicaAck,
 	})
-	if m == nil {
+	if err != nil {
 		store.Close()
-		return err
+		return nil, err
 	}
+	srv := transport.NewServer(m.Mux)
+	srv.Use(core.ServerInterceptors()...)
+	c.Network.Register(MasterHost, srv)
+	_, unresumed = m.Start(ctx)
 	c.mu.Lock()
-	c.master = &masterHost{host: MasterHost, store: store, m: m, f: f}
+	c.master = &masterHost{store: store, m: m, f: f}
 	c.mu.Unlock()
-	return err
+	return unresumed, nil
 }
 
 // startNode opens (or reopens) one machine's durable store and joins it
 // to the network. Registration with the NIS is retried a few times —
 // under chaos the report can be dropped — and a final failure is
 // tolerated when the catalog already lists the machine from a previous
-// incarnation.
-func (c *Cluster) startNode(ctx context.Context, name string) error {
+// incarnation. err means there is no machine: its store would not open
+// or its services not assemble. unregistered is why one that is up is
+// unknown to the NIS.
+func (c *Cluster) startNode(ctx context.Context, name string) (unregistered, err error) {
 	store, err := resourcedb.OpenDurable(filepath.Join(c.cfg.DataDir, name), resourcedb.DurableOptions{})
 	if err != nil {
-		return fmt.Errorf("simgrid: open %s store: %w", name, err)
+		return nil, fmt.Errorf("simgrid: open %s store: %w", name, err)
 	}
 	n, err := node.New(node.Config{
 		Interceptors:  core.ServerInterceptors(),
@@ -353,15 +302,15 @@ func (c *Cluster) startNode(ctx context.Context, name string) error {
 		Cores:         2,
 		SpeedMHz:      2000,
 		UnitTime:      5 * time.Microsecond,
-		Broker:        c.directory().Broker.EPR(),
-		NIS:           c.directory().NIS.EPR(),
+		Broker:        c.Master().m.Broker.EPR(),
+		NIS:           c.Master().m.NIS.EPR(),
 		Store:         store.Store,
 		OnStage:       c.noteStage,
 		ReplicaEvents: c.cfg.Replicas > 0,
 	})
 	if err != nil {
 		store.Close()
-		return err
+		return nil, err
 	}
 	var regErr error
 	for attempt := 0; attempt < 5; attempt++ {
@@ -374,15 +323,15 @@ func (c *Cluster) startNode(ctx context.Context, name string) error {
 	c.nodes[name] = &nodeHost{store: store, node: n}
 	c.mu.Unlock()
 	if regErr != nil && !c.nisKnows(ctx, name) {
-		return fmt.Errorf("simgrid: register %s: %w", name, regErr)
+		return fmt.Errorf("simgrid: register %s: %w", name, regErr), nil
 	}
-	return nil
+	return nil, nil
 }
 
 // nisKnows reports whether the NIS catalog (read locally on its host)
 // already lists host from an earlier incarnation.
 func (c *Cluster) nisKnows(ctx context.Context, host string) bool {
-	procs, err := c.directory().NIS.Processors()
+	procs, err := c.Master().m.NIS.Processors()
 	if err != nil {
 		return false
 	}
@@ -394,30 +343,15 @@ func (c *Cluster) nisKnows(ctx context.Context, host string) bool {
 	return false
 }
 
-// Master returns the current master incarnation (single-master layout).
+// Master returns the current master incarnation.
 func (c *Cluster) Master() *masterHost {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.master
 }
 
-// Scheduler returns the current scheduler instance. In the multi-master
-// layout it is replica 1's; prefer SchedulerN there.
-func (c *Cluster) Scheduler() *scheduler.Service {
-	if c.MultiMaster() {
-		return c.SchedulerN(0)
-	}
-	return c.Master().m.Scheduler
-}
-
-// directory returns the host carrying the broker and the NIS: the hub in
-// the multi-master layout, the master otherwise.
-func (c *Cluster) directory() *master.Master {
-	if c.MultiMaster() {
-		return c.core.m
-	}
-	return c.Master().m
-}
+// Scheduler returns the current scheduler instance.
+func (c *Cluster) Scheduler() *scheduler.Service { return c.Master().m.Scheduler }
 
 // NodeNames lists the execution machines.
 func (c *Cluster) NodeNames() []string {
@@ -456,9 +390,9 @@ func (c *Cluster) CrashMaster() {
 }
 
 // RestartMaster reopens the master over its surviving data directory and
-// resumes interrupted job sets. The returned error carries per-set
-// recovery failures; the master is up either way.
-func (c *Cluster) RestartMaster(ctx context.Context) error {
+// resumes interrupted job sets. err means the master did not come back;
+// unresumed carries the per-set recovery failures of one that did.
+func (c *Cluster) RestartMaster(ctx context.Context) (unresumed, err error) {
 	return c.startMaster(ctx)
 }
 
@@ -475,38 +409,26 @@ func (c *Cluster) CrashNode(name string) error {
 	return h.store.Close()
 }
 
-// RestartNode brings a crashed machine back over its data directory.
-func (c *Cluster) RestartNode(ctx context.Context, name string) error {
+// RestartNode brings a crashed machine back over its data directory. err
+// means it did not come back; unregistered, that it is up and the NIS does
+// not know.
+func (c *Cluster) RestartNode(ctx context.Context, name string) (unregistered, err error) {
 	return c.startNode(ctx, name)
 }
 
 // Submit publishes nothing itself — apps must already be on the observer
 // file server — it sends the Submit through the observer's client, which
-// builds the envelope and follows WrongShardFault redirects, and owns
-// the chaos policy: which master to try next and for how long. Only a
-// parsed response counts as an ack; a created-but-unacked set is
-// invariant I1's problem, not I3's.
+// builds the envelope, and owns the chaos policy: how often to try and for
+// how long. Only a parsed response counts as an ack; a created-but-unacked
+// set is invariant I1's problem, not I3's.
 func (c *Cluster) Submit(ctx context.Context, spec *scheduler.JobSetSpec) (Ack, error) {
 	return c.submit(ctx, spec, wssec.Credentials{})
 }
 
-// submit tries four times, 10 ms apart, against the single master; in
-// the sharded layout it rotates over the replicas every 25 ms for 8 s —
-// a shard can be ownerless for a full lease TTL plus grace after a
-// master death, and the submission must land once a survivor claims it.
+// submit tries four times, 10 ms apart.
 func (c *Cluster) submit(ctx context.Context, spec *scheduler.JobSetSpec, creds wssec.Credentials) (Ack, error) {
-	deadline := time.Now().Add(8 * time.Second)
-	c.mu.Lock()
-	at := c.rr
-	c.rr++
-	c.mu.Unlock()
-	multi := c.MultiMaster()
 	for attempt := 1; ; attempt++ {
-		target, pause := c.Scheduler().EPR(), 10*time.Millisecond
-		if multi {
-			target, pause = c.masterEPR((at+attempt-1)%c.cfg.Masters), 25*time.Millisecond
-		}
-		sub, err := c.Observer.grid.SubmitTo(ctx, target, creds, spec)
+		sub, err := c.Observer.grid.SubmitTo(ctx, c.Scheduler().EPR(), creds, spec)
 		if err == nil {
 			ack := Ack{Name: spec.Name, Set: sub.JobSet, Topic: sub.Topic}
 			c.mu.Lock()
@@ -516,13 +438,13 @@ func (c *Cluster) submit(ctx context.Context, spec *scheduler.JobSetSpec, creds 
 		}
 		// Backpressure is a verdict, not an outage: propagate the typed
 		// QueueFullFault so the caller can honor its Retry-After hint.
-		if admission.IsQueueFull(err) || (!multi && attempt == 4) || (multi && time.Now().After(deadline)) {
+		if admission.IsQueueFull(err) || attempt == 4 {
 			return Ack{}, err
 		}
 		select {
 		case <-ctx.Done():
 			return Ack{}, ctx.Err()
-		case <-time.After(pause):
+		case <-time.After(10 * time.Millisecond):
 		}
 	}
 }
@@ -534,17 +456,24 @@ func (c *Cluster) Acked() []Ack {
 	return append([]Ack(nil), c.acked...)
 }
 
+// noteDispatch appends one committed dispatch to the dispatch ledger.
+func (c *Cluster) noteDispatch(rec scheduler.DispatchRecord) {
+	c.mu.Lock()
+	c.dispatches = append(c.dispatches, rec)
+	c.mu.Unlock()
+}
+
+// Dispatches snapshots the dispatch ledger.
+func (c *Cluster) Dispatches() []scheduler.DispatchRecord {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([]scheduler.DispatchRecord(nil), c.dispatches...)
+}
+
 // JobSetDocs projects every persisted job-set resource — the ground
-// truth the invariants read. In the multi-master layout the shared
-// jobsets table on the core is read through a scheduler's view of it but
-// no master's fence, so crashed replicas cannot hide documents.
+// truth the invariants read.
 func (c *Cluster) JobSetDocs() []scheduler.JobSetView {
-	var home wsrf.ResourceHome
-	if c.MultiMaster() {
-		home = scheduler.JobSetHome(wsrf.NewStateHome(c.core.jobsets))
-	} else {
-		home = c.Scheduler().WSRF().Home()
-	}
+	home := c.Scheduler().WSRF().Home()
 	var views []scheduler.JobSetView
 	for _, id := range home.IDs() {
 		doc, err := home.Load(id)
@@ -590,9 +519,8 @@ func (c *Cluster) pendingWork() []string {
 	return pending
 }
 
-// Close tears the cluster down: nodes stop, stores close, lease loops
-// cancel, the observer's client leaves the network. Crash-closed stores close
-// twice harmlessly.
+// Close tears the cluster down: nodes stop, stores close, the observer's
+// client leaves the network. Crash-closed stores close twice harmlessly.
 func (c *Cluster) Close() {
 	c.mu.Lock()
 	nodes := make([]*nodeHost, 0, len(c.nodes))
@@ -600,14 +528,7 @@ func (c *Cluster) Close() {
 		nodes = append(nodes, h)
 	}
 	m := c.master
-	core := c.core
-	masters := append([]*masterHost(nil), c.masters...)
 	c.mu.Unlock()
-	for _, mh := range masters {
-		if mh != nil {
-			mh.m.Stop()
-		}
-	}
 	for _, h := range nodes {
 		h.node.Stop()
 		_ = h.store.Close()
@@ -615,9 +536,6 @@ func (c *Cluster) Close() {
 	if m != nil {
 		m.m.Stop()
 		_ = m.store.Close()
-	}
-	if core != nil {
-		_ = core.store.Close()
 	}
 	c.Observer.grid.Close()
 }

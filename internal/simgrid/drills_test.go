@@ -106,9 +106,7 @@ func TestCrashBetweenRetryAttemptsKeepsBudget(t *testing.T) {
 				c.Chaos.Enable(true)
 				c.Chaos.Partition(MasterHost, "node-1")
 			}
-			if err := c.RestartMaster(ctx); err != nil {
-				t.Logf("recover reported: %v", err)
-			}
+			restartMaster(t, ctx, c)
 			if tc.cut {
 				// Heal inside the backoff the failed dispatch booked.
 				awaitRetries(2)
@@ -207,9 +205,7 @@ func TestPreemptedSetSurvivesMasterCrash(t *testing.T) {
 	}
 	c.CrashMaster()
 	time.Sleep(50 * time.Millisecond)
-	if err := c.RestartMaster(ctx); err != nil {
-		t.Logf("recover reported: %v", err)
-	}
+	restartMaster(t, ctx, c)
 
 	if err := c.AwaitQuiescence(40 * time.Second); err != nil {
 		t.Fatalf("cluster never quiesced: %v", err)

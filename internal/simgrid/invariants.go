@@ -28,19 +28,12 @@ import (
 //	    subscribed listener observed a terminal job-set event, across
 //	    broker restarts (subscriptions are durable) and scheduler
 //	    crash/republish.
-//	I5  Single-writer sharding (multi-master only): no shard was ever
-//	    scheduled by two masters concurrently. Every dispatch carries
-//	    the lease epoch it was committed under; within a shard, the
-//	    epoch must never regress along the dispatch ledger and one
-//	    epoch must never be shared by two owners. At quiescence at
-//	    most one live master still holds each shard.
 //	I6  Admitted means activated (admission only): no document is still
-//	    Queued at quiescence and every live master's queue is empty —
-//	    a parked submission always ends up dispatched, cancelled or
-//	    re-queued onto the shard's new owner, never stranded. The
-//	    admission ledger must be internally consistent: no (tenant,
-//	    seq) leaves a queue — dequeue or remove — more often than an
-//	    enqueue admitted it.
+//	    Queued at quiescence and the live master's queue is empty — a
+//	    parked submission always ends up dispatched or cancelled, never
+//	    stranded. The admission ledger must be internally consistent: no
+//	    (tenant, seq) leaves a queue — dequeue or remove — more often
+//	    than an enqueue admitted it.
 //	I7  Byte identity and replica durability: every file any FSS
 //	    installed from the scenario's file server is byte-identical to
 //	    the submitted content — whatever replica served it, whatever
@@ -55,13 +48,16 @@ import (
 //	    terminal job states; a Completed set holds no Failed job; and a
 //	    run-on-failure handler whose gate was met (every dependency
 //	    terminal, at least one Failed) actually ran.
-//	I9  No stuck work: on every live master, every unfinished job of a
+//	I9  No stuck work: on a live master, every unfinished job of a
 //	    running set has something obliged to move it on — an armed
 //	    watchdog, a retry timer or an unmet gate it is waiting behind, or
 //	    a busy machine that will still report. A job with none of these
 //	    is the signature of an event credited to the wrong attempt: it
 //	    will sit there forever, and I1 can only say so after the whole
 //	    quiescence deadline.
+//
+// I5 is not in use: CHANGES.md, ROADMAP.md and the messages below cite
+// these numbers, so the gap a retired invariant left is not closed up.
 func CheckInvariants(c *Cluster, sc *Scenario) []string {
 	var violations []string
 	docs := c.JobSetDocs()
@@ -208,15 +204,16 @@ func CheckInvariants(c *Cluster, sc *Scenario) []string {
 		}
 	}
 
-	// I9: stuck work, read from the live schedulers' own books. A job
+	// I9: stuck work, read from the live scheduler's own books. A job
 	// that is dispatchable, or whose Run is in flight, is about to move —
 	// but this runs at quiescence, long after "about to".
-	for host, ss := range c.liveSchedulers() {
-		for _, j := range ss.InFlight() {
+	live := c.liveScheduler()
+	if live != nil {
+		for _, j := range live.InFlight() {
 			if !j.Watchdog && !j.Waiting && !c.busy(j.Node) {
 				violations = append(violations,
 					fmt.Sprintf("I9: %s: job %s/%s is %s on %q with no watchdog, no retry timer and no live process",
-						host, j.Topic, j.Job, j.State, j.Node))
+						MasterHost, j.Topic, j.Job, j.State, j.Node))
 			}
 		}
 	}
@@ -238,60 +235,6 @@ func CheckInvariants(c *Cluster, sc *Scenario) []string {
 		}
 	}
 
-	// I5: the dispatch ledger proves the single-writer property. The
-	// grace period real-time-separates an old owner's last dispatch
-	// from the claimant's first, so ledger (commit) order within a
-	// shard must show non-decreasing epochs, and a given (shard,epoch)
-	// pair must belong to exactly one owner. Epoch-0 records are
-	// skipped: they mark the benign sliver where a lease lapsed between
-	// the dispatch fence and the epoch read — still inside the grace
-	// window, so no peer could have owned the shard yet.
-	if c.MultiMaster() {
-		type shardEpoch struct {
-			shard int
-			epoch uint64
-		}
-		ownerAt := make(map[shardEpoch]string)
-		lastEpoch := make(map[int]uint64)
-		for _, d := range c.Dispatches() {
-			if d.Epoch == 0 {
-				continue
-			}
-			k := shardEpoch{d.Shard, d.Epoch}
-			if prev, ok := ownerAt[k]; ok && prev != d.Owner {
-				violations = append(violations,
-					fmt.Sprintf("I5: shard %d epoch %d dispatched by both %s and %s", d.Shard, d.Epoch, prev, d.Owner))
-			}
-			ownerAt[k] = d.Owner
-			if d.Epoch < lastEpoch[d.Shard] {
-				violations = append(violations,
-					fmt.Sprintf("I5: shard %d epoch regressed %d -> %d (dispatch %s/%s by %s)",
-						d.Shard, lastEpoch[d.Shard], d.Epoch, d.Topic, d.Job, d.Owner))
-			}
-			lastEpoch[d.Shard] = d.Epoch
-		}
-		// Acquisitions in the lease ledger must carry strictly
-		// increasing epochs per shard: every ownership change is fenced.
-		lastAcq := make(map[int]uint64)
-		for _, ev := range c.ShardEvents() {
-			if !ev.Acquired {
-				continue
-			}
-			if ev.Epoch <= lastAcq[ev.Shard] {
-				violations = append(violations,
-					fmt.Sprintf("I5: shard %d acquired at epoch %d after epoch %d (owner %s)",
-						ev.Shard, ev.Epoch, lastAcq[ev.Shard], ev.Owner))
-			}
-			lastAcq[ev.Shard] = ev.Epoch
-		}
-		for shard := 0; shard < c.Shards(); shard++ {
-			if holders := c.LiveHolders(shard); len(holders) > 1 {
-				violations = append(violations,
-					fmt.Sprintf("I5: shard %d held by %d live masters at quiescence: %v", shard, len(holders), holders))
-			}
-		}
-	}
-
 	// I6: admission conservation. Queued is a transit state — at
 	// quiescence the journal must hold none, the live queues must be
 	// drained, and the ledger must account for every exit.
@@ -302,10 +245,10 @@ func CheckInvariants(c *Cluster, sc *Scenario) []string {
 					fmt.Sprintf("I6: set %s (topic %s) still Queued at quiescence", v.Name, v.Topic))
 			}
 		}
-		for host, st := range c.liveAdmissionStats() {
-			if st.Depth != 0 || st.Reserved != 0 {
+		if live != nil {
+			if st, _ := live.AdmissionStats(); st.Depth != 0 || st.Reserved != 0 {
 				violations = append(violations,
-					fmt.Sprintf("I6: %s admission queue not drained: depth=%d reserved=%d", host, st.Depth, st.Reserved))
+					fmt.Sprintf("I6: %s admission queue not drained: depth=%d reserved=%d", MasterHost, st.Depth, st.Reserved))
 			}
 		}
 		type tenantSeq struct {

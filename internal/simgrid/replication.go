@@ -60,14 +60,6 @@ func (c *Cluster) AckedReplicas() map[string][]string {
 	return out
 }
 
-// Replicator returns the current master incarnation's replicator, or nil
-// when replication is off (or in the multi-master layout, which does not
-// run one).
-func (c *Cluster) Replicator() *filesystem.Replicator {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.master == nil {
-		return nil
-	}
-	return c.master.m.Replicator
-}
+// Replicator returns the current master incarnation's replicator, nil
+// when replication is off.
+func (c *Cluster) Replicator() *filesystem.Replicator { return c.Master().m.Replicator }

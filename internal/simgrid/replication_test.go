@@ -226,9 +226,7 @@ func TestReplicatorPartitionHealsAndJournalSurvivesCrash(t *testing.T) {
 
 	c.CrashMaster()
 	time.Sleep(50 * time.Millisecond)
-	if err := c.RestartMaster(ctx); err != nil {
-		t.Logf("recover reported: %v", err)
-	}
+	restartMaster(t, ctx, c)
 	rep := c.Replicator()
 	if rep == nil {
 		t.Fatal("restarted master has no replicator")

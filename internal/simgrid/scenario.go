@@ -21,15 +21,12 @@ var FaultProfiles = map[string]RouteFaults{
 
 // CrashPlan schedules one service kill and its rebirth.
 type CrashPlan struct {
-	Target  string // MasterHost, a MasterName replica, or a node name
+	Target  string // MasterHost or a node name
 	At      time.Duration
 	Restart time.Duration // after the crash
 }
 
-// PartitionPlan cuts a host off from the cluster hub both ways, then
-// heals. The hub is the master in the single-master layout and the
-// core in the multi-master one; the cut host may itself be a master
-// replica, which severs its lease renewals too.
+// PartitionPlan cuts a machine off from the master both ways, then heals.
 type PartitionPlan struct {
 	Node string
 	At   time.Duration
@@ -42,8 +39,6 @@ type PartitionPlan struct {
 type Scenario struct {
 	Seed       int64
 	Nodes      int
-	Masters    int // 1 = classic layout; ≥2 = sharded multi-master
-	Shards     int // shard ring size when Masters ≥ 2
 	Sets       []*scheduler.JobSetSpec
 	Apps       map[string][]byte // file name → script published on the observer
 	Profile    string
@@ -54,14 +49,6 @@ type Scenario struct {
 	failing map[string]bool
 }
 
-// hub names the host every partition plan cuts against.
-func (sc *Scenario) hub() string {
-	if sc.Masters > 1 {
-		return CoreHost
-	}
-	return MasterHost
-}
-
 // Generate derives the scenario for a seed. It is a pure function: the
 // same seed always yields a byte-identical Transcript, which is the
 // determinism contract the tests pin.
@@ -70,7 +57,6 @@ func Generate(seed int64) *Scenario {
 	sc := &Scenario{
 		Seed:    seed,
 		Nodes:   1 + r.Intn(3),
-		Masters: 1,
 		Apps:    make(map[string][]byte),
 		failing: make(map[string]bool),
 	}
@@ -132,34 +118,28 @@ func Generate(seed int64) *Scenario {
 		})
 	}
 
-	// Multi-master draws come last so the single-master prefix of every
-	// seed's random stream is unchanged by the sharded layout's arrival.
+	// Seeds keep their meaning: 35 % of them once drew a layout of two or
+	// three schedulers here, ahead of every draw below. The stream is still
+	// consumed draw for draw, and a master crash in such a seed keeps the
+	// longer outage it drew (150–1 350 ms), so each seed generates the
+	// scenario it always ran on one master and the DAGs and fault schedules
+	// older seeds pin (CHANGES.md cites them by number) are unchanged.
 	if r.Float64() < 0.35 {
-		sc.Masters = 2 + r.Intn(2)
-		sc.Shards = 2 * sc.Masters
-		// A generic master crash becomes one specific replica's, and its
-		// restart stretches so some runs exercise lease-expiry failover
-		// (restart after TTL+grace) and others a quick self-reclaim.
+		schedulers := 2 + r.Intn(2)
 		for i := range sc.Crashes {
 			if sc.Crashes[i].Target == MasterHost {
-				sc.Crashes[i].Target = MasterName(1 + r.Intn(sc.Masters))
+				r.Intn(schedulers)
 				sc.Crashes[i].Restart = time.Duration(150+r.Intn(1200)) * time.Millisecond
 			}
 		}
-		// A master partition severs lease renewals too: the cut replica
-		// must fence itself on its local clock while a peer takes its
-		// shards. Heal exceeds TTL+grace (750ms at the simulated 500ms
-		// TTL) so the takeover completes before the replica returns.
 		if r.Float64() < 0.30 {
-			sc.Partitions = append(sc.Partitions, PartitionPlan{
-				Node: MasterName(1 + r.Intn(sc.Masters)),
-				At:   time.Duration(80+r.Intn(200)) * time.Millisecond,
-				Heal: time.Duration(1200+r.Intn(600)) * time.Millisecond,
-			})
+			r.Intn(schedulers)
+			r.Intn(200)
+			r.Intn(600)
 		}
 	}
 
-	// Retry/conditional draws come last — after the multi-master block —
+	// Retry/conditional draws come last — after the block above —
 	// so the prefix of every seed's random stream (and with it the DAG
 	// shapes and fault schedules older seeds pinned) is unchanged by the
 	// retry layer's arrival. A scripted failure keeps failing on every
@@ -212,11 +192,7 @@ func Generate(seed int64) *Scenario {
 // the replayable record that must be byte-identical for a given seed.
 func (sc *Scenario) Transcript() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "seed=%d nodes=%d profile=%s", sc.Seed, sc.Nodes, sc.Profile)
-	if sc.Masters > 1 {
-		fmt.Fprintf(&b, " masters=%d shards=%d", sc.Masters, sc.Shards)
-	}
-	b.WriteString("\n")
+	fmt.Fprintf(&b, "seed=%d nodes=%d profile=%s\n", sc.Seed, sc.Nodes, sc.Profile)
 	for _, set := range sc.Sets {
 		fmt.Fprintf(&b, "set %s:", set.Name)
 		for _, j := range set.Jobs {
@@ -246,7 +222,7 @@ func (sc *Scenario) Transcript() string {
 		fmt.Fprintf(&b, "crash %s at=%v restart=%v\n", cr.Target, cr.At, cr.Restart)
 	}
 	for _, p := range sc.Partitions {
-		fmt.Fprintf(&b, "partition %s<->%s at=%v heal=%v\n", p.Node, sc.hub(), p.At, p.Heal)
+		fmt.Fprintf(&b, "partition %s<->%s at=%v heal=%v\n", p.Node, MasterHost, p.At, p.Heal)
 	}
 	return b.String()
 }
@@ -258,10 +234,6 @@ type RunOptions struct {
 	// Faults, when non-empty, overrides the scenario's generated fault
 	// profile with a named one from FaultProfiles.
 	Faults string
-	// Masters, when positive, overrides the generated master count
-	// (the gridsim -masters flag); crash and partition targets naming
-	// replicas that no longer exist are remapped or dropped.
-	Masters int
 	// Quiescence bounds the terminal wait (default 30s).
 	Quiescence time.Duration
 }
@@ -273,7 +245,7 @@ type Result struct {
 	Violations []string
 	Decisions  uint64 // chaos verdicts that were not clean
 	Sets       int    // job sets acked
-	Err        error  // harness failure (cluster would not build)
+	Err        error  // harness failure: the cluster would not build, or a crashed host never came back
 }
 
 // Failed reports whether the run found an invariant violation or could
@@ -282,14 +254,12 @@ func (r Result) Failed() bool { return r.Err != nil || len(r.Violations) > 0 }
 
 // RunSeed generates the scenario for a seed and drives it end to end:
 // build the cluster, arm the crash/partition schedule, submit every job
-// set under chaos, wait for quiescence, then check all five invariants.
+// set under chaos, wait for quiescence, then check the invariants. What a
+// restarted host could not resume is appended to the transcript.
 func RunSeed(seed int64, opts RunOptions) Result {
 	sc := Generate(seed)
 	if opts.Faults != "" {
 		sc.Profile = opts.Faults
-	}
-	if opts.Masters > 0 && opts.Masters != sc.Masters {
-		sc.retargetMasters(opts.Masters)
 	}
 	if opts.Quiescence == 0 {
 		opts.Quiescence = 30 * time.Second
@@ -300,8 +270,6 @@ func RunSeed(seed int64, opts RunOptions) Result {
 		Seed:    seed,
 		Nodes:   sc.Nodes,
 		DataDir: opts.Dir,
-		Masters: sc.Masters,
-		Shards:  sc.Shards,
 	})
 	if err != nil {
 		res.Err = err
@@ -317,6 +285,10 @@ func RunSeed(seed int64, opts RunOptions) Result {
 	// The fault schedule runs concurrently with the submissions, so a
 	// Submit can land mid-crash or mid-partition — that is the point.
 	schedule := make(chan struct{})
+	var (
+		notes strings.Builder // what restarted hosts could not resume
+		lost  error           // a host that never came back
+	) // both read once schedule is closed
 	go func() {
 		defer close(schedule)
 		start := time.Now()
@@ -325,31 +297,35 @@ func RunSeed(seed int64, opts RunOptions) Result {
 				time.Sleep(wait)
 			}
 		}
-		hub := sc.hub()
 		for _, p := range sc.Partitions {
 			at(p.At)
-			cluster.Chaos.PartitionBoth(p.Node, hub)
+			cluster.Chaos.PartitionBoth(p.Node, MasterHost)
 			time.Sleep(p.Heal)
-			cluster.Chaos.Heal(p.Node, hub)
-			cluster.Chaos.Heal(hub, p.Node)
+			cluster.Chaos.Heal(p.Node, MasterHost)
+			cluster.Chaos.Heal(MasterHost, p.Node)
 		}
 		for _, cr := range sc.Crashes {
 			at(cr.At)
 			ctx, cancel := newRestartContext()
-			if idx, ok := masterIndex(cr.Target); ok {
-				cluster.CrashMasterN(idx)
-				time.Sleep(cr.Restart)
-				_ = cluster.RestartMasterN(ctx, idx)
-			} else if cr.Target == MasterHost {
+			// err: the host never came back, or was never there. degraded: it
+			// is up, with something it could not resume or register.
+			var degraded, err error
+			if cr.Target == MasterHost {
 				cluster.CrashMaster()
 				time.Sleep(cr.Restart)
-				_ = cluster.RestartMaster(ctx)
-			} else {
-				_ = cluster.CrashNode(cr.Target)
+				degraded, err = cluster.RestartMaster(ctx)
+			} else if err = cluster.CrashNode(cr.Target); err == nil {
 				time.Sleep(cr.Restart)
-				_ = cluster.RestartNode(ctx, cr.Target)
+				degraded, err = cluster.RestartNode(ctx, cr.Target)
 			}
 			cancel()
+			if err != nil {
+				lost = fmt.Errorf("%s never came back: %w", cr.Target, err)
+				return
+			}
+			if degraded != nil {
+				fmt.Fprintf(&notes, "restart %s: %v\n", cr.Target, degraded)
+			}
 		}
 	}()
 
@@ -363,6 +339,12 @@ func RunSeed(seed int64, opts RunOptions) Result {
 	}
 	cancel()
 	<-schedule
+	res.Transcript += notes.String()
+	if lost != nil {
+		// Whatever the sets look like now is not the product's doing.
+		res.Err = lost
+		return res
+	}
 
 	quiesceErr := cluster.AwaitQuiescence(opts.Quiescence)
 	// Let in-flight broker fan-out land before snapshotting the event
@@ -376,40 +358,6 @@ func RunSeed(seed int64, opts RunOptions) Result {
 	}
 	res.Decisions = cluster.Chaos.Decisions()
 	return res
-}
-
-// retargetMasters reshapes the scenario for an overridden master
-// count: the shard ring resizes, master fault targets are remapped
-// onto replicas that exist, and replica-specific plans that make no
-// sense in the single-master layout fold back onto it or drop.
-func (sc *Scenario) retargetMasters(masters int) {
-	sc.Masters = masters
-	sc.Shards = 0
-	if masters > 1 {
-		sc.Shards = 2 * masters
-	}
-	for i := range sc.Crashes {
-		idx, ok := masterIndex(sc.Crashes[i].Target)
-		if !ok && sc.Crashes[i].Target != MasterHost {
-			continue
-		}
-		if masters > 1 {
-			sc.Crashes[i].Target = MasterName(idx%masters + 1)
-		} else {
-			sc.Crashes[i].Target = MasterHost
-		}
-	}
-	kept := sc.Partitions[:0]
-	for _, p := range sc.Partitions {
-		if idx, ok := masterIndex(p.Node); ok {
-			if masters <= 1 {
-				continue // a hub cannot partition from itself
-			}
-			p.Node = MasterName(idx%masters + 1)
-		}
-		kept = append(kept, p)
-	}
-	sc.Partitions = kept
 }
 
 func newRestartContext() (context.Context, context.CancelFunc) {
