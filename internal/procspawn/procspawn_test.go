@@ -257,6 +257,45 @@ func TestAppendAccumulates(t *testing.T) {
 	}
 }
 
+// TestAppendLeavesSharedContentUntouched: vfs.Read returns the stored
+// slice and directories share Contents, so `append` must build its result
+// in a fresh array. Two directories share one log whose array has spare
+// capacity (as a base64 decode or an earlier append leaves it); a job in
+// each appends to it. Appending in place, the second job's bytes land in
+// that shared capacity, on top of what the first job's file now shows.
+func TestAppendLeavesSharedContentUntouched(t *testing.T) {
+	sp, fs, dirA := newTestSpawner(t)
+	dirB, err := fs.MkdirUnique("/grid", "job")
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := append(make([]byte, 0, 64), "abc"...)
+	stage(t, fs, dirA, "log", log)
+	shared, err := fs.Open(dirA, "log")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Link(dirB, "log", shared); err != nil {
+		t.Fatal(err)
+	}
+	for dir, more := range map[string]string{dirA: "AAA", dirB: "BBB"} {
+		stage(t, fs, dir, "more", []byte(more))
+		stage(t, fs, dir, "app", BuildScript("append log more", "exit 0"))
+	}
+	for _, dir := range []string{dirA, dirB} {
+		spawnAndWait(t, sp, SpawnSpec{Executable: "app", WorkingDir: dir, Username: "labuser", Password: "pw"})
+	}
+	if got, _ := fs.Read(dirA, "log"); string(got) != "abcAAA" {
+		t.Errorf("the first job's log = %q after the second job appended to its own", got)
+	}
+	if got, _ := fs.Read(dirB, "log"); string(got) != "abcBBB" {
+		t.Errorf("the second job's log = %q", got)
+	}
+	if string(shared.Bytes()) != "abc" || string(log[:6]) != "abc\x00\x00\x00" {
+		t.Errorf("the shared content's array was written to: %q", log[:6])
+	}
+}
+
 func TestSpeedScalesComputeTime(t *testing.T) {
 	fs := vfs.New()
 	dir, _ := fs.Mkdir("/w")

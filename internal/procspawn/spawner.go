@@ -2,6 +2,7 @@ package procspawn
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -205,7 +206,10 @@ loop:
 			if err != nil {
 				existing = nil
 			}
-			if err := s.cfg.FS.Write(p.WorkingDir, o.arg1, append(existing, src...)); err != nil {
+			// A fresh slice: existing is the stored file, which other
+			// directories may share, and appending in place would write
+			// into its array's spare capacity.
+			if err := s.cfg.FS.Write(p.WorkingDir, o.arg1, slices.Concat(existing, src)); err != nil {
 				exitCode = 1
 				break loop
 			}

@@ -127,14 +127,15 @@ func (h *transferHarness) syncUploadTo(ctx context.Context, dst wsa.EndpointRefe
 	return err
 }
 
-// localStage copies the payload between two directories on the same
-// machine — the FSS fast path (E6's last row).
-func (h *transferHarness) localStage(ctx context.Context) error {
+// localStage stages the payload from one directory into a fresh one on
+// the same machine — the FSS fast path (E6's last row) — and returns the
+// new directory's resource id.
+func (h *transferHarness) localStage(ctx context.Context) (string, error) {
 	dst, _, err := h.fssA.CreateDirectory("local")
 	if err != nil {
-		return err
+		return "", err
 	}
-	return h.syncUploadTo(ctx, dst)
+	return dst.Property(wsrf.QResourceID), h.syncUploadTo(ctx, dst)
 }
 
 // syncUpload stages the payload to machine B with the blocking call:
@@ -215,9 +216,17 @@ func BenchmarkE6_TransferSchemes(b *testing.B) {
 		b.Run(fmt.Sprintf("local-fastpath/size=%d", size), func(b *testing.B) {
 			b.SetBytes(int64(size))
 			for i := 0; i < b.N; i++ {
-				if err := h.localStage(ctx); err != nil {
+				id, err := h.localStage(ctx)
+				if err != nil {
 					b.Fatal(err)
 				}
+				// Off the clock, give the directory back: tens of thousands
+				// of live directories would tax every later row's GC.
+				b.StopTimer()
+				if err := h.fssA.WSRF().DestroyResource(id); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
 			}
 		})
 	}
@@ -240,7 +249,7 @@ func TestTransferHarnessAllRoutes(t *testing.T) {
 	if _, err := h.fetch(ctx, "carrier-pigeon"); err == nil {
 		t.Fatal("unknown scheme accepted")
 	}
-	if err := h.localStage(ctx); err != nil {
+	if _, err := h.localStage(ctx); err != nil {
 		t.Fatal(err)
 	}
 	if err := h.syncUpload(ctx); err != nil {

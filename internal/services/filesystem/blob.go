@@ -7,20 +7,28 @@ import (
 	"strings"
 
 	"uvacg/internal/soap"
+	"uvacg/internal/vfs"
 	"uvacg/internal/wsa"
 	"uvacg/internal/wsrf"
 	"uvacg/internal/xmlutil"
 )
 
-// The blob store is the FSS's content-addressed cache: every staged or
-// written file's bytes, keyed by their SHA-256. Blobs are immutable —
-// a hash names exactly one byte string — which is what makes serving a
-// stored slice without copying safe, and what makes the pull-through
-// and replication installs verifiable: fetched bytes are hashed and
-// checked before anything is installed, and the install into the
-// working directory is a single atomic vfs.Write, so a concurrent Read
-// sees either the complete old or the complete new content, never a
-// torn mix.
+// The blob index is the FSS's content-addressed view of the machine's
+// files: every staged or written file's vfs.Content, keyed by its
+// SHA-256. The index and the directory entries point at the same Content
+// — one copy of the bytes and one hash per content per machine, however
+// many directories hold it. Contents are immutable — a hash names
+// exactly one byte string — which is what makes serving the stored slice
+// without copying safe, and what makes the pull-through and replication
+// installs verifiable: fetched bytes are hashed and checked before
+// anything is installed, and the install into the working directory is a
+// single atomic vfs.Link, so a concurrent Read sees either the complete
+// old or the complete new content, never a torn mix.
+//
+// Ownership: bytes this FSS allocated or already holds (a wire receive,
+// a blob hit, the local route, a process's output) are shared, never
+// copied; bytes that are somebody else's (a Write request's content) are
+// copied once on the way in.
 
 // Blob-layer action URIs.
 const (
@@ -50,26 +58,52 @@ type BlobRef struct {
 	Sources []string
 }
 
-// putBlob stores data under its content address and returns the hash.
-// Same-hash stores are idempotent: content addressing makes the second
-// write a no-op, so concurrent stagings of one file cannot conflict.
-func (s *Service) putBlob(data []byte) string {
-	hash := HashBytes(data)
-	s.blobMu.Lock()
-	if _, ok := s.blobs[hash]; !ok {
-		s.blobs[hash] = append([]byte(nil), data...)
-	}
-	s.blobMu.Unlock()
-	return hash
+// heldBlob is one entry of the blob index.
+type heldBlob struct {
+	content *vfs.Content
+	// pinned: this FSS told someone it holds the blob — a "stored" event
+	// on the replica topic or a Replicate ack — so the replicator's
+	// journal names this machine as a holder and the blob outlives the
+	// directories that brought it. Unpinned blobs go with the last
+	// directory whose manifest names them (removeDirectory).
+	pinned bool
 }
 
-// blob returns the bytes held under hash. The returned slice is the
-// immutable stored blob — callers must not mutate it.
-func (s *Service) blob(hash string) ([]byte, bool) {
-	s.blobMu.RLock()
-	data, ok := s.blobs[hash]
-	s.blobMu.RUnlock()
-	return data, ok
+// putBlob makes c addressable under its hash (computed here, once, if
+// nothing has asked for it yet) and returns the Content the index holds
+// for that hash: c, or the one already there, which the caller installs
+// in c's place. Same-hash stores are idempotent, so concurrent stagings
+// of one file cannot conflict.
+func (s *Service) putBlob(c *vfs.Content) *vfs.Content {
+	hash := c.Hash()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if b, ok := s.blobs[hash]; ok {
+		return b.content
+	}
+	s.blobs[hash] = &heldBlob{content: c}
+	return c
+}
+
+// blob returns the Content held under hash.
+func (s *Service) blob(hash string) (*vfs.Content, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if b, ok := s.blobs[hash]; ok {
+		return b.content, true
+	}
+	return nil, false
+}
+
+// pin marks a held blob as announced and reports whether it is held.
+func (s *Service) pin(hash string) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	b, ok := s.blobs[hash]
+	if ok {
+		b.pinned = true
+	}
+	return ok
 }
 
 // HasBlob reports whether this FSS holds a blob.
@@ -80,8 +114,8 @@ func (s *Service) HasBlob(hash string) bool {
 
 // BlobCount reports how many distinct blobs this FSS holds.
 func (s *Service) BlobCount() int {
-	s.blobMu.RLock()
-	defer s.blobMu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return len(s.blobs)
 }
 
@@ -98,13 +132,13 @@ func (s *Service) handleReadBlob(ctx context.Context, inv *wsrf.Invocation, body
 	if !ValidHash(hash) {
 		return nil, soap.SenderFault("fss: ReadBlob hash %q is malformed", hash)
 	}
-	data, ok := s.blob(hash)
+	c, ok := s.blob(hash)
 	if !ok {
 		return nil, wsrf.NewBaseFault("NoSuchBlobFault", "fss: no blob %s on %s", hash, s.host).SOAPFault(soap.CodeSender)
 	}
 	return xmlutil.NewContainer(qReadBlobResponse,
 		xmlutil.NewElement(qHash, hash),
-		xmlutil.NewContainer(qContent, inv.Attach(data)),
+		xmlutil.NewContainer(qContent, inv.Attach(c.Bytes())),
 	), nil
 }
 
@@ -112,6 +146,7 @@ func (s *Service) handleReadBlob(ctx context.Context, inv *wsrf.Invocation, body
 // verify the hash, store. Blobs already held are acked without a fetch;
 // blobs no listed source could serve are simply absent from the reply —
 // the replicator treats them as unacked and retries on the next event.
+// Every acked blob is pinned: the ack is what the replicator journals.
 func (s *Service) handleReplicate(ctx context.Context, inv *wsrf.Invocation, body *xmlutil.Element) (*xmlutil.Element, error) {
 	if body == nil {
 		return nil, soap.SenderFault("fss: Replicate requires a body")
@@ -122,7 +157,7 @@ func (s *Service) handleReplicate(ctx context.Context, inv *wsrf.Invocation, bod
 		if !ValidHash(hash) {
 			return nil, soap.SenderFault("fss: Replicate entry with malformed hash %q", hash)
 		}
-		if s.HasBlob(hash) {
+		if s.pin(hash) {
 			resp.Append(xmlutil.NewElement(qHeld, hash))
 			continue
 		}
@@ -130,15 +165,14 @@ func (s *Service) handleReplicate(ctx context.Context, inv *wsrf.Invocation, bod
 			if src.Text == "" || src.Text == s.svc.EPR().Address {
 				continue
 			}
-			data, err := FetchBlob(ctx, s.client, wsa.NewEPR(src.Text), hash)
+			c, err := FetchBlob(ctx, s.client, wsa.NewEPR(src.Text), hash)
 			if err != nil {
 				continue
 			}
-			s.blobMu.Lock()
-			if _, ok := s.blobs[hash]; !ok {
-				s.blobs[hash] = data
+			s.putBlob(c)
+			if !s.pin(hash) {
+				continue // swept by a Destroy in between: not held, not acked
 			}
-			s.blobMu.Unlock()
 			s.replicasHeld.Add(1)
 			resp.Append(xmlutil.NewElement(qHeld, hash))
 			break
@@ -149,8 +183,9 @@ func (s *Service) handleReplicate(ctx context.Context, inv *wsrf.Invocation, bod
 
 // FetchBlob reads one blob from a peer FSS and verifies its content
 // address before returning — a corrupt or wrong reply is an error, not
-// data.
-func FetchBlob(ctx context.Context, c Caller, fss wsa.EndpointReference, hash string) ([]byte, error) {
+// data. What it returns has been hashed already, so storing it hashes
+// nothing again.
+func FetchBlob(ctx context.Context, c Caller, fss wsa.EndpointReference, hash string) (*vfs.Content, error) {
 	req := soap.New(xmlutil.NewContainer(qReadBlob, xmlutil.NewElement(qHash, hash)))
 	resp, err := c.Invoke(ctx, fss, ActionReadBlob, req)
 	if err != nil {
@@ -163,10 +198,11 @@ func FetchBlob(ctx context.Context, c Caller, fss wsa.EndpointReference, hash st
 	if err != nil {
 		return nil, err
 	}
-	if got := HashBytes(data); got != hash {
+	blob := vfs.NewContent(data)
+	if got := blob.Hash(); got != hash {
 		return nil, fmt.Errorf("fss: blob %s from %s hashed to %s (corrupt or wrong content)", hash, fss.Address, got)
 	}
-	return data, nil
+	return blob, nil
 }
 
 // ReplicateVia asks an FSS to acquire blobs from their holders,

@@ -11,6 +11,7 @@
 package filesystem
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"strconv"
@@ -141,12 +142,12 @@ type Service struct {
 	host    string
 	onStage func(StageRecord)
 
-	// blobs is the content-addressed cache (hash → immutable bytes).
-	blobMu sync.RWMutex
-	blobs  map[string][]byte
-
-	// manifests records what was staged into each working directory.
-	manMu     sync.Mutex
+	// mu guards the content index: blobs (hash → the one Content this
+	// machine holds for it, shared with every directory entry of that
+	// content) and manifests (what was staged into each working directory).
+	// Destroying a directory reads both to decide which blobs go.
+	mu        sync.Mutex
+	blobs     map[string]*heldBlob
 	manifests map[string]map[string]ManifestEntry // dir path → name → entry
 
 	// Staging counters, by route.
@@ -202,7 +203,7 @@ func New(cfg Config) (*Service, error) {
 		broker:    cfg.Broker,
 		host:      cfg.Host,
 		onStage:   cfg.OnStage,
-		blobs:     make(map[string][]byte),
+		blobs:     make(map[string]*heldBlob),
 		manifests: make(map[string]map[string]ManifestEntry),
 	}
 	svc.Enable(wsrf.ResourcePropertiesPortType{})
@@ -249,10 +250,31 @@ func (s *Service) WSRF() *wsrf.Service { return s.svc }
 func (s *Service) EPR() wsa.EndpointReference { return s.svc.EPR() }
 
 // removeDirectory is the destroy hook: destroying a directory
-// WS-Resource removes the directory itself.
+// WS-Resource removes the directory itself, its manifest, and every blob
+// that no remaining manifest names and nobody was told about (see
+// heldBlob.pinned). The directory goes first, so a staging still in
+// flight into it finds it gone under the same lock (recordManifest).
 func (s *Service) removeDirectory(id string) {
-	if path, ok := s.paths.LoadAndDelete(id); ok {
-		_ = s.fs.RemoveDir(path.(string))
+	v, ok := s.paths.LoadAndDelete(id)
+	if !ok {
+		return
+	}
+	path := v.(string)
+	// The only error is "no such directory": already gone is gone.
+	_ = s.fs.RemoveDir(path)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	delete(s.manifests, path)
+	named := make(map[string]struct{})
+	for _, m := range s.manifests {
+		for _, e := range m {
+			named[e.Hash] = struct{}{}
+		}
+	}
+	for hash, b := range s.blobs {
+		if _, ok := named[hash]; !ok && !b.pinned {
+			delete(s.blobs, hash)
+		}
 	}
 }
 
@@ -320,8 +342,9 @@ func (s *Service) handleRead(ctx context.Context, inv *wsrf.Invocation, body *xm
 	if err != nil {
 		return nil, wsrf.NewBaseFault("NoSuchFileFault", "%v", err).SOAPFault(soap.CodeSender)
 	}
-	// File bytes leave as a binary attachment; the transport inlines
-	// them as base64 when the requesting binding can't carry parts.
+	// The stored bytes themselves leave as a binary attachment; the
+	// transport inlines them as base64 for a requester that can't take
+	// parts.
 	return xmlutil.NewContainer(qReadResponse,
 		xmlutil.NewElement(qFilename, name),
 		xmlutil.NewContainer(qContent, inv.Attach(data)),
@@ -344,33 +367,55 @@ func (s *Service) handleWrite(ctx context.Context, inv *wsrf.Invocation, body *x
 	if err != nil {
 		return nil, soap.SenderFault("fss: Write content: %v", err)
 	}
-	// Content-address first, then install in one atomic vfs.Write: a
-	// concurrent Read sees complete old or complete new bytes, and the
-	// manifest entry always describes bytes the blob store holds.
-	hash := s.putBlob(data)
-	if err := s.fs.Write(path, name, data); err != nil {
+	// The one copy on the way in: these bytes are the sender's (over
+	// inproc and the co-located route an attachment arrives by reference,
+	// and the sender may go on using its array).
+	if _, err := s.install(path, name, vfs.NewContent(bytes.Clone(data)), ""); err != nil {
 		return nil, soap.ReceiverFault("fss: %v", err)
 	}
-	s.recordManifest(path, ManifestEntry{Name: name, Size: int64(len(data)), Hash: hash})
 	return nil, nil
 }
 
-// recordManifest upserts one entry in a directory's staging manifest.
-func (s *Service) recordManifest(dir string, e ManifestEntry) {
-	s.manMu.Lock()
+// install makes c the file name in dir: content-address first, then one
+// atomic vfs.Link of the Content the index holds for that hash — a
+// concurrent Read sees complete old or complete new bytes, the directory
+// and the index share one copy, and the manifest entry always describes
+// bytes the blob index holds.
+func (s *Service) install(dir, name string, c *vfs.Content, source string) (ManifestEntry, error) {
+	c = s.putBlob(c)
+	if err := s.fs.Link(dir, name, c); err != nil {
+		return ManifestEntry{}, err
+	}
+	e := ManifestEntry{Name: name, Size: int64(c.Len()), Hash: c.Hash(), Source: source}
+	s.recordManifest(dir, e, c)
+	return e, nil
+}
+
+// recordManifest upserts one entry in a directory's staging manifest,
+// unless the directory was destroyed since c was linked into it. A
+// Destroy elsewhere may have swept c's blob between putBlob and here
+// (nothing named it yet); now something does, so it goes back.
+func (s *Service) recordManifest(dir string, e ManifestEntry, c *vfs.Content) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.fs.DirExists(dir) {
+		return
+	}
 	m := s.manifests[dir]
 	if m == nil {
 		m = make(map[string]ManifestEntry)
 		s.manifests[dir] = m
 	}
 	m[e.Name] = e
-	s.manMu.Unlock()
+	if _, ok := s.blobs[e.Hash]; !ok {
+		s.blobs[e.Hash] = &heldBlob{content: c}
+	}
 }
 
 // DirManifest snapshots a directory's staging manifest, sorted by name.
 func (s *Service) DirManifest(dir string) Manifest {
-	s.manMu.Lock()
-	defer s.manMu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	var out Manifest
 	for _, e := range s.manifests[dir] {
 		out.Entries = append(out.Entries, e)
@@ -419,10 +464,14 @@ func (s *Service) StageStats() StageStats {
 // publishStored announces freshly staged content on the replica topic.
 // Best-effort, like the NIS catalog push: a dropped publish only means
 // the replicator and the locality cache learn about this content from
-// a later staging instead.
+// a later staging instead. The blobs are pinned before the event leaves:
+// a publish that reports failure may still have been heard.
 func (s *Service) publishStored(ctx context.Context, entries []ManifestEntry) {
 	if s.client == nil || s.broker.IsZero() || len(entries) == 0 {
 		return
+	}
+	for _, e := range entries {
+		s.pin(e.Hash)
 	}
 	msg, err := ReplicaChangedMessage(ReplicaChanged{
 		Kind:     ReplicaStored,

@@ -3,6 +3,11 @@ package filesystem
 import (
 	"bytes"
 	"context"
+	"encoding/base64"
+	"io"
+	"net/http"
+	"regexp"
+	"strings"
 	"testing"
 
 	"uvacg/internal/resourcedb"
@@ -34,12 +39,11 @@ func serveBoth(t *testing.T, mux *soap.Mux) (tcpBase, httpBase string) {
 	return tl.BaseURL(), httpBase
 }
 
-// TestFSSOverTCPMixedVersions (the name predates the single framing: the
-// two wire forms that still coexist are soap.tcp's attachment section
-// and HTTP's inline base64) serves one FSS from one mux on both bindings
-// and crosses file content between them: what is written attached over
-// soap.tcp must read back inline over HTTP and the reverse, byte for
-// byte.
+// TestFSSOverTCPMixedVersions (the name predates the single framing, and
+// the row names predate HTTP carrying that framing as its body) serves
+// one FSS from one mux on both bindings and crosses file content between
+// them: what is written over soap.tcp must read back over HTTP and the
+// reverse, byte for byte.
 func TestFSSOverTCPMixedVersions(t *testing.T) {
 	mux := soap.NewMux()
 	tcpBase, httpBase := serveBoth(t, mux)
@@ -87,9 +91,9 @@ func TestFSSOverTCPMixedVersions(t *testing.T) {
 	}
 }
 
-// TestFileServerInlineFallback fetches from the client's file server
-// over the binding with no attachment section: the server attaches the
-// bytes regardless, and the HTTP reply path inlines them.
+// TestFileServerInlineFallback (the name predates HTTP's framed body)
+// fetches from the client's file server over both socket bindings: the
+// server attaches the bytes either way.
 func TestFileServerInlineFallback(t *testing.T) {
 	fsrv := NewFileServer("")
 	mux := soap.NewMux()
@@ -106,4 +110,78 @@ func TestFileServerInlineFallback(t *testing.T) {
 			t.Fatalf("%s: fetch corrupted data", base)
 		}
 	}
+}
+
+// TestPlainSOAPReadGetsInlineContent: a requester that is not this code
+// — no Accept header naming the frame — reads a 2 KiB binary file and
+// gets the envelope it always got: content inline as base64, no parts.
+func TestPlainSOAPReadGetsInlineContent(t *testing.T) {
+	mux := soap.NewMux()
+	_, httpBase := serveBoth(t, mux)
+	svc, err := New(Config{
+		Address: httpBase,
+		FS:      vfs.New(),
+		Client:  transport.NewClient(),
+		Home:    wsrf.NewStateHome(resourcedb.NewStore().MustTable("dirs", resourcedb.StructuredCodec{})),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mux.Handle(svc.WSRF().Path(), svc.WSRF().Dispatcher())
+	dir, path, err := svc.CreateDirectory("plain")
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary := hostileContent[:2048]
+	if err := svc.fs.Write(path, "f.bin", bytes.Clone(binary)); err != nil {
+		t.Fatal(err)
+	}
+	body, contentType := postPlainRead(t, dir, "f.bin")
+	if want := plainReadReply(messageIDOf(t, body), "f.bin", binary); contentType != "application/soap+xml; charset=utf-8" || body != want {
+		t.Fatalf("plain SOAP Read reply changed (Content-Type %q).\n got: %s\nwant: %s", contentType, body, want)
+	}
+}
+
+// postPlainRead reads name from a directory resource the way a requester
+// that is not this code would: a hand-written envelope POSTed with no
+// Accept header. It returns the reply body and its Content-Type.
+func postPlainRead(t *testing.T, dir wsa.EndpointReference, name string) (body, contentType string) {
+	t.Helper()
+	request := `<?xml version="1.0" encoding="utf-8"?>
+<s:Envelope xmlns:s="http://www.w3.org/2003/05/soap-envelope" xmlns:wsa="http://schemas.xmlsoap.org/ws/2004/08/addressing" xmlns:impl="urn:uvacg:wsrf" xmlns:fss="urn:uvacg:fss">
+  <s:Header>
+    <wsa:To>` + dir.Address + `</wsa:To>
+    <wsa:Action>urn:uvacg:fss/Read</wsa:Action>
+    <wsa:MessageID>urn:uuid:00000000-0000-4000-8000-000000000022</wsa:MessageID>
+    <impl:ResourceID wsa:isReferenceParameter="true">` + dir.Property(wsrf.QResourceID) + `</impl:ResourceID>
+  </s:Header>
+  <s:Body><fss:Read><fss:Filename>` + name + `</fss:Filename></fss:Read></s:Body>
+</s:Envelope>`
+	resp, err := http.Post(dir.Address, "application/soap+xml", strings.NewReader(request))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("plain Read: status %s, %v", resp.Status, err)
+	}
+	return string(raw), resp.Header.Get("Content-Type")
+}
+
+// messageIDOf extracts a reply's own (random) MessageID.
+func messageIDOf(t *testing.T, body string) string {
+	t.Helper()
+	m := regexp.MustCompile(`<MessageID [^>]*>(urn:uuid:[0-9a-f-]{36})</MessageID>`).FindStringSubmatch(body)
+	if m == nil {
+		t.Fatalf("reply has no MessageID:\n%s", body)
+	}
+	return m[1]
+}
+
+// plainReadReply is, byte for byte, what the commit before HTTP learned
+// to frame answered postPlainRead with, but for the reply's MessageID.
+func plainReadReply(messageID, name string, content []byte) string {
+	return `<?xml version="1.0" encoding="UTF-8"?>
+<Envelope xmlns="http://www.w3.org/2003/05/soap-envelope"><Header><Action xmlns="http://schemas.xmlsoap.org/ws/2004/08/addressing">urn:uvacg:fss/ReadResponse</Action><MessageID xmlns="http://schemas.xmlsoap.org/ws/2004/08/addressing">` + messageID + `</MessageID><RelatesTo xmlns="http://schemas.xmlsoap.org/ws/2004/08/addressing">urn:uuid:00000000-0000-4000-8000-000000000022</RelatesTo></Header><Body><ReadResponse xmlns="urn:uvacg:fss"><Filename>` + name + `</Filename><Content>` + base64.StdEncoding.EncodeToString(content) + `</Content></ReadResponse></Body></Envelope>`
 }

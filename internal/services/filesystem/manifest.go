@@ -1,14 +1,13 @@
 package filesystem
 
 import (
-	"crypto/sha256"
 	"encoding/base64"
-	"encoding/hex"
 	"fmt"
 	"sort"
 	"strconv"
 	"strings"
 
+	"uvacg/internal/vfs"
 	"uvacg/internal/wsa"
 	"uvacg/internal/xmlutil"
 )
@@ -70,11 +69,9 @@ func sortManifest(m *Manifest) {
 	sort.Slice(m.Entries, func(i, j int) bool { return m.Entries[i].Name < m.Entries[j].Name })
 }
 
-// HashBytes computes the content address of a byte slice.
-func HashBytes(b []byte) string {
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
-}
+// HashBytes computes the content address of a byte slice: what
+// vfs.Content.Hash reports for it.
+func HashBytes(b []byte) string { return vfs.NewContent(b).Hash() }
 
 // SourceKey names a piece of remote content independent of which
 // machine staged it: the canonical string of the source endpoint plus

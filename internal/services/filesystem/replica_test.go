@@ -32,8 +32,8 @@ func TestBlobReadAndReplicateBetweenMachines(t *testing.T) {
 		t.Fatal("write did not record the content-addressed blob")
 	}
 	got, err := FetchBlob(ctx, h.client, h.fssA.EPR(), hash)
-	if err != nil || !bytes.Equal(got, content) {
-		t.Fatalf("FetchBlob: %q %v", got, err)
+	if err != nil || !bytes.Equal(got.Bytes(), content) {
+		t.Fatalf("FetchBlob: %v %v", got, err)
 	}
 	if _, err := FetchBlob(ctx, h.client, h.fssA.EPR(), HashBytes([]byte("other"))); err == nil {
 		t.Fatal("unknown hash served")
@@ -50,8 +50,8 @@ func TestBlobReadAndReplicateBetweenMachines(t *testing.T) {
 		t.Fatal("replica target does not hold the blob")
 	}
 	got, err = FetchBlob(ctx, h.client, h.fssB.EPR(), hash)
-	if err != nil || !bytes.Equal(got, content) {
-		t.Fatalf("FetchBlob from replica: %q %v", got, err)
+	if err != nil || !bytes.Equal(got.Bytes(), content) {
+		t.Fatalf("FetchBlob from replica: %v %v", got, err)
 	}
 	// Replicating again is an idempotent ack, not a second transfer.
 	held, err = ReplicateVia(ctx, h.client, h.fssB.EPR(), []BlobRef{

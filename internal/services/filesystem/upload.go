@@ -6,6 +6,7 @@ import (
 	"strconv"
 
 	"uvacg/internal/soap"
+	"uvacg/internal/vfs"
 	"uvacg/internal/wsa"
 	"uvacg/internal/wsrf"
 	"uvacg/internal/xmlutil"
@@ -206,74 +207,69 @@ func (s *Service) stageFiles(ctx context.Context, path string, files []FileRef) 
 // this machine; a blob pull-through from a listed replica; and finally
 // the origin fetch — an FSS Read on the source endpoint (peer FSS
 // directory or the client's TCP file server, paper §4.6). Whatever the
-// route, the bytes are verified against the expected hash before a
-// single atomic vfs.Write installs them, so a concurrent Read serves
-// the complete old or the complete new file, never a torn view.
+// route, the content is verified against the expected hash before a
+// single atomic vfs.Link installs it, so a concurrent Read serves the
+// complete old or the complete new file, never a torn view.
 func (s *Service) stageOne(ctx context.Context, destPath string, f FileRef) (ManifestEntry, error) {
-	install := func(data []byte, route string) (ManifestEntry, error) {
-		if f.Hash != "" && HashBytes(data) != f.Hash {
+	stage := func(c *vfs.Content, route string) (ManifestEntry, error) {
+		if f.Hash != "" && c.Hash() != f.Hash {
 			return ManifestEntry{}, fmt.Errorf("fss: staged bytes for %q do not match content hash %s (route %s)", f.RemoteName, f.Hash, route)
 		}
-		hash := s.putBlob(data)
-		if err := s.fs.Write(destPath, f.LocalName, data); err != nil {
+		e, err := s.install(destPath, f.LocalName, c, SourceKey(f.Source, f.RemoteName))
+		if err != nil {
 			return ManifestEntry{}, err
 		}
-		e := ManifestEntry{
-			Name:   f.LocalName,
-			Size:   int64(len(data)),
-			Hash:   hash,
-			Source: SourceKey(f.Source, f.RemoteName),
-		}
-		s.recordManifest(destPath, e)
 		s.noteStage(destPath, e, route)
 		return e, nil
 	}
 
 	if f.Hash != "" {
-		if data, ok := s.blob(f.Hash); ok {
-			return install(data, RouteBlob)
+		if c, ok := s.blob(f.Hash); ok {
+			return stage(c, RouteBlob)
 		}
 	}
 	if f.Source.Address == s.svc.EPR().Address {
-		// Local fast path: resolve the source directory resource and
-		// copy within the controlled file system — no network I/O. (The
-		// paper "moves" the file; we copy so an output consumed by two
-		// dependent jobs survives the first staging.)
+		// Local fast path: resolve the source directory resource and link
+		// its Content into the destination — no network I/O, no read, no
+		// copy, and no hash unless this is the content's first staging.
+		// (The paper "moves" the file; both directories keep it, so an
+		// output consumed by two dependent jobs survives the first
+		// staging.)
 		srcID := f.Source.Property(wsrf.QResourceID)
 		doc, err := s.svc.LoadResource(srcID)
 		if err != nil {
 			return ManifestEntry{}, err
 		}
-		srcPath := doc.ChildText(QPath)
-		data, err := s.fs.Read(srcPath, f.RemoteName)
+		c, err := s.fs.Open(doc.ChildText(QPath), f.RemoteName)
 		if err != nil {
 			return ManifestEntry{}, err
 		}
-		return install(data, RouteLocal)
+		return stage(c, RouteLocal)
 	}
 	if f.Hash != "" {
 		for _, rep := range f.Replicas {
 			if rep.Address == s.svc.EPR().Address {
 				continue // we just checked the local cache
 			}
-			data, err := FetchBlob(ctx, s.client, rep, f.Hash)
+			c, err := FetchBlob(ctx, s.client, rep, f.Hash)
 			if err != nil {
 				continue // next replica, then the origin
 			}
-			return install(data, RoutePull)
+			return stage(c, RoutePull)
 		}
 	}
 	data, err := FetchFile(ctx, s.client, f.Source, f.RemoteName)
 	if err != nil {
 		return ManifestEntry{}, err
 	}
-	return install(data, RouteWire)
+	return stage(vfs.NewContent(data), RouteWire)
 }
 
 // FetchFile reads one file from any endpoint implementing the FSS Read
 // action (a directory resource or a client file server). The content
-// arrives as a binary attachment on attachment-capable bindings and as
-// inline base64 otherwise; ContentBytes decodes either form.
+// arrives as a binary attachment, or as inline base64 from a server that
+// does not attach; ContentBytes decodes either form, and as there the
+// returned bytes may be the holder's own: do not modify them.
 func FetchFile(ctx context.Context, c Caller, source wsa.EndpointReference, name string) ([]byte, error) {
 	req := soap.New(xmlutil.NewContainer(qRead, xmlutil.NewElement(qFilename, name)))
 	resp, err := c.Invoke(ctx, source, ActionRead, req)
@@ -287,8 +283,7 @@ func FetchFile(ctx context.Context, c Caller, source wsa.EndpointReference, name
 }
 
 // WriteFile writes one file into a directory resource over the wire,
-// attaching the bytes rather than inlining them (the transport falls
-// back to base64 when the binding or peer requires it).
+// attaching the bytes rather than inlining them.
 func WriteFile(ctx context.Context, c Caller, dir wsa.EndpointReference, name string, data []byte) error {
 	req := &soap.Envelope{}
 	req.Body = xmlutil.NewContainer(qWrite,

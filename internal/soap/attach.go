@@ -18,10 +18,11 @@ var (
 	qHref    = xmlutil.Q("", "href")
 )
 
-// Attachment is one binary part riding outside the XML envelope. On
-// bindings with attachment support (soap.tcp, inproc) the
-// bytes travel raw; on others they are inlined back into the body as
-// base64 text before marshalling (InlineAttachments).
+// Attachment is one binary part riding outside the XML envelope. Every
+// shipped binding (soap.tcp, inproc, http between this code's client and
+// server) carries the bytes raw; for a requester that cannot take parts
+// they are inlined back into the body as base64 text before marshalling
+// (InlineAttachments).
 type Attachment struct {
 	ID   string
 	Data []byte
@@ -72,6 +73,9 @@ func (e *Envelope) AttachmentData(id string) ([]byte, bool) {
 // inline base64 character data. A nil el yields empty content (the
 // historical behaviour of decoding an absent element's text); a nil
 // receiver forces the inline path, for callers holding only a body.
+// Attachment data is returned by reference, and over a by-reference
+// binding (inproc, a co-located route) it is the sender's own: callers
+// must not mutate it, and copy it if they keep it.
 func (e *Envelope) ContentBytes(el *xmlutil.Element) ([]byte, error) {
 	if el == nil {
 		return nil, nil

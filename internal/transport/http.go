@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"errors"
@@ -8,6 +9,8 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -35,11 +38,51 @@ func bounded(envelope []byte) error {
 // contentTypeSOAP is the SOAP 1.2 media type.
 const contentTypeSOAP = "application/soap+xml; charset=utf-8"
 
+// contentTypeFrame is the media type of an HTTP body that is one frame
+// (tcp.go: the envelope, then the attachment section raw) — how a message
+// with attachments crosses HTTP between this code's client and server
+// without becoming base64 text. A request that has attachments is sent
+// so; a reply is framed only for a requester whose Accept header names
+// this type, and a plain SOAP requester gets the attachments inlined into
+// an ordinary envelope.
+const contentTypeFrame = "application/vnd.uvacg.soap-frame"
+
 // headerOneWay marks a POST as a one-way message: the server acknowledges
 // receipt with 202 Accepted before dispatch, matching the paper's
 // "one-way message closes the connection immediately" semantics as
 // closely as HTTP allows.
 const headerOneWay = "X-Soap-One-Way"
+
+// readHTTPMessage reads an HTTP body of the given Content-Type and
+// Content-Length as a message: a frame of the wanted kind, or a bare
+// envelope.
+func readHTTPMessage(contentType string, body io.Reader, length int64, kind byte) (*Message, error) {
+	if contentType != contentTypeFrame {
+		data, err := readBounded(body)
+		return &Message{Envelope: data}, err
+	}
+	if length < 0 {
+		// A chunked body states no length: buffer it under the envelope
+		// bound as it arrives, and what arrived is what is left.
+		data, err := readBounded(body)
+		if err != nil {
+			return nil, err
+		}
+		body, length = bytes.NewReader(data), int64(len(data))
+	}
+	br := serveReaderPool.Get().(*bufio.Reader)
+	br.Reset(body)
+	fr, err := readFrame(br, length)
+	br.Reset(nil)
+	serveReaderPool.Put(br)
+	if err != nil {
+		return nil, err
+	}
+	if fr.kind != kind {
+		return nil, fmt.Errorf("transport: unexpected frame kind %d in HTTP body", fr.kind)
+	}
+	return &Message{Envelope: fr.body, Attachments: fr.atts}, nil
+}
 
 // HTTPTransport is the http:// client binding.
 type HTTPTransport struct {
@@ -56,19 +99,33 @@ func NewHTTPTransport() *HTTPTransport {
 	}}
 }
 
-// RoundTrip implements RoundTripper.
-func (t *HTTPTransport) RoundTrip(ctx context.Context, addr string, request []byte) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, addr, bytes.NewReader(request))
+// post performs one request-response POST. acceptFrame says the caller
+// can take reply attachments raw.
+func (t *HTTPTransport) post(ctx context.Context, addr string, msg *Message, acceptFrame bool) (*Message, error) {
+	body, contentType := msg.Envelope, contentTypeSOAP
+	if len(msg.Attachments) > 0 {
+		// The URL carries the service path; the frame's stays empty.
+		fr := &frame{kind: frameRequest, body: msg.Envelope, atts: msg.Attachments}
+		buf := bytes.NewBuffer(make([]byte, 0, frameLen(fr)))
+		if err := writeFrameTo(buf, fr); err != nil {
+			return nil, err
+		}
+		body, contentType = buf.Bytes(), contentTypeFrame
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, addr, bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
-	req.Header.Set("Content-Type", contentTypeSOAP)
+	req.Header.Set("Content-Type", contentType)
+	if acceptFrame {
+		req.Header.Set("Accept", "application/soap+xml, "+contentTypeFrame)
+	}
 	resp, err := t.client.Do(req)
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	body, err := readBounded(resp.Body)
+	reply, err := readHTTPMessage(resp.Header.Get("Content-Type"), resp.Body, resp.ContentLength, frameReply)
 	if err != nil {
 		return nil, err
 	}
@@ -76,7 +133,23 @@ func (t *HTTPTransport) RoundTrip(ctx context.Context, addr string, request []by
 	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusInternalServerError {
 		return nil, fmt.Errorf("http status %s", resp.Status)
 	}
-	return body, nil
+	return reply, nil
+}
+
+// RoundTrip implements RoundTripper, the byte-only form: it does not say
+// it accepts a framed reply, so the server inlines any reply attachments.
+func (t *HTTPTransport) RoundTrip(ctx context.Context, addr string, request []byte) ([]byte, error) {
+	reply, err := t.post(ctx, addr, &Message{Envelope: request}, false)
+	if err != nil {
+		return nil, err
+	}
+	return reply.Envelope, nil
+}
+
+// RoundTripMsg implements MessageRoundTripper: attachments travel raw in
+// a framed body, both ways.
+func (t *HTTPTransport) RoundTripMsg(ctx context.Context, addr string, req *Message) (*Message, error) {
+	return t.post(ctx, addr, req, true)
 }
 
 // Send implements RoundTripper's one-way hand-off.
@@ -114,7 +187,7 @@ func (h *HTTPHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "SOAP endpoint: POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	body, err := readBounded(r.Body)
+	msg, err := readHTTPMessage(r.Header.Get("Content-Type"), r.Body, r.ContentLength, frameRequest)
 	if err != nil {
 		status := http.StatusBadRequest
 		if errors.Is(err, soap.ErrEnvelopeTooLarge) {
@@ -124,13 +197,22 @@ func (h *HTTPHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if r.Header.Get(headerOneWay) == "1" {
-		h.server.HandleOneWay(r.Context(), r.URL.Path, body)
+		h.server.HandleOneWayMsg(r.Context(), r.URL.Path, msg)
 		w.WriteHeader(http.StatusAccepted)
 		return
 	}
-	resp := h.server.HandleRequest(r.Context(), r.URL.Path, body)
-	w.Header().Set("Content-Type", contentTypeSOAP)
-	w.Write(resp)
+	acceptFrame := strings.Contains(r.Header.Get("Accept"), contentTypeFrame)
+	resp := h.server.handle(r.Context(), r.URL.Path, msg, acceptFrame)
+	if len(resp.Attachments) == 0 {
+		w.Header().Set("Content-Type", contentTypeSOAP)
+		w.Write(resp.Envelope)
+		return
+	}
+	fr := &frame{kind: frameReply, body: resp.Envelope, atts: resp.Attachments}
+	w.Header().Set("Content-Type", contentTypeFrame)
+	w.Header().Set("Content-Length", strconv.Itoa(frameLen(fr)))
+	// A write error means the requester went away; there is nobody to tell.
+	_ = writeFrameTo(w, fr)
 }
 
 // ListenHTTP starts an HTTP listener for srv on addr (host:port, empty

@@ -112,9 +112,10 @@ func (t *inprocTransport) RoundTrip(ctx context.Context, addr string, request []
 
 // RoundTripMsg implements MessageRoundTripper: the envelope still
 // round-trips its wire encoding, but attachment bytes pass by reference
-// — the in-process analog of the binary fast path. Handlers treat
-// attachment data as immutable, so sharing is safe (vfs copies on both
-// Read and Write).
+// — the in-process analog of the binary fast path. Senders and receivers
+// both treat attachment data as immutable (soap.Attach, ContentBytes), so
+// sharing is safe; a receiver that keeps the bytes beyond the exchange
+// copies them (the FSS Write action does).
 func (t *inprocTransport) RoundTripMsg(ctx context.Context, addr string, req *Message) (*Message, error) {
 	srv, path, err := t.resolve(addr, req.Envelope)
 	if err != nil {

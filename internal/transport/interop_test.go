@@ -3,11 +3,16 @@ package transport
 import (
 	"bytes"
 	"context"
+	"encoding/base64"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
+	"net/http"
+	"regexp"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -300,12 +305,49 @@ func TestConcurrentPooledClients(t *testing.T) {
 	}
 }
 
-// TestHTTPStaysInlineWhereTCPAttaches runs the same exchange over both
-// wire forms that exist: soap.tcp carries the reply content as a real
-// attachment, HTTP — which has no attachment section — completes it
-// purely inline, and the bytes are the same.
+// interopData is 2 KiB of binary, XML-hostile content.
+var interopData = bytes.Repeat([]byte{0xC0, 0x01, '<', 0x00}, 512)
+
+// plainBlobRequest is the urn:Blob request as a requester that is not
+// this code would write it: content inline, no Accept header to go with
+// it.
+func plainBlobRequest(data []byte) string {
+	return `<?xml version="1.0" encoding="utf-8"?>
+<s:Envelope xmlns:s="http://www.w3.org/2003/05/soap-envelope" xmlns:wsa="http://schemas.xmlsoap.org/ws/2004/08/addressing" xmlns:i="urn:interop">
+  <s:Header>
+    <wsa:To>http://interop.example/Blob</wsa:To>
+    <wsa:Action>urn:Blob</wsa:Action>
+    <wsa:MessageID>urn:uuid:00000000-0000-4000-8000-000000000022</wsa:MessageID>
+  </s:Header>
+  <s:Body><i:Blob><i:Data>` + base64.StdEncoding.EncodeToString(data) + `</i:Data></i:Blob></s:Body>
+</s:Envelope>`
+}
+
+// plainBlobReply is, byte for byte, what the commit before HTTP learned
+// to frame answered plainBlobRequest(data) with, but for the reply's own
+// random MessageID.
+func plainBlobReply(messageID string, data []byte) string {
+	return `<?xml version="1.0" encoding="UTF-8"?>
+<Envelope xmlns="http://www.w3.org/2003/05/soap-envelope"><Header><Action xmlns="http://schemas.xmlsoap.org/ws/2004/08/addressing">urn:BlobResponse</Action><MessageID xmlns="http://schemas.xmlsoap.org/ws/2004/08/addressing">` + messageID + `</MessageID><RelatesTo xmlns="http://schemas.xmlsoap.org/ws/2004/08/addressing">urn:uuid:00000000-0000-4000-8000-000000000022</RelatesTo></Header><Body><BlobResponse xmlns="urn:interop"><Data>` + base64.StdEncoding.EncodeToString(data) + `</Data></BlobResponse></Body></Envelope>`
+}
+
+var messageIDPattern = regexp.MustCompile(`<MessageID [^>]*>(urn:uuid:[0-9a-f-]{36})</MessageID>`)
+
+// TestHTTPStaysInlineWhereTCPAttaches (the name predates HTTP's framed
+// body: HTTP stays inline only for a requester that does not say it takes
+// frames) runs the same exchange every way it can cross a socket. Between
+// this code's client and server the content is a real attachment in both
+// directions, over soap.tcp and over HTTP alike; a plain SOAP POST of the
+// same request gets the reply it always got, content inline, byte for
+// byte.
 func TestHTTPStaysInlineWhereTCPAttaches(t *testing.T) {
+	// The server notes how each request's content reached it.
+	var requestAttached atomic.Bool
 	srv := NewServer(blobService())
+	srv.Use(func(ctx context.Context, call *soap.CallInfo, next soap.Handler) (*soap.Envelope, error) {
+		requestAttached.Store(call.Request.HasAttachments())
+		return next(ctx, call)
+	})
 	tl, err := ListenTCP(srv, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -316,27 +358,49 @@ func TestHTTPStaysInlineWhereTCPAttaches(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer shutdown(context.Background())
-	data := bytes.Repeat([]byte{0xC0, 0x01, '<', 0x00}, 512)
 
-	for _, tc := range []struct {
-		name       string
-		base       string
-		wantAttach bool
-	}{
-		{"soap.tcp", tl.BaseURL(), true},
-		{"http", httpBase, false},
+	for _, tc := range []struct{ name, base string }{
+		{"soap.tcp", tl.BaseURL()},
+		{"http", httpBase},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			resp, err := NewClient().Invoke(context.Background(), wsa.NewEPR(tc.base+"/Blob"), "urn:Blob", blobRequest(data))
+			resp, err := NewClient().Invoke(context.Background(), wsa.NewEPR(tc.base+"/Blob"), "urn:Blob", blobRequest(interopData))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if resp.HasAttachments() != tc.wantAttach {
-				t.Fatalf("HasAttachments = %v, want %v", resp.HasAttachments(), tc.wantAttach)
+			if !requestAttached.Load() {
+				t.Fatal("the request's content reached the service inline")
 			}
-			if got := blobResponseData(t, resp); !bytes.Equal(got, data) {
+			if !resp.HasAttachments() {
+				t.Fatal("the reply's content came back inline")
+			}
+			if got := blobResponseData(t, resp); !bytes.Equal(got, interopData) {
 				t.Fatal("corrupted data")
 			}
 		})
 	}
+	t.Run("plain-post", func(t *testing.T) {
+		resp, err := http.Post(httpBase+"/Blob", "application/soap+xml", strings.NewReader(plainBlobRequest(interopData)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != contentTypeSOAP {
+			t.Fatalf("status %s, Content-Type %q", resp.Status, resp.Header.Get("Content-Type"))
+		}
+		if requestAttached.Load() {
+			t.Fatal("an inline request reached the service with attachments")
+		}
+		m := messageIDPattern.FindSubmatch(body)
+		if m == nil {
+			t.Fatalf("reply has no MessageID:\n%s", body)
+		}
+		if want := plainBlobReply(string(m[1]), interopData); string(body) != want {
+			t.Fatalf("plain SOAP reply changed.\n got: %s\nwant: %s", body, want)
+		}
+	})
 }

@@ -39,26 +39,29 @@ func (s *Server) Use(ics ...soap.Interceptor) {
 // HandleRequest processes one request-response exchange for the service
 // at path, returning the serialized reply (possibly a fault envelope).
 // The reply channel is byte-only, so reply attachments are inlined as
-// base64 — the path HTTP takes.
+// base64 — what a plain SOAP requester over HTTP gets.
 func (s *Server) HandleRequest(ctx context.Context, path string, request []byte) []byte {
-	resp := s.process(ctx, path, &Message{Envelope: request}, false)
-	resp.InlineAttachments()
-	data, err := resp.Marshal()
-	if err != nil {
-		// A reply we constructed failed to serialize: fall back to a
-		// minimal fault so the client is never left hanging.
-		data, _ = soap.ReceiverFault("response serialization failed: %v", err).Envelope().Marshal()
-	}
-	return data
+	return s.handle(ctx, path, &Message{Envelope: request}, false).Envelope
 }
 
 // HandleRequestMsg is HandleRequest for attachment-capable bindings:
 // request attachments reach the handlers, and reply attachments travel
 // back raw instead of being inlined.
 func (s *Server) HandleRequestMsg(ctx context.Context, path string, request *Message) *Message {
+	return s.handle(ctx, path, request, true)
+}
+
+// handle is the request-response exchange; attach says whether the
+// requester takes reply attachments raw or needs them inlined.
+func (s *Server) handle(ctx context.Context, path string, request *Message, attach bool) *Message {
 	resp := s.process(ctx, path, request, false)
+	if !attach {
+		resp.InlineAttachments()
+	}
 	data, err := resp.Marshal()
 	if err != nil {
+		// A reply we constructed failed to serialize: fall back to a
+		// minimal fault so the client is never left hanging.
 		data, _ = soap.ReceiverFault("response serialization failed: %v", err).Envelope().Marshal()
 		return &Message{Envelope: data}
 	}

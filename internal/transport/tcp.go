@@ -39,7 +39,8 @@ const maxFrameSize = 64 << 20
 // maxAttachments bounds the parts of one frame.
 const maxAttachments = 256
 
-// Wire layout of a frame:
+// Wire layout of a frame — what a soap.tcp connection carries back to
+// back, and what an HTTP body is under contentTypeFrame (http.go):
 //
 //	kind    uint8
 //	pathLen uint16 (big endian)   service path, request/one-way only
@@ -204,65 +205,126 @@ func (fw *frameWriter) writeVectored(fr *frame) error {
 	return err
 }
 
-func readFrame(r io.Reader) (*frame, error) {
+// frameLen is the encoded size of fr.
+func frameLen(fr *frame) int {
+	n := 1 + 2 + len(fr.path) + 4 + len(fr.body) + 2
+	for _, a := range fr.atts {
+		n += 2 + len(a.ID) + 4 + len(a.Data)
+	}
+	return n
+}
+
+// writeFrameTo writes one whole frame to a writer that is not a
+// persistent connection (an HTTP body), through a pooled buffer: a small
+// frame leaves as one Write, a large attachment mostly bypasses the
+// buffer.
+func writeFrameTo(w io.Writer, fr *frame) error {
+	bw := serveWriterPool.Get().(*bufio.Writer)
+	fw := serveFramePool.Get().(*frameWriter)
+	bw.Reset(w)
+	fw.reset(bw, nil)
+	err := fw.writeFrame(fr)
+	if err == nil {
+		err = bw.Flush()
+	}
+	bw.Reset(nil)
+	fw.reset(nil, nil)
+	serveWriterPool.Put(bw)
+	serveFramePool.Put(fw)
+	return err
+}
+
+// frameSource is where readFrame reads from: r, and how many bytes the
+// carrier says are left of it (an HTTP Content-Length). A negative left
+// means the carrier states no length — a soap.tcp stream.
+type frameSource struct {
+	r    io.Reader
+	left int64
+}
+
+// fill reads exactly len(p) bytes.
+func (s *frameSource) fill(p []byte) error {
+	if s.left >= 0 {
+		if int64(len(p)) > s.left {
+			return io.ErrUnexpectedEOF
+		}
+		s.left -= int64(len(p))
+	}
+	_, err := io.ReadFull(s.r, p)
+	return err
+}
+
+// section reads a section whose length the frame declared. A length
+// prefix is four bytes of say-so: where the carrier has stated how much
+// is left, a section that claims more is refused before it is allocated.
+func (s *frameSource) section(n int) ([]byte, error) {
+	if s.left >= 0 && int64(n) > s.left {
+		return nil, fmt.Errorf("transport: frame declares a %d-byte section, %d bytes are left", n, s.left)
+	}
+	p := make([]byte, n)
+	return p, s.fill(p)
+}
+
+// readFrame reads one frame; left is frameSource.left.
+func readFrame(r io.Reader, left int64) (*frame, error) {
 	// One fixed scratch buffer for every header field: the hot path
 	// reads with io.ReadFull only, no reflection, no per-field
 	// allocations.
 	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:1]); err != nil {
+	src := frameSource{r: r, left: left}
+	if err := src.fill(hdr[:1]); err != nil {
 		return nil, err
 	}
 	fr := &frame{kind: hdr[0]}
 	if fr.kind < frameRequest || fr.kind > frameReply {
 		return nil, fmt.Errorf("transport: unknown frame kind %d", fr.kind)
 	}
-	if _, err := io.ReadFull(r, hdr[:2]); err != nil {
+	if err := src.fill(hdr[:2]); err != nil {
 		return nil, err
 	}
-	plen := binary.BigEndian.Uint16(hdr[:2])
-	if plen > 0 {
-		pbuf := make([]byte, plen)
-		if _, err := io.ReadFull(r, pbuf); err != nil {
+	if plen := binary.BigEndian.Uint16(hdr[:2]); plen > 0 {
+		pbuf, err := src.section(int(plen))
+		if err != nil {
 			return nil, err
 		}
 		fr.path = string(pbuf)
 	}
-	if _, err := io.ReadFull(r, hdr[:4]); err != nil {
+	if err := src.fill(hdr[:4]); err != nil {
 		return nil, err
 	}
 	blen := binary.BigEndian.Uint32(hdr[:4])
 	if blen > maxFrameSize {
-		return nil, fmt.Errorf("transport: frame body %d exceeds limit %d", blen, maxFrameSize)
+		return nil, fmt.Errorf("transport: frame body %d exceeds limit %d: %w", blen, maxFrameSize, soap.ErrEnvelopeTooLarge)
 	}
-	fr.body = make([]byte, blen)
-	if _, err := io.ReadFull(r, fr.body); err != nil {
+	var err error
+	if fr.body, err = src.section(int(blen)); err != nil {
 		return nil, err
 	}
-	if _, err := io.ReadFull(r, hdr[:2]); err != nil {
+	if err := src.fill(hdr[:2]); err != nil {
 		return nil, err
 	}
 	count := binary.BigEndian.Uint16(hdr[:2])
 	if count > maxAttachments {
-		return nil, fmt.Errorf("transport: %d attachments exceed limit %d", count, maxAttachments)
+		return nil, fmt.Errorf("transport: %d attachments exceed limit %d: %w", count, maxAttachments, soap.ErrEnvelopeTooLarge)
 	}
 	total := 0
 	for i := 0; i < int(count); i++ {
-		if _, err := io.ReadFull(r, hdr[:2]); err != nil {
+		if err := src.fill(hdr[:2]); err != nil {
 			return nil, err
 		}
-		idbuf := make([]byte, binary.BigEndian.Uint16(hdr[:2]))
-		if _, err := io.ReadFull(r, idbuf); err != nil {
+		idbuf, err := src.section(int(binary.BigEndian.Uint16(hdr[:2])))
+		if err != nil {
 			return nil, err
 		}
-		if _, err := io.ReadFull(r, hdr[:4]); err != nil {
+		if err := src.fill(hdr[:4]); err != nil {
 			return nil, err
 		}
 		dlen := binary.BigEndian.Uint32(hdr[:4])
 		if total += int(dlen); total > maxFrameSize {
-			return nil, fmt.Errorf("transport: attachment section exceeds limit %d", maxFrameSize)
+			return nil, fmt.Errorf("transport: attachment section exceeds limit %d: %w", maxFrameSize, soap.ErrEnvelopeTooLarge)
 		}
-		data := make([]byte, dlen)
-		if _, err := io.ReadFull(r, data); err != nil {
+		data, err := src.section(int(dlen))
+		if err != nil {
 			return nil, err
 		}
 		fr.atts = append(fr.atts, soap.Attachment{ID: string(idbuf), Data: data})
@@ -402,7 +464,7 @@ func (t *TCPTransport) exchangeOn(ctx context.Context, pc *pooledConn, fr *frame
 	if !wantReply {
 		return nil, nil
 	}
-	reply, err := readFrame(pc.br)
+	reply, err := readFrame(pc.br, -1)
 	if err != nil {
 		if ce := ctxIOErr(ctx, err); ce != err {
 			return nil, ce
@@ -588,7 +650,7 @@ func (tl *TCPListener) serveConn(conn net.Conn) {
 	}()
 	ctx := context.Background()
 	for {
-		fr, err := readFrame(br)
+		fr, err := readFrame(br, -1)
 		if err != nil {
 			// Includes an unknown frame kind — another protocol or
 			// corruption: drop the connection.

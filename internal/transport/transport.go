@@ -2,7 +2,9 @@
 // bindings are provided, selected by the URI scheme of the target EPR's
 // address, mirroring the paper's testbed:
 //
-//	http://     the ordinary web service binding (IIS/ASP.NET analog)
+//	http://     the ordinary web service binding (IIS/ASP.NET analog);
+//	            between this code's client and server a message with
+//	            attachments is an HTTP body in soap.tcp's frame layout
 //	soap.tcp:// framed SOAP over raw TCP (the WSE messaging analog used
 //	            for large file movement from the client's machine)
 //	inproc://   in-process loopback; envelopes still round-trip through
@@ -48,9 +50,10 @@ type Message struct {
 }
 
 // MessageRoundTripper is the optional attachment-capable interface of a
-// binding. Transports that implement it (soap.tcp, inproc) receive
-// requests as Messages and may return reply attachments; others get
-// envelopes with attachments inlined as base64.
+// binding. Transports that implement it (soap.tcp, inproc, http) receive
+// requests as Messages and may return reply attachments; others (a
+// wrapper that only forwards RoundTrip) get envelopes with attachments
+// inlined as base64.
 type MessageRoundTripper interface {
 	RoundTripMsg(ctx context.Context, addr string, req *Message) (*Message, error)
 }
@@ -205,9 +208,9 @@ func (c *Client) Invoke(ctx context.Context, to wsa.EndpointReference, action st
 }
 
 // roundTrip is the terminal request-response handler under the chain.
-// Bindings implementing MessageRoundTripper carry request and reply
-// attachments natively; on any other binding (HTTP has no attachment
-// section) they are inlined as base64 and the plain byte path is used.
+// Bindings implementing MessageRoundTripper — all three shipped ones —
+// carry request and reply attachments natively; on any other they are
+// inlined as base64 and the plain byte path is used.
 func (c *Client) roundTrip(ctx context.Context, to wsa.EndpointReference, call *soap.CallInfo) (*soap.Envelope, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("transport: %s %s: %w", call.Action, to.Address, err)
@@ -278,7 +281,7 @@ func (c *Client) SendOneWay(ctx context.Context, to wsa.EndpointReference, actio
 
 // send is the terminal one-way handler under the chain. One-way
 // messages always inline attachments: RoundTripper.Send is the byte-only
-// hand-off every binding shares, and HTTP has no attachment section.
+// hand-off every binding shares.
 func (c *Client) send(ctx context.Context, to wsa.EndpointReference, call *soap.CallInfo) error {
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("transport: one-way %s %s: %w", call.Action, to.Address, err)

@@ -3,16 +3,54 @@
 // the Campus Grid on the machine on which the FSS resides" (paper §4.1).
 // It is an in-memory tree of directories holding named files, giving the
 // testbed deterministic, portable storage with the same operations the
-// FSS exposes: Read, Write, List, plus the local fast-path Move the FSS
-// uses when a wanted file is already on the same machine.
+// FSS exposes: Read, Write, List.
+//
+// File bytes are immutable. A directory entry points at a Content; Write
+// takes ownership of the slice it is given and Read returns the stored
+// slice, so neither copies and neither side may modify the bytes
+// afterwards — replacing a file installs a new Content. That is what
+// lets any number of directories (and the FSS's blob index) share one
+// Content for one file's bytes: the paper's "simply moves the file"
+// (§4.6) is Link, and costs the same for 4 KiB and 4 MiB.
 package vfs
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"sort"
 	"strings"
 	"sync"
 )
+
+// Content is one file's bytes, immutable from the moment it is made, and
+// their SHA-256, computed at most once. One Content may be a file in
+// several directories at once.
+type Content struct {
+	data []byte
+	once sync.Once
+	hash string
+}
+
+// NewContent takes ownership of data: the caller must not modify it
+// afterwards.
+func NewContent(data []byte) *Content { return &Content{data: data} }
+
+// Bytes returns the content. Callers must not modify it.
+func (c *Content) Bytes() []byte { return c.data }
+
+// Len is the content's size in bytes.
+func (c *Content) Len() int { return len(c.data) }
+
+// Hash returns the content's SHA-256 as lowercase hex, hashing on the
+// first call only.
+func (c *Content) Hash() string {
+	c.once.Do(func() {
+		sum := sha256.Sum256(c.data)
+		c.hash = hex.EncodeToString(sum[:])
+	})
+	return c.hash
+}
 
 // FileInfo describes one file in a directory listing.
 type FileInfo struct {
@@ -23,13 +61,13 @@ type FileInfo struct {
 // FS is one machine's grid-visible file system.
 type FS struct {
 	mu   sync.RWMutex
-	dirs map[string]map[string][]byte
+	dirs map[string]map[string]*Content
 	seq  int
 }
 
 // New creates a file system containing only the root directory "/".
 func New() *FS {
-	return &FS{dirs: map[string]map[string][]byte{"/": {}}}
+	return &FS{dirs: map[string]map[string]*Content{"/": {}}}
 }
 
 // CleanPath canonicalizes a directory path: leading '/', no trailing
@@ -73,7 +111,7 @@ func (fs *FS) mkdirLocked(clean string) {
 	for _, s := range segs {
 		cur = cur + "/" + s
 		if _, ok := fs.dirs[cur]; !ok {
-			fs.dirs[cur] = make(map[string][]byte)
+			fs.dirs[cur] = make(map[string]*Content)
 		}
 	}
 }
@@ -96,7 +134,7 @@ func (fs *FS) MkdirUnique(parent, prefix string) (string, error) {
 			candidate = "/" + candidate
 		}
 		if _, exists := fs.dirs[candidate]; !exists {
-			fs.dirs[candidate] = make(map[string][]byte)
+			fs.dirs[candidate] = make(map[string]*Content)
 			return candidate, nil
 		}
 	}
@@ -121,8 +159,16 @@ func validateName(name string) error {
 	return nil
 }
 
-// Write stores a file in a directory, replacing any existing content.
+// Write stores a file in a directory, replacing any existing content. It
+// takes ownership of data (see NewContent).
 func (fs *FS) Write(dir, name string, data []byte) error {
+	return fs.Link(dir, name, NewContent(data))
+}
+
+// Link makes c the file name in dir, replacing any existing content: one
+// map update under the lock, so a concurrent Read sees the complete old
+// or the complete new file. c may already be a file elsewhere.
+func (fs *FS) Link(dir, name string, c *Content) error {
 	clean, err := CleanPath(dir)
 	if err != nil {
 		return err
@@ -136,14 +182,22 @@ func (fs *FS) Write(dir, name string, data []byte) error {
 	if !ok {
 		return fmt.Errorf("vfs: no such directory %q", clean)
 	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	d[name] = cp
+	d[name] = c
 	return nil
 }
 
-// Read returns a copy of a file's content.
+// Read returns a file's bytes — the stored slice, not a copy; callers
+// must not modify it.
 func (fs *FS) Read(dir, name string) ([]byte, error) {
+	c, err := fs.Open(dir, name)
+	if err != nil {
+		return nil, err
+	}
+	return c.data, nil
+}
+
+// Open returns the Content a directory entry points at.
+func (fs *FS) Open(dir, name string) (*Content, error) {
 	clean, err := CleanPath(dir)
 	if err != nil {
 		return nil, err
@@ -154,13 +208,11 @@ func (fs *FS) Read(dir, name string) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("vfs: no such directory %q", clean)
 	}
-	data, ok := d[name]
+	c, ok := d[name]
 	if !ok {
 		return nil, fmt.Errorf("vfs: no such file %q in %q", name, clean)
 	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	return cp, nil
+	return c, nil
 }
 
 // Exists reports whether a file exists.
@@ -192,51 +244,11 @@ func (fs *FS) List(dir string) ([]FileInfo, error) {
 		return nil, fmt.Errorf("vfs: no such directory %q", clean)
 	}
 	out := make([]FileInfo, 0, len(d))
-	for name, data := range d {
-		out = append(out, FileInfo{Name: name, Size: int64(len(data))})
+	for name, c := range d {
+		out = append(out, FileInfo{Name: name, Size: int64(c.Len())})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out, nil
-}
-
-// Move relocates a file between directories on the same machine without
-// copying through the network — the FSS fast path for files already
-// local ("the FSS simply moves the file within the portion of the file
-// system it controls", paper §4.6).
-func (fs *FS) Move(srcDir, srcName, dstDir, dstName string) error {
-	src, err := CleanPath(srcDir)
-	if err != nil {
-		return err
-	}
-	dst, err := CleanPath(dstDir)
-	if err != nil {
-		return err
-	}
-	if err := validateName(srcName); err != nil {
-		return err
-	}
-	if err := validateName(dstName); err != nil {
-		return err
-	}
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	sd, ok := fs.dirs[src]
-	if !ok {
-		return fmt.Errorf("vfs: no such directory %q", src)
-	}
-	dd, ok := fs.dirs[dst]
-	if !ok {
-		return fmt.Errorf("vfs: no such directory %q", dst)
-	}
-	data, ok := sd[srcName]
-	if !ok {
-		return fmt.Errorf("vfs: no such file %q in %q", srcName, src)
-	}
-	dd[dstName] = data
-	if !(src == dst && srcName == dstName) {
-		delete(sd, srcName)
-	}
-	return nil
 }
 
 // RemoveDir deletes a directory and its files. The root cannot be
@@ -263,14 +275,15 @@ func (fs *FS) RemoveDir(path string) error {
 	return nil
 }
 
-// Usage reports total file count and byte count across the file system.
+// Usage reports total file count and byte count across the file system,
+// per directory entry: a Content linked twice counts twice.
 func (fs *FS) Usage() (files int, bytes int64) {
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
 	for _, d := range fs.dirs {
-		for _, data := range d {
+		for _, c := range d {
 			files++
-			bytes += int64(len(data))
+			bytes += int64(c.Len())
 		}
 	}
 	return files, bytes

@@ -97,32 +97,138 @@ func TestWriteReadList(t *testing.T) {
 	}
 }
 
-func TestReadIsACopy(t *testing.T) {
+// TestReadSharesStoredBytes: Read hands out the stored slice (two reads,
+// one backing array), and replacing the file installs a new Content — a
+// slice read earlier still holds the complete old bytes.
+func TestReadSharesStoredBytes(t *testing.T) {
 	fs := New()
 	fs.Mkdir("/d")
 	if err := fs.Write("/d", "f", []byte("abc")); err != nil {
 		t.Fatal(err)
 	}
-	data, _ := fs.Read("/d", "f")
-	data[0] = 'X'
+	first, _ := fs.Read("/d", "f")
 	again, _ := fs.Read("/d", "f")
-	if string(again) != "abc" {
-		t.Fatal("mutation through Read leaked into the store")
+	if &first[0] != &again[0] {
+		t.Fatal("two reads of one file returned different backing arrays: Read copies")
+	}
+	if err := fs.Write("/d", "f", []byte("xyz!")); err != nil {
+		t.Fatal(err)
+	}
+	if string(first) != "abc" {
+		t.Fatalf("replacing the file changed bytes a reader already held: %q", first)
+	}
+	if now, _ := fs.Read("/d", "f"); string(now) != "xyz!" {
+		t.Fatalf("after replace: %q", now)
 	}
 }
 
-func TestWriteIsACopy(t *testing.T) {
+// TestWriteTakesOwnership: Write stores the slice it is given, and Link
+// makes one Content a file in two directories — same array, hashed once,
+// and removing one directory leaves the other's file whole.
+func TestWriteTakesOwnership(t *testing.T) {
 	fs := New()
-	fs.Mkdir("/d")
+	fs.Mkdir("/a")
+	fs.Mkdir("/b")
 	buf := []byte("abc")
-	if err := fs.Write("/d", "f", buf); err != nil {
+	if err := fs.Write("/a", "f", buf); err != nil {
 		t.Fatal(err)
 	}
-	buf[0] = 'X'
-	got, _ := fs.Read("/d", "f")
-	if string(got) != "abc" {
-		t.Fatal("caller mutation leaked into the store")
+	got, _ := fs.Read("/a", "f")
+	if &got[0] != &buf[0] {
+		t.Fatal("Write copied the slice it was given")
 	}
+	c, err := fs.Open("/a", "f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Link("/b", "g", c); err != nil {
+		t.Fatal(err)
+	}
+	linked, _ := fs.Open("/b", "g")
+	if linked != c || &linked.Bytes()[0] != &buf[0] {
+		t.Fatal("Link did not share the Content")
+	}
+	const abc = "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+	if c.Hash() != abc || linked.Hash() != abc || c.Len() != 3 {
+		t.Fatalf("hash %s len %d", c.Hash(), c.Len())
+	}
+	if files, n := fs.Usage(); files != 2 || n != 6 {
+		t.Fatalf("usage = %d files %d bytes, want each entry counted", files, n)
+	}
+	if err := fs.RemoveDir("/a"); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := fs.Read("/b", "g"); err != nil || string(got) != "abc" {
+		t.Fatalf("linked file after its source directory went: %q %v", got, err)
+	}
+	if err := fs.Link("/ghost", "f", c); err == nil {
+		t.Error("link into a missing directory accepted")
+	}
+	if _, err := fs.Open("/b", "ghost"); err == nil {
+		t.Error("open of a missing file accepted")
+	}
+}
+
+// TestReplaceUnderReadersNeverTorn is the immutability contract under the
+// race detector: while one file is replaced over and over and linked on
+// into a second directory, readers of either entry (and of the hash) see
+// one complete version, never a mix.
+func TestReplaceUnderReadersNeverTorn(t *testing.T) {
+	fs := New()
+	fs.Mkdir("/src")
+	fs.Mkdir("/dst")
+	versions := [][]byte{bytes.Repeat([]byte("one "), 2048), bytes.Repeat([]byte("2"), 5000)}
+	hashes := []string{NewContent(versions[0]).Hash(), NewContent(versions[1]).Hash()}
+	write := func(i int) {
+		// A fresh slice per write, as every product caller hands over.
+		if err := fs.Write("/src", "f", append([]byte(nil), versions[i%2]...)); err != nil {
+			t.Error(err)
+		}
+	}
+	write(0)
+	c, _ := fs.Open("/src", "f")
+	fs.Link("/dst", "f", c)
+
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func(dir string) {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				c, err := fs.Open(dir, "f")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				v := 0
+				if !bytes.Equal(c.Bytes(), versions[0]) {
+					v = 1
+				}
+				if !bytes.Equal(c.Bytes(), versions[v]) || c.Hash() != hashes[v] {
+					t.Errorf("%s: torn read (%d bytes, hash %s)", dir, c.Len(), c.Hash())
+					return
+				}
+			}
+		}([]string{"/src", "/dst"}[r%2])
+	}
+	for i := 1; i <= 200; i++ {
+		write(i)
+		c, err := fs.Open("/src", "f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fs.Link("/dst", "f", c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(done)
+	wg.Wait()
 }
 
 func TestErrorsOnMissing(t *testing.T) {
@@ -141,35 +247,6 @@ func TestErrorsOnMissing(t *testing.T) {
 	}
 	if err := fs.Write("/", "", nil); err == nil {
 		t.Error("empty file name accepted")
-	}
-}
-
-func TestMove(t *testing.T) {
-	fs := New()
-	fs.Mkdir("/a")
-	fs.Mkdir("/b")
-	if err := fs.Write("/a", "f", []byte("data")); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Move("/a", "f", "/b", "g"); err != nil {
-		t.Fatal(err)
-	}
-	if fs.Exists("/a", "f") {
-		t.Error("source survived move")
-	}
-	got, err := fs.Read("/b", "g")
-	if err != nil || string(got) != "data" {
-		t.Fatalf("dest: %q %v", got, err)
-	}
-	// Self-move is a no-op, not a delete.
-	if err := fs.Move("/b", "g", "/b", "g"); err != nil {
-		t.Fatal(err)
-	}
-	if !fs.Exists("/b", "g") {
-		t.Fatal("self-move deleted the file")
-	}
-	if err := fs.Move("/b", "ghost", "/a", "x"); err == nil {
-		t.Error("move of missing file accepted")
 	}
 }
 
