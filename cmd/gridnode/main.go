@@ -33,7 +33,7 @@ var (
 	speed         = flag.Float64("speed", 2000, "clock speed (MHz)")
 	ram           = flag.Int("ram", 1024, "RAM (MB)")
 	accountsFlag  = flag.String("accounts", "", "comma-separated user:password local accounts")
-	threshold     = flag.Float64("threshold", 0.1, "utilization report threshold")
+	threshold     = flag.Float64("threshold", 0.1, "report utilization to the NIS when a 50 ms sample finds it moved by this much (0..1)")
 	replicaEvents = flag.Bool("replica-events", false, "publish replica-manifest stored events for staged files (pair with gridmaster -replicas / -policy data-aware)")
 )
 

@@ -43,12 +43,6 @@ func newGridHarness(tb testing.TB, nodes []NodeSpec, policy scheduler.Policy) *g
 		Nodes:    nodes,
 		Policy:   policy,
 		UnitTime: 20 * time.Microsecond,
-		// E7 measures placement quality, so dispatch stays serial with a
-		// fresh NIS poll per job: concurrent dispatches over a cached
-		// catalog would let Greedy herd onto whichever node last looked
-		// idle and corrupt the policy comparison.
-		MaxInflightDispatch: 1,
-		CatalogTTL:          -1,
 	})
 	if err != nil {
 		tb.Fatal(err)

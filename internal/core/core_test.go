@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -158,26 +159,17 @@ func TestF3_FullScenario(t *testing.T) {
 	}
 }
 
-// placedJobStates reads a set's JobState elements once every one names its
-// node. Placement is journaled when the Run response is applied, and on a
-// loaded box a short job's exit — and with it the set's verdict — overtakes
-// that (about 1 run in 100 under four parallel copies, on the parent of
-// PR 20 as well); a second later the caller's assertion reports it.
+// placedJobStates reads a finished set's JobState elements. Each names its
+// node: that is recorded when the job is placed, before its Run is sent,
+// so no event of the job — least of all the exit that decides the set —
+// can be journaled ahead of it.
 func placedJobStates(t *testing.T, ctx context.Context, rc *wsrf.ResourceClient) []*xmlutil.Element {
 	t.Helper()
-	for deadline := time.Now().Add(time.Second); ; time.Sleep(2 * time.Millisecond) {
-		states, err := rc.GetProperty(ctx, scheduler.QJobState)
-		if err != nil {
-			t.Fatal(err)
-		}
-		placed := true
-		for _, st := range states {
-			placed = placed && st.Attr(xmlutil.Q("", "node")) != ""
-		}
-		if placed || time.Now().After(deadline) {
-			return states
-		}
+	states, err := rc.GetProperty(ctx, scheduler.QJobState)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return states
 }
 
 func TestSingleJobQuickstart(t *testing.T) {
@@ -317,6 +309,63 @@ func TestGreedyPolicyPicksFastestMostAvailable(t *testing.T) {
 	// fast-idle scores 3000; fast-busy scores 4000*0.1=400; slow 800.
 	if node := states[0].Attr(xmlutil.Q("", "node")); node != "fast-idle" {
 		t.Fatalf("scheduled on %q, want fast-idle", node)
+	}
+}
+
+// TestPlacementDoesNotNeedReports: two equal machines that never report
+// again after registration — no monitor runs, and no sample could cross this
+// threshold if one did — and a 16-wide bag dispatched eight at a time over
+// the cached catalog. The master counts its own placements, so the bag lands
+// eight and eight; placed on reports alone, all sixteen herd onto the
+// machine that still looks idle.
+func TestPlacementDoesNotNeedReports(t *testing.T) {
+	g, err := NewGrid(GridConfig{
+		Nodes: []NodeSpec{
+			{Name: "east", Cores: 8, SpeedMHz: 2000, RAMMB: 1024},
+			{Name: "west", Cores: 8, SpeedMHz: 2000, RAMMB: 1024},
+		},
+		Accounts:             testAccounts,
+		UnitTime:             5 * time.Microsecond,
+		UtilizationThreshold: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(g.Close)
+	c := testClient(t, g)
+	ctx := testCtx(t)
+	c.AddFile("long.app", Script("compute 100000000", "exit 0")) // outlives the test: no slot comes back
+	set := NewJobSet("bag")
+	for i := 0; i < 16; i++ {
+		set.Add(fmt.Sprintf("w%02d", i), Local("long.app"))
+	}
+	sub, err := c.Submit(ctx, set.Spec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc := wsrf.NewResourceClient(g.Client, sub.JobSet)
+	landed := make(map[string]int)
+	for placed := 0; placed < 16; time.Sleep(2 * time.Millisecond) {
+		states, err := rc.GetProperty(ctx, scheduler.QJobState)
+		if err != nil {
+			t.Fatalf("%d of 16 jobs placed: %v", placed, err)
+		}
+		placed, landed = 0, make(map[string]int)
+		for _, st := range states {
+			if node := st.Attr(xmlutil.Q("", "node")); node != "" {
+				placed++
+				landed[node]++
+			}
+		}
+	}
+	if landed["east"] != 8 || landed["west"] != 8 {
+		t.Errorf("the bag landed %v, want 8 on each machine", landed)
+	}
+	if err := sub.Cancel(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if status, _ := sub.Wait(ctx); status != scheduler.SetCancelled {
+		t.Fatalf("status = %s", status)
 	}
 }
 

@@ -84,9 +84,6 @@ type GridConfig struct {
 	// transport failures. A nil Idempotent predicate defaults to
 	// IdempotentActions().
 	Retry *pipeline.RetryPolicy
-	// MaxInflightDispatch bounds the scheduler's concurrent job
-	// dispatches (0 = scheduler default, 1 = strictly serial).
-	MaxInflightDispatch int
 	// DefaultRetry applies to every job whose spec carries no retry
 	// policy of its own (the gridmaster -retry-default flag).
 	DefaultRetry scheduler.RetryPolicy
@@ -97,9 +94,6 @@ type GridConfig struct {
 	// running quota full evict the tenant's youngest running
 	// scavenger-class set (requires Admission; the -preempt flag).
 	Preempt bool
-	// CatalogTTL tunes the scheduler's processor-catalog cache
-	// (0 = scheduler default, negative = poll the NIS per dispatch).
-	CatalogTTL time.Duration
 }
 
 // Grid is a running campus grid.
@@ -152,15 +146,12 @@ func NewGrid(cfg GridConfig) (*Grid, error) {
 		return nil, fmt.Errorf("core: Preempt needs an Admission queue")
 	}
 	ssCfg := scheduler.Config{
-		Policy:     cfg.Policy,
-		ESCerts:    g.certFor,
-		JobTimeout: cfg.JobTimeout,
-
-		MaxInflightDispatch: cfg.MaxInflightDispatch,
-		CatalogTTL:          cfg.CatalogTTL,
-		DefaultRetry:        cfg.DefaultRetry,
-		Admission:           cfg.Admission,
-		Preempt:             cfg.Preempt,
+		Policy:       cfg.Policy,
+		ESCerts:      g.certFor,
+		JobTimeout:   cfg.JobTimeout,
+		DefaultRetry: cfg.DefaultRetry,
+		Admission:    cfg.Admission,
+		Preempt:      cfg.Preempt,
 	}
 	if cfg.Accounts != nil {
 		var err error

@@ -149,13 +149,6 @@ func New(cfg Config) (*Node, error) {
 		// non-nil interface would demand credentials nobody can supply.
 		spawnCfg.Accounts = cfg.Accounts
 	}
-	// Sample utilization the moment the process count moves, so the
-	// NIS view tracks spawns and exits without waiting for a tick.
-	spawnCfg.OnChange = func() {
-		if n.Monitor != nil {
-			n.Monitor.Sample()
-		}
-	}
 	n.Spawner, err = procspawn.NewSpawner(spawnCfg)
 	if err != nil {
 		return nil, err
@@ -229,29 +222,33 @@ func (n *Node) Server() *transport.Server { return n.server }
 
 // Processor describes this machine for the NIS.
 func (n *Node) Processor() nodeinfo.Processor {
+	util, load := n.Monitor.Reading()
 	return nodeinfo.Processor{
 		Host:        n.Name,
 		ES:          n.ES.EPR(),
 		Cores:       n.cfg.Cores,
 		SpeedMHz:    n.cfg.SpeedMHz,
 		RAMMB:       n.cfg.RAMMB,
-		Utilization: n.Monitor.Utilization(),
+		Utilization: util,
+		GridLoad:    load,
 	}
 }
 
-// reportUtilization is the Processor Utilization service's notify hook.
-func (n *Node) reportUtilization(util float64) {
+// reportUtilization is the Processor Utilization service's notify hook,
+// called on the monitor's ticker goroutine and nowhere on a job's path.
+// The monitor says when; what is sent is the machine as it reads now, so
+// Utilization and GridLoad are one sample. Request-response, so the next
+// tick cannot start a second report while this one is in flight.
+func (n *Node) reportUtilization(float64) {
 	if n.cfg.NIS.IsZero() {
 		return
 	}
-	p := n.Processor()
-	p.Utilization = util
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	// Request-response rather than one-way: the report must land in the
-	// NIS catalog before the Scheduler's next poll, or rapid dispatch
-	// herds every job onto the machine that still looks idle.
-	_, _ = n.client.Call(ctx, n.cfg.NIS, nodeinfo.ActionReport, nodeinfo.ReportRequest(p))
+	// Best effort: a report the NIS never got is superseded by the next
+	// threshold crossing, and the Scheduler places on its own count of
+	// what it sent here meanwhile.
+	_, _ = n.client.Call(ctx, n.cfg.NIS, nodeinfo.ActionReport, nodeinfo.ReportRequest(n.Processor()))
 }
 
 // Register announces the machine to the NIS (initial catalog entry) and
@@ -260,9 +257,8 @@ func (n *Node) Register(ctx context.Context) error {
 	if n.cfg.NIS.IsZero() {
 		return fmt.Errorf("node: %s has no NIS configured", n.Name)
 	}
-	// Registration is a request-response exchange (unlike the ongoing
-	// one-way utilization stream) so the machine is visible to the
-	// Scheduler the moment Register returns.
+	// Registration is answered before Register returns, so the machine is
+	// visible to the Scheduler from then on.
 	if _, err := n.client.Call(ctx, n.cfg.NIS, nodeinfo.ActionReport, nodeinfo.ReportRequest(n.Processor())); err != nil {
 		return err
 	}

@@ -5,10 +5,15 @@ import (
 	"testing"
 	"time"
 
+	"uvacg/internal/procspawn"
 	"uvacg/internal/resourcedb"
+	"uvacg/internal/services/execution"
+	"uvacg/internal/services/filesystem"
 	"uvacg/internal/services/nodeinfo"
 	"uvacg/internal/soap"
 	"uvacg/internal/transport"
+	"uvacg/internal/wsa"
+	"uvacg/internal/wsn"
 	"uvacg/internal/wsrf"
 	"uvacg/internal/wssec"
 	"uvacg/internal/xmlutil"
@@ -226,4 +231,158 @@ func TestNodeTablesKeepTheirJournaledCodec(t *testing.T) {
 	if got := dirs.Codec().Name(); got != (resourcedb.BlobCodec{}).Name() {
 		t.Fatalf("fresh directories table codec %q", got)
 	}
+}
+
+// TestJobPathNeverWaitsForNIS: a NIS that takes a Report and never answers
+// — a slow master, a partition that swallows replies — holds up the
+// Processor Utilization service's ticker and nothing else: the machine
+// takes a Run, stages, starts and ends the job, answers a CPUTime read and
+// kills a second job, all well inside the Report's five-second timeout.
+// When utilization was sampled inside Reserve, Spawn and the process's
+// exit, each of those waited out a hung Report, the first of them holding
+// the Execution Service's lock.
+func TestJobPathNeverWaitsForNIS(t *testing.T) {
+	network := transport.NewNetwork()
+	client := transport.NewClient().WithNetwork(network)
+
+	reported, release := make(chan struct{}, 1), make(chan struct{})
+	nis := soap.NewDispatcher()
+	nis.Register(nodeinfo.ActionReport, func(ctx context.Context, _ *soap.Envelope) (*soap.Envelope, error) {
+		select {
+		case reported <- struct{}{}:
+		default:
+		}
+		select {
+		case <-release:
+		case <-ctx.Done(): // the Report's own timeout
+		}
+		return nil, soap.ReceiverFault("nis: going down")
+	})
+	broker := wsn.NewConsumer()
+	events := broker.Channel(wsn.MustTopicExpression(wsn.DialectFull, "*//"), 16)
+	masterMux := soap.NewMux()
+	masterMux.Handle("/NodeInfoService", nis)
+	broker.Mount(masterMux, "/NotificationBroker")
+	network.Register("master", transport.NewServer(masterMux))
+	files := filesystem.NewFileServer("/files")
+	clientMux := soap.NewMux()
+	files.Mount(clientMux)
+	network.Register("client", transport.NewServer(clientMux))
+
+	n, err := New(Config{
+		Name:    "win-a",
+		Network: network,
+		Client:  client,
+		Cores:   2,
+		NIS:     wsa.NewEPR("inproc://master/NodeInfoService"),
+		Broker:  wsa.NewEPR("inproc://master/NotificationBroker"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(n.Stop)                    // waits for the ticker, which waits for its Report:
+	t.Cleanup(func() { close(release) }) // let that go first
+	n.Start()
+	select {
+	case <-reported: // the ticker's first sample always reports; it now hangs
+	case <-time.After(5 * time.Second):
+		t.Fatal("the monitor's ticker never reported")
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	start := time.Now()
+	run := func(name string, script []byte) wsa.EndpointReference {
+		t.Helper()
+		files.Publish(name+".app", script)
+		body, err := client.Call(ctx, n.ES.EPR(), execution.ActionRun, execution.RunRequest(name, "jobset-t", name+".app",
+			[]filesystem.FileRef{{Source: wsa.NewEPR("inproc://client/files"), RemoteName: name + ".app"}}))
+		if err != nil {
+			t.Fatalf("Run %s: %v", name, err)
+		}
+		job, _, err := execution.ParseRunResponse(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return job
+	}
+	seen := make(map[string]execution.JobEvent) // one-way delivery keeps no order
+	await := func(job, kind string) execution.JobEvent {
+		t.Helper()
+		for {
+			if ev, ok := seen[job+"/"+kind]; ok {
+				return ev
+			}
+			select {
+			case note := <-events:
+				if ev, err := execution.ParseJobEvent(note.Message); err == nil {
+					seen[ev.JobName+"/"+ev.Kind] = ev
+				}
+			case <-ctx.Done():
+				t.Fatalf("no %s event of %s", kind, job)
+			}
+		}
+	}
+	run("quick", procspawn.BuildScript("write out.txt done", "exit 0"))
+	await("quick", execution.EventStarted)
+	await("quick", execution.EventExited)
+	long := run("long", procspawn.BuildScript("compute 100000000", "exit 0"))
+	await("long", execution.EventStarted)
+	if _, err := wsrf.NewResourceClient(client, long).GetPropertyText(ctx, execution.QCPUTime); err != nil {
+		t.Fatalf("CPUTime read: %v", err)
+	}
+	if _, err := client.Call(ctx, long, execution.ActionKill, execution.KillRequest()); err != nil {
+		t.Fatalf("Kill: %v", err)
+	}
+	if ev := await("long", execution.EventExited); ev.ExitCode != procspawn.ExitKilled {
+		t.Fatalf("long exited %d, want killed", ev.ExitCode)
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("two jobs took %v beside a NIS that never answers: something on their path waited for it", took)
+	}
+}
+
+// TestTickReportsGridLoad: nothing samples when a slot is taken or given
+// back; the monitor's next tick does, and its Report says how much of the
+// utilization is the grid's own — both from one reading.
+func TestTickReportsGridLoad(t *testing.T) {
+	network := transport.NewNetwork()
+	client := transport.NewClient().WithNetwork(network)
+	nis := newMasterNIS(t, network)
+	n, err := New(Config{Name: "win-a", Network: network, Client: client, Cores: 2, NIS: nis.EPR(),
+		Background: func() float64 { return 0.25 }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Stop()
+	if err := n.Register(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	catalogued := func(util float64, load int) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+			procs, err := nis.Processors()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(procs) == 1 && procs[0].Utilization == util && procs[0].GridLoad == load {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("catalogue reads %+v, want utilization %v with grid load %d", procs, util, load)
+			}
+		}
+	}
+	catalogued(0.25, 0)
+	release := n.Spawner.Reserve()
+	if p := n.Processor(); p.Utilization != 0.75 || p.GridLoad != 1 {
+		t.Fatalf("the machine reads %+v with one slot held", p)
+	}
+	if procs, _ := nis.Processors(); len(procs) != 1 || procs[0].GridLoad != 0 {
+		t.Fatalf("taking a slot reported by itself: %+v", procs)
+	}
+	n.Start()
+	catalogued(0.75, 1)
+	release()
+	catalogued(0.25, 0)
 }

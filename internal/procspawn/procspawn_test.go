@@ -2,6 +2,7 @@ package procspawn
 
 import (
 	"context"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -528,25 +529,34 @@ func scanRunning(sp *Spawner) int {
 // TestRunningCountMatchesScan: the counter moves where a process's state
 // moves, so whenever the spawner is quiet it equals a scan, and while
 // processes spawn, exit, are killed and are reaped on several goroutines
-// (with the utilization monitor's hook reading it on every change) it
-// never leaves [0, spawned].
+// (with a sampler reading it all the while, as the utilization monitor's
+// ticker does) it never leaves [0, spawned].
 func TestRunningCountMatchesScan(t *testing.T) {
 	fs := vfs.New()
 	dir, err := fs.MkdirUnique("/grid", "job")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sp *Spawner
 	var spawned atomic.Int64
-	sp, err = NewSpawner(Config{FS: fs, Cores: 2, SpeedMHz: 2000, UnitTime: 10 * time.Microsecond,
-		OnChange: func() {
-			if n := int64(sp.RunningCount()); n < 0 || n > spawned.Load() {
-				t.Errorf("RunningCount = %d with %d spawned", n, spawned.Load())
-			}
-		}})
+	sp, err := NewSpawner(Config{FS: fs, Cores: 2, SpeedMHz: 2000, UnitTime: 10 * time.Microsecond})
 	if err != nil {
 		t.Fatal(err)
 	}
+	quiet, sampled := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(sampled)
+		for {
+			if n := int64(sp.RunningCount()); n < 0 || n > spawned.Load() {
+				t.Errorf("RunningCount = %d with %d spawned", n, spawned.Load())
+			}
+			select {
+			case <-quiet:
+				return
+			default:
+				runtime.Gosched()
+			}
+		}
+	}()
 	stage(t, fs, dir, "quick", BuildScript("exit 0"))
 	stage(t, fs, dir, "long", BuildScript("compute 100000000", "exit 0"))
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -589,6 +599,8 @@ func TestRunningCountMatchesScan(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+	close(quiet)
+	<-sampled
 	if got, scan := sp.RunningCount(), scanRunning(sp); got != len(held) || scan != len(held) {
 		t.Fatalf("quiet spawner: RunningCount = %d, scan = %d, want %d held", got, scan, len(held))
 	}

@@ -48,11 +48,6 @@ type Config struct {
 	// Defaults to 50µs: large enough to model heterogeneity, small
 	// enough for fast tests.
 	UnitTime time.Duration
-	// OnChange, when set, is called after every spawn and exit — the
-	// hook the Processor Utilization service uses to sample immediately
-	// when the running-process count moves, instead of waiting for its
-	// next periodic tick.
-	OnChange func()
 }
 
 // Spawner launches and tracks simulated processes — the ProcSpawn
@@ -63,10 +58,11 @@ type Spawner struct {
 	// running counts processes in StateRunning; it moves where a
 	// Process's state moves, so RunningCount never scans procs.
 	running atomic.Int64
+	// reserved counts slots claimed by Reserve and not yet released.
+	reserved atomic.Int64
 
-	mu       sync.RWMutex
-	procs    map[int64]*Process
-	reserved int
+	mu    sync.RWMutex
+	procs map[int64]*Process
 }
 
 // NewSpawner validates cfg and builds a spawner.
@@ -143,23 +139,15 @@ func (s *Spawner) Spawn(spec SpawnSpec) (*Process, error) {
 	s.procs[p.PID] = p
 	s.running.Add(1)
 	s.mu.Unlock()
-	s.notifyChange()
 
 	go s.run(p, script, spec.OnExit)
 	return p, nil
-}
-
-func (s *Spawner) notifyChange() {
-	if s.cfg.OnChange != nil {
-		s.cfg.OnChange()
-	}
 }
 
 // run interprets the script; it is the simulated process body.
 func (s *Spawner) run(p *Process, script *Script, onExit func(*Process)) {
 	defer func() {
 		close(p.done)
-		s.notifyChange()
 		if onExit != nil {
 			onExit(p)
 		}
@@ -273,33 +261,18 @@ func (s *Spawner) Process(pid int64) (*Process, bool) {
 
 // Reserve claims a processor slot before the process exists — the
 // Execution Service holds one per job from the Run request until the
-// staged process actually spawns, so machine load is visible to the
-// Scheduler during staging. The returned release function is
-// idempotent.
+// staged process actually spawns, so the machine's next utilization
+// sample counts the job while it stages. The returned release function
+// is idempotent.
 func (s *Spawner) Reserve() (release func()) {
-	s.mu.Lock()
-	s.reserved++
-	s.mu.Unlock()
-	s.notifyChange()
+	s.reserved.Add(1)
 	var once sync.Once
-	return func() {
-		once.Do(func() {
-			s.mu.Lock()
-			s.reserved--
-			s.mu.Unlock()
-			s.notifyChange()
-		})
-	}
+	return func() { once.Do(func() { s.reserved.Add(-1) }) }
 }
 
 // Load reports running processes plus reserved slots — the quantity
 // utilization is computed from.
-func (s *Spawner) Load() int {
-	s.mu.RLock()
-	reserved := s.reserved
-	s.mu.RUnlock()
-	return s.RunningCount() + reserved
-}
+func (s *Spawner) Load() int { return s.RunningCount() + int(s.reserved.Load()) }
 
 // RunningCount reports how many processes are currently running.
 func (s *Spawner) RunningCount() int { return int(s.running.Load()) }

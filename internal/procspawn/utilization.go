@@ -9,7 +9,10 @@ import (
 // samples the machine's processor utilization and calls its notify
 // function "whenever the utilization of the machine's processors
 // changes by more than a configurable amount" (paper §4.4). The Node
-// Info Service is the usual recipient.
+// Info Service is the usual recipient. Its ticker is the only thing that
+// samples: no spawn, reservation or exit waits for a sample or for the
+// report one may send, and one goroutine sampling means at most one
+// report in flight, carrying the latest value.
 type UtilizationMonitor struct {
 	spawner   *Spawner
 	threshold float64
@@ -57,19 +60,22 @@ func NewUtilizationMonitor(s *Spawner, cfg MonitorConfig) *UtilizationMonitor {
 
 // Utilization computes the machine's current processor utilization:
 // grid load (running processes plus reserved slots) spread over the
-// cores, plus background load, clamped to 1.
+// cores, plus background load, clamped to [0, 1].
 func (m *UtilizationMonitor) Utilization() float64 {
-	util := float64(m.spawner.Load()) / float64(m.spawner.Cores())
+	util, _ := m.Reading()
+	return util
+}
+
+// Reading is one sample: Utilization and the grid load it was computed
+// from. A reader that knows both can tell this grid's own jobs from load
+// the grid did not cause.
+func (m *UtilizationMonitor) Reading() (utilization float64, gridLoad int) {
+	gridLoad = m.spawner.Load()
+	util := float64(gridLoad) / float64(m.spawner.Cores())
 	if m.background != nil {
 		util += m.background()
 	}
-	if util > 1 {
-		util = 1
-	}
-	if util < 0 {
-		util = 0
-	}
-	return util
+	return min(max(util, 0), 1), gridLoad
 }
 
 // Sample takes one sample, notifying if the delta from the last

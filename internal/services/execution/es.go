@@ -192,7 +192,9 @@ func (s *Service) EPR() wsa.EndpointReference { return s.svc.EPR() }
 func (s *Service) DrainEvents(ctx context.Context) error { return s.out.Drain(ctx) }
 
 // onJobDestroyed kills any live process when a job resource is
-// destroyed and drops retained credentials.
+// destroyed, drops retained credentials and forgets the process: its
+// record is reaped here if it has left Running, otherwise by
+// onProcessExit when the kill lands and finds the resource gone.
 func (s *Service) onJobDestroyed(id string) {
 	s.mu.Lock()
 	p := s.procs[id]
@@ -206,6 +208,7 @@ func (s *Service) onJobDestroyed(id string) {
 	}
 	if p != nil {
 		p.Kill()
+		s.spawner.Reap(p.PID)
 	}
 }
 
@@ -301,8 +304,8 @@ func (s *Service) handleRun(ctx context.Context, inv *wsrf.Invocation, body *xml
 	jobID := jobEPR.Property(wsrf.QResourceID)
 	s.mu.Lock()
 	s.creds[jobID] = local
-	// Hold a processor slot while the job stages so the Scheduler sees
-	// this machine as busier before the process exists.
+	// Hold a processor slot while the job stages, so the machine's next
+	// utilization sample counts it before the process exists.
 	s.reservations[jobID] = s.spawner.Reserve()
 	s.mu.Unlock()
 
@@ -398,7 +401,11 @@ func (s *Service) onProcessExit(ctx context.Context, jobID string, ref *jobRef, 
 		setChildText(doc, QExitCode, strconv.Itoa(code))
 		return nil
 	})
-	if err != nil && !errors.Is(err, wsrf.ErrNoSuchResource) {
+	switch {
+	case errors.Is(err, wsrf.ErrNoSuchResource):
+		// Destroyed while it ran: nobody can ask for this process again.
+		s.spawner.Reap(p.PID)
+	case err != nil:
 		// Not destroyed: the resource says Running for ever. Still publish.
 		log.Printf("es: job %s (%s): recording exit: %v", jobID, ref.name, err)
 	}

@@ -24,12 +24,13 @@ import (
 // esHarness is one machine (FSS + ES) plus a broker-like consumer that
 // records every published event.
 type esHarness struct {
-	client *transport.Client
-	es     *Service
-	fss    *filesystem.Service
-	files  *filesystem.FileServer
-	events <-chan wsn.Notification
-	seen   map[string]wsn.Notification
+	client  *transport.Client
+	es      *Service
+	spawner *procspawn.Spawner
+	fss     *filesystem.Service
+	files   *filesystem.FileServer
+	events  <-chan wsn.Notification
+	seen    map[string]wsn.Notification
 	// notifies is the event kinds of each Notify the broker stand-in was
 	// sent, one entry per exchange.
 	notifies <-chan []string
@@ -126,7 +127,7 @@ func newESHarnessWithSecurity(t *testing.T, spawnAccounts wssec.StaticAccounts, 
 	files.Mount(clientMux)
 	network.Register("client", transport.NewServer(clientMux))
 
-	return &esHarness{client: client, es: es, fss: fss, files: files, events: events, seen: make(map[string]wsn.Notification), notifies: notifies}
+	return &esHarness{client: client, es: es, spawner: spawner, fss: fss, files: files, events: events, seen: make(map[string]wsn.Notification), notifies: notifies}
 }
 
 func (h *esHarness) filesEPR() wsa.EndpointReference { return wsa.NewEPR("inproc://client/files") }
@@ -348,6 +349,41 @@ func TestDestroyJobResourceKillsProcess(t *testing.T) {
 	if ev.ExitCode != procspawn.ExitKilled {
 		t.Fatalf("exit = %d", ev.ExitCode)
 	}
+}
+
+// TestDestroyReapsProcessRecord: destroying a job resource is what lets
+// ProcSpawn forget the job's process — at once if it has exited, when the
+// kill lands if it was still running.
+func TestDestroyReapsProcessRecord(t *testing.T) {
+	t.Run("exited, then destroyed", func(t *testing.T) {
+		h := newESHarness(t, nil)
+		job, _ := h.runJob(t, nil, procspawn.BuildScript("exit 0"))
+		h.waitEvent(t, EventExited)
+		if n := len(h.spawner.PIDs()); n != 1 {
+			t.Fatalf("%d process records after one job, want 1", n)
+		}
+		if err := wsrf.NewResourceClient(h.client, job).Destroy(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if pids := h.spawner.PIDs(); len(pids) != 0 {
+			t.Fatalf("process records %v outlive their destroyed job", pids)
+		}
+	})
+	t.Run("destroyed while running", func(t *testing.T) {
+		h := newESHarness(t, nil)
+		job, _ := h.runJob(t, nil, procspawn.BuildScript("compute 100000000", "exit 0"))
+		h.waitEvent(t, EventStarted)
+		if err := wsrf.NewResourceClient(h.client, job).Destroy(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		// The record goes before the exit is published.
+		if ev, _ := ParseJobEvent(h.waitEvent(t, EventExited).Message); ev.ExitCode != procspawn.ExitKilled {
+			t.Fatalf("exit = %d, want killed", ev.ExitCode)
+		}
+		if pids := h.spawner.PIDs(); len(pids) != 0 {
+			t.Fatalf("process records %v outlive their destroyed job", pids)
+		}
+	})
 }
 
 func TestJobEventRoundTrip(t *testing.T) {

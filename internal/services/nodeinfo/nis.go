@@ -59,6 +59,7 @@ var (
 	qSpeedMHz         = xmlutil.Q(NS, "SpeedMHz")
 	qRAMMB            = xmlutil.Q(NS, "RAMMB")
 	qUtilization      = xmlutil.Q(NS, "Utilization")
+	qGridLoad         = xmlutil.Q(NS, "GridLoad")
 	qUpdatedAt        = xmlutil.Q(NS, "UpdatedAt")
 	qCatalogChanged   = xmlutil.Q(NS, "CatalogChanged")
 	qVersion          = xmlutil.Q(NS, "Version")
@@ -89,13 +90,21 @@ func setVersion(el *xmlutil.Element, version int64) {
 // characteristics the Scheduler weighs ("CPU speed and total RAM",
 // paper §4.6) plus the dynamic utilization.
 type Processor struct {
-	Host        string
-	ES          wsa.EndpointReference
-	Cores       int
-	SpeedMHz    float64
-	RAMMB       int
+	Host     string
+	ES       wsa.EndpointReference
+	Cores    int
+	SpeedMHz float64
+	RAMMB    int
+	// Utilization is the machine's total, in [0, 1]: grid jobs and
+	// whatever else its owner runs.
 	Utilization float64
-	UpdatedAt   time.Time
+	// GridLoad is how many processor slots the machine's ES held —
+	// processes running plus jobs staging — in the sample Utilization was
+	// computed from: the part of Utilization a Scheduler that counts its
+	// own placements already knows. A report without the element (a node
+	// that predates it) reads as 0, all of its load foreign.
+	GridLoad  int
+	UpdatedAt time.Time
 }
 
 // Service is the NIS.
@@ -160,8 +169,22 @@ func processorContent(p Processor, now time.Time) *xmlutil.Element {
 		xmlutil.NewElement(qSpeedMHz, strconv.FormatFloat(p.SpeedMHz, 'f', -1, 64)),
 		xmlutil.NewElement(qRAMMB, strconv.Itoa(p.RAMMB)),
 		xmlutil.NewElement(qUtilization, strconv.FormatFloat(p.Utilization, 'f', 4, 64)),
+		xmlutil.NewElement(qGridLoad, strconv.Itoa(p.GridLoad)),
 		xmlutil.NewElement(qUpdatedAt, now.UTC().Format(time.RFC3339Nano)),
 	)
+}
+
+// gridLoad reads the optional GridLoad child of a processor element.
+func gridLoad(el *xmlutil.Element) (int, error) {
+	text := el.ChildText(qGridLoad)
+	if text == "" {
+		return 0, nil
+	}
+	n, err := strconv.Atoi(text)
+	if err != nil || n < 0 {
+		return 0, fmt.Errorf("nis: bad grid load %q", text)
+	}
+	return n, nil
 }
 
 func processorFromEntry(e wsrf.Entry) (Processor, error) {
@@ -182,6 +205,9 @@ func processorFromEntry(e wsrf.Entry) (Processor, error) {
 	}
 	if p.Utilization, err = strconv.ParseFloat(c.ChildText(qUtilization), 64); err != nil {
 		return p, fmt.Errorf("nis: bad utilization: %w", err)
+	}
+	if p.GridLoad, err = gridLoad(c); err != nil {
+		return p, err
 	}
 	if ts := c.ChildText(qUpdatedAt); ts != "" {
 		if p.UpdatedAt, err = time.Parse(time.RFC3339Nano, ts); err != nil {
@@ -225,6 +251,9 @@ func (s *Service) handleReport(ctx context.Context, inv *wsrf.Invocation, body *
 	}
 	if p.Utilization, err = strconv.ParseFloat(body.ChildText(qUtilization), 64); err != nil {
 		return nil, soap.SenderFault("nis: bad utilization: %v", err)
+	}
+	if p.GridLoad, err = gridLoad(body); err != nil {
+		return nil, soap.SenderFault("%v", err)
 	}
 	content := processorContent(p, s.now())
 	if err := s.svc.UpdateResource(GroupResourceID, func(doc *xmlutil.Element) error {
@@ -322,6 +351,7 @@ func parseProcessorElements(body *xmlutil.Element) ([]Processor, error) {
 		p.SpeedMHz, _ = strconv.ParseFloat(el.ChildText(qSpeedMHz), 64)
 		p.RAMMB, _ = strconv.Atoi(el.ChildText(qRAMMB))
 		p.Utilization, _ = strconv.ParseFloat(el.ChildText(qUtilization), 64)
+		p.GridLoad, _ = gridLoad(el)
 		if ts := el.ChildText(qUpdatedAt); ts != "" {
 			p.UpdatedAt, _ = time.Parse(time.RFC3339Nano, ts)
 		}

@@ -10,6 +10,7 @@ import (
 	"uvacg/internal/transport"
 	"uvacg/internal/wsa"
 	"uvacg/internal/wsrf"
+	"uvacg/internal/xmlutil"
 )
 
 func newNISHarness(t *testing.T) (*Service, *transport.Client) {
@@ -148,5 +149,56 @@ func TestGroupResourceQueryable(t *testing.T) {
 	}
 	if len(matches) != 1 {
 		t.Fatalf("query found %d", len(matches))
+	}
+}
+
+// TestGridLoadRidesWithUtilization: the slot count a machine's utilization
+// was computed from travels in the Report and comes back in every rendering
+// of the catalog — the poll, the local read, the pushed payload. A Report
+// without the element, an older node's, is taken as it is and reads 0 (all
+// of its load foreign); one that makes no sense is refused.
+func TestGridLoadRidesWithUtilization(t *testing.T) {
+	nis, client := newNISHarness(t)
+	ctx := context.Background()
+	busy := proc("win-a", 0.75)
+	busy.GridLoad = 1
+	old := ReportRequest(proc("win-b", 0.5))
+	kept := old.Children[:0]
+	for _, c := range old.Children {
+		if c.Name != qGridLoad {
+			kept = append(kept, c)
+		}
+	}
+	if old.Children = kept; old.Child(qGridLoad) != nil || old.Child(qUtilization) == nil {
+		t.Fatalf("harness: stripped report reads %s", old)
+	}
+	for _, body := range []*xmlutil.Element{ReportRequest(busy), old} {
+		if _, err := client.Call(ctx, nis.EPR(), ActionReport, body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	polled, err := GetProcessorsVia(ctx, client, nis.EPR())
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, err := nis.Processors()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pushed, err := ParseCatalogChanged(CatalogChangedMessage(local, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, procs := range map[string][]Processor{"GetProcessors": polled, "Processors": local, "CatalogChanged": pushed} {
+		if len(procs) != 2 || procs[0].GridLoad != 1 || procs[0].Utilization != 0.75 || procs[1].GridLoad != 0 || procs[1].Utilization != 0.5 {
+			t.Errorf("%s: %+v", name, procs)
+		}
+	}
+	for _, text := range []string{"-1", "two"} {
+		bad := ReportRequest(busy)
+		bad.Child(qGridLoad).Text = text
+		if _, err := client.Call(ctx, nis.EPR(), ActionReport, bad); err == nil {
+			t.Errorf("a report with GridLoad %q was accepted", text)
+		}
 	}
 }

@@ -153,17 +153,7 @@ func TestBatchedEventsDoNotWaitForDispatch(t *testing.T) {
 		}
 	}
 
-	event := func(job, kind string) wsn.Notification {
-		msg := xmlutil.NewContainer(xmlutil.Q(execution.NS, "JobEvent"),
-			xmlutil.NewElement(execution.QJobName, job),
-			xmlutil.NewElement(execution.QStatus, kind),
-			xmlutil.NewElement(execution.QAttempt, attempt[job]),
-		)
-		if kind == execution.EventExited {
-			msg.Append(xmlutil.NewElement(execution.QExitCode, "0"))
-		}
-		return wsn.Notification{Topic: topic + "/" + job + "/" + kind, Message: msg}
-	}
+	event := func(job, kind string) wsn.Notification { return jobEventNote(topic, job, attempt[job], kind, 0) }
 	batch := wsn.NotifyBody(event("a", execution.EventExited), event("b", execution.EventStarted), event("b", execution.EventExited))
 	if err := h.client.Notify(pipeline.WithRequestID(ctx, "stranger"), h.ss.ConsumerEPR(), wsn.ActionNotify, batch); err != nil {
 		t.Fatal(err)

@@ -177,18 +177,21 @@ func TestJobStateIsAFunctionOfTheJob(t *testing.T) {
 	}{
 		{"retry, Pending, Completed", 1, SetCompleted, func(h *coreHarness) []attrs {
 			a := h.reserve().attempt
+			h.do(placedOn("node-a", "j", a))
 			h.do(about(evRunAcked, "j", a))
 			h.do(about(evStarted, "j", a))
 			running := attrs{qStatusAttr: JobRunning, qNodeAttr: "node-a", qDirAttr: dirOf(a)}
 			h.do(exited("j", a, 3))
 			pending := attrs{qStatusAttr: JobPending, qAttemptAttr: "1"}
 			b := h.reserve().attempt
+			h.do(placedOn("node-a", "j", b))
 			h.do(about(evRunAcked, "j", b))
 			h.do(exited("j", b, 0))
 			return []attrs{running, pending, {qStatusAttr: JobCompleted, qNodeAttr: "node-a", qDirAttr: dirOf(b), qAttemptAttr: "1", qExitAttr: "0"}}
 		}},
 		{"preempt, Queued", 0, SetQueued, func(h *coreHarness) []attrs {
 			a := h.reserve().attempt
+			h.do(placedOn("node-a", "j", a))
 			h.do(about(evRunAcked, "j", a))
 			h.do(about(evStarted, "j", a))
 			running := attrs{qStatusAttr: JobRunning, qNodeAttr: "node-a", qDirAttr: dirOf(a)}

@@ -25,7 +25,8 @@ type eventKind int
 
 const (
 	evReserve        eventKind = iota // the shell wants the next ready job
-	evRunAcked                        // the ES answered Run: node, job and directory EPRs
+	evPlaced                          // the shell picked the attempt's node and is about to send Run
+	evRunAcked                        // the ES answered Run: job and directory EPRs
 	evDispatchFailed                  // the dispatch never produced a Run response
 	evDirectory                       // ES: working directory created
 	evStarted                         // ES: process launched
@@ -98,11 +99,15 @@ type reservation struct {
 }
 
 // effects is what a transition asks of the shell: watchdogs stopped and
-// armed at once, then in fixed order kill, persist (the touched jobs, or
-// with status — the set status changed — the whole set), requeue, release,
-// publish (+ notified stamp), retry, schedule.
+// armed and placements charged and freed at once, then in fixed order kill,
+// persist (the touched jobs, or with status — the set status changed — the
+// whole set), requeue, release, publish (+ notified stamp), retry, schedule.
+// charge is the host a placement was accepted on, free the hosts of placed
+// attempts that ended: each accepted placement is freed exactly once.
 type effects struct {
 	reserved *reservation
+	charge   string
+	free     []string
 	stop     []watchKey
 	arm      []watchKey
 	kill     []wsa.EndpointReference
@@ -277,10 +282,16 @@ func (st *setState) jobEvent(ev event, now time.Time, fx *effects) {
 	}
 	live := jobLive(j.state)
 	switch ev.kind {
+	case evPlaced:
+		// The node is the attempt's from here on — before Run is sent, so
+		// no event of the process can be applied ahead of it — and counts
+		// against the host until the attempt ends.
+		if j.state == JobDispatched && j.node == "" {
+			j.node, fx.charge = ev.node, ev.node
+		}
 	case evRunAcked:
 		// The attempt's own started/exited may have overtaken the
 		// response; only an attempt still in flight needs a watchdog.
-		j.node = ev.node
 		if live {
 			fx.arm = append(fx.arm, watchKey{i, j.attempt})
 		}
@@ -300,9 +311,10 @@ func (st *setState) jobEvent(ev event, now time.Time, fx *effects) {
 			return
 		}
 		// The attempt identity stays: it is how a late Run response still
-		// gets to record the node.
+		// gets to record the job and directory EPRs.
 		j.state, j.exitCode = JobCompleted, 0
 		fx.stop = append(fx.stop, watchKey{i, j.attempt})
+		unplace(j, fx)
 		fx.touch(i)
 		st.settle("", fx)
 		fx.schedule = st.status == SetRunning
@@ -352,8 +364,11 @@ func (st *setState) abandon(i int, to string, fx *effects) {
 	if j.attempt != "" {
 		fx.stop = append(fx.stop, watchKey{i, j.attempt})
 	}
-	if jobLive(j.state) && !j.jobEPR.IsZero() {
-		fx.kill = append(fx.kill, j.jobEPR)
+	if jobLive(j.state) {
+		if !j.jobEPR.IsZero() {
+			fx.kill = append(fx.kill, j.jobEPR)
+		}
+		unplace(j, fx)
 	}
 	j.state, j.attempt, j.retryAt = to, "", time.Time{}
 	if to == JobPending {
@@ -361,6 +376,13 @@ func (st *setState) abandon(i int, to string, fx *effects) {
 		j.jobEPR, j.dirEPR = wsa.EndpointReference{}, wsa.EndpointReference{}
 	}
 	fx.touch(i)
+}
+
+// unplace gives back the placement of a live job whose attempt ends here.
+func unplace(j *jobState, fx *effects) {
+	if j.node != "" {
+		fx.free = append(fx.free, j.node)
+	}
 }
 
 // settle finishes a running set once no job can still run: pending jobs

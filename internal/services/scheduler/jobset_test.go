@@ -2,11 +2,13 @@ package scheduler
 
 // Tests for the pure core in jobset.go: no grid, no goroutines, no
 // clock. A coreHarness plays the shell — it remembers the attempts the
-// core minted, the EPRs the core was told about and the watchdogs it
-// asked for — so effects can be checked against what the state had seen.
+// core minted, the EPRs the core was told about, the watchdogs it asked
+// for and the placements it charged — so effects can be checked against
+// what the state had seen.
 
 import (
 	"fmt"
+	"maps"
 	"testing"
 	"time"
 
@@ -20,6 +22,8 @@ type coreHarness struct {
 	attempts [][]string        // per job, every attempt minted, oldest first
 	seen     map[string]bool   // EPR strings the core was handed
 	armed    map[watchKey]bool // watchdogs asked for and not yet stopped
+	charged  map[string]int    // per host, placements charged and not yet freed
+	placed   []bool            // per job, placed since it last was Pending
 	publishd []string          // set-level publishes, in order
 	// after, when set, sees every event and its effects right after the
 	// step: where a test plays more of the shell than the bookkeeping here.
@@ -34,6 +38,8 @@ func newCoreHarness(t testing.TB, spec *JobSetSpec) *coreHarness {
 		attempts: make([][]string, len(spec.Jobs)),
 		seen:     make(map[string]bool),
 		armed:    make(map[watchKey]bool),
+		charged:  make(map[string]int),
+		placed:   make([]bool, len(spec.Jobs)),
 	}
 }
 
@@ -67,10 +73,43 @@ func (h *coreHarness) do(ev event) effects {
 	if fx.publish != "" {
 		h.publishd = append(h.publishd, fx.publish)
 	}
+	if fx.charge != "" {
+		h.charged[fx.charge]++
+		h.placed[h.st.index[ev.job]] = true
+	}
+	for _, host := range fx.free {
+		if h.charged[host]--; h.charged[host] == 0 {
+			delete(h.charged, host)
+		}
+	}
+	h.conserved()
 	if h.after != nil {
 		h.after(ev, fx)
 	}
 	return fx
+}
+
+// conserved holds the core to its placement accounting after every step:
+// each host is charged exactly its live placed attempts — so nothing once a
+// set has its verdict, is parked or destroyed — and a job that was placed
+// and is not back in Pending says where.
+func (h *coreHarness) conserved() {
+	h.t.Helper()
+	live := make(map[string]int)
+	for i := range h.st.jobs {
+		j := &h.st.jobs[i]
+		if jobLive(j.state) && j.node != "" {
+			live[j.node]++
+		}
+		if j.state == JobPending {
+			h.placed[i] = false
+		} else if h.placed[i] && j.node == "" {
+			h.t.Fatalf("job %s was placed, is %s and has no node", j.spec.Name, j.state)
+		}
+	}
+	if !maps.Equal(h.charged, live) {
+		h.t.Fatalf("hosts are charged %v and have live placed attempts %v (jobs %v)", h.charged, live, h.states())
+	}
 }
 
 func (h *coreHarness) reserve() *reservation {
@@ -82,7 +121,12 @@ func (h *coreHarness) reserve() *reservation {
 // and working-directory EPRs the way the ES and the Run response do.
 func about(kind eventKind, job, attempt string) event {
 	dir := wsa.NewEPR("inproc://node/FileSystemService").WithProperty(QName, attempt)
-	return event{kind: kind, job: job, attempt: attempt, jobEPR: eprOf(attempt), dirEPR: dir, node: "node-a"}
+	return event{kind: kind, job: job, attempt: attempt, jobEPR: eprOf(attempt), dirEPR: dir}
+}
+
+// placedOn is the shell's placement of one attempt.
+func placedOn(node, job, attempt string) event {
+	return event{kind: evPlaced, job: job, attempt: attempt, node: node}
 }
 
 func exited(job, attempt string, code int) event {
@@ -113,7 +157,7 @@ func (h *coreHarness) want(status string, jobs map[string]string) {
 }
 
 func idle(fx effects) bool {
-	return fx.reserved == nil && len(fx.stop)+len(fx.arm)+len(fx.kill) == 0 &&
+	return fx.reserved == nil && fx.charge == "" && len(fx.stop)+len(fx.arm)+len(fx.kill)+len(fx.free) == 0 &&
 		!fx.persist && !fx.requeue && !fx.release && fx.publish == "" && !fx.retry && !fx.schedule
 }
 
@@ -234,13 +278,42 @@ func TestJobSetCoreLifecycleBugs(t *testing.T) {
 			h.do(exited("j", n1, 0))
 			h.want(SetCompleted, map[string]string{"j": JobCompleted})
 		}, oneJob(1)},
+		{"exit overtakes the Run response: the verdict names the node", func(h *coreHarness) {
+			a := h.reserve().attempt
+			if fx := h.do(placedOn("node-a", "j", a)); fx.charge != "node-a" || fx.persist {
+				h.t.Fatalf("placement of the current attempt: %+v", fx)
+			}
+			fx := h.do(exited("j", a, 0)) // exited(N) → runAcked(N)
+			if len(fx.free) != 1 || fx.free[0] != "node-a" || fx.publish != SetCompleted {
+				h.t.Fatalf("completion of a placed attempt: %+v", fx)
+			}
+			if node := h.st.jobs[0].element().Attr(qNodeAttr); node != "node-a" {
+				h.t.Fatalf("the verdict's row names node %q", node)
+			}
+			if fx := h.do(about(evRunAcked, "j", a)); len(fx.kill) != 0 || len(fx.free) != 0 || !fx.persist {
+				h.t.Fatalf("late Run response of the completed attempt: %+v", fx)
+			}
+			h.want(SetCompleted, map[string]string{"j": JobCompleted})
+		}, oneJob(0)},
+		{"placement that lost the race to Cancel", func(h *coreHarness) {
+			a := h.reserve().attempt
+			h.do(event{kind: evCancel, reason: "cancelled by client"})
+			if fx := h.do(placedOn("node-a", "j", a)); !idle(fx) || fx.charge != "" {
+				h.t.Fatalf("a cancelled attempt was placed: %+v", fx)
+			}
+			h.want(SetCancelled, map[string]string{"j": JobCancelled})
+		}, oneJob(0)},
 		{"preempted mid-dispatch", func(h *coreHarness) {
 			a := h.reserve().attempt
+			h.do(placedOn("node-a", "j", a))
 			fx := h.do(event{kind: evPreempt})
-			if !fx.persist || !fx.requeue || !fx.release || fx.publish != SetPreempted {
+			if !fx.persist || !fx.requeue || !fx.release || fx.publish != SetPreempted || len(fx.free) != 1 {
 				h.t.Fatalf("eviction effects: %+v", fx)
 			}
 			h.want(SetQueued, map[string]string{"j": JobPending})
+			if fx := h.do(placedOn("node-b", "j", a)); !idle(fx) || fx.charge != "" {
+				h.t.Fatalf("an evicted set placed work: %+v", fx)
+			}
 			fx = h.do(about(evRunAcked, "j", a))
 			if len(fx.kill) != 1 || fx.persist {
 				h.t.Fatalf("Run response into an evicted set must only reap: %+v", fx)
@@ -443,7 +516,7 @@ func fuzzCore(t *testing.T, data []byte, mk func(testing.TB, *JobSetSpec) *coreH
 				}
 			}
 			var ev event
-			switch op % 14 {
+			switch op % 15 {
 			case 0:
 				ev = event{kind: evReserve}
 			case 1:
@@ -480,6 +553,8 @@ func fuzzCore(t *testing.T, data []byte, mk func(testing.TB, *JobSetSpec) *coreH
 				ev = event{kind: evFailed, job: name, final: true, reason: "cannot run"}
 			case 13:
 				ev = about(evStarted, "no-such-job", attempt)
+			case 14:
+				ev = placedOn([...]string{"node-a", "node-b"}[int(arg>>6)&1], name, attempt)
 			}
 			last = ev
 			wasTerminal, wasParked := "", h.st.parked
@@ -514,6 +589,7 @@ func fuzzCore(t *testing.T, data []byte, mk func(testing.TB, *JobSetSpec) *coreH
 			for i := range h.st.jobs {
 				if j := &h.st.jobs[i]; jobLive(j.state) {
 					a := j.attempt
+					h.do(placedOn("node-a", j.spec.Name, a)) // ignored if it already was
 					h.do(about(evRunAcked, j.spec.Name, a))
 					h.do(exited(j.spec.Name, a, round%2))
 				}
@@ -523,6 +599,9 @@ func fuzzCore(t *testing.T, data []byte, mk func(testing.TB, *JobSetSpec) *coreH
 		checkCore(h, h.st.status)
 		if len(h.armed) != 0 {
 			t.Fatalf("watchdogs armed after the verdict: %v", h.armed)
+		}
+		if len(h.charged) != 0 {
+			t.Fatalf("placements charged after the verdict: %v", h.charged)
 		}
 	}
 }

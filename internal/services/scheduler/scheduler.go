@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"maps"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -103,11 +104,6 @@ type Config struct {
 	// partitioned), the job — and with it the set — fails instead of
 	// hanging forever. Zero disables the watchdog.
 	JobTimeout time.Duration
-	// MaxInflightDispatch bounds how many jobs may be mid-dispatch
-	// (node selection plus the Run round trip) at once across all job
-	// sets. Zero means DefaultMaxInflightDispatch; 1 restores the old
-	// strictly serial dispatch loop.
-	MaxInflightDispatch int
 	// CatalogTTL bounds how long a pushed or polled processor catalog
 	// is trusted before dispatch polls the NIS again. Zero means
 	// DefaultCatalogTTL; negative disables the cache entirely, so every
@@ -137,10 +133,12 @@ const (
 	consumerPath = "/SchedulerConsumer"
 )
 
-// Dispatch-path defaults.
+// Dispatch-path constants: how many jobs may be mid-dispatch (node
+// selection plus the Run round trip) at once across all job sets, and how
+// long a catalog is trusted when Config.CatalogTTL does not say.
 const (
-	DefaultMaxInflightDispatch = 8
-	DefaultCatalogTTL          = 2 * time.Second
+	maxInflightDispatch = 8
+	DefaultCatalogTTL   = 2 * time.Second
 )
 
 // Service is the Scheduler Service.
@@ -173,7 +171,51 @@ type Service struct {
 	trackReplicas bool
 	rep           replicaCache // guarded by mu
 
-	cat catalogCache
+	cat    catalogCache
+	placed placements
+}
+
+// placements is this master's own account of how busy it has made each
+// machine: per host, the attempts it has placed there and not yet seen end.
+// A placement is charged in the critical section that picked the host, so
+// concurrent dispatches see each other whatever the catalog's age, and
+// freed by the transition that ends the attempt. A restarted master starts
+// from zero and runs what was unfinished again.
+type placements struct {
+	mu     sync.Mutex
+	byHost map[string]int
+}
+
+// view is the catalog as a policy should see it. Each machine's Utilization
+// becomes what the machine would report were its report instantaneous: the
+// load this grid did not cause — what it reported less the share of that
+// its own GridLoad accounts for — plus the attempts charged here, clamped
+// at 1 as the machine's monitor clamps it (unclamped, oversubscription
+// scores negative and penalises the fastest machine most).
+func (p *placements) view(procs []nodeinfo.Processor) []nodeinfo.Processor {
+	out := make([]nodeinfo.Processor, len(procs))
+	for i, proc := range procs {
+		if cores := float64(proc.Cores); cores > 0 {
+			foreign := max(0, proc.Utilization-float64(proc.GridLoad)/cores)
+			proc.Utilization = min(1, foreign+float64(p.byHost[proc.Host])/cores)
+		}
+		out[i] = proc
+	}
+	return out
+}
+
+// free gives back the placements of attempts that ended.
+func (p *placements) free(hosts []string) {
+	if len(hosts) == 0 {
+		return
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, host := range hosts {
+		if p.byHost[host]--; p.byHost[host] == 0 {
+			delete(p.byHost, host)
+		}
+	}
 }
 
 // catalogCache is the scheduler's pushed view of the NIS processor
@@ -238,9 +280,12 @@ func (s *Service) newRun(id string, spec *JobSetSpec, clientFiles, clientListene
 var (
 	// errNoSpec: a document's spec snapshot is missing, unreadable or empty.
 	errNoSpec = errors.New("no recoverable spec")
-	// errRunParked stops a journal write or a dispatch for a run that was
-	// evicted: the set is its next activation's, built from the document.
+	// errRunParked stops a journal write for a run that was evicted: the
+	// set is its next activation's, built from the document.
 	errRunParked = errors.New("scheduler: run parked")
+	// errNotPlaced stops a dispatch whose attempt ended — cancelled, evicted,
+	// destroyed — between its reservation and its placement.
+	errNotPlaced = errors.New("scheduler: attempt ended before it was placed")
 )
 
 // DispatchRecord describes one job dispatch as the scheduler commits to it.
@@ -248,14 +293,6 @@ type DispatchRecord struct {
 	Topic string
 	Job   string
 	Node  string
-}
-
-// fenced reports whether the run was parked — evicted back into the
-// admission queue — and so may neither write nor place work.
-func (r *run) fenced() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.st.parked
 }
 
 // credentialsLost is the one verdict on a secured set whose credentials
@@ -316,9 +353,11 @@ func (s *Service) restoreRun(id string, doc *xmlutil.Element, creds wssec.Creden
 
 // step runs the core on one event under r.mu, and stops and arms the
 // watchdogs it asks for before the lock drops: no stop overtakes its arm.
+// Placements are freed after it drops — place holds the ledger, then r.mu,
+// and the two are never taken the other way round — which is still after
+// their charge: place charges before it lets the ledger go.
 func (s *Service) step(r *run, ev event) effects {
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	fx := r.st.step(ev, time.Now())
 	for _, k := range fx.stop {
 		if t := r.watchdogs[k]; t != nil {
@@ -331,7 +370,39 @@ func (s *Service) step(r *run, ev event) effects {
 			r.watchdogs[k] = time.AfterFunc(s.jobTimeout, func() { s.watchdogFired(r, k) })
 		}
 	}
+	r.mu.Unlock()
+	s.placed.free(fx.free)
 	return fx
+}
+
+// place is step 2's decision: pick the attempt's machine from the catalog
+// as this master's own placements colour it, and charge it. One critical
+// section, so of two dispatches racing for an idle machine the second sees
+// the first. The core has the last word: an attempt that ended since its
+// reservation is not placed, charges nothing and must not be sent.
+func (s *Service) place(r *run, res reservation, procs []nodeinfo.Processor, loc Locality) (nodeinfo.Processor, error) {
+	s.placed.mu.Lock()
+	defer s.placed.mu.Unlock()
+	node, err := s.policy.Pick(s.placed.view(procs), loc, res.seq)
+	if err != nil {
+		return node, err
+	}
+	r.mu.Lock()
+	fx := r.st.step(event{kind: evPlaced, job: r.spec.Jobs[res.job].Name, attempt: res.attempt, node: node.Host}, time.Now())
+	r.mu.Unlock()
+	if fx.charge == "" {
+		return node, errNotPlaced
+	}
+	s.placed.byHost[fx.charge]++
+	return node, nil
+}
+
+// Placed reports, per host, the attempts this master has placed and not
+// yet seen end — the simulator's and the tests' view of the ledger.
+func (s *Service) Placed() map[string]int {
+	s.placed.mu.Lock()
+	defer s.placed.mu.Unlock()
+	return maps.Clone(s.placed.byHost)
 }
 
 // watchdogFired reports that an attempt produced no terminal event in
@@ -488,12 +559,6 @@ func New(cfg Config) (*Service, error) {
 	if cfg.Policy == nil {
 		cfg.Policy = Greedy{}
 	}
-	if cfg.MaxInflightDispatch == 0 {
-		cfg.MaxInflightDispatch = DefaultMaxInflightDispatch
-	}
-	if cfg.MaxInflightDispatch < 1 {
-		cfg.MaxInflightDispatch = 1
-	}
 	if cfg.CatalogTTL == 0 {
 		cfg.CatalogTTL = DefaultCatalogTTL
 	}
@@ -513,10 +578,11 @@ func New(cfg Config) (*Service, error) {
 		esCerts:      cfg.ESCerts,
 		jobTimeout:   cfg.JobTimeout,
 		catalogTTL:   cfg.CatalogTTL,
-		dispatchSem:  make(chan struct{}, cfg.MaxInflightDispatch),
+		dispatchSem:  make(chan struct{}, maxInflightDispatch),
 		onDispatch:   cfg.OnDispatch,
 		adm:          cfg.Admission,
 		sets:         registry{sets: make(map[string]held)},
+		placed:       placements{byHost: make(map[string]int)},
 		standing:     make(map[string]bool),
 		defaultRetry: cfg.DefaultRetry,
 		preempt:      cfg.Preempt && cfg.Admission != nil,
@@ -729,7 +795,7 @@ func (s *Service) runJob(ctx context.Context, r *run, res reservation) (event, e
 	// staging FSS can pull from the nearest holder) and weigh where the
 	// bytes already live into the placement decision.
 	loc := s.annotateReplicas(files, procs)
-	node, err := s.policy.Pick(procs, loc, res.seq)
+	node, err := s.place(r, res, procs, loc)
 	if err != nil {
 		return ack, err
 	}
@@ -746,13 +812,6 @@ func (s *Service) runJob(ctx context.Context, r *run, res reservation) (event, e
 			}
 		}
 	}
-	// A set evicted since the reservation must not place work. One check, at
-	// the last moment before the send, is enough: a Run that still gets out
-	// ahead of the eviction is reaped when its response reaches the parked
-	// core, and that core drops the failure reported from here.
-	if r.fenced() {
-		return ack, errRunParked
-	}
 	if s.onDispatch != nil {
 		s.onDispatch(DispatchRecord{Topic: r.topic, Job: spec.Name, Node: node.Host})
 	}
@@ -760,7 +819,6 @@ func (s *Service) runJob(ctx context.Context, r *run, res reservation) (event, e
 	if err != nil {
 		return ack, fmt.Errorf("run on %s: %w", node.Host, err)
 	}
-	ack.node = node.Host
 	ack.jobEPR, ack.dirEPR, err = execution.ParseRunResponse(resp.Body)
 	return ack, err
 }

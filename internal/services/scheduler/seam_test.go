@@ -4,7 +4,8 @@ package scheduler
 // master's memory goes through takeOn (or park), every way it leaves
 // through letGo. These tests hold the seam to what the copies it replaced
 // each had to remember: nothing stays registered, the tenant's running
-// slot comes back exactly once, no timer outlives the set.
+// slot comes back exactly once, no timer outlives the set and no machine
+// stays charged for a placement of it.
 
 import (
 	"context"
@@ -79,14 +80,18 @@ func (c *seam) awaitWatched() {
 }
 
 // restart is a crash mid-run and the start after it: the master forgets
-// the set and hears nothing more of its old runs, whose running slots and
-// timers died with the process, then recovers from the documents.
+// the set and hears nothing more of its old runs, whose running slots,
+// placements and timers died with the process, then recovers from the
+// documents.
 func (c *seam) restart() {
 	c.t.Helper()
 	c.m.sets.forgetAll()
 	for _, r := range c.runs {
 		c.m.releaseAdmission(r)
 	}
+	c.m.placed.mu.Lock()
+	clear(c.m.placed.byHost)
+	c.m.placed.mu.Unlock()
 	c.runs = nil
 	if n, err := c.m.Recover(context.Background()); n != 1 || err != nil {
 		c.t.Fatalf("Recover resumed %d, err %v", n, err)
@@ -132,6 +137,9 @@ func (c *seam) gone() {
 		if armed != 0 {
 			c.t.Fatalf("%d watchdogs still armed", armed)
 		}
+	}
+	if placed := c.m.Placed(); len(placed) != 0 {
+		c.t.Fatalf("placements still charged: %v", placed)
 	}
 	if c.m.adm == nil {
 		return

@@ -2,6 +2,7 @@ package simgrid
 
 import (
 	"fmt"
+	"maps"
 
 	"uvacg/internal/admission"
 	"uvacg/internal/services/filesystem"
@@ -54,7 +55,9 @@ import (
 //	    a busy machine that will still report. A job with none of these
 //	    is the signature of an event credited to the wrong attempt: it
 //	    will sit there forever, and I1 can only say so after the whole
-//	    quiescence deadline.
+//	    quiescence deadline. And no stuck charge: the master's placement
+//	    ledger charges each machine exactly the live placed attempts its
+//	    books show — at quiescence, none — or placement is skewed for good.
 //
 // I5 is not in use: CHANGES.md, ROADMAP.md and the messages below cite
 // these numbers, so the gap a retired invariant left is not closed up.
@@ -209,12 +212,20 @@ func CheckInvariants(c *Cluster, sc *Scenario) []string {
 	// but this runs at quiescence, long after "about to".
 	live := c.liveScheduler()
 	if live != nil {
+		placed := make(map[string]int)
 		for _, j := range live.InFlight() {
 			if !j.Watchdog && !j.Waiting && !c.busy(j.Node) {
 				violations = append(violations,
 					fmt.Sprintf("I9: %s: job %s/%s is %s on %q with no watchdog, no retry timer and no live process",
 						MasterHost, j.Topic, j.Job, j.State, j.Node))
 			}
+			if j.Node != "" && (j.State == scheduler.JobDispatched || j.State == scheduler.JobRunning) {
+				placed[j.Node]++
+			}
+		}
+		if charged := live.Placed(); !maps.Equal(charged, placed) {
+			violations = append(violations,
+				fmt.Sprintf("I9: %s: placement ledger charges %v, live placed attempts are %v", MasterHost, charged, placed))
 		}
 	}
 
