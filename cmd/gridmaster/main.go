@@ -15,7 +15,7 @@
 // -tenant-quota) clients get a QueueFullFault with a Retry-After hint.
 //
 //	gridmaster -addr :8700 -queue-depth 256 [-tenant-quota 16:4]
-//	           [-fair-share alice:4,bob:1] [-retry-after 2s] [-preempt]
+//	           [-fair-share alice:4,bob:1] [-preempt]
 //
 // Jobs retry on failure up to their spec's per-job budget; -retry-default
 // gives a budget to jobs whose spec carries none. With -preempt (and the
@@ -60,8 +60,6 @@ var (
 	queueDepth   = flag.Int("queue-depth", 0, "run an admission queue in front of the scheduler, bounding parked job sets grid-wide (-1 = queue without bound, 0 disables admission)")
 	tenantQuota  = flag.String("tenant-quota", "", "per-tenant admission quota as queued[:running], e.g. 10:2 (with -queue-depth)")
 	fairShare    = flag.String("fair-share", "", "comma-separated tenant:weight admission fair-share list, e.g. alice:4,bob:1 (with -queue-depth)")
-	anonTenant   = flag.String("anonymous-tenant", "", "admission bucket for unauthenticated submissions (default anonymous)")
-	retryAfter   = flag.Duration("retry-after", 0, "backoff hint attached to admission QueueFullFaults (default 1s)")
 	retryDefault = flag.String("retry-default", "", "retry budget for jobs whose spec has none, as limit[:backoff], e.g. 2:500ms (empty disables)")
 	preempt      = flag.Bool("preempt", false, "let interactive-class arrivals preempt a tenant's running scavenger-class set back into the admission queue (with -queue-depth)")
 )
@@ -89,7 +87,7 @@ func main() {
 		}
 	}
 	if *queueDepth != 0 {
-		admCfg, err := buildAdmission(*queueDepth, *tenantQuota, *fairShare, *anonTenant, *retryAfter, host.Metrics)
+		admCfg, err := buildAdmission(*queueDepth, *tenantQuota, *fairShare, host.Metrics)
 		if err != nil {
 			log.Fatalf("gridmaster: %v", err)
 		}
@@ -109,14 +107,9 @@ func main() {
 		ssCfg.Security = &wssec.VerifierConfig{Accounts: accounts, Required: true}
 	}
 
-	m, err := master.Assemble(master.Config{
-		Address:   address,
-		Store:     host.Store,
-		Client:    host.Client,
-		Scheduler: ssCfg,
-		Replicas:  *replicas,
-		Metrics:   host.Metrics,
-	})
+	mcfg := host.MasterConfig(address)
+	mcfg.Scheduler, mcfg.Replicas = ssCfg, *replicas
+	m, err := master.Assemble(mcfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -158,12 +151,8 @@ func main() {
 // buildAdmission translates the admission flags into a queue config.
 // depth < 0 queues without a global bound; per-tenant quotas and
 // weights still apply.
-func buildAdmission(depth int, quota, shares, anon string, retryAfter time.Duration, metrics *pipeline.Metrics) (admission.Config, error) {
-	cfg := admission.Config{
-		AnonymousTenant: anon,
-		RetryAfter:      retryAfter,
-		Metrics:         metrics,
-	}
+func buildAdmission(depth int, quota, shares string, metrics *pipeline.Metrics) (admission.Config, error) {
+	cfg := admission.Config{Metrics: metrics}
 	if depth > 0 {
 		cfg.MaxQueued = depth
 	}

@@ -10,7 +10,7 @@ import (
 // out) unnoticed: every flag is a configuration the tests and the
 // benchmark would have to cover.
 func TestFlagSurface(t *testing.T) {
-	const want = "accounts addr anonymous-tenant compact-bytes data-dir fair-share fsync host job-timeout metrics policy preempt queue-depth replicas retries retry-after retry-default tenant-quota trace"
+	const want = "accounts addr compact-bytes data-dir fair-share fsync host job-timeout metrics policy preempt queue-depth replicas retries retry-default tenant-quota trace"
 	var got []string
 	flag.VisitAll(func(f *flag.Flag) {
 		if !strings.HasPrefix(f.Name, "test.") {

@@ -10,7 +10,7 @@
 //
 //	gridsub -master http://localhost:8700 -jobset analysis.jobset \
 //	        [-user scientist -pass secret] [-listen :0] [-out ./results]
-//	        [-class batch] [-max-retry-after 10s] [-data-dir ./gridsub.d]
+//	        [-class batch] [-data-dir ./gridsub.d]
 //
 // With -data-dir the submission is journaled: rerunning the same command
 // after a crash re-attaches to the job set instead of resubmitting it.
@@ -40,16 +40,15 @@ import (
 // options is the flag surface: the process flags every grid binary
 // shares, plus the submission's own.
 type options struct {
-	shared        *daemon.Flags
-	master        string
-	jobset        string
-	user, pass    string
-	listen        string
-	out           string
-	timeout       time.Duration
-	class         string
-	replicas      int
-	maxRetryAfter time.Duration
+	shared     *daemon.Flags
+	master     string
+	jobset     string
+	user, pass string
+	listen     string
+	out        string
+	timeout    time.Duration
+	class      string
+	replicas   int
 }
 
 func registerFlags(fs *flag.FlagSet) *options {
@@ -63,7 +62,6 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.DurationVar(&o.timeout, "timeout", 5*time.Minute, "overall deadline")
 	fs.StringVar(&o.class, "class", "", "admission priority class: interactive, batch or scavenger")
 	fs.IntVar(&o.replicas, "replicas", 0, "ask the master's replication layer to keep this set's staged inputs on at least this many FSS nodes (0 leaves the master default)")
-	fs.DurationVar(&o.maxRetryAfter, "max-retry-after", 30*time.Second, "cap on the Retry-After hint honored between submit retries when the admission queue sheds")
 	return o
 }
 
@@ -118,11 +116,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	defer cancel()
 
 	cfg := core.ClientConfig{
-		Transport:     host.Client,
-		Master:        o.master,
-		TCPFiles:      true,
-		MaxRetryAfter: o.maxRetryAfter,
-		Logf:          logger.Printf,
+		Transport: host.Client,
+		Master:    o.master,
+		TCPFiles:  true,
+		Logf:      logger.Printf,
 		Expose: func(srv *transport.Server) (string, func(), error) {
 			srv.Use(host.Interceptors()...)
 			return host.ListenHTTP(srv, o.listen)

@@ -22,7 +22,7 @@ import (
 // out) unnoticed: every flag is a configuration the tests and the
 // benchmark would have to cover.
 func TestFlagSurface(t *testing.T) {
-	const want = "class compact-bytes data-dir fsync jobset listen master max-retry-after metrics out pass replicas retries timeout trace user"
+	const want = "class compact-bytes data-dir fsync jobset listen master metrics out pass replicas retries timeout trace user"
 	fs := flag.NewFlagSet("gridsub", flag.ContinueOnError)
 	registerFlags(fs)
 	var got []string
@@ -61,11 +61,7 @@ func TestRunDemoJobSet(t *testing.T) {
 	}
 	mhost, maddr := open(), freeAddr(t)
 	masterURL := daemon.Advertised("127.0.0.1", maddr)
-	m, err := master.Assemble(master.Config{
-		Address: masterURL,
-		Store:   mhost.Store,
-		Client:  mhost.Client,
-	})
+	m, err := master.Assemble(mhost.MasterConfig(masterURL))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"log"
 	"time"
 
 	"uvacg/internal/admission"
@@ -81,8 +82,9 @@ type GridConfig struct {
 	// action.
 	Metrics *pipeline.Metrics
 	// Retry, when set, retries idempotent actions on transient
-	// transport failures. A nil Idempotent predicate defaults to
-	// IdempotentActions().
+	// transport failures (a nil Idempotent predicate defaults to
+	// IdempotentActions()) and, with the same backoff, the broker's
+	// notification deliveries.
 	Retry *pipeline.RetryPolicy
 	// DefaultRetry applies to every job whose spec carries no retry
 	// policy of its own (the gridmaster -retry-default flag).
@@ -122,23 +124,7 @@ func NewGrid(cfg GridConfig) (*Grid, error) {
 	}
 	network := transport.NewNetwork()
 	client := transport.NewClient().WithNetwork(network)
-
-	// The invocation pipeline: request correlation and deadline
-	// propagation always on; retry and metrics by configuration.
-	// Installation order is nesting order (earlier = outermost), so the
-	// metrics interceptor sits innermost and records every wire attempt
-	// a retry makes.
-	client.Use(pipeline.ClientRequestID(), pipeline.ClientDeadline())
-	if cfg.Retry != nil {
-		p := *cfg.Retry
-		if p.Idempotent == nil {
-			p.Idempotent = IdempotentActions()
-		}
-		client.Use(pipeline.Retry(p))
-	}
-	if cfg.Metrics != nil {
-		client.Use(cfg.Metrics.Interceptor())
-	}
+	client.Use(ClientInterceptors(cfg.Retry, nil, cfg.Metrics)...)
 
 	g := &Grid{Network: network, Client: client, cfg: cfg}
 
@@ -175,11 +161,8 @@ func NewGrid(cfg GridConfig) (*Grid, error) {
 	if cfg.Retry != nil {
 		// Notification delivery gets the same bounded backoff: a slow
 		// consumer's transient failure is absorbed instead of counting
-		// toward its subscription's destruction. Delivery retry gates on
-		// the Notify action itself, so the configured predicate (which
-		// excludes one-way sends) is not carried over.
+		// toward its subscription's destruction.
 		mcfg.DeliveryRetry = *cfg.Retry
-		mcfg.DeliveryRetry.Idempotent = nil
 	}
 	m, err := master.Assemble(mcfg)
 	if err != nil {
@@ -223,6 +206,29 @@ func NewGrid(cfg GridConfig) (*Grid, error) {
 		}
 	}
 	return g, nil
+}
+
+// ClientInterceptors is the outbound pipeline every grid host runs:
+// request correlation and deadline propagation always; tracing, retry of
+// idempotent actions (IdempotentActions unless the policy names its own)
+// and metrics where given. The order is nesting order, earlier outermost,
+// so metrics sits innermost and records every wire attempt a retry makes.
+func ClientInterceptors(retry *pipeline.RetryPolicy, trace *log.Logger, metrics *pipeline.Metrics) []soap.Interceptor {
+	ics := []soap.Interceptor{pipeline.ClientRequestID(), pipeline.ClientDeadline()}
+	if trace != nil {
+		ics = append(ics, pipeline.Trace(trace))
+	}
+	if retry != nil {
+		p := *retry
+		if p.Idempotent == nil {
+			p.Idempotent = IdempotentActions()
+		}
+		ics = append(ics, pipeline.Retry(p))
+	}
+	if metrics != nil {
+		ics = append(ics, metrics.Interceptor())
+	}
+	return ics
 }
 
 // ServerInterceptors is the receive pipeline every grid host runs:

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"uvacg/internal/core"
+	"uvacg/internal/master"
 	"uvacg/internal/pipeline"
 	"uvacg/internal/resourcedb"
 	"uvacg/internal/soap"
@@ -36,7 +37,7 @@ type Flags struct {
 func RegisterFlags(fs *flag.FlagSet) *Flags {
 	f := &Flags{}
 	fs.BoolVar(&f.Metrics, "metrics", false, "dump per-action call metrics on exit")
-	fs.IntVar(&f.Retries, "retries", 1, "max attempts for idempotent outbound calls (1 disables retry)")
+	fs.IntVar(&f.Retries, "retries", 1, "max attempts for idempotent outbound calls and, on a master, for each notification delivery (1 disables retry)")
 	fs.BoolVar(&f.Trace, "trace", false, "log one line per call with its request ID")
 	fs.StringVar(&f.DataDir, "data-dir", "", "durable data directory (WAL + snapshot): every state change is journaled and survives a crash")
 	fs.BoolVar(&f.Fsync, "fsync", true, "fsync each WAL group commit (with -data-dir); off trades machine-crash safety for throughput")
@@ -56,29 +57,23 @@ type Host struct {
 	// Store is Durable's store, or a fresh in-memory one.
 	Store *resourcedb.Store
 
-	trace bool
+	trace *log.Logger           // nil unless -trace was given
+	retry *pipeline.RetryPolicy // nil unless -retries is above 1
 }
 
 // Open builds the host's client and opens its store.
 func (f *Flags) Open() (*Host, error) {
-	h := &Host{Client: transport.NewClient(), trace: f.Trace}
-	// Installation order is nesting order (earlier = outermost), so the
-	// metrics interceptor sits innermost and records every wire attempt
-	// a retry makes.
-	h.Client.Use(pipeline.ClientRequestID(), pipeline.ClientDeadline())
+	h := &Host{Client: transport.NewClient()}
 	if f.Trace {
-		h.Client.Use(pipeline.Trace(log.Default()))
+		h.trace = log.Default()
 	}
 	if f.Retries > 1 {
-		h.Client.Use(pipeline.Retry(pipeline.RetryPolicy{
-			MaxAttempts: f.Retries,
-			Idempotent:  core.IdempotentActions(),
-		}))
+		h.retry = &pipeline.RetryPolicy{MaxAttempts: f.Retries}
 	}
 	if f.Metrics {
 		h.Metrics = pipeline.NewMetrics()
-		h.Client.Use(h.Metrics.Interceptor())
 	}
+	h.Client.Use(core.ClientInterceptors(h.retry, h.trace, h.Metrics)...)
 	if f.DataDir == "" {
 		h.Store = resourcedb.NewStore()
 		return h, nil
@@ -107,13 +102,25 @@ func (f *Flags) Open() (*Host, error) {
 // then tracing and metrics by flag.
 func (h *Host) Interceptors() []soap.Interceptor {
 	ics := core.ServerInterceptors()
-	if h.trace {
-		ics = append(ics, pipeline.Trace(log.Default()))
+	if h.trace != nil {
+		ics = append(ics, pipeline.Trace(h.trace))
 	}
 	if h.Metrics != nil {
 		ics = append(ics, h.Metrics.Interceptor())
 	}
 	return ics
+}
+
+// MasterConfig is what a master host takes from its process: the store,
+// the client, the metrics table, and -retries for the broker's
+// notification deliveries as for the client's idempotent calls. The
+// caller adds what is the master's own (Scheduler, Replicas).
+func (h *Host) MasterConfig(address string) master.Config {
+	cfg := master.Config{Address: address, Store: h.Store, Client: h.Client, Metrics: h.Metrics}
+	if h.retry != nil {
+		cfg.DeliveryRetry = *h.retry
+	}
+	return cfg
 }
 
 // ListenHTTP serves srv on addr and, in the same act, tells h.Client that

@@ -1,7 +1,9 @@
 package daemon_test
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"flag"
 	"net"
 	"os"
@@ -18,6 +20,7 @@ import (
 	"uvacg/internal/node"
 	"uvacg/internal/pipeline"
 	"uvacg/internal/resourcedb"
+	"uvacg/internal/services/filesystem"
 	"uvacg/internal/services/scheduler"
 	"uvacg/internal/soap"
 	"uvacg/internal/transport"
@@ -64,27 +67,30 @@ func openHostUnclosed(t *testing.T, args ...string) *daemon.Host {
 }
 
 // dialRecorder wraps a host's http binding and notes every address that
-// actually went to a socket.
+// actually went to a socket, and the reply to every FSS Read among them.
 type dialRecorder struct {
-	transport.RoundTripper
+	inner transport.RoundTripper
 	mu    sync.Mutex
 	addrs []string
+	reads []*transport.Message
 }
 
-func (d *dialRecorder) note(addr string) {
+func (d *dialRecorder) RoundTrip(ctx context.Context, addr string, request *transport.Message) (*transport.Message, error) {
+	reply, err := d.inner.RoundTrip(ctx, addr, request)
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.addrs = append(d.addrs, addr)
+	if err == nil && bytes.Contains(request.Envelope, []byte(">"+filesystem.ActionRead+"<")) {
+		d.reads = append(d.reads, reply)
+	}
+	return reply, err
+}
+
+func (d *dialRecorder) Send(ctx context.Context, addr string, request *transport.Message) error {
 	d.mu.Lock()
 	d.addrs = append(d.addrs, addr)
 	d.mu.Unlock()
-}
-
-func (d *dialRecorder) RoundTrip(ctx context.Context, addr string, request []byte) ([]byte, error) {
-	d.note(addr)
-	return d.RoundTripper.RoundTrip(ctx, addr, request)
-}
-
-func (d *dialRecorder) Send(ctx context.Context, addr string, request []byte) error {
-	d.note(addr)
-	return d.RoundTripper.Send(ctx, addr, request)
+	return d.inner.Send(ctx, addr, request)
 }
 
 // recordDials installs a dialRecorder on host's http scheme; call before
@@ -95,10 +101,35 @@ func recordDials(host *daemon.Host) *dialRecorder {
 		if scheme != "http" {
 			return nil
 		}
-		rec.RoundTripper = rt
+		rec.inner = rt
 		return rec
 	})
 	return rec
+}
+
+// framedReads checks every FSS Read reply the recorder saw arrive over
+// HTTP — a fault aside — carried its content as an attachment, not as
+// base64 text, and returns how many there were.
+func (d *dialRecorder) framedReads(t *testing.T) int {
+	t.Helper()
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	n := 0
+	for _, reply := range d.reads {
+		env, err := soap.Unmarshal(reply.Envelope)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if soap.IsFault(env.Body) {
+			continue
+		}
+		n++
+		content := env.Body.Child(xmlutil.Q(filesystem.NS, "Content"))
+		if len(reply.Attachments) != 1 || content == nil || content.Text != "" || len(content.Children) != 1 {
+			t.Errorf("an FSS Read crossed HTTP with %d attachment(s) and Content %v, want the framed body", len(reply.Attachments), content)
+		}
+	}
+	return n
 }
 
 // dialled splits what the recorder saw into addresses under base and the
@@ -155,12 +186,7 @@ func TestShippedWiringRunsDemoJobSet(t *testing.T) {
 	mhost.Client.Use(consumer.intercept)
 	maddr := freeAddr(t)
 	masterURL := daemon.Advertised("127.0.0.1", maddr)
-	m, err := master.Assemble(master.Config{
-		Address: masterURL,
-		Store:   mhost.Store,
-		Client:  mhost.Client,
-		Metrics: mhost.Metrics,
-	})
+	m, err := master.Assemble(mhost.MasterConfig(masterURL))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,6 +245,7 @@ func TestShippedWiringRunsDemoJobSet(t *testing.T) {
 		t.Fatal(err)
 	}
 	chost := openHost(t)
+	clientDials := recordDials(chost)
 	client, err := core.NewClient(core.ClientConfig{
 		Transport: chost.Client,
 		Master:    masterURL,
@@ -267,6 +294,18 @@ func TestShippedWiringRunsDemoJobSet(t *testing.T) {
 			t.Errorf("%s dialled nobody: the recorder is not on the path the daemons use", base)
 		}
 	}
+	// Every file a host fetched over HTTP crossed as the framed body the
+	// shipped binding sends, never as base64 text: the client's fetch of
+	// total.txt for certain, and sum's input when sum ran on the other
+	// machine than gen.
+	reads := clientDials.framedReads(t)
+	if reads == 0 {
+		t.Error("the client fetched total.txt without an FSS Read over HTTP: the recorder is not on the path gridsub uses")
+	}
+	for _, rec := range nodeDials {
+		reads += rec.framedReads(t)
+	}
+	t.Logf("%d FSS Read(s) crossed HTTP, each with its content attached", reads)
 	// The broker → /SchedulerConsumer self-call: as many messages entered
 	// the server chain as left the client chain (one-way deliveries may
 	// still be landing), and the -metrics table counted both halves.
@@ -286,6 +325,53 @@ func TestShippedWiringRunsDemoJobSet(t *testing.T) {
 	}
 	if got != uint64(sent+handled) {
 		t.Fatalf("-metrics row %v counts %d calls, want %d client-side + %d server-side", row, got, sent, handled)
+	}
+}
+
+// TestRetriesFlagReachesNotificationDelivery: -retries is one policy for
+// the host's idempotent calls and, through Host.MasterConfig as
+// cmd/gridmaster assembles its master, for the broker's deliveries: the
+// first Notify to a consumer fails on the way and the second arrives,
+// inside one Publish. (The shipped master used to deliver each Notify
+// once whatever -retries said.)
+func TestRetriesFlagReachesNotificationDelivery(t *testing.T) {
+	host := openHost(t, "-retries", "2")
+	var deliveries atomic.Int64
+	host.Client.WrapSchemes(func(_ string, rt transport.RoundTripper) transport.RoundTripper {
+		return transport.WrapFaults(rt, func(_ transport.FaultOp, addr string) transport.FaultDecision {
+			if strings.HasSuffix(addr, "/listener") && deliveries.Add(1) == 1 {
+				return transport.FaultDecision{Err: errors.New("connection reset by peer")}
+			}
+			return transport.FaultDecision{}
+		})
+	})
+	m, err := master.Assemble(host.MasterConfig(daemon.Advertised("127.0.0.1", freeAddr(t))))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	consumer := wsn.NewConsumer()
+	events := consumer.Channel(wsn.Simple("jobs"), 1)
+	mux := soap.NewMux()
+	consumer.Mount(mux, "/listener")
+	base, shutdown, err := transport.ListenHTTP(transport.NewServer(mux), "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shutdown(context.Background())
+	if _, err := m.Broker.Producer().Subscribe(wsa.NewEPR(base+"/listener"), wsn.Simple("jobs")); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Broker.Producer().Publish(context.Background(), "jobs", wsa.EndpointReference{}, nil); got != 1 {
+		t.Fatalf("Publish delivered to %d consumer(s), want 1", got)
+	}
+	select {
+	case <-events:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the notification whose first delivery failed never arrived")
+	}
+	if got := deliveries.Load(); got != 2 {
+		t.Fatalf("the Notify crossed the wire %d time(s), want 2", got)
 	}
 }
 

@@ -29,8 +29,6 @@ type RetryPolicy struct {
 	// Idempotent reports whether an action is safe to re-send. Nil
 	// means nothing is retried.
 	Idempotent func(action string) bool
-	// Retryable classifies errors. Nil uses DefaultRetryable.
-	Retryable func(err error) bool
 
 	// Sleep and Rand are test seams; nil means real sleeping and
 	// math/rand.
@@ -48,11 +46,11 @@ func IdempotentActions(actions ...string) func(string) bool {
 	return func(action string) bool { return set[action] }
 }
 
-// DefaultRetryable retries transient transport failures only: a SOAP
-// fault is the service's considered answer (a WS-BaseFault would come
-// back identically on every attempt), and a cancelled or expired
-// context means the caller has stopped wanting the result.
-func DefaultRetryable(err error) bool {
+// retryable admits transient transport failures only: a SOAP fault is
+// the service's considered answer (a WS-BaseFault would come back
+// identically on every attempt), and a cancelled or expired context
+// means the caller has stopped wanting the result.
+func retryable(err error) bool {
 	if err == nil {
 		return false
 	}
@@ -94,10 +92,6 @@ func Retry(p RetryPolicy) soap.Interceptor {
 	jitter := p.Jitter
 	if jitter == 0 {
 		jitter = 0.2
-	}
-	retryable := p.Retryable
-	if retryable == nil {
-		retryable = DefaultRetryable
 	}
 	sleep := p.Sleep
 	if sleep == nil {

@@ -581,11 +581,11 @@ func TestFailedStagingSendsDirectoryThenFailed(t *testing.T) {
 // hungTransport is a peer that takes the connection and never answers.
 type hungTransport struct{ release chan struct{} }
 
-func (h hungTransport) RoundTrip(ctx context.Context, _ string, _ []byte) ([]byte, error) {
+func (h hungTransport) RoundTrip(ctx context.Context, _ string, _ *transport.Message) (*transport.Message, error) {
 	return nil, h.Send(ctx, "", nil)
 }
 
-func (h hungTransport) Send(ctx context.Context, _ string, _ []byte) error {
+func (h hungTransport) Send(ctx context.Context, _ string, _ *transport.Message) error {
 	select {
 	case <-h.release:
 		return fmt.Errorf("hung peer went away")

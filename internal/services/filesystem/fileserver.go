@@ -100,8 +100,8 @@ func (fs *FileServer) handleRead(ctx context.Context, req *soap.Envelope) (*soap
 	if !ok {
 		return nil, soap.SenderFault("fileserver: no such file %q", name)
 	}
-	// Serve the bytes as an attachment; bindings without attachment
-	// support get them inlined as base64 by the transport layer.
+	// Serve the bytes as an attachment; a plain SOAP requester over HTTP
+	// gets them inlined as base64 by the transport layer.
 	resp := &soap.Envelope{}
 	resp.Body = xmlutil.NewContainer(qReadResponse,
 		xmlutil.NewElement(qFilename, name),

@@ -124,14 +124,14 @@ type StageStats struct {
 	Publishes    int64 // stored events accepted by the broker
 }
 
+// gridRoot is the directory all working directories are created under.
+const gridRoot = "/grid"
+
 // Service is one machine's FSS.
 type Service struct {
 	svc    *wsrf.Service
 	fs     *vfs.FS
 	client *transport.Client
-	// gridRoot is the directory all working directories are created
-	// under.
-	gridRoot string
 	// paths maps directory resource ids to their vfs paths so the
 	// destroy hook can remove the directory itself.
 	paths sync.Map
@@ -171,8 +171,6 @@ type Config struct {
 	Client *transport.Client
 	// Store backs the directory WS-Resources.
 	Home wsrf.ResourceHome
-	// GridRoot defaults to "/grid".
-	GridRoot string
 	// Broker, when set, makes the FSS publish a best-effort "stored"
 	// event on the replica topic after each successful staging, feeding
 	// the replicator and the scheduler's locality cache.
@@ -188,9 +186,6 @@ func New(cfg Config) (*Service, error) {
 	if cfg.FS == nil || cfg.Client == nil || cfg.Home == nil {
 		return nil, fmt.Errorf("fss: config requires FS, Client and Home")
 	}
-	if cfg.GridRoot == "" {
-		cfg.GridRoot = "/grid"
-	}
 	svc, err := wsrf.NewService(wsrf.ServiceConfig{Path: "/FileSystemService", Address: cfg.Address, Home: cfg.Home})
 	if err != nil {
 		return nil, err
@@ -199,7 +194,6 @@ func New(cfg Config) (*Service, error) {
 		svc:       svc,
 		fs:        cfg.FS,
 		client:    cfg.Client,
-		gridRoot:  cfg.GridRoot,
 		broker:    cfg.Broker,
 		host:      cfg.Host,
 		onStage:   cfg.OnStage,
@@ -284,7 +278,7 @@ func (s *Service) CreateDirectory(prefix string) (wsa.EndpointReference, string,
 	if prefix == "" {
 		prefix = "dir"
 	}
-	path, err := s.fs.MkdirUnique(s.gridRoot, prefix)
+	path, err := s.fs.MkdirUnique(gridRoot, prefix)
 	if err != nil {
 		return wsa.EndpointReference{}, "", err
 	}

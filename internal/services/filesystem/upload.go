@@ -15,7 +15,7 @@ import (
 // Caller is the request-response slice of transport.Client these wire
 // helpers need; *transport.Client satisfies it. Invoke gives the file
 // helpers the full reply envelope, whose binary attachments carry file
-// bytes on attachment-capable bindings.
+// bytes.
 type Caller interface {
 	Call(ctx context.Context, to wsa.EndpointReference, action string, body *xmlutil.Element) (*xmlutil.Element, error)
 	Invoke(ctx context.Context, to wsa.EndpointReference, action string, env *soap.Envelope) (*soap.Envelope, error)

@@ -194,24 +194,23 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	return c, nil
 }
 
-// clientWith builds the outbound pipeline for one host: request
-// correlation, deadline propagation and a small deterministic retry for
-// idempotent actions (jitter disabled, so a replayed seed retries on the
-// same schedule) over a chaos-wrapped transport. A non-nil fence kills
-// every outbound message once the host's incarnation is crashed.
+// hostRetry is every host's small deterministic retry (jitter disabled, so a
+// replayed seed retries on the same schedule): idempotent actions on the
+// client chain, and the master's notification deliveries.
+var hostRetry = pipeline.RetryPolicy{
+	MaxAttempts: 3,
+	BaseDelay:   2 * time.Millisecond,
+	MaxDelay:    20 * time.Millisecond,
+	Jitter:      -1,
+}
+
+// clientWith builds the outbound pipeline for one host — the one every
+// grid host runs, with retry — over a chaos-wrapped transport. A non-nil
+// fence kills every outbound message once the host's incarnation is
+// crashed.
 func (c *Cluster) clientWith(host string, f *fence) *transport.Client {
 	client := transport.NewClient().WithNetwork(c.Network)
-	client.Use(
-		pipeline.ClientRequestID(),
-		pipeline.ClientDeadline(),
-		pipeline.Retry(pipeline.RetryPolicy{
-			MaxAttempts: 3,
-			BaseDelay:   2 * time.Millisecond,
-			MaxDelay:    20 * time.Millisecond,
-			Jitter:      -1,
-			Idempotent:  core.IdempotentActions(),
-		}),
-	)
+	client.Use(core.ClientInterceptors(&hostRetry, nil, nil)...)
 	decide := c.Chaos.FaultFunc(host)
 	client.WrapSchemes(func(_ string, rt transport.RoundTripper) transport.RoundTripper {
 		return transport.WrapFaults(rt, func(op transport.FaultOp, addr string) transport.FaultDecision {
@@ -259,14 +258,9 @@ func (c *Cluster) startMaster(ctx context.Context) (unresumed, err error) {
 		// Notification delivery rides the same retry the product path uses:
 		// transient consumer failures are absorbed; permanent ones are the
 		// producer's failure-count problem.
-		DeliveryRetry: pipeline.RetryPolicy{
-			MaxAttempts: 3,
-			BaseDelay:   2 * time.Millisecond,
-			MaxDelay:    20 * time.Millisecond,
-			Jitter:      -1,
-		},
-		Replicas: c.cfg.Replicas,
-		OnAck:    c.noteReplicaAck,
+		DeliveryRetry: hostRetry,
+		Replicas:      c.cfg.Replicas,
+		OnAck:         c.noteReplicaAck,
 	})
 	if err != nil {
 		store.Close()

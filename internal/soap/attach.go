@@ -93,8 +93,8 @@ func (e *Envelope) ContentBytes(el *xmlutil.Element) ([]byte, error) {
 	return base64.StdEncoding.DecodeString(el.Text)
 }
 
-// InlineAttachments rewrites the envelope for bindings without
-// attachment support: every include element is replaced by the base64
+// InlineAttachments rewrites the envelope for a requester that cannot
+// take parts: every include element is replaced by the base64
 // text of the attachment it references, and the attachment list is
 // cleared. Unreferenced attachments are dropped (nothing in the body
 // points at them). Safe to call on envelopes without attachments.

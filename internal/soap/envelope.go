@@ -35,9 +35,9 @@ type Envelope struct {
 	Headers []*xmlutil.Element
 	Body    *xmlutil.Element
 	// Attachments are binary parts riding outside the XML, referenced
-	// from the body by <xop:Include> elements (see attach.go). They are
-	// carried natively by bindings that support them and inlined as
-	// base64 otherwise; Marshal serializes only the XML.
+	// from the body by <xop:Include> elements (see attach.go). Every
+	// binding carries them raw (inlined as base64 only for a plain SOAP
+	// requester over HTTP); Marshal serializes only the XML.
 	Attachments []Attachment
 }
 

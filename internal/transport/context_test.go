@@ -211,7 +211,7 @@ func TestTCPRoundTripCancelWithoutDeadline(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	_, err := NewTCPTransport().RoundTrip(ctx, SchemeTCP+"://"+l.Addr().String()+"/Svc", []byte("<x/>"))
+	_, err := NewTCPTransport().RoundTrip(ctx, SchemeTCP+"://"+l.Addr().String()+"/Svc", &Message{Envelope: []byte("<x/>")})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
@@ -234,7 +234,7 @@ func TestTCPSendCancelWithoutDeadline(t *testing.T) {
 	// parks until cancellation fires.
 	payload := bytes.Repeat([]byte("x"), 32<<20)
 	start := time.Now()
-	err := NewTCPTransport().Send(ctx, SchemeTCP+"://"+l.Addr().String()+"/Svc", payload)
+	err := NewTCPTransport().Send(ctx, SchemeTCP+"://"+l.Addr().String()+"/Svc", &Message{Envelope: payload})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}

@@ -62,8 +62,7 @@ var ErrInjectedDrop = errors.New("transport: injected fault: message dropped")
 
 // FaultingTransport wraps a RoundTripper and subjects every exchange to
 // a FaultFunc verdict: the injectable hook point chaos harnesses build
-// on. Construct with WrapFaults so attachment-capable inner transports
-// keep their fast path.
+// on. Construct with WrapFaults.
 type FaultingTransport struct {
 	inner  RoundTripper
 	decide FaultFunc
@@ -72,18 +71,12 @@ type FaultingTransport struct {
 	held map[string][]func() // addr → reordered sends waiting to be overtaken
 }
 
-// WrapFaults wraps inner with fault injection driven by decide. When
-// inner also implements MessageRoundTripper, the returned transport does
-// too, so the attachment fast path stays observable under faults.
-func WrapFaults(inner RoundTripper, decide FaultFunc) RoundTripper {
+// WrapFaults wraps inner with fault injection driven by decide.
+func WrapFaults(inner RoundTripper, decide FaultFunc) *FaultingTransport {
 	if inner == nil || decide == nil {
 		panic("transport: WrapFaults with nil transport or decider")
 	}
-	ft := &FaultingTransport{inner: inner, decide: decide, held: make(map[string][]func())}
-	if _, ok := inner.(MessageRoundTripper); ok {
-		return &faultingMsgTransport{ft}
-	}
-	return ft
+	return &FaultingTransport{inner: inner, decide: decide, held: make(map[string][]func())}
 }
 
 // verdict applies the non-delivery parts of a decision: delay, injected
@@ -113,7 +106,7 @@ func (f *FaultingTransport) verdict(ctx context.Context, op FaultOp, addr string
 }
 
 // RoundTrip implements RoundTripper.
-func (f *FaultingTransport) RoundTrip(ctx context.Context, addr string, request []byte) ([]byte, error) {
+func (f *FaultingTransport) RoundTrip(ctx context.Context, addr string, request *Message) (*Message, error) {
 	d, err, done := f.verdict(ctx, OpRoundTrip, addr)
 	if done {
 		return nil, err
@@ -127,7 +120,7 @@ func (f *FaultingTransport) RoundTrip(ctx context.Context, addr string, request 
 }
 
 // Send implements RoundTripper.
-func (f *FaultingTransport) Send(ctx context.Context, addr string, request []byte) error {
+func (f *FaultingTransport) Send(ctx context.Context, addr string, request *Message) error {
 	d, err, done := f.verdict(ctx, OpSend, addr)
 	if done {
 		return err
@@ -147,9 +140,11 @@ func (f *FaultingTransport) Send(ctx context.Context, addr string, request []byt
 }
 
 // hold parks a one-way message until release(addr) or reorderHold.
-func (f *FaultingTransport) hold(ctx context.Context, addr string, request []byte) {
-	ctx = context.WithoutCancel(ctx)          // the sender has long returned
-	request = append([]byte(nil), request...) // and may reuse its buffer
+func (f *FaultingTransport) hold(ctx context.Context, addr string, request *Message) {
+	// The sender has long returned and may reuse its envelope buffer;
+	// attachment bytes are immutable by contract (soap.Attach).
+	ctx = context.WithoutCancel(ctx)
+	request = &Message{Envelope: append([]byte(nil), request.Envelope...), Attachments: request.Attachments}
 	f.mu.Lock()
 	f.held[addr] = append(f.held[addr], func() {
 		// The sender was told the hand-off succeeded; a failure now is a
@@ -169,23 +164,4 @@ func (f *FaultingTransport) release(addr string) {
 	for _, deliver := range held {
 		deliver()
 	}
-}
-
-// faultingMsgTransport adds the attachment fast path when the inner
-// transport has one.
-type faultingMsgTransport struct{ *FaultingTransport }
-
-// RoundTripMsg implements MessageRoundTripper.
-func (f *faultingMsgTransport) RoundTripMsg(ctx context.Context, addr string, req *Message) (*Message, error) {
-	mrt := f.inner.(MessageRoundTripper)
-	d, err, done := f.verdict(ctx, OpRoundTrip, addr)
-	if done {
-		return nil, err
-	}
-	if d.Duplicate {
-		if _, err := mrt.RoundTripMsg(ctx, addr, req); err != nil {
-			return nil, err
-		}
-	}
-	return mrt.RoundTripMsg(ctx, addr, req)
 }

@@ -15,13 +15,13 @@ type handoffLog struct {
 	got []string
 }
 
-func (h *handoffLog) RoundTrip(_ context.Context, _ string, request []byte) ([]byte, error) {
+func (h *handoffLog) RoundTrip(_ context.Context, _ string, request *Message) (*Message, error) {
 	return nil, h.Send(context.Background(), "", request)
 }
 
-func (h *handoffLog) Send(_ context.Context, _ string, request []byte) error {
+func (h *handoffLog) Send(_ context.Context, _ string, request *Message) error {
 	h.mu.Lock()
-	h.got = append(h.got, string(request))
+	h.got = append(h.got, string(request.Envelope))
 	h.mu.Unlock()
 	return nil
 }
@@ -45,7 +45,7 @@ func TestReorderHoldsOneWayUntilOvertaken(t *testing.T) {
 	send := func(addr, msg string) {
 		t.Helper()
 		buf := []byte(msg)
-		if err := ft.Send(ctx, addr, buf); err != nil {
+		if err := ft.Send(ctx, addr, &Message{Envelope: buf}); err != nil {
 			t.Fatal(err)
 		}
 		buf[0] = '!' // the sender may reuse its buffer at once
@@ -53,7 +53,7 @@ func TestReorderHoldsOneWayUntilOvertaken(t *testing.T) {
 
 	reorder = true
 	send("inproc://a/x", "started")
-	if _, err := ft.RoundTrip(ctx, "inproc://a/x", []byte("call")); err != nil {
+	if _, err := ft.RoundTrip(ctx, "inproc://a/x", &Message{Envelope: []byte("call")}); err != nil {
 		t.Fatal(err)
 	}
 	reorder = false

@@ -99,12 +99,14 @@ func NewHTTPTransport() *HTTPTransport {
 	}}
 }
 
-// post performs one request-response POST. acceptFrame says the caller
-// can take reply attachments raw.
-func (t *HTTPTransport) post(ctx context.Context, addr string, msg *Message, acceptFrame bool) (*Message, error) {
+// post sends msg as one POST: a framed body when it has attachments, a
+// bare envelope otherwise; marked one-way, or saying the caller takes a
+// framed reply. The caller closes the response body.
+func (t *HTTPTransport) post(ctx context.Context, addr string, msg *Message, oneWay bool) (*http.Response, error) {
 	body, contentType := msg.Envelope, contentTypeSOAP
 	if len(msg.Attachments) > 0 {
-		// The URL carries the service path; the frame's stays empty.
+		// The URL carries the service path and headerOneWay the kind; the
+		// frame's path stays empty and its kind a request's.
 		fr := &frame{kind: frameRequest, body: msg.Envelope, atts: msg.Attachments}
 		buf := bytes.NewBuffer(make([]byte, 0, frameLen(fr)))
 		if err := writeFrameTo(buf, fr); err != nil {
@@ -117,10 +119,18 @@ func (t *HTTPTransport) post(ctx context.Context, addr string, msg *Message, acc
 		return nil, err
 	}
 	req.Header.Set("Content-Type", contentType)
-	if acceptFrame {
+	if oneWay {
+		req.Header.Set(headerOneWay, "1")
+	} else {
 		req.Header.Set("Accept", "application/soap+xml, "+contentTypeFrame)
 	}
-	resp, err := t.client.Do(req)
+	return t.client.Do(req)
+}
+
+// RoundTrip implements RoundTripper: attachments travel raw in a framed
+// body, both ways.
+func (t *HTTPTransport) RoundTrip(ctx context.Context, addr string, request *Message) (*Message, error) {
+	resp, err := t.post(ctx, addr, request, false)
 	if err != nil {
 		return nil, err
 	}
@@ -136,31 +146,9 @@ func (t *HTTPTransport) post(ctx context.Context, addr string, msg *Message, acc
 	return reply, nil
 }
 
-// RoundTrip implements RoundTripper, the byte-only form: it does not say
-// it accepts a framed reply, so the server inlines any reply attachments.
-func (t *HTTPTransport) RoundTrip(ctx context.Context, addr string, request []byte) ([]byte, error) {
-	reply, err := t.post(ctx, addr, &Message{Envelope: request}, false)
-	if err != nil {
-		return nil, err
-	}
-	return reply.Envelope, nil
-}
-
-// RoundTripMsg implements MessageRoundTripper: attachments travel raw in
-// a framed body, both ways.
-func (t *HTTPTransport) RoundTripMsg(ctx context.Context, addr string, req *Message) (*Message, error) {
-	return t.post(ctx, addr, req, true)
-}
-
 // Send implements RoundTripper's one-way hand-off.
-func (t *HTTPTransport) Send(ctx context.Context, addr string, request []byte) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, addr, bytes.NewReader(request))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", contentTypeSOAP)
-	req.Header.Set(headerOneWay, "1")
-	resp, err := t.client.Do(req)
+func (t *HTTPTransport) Send(ctx context.Context, addr string, request *Message) error {
+	resp, err := t.post(ctx, addr, request, true)
 	if err != nil {
 		return err
 	}
@@ -197,10 +185,12 @@ func (h *HTTPHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if r.Header.Get(headerOneWay) == "1" {
-		h.server.HandleOneWayMsg(r.Context(), r.URL.Path, msg)
+		h.server.HandleOneWay(r.Context(), r.URL.Path, msg)
 		w.WriteHeader(http.StatusAccepted)
 		return
 	}
+	// The one inline fallback: a requester whose Accept does not name the
+	// frame is not this code's client and gets its reply as plain SOAP.
 	acceptFrame := strings.Contains(r.Header.Get("Accept"), contentTypeFrame)
 	resp := h.server.handle(r.Context(), r.URL.Path, msg, acceptFrame)
 	if len(resp.Attachments) == 0 {

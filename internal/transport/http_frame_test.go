@@ -98,8 +98,8 @@ type discardFirstReplies struct {
 	n  int
 }
 
-func (d *discardFirstReplies) RoundTripMsg(ctx context.Context, addr string, req *Message) (*Message, error) {
-	reply, err := d.HTTPTransport.RoundTripMsg(ctx, addr, req)
+func (d *discardFirstReplies) RoundTrip(ctx context.Context, addr string, req *Message) (*Message, error) {
+	reply, err := d.HTTPTransport.RoundTrip(ctx, addr, req)
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if err == nil && d.n > 0 {
@@ -170,6 +170,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		{kind: frameRequest, path: "/Blob", body: env, atts: []soap.Attachment{{ID: "att-1", Data: interopData}}},
 		{kind: frameReply, body: env, atts: []soap.Attachment{{ID: "att-1", Data: interopData}, {ID: "att-2"}}},
 		{kind: frameOneWay, path: "/Blob", body: []byte("<x/>")},
+		{kind: frameOneWay, path: "/Blob", body: env, atts: []soap.Attachment{{ID: "att-1", Data: interopData}}},
 	} {
 		var buf bytes.Buffer
 		if err := writeFrameTo(&buf, fr); err != nil {

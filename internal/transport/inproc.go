@@ -100,35 +100,25 @@ func (t *inprocTransport) resolve(addr string, request []byte) (*Server, string,
 	return srv, path, nil
 }
 
-// RoundTrip implements RoundTripper.
-func (t *inprocTransport) RoundTrip(ctx context.Context, addr string, request []byte) ([]byte, error) {
-	srv, path, err := t.resolve(addr, request)
+// RoundTrip implements RoundTripper: the envelope still round-trips its
+// wire encoding, but attachment bytes pass by reference — the in-process
+// analog of the binary fast path. Senders and receivers both treat
+// attachment data as immutable (soap.Attach, ContentBytes), so sharing is
+// safe; a receiver that keeps the bytes beyond the exchange copies them
+// (the FSS Write action does).
+func (t *inprocTransport) RoundTrip(ctx context.Context, addr string, request *Message) (*Message, error) {
+	srv, path, err := t.resolve(addr, request.Envelope)
 	if err != nil {
 		return nil, err
 	}
 	reply := srv.HandleRequest(wireContext{ctx}, path, request)
-	return reply, bounded(reply)
-}
-
-// RoundTripMsg implements MessageRoundTripper: the envelope still
-// round-trips its wire encoding, but attachment bytes pass by reference
-// — the in-process analog of the binary fast path. Senders and receivers
-// both treat attachment data as immutable (soap.Attach, ContentBytes), so
-// sharing is safe; a receiver that keeps the bytes beyond the exchange
-// copies them (the FSS Write action does).
-func (t *inprocTransport) RoundTripMsg(ctx context.Context, addr string, req *Message) (*Message, error) {
-	srv, path, err := t.resolve(addr, req.Envelope)
-	if err != nil {
-		return nil, err
-	}
-	reply := srv.HandleRequestMsg(wireContext{ctx}, path, req)
 	return reply, bounded(reply.Envelope)
 }
 
 // Send implements RoundTripper. HandleOneWay detaches the dispatch from
 // the caller's cancellation and runs it on its own goroutine.
-func (t *inprocTransport) Send(ctx context.Context, addr string, request []byte) error {
-	srv, path, err := t.resolve(addr, request)
+func (t *inprocTransport) Send(ctx context.Context, addr string, request *Message) error {
+	srv, path, err := t.resolve(addr, request.Envelope)
 	if err != nil {
 		return err
 	}

@@ -335,17 +335,28 @@ var messageIDPattern = regexp.MustCompile(`<MessageID [^>]*>(urn:uuid:[0-9a-f-]{
 
 // TestHTTPStaysInlineWhereTCPAttaches (the name predates HTTP's framed
 // body: HTTP stays inline only for a requester that does not say it takes
-// frames) runs the same exchange every way it can cross a socket. Between
-// this code's client and server the content is a real attachment in both
-// directions, over soap.tcp and over HTTP alike; a plain SOAP POST of the
-// same request gets the reply it always got, content inline, byte for
-// byte.
+// frames) runs the same exchange over every carrier a Client can pick.
+// Between this code's client and server the content is a real attachment
+// — request, reply and one-way message alike — over soap.tcp, HTTP,
+// inproc, the co-located route and a fault-wrapped binding that parks the
+// one-way message before it hands it on; a plain SOAP POST of the same
+// request gets the reply it always got, content inline, byte for byte.
 func TestHTTPStaysInlineWhereTCPAttaches(t *testing.T) {
-	// The server notes how each request's content reached it.
+	// The server notes how each message's content reached it.
+	type arrival struct {
+		attached bool
+		data     []byte
+	}
 	var requestAttached atomic.Bool
+	oneWay := make(chan arrival, 1)
 	srv := NewServer(blobService())
 	srv.Use(func(ctx context.Context, call *soap.CallInfo, next soap.Handler) (*soap.Envelope, error) {
-		requestAttached.Store(call.Request.HasAttachments())
+		if call.OneWay {
+			data, _ := call.Request.ContentBytes(call.Request.Body.Child(qData))
+			oneWay <- arrival{call.Request.HasAttachments(), data}
+		} else {
+			requestAttached.Store(call.Request.HasAttachments())
+		}
 		return next(ctx, call)
 	})
 	tl, err := ListenTCP(srv, "127.0.0.1:0")
@@ -358,13 +369,28 @@ func TestHTTPStaysInlineWhereTCPAttaches(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer shutdown(context.Background())
+	network := NewNetwork()
+	network.Register("interop", srv)
+	colocated := NewClient()
+	colocated.Colocate(srv, "http://interop.example")
+	faulted := NewClient().WrapSchemes(func(_ string, rt RoundTripper) RoundTripper {
+		return WrapFaults(rt, func(op FaultOp, _ string) FaultDecision { return FaultDecision{Reorder: op == OpSend} })
+	})
 
-	for _, tc := range []struct{ name, base string }{
-		{"soap.tcp", tl.BaseURL()},
-		{"http", httpBase},
+	for _, tc := range []struct {
+		name   string
+		client *Client
+		base   string
+	}{
+		{"soap.tcp", NewClient(), tl.BaseURL()},
+		{"http", NewClient(), httpBase},
+		{"inproc", NewClient().WithNetwork(network), network.URL("interop", "")},
+		{"colocated", colocated, "http://interop.example"},
+		{"faulted", faulted, httpBase},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			resp, err := NewClient().Invoke(context.Background(), wsa.NewEPR(tc.base+"/Blob"), "urn:Blob", blobRequest(interopData))
+			to := wsa.NewEPR(tc.base + "/Blob")
+			resp, err := tc.client.Invoke(context.Background(), to, "urn:Blob", blobRequest(interopData))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -376,6 +402,17 @@ func TestHTTPStaysInlineWhereTCPAttaches(t *testing.T) {
 			}
 			if got := blobResponseData(t, resp); !bytes.Equal(got, interopData) {
 				t.Fatal("corrupted data")
+			}
+			if err := tc.client.SendOneWay(context.Background(), to, "urn:Blob", blobRequest(interopData)); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case got := <-oneWay:
+				if !got.attached || !bytes.Equal(got.data, interopData) {
+					t.Fatalf("the one-way message's content arrived attached=%v, intact=%v", got.attached, bytes.Equal(got.data, interopData))
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("the one-way message never arrived")
 			}
 		})
 	}

@@ -31,6 +31,13 @@ func newPooledConn(conn net.Conn) *pooledConn {
 
 func (pc *pooledConn) Close() error { return pc.conn.Close() }
 
+// The pool keeps at most maxIdlePerHost idle connections per host:port
+// and discards one that has sat idle longer than idleTimeout.
+const (
+	maxIdlePerHost = 8
+	idleTimeout    = 60 * time.Second
+)
+
 // connPool keeps idle soap.tcp connections per host:port for reuse, the
 // analog of net/http's Transport pooling that the framed binding lacked
 // — every message used to pay a fresh dial (E6).
@@ -40,8 +47,8 @@ type connPool struct {
 }
 
 // get pops the most recently used idle connection for hostport, dropping
-// any that have sat idle past timeout. Returns nil when none is usable.
-func (p *connPool) get(hostport string, timeout time.Duration) *pooledConn {
+// any that have sat idle past idleTimeout. Returns nil when none is usable.
+func (p *connPool) get(hostport string) *pooledConn {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	list := p.idle[hostport]
@@ -49,7 +56,7 @@ func (p *connPool) get(hostport string, timeout time.Duration) *pooledConn {
 		pc := list[len(list)-1]
 		list = list[:len(list)-1]
 		p.idle[hostport] = list
-		if timeout > 0 && time.Since(pc.idleSince) > timeout {
+		if time.Since(pc.idleSince) > idleTimeout {
 			pc.Close()
 			continue
 		}
@@ -61,11 +68,7 @@ func (p *connPool) get(hostport string, timeout time.Duration) *pooledConn {
 
 // put returns a healthy connection to the pool, closing it instead when
 // the per-host cap is reached. Expired siblings are pruned on the way.
-func (p *connPool) put(hostport string, pc *pooledConn, maxPerHost int, timeout time.Duration) {
-	if maxPerHost <= 0 {
-		pc.Close()
-		return
-	}
+func (p *connPool) put(hostport string, pc *pooledConn) {
 	// Clear any exchange deadline so the idle connection cannot poison
 	// the next checkout.
 	pc.conn.SetDeadline(time.Time{})
@@ -76,23 +79,20 @@ func (p *connPool) put(hostport string, pc *pooledConn, maxPerHost int, timeout 
 		p.idle = make(map[string][]*pooledConn)
 	}
 	list := p.idle[hostport]
-	if timeout > 0 {
-		kept := list[:0]
-		for _, old := range list {
-			if time.Since(old.idleSince) > timeout {
-				old.Close()
-				continue
-			}
-			kept = append(kept, old)
+	kept := list[:0]
+	for _, old := range list {
+		if time.Since(old.idleSince) > idleTimeout {
+			old.Close()
+			continue
 		}
-		list = kept
+		kept = append(kept, old)
 	}
-	if len(list) >= maxPerHost {
+	if len(kept) >= maxIdlePerHost {
 		pc.Close()
-		p.idle[hostport] = list
+		p.idle[hostport] = kept
 		return
 	}
-	p.idle[hostport] = append(list, pc)
+	p.idle[hostport] = append(kept, pc)
 }
 
 // closeIdle drops every pooled connection.

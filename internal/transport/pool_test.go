@@ -188,13 +188,13 @@ func TestPoolDirectConcurrency(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				if pc := p.get("host:1", time.Minute); pc != nil {
-					p.put("host:1", pc, 4, time.Minute)
+				if pc := p.get("host:1"); pc != nil {
+					p.put("host:1", pc)
 					continue
 				}
 				c1, c2 := net.Pipe()
 				defer c2.Close()
-				p.put("host:1", newPooledConn(c1), 4, time.Minute)
+				p.put("host:1", newPooledConn(c1))
 			}
 		}()
 	}

@@ -24,7 +24,7 @@ type flakyTransport struct {
 
 var errFlaky = errors.New("connection reset by peer")
 
-func (f *flakyTransport) RoundTrip(ctx context.Context, addr string, request []byte) ([]byte, error) {
+func (f *flakyTransport) RoundTrip(ctx context.Context, addr string, request *Message) (*Message, error) {
 	f.mu.Lock()
 	f.attempts++
 	fail := f.attempts <= f.failures
@@ -35,7 +35,7 @@ func (f *flakyTransport) RoundTrip(ctx context.Context, addr string, request []b
 	return f.inner.RoundTrip(ctx, addr, request)
 }
 
-func (f *flakyTransport) Send(ctx context.Context, addr string, request []byte) error {
+func (f *flakyTransport) Send(ctx context.Context, addr string, request *Message) error {
 	f.mu.Lock()
 	f.attempts++
 	fail := f.attempts <= f.failures

@@ -19,9 +19,6 @@ type Server struct {
 	// services — the server half of the invocation pipeline (deadline
 	// re-establishment, request correlation, metrics).
 	chain soap.Chain
-	// ErrorLog, when set, receives one-way dispatch failures, which have
-	// no connection left to report on.
-	ErrorLog *log.Logger
 }
 
 // NewServer wraps a service mux.
@@ -37,22 +34,15 @@ func (s *Server) Use(ics ...soap.Interceptor) {
 }
 
 // HandleRequest processes one request-response exchange for the service
-// at path, returning the serialized reply (possibly a fault envelope).
-// The reply channel is byte-only, so reply attachments are inlined as
-// base64 — what a plain SOAP requester over HTTP gets.
-func (s *Server) HandleRequest(ctx context.Context, path string, request []byte) []byte {
-	return s.handle(ctx, path, &Message{Envelope: request}, false).Envelope
-}
-
-// HandleRequestMsg is HandleRequest for attachment-capable bindings:
-// request attachments reach the handlers, and reply attachments travel
-// back raw instead of being inlined.
-func (s *Server) HandleRequestMsg(ctx context.Context, path string, request *Message) *Message {
+// at path, returning the serialized reply (possibly a fault envelope)
+// with its attachments raw.
+func (s *Server) HandleRequest(ctx context.Context, path string, request *Message) *Message {
 	return s.handle(ctx, path, request, true)
 }
 
 // handle is the request-response exchange; attach says whether the
-// requester takes reply attachments raw or needs them inlined.
+// requester takes reply attachments raw or needs them inlined as base64
+// (a plain SOAP requester over HTTP, the one caller that passes false).
 func (s *Server) handle(ctx context.Context, path string, request *Message, attach bool) *Message {
 	resp := s.process(ctx, path, request, false)
 	if !attach {
@@ -70,26 +60,22 @@ func (s *Server) handle(ctx context.Context, path string, request *Message, atta
 
 // HandleOneWay accepts a one-way message for the service at path. The
 // caller's connection obligation ends as soon as this returns; dispatch
-// proceeds asynchronously, and failures go to ErrorLog.
-func (s *Server) HandleOneWay(ctx context.Context, path string, request []byte) {
-	s.HandleOneWayMsg(ctx, path, &Message{Envelope: request})
-}
-
-// HandleOneWayMsg is HandleOneWay with attachments.
-func (s *Server) HandleOneWayMsg(ctx context.Context, path string, request *Message) {
+// proceeds asynchronously, and failures — which have no connection left
+// to report on — are logged.
+func (s *Server) HandleOneWay(ctx context.Context, path string, request *Message) {
 	// Detach from the transport's per-connection context: the sender has
 	// already gone away by design.
 	bg := context.WithoutCancel(ctx)
 	go func() {
 		defer func() {
 			if r := recover(); r != nil {
-				s.logf("one-way handler panic on %s: %v", path, r)
+				log.Printf("transport: one-way handler panic on %s: %v", path, r)
 			}
 		}()
 		resp := s.process(bg, path, request, true)
 		if soap.IsFault(resp.Body) {
 			if f, err := soap.ParseFault(resp.Body); err == nil {
-				s.logf("one-way %s faulted: %v", path, f)
+				log.Printf("transport: one-way %s faulted: %v", path, f)
 			}
 		}
 	}()
@@ -97,7 +83,7 @@ func (s *Server) HandleOneWayMsg(ctx context.Context, path string, request *Mess
 
 // process runs the full receive pipeline and always produces a reply
 // envelope (faults included). Reply attachments, if any, are left on
-// the envelope for the caller to carry or inline per the binding.
+// the envelope for the caller to carry, or inline (handle).
 func (s *Server) process(ctx context.Context, path string, request *Message, oneWay bool) *soap.Envelope {
 	env, err := soap.Unmarshal(request.Envelope)
 	if err != nil {
@@ -134,12 +120,4 @@ func (s *Server) process(ctx context.Context, path string, request *Message, one
 	}
 	wsa.ApplyReply(resp, info, info.Action+"Response")
 	return resp
-}
-
-func (s *Server) logf(format string, args ...any) {
-	if s.ErrorLog != nil {
-		s.ErrorLog.Printf(format, args...)
-		return
-	}
-	log.Printf("transport: "+format, args...)
 }

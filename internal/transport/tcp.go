@@ -333,26 +333,15 @@ func readFrame(r io.Reader, left int64) (*frame, error) {
 }
 
 // TCPTransport is the soap.tcp:// client binding. Connections persist
-// in a bounded per-host pool and are reused across messages.
+// in a bounded per-host pool (pool.go) and are reused across messages.
 type TCPTransport struct {
 	dialer net.Dialer
-
-	// MaxIdlePerHost bounds the pooled idle connections per host:port;
-	// 0 disables pooling entirely. Set before first use.
-	MaxIdlePerHost int
-	// IdleTimeout discards pooled connections idle longer than this.
-	IdleTimeout time.Duration
-
-	pool connPool
+	pool   connPool
 }
 
-// NewTCPTransport builds the binding with pooling enabled.
+// NewTCPTransport builds the binding.
 func NewTCPTransport() *TCPTransport {
-	return &TCPTransport{
-		dialer:         net.Dialer{Timeout: 10 * time.Second},
-		MaxIdlePerHost: 8,
-		IdleTimeout:    60 * time.Second,
-	}
+	return &TCPTransport{dialer: net.Dialer{Timeout: 10 * time.Second}}
 }
 
 // CloseIdleConnections drops every pooled connection.
@@ -418,8 +407,8 @@ func ctxIOErr(ctx context.Context, err error) error {
 func (t *TCPTransport) exchange(ctx context.Context, hostport string, fr *frame, wantReply bool) (*frame, error) {
 	for attempt := 0; ; attempt++ {
 		var pc *pooledConn
-		if attempt == 0 && t.MaxIdlePerHost > 0 {
-			pc = t.pool.get(hostport, t.IdleTimeout)
+		if attempt == 0 {
+			pc = t.pool.get(hostport)
 		}
 		if pc == nil {
 			conn, err := t.dialer.DialContext(ctx, "tcp", hostport)
@@ -440,11 +429,7 @@ func (t *TCPTransport) exchange(ctx context.Context, hostport string, fr *frame,
 			pc.Close()
 			return nil, fmt.Errorf("unexpected frame kind %d in reply", reply.kind)
 		}
-		if t.MaxIdlePerHost > 0 {
-			t.pool.put(hostport, pc, t.MaxIdlePerHost, t.IdleTimeout)
-		} else {
-			pc.Close()
-		}
+		t.pool.put(hostport, pc)
 		return reply, nil
 	}
 }
@@ -474,34 +459,14 @@ func (t *TCPTransport) exchangeOn(ctx context.Context, pc *pooledConn, fr *frame
 	return reply, nil
 }
 
-// RoundTrip implements RoundTripper, the byte-only form: the request
-// carries no attachments, and any the reply carries are inlined as
-// base64 so the caller loses nothing.
-func (t *TCPTransport) RoundTrip(ctx context.Context, addr string, request []byte) ([]byte, error) {
-	reply, err := t.RoundTripMsg(ctx, addr, &Message{Envelope: request})
-	if err != nil {
-		return nil, err
-	}
-	if len(reply.Attachments) == 0 {
-		return reply.Envelope, nil
-	}
-	env, err := soap.Unmarshal(reply.Envelope)
-	if err != nil {
-		return nil, err
-	}
-	env.Attachments = reply.Attachments
-	env.InlineAttachments()
-	return env.Marshal()
-}
-
-// RoundTripMsg implements MessageRoundTripper: attachments travel raw in
-// the frame's attachment section, both ways.
-func (t *TCPTransport) RoundTripMsg(ctx context.Context, addr string, req *Message) (*Message, error) {
+// RoundTrip implements RoundTripper: attachments travel raw in the
+// frame's attachment section, both ways.
+func (t *TCPTransport) RoundTrip(ctx context.Context, addr string, request *Message) (*Message, error) {
 	hostport, path, err := splitTCPAddr(addr)
 	if err != nil {
 		return nil, err
 	}
-	reply, err := t.exchange(ctx, hostport, &frame{kind: frameRequest, path: path, body: req.Envelope, atts: req.Attachments}, true)
+	reply, err := t.exchange(ctx, hostport, &frame{kind: frameRequest, path: path, body: request.Envelope, atts: request.Attachments}, true)
 	if err != nil {
 		return nil, err
 	}
@@ -509,12 +474,12 @@ func (t *TCPTransport) RoundTripMsg(ctx context.Context, addr string, req *Messa
 }
 
 // Send implements RoundTripper's one-way hand-off.
-func (t *TCPTransport) Send(ctx context.Context, addr string, request []byte) error {
+func (t *TCPTransport) Send(ctx context.Context, addr string, request *Message) error {
 	hostport, path, err := splitTCPAddr(addr)
 	if err != nil {
 		return err
 	}
-	_, err = t.exchange(ctx, hostport, &frame{kind: frameOneWay, path: path, body: request}, false)
+	_, err = t.exchange(ctx, hostport, &frame{kind: frameOneWay, path: path, body: request.Envelope, atts: request.Attachments}, false)
 	return err
 }
 
@@ -658,9 +623,9 @@ func (tl *TCPListener) serveConn(conn net.Conn) {
 		}
 		switch fr.kind {
 		case frameOneWay:
-			tl.srv.HandleOneWayMsg(ctx, fr.path, &Message{Envelope: fr.body, Attachments: fr.atts})
+			tl.srv.HandleOneWay(ctx, fr.path, &Message{Envelope: fr.body, Attachments: fr.atts})
 		case frameRequest:
-			resp := tl.srv.HandleRequestMsg(ctx, fr.path, &Message{Envelope: fr.body, Attachments: fr.atts})
+			resp := tl.srv.HandleRequest(ctx, fr.path, &Message{Envelope: fr.body, Attachments: fr.atts})
 			if err := fw.writeFrame(&frame{kind: frameReply, body: resp.Envelope, atts: resp.Attachments}); err != nil {
 				return
 			}

@@ -33,29 +33,21 @@ import (
 	"uvacg/internal/xmlutil"
 )
 
-// RoundTripper moves serialized envelopes for one URI scheme.
-type RoundTripper interface {
-	// RoundTrip performs a request-response exchange.
-	RoundTrip(ctx context.Context, addr string, request []byte) (response []byte, err error)
-	// Send delivers a one-way message, returning once it is handed off.
-	Send(ctx context.Context, addr string, request []byte) error
-}
-
 // Message is a serialized envelope plus its binary attachments — the
-// unit bindings with attachment support move, keeping file bytes out of
-// the XML (no base64 inflation, no escaping scan).
+// unit every binding moves, keeping file bytes out of the XML (no base64
+// inflation, no escaping scan).
 type Message struct {
 	Envelope    []byte
 	Attachments []soap.Attachment
 }
 
-// MessageRoundTripper is the optional attachment-capable interface of a
-// binding. Transports that implement it (soap.tcp, inproc, http) receive
-// requests as Messages and may return reply attachments; others (a
-// wrapper that only forwards RoundTrip) get envelopes with attachments
-// inlined as base64.
-type MessageRoundTripper interface {
-	RoundTripMsg(ctx context.Context, addr string, req *Message) (*Message, error)
+// RoundTripper moves messages for one URI scheme, attachments raw in both
+// directions.
+type RoundTripper interface {
+	// RoundTrip performs a request-response exchange.
+	RoundTrip(ctx context.Context, addr string, request *Message) (response *Message, err error)
+	// Send delivers a one-way message, returning once it is handed off.
+	Send(ctx context.Context, addr string, request *Message) error
 }
 
 // idleCloser is the optional interface of transports that pool
@@ -207,40 +199,33 @@ func (c *Client) Invoke(ctx context.Context, to wsa.EndpointReference, action st
 	return c.chain.Bind(terminal)(ctx, newCall(to, action, env, false))
 }
 
+// outbound is what both terminal handlers do before the wire: pick the
+// binding for the target, stamp WS-Addressing and serialize.
+func (c *Client) outbound(to wsa.EndpointReference, call *soap.CallInfo) (RoundTripper, *Message, error) {
+	rt, err := c.transportFor(to.Address)
+	if err != nil {
+		return nil, nil, err
+	}
+	wsa.Apply(call.Request, to, call.Action)
+	data, err := call.Request.Marshal()
+	if err != nil {
+		return nil, nil, err
+	}
+	return rt, &Message{Envelope: data, Attachments: call.Request.Attachments}, nil
+}
+
 // roundTrip is the terminal request-response handler under the chain.
-// Bindings implementing MessageRoundTripper — all three shipped ones —
-// carry request and reply attachments natively; on any other they are
-// inlined as base64 and the plain byte path is used.
 func (c *Client) roundTrip(ctx context.Context, to wsa.EndpointReference, call *soap.CallInfo) (*soap.Envelope, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("transport: %s %s: %w", call.Action, to.Address, err)
 	}
-	rt, err := c.transportFor(to.Address)
+	rt, request, err := c.outbound(to, call)
 	if err != nil {
 		return nil, err
 	}
-	wsa.Apply(call.Request, to, call.Action)
-	var reply *Message
-	if mrt, ok := rt.(MessageRoundTripper); ok {
-		data, err := call.Request.Marshal()
-		if err != nil {
-			return nil, err
-		}
-		reply, err = mrt.RoundTripMsg(ctx, to.Address, &Message{Envelope: data, Attachments: call.Request.Attachments})
-		if err != nil {
-			return nil, fmt.Errorf("transport: %s %s: %w", call.Action, to.Address, err)
-		}
-	} else {
-		call.Request.InlineAttachments()
-		data, err := call.Request.Marshal()
-		if err != nil {
-			return nil, err
-		}
-		respData, err := rt.RoundTrip(ctx, to.Address, data)
-		if err != nil {
-			return nil, fmt.Errorf("transport: %s %s: %w", call.Action, to.Address, err)
-		}
-		reply = &Message{Envelope: respData}
+	reply, err := rt.RoundTrip(ctx, to.Address, request)
+	if err != nil {
+		return nil, fmt.Errorf("transport: %s %s: %w", call.Action, to.Address, err)
 	}
 	resp, err := soap.Unmarshal(reply.Envelope)
 	if err != nil {
@@ -279,24 +264,16 @@ func (c *Client) SendOneWay(ctx context.Context, to wsa.EndpointReference, actio
 	return err
 }
 
-// send is the terminal one-way handler under the chain. One-way
-// messages always inline attachments: RoundTripper.Send is the byte-only
-// hand-off every binding shares.
+// send is the terminal one-way handler under the chain.
 func (c *Client) send(ctx context.Context, to wsa.EndpointReference, call *soap.CallInfo) error {
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("transport: one-way %s %s: %w", call.Action, to.Address, err)
 	}
-	rt, err := c.transportFor(to.Address)
+	rt, request, err := c.outbound(to, call)
 	if err != nil {
 		return err
 	}
-	wsa.Apply(call.Request, to, call.Action)
-	call.Request.InlineAttachments()
-	data, err := call.Request.Marshal()
-	if err != nil {
-		return err
-	}
-	if err := rt.Send(ctx, to.Address, data); err != nil {
+	if err := rt.Send(ctx, to.Address, request); err != nil {
 		return fmt.Errorf("transport: one-way %s %s: %w", call.Action, to.Address, err)
 	}
 	return nil

@@ -346,13 +346,13 @@ func (p *Producer) SubscriptionCount() int {
 
 // SetDeliveryRetry installs a bounded-backoff retry (pipeline.Retry)
 // around each Notify delivery. Notification delivery is
-// at-least-once by contract, so re-sending is always safe: the policy's
-// Idempotent predicate defaults to admitting ActionNotify. A policy with
-// MaxAttempts < 2 removes any installed retry.
+// at-least-once by contract, so re-sending is always safe: whatever
+// Idempotent predicate the policy carries (a client chain's excludes
+// one-way sends) gives way to one admitting ActionNotify, so a host hands
+// its client's policy over as it is. A policy with MaxAttempts < 2
+// removes any installed retry.
 func (p *Producer) SetDeliveryRetry(policy pipeline.RetryPolicy) {
-	if policy.Idempotent == nil {
-		policy.Idempotent = pipeline.IdempotentActions(ActionNotify)
-	}
+	policy.Idempotent = pipeline.IdempotentActions(ActionNotify)
 	p.mu.Lock()
 	if policy.MaxAttempts < 2 {
 		p.retry = nil

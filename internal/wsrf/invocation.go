@@ -38,9 +38,9 @@ type Invocation struct {
 
 // Attach externalizes data as a binary attachment of the eventual reply
 // envelope and returns the include element to embed in the response
-// body — the server-side half of the MTOM-style fast path. On bindings
-// without attachment support the transport inlines the bytes as base64,
-// so methods attach unconditionally.
+// body — the server-side half of the MTOM-style fast path. For a plain
+// SOAP requester over HTTP the transport inlines the bytes as base64, so
+// methods attach unconditionally.
 func (inv *Invocation) Attach(data []byte) *xmlutil.Element {
 	id := soap.NextAttachmentID(inv.replyAtts)
 	inv.replyAtts = append(inv.replyAtts, soap.Attachment{ID: id, Data: data})
