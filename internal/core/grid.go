@@ -40,7 +40,6 @@ func IdempotentActions() func(string) bool {
 		wsrf.ActionGetMultipleResourceProperties,
 		wsrf.ActionQueryResourceProperties,
 		nodeinfo.ActionGetProcessors,
-		wsn.ActionGetCurrentMessage,
 		filesystem.ActionRead,
 		filesystem.ActionList,
 		filesystem.ActionReadBlob,

@@ -91,8 +91,7 @@ func (w *wireCounter) snapshot() (counts map[pipeline.Key]uint64, inflight int) 
 // the client carries no traffic. A chain is bound when a call enters
 // it, so a call already inside the client when the wire counter is
 // installed never passes through the counter, yet Metrics records it
-// when it returns: NewGrid's last catalog-changed Notify to
-// /SchedulerConsumer, a one-way send on a broker goroutine, did exactly
+// when it returns: a bootstrap one-way send still on its way did exactly
 // that across a baseline taken straight after Use (metrics = wire + 1
 // under load). An idle grid sends nothing, so the baseline is taken
 // only after both observers have stood still for a whole quiet window
@@ -184,10 +183,8 @@ func TestF3_RequestIDAndMetrics(t *testing.T) {
 	// (a) Every hop of the flow — including the second job, dispatched
 	// from a notification, and the exit events published after the Run
 	// exchange ended — carried the one ID chosen at submission. The
-	// broker is the exception: besides the flow's events it carries the
-	// NIS's background catalog-changed publishes, which inherit the
-	// utilization reports' own correlation IDs, so there the flow ID
-	// must be present rather than exclusive.
+	// broker relays for any publisher, so there the flow ID must be
+	// present rather than exclusive.
 	hopPaths := []string{
 		"/SchedulerService",
 		"/ExecutionService",

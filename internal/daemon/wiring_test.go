@@ -309,8 +309,8 @@ func TestShippedWiringRunsDemoJobSet(t *testing.T) {
 	// The broker → /SchedulerConsumer self-call: as many messages entered
 	// the server chain as left the client chain (one-way deliveries may
 	// still be landing), and the -metrics table counted both halves.
-	// Catalog pushes keep arriving after the set is done, so the three
-	// counters are read until one reading of all of them agrees.
+	// One-way deliveries can still be landing after the set is done, so
+	// the three counters are read until one reading of all of them agrees.
 	row := pipeline.Key{Path: "/SchedulerConsumer", Action: wsn.ActionNotify}
 	var sent, handled int64
 	var got uint64

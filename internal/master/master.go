@@ -81,12 +81,7 @@ func Assemble(cfg Config) (*Master, error) {
 	subSvc := m.Broker.Producer().SubscriptionService()
 	m.Mux.Handle(subSvc.Path(), subSvc.Dispatcher())
 
-	m.NIS, err = nodeinfo.New(nodeinfo.Config{
-		Address: cfg.Address,
-		Home:    wsrf.NewStateHome(table("nodeinfo")),
-		Client:  cfg.Client,
-		Broker:  m.Broker.EPR(),
-	})
+	m.NIS, err = nodeinfo.New(nodeinfo.Config{Address: cfg.Address, Home: wsrf.NewStateHome(table("nodeinfo"))})
 	if err != nil {
 		return nil, err
 	}
@@ -122,32 +117,37 @@ func Assemble(cfg Config) (*Master, error) {
 // Start brings the assembled host to life, once Mux is reachable at the
 // configured address. The order is the contract:
 //
-//  1. Recover resumes the job sets the last run left unfinished and
+//  1. the standing subscriptions — the Replicator's and, under the
+//     data-aware policy, the Scheduler's replica consumer — are made
+//     before anything this host starts can publish on the replica topic:
+//     the broker keeps no message for a late subscriber;
+//  2. Recover resumes the job sets the last run left unfinished and
 //     re-parks the journaled Queued ones in admission-sequence order, and
 //     only then
-//  2. StartAdmission lets the fair-share pump draw from the rebuilt
+//  3. StartAdmission lets the fair-share pump draw from the rebuilt
 //     queue — a pump started earlier would pick from a half-rebuilt one
-//     and activate sets out of their fair-share order;
-//  3. the Replicator subscribes last, to a broker that is serving.
+//     and activate sets out of their fair-share order.
 //
 // ctx bounds the start-up work; the pump runs until Stop. The host is up
-// whatever Start returns: the error joins the job sets that could not be
-// resumed and a failed replicator subscription, for the caller to log or
-// refuse.
+// whatever Start returns: the error joins a failed subscription and the
+// job sets that could not be resumed, for the caller to log or refuse.
 func (m *Master) Start(ctx context.Context) (resumed int, err error) {
 	bg, cancel := context.WithCancel(context.Background())
 	m.cancel = cancel
 	var errs []error
-	resumed, rerr := m.Scheduler.Recover(ctx)
-	if rerr != nil {
-		errs = append(errs, fmt.Errorf("job set recovery: %w", rerr))
-	}
-	m.Scheduler.StartAdmission(bg)
 	if m.Replicator != nil {
 		if err := m.Replicator.Start(ctx); err != nil {
 			errs = append(errs, fmt.Errorf("replicator subscription: %w", err))
 		}
 	}
+	if err := m.Scheduler.SubscribeReplicas(ctx); err != nil {
+		errs = append(errs, fmt.Errorf("scheduler replica subscription: %w", err))
+	}
+	resumed, rerr := m.Scheduler.Recover(ctx)
+	if rerr != nil {
+		errs = append(errs, fmt.Errorf("job set recovery: %w", rerr))
+	}
+	m.Scheduler.StartAdmission(bg)
 	return resumed, errors.Join(errs...)
 }
 

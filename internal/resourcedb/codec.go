@@ -50,22 +50,18 @@ func (BlobCodec) Indexable() bool { return false }
 // journaled Put, so this is squarely on the WAL hot path — and fall
 // back to encoding/xml otherwise. Both encodings decode identically
 // under either decoder, so rows written before and after the fast path
-// (or with it toggled off) interoperate.
+// interoperate.
 func (BlobCodec) Encode(doc *xmlutil.Element) ([]byte, error) {
-	if fastcodec.Enabled() {
-		if out, ok := fastcodec.AppendElement(nil, doc); ok {
-			return out, nil
-		}
+	if out, ok := fastcodec.AppendElement(nil, doc); ok {
+		return out, nil
 	}
 	return xmlutil.MarshalElement(doc)
 }
 
 // Decode implements Codec.
 func (BlobCodec) Decode(data []byte) (*xmlutil.Element, error) {
-	if fastcodec.Enabled() {
-		if root, ok := fastcodec.Decode(data); ok {
-			return root, nil
-		}
+	if root, ok := fastcodec.Decode(data); ok {
+		return root, nil
 	}
 	return xmlutil.UnmarshalElement(data)
 }

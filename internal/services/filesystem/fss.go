@@ -456,7 +456,7 @@ func (s *Service) StageStats() StageStats {
 }
 
 // publishStored announces freshly staged content on the replica topic.
-// Best-effort, like the NIS catalog push: a dropped publish only means
+// Best-effort, like every one-way publish: a dropped publish only means
 // the replicator and the locality cache learn about this content from
 // a later staging instead. The blobs are pinned before the event leaves:
 // a publish that reports failure may still have been heard.

@@ -66,10 +66,9 @@ type Replicator struct {
 	onAck    func(hash string, holders []string)
 	consumer *wsn.Consumer
 
-	mu         sync.Mutex
-	holders    map[string]map[string]bool // hash → FSS addr set
-	sizes      map[string]int64
-	subscribed bool
+	mu      sync.Mutex
+	holders map[string]map[string]bool // hash → FSS addr set
+	sizes   map[string]int64
 
 	fanouts   atomic.Int64 // fan-out rounds run
 	acked     atomic.Int64 // holder acks journaled
@@ -152,29 +151,14 @@ func (r *Replicator) ConsumerEPR() wsa.EndpointReference {
 	return wsa.NewEPR(r.addr + r.ConsumerPath())
 }
 
-// Start subscribes the replicator to the replica topic. Best-effort:
-// with the broker unreachable it returns the error and the caller may
-// retry; events published meanwhile are lost, but the next "stored"
+// Start subscribes the replicator to the replica topic; master.Start calls
+// it before anything it starts can publish there, since the broker keeps
+// nothing for a late subscriber. With the broker unreachable it returns
+// the error; events published meanwhile are lost, but the next "stored"
 // event for the same content re-triggers the fan-out.
 func (r *Replicator) Start(ctx context.Context) error {
-	r.mu.Lock()
-	done := r.subscribed
-	r.mu.Unlock()
-	if done {
-		return nil
-	}
-	if _, err := wsn.SubscribeVia(ctx, r.client, r.broker, r.ConsumerEPR(), wsn.Simple(ReplicaTopic)); err != nil {
-		return err
-	}
-	r.mu.Lock()
-	r.subscribed = true
-	r.mu.Unlock()
-	// Prime from the broker's current message so a replicator started
-	// after the first staging round still fans it out.
-	if n, err := wsn.GetCurrentMessageVia(ctx, r.client, r.broker, wsn.Simple(ReplicaTopic)); err == nil {
-		r.onNotification(ctx, n)
-	}
-	return nil
+	_, err := wsn.SubscribeVia(ctx, r.client, r.broker, r.ConsumerEPR(), wsn.Simple(ReplicaTopic))
+	return err
 }
 
 // Holders returns the known holder addresses for a hash, sorted.

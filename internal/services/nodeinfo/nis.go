@@ -11,13 +11,11 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
-	"sync/atomic"
 	"time"
 
 	"uvacg/internal/soap"
 	"uvacg/internal/transport"
 	"uvacg/internal/wsa"
-	"uvacg/internal/wsn"
 	"uvacg/internal/wsrf"
 	"uvacg/internal/xmlutil"
 )
@@ -38,15 +36,6 @@ const (
 // resource.
 const GroupResourceID = "processors"
 
-// CatalogTopic is the root topic the NIS publishes catalog changes on:
-// the paper's Processor Utilization → NIS notification chain extended
-// one hop to the broker, so the Scheduler can keep a pushed catalog
-// instead of polling GetProcessors before every dispatch.
-const CatalogTopic = "nis-catalog"
-
-// catalogChangedTopic is the concrete topic of catalog-change events.
-const catalogChangedTopic = CatalogTopic + "/changed"
-
 // Message QNames.
 var (
 	qReport           = xmlutil.Q(NS, "ProcessorReport")
@@ -61,30 +50,7 @@ var (
 	qUtilization      = xmlutil.Q(NS, "Utilization")
 	qGridLoad         = xmlutil.Q(NS, "GridLoad")
 	qUpdatedAt        = xmlutil.Q(NS, "UpdatedAt")
-	qCatalogChanged   = xmlutil.Q(NS, "CatalogChanged")
-	qVersion          = xmlutil.Q(NS, "Version")
 )
-
-// CatalogVersion reads the catalog version stamped on a CatalogChanged
-// payload, a GetProcessors reply or the group document itself. The NIS
-// bumps it with every change of the group, so a reader that has seen
-// version n can drop anything older that arrives later; a peer that
-// stamps none reads as 0.
-func CatalogVersion(el *xmlutil.Element) int64 {
-	v, _ := strconv.ParseInt(el.ChildText(qVersion), 10, 64)
-	return v
-}
-
-// setVersion stamps el; a child element, which a reader that does not
-// know it skips.
-func setVersion(el *xmlutil.Element, version int64) {
-	v := el.Child(qVersion)
-	if v == nil {
-		v = &xmlutil.Element{Name: qVersion}
-		el.Append(v)
-	}
-	v.Text = strconv.FormatInt(version, 10)
-}
 
 // Processor describes one machine's processors: the hardware
 // characteristics the Scheduler weighs ("CPU speed and total RAM",
@@ -109,11 +75,8 @@ type Processor struct {
 
 // Service is the NIS.
 type Service struct {
-	svc       *wsrf.Service
-	now       func() time.Time
-	client    *transport.Client
-	broker    wsa.EndpointReference
-	published atomic.Int64
+	svc *wsrf.Service
+	now func() time.Time
 }
 
 // Config assembles a NIS.
@@ -122,12 +85,6 @@ type Config struct {
 	Address string
 	// Home backs the service-group resource.
 	Home wsrf.ResourceHome
-	// Client and Broker, when both set, make the NIS publish a
-	// catalog-changed notification (the full processor list) to the
-	// broker on every membership or utilization change. Leaving either
-	// unset keeps the NIS pull-only.
-	Client *transport.Client
-	Broker wsa.EndpointReference
 }
 
 // New builds the NIS and provisions its processors group resource.
@@ -139,7 +96,7 @@ func New(cfg Config) (*Service, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Service{svc: svc, now: time.Now, client: cfg.Client, broker: cfg.Broker}
+	s := &Service{svc: svc, now: time.Now}
 	svc.Enable(wsrf.ResourcePropertiesPortType{})
 	svc.Enable(wsrf.ServiceGroupPortType{})
 	svc.RegisterServiceMethod(ActionReport, s.handleReport)
@@ -258,84 +215,31 @@ func (s *Service) handleReport(ctx context.Context, inv *wsrf.Invocation, body *
 	content := processorContent(p, s.now())
 	if err := s.svc.UpdateResource(GroupResourceID, func(doc *xmlutil.Element) error {
 		wsrf.AddEntry(doc, member, content)
-		setVersion(doc, CatalogVersion(doc)+1)
 		return nil
 	}); err != nil {
 		return nil, err
 	}
-	s.publishCatalogChanged(ctx)
 	return nil, nil
 }
 
-// publishCatalogChanged pushes the full current catalog to the broker —
-// the WS-Notification closing of the paper's poll loop. Best-effort: a
-// dropped publish only means subscribers serve a staler cache until
-// their TTL sends them back to polling GetProcessors.
-func (s *Service) publishCatalogChanged(ctx context.Context) {
-	if s.client == nil || s.broker.IsZero() {
-		return
-	}
-	procs, version, err := s.catalog()
-	if err != nil {
-		return
-	}
-	n := wsn.Notification{
-		Topic:    catalogChangedTopic,
-		Producer: s.svc.EPRFor(GroupResourceID),
-		Message:  CatalogChangedMessage(procs, version),
-	}
-	if wsn.PublishViaBroker(context.WithoutCancel(ctx), s.client, s.broker, n) == nil {
-		s.published.Add(1)
-	}
-}
-
-// CatalogPublishes reports how many catalog-changed notifications
-// reached the broker (accepted sends, not confirmed deliveries).
-func (s *Service) CatalogPublishes() int64 { return s.published.Load() }
-
-// CatalogChangedMessage renders a catalog at a version as the
-// notification payload carried on the CatalogTopic.
-func CatalogChangedMessage(procs []Processor, version int64) *xmlutil.Element {
-	msg := &xmlutil.Element{Name: qCatalogChanged}
-	appendProcessors(msg, procs, version)
-	return msg
-}
-
-// ParseCatalogChanged decodes a catalog-changed payload back into the
-// processor list.
-func ParseCatalogChanged(msg *xmlutil.Element) ([]Processor, error) {
-	if msg == nil || msg.Name != qCatalogChanged {
-		return nil, fmt.Errorf("nis: message is not a CatalogChanged")
-	}
-	return parseProcessorElements(msg)
-}
-
 // handleGetProcessors answers the Scheduler's poll with every catalogued
-// processor.
+// processor: its content plus its ES EPR.
 func (s *Service) handleGetProcessors(ctx context.Context, inv *wsrf.Invocation, body *xmlutil.Element) (*xmlutil.Element, error) {
-	procs, version, err := s.catalog()
+	procs, err := s.Processors()
 	if err != nil {
 		return nil, soap.ReceiverFault("nis: %v", err)
 	}
 	resp := &xmlutil.Element{Name: qGetProcsResponse}
-	appendProcessors(resp, procs, version)
-	return resp, nil
-}
-
-// appendProcessors renders each processor (content plus its ES EPR) as
-// a child of parent, stamped with the catalog version — the wire shape
-// shared by the GetProcessors response and the catalog-changed payload.
-func appendProcessors(parent *xmlutil.Element, procs []Processor, version int64) {
-	setVersion(parent, version)
 	for _, p := range procs {
 		el := processorContent(p, p.UpdatedAt)
 		el.Append(p.ES.ElementNamed(qES))
-		parent.Append(el)
+		resp.Append(el)
 	}
+	return resp, nil
 }
 
-// parseProcessorElements decodes the Processor children of body — the
-// inverse of appendProcessors.
+// parseProcessorElements decodes the Processor children of a
+// GetProcessors response.
 func parseProcessorElements(body *xmlutil.Element) ([]Processor, error) {
 	var out []Processor
 	for _, el := range body.ChildrenNamed(qProcessor) {
@@ -362,47 +266,33 @@ func parseProcessorElements(body *xmlutil.Element) ([]Processor, error) {
 
 // Processors reads the catalog server-side, sorted by host.
 func (s *Service) Processors() ([]Processor, error) {
-	procs, _, err := s.catalog()
-	return procs, err
-}
-
-// catalog reads the processors and the version they stand at from one
-// load of the group document.
-func (s *Service) catalog() ([]Processor, int64, error) {
 	doc, err := s.svc.LoadResource(GroupResourceID)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	entries, err := wsrf.Entries(doc)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	out := make([]Processor, 0, len(entries))
 	for _, e := range entries {
 		p, err := processorFromEntry(e)
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 		out = append(out, p)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Host < out[j].Host })
-	return out, CatalogVersion(doc), nil
+	return out, nil
 }
 
 // GetProcessorsVia polls a NIS over the wire (the Scheduler's step 2).
 func GetProcessorsVia(ctx context.Context, c *transport.Client, nis wsa.EndpointReference) ([]Processor, error) {
-	procs, _, err := GetCatalogVia(ctx, c, nis)
-	return procs, err
-}
-
-// GetCatalogVia is GetProcessorsVia with the version the reply stands at.
-func GetCatalogVia(ctx context.Context, c *transport.Client, nis wsa.EndpointReference) ([]Processor, int64, error) {
 	body, err := c.Call(ctx, nis, ActionGetProcessors, &xmlutil.Element{Name: qGetProcessors})
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	procs, err := parseProcessorElements(body)
-	return procs, CatalogVersion(body), err
+	return parseProcessorElements(body)
 }
 
 // ReportVia sends a one-way utilization report to a NIS — what each

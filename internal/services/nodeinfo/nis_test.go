@@ -63,8 +63,8 @@ func TestReportAndPoll(t *testing.T) {
 	if procs[0].Host != "win-a" || procs[0].Utilization != 0.2 || procs[0].SpeedMHz != 2400 {
 		t.Fatalf("procs[0] = %+v", procs[0])
 	}
-	if procs[0].UpdatedAt.IsZero() {
-		t.Error("timestamp missing")
+	if local, err := nis.Processors(); err != nil || procs[0].UpdatedAt.IsZero() || !procs[0].UpdatedAt.Equal(local[0].UpdatedAt) {
+		t.Errorf("timestamp %v did not survive the poll: catalog %+v, %v", procs[0].UpdatedAt, local, err)
 	}
 	if procs[1].ES.Address != "inproc://win-b/ExecutionService" {
 		t.Fatalf("ES EPR = %v", procs[1].ES)
@@ -154,7 +154,7 @@ func TestGroupResourceQueryable(t *testing.T) {
 
 // TestGridLoadRidesWithUtilization: the slot count a machine's utilization
 // was computed from travels in the Report and comes back in every rendering
-// of the catalog — the poll, the local read, the pushed payload. A Report
+// of the catalog — the poll and the local read. A Report
 // without the element, an older node's, is taken as it is and reads 0 (all
 // of its load foreign); one that makes no sense is refused.
 func TestGridLoadRidesWithUtilization(t *testing.T) {
@@ -185,11 +185,7 @@ func TestGridLoadRidesWithUtilization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pushed, err := ParseCatalogChanged(CatalogChangedMessage(local, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, procs := range map[string][]Processor{"GetProcessors": polled, "Processors": local, "CatalogChanged": pushed} {
+	for name, procs := range map[string][]Processor{"GetProcessors": polled, "Processors": local} {
 		if len(procs) != 2 || procs[0].GridLoad != 1 || procs[0].Utilization != 0.75 || procs[1].GridLoad != 0 || procs[1].Utilization != 0.5 {
 			t.Errorf("%s: %+v", name, procs)
 		}

@@ -75,7 +75,7 @@ func TestParseEventRoundTrip(t *testing.T) {
 
 	verdict := xmlutil.NewContainer(xmlutil.Q(NS, "JobSetEvent"), xmlutil.NewElement(QStatus, SetFailed))
 	for _, n := range []wsn.Notification{
-		{Topic: nodeinfo.CatalogTopic + "/changed"},
+		{Topic: "fss-replica/changed"},
 		{Topic: "jobset-1"},
 		{Topic: "jobset-1/first/exited/again"},
 		{Topic: "jobset-1/jobset/completed"},                   // no payload

@@ -1,25 +1,17 @@
 package scheduler
 
-// Regression tests for the four terminal-transition bugs: a timed-out
-// job whose own process was never killed, Cancel clobbering an already
-// terminal set, failJob persisting live job states into Failed-set
-// documents, and the catalog-subscription check-then-act race. Each
-// test fails against the pre-fix scheduler.
+// Regression tests for three terminal-transition bugs: a timed-out job
+// whose own process was never killed, Cancel clobbering an already
+// terminal set, and failJob persisting live job states into Failed-set
+// documents. Each test fails against the pre-fix scheduler.
 
 import (
 	"context"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"uvacg/internal/procspawn"
-	"uvacg/internal/services/nodeinfo"
-	"uvacg/internal/soap"
-	"uvacg/internal/transport"
-	"uvacg/internal/wsa"
-	"uvacg/internal/wsn"
 	"uvacg/internal/wsrf"
 )
 
@@ -134,66 +126,5 @@ func TestFailedSetLeavesNoLiveJobStates(t *testing.T) {
 	}
 	if byName["long"] != JobCancelled {
 		t.Fatalf("long = %q, want %q (terminal set persisted a live job state)", byName["long"], JobCancelled)
-	}
-}
-
-// TestConcurrentCatalogSubscribeOnce: racing first submissions must
-// establish exactly one catalog-changed subscription. The old
-// check-then-act on the subscribed flag let every racer see "not yet" and
-// subscribe, so each catalog change was applied N times.
-func TestConcurrentCatalogSubscribeOnce(t *testing.T) {
-	h := newSSHarness(t, Greedy{}, nil, "node-a")
-	subs := h.broker.Producer().SubscriptionService().Home()
-	before := len(subs.IDs())
-
-	// Interpose a slow broker proxy: Subscribe takes a few milliseconds,
-	// the way a real broker round trip does. The in-proc transport is
-	// otherwise synchronous, which would hide the check-then-act window.
-	realBroker := h.ss.broker
-	proxy := soap.NewDispatcher()
-	var asked atomic.Int64
-	proxy.Register(wsn.ActionSubscribe, func(ctx context.Context, req *soap.Envelope) (*soap.Envelope, error) {
-		asked.Add(1)
-		time.Sleep(2 * time.Millisecond)
-		body, err := h.client.Call(ctx, realBroker, wsn.ActionSubscribe, req.Body)
-		if err != nil {
-			return nil, err
-		}
-		return soap.New(body), nil
-	})
-	proxyMux := soap.NewMux()
-	proxyMux.Handle("/NB", proxy)
-	h.network.Register("slow-broker", transport.NewServer(proxyMux))
-	h.ss.broker = wsa.NewEPR("inproc://slow-broker/NB")
-
-	// Each round models one "first submission" burst against a master
-	// whose subscription is not yet established; exactly one Subscribe per
-	// round is correct. (The broker would answer a second one with the
-	// subscription it has, so the requests are what is counted.)
-	ctx := context.Background()
-	const rounds, racers = 3, 8
-	for round := 0; round < rounds; round++ {
-		h.ss.mu.Lock()
-		delete(h.ss.standing, nodeinfo.CatalogTopic)
-		h.ss.mu.Unlock()
-		start := make(chan struct{})
-		var wg sync.WaitGroup
-		for i := 0; i < racers; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				<-start
-				h.ss.syncCatalog(ctx)
-			}()
-		}
-		close(start)
-		wg.Wait()
-	}
-
-	if got := asked.Load(); got != rounds {
-		t.Fatalf("%d catalog Subscribe requests over %d bursts, want exactly one each", got, rounds)
-	}
-	if got := len(subs.IDs()) - before; got != 1 {
-		t.Fatalf("%d catalog subscriptions at the broker, want the one", got)
 	}
 }

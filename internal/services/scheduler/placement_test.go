@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"maps"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -328,11 +329,15 @@ func TestPreemptionFreesPlacements(t *testing.T) {
 // the NIS — places nothing: no charge, and no Run that a Kill would then
 // have to chase.
 func TestPlacementLosingToCancelSendsNoRun(t *testing.T) {
-	g := newFakeGrid(t, func(cfg *Config) { cfg.CatalogTTL = -1 }) // every dispatch polls
+	g := newFakeGrid(t, nil)
 	nis := g.h.ss.nis
 	polled, release := make(chan struct{}, 1), make(chan struct{})
 	proxy := soap.NewDispatcher()
+	var polls atomic.Int32
 	proxy.Register(nodeinfo.ActionGetProcessors, func(ctx context.Context, req *soap.Envelope) (*soap.Envelope, error) {
+		if polls.Add(1) == 1 { // the take-on's poll fails: the dispatch polls again
+			return nil, soap.ReceiverFault("nis: not yet")
+		}
 		polled <- struct{}{}
 		<-release
 		body, err := g.h.client.Call(ctx, nis, nodeinfo.ActionGetProcessors, req.Body)

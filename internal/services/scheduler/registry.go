@@ -108,12 +108,12 @@ const (
 
 // takeOn is the one way in: it turns a new or restored run into a live one
 // (Fig. 3 steps 1-2) — subscribe the SS and the client's listener to the
-// set's topic, bring the catalog and the replica view up to date, announce
-// the set's replica want, make the run visible and start dispatching. live
-// is false when nothing was started: on an error, which the caller undoes
-// or retries; when a run of this set was live already; and when the set
-// cannot be run (restoreRun says why) and was taken on, like any set that
-// ends here, only to be failed.
+// set's topic, poll the catalog, announce the set's replica want, make the
+// run visible and start dispatching. live is false when nothing was
+// started: on an error, which the caller undoes or retries; when a run of
+// this set was live already; and when the set cannot be run (restoreRun
+// says why) and was taken on, like any set that ends here, only to be
+// failed.
 func (s *Service) takeOn(ctx context.Context, r *run, via way) (live bool, err error) {
 	// The set outlives the request, pump turn or sweep that brought it.
 	ctx = context.WithoutCancel(ctx)
@@ -123,8 +123,10 @@ func (s *Service) takeOn(ctx context.Context, r *run, via way) (live bool, err e
 	if err := s.subscribeRun(ctx, r, via == submitted); err != nil {
 		return false, err
 	}
-	s.syncCatalog(ctx)
-	s.ensureReplicaSubscription(ctx)
+	// Fig. 3 step 2, once per set: the NIS itself, so a machine whose
+	// registration returned before the Submit is seen by this set's first
+	// dispatch. Best-effort: a failed poll leaves the cache as it was.
+	_, _ = s.pollCatalog(ctx)
 	s.publishReplicaWant(ctx, r.spec.Replicas)
 	if via == activated {
 		// Queued → Running in the journal, before the run can be seen.

@@ -11,11 +11,11 @@ import (
 )
 
 // The replica cache is the scheduler's view of where content lives: a
-// push-fed mirror of the fss-replica topic kept beside the NIS catalog
-// cache. Dispatch reads it twice — once to annotate FileRefs with
-// content hashes and replica EPRs (so a staging FSS can pull from the
-// nearest holder instead of the origin), and once to build the
-// Locality signal the DataAware policy weighs against effective speed.
+// push-fed mirror of the fss-replica topic. Dispatch reads it twice —
+// once to annotate FileRefs with content hashes and replica EPRs (so a
+// staging FSS can pull from the nearest holder instead of the origin),
+// and once to build the Locality signal the DataAware policy weighs
+// against effective speed.
 
 // replicaFile is what a "stored" event taught us about one source key.
 type replicaFile struct {
@@ -32,19 +32,17 @@ type replicaCache struct {
 	pushes  int64
 }
 
-// ensureReplicaSubscription subscribes the SS consumer to the replica
-// topic, once, and primes the cache from the broker's current message.
-// Best-effort, like the catalog subscription: a cold cache only costs
-// locality-blind placement, never a failed dispatch.
-func (s *Service) ensureReplicaSubscription(ctx context.Context) {
-	if !s.trackReplicas || !s.subscribeStanding(ctx, filesystem.ReplicaTopic) {
-		return
+// SubscribeReplicas subscribes the SS consumer to the replica topic when
+// the policy weighs locality. master.Start calls it before anything it
+// starts can publish there: the broker keeps nothing for a late
+// subscriber. A cold cache only costs locality-blind placement, never a
+// failed dispatch.
+func (s *Service) SubscribeReplicas(ctx context.Context) error {
+	if !s.trackReplicas {
+		return nil
 	}
-	if n, err := wsn.GetCurrentMessageVia(ctx, s.client, s.broker, wsn.Simple(filesystem.ReplicaTopic)); err == nil {
-		if rc, perr := filesystem.ParseReplicaChanged(n.Message); perr == nil {
-			s.storeReplica(rc)
-		}
-	}
+	_, err := wsn.SubscribeVia(ctx, s.client, s.broker, s.ConsumerEPR(), wsn.Simple(filesystem.ReplicaTopic))
+	return err
 }
 
 // storeReplica folds one replica event into the cache.

@@ -104,11 +104,6 @@ type Config struct {
 	// partitioned), the job — and with it the set — fails instead of
 	// hanging forever. Zero disables the watchdog.
 	JobTimeout time.Duration
-	// CatalogTTL bounds how long a pushed or polled processor catalog
-	// is trusted before dispatch polls the NIS again. Zero means
-	// DefaultCatalogTTL; negative disables the cache entirely, so every
-	// dispatch polls GetProcessors (the paper's literal Fig. 3 step 2).
-	CatalogTTL time.Duration
 	// Admission, when non-nil, puts the multi-tenant admission queue in
 	// front of the dispatch engine: Submit journals the set as Queued
 	// and acks, and the StartAdmission pump activates sets in weighted
@@ -135,10 +130,10 @@ const (
 
 // Dispatch-path constants: how many jobs may be mid-dispatch (node
 // selection plus the Run round trip) at once across all job sets, and how
-// long a catalog is trusted when Config.CatalogTTL does not say.
+// long a GetProcessors reply is trusted before a dispatch polls again.
 const (
 	maxInflightDispatch = 8
-	DefaultCatalogTTL   = 2 * time.Second
+	catalogTTL          = 2 * time.Second
 )
 
 // Service is the Scheduler Service.
@@ -152,7 +147,6 @@ type Service struct {
 	consumer     *wsn.Consumer
 	esCerts      func(wsa.EndpointReference) (wssec.Certificate, bool)
 	jobTimeout   time.Duration
-	catalogTTL   time.Duration
 	dispatchSem  chan struct{} // bounds concurrent dispatches
 	onDispatch   func(rec DispatchRecord)
 	adm          *admission.Queue
@@ -163,10 +157,8 @@ type Service struct {
 	// and letGo are the way in and the way out.
 	sets registry
 
-	// mu guards the standing subscriptions and the replica cache; dispatch
-	// takes the read side.
-	mu       sync.RWMutex
-	standing map[string]bool // topic → subscription claimed (subscribeStanding)
+	// mu guards the replica cache; dispatch takes the read side.
+	mu sync.RWMutex
 
 	trackReplicas bool
 	rep           replicaCache // guarded by mu
@@ -218,16 +210,12 @@ func (p *placements) free(hosts []string) {
 	}
 }
 
-// catalogCache is the scheduler's pushed view of the NIS processor
-// catalog, refreshed by catalog-changed notifications and by the polls
-// the TTL forces when pushes stop arriving.
+// catalogCache is the last GetProcessors reply, kept for catalogTTL.
 type catalogCache struct {
 	mu      sync.RWMutex
 	procs   []nodeinfo.Processor
-	version int64 // the NIS's catalog version procs stands at
 	updated time.Time
 	polls   int64 // GetProcessors RPCs attempted
-	pushes  int64 // catalog-changed notifications applied
 }
 
 // run is one live job set on this master: what it was submitted with
@@ -559,9 +547,6 @@ func New(cfg Config) (*Service, error) {
 	if cfg.Policy == nil {
 		cfg.Policy = Greedy{}
 	}
-	if cfg.CatalogTTL == 0 {
-		cfg.CatalogTTL = DefaultCatalogTTL
-	}
 	home := &jobSetHome{cfg.Home}
 	svc, err := wsrf.NewService(wsrf.ServiceConfig{Path: ServicePath, Address: cfg.Address, Home: home})
 	if err != nil {
@@ -577,13 +562,11 @@ func New(cfg Config) (*Service, error) {
 		consumer:     wsn.NewConsumer(),
 		esCerts:      cfg.ESCerts,
 		jobTimeout:   cfg.JobTimeout,
-		catalogTTL:   cfg.CatalogTTL,
 		dispatchSem:  make(chan struct{}, maxInflightDispatch),
 		onDispatch:   cfg.OnDispatch,
 		adm:          cfg.Admission,
 		sets:         registry{sets: make(map[string]held)},
 		placed:       placements{byHost: make(map[string]int)},
-		standing:     make(map[string]bool),
 		defaultRetry: cfg.DefaultRetry,
 		preempt:      cfg.Preempt && cfg.Admission != nil,
 	}
@@ -777,8 +760,8 @@ func (s *Service) dispatch(ctx context.Context, r *run, res reservation) {
 }
 
 // runJob is steps 2-3 of Fig. 3: consult the processor catalog, pick a
-// node, send Run. Step 2 is served from the notification-fed cache when
-// fresh; only a stale cache costs a NIS poll. It returns the attempt's
+// node, send Run. Step 2 is served from the last poll while it is fresh;
+// only a stale cache costs a NIS poll. It returns the attempt's
 // runAcked event, complete when err is nil.
 func (s *Service) runJob(ctx context.Context, r *run, res reservation) (event, error) {
 	spec := &r.spec.Jobs[res.job]
@@ -823,112 +806,45 @@ func (s *Service) runJob(ctx context.Context, r *run, res reservation) (event, e
 	return ack, err
 }
 
-// processors returns the catalog a dispatch decision should see: the
-// push-fed cache while fresh, otherwise a direct NIS poll whose result
-// re-primes the cache. When the poll itself fails but a stale catalog
-// exists, the stale view is served — dispatching on old load data beats
-// failing the job outright while the broker outage that starved the
-// cache is also breaking the poll path.
+// processors returns the catalog a dispatch decision should see: the last
+// GetProcessors reply while it is younger than catalogTTL, otherwise a
+// fresh poll.
 func (s *Service) processors(ctx context.Context) ([]nodeinfo.Processor, error) {
-	if s.catalogTTL > 0 {
-		s.cat.mu.RLock()
-		procs, updated := s.cat.procs, s.cat.updated
-		s.cat.mu.RUnlock()
-		if len(procs) > 0 && time.Since(updated) < s.catalogTTL {
-			return procs, nil
-		}
+	s.cat.mu.RLock()
+	procs, updated := s.cat.procs, s.cat.updated
+	s.cat.mu.RUnlock()
+	if len(procs) > 0 && time.Since(updated) < catalogTTL {
+		return procs, nil
 	}
 	return s.pollCatalog(ctx)
 }
 
-// pollCatalog asks the NIS, whatever the cache holds.
+// pollCatalog asks the NIS, whatever the cache holds, and keeps the reply.
+// When the poll fails the stale copy is served, if there is one —
+// dispatching on old load data beats failing the job outright.
 func (s *Service) pollCatalog(ctx context.Context) ([]nodeinfo.Processor, error) {
 	s.cat.mu.Lock()
 	s.cat.polls++
 	s.cat.mu.Unlock()
-	polled, version, err := nodeinfo.GetCatalogVia(ctx, s.client, s.nis)
+	polled, err := nodeinfo.GetProcessorsVia(ctx, s.client, s.nis)
+	s.cat.mu.Lock()
+	defer s.cat.mu.Unlock()
 	if err != nil {
-		if s.catalogTTL > 0 {
-			s.cat.mu.RLock()
-			procs := s.cat.procs
-			s.cat.mu.RUnlock()
-			if len(procs) > 0 {
-				return procs, nil
-			}
+		if len(s.cat.procs) > 0 {
+			return s.cat.procs, nil
 		}
 		return nil, fmt.Errorf("poll NIS: %w", err)
 	}
-	s.storeCatalog(polled, version, false)
+	s.cat.procs, s.cat.updated = polled, time.Now()
 	return polled, nil
 }
 
-// storeCatalog applies a polled or pushed catalog to the cache, unless
-// the cache is fresh and already stands at a newer version: one-way
-// pushes overtake each other and trail a poll, and an older catalog
-// landing last must not stand for a whole TTL. A stale cache takes any
-// version (a NIS that lost its counter starts again from 0).
-func (s *Service) storeCatalog(procs []nodeinfo.Processor, version int64, pushed bool) {
-	if s.catalogTTL <= 0 {
-		return
-	}
-	s.cat.mu.Lock()
-	defer s.cat.mu.Unlock()
-	if version < s.cat.version && time.Since(s.cat.updated) < s.catalogTTL {
-		return
-	}
-	if pushed {
-		s.cat.pushes++
-	}
-	s.cat.procs, s.cat.version, s.cat.updated = procs, version, time.Now()
-}
-
-// CatalogStats reports how the dispatch path has been fed: NIS
-// GetProcessors polls attempted vs catalog-changed pushes applied.
-func (s *Service) CatalogStats() (polls, pushes int64) {
+// CatalogStats reports how many GetProcessors polls the dispatch path has
+// attempted.
+func (s *Service) CatalogStats() (polls int64) {
 	s.cat.mu.RLock()
 	defer s.cat.mu.RUnlock()
-	return s.cat.polls, s.cat.pushes
-}
-
-// syncCatalog subscribes the SS consumer to the NIS catalog-changed topic,
-// once, and then — every time a job set is taken on, the paper's Fig. 3
-// step 2 — reads the catalog from the NIS itself.
-// The NIS is the authority and pushes trail it by two one-way hops, so a
-// set placed on pushes alone can miss a machine that registered just
-// before its Submit; after the poll the pushes only move the cache
-// forward (storeCatalog orders them by version). Both steps are
-// best-effort: with the broker unreachable the cache is fed by polls
-// alone.
-func (s *Service) syncCatalog(ctx context.Context) {
-	if s.catalogTTL <= 0 {
-		return
-	}
-	s.subscribeStanding(ctx, nodeinfo.CatalogTopic)
-	_, _ = s.pollCatalog(ctx)
-}
-
-// subscribeStanding subscribes the SS consumer to a topic that outlives
-// every job set (catalog, replicas) unless that is done, and reports
-// whether this call did it. Best-effort: each feeds a cache with
-// an authority behind it. The claim comes before the subscription — a
-// check-then-act window would let concurrent callers subscribe twice and
-// every push be delivered twice — and is given up if the broker refuses,
-// so the next caller retries.
-func (s *Service) subscribeStanding(ctx context.Context, topic string) bool {
-	s.mu.Lock()
-	claimed := s.standing[topic]
-	s.standing[topic] = true
-	s.mu.Unlock()
-	if claimed {
-		return false
-	}
-	if _, err := wsn.SubscribeVia(ctx, s.client, s.broker, s.ConsumerEPR(), wsn.Simple(topic)); err != nil {
-		s.mu.Lock()
-		delete(s.standing, topic)
-		s.mu.Unlock()
-		return false
-	}
-	return true
+	return s.cat.polls
 }
 
 // resolveFiles turns spec sources into FSS file references — the
@@ -983,12 +899,7 @@ var jobEventKinds = map[string]eventKind{
 // message that a job has completed, it schedules the next job that no
 // longer has any uncompleted dependencies."
 func (s *Service) onNotification(ctx context.Context, n wsn.Notification) {
-	if root, _, _ := strings.Cut(n.Topic, "/"); root == nodeinfo.CatalogTopic {
-		if procs, err := nodeinfo.ParseCatalogChanged(n.Message); err == nil {
-			s.storeCatalog(procs, nodeinfo.CatalogVersion(n.Message), true)
-		}
-		return
-	} else if root == filesystem.ReplicaTopic {
+	if root, _, _ := strings.Cut(n.Topic, "/"); root == filesystem.ReplicaTopic {
 		if rc, err := filesystem.ParseReplicaChanged(n.Message); err == nil {
 			s.storeReplica(rc)
 		}

@@ -51,8 +51,6 @@ func newSSHarnessCfg(t *testing.T, policy Policy, accounts wssec.StaticAccounts,
 	nis, err := nodeinfo.New(nodeinfo.Config{
 		Address: "inproc://master",
 		Home:    wsrf.NewStateHome(store.MustTable("nis", resourcedb.BlobCodec{})),
-		Client:  client,
-		Broker:  broker.EPR(),
 	})
 	if err != nil {
 		t.Fatal(err)

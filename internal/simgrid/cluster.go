@@ -41,10 +41,6 @@ type ClusterConfig struct {
 	// JobTimeout is the scheduler watchdog window (default 1.5s) —
 	// without it a dropped exit event would stall a set forever.
 	JobTimeout time.Duration
-	// CatalogTTL overrides the scheduler's processor-catalog staleness
-	// bound; zero keeps the scheduler's default, negative disables the
-	// cache (every dispatch polls the NIS).
-	CatalogTTL time.Duration
 	// Admission, when non-nil, fronts the scheduler with a durable
 	// multi-tenant admission queue (quotas, fair share, QueueFullFault
 	// backpressure). See AdmissionConfig.
@@ -237,7 +233,6 @@ func (c *Cluster) startMaster(ctx context.Context) (unresumed, err error) {
 	}
 	ssCfg := scheduler.Config{
 		JobTimeout:   c.cfg.JobTimeout,
-		CatalogTTL:   c.cfg.CatalogTTL,
 		DefaultRetry: c.cfg.DefaultRetry,
 		OnDispatch:   c.noteDispatch,
 	}
@@ -558,6 +553,8 @@ type ObservedEvent struct {
 	Kind     string
 	ExitCode int
 	HasExit  bool
+	// Detail is why: a set event's Detail, a job event's Error.
+	Detail string
 	// JobEPR identifies the reporting process instance, so retry drills
 	// can count distinct attempts even when a re-established
 	// subscription delivers the same publish more than once.
@@ -589,9 +586,9 @@ func (o *Observer) ListenerEPR() wsa.EndpointReference { return o.grid.ListenerE
 func (o *Observer) record(n wsn.Notification) {
 	ev := ObservedEvent{Topic: n.Topic}
 	if pe, ok := scheduler.ParseEvent(n); ok {
-		ev.Set, ev.Job, ev.Kind = pe.Set, pe.Job, pe.Kind
+		ev.Set, ev.Job, ev.Kind, ev.Detail = pe.Set, pe.Job, pe.Kind, pe.JobEvent.Error
 		if pe.Job == "" {
-			ev.Kind = "jobset:" + pe.Kind
+			ev.Kind, ev.Detail = "jobset:"+pe.Kind, pe.Detail
 		}
 		ev.ExitCode, ev.HasExit = pe.JobEvent.ExitCode, pe.JobEvent.HasExit
 		if !pe.JobEvent.Job.IsZero() {

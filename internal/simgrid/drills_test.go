@@ -12,6 +12,7 @@ package simgrid
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -40,6 +41,28 @@ func sawSetEvent(c *Cluster, topic, kind string) bool {
 		}
 	}
 	return false
+}
+
+// explain is what a drill prints when a set ends wrong: each set's jobs as
+// journaled, what the observer heard on its topic and why, and the
+// master's placement ledger and unfinished work.
+func explain(c *Cluster, topics ...string) string {
+	var b strings.Builder
+	for _, topic := range topics {
+		v, _ := docFor(c, topic)
+		fmt.Fprintf(&b, "set %s (%s) %s\n", v.Name, topic, v.Status)
+		for _, j := range v.Jobs {
+			fmt.Fprintf(&b, "  job %s %s node=%q attempt=%d\n", j.Name, j.Status, j.Node, j.Attempt)
+		}
+		for _, ev := range c.Observer.Events() {
+			if ev.Set == topic {
+				fmt.Fprintf(&b, "  event %s/%s %q\n", ev.Job, ev.Kind, ev.Detail)
+			}
+		}
+	}
+	ss := c.Scheduler()
+	fmt.Fprintf(&b, "master: placed %v, in flight %+v", ss.Placed(), ss.InFlight())
+	return b.String()
 }
 
 // TestCrashBetweenRetryAttemptsKeepsBudget: the first attempt fails, the
@@ -218,7 +241,7 @@ func TestPreemptedSetSurvivesMasterCrash(t *testing.T) {
 			t.Fatalf("set (topic %s) lost", topic)
 		}
 		if v.Status != scheduler.SetCompleted {
-			t.Fatalf("set %s status %q, want %q", v.Name, v.Status, scheduler.SetCompleted)
+			t.Fatalf("set %s status %q, want %q\n%s", v.Name, v.Status, scheduler.SetCompleted, explain(c, scavAck.Topic, interAck.Topic))
 		}
 	}
 	if viol := CheckInvariants(c, &Scenario{Sets: []*scheduler.JobSetSpec{scav, inter}}); len(viol) > 0 {

@@ -235,21 +235,18 @@ func waitDocStatus(t *testing.T, c *Cluster, topic, want string, deadline time.D
 }
 
 // TestBrokerFaultedTerminalPublishRecovers drives the I4 edge the
-// catalog cache and the notified-marker fix exist for, in two fault
-// windows. First the master's co-located broker eats everything the
-// master sends it — the acked terminal publish of the failing set
-// included — so the set must NOT be stamped notified and the listener
-// must see nothing. Then the fault narrows to one-way sends only: NIS
-// catalog pushes stay eaten (dispatch must fall back to polling the
-// NIS once its pushed catalog goes stale) while the next set's acked
-// terminal publish goes through and IS stamped — the marker tracks
-// actual delivery per set. A master restart after the broker heals
-// must replay the starved set's terminal event to the listener.
+// notified-marker fix exists for, in two fault windows. First the
+// master's co-located broker eats everything the master sends it — the
+// acked terminal publish of the failing set included — so the set must
+// NOT be stamped notified and the listener must see nothing. Then the
+// fault narrows to one-way sends only, and the next set's acked terminal
+// publish goes through and IS stamped — the marker tracks actual delivery
+// per set. A master restart after the broker heals must replay the
+// starved set's terminal event to the listener.
 func TestBrokerFaultedTerminalPublishRecovers(t *testing.T) {
 	c, err := NewCluster(ClusterConfig{
 		Seed: 41, Nodes: 2, DataDir: t.TempDir(),
 		JobTimeout: 800 * time.Millisecond,
-		CatalogTTL: 150 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -283,11 +280,9 @@ func TestBrokerFaultedTerminalPublishRecovers(t *testing.T) {
 	}
 
 	// Window 1: the master's co-located broker eats every message from
-	// the master — acked terminal publishes and one-way catalog pushes
-	// alike. The Src filter leaves node → broker job events flowing, and
-	// the path scoping leaves Submit (scheduler path) and the broker's
+	// the master. The Src filter leaves node → broker job events flowing,
+	// and the path scoping leaves Submit (scheduler path) and the broker's
 	// deliveries out of it.
-	ssBefore := c.Scheduler()
 	c.Chaos.SetTarget(MasterHost, "/NotificationBroker",
 		TargetRule{Src: MasterHost, Faults: RouteFaults{Drop: 1}})
 	c.Chaos.Enable(true)
@@ -302,13 +297,11 @@ func TestBrokerFaultedTerminalPublishRecovers(t *testing.T) {
 		t.Fatal("listener saw a terminal event the broker never accepted")
 	}
 
-	// Window 2: the fault narrows to one-way sends. Catalog pushes are
-	// still eaten, so once the TTL lapses dispatch falls back to polling
-	// GetProcessors; the new set's subscription and acked terminal
-	// publish are round trips and go through.
+	// Window 2: the fault narrows to one-way sends; the new set's
+	// subscription and acked terminal publish are round trips and go
+	// through.
 	c.Chaos.SetTarget(MasterHost, "/NotificationBroker",
 		TargetRule{Src: MasterHost, OneWayOnly: true, Faults: RouteFaults{Drop: 1}})
-	time.Sleep(250 * time.Millisecond)
 	quick, err := c.Submit(ctx, &scheduler.JobSetSpec{Name: "fallback", Jobs: []scheduler.JobSpec{
 		{Name: "q", Executable: "local://quick.app"},
 	}})
@@ -322,9 +315,6 @@ func TestBrokerFaultedTerminalPublishRecovers(t *testing.T) {
 			t.Fatal("acked terminal publish went through but the set is not stamped notified")
 		}
 		time.Sleep(10 * time.Millisecond)
-	}
-	if polls, _ := ssBefore.CatalogStats(); polls == 0 {
-		t.Fatal("starved catalog cache never fell back to polling the NIS")
 	}
 
 	// Broker heals; a restarted master replays the starved set's

@@ -101,14 +101,6 @@ func (e *Envelope) Clone() *Envelope {
 	return out
 }
 
-// SetFastCodec enables or disables the hand-rolled fastcodec path under
-// Marshal, AppendTo, MarshalTo and Unmarshal (and the resourcedb blob
-// codec) process-wide. The fast path is semantically equivalent to the
-// encoding/xml path (enforced by FuzzCodecEquivalence in
-// internal/soap/fastcodec); the switch exists so a suspected codec bug
-// can be ruled out in production without a rebuild (-nofastcodec).
-func SetFastCodec(enabled bool) { fastcodec.SetEnabled(enabled) }
-
 // maxEnvelopeBytes bounds how much soap.Read (and the transport request
 // readers that feed Unmarshal) will buffer for one envelope. A corrupt
 // or malicious peer otherwise drives io.ReadAll into unbounded
@@ -147,15 +139,13 @@ var marshalSizeHint atomic.Int64
 // Marshal serializes the envelope (XML only; attachments travel in the
 // binding's framing or are inlined beforehand) to wire form.
 func (e *Envelope) Marshal() ([]byte, error) {
-	if fastcodec.Enabled() {
-		hint := int(marshalSizeHint.Load())
-		if hint < 256 {
-			hint = 256
-		}
-		if out, ok := fastcodec.AppendEnvelope(make([]byte, 0, hint), NS, e.Headers, e.Body); ok {
-			marshalSizeHint.Store(int64(len(out)))
-			return out, nil
-		}
+	hint := int(marshalSizeHint.Load())
+	if hint < 256 {
+		hint = 256
+	}
+	if out, ok := fastcodec.AppendEnvelope(make([]byte, 0, hint), NS, e.Headers, e.Body); ok {
+		marshalSizeHint.Store(int64(len(out)))
+		return out, nil
 	}
 	return e.marshalSlow(nil)
 }
@@ -164,10 +154,8 @@ func (e *Envelope) Marshal() ([]byte, error) {
 // and returns the extended slice, avoiding both the encoder's pooled
 // scratch buffer and the final copy when the fast path applies.
 func (e *Envelope) AppendTo(dst []byte) ([]byte, error) {
-	if fastcodec.Enabled() {
-		if out, ok := fastcodec.AppendEnvelope(dst, NS, e.Headers, e.Body); ok {
-			return out, nil
-		}
+	if out, ok := fastcodec.AppendEnvelope(dst, NS, e.Headers, e.Body); ok {
+		return out, nil
 	}
 	return e.marshalSlow(dst)
 }
@@ -227,10 +215,8 @@ func (e *Envelope) marshalSlow(dst []byte) ([]byte, error) {
 // fast decoder handles recognized shapes; anything it refuses goes
 // through encoding/xml.
 func Unmarshal(data []byte) (*Envelope, error) {
-	if fastcodec.Enabled() {
-		if root, ok := fastcodec.Decode(data); ok {
-			return fromElement(root)
-		}
+	if root, ok := fastcodec.Decode(data); ok {
+		return fromElement(root)
 	}
 	root, err := xmlutil.UnmarshalElement(data)
 	if err != nil {

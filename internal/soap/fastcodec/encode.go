@@ -17,26 +17,15 @@
 // exotic names) makes the codec report ok=false and the caller falls
 // back to the encoding/xml path, which keeps the observable behaviour
 // byte-for-semantics identical. FuzzCodecEquivalence enforces exactly
-// that agreement against encoding/xml.
+// that agreement against encoding/xml. There is no switch: every caller
+// tries the fast path first and falls back.
 package fastcodec
 
 import (
 	"sort"
-	"sync/atomic"
 
 	"uvacg/internal/xmlutil"
 )
-
-// disabled turns every caller's fast path off at runtime (the
-// -nofastcodec escape hatch); callers gate on Enabled so one switch
-// covers envelope marshalling and resource blob codecs alike.
-var disabled atomic.Bool
-
-// SetEnabled toggles the fast path process-wide.
-func SetEnabled(on bool) { disabled.Store(!on) }
-
-// Enabled reports whether callers should attempt the fast path.
-func Enabled() bool { return !disabled.Load() }
 
 // xmlNamespace is the predeclared namespace bound to the "xml" prefix.
 const xmlNamespace = "http://www.w3.org/XML/1998/namespace"

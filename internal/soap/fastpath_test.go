@@ -19,9 +19,9 @@ func fastTestEnvelope() *Envelope {
 	return env
 }
 
-// TestFastPathMatchesSlowPath pins the integration contract: with the
-// fast codec on or off, Marshal/Unmarshal round-trip to the same
-// envelope.
+// TestFastPathMatchesSlowPath pins the integration contract: Marshal and
+// Unmarshal round-trip to the same envelope as the encoding/xml reference
+// they fall back to (marshalSlow, xmlutil.UnmarshalElement → fromElement).
 func TestFastPathMatchesSlowPath(t *testing.T) {
 	env := fastTestEnvelope()
 
@@ -29,9 +29,7 @@ func TestFastPathMatchesSlowPath(t *testing.T) {
 	if err != nil {
 		t.Fatalf("fast marshal: %v", err)
 	}
-	SetFastCodec(false)
-	slowBytes, serr := env.Marshal()
-	SetFastCodec(true)
+	slowBytes, serr := env.marshalSlow(nil)
 	if serr != nil {
 		t.Fatalf("slow marshal: %v", serr)
 	}
@@ -41,9 +39,11 @@ func TestFastPathMatchesSlowPath(t *testing.T) {
 		if err != nil {
 			t.Fatalf("fast unmarshal of %q: %v", wire, err)
 		}
-		SetFastCodec(false)
-		slow, serr := Unmarshal(wire)
-		SetFastCodec(true)
+		root, serr := xmlutil.UnmarshalElement(wire)
+		if serr != nil {
+			t.Fatalf("slow parse of %q: %v", wire, serr)
+		}
+		slow, serr := fromElement(root)
 		if serr != nil {
 			t.Fatalf("slow unmarshal of %q: %v", wire, serr)
 		}

@@ -137,7 +137,7 @@ func PublishViaBroker(ctx context.Context, c *transport.Client, broker wsa.Endpo
 }
 
 // PublishAckedViaBroker sends a notification as a request-response
-// exchange: a nil return means the broker accepted (and stored) the
+// exchange: a nil return means the broker accepted (and relayed) the
 // event, not merely that it was handed to the transport. Publishers
 // whose durability bookkeeping depends on knowing the event arrived —
 // e.g. an at-least-once "notified" marker — must use this instead of

@@ -21,11 +21,6 @@ import (
 const (
 	ActionPauseSubscription  = NS + "/PauseSubscription"
 	ActionResumeSubscription = NS + "/ResumeSubscription"
-	// ActionGetCurrentMessage returns the last notification published on
-	// a topic (WS-BaseNotification GetCurrentMessage) — how a
-	// late-joining consumer learns the current state without waiting for
-	// the next change.
-	ActionGetCurrentMessage = NS + "/GetCurrentMessage"
 )
 
 var (
@@ -36,7 +31,6 @@ var (
 	qPauseResp    = xmlutil.Q(NS, "PauseSubscriptionResponse")
 	qResumeReq    = xmlutil.Q(NS, "ResumeSubscription")
 	qResumeResp   = xmlutil.Q(NS, "ResumeSubscriptionResponse")
-	qGetCurrent   = xmlutil.Q(NS, "GetCurrentMessage")
 )
 
 // maxDeliveryFailures is how many consecutive delivery failures a
@@ -56,7 +50,8 @@ type subscription struct {
 // WS-Resources (destroyable, property-readable — destroying the
 // subscription resource is how consumers unsubscribe), and offers the
 // single Publish call the paper praises WSRF.NET for ("a single function
-// that services may invoke", §5).
+// that services may invoke", §5). It keeps state per subscription only: a
+// notification is delivered and forgotten.
 type Producer struct {
 	owner  *wsrf.Service
 	subSvc *wsrf.Service
@@ -78,15 +73,6 @@ type Producer struct {
 	// unindex, nothing else.
 	byRoot   map[string]map[string]struct{}
 	failures map[string]int
-	// current caches the last notification per concrete topic for
-	// GetCurrentMessage; seq orders them so the newest match wins.
-	current map[string]currentEntry
-	seq     int
-}
-
-type currentEntry struct {
-	n   Notification
-	seq int
 }
 
 // NewProducer wires notification production into owner. The returned
@@ -113,7 +99,6 @@ func NewProducer(owner *wsrf.Service, subHome wsrf.ResourceHome, client *transpo
 		byKey:    make(map[string]string),
 		byRoot:   make(map[string]map[string]struct{}),
 		failures: make(map[string]int),
-		current:  make(map[string]currentEntry),
 	}
 	p.out = NewOutbox(p.deliver)
 	subSvc.OnDestroy(func(id string) {
@@ -128,47 +113,7 @@ func NewProducer(owner *wsrf.Service, subHome wsrf.ResourceHome, client *transpo
 		return nil, err
 	}
 	owner.RegisterServiceMethod(ActionSubscribe, p.handleSubscribe)
-	owner.RegisterServiceMethod(ActionGetCurrentMessage, p.handleGetCurrentMessage)
 	return p, nil
-}
-
-// handleGetCurrentMessage returns the most recent notification whose
-// topic matches the request's topic expression.
-func (p *Producer) handleGetCurrentMessage(ctx context.Context, inv *wsrf.Invocation, body *xmlutil.Element) (*xmlutil.Element, error) {
-	te, err := ParseTopicExpressionElement(body.Child(qTopicExpression))
-	if err != nil {
-		return nil, soap.SenderFault("%v", err)
-	}
-	p.mu.RLock()
-	var latest *Notification
-	best := -1
-	for topic, entry := range p.current {
-		if entry.seq > best && te.Matches(topic) {
-			n := entry.n
-			latest = &n
-			best = entry.seq
-		}
-	}
-	p.mu.RUnlock()
-	if latest == nil {
-		return nil, soap.SenderFault("wsn: no current message on %q", te.Expr)
-	}
-	return NotifyBody(*latest), nil
-}
-
-// GetCurrentMessageVia fetches a producer's last notification matching
-// te.
-func GetCurrentMessageVia(ctx context.Context, c *transport.Client, producer wsa.EndpointReference, te *TopicExpression) (Notification, error) {
-	body, err := c.Call(ctx, producer, ActionGetCurrentMessage,
-		xmlutil.NewContainer(qGetCurrent, te.Element(qTopicExpression)))
-	if err != nil {
-		return Notification{}, err
-	}
-	ns, err := ParseNotifyBody(body)
-	if err != nil {
-		return Notification{}, err
-	}
-	return ns[0], nil
 }
 
 // handlePause suspends delivery to a subscription without destroying it
@@ -375,13 +320,6 @@ func (p *Producer) Publish(ctx context.Context, topic string, producerRef wsa.En
 // publish queues every delivery ns cause before it waits for any, so what
 // is published together reaches a consumer together.
 func (p *Producer) publish(ctx context.Context, ns ...Notification) int {
-	p.mu.Lock()
-	for _, n := range ns {
-		p.seq++
-		p.current[n.Topic] = currentEntry{n: n, seq: p.seq}
-	}
-	p.mu.Unlock()
-
 	var delivered atomic.Int64
 	var wg sync.WaitGroup
 	var deliveries []Delivery

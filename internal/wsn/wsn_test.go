@@ -3,7 +3,9 @@ package wsn
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -340,27 +342,64 @@ func TestSubscribeRejectsEmptyConsumer(t *testing.T) {
 	}
 }
 
-func TestGetCurrentMessage(t *testing.T) {
-	h := newWSNHarness(t)
-	ctx := context.Background()
-	// No message yet: a fault.
-	if _, err := GetCurrentMessageVia(ctx, h.client, h.owner.EPR(), Simple("jobs")); err == nil {
-		t.Fatal("empty topic answered")
-	}
-	h.producer.Publish(ctx, "jobs/j1/started", h.owner.EPR(), TextMessage(qEvent, "first"))
-	h.producer.Publish(ctx, "jobs/j1/exited", h.owner.EPR(), TextMessage(qEvent, "second"))
-	// A late-joining consumer reads the newest matching message.
-	n, err := GetCurrentMessageVia(ctx, h.client, h.owner.EPR(), Simple("jobs"))
+// TestBrokerKeepsNothingPerNotification: a broker relays and forgets.
+// 20 000 notifications on as many concrete topics, relayed to one
+// subscriber and drained, leave the heap where they found it — no last
+// message per topic, no entry per notification.
+func TestBrokerKeepsNothingPerNotification(t *testing.T) {
+	network := transport.NewNetwork()
+	client := transport.NewClient().WithNetwork(network)
+	broker, err := NewBroker("/NB", "inproc://master",
+		wsrf.NewStateHome(resourcedb.NewStore().MustTable("subs", resourcedb.BlobCodec{})), client)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n.PayloadText() != "second" || n.Topic != "jobs/j1/exited" {
-		t.Fatalf("current = %+v", n)
+	mux := soap.NewMux()
+	mux.Handle(broker.Service().Path(), broker.Service().Dispatcher())
+	network.Register("master", transport.NewServer(mux))
+	var received atomic.Int64
+	consumer, consumerMux := NewConsumer(), soap.NewMux()
+	consumer.Handle(Simple("set"), func(context.Context, Notification) { received.Add(1) })
+	consumer.Mount(consumerMux, "/listener")
+	network.Register("client", transport.NewServer(consumerMux))
+	if _, err := broker.Producer().Subscribe(wsa.NewEPR("inproc://client/listener"), Simple("set")); err != nil {
+		t.Fatal(err)
 	}
-	// A narrower expression picks the matching topic only.
-	n, err = GetCurrentMessageVia(ctx, h.client, h.owner.EPR(), MustTopicExpression(DialectConcrete, "jobs/j1/started"))
-	if err != nil || n.PayloadText() != "first" {
-		t.Fatalf("concrete current = %+v %v", n, err)
+
+	const batch, n = 100, 20000
+	relayed := 0
+	relay := func(k int) { // request-response: the relay is over when the call returns
+		ns := make([]Notification, 0, k)
+		for ; k > 0; k-- {
+			relayed++
+			ns = append(ns, Notification{Topic: fmt.Sprintf("set/job-%d/exited", relayed), Producer: broker.EPR(), Message: TextMessage(qEvent, "0")})
+		}
+		if _, err := client.Call(context.Background(), broker.EPR(), ActionNotify, NotifyBody(ns...)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	heap := func() int64 {
+		for deadline := time.Now().Add(10 * time.Second); received.Load() < int64(relayed); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("the subscriber received %d of %d", received.Load(), relayed)
+			}
+		}
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	relay(batch) // warm pools and the subscriber's outbox queue
+	before := heap()
+	for i := 0; i < n; i += batch {
+		relay(batch)
+	}
+	grown := heap() - before
+	if broker.Relayed() != relayed { // and the broker is still alive to have kept something
+		t.Fatalf("broker relayed %d, want %d", broker.Relayed(), relayed)
+	}
+	if grown >= 2<<20 {
+		t.Fatalf("relaying %d notifications on distinct topics grew the heap by %d KiB", n, grown>>10)
 	}
 }
 
