@@ -53,8 +53,7 @@ var (
 	shared       = daemon.RegisterFlags(flag.CommandLine)
 	addr         = flag.String("addr", ":8700", "listen address (host:port)")
 	hostName     = flag.String("host", "localhost", "public host name services advertise in EPRs")
-	policyName   = flag.String("policy", "greedy", "scheduling policy: greedy, round-robin, random or data-aware (weigh where staged inputs already live into placement)")
-	replicas     = flag.Int("replicas", 0, "run the replication layer: fan staged job-set inputs out to this many FSS nodes, journaling acked holder sets (0 disables)")
+	policyName   = flag.String("policy", "greedy", "scheduling policy: greedy (fastest, most available machine), round-robin or random")
 	accountsFlag = flag.String("accounts", "", "comma-separated user:password accounts; empty disables WS-Security")
 	jobTimeout   = flag.Duration("job-timeout", 0, "fail dispatched jobs with no completion inside this window (0 disables)")
 	queueDepth   = flag.Int("queue-depth", 0, "run an admission queue in front of the scheduler, bounding parked job sets grid-wide (-1 = queue without bound, 0 disables admission)")
@@ -108,7 +107,7 @@ func main() {
 	}
 
 	mcfg := host.MasterConfig(address)
-	mcfg.Scheduler, mcfg.Replicas = ssCfg, *replicas
+	mcfg.Scheduler = ssCfg
 	m, err := master.Assemble(mcfg)
 	if err != nil {
 		log.Fatal(err)
@@ -130,9 +129,6 @@ func main() {
 	}
 	if ssCfg.Admission != nil {
 		log.Printf("admission queue enabled (depth %d)", *queueDepth)
-	}
-	if m.Replicator != nil {
-		log.Printf("replication enabled (K=%d, %d journaled holder set(s) recovered)", *replicas, m.Replicator.Stats().Tracked)
 	}
 	log.Printf("gridmaster up at %s (advertising %s)", base, address)
 	log.Printf("  broker:    %s", m.Broker.EPR().Address)
@@ -216,8 +212,6 @@ func pickPolicy(name string) (scheduler.Policy, error) {
 		return scheduler.RoundRobin{}, nil
 	case "random":
 		return scheduler.NewRandom(1), nil
-	case "data-aware":
-		return scheduler.DataAware{}, nil
 	}
-	return nil, fmt.Errorf("unknown -policy %q (want greedy, round-robin, random or data-aware)", name)
+	return nil, fmt.Errorf("unknown -policy %q (want greedy, round-robin or random)", name)
 }

@@ -10,7 +10,7 @@ import (
 // out) unnoticed: every flag is a configuration the tests and the
 // benchmark would have to cover.
 func TestFlagSurface(t *testing.T) {
-	const want = "accounts addr compact-bytes data-dir fair-share fsync host job-timeout metrics policy preempt queue-depth replicas retries retry-default tenant-quota trace"
+	const want = "accounts addr compact-bytes data-dir fair-share fsync host job-timeout metrics policy preempt queue-depth retries retry-default tenant-quota trace"
 	var got []string
 	flag.VisitAll(func(f *flag.Flag) {
 		if !strings.HasPrefix(f.Name, "test.") {
@@ -23,23 +23,26 @@ func TestFlagSurface(t *testing.T) {
 }
 
 // TestPickPolicy: each documented -policy name selects its policy, and a
-// name that is none of them is refused at start-up rather than started as
-// greedy.
+// name that is none of them — a typo, or data-aware, which left with the
+// replication layer — is refused at start-up, naming the accepted ones,
+// rather than started as greedy.
 func TestPickPolicy(t *testing.T) {
-	names := []string{"greedy", "round-robin", "random", "data-aware"}
+	names := []string{"greedy", "round-robin", "random"}
 	for _, name := range names {
 		p, err := pickPolicy(name)
 		if err != nil || p.Name() != name {
 			t.Errorf("pickPolicy(%q) = %v, %v", name, p, err)
 		}
 	}
-	_, err := pickPolicy("roundrobin")
-	if err == nil {
-		t.Fatal(`pickPolicy("roundrobin") was accepted`)
-	}
-	for _, name := range names {
-		if !strings.Contains(err.Error(), name) {
-			t.Errorf("refusal %q does not name %q", err, name)
+	for _, refused := range []string{"roundrobin", "data-aware"} {
+		_, err := pickPolicy(refused)
+		if err == nil {
+			t.Fatalf("pickPolicy(%q) was accepted", refused)
+		}
+		for _, name := range names {
+			if !strings.Contains(err.Error(), name) {
+				t.Errorf("refusal %q does not name %q", err, name)
+			}
 		}
 	}
 }

@@ -24,17 +24,16 @@ import (
 // The flag surface: the process flags every grid binary shares, plus the
 // machine's own.
 var (
-	shared        = daemon.RegisterFlags(flag.CommandLine)
-	name          = flag.String("name", "", "machine name (required)")
-	addr          = flag.String("addr", ":8701", "listen address")
-	hostName      = flag.String("host", "localhost", "public host name for EPRs")
-	masterURL     = flag.String("master", "http://localhost:8700", "gridmaster base URL")
-	cores         = flag.Int("cores", 2, "processor cores")
-	speed         = flag.Float64("speed", 2000, "clock speed (MHz)")
-	ram           = flag.Int("ram", 1024, "RAM (MB)")
-	accountsFlag  = flag.String("accounts", "", "comma-separated user:password local accounts")
-	threshold     = flag.Float64("threshold", 0.1, "report utilization to the NIS when a 50 ms sample finds it moved by this much (0..1)")
-	replicaEvents = flag.Bool("replica-events", false, "publish replica-manifest stored events for staged files (pair with gridmaster -replicas / -policy data-aware)")
+	shared       = daemon.RegisterFlags(flag.CommandLine)
+	name         = flag.String("name", "", "machine name (required)")
+	addr         = flag.String("addr", ":8701", "listen address")
+	hostName     = flag.String("host", "localhost", "public host name for EPRs")
+	masterURL    = flag.String("master", "http://localhost:8700", "gridmaster base URL")
+	cores        = flag.Int("cores", 2, "processor cores")
+	speed        = flag.Float64("speed", 2000, "clock speed (MHz)")
+	ram          = flag.Int("ram", 1024, "RAM (MB)")
+	accountsFlag = flag.String("accounts", "", "comma-separated user:password local accounts")
+	threshold    = flag.Float64("threshold", 0.1, "report utilization to the NIS when a 50 ms sample finds it moved by this much (0..1)")
 )
 
 func main() {
@@ -66,7 +65,6 @@ func main() {
 		UtilizationThreshold: *threshold,
 		Store:                host.Store,
 		Interceptors:         host.Interceptors(),
-		ReplicaEvents:        *replicaEvents,
 	})
 	if err != nil {
 		log.Fatal(err)

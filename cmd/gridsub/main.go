@@ -48,7 +48,6 @@ type options struct {
 	out        string
 	timeout    time.Duration
 	class      string
-	replicas   int
 }
 
 func registerFlags(fs *flag.FlagSet) *options {
@@ -61,7 +60,6 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.out, "out", ".", "directory fetched outputs are written to")
 	fs.DurationVar(&o.timeout, "timeout", 5*time.Minute, "overall deadline")
 	fs.StringVar(&o.class, "class", "", "admission priority class: interactive, batch or scavenger")
-	fs.IntVar(&o.replicas, "replicas", 0, "ask the master's replication layer to keep this set's staged inputs on at least this many FSS nodes (0 leaves the master default)")
 	return o
 }
 
@@ -98,12 +96,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail("gridsub: unknown -class %q (want interactive, batch or scavenger)", o.class)
 		}
 		desc.Spec.Class = o.class
-	}
-	if o.replicas < 0 {
-		return fail("gridsub: -replicas must be non-negative")
-	}
-	if o.replicas > 0 {
-		desc.Spec.Replicas = o.replicas
 	}
 
 	host, err := o.shared.Open()

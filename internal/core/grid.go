@@ -42,7 +42,6 @@ func IdempotentActions() func(string) bool {
 		nodeinfo.ActionGetProcessors,
 		filesystem.ActionRead,
 		filesystem.ActionList,
-		filesystem.ActionReadBlob,
 	)
 }
 
@@ -155,7 +154,6 @@ func NewGrid(cfg GridConfig) (*Grid, error) {
 		Store:     resourcedb.NewStore(),
 		Client:    client,
 		Scheduler: ssCfg,
-		Metrics:   cfg.Metrics,
 	}
 	if cfg.Retry != nil {
 		// Notification delivery gets the same bounded backoff: a slow

@@ -112,11 +112,11 @@ func (h *Host) Interceptors() []soap.Interceptor {
 }
 
 // MasterConfig is what a master host takes from its process: the store,
-// the client, the metrics table, and -retries for the broker's
-// notification deliveries as for the client's idempotent calls. The
-// caller adds what is the master's own (Scheduler, Replicas).
+// the client, and -retries for the broker's notification deliveries as for
+// the client's idempotent calls. The caller adds what is the master's own
+// (Scheduler).
 func (h *Host) MasterConfig(address string) master.Config {
-	cfg := master.Config{Address: address, Store: h.Store, Client: h.Client, Metrics: h.Metrics}
+	cfg := master.Config{Address: address, Store: h.Store, Client: h.Client}
 	if h.retry != nil {
 		cfg.DeliveryRetry = *h.retry
 	}

@@ -1,19 +1,17 @@
 // Package master is the one place a grid master is put together —
-// broker, Node Info Service, scheduler and, when asked for, replicator,
-// over one resource store and one service mux — and the one place their
-// start order is written down. core.NewGrid, the simulator and the
-// gridmaster binary all call Assemble and Start, so what the simulator's
-// invariants are proven on is the wiring that ships.
+// broker, Node Info Service and scheduler over one resource store and one
+// service mux — and the one place their start order is written down.
+// core.NewGrid, the simulator and the gridmaster binary all call Assemble
+// and Start, so what the simulator's invariants are proven on is the
+// wiring that ships.
 package master
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"uvacg/internal/pipeline"
 	"uvacg/internal/resourcedb"
-	"uvacg/internal/services/filesystem"
 	"uvacg/internal/services/nodeinfo"
 	"uvacg/internal/services/scheduler"
 	"uvacg/internal/soap"
@@ -27,8 +25,9 @@ type Config struct {
 	// Address is the base address the host's services advertise in
 	// their EPRs ("inproc://master", "http://host:8700").
 	Address string
-	// Store holds the host's tables: subscriptions, nodeinfo, jobsets
-	// and replicas.
+	// Store holds the host's tables: subscriptions, nodeinfo and jobsets.
+	// A table it does not name, such as the replicas journal of an earlier
+	// release, is replayed and left alone.
 	Store *resourcedb.Store
 	// Client performs the host's outbound calls.
 	Client *transport.Client
@@ -38,14 +37,6 @@ type Config struct {
 	// DeliveryRetry is the broker's notification-delivery retry; the
 	// zero value delivers each notification once.
 	DeliveryRetry pipeline.RetryPolicy
-	// Replicas, when positive, runs the replication layer: staged inputs
-	// are fanned out to this many FSS nodes and the acked holder sets
-	// journaled in the Store.
-	Replicas int
-	// OnAck, when set, observes every journaled holder set.
-	OnAck func(hash string, holders []string)
-	// Metrics, when set, records replication fan-out rounds.
-	Metrics *pipeline.Metrics
 }
 
 // Master is an assembled master host. Mount Mux behind a binding, then
@@ -54,8 +45,6 @@ type Master struct {
 	Broker    *wsn.Broker
 	NIS       *nodeinfo.Service
 	Scheduler *scheduler.Service
-	// Replicator is nil unless Config.Replicas is positive.
-	Replicator *filesystem.Replicator
 	// Mux has every hosted service and consumer mounted.
 	Mux *soap.Mux
 
@@ -97,58 +86,29 @@ func Assemble(cfg Config) (*Master, error) {
 	}
 	m.Mux.Handle(m.Scheduler.WSRF().Path(), m.Scheduler.WSRF().Dispatcher())
 	m.Scheduler.Consumer().Mount(m.Mux, m.Scheduler.ConsumerPath())
-
-	if cfg.Replicas > 0 {
-		m.Replicator = filesystem.NewReplicator(filesystem.ReplicatorConfig{
-			Address:  cfg.Address,
-			Client:   cfg.Client,
-			Broker:   m.Broker.EPR(),
-			NIS:      m.NIS.EPR(),
-			Replicas: cfg.Replicas,
-			Journal:  table("replicas"),
-			Metrics:  cfg.Metrics,
-			OnAck:    cfg.OnAck,
-		})
-		m.Replicator.Consumer().Mount(m.Mux, m.Replicator.ConsumerPath())
-	}
 	return m, nil
 }
 
 // Start brings the assembled host to life, once Mux is reachable at the
-// configured address. The order is the contract:
-//
-//  1. the standing subscriptions — the Replicator's and, under the
-//     data-aware policy, the Scheduler's replica consumer — are made
-//     before anything this host starts can publish on the replica topic:
-//     the broker keeps no message for a late subscriber;
-//  2. Recover resumes the job sets the last run left unfinished and
-//     re-parks the journaled Queued ones in admission-sequence order, and
-//     only then
-//  3. StartAdmission lets the fair-share pump draw from the rebuilt
-//     queue — a pump started earlier would pick from a half-rebuilt one
-//     and activate sets out of their fair-share order.
+// configured address. The order is the contract: Recover resumes the job
+// sets the last run left unfinished and re-parks the journaled Queued ones
+// in admission-sequence order, and only then does StartAdmission let the
+// fair-share pump draw from the rebuilt queue — a pump started earlier
+// would pick from a half-rebuilt one and activate sets out of their
+// fair-share order.
 //
 // ctx bounds the start-up work; the pump runs until Stop. The host is up
-// whatever Start returns: the error joins a failed subscription and the
-// job sets that could not be resumed, for the caller to log or refuse.
+// whatever Start returns: the error names the job sets that could not be
+// resumed, for the caller to log or refuse.
 func (m *Master) Start(ctx context.Context) (resumed int, err error) {
 	bg, cancel := context.WithCancel(context.Background())
 	m.cancel = cancel
-	var errs []error
-	if m.Replicator != nil {
-		if err := m.Replicator.Start(ctx); err != nil {
-			errs = append(errs, fmt.Errorf("replicator subscription: %w", err))
-		}
-	}
-	if err := m.Scheduler.SubscribeReplicas(ctx); err != nil {
-		errs = append(errs, fmt.Errorf("scheduler replica subscription: %w", err))
-	}
-	resumed, rerr := m.Scheduler.Recover(ctx)
-	if rerr != nil {
-		errs = append(errs, fmt.Errorf("job set recovery: %w", rerr))
+	resumed, err = m.Scheduler.Recover(ctx)
+	if err != nil {
+		err = fmt.Errorf("job set recovery: %w", err)
 	}
 	m.Scheduler.StartAdmission(bg)
-	return resumed, errors.Join(errs...)
+	return resumed, err
 }
 
 // Stop ends the background work Start began (the admission pump).

@@ -3,6 +3,7 @@ package master_test
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -163,4 +164,86 @@ func TestDataDirWithALeasesTableStillOpens(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestDataDirWithAReplicasTableResumesRunningSets: a -data-dir written by
+// a gridmaster that still ran with -replicas carries a "replicas" journal
+// of holder sets beside its job sets. It opens like one without, and the
+// set it left Running is resumed and dispatched again.
+func TestDataDirWithAReplicasTableResumesRunningSets(t *testing.T) {
+	network := transport.NewNetwork()
+	client := transport.NewClient().WithNetwork(network)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	dir := t.TempDir()
+	assemble := func(store *resourcedb.Store) *master.Master {
+		m, err := master.Assemble(master.Config{Address: "inproc://master", Store: store, Client: client})
+		if err != nil {
+			t.Fatal(err)
+		}
+		network.Deregister("master")
+		network.Register("master", transport.NewServer(m.Mux))
+		return m
+	}
+	// awaitAttempts waits until the set's one job has used n retries: no
+	// machine is registered, so every dispatch fails and the next waits an
+	// hour, with the set still Running.
+	awaitAttempts := func(m *master.Master, n int) {
+		t.Helper()
+		home := m.Scheduler.WSRF().Home()
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+			for _, id := range home.IDs() {
+				if doc, err := home.Load(id); err == nil {
+					v := scheduler.ParseJobSetDocument(doc)
+					if j := v.Job("only"); j != nil && j.Attempt >= n && v.Status == scheduler.SetRunning {
+						return
+					}
+				}
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("the set never reached %d journaled attempt(s) while Running", n)
+			}
+		}
+	}
+
+	old, err := resourcedb.OpenDurable(dir, resourcedb.DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := assemble(old.Store)
+	spec := &scheduler.JobSetSpec{Name: "running", Jobs: []scheduler.JobSpec{{
+		Name: "only", Executable: "local://only.app",
+		Retry: scheduler.RetryPolicy{Limit: 5, Backoff: time.Hour},
+	}}}
+	env := soap.New(scheduler.SubmitRequest(spec, wsa.NewEPR("inproc://client/files"), wsa.EndpointReference{}))
+	if _, err := client.Invoke(ctx, first.Scheduler.EPR(), scheduler.ActionSubmit, env); err != nil {
+		t.Fatal(err)
+	}
+	awaitAttempts(first, 1)
+	// One row as the replicator journaled it: a blob's holder set, keyed
+	// by the blob's SHA-256.
+	holders := xmlutil.NewContainer(xmlutil.Q("urn:uvacg:fss", "ReplicaState"),
+		xmlutil.NewElement(xmlutil.Q("urn:uvacg:fss", "Holder"), "http://localhost:8701/FileSystemService"),
+		xmlutil.NewElement(xmlutil.Q("urn:uvacg:fss", "Holder"), "http://localhost:8702/FileSystemService"))
+	holders.SetAttr(xmlutil.Q("", "size"), "524288")
+	if err := old.Store.MustTable("replicas", resourcedb.BlobCodec{}).Put(strings.Repeat("5e", 32), holders); err != nil {
+		t.Fatal(err)
+	}
+	first.Stop()
+	if err := old.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	reopened, err := resourcedb.OpenDurable(dir, resourcedb.DurableOptions{})
+	if err != nil {
+		t.Fatalf("the old data dir does not open: %v", err)
+	}
+	defer reopened.Close()
+	second := assemble(reopened.Store)
+	resumed, err := second.Start(ctx)
+	defer second.Stop()
+	if resumed != 1 || err != nil {
+		t.Fatalf("Start over the old data dir resumed %d set(s), err %v; want 1", resumed, err)
+	}
+	awaitAttempts(second, 2)
 }

@@ -76,11 +76,6 @@ type Config struct {
 	// OnStage, when set, observes every file the machine's FSS stages —
 	// the simulator's I7 ledger and the bench rigs' byte counters.
 	OnStage func(rec filesystem.StageRecord)
-	// ReplicaEvents opts the FSS into publishing replica-manifest
-	// "stored" events to the broker. Off by default: without a
-	// replicator or a data-aware scheduler listening, the publish per
-	// staged file would be pure overhead.
-	ReplicaEvents bool
 }
 
 // Node is a running grid machine.
@@ -154,18 +149,14 @@ func New(cfg Config) (*Node, error) {
 		return nil, err
 	}
 
-	fssCfg := filesystem.Config{
+	n.FSS, err = filesystem.New(filesystem.Config{
 		Address: address,
 		FS:      n.FS,
 		Client:  cfg.Client,
 		Home:    wsrf.NewStateHome(n.Store.MustTable("directories", resourcedb.BlobCodec{})),
 		Host:    cfg.Name,
 		OnStage: cfg.OnStage,
-	}
-	if cfg.ReplicaEvents {
-		fssCfg.Broker = cfg.Broker
-	}
-	n.FSS, err = filesystem.New(fssCfg)
+	})
 	if err != nil {
 		return nil, err
 	}

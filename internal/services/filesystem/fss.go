@@ -16,13 +16,11 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
-	"sync/atomic"
 
 	"uvacg/internal/soap"
 	"uvacg/internal/transport"
 	"uvacg/internal/vfs"
 	"uvacg/internal/wsa"
-	"uvacg/internal/wsn"
 	"uvacg/internal/wsrf"
 	"uvacg/internal/xmlutil"
 )
@@ -64,7 +62,6 @@ var (
 	qSourceEPR       = xmlutil.Q(NS, "SourceEPR")
 	qRemoteName      = xmlutil.Q(NS, "RemoteName")
 	qLocalName       = xmlutil.Q(NS, "LocalName")
-	qReplicaEPR      = xmlutil.Q(NS, "ReplicaEPR")
 	qSuccess         = xmlutil.Q(NS, "Success")
 	qError           = xmlutil.Q(NS, "Error")
 	qDirectory       = xmlutil.Q(NS, "Directory")
@@ -74,17 +71,11 @@ var (
 // FileRef names one file to stage: where it lives (the EPR of the
 // directory resource or file server holding it), its name there, and
 // the name the job expects — the {EPR, filename, jobname} tuples of
-// paper §4.1. Hash, Size and Replicas are the scheduler's optional
-// data-placement annotations: when the content address is known, the
-// staging FSS can serve the file from its local blob cache or pull it
-// through from a listed replica instead of fetching the origin.
+// paper §4.1.
 type FileRef struct {
 	Source     wsa.EndpointReference
 	RemoteName string
 	LocalName  string
-	Hash       string
-	Size       int64
-	Replicas   []wsa.EndpointReference
 }
 
 // StageRecord describes one completed staging, for observers (the
@@ -93,36 +84,21 @@ type StageRecord struct {
 	// Host is the staging machine; Dir its working-directory path.
 	Host string
 	Dir  string
-	// LocalName is the installed file name; Source the SourceKey it was
-	// staged from; Hash and Size describe the installed bytes.
-	LocalName string
-	Source    string
-	Hash      string
-	Size      int64
-	// Route says how the bytes arrived: "blob" (local cache hit),
-	// "local" (same-machine directory copy), "pull" (blob pulled from a
-	// replica) or "wire" (origin fetch).
+	// File is what was staged; Content the bytes installed under
+	// File.LocalName.
+	File    FileRef
+	Content *vfs.Content
+	// Route says how the bytes arrived: RouteLocal or RouteWire.
 	Route string
 }
 
 // Staging routes.
 const (
-	RouteBlob  = "blob"
+	// RouteLocal links a directory entry already on this machine.
 	RouteLocal = "local"
-	RoutePull  = "pull"
-	RouteWire  = "wire"
+	// RouteWire fetches the file from its source endpoint.
+	RouteWire = "wire"
 )
-
-// StageStats aggregates a machine's staging traffic by route.
-type StageStats struct {
-	BlobHits     int64
-	LocalCopies  int64
-	PullThroughs int64
-	WireFetches  int64
-	LocalBytes   int64 // bytes served without leaving the machine
-	RemoteBytes  int64 // bytes fetched over the wire (pull + origin)
-	Publishes    int64 // stored events accepted by the broker
-}
 
 // gridRoot is the directory all working directories are created under.
 const gridRoot = "/grid"
@@ -136,29 +112,9 @@ type Service struct {
 	// destroy hook can remove the directory itself.
 	paths sync.Map
 
-	// broker and host enable best-effort "stored" publications on the
-	// replica topic; onStage observes completed stagings.
-	broker  wsa.EndpointReference
+	// host names this machine in stage records, which onStage observes.
 	host    string
 	onStage func(StageRecord)
-
-	// mu guards the content index: blobs (hash → the one Content this
-	// machine holds for it, shared with every directory entry of that
-	// content) and manifests (what was staged into each working directory).
-	// Destroying a directory reads both to decide which blobs go.
-	mu        sync.Mutex
-	blobs     map[string]*heldBlob
-	manifests map[string]map[string]ManifestEntry // dir path → name → entry
-
-	// Staging counters, by route.
-	blobHits     atomic.Int64
-	localCopies  atomic.Int64
-	pullThroughs atomic.Int64
-	wireFetches  atomic.Int64
-	localBytes   atomic.Int64
-	remoteBytes  atomic.Int64
-	publishes    atomic.Int64
-	replicasHeld atomic.Int64
 }
 
 // Config assembles an FSS.
@@ -171,11 +127,7 @@ type Config struct {
 	Client *transport.Client
 	// Store backs the directory WS-Resources.
 	Home wsrf.ResourceHome
-	// Broker, when set, makes the FSS publish a best-effort "stored"
-	// event on the replica topic after each successful staging, feeding
-	// the replicator and the scheduler's locality cache.
-	Broker wsa.EndpointReference
-	// Host names this machine in stage records and replica events.
+	// Host names this machine in stage records.
 	Host string
 	// OnStage, when set, observes every completed staging.
 	OnStage func(StageRecord)
@@ -191,14 +143,11 @@ func New(cfg Config) (*Service, error) {
 		return nil, err
 	}
 	s := &Service{
-		svc:       svc,
-		fs:        cfg.FS,
-		client:    cfg.Client,
-		broker:    cfg.Broker,
-		host:      cfg.Host,
-		onStage:   cfg.OnStage,
-		blobs:     make(map[string]*heldBlob),
-		manifests: make(map[string]map[string]ManifestEntry),
+		svc:     svc,
+		fs:      cfg.FS,
+		client:  cfg.Client,
+		host:    cfg.Host,
+		onStage: cfg.OnStage,
 	}
 	svc.Enable(wsrf.ResourcePropertiesPortType{})
 	svc.Enable(wsrf.LifetimePortType{})
@@ -232,8 +181,6 @@ func New(cfg Config) (*Service, error) {
 	svc.RegisterMethod(ActionList, s.handleList)
 	svc.RegisterMethod(ActionUpload, s.handleUpload)
 	svc.RegisterMethod(ActionUploadSync, s.handleUploadSync)
-	svc.RegisterServiceMethod(ActionReadBlob, s.handleReadBlob)
-	svc.RegisterServiceMethod(ActionReplicate, s.handleReplicate)
 	return s, nil
 }
 
@@ -244,31 +191,13 @@ func (s *Service) WSRF() *wsrf.Service { return s.svc }
 func (s *Service) EPR() wsa.EndpointReference { return s.svc.EPR() }
 
 // removeDirectory is the destroy hook: destroying a directory
-// WS-Resource removes the directory itself, its manifest, and every blob
-// that no remaining manifest names and nobody was told about (see
-// heldBlob.pinned). The directory goes first, so a staging still in
-// flight into it finds it gone under the same lock (recordManifest).
+// WS-Resource removes the directory itself. Its files' bytes go with the
+// last directory entry that links them; a staging still in flight into
+// it fails its Link.
 func (s *Service) removeDirectory(id string) {
-	v, ok := s.paths.LoadAndDelete(id)
-	if !ok {
-		return
-	}
-	path := v.(string)
-	// The only error is "no such directory": already gone is gone.
-	_ = s.fs.RemoveDir(path)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.manifests, path)
-	named := make(map[string]struct{})
-	for _, m := range s.manifests {
-		for _, e := range m {
-			named[e.Hash] = struct{}{}
-		}
-	}
-	for hash, b := range s.blobs {
-		if _, ok := named[hash]; !ok && !b.pinned {
-			delete(s.blobs, hash)
-		}
+	if v, ok := s.paths.LoadAndDelete(id); ok {
+		// The only error is "no such directory": already gone is gone.
+		_ = s.fs.RemoveDir(v.(string))
 	}
 }
 
@@ -364,126 +293,10 @@ func (s *Service) handleWrite(ctx context.Context, inv *wsrf.Invocation, body *x
 	// The one copy on the way in: these bytes are the sender's (over
 	// inproc and the co-located route an attachment arrives by reference,
 	// and the sender may go on using its array).
-	if _, err := s.install(path, name, vfs.NewContent(bytes.Clone(data)), ""); err != nil {
+	if err := s.fs.Write(path, name, bytes.Clone(data)); err != nil {
 		return nil, soap.ReceiverFault("fss: %v", err)
 	}
 	return nil, nil
-}
-
-// install makes c the file name in dir: content-address first, then one
-// atomic vfs.Link of the Content the index holds for that hash — a
-// concurrent Read sees complete old or complete new bytes, the directory
-// and the index share one copy, and the manifest entry always describes
-// bytes the blob index holds.
-func (s *Service) install(dir, name string, c *vfs.Content, source string) (ManifestEntry, error) {
-	c = s.putBlob(c)
-	if err := s.fs.Link(dir, name, c); err != nil {
-		return ManifestEntry{}, err
-	}
-	e := ManifestEntry{Name: name, Size: int64(c.Len()), Hash: c.Hash(), Source: source}
-	s.recordManifest(dir, e, c)
-	return e, nil
-}
-
-// recordManifest upserts one entry in a directory's staging manifest,
-// unless the directory was destroyed since c was linked into it. A
-// Destroy elsewhere may have swept c's blob between putBlob and here
-// (nothing named it yet); now something does, so it goes back.
-func (s *Service) recordManifest(dir string, e ManifestEntry, c *vfs.Content) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.fs.DirExists(dir) {
-		return
-	}
-	m := s.manifests[dir]
-	if m == nil {
-		m = make(map[string]ManifestEntry)
-		s.manifests[dir] = m
-	}
-	m[e.Name] = e
-	if _, ok := s.blobs[e.Hash]; !ok {
-		s.blobs[e.Hash] = &heldBlob{content: c}
-	}
-}
-
-// DirManifest snapshots a directory's staging manifest, sorted by name.
-func (s *Service) DirManifest(dir string) Manifest {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out Manifest
-	for _, e := range s.manifests[dir] {
-		out.Entries = append(out.Entries, e)
-	}
-	sortManifest(&out)
-	return out
-}
-
-// noteStage bumps the route counters and notifies the observer.
-func (s *Service) noteStage(dir string, e ManifestEntry, route string) {
-	switch route {
-	case RouteBlob:
-		s.blobHits.Add(1)
-		s.localBytes.Add(e.Size)
-	case RouteLocal:
-		s.localCopies.Add(1)
-		s.localBytes.Add(e.Size)
-	case RoutePull:
-		s.pullThroughs.Add(1)
-		s.remoteBytes.Add(e.Size)
-	case RouteWire:
-		s.wireFetches.Add(1)
-		s.remoteBytes.Add(e.Size)
-	}
-	if s.onStage != nil {
-		s.onStage(StageRecord{
-			Host: s.host, Dir: dir, LocalName: e.Name,
-			Source: e.Source, Hash: e.Hash, Size: e.Size, Route: route,
-		})
-	}
-}
-
-// StageStats reports the machine's staging traffic so far.
-func (s *Service) StageStats() StageStats {
-	return StageStats{
-		BlobHits:     s.blobHits.Load(),
-		LocalCopies:  s.localCopies.Load(),
-		PullThroughs: s.pullThroughs.Load(),
-		WireFetches:  s.wireFetches.Load(),
-		LocalBytes:   s.localBytes.Load(),
-		RemoteBytes:  s.remoteBytes.Load(),
-		Publishes:    s.publishes.Load(),
-	}
-}
-
-// publishStored announces freshly staged content on the replica topic.
-// Best-effort, like every one-way publish: a dropped publish only means
-// the replicator and the locality cache learn about this content from
-// a later staging instead. The blobs are pinned before the event leaves:
-// a publish that reports failure may still have been heard.
-func (s *Service) publishStored(ctx context.Context, entries []ManifestEntry) {
-	if s.client == nil || s.broker.IsZero() || len(entries) == 0 {
-		return
-	}
-	for _, e := range entries {
-		s.pin(e.Hash)
-	}
-	msg, err := ReplicaChangedMessage(ReplicaChanged{
-		Kind:     ReplicaStored,
-		Host:     s.host,
-		FSS:      s.EPR(),
-		Manifest: Manifest{Entries: entries},
-	})
-	if err != nil {
-		return
-	}
-	n := wsn.Notification{
-		Topic:    replicaChangedTopic,
-		Producer: s.EPR(),
-		Message:  msg,
-	}
-	if wsn.PublishViaBroker(context.WithoutCancel(ctx), s.client, s.broker, n) == nil {
-		s.publishes.Add(1)
-	}
 }
 
 func (s *Service) handleList(ctx context.Context, inv *wsrf.Invocation, body *xmlutil.Element) (*xmlutil.Element, error) {

@@ -3,6 +3,9 @@ package filesystem
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -332,13 +335,56 @@ func TestUploadRequestValidation(t *testing.T) {
 	}
 }
 
+// TestOldMasterAnnotationsStageByWire: a data-aware master of an earlier
+// release annotated each <fss:File> with a size attribute, the content's
+// SHA-256 in <fss:Hash> and the FSS endpoints holding a replica in
+// <fss:ReplicaEPR>. Such a file still parses, and stages from its source
+// by the wire route: the listed replica, at which nothing answers, is
+// never asked.
+func TestOldMasterAnnotationsStageByWire(t *testing.T) {
+	h := newFSSHarness(t)
+	ctx := context.Background()
+	content := []byte("fetched from the source, not the replica")
+	src, err := CreateDirectoryVia(ctx, h.client, h.fssB.EPR(), "src")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFile(ctx, h.client, src, "f", content); err != nil {
+		t.Fatal(err)
+	}
+	var routes []string
+	h.fssA.onStage = func(rec StageRecord) { routes = append(routes, rec.Route) }
+	dst, dstPath, err := h.fssA.CreateDirectory("work")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	sum := sha256.Sum256(content)
+	file := FileRefElements([]FileRef{{Source: src, RemoteName: "f", LocalName: "in.dat"}})[0]
+	file.SetAttr(qSize, strconv.Itoa(len(content)))
+	file.Append(xmlutil.NewElement(xmlutil.Q(NS, "Hash"), hex.EncodeToString(sum[:])))
+	file.Append(wsa.NewEPR("inproc://ghost/FileSystemService").ElementNamed(xmlutil.Q(NS, "ReplicaEPR")))
+	req := xmlutil.NewContainer(qUpload, file)
+	if refs, err := ParseFileRefElements(req); err != nil || len(refs) != 1 || refs[0].LocalName != "in.dat" {
+		t.Fatalf("annotated file entry parsed as %+v, %v", refs, err)
+	}
+	if _, err := h.client.Call(ctx, dst, ActionUploadSync, req); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := h.fsA.Read(dstPath, "in.dat"); !bytes.Equal(got, content) {
+		t.Fatalf("staged %q", got)
+	}
+	if len(routes) != 1 || routes[0] != RouteWire {
+		t.Fatalf("staging routes %v, want one %s", routes, RouteWire)
+	}
+}
+
 // TestConcurrentReadDuringRestagingNeverTorn is the torn-read
 // regression: while one file is re-staged over and over (alternating
-// between two versions of different lengths, as a replication round
-// re-installing content does), concurrent reads must always see one
-// complete version — never a mix, never a truncation. The staging path
-// guarantees this by verifying the hash first and installing with a
-// single atomic vfs.Write. Run with -race.
+// between two versions of different lengths), concurrent reads must
+// always see one complete version — never a mix, never a truncation. The
+// staging path guarantees this by installing with a single atomic
+// vfs.Link. Run with -race.
 func TestConcurrentReadDuringRestagingNeverTorn(t *testing.T) {
 	h := newFSSHarness(t)
 	ctx := context.Background()

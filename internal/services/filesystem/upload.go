@@ -3,7 +3,6 @@ package filesystem
 import (
 	"context"
 	"fmt"
-	"strconv"
 
 	"uvacg/internal/soap"
 	"uvacg/internal/vfs"
@@ -39,29 +38,22 @@ func UploadRequest(notifyTo wsa.EndpointReference, token string, files []FileRef
 
 // FileRefElements renders file references as <fss:File> elements, for
 // embedding in Upload messages and in the Execution Service's RunJob
-// request. The Hash/Size/Replicas placement annotations travel as
-// optional children — receivers that predate them simply ignore them.
+// request.
 func FileRefElements(files []FileRef) []*xmlutil.Element {
 	out := make([]*xmlutil.Element, 0, len(files))
 	for _, f := range files {
-		el := xmlutil.NewContainer(qFile,
+		out = append(out, xmlutil.NewContainer(qFile,
 			f.Source.ElementNamed(qSourceEPR),
 			xmlutil.NewElement(qRemoteName, f.RemoteName),
 			xmlutil.NewElement(qLocalName, f.LocalName),
-		)
-		if f.Hash != "" {
-			el.Append(xmlutil.NewElement(qHash, f.Hash))
-			el.SetAttr(qSize, strconv.FormatInt(f.Size, 10))
-		}
-		for _, rep := range f.Replicas {
-			el.Append(rep.ElementNamed(qReplicaEPR))
-		}
-		out = append(out, el)
+		))
 	}
 	return out
 }
 
-// ParseFileRefElements decodes every <fss:File> child of parent.
+// ParseFileRefElements decodes every <fss:File> child of parent. Children
+// it does not know are ignored, so the content-hash and replica
+// annotations older masters attached still stage, by the wire route.
 func ParseFileRefElements(parent *xmlutil.Element) ([]FileRef, error) {
 	var files []FileRef
 	for _, f := range parent.ChildrenNamed(qFile) {
@@ -83,20 +75,6 @@ func ParseFileRefElements(parent *xmlutil.Element) ([]FileRef, error) {
 		}
 		if ref.LocalName == "" {
 			ref.LocalName = ref.RemoteName
-		}
-		if h := f.ChildText(qHash); h != "" {
-			if !ValidHash(h) {
-				return nil, fmt.Errorf("fss: file entry %q has malformed hash %q", ref.RemoteName, h)
-			}
-			ref.Hash = h
-			ref.Size, _ = strconv.ParseInt(f.Attr(qSize), 10, 64)
-		}
-		for _, rel := range f.ChildrenNamed(qReplicaEPR) {
-			rep, err := wsa.ParseEPR(rel)
-			if err != nil {
-				return nil, fmt.Errorf("fss: bad replica EPR: %w", err)
-			}
-			ref.Replicas = append(ref.Replicas, rep)
 		}
 		files = append(files, ref)
 	}
@@ -174,95 +152,50 @@ func (s *Service) handleUploadSync(ctx context.Context, inv *wsrf.Invocation, bo
 	return nil, nil
 }
 
-// stageFiles retrieves every file into the working directory, then
-// announces the freshly staged content on the replica topic.
+// stageFiles retrieves every file into the working directory.
 func (s *Service) stageFiles(ctx context.Context, path string, files []FileRef) error {
-	entries := make([]ManifestEntry, 0, len(files))
 	for _, f := range files {
-		e, err := s.stageOne(ctx, path, f)
-		if err != nil {
+		if err := s.stageOne(ctx, path, f); err != nil {
 			return fmt.Errorf("stage %q as %q: %w", f.RemoteName, f.LocalName, err)
 		}
-		entries = append(entries, e)
 	}
-	// Deduplicate by installed name (last wins — it is the file that
-	// survived) so the published manifest stays canonical.
-	byName := make(map[string]int, len(entries))
-	dedup := entries[:0]
-	for _, e := range entries {
-		if i, ok := byName[e.Name]; ok {
-			dedup[i] = e
-			continue
-		}
-		byName[e.Name] = len(dedup)
-		dedup = append(dedup, e)
-	}
-	s.publishStored(ctx, dedup)
 	return nil
 }
 
-// stageOne fetches one file. Routes, cheapest first: the local blob
-// cache when the scheduler annotated a content address this machine
-// already holds; the local fast path when the source directory is on
-// this machine; a blob pull-through from a listed replica; and finally
-// the origin fetch — an FSS Read on the source endpoint (peer FSS
-// directory or the client's TCP file server, paper §4.6). Whatever the
-// route, the content is verified against the expected hash before a
-// single atomic vfs.Link installs it, so a concurrent Read serves the
-// complete old or the complete new file, never a torn view.
-func (s *Service) stageOne(ctx context.Context, destPath string, f FileRef) (ManifestEntry, error) {
-	stage := func(c *vfs.Content, route string) (ManifestEntry, error) {
-		if f.Hash != "" && c.Hash() != f.Hash {
-			return ManifestEntry{}, fmt.Errorf("fss: staged bytes for %q do not match content hash %s (route %s)", f.RemoteName, f.Hash, route)
-		}
-		e, err := s.install(destPath, f.LocalName, c, SourceKey(f.Source, f.RemoteName))
-		if err != nil {
-			return ManifestEntry{}, err
-		}
-		s.noteStage(destPath, e, route)
-		return e, nil
-	}
-
-	if f.Hash != "" {
-		if c, ok := s.blob(f.Hash); ok {
-			return stage(c, RouteBlob)
-		}
-	}
+// stageOne fetches one file by one of two routes. When the source
+// directory is on this machine, its Content is linked into the
+// destination: no network I/O, no read, no copy. (The paper "moves" the
+// file; both directories keep it, so an output consumed by two dependent
+// jobs survives the first staging.) Otherwise the file is fetched with an
+// FSS Read on the source endpoint — a peer FSS directory or the client's
+// TCP file server (paper §4.6). Either way a single atomic vfs.Link
+// installs it, so a concurrent Read serves the complete old or the
+// complete new file, never a torn view.
+func (s *Service) stageOne(ctx context.Context, destPath string, f FileRef) error {
+	var c *vfs.Content
+	route := RouteLocal
 	if f.Source.Address == s.svc.EPR().Address {
-		// Local fast path: resolve the source directory resource and link
-		// its Content into the destination — no network I/O, no read, no
-		// copy, and no hash unless this is the content's first staging.
-		// (The paper "moves" the file; both directories keep it, so an
-		// output consumed by two dependent jobs survives the first
-		// staging.)
-		srcID := f.Source.Property(wsrf.QResourceID)
-		doc, err := s.svc.LoadResource(srcID)
+		doc, err := s.svc.LoadResource(f.Source.Property(wsrf.QResourceID))
 		if err != nil {
-			return ManifestEntry{}, err
+			return err
 		}
-		c, err := s.fs.Open(doc.ChildText(QPath), f.RemoteName)
+		if c, err = s.fs.Open(doc.ChildText(QPath), f.RemoteName); err != nil {
+			return err
+		}
+	} else {
+		data, err := FetchFile(ctx, s.client, f.Source, f.RemoteName)
 		if err != nil {
-			return ManifestEntry{}, err
+			return err
 		}
-		return stage(c, RouteLocal)
+		c, route = vfs.NewContent(data), RouteWire
 	}
-	if f.Hash != "" {
-		for _, rep := range f.Replicas {
-			if rep.Address == s.svc.EPR().Address {
-				continue // we just checked the local cache
-			}
-			c, err := FetchBlob(ctx, s.client, rep, f.Hash)
-			if err != nil {
-				continue // next replica, then the origin
-			}
-			return stage(c, RoutePull)
-		}
+	if err := s.fs.Link(destPath, f.LocalName, c); err != nil {
+		return err
 	}
-	data, err := FetchFile(ctx, s.client, f.Source, f.RemoteName)
-	if err != nil {
-		return ManifestEntry{}, err
+	if s.onStage != nil {
+		s.onStage(StageRecord{Host: s.host, Dir: destPath, File: f, Content: c, Route: route})
 	}
-	return stage(vfs.NewContent(data), RouteWire)
+	return nil
 }
 
 // FetchFile reads one file from any endpoint implementing the FSS Read

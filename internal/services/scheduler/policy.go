@@ -9,37 +9,26 @@ import (
 	"uvacg/internal/services/nodeinfo"
 )
 
-// Locality is the data-placement signal handed to a Policy: how many
-// of the next job's input bytes each candidate host already holds
-// (through its co-located FSS), out of TotalBytes known input bytes.
-// A zero Locality — no manifest known for any input — carries no
-// signal, and data-aware policies must fall back to load-only scoring.
+// Locality is a data-placement signal for a Policy: how many of the next
+// job's input bytes each candidate host already holds, out of TotalBytes.
+// The Scheduler tracks no replicas, so it always passes the zero value,
+// and no policy here reads it; the type stays so that Pick's signature
+// does too.
 type Locality struct {
 	// LocalBytes maps host name → input bytes already on that host.
 	LocalBytes map[string]int64
-	// TotalBytes is the summed size of all inputs with known hashes.
+	// TotalBytes is the summed size of the job's inputs.
 	TotalBytes int64
-}
-
-// LocalFrac returns the fraction of known input bytes already local to
-// host, in [0, 1].
-func (l Locality) LocalFrac(host string) float64 {
-	if l.TotalBytes <= 0 {
-		return 0
-	}
-	return float64(l.LocalBytes[host]) / float64(l.TotalBytes)
 }
 
 // Policy selects the machine for the next job. The paper's scheduler
 // uses "a straightforward algorithm [that] chooses the fastest, most
 // available machine" (§4.6); RoundRobin and Random are the baselines
-// experiment E7 compares it against, and DataAware folds in where the
-// job's inputs already live (experiment E15).
+// experiment E7 compares it against.
 type Policy interface {
 	Name() string
-	// Pick chooses among the NIS-reported processors; loc carries the
-	// data-locality signal (zero when unknown) and seq counts
-	// dispatches within the job set.
+	// Pick chooses among the NIS-reported processors; loc is the zero
+	// Locality and seq counts dispatches within the job set.
 	Pick(procs []nodeinfo.Processor, loc Locality, seq int) (nodeinfo.Processor, error)
 }
 
@@ -115,42 +104,4 @@ func (r *Random) Pick(procs []nodeinfo.Processor, _ Locality, _ int) (nodeinfo.P
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return procs[r.rng.Intn(len(procs))], nil
-}
-
-// DataAware weighs bytes-already-local against effective speed: it
-// maximizes score · (1 + localFrac), so a fully-local host beats an
-// equally fast host with nothing local, while a host twice as fast
-// still wins over a slightly-local slow one. With no locality signal
-// it degrades to exactly Greedy.
-type DataAware struct{}
-
-// Name implements Policy.
-func (DataAware) Name() string { return "data-aware" }
-
-// Pick implements Policy.
-func (DataAware) Pick(procs []nodeinfo.Processor, loc Locality, seq int) (nodeinfo.Processor, error) {
-	if loc.TotalBytes <= 0 {
-		return Greedy{}.Pick(procs, loc, seq)
-	}
-	if len(procs) == 0 {
-		return nodeinfo.Processor{}, fmt.Errorf("scheduler: no processors available")
-	}
-	best := procs[0]
-	bestScore := score(best) * (1 + loc.LocalFrac(best.Host))
-	bestFrac := loc.LocalFrac(best.Host)
-	for _, p := range procs[1:] {
-		frac := loc.LocalFrac(p.Host)
-		s := score(p) * (1 + frac)
-		switch {
-		case s > bestScore:
-			best, bestScore, bestFrac = p, s, frac
-		case s == bestScore && frac > bestFrac:
-			best, bestFrac = p, frac
-		case s == bestScore && frac == bestFrac && p.RAMMB > best.RAMMB:
-			best = p
-		case s == bestScore && frac == bestFrac && p.RAMMB == best.RAMMB && p.Host < best.Host:
-			best = p
-		}
-	}
-	return best, nil
 }

@@ -90,68 +90,26 @@ func TestRandomIsSeededAndInRange(t *testing.T) {
 }
 
 func TestPoliciesRejectEmpty(t *testing.T) {
-	for _, p := range []Policy{Greedy{}, RoundRobin{}, NewRandom(1), DataAware{}} {
+	for _, p := range []Policy{Greedy{}, RoundRobin{}, NewRandom(1)} {
 		if _, err := p.Pick(nil, Locality{}, 0); err == nil {
 			t.Errorf("%s accepted empty processor list", p.Name())
 		}
-	}
-	// DataAware rejects empty even with a live locality signal.
-	if _, err := (DataAware{}).Pick(nil, Locality{TotalBytes: 100}, 0); err == nil {
-		t.Error("DataAware accepted empty processor list with locality")
 	}
 }
 
 func TestPolicyNames(t *testing.T) {
 	names := map[string]bool{}
-	for _, p := range []Policy{Greedy{}, RoundRobin{}, NewRandom(1), DataAware{}} {
+	for _, p := range []Policy{Greedy{}, RoundRobin{}, NewRandom(1)} {
 		names[p.Name()] = true
 	}
-	if len(names) != 4 {
+	if len(names) != 3 {
 		t.Fatalf("names not distinct: %v", names)
 	}
 }
 
-func TestDataAwareFallsBackToGreedy(t *testing.T) {
-	// With no locality signal the two policies must agree exactly.
-	g, _ := Greedy{}.Pick(procs(), Locality{}, 0)
-	d, err := DataAware{}.Pick(procs(), Locality{}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Host != g.Host {
-		t.Fatalf("DataAware picked %q, Greedy %q", d.Host, g.Host)
-	}
-}
-
-func TestDataAwarePrefersLocalBytes(t *testing.T) {
-	// Two equal machines: the one holding the inputs wins.
-	cat := []nodeinfo.Processor{
-		{Host: "empty", Cores: 1, SpeedMHz: 2000, RAMMB: 1024},
-		{Host: "local", Cores: 1, SpeedMHz: 2000, RAMMB: 1024},
-	}
-	loc := Locality{LocalBytes: map[string]int64{"local": 1 << 20}, TotalBytes: 1 << 20}
-	p, err := DataAware{}.Pick(cat, loc, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Host != "local" {
-		t.Fatalf("picked %q", p.Host)
-	}
-	// But a machine enough faster still wins: staging is paid once,
-	// compute forever.
-	cat[0].SpeedMHz = 8000
-	if p, _ = (DataAware{}).Pick(cat, loc, 0); p.Host != "empty" {
-		t.Fatalf("picked %q over a 4x faster machine", p.Host)
-	}
-}
-
-// randomCatalog builds a reproducible random processor catalog plus a
-// locality signal over its hosts.
-func randomCatalog(rng *rand.Rand) ([]nodeinfo.Processor, Locality) {
-	n := 1 + rng.Intn(8)
-	cat := make([]nodeinfo.Processor, n)
-	total := int64(1+rng.Intn(64)) << 20
-	loc := Locality{LocalBytes: make(map[string]int64), TotalBytes: total}
+// randomCatalog builds a reproducible random processor catalog.
+func randomCatalog(rng *rand.Rand) []nodeinfo.Processor {
+	cat := make([]nodeinfo.Processor, 1+rng.Intn(8))
 	for i := range cat {
 		cat[i] = nodeinfo.Processor{
 			Host:        string(rune('a'+i%26)) + "-node",
@@ -160,59 +118,28 @@ func randomCatalog(rng *rand.Rand) ([]nodeinfo.Processor, Locality) {
 			RAMMB:       512 * (1 + rng.Intn(8)),
 			Utilization: float64(rng.Intn(100)) / 100,
 		}
-		switch rng.Intn(3) {
-		case 0: // nothing local
-		case 1:
-			loc.LocalBytes[cat[i].Host] = total
-		case 2:
-			loc.LocalBytes[cat[i].Host] = rng.Int63n(total)
-		}
 	}
-	return cat, loc
-}
-
-// TestDataAwareNeverStarvesFullyLocal is the placement property: over
-// random catalogs, DataAware never picks a node with zero local bytes
-// while some fully-local node has at least the same effective speed —
-// doing so would pay the full staging cost for no compute gain.
-func TestDataAwareNeverStarvesFullyLocal(t *testing.T) {
-	for seed := int64(0); seed < 200; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		cat, loc := randomCatalog(rng)
-		pick, err := DataAware{}.Pick(cat, loc, int(seed))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if loc.LocalBytes[pick.Host] != 0 {
-			continue
-		}
-		for _, p := range cat {
-			if loc.LocalBytes[p.Host] == loc.TotalBytes && score(p) >= score(pick) {
-				t.Fatalf("seed %d: picked zero-local %q (score %.1f) over fully-local %q (score %.1f)",
-					seed, pick.Host, score(pick), p.Host, score(p))
-			}
-		}
-	}
+	return cat
 }
 
 // TestPoliciesDeterministic pins that every policy is a pure function
-// of (procs, loc, seq) — Random modulo its seed — so reproducing a
-// placement decision from a trace is always possible.
+// of (procs, seq) — Random modulo its seed — so reproducing a placement
+// decision from a trace is always possible.
 func TestPoliciesDeterministic(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		cat, loc := randomCatalog(rng)
+		cat := randomCatalog(rng)
 		seq := rng.Intn(32)
-		for _, p := range []Policy{Greedy{}, RoundRobin{}, DataAware{}} {
-			a, errA := p.Pick(cat, loc, seq)
-			b, errB := p.Pick(cat, loc, seq)
+		for _, p := range []Policy{Greedy{}, RoundRobin{}} {
+			a, errA := p.Pick(cat, Locality{}, seq)
+			b, errB := p.Pick(cat, Locality{}, seq)
 			if (errA == nil) != (errB == nil) || a.Host != b.Host {
 				t.Fatalf("seed %d: %s not deterministic: %q vs %q", seed, p.Name(), a.Host, b.Host)
 			}
 		}
 		ra, rb := NewRandom(seed), NewRandom(seed)
-		a, _ := ra.Pick(cat, loc, seq)
-		b, _ := rb.Pick(cat, loc, seq)
+		a, _ := ra.Pick(cat, Locality{}, seq)
+		b, _ := rb.Pick(cat, Locality{}, seq)
 		if a.Host != b.Host {
 			t.Fatalf("seed %d: random with equal seeds diverged: %q vs %q", seed, a.Host, b.Host)
 		}

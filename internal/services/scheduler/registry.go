@@ -108,8 +108,8 @@ const (
 
 // takeOn is the one way in: it turns a new or restored run into a live one
 // (Fig. 3 steps 1-2) — subscribe the SS and the client's listener to the
-// set's topic, poll the catalog, announce the set's replica want, make the
-// run visible and start dispatching. live is false when nothing was
+// set's topic, poll the catalog, make the run visible and start
+// dispatching. live is false when nothing was
 // started: on an error, which the caller undoes or retries; when a run of
 // this set was live already; and when the set cannot be run (restoreRun
 // says why) and was taken on, like any set that ends here, only to be
@@ -127,7 +127,6 @@ func (s *Service) takeOn(ctx context.Context, r *run, via way) (live bool, err e
 	// registration returned before the Submit is seen by this set's first
 	// dispatch. Best-effort: a failed poll leaves the cache as it was.
 	_, _ = s.pollCatalog(ctx)
-	s.publishReplicaWant(ctx, r.spec.Replicas)
 	if via == activated {
 		// Queued → Running in the journal, before the run can be seen.
 		if err := s.persist(r, effects{status: true}, nil); err != nil {

@@ -157,12 +157,6 @@ type Service struct {
 	// and letGo are the way in and the way out.
 	sets registry
 
-	// mu guards the replica cache; dispatch takes the read side.
-	mu sync.RWMutex
-
-	trackReplicas bool
-	rep           replicaCache // guarded by mu
-
 	cat    catalogCache
 	placed placements
 }
@@ -368,10 +362,10 @@ func (s *Service) step(r *run, ev event) effects {
 // section, so of two dispatches racing for an idle machine the second sees
 // the first. The core has the last word: an attempt that ended since its
 // reservation is not placed, charges nothing and must not be sent.
-func (s *Service) place(r *run, res reservation, procs []nodeinfo.Processor, loc Locality) (nodeinfo.Processor, error) {
+func (s *Service) place(r *run, res reservation, procs []nodeinfo.Processor) (nodeinfo.Processor, error) {
 	s.placed.mu.Lock()
 	defer s.placed.mu.Unlock()
-	node, err := s.policy.Pick(s.placed.view(procs), loc, res.seq)
+	node, err := s.policy.Pick(s.placed.view(procs), Locality{}, res.seq)
 	if err != nil {
 		return node, err
 	}
@@ -570,9 +564,8 @@ func New(cfg Config) (*Service, error) {
 		defaultRetry: cfg.DefaultRetry,
 		preempt:      cfg.Preempt && cfg.Admission != nil,
 	}
-	_, s.trackReplicas = cfg.Policy.(DataAware)
 	svc.OnDestroy(s.onSetDestroyed)
-	// "*//" is the Full-dialect catch-all; onNotification routes by topic root.
+	// "*//" is the Full-dialect catch-all; onNotification finds the set by topic.
 	s.consumer.Handle(wsn.MustTopicExpression(wsn.DialectFull, "*//"), s.onNotification)
 	if cfg.Security != nil {
 		// Submit carries the account credentials; status reads and
@@ -774,11 +767,7 @@ func (s *Service) runJob(ctx context.Context, r *run, res reservation) (event, e
 	if err != nil {
 		return ack, err
 	}
-	// Annotate the refs with content hashes and replica EPRs (so the
-	// staging FSS can pull from the nearest holder) and weigh where the
-	// bytes already live into the placement decision.
-	loc := s.annotateReplicas(files, procs)
-	node, err := s.place(r, res, procs, loc)
+	node, err := s.place(r, res, procs)
 	if err != nil {
 		return ack, err
 	}
@@ -899,12 +888,6 @@ var jobEventKinds = map[string]eventKind{
 // message that a job has completed, it schedules the next job that no
 // longer has any uncompleted dependencies."
 func (s *Service) onNotification(ctx context.Context, n wsn.Notification) {
-	if root, _, _ := strings.Cut(n.Topic, "/"); root == filesystem.ReplicaTopic {
-		if rc, err := filesystem.ParseReplicaChanged(n.Message); err == nil {
-			s.storeReplica(rc)
-		}
-		return
-	}
 	parsed, _ := ParseEvent(n)
 	r := s.sets.live(parsed.Set)
 	ev := parsed.JobEvent

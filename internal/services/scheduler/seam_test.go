@@ -18,9 +18,7 @@ import (
 
 	"uvacg/internal/admission"
 	"uvacg/internal/procspawn"
-	"uvacg/internal/services/filesystem"
 	"uvacg/internal/wsa"
-	"uvacg/internal/wsn"
 	"uvacg/internal/wsrf"
 	"uvacg/internal/wssec"
 )
@@ -212,47 +210,6 @@ func TestEnterLeaveSeam(t *testing.T) {
 			})
 		}
 	}
-}
-
-// TestRecoveredSetAnnouncesReplicaWant: the replicator keeps a set's
-// Replicas want in memory only, so whoever takes the set on after a
-// restart has to say it again, as Submit did.
-func TestRecoveredSetAnnouncesReplicaWant(t *testing.T) {
-	h := newSSHarness(t, Greedy{}, nil, "node-a")
-	ctx := context.Background()
-	if _, err := wsn.SubscribeVia(ctx, h.client, h.broker.EPR(), h.listenerEPR(), wsn.Simple(filesystem.ReplicaTopic)); err != nil {
-		t.Fatal(err)
-	}
-	awaitWant := func(when string) {
-		t.Helper()
-		deadline := time.After(10 * time.Second)
-		for {
-			select {
-			case n := <-h.events:
-				if n.Topic != filesystem.ReplicaWantTopic {
-					continue
-				}
-				if want, err := filesystem.ParseReplicaWant(n.Message); err != nil || want != 3 {
-					t.Fatalf("%s: replica want %d, err %v", when, want, err)
-				}
-				return
-			case <-deadline:
-				t.Fatalf("%s: the set's replica want was never announced", when)
-			}
-		}
-	}
-	h.files.Publish("long.app", procspawn.BuildScript("compute 100000000", "exit 0"))
-	spec := &JobSetSpec{Name: "deep", Replicas: 3, Jobs: []JobSpec{{Name: "long", Executable: "local://long.app"}}}
-	if _, _, err := h.submit(t, spec, nil); err != nil {
-		t.Fatal(err)
-	}
-	awaitWant("Submit")
-
-	h.ss.sets.forgetAll()
-	if n, err := h.ss.Recover(ctx); n != 1 || err != nil {
-		t.Fatalf("Recover resumed %d, err %v", n, err)
-	}
-	awaitWant("Recover")
 }
 
 // TestCredentialsLostIsOneVerdict: a secured set that outlived its

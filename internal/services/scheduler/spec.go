@@ -101,10 +101,6 @@ type JobSetSpec struct {
 	Name  string
 	Class string
 	Jobs  []JobSpec
-	// Replicas, when positive, asks the replication layer to keep the
-	// set's staged inputs on at least this many FSS nodes. Masters
-	// without a replicator ignore it.
-	Replicas int
 }
 
 // sourceParts splits "scheme://name" source URIs.
@@ -134,9 +130,6 @@ func (js *JobSetSpec) Validate() error {
 	}
 	if !admission.ValidClass(js.Class) {
 		return fmt.Errorf("scheduler: job set %q has unknown priority class %q", js.Name, js.Class)
-	}
-	if js.Replicas < 0 {
-		return fmt.Errorf("scheduler: job set %q asks for negative replicas", js.Name)
 	}
 	byName := make(map[string]*JobSpec, len(js.Jobs))
 	for i := range js.Jobs {
@@ -297,7 +290,6 @@ var (
 	qClientListener = xmlutil.Q(NS, "ClientListener")
 	qJobSetEPR      = xmlutil.Q(NS, "JobSet")
 	qTopicOut       = xmlutil.Q(NS, "Topic")
-	qSetReplicas    = xmlutil.Q(NS, "Replicas")
 	qAfter          = xmlutil.Q(NS, "After")
 	qRunOnAttr      = xmlutil.Q("", "runOn")
 	qRetryLimitAttr = xmlutil.Q("", "retryLimit")
@@ -309,9 +301,6 @@ func specElement(js *JobSetSpec) []*xmlutil.Element {
 	out := []*xmlutil.Element{xmlutil.NewElement(qSetName, js.Name)}
 	if js.Class != "" {
 		out = append(out, xmlutil.NewElement(qSetClass, js.Class))
-	}
-	if js.Replicas > 0 {
-		out = append(out, xmlutil.NewElement(qSetReplicas, strconv.Itoa(js.Replicas)))
 	}
 	for _, j := range js.Jobs {
 		jobEl := xmlutil.NewContainer(qJobSpec,
@@ -343,16 +332,10 @@ func specElement(js *JobSetSpec) []*xmlutil.Element {
 	return out
 }
 
-// parseSpec decodes the job set portion of a Submit body.
+// parseSpec decodes the job set portion of a Submit body. Children it does
+// not know are ignored, such as the <Replicas> count earlier clients sent.
 func parseSpec(body *xmlutil.Element) (*JobSetSpec, error) {
 	js := &JobSetSpec{Name: body.ChildText(qSetName), Class: body.ChildText(qSetClass)}
-	if txt := body.ChildText(qSetReplicas); txt != "" {
-		n, err := strconv.Atoi(txt)
-		if err != nil || n < 0 {
-			return nil, fmt.Errorf("scheduler: bad replica count %q", txt)
-		}
-		js.Replicas = n
-	}
 	for _, jobEl := range body.ChildrenNamed(qJobSpec) {
 		j := JobSpec{Name: jobEl.ChildText(qJobName), RunOn: jobEl.Attr(qRunOnAttr)}
 		if exe := jobEl.Child(qExecutable); exe != nil {

@@ -2,11 +2,13 @@ package scheduler
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"uvacg/internal/wsa"
+	"uvacg/internal/wssec"
 	"uvacg/internal/xmlutil"
 )
 
@@ -147,6 +149,37 @@ func TestSpecRetryConditionalXMLRoundTrip(t *testing.T) {
 	}
 	if err := back.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSpecWithReplicasCountParses: clients of an earlier release could put
+// a <Replicas> count after the set's name, in their Submit and so in the
+// spec snapshot a job-set document keeps. Both still parse, to the spec
+// without it, and a run restored from such a snapshot can run.
+func TestSpecWithReplicasCountParses(t *testing.T) {
+	js := pipelineSpec()
+	withReplicas := func(parent *xmlutil.Element) *xmlutil.Element {
+		parent.Children = slices.Insert(parent.Children, 1, xmlutil.NewElement(xmlutil.Q(NS, "Replicas"), "2"))
+		return parent
+	}
+	data, err := xmlutil.MarshalElement(withReplicas(SubmitRequest(js, wsa.NewEPR("soap.tcp://client:9/files"), wsa.EndpointReference{})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	submit, err := xmlutil.UnmarshalElement(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back, err := parseSpec(submit); err != nil || !reflect.DeepEqual(back, js) {
+		t.Fatalf("Submit with <Replicas> parsed as %+v, %v", back, err)
+	}
+
+	s := &Service{}
+	doc := jobSetDocument(s.newRun("old", js, wsa.NewEPR("soap.tcp://client:9/files"), wsa.EndpointReference{}, wssec.Credentials{}, SetRunning))
+	withReplicas(doc.Child(qSpecSnapshot))
+	r, err := s.restoreRun("old", doc, wssec.Credentials{})
+	if err != nil || r.cannotRun != "" || !reflect.DeepEqual(r.spec, js) {
+		t.Fatalf("snapshot with <Replicas> restored as %+v (cannot run: %q), %v", r.spec, r.cannotRun, err)
 	}
 }
 

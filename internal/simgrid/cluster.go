@@ -45,14 +45,6 @@ type ClusterConfig struct {
 	// multi-tenant admission queue (quotas, fair share, QueueFullFault
 	// backpressure). See AdmissionConfig.
 	Admission *AdmissionConfig
-	// Replicas, when positive, runs the replication layer: FSS nodes
-	// publish replica manifests for staged files and a replicator on the
-	// master fans them out to this many holders, journaling acked holder
-	// sets in the master's WAL. Invariant I7 reads the resulting ledgers.
-	Replicas int
-	// DataAware switches the scheduler to the data-aware placement
-	// policy (weighs replica locality against effective speed).
-	DataAware bool
 	// DefaultRetry applies to every job whose spec carries no retry
 	// policy of its own (the gridmaster -retry-default flag).
 	DefaultRetry scheduler.RetryPolicy
@@ -121,13 +113,9 @@ type Cluster struct {
 	// Ledger for invariant I6: every admission-queue transition across
 	// all master incarnations, in commit order.
 	admEvents []admission.Event
-	// Ledgers for invariant I7: every file any FSS staged (with the
-	// hash it installed) and the union of every holder set the
-	// replicator ever acked, keyed by content hash. The acked ledger
-	// outlives master incarnations — that is the point: a crash must
-	// not lose what was acked.
-	stages        []filesystem.StageRecord
-	ackedReplicas map[string]map[string]bool
+	// Ledger for invariant I7: every file any FSS staged, with the bytes
+	// it installed.
+	stages []filesystem.StageRecord
 }
 
 // NewCluster builds and starts a cluster with chaos disabled; call
@@ -220,7 +208,7 @@ func (c *Cluster) clientWith(host string, f *fence) *transport.Client {
 }
 
 // startMaster opens (or reopens) the master's durable store and brings
-// broker, NIS, scheduler and replicator up over it through the one shared
+// broker, NIS and scheduler up over it through the one shared
 // assembly — the wiring gridmaster ships — so the start order every crash
 // drill exercises is master.Start's; on a reopened store the broker
 // recovers its subscriptions and Recover resumes interrupted runs. err
@@ -235,9 +223,6 @@ func (c *Cluster) startMaster(ctx context.Context) (unresumed, err error) {
 		JobTimeout:   c.cfg.JobTimeout,
 		DefaultRetry: c.cfg.DefaultRetry,
 		OnDispatch:   c.noteDispatch,
-	}
-	if c.cfg.DataAware {
-		ssCfg.Policy = scheduler.DataAware{}
 	}
 	if c.cfg.Admission != nil {
 		ssCfg.Admission = c.newAdmissionQueue()
@@ -254,8 +239,6 @@ func (c *Cluster) startMaster(ctx context.Context) (unresumed, err error) {
 		// transient consumer failures are absorbed; permanent ones are the
 		// producer's failure-count problem.
 		DeliveryRetry: hostRetry,
-		Replicas:      c.cfg.Replicas,
-		OnAck:         c.noteReplicaAck,
 	})
 	if err != nil {
 		store.Close()
@@ -284,18 +267,17 @@ func (c *Cluster) startNode(ctx context.Context, name string) (unregistered, err
 		return nil, fmt.Errorf("simgrid: open %s store: %w", name, err)
 	}
 	n, err := node.New(node.Config{
-		Interceptors:  core.ServerInterceptors(),
-		Name:          name,
-		Network:       c.Network,
-		Client:        c.clientWith(name, nil),
-		Cores:         2,
-		SpeedMHz:      2000,
-		UnitTime:      5 * time.Microsecond,
-		Broker:        c.Master().m.Broker.EPR(),
-		NIS:           c.Master().m.NIS.EPR(),
-		Store:         store.Store,
-		OnStage:       c.noteStage,
-		ReplicaEvents: c.cfg.Replicas > 0,
+		Interceptors: core.ServerInterceptors(),
+		Name:         name,
+		Network:      c.Network,
+		Client:       c.clientWith(name, nil),
+		Cores:        2,
+		SpeedMHz:     2000,
+		UnitTime:     5 * time.Microsecond,
+		Broker:       c.Master().m.Broker.EPR(),
+		NIS:          c.Master().m.NIS.EPR(),
+		Store:        store.Store,
+		OnStage:      c.noteStage,
 	})
 	if err != nil {
 		store.Close()
@@ -457,6 +439,22 @@ func (c *Cluster) Dispatches() []scheduler.DispatchRecord {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return append([]scheduler.DispatchRecord(nil), c.dispatches...)
+}
+
+// noteStage appends one staged file to the stage ledger (node.Config
+// OnStage hook; called from every machine's FSS).
+func (c *Cluster) noteStage(rec filesystem.StageRecord) {
+	c.mu.Lock()
+	c.stages = append(c.stages, rec)
+	c.mu.Unlock()
+}
+
+// StageRecords snapshots the stage ledger: every file any FSS staged,
+// with the bytes it installed and the route they arrived by.
+func (c *Cluster) StageRecords() []filesystem.StageRecord {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([]filesystem.StageRecord(nil), c.stages...)
 }
 
 // JobSetDocs projects every persisted job-set resource — the ground

@@ -1,11 +1,11 @@
 package simgrid
 
 import (
+	"bytes"
 	"fmt"
 	"maps"
 
 	"uvacg/internal/admission"
-	"uvacg/internal/services/filesystem"
 	"uvacg/internal/services/scheduler"
 )
 
@@ -35,14 +35,9 @@ import (
 //	    stranded. The admission ledger must be internally consistent: no
 //	    (tenant, seq) leaves a queue — dequeue or remove — more often
 //	    than an enqueue admitted it.
-//	I7  Byte identity and replica durability: every file any FSS
-//	    installed from the scenario's file server is byte-identical to
-//	    the submitted content — whatever replica served it, whatever
-//	    route (blob cache, pull-through, wire) it took. And with
-//	    replication on, no acked holder set is silently lost: every
-//	    holder the replicator ever acknowledged (journaled) is still in
-//	    the recovered replicator's holder view at quiescence, across
-//	    master crashes.
+//	I7  Byte identity: every file any FSS installed from the scenario's
+//	    file server is byte for byte the submitted content, whichever
+//	    route (local link, wire fetch) it took.
 //	I8  Retry/cleanup conservation: no persisted attempt counter ever
 //	    exceeds its job's retry budget (a crash between attempts must
 //	    not grant a fresh one); a terminal set's document holds only
@@ -286,47 +281,20 @@ func CheckInvariants(c *Cluster, sc *Scenario) []string {
 		}
 	}
 
-	// I7a: byte identity. A stage record's Source names the (endpoint,
-	// remote name) the bytes were originally published under; its Hash
-	// is what the installing FSS verified before the single atomic
-	// write. For every record tracing back to the scenario's file
-	// server, that hash must equal the hash of the submitted content —
-	// regardless of which replica actually served the bytes.
-	wantHash := make(map[string]string, len(sc.Apps)) // SourceKey → content hash
-	appOf := make(map[string]string, len(sc.Apps))    // SourceKey → app name
-	for name, content := range sc.Apps {
-		key := filesystem.SourceKey(c.Observer.FilesEPR(), name)
-		wantHash[key] = filesystem.HashBytes(content)
-		appOf[key] = name
-	}
+	// I7: byte identity. A stage record names the endpoint and remote name
+	// the file was staged from and holds the Content the FSS installed.
+	// Every record tracing back to the scenario's file server must hold
+	// exactly the submitted bytes.
+	files := c.Observer.FilesEPR().Address
 	for _, rec := range c.StageRecords() {
-		want, ok := wantHash[rec.Source]
-		if !ok {
+		want, ok := sc.Apps[rec.File.RemoteName]
+		if !ok || rec.File.Source.Address != files {
 			continue // a file this scenario did not publish
 		}
-		if rec.Hash != want {
+		if got := rec.Content.Bytes(); !bytes.Equal(got, want) {
 			violations = append(violations,
-				fmt.Sprintf("I7: %s staged %s (app %s) with hash %.12s, submitted content hashes %.12s (route %s)",
-					rec.Host, rec.LocalName, appOf[rec.Source], rec.Hash, want, rec.Route))
-		}
-	}
-
-	// I7b: acked replica sets survive. The harness ledger holds every
-	// holder set the replicator ever acknowledged (and journaled); the
-	// live replicator — possibly a fresh incarnation recovered from the
-	// WAL after a crash — must still know every one of them.
-	if rep := c.Replicator(); rep != nil {
-		for hash, acked := range c.AckedReplicas() {
-			have := make(map[string]bool)
-			for _, h := range rep.Holders(hash) {
-				have[h] = true
-			}
-			for _, holder := range acked {
-				if !have[holder] {
-					violations = append(violations,
-						fmt.Sprintf("I7: acked replica %s of blob %.12s lost from the recovered holder set", holder, hash))
-				}
-			}
+				fmt.Sprintf("I7: %s staged %s (app %s) as %d bytes that differ from the %d submitted (route %s)",
+					rec.Host, rec.File.LocalName, rec.File.RemoteName, len(got), len(want), rec.Route))
 		}
 	}
 	return violations

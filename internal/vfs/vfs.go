@@ -9,27 +9,22 @@
 // takes ownership of the slice it is given and Read returns the stored
 // slice, so neither copies and neither side may modify the bytes
 // afterwards — replacing a file installs a new Content. That is what
-// lets any number of directories (and the FSS's blob index) share one
-// Content for one file's bytes: the paper's "simply moves the file"
-// (§4.6) is Link, and costs the same for 4 KiB and 4 MiB.
+// lets any number of directories share one Content for one file's bytes:
+// the paper's "simply moves the file" (§4.6) is Link, and costs the same
+// for 4 KiB and 4 MiB.
 package vfs
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"sort"
 	"strings"
 	"sync"
 )
 
-// Content is one file's bytes, immutable from the moment it is made, and
-// their SHA-256, computed at most once. One Content may be a file in
-// several directories at once.
+// Content is one file's bytes, immutable from the moment it is made. One
+// Content may be a file in several directories at once.
 type Content struct {
 	data []byte
-	once sync.Once
-	hash string
 }
 
 // NewContent takes ownership of data: the caller must not modify it
@@ -41,16 +36,6 @@ func (c *Content) Bytes() []byte { return c.data }
 
 // Len is the content's size in bytes.
 func (c *Content) Len() int { return len(c.data) }
-
-// Hash returns the content's SHA-256 as lowercase hex, hashing on the
-// first call only.
-func (c *Content) Hash() string {
-	c.once.Do(func() {
-		sum := sha256.Sum256(c.data)
-		c.hash = hex.EncodeToString(sum[:])
-	})
-	return c.hash
-}
 
 // FileInfo describes one file in a directory listing.
 type FileInfo struct {

@@ -148,9 +148,8 @@ func TestWriteTakesOwnership(t *testing.T) {
 	if linked != c || &linked.Bytes()[0] != &buf[0] {
 		t.Fatal("Link did not share the Content")
 	}
-	const abc = "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-	if c.Hash() != abc || linked.Hash() != abc || c.Len() != 3 {
-		t.Fatalf("hash %s len %d", c.Hash(), c.Len())
+	if c.Len() != 3 {
+		t.Fatalf("len %d", c.Len())
 	}
 	if files, n := fs.Usage(); files != 2 || n != 6 {
 		t.Fatalf("usage = %d files %d bytes, want each entry counted", files, n)
@@ -171,14 +170,13 @@ func TestWriteTakesOwnership(t *testing.T) {
 
 // TestReplaceUnderReadersNeverTorn is the immutability contract under the
 // race detector: while one file is replaced over and over and linked on
-// into a second directory, readers of either entry (and of the hash) see
-// one complete version, never a mix.
+// into a second directory, readers of either entry see one complete
+// version, never a mix.
 func TestReplaceUnderReadersNeverTorn(t *testing.T) {
 	fs := New()
 	fs.Mkdir("/src")
 	fs.Mkdir("/dst")
 	versions := [][]byte{bytes.Repeat([]byte("one "), 2048), bytes.Repeat([]byte("2"), 5000)}
-	hashes := []string{NewContent(versions[0]).Hash(), NewContent(versions[1]).Hash()}
 	write := func(i int) {
 		// A fresh slice per write, as every product caller hands over.
 		if err := fs.Write("/src", "f", append([]byte(nil), versions[i%2]...)); err != nil {
@@ -210,8 +208,8 @@ func TestReplaceUnderReadersNeverTorn(t *testing.T) {
 				if !bytes.Equal(c.Bytes(), versions[0]) {
 					v = 1
 				}
-				if !bytes.Equal(c.Bytes(), versions[v]) || c.Hash() != hashes[v] {
-					t.Errorf("%s: torn read (%d bytes, hash %s)", dir, c.Len(), c.Hash())
+				if !bytes.Equal(c.Bytes(), versions[v]) || c.Len() != len(versions[v]) {
+					t.Errorf("%s: torn read (%d bytes)", dir, c.Len())
 					return
 				}
 			}

@@ -1,7 +1,6 @@
 #!/usr/bin/env bash
 # Coverage floor for the testbed core: run the internal/services/...
-# (scheduler, filesystem — manifest codec, blob layer and replicator
-# included — nodeinfo, execution), internal/simgrid and
+# (scheduler, filesystem, nodeinfo, execution), internal/simgrid and
 # internal/admission test suites with -coverprofile and fail when total
 # statement coverage drops below the floor. The floor
 # trails the current level (~85%) by a margin so routine refactors don't
