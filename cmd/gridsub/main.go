@@ -3,14 +3,13 @@
 // flags around core.Client, which serves the job set's local:// files
 // over soap.tcp (the WSE TCP server thread of paper §4.6), runs a
 // light-weight notification receiver over HTTP, submits to the
-// Scheduler — backing off when the admission queue sheds — and
-// retrieves outputs from where jobs ran.
+// Scheduler and retrieves outputs from where jobs ran.
 // gridsub prints the events as they arrive and writes the outputs named
 // by the description's fetch directives.
 //
 //	gridsub -master http://localhost:8700 -jobset analysis.jobset \
 //	        [-user scientist -pass secret] [-listen :0] [-out ./results]
-//	        [-class batch] [-data-dir ./gridsub.d]
+//	        [-data-dir ./gridsub.d]
 //
 // With -data-dir the submission is journaled: rerunning the same command
 // after a crash re-attaches to the job set instead of resubmitting it.
@@ -29,7 +28,6 @@ import (
 	"path/filepath"
 	"time"
 
-	"uvacg/internal/admission"
 	"uvacg/internal/core"
 	"uvacg/internal/daemon"
 	"uvacg/internal/resourcedb"
@@ -47,7 +45,6 @@ type options struct {
 	listen     string
 	out        string
 	timeout    time.Duration
-	class      string
 }
 
 func registerFlags(fs *flag.FlagSet) *options {
@@ -59,7 +56,6 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.listen, "listen", "127.0.0.1:0", "notification listener address")
 	fs.StringVar(&o.out, "out", ".", "directory fetched outputs are written to")
 	fs.DurationVar(&o.timeout, "timeout", 5*time.Minute, "overall deadline")
-	fs.StringVar(&o.class, "class", "", "admission priority class: interactive, batch or scavenger")
 	return o
 }
 
@@ -90,12 +86,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	f.Close()
 	if err != nil {
 		return fail("%v", err)
-	}
-	if o.class != "" {
-		if !admission.ValidClass(o.class) {
-			return fail("gridsub: unknown -class %q (want interactive, batch or scavenger)", o.class)
-		}
-		desc.Spec.Class = o.class
 	}
 
 	host, err := o.shared.Open()

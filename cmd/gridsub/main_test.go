@@ -22,7 +22,7 @@ import (
 // out) unnoticed: every flag is a configuration the tests and the
 // benchmark would have to cover.
 func TestFlagSurface(t *testing.T) {
-	const want = "class compact-bytes data-dir fsync jobset listen master metrics out pass retries timeout trace user"
+	const want = "compact-bytes data-dir fsync jobset listen master metrics out pass retries timeout trace user"
 	fs := flag.NewFlagSet("gridsub", flag.ContinueOnError)
 	registerFlags(fs)
 	var got []string
@@ -73,7 +73,6 @@ func TestRunDemoJobSet(t *testing.T) {
 	if _, err := m.Start(ctx); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(m.Stop)
 	for _, name := range []string{"win-a", "win-b"} {
 		nhost, naddr := open(), freeAddr(t)
 		n, err := node.New(node.Config{

@@ -3,13 +3,11 @@ package core
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"net/url"
 	"sort"
 	"sync"
 	"time"
 
-	"uvacg/internal/admission"
 	"uvacg/internal/resourcedb"
 	"uvacg/internal/services/execution"
 	"uvacg/internal/services/filesystem"
@@ -44,9 +42,6 @@ type ClientConfig struct {
 	// not. Password text never crosses unencrypted.
 	Credentials          wssec.Credentials
 	SchedulerCertificate *wssec.Certificate
-	// MaxRetryAfter caps the Retry-After hint honored between Submit
-	// attempts a full admission queue shed (default 30s).
-	MaxRetryAfter time.Duration
 	// Journal, when set, holds one row per submitted job set so that a
 	// restarted process can Resume instead of resubmitting.
 	Journal *resourcedb.Table
@@ -56,10 +51,6 @@ type ClientConfig struct {
 	// before it is routed.
 	Tap func(wsn.Notification)
 }
-
-// maxShedRetries bounds the attempts the submit loop makes against a full
-// admission queue.
-const maxShedRetries = 10
 
 // Client plays the scientist's GUI tool (paper §4.6): it serves local
 // input files to the grid, runs a light-weight notification receiver,
@@ -87,9 +78,6 @@ type heard struct {
 
 // NewClient starts the client's file server and notification listener.
 func NewClient(cfg ClientConfig) (*Client, error) {
-	if cfg.MaxRetryAfter <= 0 {
-		cfg.MaxRetryAfter = 30 * time.Second
-	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
@@ -182,41 +170,18 @@ type Submission struct {
 	events chan wsn.Notification
 }
 
-// Submit validates and submits a job set (Fig. 3 step 1) and returns the
-// handle that follows it. A Submit has two outcomes besides an error to
-// report: accepted, and QueueFullFault, whose Retry-After hint is
-// honored — capped, and jittered so a shed burst of clients does not
-// come back in lockstep — for a bounded number of attempts.
+// Submit validates and submits a job set (Fig. 3 step 1) to the client's
+// master, once, and returns the handle that follows it.
 func (c *Client) Submit(ctx context.Context, spec *JobSet) (*Submission, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	target := wsa.NewEPR(c.cfg.Master + scheduler.ServicePath)
-	for sheds := 1; ; sheds++ {
-		sub, err := c.SubmitTo(ctx, target, c.cfg.Credentials, spec)
-		if err == nil || !admission.IsQueueFull(err) {
-			return sub, err
-		}
-		if sheds > maxShedRetries {
-			return nil, fmt.Errorf("admission queue still full after %d attempts: %w", maxShedRetries, err)
-		}
-		hint, ok := admission.RetryAfterHint(err)
-		if !ok || hint <= 0 || hint > c.cfg.MaxRetryAfter {
-			hint = c.cfg.MaxRetryAfter
-		}
-		wait := hint/2 + time.Duration(rand.Int63n(int64(hint)+1))
-		c.cfg.Logf("admission queue full; retrying in %v (attempt %d of %d)", wait.Round(time.Millisecond), sheds, maxShedRetries)
-		select {
-		case <-time.After(wait):
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
+	return c.SubmitTo(ctx, wsa.NewEPR(c.cfg.Master+scheduler.ServicePath), c.cfg.Credentials, spec)
 }
 
 // SubmitTo makes one Submit attempt at the scheduler at target, as
-// creds: every failure — a full queue included — is the caller's to
-// judge. simgrid's chaos-retry policy sits on it.
+// creds: every failure is the caller's to judge. simgrid's chaos-retry
+// policy sits on it.
 func (c *Client) SubmitTo(ctx context.Context, target wsa.EndpointReference, creds wssec.Credentials, spec *JobSet) (*Submission, error) {
 	env := soap.New(scheduler.SubmitRequest(spec, c.filesEPR, c.ListenerEPR()))
 	if creds.Username != "" {
@@ -239,9 +204,6 @@ func (c *Client) SubmitTo(ctx context.Context, target wsa.EndpointReference, cre
 		return nil, err
 	}
 	c.cfg.Logf("submitted %q as %s (topic %s)", spec.Name, setEPR, topic)
-	if pos, ok := scheduler.ParseQueuePosition(resp.Body); ok {
-		c.cfg.Logf("admitted at queue position %d", pos)
-	}
 	return c.follow(spec.Name, setEPR, topic, nil), nil
 }
 
@@ -304,10 +266,7 @@ func (c *Client) route(_ context.Context, n wsn.Notification) {
 }
 
 // observe updates submission state from one event and tees it to the
-// Events channel. "preempted" is not terminal: the set is back in the
-// admission queue and resumes once the higher-priority burst drains, so
-// Wait keeps blocking and the file server and listener stay up for the
-// re-dispatch.
+// Events channel.
 func (s *Submission) observe(h heard) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

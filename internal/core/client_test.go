@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"uvacg/internal/admission"
 	"uvacg/internal/resourcedb"
 	"uvacg/internal/services/execution"
 	"uvacg/internal/services/scheduler"
@@ -58,95 +57,19 @@ func door(g *Grid, host string, answer func(call int, req *soap.Envelope) error)
 	return wsa.NewEPR("inproc://" + host + scheduler.ServicePath), calls
 }
 
-func queueFull(hint time.Duration) error {
-	f := wsrf.NewBaseFault(admission.QueueFullFaultCode, "submission shed")
-	f.Cause = wsrf.NewBaseFault("RetryAfter", "%s", hint)
-	return f.SOAPFault(soap.CodeReceiver)
-}
-
-// TestSubmitLoop drives the one submit loop through its outcomes against
-// scripted front doors: a full queue waited out within the cap and given
-// up on, everything else returned.
+// TestSubmitLoop: the submit loop is one attempt — Submit is not
+// idempotent — and a fault comes back to the caller as it was given.
 func TestSubmitLoop(t *testing.T) {
-	g := testGrid(t, NodeSpec{Name: "solo"})
-	ctx := testCtx(t)
-	cases := []struct {
-		name  string
-		door  func(call int) error // the front door the client is pointed at
-		calls int                  // Submits it must have seen
-		check func(t *testing.T, err error)
-		log   string // a progress line that must have been printed
-	}{{
-		name: "full queue waited out, hint capped",
-		door: func(call int) error {
-			if call <= 2 {
-				return queueFull(time.Hour) // capped at MaxRetryAfter, or this test times out
-			}
-			return nil
-		},
-		calls: 3,
-		log:   "admission queue full; retrying in",
-	}, {
-		name:  "full queue given up after ten retries",
-		door:  func(int) error { return queueFull(time.Millisecond) },
-		calls: 11,
-		check: func(t *testing.T, err error) {
-			if !admission.IsQueueFull(err) || !strings.Contains(err.Error(), "after 10 attempts") {
-				t.Fatalf("want QueueFullFault after 10 attempts, got %v", err)
-			}
-		},
-	}, {
-		name:  "any other fault returned at once",
-		door:  func(int) error { return soap.ReceiverFault("boom") },
-		calls: 1,
-		check: func(t *testing.T, err error) {
-			if err == nil || !strings.Contains(err.Error(), "boom") {
-				t.Fatalf("want the fault, got %v", err)
-			}
-		},
-	}}
-	for i, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			_, calls := door(g, "a", func(call int, _ *soap.Envelope) error { return tc.door(call) })
-			defer g.Network.Deregister("a")
-			var log strings.Builder
-			c := configuredClient(t, g, false, func(cfg *ClientConfig) {
-				cfg.Master = "inproc://a"
-				cfg.MaxRetryAfter = 2 * time.Millisecond
-				cfg.Logf = func(format string, args ...any) { fmt.Fprintf(&log, format+"\n", args...) }
-			})
-			c.AddFile("j.app", Script("exit 0"))
-			sub, err := c.Submit(ctx, NewJobSet(fmt.Sprintf("loop-%d", i)).Add("j", Local("j.app")).Spec())
-			if got := int(calls.Load()); got != tc.calls {
-				t.Errorf("the door saw %d Submits, want %d", got, tc.calls)
-			}
-			if !strings.Contains(log.String(), tc.log) {
-				t.Errorf("log lacks %q:\n%s", tc.log, log.String())
-			}
-			if tc.check != nil {
-				tc.check(t, err)
-				return
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			if status, err := sub.Wait(ctx); err != nil || status != scheduler.SetCompleted {
-				t.Fatalf("status %q, %v", status, err)
-			}
-		})
-	}
-}
-
-// TestSubmitToLeavesAFullQueueToTheCaller: the one-attempt form simgrid's
-// policy sits on does not wait out a shed.
-func TestSubmitToLeavesAFullQueueToTheCaller(t *testing.T) {
-	g := testGrid(t, NodeSpec{Name: "solo"})
-	a, calls := door(g, "a", func(int, *soap.Envelope) error { return queueFull(time.Millisecond) })
-	c := testClient(t, g)
-	_, err := c.SubmitTo(testCtx(t), a, scientist, NewJobSet("once").Add("j", Local("j.app")).Spec())
-	if !admission.IsQueueFull(err) || calls.Load() != 1 {
-		t.Fatalf("want one QueueFullFault, got %v after %d calls", err, calls.Load())
-	}
+	t.Run("any other fault returned at once", func(t *testing.T) {
+		g := testGrid(t, NodeSpec{Name: "solo"})
+		_, calls := door(g, "a", func(int, *soap.Envelope) error { return soap.ReceiverFault("boom") })
+		c := configuredClient(t, g, false, func(cfg *ClientConfig) { cfg.Master = "inproc://a" })
+		c.AddFile("j.app", Script("exit 0"))
+		_, err := c.Submit(testCtx(t), NewJobSet("once").Add("j", Local("j.app")).Spec())
+		if err == nil || !strings.Contains(err.Error(), "boom") || calls.Load() != 1 {
+			t.Fatalf("want the fault after one Submit, got %v after %d", err, calls.Load())
+		}
+	})
 }
 
 // TestCredentialRule: the password crosses encrypted to the Scheduler's
@@ -198,27 +121,6 @@ func directoryEvent(topic, job string, dir wsa.EndpointReference) wsn.Notificati
 			xmlutil.NewElement(execution.QJobName, job),
 			xmlutil.NewElement(execution.QStatus, execution.EventDirectory),
 			dir.ElementNamed(execution.QDirectory)),
-	}
-}
-
-// TestPreemptedLeavesWaitBlocked: "preempted" is the one set-level event
-// that is not a verdict; a later "completed" is.
-func TestPreemptedLeavesWaitBlocked(t *testing.T) {
-	g := testGrid(t, NodeSpec{Name: "solo"})
-	c := testClient(t, g)
-	sub := c.follow("evicted", wsa.NewEPR("inproc://master/x"), "topic-p", nil)
-	c.route(context.Background(), setEvent("topic-p", scheduler.SetPreempted))
-	short, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	if status, err := sub.Wait(short); err == nil {
-		t.Fatalf("Wait returned %q after preempted", status)
-	}
-	c.route(context.Background(), setEvent("topic-p", scheduler.SetCompleted))
-	if status, err := sub.Wait(testCtx(t)); err != nil || status != scheduler.SetCompleted {
-		t.Fatalf("Wait = %q, %v after completed", status, err)
-	}
-	if got := len(sub.Events()); got != 2 {
-		t.Fatalf("Events holds %d notifications, want both", got)
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"log"
 	"time"
 
-	"uvacg/internal/admission"
 	"uvacg/internal/master"
 	"uvacg/internal/node"
 	"uvacg/internal/pipeline"
@@ -87,13 +86,6 @@ type GridConfig struct {
 	// DefaultRetry applies to every job whose spec carries no retry
 	// policy of its own (the gridmaster -retry-default flag).
 	DefaultRetry scheduler.RetryPolicy
-	// Admission, when set, parks submits in this queue and lets the
-	// fair-share pump activate them (the gridmaster -queue-depth flags).
-	Admission *admission.Queue
-	// Preempt lets an interactive-class arrival that finds its tenant's
-	// running quota full evict the tenant's youngest running
-	// scavenger-class set (requires Admission; the -preempt flag).
-	Preempt bool
 }
 
 // Grid is a running campus grid.
@@ -107,7 +99,6 @@ type Grid struct {
 	Scheduler *scheduler.Service
 
 	cfg        GridConfig
-	master     *master.Master
 	ssIdentity *wssec.Identity
 	clientSeq  int
 }
@@ -126,16 +117,11 @@ func NewGrid(cfg GridConfig) (*Grid, error) {
 
 	g := &Grid{Network: network, Client: client, cfg: cfg}
 
-	if cfg.Preempt && cfg.Admission == nil {
-		return nil, fmt.Errorf("core: Preempt needs an Admission queue")
-	}
 	ssCfg := scheduler.Config{
 		Policy:       cfg.Policy,
 		ESCerts:      g.certFor,
 		JobTimeout:   cfg.JobTimeout,
 		DefaultRetry: cfg.DefaultRetry,
-		Admission:    cfg.Admission,
-		Preempt:      cfg.Preempt,
 	}
 	if cfg.Accounts != nil {
 		var err error
@@ -165,7 +151,6 @@ func NewGrid(cfg GridConfig) (*Grid, error) {
 	if err != nil {
 		return nil, err
 	}
-	g.master = m
 	g.Broker, g.NIS, g.Scheduler = m.Broker, m.NIS, m.Scheduler
 	g.Master = transport.NewServer(m.Mux)
 	g.Master.Use(ServerInterceptors()...)
@@ -274,9 +259,6 @@ func (g *Grid) StartMonitors() {
 
 // Close stops the grid's background activity.
 func (g *Grid) Close() {
-	if g.master != nil {
-		g.master.Stop()
-	}
 	for _, n := range g.Nodes {
 		n.Stop()
 	}

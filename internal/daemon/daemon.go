@@ -148,7 +148,7 @@ func (h *Host) ListenHTTP(srv *transport.Server, addr string, advertised ...stri
 // Shutdown is the one order a daemon goes down in. The listener and its
 // route go first (stop, from ListenHTTP), so nothing new is accepted and
 // what is inside drains against a store that still journals; then the
-// host's background work (stopServices: Master.Stop, Node.Stop); then the
+// host's background work (stopServices: Node.Stop); then the
 // store; the -metrics dump stays last, the benchmark rig parses it after
 // exit.
 func (h *Host) Shutdown(stop, stopServices func(), metrics io.Writer) {

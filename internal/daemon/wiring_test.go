@@ -201,7 +201,6 @@ func TestShippedWiringRunsDemoJobSet(t *testing.T) {
 	if _, err := m.Start(ctx); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(m.Stop)
 
 	nodeDials := make(map[string]*dialRecorder) // by the node's own base
 	for _, name := range []string{"win-a", "win-b"} {

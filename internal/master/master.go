@@ -47,8 +47,6 @@ type Master struct {
 	Scheduler *scheduler.Service
 	// Mux has every hosted service and consumer mounted.
 	Mux *soap.Mux
-
-	cancel context.CancelFunc
 }
 
 // Assemble builds the host's services and mounts them on one mux.
@@ -90,31 +88,14 @@ func Assemble(cfg Config) (*Master, error) {
 }
 
 // Start brings the assembled host to life, once Mux is reachable at the
-// configured address. The order is the contract: Recover resumes the job
-// sets the last run left unfinished and re-parks the journaled Queued ones
-// in admission-sequence order, and only then does StartAdmission let the
-// fair-share pump draw from the rebuilt queue — a pump started earlier
-// would pick from a half-rebuilt one and activate sets out of their
-// fair-share order.
-//
-// ctx bounds the start-up work; the pump runs until Stop. The host is up
-// whatever Start returns: the error names the job sets that could not be
-// resumed, for the caller to log or refuse.
+// configured address: Recover resumes the job sets the last run left
+// unfinished. ctx bounds the start-up work. The host is up whatever Start
+// returns: the error names the job sets that could not be resumed, for the
+// caller to log or refuse.
 func (m *Master) Start(ctx context.Context) (resumed int, err error) {
-	bg, cancel := context.WithCancel(context.Background())
-	m.cancel = cancel
 	resumed, err = m.Scheduler.Recover(ctx)
 	if err != nil {
 		err = fmt.Errorf("job set recovery: %w", err)
 	}
-	m.Scheduler.StartAdmission(bg)
 	return resumed, err
-}
-
-// Stop ends the background work Start began (the admission pump).
-// Services keep answering until their binding closes.
-func (m *Master) Stop() {
-	if m.cancel != nil {
-		m.cancel()
-	}
 }

@@ -8,46 +8,24 @@ import (
 	"testing"
 	"time"
 
-	"uvacg/internal/admission"
 	"uvacg/internal/master"
+	"uvacg/internal/node"
+	"uvacg/internal/procspawn"
 	"uvacg/internal/resourcedb"
+	"uvacg/internal/services/filesystem"
 	"uvacg/internal/services/scheduler"
 	"uvacg/internal/soap"
 	"uvacg/internal/transport"
 	"uvacg/internal/wsa"
+	"uvacg/internal/wsrf"
 	"uvacg/internal/xmlutil"
 )
 
-// admissionLedger records queue events in commit order.
-type admissionLedger struct {
-	mu     sync.Mutex
-	events []admission.Event
-}
-
-func (l *admissionLedger) note(ev admission.Event) {
-	l.mu.Lock()
-	l.events = append(l.events, ev)
-	l.mu.Unlock()
-}
-
-func (l *admissionLedger) snapshot() []admission.Event {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return append([]admission.Event(nil), l.events...)
-}
-
-// incarnation assembles a master with an admission queue over store and
-// puts it on the network as "master".
-func incarnation(t *testing.T, network *transport.Network, client *transport.Client, store *resourcedb.Store, observe func(admission.Event)) *master.Master {
+// assemble builds a master over store and puts it on the network as
+// "master", in place of any earlier incarnation.
+func assemble(t *testing.T, network *transport.Network, client *transport.Client, store *resourcedb.Store, ss scheduler.Config) *master.Master {
 	t.Helper()
-	m, err := master.Assemble(master.Config{
-		Address: "inproc://master",
-		Store:   store,
-		Client:  client,
-		Scheduler: scheduler.Config{
-			Admission: admission.New(admission.Config{Observer: observe}),
-		},
-	})
+	m, err := master.Assemble(master.Config{Address: "inproc://master", Store: store, Client: client, Scheduler: ss})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,62 +34,37 @@ func incarnation(t *testing.T, network *transport.Network, client *transport.Cli
 	return m
 }
 
-// TestStartRecoversBeforeAdmissionPump pins the start order: every
-// journaled Queued set is back in the admission queue before the pump
-// draws its first one. The first incarnation is never started, so its
-// acked submissions stay parked in the journal — a master killed between
-// enqueue and activation. The second comes up over the same store through
-// Start, the call gridmaster, core.NewGrid and simgrid's RestartMaster
-// all make.
-func TestStartRecoversBeforeAdmissionPump(t *testing.T) {
-	network := transport.NewNetwork()
-	client := transport.NewClient().WithNetwork(network)
-	store := resourcedb.NewStore()
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-
-	const sets = 8
-	first := incarnation(t, network, client, store, nil)
-	for i := 0; i < sets; i++ {
-		spec := &scheduler.JobSetSpec{Name: fmt.Sprintf("set-%d", i), Jobs: []scheduler.JobSpec{
-			{Name: "only", Executable: "local://only.app"},
-		}}
-		env := soap.New(scheduler.SubmitRequest(spec, wsa.NewEPR("inproc://client/files"), wsa.EndpointReference{}))
-		if _, err := client.Invoke(ctx, first.Scheduler.EPR(), scheduler.ActionSubmit, env); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	var ledger admissionLedger
-	second := incarnation(t, network, client, store, ledger.note)
-	resumed, err := second.Start(ctx)
-	defer second.Stop()
-	if err != nil {
+// submitStillRunning submits a one-job set that stays Running: no machine
+// is registered, so every dispatch fails and the next waits an hour.
+func submitStillRunning(t *testing.T, ctx context.Context, client *transport.Client, m *master.Master, name string) {
+	t.Helper()
+	spec := &scheduler.JobSetSpec{Name: name, Jobs: []scheduler.JobSpec{{
+		Name: "only", Executable: "local://only.app",
+		Retry: scheduler.RetryPolicy{Limit: 5, Backoff: time.Hour},
+	}}}
+	env := soap.New(scheduler.SubmitRequest(spec, wsa.NewEPR("inproc://client/files"), wsa.EndpointReference{}))
+	if _, err := client.Invoke(ctx, m.Scheduler.EPR(), scheduler.ActionSubmit, env); err != nil {
 		t.Fatal(err)
 	}
-	if resumed != sets {
-		t.Fatalf("Start re-parked %d set(s), want %d", resumed, sets)
-	}
+}
 
-	// The pump does run — wait for its first draw — and everything it
-	// found in the queue was put there first.
-	var events []admission.Event
+// awaitAttempts waits until the set's one job has used n retries while the
+// set is still Running.
+func awaitAttempts(t *testing.T, m *master.Master, n int) {
+	t.Helper()
+	home := m.Scheduler.WSRF().Home()
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-		events = ledger.snapshot()
-		if len(events) > sets {
-			break
+		for _, id := range home.IDs() {
+			if doc, err := home.Load(id); err == nil {
+				v := scheduler.ParseJobSetDocument(doc)
+				if j := v.Job("only"); j != nil && j.Attempt >= n && v.Status == scheduler.SetRunning {
+					return
+				}
+			}
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("admission pump never drew a set: %d event(s)", len(events))
+			t.Fatalf("the set never reached %d journaled attempt(s) while Running", n)
 		}
-	}
-	for i, ev := range events[:sets] {
-		if ev.Kind != admission.EventEnqueue {
-			t.Fatalf("event %d is kind %d (%s): the pump ran before recovery had re-parked all %d sets", i, ev.Kind, ev.Name, sets)
-		}
-	}
-	if events[sets].Kind != admission.EventDequeue {
-		t.Fatalf("event %d is kind %d, want the pump's first dequeue", sets, events[sets].Kind)
 	}
 }
 
@@ -133,12 +86,9 @@ func TestDataDirWithALeasesTableStillOpens(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			first := incarnation(t, network, client, old.Store, nil) // never started: the set stays Queued
-			spec := &scheduler.JobSetSpec{Name: "kept", Jobs: []scheduler.JobSpec{{Name: "only", Executable: "local://only.app"}}}
-			env := soap.New(scheduler.SubmitRequest(spec, wsa.NewEPR("inproc://client/files"), wsa.EndpointReference{}))
-			if _, err := client.Invoke(ctx, first.Scheduler.EPR(), scheduler.ActionSubmit, env); err != nil {
-				t.Fatal(err)
-			}
+			first := assemble(t, network, client, old.Store, scheduler.Config{})
+			submitStillRunning(t, ctx, client, first, "kept")
+			awaitAttempts(t, first, 1)
 			if leases {
 				row := xmlutil.NewContainer(xmlutil.Q("urn:uvacg:lease", "Lease"),
 					xmlutil.NewElement(xmlutil.Q("urn:uvacg:lease", "Owner"), "http://localhost:8700/SchedulerService"),
@@ -156,10 +106,8 @@ func TestDataDirWithALeasesTableStillOpens(t *testing.T) {
 				t.Fatalf("the old data dir does not open: %v", err)
 			}
 			defer reopened.Close()
-			second := incarnation(t, network, client, reopened.Store, nil)
-			resumed, err := second.Start(ctx)
-			defer second.Stop()
-			if resumed != 1 || err != nil {
+			second := assemble(t, network, client, reopened.Store, scheduler.Config{})
+			if resumed, err := second.Start(ctx); resumed != 1 || err != nil {
 				t.Fatalf("Start over the old data dir recovered %d set(s), err %v; want 1", resumed, err)
 			}
 		})
@@ -176,50 +124,14 @@ func TestDataDirWithAReplicasTableResumesRunningSets(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	dir := t.TempDir()
-	assemble := func(store *resourcedb.Store) *master.Master {
-		m, err := master.Assemble(master.Config{Address: "inproc://master", Store: store, Client: client})
-		if err != nil {
-			t.Fatal(err)
-		}
-		network.Deregister("master")
-		network.Register("master", transport.NewServer(m.Mux))
-		return m
-	}
-	// awaitAttempts waits until the set's one job has used n retries: no
-	// machine is registered, so every dispatch fails and the next waits an
-	// hour, with the set still Running.
-	awaitAttempts := func(m *master.Master, n int) {
-		t.Helper()
-		home := m.Scheduler.WSRF().Home()
-		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-			for _, id := range home.IDs() {
-				if doc, err := home.Load(id); err == nil {
-					v := scheduler.ParseJobSetDocument(doc)
-					if j := v.Job("only"); j != nil && j.Attempt >= n && v.Status == scheduler.SetRunning {
-						return
-					}
-				}
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("the set never reached %d journaled attempt(s) while Running", n)
-			}
-		}
-	}
 
 	old, err := resourcedb.OpenDurable(dir, resourcedb.DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := assemble(old.Store)
-	spec := &scheduler.JobSetSpec{Name: "running", Jobs: []scheduler.JobSpec{{
-		Name: "only", Executable: "local://only.app",
-		Retry: scheduler.RetryPolicy{Limit: 5, Backoff: time.Hour},
-	}}}
-	env := soap.New(scheduler.SubmitRequest(spec, wsa.NewEPR("inproc://client/files"), wsa.EndpointReference{}))
-	if _, err := client.Invoke(ctx, first.Scheduler.EPR(), scheduler.ActionSubmit, env); err != nil {
-		t.Fatal(err)
-	}
-	awaitAttempts(first, 1)
+	first := assemble(t, network, client, old.Store, scheduler.Config{})
+	submitStillRunning(t, ctx, client, first, "running")
+	awaitAttempts(t, first, 1)
 	// One row as the replicator journaled it: a blob's holder set, keyed
 	// by the blob's SHA-256.
 	holders := xmlutil.NewContainer(xmlutil.Q("urn:uvacg:fss", "ReplicaState"),
@@ -229,7 +141,6 @@ func TestDataDirWithAReplicasTableResumesRunningSets(t *testing.T) {
 	if err := old.Store.MustTable("replicas", resourcedb.BlobCodec{}).Put(strings.Repeat("5e", 32), holders); err != nil {
 		t.Fatal(err)
 	}
-	first.Stop()
 	if err := old.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -239,11 +150,160 @@ func TestDataDirWithAReplicasTableResumesRunningSets(t *testing.T) {
 		t.Fatalf("the old data dir does not open: %v", err)
 	}
 	defer reopened.Close()
-	second := assemble(reopened.Store)
+	second := assemble(t, network, client, reopened.Store, scheduler.Config{})
 	resumed, err := second.Start(ctx)
-	defer second.Stop()
 	if resumed != 1 || err != nil {
 		t.Fatalf("Start over the old data dir resumed %d set(s), err %v; want 1", resumed, err)
 	}
-	awaitAttempts(second, 2)
+	awaitAttempts(t, second, 2)
+}
+
+// queuedDocument is a job-set document as a gridmaster that ran admission
+// control journaled a set it had acked and not yet started: status Queued,
+// the submitter's tenant, the set's class and its admission sequence, and
+// the job states it had reached — all Pending for a fresh set; for one
+// preempted mid-run, what had completed, with its output directory.
+func queuedDocument(id, class string, seq int, spec *scheduler.JobSetSpec, done map[string]wsa.EndpointReference) *xmlutil.Element {
+	q := func(local string) xmlutil.QName { return xmlutil.Q(scheduler.NS, local) }
+	attr := func(local string) xmlutil.QName { return xmlutil.Q("", local) }
+	files := wsa.NewEPR("inproc://client/files")
+	snapshot := &xmlutil.Element{Name: q("Spec")}
+	for _, el := range scheduler.SubmitRequest(spec, wsa.EndpointReference{}, wsa.EndpointReference{}).Children {
+		snapshot.Append(el)
+		if el.Name == q("Name") {
+			snapshot.Append(xmlutil.NewElement(q("Class"), class))
+		}
+	}
+	doc := xmlutil.NewContainer(q("JobSetState"),
+		xmlutil.NewElement(q("Name"), spec.Name),
+		xmlutil.NewElement(q("Status"), "Queued"),
+		snapshot,
+		files.ElementNamed(q("ClientFiles")),
+	)
+	doc.SetAttr(attr("tenant"), "anonymous").SetAttr(attr("class"), class).SetAttr(attr("admitSeq"), fmt.Sprint(seq))
+	for _, j := range spec.Jobs {
+		st := xmlutil.NewElement(q("JobState"), "").SetAttr(attr("name"), j.Name).SetAttr(attr("status"), scheduler.JobPending)
+		if dir, ok := done[j.Name]; ok {
+			st.SetAttr(attr("status"), scheduler.JobCompleted).SetAttr(attr("node"), "node-a").
+				SetAttr(attr("dir"), dir.String()).SetAttr(attr("exitCode"), "0")
+		}
+		doc.Append(st)
+	}
+	doc.Append(xmlutil.NewElement(q("Topic"), "jobset-"+id))
+	return doc
+}
+
+// TestDataDirWithQueuedSetsRunsThem: a -data-dir written by a gridmaster
+// that ran admission control may hold sets it acked Queued and never
+// started — one fresh, one preempted back into the queue after its first
+// job completed. A master without admission control resumes both like any
+// unfinished set and runs them to Completed: the completed job is not run
+// again, and a status read beside a running job says Running, not Queued.
+func TestDataDirWithQueuedSetsRunsThem(t *testing.T) {
+	network := transport.NewNetwork()
+	client := transport.NewClient().WithNetwork(network)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	dir := t.TempDir()
+
+	fresh := &scheduler.JobSetSpec{Name: "fresh", Jobs: []scheduler.JobSpec{{Name: "only", Executable: "local://work.app"}}}
+	preempted := &scheduler.JobSetSpec{Name: "preempted", Jobs: []scheduler.JobSpec{
+		{Name: "first", Executable: "local://work.app"},
+		{Name: "second", Executable: "local://work.app", After: []string{"first"}},
+	}}
+	firstDir := wsa.NewEPR("inproc://node-a/FileSystemService").WithProperty(wsrf.QResourceID, "first-dir")
+	old, err := resourcedb.OpenDurable(dir, resourcedb.DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobsets := old.Store.MustTable("jobsets", resourcedb.BlobCodec{})
+	for id, doc := range map[string]*xmlutil.Element{
+		"fresh-1":     queuedDocument("fresh-1", "batch", 2, fresh, nil),
+		"preempted-1": queuedDocument("preempted-1", "scavenger", 1, preempted, map[string]wsa.EndpointReference{"first": firstDir}),
+	} {
+		if err := jobsets.Put(id, doc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := old.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	files := filesystem.NewFileServer("/files")
+	files.Publish("work.app", procspawn.BuildScript("compute 40000", "exit 0"))
+	clientMux := soap.NewMux()
+	files.Mount(clientMux)
+	network.Register("client", transport.NewServer(clientMux))
+
+	reopened, err := resourcedb.OpenDurable(dir, resourcedb.DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	var mu sync.Mutex
+	dispatched := make(map[string]int) // by "topic/job"
+	m := assemble(t, network, client, reopened.Store, scheduler.Config{OnDispatch: func(rec scheduler.DispatchRecord) {
+		mu.Lock()
+		dispatched[rec.Topic+"/"+rec.Job]++
+		mu.Unlock()
+	}})
+	n, err := node.New(node.Config{
+		Name: "node-a", Network: network, Client: client, Cores: 2, SpeedMHz: 2000, UnitTime: 5 * time.Microsecond,
+		Broker: m.Broker.EPR(), NIS: m.NIS.EPR(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Stop()
+	if err := n.Register(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if resumed, err := m.Start(ctx); resumed != 2 || err != nil {
+		t.Fatalf("Start over the admission master's data dir resumed %d set(s), err %v; want 2", resumed, err)
+	}
+
+	home := m.Scheduler.WSRF().Home()
+	sawRunning := false
+	for done := false; !done; time.Sleep(time.Millisecond) {
+		done = true
+		for _, id := range []string{"fresh-1", "preempted-1"} {
+			doc, err := home.Load(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v := scheduler.ParseJobSetDocument(doc)
+			for _, j := range v.Jobs {
+				if j.Status == scheduler.JobDispatched || j.Status == scheduler.JobRunning {
+					sawRunning = true
+					if v.Status != scheduler.SetRunning {
+						t.Fatalf("set %s reads %s while job %s is %s", id, v.Status, j.Name, j.Status)
+					}
+				}
+			}
+			done = done && v.Status == scheduler.SetCompleted
+			if scheduler.TerminalSetStatus(v.Status) && v.Status != scheduler.SetCompleted {
+				t.Fatalf("set %s ended %s: %+v", id, v.Status, v.Jobs)
+			}
+		}
+		if ctx.Err() != nil {
+			t.Fatal("the Queued sets never completed")
+		}
+	}
+	if !sawRunning {
+		t.Fatal("no status read fell beside a running job")
+	}
+	doc, err := home.Load("preempted-1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := scheduler.ParseJobSetDocument(doc)
+	if got := v.Job("first").Dir; got.String() != firstDir.String() {
+		t.Fatalf("the completed job's directory reads %s, want %s", got, firstDir)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	want := map[string]int{"jobset-fresh-1/only": 1, "jobset-preempted-1/second": 1}
+	if fmt.Sprint(dispatched) != fmt.Sprint(want) {
+		t.Fatalf("dispatched %v, want %v: the completed job must not run again", dispatched, want)
+	}
 }

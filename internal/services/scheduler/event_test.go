@@ -61,14 +61,14 @@ func TestParseEventRoundTrip(t *testing.T) {
 		t.Error("no ES event reached the client ahead of the verdict")
 	}
 
-	for _, status := range []string{SetCompleted, SetFailed, SetCancelled, SetPreempted} {
+	for _, status := range []string{SetCompleted, SetFailed, SetCancelled} {
 		if err := h.ss.publishSetEvent(context.Background(), "any", topic, status, "because"); err != nil {
 			t.Fatal(err)
 		}
 		ev := next()
 		for ; ev.Job != ""; ev = next() { // a straggling job event
 		}
-		if ev.Status != status || ev.Detail != "because" || TerminalSetStatus(ev.Status) != (status != SetPreempted) {
+		if ev.Status != status || ev.Detail != "because" || !TerminalSetStatus(ev.Status) {
 			t.Errorf("published %s, parsed %+v", status, ev)
 		}
 	}

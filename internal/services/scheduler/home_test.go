@@ -63,7 +63,7 @@ func memHome() wsrf.ResourceHome {
 // every event that asks for it is persisted the way perform would.
 func storedSet(t testing.TB, s *Service, id string, spec *JobSetSpec) (*coreHarness, *run) {
 	t.Helper()
-	r := s.newRun(id, spec, wsa.NewEPR("inproc://client/files"), wsa.NewEPR("inproc://client/listener"), wssec.Credentials{}, SetRunning)
+	r := s.newRun(id, spec, wsa.NewEPR("inproc://client/files"), wsa.NewEPR("inproc://client/listener"), wssec.Credentials{})
 	if _, err := s.svc.CreateResource(id, jobSetDocument(r)); err != nil {
 		t.Fatal(err)
 	}
@@ -162,10 +162,9 @@ func TestStoredSetReadsAsRenderedDocument(t *testing.T) {
 	}
 }
 
-// TestJobStateIsAFunctionOfTheJob: a job that goes back to Pending —
-// retried, or its set preempted — must not keep showing the dead
-// attempt's node, working directory and exit code to a status reader,
-// only the retries it consumed.
+// TestJobStateIsAFunctionOfTheJob: a job that goes back to Pending to be
+// retried must not keep showing the dead attempt's node, working directory
+// and exit code to a status reader, only the retries it consumed.
 func TestJobStateIsAFunctionOfTheJob(t *testing.T) {
 	type attrs map[xmlutil.QName]string
 	dirOf := func(attempt string) string { return about(evDirectory, "j", attempt).dirEPR.String() }
@@ -188,15 +187,6 @@ func TestJobStateIsAFunctionOfTheJob(t *testing.T) {
 			h.do(about(evRunAcked, "j", b))
 			h.do(exited("j", b, 0))
 			return []attrs{running, pending, {qStatusAttr: JobCompleted, qNodeAttr: "node-a", qDirAttr: dirOf(b), qAttemptAttr: "1", qExitAttr: "0"}}
-		}},
-		{"preempt, Queued", 0, SetQueued, func(h *coreHarness) []attrs {
-			a := h.reserve().attempt
-			h.do(placedOn("node-a", "j", a))
-			h.do(about(evRunAcked, "j", a))
-			h.do(about(evStarted, "j", a))
-			running := attrs{qStatusAttr: JobRunning, qNodeAttr: "node-a", qDirAttr: dirOf(a)}
-			h.do(event{kind: evPreempt})
-			return []attrs{running, {qStatusAttr: JobPending}}
 		}},
 	}
 	for _, tc := range cases {
@@ -307,7 +297,7 @@ func TestDestroyRacingPersistLeavesNoRows(t *testing.T) {
 	}
 	for n := 0; n < 60; n++ {
 		id := fmt.Sprintf("set-%d", n)
-		r := s.newRun(id, spec, wsa.EndpointReference{}, wsa.EndpointReference{}, wssec.Credentials{}, SetRunning)
+		r := s.newRun(id, spec, wsa.EndpointReference{}, wsa.EndpointReference{}, wssec.Credentials{})
 		if _, err := s.svc.CreateResource(id, jobSetDocument(r)); err != nil {
 			t.Fatal(err)
 		}

@@ -35,7 +35,6 @@ const (
 	evTimeout                         // the attempt's watchdog fired
 	evCancel                          // client Cancel
 	evDestroy                         // the job-set resource was destroyed
-	evPreempt                         // evicted back into the admission queue
 )
 
 // event is one input to step. Job events name a job and the attempt they
@@ -72,11 +71,8 @@ type jobState struct {
 }
 
 // setState is a job set: its status and its jobs in declaration order.
-// parked: the set was evicted mid-run, back into the admission queue
-// (status Queued), and every later event is dropped.
 type setState struct {
 	status string
-	parked bool
 	jobs   []jobState
 	index  map[string]int
 	nonce  string
@@ -101,7 +97,7 @@ type reservation struct {
 // effects is what a transition asks of the shell: watchdogs stopped and
 // armed and placements charged and freed at once, then in fixed order kill,
 // persist (the touched jobs, or with status — the set status changed — the
-// whole set), requeue, release, publish (+ notified stamp), retry, schedule.
+// whole set), publish (+ notified stamp), retry, schedule.
 // charge is the host a placement was accepted on, free the hosts of placed
 // attempts that ended: each accepted placement is freed exactly once.
 type effects struct {
@@ -114,8 +110,6 @@ type effects struct {
 	persist  bool
 	status   bool
 	touched  []int
-	requeue  bool
-	release  bool
 	publish  string
 	detail   string
 	retry    bool
@@ -139,15 +133,15 @@ func jobTerminal(state string) bool {
 
 func jobLive(state string) bool { return state == JobDispatched || state == JobRunning }
 
-// newSetState builds a set with every job Pending. nonce prefixes the
-// attempt identities and must differ between any two states built for one
-// set: processes of a crashed or evicted incarnation outlive it and
-// report to its successor. Dependencies the spec does not define are
+// newSetState builds a Running set with every job Pending. nonce prefixes
+// the attempt identities and must differ between any two states built for
+// one set: processes of a crashed incarnation outlive it and report to its
+// successor. Dependencies the spec does not define are
 // dropped — only a spec that failed validation has them, and its state
 // is built only to be failed.
-func newSetState(spec *JobSetSpec, status, nonce string, defaultRetry RetryPolicy) *setState {
+func newSetState(spec *JobSetSpec, nonce string, defaultRetry RetryPolicy) *setState {
 	st := &setState{
-		status: status,
+		status: SetRunning,
 		jobs:   make([]jobState, len(spec.Jobs)),
 		index:  make(map[string]int, len(spec.Jobs)),
 		nonce:  nonce,
@@ -201,14 +195,6 @@ func (st *setState) firstUnfinished() string {
 // step advances the set by one event.
 func (st *setState) step(ev event, now time.Time) effects {
 	var fx effects
-	if st.parked {
-		// An evicted set's jobs were killed: a Run response arriving now
-		// delivers a process nobody will collect, so reap it.
-		if ev.kind == evRunAcked {
-			fx.kill = append(fx.kill, ev.jobEPR)
-		}
-		return fx
-	}
 	switch ev.kind {
 	case evReserve:
 		st.reserve(now, &fx)
@@ -217,8 +203,6 @@ func (st *setState) step(ev event, now time.Time) effects {
 		if ev.kind == evDestroy { // resource gone: nothing to journal, nobody to tell
 			fx.persist, fx.publish = false, ""
 		}
-	case evPreempt:
-		st.park(&fx)
 	default:
 		if ev.kind == evFailed && ev.job == "" {
 			st.terminate(SetFailed, ev.reason, &fx)
@@ -421,7 +405,7 @@ func (st *setState) settle(detail string, fx *effects) {
 			detail = fmt.Sprintf("job %q failed", st.jobs[failed].spec.Name)
 		}
 	}
-	fx.persist, fx.status, fx.release = true, true, true
+	fx.persist, fx.status = true, true
 	fx.publish, fx.detail = st.status, detail
 }
 
@@ -438,28 +422,8 @@ func (st *setState) terminate(status, detail string, fx *effects) {
 			st.abandon(i, JobCancelled, fx)
 		}
 	}
-	fx.persist, fx.status, fx.release = true, true, true
+	fx.persist, fx.status = true, true
 	fx.publish, fx.detail = status, detail
-}
-
-// park evicts a running set back into the admission queue: it goes back
-// to Queued, unfinished jobs are killed and reset to Pending keeping their
-// consumed retries, completed work stands, and that state is journaled so
-// the set survives a crash like any parked submission. Timers stop and the
-// running slot comes back.
-func (st *setState) park(fx *effects) {
-	if st.status != SetRunning {
-		return
-	}
-	st.parked = true
-	st.status = SetQueued
-	for i := range st.jobs {
-		if st.jobs[i].state != JobCompleted {
-			st.abandon(i, JobPending, fx)
-		}
-	}
-	fx.persist, fx.status, fx.requeue, fx.release = true, true, true, true
-	fx.publish, fx.detail = SetPreempted, "preempted by an interactive arrival"
 }
 
 // ready evaluates a pending job's run-on gate against its dependencies.

@@ -33,7 +33,7 @@ type coreHarness struct {
 func newCoreHarness(t testing.TB, spec *JobSetSpec) *coreHarness {
 	return &coreHarness{
 		t:        t,
-		st:       newSetState(spec, SetRunning, "n0", RetryPolicy{}),
+		st:       newSetState(spec, "n0", RetryPolicy{}),
 		now:      time.Unix(1000, 0),
 		attempts: make([][]string, len(spec.Jobs)),
 		seen:     make(map[string]bool),
@@ -91,7 +91,7 @@ func (h *coreHarness) do(ev event) effects {
 
 // conserved holds the core to its placement accounting after every step:
 // each host is charged exactly its live placed attempts — so nothing once a
-// set has its verdict, is parked or destroyed — and a job that was placed
+// set has its verdict or is destroyed — and a job that was placed
 // and is not back in Pending says where.
 func (h *coreHarness) conserved() {
 	h.t.Helper()
@@ -158,16 +158,16 @@ func (h *coreHarness) want(status string, jobs map[string]string) {
 
 func idle(fx effects) bool {
 	return fx.reserved == nil && fx.charge == "" && len(fx.stop)+len(fx.arm)+len(fx.kill)+len(fx.free) == 0 &&
-		!fx.persist && !fx.requeue && !fx.release && fx.publish == "" && !fx.retry && !fx.schedule
+		!fx.persist && fx.publish == "" && !fx.retry && !fx.schedule
 }
 
 func oneJob(retry int) *JobSetSpec {
 	return &JobSetSpec{Name: "s", Jobs: []JobSpec{{Name: "j", Executable: "local://x.app", Retry: RetryPolicy{Limit: retry}}}}
 }
 
-// TestJobSetCoreLifecycleBugs replays, against the core alone, each of
-// the nine lifecycle bugs the scheduler has had: the interleaving that
-// triggered it and the state it must end in.
+// TestJobSetCoreLifecycleBugs replays, against the core alone, each
+// lifecycle bug the scheduler has had: the interleaving that triggered it
+// and the state it must end in.
 func TestJobSetCoreLifecycleBugs(t *testing.T) {
 	cases := []struct {
 		name string
@@ -222,7 +222,7 @@ func TestJobSetCoreLifecycleBugs(t *testing.T) {
 			for _, epr := range fx.kill {
 				killsLong = killsLong || epr.String() == eprOf(long).String()
 			}
-			if !killsLong || fx.publish != SetFailed || !fx.release {
+			if !killsLong || fx.publish != SetFailed {
 				h.t.Fatalf("doomed sibling not reaped or set not published: %+v", fx)
 			}
 			if len(h.armed) != 0 {
@@ -303,25 +303,6 @@ func TestJobSetCoreLifecycleBugs(t *testing.T) {
 			}
 			h.want(SetCancelled, map[string]string{"j": JobCancelled})
 		}, oneJob(0)},
-		{"preempted mid-dispatch", func(h *coreHarness) {
-			a := h.reserve().attempt
-			h.do(placedOn("node-a", "j", a))
-			fx := h.do(event{kind: evPreempt})
-			if !fx.persist || !fx.requeue || !fx.release || fx.publish != SetPreempted || len(fx.free) != 1 {
-				h.t.Fatalf("eviction effects: %+v", fx)
-			}
-			h.want(SetQueued, map[string]string{"j": JobPending})
-			if fx := h.do(placedOn("node-b", "j", a)); !idle(fx) || fx.charge != "" {
-				h.t.Fatalf("an evicted set placed work: %+v", fx)
-			}
-			fx = h.do(about(evRunAcked, "j", a))
-			if len(fx.kill) != 1 || fx.persist {
-				h.t.Fatalf("Run response into an evicted set must only reap: %+v", fx)
-			}
-			if fx := h.do(exited("j", a, 0)); !idle(fx) {
-				h.t.Fatalf("parked set reacted to an event: %+v", fx)
-			}
-		}, oneJob(0)},
 		{"duplicate exited", func(h *coreHarness) {
 			a, b := h.reserve().attempt, ""
 			h.do(about(evRunAcked, "first", a))
@@ -357,7 +338,7 @@ func TestJobSetCoreLifecycleBugs(t *testing.T) {
 // the first incarnation's surviving process cannot speak for the second.
 func TestJobSetCoreRestoredAttemptsNeverCollide(t *testing.T) {
 	spec := oneJob(0)
-	before := newSetState(spec, SetRunning, "aaaa", RetryPolicy{})
+	before := newSetState(spec, "aaaa", RetryPolicy{})
 	old := before.step(event{kind: evReserve}, time.Unix(0, 0)).reserved.attempt
 
 	h := newCoreHarness(t, spec)
@@ -452,11 +433,9 @@ func checkCore(h *coreHarness, wasTerminal string) {
 			live[watchKey{i, j.attempt}] = true
 		}
 	}
-	if !st.parked {
-		for k := range h.armed {
-			if !live[k] {
-				h.t.Fatalf("watchdog %v still armed for an attempt that is not live", k)
-			}
+	for k := range h.armed {
+		if !live[k] {
+			h.t.Fatalf("watchdog %v still armed for an attempt that is not live", k)
 		}
 	}
 }
@@ -545,10 +524,11 @@ func fuzzCore(t *testing.T, data []byte, mk func(testing.TB, *JobSetSpec) *coreH
 				if arg%8 != 0 {
 					continue // keep whole-set verdicts rare
 				}
-				// Four slots for three verdicts: the committed seeds were saved
-				// against this byte → event mapping, so the slot of a verdict
-				// that no longer exists repeats preempt instead of closing up.
-				ev = event{kind: [...]eventKind{evCancel, evDestroy, evPreempt, evPreempt}[int(arg>>3)%4], reason: "by decree"}
+				// Four slots for two verdicts: the committed seeds were saved
+				// against this byte → event mapping, so the slots of verdicts
+				// that no longer exist repeat the two that do instead of
+				// closing up.
+				ev = event{kind: [...]eventKind{evCancel, evDestroy, evCancel, evDestroy}[int(arg>>3)%4], reason: "by decree"}
 			case 12:
 				ev = event{kind: evFailed, job: name, final: true, reason: "cannot run"}
 			case 13:
@@ -557,25 +537,15 @@ func fuzzCore(t *testing.T, data []byte, mk func(testing.TB, *JobSetSpec) *coreH
 				ev = placedOn([...]string{"node-a", "node-b"}[int(arg>>6)&1], name, attempt)
 			}
 			last = ev
-			wasTerminal, wasParked := "", h.st.parked
+			wasTerminal := ""
 			if TerminalSetStatus(h.st.status) {
 				wasTerminal = h.st.status
 			}
-			before := h.states()
 			fx := h.do(ev)
 			if fx.reserved != nil && !gateMet(h, fx.reserved.job) {
 				t.Fatalf("job %s reserved before its gate was met: %v", spec.Jobs[fx.reserved.job].Name, h.states())
 			}
-			if wasParked {
-				fx.kill = nil // an evicted set still reaps late Run responses
-				if !idle(fx) || fmt.Sprint(before) != fmt.Sprint(h.states()) {
-					t.Fatalf("parked set reacted to %+v: %+v", ev, fx)
-				}
-			}
 			checkCore(h, wasTerminal)
-		}
-		if h.st.parked {
-			return
 		}
 		// Drain (I1): let every live attempt finish and every backoff
 		// lapse; the set must reach a verdict in bounded steps.

@@ -339,7 +339,7 @@ func TestJobDocWriteCarriesStateAtWriteTime(t *testing.T) {
 		cfg.Home = home
 	})
 	spec := &JobSetSpec{Name: "set", Jobs: []JobSpec{{Name: "j"}, {Name: "k"}}}
-	r := h.ss.newRun("set-1", spec, wsa.EndpointReference{}, wsa.EndpointReference{}, wssec.Credentials{}, SetRunning)
+	r := h.ss.newRun("set-1", spec, wsa.EndpointReference{}, wsa.EndpointReference{}, wssec.Credentials{})
 	r.st.jobs[0].state, r.st.jobs[0].node = JobRunning, "n1"
 	if _, err := h.ss.svc.CreateResource(r.id, jobSetDocument(r)); err != nil {
 		t.Fatal(err)
@@ -437,7 +437,7 @@ func TestJournalFailureIsReturnedAndWithholdsThePublish(t *testing.T) {
 		cfg.Home = home
 	})
 	spec := &JobSetSpec{Name: "set", Jobs: []JobSpec{{Name: "j"}}}
-	r := h.ss.newRun("set-1", spec, wsa.EndpointReference{}, wsa.EndpointReference{}, wssec.Credentials{}, SetRunning)
+	r := h.ss.newRun("set-1", spec, wsa.EndpointReference{}, wsa.EndpointReference{}, wssec.Credentials{})
 	if _, err := h.ss.svc.CreateResource(r.id, jobSetDocument(r)); err != nil {
 		t.Fatal(err)
 	}

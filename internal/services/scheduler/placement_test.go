@@ -16,7 +16,6 @@ import (
 	"testing"
 	"time"
 
-	"uvacg/internal/admission"
 	"uvacg/internal/services/execution"
 	"uvacg/internal/services/nodeinfo"
 	"uvacg/internal/soap"
@@ -136,7 +135,7 @@ func (g *fakeGrid) answerWith(fn func(fakeRun) error) {
 // bag submits n independent jobs that each may be retried retry times.
 func (g *fakeGrid) bag(n, retry int) (set wsa.EndpointReference, topic string) {
 	g.t.Helper()
-	spec := &JobSetSpec{Name: "bag", Class: admission.ClassScavenger}
+	spec := &JobSetSpec{Name: "bag"}
 	for i := 0; i < n; i++ {
 		spec.Jobs = append(spec.Jobs, JobSpec{Name: fmt.Sprintf("j%d", i), Executable: "local://x.app", Retry: RetryPolicy{Limit: retry}})
 	}
@@ -293,35 +292,6 @@ func TestPlacementLedgerConserved(t *testing.T) {
 			g.ledgerIs("after the verdict", none)
 		})
 	}
-}
-
-// TestPreemptionFreesPlacements: an evicted set's attempts end with it, and
-// a Run response that arrives for one afterwards charges nothing.
-func TestPreemptionFreesPlacements(t *testing.T) {
-	g := newFakeGrid(t, func(cfg *Config) { cfg.Admission = admission.New(admission.Config{}) })
-	ctx, stopPump := context.WithCancel(context.Background())
-	defer stopPump()
-	g.h.ss.StartAdmission(ctx)
-	held, release := make(chan fakeRun, 1), make(chan struct{})
-	g.answerWith(func(run fakeRun) error {
-		if run.job == "j1" {
-			held <- run
-			<-release
-		}
-		return nil
-	})
-	set, _ := g.bag(2, 0)
-	g.acked(1)
-	<-held // j1 is placed, its Run unanswered
-	g.ledgerIs("both jobs placed", map[string]int{"a": 1, "b": 1})
-	stopPump() // the requeued entry must stay parked
-	id := set.Property(wsrf.QResourceID)
-	g.h.ss.fire(context.Background(), g.h.ss.sets.get(id).run, event{kind: evPreempt})
-	eventually(t, "the evicted set to be parked again", func() bool { return g.h.ss.sets.get(id).parked() })
-	g.ledgerIs("evicted", map[string]int{})
-	close(release)
-	g.acked(1)
-	g.ledgerIs("the evicted attempt's Run was answered", map[string]int{})
 }
 
 // TestPlacementLosingToCancelSendsNoRun: a set cancelled between an

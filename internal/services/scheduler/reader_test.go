@@ -239,7 +239,7 @@ func TestStatusReadsDoNotWaitForAWriter(t *testing.T) {
 		cfg.Home = home
 	})
 	spec := &JobSetSpec{Name: "set", Jobs: []JobSpec{{Name: "j"}, {Name: "k"}}}
-	r := h.ss.newRun("set-1", spec, wsa.EndpointReference{}, wsa.EndpointReference{}, wssec.Credentials{}, SetRunning)
+	r := h.ss.newRun("set-1", spec, wsa.EndpointReference{}, wsa.EndpointReference{}, wssec.Credentials{})
 	setEPR, err := h.ss.svc.CreateResource(r.id, jobSetDocument(r))
 	if err != nil {
 		t.Fatal(err)

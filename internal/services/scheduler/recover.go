@@ -26,30 +26,17 @@ import (
 // sets still recover, and the per-set failures come back joined in the
 // error.
 //
-// Sets the registry already holds, parked or live, are left alone, so
-// overlapping sweeps (a retried Recover racing an activation) are
+// Sets the registry already holds are left alone, so overlapping sweeps (a
+// start's Recover racing the one it booked to retry itself) are
 // idempotent.
 func (s *Service) Recover(ctx context.Context) (int, error) {
 	resumed, unsubscribed := 0, false
 	err := s.sweep(ctx, func(id string, doc *xmlutil.Element) error {
-		if h := s.sets.get(id); h.run != nil || h.parked() {
+		if s.sets.get(id) != nil {
 			return nil
 		}
-		if doc.ChildText(QStatus) == SetQueued && s.adm != nil {
-			// An acked enqueue the crash interrupted before activation: the
-			// Queued document is the journal record, so re-park it
-			// (invariant I6 — no acked enqueue lost).
-			e, ok := queuedEntry(id, doc)
-			if !ok {
-				return errors.New("queued but has no admission coordinates")
-			}
-			if s.park(e, wssec.Credentials{}) {
-				resumed++
-			}
-			return nil
-		}
-		// A Queued document on a master with admission turned off falls
-		// through: the parked set is promoted straight into a run.
+		// A Queued document — a set a master that ran admission control
+		// acked and never started — is resumed like a Running one.
 		r, badSpec := s.restoreRun(id, doc, wssec.Credentials{})
 		live, err := s.takeOn(ctx, r, recovered)
 		if err != nil {
@@ -65,10 +52,15 @@ func (s *Service) Recover(ctx context.Context) (int, error) {
 		// Sets skipped because the broker did not answer are acked work
 		// nothing else would pick up: sweep again (idempotent) until it
 		// does. The caller has this pass's errors; the next retries itself.
-		time.AfterFunc(admissionRetryDelay, func() { _, _ = s.Recover(context.WithoutCancel(ctx)) })
+		time.AfterFunc(resweepDelay, func() { _, _ = s.Recover(context.WithoutCancel(ctx)) })
 	}
 	return resumed, err
 }
+
+// resweepDelay paces Recover's sweeps while the broker does not answer: the
+// sets it skipped were acked, so it never gives up on them, and the pause
+// only keeps a dead broker from spinning it.
+const resweepDelay = 500 * time.Millisecond
 
 // sweep is the one walk over the stored job sets. A terminal one whose
 // completion event may never have left the building — the status write

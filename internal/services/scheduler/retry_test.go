@@ -1,17 +1,14 @@
 package scheduler
 
-// Tests for the retry/conditional/preemption layer built on the
-// corrected terminal transitions: per-job retry budgets with backoff,
-// run-on-failure/always gates, and interactive-over-scavenger set
-// preemption through the admission queue.
+// Tests for the retry/conditional layer built on the corrected terminal
+// transitions: per-job retry budgets with backoff and run-on-failure/always
+// gates.
 
 import (
 	"context"
-	"strings"
 	"testing"
 	"time"
 
-	"uvacg/internal/admission"
 	"uvacg/internal/procspawn"
 	"uvacg/internal/wsrf"
 )
@@ -219,76 +216,4 @@ func TestRunOnFailureSkippedOnSuccess(t *testing.T) {
 			t.Fatalf("job states %v, want %v", byName, want)
 		}
 	}
-}
-
-// TestPreemptionEvictsScavengerForInteractive: with a running quota of
-// one, an interactive arrival evicts the tenant's running scavenger
-// set — its topic sees a non-terminal "preempted" event, the
-// interactive set runs at once, and the requeued scavenger set is
-// re-activated and completes when the slot frees.
-func TestPreemptionEvictsScavengerForInteractive(t *testing.T) {
-	q := admission.New(admission.Config{TenantRunning: 1})
-	h := newSSHarnessCfg(t, Greedy{}, nil, func(cfg *Config) {
-		cfg.Admission = q
-		cfg.Preempt = true
-	}, "node-a")
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	h.ss.StartAdmission(ctx)
-	h.files.Publish("slow.app", procspawn.BuildScript("compute 400000", "exit 0"))
-	h.files.Publish("quick.app", procspawn.BuildScript("exit 0"))
-
-	scav := &JobSetSpec{Name: "scav", Class: admission.ClassScavenger,
-		Jobs: []JobSpec{{Name: "s", Executable: "local://slow.app"}}}
-	_, scavTopic, err := h.submit(t, scav, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The scavenger set must be live (and mid-job) before the
-	// interactive set arrives.
-	waitStarted(t, h.events)
-
-	inter := &JobSetSpec{Name: "inter", Class: admission.ClassInteractive,
-		Jobs: []JobSpec{{Name: "i", Executable: "local://quick.app"}}}
-	_, interTopic, err := h.submit(t, inter, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var preempted, interDone, scavDone bool
-	deadline := time.After(30 * time.Second)
-	for !preempted || !interDone || !scavDone {
-		select {
-		case n := <-h.events:
-			segs := strings.Split(n.Topic, "/")
-			if len(segs) != 3 || segs[1] != "jobset" {
-				continue
-			}
-			switch {
-			case segs[0] == scavTopic && segs[2] == "preempted":
-				preempted = true
-			case segs[0] == scavTopic && segs[2] == "completed":
-				if !preempted {
-					t.Fatal("scavenger set completed without being preempted")
-				}
-				scavDone = true
-			case segs[0] == interTopic && segs[2] == "completed":
-				interDone = true
-			case segs[2] == "failed" || segs[2] == "cancelled":
-				t.Fatalf("unexpected terminal event %q", n.Topic)
-			}
-		case <-deadline:
-			t.Fatalf("preempted=%v interDone=%v scavDone=%v", preempted, interDone, scavDone)
-		}
-	}
-	// Both sets done: the tenant's single running slot is free again.
-	eventually(t, "running slot release", func() bool {
-		st, _ := h.ss.AdmissionStats()
-		for _, ten := range st.Tenants {
-			if ten.Running != 0 {
-				return false
-			}
-		}
-		return true
-	})
 }

@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"uvacg/internal/admission"
 	"uvacg/internal/pipeline"
 	"uvacg/internal/services/execution"
 	"uvacg/internal/services/filesystem"
@@ -31,11 +30,8 @@ const (
 	ActionCancel = NS + "/Cancel"
 )
 
-// Job set status values. Queued exists only on masters running
-// admission control: the set is journaled and acked but not yet handed
-// to the dispatch engine.
+// Job set status values.
 const (
-	SetQueued    = "Queued"
 	SetRunning   = "Running"
 	SetCompleted = "Completed"
 	SetFailed    = "Failed"
@@ -104,21 +100,12 @@ type Config struct {
 	// partitioned), the job — and with it the set — fails instead of
 	// hanging forever. Zero disables the watchdog.
 	JobTimeout time.Duration
-	// Admission, when non-nil, puts the multi-tenant admission queue in
-	// front of the dispatch engine: Submit journals the set as Queued
-	// and acks, and the StartAdmission pump activates sets in weighted
-	// fair-share order (see admission.go).
-	Admission *admission.Queue
 	// OnDispatch, when set, observes every committed job dispatch — the
 	// simulator's dispatch ledger.
 	OnDispatch func(rec DispatchRecord)
 	// DefaultRetry applies to jobs whose spec carries no retry policy of
 	// its own. Zero keeps the historical fail-on-first-error behaviour.
 	DefaultRetry RetryPolicy
-	// Preempt lets an interactive-class arrival that finds its tenant's
-	// running quota exhausted kill-and-requeue that tenant's youngest
-	// running scavenger set. Requires Admission.
-	Preempt bool
 }
 
 // ServicePath is where a master mounts the SS, and consumerPath where it
@@ -149,12 +136,10 @@ type Service struct {
 	jobTimeout   time.Duration
 	dispatchSem  chan struct{} // bounds concurrent dispatches
 	onDispatch   func(rec DispatchRecord)
-	adm          *admission.Queue
 	defaultRetry RetryPolicy
-	preempt      bool
 
-	// sets is every job set this master remembers, parked or live; takeOn
-	// and letGo are the way in and the way out.
+	// sets is every job set this master remembers; takeOn and letGo are the
+	// way in and the way out.
 	sets registry
 
 	cat    catalogCache
@@ -223,29 +208,26 @@ type run struct {
 	// cannotRun, when set, is why restoreRun found this set impossible to
 	// run; takeOn fails it with that reason.
 	cannotRun string
+	// queued: restoreRun found the document's status other than Running —
+	// Queued, as a master that ran admission control left a set it had
+	// acked and not yet started; takeOn journals it Running.
+	queued bool
 	// flow is the request ID the set was taken on under (its Submit's): what
 	// its events cause is done under it, whichever envelope brought them.
 	flow string
-	// tenant is the admission bucket whose running slot this run holds;
-	// empty for runs that never went through the queue. entry is the
-	// admission-queue coordinate it was activated under (hasEntry marks
-	// it valid); preemption requeues through it.
-	tenant   string
-	entry    admission.Entry
-	hasEntry bool
 
 	mu        sync.Mutex
 	st        *setState
 	watchdogs map[watchKey]*time.Timer
 
-	released      atomic.Bool // the running slot went back (see releaseAdmission)
+	forgotten     atomic.Bool // letGo forgot the set: the run journals nothing more
 	journalFailed atomic.Bool // a failed journal write is logged once per run
 }
 
 // newRun is the one place a run is built, and where its attempt nonce is
-// minted: no two runs of a set — across Recover and re-activation after
-// preemption — share an attempt identity.
-func (s *Service) newRun(id string, spec *JobSetSpec, clientFiles, clientListener wsa.EndpointReference, creds wssec.Credentials, status string) *run {
+// minted: no two runs of a set — one before a crash, one after Recover —
+// share an attempt identity.
+func (s *Service) newRun(id string, spec *JobSetSpec, clientFiles, clientListener wsa.EndpointReference, creds wssec.Credentials) *run {
 	nonce := wsa.NewMessageID()[len("urn:uuid:"):][:8]
 	return &run{
 		id:             id,
@@ -254,7 +236,7 @@ func (s *Service) newRun(id string, spec *JobSetSpec, clientFiles, clientListene
 		clientFiles:    clientFiles,
 		clientListener: clientListener,
 		creds:          creds,
-		st:             newSetState(spec, status, nonce, s.defaultRetry),
+		st:             newSetState(spec, nonce, s.defaultRetry),
 		watchdogs:      make(map[watchKey]*time.Timer),
 	}
 }
@@ -262,10 +244,7 @@ func (s *Service) newRun(id string, spec *JobSetSpec, clientFiles, clientListene
 var (
 	// errNoSpec: a document's spec snapshot is missing, unreadable or empty.
 	errNoSpec = errors.New("no recoverable spec")
-	// errRunParked stops a journal write for a run that was evicted: the
-	// set is its next activation's, built from the document.
-	errRunParked = errors.New("scheduler: run parked")
-	// errNotPlaced stops a dispatch whose attempt ended — cancelled, evicted,
+	// errNotPlaced stops a dispatch whose attempt ended — cancelled or
 	// destroyed — between its reservation and its placement.
 	errNotPlaced = errors.New("scheduler: attempt ended before it was placed")
 )
@@ -281,11 +260,10 @@ type DispatchRecord struct {
 // died with the process that accepted it (they are never journaled).
 const credentialsLost = "scheduler restarted; credentials are not persisted, resubmit the job set"
 
-// restoreRun is the one document → run reader (activation, recovery):
-// spec snapshot, client endpoints, admission coordinates, and per-job
-// progress — completed jobs with their output directories, retries
-// consumed. A set that cannot be run is marked (cannotRun) for takeOn to
-// fail as a set, whichever way it came: its snapshot cannot be read
+// restoreRun is the one document → run reader (recovery): spec snapshot,
+// client endpoints and per-job progress — completed jobs with their output
+// directories, retries consumed. A set that cannot be run is marked
+// (cannotRun) for takeOn to fail as a set: its snapshot cannot be read
 // (errNoSpec) or fails validation (any other error) — the run is then
 // built over the document's own job list, good only for failing or
 // cancelling the set — or it was secured, has work left and no
@@ -315,15 +293,8 @@ func (s *Service) restoreRun(id string, doc *xmlutil.Element, creds wssec.Creden
 	// drops any unparseable fragment.
 	clientFiles, _ := wsa.ParseEPR(doc.Child(qClientFiles))
 	clientListener, _ := wsa.ParseEPR(doc.Child(qClientListener))
-	r := s.newRun(id, spec, clientFiles, clientListener, creds, SetRunning)
-	if s.adm != nil {
-		// A restored set holds a running slot of its tenant's, and its
-		// journaled admission coordinates keep it preemptible.
-		if r.tenant = doc.Attr(qTenantAttr); r.tenant == "" {
-			r.tenant = s.adm.TenantOf("")
-		}
-		r.entry, r.hasEntry = queuedEntry(id, doc)
-	}
+	r := s.newRun(id, spec, clientFiles, clientListener, creds)
+	r.queued = view.Status != SetRunning
 	r.st.restore(view)
 	if err != nil {
 		r.cannotRun = err.Error()
@@ -415,14 +386,14 @@ func (s *Service) fire(ctx context.Context, r *run, ev event) {
 }
 
 // perform carries out a transition's effects in one fixed order: kill,
-// persist, requeue, release slot, publish, stamp notified, retry timer,
-// schedule. Kills come first so a retried job's old process is gone
-// before the document admits a new attempt. inHand is the set's document
-// when the caller already holds the resource (a WSRF method), else nil.
+// persist, publish, stamp notified, retry timer, schedule. Kills come first
+// so a retried job's old process is gone before the document admits a new
+// attempt. inHand is the set's document when the caller already holds the
+// resource (a WSRF method), else nil.
 //
-// A journal write refused because the resource is gone or the run parked
+// A journal write refused because the resource is gone or the set let go
 // is expected. Any other failure is logged (once per run) and returned,
-// and requeue and publish are withheld: Recover acts on the document.
+// and the publish is withheld: Recover acts on the document.
 func (s *Service) perform(ctx context.Context, r *run, fx effects, inHand *xmlutil.Element) error {
 	s.kill(ctx, fx.kill)
 	var err error
@@ -430,20 +401,10 @@ func (s *Service) perform(ctx context.Context, r *run, fx effects, inHand *xmlut
 	if fx.persist {
 		if err = s.persist(r, fx, inHand); err != nil {
 			journaled = false
-			if errors.Is(err, wsrf.ErrNoSuchResource) || errors.Is(err, errRunParked) {
+			if errors.Is(err, wsrf.ErrNoSuchResource) {
 				err = nil
 			}
 		}
-	}
-	if fx.requeue && journaled {
-		// Evicted: the run leaves, its entry heads its class again. The
-		// credentials stay with it in memory, so a secured victim resumes
-		// without a resubmit.
-		s.letGo(r.id)
-		s.park(r.entry, r.creds)
-	}
-	if fx.release {
-		s.releaseAdmission(r)
 	}
 	if fx.publish != "" && journaled {
 		// Only a publish the broker took earns the marker: without it
@@ -476,16 +437,16 @@ func (fx effects) callsOut() bool { return len(fx.kill) > 0 || fx.publish != "" 
 // from the state as it is when the write holds the resource (resource
 // lock, then r.mu — a WSRF method's order), never from a snapshot taken
 // before: that could wait behind a later transition's write and land on
-// top of it. A parked run writes nothing — its set is its next
-// activation's — except the eviction write that parks it.
+// top of it. A run letGo forgot writes nothing: as far as it is concerned,
+// its set no longer exists.
 func (s *Service) persist(r *run, fx effects, inHand *xmlutil.Element) error {
 	var rows []*xmlutil.Element
 	render := func(doc *xmlutil.Element) error {
+		if r.forgotten.Load() {
+			return noSuchSet(r.id)
+		}
 		r.mu.Lock()
 		defer r.mu.Unlock()
-		if r.st.parked && !fx.requeue {
-			return errRunParked
-		}
 		rows = r.st.render(doc, fx.touched)
 		return nil
 	}
@@ -558,11 +519,9 @@ func New(cfg Config) (*Service, error) {
 		jobTimeout:   cfg.JobTimeout,
 		dispatchSem:  make(chan struct{}, maxInflightDispatch),
 		onDispatch:   cfg.OnDispatch,
-		adm:          cfg.Admission,
-		sets:         registry{sets: make(map[string]held)},
+		sets:         registry{sets: make(map[string]*run)},
 		placed:       placements{byHost: make(map[string]int)},
 		defaultRetry: cfg.DefaultRetry,
-		preempt:      cfg.Preempt && cfg.Admission != nil,
 	}
 	svc.OnDestroy(s.onSetDestroyed)
 	// "*//" is the Full-dialect catch-all; onNotification finds the set by topic.
@@ -658,14 +617,7 @@ func (s *Service) handleSubmit(ctx context.Context, inv *wsrf.Invocation, body *
 	creds := wssec.Credentials{Username: principal.Username, Password: principal.Password}
 	// Minted here, so the topic is in the document's first and only write.
 	id := wsa.NewMessageID()[len("urn:uuid:"):]
-
-	if s.adm != nil {
-		// Admission control is on: journal the set as Queued and ack; the
-		// fair-share pump activates it later.
-		return s.admitSubmit(ctx, s.newRun(id, spec, clientFiles, clientListener, creds, SetQueued))
-	}
-
-	r := s.newRun(id, spec, clientFiles, clientListener, creds, SetRunning)
+	r := s.newRun(id, spec, clientFiles, clientListener, creds)
 	setEPR, err := s.svc.CreateResource(id, jobSetDocument(r))
 	if err != nil {
 		return nil, soap.ReceiverFault("scheduler: create job set resource: %v", err)
@@ -927,14 +879,7 @@ func (s *Service) onNotification(ctx context.Context, n wsn.Notification) {
 // self-deadlock — so the transition is journaled onto the invocation's
 // own document.
 func (s *Service) handleCancel(ctx context.Context, inv *wsrf.Invocation, body *xmlutil.Element) (*xmlutil.Element, error) {
-	r := s.sets.get(inv.ResourceID).run
-	if r == nil {
-		// Still parked in the admission queue, or activation just won the
-		// race for it and the run has registered by now.
-		if r = s.unparkForCancel(inv); r == nil {
-			r = s.sets.get(inv.ResourceID).run
-		}
-	}
+	r := s.sets.get(inv.ResourceID)
 	if r == nil {
 		return nil, wsrf.NewBaseFault("NoSuchJobSetFault", "job set %q has no active run", inv.ResourceID).SOAPFault(soap.CodeSender)
 	}
@@ -954,7 +899,7 @@ func CancelRequest() *xmlutil.Element { return &xmlutil.Element{Name: qCancel} }
 type Event struct {
 	Set, Job, Kind string // Job is empty on a set-level event
 	// Status and Detail are a set-level event's payload: SetCompleted,
-	// SetFailed, SetCancelled or SetPreempted, and why.
+	// SetFailed or SetCancelled, and why.
 	Status, Detail string
 	// JobEvent is a job-level event's payload; zero when it did not parse.
 	JobEvent execution.JobEvent
@@ -1055,15 +1000,11 @@ type InFlightJob struct {
 // dispatch in flight and no live process, will never move again.
 func (s *Service) InFlight() (out []InFlightJob) {
 	now := time.Now()
-	for _, h := range s.sets.all() {
-		r := h.run
-		if r == nil {
-			continue
-		}
+	for _, r := range s.sets.all() {
 		r.mu.Lock()
 		for i := range r.st.jobs {
 			j := &r.st.jobs[i]
-			if r.st.status != SetRunning || r.st.parked || jobTerminal(j.state) {
+			if r.st.status != SetRunning || jobTerminal(j.state) {
 				continue
 			}
 			_, watched := r.watchdogs[watchKey{i, j.attempt}]

@@ -36,7 +36,7 @@ func newSSHarness(t *testing.T, policy Policy, accounts wssec.StaticAccounts, no
 }
 
 // newSSHarnessCfg is newSSHarness with a Config hook, for tests that
-// need extra scheduler knobs (admission control).
+// need extra scheduler knobs or a home of their own.
 func newSSHarnessCfg(t *testing.T, policy Policy, accounts wssec.StaticAccounts, mutate func(*Config), nodeNames ...string) *ssHarness {
 	t.Helper()
 	network := transport.NewNetwork()
@@ -168,6 +168,18 @@ func (h *ssHarness) waitTerminal(t *testing.T, topic string) string {
 		case <-deadline:
 			t.Fatal("no terminal job-set event")
 		}
+	}
+}
+
+// eventually polls until cond holds or the deadline lapses.
+func eventually(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 

@@ -1,22 +1,19 @@
 package scheduler
 
 // The seam around the job-set state machine: every way a set enters a
-// master's memory goes through takeOn (or park), every way it leaves
-// through letGo. These tests hold the seam to what the copies it replaced
-// each had to remember: nothing stays registered, the tenant's running
-// slot comes back exactly once, no timer outlives the set and no machine
-// stays charged for a placement of it.
+// master's memory goes through takeOn, every way it leaves through letGo.
+// These tests hold the seam to what the copies it replaced each had to
+// remember: nothing stays registered, no timer outlives the set and no
+// machine stays charged for a placement of it.
 
 import (
 	"context"
-	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"uvacg/internal/admission"
 	"uvacg/internal/procspawn"
 	"uvacg/internal/wsa"
 	"uvacg/internal/wsrf"
@@ -34,18 +31,14 @@ type seam struct {
 	runs []*run
 }
 
-func newSeam(t *testing.T, admit bool) *seam {
+func newSeam(t *testing.T) *seam {
 	c := &seam{t: t}
 	c.h = newSSHarnessCfg(t, Greedy{}, nil, func(cfg *Config) {
 		cfg.JobTimeout = time.Hour // every acked Run arms a watchdog
-		if admit {
-			cfg.Admission = admission.New(admission.Config{})
-		}
 	}, "node-a")
 	c.m = c.h.ss
 	c.h.files.Publish("long.app", procspawn.BuildScript("compute 100000000", "exit 0"))
-	spec := &JobSetSpec{Name: "seam", Class: admission.ClassScavenger,
-		Jobs: []JobSpec{{Name: "long", Executable: "local://long.app"}}}
+	spec := &JobSetSpec{Name: "seam", Jobs: []JobSpec{{Name: "long", Executable: "local://long.app"}}}
 	_, topic, err := c.h.submit(t, spec, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -54,20 +47,13 @@ func newSeam(t *testing.T, admit bool) *seam {
 	return c
 }
 
-// pump runs the admission pump until the returned stop.
-func (c *seam) pump() (stop func()) {
-	ctx, cancel := context.WithCancel(context.Background())
-	c.m.StartAdmission(ctx)
-	return cancel
-}
-
 // awaitWatched waits until the set is live with its job's watchdog armed —
 // the Run was acked — and notes the run.
 func (c *seam) awaitWatched() {
 	c.t.Helper()
 	var r *run
 	eventually(c.t, "a live run with an armed watchdog", func() bool {
-		if r = c.m.sets.get(c.id).run; r == nil {
+		if r = c.m.sets.get(c.id); r == nil {
 			return false
 		}
 		r.mu.Lock()
@@ -78,15 +64,11 @@ func (c *seam) awaitWatched() {
 }
 
 // restart is a crash mid-run and the start after it: the master forgets
-// the set and hears nothing more of its old runs, whose running slots,
-// placements and timers died with the process, then recovers from the
-// documents.
+// the set and hears nothing more of its old runs, whose placements and
+// timers died with the process, then recovers from the documents.
 func (c *seam) restart() {
 	c.t.Helper()
 	c.m.sets.forgetAll()
-	for _, r := range c.runs {
-		c.m.releaseAdmission(r)
-	}
 	c.m.placed.mu.Lock()
 	clear(c.m.placed.byHost)
 	c.m.placed.mu.Unlock()
@@ -112,16 +94,6 @@ func (c *seam) cancel() {
 	}
 }
 
-// preempt evicts the live run and waits until it is parked again.
-func (c *seam) preempt() {
-	c.t.Helper()
-	c.m.fire(context.Background(), c.m.sets.get(c.id).run, event{kind: evPreempt})
-	eventually(c.t, "the evicted set to be parked again", func() bool { return c.m.sets.get(c.id).parked() })
-	if st := c.m.adm.Stats(); st.Depth != 1 {
-		c.t.Fatalf("evicted set not back in the queue: %+v", st)
-	}
-}
-
 // gone is the assertion every pair ends on.
 func (c *seam) gone() {
 	c.t.Helper()
@@ -139,57 +111,27 @@ func (c *seam) gone() {
 	if placed := c.m.Placed(); len(placed) != 0 {
 		c.t.Fatalf("placements still charged: %v", placed)
 	}
-	if c.m.adm == nil {
-		return
-	}
-	// A destroy's effects run off the hook's goroutine.
-	eventually(c.t, "the running-slot ledger to balance", func() bool {
-		st := c.m.adm.Stats()
-		for _, ten := range st.Tenants {
-			if ten.Running != 0 {
-				return false
-			}
-		}
-		return st.Depth == 0
-	})
 }
 
 func TestEnterLeaveSeam(t *testing.T) {
 	enters := []struct {
 		name  string
-		admit bool
-		enter func(c *seam) (stopPump func())
+		enter func(c *seam)
 	}{
-		{"Submit", false, func(c *seam) func() { return func() {} }},
-		{"activation", true, func(c *seam) func() { return c.pump() }},
-		{"Recover", true, func(c *seam) func() {
-			stop := c.pump()
+		{"Submit", func(*seam) {}},
+		{"Recover", func(c *seam) {
 			c.awaitWatched()
-			stop()
 			c.restart()
-			return func() {}
 		}},
 	}
 	leaves := []struct {
 		name  string
-		admit bool // needs an admission queue
 		leave func(c *seam)
 	}{
-		{"Destroy", false, (*seam).destroy},
-		{"preemption, then Destroy while parked", true, func(c *seam) {
-			c.preempt()
-			c.destroy()
-		}},
-		{"preemption, then Cancel while parked", true, func(c *seam) {
-			c.preempt()
+		{"Destroy", (*seam).destroy},
+		{"terminal, then Destroy", func(c *seam) {
 			c.cancel()
-			if doc, err := c.m.home.Load(c.id); err != nil || doc.ChildText(QStatus) != SetCancelled {
-				c.t.Fatalf("cancelled while parked: status %q, err %v", doc.ChildText(QStatus), err)
-			}
-		}},
-		{"terminal, then Destroy", false, func(c *seam) {
-			c.cancel()
-			if c.m.sets.get(c.id).run == nil {
+			if c.m.sets.get(c.id) == nil {
 				c.t.Fatal("a terminal set left the registry before its resource was destroyed")
 			}
 			c.destroy()
@@ -197,14 +139,10 @@ func TestEnterLeaveSeam(t *testing.T) {
 	}
 	for _, e := range enters {
 		for _, l := range leaves {
-			if l.admit && !e.admit {
-				continue // a set that never queued has no queue to be evicted into
-			}
 			t.Run(e.name+"/"+l.name, func(t *testing.T) {
-				c := newSeam(t, e.admit)
-				stopPump := e.enter(c)
+				c := newSeam(t)
+				e.enter(c)
 				c.awaitWatched()
-				stopPump() // a requeued entry must stay parked
 				l.leave(c)
 				c.gone()
 			})
@@ -213,20 +151,14 @@ func TestEnterLeaveSeam(t *testing.T) {
 }
 
 // TestCredentialsLostIsOneVerdict: a secured set that outlived its
-// credentials fails as a set — nothing of it can be dispatched, its
-// failure handler included — and it reads the same whichever way the
-// restarted master came by it.
+// credentials fails as a set, with the one reason that says so — nothing of
+// it can be dispatched, its failure handler included.
 func TestCredentialsLostIsOneVerdict(t *testing.T) {
-	type outcome struct {
-		View   JobSetView
-		Detail string
-	}
-	accounts := wssec.StaticAccounts{"scientist": "pw"}
-	creds := wssec.Credentials{Username: "scientist", Password: "pw"}
-	found := func(t *testing.T, pumpBeforeCrash bool) outcome {
+	t.Run("Recover", func(t *testing.T) {
 		var dispatched atomic.Int32
+		accounts := wssec.StaticAccounts{"scientist": "pw"}
+		creds := wssec.Credentials{Username: "scientist", Password: "pw"}
 		h := newSSHarnessCfg(t, Greedy{}, accounts, func(cfg *Config) {
-			cfg.Admission = admission.New(admission.Config{})
 			cfg.OnDispatch = func(DispatchRecord) { dispatched.Add(1) }
 		}, "node-a")
 		h.files.Publish("long.app", procspawn.BuildScript("compute 100000000", "exit 0"))
@@ -239,25 +171,13 @@ func TestCredentialsLostIsOneVerdict(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		if pumpBeforeCrash {
-			h.ss.StartAdmission(ctx)
-			waitStarted(t, h.events)
-		}
+		waitStarted(t, h.events)
 		before := dispatched.Load()
 
-		// The crash takes the credentials with it (and, with no pump
-		// reading it yet, the queue).
+		// The crash takes the credentials with it.
 		h.ss.sets.forgetAll()
-		if !pumpBeforeCrash {
-			h.ss.adm = admission.New(admission.Config{})
-		}
-		if _, err := h.ss.Recover(ctx); err != nil {
+		if _, err := h.ss.Recover(context.Background()); err != nil {
 			t.Fatal(err)
-		}
-		if !pumpBeforeCrash {
-			h.ss.StartAdmission(ctx)
 		}
 		var detail string
 		for deadline := time.After(20 * time.Second); detail == ""; {
@@ -273,6 +193,9 @@ func TestCredentialsLostIsOneVerdict(t *testing.T) {
 				t.Fatal("the set never failed")
 			}
 		}
+		if detail != credentialsLost {
+			t.Fatalf("the set failed with %q, want %q", detail, credentialsLost)
+		}
 		id := setEPR.Property(wsrf.QResourceID)
 		waitNotified(t, h.ss, id)
 		doc, err := h.ss.WSRF().Home().Load(id)
@@ -283,93 +206,66 @@ func TestCredentialsLostIsOneVerdict(t *testing.T) {
 			t.Fatalf("%d jobs dispatched without credentials", n)
 		}
 		v := ParseJobSetDocument(doc)
-		v.Topic = "" // the one thing two submissions never share
-		return outcome{v, detail}
-	}
-	var byRecover, byActivation outcome
-	t.Run("Recover", func(t *testing.T) { byRecover = found(t, true) })
-	t.Run("activation after restart", func(t *testing.T) { byActivation = found(t, false) })
-	if byRecover.View.Status != SetFailed {
-		t.Fatalf("status %q, want %q", byRecover.View.Status, SetFailed)
-	}
-	for _, jv := range byRecover.View.Jobs {
-		if jv.Status != JobCancelled {
-			t.Fatalf("job %s left %q, want %q", jv.Name, jv.Status, JobCancelled)
+		if v.Status != SetFailed {
+			t.Fatalf("status %q, want %q", v.Status, SetFailed)
 		}
-	}
-	if !reflect.DeepEqual(byRecover, byActivation) {
-		t.Fatalf("one condition, two outcomes:\n Recover:    %+v\n activation: %+v", byRecover, byActivation)
-	}
+		for _, jv := range v.Jobs {
+			if jv.Status != JobCancelled {
+				t.Fatalf("job %s left %q, want %q", jv.Name, jv.Status, JobCancelled)
+			}
+		}
+	})
 }
 
-// TestRacingWaysInRegisterOnce: a start's Recover, the Recover it booked
-// to retry itself and the admission pump can all come by the same set at
-// once. Whichever document they find — still Queued, or Running after a
-// crash — the set is registered once, scheduled once and holds one slot.
+// TestRacingWaysInRegisterOnce: a start's Recover and the Recovers it
+// booked to retry itself can all come by the same set at once. Whichever
+// unfinished document they find — Running after a crash, or Queued as a
+// master that ran admission control left a set it had acked and not yet
+// started — the set is registered once, dispatched once, and reads Running
+// while it runs.
 func TestRacingWaysInRegisterOnce(t *testing.T) {
-	for _, crashed := range []bool{false, true} {
-		name := "parked"
-		if crashed {
-			name = "running at the crash"
+	for _, status := range []string{SetRunning, "Queued"} {
+		name := "running at the crash"
+		if status != SetRunning {
+			name = "Queued by an admission master"
 		}
 		t.Run(name, func(t *testing.T) {
 			var dispatched atomic.Int32
-			queue := admission.New(admission.Config{})
 			h := newSSHarnessCfg(t, Greedy{}, nil, func(cfg *Config) {
-				cfg.Admission = queue
 				cfg.OnDispatch = func(DispatchRecord) { dispatched.Add(1) }
 			}, "node-a")
 			m := h.ss
-			h.files.Publish("j.app", procspawn.BuildScript("compute 20000", "exit 0"))
+			h.files.Publish("j.app", procspawn.BuildScript("compute 200000", "exit 0"))
 			spec := &JobSetSpec{Name: "raced", Jobs: []JobSpec{{Name: "j", Executable: "local://j.app"}}}
-			_, topic, err := h.submit(t, spec, nil)
-			if err != nil {
+			// Acked, and forgotten before anything was dispatched: the
+			// document is all there is of the set.
+			r := m.newRun("raced-1", spec, h.filesEPR(), h.listenerEPR(), wssec.Credentials{})
+			doc := jobSetDocument(r)
+			doc.Child(QStatus).Text = status
+			if _, err := m.svc.CreateResource(r.id, doc); err != nil {
 				t.Fatal(err)
-			}
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			if crashed {
-				// Activated, then forgotten before anything was dispatched:
-				// the document says Running and nobody holds the set.
-				id := strings.TrimPrefix(topic, topicPrefix)
-				e, err := queue.Next(ctx)
-				if err != nil {
-					t.Fatal(err)
-				}
-				doc, err := m.home.Load(id)
-				if err != nil {
-					t.Fatal(err)
-				}
-				r, err := m.restoreRun(id, doc, wssec.Credentials{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := m.persist(r, effects{status: true}, nil); err != nil {
-					t.Fatal(err)
-				}
-				m.sets.forgetAll()
-				queue.Done(e.Tenant)
 			}
 
 			start := make(chan struct{})
 			var wg sync.WaitGroup
-			recoverOnce := func() {
-				if _, err := m.Recover(ctx); err != nil {
-					t.Error(err)
-				}
-			}
-			for _, way := range []func(){func() { m.StartAdmission(ctx) }, recoverOnce, recoverOnce} {
+			for range 3 {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
 					<-start
-					way()
+					if _, err := m.Recover(context.Background()); err != nil {
+						t.Error(err)
+					}
 				}()
 			}
 			close(start)
 			wg.Wait()
 
-			if got := h.waitTerminal(t, topic); got != "completed" {
+			waitStarted(t, h.events)
+			if doc, err := m.home.Load(r.id); err != nil || doc.ChildText(QStatus) != SetRunning {
+				t.Fatalf("a status read beside the running job says %q (err %v), want %q", doc.ChildText(QStatus), err, SetRunning)
+			}
+			if got := h.waitTerminal(t, r.topic); got != "completed" {
 				t.Fatalf("terminal event %q", got)
 			}
 			if n := dispatched.Load(); n != 1 {
@@ -378,15 +274,6 @@ func TestRacingWaysInRegisterOnce(t *testing.T) {
 			if n := m.sets.count(); n != 1 {
 				t.Fatalf("registry holds %d entries for one set", n)
 			}
-			eventually(t, "the running-slot ledger to balance", func() bool {
-				st := queue.Stats()
-				for _, ten := range st.Tenants {
-					if ten.Running != 0 {
-						return false
-					}
-				}
-				return st.Depth == 0
-			})
 		})
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"strings"
 	"time"
 
-	"uvacg/internal/admission"
 	"uvacg/internal/xmlutil"
 )
 
@@ -94,13 +93,10 @@ func (j *JobSpec) EffectiveRunOn() string {
 	return j.RunOn
 }
 
-// JobSetSpec is a whole job set. Class is the admission priority class
-// (admission.ClassInteractive/Batch/Scavenger; empty means batch) —
-// masters without admission control ignore it.
+// JobSetSpec is a whole job set.
 type JobSetSpec struct {
-	Name  string
-	Class string
-	Jobs  []JobSpec
+	Name string
+	Jobs []JobSpec
 }
 
 // sourceParts splits "scheme://name" source URIs.
@@ -127,9 +123,6 @@ func DependencyOf(source string) (job string, ok bool) {
 func (js *JobSetSpec) Validate() error {
 	if len(js.Jobs) == 0 {
 		return fmt.Errorf("scheduler: job set %q has no jobs", js.Name)
-	}
-	if !admission.ValidClass(js.Class) {
-		return fmt.Errorf("scheduler: job set %q has unknown priority class %q", js.Name, js.Class)
 	}
 	byName := make(map[string]*JobSpec, len(js.Jobs))
 	for i := range js.Jobs {
@@ -278,7 +271,6 @@ var (
 	qSubmit         = xmlutil.Q(NS, "SubmitJobSet")
 	qSubmitResp     = xmlutil.Q(NS, "SubmitJobSetResponse")
 	qSetName        = xmlutil.Q(NS, "Name")
-	qSetClass       = xmlutil.Q(NS, "Class")
 	qJobSpec        = xmlutil.Q(NS, "Job")
 	qJobName        = xmlutil.Q(NS, "JobName")
 	qExecutable     = xmlutil.Q(NS, "Executable")
@@ -299,9 +291,6 @@ var (
 // specElement renders the job set portion of a Submit body.
 func specElement(js *JobSetSpec) []*xmlutil.Element {
 	out := []*xmlutil.Element{xmlutil.NewElement(qSetName, js.Name)}
-	if js.Class != "" {
-		out = append(out, xmlutil.NewElement(qSetClass, js.Class))
-	}
 	for _, j := range js.Jobs {
 		jobEl := xmlutil.NewContainer(qJobSpec,
 			xmlutil.NewElement(qJobName, j.Name),
@@ -333,9 +322,10 @@ func specElement(js *JobSetSpec) []*xmlutil.Element {
 }
 
 // parseSpec decodes the job set portion of a Submit body. Children it does
-// not know are ignored, such as the <Replicas> count earlier clients sent.
+// not know are ignored, such as the <Replicas> count and the <Class> earlier
+// clients sent.
 func parseSpec(body *xmlutil.Element) (*JobSetSpec, error) {
-	js := &JobSetSpec{Name: body.ChildText(qSetName), Class: body.ChildText(qSetClass)}
+	js := &JobSetSpec{Name: body.ChildText(qSetName)}
 	for _, jobEl := range body.ChildrenNamed(qJobSpec) {
 		j := JobSpec{Name: jobEl.ChildText(qJobName), RunOn: jobEl.Attr(qRunOnAttr)}
 		if exe := jobEl.Child(qExecutable); exe != nil {

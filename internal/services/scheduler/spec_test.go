@@ -153,33 +153,39 @@ func TestSpecRetryConditionalXMLRoundTrip(t *testing.T) {
 }
 
 // TestSpecWithReplicasCountParses: clients of an earlier release could put
-// a <Replicas> count after the set's name, in their Submit and so in the
-// spec snapshot a job-set document keeps. Both still parse, to the spec
-// without it, and a run restored from such a snapshot can run.
+// a <Replicas> count or an admission <Class> after the set's name, in their
+// Submit and so in the spec snapshot a job-set document keeps. Both still
+// parse, to the spec without them, and a run restored from such a snapshot
+// can run.
 func TestSpecWithReplicasCountParses(t *testing.T) {
-	js := pipelineSpec()
-	withReplicas := func(parent *xmlutil.Element) *xmlutil.Element {
-		parent.Children = slices.Insert(parent.Children, 1, xmlutil.NewElement(xmlutil.Q(NS, "Replicas"), "2"))
-		return parent
-	}
-	data, err := xmlutil.MarshalElement(withReplicas(SubmitRequest(js, wsa.NewEPR("soap.tcp://client:9/files"), wsa.EndpointReference{})))
-	if err != nil {
-		t.Fatal(err)
-	}
-	submit, err := xmlutil.UnmarshalElement(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back, err := parseSpec(submit); err != nil || !reflect.DeepEqual(back, js) {
-		t.Fatalf("Submit with <Replicas> parsed as %+v, %v", back, err)
-	}
+	for _, old := range []*xmlutil.Element{
+		xmlutil.NewElement(xmlutil.Q(NS, "Replicas"), "2"),
+		xmlutil.NewElement(xmlutil.Q(NS, "Class"), "scavenger"),
+	} {
+		js := pipelineSpec()
+		withOld := func(parent *xmlutil.Element) *xmlutil.Element {
+			parent.Children = slices.Insert(parent.Children, 1, old)
+			return parent
+		}
+		data, err := xmlutil.MarshalElement(withOld(SubmitRequest(js, wsa.NewEPR("soap.tcp://client:9/files"), wsa.EndpointReference{})))
+		if err != nil {
+			t.Fatal(err)
+		}
+		submit, err := xmlutil.UnmarshalElement(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if back, err := parseSpec(submit); err != nil || !reflect.DeepEqual(back, js) {
+			t.Fatalf("Submit with <%s> parsed as %+v, %v", old.Name.Local, back, err)
+		}
 
-	s := &Service{}
-	doc := jobSetDocument(s.newRun("old", js, wsa.NewEPR("soap.tcp://client:9/files"), wsa.EndpointReference{}, wssec.Credentials{}, SetRunning))
-	withReplicas(doc.Child(qSpecSnapshot))
-	r, err := s.restoreRun("old", doc, wssec.Credentials{})
-	if err != nil || r.cannotRun != "" || !reflect.DeepEqual(r.spec, js) {
-		t.Fatalf("snapshot with <Replicas> restored as %+v (cannot run: %q), %v", r.spec, r.cannotRun, err)
+		s := &Service{}
+		doc := jobSetDocument(s.newRun("old", js, wsa.NewEPR("soap.tcp://client:9/files"), wsa.EndpointReference{}, wssec.Credentials{}))
+		withOld(doc.Child(qSpecSnapshot))
+		r, err := s.restoreRun("old", doc, wssec.Credentials{})
+		if err != nil || r.cannotRun != "" || !reflect.DeepEqual(r.spec, js) {
+			t.Fatalf("snapshot with <%s> restored as %+v (cannot run: %q), %v", old.Name.Local, r.spec, r.cannotRun, err)
+		}
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"uvacg/internal/admission"
 	"uvacg/internal/core"
 	"uvacg/internal/master"
 	"uvacg/internal/node"
@@ -41,17 +40,9 @@ type ClusterConfig struct {
 	// JobTimeout is the scheduler watchdog window (default 1.5s) —
 	// without it a dropped exit event would stall a set forever.
 	JobTimeout time.Duration
-	// Admission, when non-nil, fronts the scheduler with a durable
-	// multi-tenant admission queue (quotas, fair share, QueueFullFault
-	// backpressure). See AdmissionConfig.
-	Admission *AdmissionConfig
 	// DefaultRetry applies to every job whose spec carries no retry
 	// policy of its own (the gridmaster -retry-default flag).
 	DefaultRetry scheduler.RetryPolicy
-	// Preempt lets an interactive-class arrival that finds its tenant's
-	// running quota full evict the tenant's youngest running
-	// scavenger-class set (requires Admission; the -preempt flag).
-	Preempt bool
 }
 
 // Ack records one acknowledged submission: the scheduler accepted the
@@ -110,9 +101,6 @@ type Cluster struct {
 	// Every committed dispatch of every master incarnation, in commit
 	// order (the retry-storm drill counts them).
 	dispatches []scheduler.DispatchRecord
-	// Ledger for invariant I6: every admission-queue transition across
-	// all master incarnations, in commit order.
-	admEvents []admission.Event
 	// Ledger for invariant I7: every file any FSS staged, with the bytes
 	// it installed.
 	stages []filesystem.StageRecord
@@ -224,11 +212,6 @@ func (c *Cluster) startMaster(ctx context.Context) (unresumed, err error) {
 		DefaultRetry: c.cfg.DefaultRetry,
 		OnDispatch:   c.noteDispatch,
 	}
-	if c.cfg.Admission != nil {
-		ssCfg.Admission = c.newAdmissionQueue()
-		ssCfg.Security = c.admissionVerifier()
-		ssCfg.Preempt = c.cfg.Preempt
-	}
 	f := &fence{}
 	m, err := master.Assemble(master.Config{
 		Address:   "inproc://" + MasterHost,
@@ -324,6 +307,16 @@ func (c *Cluster) Master() *masterHost {
 // Scheduler returns the current scheduler instance.
 func (c *Cluster) Scheduler() *scheduler.Service { return c.Master().m.Scheduler }
 
+// liveScheduler returns the master's scheduler, nil while the master is
+// crashed: a dead incarnation's books died with it, and what it had acked
+// is the journal's (and the next incarnation's) to honor.
+func (c *Cluster) liveScheduler() *scheduler.Service {
+	if m := c.Master(); !m.f.dead.Load() {
+		return m.m.Scheduler
+	}
+	return nil
+}
+
 // NodeNames lists the execution machines.
 func (c *Cluster) NodeNames() []string {
 	c.mu.Lock()
@@ -356,7 +349,6 @@ func (c *Cluster) CrashMaster() {
 	m := c.Master()
 	m.f.dead.Store(true)
 	c.Network.Deregister(MasterHost)
-	m.m.Stop()
 	_ = m.store.Close()
 }
 
@@ -389,17 +381,12 @@ func (c *Cluster) RestartNode(ctx context.Context, name string) (unregistered, e
 
 // Submit publishes nothing itself — apps must already be on the observer
 // file server — it sends the Submit through the observer's client, which
-// builds the envelope, and owns the chaos policy: how often to try and for
-// how long. Only a parsed response counts as an ack; a created-but-unacked
-// set is invariant I1's problem, not I3's.
+// builds the envelope, and owns the chaos policy: four tries, 10 ms apart.
+// Only a parsed response counts as an ack; a created-but-unacked set is
+// invariant I1's problem, not I3's.
 func (c *Cluster) Submit(ctx context.Context, spec *scheduler.JobSetSpec) (Ack, error) {
-	return c.submit(ctx, spec, wssec.Credentials{})
-}
-
-// submit tries four times, 10 ms apart.
-func (c *Cluster) submit(ctx context.Context, spec *scheduler.JobSetSpec, creds wssec.Credentials) (Ack, error) {
 	for attempt := 1; ; attempt++ {
-		sub, err := c.Observer.grid.SubmitTo(ctx, c.Scheduler().EPR(), creds, spec)
+		sub, err := c.Observer.grid.SubmitTo(ctx, c.Scheduler().EPR(), wssec.Credentials{}, spec)
 		if err == nil {
 			ack := Ack{Name: spec.Name, Set: sub.JobSet, Topic: sub.Topic}
 			c.mu.Lock()
@@ -407,9 +394,7 @@ func (c *Cluster) submit(ctx context.Context, spec *scheduler.JobSetSpec, creds 
 			c.mu.Unlock()
 			return ack, nil
 		}
-		// Backpressure is a verdict, not an outage: propagate the typed
-		// QueueFullFault so the caller can honor its Retry-After hint.
-		if admission.IsQueueFull(err) || attempt == 4 {
+		if attempt == 4 {
 			return Ack{}, err
 		}
 		select {
@@ -521,7 +506,6 @@ func (c *Cluster) Close() {
 		_ = h.store.Close()
 	}
 	if m != nil {
-		m.m.Stop()
 		_ = m.store.Close()
 	}
 	c.Observer.grid.Close()

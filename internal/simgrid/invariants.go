@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"maps"
 
-	"uvacg/internal/admission"
 	"uvacg/internal/services/scheduler"
 )
 
@@ -29,12 +28,6 @@ import (
 //	    subscribed listener observed a terminal job-set event, across
 //	    broker restarts (subscriptions are durable) and scheduler
 //	    crash/republish.
-//	I6  Admitted means activated (admission only): no document is still
-//	    Queued at quiescence and the live master's queue is empty — a
-//	    parked submission always ends up dispatched or cancelled, never
-//	    stranded. The admission ledger must be internally consistent: no
-//	    (tenant, seq) leaves a queue — dequeue or remove — more often
-//	    than an enqueue admitted it.
 //	I7  Byte identity: every file any FSS installed from the scenario's
 //	    file server is byte for byte the submitted content, whichever
 //	    route (local link, wire fetch) it took.
@@ -54,8 +47,9 @@ import (
 //	    ledger charges each machine exactly the live placed attempts its
 //	    books show — at quiescence, none — or placement is skewed for good.
 //
-// I5 is not in use: CHANGES.md, ROADMAP.md and the messages below cite
-// these numbers, so the gap a retired invariant left is not closed up.
+// I5 and I6 are not in use: CHANGES.md, ROADMAP.md and the messages below
+// cite these numbers, so the gaps retired invariants left are not closed
+// up.
 func CheckInvariants(c *Cluster, sc *Scenario) []string {
 	var violations []string
 	docs := c.JobSetDocs()
@@ -238,46 +232,6 @@ func CheckInvariants(c *Cluster, sc *Scenario) []string {
 		if !terminal[ack.Topic] {
 			violations = append(violations,
 				fmt.Sprintf("I4: acked submission %s (topic %s) never delivered a terminal notification", ack.Name, ack.Topic))
-		}
-	}
-
-	// I6: admission conservation. Queued is a transit state — at
-	// quiescence the journal must hold none, the live queues must be
-	// drained, and the ledger must account for every exit.
-	if c.AdmissionEnabled() {
-		for _, v := range docs {
-			if v.Status == scheduler.SetQueued {
-				violations = append(violations,
-					fmt.Sprintf("I6: set %s (topic %s) still Queued at quiescence", v.Name, v.Topic))
-			}
-		}
-		if live != nil {
-			if st, _ := live.AdmissionStats(); st.Depth != 0 || st.Reserved != 0 {
-				violations = append(violations,
-					fmt.Sprintf("I6: %s admission queue not drained: depth=%d reserved=%d", MasterHost, st.Depth, st.Reserved))
-			}
-		}
-		type tenantSeq struct {
-			tenant string
-			seq    uint64
-		}
-		// Counted over the whole ledger, not prefix by prefix: a queue tells
-		// its observer outside its lock, so the pump's dequeue can be noted
-		// before the enqueue it followed.
-		balance := make(map[tenantSeq]int) // enqueues less exits
-		for _, ev := range c.AdmissionEvents() {
-			switch k := (tenantSeq{ev.Tenant, ev.Seq}); ev.Kind {
-			case admission.EventEnqueue:
-				balance[k]++
-			case admission.EventDequeue, admission.EventRemove:
-				balance[k]--
-			}
-		}
-		for k, n := range balance {
-			if n < 0 {
-				violations = append(violations,
-					fmt.Sprintf("I6: tenant %s seq %d left the queue %d time(s) without a matching enqueue", k.tenant, k.seq, -n))
-			}
 		}
 	}
 
