@@ -70,22 +70,6 @@ type GridConfig struct {
 	UnitTime time.Duration
 	// UtilizationThreshold is each machine's report trigger delta.
 	UtilizationThreshold float64
-	// JobTimeout, when positive, fails any dispatched job with no
-	// terminal event inside the window (a crashed or partitioned
-	// machine) instead of letting the job set hang.
-	JobTimeout time.Duration
-	// Metrics, when set, records every outbound call the grid makes
-	// (per wire attempt, retries included), keyed by service path and
-	// action.
-	Metrics *pipeline.Metrics
-	// Retry, when set, retries idempotent actions on transient
-	// transport failures (a nil Idempotent predicate defaults to
-	// IdempotentActions()) and, with the same backoff, the broker's
-	// notification deliveries.
-	Retry *pipeline.RetryPolicy
-	// DefaultRetry applies to every job whose spec carries no retry
-	// policy of its own (the gridmaster -retry-default flag).
-	DefaultRetry scheduler.RetryPolicy
 }
 
 // Grid is a running campus grid.
@@ -113,15 +97,13 @@ func NewGrid(cfg GridConfig) (*Grid, error) {
 	}
 	network := transport.NewNetwork()
 	client := transport.NewClient().WithNetwork(network)
-	client.Use(ClientInterceptors(cfg.Retry, nil, cfg.Metrics)...)
+	client.Use(ClientInterceptors(nil, nil)...)
 
 	g := &Grid{Network: network, Client: client, cfg: cfg}
 
 	ssCfg := scheduler.Config{
-		Policy:       cfg.Policy,
-		ESCerts:      g.certFor,
-		JobTimeout:   cfg.JobTimeout,
-		DefaultRetry: cfg.DefaultRetry,
+		Policy:  cfg.Policy,
+		ESCerts: g.certFor,
 	}
 	if cfg.Accounts != nil {
 		var err error
@@ -135,19 +117,12 @@ func NewGrid(cfg GridConfig) (*Grid, error) {
 			Required: true,
 		}
 	}
-	mcfg := master.Config{
+	m, err := master.Assemble(master.Config{
 		Address:   "inproc://" + masterHost,
 		Store:     resourcedb.NewStore(),
 		Client:    client,
 		Scheduler: ssCfg,
-	}
-	if cfg.Retry != nil {
-		// Notification delivery gets the same bounded backoff: a slow
-		// consumer's transient failure is absorbed instead of counting
-		// toward its subscription's destruction.
-		mcfg.DeliveryRetry = *cfg.Retry
-	}
-	m, err := master.Assemble(mcfg)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -191,22 +166,16 @@ func NewGrid(cfg GridConfig) (*Grid, error) {
 }
 
 // ClientInterceptors is the outbound pipeline every grid host runs:
-// request correlation and deadline propagation always; tracing, retry of
-// idempotent actions (IdempotentActions unless the policy names its own)
-// and metrics where given. The order is nesting order, earlier outermost,
-// so metrics sits innermost and records every wire attempt a retry makes.
-func ClientInterceptors(retry *pipeline.RetryPolicy, trace *log.Logger, metrics *pipeline.Metrics) []soap.Interceptor {
+// request correlation, deadline propagation and the one retry of
+// IdempotentActions always; tracing and metrics where given. The order is
+// nesting order, earlier outermost, so metrics sits innermost and records
+// every wire attempt a retry makes.
+func ClientInterceptors(trace *log.Logger, metrics *pipeline.Metrics) []soap.Interceptor {
 	ics := []soap.Interceptor{pipeline.ClientRequestID(), pipeline.ClientDeadline()}
 	if trace != nil {
 		ics = append(ics, pipeline.Trace(trace))
 	}
-	if retry != nil {
-		p := *retry
-		if p.Idempotent == nil {
-			p.Idempotent = IdempotentActions()
-		}
-		ics = append(ics, pipeline.Retry(p))
-	}
+	ics = append(ics, pipeline.Retry(pipeline.RetryPolicy{Idempotent: IdempotentActions()}))
 	if metrics != nil {
 		ics = append(ics, metrics.Interceptor())
 	}

@@ -129,17 +129,18 @@ func TestF3_RequestIDAndMetrics(t *testing.T) {
 		},
 		Accounts: testAccounts,
 		UnitTime: 5 * time.Microsecond,
-		Metrics:  metrics,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(g.Close)
 
-	// Recorders go in after NewGrid: grid bootstrap traffic (NIS
-	// registration) is not part of the flow under test. The metrics and
-	// wire baselines are taken, once that traffic has drained, for the
-	// same reason.
+	// Metrics and recorders go in after NewGrid: grid bootstrap traffic
+	// (NIS registration) is not part of the flow under test. Metrics sits
+	// inside the grid's retry, as -metrics does on a daemon, so it counts
+	// wire attempts. The metrics and wire baselines are taken, once the
+	// bootstrap traffic has drained, for the same reason.
+	g.Client.Use(metrics.Interceptor())
 	rec := newHopRecorder()
 	g.Master.Use(rec.interceptor())
 	for _, n := range g.Nodes {

@@ -26,7 +26,6 @@ import (
 // Flags are the options every grid binary takes.
 type Flags struct {
 	Metrics      bool
-	Retries      int
 	Trace        bool
 	DataDir      string
 	Fsync        bool
@@ -37,7 +36,6 @@ type Flags struct {
 func RegisterFlags(fs *flag.FlagSet) *Flags {
 	f := &Flags{}
 	fs.BoolVar(&f.Metrics, "metrics", false, "dump per-action call metrics on exit")
-	fs.IntVar(&f.Retries, "retries", 1, "max attempts for idempotent outbound calls and, on a master, for each notification delivery (1 disables retry)")
 	fs.BoolVar(&f.Trace, "trace", false, "log one line per call with its request ID")
 	fs.StringVar(&f.DataDir, "data-dir", "", "durable data directory (WAL + snapshot): every state change is journaled and survives a crash")
 	fs.BoolVar(&f.Fsync, "fsync", true, "fsync each WAL group commit (with -data-dir); off trades machine-crash safety for throughput")
@@ -47,8 +45,8 @@ func RegisterFlags(fs *flag.FlagSet) *Flags {
 
 // Host is one process's plumbing.
 type Host struct {
-	// Client is the outbound pipeline: request correlation and deadline
-	// propagation always, tracing, idempotent retry and metrics by flag.
+	// Client is the outbound pipeline: request correlation, deadline
+	// propagation and idempotent retry always, tracing and metrics by flag.
 	Client *transport.Client
 	// Metrics is nil unless -metrics was given.
 	Metrics *pipeline.Metrics
@@ -57,8 +55,7 @@ type Host struct {
 	// Store is Durable's store, or a fresh in-memory one.
 	Store *resourcedb.Store
 
-	trace *log.Logger           // nil unless -trace was given
-	retry *pipeline.RetryPolicy // nil unless -retries is above 1
+	trace *log.Logger // nil unless -trace was given
 }
 
 // Open builds the host's client and opens its store.
@@ -67,13 +64,10 @@ func (f *Flags) Open() (*Host, error) {
 	if f.Trace {
 		h.trace = log.Default()
 	}
-	if f.Retries > 1 {
-		h.retry = &pipeline.RetryPolicy{MaxAttempts: f.Retries}
-	}
 	if f.Metrics {
 		h.Metrics = pipeline.NewMetrics()
 	}
-	h.Client.Use(core.ClientInterceptors(h.retry, h.trace, h.Metrics)...)
+	h.Client.Use(core.ClientInterceptors(h.trace, h.Metrics)...)
 	if f.DataDir == "" {
 		h.Store = resourcedb.NewStore()
 		return h, nil
@@ -111,16 +105,10 @@ func (h *Host) Interceptors() []soap.Interceptor {
 	return ics
 }
 
-// MasterConfig is what a master host takes from its process: the store,
-// the client, and -retries for the broker's notification deliveries as for
-// the client's idempotent calls. The caller adds what is the master's own
-// (Scheduler).
+// MasterConfig is what a master host takes from its process: the store
+// and the client. The caller adds what is the master's own (Scheduler).
 func (h *Host) MasterConfig(address string) master.Config {
-	cfg := master.Config{Address: address, Store: h.Store, Client: h.Client}
-	if h.retry != nil {
-		cfg.DeliveryRetry = *h.retry
-	}
-	return cfg
+	return master.Config{Address: address, Store: h.Store, Client: h.Client}
 }
 
 // ListenHTTP serves srv on addr and, in the same act, tells h.Client that

@@ -21,6 +21,7 @@ import (
 	"uvacg/internal/pipeline"
 	"uvacg/internal/resourcedb"
 	"uvacg/internal/services/filesystem"
+	"uvacg/internal/services/nodeinfo"
 	"uvacg/internal/services/scheduler"
 	"uvacg/internal/soap"
 	"uvacg/internal/transport"
@@ -327,27 +328,45 @@ func TestShippedWiringRunsDemoJobSet(t *testing.T) {
 	}
 }
 
-// TestRetriesFlagReachesNotificationDelivery: -retries is one policy for
-// the host's idempotent calls and, through Host.MasterConfig as
-// cmd/gridmaster assembles its master, for the broker's deliveries: the
-// first Notify to a consumer fails on the way and the second arrives,
-// inside one Publish. (The shipped master used to deliver each Notify
-// once whatever -retries said.)
-func TestRetriesFlagReachesNotificationDelivery(t *testing.T) {
-	host := openHost(t, "-retries", "2")
-	var deliveries atomic.Int64
+// TestShippedMasterRetriesNotificationDelivery: a master host opened with
+// no flags, assembled through Host.MasterConfig as cmd/gridmaster
+// assembles it, runs the simulator's one retry. The first Notify to a
+// consumer fails on the way and the second arrives, inside one Publish;
+// an idempotent read on the host's client whose first wire attempt fails
+// succeeds on the second; a Report, which is not idempotent, crosses the
+// wire once and its failure is returned.
+func TestShippedMasterRetriesNotificationDelivery(t *testing.T) {
+	host := openHost(t)
+	// Every odd crossing to a watched path fails before it leaves: the
+	// first attempt of each leg below.
+	var listener, nis atomic.Int64
 	host.Client.WrapSchemes(func(_ string, rt transport.RoundTripper) transport.RoundTripper {
 		return transport.WrapFaults(rt, func(_ transport.FaultOp, addr string) transport.FaultDecision {
-			if strings.HasSuffix(addr, "/listener") && deliveries.Add(1) == 1 {
+			var n int64
+			switch {
+			case strings.HasSuffix(addr, "/listener"):
+				n = listener.Add(1)
+			case strings.HasSuffix(addr, "/NodeInfoService"):
+				n = nis.Add(1)
+			}
+			if n%2 == 1 {
 				return transport.FaultDecision{Err: errors.New("connection reset by peer")}
 			}
 			return transport.FaultDecision{}
 		})
 	})
-	m, err := master.Assemble(host.MasterConfig(daemon.Advertised("127.0.0.1", freeAddr(t))))
+	maddr := freeAddr(t)
+	m, err := master.Assemble(host.MasterConfig(daemon.Advertised("127.0.0.1", maddr)))
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Served without the co-located route, so the host's own calls to its
+	// NIS cross the wrapped binding.
+	_, stopMaster, err := transport.ListenHTTP(transport.NewServer(m.Mux), maddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stopMaster(context.Background())
 
 	consumer := wsn.NewConsumer()
 	events := consumer.Channel(wsn.Simple("jobs"), 1)
@@ -369,8 +388,24 @@ func TestRetriesFlagReachesNotificationDelivery(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("the notification whose first delivery failed never arrived")
 	}
-	if got := deliveries.Load(); got != 2 {
+	if got := listener.Load(); got != 2 {
 		t.Fatalf("the Notify crossed the wire %d time(s), want 2", got)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if _, err := nodeinfo.GetProcessorsVia(ctx, host.Client, m.NIS.EPR()); err != nil {
+		t.Fatalf("GetProcessors whose first attempt failed: %v", err)
+	}
+	if got := nis.Load(); got != 2 {
+		t.Fatalf("GetProcessors crossed the wire %d time(s), want 2", got)
+	}
+	report := nodeinfo.ReportRequest(nodeinfo.Processor{Host: "win-a", ES: wsa.NewEPR("http://127.0.0.1:1/ExecutionService"), Cores: 1, SpeedMHz: 1000, RAMMB: 512})
+	if _, err := host.Client.Call(ctx, m.NIS.EPR(), nodeinfo.ActionReport, report); err == nil {
+		t.Fatal("a Report whose only attempt failed returned no error")
+	}
+	if got := nis.Load(); got != 3 {
+		t.Fatalf("the Report crossed the wire %d time(s), want 1", got-2)
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 	"context"
 	"fmt"
 
-	"uvacg/internal/pipeline"
 	"uvacg/internal/resourcedb"
 	"uvacg/internal/services/nodeinfo"
 	"uvacg/internal/services/scheduler"
@@ -34,9 +33,6 @@ type Config struct {
 	// Scheduler is the scheduler's configuration; Assemble fills in
 	// Address, Home, Client, NIS and Broker.
 	Scheduler scheduler.Config
-	// DeliveryRetry is the broker's notification-delivery retry; the
-	// zero value delivers each notification once.
-	DeliveryRetry pipeline.RetryPolicy
 }
 
 // Master is an assembled master host. Mount Mux behind a binding, then
@@ -63,7 +59,6 @@ func Assemble(cfg Config) (*Master, error) {
 	if err != nil {
 		return nil, err
 	}
-	m.Broker.Producer().SetDeliveryRetry(cfg.DeliveryRetry)
 	m.Mux.Handle(m.Broker.Service().Path(), m.Broker.Service().Dispatcher())
 	subSvc := m.Broker.Producer().SubscriptionService()
 	m.Mux.Handle(subSvc.Path(), subSvc.Dispatcher())

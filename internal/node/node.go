@@ -50,13 +50,6 @@ type Config struct {
 	// Accounts are the machine's local user accounts; when set, the ES
 	// requires WS-Security credentials and ProcSpawn verifies them.
 	Accounts wssec.StaticAccounts
-	// GridAccounts, when set together with GridMap, authenticates Run
-	// requests against grid-wide identities and maps them to local
-	// accounts (the gridmap pattern §4.2 anticipates). Accounts then
-	// only gates what ProcSpawn will run.
-	GridAccounts wssec.StaticAccounts
-	// GridMap translates grid identities to local accounts.
-	GridMap wssec.GridMap
 	// Broker is the Notification Broker's EPR for job lifecycle events.
 	Broker wsa.EndpointReference
 	// NIS, when set, receives utilization reports from this machine.
@@ -123,16 +116,7 @@ func New(cfg Config) (*Node, error) {
 		n.Store = resourcedb.NewStore()
 	}
 
-	// Only a secured ES has use for a key pair, and minting one costs
-	// tens of milliseconds of start-up.
 	var err error
-	if cfg.Accounts != nil || cfg.GridAccounts != nil {
-		n.Identity, err = wssec.NewIdentity("CN=ExecutionService/" + cfg.Name)
-		if err != nil {
-			return nil, err
-		}
-	}
-
 	spawnCfg := procspawn.Config{
 		FS:       n.FS,
 		Cores:    cfg.Cores,
@@ -169,15 +153,12 @@ func New(cfg Config) (*Node, error) {
 		Spawner: n.Spawner,
 		Broker:  cfg.Broker,
 	}
-	switch {
-	case cfg.GridAccounts != nil:
-		esCfg.Security = &wssec.VerifierConfig{
-			Identity: n.Identity,
-			Accounts: cfg.GridAccounts,
-			Required: true,
+	if cfg.Accounts != nil {
+		// Only a secured ES has use for a key pair, and minting one costs
+		// tens of milliseconds of start-up.
+		if n.Identity, err = wssec.NewIdentity("CN=ExecutionService/" + cfg.Name); err != nil {
+			return nil, err
 		}
-		esCfg.MapAccount = cfg.GridMap
-	case cfg.Accounts != nil:
 		esCfg.Security = &wssec.VerifierConfig{
 			Identity: n.Identity,
 			Accounts: cfg.Accounts,

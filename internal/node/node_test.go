@@ -166,29 +166,6 @@ func TestNodeCertificateStable(t *testing.T) {
 	}
 }
 
-func TestNodeGridAccountMapping(t *testing.T) {
-	network := transport.NewNetwork()
-	client := transport.NewClient().WithNetwork(network)
-	n, err := New(Config{
-		Name:         "mapped",
-		Network:      network,
-		Client:       client,
-		Accounts:     wssec.StaticAccounts{"labuser": "localpw"},
-		GridAccounts: wssec.StaticAccounts{"grid-user": "gridpw"},
-		GridMap:      wssec.GridMap{"grid-user": {Username: "labuser", Password: "localpw"}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer n.Stop()
-	// The ES accepts the grid identity, not the local one: wiring chose
-	// the grid verifier. (Behavioural checks of the mapping itself live
-	// in the execution package.)
-	if n.ES == nil {
-		t.Fatal("no ES")
-	}
-}
-
 // TestNodeTablesKeepTheirJournaledCodec: a fresh node stores its job and
 // directory resources as blobs — nothing reads the structured codec's
 // property index, which every Put would rebuild — but a -data-dir written

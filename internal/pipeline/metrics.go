@@ -29,17 +29,9 @@ var bucketBounds = []time.Duration{
 	10 * time.Second,
 }
 
-// NumBuckets is the histogram size: len(BucketBounds) edges plus the
+// NumBuckets is the histogram size: len(bucketBounds) edges plus the
 // overflow bucket.
 const NumBuckets = 12
-
-// BucketBounds returns a copy of the histogram's upper edges; the final
-// bucket of a Stats histogram is the overflow beyond the last edge.
-func BucketBounds() []time.Duration {
-	out := make([]time.Duration, len(bucketBounds))
-	copy(out, bucketBounds)
-	return out
-}
 
 // Key identifies one instrumented operation.
 type Key struct {

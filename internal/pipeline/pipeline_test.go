@@ -140,47 +140,45 @@ func noSleep(delays *[]time.Duration) func(context.Context, time.Duration) error
 	}
 }
 
+// TestRetryFlakyTransportEventuallySucceeds: an idempotent call whose
+// first two wire attempts fail succeeds on the third, after 2 ms and then
+// 4 ms; one that keeps failing stops at the third attempt.
 func TestRetryFlakyTransportEventuallySucceeds(t *testing.T) {
-	const n = 4
-	var delays []time.Duration
-	p := RetryPolicy{
-		MaxAttempts: n,
-		Idempotent:  IdempotentActions("urn:GetResourceProperty"),
-		Sleep:       noSleep(&delays),
-		Rand:        func() float64 { return 0.5 }, // jitter term vanishes
-	}
-	calls := 0
-	call := newCall("urn:GetResourceProperty")
-	resp, err := Retry(p)(context.Background(), call, func(ctx context.Context, call *soap.CallInfo) (*soap.Envelope, error) {
-		calls++
-		if calls < n {
-			return nil, fmt.Errorf("transport: connection refused (attempt %d)", calls)
+	for _, failures := range []int{retryAttempts - 1, retryAttempts} {
+		var delays []time.Duration
+		p := RetryPolicy{
+			Idempotent: IdempotentActions("urn:GetResourceProperty"),
+			Sleep:      noSleep(&delays),
 		}
-		return okTerminal(ctx, call)
-	})
-	if err != nil || resp == nil {
-		t.Fatalf("final attempt should succeed: %v", err)
-	}
-	if calls != n {
-		t.Fatalf("wire attempts = %d, want %d", calls, n)
-	}
-	if call.Attempt != n {
-		t.Fatalf("call.Attempt = %d, want %d", call.Attempt, n)
-	}
-	// Backoff doubles from the 50ms default.
-	want := []time.Duration{50 * time.Millisecond, 100 * time.Millisecond, 200 * time.Millisecond}
-	for i, d := range delays {
-		if d != want[i] {
-			t.Fatalf("delay[%d] = %v, want %v", i, d, want[i])
+		calls := 0
+		call := newCall("urn:GetResourceProperty")
+		resp, err := Retry(p)(context.Background(), call, func(ctx context.Context, call *soap.CallInfo) (*soap.Envelope, error) {
+			calls++
+			if calls <= failures {
+				return nil, fmt.Errorf("transport: connection refused (attempt %d)", calls)
+			}
+			return okTerminal(ctx, call)
+		})
+		if failures < retryAttempts && (err != nil || resp == nil) {
+			t.Fatalf("final attempt should succeed: %v", err)
+		}
+		if failures == retryAttempts && err == nil {
+			t.Fatal("a call that failed every attempt succeeded")
+		}
+		if calls != retryAttempts || call.Attempt != retryAttempts {
+			t.Fatalf("%d failures: wire attempts = %d, call.Attempt = %d, want %d", failures, calls, call.Attempt, retryAttempts)
+		}
+		want := []time.Duration{2 * time.Millisecond, 4 * time.Millisecond}
+		if fmt.Sprint(delays) != fmt.Sprint(want) {
+			t.Fatalf("%d failures: delays %v, want %v", failures, delays, want)
 		}
 	}
 }
 
 func TestRetryNeverRepeatsNonIdempotentAction(t *testing.T) {
 	p := RetryPolicy{
-		MaxAttempts: 5,
-		Idempotent:  IdempotentActions("urn:GetResourceProperty"),
-		Sleep:       func(context.Context, time.Duration) error { return nil },
+		Idempotent: IdempotentActions("urn:GetResourceProperty"),
+		Sleep:      func(context.Context, time.Duration) error { return nil },
 	}
 	calls := 0
 	_, err := Retry(p)(context.Background(), newCall("urn:Run"), func(ctx context.Context, call *soap.CallInfo) (*soap.Envelope, error) {
@@ -197,9 +195,8 @@ func TestRetryNeverRepeatsNonIdempotentAction(t *testing.T) {
 
 func TestRetryStopsOnFault(t *testing.T) {
 	p := RetryPolicy{
-		MaxAttempts: 5,
-		Idempotent:  func(string) bool { return true },
-		Sleep:       func(context.Context, time.Duration) error { return nil },
+		Idempotent: func(string) bool { return true },
+		Sleep:      func(context.Context, time.Duration) error { return nil },
 	}
 	calls := 0
 	_, err := Retry(p)(context.Background(), newCall("urn:Get"), func(ctx context.Context, call *soap.CallInfo) (*soap.Envelope, error) {
@@ -216,9 +213,8 @@ func TestRetryStopsOnFault(t *testing.T) {
 
 func TestRetryStopsOnContextError(t *testing.T) {
 	p := RetryPolicy{
-		MaxAttempts: 5,
-		Idempotent:  func(string) bool { return true },
-		Sleep:       func(context.Context, time.Duration) error { return nil },
+		Idempotent: func(string) bool { return true },
+		Sleep:      func(context.Context, time.Duration) error { return nil },
 	}
 	for _, ctxErr := range []error{context.Canceled, context.DeadlineExceeded} {
 		calls := 0
@@ -237,9 +233,8 @@ func TestRetryStopsOnContextError(t *testing.T) {
 
 func TestRetryAbortsWhenSleepCancelled(t *testing.T) {
 	p := RetryPolicy{
-		MaxAttempts: 5,
-		Idempotent:  func(string) bool { return true },
-		Sleep:       func(context.Context, time.Duration) error { return context.Canceled },
+		Idempotent: func(string) bool { return true },
+		Sleep:      func(context.Context, time.Duration) error { return context.Canceled },
 	}
 	calls := 0
 	_, err := Retry(p)(context.Background(), newCall("urn:Get"), func(ctx context.Context, call *soap.CallInfo) (*soap.Envelope, error) {

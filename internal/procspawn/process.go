@@ -15,9 +15,8 @@ type Process struct {
 	WorkingDir string
 	Executable string
 
-	started time.Time
-	kill    chan struct{}
-	done    chan struct{}
+	kill chan struct{}
+	done chan struct{}
 
 	mu       sync.Mutex
 	state    ProcessState
@@ -58,9 +57,6 @@ func (p *Process) addCPUTime(d time.Duration) {
 	p.cpuTime += d
 	p.mu.Unlock()
 }
-
-// StartedAt reports when the process launched.
-func (p *Process) StartedAt() time.Time { return p.started }
 
 // Kill requests termination. Safe to call multiple times and after
 // exit.

@@ -130,7 +130,6 @@ func (s *Spawner) Spawn(spec SpawnSpec) (*Process, error) {
 		Owner:      spec.Username,
 		WorkingDir: spec.WorkingDir,
 		Executable: spec.Executable,
-		started:    time.Now(),
 		state:      StateRunning,
 		kill:       make(chan struct{}),
 		done:       make(chan struct{}),

@@ -48,8 +48,6 @@ type DurableOptions struct {
 	// process crash still loses nothing but a machine crash can lose
 	// OS-buffered commits.
 	Sync bool
-	// SegmentBytes is the WAL segment rotation threshold (default 4 MiB).
-	SegmentBytes int64
 	// CompactBytes triggers a background compaction once live WAL bytes
 	// exceed it. 0 means the 8 MiB default; negative disables automatic
 	// compaction (Compact can still be called explicitly).
@@ -93,7 +91,7 @@ func OpenDurable(dir string, opts DurableOptions) (*DurableStore, error) {
 		opts.Metrics.Record(pipeline.Key{Path: "/wal", Action: "replay"}, time.Since(start), false)
 	}
 
-	log, err := wal.Open(dir, wal.Options{Sync: opts.Sync, SegmentBytes: opts.SegmentBytes})
+	log, err := wal.Open(dir, wal.Options{Sync: opts.Sync})
 	if err != nil {
 		return nil, err
 	}

@@ -94,24 +94,18 @@ type Config struct {
 	Broker wsa.EndpointReference
 	// Security, when non-nil, is installed as dispatcher middleware:
 	// Run requests must then carry valid (optionally encrypted)
-	// WS-Security credentials.
+	// WS-Security credentials, and the job runs as that account.
 	Security *wssec.VerifierConfig
-	// MapAccount, when set, translates the authenticated grid principal
-	// into the local account the process runs as (the gridmap-file
-	// pattern §4.2 anticipates). Default: the principal's own
-	// credentials are the local account.
-	MapAccount wssec.AccountMapper
 }
 
 // Service is one machine's ES.
 type Service struct {
-	svc        *wsrf.Service
-	client     *transport.Client
-	fss        wsa.EndpointReference
-	spawner    *procspawn.Spawner
-	broker     wsa.EndpointReference
-	mapAccount wssec.AccountMapper
-	out        *wsn.Outbox // every lifecycle event leaves through it: in order, off the job's path
+	svc     *wsrf.Service
+	client  *transport.Client
+	fss     wsa.EndpointReference
+	spawner *procspawn.Spawner
+	broker  wsa.EndpointReference
+	out     *wsn.Outbox // every lifecycle event leaves through it: in order, off the job's path
 
 	mu sync.Mutex
 	// creds holds each staged job's spawn credentials until launch; it
@@ -142,7 +136,6 @@ func New(cfg Config) (*Service, error) {
 		fss:          cfg.FSS,
 		spawner:      cfg.Spawner,
 		broker:       cfg.Broker,
-		mapAccount:   cfg.MapAccount,
 		creds:        make(map[string]wssec.Credentials),
 		procs:        make(map[string]*procspawn.Process),
 		reservations: make(map[string]func()),
@@ -150,9 +143,6 @@ func New(cfg Config) (*Service, error) {
 	s.out = wsn.NewOutbox(func(ctx context.Context, to wsa.EndpointReference, batch []wsn.Notification) error {
 		return wsn.PublishViaBroker(ctx, s.client, to, batch...)
 	})
-	if s.mapAccount == nil {
-		s.mapAccount = wssec.IdentityMapper{}
-	}
 	if cfg.Security != nil {
 		// Only Run carries credentials; FSS callbacks and WSRF property
 		// reads are unauthenticated, as in the paper's testbed.
@@ -281,11 +271,10 @@ func (s *Service) handleRun(ctx context.Context, inv *wsrf.Invocation, body *xml
 		return nil, wsrf.NewBaseFault("JobStartFault", "create working directory: %v", err).SOAPFault(soap.CodeReceiver)
 	}
 
+	// The job runs as the authenticated principal: the Run request carries
+	// the local account itself.
 	principal, _ := wssec.PrincipalFrom(ctx)
-	local, mapped := s.mapAccount.Map(principal)
-	if !mapped {
-		return nil, wsrf.NewBaseFault("NoAccountMappingFault", "grid identity %q has no local account on this machine", principal.Username).SOAPFault(soap.CodeSender)
-	}
+	local := wssec.Credentials{Username: principal.Username, Password: principal.Password}
 	doc := xmlutil.NewContainer(xmlutil.Q(NS, "JobState"),
 		xmlutil.NewElement(QJobName, jobName),
 		xmlutil.NewElement(QStatus, StatusStaging),

@@ -46,14 +46,6 @@ func newESHarness(t *testing.T, accounts wssec.StaticAccounts) *esHarness {
 		}
 		sec = &wssec.VerifierConfig{Identity: id, Accounts: accounts, Required: true}
 	}
-	return newESHarnessWithSecurity(t, accounts, sec, nil)
-}
-
-// newESHarnessWithSecurity separates the machine accounts ProcSpawn
-// enforces from the grid-level security the ES verifies, so the
-// account-mapping extension can be exercised.
-func newESHarnessWithSecurity(t *testing.T, spawnAccounts wssec.StaticAccounts, sec *wssec.VerifierConfig, mapper wssec.AccountMapper) *esHarness {
-	t.Helper()
 	network := transport.NewNetwork()
 	client := transport.NewClient().WithNetwork(network)
 	fs := vfs.New()
@@ -74,8 +66,8 @@ func newESHarnessWithSecurity(t *testing.T, spawnAccounts wssec.StaticAccounts, 
 		SpeedMHz: 2000,
 		UnitTime: 5 * time.Microsecond,
 	}
-	if spawnAccounts != nil {
-		spawnCfg.Accounts = spawnAccounts
+	if accounts != nil {
+		spawnCfg.Accounts = accounts
 	}
 	spawner, err := procspawn.NewSpawner(spawnCfg)
 	if err != nil {
@@ -103,14 +95,13 @@ func newESHarnessWithSecurity(t *testing.T, spawnAccounts wssec.StaticAccounts, 
 	network.Register("master", brokerSrv)
 
 	esCfg := Config{
-		Address:    "inproc://node-a",
-		Home:       wsrf.NewStateHome(store.MustTable("jobs", resourcedb.StructuredCodec{})),
-		Client:     client,
-		FSS:        fss.EPR(),
-		Spawner:    spawner,
-		Broker:     wsa.NewEPR("inproc://master/NotificationBroker"),
-		Security:   sec,
-		MapAccount: mapper,
+		Address:  "inproc://node-a",
+		Home:     wsrf.NewStateHome(store.MustTable("jobs", resourcedb.StructuredCodec{})),
+		Client:   client,
+		FSS:      fss.EPR(),
+		Spawner:  spawner,
+		Broker:   wsa.NewEPR("inproc://master/NotificationBroker"),
+		Security: sec,
 	}
 	es, err := New(esCfg)
 	if err != nil {
@@ -446,55 +437,6 @@ func TestRunValidation(t *testing.T) {
 	bad := RunRequest("", "t", "app", nil)
 	if _, err := h.client.Call(ctx, h.es.EPR(), ActionRun, bad); err == nil {
 		t.Error("nameless run accepted")
-	}
-}
-
-func TestGridAccountMapping(t *testing.T) {
-	// Grid identity "wasson@virginia.edu" is not a machine account; the
-	// ES maps it to the local "labuser" before spawning — the gridmap
-	// pattern the paper's §4.2 anticipates.
-	machineAccounts := wssec.StaticAccounts{"labuser": "localpw"}
-	gridAccounts := wssec.StaticAccounts{"wasson@virginia.edu": "gridpw"}
-	h := newESHarnessWithSecurity(t, machineAccounts, &wssec.VerifierConfig{
-		Accounts: gridAccounts,
-		Required: true,
-	}, wssec.GridMap{
-		"wasson@virginia.edu": {Username: "labuser", Password: "localpw"},
-	})
-
-	creds := wssec.Credentials{Username: "wasson@virginia.edu", Password: "gridpw"}
-	job, _ := h.runJob(t, &creds, procspawn.BuildScript("exit 0"))
-	h.waitEvent(t, EventExited)
-	rc := wsrf.NewResourceClient(h.client, job)
-	owner, err := rc.GetPropertyText(context.Background(), QOwner)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if owner != "labuser" {
-		t.Fatalf("job ran as %q, want mapped local account", owner)
-	}
-}
-
-func TestGridAccountMappingRejectsUnmapped(t *testing.T) {
-	machineAccounts := wssec.StaticAccounts{"labuser": "localpw"}
-	gridAccounts := wssec.StaticAccounts{"stranger@elsewhere.edu": "pw"}
-	h := newESHarnessWithSecurity(t, machineAccounts, &wssec.VerifierConfig{
-		Accounts: gridAccounts,
-		Required: true,
-	}, wssec.GridMap{}) // empty map: nobody is mapped
-
-	h.files.Publish("job.app", procspawn.BuildScript("exit 0"))
-	env := soap.New(RunRequest("job1", "t", "job.app", []filesystem.FileRef{
-		{Source: h.filesEPR(), RemoteName: "job.app"},
-	}))
-	creds := wssec.Credentials{Username: "stranger@elsewhere.edu", Password: "pw"}
-	if err := wssec.AttachUsernameToken(env, creds, false, time.Now()); err != nil {
-		t.Fatal(err)
-	}
-	_, err := h.client.Invoke(context.Background(), h.es.EPR(), ActionRun, env)
-	bf, ok := wsrf.BaseFaultFromError(err)
-	if !ok || bf.ErrorCode != "NoAccountMappingFault" {
-		t.Fatalf("want NoAccountMappingFault, got %v", err)
 	}
 }
 

@@ -30,10 +30,6 @@ import (
 // Rows are not resources: they cannot be loaded, destroyed or listed.
 type jobSetHome struct{ wsrf.ResourceHome }
 
-// JobSetHome is the view of a home holding job sets that a scheduler built
-// over it reads and writes through.
-func JobSetHome(inner wsrf.ResourceHome) wsrf.ResourceHome { return &jobSetHome{inner} }
-
 // A set id is a UUID; only a row's id contains the separator.
 func rowID(set string, job *xmlutil.Element) string { return set + "#" + job.Attr(qNameAttr) }
 

@@ -62,8 +62,7 @@ type Chaos struct {
 	mu         sync.Mutex
 	enabled    bool
 	defaults   RouteFaults
-	perDest    map[string]RouteFaults // dst host → profile override
-	targets    map[string]TargetRule  // "host/path" → targeted rule
+	targets    map[string]TargetRule // "host/path" → targeted rule
 	exemptHost map[string]bool
 	exemptAddr map[string]bool // "host/path" exemptions
 	blocked    map[string]bool // "src|dst" directed partition edges
@@ -76,7 +75,6 @@ type Chaos struct {
 func NewChaos(seed int64) *Chaos {
 	return &Chaos{
 		seed:       seed,
-		perDest:    make(map[string]RouteFaults),
 		targets:    make(map[string]TargetRule),
 		exemptHost: make(map[string]bool),
 		exemptAddr: make(map[string]bool),
@@ -92,15 +90,8 @@ func (c *Chaos) SetDefaults(f RouteFaults) {
 	c.mu.Unlock()
 }
 
-// SetRoute overrides the profile for messages to one destination host.
-func (c *Chaos) SetRoute(dstHost string, f RouteFaults) {
-	c.mu.Lock()
-	c.perDest[dstHost] = f
-	c.mu.Unlock()
-}
-
-// TargetRule faults one exact destination address. Unlike SetRoute it
-// applies even on self-routes (src == dst host): it models a co-located
+// TargetRule faults one exact destination address. Unlike the default
+// profile it applies even on self-routes (src == dst host): it models a co-located
 // service failing — the master's own broker during a terminal publish —
 // which no network-level profile can express.
 type TargetRule struct {
@@ -166,13 +157,6 @@ func (c *Chaos) Heal(src, dst string) {
 	c.mu.Unlock()
 }
 
-// HealAll removes every partition.
-func (c *Chaos) HealAll() {
-	c.mu.Lock()
-	c.blocked = make(map[string]bool)
-	c.mu.Unlock()
-}
-
 // Enable turns fault injection on or off. Off, every verdict is clean
 // (partitions included).
 func (c *Chaos) Enable(on bool) {
@@ -218,10 +202,7 @@ func (c *Chaos) FaultFunc(src string) transport.FaultFunc {
 			c.decisions++
 			return transport.FaultDecision{Drop: true}
 		}
-		profile, ok := c.perDest[dstHost]
-		if !ok {
-			profile = c.defaults
-		}
+		profile := c.defaults
 		if profile.Zero() {
 			return transport.FaultDecision{}
 		}

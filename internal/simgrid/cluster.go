@@ -13,7 +13,6 @@ import (
 	"uvacg/internal/core"
 	"uvacg/internal/master"
 	"uvacg/internal/node"
-	"uvacg/internal/pipeline"
 	"uvacg/internal/resourcedb"
 	"uvacg/internal/services/filesystem"
 	"uvacg/internal/services/scheduler"
@@ -166,23 +165,13 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	return c, nil
 }
 
-// hostRetry is every host's small deterministic retry (jitter disabled, so a
-// replayed seed retries on the same schedule): idempotent actions on the
-// client chain, and the master's notification deliveries.
-var hostRetry = pipeline.RetryPolicy{
-	MaxAttempts: 3,
-	BaseDelay:   2 * time.Millisecond,
-	MaxDelay:    20 * time.Millisecond,
-	Jitter:      -1,
-}
-
 // clientWith builds the outbound pipeline for one host — the one every
-// grid host runs, with retry — over a chaos-wrapped transport. A non-nil
-// fence kills every outbound message once the host's incarnation is
-// crashed.
+// grid host runs, with its retry — over a chaos-wrapped transport. A
+// non-nil fence kills every outbound message once the host's incarnation
+// is crashed.
 func (c *Cluster) clientWith(host string, f *fence) *transport.Client {
 	client := transport.NewClient().WithNetwork(c.Network)
-	client.Use(core.ClientInterceptors(&hostRetry, nil, nil)...)
+	client.Use(core.ClientInterceptors(nil, nil)...)
 	decide := c.Chaos.FaultFunc(host)
 	client.WrapSchemes(func(_ string, rt transport.RoundTripper) transport.RoundTripper {
 		return transport.WrapFaults(rt, func(op transport.FaultOp, addr string) transport.FaultDecision {
@@ -218,10 +207,6 @@ func (c *Cluster) startMaster(ctx context.Context) (unresumed, err error) {
 		Store:     store.Store,
 		Client:    c.clientWith(MasterHost, f),
 		Scheduler: ssCfg,
-		// Notification delivery rides the same retry the product path uses:
-		// transient consumer failures are absorbed; permanent ones are the
-		// producer's failure-count problem.
-		DeliveryRetry: hostRetry,
 	})
 	if err != nil {
 		store.Close()

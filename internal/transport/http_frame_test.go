@@ -132,9 +132,8 @@ func TestRetryResendsFramedRequestIntact(t *testing.T) {
 	client := NewClient()
 	client.RegisterScheme("http", &discardFirstReplies{HTTPTransport: NewHTTPTransport(), n: 2})
 	client.Use(pipeline.Retry(pipeline.RetryPolicy{
-		MaxAttempts: 3,
-		Idempotent:  pipeline.IdempotentActions("urn:Blob"),
-		Sleep:       func(context.Context, time.Duration) error { return nil },
+		Idempotent: pipeline.IdempotentActions("urn:Blob"),
+		Sleep:      func(context.Context, time.Duration) error { return nil },
 	}))
 	resp, err := client.Invoke(context.Background(), wsa.NewEPR(base+"/Blob"), "urn:Blob", blobRequest(interopData))
 	if err != nil {

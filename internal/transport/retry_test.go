@@ -52,9 +52,9 @@ func (f *flakyTransport) tries() int {
 	return f.attempts
 }
 
-// retryRig wires a client with retry through a flaky binding to a
+// retryRig wires a client with the one retry through a flaky binding to a
 // service that records each arrival's MessageID.
-func retryRig(t *testing.T, failures, maxAttempts int) (*Client, *flakyTransport, *[]string) {
+func retryRig(t *testing.T, failures int) (*Client, *flakyTransport, *[]string) {
 	t.Helper()
 	var mids []string
 	var mu sync.Mutex
@@ -77,16 +77,15 @@ func retryRig(t *testing.T, failures, maxAttempts int) (*Client, *flakyTransport
 	client := NewClient()
 	client.RegisterScheme(SchemeInproc, flaky)
 	client.Use(pipeline.Retry(pipeline.RetryPolicy{
-		MaxAttempts: maxAttempts,
-		Idempotent:  pipeline.IdempotentActions("urn:GetResourceProperty"),
-		Sleep:       func(context.Context, time.Duration) error { return nil },
+		Idempotent: pipeline.IdempotentActions("urn:GetResourceProperty"),
+		Sleep:      func(context.Context, time.Duration) error { return nil },
 	}))
 	return client, flaky, &mids
 }
 
 func TestRetryOverFlakyTransport(t *testing.T) {
-	const n = 3
-	client, flaky, mids := retryRig(t, n-1, n)
+	const n = 3 // the one retry's attempts
+	client, flaky, mids := retryRig(t, n-1)
 	body, err := client.Call(context.Background(), wsa.NewEPR("inproc://host-a/Test"), "urn:GetResourceProperty", xmlutil.NewElement(qPing, ""))
 	if err != nil {
 		t.Fatalf("idempotent call should survive %d transient failures: %v", n-1, err)
@@ -107,7 +106,7 @@ func TestRetryRestampsMessageID(t *testing.T) {
 	// Zero flaky failures but two separate calls through the chain must
 	// carry distinct MessageIDs; with retries the same holds per
 	// attempt because WS-Addressing is stamped in the terminal handler.
-	client, _, mids := retryRig(t, 0, 3)
+	client, _, mids := retryRig(t, 0)
 	svc := wsa.NewEPR("inproc://host-a/Test")
 	for i := 0; i < 2; i++ {
 		if _, err := client.Call(context.Background(), svc, "urn:GetResourceProperty", xmlutil.NewElement(qPing, "")); err != nil {
@@ -120,7 +119,7 @@ func TestRetryRestampsMessageID(t *testing.T) {
 }
 
 func TestRunNeverRetried(t *testing.T) {
-	client, flaky, mids := retryRig(t, 1, 5)
+	client, flaky, mids := retryRig(t, 1)
 	_, err := client.Call(context.Background(), wsa.NewEPR("inproc://host-a/Test"), "urn:Run", xmlutil.NewElement(qPing, ""))
 	if !errors.Is(err, errFlaky) {
 		t.Fatalf("want the transient error surfaced, got %v", err)

@@ -2,7 +2,6 @@ package wsn
 
 import (
 	"context"
-	"sort"
 	"sync"
 
 	"uvacg/internal/soap"
@@ -12,30 +11,18 @@ import (
 	"uvacg/internal/xmlutil"
 )
 
-// NSBrokered is the WS-BrokeredNotification namespace.
-const NSBrokered = "http://docs.oasis-open.org/wsn/2004/06/wsn-WS-BrokeredNotification-1.2-draft-01.xsd"
-
-// ActionRegisterPublisher announces a publisher to the broker.
-const ActionRegisterPublisher = NSBrokered + "/RegisterPublisher"
-
-var (
-	qRegisterPublisher         = xmlutil.Q(NSBrokered, "RegisterPublisher")
-	qRegisterPublisherResponse = xmlutil.Q(NSBrokered, "RegisterPublisherResponse")
-	qPublisherRef              = xmlutil.Q(NSBrokered, "PublisherReference")
-)
-
 // Broker is the WS-BrokeredNotification intermediary of paper §4.3:
 // "used when notification producers and consumers can not or do not
 // care to have direct knowledge of each other ... a multicast
 // mechanism". Producers Notify the broker; the broker re-publishes to
-// every subscription matching the topic.
+// every subscription matching the topic. It relays for any publisher and
+// keeps no record of them.
 type Broker struct {
 	svc      *wsrf.Service
 	producer *Producer
 
-	mu         sync.Mutex
-	publishers map[string]wsa.EndpointReference
-	relayed    int
+	mu      sync.Mutex
+	relayed int
 }
 
 // NewBroker builds a broker service at path (e.g. "/NotificationBroker")
@@ -46,14 +33,13 @@ func NewBroker(path, address string, subHome wsrf.ResourceHome, client *transpor
 	if err != nil {
 		return nil, err
 	}
-	b := &Broker{svc: svc, publishers: make(map[string]wsa.EndpointReference)}
+	b := &Broker{svc: svc}
 	producer, err := NewProducer(svc, subHome, client)
 	if err != nil {
 		return nil, err
 	}
 	b.producer = producer
 	svc.RegisterServiceMethod(ActionNotify, b.handleNotify)
-	svc.RegisterServiceMethod(ActionRegisterPublisher, b.handleRegisterPublisher)
 	return b, nil
 }
 
@@ -81,50 +67,11 @@ func (b *Broker) handleNotify(ctx context.Context, inv *wsrf.Invocation, body *x
 	return nil, nil
 }
 
-func (b *Broker) handleRegisterPublisher(ctx context.Context, inv *wsrf.Invocation, body *xmlutil.Element) (*xmlutil.Element, error) {
-	if body == nil || body.Name != qRegisterPublisher {
-		return nil, soap.SenderFault("wsn: body is not a RegisterPublisher message")
-	}
-	pubEl := body.Child(qPublisherRef)
-	if pubEl == nil {
-		return nil, soap.SenderFault("wsn: RegisterPublisher has no PublisherReference")
-	}
-	epr, err := wsa.ParseEPR(pubEl)
-	if err != nil {
-		return nil, soap.SenderFault("wsn: bad publisher reference: %v", err)
-	}
-	b.mu.Lock()
-	b.publishers[epr.String()] = epr
-	b.mu.Unlock()
-	return &xmlutil.Element{Name: qRegisterPublisherResponse}, nil
-}
-
-// Publishers lists registered publishers (sorted by canonical form).
-func (b *Broker) Publishers() []wsa.EndpointReference {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	keys := make([]string, 0, len(b.publishers))
-	for k := range b.publishers {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]wsa.EndpointReference, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, b.publishers[k])
-	}
-	return out
-}
-
 // Relayed reports how many notifications the broker has fanned out.
 func (b *Broker) Relayed() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.relayed
-}
-
-// RegisterPublisherRequest builds the client body for RegisterPublisher.
-func RegisterPublisherRequest(publisher wsa.EndpointReference) *xmlutil.Element {
-	return xmlutil.NewContainer(qRegisterPublisher, publisher.ElementNamed(qPublisherRef))
 }
 
 // PublishViaBroker sends notifications to a broker as one one-way Notify

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"uvacg/internal/pipeline"
 	"uvacg/internal/resourcedb"
 	"uvacg/internal/soap"
 	"uvacg/internal/transport"
@@ -70,16 +69,12 @@ func (h *deliveryHarness) subscribe(t *testing.T, host string) {
 	}
 }
 
-// TestDeliveryRetryRecoversTransientConsumer: a consumer whose first two
-// deliveries fail still receives the notification within one Publish,
-// because the retry interceptor re-sends with backoff.
-func TestDeliveryRetryRecoversTransientConsumer(t *testing.T) {
+// TestNotifyRetryRecoversTransientConsumer: a consumer whose first two
+// deliveries fail still receives the notification from the third, within
+// one Publish, because every producer re-sends a Notify under the one
+// retry.
+func TestNotifyRetryRecoversTransientConsumer(t *testing.T) {
 	h := newDeliveryHarness(t)
-	h.producer.SetDeliveryRetry(pipeline.RetryPolicy{
-		MaxAttempts: 4,
-		BaseDelay:   time.Millisecond,
-		Jitter:      -1,
-	})
 	h.subscribe(t, "flaky")
 	h.failRemaining.Store(2)
 
@@ -94,22 +89,20 @@ func TestDeliveryRetryRecoversTransientConsumer(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("transiently failing consumer never received the notification")
 	}
+	if left := h.failRemaining.Load(); left != -1 {
+		t.Fatalf("the Notify crossed the wire %d time(s), want 3", 2-left)
+	}
 	if n := h.producer.SubscriptionCount(); n != 1 {
 		t.Fatalf("subscription count %d after recovered delivery", n)
 	}
 }
 
-// TestDeliveryRetryDropsPermanentConsumer: a permanently failing
+// TestNotifyRetryDropsPermanentConsumer: a permanently failing
 // consumer exhausts its retries on every publish and is eventually
 // unsubscribed, while a healthy consumer — notified concurrently —
 // receives every notification; the broker/producer never wedges.
-func TestDeliveryRetryDropsPermanentConsumer(t *testing.T) {
+func TestNotifyRetryDropsPermanentConsumer(t *testing.T) {
 	h := newDeliveryHarness(t)
-	h.producer.SetDeliveryRetry(pipeline.RetryPolicy{
-		MaxAttempts: 2,
-		BaseDelay:   time.Millisecond,
-		Jitter:      -1,
-	})
 	h.subscribe(t, "ok")
 	h.subscribe(t, "flaky")
 	h.failRemaining.Store(1 << 30) // permanent

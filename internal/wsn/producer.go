@@ -16,21 +16,9 @@ import (
 	"uvacg/internal/xmlutil"
 )
 
-// Subscription management actions (pause/resume are part of
-// WS-BaseNotification's subscription manager).
-const (
-	ActionPauseSubscription  = NS + "/PauseSubscription"
-	ActionResumeSubscription = NS + "/ResumeSubscription"
-)
-
 var (
 	qSubscription = xmlutil.Q(NS, "Subscription")
 	qCreationTime = xmlutil.Q(NS, "CreationTime")
-	qPaused       = xmlutil.Q(NS, "Paused")
-	qPauseReq     = xmlutil.Q(NS, "PauseSubscription")
-	qPauseResp    = xmlutil.Q(NS, "PauseSubscriptionResponse")
-	qResumeReq    = xmlutil.Q(NS, "ResumeSubscription")
-	qResumeResp   = xmlutil.Q(NS, "ResumeSubscriptionResponse")
 )
 
 // maxDeliveryFailures is how many consecutive delivery failures a
@@ -42,7 +30,6 @@ type subscription struct {
 	id       string
 	consumer wsa.EndpointReference
 	te       *TopicExpression
-	paused   bool
 }
 
 // Producer makes a WSRF service a NotificationProducer: it registers the
@@ -56,13 +43,13 @@ type Producer struct {
 	owner  *wsrf.Service
 	subSvc *wsrf.Service
 	client *transport.Client
-	out    *Outbox // every delivery leaves through it
+	out    *Outbox          // every delivery leaves through it
+	retry  soap.Interceptor // the one retry, around each Notify delivery
 
 	subscribeMu sync.Mutex // serializes Subscribe's look-up-then-create
 
-	mu    sync.RWMutex
-	retry soap.Interceptor // per-consumer delivery retry, nil = single attempt
-	subs  map[string]subscription
+	mu   sync.RWMutex
+	subs map[string]subscription
 	// byKey finds the subscription a (consumer, dialect, expression) has:
 	// what makes Subscribe idempotent. Kept by index and unindex, like byRoot.
 	byKey map[string]string
@@ -78,7 +65,11 @@ type Producer struct {
 // NewProducer wires notification production into owner. The returned
 // producer's SubscriptionService must be mounted on the same mux as the
 // owner. Existing subscriptions in subHome are recovered (surviving a
-// service restart).
+// service restart). Every delivery runs under the one retry
+// (pipeline.Retry): notification delivery is at-least-once by contract,
+// so re-sending a Notify is always safe, and a consumer's transient
+// failure is absorbed instead of counting toward its subscription's
+// destruction.
 func NewProducer(owner *wsrf.Service, subHome wsrf.ResourceHome, client *transport.Client) (*Producer, error) {
 	subSvc, err := wsrf.NewService(wsrf.ServiceConfig{
 		Path:    owner.Path() + "-subscriptions",
@@ -95,6 +86,7 @@ func NewProducer(owner *wsrf.Service, subHome wsrf.ResourceHome, client *transpo
 		owner:    owner,
 		subSvc:   subSvc,
 		client:   client,
+		retry:    pipeline.Retry(pipeline.RetryPolicy{Idempotent: pipeline.IdempotentActions(ActionNotify)}),
 		subs:     make(map[string]subscription),
 		byKey:    make(map[string]string),
 		byRoot:   make(map[string]map[string]struct{}),
@@ -107,48 +99,12 @@ func NewProducer(owner *wsrf.Service, subHome wsrf.ResourceHome, client *transpo
 		delete(p.failures, id)
 		p.mu.Unlock()
 	})
-	subSvc.RegisterMethod(ActionPauseSubscription, p.handlePause)
-	subSvc.RegisterMethod(ActionResumeSubscription, p.handleResume)
 	if err := p.recover(); err != nil {
 		return nil, err
 	}
 	owner.RegisterServiceMethod(ActionSubscribe, p.handleSubscribe)
 	return p, nil
 }
-
-// handlePause suspends delivery to a subscription without destroying it
-// (WS-BaseNotification PauseSubscription). The paused flag is itself a
-// resource property.
-func (p *Producer) handlePause(ctx context.Context, inv *wsrf.Invocation, body *xmlutil.Element) (*xmlutil.Element, error) {
-	p.setPaused(inv, true)
-	return &xmlutil.Element{Name: qPauseResp}, nil
-}
-
-// handleResume re-enables delivery.
-func (p *Producer) handleResume(ctx context.Context, inv *wsrf.Invocation, body *xmlutil.Element) (*xmlutil.Element, error) {
-	p.setPaused(inv, false)
-	return &xmlutil.Element{Name: qResumeResp}, nil
-}
-
-func (p *Producer) setPaused(inv *wsrf.Invocation, paused bool) {
-	if paused {
-		inv.SetProperty(qPaused, "true")
-	} else {
-		inv.RemoveProperty(qPaused)
-	}
-	p.mu.Lock()
-	if sub, ok := p.subs[inv.ResourceID]; ok {
-		sub.paused = paused
-		p.subs[inv.ResourceID] = sub
-	}
-	p.mu.Unlock()
-}
-
-// PauseRequest builds the PauseSubscription body.
-func PauseRequest() *xmlutil.Element { return &xmlutil.Element{Name: qPauseReq} }
-
-// ResumeRequest builds the ResumeSubscription body.
-func ResumeRequest() *xmlutil.Element { return &xmlutil.Element{Name: qResumeReq} }
 
 // MustProducer is NewProducer that panics; for static wiring.
 func MustProducer(owner *wsrf.Service, subHome wsrf.ResourceHome, client *transport.Client) *Producer {
@@ -224,7 +180,7 @@ func subscriptionFromDoc(id string, doc *xmlutil.Element) (subscription, error) 
 	if err != nil {
 		return subscription{}, err
 	}
-	return subscription{id: id, consumer: consumer, te: te, paused: doc.ChildText(qPaused) == "true"}, nil
+	return subscription{id: id, consumer: consumer, te: te}, nil
 }
 
 func subscriptionDoc(consumer wsa.EndpointReference, te *TopicExpression) *xmlutil.Element {
@@ -289,24 +245,6 @@ func (p *Producer) SubscriptionCount() int {
 	return len(p.subs)
 }
 
-// SetDeliveryRetry installs a bounded-backoff retry (pipeline.Retry)
-// around each Notify delivery. Notification delivery is
-// at-least-once by contract, so re-sending is always safe: whatever
-// Idempotent predicate the policy carries (a client chain's excludes
-// one-way sends) gives way to one admitting ActionNotify, so a host hands
-// its client's policy over as it is. A policy with MaxAttempts < 2
-// removes any installed retry.
-func (p *Producer) SetDeliveryRetry(policy pipeline.RetryPolicy) {
-	policy.Idempotent = pipeline.IdempotentActions(ActionNotify)
-	p.mu.Lock()
-	if policy.MaxAttempts < 2 {
-		p.retry = nil
-	} else {
-		p.retry = pipeline.Retry(policy)
-	}
-	p.mu.Unlock()
-}
-
 // Publish delivers a notification on a concrete topic to every matching
 // subscriber as a one-way Notify, returning — once each delivery was
 // attempted — the number that succeeded. Deliveries leave through the
@@ -350,7 +288,7 @@ func (p *Producer) matching(topic string) []subscription {
 	var matched []subscription
 	test := func(ids map[string]struct{}) {
 		for id := range ids {
-			if sub := p.subs[id]; !sub.paused && sub.te.Matches(topic) {
+			if sub := p.subs[id]; sub.te.Matches(topic) {
 				matched = append(matched, sub)
 			}
 		}
@@ -365,27 +303,17 @@ func (p *Producer) matching(topic string) []subscription {
 }
 
 // deliver is the outbox's send: one Notify carrying batch to one consumer,
-// through the delivery-retry interceptor when installed. The notify body
-// is rebuilt per attempt by the client, so each retry carries fresh
-// WS-Addressing headers.
+// through the delivery retry. The notify body is rebuilt per attempt by
+// the client, so each retry carries fresh WS-Addressing headers.
 func (p *Producer) deliver(ctx context.Context, to wsa.EndpointReference, batch []Notification) error {
-	p.mu.RLock()
-	retry := p.retry
-	p.mu.RUnlock()
-	notify := func(ctx context.Context) error {
-		return p.client.Notify(ctx, to, ActionNotify, NotifyBody(batch...))
-	}
-	if retry == nil {
-		return notify(ctx)
-	}
 	call := &soap.CallInfo{
 		Side:   soap.ClientSide,
 		Addr:   to.Address,
 		Action: ActionNotify,
 		OneWay: true,
 	}
-	_, err := retry(ctx, call, func(ctx context.Context, _ *soap.CallInfo) (*soap.Envelope, error) {
-		return nil, notify(ctx)
+	_, err := p.retry(ctx, call, func(ctx context.Context, _ *soap.CallInfo) (*soap.Envelope, error) {
+		return nil, p.client.Notify(ctx, to, ActionNotify, NotifyBody(batch...))
 	})
 	return err
 }

@@ -303,14 +303,8 @@ func TestBrokerFanout(t *testing.T) {
 	}
 
 	ctx := context.Background()
-	// A publisher registers and notifies the broker once.
+	// A publisher the broker has never heard of notifies it once.
 	producerEPR := wsa.NewEPR("inproc://node-a/ES")
-	if _, err := client.Call(ctx, broker.EPR(), ActionRegisterPublisher, RegisterPublisherRequest(producerEPR)); err != nil {
-		t.Fatal(err)
-	}
-	if pubs := broker.Publishers(); len(pubs) != 1 || !pubs[0].Equal(producerEPR) {
-		t.Fatalf("publishers = %v", pubs)
-	}
 	err = PublishViaBroker(ctx, client, broker.EPR(), Notification{
 		Topic:    "jobset-1/job-1/exited",
 		Producer: producerEPR,
@@ -400,70 +394,6 @@ func TestBrokerKeepsNothingPerNotification(t *testing.T) {
 	}
 	if grown >= 2<<20 {
 		t.Fatalf("relaying %d notifications on distinct topics grew the heap by %d KiB", n, grown>>10)
-	}
-}
-
-func TestPauseResumeSubscription(t *testing.T) {
-	h := newWSNHarness(t)
-	ctx := context.Background()
-	events := h.consumer.Channel(Simple("jobs"), 16)
-	subEPR, err := SubscribeVia(ctx, h.client, h.owner.EPR(), h.consEPR, Simple("jobs"))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Paused: nothing delivered.
-	if _, err := h.client.Call(ctx, subEPR, ActionPauseSubscription, PauseRequest()); err != nil {
-		t.Fatal(err)
-	}
-	if n := h.producer.Publish(ctx, "jobs/x", h.owner.EPR(), nil); n != 0 {
-		t.Fatalf("paused subscription delivered (%d)", n)
-	}
-	// Paused is visible as a resource property.
-	rc := wsrf.NewResourceClient(h.client, subEPR)
-	if got, err := rc.GetPropertyText(ctx, qPaused); err != nil || got != "true" {
-		t.Fatalf("Paused property = %q %v", got, err)
-	}
-
-	// Resumed: delivery comes back.
-	if _, err := h.client.Call(ctx, subEPR, ActionResumeSubscription, ResumeRequest()); err != nil {
-		t.Fatal(err)
-	}
-	if n := h.producer.Publish(ctx, "jobs/y", h.owner.EPR(), TextMessage(qEvent, "back")); n != 1 {
-		t.Fatalf("resumed subscription not delivered (%d)", n)
-	}
-	n := waitFor(t, events)
-	if n.PayloadText() != "back" {
-		t.Fatalf("got %+v", n)
-	}
-}
-
-func TestPausedStateSurvivesRestart(t *testing.T) {
-	network := transport.NewNetwork()
-	client := transport.NewClient().WithNetwork(network)
-	store := resourcedb.NewStore()
-	home := wsrf.NewStateHome(store.MustTable("subs", resourcedb.BlobCodec{}))
-
-	owner1 := wsrf.MustService(wsrf.ServiceConfig{Path: "/ES", Address: "inproc://node-a"})
-	p1 := MustProducer(owner1, home, client)
-	subEPR, err := p1.Subscribe(wsa.NewEPR("inproc://client/listener"), Simple("jobs"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mux := soap.NewMux()
-	mux.Handle(owner1.Path(), owner1.Dispatcher())
-	mux.Handle(p1.SubscriptionService().Path(), p1.SubscriptionService().Dispatcher())
-	network.Register("node-a", transport.NewServer(mux))
-	ctx := context.Background()
-	if _, err := client.Call(ctx, subEPR, ActionPauseSubscription, PauseRequest()); err != nil {
-		t.Fatal(err)
-	}
-
-	// A restarted producer over the same home sees the pause.
-	owner2 := wsrf.MustService(wsrf.ServiceConfig{Path: "/ES2", Address: "inproc://node-a"})
-	p2 := MustProducer(owner2, home, client)
-	if n := p2.Publish(ctx, "jobs/x", owner2.EPR(), nil); n != 0 {
-		t.Fatalf("restart lost the paused flag (%d deliveries)", n)
 	}
 }
 

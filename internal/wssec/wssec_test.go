@@ -318,21 +318,3 @@ func TestMiddlewareOptionalPassthrough(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestGridMap(t *testing.T) {
-	m := GridMap{"wasson@virginia.edu": {Username: "labuser", Password: "pw"}}
-	creds, ok := m.Map(Principal{Username: "wasson@virginia.edu", Password: "gridpw"})
-	if !ok || creds.Username != "labuser" || creds.Password != "pw" {
-		t.Fatalf("mapped %+v %v", creds, ok)
-	}
-	if _, ok := m.Map(Principal{Username: "stranger"}); ok {
-		t.Fatal("unmapped identity resolved")
-	}
-}
-
-func TestIdentityMapperPassthrough(t *testing.T) {
-	creds, ok := IdentityMapper{}.Map(Principal{Username: "u", Password: "p"})
-	if !ok || creds.Username != "u" || creds.Password != "p" {
-		t.Fatalf("identity map %+v %v", creds, ok)
-	}
-}
