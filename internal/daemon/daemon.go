@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"runtime/metrics"
 	"strings"
 	"time"
 
@@ -161,11 +162,28 @@ func (h *Host) Close() {
 	}
 }
 
-// DumpMetrics writes the -metrics table, if one was kept.
+// DumpMetrics writes the -metrics table, if one was kept, and after it
+// what the process has allocated over its life (runtimeLine).
 func (h *Host) DumpMetrics(w io.Writer) {
 	if h.Metrics != nil {
 		h.Metrics.Dump(w)
+		fmt.Fprintln(w, runtimeLine())
 	}
+}
+
+// runtimeLine is the dump's last line: bytes and objects allocated on
+// the heap since the process started and the GC cycles run, so a run's
+// transient garbage can be told from what it keeps. It must not start
+// with '/', which opens a table row.
+func runtimeLine() string {
+	samples := []metrics.Sample{
+		{Name: "/gc/heap/allocs:bytes"},
+		{Name: "/gc/cycles/total:gc-cycles"},
+		{Name: "/gc/heap/allocs:objects"},
+	}
+	metrics.Read(samples)
+	return fmt.Sprintf("runtime: heap_alloc_bytes=%d gc_cycles=%d mallocs=%d",
+		samples[0].Value.Uint64(), samples[1].Value.Uint64(), samples[2].Value.Uint64())
 }
 
 // Advertised is the base URL a daemon listening on listen (host:port)

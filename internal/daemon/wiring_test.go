@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"flag"
+	"fmt"
 	"net"
 	"os"
 	"path/filepath"
@@ -501,5 +502,29 @@ func TestColocatedShutdownDrainsBeforeTheStoreCloses(t *testing.T) {
 	defer reopened.Close()
 	if doc, ok, err := reopened.Store.MustTable("rows", resourcedb.BlobCodec{}).Get("late"); err != nil || !ok || doc.Text != "written while draining" {
 		t.Fatalf("the drained write is not in the journal: %v %v %v", doc, ok, err)
+	}
+}
+
+// TestDumpEndsWithRuntimeLine: the -metrics dump ends with the process's
+// allocation counters on one line, and no line outside the table starts
+// with '/', which is how a reader of the dump finds a table row.
+func TestDumpEndsWithRuntimeLine(t *testing.T) {
+	host := openHost(t, "-metrics")
+	host.Metrics.Record(pipeline.Key{Path: "/SchedulerService", Action: "urn:Submit"}, time.Millisecond, false)
+	var out bytes.Buffer
+	host.DumpMetrics(&out)
+	lines := strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n")
+	last := lines[len(lines)-1]
+	var allocated, cycles, mallocs uint64
+	if _, err := fmt.Sscanf(last, "runtime: heap_alloc_bytes=%d gc_cycles=%d mallocs=%d", &allocated, &cycles, &mallocs); err != nil {
+		t.Fatalf("last dump line %q: %v", last, err)
+	}
+	if allocated == 0 || mallocs == 0 {
+		t.Fatalf("a running process reports no allocation: %q", last)
+	}
+	for i, line := range lines {
+		if strings.HasPrefix(line, "/") && (i+1 >= len(lines) || !strings.HasPrefix(lines[i+1], "  calls=")) {
+			t.Errorf("line %q starts with '/' but is not a table row", line)
+		}
 	}
 }

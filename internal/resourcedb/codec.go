@@ -52,7 +52,7 @@ func (BlobCodec) Indexable() bool { return false }
 // under either decoder, so rows written before and after the fast path
 // interoperate.
 func (BlobCodec) Encode(doc *xmlutil.Element) ([]byte, error) {
-	if out, ok := fastcodec.AppendElement(nil, doc); ok {
+	if out, ok := fastcodec.EncodeElement(doc); ok {
 		return out, nil
 	}
 	return xmlutil.MarshalElement(doc)
@@ -124,16 +124,10 @@ func (StructuredCodec) Encode(doc *xmlutil.Element) ([]byte, error) {
 		writeLenStr(&buf, e.Text)
 		n = binary.PutUvarint(tmp[:], uint64(len(e.Attrs)))
 		buf.Write(tmp[:n])
-		// Deterministic attr order: reuse canonical XML marshal ordering
-		// by sorting names.
-		names := make([]xmlutil.QName, 0, len(e.Attrs))
-		for k := range e.Attrs {
-			names = append(names, k)
-		}
-		sortQNames(names)
-		for _, k := range names {
-			writeLenStr(&buf, k.String())
-			writeLenStr(&buf, e.Attrs[k])
+		// Attrs are kept in canonical order, so rows are deterministic.
+		for _, a := range e.Attrs {
+			writeLenStr(&buf, a.Name.String())
+			writeLenStr(&buf, a.Value)
 		}
 		for _, c := range e.Children {
 			walk(c, depth+1)
@@ -141,21 +135,6 @@ func (StructuredCodec) Encode(doc *xmlutil.Element) ([]byte, error) {
 	}
 	walk(doc, 0)
 	return buf.Bytes(), nil
-}
-
-func sortQNames(names []xmlutil.QName) {
-	for i := 1; i < len(names); i++ {
-		for j := i; j > 0 && qnameLess(names[j], names[j-1]); j-- {
-			names[j], names[j-1] = names[j-1], names[j]
-		}
-	}
-}
-
-func qnameLess(a, b xmlutil.QName) bool {
-	if a.Space != b.Space {
-		return a.Space < b.Space
-	}
-	return a.Local < b.Local
 }
 
 // Decode implements Codec.

@@ -208,7 +208,10 @@ func TestJobStateIsAFunctionOfTheJob(t *testing.T) {
 					t.Fatal(err)
 				}
 				status = doc.ChildText(QStatus)
-				got := attrs(doc.Child(QJobState).Attrs)
+				got := attrs{}
+				for _, a := range doc.Child(QJobState).Attrs {
+					got[a.Name] = a.Value
+				}
 				delete(got, qNameAttr)
 				if got[qStatusAttr] != JobDispatched && (len(seen) == 0 || fmt.Sprint(seen[len(seen)-1]) != fmt.Sprint(got)) {
 					seen = append(seen, got)
@@ -501,14 +504,14 @@ func TestRecoverFromDocumentsOnly(t *testing.T) {
 		}
 	}
 	doc.Child(QStatus).Text = SetRunning
-	delete(doc.Attrs, qNotifiedAttr)
+	doc.RemoveAttr(qNotifiedAttr)
 	firstDir := ""
 	for _, st := range doc.ChildrenNamed(QJobState) {
 		if st.Attr(qNameAttr) == "first" {
 			firstDir = st.Attr(qDirAttr)
 		} else {
 			st.SetAttr(qStatusAttr, JobRunning)
-			delete(st.Attrs, qExitAttr)
+			st.RemoveAttr(qExitAttr)
 		}
 	}
 	for _, stored := range inner.IDs() {

@@ -132,59 +132,19 @@ var ErrEnvelopeTooLarge = fmt.Errorf("envelope exceeds size bound")
 // only allocation that encoder cannot avoid.
 var marshalBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// marshalSizeHint tracks the previous marshal's output length so the
-// fast path usually right-sizes its single allocation.
-var marshalSizeHint atomic.Int64
-
 // Marshal serializes the envelope (XML only; attachments travel in the
-// binding's framing or are inlined beforehand) to wire form.
+// binding's framing or are inlined beforehand) to wire form: encoded into
+// pooled scratch, returned as one allocation of exactly its length.
 func (e *Envelope) Marshal() ([]byte, error) {
-	hint := int(marshalSizeHint.Load())
-	if hint < 256 {
-		hint = 256
-	}
-	if out, ok := fastcodec.AppendEnvelope(make([]byte, 0, hint), NS, e.Headers, e.Body); ok {
-		marshalSizeHint.Store(int64(len(out)))
+	if out, ok := fastcodec.EncodeEnvelope(NS, e.Headers, e.Body); ok {
 		return out, nil
 	}
-	return e.marshalSlow(nil)
+	return e.marshalSlow()
 }
-
-// AppendTo appends the envelope's wire form to dst (which may be nil)
-// and returns the extended slice, avoiding both the encoder's pooled
-// scratch buffer and the final copy when the fast path applies.
-func (e *Envelope) AppendTo(dst []byte) ([]byte, error) {
-	if out, ok := fastcodec.AppendEnvelope(dst, NS, e.Headers, e.Body); ok {
-		return out, nil
-	}
-	return e.marshalSlow(dst)
-}
-
-// MarshalTo writes the envelope's wire form to w through a pooled
-// scratch buffer, so steady-state serialization to a stream allocates
-// nothing at all.
-func (e *Envelope) MarshalTo(w io.Writer) error {
-	bp := marshalScratchPool.Get().(*[]byte)
-	buf, err := e.AppendTo((*bp)[:0])
-	if err != nil {
-		marshalScratchPool.Put(bp)
-		return err
-	}
-	_, werr := w.Write(buf)
-	*bp = buf[:0]
-	marshalScratchPool.Put(bp)
-	return werr
-}
-
-// marshalScratchPool recycles MarshalTo's staging buffers.
-var marshalScratchPool = sync.Pool{New: func() any {
-	b := make([]byte, 0, 1024)
-	return &b
-}}
 
 // marshalSlow is the encoding/xml reference path: it materializes the
-// wrapper tree and runs the token encoder, then appends to dst.
-func (e *Envelope) marshalSlow(dst []byte) ([]byte, error) {
+// wrapper tree and runs the token encoder.
+func (e *Envelope) marshalSlow() ([]byte, error) {
 	buf := marshalBufPool.Get().(*bytes.Buffer)
 	buf.Reset()
 	defer marshalBufPool.Put(buf)
@@ -207,7 +167,7 @@ func (e *Envelope) marshalSlow(dst []byte) ([]byte, error) {
 	if err := enc.Flush(); err != nil {
 		return nil, err
 	}
-	return append(dst, buf.Bytes()...), nil
+	return bytes.Clone(buf.Bytes()), nil
 }
 
 // Unmarshal parses wire bytes into an Envelope, validating the SOAP

@@ -251,9 +251,11 @@ func (p *parser) element(depth int) (*xmlutil.Element, bool) {
 	}
 
 	// Namespace declarations, then name resolution.
+	plain := len(p.attrs) - attrMark
 	for i := attrMark; i < len(p.attrs); i++ {
 		a := p.attrs[i]
 		if a.prefix == "xmlns" || (a.prefix == "" && a.local == "xmlns") {
+			plain--
 			uri, ok := p.cleanValue(a)
 			if !ok {
 				return nil, false
@@ -267,6 +269,9 @@ func (p *parser) element(depth int) (*xmlutil.Element, bool) {
 	}
 	e := p.alloc()
 	e.Name = xmlutil.QName{Space: p.lookup(prefix), Local: local}
+	if plain > 0 {
+		e.Attrs = make([]xmlutil.Attr, 0, plain)
+	}
 	for i := attrMark; i < len(p.attrs); i++ {
 		a := p.attrs[i]
 		if a.prefix == "xmlns" || (a.prefix == "" && a.local == "xmlns") {

@@ -4,8 +4,9 @@
 // encoding/xml codec under the original path builds a token stream,
 // consults reflection-driven machinery and re-declares namespaces on
 // every element; profile E1 shows that floor dominating the per-call
-// CPU of every service. The fast path appends bytes directly into the
-// caller's buffer (encode) and tokenizes envelope bytes directly into
+// CPU of every service. The fast path appends bytes directly into a
+// pooled buffer and hands out one exact copy (encode), and tokenizes
+// envelope bytes directly into
 // xmlutil.Element trees with slab-allocated nodes and zero-copy text
 // extraction (decode).
 //
@@ -22,7 +23,8 @@
 package fastcodec
 
 import (
-	"sort"
+	"bytes"
+	"sync"
 
 	"uvacg/internal/xmlutil"
 )
@@ -38,13 +40,13 @@ const maxDepth = 512
 // to encoding/xml's xml.Header.
 const Header = `<?xml version="1.0" encoding="UTF-8"?>` + "\n"
 
-// AppendElement appends the XML serialization of e to dst and reports
+// appendElement appends the XML serialization of e to dst and reports
 // whether the tree was inside the fast path's recognized shape. On
 // ok=false dst is returned unchanged and the caller must fall back to
 // the encoding/xml path. The serialization is semantically equivalent
 // to encoding/xml's rendering of xmlutil.Element (canonical sorted
 // attributes), but elides redundant namespace re-declarations.
-func AppendElement(dst []byte, e *xmlutil.Element) ([]byte, bool) {
+func appendElement(dst []byte, e *xmlutil.Element) ([]byte, bool) {
 	start := len(dst)
 	enc := encoder{dst: dst}
 	if !enc.element(e, "", 0) {
@@ -53,11 +55,11 @@ func AppendElement(dst []byte, e *xmlutil.Element) ([]byte, bool) {
 	return enc.dst, true
 }
 
-// AppendEnvelope appends a full SOAP envelope document — prolog,
+// appendEnvelope appends a full SOAP envelope document — prolog,
 // Envelope/Header/Body wrappers in ns, the given header blocks and the
 // body element — without materializing the wrapper elements. A nil
 // body yields an empty Body, the wire form of a void response.
-func AppendEnvelope(dst []byte, ns string, headers []*xmlutil.Element, body *xmlutil.Element) ([]byte, bool) {
+func appendEnvelope(dst []byte, ns string, headers []*xmlutil.Element, body *xmlutil.Element) ([]byte, bool) {
 	start := len(dst)
 	enc := encoder{dst: dst}
 	enc.dst = append(enc.dst, Header...)
@@ -85,13 +87,55 @@ func AppendEnvelope(dst []byte, ns string, headers []*xmlutil.Element, body *xml
 	return enc.dst, true
 }
 
+// EncodeEnvelope is appendEnvelope into a buffer of its own, sized by
+// the envelope alone (see exact).
+func EncodeEnvelope(ns string, headers []*xmlutil.Element, body *xmlutil.Element) ([]byte, bool) {
+	return exact(func(dst []byte) ([]byte, bool) { return appendEnvelope(dst, ns, headers, body) })
+}
+
+// EncodeElement is appendElement into a buffer of its own, sized by the
+// tree alone (see exact).
+func EncodeElement(e *xmlutil.Element) ([]byte, bool) {
+	return exact(func(dst []byte) ([]byte, bool) { return appendElement(dst, e) })
+}
+
+// scratch recycles the buffers exact encodes into.
+var scratch = sync.Pool{New: func() any {
+	b := make([]byte, 0, 4<<10)
+	return &b
+}}
+
+// maxPooledScratch keeps a rare huge document (inline content for a
+// plain SOAP requester) from pinning its buffer in the pool.
+const maxPooledScratch = 1 << 20
+
+// exact runs encode on pooled scratch and returns one allocation of
+// exactly the bytes it wrote, so the document encoded before says
+// nothing about the size of the next one's buffer.
+func exact(encode func(dst []byte) ([]byte, bool)) ([]byte, bool) {
+	bp := scratch.Get().(*[]byte)
+	buf, ok := encode((*bp)[:0])
+	var out []byte
+	if ok {
+		out = bytes.Clone(buf)
+	}
+	if cap(buf) <= maxPooledScratch {
+		*bp = buf[:0]
+		scratch.Put(bp)
+	}
+	return out, ok
+}
+
 type encoder struct {
 	dst []byte
-	// attrSpaces interns the namespaces of qualified attributes seen so
-	// far; index i is declared as prefix "a<i>" on every element that
-	// uses it (ancestor declarations cannot be assumed in scope across
-	// sibling subtrees).
-	attrSpaces []string
+	// attrSpaces[:nspaces], then moreSpaces, intern the namespaces of
+	// qualified attributes seen so far; index i is declared as prefix
+	// "a<i>" on every element that uses it (ancestor declarations cannot
+	// be assumed in scope across sibling subtrees). The array holds every
+	// realistic document's, so interning does not allocate.
+	attrSpaces [len(attrPrefixes)]string
+	nspaces    int
+	moreSpaces []string
 }
 
 // element appends one element tree. parentNS is the default namespace
@@ -135,26 +179,13 @@ func (enc *encoder) element(e *xmlutil.Element, parentNS string, depth int) bool
 	return true
 }
 
-// attrs appends the attribute list in canonical (Space, Local) order,
-// matching the deterministic ordering of xmlutil's MarshalXML.
-func (enc *encoder) attrs(attrs map[xmlutil.QName]string) bool {
-	var arr [8]xmlutil.QName
-	keys := arr[:0]
-	if len(attrs) > len(arr) {
-		keys = make([]xmlutil.QName, 0, len(attrs))
-	}
-	for k := range attrs {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Space != keys[j].Space {
-			return keys[i].Space < keys[j].Space
-		}
-		return keys[i].Local < keys[j].Local
-	})
+// attrs appends the attribute list in the canonical (Space, Local)
+// order xmlutil.Element keeps it in, the order of xmlutil's MarshalXML.
+func (enc *encoder) attrs(attrs []xmlutil.Attr) bool {
 	// Sorted order clusters equal spaces, so one declaration per run.
 	declared := ""
-	for _, k := range keys {
+	for _, a := range attrs {
+		k := a.Name
 		if !validLocal(k.Local) || k.Local == "xmlns" {
 			return false
 		}
@@ -184,7 +215,7 @@ func (enc *encoder) attrs(attrs map[xmlutil.QName]string) bool {
 		}
 		enc.dst = append(enc.dst, k.Local...)
 		enc.dst = append(enc.dst, '=', '"')
-		if !enc.escaped(attrs[k]) {
+		if !enc.escaped(a.Value) {
 			return false
 		}
 		enc.dst = append(enc.dst, '"')
@@ -198,20 +229,24 @@ func (enc *encoder) attrs(attrs map[xmlutil.QName]string) bool {
 var attrPrefixes = [8]string{"a0", "a1", "a2", "a3", "a4", "a5", "a6", "a7"}
 
 func (enc *encoder) prefixFor(space string) string {
-	for i, s := range enc.attrSpaces {
+	for i, s := range enc.attrSpaces[:enc.nspaces] {
 		if s == space {
-			if i < len(attrPrefixes) {
-				return attrPrefixes[i]
-			}
-			return "a" + itoa(i)
+			return attrPrefixes[i]
 		}
 	}
-	enc.attrSpaces = append(enc.attrSpaces, space)
-	i := len(enc.attrSpaces) - 1
-	if i < len(attrPrefixes) {
-		return attrPrefixes[i]
+	if enc.nspaces < len(attrPrefixes) {
+		enc.attrSpaces[enc.nspaces] = space
+		enc.nspaces++
+		return attrPrefixes[enc.nspaces-1]
 	}
-	return "a" + itoa(i)
+	i := 0
+	for i < len(enc.moreSpaces) && enc.moreSpaces[i] != space {
+		i++
+	}
+	if i == len(enc.moreSpaces) {
+		enc.moreSpaces = append(enc.moreSpaces, space)
+	}
+	return "a" + itoa(len(attrPrefixes)+i)
 }
 
 func itoa(i int) string {

@@ -45,7 +45,7 @@ func xmlRoundTrip(t *testing.T, e *xmlutil.Element) *xmlutil.Element {
 
 func TestAppendElementMatchesEncodingXML(t *testing.T) {
 	tree := sampleTree()
-	fast, ok := AppendElement(nil, tree)
+	fast, ok := appendElement(nil, tree)
 	if !ok {
 		t.Fatal("fast encode refused a recognized tree")
 	}
@@ -121,7 +121,7 @@ func TestDecodeFallsBackOutsideRecognizedShape(t *testing.T) {
 
 func TestDecodeRoundTripsFastEncode(t *testing.T) {
 	tree := sampleTree()
-	fast, ok := AppendElement(nil, tree)
+	fast, ok := appendElement(nil, tree)
 	if !ok {
 		t.Fatal("fast encode refused sample tree")
 	}
@@ -144,7 +144,7 @@ func TestAppendEnvelopeMatchesWrapperTree(t *testing.T) {
 	}
 	body := sampleTree()
 
-	fast, ok := AppendEnvelope(nil, ns, headers, body)
+	fast, ok := appendEnvelope(nil, ns, headers, body)
 	if !ok {
 		t.Fatal("fast envelope encode refused recognized input")
 	}
@@ -176,7 +176,7 @@ func TestAppendEnvelopeMatchesWrapperTree(t *testing.T) {
 
 func TestAppendEnvelopeEmptyBody(t *testing.T) {
 	const ns = "http://www.w3.org/2003/05/soap-envelope"
-	fast, ok := AppendEnvelope(nil, ns, nil, nil)
+	fast, ok := appendEnvelope(nil, ns, nil, nil)
 	if !ok {
 		t.Fatal("fast envelope encode refused empty envelope")
 	}
@@ -206,7 +206,7 @@ func TestEncodeFallsBackOutsideRecognizedShape(t *testing.T) {
 		"nil": nil,
 	}
 	for name, tree := range cases {
-		if _, ok := AppendElement(nil, tree); ok {
+		if _, ok := appendElement(nil, tree); ok {
 			t.Errorf("%s: fast encode accepted out-of-shape tree", name)
 		}
 	}
@@ -214,7 +214,7 @@ func TestEncodeFallsBackOutsideRecognizedShape(t *testing.T) {
 	for i := 0; i < 600; i++ {
 		deep = xmlutil.NewContainer(xmlutil.Q("", "wrap"), deep)
 	}
-	if _, ok := AppendElement(nil, deep); ok {
+	if _, ok := appendElement(nil, deep); ok {
 		t.Error("fast encode accepted over-deep tree")
 	}
 }
@@ -226,7 +226,7 @@ func TestEncodeManyAttrSpaces(t *testing.T) {
 	for _, sp := range []string{"u0", "u1", "u2", "u3", "u4", "u5", "u6", "u7", "u8", "u9"} {
 		e.SetAttr(xmlutil.Q("urn:"+sp, "k"), sp)
 	}
-	fast, ok := AppendElement(nil, e)
+	fast, ok := appendElement(nil, e)
 	if !ok {
 		t.Fatal("fast encode refused many-space tree")
 	}

@@ -9,7 +9,7 @@ import (
 // FuzzCodecEquivalence is the differential contract of the fast path:
 // whenever Decode accepts a document, the encoding/xml reference path
 // must accept it too and produce an Equal tree; and whenever
-// AppendElement accepts the decoded tree, the reference decoder must
+// appendElement accepts the decoded tree, the reference decoder must
 // read the fast bytes back to the same tree. ok=false is always
 // allowed — it just routes the document to the fallback — so the fuzz
 // only has to prove the fast path never *disagrees*.
@@ -48,7 +48,7 @@ func FuzzCodecEquivalence(f *testing.F) {
 		if !fast.Equal(ref) {
 			t.Fatalf("decode disagrees on %q:\n fast: %s\n ref:  %s", data, fast, ref)
 		}
-		enc, ok := AppendElement(nil, fast)
+		enc, ok := appendElement(nil, fast)
 		if !ok {
 			return
 		}

@@ -29,7 +29,7 @@ func TestFastPathMatchesSlowPath(t *testing.T) {
 	if err != nil {
 		t.Fatalf("fast marshal: %v", err)
 	}
-	slowBytes, serr := env.marshalSlow(nil)
+	slowBytes, serr := env.marshalSlow()
 	if serr != nil {
 		t.Fatalf("slow marshal: %v", serr)
 	}
@@ -61,27 +61,21 @@ func TestFastPathMatchesSlowPath(t *testing.T) {
 	}
 }
 
-func TestAppendToAndMarshalTo(t *testing.T) {
+// TestMarshalOwnsItsBytes: Marshal encodes into pooled scratch, so what
+// it returns must be a copy the next marshal cannot overwrite.
+func TestMarshalOwnsItsBytes(t *testing.T) {
 	env := fastTestEnvelope()
-	want, err := env.Marshal()
+	first, err := env.Marshal()
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	got, err := env.AppendTo([]byte("prefix:"))
-	if err != nil {
-		t.Fatalf("AppendTo: %v", err)
+	want := bytes.Clone(first)
+	other := New(xmlutil.NewElement(xmlutil.Q("urn:x", "Other"), strings.Repeat("z", len(first))))
+	if _, err := other.Marshal(); err != nil {
+		t.Fatal(err)
 	}
-	if !bytes.Equal(got, append([]byte("prefix:"), want...)) {
-		t.Fatalf("AppendTo mismatch:\n got %q\nwant %q", got, want)
-	}
-
-	var buf bytes.Buffer
-	if err := env.MarshalTo(&buf); err != nil {
-		t.Fatalf("MarshalTo: %v", err)
-	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Fatalf("MarshalTo mismatch:\n got %q\nwant %q", buf.Bytes(), want)
+	if !bytes.Equal(first, want) {
+		t.Fatalf("a later marshal overwrote an earlier result:\n got %q\nwant %q", first, want)
 	}
 }
 

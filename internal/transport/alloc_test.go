@@ -6,6 +6,9 @@ import (
 	"context"
 	"io"
 	"net"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"uvacg/internal/soap"
@@ -124,5 +127,95 @@ func TestVectoredFrameBytesIdentical(t *testing.T) {
 	cli.Close()
 	if vectored := <-got; !bytes.Equal(vectored, buffered.Bytes()) {
 		t.Fatalf("vectored bytes differ from buffered bytes (%d vs %d)", len(vectored), buffered.Len())
+	}
+}
+
+// TestStatedLengthReadsIntoExactBuffer: a SOAP body whose length is
+// stated is read into one buffer of exactly that length, not grown by
+// doubling from a guess.
+func TestStatedLengthReadsIntoExactBuffer(t *testing.T) {
+	body := []byte(plainBlobRequest(bytes.Repeat([]byte{7}, 3000)))
+	var msg *Message
+	r := bytes.NewReader(body)
+	mallocs := testing.AllocsPerRun(50, func() {
+		r.Reset(body)
+		var err error
+		if msg, err = readHTTPMessage(contentTypeSOAP, r, int64(len(body)), frameRequest); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if !bytes.Equal(msg.Envelope, body) {
+		t.Fatal("the body read differs from the body sent")
+	}
+	if cap(msg.Envelope) != len(body) {
+		t.Errorf("a %d-byte body was read into a %d-byte buffer", len(body), cap(msg.Envelope))
+	}
+	if mallocs > 2 { // the body and the Message
+		t.Errorf("reading a stated-length body allocates %.0f times, want 2", mallocs)
+	}
+}
+
+// unreadable fails the test if anything reads it.
+type unreadable struct{ t *testing.T }
+
+func (u unreadable) Read([]byte) (int, error) {
+	u.t.Error("a body over the envelope bound was read")
+	return 0, io.ErrUnexpectedEOF
+}
+
+// TestOverBoundLengthGetsNoExactBuffer: a POST that states
+// more than the envelope bound gets 413 before one byte of it is read
+// (and before a buffer of that length is allocated); a chunked body over
+// the bound still gets 413 once it has run past it.
+func TestOverBoundLengthGetsNoExactBuffer(t *testing.T) {
+	soap.SetMaxEnvelopeBytes(4 << 10)
+	defer soap.SetMaxEnvelopeBytes(0)
+	h := NewHTTPHandler(NewServer(blobService()))
+
+	stated := httptest.NewRequest(http.MethodPost, "/Blob", unreadable{t})
+	stated.Header.Set("Content-Type", contentTypeSOAP)
+	stated.ContentLength = 4<<10 + 1
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, stated)
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Errorf("stated length over the bound: status %d, want 413", rec.Code)
+	}
+
+	chunked := httptest.NewRequest(http.MethodPost, "/Blob",
+		io.MultiReader(strings.NewReader(plainBlobRequest(bytes.Repeat([]byte{7}, 8<<10)))))
+	chunked.Header.Set("Content-Type", contentTypeSOAP)
+	chunked.ContentLength = -1
+	rec = httptest.NewRecorder()
+	h.ServeHTTP(rec, chunked)
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Errorf("chunked body over the bound: status %d, want 413", rec.Code)
+	}
+}
+
+// TestLargeReplyStatesItsLength: a plain SOAP reply bigger than
+// net/http's 2 KiB write buffer still arrives with its Content-Length,
+// so the requester reads it into one buffer instead of chunk by chunk.
+func TestLargeReplyStatesItsLength(t *testing.T) {
+	base, shutdown, err := ListenHTTP(NewServer(blobService()), "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shutdown(context.Background())
+	resp, err := http.Post(base+"/Blob", "application/soap+xml",
+		strings.NewReader(plainBlobRequest(bytes.Repeat([]byte{7}, 4<<10))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(body) <= 2<<10 {
+		t.Fatalf("test setup: the reply is only %d bytes", len(body))
+	}
+	if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) > 0 {
+		t.Fatalf("a %d-byte reply came with Content-Length %d, Transfer-Encoding %v",
+			len(body), resp.ContentLength, resp.TransferEncoding)
 	}
 }

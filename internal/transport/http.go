@@ -17,19 +17,37 @@ import (
 	"uvacg/internal/soap"
 )
 
-// readBounded buffers r up to soap.MaxEnvelopeBytes, failing instead of
-// allocating without limit on an oversized or malicious body.
-func readBounded(r io.Reader) ([]byte, error) {
-	data, err := io.ReadAll(io.LimitReader(r, soap.MaxEnvelopeBytes()+1))
-	if err != nil {
+// exactReadMax is the largest stated Content-Length read into a buffer
+// allocated before its bytes arrive. The length is say-so from whoever
+// reaches the port, so a larger body grows as it is read.
+const exactReadMax = 1 << 20
+
+// readBounded buffers an HTTP body of the stated length (-1: chunked) up
+// to soap.MaxEnvelopeBytes, failing instead of allocating without limit
+// on an oversized or malicious body. A stated length over the bound is
+// refused before a byte is read; one within it is read into one buffer
+// of exactly that length.
+func readBounded(r io.Reader, length int64) ([]byte, error) {
+	if err := bounded(length); err != nil {
 		return nil, err
 	}
-	return data, bounded(data)
+	if length < 0 || length > exactReadMax {
+		data, err := io.ReadAll(io.LimitReader(r, soap.MaxEnvelopeBytes()+1))
+		if err != nil {
+			return nil, err
+		}
+		return data, bounded(int64(len(data)))
+	}
+	data := make([]byte, length)
+	if _, err := io.ReadFull(r, data); err != nil {
+		return nil, err
+	}
+	return data, nil
 }
 
-// bounded is readBounded's verdict on an envelope already in memory.
-func bounded(envelope []byte) error {
-	if max := soap.MaxEnvelopeBytes(); int64(len(envelope)) > max {
+// bounded is the envelope bound's verdict on an n-byte envelope.
+func bounded(n int64) error {
+	if max := soap.MaxEnvelopeBytes(); n > max {
 		return fmt.Errorf("%w (limit %d bytes)", soap.ErrEnvelopeTooLarge, max)
 	}
 	return nil
@@ -58,13 +76,13 @@ const headerOneWay = "X-Soap-One-Way"
 // envelope.
 func readHTTPMessage(contentType string, body io.Reader, length int64, kind byte) (*Message, error) {
 	if contentType != contentTypeFrame {
-		data, err := readBounded(body)
+		data, err := readBounded(body, length)
 		return &Message{Envelope: data}, err
 	}
 	if length < 0 {
 		// A chunked body states no length: buffer it under the envelope
 		// bound as it arrives, and what arrived is what is left.
-		data, err := readBounded(body)
+		data, err := readBounded(body, -1)
 		if err != nil {
 			return nil, err
 		}
@@ -194,7 +212,10 @@ func (h *HTTPHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	acceptFrame := strings.Contains(r.Header.Get("Accept"), contentTypeFrame)
 	resp := h.server.handle(r.Context(), r.URL.Path, msg, acceptFrame)
 	if len(resp.Attachments) == 0 {
+		// A stated length lets the requester read the reply into one
+		// buffer; net/http would chunk one over its 2 KiB write buffer.
 		w.Header().Set("Content-Type", contentTypeSOAP)
+		w.Header().Set("Content-Length", strconv.Itoa(len(resp.Envelope)))
 		w.Write(resp.Envelope)
 		return
 	}

@@ -80,7 +80,7 @@ func (t *inprocTransport) resolve(addr string, request []byte) (*Server, string,
 	if err != nil {
 		return nil, "", err
 	}
-	if err := bounded(request); err != nil {
+	if err := bounded(int64(len(request))); err != nil {
 		return nil, "", err
 	}
 	srv := t.server
@@ -112,7 +112,7 @@ func (t *inprocTransport) RoundTrip(ctx context.Context, addr string, request *M
 		return nil, err
 	}
 	reply := srv.HandleRequest(wireContext{ctx}, path, request)
-	return reply, bounded(reply.Envelope)
+	return reply, bounded(int64(len(reply.Envelope)))
 }
 
 // Send implements RoundTripper. HandleOneWay detaches the dispatch from

@@ -3,7 +3,7 @@ package xmlutil
 import (
 	"encoding/xml"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -12,10 +12,27 @@ import (
 // Elements; the type round-trips through encoding/xml so payloads survive
 // SOAP serialization without schema-specific structs.
 type Element struct {
-	Name     QName
-	Attrs    map[QName]string
+	Name QName
+	// Attrs holds one entry per name in canonical (Space, Local) order,
+	// the order every encoder writes them in. SetAttr and RemoveAttr keep
+	// it so; build it through them.
+	Attrs    []Attr
 	Text     string
 	Children []*Element
+}
+
+// Attr is one attribute of an Element.
+type Attr struct {
+	Name  QName
+	Value string
+}
+
+// attrLess is the canonical attribute order: namespace, then local name.
+func attrLess(a, b QName) bool {
+	if a.Space != b.Space {
+		return a.Space < b.Space
+	}
+	return a.Local < b.Local
 }
 
 // NewElement builds a leaf element carrying character data.
@@ -28,19 +45,41 @@ func NewContainer(name QName, children ...*Element) *Element {
 	return &Element{Name: name, Children: children}
 }
 
-// SetAttr sets an attribute, allocating the map on first use, and returns
+// attrIndex finds name in Attrs: its index if present, else where it
+// belongs.
+func (e *Element) attrIndex(name QName) (int, bool) {
+	for i, a := range e.Attrs {
+		if !attrLess(a.Name, name) {
+			return i, a.Name == name
+		}
+	}
+	return len(e.Attrs), false
+}
+
+// SetAttr sets an attribute, replacing one of the same name, and returns
 // the element to allow chaining during document construction.
 func (e *Element) SetAttr(name QName, value string) *Element {
-	if e.Attrs == nil {
-		e.Attrs = make(map[QName]string)
+	if i, ok := e.attrIndex(name); ok {
+		e.Attrs[i].Value = value
+	} else {
+		e.Attrs = slices.Insert(e.Attrs, i, Attr{Name: name, Value: value})
 	}
-	e.Attrs[name] = value
 	return e
+}
+
+// RemoveAttr deletes the named attribute, if present.
+func (e *Element) RemoveAttr(name QName) {
+	if i, ok := e.attrIndex(name); ok {
+		e.Attrs = slices.Delete(e.Attrs, i, i+1)
+	}
 }
 
 // Attr returns the value of the named attribute, or "" when absent.
 func (e *Element) Attr(name QName) string {
-	return e.Attrs[name]
+	if i, ok := e.attrIndex(name); ok {
+		return e.Attrs[i].Value
+	}
+	return ""
 }
 
 // Append adds children and returns the element for chaining.
@@ -83,13 +122,7 @@ func (e *Element) Clone() *Element {
 	if e == nil {
 		return nil
 	}
-	out := &Element{Name: e.Name, Text: e.Text}
-	if len(e.Attrs) > 0 {
-		out.Attrs = make(map[QName]string, len(e.Attrs))
-		for k, v := range e.Attrs {
-			out.Attrs[k] = v
-		}
-	}
+	out := &Element{Name: e.Name, Text: e.Text, Attrs: slices.Clone(e.Attrs)}
 	if len(e.Children) > 0 {
 		out.Children = make([]*Element, len(e.Children))
 		for i, c := range e.Children {
@@ -104,13 +137,8 @@ func (e *Element) Equal(o *Element) bool {
 	if e == nil || o == nil {
 		return e == o
 	}
-	if e.Name != o.Name || e.Text != o.Text || len(e.Attrs) != len(o.Attrs) || len(e.Children) != len(o.Children) {
+	if e.Name != o.Name || e.Text != o.Text || !slices.Equal(e.Attrs, o.Attrs) || len(e.Children) != len(o.Children) {
 		return false
-	}
-	for k, v := range e.Attrs {
-		if ov, ok := o.Attrs[k]; !ok || ov != v {
-			return false
-		}
 	}
 	for i := range e.Children {
 		if !e.Children[i].Equal(o.Children[i]) {
@@ -120,23 +148,13 @@ func (e *Element) Equal(o *Element) bool {
 	return true
 }
 
-// MarshalXML implements xml.Marshaler. Attributes are emitted in a
-// deterministic (sorted) order so serialized documents are canonical and
-// comparable byte-for-byte.
+// MarshalXML implements xml.Marshaler. Attributes are emitted in their
+// canonical (sorted) order so serialized documents are comparable
+// byte-for-byte.
 func (e *Element) MarshalXML(enc *xml.Encoder, _ xml.StartElement) error {
 	start := xml.StartElement{Name: e.Name.Name()}
-	keys := make([]QName, 0, len(e.Attrs))
-	for k := range e.Attrs {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Space != keys[j].Space {
-			return keys[i].Space < keys[j].Space
-		}
-		return keys[i].Local < keys[j].Local
-	})
-	for _, k := range keys {
-		start.Attr = append(start.Attr, xml.Attr{Name: k.Name(), Value: e.Attrs[k]})
+	for _, a := range e.Attrs {
+		start.Attr = append(start.Attr, xml.Attr{Name: a.Name.Name(), Value: a.Value})
 	}
 	if err := enc.EncodeToken(start); err != nil {
 		return err

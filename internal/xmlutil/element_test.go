@@ -2,6 +2,7 @@ package xmlutil
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -130,7 +131,7 @@ func TestElementRoundTripProperty(t *testing.T) {
 }
 
 // TestElementCanonicalMarshal: serialization is deterministic even with
-// multiple attributes (map iteration order must not leak).
+// multiple attributes set out of order.
 func TestElementCanonicalMarshal(t *testing.T) {
 	e := NewElement(Q(nsT, "x"), "v").
 		SetAttr(Q("", "zeta"), "1").
@@ -148,5 +149,30 @@ func TestElementCanonicalMarshal(t *testing.T) {
 		if string(again) != string(first) {
 			t.Fatalf("non-deterministic marshal:\n%s\n%s", first, again)
 		}
+	}
+}
+
+// TestSetAttrKeepsCanonicalOrder: whatever order attributes are set in,
+// Attrs holds one per name in (Space, Local) order; setting a name again
+// replaces its value and RemoveAttr takes it out.
+func TestSetAttrKeepsCanonicalOrder(t *testing.T) {
+	e := NewElement(Q(nsT, "x"), "").
+		SetAttr(Q("urn:b", "k"), "1").
+		SetAttr(Q("", "zeta"), "2").
+		SetAttr(Q("urn:a", "z"), "3").
+		SetAttr(Q("", "alpha"), "4").
+		SetAttr(Q("urn:a", "k"), "5").
+		SetAttr(Q("", "zeta"), "6")
+	want := []Attr{
+		{Q("", "alpha"), "4"}, {Q("", "zeta"), "6"},
+		{Q("urn:a", "k"), "5"}, {Q("urn:a", "z"), "3"}, {Q("urn:b", "k"), "1"},
+	}
+	if !slices.Equal(e.Attrs, want) {
+		t.Fatalf("Attrs = %v, want %v", e.Attrs, want)
+	}
+	e.RemoveAttr(Q("urn:a", "k"))
+	e.RemoveAttr(Q("urn:a", "missing"))
+	if e.Attr(Q("urn:a", "k")) != "" || len(e.Attrs) != 4 || e.Attr(Q("urn:b", "k")) != "1" {
+		t.Fatalf("after RemoveAttr: %v", e.Attrs)
 	}
 }

@@ -352,14 +352,20 @@ func (pred predicate) holds(e *Element, pos int) bool {
 	return false
 }
 
+// lookupAttr finds the attribute a predicate names. An unqualified name
+// matches the local name in any namespace, the first in canonical order
+// when several namespaces carry it.
 func lookupAttr(e *Element, name QName) (string, bool) {
 	if name.Space != "" {
-		v, ok := e.Attrs[name]
-		return v, ok
+		i, ok := e.attrIndex(name)
+		if !ok {
+			return "", false
+		}
+		return e.Attrs[i].Value, true
 	}
-	for k, v := range e.Attrs {
-		if k.Local == name.Local {
-			return v, true
+	for _, a := range e.Attrs {
+		if a.Name.Local == name.Local {
+			return a.Value, true
 		}
 	}
 	return "", false

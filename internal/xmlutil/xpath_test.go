@@ -175,3 +175,17 @@ func TestPathStringRoundTrip(t *testing.T) {
 		t.Errorf("String() = %q", got)
 	}
 }
+
+// TestUnqualifiedAttributePredicateIsDeterministic: an unqualified @name
+// matches the local name in any namespace; when two namespaces carry it,
+// the first in canonical (Space, Local) order decides, on every run.
+func TestUnqualifiedAttributePredicateIsDeterministic(t *testing.T) {
+	doc := NewContainer(Q("", "grid"),
+		NewElement(Q("", "node"), "n").SetAttr(Q("urn:z", "os"), "linux").SetAttr(Q("urn:a", "os"), "windows"))
+	is, isNot := MustCompilePath("/node[@os='windows']"), MustCompilePath("/node[@os='linux']")
+	for run := 0; run < 100; run++ {
+		if !is.Matches(doc) || isNot.Matches(doc) {
+			t.Fatalf("run %d: @os read as linux; {urn:a}os (windows) sorts first", run)
+		}
+	}
+}
