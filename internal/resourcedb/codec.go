@@ -58,7 +58,11 @@ func (BlobCodec) Encode(doc *xmlutil.Element) ([]byte, error) {
 	return xmlutil.MarshalElement(doc)
 }
 
-// Decode implements Codec.
+// Decode implements Codec. The document's strings may point into data
+// (see fastcodec.Decode): once a row is passed here the document owns
+// it, and nobody may write to it again. Rows are never written in place:
+// Put stores Encode's fresh copy, and replay and snapshot load read each
+// row into a buffer of its own.
 func (BlobCodec) Decode(data []byte) (*xmlutil.Element, error) {
 	if root, ok := fastcodec.Decode(data); ok {
 		return root, nil

@@ -315,14 +315,15 @@ func (s *Service) handleRun(ctx context.Context, inv *wsrf.Invocation, body *xml
 }
 
 // handleUploadComplete is step 7→8 of Fig. 3: inputs staged, launch the
-// process via ProcSpawn as the requesting user.
+// process via ProcSpawn as the requesting user, in the working directory
+// the notification names.
 func (s *Service) handleUploadComplete(ctx context.Context, inv *wsrf.Invocation, body *xmlutil.Element) (*xmlutil.Element, error) {
-	dirEPR, executable, success, errMsg, err := filesystem.ParseUploadComplete(body)
+	done, err := filesystem.ParseUploadComplete(body)
 	if err != nil {
 		return nil, soap.SenderFault("%v", err)
 	}
 	jobID := inv.ResourceID
-	ref := &jobRef{topic: inv.Property(QTopic), name: inv.Property(QJobName), attempt: inv.Property(QAttempt), job: inv.EPR(), dir: dirEPR}
+	ref := &jobRef{topic: inv.Property(QTopic), name: inv.Property(QJobName), attempt: inv.Property(QAttempt), job: inv.EPR(), dir: done.Directory}
 
 	s.mu.Lock()
 	creds := s.creds[jobID]
@@ -341,20 +342,17 @@ func (s *Service) handleUploadComplete(ctx context.Context, inv *wsrf.Invocation
 		return nil, nil
 	}
 
-	if !success {
-		return fail(errMsg)
+	if !done.Success {
+		return fail(done.Error)
 	}
-
-	// Resolve the working directory path from the directory resource.
-	rc := wsrf.NewResourceClient(s.client, dirEPR)
-	workDir, err := rc.GetPropertyText(ctx, filesystem.QPath)
-	if err != nil {
-		return fail("resolve working directory: " + err.Error())
+	if done.Path == "" {
+		return fail("upload completion names no working directory")
 	}
 
 	proc, err := s.spawner.Spawn(procspawn.SpawnSpec{
-		Executable: executable,
-		WorkingDir: workDir,
+		// The upload token is the executable's name (handleRun).
+		Executable: done.Token,
+		WorkingDir: done.Path,
 		Username:   creds.Username,
 		Password:   creds.Password,
 		OnExit: func(p *procspawn.Process) {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -25,6 +26,7 @@ import (
 // records every published event.
 type esHarness struct {
 	client  *transport.Client
+	node    *transport.Server // serves the FSS and the ES
 	es      *Service
 	spawner *procspawn.Spawner
 	fss     *filesystem.Service
@@ -111,14 +113,15 @@ func newESHarness(t *testing.T, accounts wssec.StaticAccounts) *esHarness {
 	mux := soap.NewMux()
 	mux.Handle(fss.WSRF().Path(), fss.WSRF().Dispatcher())
 	mux.Handle(es.WSRF().Path(), es.WSRF().Dispatcher())
-	network.Register("node-a", transport.NewServer(mux))
+	node := transport.NewServer(mux)
+	network.Register("node-a", node)
 
 	files := filesystem.NewFileServer("/files")
 	clientMux := soap.NewMux()
 	files.Mount(clientMux)
 	network.Register("client", transport.NewServer(clientMux))
 
-	return &esHarness{client: client, es: es, spawner: spawner, fss: fss, files: files, events: events, seen: make(map[string]wsn.Notification), notifies: notifies}
+	return &esHarness{client: client, node: node, es: es, spawner: spawner, fss: fss, files: files, events: events, seen: make(map[string]wsn.Notification), notifies: notifies}
 }
 
 func (h *esHarness) filesEPR() wsa.EndpointReference { return wsa.NewEPR("inproc://client/files") }
@@ -517,6 +520,47 @@ func TestFailedStagingSendsDirectoryThenFailed(t *testing.T) {
 	}
 	if got := h.waitNotify(t); got != "[directory failed]" {
 		t.Fatalf("the failed job's Notify carries %s, want [directory failed]", got)
+	}
+}
+
+// TestRunReadsNoPropertyOfItsDirectory: Fig. 3's staging handshake is
+// CreateDirectory and the one-way Upload into the node's FSS, then the
+// one-way UploadComplete back to the ES, and nothing more: the completion
+// names the working directory's path, so the ES reads no property of the
+// directory resource before it spawns. A failed staging still publishes
+// directory, then failed.
+func TestRunReadsNoPropertyOfItsDirectory(t *testing.T) {
+	want := fmt.Sprint([]string{filesystem.ActionCreateDirectory, filesystem.ActionUpload})
+	for _, app := range []string{"job.app", "ghost.app"} {
+		h := newESHarness(t, nil)
+		var mu sync.Mutex
+		var fssActions []string
+		h.node.Use(func(ctx context.Context, call *soap.CallInfo, next soap.Handler) (*soap.Envelope, error) {
+			if call.Path == h.fss.WSRF().Path() {
+				mu.Lock()
+				fssActions = append(fssActions, call.Action)
+				mu.Unlock()
+			}
+			return next(ctx, call)
+		})
+		h.files.Publish("job.app", procspawn.BuildScript("write out.txt done", "exit 0"))
+		env := soap.New(WithAttempt(RunRequest("job1", "jobset-t", app, []filesystem.FileRef{
+			{Source: h.filesEPR(), RemoteName: app},
+		}), testAttempt))
+		if _, err := h.client.Invoke(context.Background(), h.es.EPR(), ActionRun, env); err != nil {
+			t.Fatal(err)
+		}
+		if app == "job.app" {
+			h.waitEvent(t, EventExited)
+		} else if got := h.waitNotify(t); got != "[directory failed]" {
+			t.Fatalf("the failed job's Notify carries %s, want [directory failed]", got)
+		}
+		mu.Lock()
+		got := fmt.Sprint(fssActions)
+		mu.Unlock()
+		if got != want {
+			t.Errorf("running %s, the node's FSS received %s, want %s", app, got, want)
+		}
 	}
 }
 

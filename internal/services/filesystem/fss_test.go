@@ -168,18 +168,18 @@ func TestAsyncUploadBetweenMachines(t *testing.T) {
 	}
 
 	body := h.waitUpload(t)
-	gotDir, token, success, errMsg, err := ParseUploadComplete(body)
+	done, err := ParseUploadComplete(body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !success || errMsg != "" {
-		t.Fatalf("upload failed: %s", errMsg)
+	if !done.Success || done.Error != "" {
+		t.Fatalf("upload failed: %s", done.Error)
 	}
-	if token != "job-7" {
-		t.Fatalf("token = %q", token)
+	if done.Token != "job-7" {
+		t.Fatalf("token = %q", done.Token)
 	}
-	if !gotDir.Equal(dstDir) {
-		t.Fatalf("directory EPR = %v", gotDir)
+	if !done.Directory.Equal(dstDir) {
+		t.Fatalf("directory EPR = %v", done.Directory)
 	}
 	// The file is really there under the job's expected name.
 	got, err := FetchFile(ctx, h.client, dstDir, "input.dat")
@@ -200,12 +200,48 @@ func TestUploadFailureNotifiesWithError(t *testing.T) {
 		t.Fatal(err)
 	}
 	body := h.waitUpload(t)
-	_, _, success, errMsg, err := ParseUploadComplete(body)
+	done, err := ParseUploadComplete(body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if success || errMsg == "" {
-		t.Fatalf("failure not reported: success=%v err=%q", success, errMsg)
+	if done.Success || done.Error == "" {
+		t.Fatalf("failure not reported: success=%v err=%q", done.Success, done.Error)
+	}
+}
+
+// TestUploadCompleteCarriesPath: the completion names the working
+// directory's path, the one its resource holds, whether the staging
+// succeeded or not — the ES spawns there without reading it back.
+func TestUploadCompleteCarriesPath(t *testing.T) {
+	h := newFSSHarness(t)
+	ctx := context.Background()
+	srcDir, _ := CreateDirectoryVia(ctx, h.client, h.fssA.EPR(), "out")
+	if err := WriteFile(ctx, h.client, srcDir, "in.dat", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	for _, remote := range []string{"in.dat", "missing.dat"} {
+		dstDir, err := CreateDirectoryVia(ctx, h.client, h.fssB.EPR(), "work")
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := wsrf.NewResourceClient(h.client, dstDir).GetPropertyText(ctx, QPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req := UploadRequest(h.esEPR(), "tok", []FileRef{{Source: srcDir, RemoteName: remote}})
+		if err := h.client.Notify(ctx, dstDir, ActionUpload, req); err != nil {
+			t.Fatal(err)
+		}
+		done, err := ParseUploadComplete(h.waitUpload(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if done.Success != (remote == "in.dat") {
+			t.Fatalf("staging %s: success=%v (%s)", remote, done.Success, done.Error)
+		}
+		if done.Path != want || !h.fsB.DirExists(done.Path) {
+			t.Fatalf("staging %s: completion names path %q, the directory resource holds %q", remote, done.Path, want)
+		}
 	}
 }
 

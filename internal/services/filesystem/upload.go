@@ -118,6 +118,7 @@ func (s *Service) handleUpload(ctx context.Context, inv *wsrf.Invocation, body *
 	if !notifyTo.IsZero() {
 		complete := xmlutil.NewContainer(qUploadComplete,
 			inv.EPR().ElementNamed(qDirectory),
+			xmlutil.NewElement(QPath, path),
 			xmlutil.NewElement(qToken, token),
 			xmlutil.NewElement(qSuccess, fmt.Sprint(uploadErr == nil)),
 		)
@@ -242,22 +243,38 @@ func ListDirectory(ctx context.Context, c Caller, dir wsa.EndpointReference) (ma
 	return out, nil
 }
 
+// UploadCompletion is what an UploadComplete notification says.
+type UploadCompletion struct {
+	// Directory is the working directory's resource; Path is where that
+	// directory lives on the FSS's machine, so the receiver — the same
+	// machine's ES — spawns in it without reading it back.
+	Directory wsa.EndpointReference
+	Path      string
+	// Token echoes the Upload request's.
+	Token   string
+	Success bool
+	Error   string
+}
+
 // ParseUploadComplete decodes the completion notification the FSS sends
 // (receivers: the Execution Service).
-func ParseUploadComplete(body *xmlutil.Element) (dir wsa.EndpointReference, token string, success bool, errMsg string, err error) {
+func ParseUploadComplete(body *xmlutil.Element) (UploadCompletion, error) {
+	var c UploadCompletion
 	if body == nil || body.Name != qUploadComplete {
-		return dir, "", false, "", fmt.Errorf("fss: body is not an UploadComplete message")
+		return c, fmt.Errorf("fss: body is not an UploadComplete message")
 	}
 	if d := body.Child(qDirectory); d != nil {
-		dir, err = wsa.ParseEPR(d)
+		dir, err := wsa.ParseEPR(d)
 		if err != nil {
-			return dir, "", false, "", err
+			return c, err
 		}
+		c.Directory = dir
 	}
-	token = body.ChildText(qToken)
-	success = body.ChildText(qSuccess) == "true"
-	errMsg = body.ChildText(qError)
-	return dir, token, success, errMsg, nil
+	c.Path = body.ChildText(QPath)
+	c.Token = body.ChildText(qToken)
+	c.Success = body.ChildText(qSuccess) == "true"
+	c.Error = body.ChildText(qError)
+	return c, nil
 }
 
 // CreateDirectoryVia asks a remote FSS for a fresh working directory and

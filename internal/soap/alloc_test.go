@@ -13,14 +13,17 @@ import (
 // Allocation regression pins for the envelope hot path. The fast codec
 // dropped marshal from 38 allocs/op to 1 and unmarshal from 170 to ~13,
 // and sizing the decoder's slabs from the input with pooled scratch
-// stacks took unmarshal to 6, on benchEnvelope (BenchmarkEnvelopeMarshal
-// / BenchmarkEnvelopeUnmarshal with -benchmem print today's figures);
-// these ceilings leave modest headroom (unmarshal: measured plus two) so
-// future PRs cannot silently re-introduce per-call garbage. Marshal's
-// one allocation is its exact-length result; the encode buffer is pooled.
+// stacks took unmarshal to 6, and decoding in place of a string copy of
+// the input, with a prolog check that concatenates nothing, to 4, on
+// benchEnvelope (BenchmarkEnvelopeMarshal / BenchmarkEnvelopeUnmarshal
+// with -benchmem print today's figures). Unmarshal's ceiling is today's
+// figure, so neither of those two allocations can come back unnoticed;
+// its pin judges the least over several calls, since a GC, or the race
+// detector, may empty the decoder's pooled scratch stacks. Marshal's one
+// allocation is its exact-length result; the encode buffer is pooled.
 const (
 	maxMarshalAllocs   = 1
-	maxUnmarshalAllocs = 8
+	maxUnmarshalAllocs = 4
 )
 
 func TestEnvelopeMarshalAllocs(t *testing.T) {
@@ -40,13 +43,17 @@ func TestEnvelopeUnmarshalAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := Unmarshal(wire); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs > maxUnmarshalAllocs {
-		t.Errorf("envelope unmarshal allocates %.1f times per op, want <= %d", allocs, maxUnmarshalAllocs)
+	least := ^uint64(0)
+	for r := 0; r < 20; r++ {
+		mallocs, _ := allocated(func() {
+			if _, err := Unmarshal(wire); err != nil {
+				t.Fatal(err)
+			}
+		})
+		least = min(least, mallocs)
+	}
+	if least > maxUnmarshalAllocs {
+		t.Errorf("envelope unmarshal allocates %d times per op, want <= %d", least, maxUnmarshalAllocs)
 	}
 }
 

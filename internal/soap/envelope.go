@@ -173,7 +173,9 @@ func (e *Envelope) marshalSlow() ([]byte, error) {
 // Unmarshal parses wire bytes into an Envelope, validating the SOAP
 // structure (envelope/body element names, at most one body child). The
 // fast decoder handles recognized shapes; anything it refuses goes
-// through encoding/xml.
+// through encoding/xml. The envelope's strings may point into data (see
+// fastcodec.Decode): once data is passed here the envelope owns it, and
+// nobody may write to it again.
 func Unmarshal(data []byte) (*Envelope, error) {
 	if root, ok := fastcodec.Decode(data); ok {
 		return fromElement(root)

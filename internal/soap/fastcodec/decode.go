@@ -3,6 +3,7 @@ package fastcodec
 import (
 	"strings"
 	"sync"
+	"unsafe"
 
 	"uvacg/internal/xmlutil"
 )
@@ -15,33 +16,27 @@ import (
 // difference and it is checked (by FuzzCodecEquivalence) to agree with
 // encoding/xml exactly.
 //
+// Ownership: the returned tree's names, text and attribute values point
+// into data itself, so once data is passed here the tree owns it and
+// nobody may write to it again.
+//
 // Allocation discipline: nodes come from one slab and child slices from
 // one pointer arena, both sized from the input (so a retained element
-// pins its own document's nodes and no more), and text/attribute values
-// are substrings of a single string conversion of the input — zero-copy
-// unless an entity or line-ending normalization forces a rewrite. The
-// returned tree is owned by the caller and garbage-collected; only the
-// parser's scratch stacks are pooled, cleared before they go back, so
-// the pool never references a returned tree and retaining decoded
-// documents (as resource property stores do) is safe.
+// pins its own document's nodes and no more), and strings are copied
+// only where an entity or line-ending normalization forces a rewrite.
+// The returned tree is garbage-collected; only the parser's scratch
+// stacks are pooled, cleared before they go back, so the pool never
+// references a returned tree and retaining decoded documents (as
+// resource property stores do) is safe.
 func Decode(data []byte) (*xmlutil.Element, bool) {
-	// One pass admits the ASCII subset: any byte outside printable
-	// ASCII + tab/newline/CR means encoding/xml's unicode handling is
-	// required and the fast path bows out.
-	for i := 0; i < len(data); i++ {
-		c := data[i]
-		if c >= 0x7F || (c < 0x20 && c != '\t' && c != '\n' && c != '\r') {
-			return nil, false
-		}
+	elems, dirty, ok := scan(data)
+	if !ok {
+		return nil, false
 	}
 	p := parserPool.Get().(*parser)
 	defer p.release()
-	p.s, p.pos = string(data), 0
-	// Every element ends in "</" or "/>", so their count bounds the nodes
-	// (and the child pointers) a well-formed document needs; the shortest
-	// element, <a/>, bounds what text full of either can ask for.
-	n := min(strings.Count(p.s, "</")+strings.Count(p.s, "/>"), len(p.s)/4)
-	p.elemSlab, p.ptrSlab = make([]xmlutil.Element, n), make([]*xmlutil.Element, n)
+	p.s, p.pos, p.dirty = unsafe.String(unsafe.SliceData(data), len(data)), 0, dirty
+	p.elemSlab, p.ptrSlab = make([]xmlutil.Element, elems), make([]*xmlutil.Element, elems)
 	p.skipSpace()
 	// Prolog and any leading processing instructions are skipped, as
 	// encoding/xml's Unmarshal skips ProcInst tokens before the root.
@@ -57,9 +52,10 @@ func Decode(data []byte) (*xmlutil.Element, bool) {
 		// encoding/xml validates the xml declaration's version and
 		// encoding pseudo-attributes (a non-1.0 version or non-UTF-8
 		// charset is an error); rather than parse them, accept only the
-		// canonical prolog whenever either keyword appears.
+		// canonical prolog (Header less its newline) whenever either
+		// keyword appears.
 		pi := p.s[p.pos : p.pos+end+2]
-		if (strings.Contains(pi, "version") || strings.Contains(pi, "encoding")) && pi+"\n" != Header {
+		if (strings.Contains(pi, "version") || strings.Contains(pi, "encoding")) && pi != Header[:len(Header)-1] {
 			return nil, false
 		}
 		p.pos += end + 2
@@ -77,6 +73,62 @@ func Decode(data []byte) (*xmlutil.Element, bool) {
 	return root, true
 }
 
+// Byte classes of scan's table.
+const (
+	plain   byte = iota
+	refused      // outside the admitted subset
+	slash        // one end of "</" or "/>"
+	rewrite      // '&' or '\r': text holding one needs decodeText
+	bracket      // ']', which may open a "]]>"
+)
+
+var classes = func() (t [256]byte) {
+	for c := range t {
+		if c >= 0x7F || c < 0x20 && c != '\t' && c != '\n' && c != '\r' {
+			t[c] = refused
+		}
+	}
+	t['/'], t['&'], t['\r'], t[']'] = slash, rewrite, rewrite, bracket
+	return t
+}()
+
+// scan is the one pass over the input before the parse. It refuses any
+// byte outside printable ASCII plus tab/newline/CR, where encoding/xml's
+// unicode handling is required; it bounds the elements a well-formed
+// document holds; and it reports whether any '&', '\r' or "]]>" occurs.
+// When none does, no text segment or attribute value needs a look beyond
+// finding where it ends.
+func scan(data []byte) (elems int, dirty, ok bool) {
+	ends := 0
+	for i, c := range data {
+		k := classes[c]
+		if k == plain {
+			continue
+		}
+		switch k {
+		case refused:
+			return 0, false, false
+		case slash:
+			if i > 0 && data[i-1] == '<' {
+				ends++
+			}
+			if i+1 < len(data) && data[i+1] == '>' {
+				ends++
+			}
+		case rewrite:
+			dirty = true
+		case bracket:
+			if i+2 < len(data) && data[i+1] == ']' && data[i+2] == '>' {
+				dirty = true
+			}
+		}
+	}
+	// Every element ends in "</" or "/>", so their count bounds the nodes
+	// (and the child pointers) a well-formed document needs; the shortest
+	// element, <a/>, bounds what text full of either can ask for.
+	return min(ends, len(data)/4), dirty, true
+}
+
 type nsBinding struct {
 	prefix string
 	uri    string
@@ -90,8 +142,9 @@ type rawAttr struct {
 }
 
 type parser struct {
-	s   string
-	pos int
+	s     string
+	pos   int
+	dirty bool // scan found '&', '\r' or "]]>" somewhere in s
 
 	bindings []nsBinding // namespace scope stack
 	kids     []*xmlutil.Element
@@ -366,6 +419,9 @@ func (p *parser) element(depth int) (*xmlutil.Element, bool) {
 // line-ending normalization encoding/xml applies), and an unescaped
 // "]]>" — a syntax error under encoding/xml — bows out.
 func (p *parser) textSegment(seg string) (string, bool) {
+	if !p.dirty {
+		return seg, true
+	}
 	if strings.Contains(seg, "]]>") {
 		return "", false
 	}
@@ -385,22 +441,17 @@ func (p *parser) attrValue() (val string, dirty bool, ok bool) {
 	if quote != '"' && quote != '\'' {
 		return "", false, false
 	}
-	p.pos++
-	start := p.pos
-	for p.pos < len(p.s) {
-		switch c := p.s[p.pos]; c {
-		case quote:
-			val = p.s[start:p.pos]
-			p.pos++
-			return val, dirty, true
-		case '<':
-			return "", false, false // as encoding/xml: unescaped < in value
-		case '&', '\r':
-			dirty = true
-		}
-		p.pos++
+	start := p.pos + 1
+	end := strings.IndexByte(p.s[start:], quote)
+	if end < 0 {
+		return "", false, false
 	}
-	return "", false, false
+	val = p.s[start : start+end]
+	if strings.IndexByte(val, '<') >= 0 {
+		return "", false, false // as encoding/xml: unescaped < in value
+	}
+	p.pos = start + end + 1
+	return val, p.dirty && strings.ContainsAny(val, "&\r"), true
 }
 
 func (p *parser) cleanValue(a rawAttr) (string, bool) {

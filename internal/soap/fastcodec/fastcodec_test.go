@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"uvacg/internal/xmlutil"
 )
@@ -77,6 +78,10 @@ func TestDecodeMatchesEncodingXML(t *testing.T) {
 		`<t>/>/>/>/>/>/>/>/>/>/> and a/>b</t>`,
 		`<a/>`,
 		`<w>` + strings.Repeat(`<k a="1"><g/></k>`, 100) + `</w>`,
+		// Nothing to rewrite, so values end at their quote and text at
+		// its '<': a '>' or a lone ']' is ordinary content there.
+		`<b x="[1]>0" y='"'>a]]b ]> c</b>`,
+		`<b>a]]&gt;b</b>`,
 	}
 	for _, doc := range docs {
 		fast, ok := Decode([]byte(doc))
@@ -103,18 +108,26 @@ func TestDecodeFallsBackOutsideRecognizedShape(t *testing.T) {
 		`<a>caf` + "\xc3\xa9" + `</a>`, // non-ASCII
 		`<a>&unknown;</a>`,             // undefined entity
 		`<a b="un<escaped"/>`,          // literal < in attr value
+		`<a b="un<esc&amp;aped"/>`,     // the same where a value needs rewriting
+		`<a b="unterminated/>`,         // no closing quote
 		`<a>]]&gt;ok but ]]> not</a>`,  // raw ]]> in char data
+		`<a>raw ]]> alone</a>`,         // the same with nothing else to rewrite
 		`<a><b></a></b>`,               // mismatched end tags
 		`<a`,                           // truncated
 		``,                             // empty
+		" \n\t",                        // whitespace only
 		`<!DOCTYPE a><a/>`,             // doctype
 		`<a ` + "\x00" + `="1"/>`,      // NUL byte
 		strings.Repeat(`<d>`, 600) + strings.Repeat(`</d>`, 600), // too deep
 		strings.Repeat(`<d>`, 40) + `</d>`,                       // opens more than it closes: outruns the sized slab
 	}
+	inputs := [][]byte{nil} // no bytes at all
 	for _, doc := range docs {
-		if _, ok := Decode([]byte(doc)); ok {
-			t.Errorf("fast decode accepted out-of-shape input %q", doc)
+		inputs = append(inputs, []byte(doc))
+	}
+	for _, data := range inputs {
+		if root, ok := Decode(data); ok || root != nil {
+			t.Errorf("fast decode accepted out-of-shape input %q", data)
 		}
 	}
 }
@@ -253,6 +266,49 @@ func TestDecodeTrailingContentIgnored(t *testing.T) {
 	}
 	if !fast.Equal(&want) {
 		t.Fatalf("diverges: %s vs %s", fast, &want)
+	}
+}
+
+// TestDecodeAliasesInput: Decode copies none of its input. Every name,
+// text and attribute value of a document with nothing to rewrite points
+// into the bytes it was given, which is why those bytes belong to the
+// tree once decoded.
+func TestDecodeAliasesInput(t *testing.T) {
+	data := []byte(Header + `<s:Envelope xmlns:s="urn:s"><s:Header><a:To xmlns:a="urn:a" a:must="1">inproc://n/ES</a:To></s:Header>` +
+		`<s:Body><Run xmlns="urn:es" job="j1"><Name>  gen  </Name><Dir/></Run></s:Body></s:Envelope>`)
+	root, ok := Decode(data)
+	if !ok {
+		t.Fatal("fast decode refused the document")
+	}
+	lo := uintptr(unsafe.Pointer(unsafe.SliceData(data)))
+	hi := lo + uintptr(len(data))
+	checked := 0
+	inData := func(what, s string) {
+		if s == "" {
+			return
+		}
+		checked++
+		if p := uintptr(unsafe.Pointer(unsafe.StringData(s))); p < lo || p+uintptr(len(s)) > hi {
+			t.Errorf("%s %q is a copy, not a view of the input", what, s)
+		}
+	}
+	var walk func(e *xmlutil.Element)
+	walk = func(e *xmlutil.Element) {
+		inData("namespace", e.Name.Space)
+		inData("name", e.Name.Local)
+		inData("text", e.Text)
+		for _, a := range e.Attrs {
+			inData("attribute namespace", a.Name.Space)
+			inData("attribute name", a.Name.Local)
+			inData("attribute value", a.Value)
+		}
+		for _, c := range e.Children {
+			walk(c)
+		}
+	}
+	walk(root)
+	if checked < 20 {
+		t.Fatalf("checked %d strings; the document has more", checked)
 	}
 }
 

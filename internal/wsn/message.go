@@ -35,7 +35,10 @@ var (
 // Notification is one delivered event: the concrete topic it was
 // published on, the producing WS-Resource, and an arbitrary payload.
 // Service authors "provide an XML message body or an object which will
-// be serialized" (paper §5); here the payload is always an element tree.
+// be serialized" (paper §5); here the payload is always an element tree,
+// and nobody writes to it once it is published or relayed: producers
+// build a fresh one per event, the broker relays the one it parsed, and
+// consumers only read.
 type Notification struct {
 	Topic    string
 	Producer wsa.EndpointReference
@@ -43,7 +46,9 @@ type Notification struct {
 }
 
 // NotifyBody renders one or more notifications as the body of a Notify
-// message.
+// message. Each payload is placed in the body, not copied: a
+// Notification's Message is read-only once published, so one payload can
+// ride every Notify a fan-out sends at once.
 func NotifyBody(notifications ...Notification) *xmlutil.Element {
 	body := &xmlutil.Element{Name: qNotify}
 	for _, n := range notifications {
@@ -55,7 +60,7 @@ func NotifyBody(notifications ...Notification) *xmlutil.Element {
 		}
 		payload := &xmlutil.Element{Name: qMessage}
 		if n.Message != nil {
-			payload.Append(n.Message.Clone())
+			payload.Append(n.Message)
 		}
 		msg.Append(payload)
 		body.Append(msg)

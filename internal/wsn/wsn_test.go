@@ -42,6 +42,75 @@ func TestNotifyBodyRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSharedPayloadFansOutUnchanged: a Notify body holds the payload it
+// was given, not a copy, so one payload rides every Notify of a fan-out at
+// once. Published to eight consumers, then relayed by the broker from one
+// Notify, every Notify carries the same bytes, and the payload reads as it
+// did before.
+func TestSharedPayloadFansOutUnchanged(t *testing.T) {
+	const consumers = 8
+	network := transport.NewNetwork()
+	client := transport.NewClient().WithNetwork(network)
+	broker, err := NewBroker("/NB", "inproc://master",
+		wsrf.NewStateHome(resourcedb.NewStore().MustTable("subs", resourcedb.BlobCodec{})), client)
+	if err != nil {
+		t.Fatal(err)
+	}
+	masterMux := soap.NewMux()
+	masterMux.Handle(broker.Service().Path(), broker.Service().Dispatcher())
+	network.Register("master", transport.NewServer(masterMux))
+
+	bodies := make(chan string, 2*consumers) // every Notify of both fan-outs
+	for i := 0; i < consumers; i++ {
+		d := soap.NewDispatcher()
+		d.Register(ActionNotify, func(_ context.Context, req *soap.Envelope) (*soap.Envelope, error) {
+			data, err := soap.New(req.Body).Marshal()
+			if err != nil {
+				return nil, err
+			}
+			bodies <- string(data)
+			return nil, nil
+		})
+		mux := soap.NewMux()
+		mux.Handle("/listener", d)
+		host := fmt.Sprintf("client-%d", i)
+		network.Register(host, transport.NewServer(mux))
+		if _, err := broker.Producer().Subscribe(wsa.NewEPR("inproc://"+host+"/listener"), Simple("set")); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	job := wsa.NewEPR("inproc://node-a/ExecutionService").WithProperty(wsrf.QResourceID, "job-7")
+	payload := xmlutil.NewContainer(qEvent,
+		xmlutil.NewElement(xmlutil.Q("urn:uvacg:test", "Status"), "exited").SetAttr(xmlutil.Q("", "code"), "0"),
+		job.ElementNamed(xmlutil.Q("urn:uvacg:test", "Job")),
+	)
+	want := payload.Clone()
+	ctx := context.Background()
+	if n := broker.Producer().Publish(ctx, "set/job/exited", job, payload); n != consumers {
+		t.Fatalf("published to %d consumers, want %d", n, consumers)
+	}
+	if _, err := client.Call(ctx, broker.EPR(), ActionNotify, NotifyBody(Notification{Topic: "set/job/exited", Producer: job, Message: payload})); err != nil {
+		t.Fatal(err)
+	}
+	var first string
+	for i := 0; i < 2*consumers; i++ {
+		select {
+		case got := <-bodies:
+			if i == 0 {
+				first = got
+			} else if got != first {
+				t.Errorf("Notify %d differs from the first:\n got: %s\nwant: %s", i, got, first)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%d of %d Notifies arrived", i, 2*consumers)
+		}
+	}
+	if !payload.Equal(want) {
+		t.Fatalf("the payload changed as it fanned out:\n got: %s\nwant: %s", payload, want)
+	}
+}
+
 func TestParseNotifyBodyErrors(t *testing.T) {
 	if _, err := ParseNotifyBody(nil); err == nil {
 		t.Error("nil body accepted")
