@@ -78,7 +78,7 @@ func main() {
 		// HTTP deployment note: credentials cross as UsernameToken
 		// digests; header encryption needs out-of-band certificate
 		// distribution, which the CLI deployment does not do.
-		ssCfg.Security = &wssec.VerifierConfig{Accounts: accounts, Required: true}
+		ssCfg.Security = &wssec.VerifierConfig{Accounts: accounts}
 	}
 
 	mcfg := host.MasterConfig(address)

@@ -376,12 +376,6 @@ func (s *Submission) KillJob(ctx context.Context, jobName string) error {
 	return err
 }
 
-// Cancel aborts the whole job set.
-func (s *Submission) Cancel(ctx context.Context) error {
-	_, err := s.client.cfg.Transport.Call(ctx, s.JobSet, scheduler.ActionCancel, scheduler.CancelRequest())
-	return err
-}
-
 // The submission journal: one structured row per job set name, holding
 // the set EPR, the topic, the file server address the Scheduler stages
 // local:// sources from, the terminal status once reached, and the

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"uvacg/internal/services/scheduler"
+	"uvacg/internal/soap"
 	"uvacg/internal/wsa"
 	"uvacg/internal/wsn"
 	"uvacg/internal/wsrf"
@@ -361,12 +362,18 @@ func TestPlacementDoesNotNeedReports(t *testing.T) {
 	if landed["east"] != 8 || landed["west"] != 8 {
 		t.Errorf("the bag landed %v, want 8 on each machine", landed)
 	}
-	if err := sub.Cancel(ctx); err != nil {
+	if err := cancelSet(ctx, sub); err != nil {
 		t.Fatal(err)
 	}
 	if status, _ := sub.Wait(ctx); status != scheduler.SetCancelled {
 		t.Fatalf("status = %s", status)
 	}
+}
+
+// cancelSet aborts sub's whole job set through the Scheduler's Cancel.
+func cancelSet(ctx context.Context, sub *Submission) error {
+	_, err := sub.client.cfg.Transport.Call(ctx, sub.JobSet, scheduler.ActionCancel, xmlutil.NewElement(xmlutil.Q(scheduler.NS, "Cancel"), ""))
+	return err
 }
 
 func TestCancelJobSet(t *testing.T) {
@@ -390,11 +397,40 @@ func TestCancelJobSet(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if err := sub.Cancel(ctx); err != nil {
+	if err := cancelSet(ctx, sub); err != nil {
 		t.Fatal(err)
 	}
 	if status, _ := sub.Wait(ctx); status != scheduler.SetCancelled {
 		t.Fatalf("status = %s", status)
+	}
+}
+
+// TestShippedVerifierRefusesAReplayedSubmit: the grid's own verifier
+// takes a signed Submit once; the same envelope sent again, as one
+// captured off the wire would be, is refused.
+func TestShippedVerifierRefusesAReplayedSubmit(t *testing.T) {
+	g := testGrid(t, NodeSpec{Name: "solo"})
+	c := testClient(t, g)
+	ctx := testCtx(t)
+	c.AddFile("once.app", Script("exit 0"))
+	env := soap.New(scheduler.SubmitRequest(NewJobSet("once").Add("once", Local("once.app")).Spec(), c.FilesEPR(), c.ListenerEPR()))
+	if err := wssec.AttachUsernameToken(env, wssec.Credentials{Username: "scientist", Password: "pw"}, false, time.Now()); err != nil {
+		t.Fatal(err)
+	}
+	cert, ok := g.SchedulerCertificate()
+	if !ok {
+		t.Fatal("a grid with accounts has no Scheduler certificate")
+	}
+	if err := wssec.EncryptSecurityHeader(env, cert); err != nil {
+		t.Fatal(err)
+	}
+	ss := wsa.NewEPR("inproc://" + masterHost + scheduler.ServicePath)
+	if _, err := g.Client.Invoke(ctx, ss, scheduler.ActionSubmit, env.Clone()); err != nil {
+		t.Fatalf("first Submit: %v", err)
+	}
+	_, err := g.Client.Invoke(ctx, ss, scheduler.ActionSubmit, env.Clone())
+	if f, ok := soap.AsFault(err); !ok || f.Code != soap.CodeSender || !strings.Contains(f.Reason, "replay") {
+		t.Fatalf("replayed Submit: %v, want a Sender fault naming the replay", err)
 	}
 }
 
@@ -535,7 +571,10 @@ func TestVanishedNodeFailsJobSet(t *testing.T) {
 	ctx := testCtx(t)
 	// The fastest machine drops off the network after registering with
 	// the NIS: its catalog entry is now a dangling EPR.
-	absent, _ := g.Node("absent")
+	absent := g.Nodes[1]
+	if absent.Name != "absent" {
+		t.Fatalf("second machine is %q", absent.Name)
+	}
 	absent.Stop()
 
 	c.AddFile("j.app", Script("exit 0"))

@@ -114,7 +114,6 @@ func NewGrid(cfg GridConfig) (*Grid, error) {
 		ssCfg.Security = &wssec.VerifierConfig{
 			Identity: g.ssIdentity,
 			Accounts: cfg.Accounts,
-			Required: true,
 		}
 	}
 	m, err := master.Assemble(master.Config{
@@ -206,16 +205,6 @@ func (g *Grid) SchedulerCertificate() (wssec.Certificate, bool) {
 		return wssec.Certificate{}, false
 	}
 	return g.ssIdentity.Certificate(), true
-}
-
-// Node finds a machine by name.
-func (g *Grid) Node(name string) (*node.Node, bool) {
-	for _, n := range g.Nodes {
-		if n.Name == name {
-			return n, true
-		}
-	}
-	return nil, false
 }
 
 // StartMonitors launches every machine's background utilization

@@ -162,7 +162,6 @@ func New(cfg Config) (*Node, error) {
 		esCfg.Security = &wssec.VerifierConfig{
 			Identity: n.Identity,
 			Accounts: cfg.Accounts,
-			Required: true,
 		}
 	}
 	n.ES, err = execution.New(esCfg)

@@ -139,21 +139,6 @@ func parseOp(fields []string) (op, error) {
 	return op{}, fmt.Errorf("unknown instruction %q", fields[0])
 }
 
-// Ops reports the instruction count (diagnostics).
-func (s *Script) Ops() int { return len(s.ops) }
-
-// ComputeUnits totals the script's simulated work, which the Scheduler's
-// cost model could use.
-func (s *Script) ComputeUnits() int64 {
-	var total int64
-	for _, o := range s.ops {
-		if o.kind == opCompute {
-			total += o.n
-		}
-	}
-	return total
-}
-
 // transforms are the data operations a job can apply to a staged input
 // to produce an output — enough to build multi-stage pipelines whose
 // stages genuinely consume each other's bytes.
@@ -190,16 +175,6 @@ var transforms = map[string]func([]byte) []byte{
 		sort.Strings(lines)
 		return []byte(strings.Join(lines, "\n") + "\n")
 	},
-}
-
-// TransformNames lists the available transforms, sorted.
-func TransformNames() []string {
-	out := make([]string, 0, len(transforms))
-	for name := range transforms {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // BuildScript assembles script text from instruction lines, prepending

@@ -3,7 +3,6 @@ package procspawn
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -84,9 +83,6 @@ func NewSpawner(cfg Config) (*Spawner, error) {
 
 // Cores reports the configured core count.
 func (s *Spawner) Cores() int { return s.cfg.Cores }
-
-// SpeedMHz reports the configured clock speed.
-func (s *Spawner) SpeedMHz() float64 { return s.cfg.SpeedMHz }
 
 // SpawnSpec is one launch request from the Execution Service.
 type SpawnSpec struct {
@@ -275,18 +271,6 @@ func (s *Spawner) Load() int { return s.RunningCount() + int(s.reserved.Load()) 
 
 // RunningCount reports how many processes are currently running.
 func (s *Spawner) RunningCount() int { return int(s.running.Load()) }
-
-// PIDs lists all known processes, sorted.
-func (s *Spawner) PIDs() []int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]int64, 0, len(s.procs))
-	for pid := range s.procs {
-		out = append(out, pid)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
 
 // Reap removes a finished process's record, reporting success.
 func (s *Spawner) Reap(pid int64) bool {

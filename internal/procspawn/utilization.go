@@ -25,8 +25,6 @@ type UtilizationMonitor struct {
 	mu           sync.Mutex
 	lastReported float64
 	reported     bool
-	samples      int
-	notifies     int
 	stop         chan struct{}
 	stopped      chan struct{}
 }
@@ -85,12 +83,10 @@ func (m *UtilizationMonitor) Reading() (utilization float64, gridLoad int) {
 func (m *UtilizationMonitor) Sample() bool {
 	util := m.Utilization()
 	m.mu.Lock()
-	m.samples++
 	shouldNotify := !m.reported || abs(util-m.lastReported) >= m.threshold
 	if shouldNotify {
 		m.lastReported = util
 		m.reported = true
-		m.notifies++
 	}
 	notify := m.notify
 	m.mu.Unlock()
@@ -105,14 +101,6 @@ func abs(f float64) float64 {
 		return -f
 	}
 	return f
-}
-
-// Stats reports samples taken and notifications sent — the data behind
-// experiment E8 (notification volume vs threshold).
-func (m *UtilizationMonitor) Stats() (samples, notifies int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.samples, m.notifies
 }
 
 // Start launches the periodic sampling loop.

@@ -61,7 +61,7 @@ const snapshotFile = "snapshot.db"
 
 // OpenDurable opens (or creates) the durable store rooted at dir,
 // recovering its state from the last snapshot plus the committed WAL
-// suffix. Tables created afterwards via CreateTable/MustTable are
+// suffix. Tables created afterwards via MustTable are
 // journaled automatically.
 func OpenDurable(dir string, opts DurableOptions) (*DurableStore, error) {
 	if opts.CompactBytes == 0 {
@@ -214,9 +214,6 @@ func (ds *DurableStore) Close() error {
 	ds.wg.Wait()
 	return ds.log.Close()
 }
-
-// Dir returns the data directory.
-func (ds *DurableStore) Dir() string { return ds.dir }
 
 // DurabilityStats snapshots the durability counters: the WAL's commit
 // machinery plus this store's recovery and compaction history.

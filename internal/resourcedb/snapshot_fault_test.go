@@ -51,8 +51,8 @@ func assertUntouched(t *testing.T, s *Store, ctx string) {
 	if err != nil || !ok || !doc.Equal(jobDoc("Held", 7)) {
 		t.Fatalf("%s: failed Load mutated existing row: %v %v", ctx, ok, err)
 	}
-	if names := s.TableNames(); len(names) != 1 {
-		t.Fatalf("%s: failed Load left partial tables: %v", ctx, names)
+	if len(s.tables) != 1 {
+		t.Fatalf("%s: failed Load left partial tables: %d tables", ctx, len(s.tables))
 	}
 }
 

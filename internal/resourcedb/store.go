@@ -26,23 +26,6 @@ type Store struct {
 // NewStore creates an empty store.
 func NewStore() *Store { return &Store{tables: make(map[string]*Table)} }
 
-// CreateTable makes a new table. Creating an existing name is an error;
-// services own distinct tables.
-func (s *Store) CreateTable(name string, codec Codec) (*Table, error) {
-	if name == "" {
-		return nil, fmt.Errorf("resourcedb: empty table name")
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, dup := s.tables[name]; dup {
-		return nil, fmt.Errorf("resourcedb: table %q already exists", name)
-	}
-	t := NewTable(name, codec)
-	t.journal = s.journal
-	s.tables[name] = t
-	return t, nil
-}
-
 // Table returns an existing table.
 func (s *Store) Table(name string) (*Table, bool) {
 	s.mu.RLock()
@@ -63,18 +46,6 @@ func (s *Store) MustTable(name string, codec Codec) *Table {
 	t.journal = s.journal
 	s.tables[name] = t
 	return t
-}
-
-// TableNames lists table names, sorted.
-func (s *Store) TableNames() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]string, 0, len(s.tables))
-	for n := range s.tables {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Snapshot format:

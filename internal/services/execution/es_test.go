@@ -46,7 +46,7 @@ func newESHarness(t *testing.T, accounts wssec.StaticAccounts) *esHarness {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sec = &wssec.VerifierConfig{Identity: id, Accounts: accounts, Required: true}
+		sec = &wssec.VerifierConfig{Identity: id, Accounts: accounts}
 	}
 	network := transport.NewNetwork()
 	client := transport.NewClient().WithNetwork(network)
@@ -150,6 +150,18 @@ func (h *esHarness) runJob(t *testing.T, creds *wssec.Credentials, script []byte
 		t.Fatal(err)
 	}
 	return job, dir
+}
+
+// pid names the process the ES spawned for a job resource.
+func (h *esHarness) pid(t *testing.T, job wsa.EndpointReference) int64 {
+	t.Helper()
+	h.es.mu.Lock()
+	defer h.es.mu.Unlock()
+	p := h.es.procs[job.Property(wsrf.QResourceID)]
+	if p == nil {
+		t.Fatalf("job %s has no process", job)
+	}
+	return p.PID
 }
 
 // waitEvent returns the first event of the given kind. One-way delivery
@@ -353,20 +365,22 @@ func TestDestroyReapsProcessRecord(t *testing.T) {
 		h := newESHarness(t, nil)
 		job, _ := h.runJob(t, nil, procspawn.BuildScript("exit 0"))
 		h.waitEvent(t, EventExited)
-		if n := len(h.spawner.PIDs()); n != 1 {
-			t.Fatalf("%d process records after one job, want 1", n)
+		pid := h.pid(t, job)
+		if _, ok := h.spawner.Process(pid); !ok {
+			t.Fatalf("no record of process %d after its job exited", pid)
 		}
 		if err := wsrf.NewResourceClient(h.client, job).Destroy(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		if pids := h.spawner.PIDs(); len(pids) != 0 {
-			t.Fatalf("process records %v outlive their destroyed job", pids)
+		if _, ok := h.spawner.Process(pid); ok {
+			t.Fatalf("process record %d outlives its destroyed job", pid)
 		}
 	})
 	t.Run("destroyed while running", func(t *testing.T) {
 		h := newESHarness(t, nil)
 		job, _ := h.runJob(t, nil, procspawn.BuildScript("compute 100000000", "exit 0"))
 		h.waitEvent(t, EventStarted)
+		pid := h.pid(t, job)
 		if err := wsrf.NewResourceClient(h.client, job).Destroy(context.Background()); err != nil {
 			t.Fatal(err)
 		}
@@ -374,8 +388,8 @@ func TestDestroyReapsProcessRecord(t *testing.T) {
 		if ev, _ := ParseJobEvent(h.waitEvent(t, EventExited).Message); ev.ExitCode != procspawn.ExitKilled {
 			t.Fatalf("exit = %d, want killed", ev.ExitCode)
 		}
-		if pids := h.spawner.PIDs(); len(pids) != 0 {
-			t.Fatalf("process records %v outlive their destroyed job", pids)
+		if _, ok := h.spawner.Process(pid); ok {
+			t.Fatalf("process record %d outlives its destroyed job", pid)
 		}
 	})
 }

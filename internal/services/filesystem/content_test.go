@@ -7,7 +7,6 @@ import (
 	"bytes"
 	"context"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -66,7 +65,7 @@ func TestDestroyFreesDirectoryBytes(t *testing.T) {
 		if err := wsrf.NewResourceClient(h.client, dir).Destroy(ctx); err != nil {
 			t.Fatal(err)
 		}
-		if h.fsB.DirExists(path) {
+		if dirExists(h.fsB, path) {
 			t.Fatal("the destroyed directory survived")
 		}
 		if files, n := h.fsB.Usage(); files != files0 || n != bytes0 {
@@ -256,11 +255,13 @@ func TestSharedContentUnderConcurrentUse(t *testing.T) {
 		}
 		return err
 	})
+	var onwards []string // this actor's alone until wg.Wait
 	background(func() error {
-		onward, _, err := h.fssA.CreateDirectory("onward")
+		onward, path, err := h.fssA.CreateDirectory("onward")
 		if err != nil {
 			return err
 		}
+		onwards = append(onwards, path)
 		if err := stageSync(ctx, h.client, onward, FileRef{Source: work, RemoteName: "data"}); err != nil {
 			return err
 		}
@@ -317,8 +318,8 @@ func TestSharedContentUnderConcurrentUse(t *testing.T) {
 		}
 		log = log[len(v):]
 	}
-	for _, d := range h.fsA.Dirs() {
-		if strings.Contains(d, "onward") {
+	for _, d := range onwards {
+		if dirExists(h.fsA, d) {
 			t.Errorf("destroyed directory %s survived", d)
 		}
 	}

@@ -54,9 +54,6 @@ func (fs *FileServer) Unpublish(name string) {
 	fs.mu.Unlock()
 }
 
-// Dispatcher exposes the endpoint for mounting (inproc hosting).
-func (fs *FileServer) Dispatcher() *soap.Dispatcher { return fs.dispatcher }
-
 // Mount registers the server on a mux at its path.
 func (fs *FileServer) Mount(mux *soap.Mux) { mux.Handle(fs.path, fs.dispatcher) }
 

@@ -100,7 +100,7 @@ func TestCreateDirectoryAndPathProperty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if path == "" || !h.fsA.DirExists(path) {
+	if path == "" || !dirExists(h.fsA, path) {
 		t.Fatalf("path property %q does not name a real directory", path)
 	}
 }
@@ -239,7 +239,7 @@ func TestUploadCompleteCarriesPath(t *testing.T) {
 		if done.Success != (remote == "in.dat") {
 			t.Fatalf("staging %s: success=%v (%s)", remote, done.Success, done.Error)
 		}
-		if done.Path != want || !h.fsB.DirExists(done.Path) {
+		if done.Path != want || !dirExists(h.fsB, done.Path) {
 			t.Fatalf("staging %s: completion names path %q, the directory resource holds %q", remote, done.Path, want)
 		}
 	}
@@ -330,7 +330,7 @@ func TestDestroyDirectoryRemovesFiles(t *testing.T) {
 	if err := rc.Destroy(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if h.fsA.DirExists(path) {
+	if dirExists(h.fsA, path) {
 		t.Fatal("directory survived resource destruction")
 	}
 }
@@ -534,4 +534,10 @@ func TestDirectoryUsageProperties(t *testing.T) {
 	if err != nil || len(matches) != 1 {
 		t.Fatalf("query usage: %v %v", matches, err)
 	}
+}
+
+// dirExists reports whether fs holds a directory at path.
+func dirExists(fs *vfs.FS, path string) bool {
+	_, err := fs.List(path)
+	return err == nil
 }

@@ -294,9 +294,3 @@ func GetProcessorsVia(ctx context.Context, c *transport.Client, nis wsa.Endpoint
 	}
 	return parseProcessorElements(body)
 }
-
-// ReportVia sends a one-way utilization report to a NIS — what each
-// machine's Processor Utilization service does on threshold crossings.
-func ReportVia(ctx context.Context, c *transport.Client, nis wsa.EndpointReference, p Processor) error {
-	return c.Notify(ctx, nis, ActionReport, ReportRequest(p))
-}

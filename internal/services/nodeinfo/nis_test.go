@@ -98,7 +98,7 @@ func TestAsyncReportEventuallyVisible(t *testing.T) {
 	nis, client := newNISHarness(t)
 	ctx := context.Background()
 	// One-way, the ongoing stream's shape.
-	if err := ReportVia(ctx, client, nis.EPR(), proc("win-c", 0.5)); err != nil {
+	if err := client.Notify(ctx, nis.EPR(), ActionReport, ReportRequest(proc("win-c", 0.5))); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)

@@ -4,10 +4,14 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"uvacg/internal/procspawn"
+	"uvacg/internal/services/nodeinfo"
+	"uvacg/internal/soap"
+	"uvacg/internal/transport"
 	"uvacg/internal/wsa"
 	"uvacg/internal/wsrf"
 )
@@ -19,12 +23,38 @@ func ageCatalog(s *Service) {
 	s.cat.mu.Unlock()
 }
 
+// countPolls puts a proxy between the Scheduler and its NIS that counts
+// the GetProcessors polls reaching it, and faults each one once down is
+// set.
+func countPolls(h *ssHarness) (polls *atomic.Int64, down *atomic.Bool) {
+	nis := h.ss.nis
+	polls, down = new(atomic.Int64), new(atomic.Bool)
+	proxy := soap.NewDispatcher()
+	proxy.Register(nodeinfo.ActionGetProcessors, func(ctx context.Context, req *soap.Envelope) (*soap.Envelope, error) {
+		polls.Add(1)
+		if down.Load() {
+			return nil, soap.ReceiverFault("nis: down")
+		}
+		body, err := h.client.Call(ctx, nis, nodeinfo.ActionGetProcessors, req.Body)
+		if err != nil {
+			return nil, err
+		}
+		return soap.New(body), nil
+	})
+	mux := soap.NewMux()
+	mux.Handle("/NodeInfoService", proxy)
+	h.network.Register("counted-nis", transport.NewServer(mux))
+	h.ss.nis = wsa.NewEPR("inproc://counted-nis/NodeInfoService")
+	return polls, down
+}
+
 // TestCatalogStaleCacheFallsBackToPoll: the cache is the last GetProcessors
 // reply. While it is younger than the TTL a dispatch reads it without
 // asking the NIS; once it is older the next read polls, and that reply is
 // the cache again.
 func TestCatalogStaleCacheFallsBackToPoll(t *testing.T) {
 	h := newSSHarness(t, RoundRobin{}, nil, "node-a")
+	polls, _ := countPolls(h)
 	for i, want := range []int64{1, 1, 2, 2} {
 		if i == 2 {
 			ageCatalog(h.ss)
@@ -36,8 +66,8 @@ func TestCatalogStaleCacheFallsBackToPoll(t *testing.T) {
 		if len(procs) != 1 || procs[0].Host != "node-a" {
 			t.Fatalf("read %d: %+v", i, procs)
 		}
-		if polls := h.ss.CatalogStats(); polls != want {
-			t.Fatalf("read %d: %d polls, want %d", i, polls, want)
+		if n := polls.Load(); n != want {
+			t.Fatalf("read %d: %d polls, want %d", i, n, want)
 		}
 	}
 }
@@ -47,11 +77,12 @@ func TestCatalogStaleCacheFallsBackToPoll(t *testing.T) {
 // job — old load data beats no dispatch at all.
 func TestCatalogPollFailureServesStale(t *testing.T) {
 	h := newSSHarness(t, RoundRobin{}, nil, "node-a")
+	polls, down := countPolls(h)
 	ctx := context.Background()
 	if _, err := h.ss.processors(ctx); err != nil {
 		t.Fatal(err)
 	}
-	h.ss.nis = wsa.NewEPR("inproc://ghost/NodeInfoService")
+	down.Store(true)
 	ageCatalog(h.ss)
 	procs, err := h.ss.processors(ctx)
 	if err != nil {
@@ -60,8 +91,8 @@ func TestCatalogPollFailureServesStale(t *testing.T) {
 	if len(procs) != 1 || procs[0].Host != "node-a" {
 		t.Fatalf("procs = %+v", procs)
 	}
-	if polls := h.ss.CatalogStats(); polls != 2 {
-		t.Fatalf("polls = %d, want 2 (the first read's and the failed attempt)", polls)
+	if n := polls.Load(); n != 2 {
+		t.Fatalf("polls = %d, want 2 (the first read's and the failed attempt)", n)
 	}
 }
 
@@ -69,6 +100,7 @@ func TestCatalogPollFailureServesStale(t *testing.T) {
 // and the whole set dispatches from that reply.
 func TestSubmitPrimesCatalogFromNISPoll(t *testing.T) {
 	h := newSSHarness(t, RoundRobin{}, nil, "node-a")
+	polls, _ := countPolls(h)
 	h.files.Publish("q.app", procspawn.BuildScript("exit 0"))
 	spec := &JobSetSpec{Name: "primed", Jobs: []JobSpec{{Name: "q", Executable: "local://q.app"}}}
 	_, topic, err := h.submit(t, spec, nil)
@@ -78,8 +110,8 @@ func TestSubmitPrimesCatalogFromNISPoll(t *testing.T) {
 	if got := h.waitTerminal(t, topic); got != "completed" {
 		t.Fatalf("terminal event %q", got)
 	}
-	if polls := h.ss.CatalogStats(); polls != 1 {
-		t.Fatalf("NIS polled %d times, want the one priming poll", polls)
+	if n := polls.Load(); n != 1 {
+		t.Fatalf("NIS polled %d times, want the one priming poll", n)
 	}
 }
 

@@ -69,7 +69,7 @@ func TestCancelAfterCompleteKeepsVerdict(t *testing.T) {
 	}
 
 	ctx := context.Background()
-	if _, err := h.client.Call(ctx, setEPR, ActionCancel, CancelRequest()); err != nil {
+	if _, err := h.client.Call(ctx, setEPR, ActionCancel, cancelRequest()); err != nil {
 		t.Fatalf("cancel of a completed set faulted: %v", err)
 	}
 	rc := wsrf.NewResourceClient(h.client, setEPR)

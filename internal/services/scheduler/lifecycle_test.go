@@ -54,7 +54,7 @@ func TestCancelStopsWatchdogs(t *testing.T) {
 	h.network.Deregister("node-a")
 
 	ctx := context.Background()
-	if _, err := h.client.Call(ctx, setEPR, ActionCancel, CancelRequest()); err != nil {
+	if _, err := h.client.Call(ctx, setEPR, ActionCancel, cancelRequest()); err != nil {
 		t.Fatal(err)
 	}
 	if got := h.waitTerminal(t, topic); got != "cancelled" {

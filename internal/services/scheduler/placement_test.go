@@ -252,7 +252,7 @@ func TestPlacementLedgerConserved(t *testing.T) {
 		{"watchdog", 0, func(cfg *Config) { cfg.JobTimeout = 500 * time.Millisecond }, false,
 			func(*fakeGrid, wsa.EndpointReference, string, map[string]fakeRun) {}, "failed"},
 		{"Cancel", 0, nil, false, func(g *fakeGrid, set wsa.EndpointReference, _ string, _ map[string]fakeRun) {
-			if _, err := g.h.client.Call(context.Background(), set, ActionCancel, CancelRequest()); err != nil {
+			if _, err := g.h.client.Call(context.Background(), set, ActionCancel, cancelRequest()); err != nil {
 				t.Fatal(err)
 			}
 		}, "cancelled"},
@@ -323,7 +323,7 @@ func TestPlacementLosingToCancelSendsNoRun(t *testing.T) {
 
 	set, topic := g.bag(1, 0)
 	<-polled // reserved, not yet placed
-	if _, err := g.h.client.Call(context.Background(), set, ActionCancel, CancelRequest()); err != nil {
+	if _, err := g.h.client.Call(context.Background(), set, ActionCancel, cancelRequest()); err != nil {
 		t.Fatal(err)
 	}
 	close(release)

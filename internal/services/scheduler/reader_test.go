@@ -168,7 +168,7 @@ func TestStatusReadsBesideWrites(t *testing.T) {
 			}()
 			if tc.cancel {
 				sr.await("a running job", func() bool { return sr.running })
-				if _, err := h.client.Call(ctx, setEPR, ActionCancel, CancelRequest()); err != nil {
+				if _, err := h.client.Call(ctx, setEPR, ActionCancel, cancelRequest()); err != nil {
 					t.Fatal(err)
 				}
 			}

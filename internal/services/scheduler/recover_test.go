@@ -405,7 +405,7 @@ func TestRecoveredSetEventsArriveOnce(t *testing.T) {
 	if got := h.waitTerminal(t, topic); got != "completed" {
 		t.Fatalf("initial run: %q", got)
 	}
-	subscriptions := h.broker.Producer().SubscriptionCount()
+	subscriptions := len(h.broker.Producer().SubscriptionService().Home().IDs())
 
 	// Two crashes in a row, each rewinding "second" to Pending.
 	id := setEPR.Property(wsrf.QResourceID)
@@ -456,7 +456,7 @@ func TestRecoveredSetEventsArriveOnce(t *testing.T) {
 				t.Errorf("restart %d: no %s event arrived (all: %v)", restart, want, arrived)
 			}
 		}
-		if got := h.broker.Producer().SubscriptionCount(); got != subscriptions {
+		if got := len(h.broker.Producer().SubscriptionService().Home().IDs()); got != subscriptions {
 			t.Errorf("restart %d: the broker holds %d subscriptions, %d before the restart", restart, got, subscriptions)
 		}
 	}

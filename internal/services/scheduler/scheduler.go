@@ -68,7 +68,6 @@ var (
 	// status write and the publish are not atomic, so a crash between
 	// them would otherwise lose the client's completion signal forever.
 	qNotifiedAttr = xmlutil.Q("", "notified")
-	qCancel       = xmlutil.Q(NS, "Cancel")
 	qCancelResp   = xmlutil.Q(NS, "CancelResponse")
 
 	// qSpecSnapshot holds the submitted description inside the job-set
@@ -194,7 +193,6 @@ type catalogCache struct {
 	mu      sync.RWMutex
 	procs   []nodeinfo.Processor
 	updated time.Time
-	polls   int64 // GetProcessors RPCs attempted
 }
 
 // run is one live job set on this master: what it was submitted with
@@ -764,9 +762,6 @@ func (s *Service) processors(ctx context.Context) ([]nodeinfo.Processor, error) 
 // When the poll fails the stale copy is served, if there is one —
 // dispatching on old load data beats failing the job outright.
 func (s *Service) pollCatalog(ctx context.Context) ([]nodeinfo.Processor, error) {
-	s.cat.mu.Lock()
-	s.cat.polls++
-	s.cat.mu.Unlock()
 	polled, err := nodeinfo.GetProcessorsVia(ctx, s.client, s.nis)
 	s.cat.mu.Lock()
 	defer s.cat.mu.Unlock()
@@ -778,14 +773,6 @@ func (s *Service) pollCatalog(ctx context.Context) ([]nodeinfo.Processor, error)
 	}
 	s.cat.procs, s.cat.updated = polled, time.Now()
 	return polled, nil
-}
-
-// CatalogStats reports how many GetProcessors polls the dispatch path has
-// attempted.
-func (s *Service) CatalogStats() (polls int64) {
-	s.cat.mu.RLock()
-	defer s.cat.mu.RUnlock()
-	return s.cat.polls
 }
 
 // resolveFiles turns spec sources into FSS file references — the
@@ -889,9 +876,6 @@ func (s *Service) handleCancel(ctx context.Context, inv *wsrf.Invocation, body *
 	}
 	return &xmlutil.Element{Name: qCancelResp}, nil
 }
-
-// CancelRequest builds the Cancel body.
-func CancelRequest() *xmlutil.Element { return &xmlutil.Element{Name: qCancel} }
 
 // Event is one notification on a job set's topic tree, which has two
 // publishers: an ES on "<set topic>/<job>/<kind>" and publishSetEvent on

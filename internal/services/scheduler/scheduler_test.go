@@ -31,6 +31,9 @@ type ssHarness struct {
 	events  <-chan wsn.Notification
 }
 
+// cancelRequest builds the Cancel body.
+func cancelRequest() *xmlutil.Element { return xmlutil.NewElement(xmlutil.Q(NS, "Cancel"), "") }
+
 func newSSHarness(t *testing.T, policy Policy, accounts wssec.StaticAccounts, nodeNames ...string) *ssHarness {
 	return newSSHarnessCfg(t, policy, accounts, nil, nodeNames...)
 }
@@ -65,7 +68,7 @@ func newSSHarnessCfg(t *testing.T, policy Policy, accounts wssec.StaticAccounts,
 		Policy:  policy,
 	}
 	if accounts != nil {
-		ssCfg.Security = &wssec.VerifierConfig{Accounts: accounts, Required: true}
+		ssCfg.Security = &wssec.VerifierConfig{Accounts: accounts}
 		esCerts = make(map[string]wssec.Certificate)
 		ssCfg.ESCerts = func(es wsa.EndpointReference) (wssec.Certificate, bool) {
 			cert, ok := esCerts[es.Address]
@@ -289,7 +292,7 @@ func TestSchedulerCancel(t *testing.T) {
 		}
 	}
 	ctx := context.Background()
-	if _, err := h.client.Call(ctx, setEPR, ActionCancel, CancelRequest()); err != nil {
+	if _, err := h.client.Call(ctx, setEPR, ActionCancel, cancelRequest()); err != nil {
 		t.Fatal(err)
 	}
 	if got := h.waitTerminal(t, topic); got != "cancelled" {
@@ -301,7 +304,7 @@ func TestSchedulerCancel(t *testing.T) {
 	}
 	// Cancelling a job set with no live run faults.
 	ghost := h.ss.WSRF().EPRFor("nope")
-	if _, err := h.client.Call(ctx, ghost, ActionCancel, CancelRequest()); err == nil {
+	if _, err := h.client.Call(ctx, ghost, ActionCancel, cancelRequest()); err == nil {
 		t.Fatal("cancel of unknown set accepted")
 	}
 }

@@ -89,7 +89,7 @@ func (c *seam) destroy() {
 
 func (c *seam) cancel() {
 	c.t.Helper()
-	if _, err := c.h.client.Call(context.Background(), c.epr(), ActionCancel, CancelRequest()); err != nil {
+	if _, err := c.h.client.Call(context.Background(), c.epr(), ActionCancel, cancelRequest()); err != nil {
 		c.t.Fatal(err)
 	}
 }

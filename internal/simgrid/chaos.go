@@ -53,9 +53,9 @@ func (f RouteFaults) Zero() bool {
 // route and partitions can be asymmetric.
 //
 // Self-routes (src == dst) are never faulted — a service calling its
-// co-located peer does not cross the network — and hosts or exact
-// addresses can be exempted (the invariant checker's observer must be a
-// reliable measuring instrument, not part of the system under test).
+// co-located peer does not cross the network — and exact addresses can
+// be exempted (the invariant checker's observer must be a reliable
+// measuring instrument, not part of the system under test).
 type Chaos struct {
 	seed int64
 
@@ -63,9 +63,8 @@ type Chaos struct {
 	enabled    bool
 	defaults   RouteFaults
 	targets    map[string]TargetRule // "host/path" → targeted rule
-	exemptHost map[string]bool
-	exemptAddr map[string]bool // "host/path" exemptions
-	blocked    map[string]bool // "src|dst" directed partition edges
+	exemptAddr map[string]bool       // "host/path" exemptions
+	blocked    map[string]bool       // "src|dst" directed partition edges
 	counters   map[string]uint64
 	decisions  uint64 // messages that drew a non-clean verdict
 }
@@ -76,7 +75,6 @@ func NewChaos(seed int64) *Chaos {
 	return &Chaos{
 		seed:       seed,
 		targets:    make(map[string]TargetRule),
-		exemptHost: make(map[string]bool),
 		exemptAddr: make(map[string]bool),
 		blocked:    make(map[string]bool),
 		counters:   make(map[string]uint64),
@@ -103,28 +101,6 @@ type TargetRule struct {
 	OneWayOnly bool
 	// Faults is the profile applied to matching messages.
 	Faults RouteFaults
-}
-
-// SetTarget installs a rule for one "host/path" destination. Target
-// rules are checked before the self-route and exemption checks.
-func (c *Chaos) SetTarget(dstHost, dstPath string, rule TargetRule) {
-	c.mu.Lock()
-	c.targets[dstHost+dstPath] = rule
-	c.mu.Unlock()
-}
-
-// ClearTarget removes a target rule.
-func (c *Chaos) ClearTarget(dstHost, dstPath string) {
-	c.mu.Lock()
-	delete(c.targets, dstHost+dstPath)
-	c.mu.Unlock()
-}
-
-// ExemptHost marks every route to host as fault-free.
-func (c *Chaos) ExemptHost(host string) {
-	c.mu.Lock()
-	c.exemptHost[host] = true
-	c.mu.Unlock()
 }
 
 // ExemptAddr marks one exact "host/path" destination as fault-free —
@@ -195,7 +171,7 @@ func (c *Chaos) FaultFunc(src string) transport.FaultFunc {
 			}
 			return d
 		}
-		if src == dstHost || c.exemptHost[dstHost] || c.exemptAddr[dstHost+dstPath] {
+		if src == dstHost || c.exemptAddr[dstHost+dstPath] {
 			return transport.FaultDecision{}
 		}
 		if c.blocked[src+"|"+dstHost] {

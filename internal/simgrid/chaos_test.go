@@ -50,6 +50,21 @@ func sameDecision(a, b transport.FaultDecision) bool {
 }
 
 // chaosEcho wires one client through a Chaos engine to an echo server.
+// setTarget installs a rule for one "host/path" destination. Target
+// rules are checked before the self-route and exemption checks.
+func (c *Chaos) setTarget(dstHost, dstPath string, rule TargetRule) {
+	c.mu.Lock()
+	c.targets[dstHost+dstPath] = rule
+	c.mu.Unlock()
+}
+
+// clearTarget removes a target rule.
+func (c *Chaos) clearTarget(dstHost, dstPath string) {
+	c.mu.Lock()
+	delete(c.targets, dstHost+dstPath)
+	c.mu.Unlock()
+}
+
 func chaosEcho(t *testing.T, seed int64, src string) (*Chaos, *transport.Client) {
 	t.Helper()
 	network := transport.NewNetwork()
@@ -105,9 +120,9 @@ func TestExemptionsAndSelfRoutes(t *testing.T) {
 	if err := echoOnce(client); !errors.Is(err, transport.ErrInjectedDrop) {
 		t.Fatalf("drop-all profile let a call through: %v", err)
 	}
-	chaos.ExemptHost("server")
+	chaos.ExemptAddr("server", "/echo")
 	if err := echoOnce(client); err != nil {
-		t.Fatalf("exempt host still faulted: %v", err)
+		t.Fatalf("exempt address still faulted: %v", err)
 	}
 
 	// Same-host traffic: a client whose source IS the server host.
@@ -166,11 +181,11 @@ func TestTargetRuleOverridesSelfRouteExemption(t *testing.T) {
 	if err := echoOnce(client); err != nil {
 		t.Fatalf("clean self-route failed: %v", err)
 	}
-	chaos.SetTarget("server", "/echo", TargetRule{Faults: RouteFaults{Drop: 1}})
+	chaos.setTarget("server", "/echo", TargetRule{Faults: RouteFaults{Drop: 1}})
 	if err := echoOnce(client); !errors.Is(err, transport.ErrInjectedDrop) {
 		t.Fatalf("targeted self-route returned %v, want injected drop", err)
 	}
-	chaos.ClearTarget("server", "/echo")
+	chaos.clearTarget("server", "/echo")
 	if err := echoOnce(client); err != nil {
 		t.Fatalf("cleared target still faulted: %v", err)
 	}
@@ -182,13 +197,13 @@ func TestTargetRuleOverridesSelfRouteExemption(t *testing.T) {
 // same address pass.
 func TestTargetRuleSrcAndOneWayFilters(t *testing.T) {
 	chaos, client := chaosEcho(t, 1, "client")
-	chaos.SetTarget("server", "/echo", TargetRule{Src: "other", Faults: RouteFaults{Drop: 1}})
+	chaos.setTarget("server", "/echo", TargetRule{Src: "other", Faults: RouteFaults{Drop: 1}})
 	chaos.Enable(true)
 	if err := echoOnce(client); err != nil {
 		t.Fatalf("rule for another source faulted this one: %v", err)
 	}
 
-	chaos.SetTarget("server", "/echo", TargetRule{OneWayOnly: true, Faults: RouteFaults{Drop: 1}})
+	chaos.setTarget("server", "/echo", TargetRule{OneWayOnly: true, Faults: RouteFaults{Drop: 1}})
 	if err := echoOnce(client); err != nil {
 		t.Fatalf("one-way-only rule faulted a round trip: %v", err)
 	}

@@ -302,17 +302,6 @@ func (c *Cluster) liveScheduler() *scheduler.Service {
 	return nil
 }
 
-// NodeNames lists the execution machines.
-func (c *Cluster) NodeNames() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	names := make([]string, 0, len(c.nodes))
-	for name := range c.nodes {
-		names = append(names, name)
-	}
-	return names
-}
-
 // busy reports whether a machine — any machine, for a job not placed yet —
 // is staging or running a process.
 func (c *Cluster) busy(name string) bool {
@@ -402,13 +391,6 @@ func (c *Cluster) noteDispatch(rec scheduler.DispatchRecord) {
 	c.mu.Lock()
 	c.dispatches = append(c.dispatches, rec)
 	c.mu.Unlock()
-}
-
-// Dispatches snapshots the dispatch ledger.
-func (c *Cluster) Dispatches() []scheduler.DispatchRecord {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]scheduler.DispatchRecord(nil), c.dispatches...)
 }
 
 // noteStage appends one staged file to the stage ledger (node.Config
@@ -547,8 +529,6 @@ func (c *Cluster) newObserver() (*Observer, error) {
 }
 
 func (o *Observer) FilesEPR() wsa.EndpointReference { return o.grid.FilesEPR() }
-
-func (o *Observer) ListenerEPR() wsa.EndpointReference { return o.grid.ListenerEPR() }
 
 func (o *Observer) record(n wsn.Notification) {
 	ev := ObservedEvent{Topic: n.Topic}

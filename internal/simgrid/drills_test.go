@@ -329,11 +329,13 @@ func TestRetryStormAccountsEveryDispatch(t *testing.T) {
 		waitDocStatus(t, c, topic, scheduler.SetFailed, 60*time.Second)
 	}
 	dispatches := 0
-	for _, d := range c.Dispatches() {
+	c.mu.Lock()
+	for _, d := range c.dispatches {
 		if storm[d.Topic] {
 			dispatches++
 		}
 	}
+	c.mu.Unlock()
 	if want := sets * (limit + 1); dispatches != want {
 		t.Fatalf("storm dispatched %d times, want %d", dispatches, want)
 	}

@@ -283,7 +283,7 @@ func TestBrokerFaultedTerminalPublishRecovers(t *testing.T) {
 	// the master. The Src filter leaves node → broker job events flowing,
 	// and the path scoping leaves Submit (scheduler path) and the broker's
 	// deliveries out of it.
-	c.Chaos.SetTarget(MasterHost, "/NotificationBroker",
+	c.Chaos.setTarget(MasterHost, "/NotificationBroker",
 		TargetRule{Src: MasterHost, Faults: RouteFaults{Drop: 1}})
 	c.Chaos.Enable(true)
 
@@ -300,7 +300,7 @@ func TestBrokerFaultedTerminalPublishRecovers(t *testing.T) {
 	// Window 2: the fault narrows to one-way sends; the new set's
 	// subscription and acked terminal publish are round trips and go
 	// through.
-	c.Chaos.SetTarget(MasterHost, "/NotificationBroker",
+	c.Chaos.setTarget(MasterHost, "/NotificationBroker",
 		TargetRule{Src: MasterHost, OneWayOnly: true, Faults: RouteFaults{Drop: 1}})
 	quick, err := c.Submit(ctx, &scheduler.JobSetSpec{Name: "fallback", Jobs: []scheduler.JobSpec{
 		{Name: "q", Executable: "local://quick.app"},
@@ -319,7 +319,7 @@ func TestBrokerFaultedTerminalPublishRecovers(t *testing.T) {
 
 	// Broker heals; a restarted master replays the starved set's
 	// terminal event (the fallback set was already delivered).
-	c.Chaos.ClearTarget(MasterHost, "/NotificationBroker")
+	c.Chaos.clearTarget(MasterHost, "/NotificationBroker")
 	c.CrashMaster()
 	time.Sleep(50 * time.Millisecond)
 	restartMaster(t, ctx, c)
@@ -353,8 +353,11 @@ func TestHundredsOfNodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if got := len(c.NodeNames()); got != nodes {
-		t.Fatalf("%d machines joined, want %d", got, nodes)
+	c.mu.Lock()
+	joined := len(c.nodes)
+	c.mu.Unlock()
+	if joined != nodes {
+		t.Fatalf("%d machines joined, want %d", joined, nodes)
 	}
 	c.Observer.Files.Publish("quick.app", procspawn.BuildScript("write out.txt ok", "exit 0"))
 

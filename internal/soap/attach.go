@@ -55,9 +55,6 @@ func (e *Envelope) Attach(data []byte) *xmlutil.Element {
 	return IncludeElement(id)
 }
 
-// HasAttachments reports whether any parts ride outside the envelope.
-func (e *Envelope) HasAttachments() bool { return len(e.Attachments) > 0 }
-
 // AttachmentData returns the named attachment's bytes.
 func (e *Envelope) AttachmentData(id string) ([]byte, bool) {
 	for i := range e.Attachments {

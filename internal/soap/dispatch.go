@@ -3,7 +3,6 @@ package soap
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -55,34 +54,9 @@ func (d *Dispatcher) Register(action string, h HandlerFunc) {
 	d.handlers[action] = h
 }
 
-// Actions returns the registered action URIs, sorted.
-func (d *Dispatcher) Actions() []string {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	out := make([]string, 0, len(d.handlers))
-	for a := range d.handlers {
-		out = append(out, a)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Handles reports whether an action is registered.
-func (d *Dispatcher) Handles(action string) bool {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	_, ok := d.handlers[action]
-	return ok
-}
-
-// Dispatch routes a request to the handler for action, running the
-// interceptor chain around it. Unknown actions yield a Sender fault.
-func (d *Dispatcher) Dispatch(ctx context.Context, action string, req *Envelope) (*Envelope, error) {
-	return d.DispatchCall(ctx, &CallInfo{Side: ServerSide, Action: action, Request: req})
-}
-
-// DispatchCall is Dispatch for an already-described call: the transport
-// server builds the CallInfo (with path and one-way flag) so the
+// DispatchCall routes a call to the handler for its action, running the
+// interceptor chain around it; unknown actions yield a Sender fault. The
+// transport server builds the CallInfo (with path and one-way flag) so the
 // dispatcher's interceptors see the same call description the server's
 // own pipeline does.
 func (d *Dispatcher) DispatchCall(ctx context.Context, call *CallInfo) (*Envelope, error) {
@@ -95,20 +69,6 @@ func (d *Dispatcher) DispatchCall(ctx context.Context, call *CallInfo) (*Envelop
 	return d.chain.Bind(func(ctx context.Context, call *CallInfo) (*Envelope, error) {
 		return h(ctx, call.Request)
 	})(ctx, call)
-}
-
-// DispatchToEnvelope is Dispatch with errors converted to SOAP fault
-// envelopes, the form a transport server sends back on the wire. The
-// second return distinguishes a fault reply from a normal one.
-func (d *Dispatcher) DispatchToEnvelope(ctx context.Context, action string, req *Envelope) (resp *Envelope, faulted bool) {
-	out, err := d.Dispatch(ctx, action, req)
-	if err != nil {
-		return FaultFromError(err).Envelope(), true
-	}
-	if out == nil {
-		out = &Envelope{} // empty-body void response
-	}
-	return out, false
 }
 
 // Mux routes to one of several dispatchers by service path, letting a
@@ -142,16 +102,4 @@ func (m *Mux) Lookup(path string) (*Dispatcher, bool) {
 	defer m.mu.RUnlock()
 	d, ok := m.services[path]
 	return d, ok
-}
-
-// Paths returns the registered service paths, sorted.
-func (m *Mux) Paths() []string {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	out := make([]string, 0, len(m.services))
-	for p := range m.services {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
 }

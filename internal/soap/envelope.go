@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"sync/atomic"
 
 	"uvacg/internal/soap/fastcodec"
 	"uvacg/internal/xmlutil"
@@ -101,27 +100,15 @@ func (e *Envelope) Clone() *Envelope {
 	return out
 }
 
-// maxEnvelopeBytes bounds how much soap.Read (and the transport request
+// MaxEnvelopeBytes bounds how much soap.Read (and the transport request
 // readers that feed Unmarshal) will buffer for one envelope. A corrupt
 // or malicious peer otherwise drives io.ReadAll into unbounded
-// allocation. The default matches the soap.tcp frame cap.
-var maxEnvelopeBytes atomic.Int64
+// allocation. It matches the soap.tcp frame cap.
+const MaxEnvelopeBytes = 64 << 20
 
-const defaultMaxEnvelopeBytes = 64 << 20
-
-func init() { maxEnvelopeBytes.Store(defaultMaxEnvelopeBytes) }
-
-// SetMaxEnvelopeBytes sets the process-wide envelope size bound; zero or
-// negative restores the default.
-func SetMaxEnvelopeBytes(n int64) {
-	if n <= 0 {
-		n = defaultMaxEnvelopeBytes
-	}
-	maxEnvelopeBytes.Store(n)
-}
-
-// MaxEnvelopeBytes returns the current envelope size bound.
-func MaxEnvelopeBytes() int64 { return maxEnvelopeBytes.Load() }
+// maxEnvelope is the bound Read enforces: MaxEnvelopeBytes, lowered only
+// by tests.
+var maxEnvelope int64 = MaxEnvelopeBytes
 
 // ErrEnvelopeTooLarge is wrapped by the fault Read returns for an
 // oversized envelope, so transports can branch on it.
@@ -190,7 +177,7 @@ func Unmarshal(data []byte) (*Envelope, error) {
 // Read parses an envelope from a stream, refusing to buffer more than
 // MaxEnvelopeBytes with a Sender fault.
 func Read(r io.Reader) (*Envelope, error) {
-	max := maxEnvelopeBytes.Load()
+	max := maxEnvelope
 	data, err := io.ReadAll(io.LimitReader(r, max+1))
 	if err != nil {
 		return nil, fmt.Errorf("soap: read: %w", err)

@@ -98,8 +98,8 @@ func TestMarshalFallsBackOutsideFastShape(t *testing.T) {
 }
 
 func TestReadRejectsOversizedEnvelope(t *testing.T) {
-	SetMaxEnvelopeBytes(1 << 10)
-	defer SetMaxEnvelopeBytes(0)
+	maxEnvelope = 1 << 10
+	defer func() { maxEnvelope = MaxEnvelopeBytes }()
 
 	big := "<Envelope xmlns=\"" + NS + "\"><Body><X>" +
 		strings.Repeat("a", 2<<10) + "</X></Body></Envelope>"

@@ -83,13 +83,6 @@ func (c *Chain) Use(ics ...Interceptor) {
 	c.list = append(c.list, ics...)
 }
 
-// Len reports the number of installed interceptors.
-func (c *Chain) Len() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.list)
-}
-
 // Bind composes the chain's current interceptors around a terminal
 // handler. An empty chain returns the terminal handler itself.
 func (c *Chain) Bind(terminal Handler) Handler {

@@ -168,8 +168,7 @@ func (u unreadable) Read([]byte) (int, error) {
 // (and before a buffer of that length is allocated); a chunked body over
 // the bound still gets 413 once it has run past it.
 func TestOverBoundLengthGetsNoExactBuffer(t *testing.T) {
-	soap.SetMaxEnvelopeBytes(4 << 10)
-	defer soap.SetMaxEnvelopeBytes(0)
+	defer SetMaxEnvelope(4 << 10)()
 	h := NewHTTPHandler(NewServer(blobService()))
 
 	stated := httptest.NewRequest(http.MethodPost, "/Blob", unreadable{t})

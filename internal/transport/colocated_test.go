@@ -168,8 +168,7 @@ func TestColocatedRefusesOversizedEnvelopes(t *testing.T) {
 	mux := soap.NewMux()
 	mux.Handle("/Big", d)
 	base, routed, dialled := listen(t, transport.NewServer(mux))
-	soap.SetMaxEnvelopeBytes(4 << 10)
-	defer soap.SetMaxEnvelopeBytes(0)
+	defer transport.SetMaxEnvelope(4 << 10)()
 
 	ctx := context.Background()
 	for name, c := range map[string]*transport.Client{"http": dialled, "route": routed} {
@@ -196,15 +195,15 @@ func TestColocatedRefusesOversizedEnvelopes(t *testing.T) {
 type ctxKey struct{}
 
 // TestColocatedCalleeSeesWhatASocketCarries: a handler that holds an
-// authenticated principal, a WSRF invocation, a request ID and a value
-// of its own on its context calls a neighbour on the same server over
+// authenticated principal, a request ID and a value of its own on its
+// context calls a neighbour on the same server over
 // the route, as the ES calls its FSS. The neighbour sees none of them —
 // no wire carries a context — but does see the caller's cancellation;
 // and a one-way callee outlives it.
 func TestColocatedCalleeSeesWhatASocketCarries(t *testing.T) {
 	type seen struct {
-		principal, invocation, requestID, value bool
-		to                                      string
+		principal, requestID, value bool
+		to                          string
 	}
 	observed := make(chan seen, 1)
 	cancelled := make(chan error, 1)
@@ -215,7 +214,6 @@ func TestColocatedCalleeSeesWhatASocketCarries(t *testing.T) {
 	look := func(ctx context.Context) seen {
 		var s seen
 		_, s.principal = wssec.PrincipalFrom(ctx)
-		_, s.invocation = wsrf.InvocationFrom(ctx)
 		_, s.requestID = pipeline.RequestIDFrom(ctx)
 		s.value = ctx.Value(ctxKey{}) != nil
 		info, _ := wsa.FromContext(ctx)
@@ -254,7 +252,7 @@ func TestColocatedCalleeSeesWhatASocketCarries(t *testing.T) {
 	// well, that calls its neighbour from inside its own invocation.
 	outerSaw := make(chan seen, 1)
 	caller := wsrf.MustService(wsrf.ServiceConfig{Path: "/Caller", Address: base})
-	caller.Use(wssec.Interceptor(wssec.VerifierConfig{Accounts: wssec.StaticAccounts{"alice": "pw"}, Required: true}))
+	caller.Use(wssec.Interceptor(wssec.VerifierConfig{Accounts: wssec.StaticAccounts{"alice": "pw"}}))
 	caller.RegisterServiceMethod("urn:Outer", func(ctx context.Context, inv *wsrf.Invocation, body *xmlutil.Element) (*xmlutil.Element, error) {
 		ctx = context.WithValue(ctx, ctxKey{}, "the caller's own")
 		outerSaw <- look(ctx)
@@ -272,12 +270,12 @@ func TestColocatedCalleeSeesWhatASocketCarries(t *testing.T) {
 	if _, err := routed.Invoke(context.Background(), caller.EPR(), "urn:Outer", req); err != nil {
 		t.Fatal(err)
 	}
-	if got := <-outerSaw; !got.principal || !got.invocation || !got.requestID || !got.value {
+	if got := <-outerSaw; !got.principal || !got.requestID || !got.value {
 		t.Fatalf("the caller's own context lacks what the test means to hide: %+v", got)
 	}
 	// The request ID is the one thing that crosses, and it crosses in the
 	// header ClientRequestID stamps and ServerRequestID lifts.
-	if got := <-observed; got.principal || got.invocation || got.value || !got.requestID || got.to != neighbour.Address {
+	if got := <-observed; got.principal || got.value || !got.requestID || got.to != neighbour.Address {
 		t.Fatalf("callee context: %+v; want only the header-borne request ID and its own addressing", got)
 	}
 	// Without the header there is no request ID either.

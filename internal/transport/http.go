@@ -22,6 +22,10 @@ import (
 // reaches the port, so a larger body grows as it is read.
 const exactReadMax = 1 << 20
 
+// maxEnvelope is the bound every binding holds an envelope to:
+// soap.MaxEnvelopeBytes, lowered only by tests.
+var maxEnvelope int64 = soap.MaxEnvelopeBytes
+
 // readBounded buffers an HTTP body of the stated length (-1: chunked) up
 // to soap.MaxEnvelopeBytes, failing instead of allocating without limit
 // on an oversized or malicious body. A stated length over the bound is
@@ -32,7 +36,7 @@ func readBounded(r io.Reader, length int64) ([]byte, error) {
 		return nil, err
 	}
 	if length < 0 || length > exactReadMax {
-		data, err := io.ReadAll(io.LimitReader(r, soap.MaxEnvelopeBytes()+1))
+		data, err := io.ReadAll(io.LimitReader(r, maxEnvelope+1))
 		if err != nil {
 			return nil, err
 		}
@@ -47,8 +51,8 @@ func readBounded(r io.Reader, length int64) ([]byte, error) {
 
 // bounded is the envelope bound's verdict on an n-byte envelope.
 func bounded(n int64) error {
-	if max := soap.MaxEnvelopeBytes(); n > max {
-		return fmt.Errorf("%w (limit %d bytes)", soap.ErrEnvelopeTooLarge, max)
+	if n > maxEnvelope {
+		return fmt.Errorf("%w (limit %d bytes)", soap.ErrEnvelopeTooLarge, maxEnvelope)
 	}
 	return nil
 }

@@ -53,11 +53,6 @@ func (n *Network) Lookup(host string) (*Server, bool) {
 	return srv, ok
 }
 
-// URL builds an inproc address for a service path on a host.
-func (n *Network) URL(host, path string) string {
-	return SchemeInproc + "://" + host + path
-}
-
 // inprocTransport is the one in-process delivery: behind inproc:// it
 // resolves the host on a Network, behind a co-located route
 // (Client.Colocate) every address is server's.
@@ -68,7 +63,7 @@ type inprocTransport struct {
 
 // wireContext is what a socket would leave of the caller's context: it
 // ends when the caller's does and carries none of its values (no
-// principal, no invocation, no request ID except through the headers).
+// principal, no request ID except through the headers).
 type wireContext struct{ context.Context }
 
 func (wireContext) Value(any) any { return nil }

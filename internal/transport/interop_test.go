@@ -112,7 +112,7 @@ func TestConnectionResetLeavesHostAttachedAndPooled(t *testing.T) {
 		if err != nil {
 			t.Fatalf("call %d after the reset: %v", i, err)
 		}
-		if !resp.HasAttachments() {
+		if len(resp.Attachments) == 0 {
 			t.Fatalf("call %d after the reset fell back to inline content", i)
 		}
 		if got := blobResponseData(t, resp); !bytes.Equal(got, data) {
@@ -199,7 +199,7 @@ func TestPoolReuseAndPeerTracking(t *testing.T) {
 		if err != nil {
 			t.Fatalf("call %d: %v", i, err)
 		}
-		if !resp.HasAttachments() {
+		if len(resp.Attachments) == 0 {
 			t.Fatalf("call %d: reply content was not attached", i)
 		}
 		if got := blobResponseData(t, resp); !bytes.Equal(got, data) {
@@ -353,9 +353,9 @@ func TestHTTPStaysInlineWhereTCPAttaches(t *testing.T) {
 	srv.Use(func(ctx context.Context, call *soap.CallInfo, next soap.Handler) (*soap.Envelope, error) {
 		if call.OneWay {
 			data, _ := call.Request.ContentBytes(call.Request.Body.Child(qData))
-			oneWay <- arrival{call.Request.HasAttachments(), data}
+			oneWay <- arrival{len(call.Request.Attachments) > 0, data}
 		} else {
-			requestAttached.Store(call.Request.HasAttachments())
+			requestAttached.Store(len(call.Request.Attachments) > 0)
 		}
 		return next(ctx, call)
 	})
@@ -384,7 +384,7 @@ func TestHTTPStaysInlineWhereTCPAttaches(t *testing.T) {
 	}{
 		{"soap.tcp", NewClient(), tl.BaseURL()},
 		{"http", NewClient(), httpBase},
-		{"inproc", NewClient().WithNetwork(network), network.URL("interop", "")},
+		{"inproc", NewClient().WithNetwork(network), "inproc://interop"},
 		{"colocated", colocated, "http://interop.example"},
 		{"faulted", faulted, httpBase},
 	} {
@@ -397,7 +397,7 @@ func TestHTTPStaysInlineWhereTCPAttaches(t *testing.T) {
 			if !requestAttached.Load() {
 				t.Fatal("the request's content reached the service inline")
 			}
-			if !resp.HasAttachments() {
+			if len(resp.Attachments) == 0 {
 				t.Fatal("the reply's content came back inline")
 			}
 			if got := blobResponseData(t, resp); !bytes.Equal(got, interopData) {

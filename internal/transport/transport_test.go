@@ -224,9 +224,6 @@ func TestNetworkRegistration(t *testing.T) {
 	n := NewNetwork()
 	srv := NewServer(soap.NewMux())
 	n.Register("a", srv)
-	if got := n.URL("a", "/S"); got != "inproc://a/S" {
-		t.Errorf("URL = %q", got)
-	}
 	if _, ok := n.Lookup("a"); !ok {
 		t.Error("lookup failed")
 	}

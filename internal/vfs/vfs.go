@@ -125,18 +125,6 @@ func (fs *FS) MkdirUnique(parent, prefix string) (string, error) {
 	}
 }
 
-// DirExists reports whether a directory exists.
-func (fs *FS) DirExists(path string) bool {
-	clean, err := CleanPath(path)
-	if err != nil {
-		return false
-	}
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	_, ok := fs.dirs[clean]
-	return ok
-}
-
 func validateName(name string) error {
 	if name == "" || strings.ContainsAny(name, "/\\") {
 		return fmt.Errorf("vfs: invalid file name %q", name)
@@ -272,16 +260,4 @@ func (fs *FS) Usage() (files int, bytes int64) {
 		}
 	}
 	return files, bytes
-}
-
-// Dirs lists all directory paths, sorted.
-func (fs *FS) Dirs() []string {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	out := make([]string, 0, len(fs.dirs))
-	for d := range fs.dirs {
-		out = append(out, d)
-	}
-	sort.Strings(out)
-	return out
 }

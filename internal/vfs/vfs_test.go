@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -41,7 +42,7 @@ func TestMkdirCreatesParents(t *testing.T) {
 		t.Fatalf("path = %q", path)
 	}
 	for _, d := range []string{"/grid", "/grid/jobs", "/grid/jobs/j1"} {
-		if !fs.DirExists(d) {
+		if !dirExists(fs, d) {
 			t.Errorf("missing parent %q", d)
 		}
 	}
@@ -63,7 +64,7 @@ func TestMkdirUnique(t *testing.T) {
 			t.Fatalf("duplicate unique dir %q", d)
 		}
 		seen[d] = true
-		if !fs.DirExists(d) {
+		if !dirExists(fs, d) {
 			t.Fatalf("unique dir %q not created", d)
 		}
 	}
@@ -255,10 +256,10 @@ func TestRemoveDirRecursive(t *testing.T) {
 	if err := fs.RemoveDir("/jobs/j1"); err != nil {
 		t.Fatal(err)
 	}
-	if fs.DirExists("/jobs/j1") || fs.DirExists("/jobs/j1/sub") {
+	if dirExists(fs, "/jobs/j1") || dirExists(fs, "/jobs/j1/sub") {
 		t.Error("directory tree survived removal")
 	}
-	if !fs.DirExists("/jobs") {
+	if !dirExists(fs, "/jobs") {
 		t.Error("parent removed")
 	}
 	if err := fs.RemoveDir("/"); err == nil {
@@ -284,10 +285,20 @@ func TestDirs(t *testing.T) {
 	fs := New()
 	fs.Mkdir("/b")
 	fs.Mkdir("/a")
-	got := fs.Dirs()
-	if !reflect.DeepEqual(got, []string{"/", "/a", "/b"}) {
-		t.Fatalf("Dirs = %v", got)
+	var got []string
+	for d := range fs.dirs {
+		got = append(got, d)
 	}
+	sort.Strings(got)
+	if !reflect.DeepEqual(got, []string{"/", "/a", "/b"}) {
+		t.Fatalf("dirs = %v", got)
+	}
+}
+
+// dirExists reports whether fs holds a directory at path.
+func dirExists(fs *FS, path string) bool {
+	_, err := fs.List(path)
+	return err == nil
 }
 
 // TestWriteReadRoundTripProperty: what is written is read back intact,

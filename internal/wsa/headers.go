@@ -48,13 +48,6 @@ func ApplyReply(env *soap.Envelope, req MessageInfo, action string) *soap.Envelo
 	return env
 }
 
-// SetReplyTo attaches a ReplyTo EPR (the client's notification listener
-// or TCP file server) to a request.
-func SetReplyTo(env *soap.Envelope, replyTo EndpointReference) {
-	env.RemoveHeader(qReplyTo)
-	env.AddHeader(replyTo.ElementNamed(qReplyTo))
-}
-
 func refPropHeaders(epr EndpointReference) []*xmlutil.Element {
 	if len(epr.ReferenceProperties) == 0 {
 		return nil

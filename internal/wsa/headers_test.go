@@ -91,7 +91,7 @@ func TestReplyToRoundTrip(t *testing.T) {
 	listener := NewEPR("soap.tcp://client:9000/files").WithProperty(qRID, "session-1")
 	env := soap.New(xmlutil.NewElement(xmlutil.Q(nsR, "Upload"), ""))
 	Apply(env, NewEPR("http://a/FSS"), "urn:Upload")
-	SetReplyTo(env, listener)
+	env.AddHeader(listener.ElementNamed(qReplyTo))
 
 	data, err := env.Marshal()
 	if err != nil {
@@ -107,31 +107,5 @@ func TestReplyToRoundTrip(t *testing.T) {
 	}
 	if !info.ReplyTo.Equal(listener) {
 		t.Fatalf("ReplyTo = %v", info.ReplyTo)
-	}
-}
-
-func TestSetReplyToReplaces(t *testing.T) {
-	env := soap.New(xmlutil.NewElement(xmlutil.Q(nsR, "x"), ""))
-	SetReplyTo(env, NewEPR("http://old"))
-	SetReplyTo(env, NewEPR("http://new"))
-	info := MessageInfo{}
-	if rt := env.Header(qReplyTo); rt != nil {
-		epr, err := ParseEPR(rt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		info.ReplyTo = epr
-	}
-	if info.ReplyTo.Address != "http://new" {
-		t.Fatalf("ReplyTo = %v", info.ReplyTo)
-	}
-	n := 0
-	for _, h := range env.Headers {
-		if h.Name == qReplyTo {
-			n++
-		}
-	}
-	if n != 1 {
-		t.Fatalf("%d ReplyTo headers", n)
 	}
 }

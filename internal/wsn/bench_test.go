@@ -103,7 +103,7 @@ func newNotifyHarness(tb testing.TB, consumers int, viaBroker bool) *notifyHarne
 // has processed it — the end-to-end push path.
 func (h *notifyHarness) publishAndWait(ctx context.Context) error {
 	start := h.received.Load()
-	payload := TextMessage(xmlutil.Q(nsBench, "Event"), "tick")
+	payload := xmlutil.NewElement(xmlutil.Q(nsBench, "Event"), "tick")
 	if h.broker != nil {
 		if err := PublishViaBroker(ctx, h.client, h.broker.EPR(), Notification{Topic: "bench/tick", Message: payload}); err != nil {
 			return err
@@ -186,7 +186,7 @@ func BenchmarkE4_BurstToOneConsumer(b *testing.B) {
 	const burst = 16
 	ctx := context.Background()
 	owner := wsrf.MustService(wsrf.ServiceConfig{Path: "/ES", Address: "inproc://producer"})
-	producer := MustProducer(owner,
+	producer := mustProducer(owner,
 		wsrf.NewStateHome(resourcedb.NewStore().MustTable("subs", resourcedb.BlobCodec{})), transport.NewClient())
 
 	var handled, exchanges atomic.Int64
@@ -207,7 +207,7 @@ func BenchmarkE4_BurstToOneConsumer(b *testing.B) {
 	if _, err := producer.Subscribe(wsa.NewEPR(base+"/listener"), Simple("bench")); err != nil {
 		b.Fatal(err)
 	}
-	payload := TextMessage(xmlutil.Q(nsBench, "Event"), "tick")
+	payload := xmlutil.NewElement(xmlutil.Q(nsBench, "Event"), "tick")
 
 	b.ResetTimer()
 	for i := 1; i <= b.N; i++ {

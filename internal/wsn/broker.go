@@ -2,7 +2,6 @@ package wsn
 
 import (
 	"context"
-	"sync"
 
 	"uvacg/internal/soap"
 	"uvacg/internal/transport"
@@ -20,9 +19,6 @@ import (
 type Broker struct {
 	svc      *wsrf.Service
 	producer *Producer
-
-	mu      sync.Mutex
-	relayed int
 }
 
 // NewBroker builds a broker service at path (e.g. "/NotificationBroker")
@@ -61,17 +57,7 @@ func (b *Broker) handleNotify(ctx context.Context, inv *wsrf.Invocation, body *x
 		return nil, soap.SenderFault("%v", err)
 	}
 	b.producer.publish(ctx, notifications...)
-	b.mu.Lock()
-	b.relayed += len(notifications)
-	b.mu.Unlock()
 	return nil, nil
-}
-
-// Relayed reports how many notifications the broker has fanned out.
-func (b *Broker) Relayed() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.relayed
 }
 
 // PublishViaBroker sends notifications to a broker as one one-way Notify

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"uvacg/internal/soap"
-	"uvacg/internal/xmlutil"
 )
 
 // Consumer is the light-weight notification receiver clients run
@@ -80,32 +79,4 @@ func (c *Consumer) handleNotify(ctx context.Context, req *soap.Envelope) (*soap.
 		}
 	}
 	return nil, nil
-}
-
-// Deliver injects a notification directly (in-process producers and
-// tests), bypassing the wire.
-func (c *Consumer) Deliver(n Notification) {
-	c.mu.RLock()
-	handlers := make([]consumerHandler, len(c.handlers))
-	copy(handlers, c.handlers)
-	c.mu.RUnlock()
-	for _, h := range handlers {
-		if h.te.Matches(n.Topic) {
-			h.fn(context.Background(), n)
-		}
-	}
-}
-
-// PayloadText is a convenience for string payload elements published via
-// TextMessage.
-func (n Notification) PayloadText() string {
-	if n.Message == nil {
-		return ""
-	}
-	return n.Message.Text
-}
-
-// TextMessage builds a simple text payload element.
-func TextMessage(name xmlutil.QName, text string) *xmlutil.Element {
-	return xmlutil.NewElement(name, text)
 }

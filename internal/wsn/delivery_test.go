@@ -3,7 +3,9 @@ package wsn
 import (
 	"context"
 	"errors"
+	"log"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -41,7 +43,7 @@ func newDeliveryHarness(t *testing.T) *deliveryHarness {
 
 	store := resourcedb.NewStore()
 	owner := wsrf.MustService(wsrf.ServiceConfig{Path: "/ES", Address: "inproc://node-a"})
-	h.producer = MustProducer(owner, wsrf.NewStateHome(store.MustTable("subs", resourcedb.BlobCodec{})), client)
+	h.producer = mustProducer(owner, wsrf.NewStateHome(store.MustTable("subs", resourcedb.BlobCodec{})), client)
 	nodeMux := soap.NewMux()
 	nodeMux.Handle(owner.Path(), owner.Dispatcher())
 	nodeMux.Handle(h.producer.SubscriptionService().Path(), h.producer.SubscriptionService().Dispatcher())
@@ -92,7 +94,7 @@ func TestNotifyRetryRecoversTransientConsumer(t *testing.T) {
 	if left := h.failRemaining.Load(); left != -1 {
 		t.Fatalf("the Notify crossed the wire %d time(s), want 3", 2-left)
 	}
-	if n := h.producer.SubscriptionCount(); n != 1 {
+	if n := h.producer.subscriptionCount(); n != 1 {
 		t.Fatalf("subscription count %d after recovered delivery", n)
 	}
 }
@@ -120,7 +122,72 @@ func TestNotifyRetryDropsPermanentConsumer(t *testing.T) {
 			t.Fatalf("healthy consumer missed notification %d", i)
 		}
 	}
-	if n := h.producer.SubscriptionCount(); n != 1 {
+	if n := h.producer.subscriptionCount(); n != 1 {
 		t.Fatalf("subscription count %d, want 1: dead consumer not dropped", n)
+	}
+}
+
+// flakyHome is a subscription home whose Destroy fails while failDestroy
+// is positive: the removal did not reach the journal.
+type flakyHome struct {
+	wsrf.ResourceHome
+	failDestroy atomic.Int64
+}
+
+func (h *flakyHome) Destroy(id string) error {
+	if h.failDestroy.Add(-1) >= 0 {
+		return errors.New("injected journal failure")
+	}
+	return h.ResourceHome.Destroy(id)
+}
+
+// lockedLog collects what the log package writes, from any goroutine.
+type lockedLog struct {
+	mu  sync.Mutex
+	buf strings.Builder
+}
+
+func (l *lockedLog) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.buf.Write(p)
+}
+
+func (l *lockedLog) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.buf.String()
+}
+
+// TestFailedDestroyOfDeadSubscriptionIsLogged: when the removal of a dead
+// subscription fails, the producer logs the error once, naming the
+// subscription, and the next failed delivery removes it.
+func TestFailedDestroyOfDeadSubscriptionIsLogged(t *testing.T) {
+	logged := new(lockedLog)
+	defer log.SetOutput(log.Writer())
+	log.SetOutput(logged)
+
+	home := &flakyHome{ResourceHome: wsrf.NewStateHome(resourcedb.NewStore().MustTable("subs", resourcedb.BlobCodec{}))}
+	home.failDestroy.Store(1)
+	owner := wsrf.MustService(wsrf.ServiceConfig{Path: "/ES", Address: "inproc://node-a"})
+	p := mustProducer(owner, home, transport.NewClient().WithNetwork(transport.NewNetwork()))
+	sub, err := p.Subscribe(wsa.NewEPR("inproc://ghost/listener"), Simple("jobs"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := sub.Property(wsrf.QResourceID)
+	ctx := context.Background()
+	for i := 0; i < maxDeliveryFailures; i++ {
+		p.Publish(ctx, "jobs/x", owner.EPR(), nil)
+	}
+	if n := p.subscriptionCount(); n != 1 {
+		t.Fatalf("%d subscriptions after a failed destroy, want the dead one still held", n)
+	}
+	if got := logged.String(); strings.Count(got, id) != 1 || !strings.Contains(got, "injected journal failure") {
+		t.Fatalf("log %q: want one line naming subscription %s and the error", got, id)
+	}
+	p.Publish(ctx, "jobs/x", owner.EPR(), nil)
+	if n := p.subscriptionCount(); n != 0 || home.Exists(id) {
+		t.Fatalf("%d subscriptions (stored: %v) after the next failed delivery, want none", n, home.Exists(id))
 	}
 }

@@ -112,14 +112,14 @@ func TestIndexedMatchEqualsBruteForce(t *testing.T) {
 		}
 		for _, epr := range eprs {
 			if rng.Intn(2) == 0 {
-				if err := h.producer.Unsubscribe(epr.Property(wsrf.QResourceID)); err != nil {
+				if err := h.producer.subSvc.DestroyResource(epr.Property(wsrf.QResourceID)); err != nil {
 					t.Fatal(err)
 				}
 			}
 		}
 		// A restarted producer over the same home.
 		owner2 := wsrf.MustService(wsrf.ServiceConfig{Path: "/ES2", Address: "inproc://node-a"})
-		recovered := MustProducer(owner2, h.producer.SubscriptionService().Home(), h.client)
+		recovered := mustProducer(owner2, h.producer.SubscriptionService().Home(), h.client)
 
 		for name, p := range map[string]*Producer{"live": h.producer, "recovered": recovered} {
 			checkIndex(t, p)

@@ -15,6 +15,7 @@ import (
 	"uvacg/internal/transport"
 	"uvacg/internal/wsa"
 	"uvacg/internal/wsrf"
+	"uvacg/internal/xmlutil"
 )
 
 // wire is a fake send: it records every batch per destination and lets a
@@ -288,12 +289,12 @@ func TestBatchFailureChargesEachSubscription(t *testing.T) {
 			t.Fatalf("round %d: %d deliveries succeeded, want the healthy consumer's one", i, got)
 		}
 	}
-	if n := h.producer.SubscriptionCount(); n != 3 {
+	if n := h.producer.subscriptionCount(); n != 3 {
 		t.Fatalf("%d subscriptions after %d failures each, want all 3 kept", n, maxDeliveryFailures-1)
 	}
 	// The eighth failure on "jobs" alone drops that subscription only.
 	h.producer.Publish(ctx, "jobs/j/exited", wsa.EndpointReference{}, nil)
-	if n := h.producer.SubscriptionCount(); n != 2 {
+	if n := h.producer.subscriptionCount(); n != 2 {
 		t.Fatalf("%d subscriptions after the eighth failure on one, want 2", n)
 	}
 	// A success clears the other's count.
@@ -349,9 +350,6 @@ func TestBrokerRelaysTogether(t *testing.T) {
 	if _, err := client.Call(context.Background(), broker.EPR(), ActionNotify, NotifyBody(ns...)); err != nil {
 		t.Fatal(err)
 	}
-	if broker.Relayed() != k {
-		t.Fatalf("broker relayed %d, want %d", broker.Relayed(), k)
-	}
 	select {
 	case got := <-arrived:
 		if len(got) != k {
@@ -379,8 +377,8 @@ func TestBrokerRelaysTogether(t *testing.T) {
 func TestBatchedNotifyAcrossBindings(t *testing.T) {
 	job := wsa.NewEPR("http://node-a:8701/ExecutionService").WithProperty(wsrf.QResourceID, "job-7")
 	sent := []Notification{
-		{Topic: "jobset-1/gen/directory", Producer: job, Message: TextMessage(qEvent, "dir <&> \"quoted\"")},
-		{Topic: "jobset-1/gen/started", Producer: job, Message: TextMessage(qEvent, "started")},
+		{Topic: "jobset-1/gen/directory", Producer: job, Message: xmlutil.NewElement(qEvent, "dir <&> \"quoted\"")},
+		{Topic: "jobset-1/gen/started", Producer: job, Message: xmlutil.NewElement(qEvent, "started")},
 		{Topic: "jobset-1/gen/exited", Producer: job},
 	}
 	want, err := soap.New(NotifyBody(sent...)).Marshal()
@@ -434,7 +432,7 @@ func TestBatchedNotifyAcrossBindings(t *testing.T) {
 			t.Fatalf("%s: parsed %d notifications, %v", base, len(back), err)
 		}
 		for i, n := range back {
-			if n.Topic != sent[i].Topic || !n.Producer.Equal(job) || n.PayloadText() != sent[i].PayloadText() {
+			if n.Topic != sent[i].Topic || !n.Producer.Equal(job) || !n.Message.Equal(sent[i].Message) {
 				t.Errorf("%s: message %d = %+v, sent %+v", base, i, n, sent[i])
 			}
 		}

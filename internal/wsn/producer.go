@@ -3,6 +3,7 @@ package wsn
 import (
 	"context"
 	"fmt"
+	"log"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -104,15 +105,6 @@ func NewProducer(owner *wsrf.Service, subHome wsrf.ResourceHome, client *transpo
 	}
 	owner.RegisterServiceMethod(ActionSubscribe, p.handleSubscribe)
 	return p, nil
-}
-
-// MustProducer is NewProducer that panics; for static wiring.
-func MustProducer(owner *wsrf.Service, subHome wsrf.ResourceHome, client *transport.Client) *Producer {
-	p, err := NewProducer(owner, subHome, client)
-	if err != nil {
-		panic(err)
-	}
-	return p
 }
 
 // SubscriptionService returns the subscription-manager service to mount
@@ -233,18 +225,6 @@ func (p *Producer) Subscribe(consumer wsa.EndpointReference, te *TopicExpression
 	return epr, nil
 }
 
-// Unsubscribe destroys a subscription by its resource id.
-func (p *Producer) Unsubscribe(id string) error {
-	return p.subSvc.DestroyResource(id)
-}
-
-// SubscriptionCount reports the live subscription count.
-func (p *Producer) SubscriptionCount() int {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return len(p.subs)
-}
-
 // Publish delivers a notification on a concrete topic to every matching
 // subscriber as a one-way Notify, returning — once each delivery was
 // attempted — the number that succeeded. Deliveries leave through the
@@ -325,8 +305,11 @@ func (p *Producer) recordFailure(id string) {
 	p.mu.Unlock()
 	if dead {
 		// DestroyResource triggers the OnDestroy hook, which evicts the
-		// cache entry.
-		_ = p.subSvc.DestroyResource(id)
+		// cache entry. When it fails the subscription stays charged, so
+		// its next failed delivery tries again.
+		if err := p.subSvc.DestroyResource(id); err != nil {
+			log.Printf("wsn: destroying dead subscription %s: %v", id, err)
+		}
 	}
 }
 

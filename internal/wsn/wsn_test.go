@@ -23,7 +23,7 @@ func TestNotifyBodyRoundTrip(t *testing.T) {
 	n1 := Notification{
 		Topic:    "jobset-1/job-2/exited",
 		Producer: wsa.NewEPR("inproc://node-a/ES").WithProperty(wsrf.QResourceID, "job-2"),
-		Message:  TextMessage(qEvent, "exit code 0"),
+		Message:  xmlutil.NewElement(qEvent, "exit code 0"),
 	}
 	n2 := Notification{Topic: "jobset-1/job-3/started"}
 	body := NotifyBody(n1, n2)
@@ -34,10 +34,10 @@ func TestNotifyBodyRoundTrip(t *testing.T) {
 	if len(back) != 2 {
 		t.Fatalf("%d notifications", len(back))
 	}
-	if back[0].Topic != n1.Topic || !back[0].Producer.Equal(n1.Producer) || back[0].PayloadText() != "exit code 0" {
+	if back[0].Topic != n1.Topic || !back[0].Producer.Equal(n1.Producer) || back[0].Message.Text != "exit code 0" {
 		t.Fatalf("notification[0] = %+v", back[0])
 	}
-	if back[1].Message != nil || back[1].PayloadText() != "" {
+	if back[1].Message != nil {
 		t.Fatalf("empty payload mishandled: %+v", back[1])
 	}
 }
@@ -167,7 +167,7 @@ func newWSNHarness(t *testing.T) *wsnHarness {
 
 	store := resourcedb.NewStore()
 	owner := wsrf.MustService(wsrf.ServiceConfig{Path: "/ES", Address: "inproc://node-a"})
-	producer := MustProducer(owner, wsrf.NewStateHome(store.MustTable("subs", resourcedb.BlobCodec{})), client)
+	producer := mustProducer(owner, wsrf.NewStateHome(store.MustTable("subs", resourcedb.BlobCodec{})), client)
 
 	nodeMux := soap.NewMux()
 	nodeMux.Handle(owner.Path(), owner.Dispatcher())
@@ -213,12 +213,12 @@ func TestSubscribePublishEndToEnd(t *testing.T) {
 		t.Fatal("subscription EPR has no resource id")
 	}
 
-	delivered := h.producer.Publish(ctx, "jobset-1/job-1/exited", h.owner.EPR(), TextMessage(qEvent, "code 0"))
+	delivered := h.producer.Publish(ctx, "jobset-1/job-1/exited", h.owner.EPR(), xmlutil.NewElement(qEvent, "code 0"))
 	if delivered != 1 {
 		t.Fatalf("delivered = %d", delivered)
 	}
 	n := waitFor(t, events)
-	if n.Topic != "jobset-1/job-1/exited" || n.PayloadText() != "code 0" {
+	if n.Topic != "jobset-1/job-1/exited" || n.Message.Text != "code 0" {
 		t.Fatalf("got %+v", n)
 	}
 }
@@ -244,8 +244,8 @@ func TestUnsubscribeViaResourceDestroy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.producer.SubscriptionCount() != 1 {
-		t.Fatalf("count = %d", h.producer.SubscriptionCount())
+	if h.producer.subscriptionCount() != 1 {
+		t.Fatalf("count = %d", h.producer.subscriptionCount())
 	}
 	// Unsubscribing is destroying the subscription WS-Resource — the
 	// WSRF lifetime port type, no bespoke Unsubscribe operation needed.
@@ -253,8 +253,8 @@ func TestUnsubscribeViaResourceDestroy(t *testing.T) {
 	if err := rc.Destroy(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if h.producer.SubscriptionCount() != 0 {
-		t.Fatalf("count after destroy = %d", h.producer.SubscriptionCount())
+	if h.producer.subscriptionCount() != 0 {
+		t.Fatalf("count after destroy = %d", h.producer.subscriptionCount())
 	}
 	if n := h.producer.Publish(ctx, "jobset-1/x", h.owner.EPR(), nil); n != 0 {
 		t.Fatalf("destroyed subscription still delivered (%d)", n)
@@ -285,7 +285,7 @@ func TestProducerRecoversSubscriptionsFromHome(t *testing.T) {
 	home := wsrf.NewStateHome(store.MustTable("subs", resourcedb.BlobCodec{}))
 
 	owner1 := wsrf.MustService(wsrf.ServiceConfig{Path: "/ES", Address: "inproc://node-a"})
-	p1 := MustProducer(owner1, home, client)
+	p1 := mustProducer(owner1, home, client)
 	if _, err := p1.Subscribe(wsa.NewEPR("inproc://client/listener"), Simple("jobs")); err != nil {
 		t.Fatal(err)
 	}
@@ -293,9 +293,9 @@ func TestProducerRecoversSubscriptionsFromHome(t *testing.T) {
 	// A new producer over the same home (service restart) sees the
 	// subscription without any client action.
 	owner2 := wsrf.MustService(wsrf.ServiceConfig{Path: "/ES2", Address: "inproc://node-a"})
-	p2 := MustProducer(owner2, home, client)
-	if p2.SubscriptionCount() != 1 {
-		t.Fatalf("recovered %d subscriptions", p2.SubscriptionCount())
+	p2 := mustProducer(owner2, home, client)
+	if p2.subscriptionCount() != 1 {
+		t.Fatalf("recovered %d subscriptions", p2.subscriptionCount())
 	}
 }
 
@@ -309,9 +309,34 @@ func TestDeadConsumerIsEventuallyUnsubscribed(t *testing.T) {
 	for i := 0; i < maxDeliveryFailures; i++ {
 		h.producer.Publish(ctx, "jobs/x", h.owner.EPR(), nil)
 	}
-	if h.producer.SubscriptionCount() != 0 {
+	if h.producer.subscriptionCount() != 0 {
 		t.Fatalf("dead subscription survived %d failures", maxDeliveryFailures)
 	}
+}
+
+// deliver hands c one Notify of ns, as its endpoint receives it.
+func deliver(t *testing.T, c *Consumer, ns ...Notification) {
+	t.Helper()
+	call := &soap.CallInfo{Side: soap.ServerSide, Action: ActionNotify, Request: soap.New(NotifyBody(ns...))}
+	if _, err := c.Dispatcher().DispatchCall(context.Background(), call); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// subscriptionCount reports the live subscription count.
+func (p *Producer) subscriptionCount() int {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	return len(p.subs)
+}
+
+// mustProducer is NewProducer that panics.
+func mustProducer(owner *wsrf.Service, subHome wsrf.ResourceHome, client *transport.Client) *Producer {
+	p, err := NewProducer(owner, subHome, client)
+	if err != nil {
+		panic(err)
+	}
+	return p
 }
 
 func TestConsumerMultipleHandlersAndDeliver(t *testing.T) {
@@ -320,7 +345,7 @@ func TestConsumerMultipleHandlersAndDeliver(t *testing.T) {
 	c.Handle(Simple("a"), func(_ context.Context, n Notification) { got = append(got, "h1:"+n.Topic) })
 	c.Handle(MustTopicExpression(DialectFull, "a/*"), func(_ context.Context, n Notification) { got = append(got, "h2:"+n.Topic) })
 	c.Handle(Simple("b"), func(_ context.Context, n Notification) { got = append(got, "h3:"+n.Topic) })
-	c.Deliver(Notification{Topic: "a/x"})
+	deliver(t, c, Notification{Topic: "a/x"})
 	if len(got) != 2 || got[0] != "h1:a/x" || got[1] != "h2:a/x" {
 		t.Fatalf("handlers fired: %v", got)
 	}
@@ -330,14 +355,14 @@ func TestConsumerChannelOverflowDrops(t *testing.T) {
 	c := NewConsumer()
 	ch := c.Channel(Simple("t"), 2)
 	for i := 0; i < 5; i++ {
-		c.Deliver(Notification{Topic: "t", Message: TextMessage(qEvent, fmt.Sprint(i))})
+		deliver(t, c, Notification{Topic: "t", Message: xmlutil.NewElement(qEvent, fmt.Sprint(i))})
 	}
 	if len(ch) != 2 {
 		t.Fatalf("buffered %d", len(ch))
 	}
 	first := <-ch
-	if first.PayloadText() != "0" {
-		t.Fatalf("first buffered = %q", first.PayloadText())
+	if first.Message.Text != "0" {
+		t.Fatalf("first buffered = %q", first.Message.Text)
 	}
 }
 
@@ -377,7 +402,7 @@ func TestBrokerFanout(t *testing.T) {
 	err = PublishViaBroker(ctx, client, broker.EPR(), Notification{
 		Topic:    "jobset-1/job-1/exited",
 		Producer: producerEPR,
-		Message:  TextMessage(qEvent, "0"),
+		Message:  xmlutil.NewElement(qEvent, "0"),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -388,13 +413,6 @@ func TestBrokerFanout(t *testing.T) {
 		if n.Topic != "jobset-1/job-1/exited" {
 			t.Fatalf("consumer %d got %+v", i, n)
 		}
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for broker.Relayed() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("broker relayed count never incremented")
-		}
-		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -435,7 +453,7 @@ func TestBrokerKeepsNothingPerNotification(t *testing.T) {
 		ns := make([]Notification, 0, k)
 		for ; k > 0; k-- {
 			relayed++
-			ns = append(ns, Notification{Topic: fmt.Sprintf("set/job-%d/exited", relayed), Producer: broker.EPR(), Message: TextMessage(qEvent, "0")})
+			ns = append(ns, Notification{Topic: fmt.Sprintf("set/job-%d/exited", relayed), Producer: broker.EPR(), Message: xmlutil.NewElement(qEvent, "0")})
 		}
 		if _, err := client.Call(context.Background(), broker.EPR(), ActionNotify, NotifyBody(ns...)); err != nil {
 			t.Fatal(err)
@@ -458,9 +476,7 @@ func TestBrokerKeepsNothingPerNotification(t *testing.T) {
 		relay(batch)
 	}
 	grown := heap() - before
-	if broker.Relayed() != relayed { // and the broker is still alive to have kept something
-		t.Fatalf("broker relayed %d, want %d", broker.Relayed(), relayed)
-	}
+	runtime.KeepAlive(broker) // alive through the second reading, so whatever it kept counts
 	if grown >= 2<<20 {
 		t.Fatalf("relaying %d notifications on distinct topics grew the heap by %d KiB", n, grown>>10)
 	}
@@ -495,13 +511,13 @@ func TestSubscribeIsIdempotent(t *testing.T) {
 
 	// The producer restarts over the same home; the subscriber asks again.
 	owner2 := wsrf.MustService(wsrf.ServiceConfig{Path: "/ES", Address: "inproc://node-a"})
-	restarted := MustProducer(owner2, h.producer.SubscriptionService().Home(), h.client)
+	restarted := mustProducer(owner2, h.producer.SubscriptionService().Home(), h.client)
 	again, err := restarted.Subscribe(h.consEPR, Simple("jobset-1"))
 	if err != nil || !again.Equal(first) {
 		t.Fatalf("after a restart Subscribe returned %v, %v; the recovered subscription is %v", again, err, first)
 	}
 	for name, p := range map[string]*Producer{"live": h.producer, "restarted": restarted} {
-		if n := p.SubscriptionCount(); n != 1 {
+		if n := p.subscriptionCount(); n != 1 {
 			t.Fatalf("%s producer holds %d subscriptions, want 1", name, n)
 		}
 		if n := p.Publish(ctx, "jobset-1/job/exited", h.owner.EPR(), nil); n != 1 {
@@ -519,7 +535,7 @@ func TestSubscribeIsIdempotent(t *testing.T) {
 	if err != nil || other.Equal(first) {
 		t.Fatalf("another dialect returned %v, %v: not its own subscription", other, err)
 	}
-	if err := h.producer.Unsubscribe(first.Property(wsrf.QResourceID)); err != nil {
+	if err := h.producer.subSvc.DestroyResource(first.Property(wsrf.QResourceID)); err != nil {
 		t.Fatal(err)
 	}
 	fresh, err := h.producer.Subscribe(h.consEPR, Simple("jobset-1"))

@@ -39,18 +39,6 @@ func NewBaseFault(code, format string, args ...any) *BaseFault {
 	}
 }
 
-// WithOriginator records the faulting resource and returns the fault.
-func (f *BaseFault) WithOriginator(epr wsa.EndpointReference) *BaseFault {
-	f.Originator = epr
-	return f
-}
-
-// WithCause chains an underlying fault and returns the fault.
-func (f *BaseFault) WithCause(cause *BaseFault) *BaseFault {
-	f.Cause = cause
-	return f
-}
-
 // Error implements the error interface.
 func (f *BaseFault) Error() string {
 	if f.Cause != nil {

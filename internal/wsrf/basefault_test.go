@@ -12,9 +12,8 @@ import (
 func TestBaseFaultRoundTrip(t *testing.T) {
 	origin := wsa.NewEPR("inproc://node-a/ExecutionService").WithProperty(QResourceID, "job-3")
 	inner := NewBaseFault("ProcSpawnFault", "process exited %d", 137)
-	f := NewBaseFault("JobStartFault", "could not start job").
-		WithOriginator(origin).
-		WithCause(inner)
+	f := NewBaseFault("JobStartFault", "could not start job")
+	f.Originator, f.Cause = origin, inner
 
 	data, err := xmlutil.MarshalElement(f.Element())
 	if err != nil {
@@ -43,7 +42,8 @@ func TestBaseFaultRoundTrip(t *testing.T) {
 }
 
 func TestBaseFaultErrorString(t *testing.T) {
-	f := NewBaseFault("A", "top").WithCause(NewBaseFault("B", "bottom"))
+	f := NewBaseFault("A", "top")
+	f.Cause = NewBaseFault("B", "bottom")
 	msg := f.Error()
 	if !strings.Contains(msg, "A: top") || !strings.Contains(msg, "B: bottom") {
 		t.Fatalf("Error() = %q", msg)

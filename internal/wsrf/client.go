@@ -60,19 +60,6 @@ func (rc *ResourceClient) GetDocument(ctx context.Context) (*xmlutil.Element, er
 	return body.Children[0], nil
 }
 
-// GetMultiple fetches several properties in one round trip.
-func (rc *ResourceClient) GetMultiple(ctx context.Context, names ...xmlutil.QName) (map[xmlutil.QName][]*xmlutil.Element, error) {
-	body, err := rc.c.Call(ctx, rc.epr, ActionGetMultipleResourceProperties, GetMultipleResourcePropertiesRequest(names...))
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[xmlutil.QName][]*xmlutil.Element)
-	for _, el := range body.Children {
-		out[el.Name] = append(out[el.Name], el)
-	}
-	return out, nil
-}
-
 // Query evaluates an XPath-lite expression over the resource properties
 // document and returns the matches.
 func (rc *ResourceClient) Query(ctx context.Context, expr string) ([]*xmlutil.Element, error) {

@@ -95,6 +95,3 @@ func (h *StateHome) Exists(id string) bool { return h.table.Exists(id) }
 
 // IDs implements ResourceHome.
 func (h *StateHome) IDs() []string { return h.table.IDs() }
-
-// Table exposes the backing table for service-level queries.
-func (h *StateHome) Table() *resourcedb.Table { return h.table }

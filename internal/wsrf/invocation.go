@@ -1,7 +1,6 @@
 package wsrf
 
 import (
-	"context"
 	"sync"
 
 	"uvacg/internal/soap"
@@ -94,19 +93,6 @@ func (inv *Invocation) EPR() wsa.EndpointReference {
 // markDestroyed tells the pipeline the resource is gone and its state
 // must not be written back.
 func (inv *Invocation) markDestroyed() { inv.destroyed = true }
-
-type invKey struct{}
-
-// invocationContext attaches inv for nested helpers.
-func invocationContext(ctx context.Context, inv *Invocation) context.Context {
-	return context.WithValue(ctx, invKey{}, inv)
-}
-
-// InvocationFrom recovers the current invocation.
-func InvocationFrom(ctx context.Context) (*Invocation, bool) {
-	inv, ok := ctx.Value(invKey{}).(*Invocation)
-	return inv, ok
-}
 
 // resourceLocks serializes invocations per resource id, so two
 // simultaneous method calls on one WS-Resource do not interleave their

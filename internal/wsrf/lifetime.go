@@ -16,9 +16,6 @@ import (
 // WS-ResourceProperties.
 type LifetimePortType struct{}
 
-// Name implements PortType.
-func (LifetimePortType) Name() string { return "WS-ResourceLifetime" }
-
 // Attach implements PortType.
 func (LifetimePortType) Attach(s *Service) {
 	s.RegisterMethod(ActionDestroy, s.handleDestroy)

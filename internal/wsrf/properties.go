@@ -14,9 +14,6 @@ import (
 // Enable it with Service.Enable(ResourcePropertiesPortType{}).
 type ResourcePropertiesPortType struct{}
 
-// Name implements PortType.
-func (ResourcePropertiesPortType) Name() string { return "WS-ResourceProperties" }
-
 // Attach implements PortType.
 func (ResourcePropertiesPortType) Attach(s *Service) {
 	s.RegisterReadMethod(ActionGetResourceProperty, s.handleGetResourceProperty)
@@ -236,16 +233,6 @@ func GetResourcePropertyRequest(name xmlutil.QName) *xmlutil.Element {
 	return xmlutil.NewElement(qGetResourceProperty, name.String())
 }
 
-// GetMultipleResourcePropertiesRequest builds the request body for
-// several properties.
-func GetMultipleResourcePropertiesRequest(names ...xmlutil.QName) *xmlutil.Element {
-	req := &xmlutil.Element{Name: qGetMultiple}
-	for _, n := range names {
-		req.Append(xmlutil.NewElement(qResourceProperty, n.String()))
-	}
-	return req
-}
-
 // QueryResourcePropertiesRequest builds a query request body.
 func QueryResourcePropertiesRequest(expr string) *xmlutil.Element {
 	q := xmlutil.NewElement(qQueryExpression, expr)
@@ -254,19 +241,12 @@ func QueryResourcePropertiesRequest(expr string) *xmlutil.Element {
 }
 
 // SetRequest assembles a SetResourceProperties request body from
-// component elements built with InsertComponent, UpdateComponent and
-// DeleteComponent.
+// Insert, Update (UpdateComponent) and Delete (DeleteComponent)
+// components.
 func SetRequest(components ...*xmlutil.Element) *xmlutil.Element {
 	req := &xmlutil.Element{Name: qSetRP}
 	req.Append(components...)
 	return req
-}
-
-// InsertComponent builds an Insert component.
-func InsertComponent(values ...*xmlutil.Element) *xmlutil.Element {
-	c := &xmlutil.Element{Name: qInsert}
-	c.Append(values...)
-	return c
 }
 
 // UpdateComponent builds an Update component.

@@ -25,8 +25,6 @@ type PropertyProvider func(ctx context.Context, inv *Invocation) ([]*xmlutil.Ele
 type PortType interface {
 	// Attach registers the port type's actions on the service.
 	Attach(s *Service)
-	// Name identifies the port type for diagnostics.
-	Name() string
 }
 
 // Service is the WSRF.NET ServiceSkeleton equivalent: a dispatcher wired
@@ -38,7 +36,6 @@ type Service struct {
 	dispatcher *soap.Dispatcher
 	locks      *resourceLocks
 	providers  map[xmlutil.QName]PropertyProvider
-	portTypes  []string
 	// RequireResource causes author methods to fault when the EPR names
 	// no resource id. Factories register with RegisterServiceMethod to
 	// bypass the load.
@@ -119,15 +116,7 @@ func (s *Service) EPRFor(id string) wsa.EndpointReference {
 // Enable composes a WSRF port type into the service.
 func (s *Service) Enable(pt PortType) *Service {
 	pt.Attach(s)
-	s.portTypes = append(s.portTypes, pt.Name())
 	return s
-}
-
-// PortTypes lists the names of enabled port types.
-func (s *Service) PortTypes() []string {
-	out := make([]string, len(s.portTypes))
-	copy(out, s.portTypes)
-	return out
 }
 
 // OnDestroy registers a hook observing resource destruction through the
@@ -208,7 +197,6 @@ func (s *Service) invokeWithResource(ctx context.Context, req *soap.Envelope, fn
 		}
 	}
 
-	ctx = invocationContext(ctx, inv)
 	respBody, err := fn(ctx, inv, req.Body)
 	if err != nil {
 		return nil, err

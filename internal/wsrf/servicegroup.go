@@ -34,9 +34,6 @@ type Entry struct {
 // for scheduling" (paper §4.4).
 type ServiceGroupPortType struct{}
 
-// Name implements PortType.
-func (ServiceGroupPortType) Name() string { return "WS-ServiceGroup" }
-
 // Attach implements PortType.
 func (ServiceGroupPortType) Attach(s *Service) {
 	s.RegisterMethod(ActionAdd, s.handleAdd)
@@ -118,21 +115,6 @@ func keyInUse(groupDoc *xmlutil.Element, key string) bool {
 	return false
 }
 
-// RemoveEntry deletes the entry with the given key, reporting success.
-func RemoveEntry(groupDoc *xmlutil.Element, key string) bool {
-	kept := groupDoc.Children[:0]
-	removed := false
-	for _, c := range groupDoc.Children {
-		if c.Name == qEntry && c.Attr(qEntryKey) == key {
-			removed = true
-			continue
-		}
-		kept = append(kept, c)
-	}
-	groupDoc.Children = kept
-	return removed
-}
-
 // Entries decodes every entry in a group document.
 func Entries(groupDoc *xmlutil.Element) ([]Entry, error) {
 	var out []Entry
@@ -144,28 +126,6 @@ func Entries(groupDoc *xmlutil.Element) ([]Entry, error) {
 		out = append(out, entry)
 	}
 	return out, nil
-}
-
-// UpdateEntryContent replaces the content of the entry with the given
-// key, reporting success.
-func UpdateEntryContent(groupDoc *xmlutil.Element, key string, content *xmlutil.Element) bool {
-	for _, e := range groupDoc.ChildrenNamed(qEntry) {
-		if e.Attr(qEntryKey) != key {
-			continue
-		}
-		kept := e.Children[:0]
-		for _, c := range e.Children {
-			if c.Name != qContent {
-				kept = append(kept, c)
-			}
-		}
-		e.Children = kept
-		if content != nil {
-			e.Append(xmlutil.NewContainer(qContent, content.Clone()))
-		}
-		return true
-	}
-	return false
 }
 
 func entryFromElement(e *xmlutil.Element) (Entry, error) {

@@ -212,7 +212,7 @@ func TestSetResourceProperties(t *testing.T) {
 	qOwner := xmlutil.Q(nsJob, "Owner")
 
 	// Insert.
-	if err := rc.Set(ctx, InsertComponent(xmlutil.NewElement(qOwner, "wasson"))); err != nil {
+	if err := rc.Set(ctx, xmlutil.NewContainer(qInsert, xmlutil.NewElement(qOwner, "wasson"))); err != nil {
 		t.Fatal(err)
 	}
 	if got, _ := rc.GetPropertyText(ctx, qOwner); got != "wasson" {
@@ -422,14 +422,6 @@ func TestDuplicatePropertyProviderPanics(t *testing.T) {
 		}
 	}()
 	h.svc.RegisterProperty(qBanner, nil)
-}
-
-func TestPortTypeNames(t *testing.T) {
-	h := newHarness(t)
-	got := h.svc.PortTypes()
-	if len(got) != 2 || got[0] != "WS-ResourceProperties" || got[1] != "WS-ResourceLifetime" {
-		t.Fatalf("port types = %v", got)
-	}
 }
 
 func TestEPRForEmptyIDIsServiceEPR(t *testing.T) {

@@ -32,7 +32,6 @@ func newSecurityHarness(tb testing.TB) *securityHarness {
 	ic := Interceptor(VerifierConfig{
 		Identity: id,
 		Accounts: StaticAccounts{"scientist": "secret"},
-		Required: true,
 	})
 	verify := func(ctx context.Context, req *soap.Envelope) (*soap.Envelope, error) {
 		call := &soap.CallInfo{Side: soap.ServerSide, Request: req}

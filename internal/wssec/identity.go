@@ -46,9 +46,6 @@ func NewIdentity(subject string) (*Identity, error) {
 	return &Identity{subject: subject, key: key}, nil
 }
 
-// Subject returns the identity's subject name.
-func (id *Identity) Subject() string { return id.subject }
-
 // Certificate returns the shareable public half.
 func (id *Identity) Certificate() Certificate {
 	return Certificate{Subject: id.subject, Key: &id.key.PublicKey}

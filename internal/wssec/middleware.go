@@ -24,22 +24,32 @@ func (s StaticAccounts) LookupPassword(username string) (string, bool) {
 	return pw, ok
 }
 
-// ReplayCache rejects reuse of (nonce, created) pairs inside the
+// replayWindow is how far a token's Created may lie from the verifier's
+// clock, either way, and so how long its nonce is remembered. Clients,
+// the master and the nodes must keep their clocks within it of each
+// other.
+const replayWindow = 5 * time.Minute
+
+// now is the verifier's clock; the package's tests set it.
+var now = time.Now
+
+// replayCache rejects reuse of (nonce, created) pairs inside the
 // freshness window, the standard UsernameToken replay defence.
-type ReplayCache struct {
+type replayCache struct {
 	mu     sync.Mutex
 	window time.Duration
 	seen   map[string]time.Time
+	swept  time.Time // when seen last lost its expired nonces
 }
 
-// NewReplayCache builds a cache accepting tokens at most window old.
-func NewReplayCache(window time.Duration) *ReplayCache {
-	return &ReplayCache{window: window, seen: make(map[string]time.Time)}
+// newReplayCache builds a cache accepting tokens at most window old.
+func newReplayCache(window time.Duration) *replayCache {
+	return &replayCache{window: window, seen: make(map[string]time.Time)}
 }
 
-// Check admits a token once; the second sight of a nonce, or a stale
+// check admits a token once; the second sight of a nonce, or a stale
 // Created timestamp, is rejected.
-func (rc *ReplayCache) Check(nonce string, created, now time.Time) error {
+func (rc *replayCache) check(nonce string, created, now time.Time) error {
 	if created.IsZero() {
 		return errStale
 	}
@@ -49,11 +59,16 @@ func (rc *ReplayCache) Check(nonce string, created, now time.Time) error {
 	}
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
-	// Opportunistic expiry keeps the map bounded by traffic-per-window.
-	for n, t := range rc.seen {
-		if now.Sub(t) > rc.window {
-			delete(rc.seen, n)
+	// Expired nonces leave at most once a window, so the map holds two
+	// windows of traffic at most and a check costs O(1) amortized. A
+	// stale token is refused above whether or not its nonce is still here.
+	if now.Sub(rc.swept) > rc.window {
+		for n, t := range rc.seen {
+			if now.Sub(t) > rc.window {
+				delete(rc.seen, n)
+			}
 		}
+		rc.swept = now
 	}
 	if _, dup := rc.seen[nonce]; dup {
 		return errReplay
@@ -90,12 +105,6 @@ type VerifierConfig struct {
 	Identity *Identity
 	// Accounts validates the UsernameToken.
 	Accounts CredentialStore
-	// Replay, when set, enforces nonce freshness.
-	Replay *ReplayCache
-	// Required, when true, faults requests with no security header.
-	Required bool
-	// Now supplies time for freshness checks; defaults to time.Now.
-	Now func() time.Time
 }
 
 // InterceptorFor scopes Interceptor(cfg) to specific WS-Addressing
@@ -119,15 +128,12 @@ func InterceptorFor(cfg VerifierConfig, actions ...string) soap.Interceptor {
 }
 
 // Interceptor builds a server-side soap.Interceptor enforcing cfg: it
-// decrypts the security header if needed, validates the UsernameToken
-// against the account store, checks replay, and attaches the Principal
-// to the request context for the handler (the ES reads it to pick the
-// spawn account).
+// decrypts the security header if needed, requires a UsernameToken and
+// validates it against the account store, accepts each token once and
+// only inside replayWindow, and attaches the Principal to the request
+// context for the handler (the ES reads it to pick the spawn account).
 func Interceptor(cfg VerifierConfig) soap.Interceptor {
-	now := cfg.Now
-	if now == nil {
-		now = time.Now
-	}
+	replay := newReplayCache(replayWindow)
 	return func(ctx context.Context, call *soap.CallInfo, next soap.Handler) (*soap.Envelope, error) {
 		req := call.Request
 		if HasEncryptedHeader(req) {
@@ -140,10 +146,7 @@ func Interceptor(cfg VerifierConfig) soap.Interceptor {
 		}
 		tok, err := ExtractToken(req)
 		if err != nil {
-			if cfg.Required {
-				return nil, soap.SenderFault("wssec: authentication required: %v", err)
-			}
-			return next(ctx, call)
+			return nil, soap.SenderFault("wssec: authentication required: %v", err)
 		}
 		if cfg.Accounts == nil {
 			return nil, soap.ReceiverFault("wssec: no account store configured")
@@ -155,10 +158,8 @@ func Interceptor(cfg VerifierConfig) soap.Interceptor {
 		if err := tok.Verify(expected); err != nil {
 			return nil, soap.SenderFault("wssec: %v", err)
 		}
-		if cfg.Replay != nil {
-			if err := cfg.Replay.Check(tok.Nonce, tok.Created, now()); err != nil {
-				return nil, err
-			}
+		if err := replay.check(tok.Nonce, tok.Created, now()); err != nil {
+			return nil, err
 		}
 		// The verified plaintext password is what ProcSpawn needs.
 		ctx = context.WithValue(ctx, principalKey{}, Principal{Username: tok.Username, Password: expected})

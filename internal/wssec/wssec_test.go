@@ -179,27 +179,30 @@ func TestEncryptWithoutHeaderFails(t *testing.T) {
 }
 
 func TestReplayCache(t *testing.T) {
-	rc := NewReplayCache(time.Minute)
+	rc := newReplayCache(time.Minute)
 	now := time.Now()
-	if err := rc.Check("n1", now, now); err != nil {
+	if err := rc.check("n1", now, now); err != nil {
 		t.Fatal(err)
 	}
-	if err := rc.Check("n1", now, now); err == nil {
+	if err := rc.check("n1", now, now); err == nil {
 		t.Fatal("replay accepted")
 	}
-	if err := rc.Check("n2", now.Add(-2*time.Minute), now); err == nil {
+	if err := rc.check("n2", now.Add(-2*time.Minute), now); err == nil {
 		t.Fatal("stale token accepted")
 	}
-	if err := rc.Check("n3", now.Add(2*time.Minute), now); err == nil {
+	if err := rc.check("n3", now.Add(2*time.Minute), now); err == nil {
 		t.Fatal("future token accepted")
 	}
-	if err := rc.Check("n4", time.Time{}, now); err == nil {
+	if err := rc.check("n4", time.Time{}, now); err == nil {
 		t.Fatal("zero Created accepted")
 	}
 	// Nonces age out, so a long-running service's cache stays bounded.
 	later := now.Add(3 * time.Minute)
-	if err := rc.Check("n1", later, later); err != nil {
+	if err := rc.check("n1", later, later); err != nil {
 		t.Fatalf("expired nonce should be reusable: %v", err)
+	}
+	if len(rc.seen) != 1 {
+		t.Fatalf("%d nonces kept after the window passed, want the one just seen", len(rc.seen))
 	}
 }
 
@@ -239,12 +242,7 @@ func bind(ic soap.Interceptor, h soap.HandlerFunc) soap.HandlerFunc {
 func TestMiddlewareAuthenticates(t *testing.T) {
 	service, _ := NewIdentity("CN=ES")
 	accounts := StaticAccounts{"labuser": "pw"}
-	ic := Interceptor(VerifierConfig{
-		Identity: service,
-		Accounts: accounts,
-		Replay:   NewReplayCache(time.Minute),
-		Required: true,
-	})
+	ic := Interceptor(VerifierConfig{Identity: service, Accounts: accounts})
 	h := bind(ic, okHandler)
 
 	env := newEnv()
@@ -266,7 +264,7 @@ func TestMiddlewareAuthenticates(t *testing.T) {
 func TestMiddlewareRejections(t *testing.T) {
 	service, _ := NewIdentity("CN=ES")
 	accounts := StaticAccounts{"u": "pw"}
-	h := bind(Interceptor(VerifierConfig{Identity: service, Accounts: accounts, Required: true}), okHandler)
+	h := bind(Interceptor(VerifierConfig{Identity: service, Accounts: accounts}), okHandler)
 	ctx := context.Background()
 
 	t.Run("missing header", func(t *testing.T) {
@@ -293,28 +291,32 @@ func TestMiddlewareRejections(t *testing.T) {
 		}
 	})
 	t.Run("replay", func(t *testing.T) {
-		hR := bind(Interceptor(VerifierConfig{Accounts: accounts, Replay: NewReplayCache(time.Minute), Required: true}), okHandler)
 		env := newEnv()
 		if err := AttachUsernameToken(env, Credentials{Username: "u", Password: "pw"}, true, time.Now()); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := hR(ctx, env.Clone()); err != nil {
+		if _, err := h(ctx, env.Clone()); err != nil {
 			t.Fatalf("first use rejected: %v", err)
 		}
-		if _, err := hR(ctx, env.Clone()); err == nil {
+		if _, err := h(ctx, env.Clone()); err == nil {
 			t.Fatal("replayed envelope accepted")
 		}
 	})
-}
-
-func TestMiddlewareOptionalPassthrough(t *testing.T) {
-	h := bind(Interceptor(VerifierConfig{Accounts: StaticAccounts{}, Required: false}), func(ctx context.Context, req *soap.Envelope) (*soap.Envelope, error) {
-		if _, ok := PrincipalFrom(ctx); ok {
-			t.Error("unexpected principal")
+	t.Run("outside the window", func(t *testing.T) {
+		created := time.Date(2005, 4, 4, 12, 0, 0, 0, time.UTC)
+		defer func(clock func() time.Time) { now = clock }(now)
+		for _, c := range []struct {
+			skew time.Duration
+			ok   bool
+		}{{replayWindow - time.Second, true}, {-replayWindow + time.Second, true}, {replayWindow + time.Second, false}, {-replayWindow - time.Second, false}} {
+			now = func() time.Time { return created.Add(c.skew) }
+			env := newEnv()
+			if err := AttachUsernameToken(env, Credentials{Username: "u", Password: "pw"}, true, created); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := h(ctx, env); (err == nil) != c.ok {
+				t.Errorf("verifier clock %v from Created: err %v, want accepted=%v", c.skew, err, c.ok)
+			}
 		}
-		return nil, nil
 	})
-	if _, err := h(context.Background(), newEnv()); err != nil {
-		t.Fatal(err)
-	}
 }

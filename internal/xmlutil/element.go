@@ -14,8 +14,8 @@ import (
 type Element struct {
 	Name QName
 	// Attrs holds one entry per name in canonical (Space, Local) order,
-	// the order every encoder writes them in. SetAttr and RemoveAttr keep
-	// it so; build it through them.
+	// the order every encoder writes them in. SetAttr keeps it so; build
+	// it through SetAttr.
 	Attrs    []Attr
 	Text     string
 	Children []*Element
@@ -65,13 +65,6 @@ func (e *Element) SetAttr(name QName, value string) *Element {
 		e.Attrs = slices.Insert(e.Attrs, i, Attr{Name: name, Value: value})
 	}
 	return e
-}
-
-// RemoveAttr deletes the named attribute, if present.
-func (e *Element) RemoveAttr(name QName) {
-	if i, ok := e.attrIndex(name); ok {
-		e.Attrs = slices.Delete(e.Attrs, i, i+1)
-	}
 }
 
 // Attr returns the value of the named attribute, or "" when absent.

@@ -57,13 +57,3 @@ func ParseQName(s string) (QName, error) {
 	}
 	return QName{Local: s}, nil
 }
-
-// MustParseQName is ParseQName that panics on error; for use with
-// constant expressions in package initialization.
-func MustParseQName(s string) QName {
-	q, err := ParseQName(s)
-	if err != nil {
-		panic(err)
-	}
-	return q
-}

@@ -48,15 +48,6 @@ func TestParseQNameErrors(t *testing.T) {
 	}
 }
 
-func TestMustParseQNamePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	MustParseQName("{broken")
-}
-
 func TestQNameIsZero(t *testing.T) {
 	if !(QName{}).IsZero() {
 		t.Error("zero QName should report IsZero")

@@ -80,15 +80,6 @@ func CompilePath(expr string) (*Path, error) {
 	return p, nil
 }
 
-// MustCompilePath is CompilePath that panics on error.
-func MustCompilePath(expr string) *Path {
-	p, err := CompilePath(expr)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 // String returns the original expression text.
 func (p *Path) String() string { return p.src }
 
@@ -262,18 +253,6 @@ func (p *Path) Select(root *Element) []*Element {
 	}
 	return ctx
 }
-
-// SelectFirst returns the first match, or nil.
-func (p *Path) SelectFirst(root *Element) *Element {
-	matches := p.Select(root)
-	if len(matches) == 0 {
-		return nil
-	}
-	return matches[0]
-}
-
-// Matches reports whether the path selects at least one node.
-func (p *Path) Matches(root *Element) bool { return len(p.Select(root)) > 0 }
 
 func collectDescendants(node *Element, st pathStep, out *[]*Element) {
 	var group []*Element

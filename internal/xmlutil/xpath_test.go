@@ -4,6 +4,15 @@ import (
 	"testing"
 )
 
+// mustCompilePath is CompilePath that panics on error.
+func mustCompilePath(expr string) *Path {
+	p, err := CompilePath(expr)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
 func queryDoc() *Element {
 	return NewContainer(Q(nsT, "grid"),
 		NewContainer(Q(nsT, "node"),
@@ -32,7 +41,7 @@ func queryDoc() *Element {
 
 func TestPathChildSteps(t *testing.T) {
 	doc := queryDoc()
-	got := MustCompilePath("/node/name").Select(doc)
+	got := mustCompilePath("/node/name").Select(doc)
 	if len(got) != 3 {
 		t.Fatalf("want 3 names, got %d", len(got))
 	}
@@ -43,8 +52,8 @@ func TestPathChildSteps(t *testing.T) {
 
 func TestPathRelativeEqualsAbsolute(t *testing.T) {
 	doc := queryDoc()
-	abs := MustCompilePath("/node/name").Select(doc)
-	rel := MustCompilePath("node/name").Select(doc)
+	abs := mustCompilePath("/node/name").Select(doc)
+	rel := mustCompilePath("node/name").Select(doc)
 	if len(abs) != len(rel) {
 		t.Fatalf("absolute %d vs relative %d", len(abs), len(rel))
 	}
@@ -52,11 +61,11 @@ func TestPathRelativeEqualsAbsolute(t *testing.T) {
 
 func TestPathDescendant(t *testing.T) {
 	doc := queryDoc()
-	got := MustCompilePath("//status").Select(doc)
+	got := mustCompilePath("//status").Select(doc)
 	if len(got) != 2 {
 		t.Fatalf("want 2 statuses, got %d", len(got))
 	}
-	got = MustCompilePath("//job/status").Select(doc)
+	got = mustCompilePath("//job/status").Select(doc)
 	if len(got) != 2 {
 		t.Fatalf("descendant then child: want 2, got %d", len(got))
 	}
@@ -64,7 +73,7 @@ func TestPathDescendant(t *testing.T) {
 
 func TestPathWildcard(t *testing.T) {
 	doc := queryDoc()
-	got := MustCompilePath("/*").Select(doc)
+	got := mustCompilePath("/*").Select(doc)
 	if len(got) != 4 {
 		t.Fatalf("wildcard children: want 4, got %d", len(got))
 	}
@@ -72,7 +81,7 @@ func TestPathWildcard(t *testing.T) {
 
 func TestPathPositionPredicate(t *testing.T) {
 	doc := queryDoc()
-	got := MustCompilePath("/node[2]/name").Select(doc)
+	got := mustCompilePath("/node[2]/name").Select(doc)
 	if len(got) != 1 || got[0].Text != "win-b" {
 		t.Fatalf("node[2]: %v", got)
 	}
@@ -80,11 +89,11 @@ func TestPathPositionPredicate(t *testing.T) {
 
 func TestPathAttributePredicate(t *testing.T) {
 	doc := queryDoc()
-	got := MustCompilePath("/node[@os='linux']/name").Select(doc)
+	got := mustCompilePath("/node[@os='linux']/name").Select(doc)
 	if len(got) != 1 || got[0].Text != "lx-1" {
 		t.Fatalf("attr predicate: %v", got)
 	}
-	got = MustCompilePath("/node[@os!='linux']/name").Select(doc)
+	got = mustCompilePath("/node[@os!='linux']/name").Select(doc)
 	if len(got) != 2 {
 		t.Fatalf("negated attr predicate: want 2, got %d", len(got))
 	}
@@ -92,7 +101,7 @@ func TestPathAttributePredicate(t *testing.T) {
 
 func TestPathChildValuePredicate(t *testing.T) {
 	doc := queryDoc()
-	got := MustCompilePath("/node[speed='2800']/name").Select(doc)
+	got := mustCompilePath("/node[speed='2800']/name").Select(doc)
 	if len(got) != 1 || got[0].Text != "win-a" {
 		t.Fatalf("child value predicate: %v", got)
 	}
@@ -100,7 +109,7 @@ func TestPathChildValuePredicate(t *testing.T) {
 
 func TestPathChildExistencePredicate(t *testing.T) {
 	doc := queryDoc()
-	got := MustCompilePath("/node[util]/name").Select(doc)
+	got := mustCompilePath("/node[util]/name").Select(doc)
 	if len(got) != 1 || got[0].Text != "win-a" {
 		t.Fatalf("existence predicate: %v", got)
 	}
@@ -108,7 +117,7 @@ func TestPathChildExistencePredicate(t *testing.T) {
 
 func TestPathTextPredicate(t *testing.T) {
 	doc := queryDoc()
-	got := MustCompilePath("//status[text()='Running']").Select(doc)
+	got := mustCompilePath("//status[text()='Running']").Select(doc)
 	if len(got) != 1 {
 		t.Fatalf("text() predicate: want 1, got %d", len(got))
 	}
@@ -116,35 +125,18 @@ func TestPathTextPredicate(t *testing.T) {
 
 func TestPathClarkNamespaceTest(t *testing.T) {
 	doc := queryDoc()
-	got := MustCompilePath("/{" + nsT + "}node/name").Select(doc)
+	got := mustCompilePath("/{" + nsT + "}node/name").Select(doc)
 	if len(got) != 3 {
 		t.Fatalf("clark ns test: want 3, got %d", len(got))
 	}
-	got = MustCompilePath("/{urn:other}node/name").Select(doc)
+	got = mustCompilePath("/{urn:other}node/name").Select(doc)
 	if len(got) != 0 {
 		t.Fatalf("wrong ns should match nothing, got %d", len(got))
 	}
 }
 
-func TestPathSelectFirstAndMatches(t *testing.T) {
-	doc := queryDoc()
-	p := MustCompilePath("/node/name")
-	if first := p.SelectFirst(doc); first == nil || first.Text != "win-a" {
-		t.Fatalf("SelectFirst: %v", first)
-	}
-	if !p.Matches(doc) {
-		t.Error("Matches should be true")
-	}
-	if MustCompilePath("/nothing").Matches(doc) {
-		t.Error("Matches on absent path should be false")
-	}
-	if MustCompilePath("/nothing").SelectFirst(doc) != nil {
-		t.Error("SelectFirst on absent path should be nil")
-	}
-}
-
 func TestPathNilRoot(t *testing.T) {
-	if got := MustCompilePath("/a").Select(nil); got != nil {
+	if got := mustCompilePath("/a").Select(nil); got != nil {
 		t.Fatalf("nil root should select nothing, got %v", got)
 	}
 }
@@ -163,7 +155,7 @@ func TestCompilePathErrors(t *testing.T) {
 
 func TestPathStackedPredicates(t *testing.T) {
 	doc := queryDoc()
-	got := MustCompilePath("/node[@os='windows'][2]/name").Select(doc)
+	got := mustCompilePath("/node[@os='windows'][2]/name").Select(doc)
 	if len(got) != 1 || got[0].Text != "win-b" {
 		t.Fatalf("stacked predicates: %v", got)
 	}
@@ -171,7 +163,7 @@ func TestPathStackedPredicates(t *testing.T) {
 
 func TestPathStringRoundTrip(t *testing.T) {
 	const expr = "/node[@os='linux']/name"
-	if got := MustCompilePath(expr).String(); got != expr {
+	if got := mustCompilePath(expr).String(); got != expr {
 		t.Errorf("String() = %q", got)
 	}
 }
@@ -182,9 +174,9 @@ func TestPathStringRoundTrip(t *testing.T) {
 func TestUnqualifiedAttributePredicateIsDeterministic(t *testing.T) {
 	doc := NewContainer(Q("", "grid"),
 		NewElement(Q("", "node"), "n").SetAttr(Q("urn:z", "os"), "linux").SetAttr(Q("urn:a", "os"), "windows"))
-	is, isNot := MustCompilePath("/node[@os='windows']"), MustCompilePath("/node[@os='linux']")
+	is, isNot := mustCompilePath("/node[@os='windows']"), mustCompilePath("/node[@os='linux']")
 	for run := 0; run < 100; run++ {
-		if !is.Matches(doc) || isNot.Matches(doc) {
+		if len(is.Select(doc)) != 1 || len(isNot.Select(doc)) != 0 {
 			t.Fatalf("run %d: @os read as linux; {urn:a}os (windows) sorts first", run)
 		}
 	}
