@@ -59,7 +59,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	address := daemon.Advertised(*hostName, *addr)
+	// The nodes' per-job traffic here is one-way Notify, which counts on
+	// HTTP's 202 receipt, so the master's EPRs name the port's http binding.
+	address := daemon.Advertised("http", *hostName, *addr)
 	ssCfg := scheduler.Config{
 		Policy:     policy,
 		JobTimeout: *jobTimeout,

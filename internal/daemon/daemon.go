@@ -1,8 +1,8 @@
 // Package daemon holds what the grid's binaries — gridmaster, gridnode,
 // gridsub — have in common as processes: the shared flags, the outbound
-// client pipeline, the durable store behind -data-dir, and the HTTP
-// listener with its receive pipeline. What each host then runs on top
-// is master.Assemble or node.New.
+// client pipeline, the durable store behind -data-dir, and the listener
+// (one port, HTTP and soap.tcp) with its receive pipeline. What each host
+// then runs on top is master.Assemble or node.New.
 package daemon
 
 import (
@@ -112,18 +112,27 @@ func (h *Host) MasterConfig(address string) master.Config {
 	return master.Config{Address: address, Store: h.Store, Client: h.Client}
 }
 
-// ListenHTTP serves srv on addr and, in the same act, tells h.Client that
-// the listener's base URL and every advertised one (what the host's EPRs
-// carry: Advertised) are this process: co-located services reach each
+// ListenHTTP serves srv on addr, one port for both bindings, and returns
+// its http:// base. In the same act it tells h.Client that the port is
+// this process under every name it has: the listener's base and every
+// advertised one (what the host's EPRs carry: Advertised), each in its
+// http:// and soap.tcp:// form. Co-located services then reach each
 // other through the same envelope and both interceptor chains, without a
-// socket. stop removes the route first — a self-call then fails like a
-// closed port — and drains in-flight requests for up to five seconds.
+// socket, whichever scheme an EPR names, including one journaled before
+// the host changed what it advertises. stop removes the route first — a
+// self-call then fails like a closed port — and drains in-flight
+// requests of both bindings for up to five seconds.
 func (h *Host) ListenHTTP(srv *transport.Server, addr string, advertised ...string) (baseURL string, stop func(), err error) {
 	baseURL, shutdown, err := transport.ListenHTTP(srv, addr)
 	if err != nil {
 		return "", nil, err
 	}
-	unroute := h.Client.Colocate(srv, append(advertised, baseURL)...)
+	var own []string
+	for _, base := range append(advertised, baseURL) {
+		_, hostport, _ := strings.Cut(base, "://")
+		own = append(own, "http://"+hostport, transport.SchemeTCP+"://"+hostport)
+	}
+	unroute := h.Client.Colocate(srv, own...)
 	return baseURL, func() {
 		unroute()
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -187,9 +196,15 @@ func runtimeLine() string {
 }
 
 // Advertised is the base URL a daemon listening on listen (host:port)
-// puts in its EPRs: the public host name with the listener's port.
-func Advertised(host, listen string) string {
-	return fmt.Sprintf("http://%s:%s", host, listen[strings.LastIndex(listen, ":")+1:])
+// puts in its EPRs: the public host name with the listener's port, under
+// scheme. The port answers both bindings, so the scheme only says which
+// one peers use. gridnode advertises soap.tcp: what reaches a node is
+// request-response (Run, Kill, property reads, file Reads). gridmaster
+// advertises http: what reaches it per job is the nodes' one-way Notify,
+// which counts on HTTP's 202 receipt, and a soap.tcp one-way frame has
+// none.
+func Advertised(scheme, host, listen string) string {
+	return fmt.Sprintf("%s://%s:%s", scheme, host, listen[strings.LastIndex(listen, ":")+1:])
 }
 
 // ParseAccounts decodes a comma-separated user:password list; empty

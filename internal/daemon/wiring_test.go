@@ -20,7 +20,9 @@ import (
 	"uvacg/internal/master"
 	"uvacg/internal/node"
 	"uvacg/internal/pipeline"
+	"uvacg/internal/procspawn"
 	"uvacg/internal/resourcedb"
+	"uvacg/internal/services/execution"
 	"uvacg/internal/services/filesystem"
 	"uvacg/internal/services/nodeinfo"
 	"uvacg/internal/services/scheduler"
@@ -68,50 +70,70 @@ func openHostUnclosed(t *testing.T, args ...string) *daemon.Host {
 	return host
 }
 
-// dialRecorder wraps a host's http binding and notes every address that
-// actually went to a socket, and the reply to every FSS Read among them.
+// dialRecorder wraps a host's http and soap.tcp bindings and notes every
+// message that actually went to a socket, and the reply to every FSS
+// Read among them.
 type dialRecorder struct {
-	inner transport.RoundTripper
+	inner map[string]transport.RoundTripper // by scheme
 	mu    sync.Mutex
-	addrs []string
+	sent  []crossing
 	reads []*transport.Message
 }
 
-func (d *dialRecorder) RoundTrip(ctx context.Context, addr string, request *transport.Message) (*transport.Message, error) {
-	reply, err := d.inner.RoundTrip(ctx, addr, request)
+// crossing is one message a recorder saw leave for a socket.
+type crossing struct{ addr, action string }
+
+// schemeOf is the URI scheme of addr.
+func schemeOf(addr string) string {
+	scheme, _, _ := strings.Cut(addr, "://")
+	return scheme
+}
+
+func (d *dialRecorder) note(addr string, request *transport.Message) {
+	action := ""
+	if env, err := soap.Unmarshal(request.Envelope); err == nil {
+		if info, err := wsa.Extract(env); err == nil {
+			action = info.Action
+		}
+	}
 	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.addrs = append(d.addrs, addr)
+	d.sent = append(d.sent, crossing{addr: addr, action: action})
+	d.mu.Unlock()
+}
+
+func (d *dialRecorder) RoundTrip(ctx context.Context, addr string, request *transport.Message) (*transport.Message, error) {
+	d.note(addr, request)
+	reply, err := d.inner[schemeOf(addr)].RoundTrip(ctx, addr, request)
 	if err == nil && bytes.Contains(request.Envelope, []byte(">"+filesystem.ActionRead+"<")) {
+		d.mu.Lock()
 		d.reads = append(d.reads, reply)
+		d.mu.Unlock()
 	}
 	return reply, err
 }
 
 func (d *dialRecorder) Send(ctx context.Context, addr string, request *transport.Message) error {
-	d.mu.Lock()
-	d.addrs = append(d.addrs, addr)
-	d.mu.Unlock()
-	return d.inner.Send(ctx, addr, request)
+	d.note(addr, request)
+	return d.inner[schemeOf(addr)].Send(ctx, addr, request)
 }
 
-// recordDials installs a dialRecorder on host's http scheme; call before
-// the client carries traffic.
+// recordDials installs a dialRecorder on host's http and soap.tcp
+// schemes; call before the client carries traffic.
 func recordDials(host *daemon.Host) *dialRecorder {
-	rec := &dialRecorder{}
+	rec := &dialRecorder{inner: make(map[string]transport.RoundTripper)}
 	host.Client.WrapSchemes(func(scheme string, rt transport.RoundTripper) transport.RoundTripper {
-		if scheme != "http" {
+		if scheme != "http" && scheme != transport.SchemeTCP {
 			return nil
 		}
-		rec.inner = rt
+		rec.inner[scheme] = rt
 		return rec
 	})
 	return rec
 }
 
-// framedReads checks every FSS Read reply the recorder saw arrive over
-// HTTP — a fault aside — carried its content as an attachment, not as
-// base64 text, and returns how many there were.
+// framedReads checks every FSS Read reply the recorder saw arrive — a
+// fault aside — carried its content as an attachment, not as base64
+// text, and returns how many there were.
 func (d *dialRecorder) framedReads(t *testing.T) int {
 	t.Helper()
 	d.mu.Lock()
@@ -128,22 +150,36 @@ func (d *dialRecorder) framedReads(t *testing.T) int {
 		n++
 		content := env.Body.Child(xmlutil.Q(filesystem.NS, "Content"))
 		if len(reply.Attachments) != 1 || content == nil || content.Text != "" || len(content.Children) != 1 {
-			t.Errorf("an FSS Read crossed HTTP with %d attachment(s) and Content %v, want the framed body", len(reply.Attachments), content)
+			t.Errorf("an FSS Read crossed with %d attachment(s) and Content %v, want it attached", len(reply.Attachments), content)
 		}
 	}
 	return n
 }
 
-// dialled splits what the recorder saw into addresses under base and the
-// rest.
-func (d *dialRecorder) dialled(base string) (own, others []string) {
+// schemes counts the messages with action the recorder saw leave, by
+// scheme.
+func (d *dialRecorder) schemes(action string) map[string]int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for _, addr := range d.addrs {
-		if strings.HasPrefix(addr, base+"/") {
-			own = append(own, addr)
+	n := make(map[string]int)
+	for _, c := range d.sent {
+		if c.action == action {
+			n[schemeOf(c.addr)]++
+		}
+	}
+	return n
+}
+
+// dialled splits what the recorder saw into the addresses on the port
+// hostport, under either scheme, and the rest.
+func (d *dialRecorder) dialled(hostport string) (own, others []string) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for _, c := range d.sent {
+		if strings.HasPrefix(c.addr, schemeOf(c.addr)+"://"+hostport+"/") {
+			own = append(own, c.addr)
 		} else {
-			others = append(others, addr)
+			others = append(others, c.addr)
 		}
 	}
 	return own, others
@@ -169,16 +205,19 @@ func (c *sideCounter) intercept(ctx context.Context, call *soap.CallInfo, next s
 
 // TestShippedWiringRunsDemoJobSet stands a grid up the way the binaries
 // do — daemon.Flags.Open, master.Assemble / node.New, Host.ListenHTTP,
-// Start / Register, in cmd/gridmaster's and cmd/gridnode's order — on
-// loopback HTTP with journaled stores, and runs the README's demo job
-// set through it with the client wired as cmd/gridsub wires it: gen on
-// one machine, sum staged from it over soap.tcp and HTTP, the total
-// fetched back.
+// Start / Register, in cmd/gridmaster's and cmd/gridnode's order, the
+// master advertising http:// and the nodes soap.tcp:// — on loopback
+// with journaled stores, and runs the README's demo job set through it
+// with the client wired as cmd/gridsub wires it: gen on one machine, sum
+// staged from it, the total fetched back.
 //
-// Neither the master nor a node may ever open a socket to itself while it
-// does: Host.ListenHTTP told each client which base is its own process.
-// The broker's Notify to the co-hosted /SchedulerConsumer must all the
-// same pass the client chain and the server chain, metrics included.
+// What reaches a node crosses soap.tcp: the master's Run, a staging Read
+// and the client's fetch. What reaches the master per job, the ES's
+// lifecycle Notify, still leaves over HTTP. Neither the master nor a node
+// may ever open a socket to itself, under either scheme: Host.ListenHTTP
+// told each client which port is its own process. The broker's Notify to
+// the co-hosted /SchedulerConsumer must all the same pass the client
+// chain and the server chain, metrics included.
 func TestShippedWiringRunsDemoJobSet(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -187,7 +226,7 @@ func TestShippedWiringRunsDemoJobSet(t *testing.T) {
 	consumer := &sideCounter{path: "/SchedulerConsumer"}
 	mhost.Client.Use(consumer.intercept)
 	maddr := freeAddr(t)
-	masterURL := daemon.Advertised("127.0.0.1", maddr)
+	masterURL := daemon.Advertised("http", "127.0.0.1", maddr)
 	m, err := master.Assemble(mhost.MasterConfig(masterURL))
 	if err != nil {
 		t.Fatal(err)
@@ -204,12 +243,12 @@ func TestShippedWiringRunsDemoJobSet(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	nodeDials := make(map[string]*dialRecorder) // by the node's own base
+	nodeDials := make(map[string]*dialRecorder) // by the node's own port
 	for _, name := range []string{"win-a", "win-b"} {
 		nhost := openHost(t, "-data-dir", t.TempDir(), "-fsync=false")
 		naddr := freeAddr(t)
-		nodeURL := daemon.Advertised("127.0.0.1", naddr)
-		nodeDials[nodeURL] = recordDials(nhost)
+		nodeURL := daemon.Advertised(transport.SchemeTCP, "127.0.0.1", naddr)
+		nodeDials[naddr] = recordDials(nhost)
 		n, err := node.New(node.Config{
 			Name:         name,
 			Address:      nodeURL,
@@ -283,30 +322,63 @@ func TestShippedWiringRunsDemoJobSet(t *testing.T) {
 		t.Fatalf("sum/total.txt = %q, want 100", got)
 	}
 
-	// Every daemon talked to the others over sockets and to itself over
-	// none.
-	nodeDials[masterURL] = masterDials
-	for base, rec := range nodeDials {
-		own, others := rec.dialled(base)
-		if len(own) > 0 {
-			t.Errorf("%s opened a socket to itself %d time(s): %v", base, len(own), own)
-		}
-		if len(others) == 0 {
-			t.Errorf("%s dialled nobody: the recorder is not on the path the daemons use", base)
+	// The nodes advertise soap.tcp.
+	procs, err := nodeinfo.GetProcessorsVia(ctx, mhost.Client, m.NIS.EPR())
+	if err != nil || len(procs) != 2 {
+		t.Fatalf("catalog: %v, %v", procs, err)
+	}
+	for _, p := range procs {
+		if p.ES.Scheme() != transport.SchemeTCP {
+			t.Errorf("%s advertises its ES at %s, want soap.tcp", p.Host, p.ES.Address)
 		}
 	}
-	// Every file a host fetched over HTTP crossed as the framed body the
-	// shipped binding sends, never as base64 text: the client's fetch of
-	// total.txt for certain, and sum's input when sum ran on the other
-	// machine than gen.
+	// Run and every file Read crossed soap.tcp, the lifecycle Notify HTTP.
+	runs := masterDials.schemes(execution.ActionRun)
+	if runs[transport.SchemeTCP] == 0 || runs["http"] > 0 {
+		t.Errorf("the master's Runs crossed as %v, want soap.tcp only", runs)
+	}
+	if fetches := clientDials.schemes(filesystem.ActionRead); fetches[transport.SchemeTCP] == 0 || fetches["http"] > 0 {
+		t.Errorf("the client's fetches crossed as %v, want soap.tcp only", fetches)
+	}
+	staged, notified := 0, 0
+	for port, rec := range nodeDials {
+		reads, notifies := rec.schemes(filesystem.ActionRead), rec.schemes(wsn.ActionNotify)
+		if reads["http"] > 0 {
+			t.Errorf("node %s staged %d file(s) over HTTP", port, reads["http"])
+		}
+		if notifies[transport.SchemeTCP] > 0 {
+			t.Errorf("node %s sent %d Notify over soap.tcp, which has no receipt", port, notifies[transport.SchemeTCP])
+		}
+		staged += reads[transport.SchemeTCP]
+		notified += notifies["http"]
+	}
+	if staged == 0 || notified == 0 {
+		t.Errorf("the nodes staged %d file(s) over soap.tcp and sent %d Notify over HTTP, want some of each", staged, notified)
+	}
+
+	// Every daemon talked to the others over sockets and to its own port
+	// over none, under either scheme.
+	nodeDials[maddr] = masterDials
+	for port, rec := range nodeDials {
+		own, others := rec.dialled(port)
+		if len(own) > 0 {
+			t.Errorf("%s opened a socket to itself %d time(s): %v", port, len(own), own)
+		}
+		if len(others) == 0 {
+			t.Errorf("%s dialled nobody: the recorder is not on the path the daemons use", port)
+		}
+	}
+	// Every file a host fetched crossed with its content attached, never as
+	// base64 text: the client's fetch of total.txt for certain, and every
+	// staging Read.
 	reads := clientDials.framedReads(t)
 	if reads == 0 {
-		t.Error("the client fetched total.txt without an FSS Read over HTTP: the recorder is not on the path gridsub uses")
+		t.Error("the client fetched total.txt without an FSS Read on the wire: the recorder is not on the path gridsub uses")
 	}
 	for _, rec := range nodeDials {
 		reads += rec.framedReads(t)
 	}
-	t.Logf("%d FSS Read(s) crossed HTTP, each with its content attached", reads)
+	t.Logf("%d FSS Read(s) crossed, each with its content attached", reads)
 	// The broker → /SchedulerConsumer self-call: as many messages entered
 	// the server chain as left the client chain (one-way deliveries may
 	// still be landing), and the -metrics table counted both halves.
@@ -357,7 +429,7 @@ func TestShippedMasterRetriesNotificationDelivery(t *testing.T) {
 		})
 	})
 	maddr := freeAddr(t)
-	m, err := master.Assemble(host.MasterConfig(daemon.Advertised("127.0.0.1", maddr)))
+	m, err := master.Assemble(host.MasterConfig(daemon.Advertised("http", "127.0.0.1", maddr)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,22 +484,26 @@ func TestShippedMasterRetriesNotificationDelivery(t *testing.T) {
 
 // TestColocatedShutdownDrainsBeforeTheStoreCloses: Host.Shutdown takes the
 // listener and the route away first — a self-call then fails like a
-// closed port — and closes the store only after the requests already
-// inside have drained, so a handler that was mid-request when shutdown
-// began still commits its journaled write. (With the store closed first,
-// as both mains had it, that write faults.)
+// closed port, under either scheme — and closes the store only after the
+// requests already inside have drained, so a handler that was
+// mid-request when shutdown began still commits its journaled write.
+// (With the store closed first, as both mains had it, that write
+// faults.) The port serves both bindings, and so does the drain: one
+// request inside arrived over HTTP and one over soap.tcp. A peer's
+// connection that never sent a byte holds neither the accept loop, while
+// the listener is up, nor the drain.
 func TestColocatedShutdownDrainsBeforeTheStoreCloses(t *testing.T) {
 	dir := t.TempDir()
 	host := openHostUnclosed(t, "-data-dir", dir, "-fsync=false", "-metrics")
 	rows := host.Store.MustTable("rows", resourcedb.BlobCodec{})
 	qRow := xmlutil.Q("urn:uvacg:test", "Row")
 
-	entered, release := make(chan struct{}), make(chan struct{})
+	entered, release := make(chan string, 2), make(chan struct{})
 	d := soap.NewDispatcher()
 	d.Register("urn:SlowWrite", func(ctx context.Context, req *soap.Envelope) (*soap.Envelope, error) {
-		close(entered)
+		entered <- req.Body.Text
 		<-release
-		return nil, rows.Put("late", xmlutil.NewElement(qRow, "written while draining"))
+		return nil, rows.Put(req.Body.Text, xmlutil.NewElement(qRow, "written while draining"))
 	})
 	d.Register("urn:Ping", func(ctx context.Context, req *soap.Envelope) (*soap.Envelope, error) { return nil, nil })
 	mux := soap.NewMux()
@@ -441,25 +517,44 @@ func TestColocatedShutdownDrainsBeforeTheStoreCloses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
+	port := strings.TrimPrefix(base, "http://")
+	tcpBase := transport.SchemeTCP + "://" + port
+	// A peer dials and says nothing, before anything else reaches the port.
+	silent, err := net.Dial("tcp", port)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
 	ping := func(addr string) error {
 		_, err := host.Client.Call(ctx, wsa.NewEPR(addr+"/Svc"), "urn:Ping", nil)
 		return err
 	}
-	// Both names of the listener are this process while it is up.
-	for _, addr := range []string{base, advertised} {
+	// Every name of the listener is this process while it is up, in both
+	// schemes.
+	for _, addr := range []string{base, tcpBase, advertised, transport.SchemeTCP + "://127.0.0.1:1"} {
 		if err := ping(addr); err != nil {
 			t.Fatalf("self-call to %s before shutdown: %v", addr, err)
 		}
 	}
 
-	// A peer's request is inside the handler when the signal arrives.
-	slow := make(chan error, 1)
-	go func() {
-		_, err := transport.NewClient().Call(ctx, wsa.NewEPR(base+"/Svc"), "urn:SlowWrite", nil)
-		slow <- err
-	}()
-	<-entered
+	// A peer's request over each binding is inside the handler when the
+	// signal arrives. The peer is reached past the silent connection.
+	slow := make(chan error, 2)
+	for _, addr := range []string{base, tcpBase} {
+		go func() {
+			_, err := transport.NewClient().Call(ctx, wsa.NewEPR(addr+"/Svc"), "urn:SlowWrite", xmlutil.NewElement(qRow, addr))
+			slow <- err
+		}()
+	}
+	for range 2 {
+		select {
+		case <-entered:
+		case <-ctx.Done():
+			t.Fatal("a request never reached its handler past the silent connection")
+		}
+	}
 	var order []string
 	var metrics strings.Builder
 	down := make(chan struct{})
@@ -467,25 +562,31 @@ func TestColocatedShutdownDrainsBeforeTheStoreCloses(t *testing.T) {
 		defer close(down)
 		host.Shutdown(func() { stop(); order = append(order, "listener") }, func() { order = append(order, "services") }, &metrics)
 	}()
-	// The route goes first: the own base now fails like a closed port,
-	// while the request that was already inside is still being waited for.
+	// The route goes first: the own port now fails like a closed one, under
+	// either scheme, while the requests already inside are still waited for.
 	deadline := time.Now().Add(5 * time.Second)
-	for ping(base) == nil {
+	for ping(base) == nil || ping(tcpBase) == nil {
 		if time.Now().After(deadline) {
-			t.Fatal("own base still answers after shutdown began")
+			t.Fatal("own port still answers after shutdown began")
 		}
 		time.Sleep(time.Millisecond)
 	}
 	select {
 	case <-down:
-		t.Fatal("Shutdown returned with a request still inside")
+		t.Fatal("Shutdown returned with requests still inside")
 	default:
 	}
 	close(release)
-	if err := <-slow; err != nil {
-		t.Fatalf("the request that was inside when shutdown began faulted: %v", err)
+	released := time.Now()
+	for range 2 {
+		if err := <-slow; err != nil {
+			t.Fatalf("a request that was inside when shutdown began faulted: %v", err)
+		}
 	}
 	<-down
+	if took := time.Since(released); took > 2*time.Second {
+		t.Fatalf("shutdown took %v after the last request was answered: it waited on the silent connection", took)
+	}
 	if strings.Join(order, ",") != "listener,services" {
 		t.Fatalf("shutdown order %v, want listener then services", order)
 	}
@@ -493,15 +594,102 @@ func TestColocatedShutdownDrainsBeforeTheStoreCloses(t *testing.T) {
 		t.Fatal("the store still journals after Shutdown")
 	}
 	if !strings.Contains(metrics.String(), "urn:SlowWrite") {
-		t.Fatalf("-metrics dump lacks the drained request:\n%s", metrics.String())
+		t.Fatalf("-metrics dump lacks the drained requests:\n%s", metrics.String())
 	}
 	reopened, err := resourcedb.OpenDurable(dir, resourcedb.DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer reopened.Close()
-	if doc, ok, err := reopened.Store.MustTable("rows", resourcedb.BlobCodec{}).Get("late"); err != nil || !ok || doc.Text != "written while draining" {
-		t.Fatalf("the drained write is not in the journal: %v %v %v", doc, ok, err)
+	table := reopened.Store.MustTable("rows", resourcedb.BlobCodec{})
+	for _, key := range []string{base, tcpBase} {
+		if doc, ok, err := table.Get(key); err != nil || !ok || doc.Text != "written while draining" {
+			t.Fatalf("the write drained from %s is not in the journal: %v %v %v", key, doc, ok, err)
+		}
+	}
+}
+
+// TestRunOnARestartedListenerRunsOnce: the master's soap.tcp pool holds
+// a connection to a node whose listener then stops and starts again on
+// the same port. The next Run finds that connection closed before any
+// reply, goes out once more on a fresh dial, and the machine runs it
+// once: one more job resource, one more process.
+func TestRunOnARestartedListenerRunsOnce(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	broker := wsn.NewConsumer()
+	events := broker.Channel(wsn.MustTopicExpression(wsn.DialectFull, "*//"), 16)
+	mux := soap.NewMux()
+	broker.Mount(mux, "/NotificationBroker")
+	brokerBase, shutdown, err := transport.ListenHTTP(transport.NewServer(mux), "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shutdown(ctx)
+	files := filesystem.NewFileServer("/files")
+	files.Publish("job.app", procspawn.BuildScript("exit 0"))
+	filesEPR, err := files.ListenTCP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer files.Close()
+
+	nhost := openHost(t)
+	naddr := freeAddr(t)
+	nodeURL := daemon.Advertised(transport.SchemeTCP, "127.0.0.1", naddr)
+	n, err := node.New(node.Config{
+		Name:         "win-a",
+		Address:      nodeURL,
+		Client:       nhost.Client,
+		Cores:        2,
+		Broker:       wsa.NewEPR(brokerBase + "/NotificationBroker"),
+		Store:        nhost.Store,
+		Interceptors: nhost.Interceptors(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(n.Stop)
+	_, stop, err := nhost.ListenHTTP(n.Server(), naddr, nodeURL)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	master := openHost(t).Client
+	exited := 0
+	run := func(name string) {
+		t.Helper()
+		_, err := master.Call(ctx, n.ES.EPR(), execution.ActionRun, execution.RunRequest(name, "set", "job.app",
+			[]filesystem.FileRef{{Source: filesEPR, RemoteName: "job.app"}}))
+		if err != nil {
+			t.Fatalf("Run %s: %v", name, err)
+		}
+		for exited < len(n.ES.WSRF().Home().IDs()) {
+			select {
+			case note := <-events:
+				if ev, err := execution.ParseJobEvent(note.Message); err == nil && ev.Kind == execution.EventExited {
+					exited++
+				}
+			case <-ctx.Done():
+				t.Fatalf("%d of the node's jobs exited", exited)
+			}
+		}
+	}
+	run("first") // its connection stays in the master's pool
+	stop()
+	if _, stop, err = nhost.ListenHTTP(n.Server(), naddr, nodeURL); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(stop)
+	run("second")
+	if jobs := len(n.ES.WSRF().Home().IDs()); jobs != 2 {
+		t.Fatalf("the node holds %d job resources after two Runs", jobs)
+	}
+	if _, ok := n.Spawner.Process(3); ok {
+		t.Fatal("the node spawned a third process for two Runs")
+	}
+	if _, ok := n.Spawner.Process(2); !ok {
+		t.Fatal("the second Run spawned nothing")
 	}
 }
 

@@ -33,7 +33,10 @@ type Config struct {
 	// Name is the machine's host name, as the NIS catalog lists it.
 	Name string
 	// Address is the base address the machine's services advertise in
-	// their EPRs; empty means "inproc://" + Name.
+	// their EPRs; empty means "inproc://" + Name. gridnode gives
+	// "soap.tcp://host:port" (daemon.Advertised): its one port answers
+	// HTTP too, but everything that reaches a machine is request-response
+	// and crosses as pooled soap.tcp frames.
 	Address string
 	// Network, when set, is the simulated fabric the machine joins under
 	// Name. Without one the caller hosts Server() behind a binding of

@@ -22,7 +22,7 @@ type FileServer struct {
 	files map[string][]byte
 
 	dispatcher *soap.Dispatcher
-	listener   *transport.TCPListener
+	listener   *transport.Listener
 	path       string
 }
 

@@ -44,6 +44,29 @@ func allBindings() []bindingFixture {
 			t.Cleanup(func() { tl.Close() })
 			return tl.BaseURL(), NewClient()
 		}},
+		// One port serves both bindings, whichever base its listener
+		// reported: the soap.tcp listener reached over HTTP, and the HTTP
+		// listener reached over soap.tcp.
+		{name: "one-port/http", start: func(t *testing.T, srv *Server) (string, *Client) {
+			tl, err := ListenTCP(srv, "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { tl.Close() })
+			return "http://" + tl.Addr(), NewClient()
+		}},
+		{name: "one-port/soap.tcp", start: func(t *testing.T, srv *Server) (string, *Client) {
+			base, shutdown, err := ListenHTTP(srv, "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() {
+				ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+				defer cancel()
+				shutdown(ctx)
+			})
+			return SchemeTCP + "://" + strings.TrimPrefix(base, "http://"), NewClient()
+		}},
 		// A daemon calling a service it hosts itself: a real HTTP listener,
 		// and a client told (Colocate) that the listener's base is this
 		// process. The message takes the route, not the socket.

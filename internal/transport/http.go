@@ -7,11 +7,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"uvacg/internal/soap"
@@ -228,45 +226,4 @@ func (h *HTTPHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Length", strconv.Itoa(frameLen(fr)))
 	// A write error means the requester went away; there is nobody to tell.
 	_ = writeFrameTo(w, fr)
-}
-
-// ListenHTTP starts an HTTP listener for srv on addr (host:port, empty
-// port picks a free one) and returns the base URL and a shutdown func.
-// Shutdown drains in-flight requests until the caller's context expires
-// — the caller decides how long a graceful stop may take, rather than
-// this package imposing a timeout.
-func ListenHTTP(srv *Server, addr string) (baseURL string, shutdown func(context.Context) error, err error) {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", nil, err
-	}
-	// http.Server.Shutdown counts a connection that has not yet sent a
-	// request (StateNew) as busy for five seconds (net/http issue 22682),
-	// and a peer's http.Transport leaves exactly such never-used spare
-	// dials behind. Nothing on them has reached a handler, so shutdown
-	// closes them first instead of waiting them out.
-	var mu sync.Mutex
-	unused := make(map[net.Conn]struct{})
-	hs := &http.Server{
-		Handler: NewHTTPHandler(srv),
-		ConnState: func(c net.Conn, st http.ConnState) {
-			mu.Lock()
-			if st == http.StateNew {
-				unused[c] = struct{}{}
-			} else {
-				delete(unused, c)
-			}
-			mu.Unlock()
-		},
-	}
-	go hs.Serve(l)
-	shutdown = func(ctx context.Context) error {
-		mu.Lock()
-		for c := range unused {
-			c.Close()
-		}
-		mu.Unlock()
-		return hs.Shutdown(ctx)
-	}
-	return "http://" + l.Addr().String(), shutdown, nil
 }

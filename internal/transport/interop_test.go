@@ -71,23 +71,33 @@ func blobResponseData(t *testing.T, resp *soap.Envelope) []byte {
 // startResetFirstListener serves srv over soap.tcp but cuts the first
 // connection as soon as its request starts arriving — a peer restarting
 // mid-exchange. Later connections get the real listener loop.
-func startResetFirstListener(t *testing.T, srv *Server) *TCPListener {
+func startResetFirstListener(t *testing.T, srv *Server) *Listener {
 	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	tl := &TCPListener{srv: srv, listener: l, closed: make(chan struct{}), conns: make(map[net.Conn]struct{})}
-	tl.wg.Add(1)
-	go func() {
-		if conn, err := l.Accept(); err == nil {
+	tl := serve(srv, &resetFirst{Listener: l})
+	t.Cleanup(func() { tl.Close() })
+	return tl
+}
+
+// resetFirst is a net.Listener that cuts its first connection as soon as
+// a byte arrives on it and passes every later one on.
+type resetFirst struct {
+	net.Listener
+	done bool
+}
+
+func (l *resetFirst) Accept() (net.Conn, error) {
+	if !l.done {
+		l.done = true
+		if conn, err := l.Listener.Accept(); err == nil {
 			conn.Read(make([]byte, 1))
 			conn.Close()
 		}
-		tl.acceptLoop()
-	}()
-	t.Cleanup(func() { tl.Close() })
-	return tl
+	}
+	return l.Listener.Accept()
 }
 
 // TestConnectionResetLeavesHostAttachedAndPooled: a server that drops

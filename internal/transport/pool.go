@@ -32,9 +32,12 @@ func newPooledConn(conn net.Conn) *pooledConn {
 func (pc *pooledConn) Close() error { return pc.conn.Close() }
 
 // The pool keeps at most maxIdlePerHost idle connections per host:port
-// and discards one that has sat idle longer than idleTimeout.
+// and discards one that has sat idle longer than idleTimeout. The cap is
+// the HTTP binding's MaxIdleConnsPerHost: a node staging a 64-wide set
+// from one file server, or a master dispatching one to a node, keeps
+// every connection it had to open instead of redialling most of them.
 const (
-	maxIdlePerHost = 8
+	maxIdlePerHost = 64
 	idleTimeout    = 60 * time.Second
 )
 

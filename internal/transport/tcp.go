@@ -400,10 +400,19 @@ func ctxIOErr(ctx context.Context, err error) error {
 }
 
 // exchange performs one framed exchange (write fr, read one reply when
-// wantReply) on a pooled or fresh connection. A failure on a reused
-// pooled connection — the peer may have dropped it while idle — is
-// retried once on a fresh dial. Every healthy connection returns to the
-// pool.
+// wantReply) on a pooled or fresh connection. Every healthy connection
+// returns to the pool.
+//
+// A failure on a reused pooled connection before the first byte of the
+// reply is retried once on a fresh dial: the peer may have closed the
+// connection while it sat idle, and then it never read the request. The
+// retry replays the request only when the peer did read it and lost the
+// connection before it began to answer: a server that crashed, or was
+// closed (Listener.Close), with the request inside its handler. A
+// graceful stop (ListenHTTP's shutdown) closes a framed connection only
+// between frames and answers every frame it has read, so it causes no
+// replay. A failure once the reply has begun is never retried: the peer
+// has acted on the request.
 func (t *TCPTransport) exchange(ctx context.Context, hostport string, fr *frame, wantReply bool) (*frame, error) {
 	for attempt := 0; ; attempt++ {
 		var pc *pooledConn
@@ -417,10 +426,10 @@ func (t *TCPTransport) exchange(ctx context.Context, hostport string, fr *frame,
 			}
 			pc = newPooledConn(conn)
 		}
-		reply, err := t.exchangeOn(ctx, pc, fr, wantReply)
+		reply, answered, err := t.exchangeOn(ctx, pc, fr, wantReply)
 		if err != nil {
 			pc.Close()
-			if pc.reused && ctx.Err() == nil {
+			if pc.reused && !answered && ctx.Err() == nil {
 				continue // stale pooled connection: one retry on a fresh dial
 			}
 			return nil, err
@@ -434,29 +443,38 @@ func (t *TCPTransport) exchange(ctx context.Context, hostport string, fr *frame,
 	}
 }
 
-func (t *TCPTransport) exchangeOn(ctx context.Context, pc *pooledConn, fr *frame, wantReply bool) (*frame, error) {
+// exchangeOn is exchange on one connection; answered reports whether a
+// byte of the reply had arrived when it failed.
+func (t *TCPTransport) exchangeOn(ctx context.Context, pc *pooledConn, fr *frame, wantReply bool) (reply *frame, answered bool, err error) {
 	if dl, ok := ctx.Deadline(); ok {
 		pc.conn.SetDeadline(dl)
 	}
 	stop := watchCancel(ctx, pc.conn)
 	defer stop()
 	if err := pc.fw.writeFrame(fr); err != nil {
-		return nil, ctxIOErr(ctx, err)
+		return nil, false, ctxIOErr(ctx, err)
 	}
 	if err := pc.bw.Flush(); err != nil {
-		return nil, ctxIOErr(ctx, err)
+		return nil, false, ctxIOErr(ctx, err)
 	}
 	if !wantReply {
-		return nil, nil
+		return nil, false, nil
 	}
-	reply, err := readFrame(pc.br, -1)
-	if err != nil {
-		if ce := ctxIOErr(ctx, err); ce != err {
-			return nil, ce
-		}
-		return nil, fmt.Errorf("reading reply frame: %w", err)
+	if _, err := pc.br.Peek(1); err != nil {
+		return nil, false, readErr(ctx, err)
 	}
-	return reply, nil
+	if reply, err = readFrame(pc.br, -1); err != nil {
+		return nil, true, readErr(ctx, err)
+	}
+	return reply, true, nil
+}
+
+// readErr is a failure to read the reply frame.
+func readErr(ctx context.Context, err error) error {
+	if ce := ctxIOErr(ctx, err); ce != err {
+		return ce
+	}
+	return fmt.Errorf("reading reply frame: %w", err)
 }
 
 // RoundTrip implements RoundTripper: attachments travel raw in the
@@ -491,150 +509,3 @@ var (
 	serveWriterPool = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, 32<<10) }}
 	serveFramePool  = sync.Pool{New: func() any { return &frameWriter{} }}
 )
-
-// TCPListener hosts a Server behind the soap.tcp binding.
-type TCPListener struct {
-	srv      *Server
-	listener net.Listener
-	wg       sync.WaitGroup
-	closed   chan struct{}
-
-	mu    sync.Mutex
-	conns map[net.Conn]struct{}
-}
-
-// ListenTCP starts serving srv on addr (host:port; empty port picks a
-// free one). The returned listener reports its bound address and stops
-// on Close.
-func ListenTCP(srv *Server, addr string) (*TCPListener, error) {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	tl := &TCPListener{srv: srv, listener: l, closed: make(chan struct{}), conns: make(map[net.Conn]struct{})}
-	tl.wg.Add(1)
-	go tl.acceptLoop()
-	return tl, nil
-}
-
-// Addr returns the bound host:port.
-func (tl *TCPListener) Addr() string { return tl.listener.Addr().String() }
-
-// BaseURL returns the soap.tcp:// URL prefix for this listener.
-func (tl *TCPListener) BaseURL() string { return SchemeTCP + "://" + tl.Addr() }
-
-// Close stops accepting, force-closes live connections (persistent
-// clients may otherwise hold them open indefinitely) and waits for the
-// per-connection goroutines.
-func (tl *TCPListener) Close() error {
-	close(tl.closed)
-	err := tl.listener.Close()
-	tl.mu.Lock()
-	for c := range tl.conns {
-		c.Close()
-	}
-	tl.mu.Unlock()
-	tl.wg.Wait()
-	return err
-}
-
-// track registers a live connection for Close; it refuses (and closes)
-// connections accepted after shutdown began.
-func (tl *TCPListener) track(conn net.Conn) bool {
-	tl.mu.Lock()
-	defer tl.mu.Unlock()
-	select {
-	case <-tl.closed:
-		conn.Close()
-		return false
-	default:
-	}
-	tl.conns[conn] = struct{}{}
-	return true
-}
-
-func (tl *TCPListener) untrack(conn net.Conn) {
-	tl.mu.Lock()
-	delete(tl.conns, conn)
-	tl.mu.Unlock()
-}
-
-func (tl *TCPListener) acceptLoop() {
-	defer tl.wg.Done()
-	backoff := 5 * time.Millisecond
-	for {
-		conn, err := tl.listener.Accept()
-		if err != nil {
-			select {
-			case <-tl.closed:
-				return
-			default:
-			}
-			// Transient accept failure (fd exhaustion, aborted
-			// handshake): back off instead of busy-spinning.
-			select {
-			case <-tl.closed:
-				return
-			case <-time.After(backoff):
-			}
-			if backoff *= 2; backoff > time.Second {
-				backoff = time.Second
-			}
-			continue
-		}
-		backoff = 5 * time.Millisecond
-		if !tl.track(conn) {
-			return
-		}
-		tl.wg.Add(1)
-		go func() {
-			defer tl.wg.Done()
-			tl.serveConn(conn)
-		}()
-	}
-}
-
-// serveConn serves frames until the peer goes away: clients multiplex
-// many sequential exchanges over one persistent connection.
-func (tl *TCPListener) serveConn(conn net.Conn) {
-	defer tl.untrack(conn)
-	defer conn.Close()
-	br := serveReaderPool.Get().(*bufio.Reader)
-	bw := serveWriterPool.Get().(*bufio.Writer)
-	fw := serveFramePool.Get().(*frameWriter)
-	br.Reset(conn)
-	bw.Reset(conn)
-	fw.reset(bw, conn)
-	defer func() {
-		br.Reset(nil)
-		bw.Reset(nil)
-		fw.reset(nil, nil)
-		serveReaderPool.Put(br)
-		serveWriterPool.Put(bw)
-		serveFramePool.Put(fw)
-	}()
-	ctx := context.Background()
-	for {
-		fr, err := readFrame(br, -1)
-		if err != nil {
-			// Includes an unknown frame kind — another protocol or
-			// corruption: drop the connection.
-			return
-		}
-		switch fr.kind {
-		case frameOneWay:
-			tl.srv.HandleOneWay(ctx, fr.path, &Message{Envelope: fr.body, Attachments: fr.atts})
-		case frameRequest:
-			resp := tl.srv.HandleRequest(ctx, fr.path, &Message{Envelope: fr.body, Attachments: fr.atts})
-			if err := fw.writeFrame(&frame{kind: frameReply, body: resp.Envelope, atts: resp.Attachments}); err != nil {
-				return
-			}
-			if err := bw.Flush(); err != nil {
-				return
-			}
-		default:
-			// A reply frame has no business arriving at a server.
-			return
-		}
-	}
-}
