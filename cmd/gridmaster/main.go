@@ -59,9 +59,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// The nodes' per-job traffic here is one-way Notify, which counts on
-	// HTTP's 202 receipt, so the master's EPRs name the port's http binding.
-	address := daemon.Advertised("http", *hostName, *addr)
+	address := daemon.Advertised(*hostName, *addr)
 	ssCfg := scheduler.Config{
 		Policy:     policy,
 		JobTimeout: *jobTimeout,

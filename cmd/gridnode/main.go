@@ -1,8 +1,9 @@
 // Command gridnode runs one grid machine: its File System Service,
 // Execution Service, ProcSpawn runtime and Processor Utilization
 // monitor, on one port that answers soap.tcp and HTTP. Its EPRs name
-// soap.tcp. On startup it registers with the master's Node Info Service
-// and then streams utilization changes to it.
+// http://, and peers learn from the port's first answer to send frames.
+// On startup it registers with the master's Node Info Service and then
+// streams utilization changes to it.
 //
 //	gridnode -name win-a -addr :8701 -master http://localhost:8700 \
 //	         [-cores 2] [-speed 2800] [-ram 1024] [-accounts user:pw]
@@ -19,7 +20,6 @@ import (
 
 	"uvacg/internal/daemon"
 	"uvacg/internal/node"
-	"uvacg/internal/transport"
 	"uvacg/internal/wsa"
 )
 
@@ -52,9 +52,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// The master, peers and clients reach this machine by request-response
-	// only, so its EPRs name the port's soap.tcp binding.
-	address := daemon.Advertised(transport.SchemeTCP, *hostName, *addr)
+	address := daemon.Advertised(*hostName, *addr)
 	nisEPR := wsa.NewEPR(*masterURL + "/NodeInfoService")
 	n, err := node.New(node.Config{
 		Name:                 *name,

@@ -47,8 +47,8 @@ func freeAddr(t *testing.T) string {
 
 // TestRunDemoJobSet runs the shipped client — run, everything under
 // main — against a master and two nodes assembled as gridmaster and
-// gridnode assemble them, on loopback (the master advertised over HTTP,
-// the nodes over soap.tcp): the README's demo job set
+// gridnode assemble them, on loopback (every daemon advertised over
+// HTTP, its port answering frames too): the README's demo job set
 // completes, the total is fetched, the exit status is 0.
 func TestRunDemoJobSet(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
@@ -61,7 +61,7 @@ func TestRunDemoJobSet(t *testing.T) {
 		return host
 	}
 	mhost, maddr := open(), freeAddr(t)
-	masterURL := daemon.Advertised("http", "127.0.0.1", maddr)
+	masterURL := daemon.Advertised("127.0.0.1", maddr)
 	m, err := master.Assemble(mhost.MasterConfig(masterURL))
 	if err != nil {
 		t.Fatal(err)
@@ -78,7 +78,7 @@ func TestRunDemoJobSet(t *testing.T) {
 		nhost, naddr := open(), freeAddr(t)
 		n, err := node.New(node.Config{
 			Name:    name,
-			Address: daemon.Advertised(transport.SchemeTCP, "127.0.0.1", naddr),
+			Address: daemon.Advertised("127.0.0.1", naddr),
 			Client:  nhost.Client,
 			Cores:   2,
 			Broker:  wsa.NewEPR(masterURL + "/NotificationBroker"),

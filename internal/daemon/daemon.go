@@ -196,15 +196,11 @@ func runtimeLine() string {
 }
 
 // Advertised is the base URL a daemon listening on listen (host:port)
-// puts in its EPRs: the public host name with the listener's port, under
-// scheme. The port answers both bindings, so the scheme only says which
-// one peers use. gridnode advertises soap.tcp: what reaches a node is
-// request-response (Run, Kill, property reads, file Reads). gridmaster
-// advertises http: what reaches it per job is the nodes' one-way Notify,
-// which counts on HTTP's 202 receipt, and a soap.tcp one-way frame has
-// none.
-func Advertised(scheme, host, listen string) string {
-	return fmt.Sprintf("%s://%s:%s", scheme, host, listen[strings.LastIndex(listen, ":")+1:])
+// puts in its EPRs: http:// with the public host name and the listener's
+// port, a URL any SOAP client can call. This code's clients learn from
+// the port's first answer that it takes frames, and send it the rest so.
+func Advertised(host, listen string) string {
+	return fmt.Sprintf("http://%s:%s", host, listen[strings.LastIndex(listen, ":")+1:])
 }
 
 // ParseAccounts decodes a comma-separated user:password list; empty

@@ -78,10 +78,16 @@ type dialRecorder struct {
 	mu    sync.Mutex
 	sent  []crossing
 	reads []*transport.Message
+	// tick orders the starts and answers of crossings.
+	tick int64
 }
 
-// crossing is one message a recorder saw leave for a socket.
-type crossing struct{ addr, action string }
+// crossing is one message a recorder saw leave for a socket: when it
+// left, and when its answer (reply or receipt) arrived, 0 if none did.
+type crossing struct {
+	addr, action   string
+	left, answered int64
+}
 
 // schemeOf is the URI scheme of addr.
 func schemeOf(addr string) string {
@@ -89,7 +95,8 @@ func schemeOf(addr string) string {
 	return scheme
 }
 
-func (d *dialRecorder) note(addr string, request *transport.Message) {
+// note records a crossing leaving and returns its index.
+func (d *dialRecorder) note(addr string, request *transport.Message) int {
 	action := ""
 	if env, err := soap.Unmarshal(request.Envelope); err == nil {
 		if info, err := wsa.Extract(env); err == nil {
@@ -97,13 +104,27 @@ func (d *dialRecorder) note(addr string, request *transport.Message) {
 		}
 	}
 	d.mu.Lock()
-	d.sent = append(d.sent, crossing{addr: addr, action: action})
-	d.mu.Unlock()
+	defer d.mu.Unlock()
+	d.tick++
+	d.sent = append(d.sent, crossing{addr: addr, action: action, left: d.tick})
+	return len(d.sent) - 1
+}
+
+// answered records that crossing i was answered, unless err says not.
+func (d *dialRecorder) answered(i int, err error) {
+	if err != nil {
+		return
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.tick++
+	d.sent[i].answered = d.tick
 }
 
 func (d *dialRecorder) RoundTrip(ctx context.Context, addr string, request *transport.Message) (*transport.Message, error) {
-	d.note(addr, request)
+	i := d.note(addr, request)
 	reply, err := d.inner[schemeOf(addr)].RoundTrip(ctx, addr, request)
+	d.answered(i, err)
 	if err == nil && bytes.Contains(request.Envelope, []byte(">"+filesystem.ActionRead+"<")) {
 		d.mu.Lock()
 		d.reads = append(d.reads, reply)
@@ -113,8 +134,10 @@ func (d *dialRecorder) RoundTrip(ctx context.Context, addr string, request *tran
 }
 
 func (d *dialRecorder) Send(ctx context.Context, addr string, request *transport.Message) error {
-	d.note(addr, request)
-	return d.inner[schemeOf(addr)].Send(ctx, addr, request)
+	i := d.note(addr, request)
+	err := d.inner[schemeOf(addr)].Send(ctx, addr, request)
+	d.answered(i, err)
+	return err
 }
 
 // recordDials installs a dialRecorder on host's http and soap.tcp
@@ -156,18 +179,47 @@ func (d *dialRecorder) framedReads(t *testing.T) int {
 	return n
 }
 
-// schemes counts the messages with action the recorder saw leave, by
-// scheme.
-func (d *dialRecorder) schemes(action string) map[string]int {
+// portOf is the host:port of addr.
+func portOf(addr string) string {
+	_, rest, _ := strings.Cut(addr, "://")
+	hostport, _, _ := strings.Cut(rest, "/")
+	return hostport
+}
+
+// framed counts the messages with action to the port hostport that the
+// recorder saw leave as frames.
+func (d *dialRecorder) framed(action, hostport string) int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	n := make(map[string]int)
+	n := 0
 	for _, c := range d.sent {
-		if c.action == action {
-			n[schemeOf(c.addr)]++
+		if c.action == action && portOf(c.addr) == hostport && schemeOf(c.addr) == transport.SchemeTCP {
+			n++
 		}
 	}
 	return n
+}
+
+// httpAfterAnswer lists the messages that left over HTTP for a port that
+// had already answered an HTTP message of the recorder's: the port's
+// announcement of its frames had arrived by then.
+func (d *dialRecorder) httpAfterAnswer() []crossing {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	firstAnswer := make(map[string]int64)
+	for _, c := range d.sent {
+		port := portOf(c.addr)
+		if schemeOf(c.addr) == "http" && c.answered > 0 && (firstAnswer[port] == 0 || c.answered < firstAnswer[port]) {
+			firstAnswer[port] = c.answered
+		}
+	}
+	var late []crossing
+	for _, c := range d.sent {
+		if first := firstAnswer[portOf(c.addr)]; schemeOf(c.addr) == "http" && first > 0 && c.left > first {
+			late = append(late, c)
+		}
+	}
+	return late
 }
 
 // dialled splits what the recorder saw into the addresses on the port
@@ -176,7 +228,7 @@ func (d *dialRecorder) dialled(hostport string) (own, others []string) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for _, c := range d.sent {
-		if strings.HasPrefix(c.addr, schemeOf(c.addr)+"://"+hostport+"/") {
+		if portOf(c.addr) == hostport {
 			own = append(own, c.addr)
 		} else {
 			others = append(others, c.addr)
@@ -205,19 +257,22 @@ func (c *sideCounter) intercept(ctx context.Context, call *soap.CallInfo, next s
 
 // TestShippedWiringRunsDemoJobSet stands a grid up the way the binaries
 // do — daemon.Flags.Open, master.Assemble / node.New, Host.ListenHTTP,
-// Start / Register, in cmd/gridmaster's and cmd/gridnode's order, the
-// master advertising http:// and the nodes soap.tcp:// — on loopback
-// with journaled stores, and runs the README's demo job set through it
-// with the client wired as cmd/gridsub wires it: gen on one machine, sum
-// staged from it, the total fetched back.
+// Start / Register, in cmd/gridmaster's and cmd/gridnode's order, every
+// daemon advertising http:// — on loopback with journaled stores, and
+// runs the README's demo job set through it with the client wired as
+// cmd/gridsub wires it: gen on one machine, sum staged from it, the total
+// fetched back.
 //
-// What reaches a node crosses soap.tcp: the master's Run, a staging Read
-// and the client's fetch. What reaches the master per job, the ES's
-// lifecycle Notify, still leaves over HTTP. Neither the master nor a node
-// may ever open a socket to itself, under either scheme: Host.ListenHTTP
-// told each client which port is its own process. The broker's Notify to
-// the co-hosted /SchedulerConsumer must all the same pass the client
-// chain and the server chain, metrics included.
+// Each process asks a port over HTTP until that port has answered it
+// once; from then on every message it sends there crosses as frames,
+// both ways among gridmaster, the gridnodes and gridsub: the master's
+// Run, a staging Read, the client's Submit and fetch, the ES's Notify to
+// the broker and the broker's Notify to gridsub's listener. Neither the
+// master nor a node may ever open a socket to itself, under either
+// scheme: Host.ListenHTTP told each client which port is its own
+// process. The broker's Notify to the co-hosted /SchedulerConsumer must
+// all the same pass the client chain and the server chain, metrics
+// included.
 func TestShippedWiringRunsDemoJobSet(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -226,7 +281,7 @@ func TestShippedWiringRunsDemoJobSet(t *testing.T) {
 	consumer := &sideCounter{path: "/SchedulerConsumer"}
 	mhost.Client.Use(consumer.intercept)
 	maddr := freeAddr(t)
-	masterURL := daemon.Advertised("http", "127.0.0.1", maddr)
+	masterURL := daemon.Advertised("127.0.0.1", maddr)
 	m, err := master.Assemble(mhost.MasterConfig(masterURL))
 	if err != nil {
 		t.Fatal(err)
@@ -247,7 +302,7 @@ func TestShippedWiringRunsDemoJobSet(t *testing.T) {
 	for _, name := range []string{"win-a", "win-b"} {
 		nhost := openHost(t, "-data-dir", t.TempDir(), "-fsync=false")
 		naddr := freeAddr(t)
-		nodeURL := daemon.Advertised(transport.SchemeTCP, "127.0.0.1", naddr)
+		nodeURL := daemon.Advertised("127.0.0.1", naddr)
 		nodeDials[naddr] = recordDials(nhost)
 		n, err := node.New(node.Config{
 			Name:         name,
@@ -286,13 +341,16 @@ func TestShippedWiringRunsDemoJobSet(t *testing.T) {
 	}
 	chost := openHost(t)
 	clientDials := recordDials(chost)
+	var listenerBase string
 	client, err := core.NewClient(core.ClientConfig{
 		Transport: chost.Client,
 		Master:    masterURL,
 		TCPFiles:  true,
 		Expose: func(srv *transport.Server) (string, func(), error) {
 			srv.Use(chost.Interceptors()...)
-			return chost.ListenHTTP(srv, "127.0.0.1:0")
+			base, stop, err := chost.ListenHTTP(srv, "127.0.0.1:0")
+			listenerBase = base
+			return base, stop, err
 		},
 	})
 	if err != nil {
@@ -322,38 +380,35 @@ func TestShippedWiringRunsDemoJobSet(t *testing.T) {
 		t.Fatalf("sum/total.txt = %q, want 100", got)
 	}
 
-	// The nodes advertise soap.tcp.
+	// The nodes advertise http://, as the master does.
 	procs, err := nodeinfo.GetProcessorsVia(ctx, mhost.Client, m.NIS.EPR())
 	if err != nil || len(procs) != 2 {
 		t.Fatalf("catalog: %v, %v", procs, err)
 	}
 	for _, p := range procs {
-		if p.ES.Scheme() != transport.SchemeTCP {
-			t.Errorf("%s advertises its ES at %s, want soap.tcp", p.Host, p.ES.Address)
+		if p.ES.Scheme() != "http" {
+			t.Errorf("%s advertises its ES at %s, want http", p.Host, p.ES.Address)
 		}
 	}
-	// Run and every file Read crossed soap.tcp, the lifecycle Notify HTTP.
-	runs := masterDials.schemes(execution.ActionRun)
-	if runs[transport.SchemeTCP] == 0 || runs["http"] > 0 {
-		t.Errorf("the master's Runs crossed as %v, want soap.tcp only", runs)
-	}
-	if fetches := clientDials.schemes(filesystem.ActionRead); fetches[transport.SchemeTCP] == 0 || fetches["http"] > 0 {
-		t.Errorf("the client's fetches crossed as %v, want soap.tcp only", fetches)
-	}
-	staged, notified := 0, 0
+	// Once a port had answered a process over HTTP, all that process sent
+	// it crossed as frames. The ES's Notify to the broker and the broker's
+	// Notify to gridsub's listener did so, one-way as they are.
+	procsDials := map[string]*dialRecorder{"gridmaster": masterDials, "gridsub": clientDials}
+	notified := 0
 	for port, rec := range nodeDials {
-		reads, notifies := rec.schemes(filesystem.ActionRead), rec.schemes(wsn.ActionNotify)
-		if reads["http"] > 0 {
-			t.Errorf("node %s staged %d file(s) over HTTP", port, reads["http"])
-		}
-		if notifies[transport.SchemeTCP] > 0 {
-			t.Errorf("node %s sent %d Notify over soap.tcp, which has no receipt", port, notifies[transport.SchemeTCP])
-		}
-		staged += reads[transport.SchemeTCP]
-		notified += notifies["http"]
+		procsDials["gridnode "+port] = rec
+		notified += rec.framed(wsn.ActionNotify, maddr)
 	}
-	if staged == 0 || notified == 0 {
-		t.Errorf("the nodes staged %d file(s) over soap.tcp and sent %d Notify over HTTP, want some of each", staged, notified)
+	for who, rec := range procsDials {
+		for _, c := range rec.httpAfterAnswer() {
+			t.Errorf("%s sent %s to %s over HTTP after the port had answered it", who, c.action, c.addr)
+		}
+	}
+	if notified == 0 {
+		t.Error("no node sent the broker a Notify as frames")
+	}
+	if masterDials.framed(wsn.ActionNotify, strings.TrimPrefix(listenerBase, "http://")) == 0 {
+		t.Error("the broker sent gridsub's listener no Notify as frames")
 	}
 
 	// Every daemon talked to the others over sockets and to its own port
@@ -429,7 +484,7 @@ func TestShippedMasterRetriesNotificationDelivery(t *testing.T) {
 		})
 	})
 	maddr := freeAddr(t)
-	m, err := master.Assemble(host.MasterConfig(daemon.Advertised("http", "127.0.0.1", maddr)))
+	m, err := master.Assemble(host.MasterConfig(daemon.Advertised("127.0.0.1", maddr)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -609,11 +664,13 @@ func TestColocatedShutdownDrainsBeforeTheStoreCloses(t *testing.T) {
 	}
 }
 
-// TestRunOnARestartedListenerRunsOnce: the master's soap.tcp pool holds
-// a connection to a node whose listener then stops and starts again on
-// the same port. The next Run finds that connection closed before any
-// reply, goes out once more on a fresh dial, and the machine runs it
-// once: one more job resource, one more process.
+// TestRunOnARestartedListenerRunsOnce: the master learns the node's
+// frames from its first Run's answer and sends the second as frames, so
+// its soap.tcp pool holds a connection to the node, whose listener then
+// stops and starts again on the same port. The next Run, still sent as
+// frames, finds that connection closed before any reply, goes out once
+// more on a fresh dial, and the machine runs it once: one more job
+// resource, one more process.
 func TestRunOnARestartedListenerRunsOnce(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -636,7 +693,7 @@ func TestRunOnARestartedListenerRunsOnce(t *testing.T) {
 
 	nhost := openHost(t)
 	naddr := freeAddr(t)
-	nodeURL := daemon.Advertised(transport.SchemeTCP, "127.0.0.1", naddr)
+	nodeURL := daemon.Advertised("127.0.0.1", naddr)
 	n, err := node.New(node.Config{
 		Name:         "win-a",
 		Address:      nodeURL,
@@ -655,7 +712,9 @@ func TestRunOnARestartedListenerRunsOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	master := openHost(t).Client
+	mhost := openHost(t)
+	dials := recordDials(mhost)
+	master := mhost.Client
 	exited := 0
 	run := func(name string) {
 		t.Helper()
@@ -675,21 +734,29 @@ func TestRunOnARestartedListenerRunsOnce(t *testing.T) {
 			}
 		}
 	}
-	run("first") // its connection stays in the master's pool
+	run("first")  // over HTTP, whose answer announces the port's frames
+	run("second") // as frames; the connection stays in the master's pool
 	stop()
 	if _, stop, err = nhost.ListenHTTP(n.Server(), naddr, nodeURL); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(stop)
-	run("second")
-	if jobs := len(n.ES.WSRF().Home().IDs()); jobs != 2 {
-		t.Fatalf("the node holds %d job resources after two Runs", jobs)
+	run("third")
+	if jobs := len(n.ES.WSRF().Home().IDs()); jobs != 3 {
+		t.Fatalf("the node holds %d job resources after three Runs", jobs)
 	}
-	if _, ok := n.Spawner.Process(3); ok {
-		t.Fatal("the node spawned a third process for two Runs")
+	if _, ok := n.Spawner.Process(4); ok {
+		t.Fatal("the node spawned a fourth process for three Runs")
 	}
-	if _, ok := n.Spawner.Process(2); !ok {
-		t.Fatal("the second Run spawned nothing")
+	if _, ok := n.Spawner.Process(3); !ok {
+		t.Fatal("the third Run spawned nothing")
+	}
+	var schemes []string
+	for _, c := range dials.sent {
+		schemes = append(schemes, schemeOf(c.addr))
+	}
+	if got := strings.Join(schemes, " "); got != "http soap.tcp soap.tcp" {
+		t.Fatalf("the Runs left as %s, want http, then frames", got)
 	}
 }
 

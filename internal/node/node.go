@@ -34,9 +34,9 @@ type Config struct {
 	Name string
 	// Address is the base address the machine's services advertise in
 	// their EPRs; empty means "inproc://" + Name. gridnode gives
-	// "soap.tcp://host:port" (daemon.Advertised): its one port answers
-	// HTTP too, but everything that reaches a machine is request-response
-	// and crosses as pooled soap.tcp frames.
+	// "http://host:port" (daemon.Advertised): its one port answers
+	// soap.tcp too, and says so, so a peer's later messages cross as
+	// pooled frames.
 	Address string
 	// Network, when set, is the simulated fabric the machine joins under
 	// Name. Without one the caller hosts Server() behind a binding of

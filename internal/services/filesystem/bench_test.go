@@ -7,6 +7,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -90,10 +91,12 @@ func newTransferHarness(tb testing.TB, payloadSize int) *transferHarness {
 	h.dstDir, _, err = fssB.CreateDirectory("dst")
 	must(err)
 
-	// Expose machine A's FSS over real HTTP and soap.tcp as well.
-	httpBase, httpShutdown, err := transport.ListenHTTP(transport.NewServer(muxA), "127.0.0.1:0")
-	must(err)
-	tb.Cleanup(func() { httpShutdown(context.Background()) })
+	// Expose machine A's FSS over real HTTP and soap.tcp as well. HTTP is
+	// NewHTTPHandler's, which announces no frames, so its row measures
+	// HTTP on every fetch.
+	hs := httptest.NewServer(transport.NewHTTPHandler(transport.NewServer(muxA)))
+	tb.Cleanup(hs.Close)
+	httpBase := hs.URL
 	tcpListener, err := transport.ListenTCP(transport.NewServer(muxA), "127.0.0.1:0")
 	must(err)
 	tb.Cleanup(func() { tcpListener.Close() })

@@ -6,6 +6,7 @@ import (
 	"encoding/base64"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"regexp"
 	"strings"
 	"testing"
@@ -22,8 +23,9 @@ import (
 // high bytes — whatever base64 inlining or escaping could mangle.
 var hostileContent = bytes.Repeat([]byte{0x00, '<', '&', 0xFE, '\n', '>'}, 2000)
 
-// serveBoth hosts one mux behind a soap.tcp and an HTTP listener and
-// returns both base URLs.
+// serveBoth hosts one mux behind a soap.tcp listener and an HTTP server
+// and returns both base URLs. The HTTP server is NewHTTPHandler's, which
+// announces no frames, so what is addressed to it crosses HTTP.
 func serveBoth(t *testing.T, mux *soap.Mux) (tcpBase, httpBase string) {
 	t.Helper()
 	tl, err := transport.ListenTCP(transport.NewServer(mux), "127.0.0.1:0")
@@ -31,12 +33,9 @@ func serveBoth(t *testing.T, mux *soap.Mux) (tcpBase, httpBase string) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { tl.Close() })
-	httpBase, shutdown, err := transport.ListenHTTP(transport.NewServer(mux), "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { shutdown(context.Background()) })
-	return tl.BaseURL(), httpBase
+	hs := httptest.NewServer(transport.NewHTTPHandler(transport.NewServer(mux)))
+	t.Cleanup(hs.Close)
+	return tl.BaseURL(), hs.URL
 }
 
 // TestFSSOverTCPMixedVersions (the name predates the single framing, and

@@ -157,7 +157,12 @@ func blank(env *soap.Envelope, local string) string {
 }
 
 // TestColocatedRefusesOversizedEnvelopes: the envelope bound a reader on a
-// socket enforces holds on the route too, in both directions.
+// socket enforces holds on the route too, in both directions. The socket
+// rows are the port reached over http:// (which learns the port's frames
+// from its first answer) and over soap.tcp://: a frame is held to the
+// bound HTTP holds a body to. A listener answers a reply no frame may
+// carry with a Receiver fault that names the bound, so the connection
+// is not dropped before its answer and the request not sent again.
 func TestColocatedRefusesOversizedEnvelopes(t *testing.T) {
 	var handled atomic.Int64
 	d := soap.NewDispatcher()
@@ -171,10 +176,19 @@ func TestColocatedRefusesOversizedEnvelopes(t *testing.T) {
 	defer transport.SetMaxEnvelope(4 << 10)()
 
 	ctx := context.Background()
-	for name, c := range map[string]*transport.Client{"http": dialled, "route": routed} {
+	tcpBase := transport.SchemeTCP + "://" + strings.TrimPrefix(base, "http://")
+	for name, c := range map[string]*transport.Client{"http": dialled, "route": routed, "soap.tcp": transport.NewClient()} {
+		base := base
+		if name == "soap.tcp" {
+			base = tcpBase
+		}
 		// Reply over the bound: the handler runs, the caller is refused.
 		_, err := c.Call(ctx, wsa.NewEPR(base+"/Big"), "urn:Grow", xmlutil.NewElement(qAsk, "small"))
-		if !errors.Is(err, soap.ErrEnvelopeTooLarge) {
+		if name == "soap.tcp" {
+			if f, _ := soap.AsFault(err); f == nil || f.Code != soap.CodeReceiver || !strings.Contains(f.Reason, soap.ErrEnvelopeTooLarge.Error()) {
+				t.Errorf("%s: oversized reply: want a Receiver fault naming the bound, got %v", name, err)
+			}
+		} else if !errors.Is(err, soap.ErrEnvelopeTooLarge) {
 			t.Errorf("%s: oversized reply: want ErrEnvelopeTooLarge, got %v", name, err)
 		}
 		// Request over the bound: refused before any handler.

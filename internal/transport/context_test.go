@@ -31,10 +31,34 @@ func allBindings() []bindingFixture {
 			n.Register("host-a", srv)
 			return "inproc://host-a", NewClient().WithNetwork(n)
 		}},
+		// NewHTTPHandler announces no frames: every message crosses HTTP.
 		{name: "http", start: func(t *testing.T, srv *Server) (string, *Client) {
 			hs := httptest.NewServer(NewHTTPHandler(srv))
 			t.Cleanup(hs.Close)
 			return hs.URL, NewClient()
+		}},
+		// A client that has read the listener's announcement: an http://
+		// base, every message crossing as frames.
+		{name: "http, learned", start: func(t *testing.T, srv *Server) (string, *Client) {
+			base, shutdown, err := ListenHTTP(srv, "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() {
+				ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+				defer cancel()
+				shutdown(ctx)
+			})
+			client := NewClient()
+			// Any answer of the port announces its frames, a fault too.
+			client.Call(context.Background(), wsa.NewEPR(base+"/"), "urn:Learn", nil)
+			client.routesMu.RLock()
+			learned := client.framed[strings.TrimPrefix(base, "http://")]
+			client.routesMu.RUnlock()
+			if !learned {
+				t.Fatal("the client did not learn the listener's frames")
+			}
+			return base, client
 		}},
 		{name: "soap.tcp", start: func(t *testing.T, srv *Server) (string, *Client) {
 			tl, err := ListenTCP(srv, "127.0.0.1:0")

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"strconv"
 	"strings"
@@ -20,8 +21,9 @@ import (
 // reaches the port, so a larger body grows as it is read.
 const exactReadMax = 1 << 20
 
-// maxEnvelope is the bound every binding holds an envelope to:
-// soap.MaxEnvelopeBytes, lowered only by tests.
+// maxEnvelope is the bound every binding holds an envelope to — an HTTP
+// body, and a frame's body and attachment section each (checkFrame,
+// readFrame): soap.MaxEnvelopeBytes, lowered only by tests.
 var maxEnvelope int64 = soap.MaxEnvelopeBytes
 
 // readBounded buffers an HTTP body of the stated length (-1: chunked) up
@@ -73,6 +75,33 @@ const contentTypeFrame = "application/vnd.uvacg.soap-frame"
 // closely as HTTP allows.
 const headerOneWay = "X-Soap-One-Way"
 
+// headerAltSvc is the header a Listener's HTTP answers announce its
+// frames in (RFC 7838): soap.tcp=":<port>", the same host and port.
+const headerAltSvc = "Alt-Svc"
+
+// announce is the Alt-Svc value of a Listener bound to addr.
+func announce(addr net.Addr) []string {
+	_, port, _ := net.SplitHostPort(addr.String())
+	return []string{SchemeTCP + `=":` + port + `"`}
+}
+
+// announcesFrames reports whether Alt-Svc values offer soap.tcp on port,
+// the port that answered. An alternative on another host or port, or
+// for another protocol, is not taken: only the port's own frames are.
+func announcesFrames(values []string, port string) bool {
+	want := `":` + port + `"`
+	for _, v := range values {
+		for _, alt := range strings.Split(v, ",") {
+			alt, _, _ = strings.Cut(alt, ";") // parameters (ma=, persist=) change nothing here
+			proto, authority, _ := strings.Cut(strings.TrimSpace(alt), "=")
+			if proto == SchemeTCP && authority == want {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // readHTTPMessage reads an HTTP body of the given Content-Type and
 // Content-Length as a message: a frame of the wanted kind, or a bare
 // envelope.
@@ -107,6 +136,9 @@ func readHTTPMessage(contentType string, body io.Reader, length int64, kind byte
 // HTTPTransport is the http:// client binding.
 type HTTPTransport struct {
 	client *http.Client
+	// learn, when set, is told the host:port of every answer that
+	// announced the port's own frames (Client.learn).
+	learn func(hostport string)
 }
 
 // NewHTTPTransport builds the binding with sane connection pooling.
@@ -144,7 +176,16 @@ func (t *HTTPTransport) post(ctx context.Context, addr string, msg *Message, one
 	} else {
 		req.Header.Set("Accept", "application/soap+xml, "+contentTypeFrame)
 	}
-	return t.client.Do(req)
+	resp, err := t.client.Do(req)
+	if err == nil && t.learn != nil {
+		if alt := resp.Header[headerAltSvc]; len(alt) > 0 {
+			// A URL without a port names none to dial frames on.
+			if port := req.URL.Port(); port != "" && announcesFrames(alt, port) {
+				t.learn(req.URL.Host)
+			}
+		}
+	}
+	return resp, err
 }
 
 // RoundTrip implements RoundTripper: attachments travel raw in a framed
@@ -184,13 +225,21 @@ func (t *HTTPTransport) Send(ctx context.Context, addr string, request *Message)
 // httptest) can host the SOAP services.
 type HTTPHandler struct {
 	server *Server
+	// altSvc is the Alt-Svc header of every answer: a Listener's port
+	// announces its frames (announce). Nil for NewHTTPHandler, whose
+	// server may not speak them.
+	altSvc []string
 }
 
-// NewHTTPHandler wraps srv for HTTP hosting.
+// NewHTTPHandler wraps srv for HTTP hosting. It announces nothing: what
+// it is served on is net/http's, and need not answer frames.
 func NewHTTPHandler(srv *Server) *HTTPHandler { return &HTTPHandler{server: srv} }
 
 // ServeHTTP implements http.Handler.
 func (h *HTTPHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if h.altSvc != nil {
+		w.Header()[headerAltSvc] = h.altSvc
+	}
 	if r.Method != http.MethodPost {
 		http.Error(w, "SOAP endpoint: POST only", http.StatusMethodNotAllowed)
 		return

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"sync"
 	"testing"
@@ -51,7 +52,7 @@ func TestFramedPostCannotClaimMoreThanItCarries(t *testing.T) {
 		b = binary.BigEndian.AppendUint32(b, bodyLen)
 		return append(b, "<x/>"...)
 	}
-	if len(claim(maxFrameSize)) != 11 {
+	if len(claim(uint32(maxEnvelope))) != 11 {
 		t.Fatal("the forged body is not 11 bytes")
 	}
 	for _, tc := range []struct {
@@ -59,9 +60,9 @@ func TestFramedPostCannotClaimMoreThanItCarries(t *testing.T) {
 		body   io.Reader // a bare io.Reader goes out chunked, with no Content-Length
 		status int
 	}{
-		{"content-length", bytes.NewReader(claim(maxFrameSize)), http.StatusBadRequest},
-		{"chunked", io.MultiReader(bytes.NewReader(claim(maxFrameSize))), http.StatusBadRequest},
-		{"over-the-frame-limit", bytes.NewReader(claim(maxFrameSize + 1)), http.StatusRequestEntityTooLarge},
+		{"content-length", bytes.NewReader(claim(uint32(maxEnvelope))), http.StatusBadRequest},
+		{"chunked", io.MultiReader(bytes.NewReader(claim(uint32(maxEnvelope)))), http.StatusBadRequest},
+		{"over-the-frame-limit", bytes.NewReader(claim(uint32(maxEnvelope) + 1)), http.StatusRequestEntityTooLarge},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var status int
@@ -110,7 +111,9 @@ func (d *discardFirstReplies) RoundTrip(ctx context.Context, addr string, req *M
 }
 
 // TestRetryResendsFramedRequestIntact: every attempt of a retried call
-// carries the request's attachments raw, the last as the first.
+// over HTTP carries the request's attachments raw, the last as the
+// first. The server is NewHTTPHandler's, which announces no frames, so
+// every attempt stays on HTTP.
 func TestRetryResendsFramedRequestIntact(t *testing.T) {
 	var mu sync.Mutex
 	var arrivals [][]byte
@@ -123,11 +126,9 @@ func TestRetryResendsFramedRequestIntact(t *testing.T) {
 		}
 		return next(ctx, call)
 	})
-	base, shutdown, err := ListenHTTP(srv, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer shutdown(context.Background())
+	hs := httptest.NewServer(NewHTTPHandler(srv))
+	defer hs.Close()
+	base := hs.URL
 
 	client := NewClient()
 	client.RegisterScheme("http", &discardFirstReplies{HTTPTransport: NewHTTPTransport(), n: 2})
@@ -177,7 +178,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		}
 		f.Add(buf.Bytes())
 	}
-	f.Add(binary.BigEndian.AppendUint32([]byte{frameRequest, 0, 0}, maxFrameSize))
+	f.Add(binary.BigEndian.AppendUint32([]byte{frameRequest, 0, 0}, uint32(maxEnvelope)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var fr *frame
 		var err error

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"regexp"
 	"strings"
 	"sync"
@@ -351,6 +352,8 @@ var messageIDPattern = regexp.MustCompile(`<MessageID [^>]*>(urn:uuid:[0-9a-f-]{
 // inproc, the co-located route and a fault-wrapped binding that parks the
 // one-way message before it hands it on; a plain SOAP POST of the same
 // request gets the reply it always got, content inline, byte for byte.
+// HTTP is served by NewHTTPHandler, which announces no frames, so the
+// "http" and "faulted" rows stay on HTTP.
 func TestHTTPStaysInlineWhereTCPAttaches(t *testing.T) {
 	// The server notes how each message's content reached it.
 	type arrival struct {
@@ -374,11 +377,9 @@ func TestHTTPStaysInlineWhereTCPAttaches(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tl.Close()
-	httpBase, shutdown, err := ListenHTTP(srv, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer shutdown(context.Background())
+	hs := httptest.NewServer(NewHTTPHandler(srv))
+	defer hs.Close()
+	httpBase := hs.URL
 	network := NewNetwork()
 	network.Register("interop", srv)
 	colocated := NewClient()

@@ -8,6 +8,8 @@ import (
 	"net/http"
 	"sync"
 	"time"
+
+	"uvacg/internal/soap"
 )
 
 // One port, two bindings. A listener serves soap.tcp frames and HTTP on
@@ -16,7 +18,9 @@ import (
 // HTTP request line with a method name, a letter. ListenHTTP and
 // ListenTCP open the same listener and differ only in the base URL they
 // report, so an EPR may name the port in either scheme and reach the
-// same Server through the same receive pipeline.
+// same Server through the same receive pipeline. Every HTTP response the
+// port gives says so (Alt-Svc: soap.tcp=":<port>", RFC 7838), and a
+// Client that reads it sends that port's later messages as frames.
 
 // Listener hosts a Server on one port for both bindings.
 type Listener struct {
@@ -69,10 +73,12 @@ func ListenHTTP(srv *Server, addr string) (baseURL string, shutdown func(context
 
 // serve runs srv behind l.
 func serve(srv *Server, l net.Listener) *Listener {
+	handler := NewHTTPHandler(srv)
+	handler.altSvc = announce(l.Addr())
 	ln := &Listener{
 		srv:     srv,
 		l:       l,
-		http:    &http.Server{Handler: NewHTTPHandler(srv)},
+		http:    &http.Server{Handler: handler},
 		handoff: &handoff{addr: l.Addr(), conns: make(chan net.Conn), done: make(chan struct{})},
 		conns:   make(map[net.Conn]bool),
 		drained: make(chan struct{}),
@@ -269,19 +275,28 @@ func (ln *Listener) serveFrames(conn net.Conn, br *bufio.Reader) {
 			// corruption: drop the connection.
 			return
 		}
+		answer := &receipt
 		switch fr.kind {
 		case frameOneWay:
 			ln.srv.HandleOneWay(ctx, fr.path, &Message{Envelope: fr.body, Attachments: fr.atts})
 		case frameRequest:
 			resp := ln.srv.HandleRequest(ctx, fr.path, &Message{Envelope: fr.body, Attachments: fr.atts})
-			if err := fw.writeFrame(&frame{kind: frameReply, body: resp.Envelope, atts: resp.Attachments}); err != nil {
-				return
-			}
-			if err := bw.Flush(); err != nil {
-				return
+			answer = &frame{kind: frameReply, body: resp.Envelope, atts: resp.Attachments}
+			if err := checkFrame(answer); err != nil {
+				// A reply no frame may carry is answered all the same: a
+				// connection dropped before its answer reads as stale to
+				// the client, which would send the request again.
+				fault, _ := soap.ReceiverFault("%v", err).Envelope().Marshal()
+				answer = &frame{kind: frameReply, body: fault}
 			}
 		default:
-			// A reply frame has no business arriving at a server.
+			// A reply or a receipt has no business arriving at a server.
+			return
+		}
+		if err := fw.writeFrame(answer); err != nil {
+			return
+		}
+		if err := bw.Flush(); err != nil {
 			return
 		}
 		if !ln.mark(conn, false) {

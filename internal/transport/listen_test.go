@@ -22,7 +22,8 @@ import (
 // listener. Whichever base it reported, the port takes this code's
 // client over soap.tcp and over HTTP, a plain SOAP POST, and one-way
 // messages on both bindings; a framed connection is tracked for the
-// drain and an HTTP one is the HTTP server's.
+// drain and an HTTP one is the HTTP server's. Each http:// message comes
+// from a client of its own, which has not learned the port's frames.
 func TestOnePortAnswersBothBindings(t *testing.T) {
 	mux, sink := testService(t)
 	tl, err := ListenTCP(NewServer(mux), "127.0.0.1:0")
@@ -40,11 +41,17 @@ func TestOnePortAnswersBothBindings(t *testing.T) {
 	defer client.CloseIdleConnections() // keeps its connections, and their count, alive until the end
 	for _, port := range []string{tl.Addr(), strings.TrimPrefix(httpBase, "http://")} {
 		for _, base := range []string{"http://" + port, SchemeTCP + "://" + port} {
-			body, err := client.Call(ctx, wsa.NewEPR(base+"/Test"), "urn:Echo", xmlutil.NewElement(qPing, base))
+			clientFor := func() *Client {
+				if strings.HasPrefix(base, "http:") {
+					return NewClient()
+				}
+				return client
+			}
+			body, err := clientFor().Call(ctx, wsa.NewEPR(base+"/Test"), "urn:Echo", xmlutil.NewElement(qPing, base))
 			if err != nil || body.Text != base {
 				t.Fatalf("%s: echo %v, %v", base, body, err)
 			}
-			if err := client.Notify(ctx, wsa.NewEPR(base+"/Test"), "urn:Sink", xmlutil.NewElement(qPing, base)); err != nil {
+			if err := clientFor().Notify(ctx, wsa.NewEPR(base+"/Test"), "urn:Sink", xmlutil.NewElement(qPing, base)); err != nil {
 				t.Fatalf("%s: one-way: %v", base, err)
 			}
 			if got := sink.wait(t); got.Body.Text != base {

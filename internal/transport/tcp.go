@@ -26,15 +26,21 @@ const SchemeTCP = "soap.tcp"
 // other unknown kind.
 const (
 	frameRequest byte = 3 // request; a reply frame follows
-	frameOneWay  byte = 4 // one-way message, no reply
+	frameOneWay  byte = 4 // one-way message; a receipt frame follows
 	frameReply   byte = 5 // response to a request frame
+	frameReceipt byte = 6 // a one-way message was taken (HTTP's 202); path, body and attachments empty
 )
 
-// maxFrameSize bounds a single message section (64 MiB): large enough
-// for the testbed's file chunks, small enough to stop a corrupt length
-// prefix from allocating unbounded memory. The body and the attachment
-// section are bounded independently, each by this limit.
-const maxFrameSize = 64 << 20
+// receipt is the one receipt frame; writers only read it.
+var receipt = frame{kind: frameReceipt}
+
+// answerKind is the kind of the frame that answers one of kind sent.
+func answerKind(sent byte) byte {
+	if sent == frameOneWay {
+		return frameReceipt
+	}
+	return frameReply
+}
 
 // maxAttachments bounds the parts of one frame.
 const maxAttachments = 256
@@ -60,13 +66,16 @@ type frame struct {
 	atts []soap.Attachment
 }
 
-// checkFrame validates the size limits the wire format can carry.
+// checkFrame validates the size limits the wire format can carry. The
+// body and the attachment section are each held to the envelope bound
+// (maxEnvelope) that HTTP holds a body to, so a frame the peer would
+// refuse is refused before it is sent.
 func checkFrame(fr *frame) error {
 	if len(fr.path) > 0xFFFF {
 		return fmt.Errorf("transport: service path too long (%d bytes)", len(fr.path))
 	}
-	if len(fr.body) > maxFrameSize {
-		return fmt.Errorf("transport: frame body %d exceeds limit %d", len(fr.body), maxFrameSize)
+	if err := bounded(int64(len(fr.body))); err != nil {
+		return fmt.Errorf("transport: frame body of %d bytes: %w", len(fr.body), err)
 	}
 	if len(fr.atts) > maxAttachments {
 		return fmt.Errorf("transport: %d attachments exceed limit %d", len(fr.atts), maxAttachments)
@@ -76,8 +85,9 @@ func checkFrame(fr *frame) error {
 		if len(a.ID) > 0xFFFF {
 			return fmt.Errorf("transport: attachment id too long (%d bytes)", len(a.ID))
 		}
-		if total += len(a.Data); total > maxFrameSize {
-			return fmt.Errorf("transport: attachment section exceeds limit %d", maxFrameSize)
+		total += len(a.Data)
+		if err := bounded(int64(total)); err != nil {
+			return fmt.Errorf("transport: attachment section: %w", err)
 		}
 	}
 	return nil
@@ -276,7 +286,7 @@ func readFrame(r io.Reader, left int64) (*frame, error) {
 		return nil, err
 	}
 	fr := &frame{kind: hdr[0]}
-	if fr.kind < frameRequest || fr.kind > frameReply {
+	if fr.kind < frameRequest || fr.kind > frameReceipt {
 		return nil, fmt.Errorf("transport: unknown frame kind %d", fr.kind)
 	}
 	if err := src.fill(hdr[:2]); err != nil {
@@ -293,8 +303,8 @@ func readFrame(r io.Reader, left int64) (*frame, error) {
 		return nil, err
 	}
 	blen := binary.BigEndian.Uint32(hdr[:4])
-	if blen > maxFrameSize {
-		return nil, fmt.Errorf("transport: frame body %d exceeds limit %d: %w", blen, maxFrameSize, soap.ErrEnvelopeTooLarge)
+	if err := bounded(int64(blen)); err != nil {
+		return nil, fmt.Errorf("transport: frame body of %d bytes: %w", blen, err)
 	}
 	var err error
 	if fr.body, err = src.section(int(blen)); err != nil {
@@ -307,7 +317,7 @@ func readFrame(r io.Reader, left int64) (*frame, error) {
 	if count > maxAttachments {
 		return nil, fmt.Errorf("transport: %d attachments exceed limit %d: %w", count, maxAttachments, soap.ErrEnvelopeTooLarge)
 	}
-	total := 0
+	var total int64
 	for i := 0; i < int(count); i++ {
 		if err := src.fill(hdr[:2]); err != nil {
 			return nil, err
@@ -320,8 +330,9 @@ func readFrame(r io.Reader, left int64) (*frame, error) {
 			return nil, err
 		}
 		dlen := binary.BigEndian.Uint32(hdr[:4])
-		if total += int(dlen); total > maxFrameSize {
-			return nil, fmt.Errorf("transport: attachment section exceeds limit %d: %w", maxFrameSize, soap.ErrEnvelopeTooLarge)
+		total += int64(dlen)
+		if err := bounded(total); err != nil {
+			return nil, fmt.Errorf("transport: attachment section: %w", err)
 		}
 		data, err := src.section(int(dlen))
 		if err != nil {
@@ -399,21 +410,22 @@ func ctxIOErr(ctx context.Context, err error) error {
 	return err
 }
 
-// exchange performs one framed exchange (write fr, read one reply when
-// wantReply) on a pooled or fresh connection. Every healthy connection
-// returns to the pool.
+// exchange performs one framed exchange on a pooled or fresh connection:
+// it writes fr and reads the frame that answers it, a reply to a request
+// or a receipt to a one-way message. Every healthy connection returns to
+// the pool.
 //
 // A failure on a reused pooled connection before the first byte of the
-// reply is retried once on a fresh dial: the peer may have closed the
-// connection while it sat idle, and then it never read the request. The
-// retry replays the request only when the peer did read it and lost the
+// answer is retried once on a fresh dial: the peer may have closed the
+// connection while it sat idle, and then it never read the frame. The
+// retry replays the frame only when the peer did read it and lost the
 // connection before it began to answer: a server that crashed, or was
-// closed (Listener.Close), with the request inside its handler. A
-// graceful stop (ListenHTTP's shutdown) closes a framed connection only
-// between frames and answers every frame it has read, so it causes no
-// replay. A failure once the reply has begun is never retried: the peer
-// has acted on the request.
-func (t *TCPTransport) exchange(ctx context.Context, hostport string, fr *frame, wantReply bool) (*frame, error) {
+// closed (Listener.Close), with a request inside its handler or a one-way
+// message not yet taken. A graceful stop (ListenHTTP's shutdown) closes a
+// framed connection only between frames and answers every frame it has
+// read, so it causes no replay. A failure once the answer has begun is
+// never retried: the peer has acted on the frame.
+func (t *TCPTransport) exchange(ctx context.Context, hostport string, fr *frame) (*frame, error) {
 	for attempt := 0; ; attempt++ {
 		var pc *pooledConn
 		if attempt == 0 {
@@ -426,7 +438,7 @@ func (t *TCPTransport) exchange(ctx context.Context, hostport string, fr *frame,
 			}
 			pc = newPooledConn(conn)
 		}
-		reply, answered, err := t.exchangeOn(ctx, pc, fr, wantReply)
+		answer, answered, err := t.exchangeOn(ctx, pc, fr)
 		if err != nil {
 			pc.Close()
 			if pc.reused && !answered && ctx.Err() == nil {
@@ -434,18 +446,18 @@ func (t *TCPTransport) exchange(ctx context.Context, hostport string, fr *frame,
 			}
 			return nil, err
 		}
-		if wantReply && reply.kind != frameReply {
+		if want := answerKind(fr.kind); answer.kind != want {
 			pc.Close()
-			return nil, fmt.Errorf("unexpected frame kind %d in reply", reply.kind)
+			return nil, fmt.Errorf("frame kind %d answered a frame of kind %d, want %d", answer.kind, fr.kind, want)
 		}
 		t.pool.put(hostport, pc)
-		return reply, nil
+		return answer, nil
 	}
 }
 
 // exchangeOn is exchange on one connection; answered reports whether a
-// byte of the reply had arrived when it failed.
-func (t *TCPTransport) exchangeOn(ctx context.Context, pc *pooledConn, fr *frame, wantReply bool) (reply *frame, answered bool, err error) {
+// byte of the answer had arrived when it failed.
+func (t *TCPTransport) exchangeOn(ctx context.Context, pc *pooledConn, fr *frame) (answer *frame, answered bool, err error) {
 	if dl, ok := ctx.Deadline(); ok {
 		pc.conn.SetDeadline(dl)
 	}
@@ -457,19 +469,16 @@ func (t *TCPTransport) exchangeOn(ctx context.Context, pc *pooledConn, fr *frame
 	if err := pc.bw.Flush(); err != nil {
 		return nil, false, ctxIOErr(ctx, err)
 	}
-	if !wantReply {
-		return nil, false, nil
-	}
 	if _, err := pc.br.Peek(1); err != nil {
 		return nil, false, readErr(ctx, err)
 	}
-	if reply, err = readFrame(pc.br, -1); err != nil {
+	if answer, err = readFrame(pc.br, -1); err != nil {
 		return nil, true, readErr(ctx, err)
 	}
-	return reply, true, nil
+	return answer, true, nil
 }
 
-// readErr is a failure to read the reply frame.
+// readErr is a failure to read the answering frame.
 func readErr(ctx context.Context, err error) error {
 	if ce := ctxIOErr(ctx, err); ce != err {
 		return ce
@@ -484,20 +493,22 @@ func (t *TCPTransport) RoundTrip(ctx context.Context, addr string, request *Mess
 	if err != nil {
 		return nil, err
 	}
-	reply, err := t.exchange(ctx, hostport, &frame{kind: frameRequest, path: path, body: request.Envelope, atts: request.Attachments}, true)
+	reply, err := t.exchange(ctx, hostport, &frame{kind: frameRequest, path: path, body: request.Envelope, atts: request.Attachments})
 	if err != nil {
 		return nil, err
 	}
 	return &Message{Envelope: reply.body, Attachments: reply.atts}, nil
 }
 
-// Send implements RoundTripper's one-way hand-off.
+// Send implements RoundTripper's one-way hand-off: it returns once the
+// listener's receipt has arrived, so a message the peer never took fails
+// here as it does over HTTP without a 202.
 func (t *TCPTransport) Send(ctx context.Context, addr string, request *Message) error {
 	hostport, path, err := splitTCPAddr(addr)
 	if err != nil {
 		return err
 	}
-	_, err = t.exchange(ctx, hostport, &frame{kind: frameOneWay, path: path, body: request.Envelope, atts: request.Attachments}, false)
+	_, err = t.exchange(ctx, hostport, &frame{kind: frameOneWay, path: path, body: request.Envelope, atts: request.Attachments})
 	return err
 }
 

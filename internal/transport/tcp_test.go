@@ -35,7 +35,7 @@ func writeFrame(w io.Writer, fr *frame) error {
 func TestFrameRoundTripProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		kind := frameRequest + byte(r.Intn(3))
+		kind := frameRequest + byte(r.Intn(4))
 		path := "/Svc"
 		if r.Intn(2) == 0 {
 			path = ""
@@ -112,7 +112,7 @@ func TestFrameRejectsTooManyAttachments(t *testing.T) {
 }
 
 func TestWriteFrameRejectsOversizeBody(t *testing.T) {
-	body := make([]byte, maxFrameSize+1)
+	body := make([]byte, maxEnvelope+1)
 	var buf bytes.Buffer
 	if err := writeFrame(&buf, &frame{kind: frameRequest, path: "/S", body: body}); err == nil {
 		t.Fatal("oversize body accepted")
@@ -120,10 +120,11 @@ func TestWriteFrameRejectsOversizeBody(t *testing.T) {
 }
 
 // TestReadFrameRejectsRetiredKinds: kinds 0–2 were the framing without
-// an attachment section; readFrame must refuse them before trusting any
-// length field laid out for a different format.
+// an attachment section, and no kind past the receipt (6) exists;
+// readFrame must refuse them before trusting any length field laid out
+// for a different format.
 func TestReadFrameRejectsRetiredKinds(t *testing.T) {
-	for _, kind := range []byte{0, 1, 2, frameReply + 1} {
+	for _, kind := range []byte{0, 1, 2, frameReceipt + 1} {
 		frame := []byte{kind, 0, 0}       // kind + empty path
 		frame = append(frame, 0, 0, 0, 0) // empty body
 		frame = append(frame, 0, 0)       // no attachments

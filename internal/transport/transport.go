@@ -16,10 +16,17 @@
 // it to that server the way inproc:// does — same bytes, same client and
 // server interceptor chains, no socket.
 //
+// A Listener serves both networked bindings on one port and says so in
+// every HTTP answer (Alt-Svc: soap.tcp=":<port>"). A Client that reads
+// that sends every later message for the same host:port as frames, until
+// a frame exchange there fails: an http:// EPR costs one HTTP exchange per
+// process and port, and the scheme an EPR names picks no binding.
+//
 // The package distinguishes request-response calls from one-way messages:
-// a one-way send completes as soon as the message is handed over, before
-// the service has processed it — the property the File System Service
-// depends on for non-blocking uploads (paper §4.1).
+// a one-way send completes as soon as the receiving server has taken the
+// message (HTTP's 202, a soap.tcp receipt frame), before the service has
+// processed it — the property the File System Service depends on for
+// non-blocking uploads (paper §4.1).
 package transport
 
 import (
@@ -46,7 +53,8 @@ type Message struct {
 type RoundTripper interface {
 	// RoundTrip performs a request-response exchange.
 	RoundTrip(ctx context.Context, addr string, request *Message) (response *Message, err error)
-	// Send delivers a one-way message, returning once it is handed off.
+	// Send delivers a one-way message, returning once the receiving
+	// server has taken it.
 	Send(ctx context.Context, addr string, request *Message) error
 }
 
@@ -63,19 +71,31 @@ type idleCloser interface{ CloseIdleConnections() }
 type Client struct {
 	schemes map[string]RoundTripper
 	chain   soap.Chain
+	// routesMu guards the two route tables, read on every call.
+	routesMu sync.RWMutex
 	// colocated maps a base URL ("http://host:port") this process serves
-	// itself to the in-process delivery for its Server. Read on every
-	// call, written when a listener opens and closes.
-	colocatedMu sync.RWMutex
-	colocated   map[string]*inprocTransport
+	// itself to the in-process delivery for its Server; written when a
+	// listener opens and closes.
+	colocated map[string]*inprocTransport
+	// framed holds the host:ports whose HTTP answer announced their own
+	// frames (Alt-Svc): a message for http://host:port goes through the
+	// soap.tcp binding until an exchange there fails.
+	framed map[string]bool
 }
 
 // NewClient builds a client with the http and soap.tcp bindings
-// installed. Attach an inproc Network with WithNetwork when simulated
-// in-process grids are in play.
+// installed, the first learning which ports take the second. Attach an
+// inproc Network with WithNetwork when simulated in-process grids are in
+// play.
 func NewClient() *Client {
-	c := &Client{schemes: make(map[string]RoundTripper), colocated: make(map[string]*inprocTransport)}
-	c.RegisterScheme("http", NewHTTPTransport())
+	c := &Client{
+		schemes:   make(map[string]RoundTripper),
+		colocated: make(map[string]*inprocTransport),
+		framed:    make(map[string]bool),
+	}
+	h := NewHTTPTransport()
+	h.learn = c.learn
+	c.RegisterScheme("http", h)
 	c.RegisterScheme(SchemeTCP, NewTCPTransport())
 	return c
 }
@@ -102,14 +122,14 @@ func (c *Client) RegisterScheme(scheme string, rt RoundTripper) {
 // call to bases crosses a socket or fails like one.
 func (c *Client) Colocate(srv *Server, bases ...string) (remove func()) {
 	local := &inprocTransport{server: srv}
-	c.colocatedMu.Lock()
-	defer c.colocatedMu.Unlock()
+	c.routesMu.Lock()
+	defer c.routesMu.Unlock()
 	for _, base := range bases {
 		c.colocated[base] = local
 	}
 	return func() {
-		c.colocatedMu.Lock()
-		defer c.colocatedMu.Unlock()
+		c.routesMu.Lock()
+		defer c.routesMu.Unlock()
 		for _, base := range bases {
 			delete(c.colocated, base)
 		}
@@ -121,7 +141,8 @@ func (c *Client) Colocate(srv *Server, bases ...string) (remove func()) {
 // (WrapFaults). A nil return keeps the existing transport. Call during
 // wiring, before the client carries traffic; the schemes map is not
 // synchronized against in-flight calls. A co-located route (Colocate) is
-// not a scheme and is not wrapped.
+// not a scheme and is not wrapped; a learned port's frames go through
+// the soap.tcp scheme's transport, wrapped or not.
 func (c *Client) WrapSchemes(wrap func(scheme string, rt RoundTripper) RoundTripper) *Client {
 	for scheme, rt := range c.schemes {
 		if w := wrap(scheme, rt); w != nil {
@@ -148,22 +169,54 @@ func (c *Client) Use(ics ...soap.Interceptor) {
 	c.chain.Use(ics...)
 }
 
-func (c *Client) transportFor(addr string) (RoundTripper, error) {
+// learn records that the HTTP port hostport answers frames.
+func (c *Client) learn(hostport string) {
+	c.routesMu.Lock()
+	c.framed[hostport] = true
+	c.routesMu.Unlock()
+}
+
+// route is where one message goes: the binding, the address handed to
+// it, and the learned port it goes to as frames ("" when none).
+type route struct {
+	rt      RoundTripper
+	addr    string
+	learned string
+}
+
+// failed forgets r's learned port, so the next message for it asks over
+// HTTP again: the port may have gone, or come back without frames.
+func (c *Client) failed(r route) {
+	if r.learned == "" {
+		return
+	}
+	c.routesMu.Lock()
+	delete(c.framed, r.learned)
+	c.routesMu.Unlock()
+}
+
+// routeFor picks addr's route: the co-located server first, then a
+// learned port's frames, then the binding of addr's scheme.
+func (c *Client) routeFor(addr string) (route, error) {
 	u, err := url.Parse(addr)
 	if err != nil {
-		return nil, fmt.Errorf("transport: bad address %q: %w", addr, err)
+		return route{}, fmt.Errorf("transport: bad address %q: %w", addr, err)
 	}
-	c.colocatedMu.RLock()
+	c.routesMu.RLock()
 	local := c.colocated[u.Scheme+"://"+u.Host]
-	c.colocatedMu.RUnlock()
+	framed := u.Scheme == "http" && c.framed[u.Host]
+	c.routesMu.RUnlock()
 	if local != nil {
-		return local, nil
+		return route{rt: local, addr: addr}, nil
+	}
+	if tcp, ok := c.schemes[SchemeTCP]; ok && framed {
+		return route{rt: tcp, addr: SchemeTCP + addr[len(u.Scheme):], learned: u.Host}, nil
 	}
 	rt, ok := c.schemes[u.Scheme]
 	if !ok {
-		return nil, fmt.Errorf("transport: no binding for scheme %q (address %q)", u.Scheme, addr)
+		return route{}, fmt.Errorf("transport: no binding for scheme %q (address %q)", u.Scheme, addr)
 	}
-	return rt, nil
+	return route{rt: rt, addr: addr}, nil
 }
 
 // pathOf extracts the service path from a target address for CallInfo.
@@ -200,18 +253,18 @@ func (c *Client) Invoke(ctx context.Context, to wsa.EndpointReference, action st
 }
 
 // outbound is what both terminal handlers do before the wire: pick the
-// binding for the target, stamp WS-Addressing and serialize.
-func (c *Client) outbound(to wsa.EndpointReference, call *soap.CallInfo) (RoundTripper, *Message, error) {
-	rt, err := c.transportFor(to.Address)
+// route for the target, stamp WS-Addressing and serialize.
+func (c *Client) outbound(to wsa.EndpointReference, call *soap.CallInfo) (route, *Message, error) {
+	r, err := c.routeFor(to.Address)
 	if err != nil {
-		return nil, nil, err
+		return route{}, nil, err
 	}
 	wsa.Apply(call.Request, to, call.Action)
 	data, err := call.Request.Marshal()
 	if err != nil {
-		return nil, nil, err
+		return route{}, nil, err
 	}
-	return rt, &Message{Envelope: data, Attachments: call.Request.Attachments}, nil
+	return r, &Message{Envelope: data, Attachments: call.Request.Attachments}, nil
 }
 
 // roundTrip is the terminal request-response handler under the chain.
@@ -219,12 +272,13 @@ func (c *Client) roundTrip(ctx context.Context, to wsa.EndpointReference, call *
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("transport: %s %s: %w", call.Action, to.Address, err)
 	}
-	rt, request, err := c.outbound(to, call)
+	r, request, err := c.outbound(to, call)
 	if err != nil {
 		return nil, err
 	}
-	reply, err := rt.RoundTrip(ctx, to.Address, request)
+	reply, err := r.rt.RoundTrip(ctx, r.addr, request)
 	if err != nil {
+		c.failed(r)
 		return nil, fmt.Errorf("transport: %s %s: %w", call.Action, to.Address, err)
 	}
 	resp, err := soap.Unmarshal(reply.Envelope)
@@ -254,8 +308,8 @@ func (c *Client) Call(ctx context.Context, to wsa.EndpointReference, action stri
 }
 
 // SendOneWay delivers env as a one-way message through the interceptor
-// chain: the connection is released as soon as the message is handed
-// over and no reply is read.
+// chain: it returns once the receiving server has taken the message, and
+// no reply is read.
 func (c *Client) SendOneWay(ctx context.Context, to wsa.EndpointReference, action string, env *soap.Envelope) error {
 	terminal := func(ctx context.Context, call *soap.CallInfo) (*soap.Envelope, error) {
 		return nil, c.send(ctx, to, call)
@@ -269,11 +323,12 @@ func (c *Client) send(ctx context.Context, to wsa.EndpointReference, call *soap.
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("transport: one-way %s %s: %w", call.Action, to.Address, err)
 	}
-	rt, request, err := c.outbound(to, call)
+	r, request, err := c.outbound(to, call)
 	if err != nil {
 		return err
 	}
-	if err := rt.Send(ctx, to.Address, request); err != nil {
+	if err := r.rt.Send(ctx, r.addr, request); err != nil {
+		c.failed(r)
 		return fmt.Errorf("transport: one-way %s %s: %w", call.Action, to.Address, err)
 	}
 	return nil
