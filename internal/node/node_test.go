@@ -2,6 +2,7 @@ package node
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 
@@ -75,12 +76,17 @@ func TestNodeAssemblyAndRegistration(t *testing.T) {
 		t.Fatalf("member EPR %v", p.ES)
 	}
 
-	// Both per-machine services are reachable at their standard paths.
+	// Both per-machine services are reachable at their standard paths: the
+	// node is on the network, and an action neither service knows is
+	// refused with a fault by the service, not by the server for want of
+	// one.
+	if _, ok := network.Lookup("win-a"); !ok {
+		t.Fatal("node not on network")
+	}
 	for _, path := range []string{"/FileSystemService", "/ExecutionService"} {
-		if srv, ok := network.Lookup("win-a"); !ok {
-			t.Fatal("node not on network")
-		} else if _, ok := srv.Mux().Lookup(path); !ok {
-			t.Errorf("service %s not mounted", path)
+		_, err := client.Call(ctx, wsa.NewEPR("inproc://win-a"+path), "urn:probe", xmlutil.NewElement(xmlutil.Q("urn:probe", "Probe"), ""))
+		if f, ok := soap.AsFault(err); !ok || strings.Contains(f.Reason, "no service at") {
+			t.Errorf("service %s not mounted: %v", path, err)
 		}
 	}
 }

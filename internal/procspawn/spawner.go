@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"uvacg/internal/vfs"
+	"uvacg/internal/warm"
 	"uvacg/internal/wssec"
 )
 
@@ -135,7 +136,7 @@ func (s *Spawner) Spawn(spec SpawnSpec) (*Process, error) {
 	s.running.Add(1)
 	s.mu.Unlock()
 
-	go s.run(p, script, spec.OnExit)
+	warm.Go(func() { s.run(p, script, spec.OnExit) })
 	return p, nil
 }
 

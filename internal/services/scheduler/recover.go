@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log"
 	"time"
 
 	"uvacg/internal/wssec"
@@ -51,8 +52,13 @@ func (s *Service) Recover(ctx context.Context) (int, error) {
 	if unsubscribed {
 		// Sets skipped because the broker did not answer are acked work
 		// nothing else would pick up: sweep again (idempotent) until it
-		// does. The caller has this pass's errors; the next retries itself.
-		time.AfterFunc(resweepDelay, func() { _, _ = s.Recover(context.WithoutCancel(ctx)) })
+		// does. The caller has this pass's errors; a later pass has no
+		// caller, so its errors, each under its set's id, are logged.
+		time.AfterFunc(resweepDelay, func() {
+			if _, err := s.Recover(context.WithoutCancel(ctx)); err != nil {
+				log.Printf("scheduler: recover resweep: %v", err)
+			}
+		})
 	}
 	return resumed, err
 }

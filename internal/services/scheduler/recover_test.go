@@ -2,7 +2,9 @@ package scheduler
 
 import (
 	"context"
+	"log"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -368,6 +370,93 @@ func TestRecoverRetriesSetsTheBrokerRefused(t *testing.T) {
 	if got := h.waitTerminal(t, topic); got != "completed" {
 		t.Fatalf("set the broker refused was never picked up again: %q", got)
 	}
+}
+
+// TestResweepLogsWhatItFails: Recover's own later passes have no caller to
+// hand their errors to, so each logs its joined error once, under the ids
+// of the sets that failed. A set whose spec snapshot is found broken only
+// by the second sweep is named in the log, and failed as a set.
+func TestResweepLogsWhatItFails(t *testing.T) {
+	logged := new(lockedLog)
+	defer log.SetOutput(log.Writer())
+	log.SetOutput(logged)
+
+	h, brokerSrv := newSplitBrokerHarness(t, 0)
+	h.files.Publish("j.app", procspawn.BuildScript("exit 0"))
+	var eprs []wsa.EndpointReference
+	for _, name := range []string{"later", "broken"} {
+		spec := &JobSetSpec{Name: name, Jobs: []JobSpec{{Name: "j", Executable: "local://j.app"}}}
+		epr, topic, err := h.submit(t, spec, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := h.waitTerminal(t, topic); got != "completed" {
+			t.Fatalf("initial run of %s: %q", name, got)
+		}
+		eprs = append(eprs, epr)
+	}
+	// rerun marks a set Running with its job pending, as a crash mid-run
+	// leaves it; gut also empties its spec snapshot.
+	rerun := func(epr wsa.EndpointReference, gut bool) {
+		err := h.ss.WSRF().UpdateResource(epr.Property(wsrf.QResourceID), func(doc *xmlutil.Element) error {
+			doc.Child(QStatus).Text = SetRunning
+			doc.ChildrenNamed(QJobState)[0].SetAttr(qStatusAttr, JobPending)
+			if gut {
+				doc.Child(qSpecSnapshot).Children = nil
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	h.ss.sets.forgetAll()
+	rerun(eprs[0], false)
+	h.network.Deregister("broker")
+	if resumed, err := h.ss.Recover(context.Background()); err == nil || resumed != 0 {
+		t.Fatalf("Recover with no broker: resumed %d, err %v", resumed, err)
+	}
+	// Between the sweeps the second set is found Running with no spec.
+	rerun(eprs[1], true)
+	h.network.Register("broker", brokerSrv)
+	// The two end in either order: read their documents, not the events.
+	status := func(epr wsa.EndpointReference) string {
+		doc, err := h.ss.WSRF().Home().Load(epr.Property(wsrf.QResourceID))
+		if err != nil {
+			return err.Error()
+		}
+		return doc.ChildText(QStatus)
+	}
+	eventually(t, "the set with no spec failed and the one the broker refused completed", func() bool {
+		return status(eprs[1]) == SetFailed && status(eprs[0]) == SetCompleted
+	})
+	broken := eprs[1].Property(wsrf.QResourceID)
+	for deadline := time.Now().Add(5 * time.Second); !strings.Contains(logged.String(), broken); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("the resweep that failed set %s logged %q", broken, logged.String())
+		}
+	}
+	if got := logged.String(); strings.Count(got, broken) != 1 || !strings.Contains(got, "no recoverable spec") {
+		t.Fatalf("log %q: want one resweep error naming set %s and its bad spec", got, broken)
+	}
+}
+
+// lockedLog collects what the log package writes, from any goroutine.
+type lockedLog struct {
+	mu  sync.Mutex
+	buf strings.Builder
+}
+
+func (l *lockedLog) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.buf.Write(p)
+}
+
+func (l *lockedLog) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.buf.String()
 }
 
 // waitNotified blocks until the scheduler has stamped a terminal set's

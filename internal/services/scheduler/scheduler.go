@@ -17,6 +17,7 @@ import (
 	"uvacg/internal/services/nodeinfo"
 	"uvacg/internal/soap"
 	"uvacg/internal/transport"
+	"uvacg/internal/warm"
 	"uvacg/internal/wsa"
 	"uvacg/internal/wsn"
 	"uvacg/internal/wsrf"
@@ -683,11 +684,12 @@ func (s *Service) scheduleReady(ctx context.Context, r *run) {
 		}
 		s.dispatchSem <- struct{}{}
 		wg.Add(1)
-		go func(res reservation) {
+		res := *fx.reserved
+		warm.Go(func() {
 			defer wg.Done()
 			defer func() { <-s.dispatchSem }()
 			s.dispatch(ctx, r, res)
-		}(*fx.reserved)
+		})
 	}
 	wg.Wait()
 }
@@ -857,7 +859,7 @@ func (s *Service) onNotification(ctx context.Context, n wsn.Notification) {
 		_ = s.perform(ctx, r, fx, nil) // perform logged the failure with the set id
 		return
 	}
-	go func() { _ = s.perform(ctx, r, fx, nil) }()
+	warm.Go(func() { _ = s.perform(ctx, r, fx, nil) })
 }
 
 // handleCancel aborts a job set on client request. A set that is already

@@ -11,6 +11,7 @@ import (
 	"uvacg/internal/services/scheduler"
 	"uvacg/internal/soap"
 	"uvacg/internal/soap/fastcodec"
+	"uvacg/internal/warm"
 	"uvacg/internal/wssec"
 	"uvacg/internal/xmlutil"
 )
@@ -145,5 +146,36 @@ func BenchmarkDecodeGridTraffic(b *testing.B) {
 		for _, m := range msgs {
 			sinkTree, _ = fastcodec.Decode(m)
 		}
+	}
+}
+
+// BenchmarkDecodeGridTrafficPerGoroutine decodes the same messages each
+// on a goroutine of its own, as a daemon handles one-way messages: on a
+// fresh goroutine per message, whose stack the recursive decoder grows
+// from its starting size every time, and through warm.Go, whose workers
+// keep the stacks they grew.
+func BenchmarkDecodeGridTrafficPerGoroutine(b *testing.B) {
+	msgs := gridTraffic(b)
+	for _, bc := range []struct {
+		name string
+		run  func(func())
+	}{
+		{"fresh", func(f func()) { go f() }},
+		{"warm", warm.Go},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			done := make(chan *xmlutil.Element)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, m := range msgs {
+					bc.run(func() {
+						tree, _ := fastcodec.Decode(m)
+						done <- tree
+					})
+					sinkTree = <-done
+				}
+			}
+		})
 	}
 }

@@ -72,7 +72,8 @@ const contentTypeFrame = "application/vnd.uvacg.soap-frame"
 // headerOneWay marks a POST as a one-way message: the server acknowledges
 // receipt with 202 Accepted before dispatch, matching the paper's
 // "one-way message closes the connection immediately" semantics as
-// closely as HTTP allows.
+// closely as HTTP allows. A message it cannot take (no envelope, no
+// service at the path) is answered 500 with the Sender fault instead.
 const headerOneWay = "X-Soap-One-Way"
 
 // headerAltSvc is the header a Listener's HTTP answers announce its
@@ -214,6 +215,13 @@ func (t *HTTPTransport) Send(ctx context.Context, addr string, request *Message)
 		return err
 	}
 	defer resp.Body.Close()
+	if resp.StatusCode == http.StatusInternalServerError {
+		answer, err := readHTTPMessage(resp.Header.Get("Content-Type"), resp.Body, resp.ContentLength, frameReply)
+		if err != nil {
+			return err
+		}
+		return refusal(answer.Envelope)
+	}
 	io.Copy(io.Discard, resp.Body)
 	if resp.StatusCode != http.StatusAccepted {
 		return fmt.Errorf("one-way message not accepted: %s", resp.Status)
@@ -254,7 +262,13 @@ func (h *HTTPHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if r.Header.Get(headerOneWay) == "1" {
-		h.server.HandleOneWay(r.Context(), r.URL.Path, msg)
+		if fault := h.server.HandleOneWay(r.Context(), r.URL.Path, msg); fault != nil {
+			w.Header().Set("Content-Type", contentTypeSOAP)
+			w.Header().Set("Content-Length", strconv.Itoa(len(fault.Envelope)))
+			w.WriteHeader(http.StatusInternalServerError)
+			w.Write(fault.Envelope)
+			return
+		}
 		w.WriteHeader(http.StatusAccepted)
 		return
 	}

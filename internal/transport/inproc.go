@@ -110,13 +110,16 @@ func (t *inprocTransport) RoundTrip(ctx context.Context, addr string, request *M
 	return reply, bounded(int64(len(reply.Envelope)))
 }
 
-// Send implements RoundTripper. HandleOneWay detaches the dispatch from
-// the caller's cancellation and runs it on its own goroutine.
+// Send implements RoundTripper. HandleOneWay parses the message on this
+// goroutine, as a listener does before its receipt, then detaches the
+// dispatch from the caller's cancellation and runs it on a warm one.
 func (t *inprocTransport) Send(ctx context.Context, addr string, request *Message) error {
 	srv, path, err := t.resolve(addr, request.Envelope)
 	if err != nil {
 		return err
 	}
-	srv.HandleOneWay(wireContext{ctx}, path, request)
+	if fault := srv.HandleOneWay(wireContext{ctx}, path, request); fault != nil {
+		return refusal(fault.Envelope)
+	}
 	return nil
 }

@@ -3,6 +3,8 @@ package transport
 import (
 	"bufio"
 	"context"
+	"errors"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -114,6 +116,133 @@ func TestOneWayFrameIsAcknowledged(t *testing.T) {
 		}
 		sink.wait(t)
 	})
+	// A message the listener cannot take, because it is no envelope or
+	// names a path no service holds, is answered by a reply carrying the
+	// Sender fault in place of the receipt (over HTTP a 500 in place of the
+	// 202), and every binding's Send returns that fault. The connection
+	// stays good for the next message.
+	t.Run("refused", func(t *testing.T) {
+		mux, sink := testService(t)
+		srv := NewServer(mux)
+		tl, err := ListenTCP(srv, "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tl.Close()
+		network := NewNetwork()
+		network.Register("local", srv)
+		envelope := func(path string) []byte {
+			env := soap.New(xmlutil.NewElement(qPing, "taken"))
+			wsa.Apply(env, wsa.NewEPR(tl.BaseURL()+path), "urn:Sink")
+			data, err := env.Marshal()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return data
+		}
+		rows := []struct {
+			name, path string
+			body       []byte
+			reason     string
+		}{
+			{"malformed", "/Test", []byte("<not an envelope"), "malformed envelope"},
+			{"unknown-path", "/Nowhere", envelope("/Nowhere"), `no service at "/Nowhere"`},
+		}
+		for _, b := range []struct {
+			name string
+			rt   RoundTripper
+			base string
+		}{
+			{SchemeTCP, NewTCPTransport(), tl.BaseURL()},
+			{"http", NewHTTPTransport(), "http://" + tl.Addr()},
+			{SchemeInproc, &inprocTransport{network: network}, "inproc://local"},
+		} {
+			for _, row := range rows {
+				err := b.rt.Send(ctx, b.base+row.path, &Message{Envelope: row.body})
+				var f *soap.Fault
+				if !errors.As(err, &f) || f.Code != soap.CodeSender || !strings.Contains(f.Reason, row.reason) {
+					t.Fatalf("%s, %s: Send returned %v, want the Sender fault %q", b.name, row.name, err, row.reason)
+				}
+			}
+			if err := b.rt.Send(ctx, b.base+"/Test", &Message{Envelope: envelope("/Test")}); err != nil {
+				t.Fatalf("%s: a good message after the refused ones: %v", b.name, err)
+			}
+			sink.wait(t)
+		}
+
+		// On the wire: a reply frame, and a 500.
+		conn, err := net.Dial("tcp", tl.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if err := writeFrame(conn, &frame{kind: frameOneWay, path: "/Nowhere", body: envelope("/Nowhere")}); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		fr, err := readFrame(bufio.NewReader(conn), -1)
+		if err != nil || fr.kind != frameReply || !strings.Contains(string(fr.body), "no service at") {
+			t.Fatalf("the listener answered %+v (%v), want a reply carrying the fault", fr, err)
+		}
+		req, err := http.NewRequest(http.MethodPost, "http://"+tl.Addr()+"/Nowhere", strings.NewReader(string(envelope("/Nowhere"))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", contentTypeSOAP)
+		req.Header.Set(headerOneWay, "1")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(body), "no service at") {
+			t.Fatalf("HTTP answered %s %q, want 500 with the fault", resp.Status, body)
+		}
+	})
+	// A kind-5 answer to a one-way frame is taken only when it is a fault.
+	t.Run("reply-that-is-no-fault", func(t *testing.T) {
+		addr, read := peer(t, func(conn net.Conn) {
+			writeFrame(conn, &frame{kind: frameReply, body: []byte(`<s:Envelope xmlns:s="http://www.w3.org/2003/05/soap-envelope"><s:Body/></s:Envelope>`)})
+		})
+		sent := send(addr)
+		<-read
+		if err := <-sent; err == nil {
+			t.Fatal("Send took a reply that is no fault for a receipt")
+		} else if _, ok := err.(*soap.Fault); ok {
+			t.Fatalf("Send returned a fault (%v) for a reply that carries none", err)
+		}
+	})
+}
+
+// TestRefusedOneWayKeepsTheLearnedPort: a fault answered in place of a
+// receipt is the port speaking: the client returns it and keeps sending
+// that port frames.
+func TestRefusedOneWayKeepsTheLearnedPort(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	mux, _ := testService(t)
+	tl, err := ListenTCP(NewServer(mux), "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tl.Close()
+	base := "http://" + tl.Addr()
+	c := NewClient()
+	fc := countFrames(c)
+	if _, err := c.Call(ctx, wsa.NewEPR(base+"/Test"), "urn:Echo", xmlutil.NewElement(qPing, "hi")); err != nil {
+		t.Fatal(err)
+	}
+	err = c.Notify(ctx, wsa.NewEPR(base+"/Nowhere"), "urn:Sink", xmlutil.NewElement(qPing, "lost"))
+	if f, ok := err.(*soap.Fault); !ok || f.Code != soap.CodeSender {
+		t.Fatalf("Notify to a path no service holds returned %v, want the Sender fault itself", err)
+	}
+	if _, err := c.Call(ctx, wsa.NewEPR(base+"/Test"), "urn:Echo", xmlutil.NewElement(qPing, "hi")); err != nil {
+		t.Fatal(err)
+	}
+	if seen := fc.seen(); len(seen) != 2 {
+		t.Fatalf("frames went to %v, want the refused Notify and the call after it", seen)
+	}
 }
 
 // frameCounter is a soap.tcp binding wrapper that notes every address it

@@ -278,7 +278,11 @@ func (ln *Listener) serveFrames(conn net.Conn, br *bufio.Reader) {
 		answer := &receipt
 		switch fr.kind {
 		case frameOneWay:
-			ln.srv.HandleOneWay(ctx, fr.path, &Message{Envelope: fr.body, Attachments: fr.atts})
+			// A message the server cannot take is answered by its fault
+			// instead of the receipt.
+			if fault := ln.srv.HandleOneWay(ctx, fr.path, &Message{Envelope: fr.body, Attachments: fr.atts}); fault != nil {
+				answer = &frame{kind: frameReply, body: fault.Envelope}
+			}
 		case frameRequest:
 			resp := ln.srv.HandleRequest(ctx, fr.path, &Message{Envelope: fr.body, Attachments: fr.atts})
 			answer = &frame{kind: frameReply, body: resp.Envelope, atts: resp.Attachments}

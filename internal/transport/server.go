@@ -5,6 +5,7 @@ import (
 	"log"
 
 	"uvacg/internal/soap"
+	"uvacg/internal/warm"
 	"uvacg/internal/wsa"
 )
 
@@ -24,9 +25,6 @@ type Server struct {
 // NewServer wraps a service mux.
 func NewServer(mux *soap.Mux) *Server { return &Server{mux: mux} }
 
-// Mux exposes the underlying service mux for registration.
-func (s *Server) Mux() *soap.Mux { return s.mux }
-
 // Use appends interceptors to the server's receive pipeline; they run
 // for every hosted service, outside any per-dispatcher interceptors.
 func (s *Server) Use(ics ...soap.Interceptor) {
@@ -44,7 +42,7 @@ func (s *Server) HandleRequest(ctx context.Context, path string, request *Messag
 // requester takes reply attachments raw or needs them inlined as base64
 // (a plain SOAP requester over HTTP, the one caller that passes false).
 func (s *Server) handle(ctx context.Context, path string, request *Message, attach bool) *Message {
-	resp := s.process(ctx, path, request, false)
+	resp := s.process(ctx, path, request)
 	if !attach {
 		resp.InlineAttachments()
 	}
@@ -58,56 +56,90 @@ func (s *Server) handle(ctx context.Context, path string, request *Message, atta
 	return &Message{Envelope: data, Attachments: resp.Attachments}
 }
 
-// HandleOneWay accepts a one-way message for the service at path. The
-// caller's connection obligation ends as soon as this returns; dispatch
-// proceeds asynchronously, and failures — which have no connection left
-// to report on — are logged.
-func (s *Server) HandleOneWay(ctx context.Context, path string, request *Message) {
-	// Detach from the transport's per-connection context: the sender has
-	// already gone away by design.
+// HandleOneWay takes a one-way message for the service at path. It
+// parses the envelope and finds its service on the caller's goroutine,
+// and the caller answers with what it returns: nil when the message was
+// taken (a receipt, HTTP's 202), or the Sender fault of a message that
+// does not parse or names no service, which the sender's Send returns.
+// Dispatch proceeds on a warm goroutine, detached from the caller's
+// cancellation; its failures, which have no connection left to report
+// on, are logged.
+func (s *Server) HandleOneWay(ctx context.Context, path string, request *Message) *Message {
+	in, fault := s.parse(path, request)
+	if fault != nil {
+		// A fault's names are fixed and its text is escaped: it encodes.
+		data, _ := fault.Envelope().Marshal()
+		return &Message{Envelope: data}
+	}
+	// The sender has gone away by design.
 	bg := context.WithoutCancel(ctx)
-	go func() {
+	warm.Go(func() {
 		defer func() {
 			if r := recover(); r != nil {
 				log.Printf("transport: one-way handler panic on %s: %v", path, r)
 			}
 		}()
-		resp := s.process(bg, path, request, true)
+		resp := s.dispatch(bg, in, true)
 		if soap.IsFault(resp.Body) {
 			if f, err := soap.ParseFault(resp.Body); err == nil {
 				log.Printf("transport: one-way %s faulted: %v", path, f)
 			}
 		}
-	}()
+	})
+	return nil
+}
+
+// inbound is a parsed message and the service it is for.
+type inbound struct {
+	path       string
+	env        *soap.Envelope
+	info       wsa.MessageInfo
+	dispatcher *soap.Dispatcher
+}
+
+// parse is the receive pipeline up to dispatch: envelope, WS-Addressing
+// headers, service. A message that fails it gets the Sender fault.
+func (s *Server) parse(path string, request *Message) (*inbound, *soap.Fault) {
+	env, err := soap.Unmarshal(request.Envelope)
+	if err != nil {
+		return nil, soap.SenderFault("malformed envelope: %v", err)
+	}
+	env.Attachments = request.Attachments
+	info, err := wsa.Extract(env)
+	if err != nil {
+		return nil, soap.SenderFault("%v", err)
+	}
+	dispatcher, ok := s.mux.Lookup(path)
+	if !ok {
+		return nil, soap.SenderFault("no service at %q", path)
+	}
+	return &inbound{path: path, env: env, info: info, dispatcher: dispatcher}, nil
 }
 
 // process runs the full receive pipeline and always produces a reply
 // envelope (faults included). Reply attachments, if any, are left on
 // the envelope for the caller to carry, or inline (handle).
-func (s *Server) process(ctx context.Context, path string, request *Message, oneWay bool) *soap.Envelope {
-	env, err := soap.Unmarshal(request.Envelope)
-	if err != nil {
-		return soap.SenderFault("malformed envelope: %v", err).Envelope()
+func (s *Server) process(ctx context.Context, path string, request *Message) *soap.Envelope {
+	in, fault := s.parse(path, request)
+	if fault != nil {
+		return fault.Envelope()
 	}
-	env.Attachments = request.Attachments
-	info, err := wsa.Extract(env)
-	if err != nil {
-		return soap.SenderFault("%v", err).Envelope()
-	}
-	dispatcher, ok := s.mux.Lookup(path)
-	if !ok {
-		return soap.SenderFault("no service at %q", path).Envelope()
-	}
-	ctx = wsa.NewContext(ctx, info)
+	return s.dispatch(ctx, in, false)
+}
+
+// dispatch runs a parsed message through the server chain and its
+// service, and stamps the reply's WS-Addressing headers.
+func (s *Server) dispatch(ctx context.Context, in *inbound, oneWay bool) *soap.Envelope {
+	ctx = wsa.NewContext(ctx, in.info)
 	call := &soap.CallInfo{
 		Side:    soap.ServerSide,
-		Path:    path,
-		Action:  info.Action,
+		Path:    in.path,
+		Action:  in.info.Action,
 		OneWay:  oneWay,
-		Request: env,
+		Request: in.env,
 	}
 	out, err := s.chain.Bind(func(ctx context.Context, call *soap.CallInfo) (*soap.Envelope, error) {
-		return dispatcher.DispatchCall(ctx, call)
+		return in.dispatcher.DispatchCall(ctx, call)
 	})(ctx, call)
 	var resp *soap.Envelope
 	switch {
@@ -118,6 +150,6 @@ func (s *Server) process(ctx context.Context, path string, request *Message, one
 	default:
 		resp = out
 	}
-	wsa.ApplyReply(resp, info, info.Action+"Response")
+	wsa.ApplyReply(resp, in.info, in.info.Action+"Response")
 	return resp
 }

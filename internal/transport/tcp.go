@@ -446,7 +446,10 @@ func (t *TCPTransport) exchange(ctx context.Context, hostport string, fr *frame)
 			}
 			return nil, err
 		}
-		if want := answerKind(fr.kind); answer.kind != want {
+		// A one-way frame the listener could not take is answered by a
+		// reply carrying its fault (Send reads it).
+		refused := fr.kind == frameOneWay && answer.kind == frameReply
+		if want := answerKind(fr.kind); answer.kind != want && !refused {
 			pc.Close()
 			return nil, fmt.Errorf("frame kind %d answered a frame of kind %d, want %d", answer.kind, fr.kind, want)
 		}
@@ -502,14 +505,21 @@ func (t *TCPTransport) RoundTrip(ctx context.Context, addr string, request *Mess
 
 // Send implements RoundTripper's one-way hand-off: it returns once the
 // listener's receipt has arrived, so a message the peer never took fails
-// here as it does over HTTP without a 202.
+// here as it does over HTTP without a 202, and one it refused fails with
+// the fault it answered instead.
 func (t *TCPTransport) Send(ctx context.Context, addr string, request *Message) error {
 	hostport, path, err := splitTCPAddr(addr)
 	if err != nil {
 		return err
 	}
-	_, err = t.exchange(ctx, hostport, &frame{kind: frameOneWay, path: path, body: request.Envelope, atts: request.Attachments})
-	return err
+	answer, err := t.exchange(ctx, hostport, &frame{kind: frameOneWay, path: path, body: request.Envelope, atts: request.Attachments})
+	if err != nil {
+		return err
+	}
+	if answer.kind == frameReply {
+		return refusal(answer.body)
+	}
+	return nil
 }
 
 // Buffered reader/writer and frame-writer pools for server-side

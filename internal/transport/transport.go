@@ -31,6 +31,7 @@ package transport
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/url"
 	"sync"
@@ -328,10 +329,32 @@ func (c *Client) send(ctx context.Context, to wsa.EndpointReference, call *soap.
 		return err
 	}
 	if err := r.rt.Send(ctx, r.addr, request); err != nil {
+		var f *soap.Fault
+		if errors.As(err, &f) {
+			return f // the port answered: what it said is the error
+		}
 		c.failed(r)
 		return fmt.Errorf("transport: one-way %s %s: %w", call.Action, to.Address, err)
 	}
 	return nil
+}
+
+// refusal is the error of a one-way message answered by envelope instead
+// of a receipt: the fault it carries, the one reply a one-way message may
+// get.
+func refusal(envelope []byte) error {
+	env, err := soap.Unmarshal(envelope)
+	if err != nil {
+		return fmt.Errorf("transport: bad answer to a one-way message: %w", err)
+	}
+	if !soap.IsFault(env.Body) {
+		return fmt.Errorf("transport: a one-way message was answered by a reply that is not a fault")
+	}
+	f, err := soap.ParseFault(env.Body)
+	if err != nil {
+		return err
+	}
+	return f
 }
 
 // Notify is SendOneWay for a bare body element.

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"uvacg/internal/warm"
 	"uvacg/internal/wsa"
 )
 
@@ -27,7 +28,8 @@ type Delivery struct {
 // (WS-BaseNotification allows 1..n). So messages reach the wire in the
 // order queued, a burst costs an exchange per round trip, not per message,
 // and a slow destination delays only itself. No timer, nothing to tune; an
-// idle destination holds no goroutine and no memory.
+// idle destination holds no memory, and no goroutine after the idle window
+// (a drain runs on a warm worker, which parks that long).
 type Outbox struct {
 	send func(ctx context.Context, to wsa.EndpointReference, batch []Notification) error
 
@@ -66,7 +68,7 @@ func (o *Outbox) Enqueue(ctx context.Context, deliveries ...Delivery) {
 	}
 	o.mu.Unlock()
 	for _, to := range idle {
-		go o.drain(to)
+		warm.Go(func() { o.drain(to) })
 	}
 }
 

@@ -314,6 +314,35 @@ func TestDeadConsumerIsEventuallyUnsubscribed(t *testing.T) {
 	}
 }
 
+// TestRefusedNotifyChargesItsSubscription: a consumer whose host answers
+// but holds no service at its path refuses each Notify with the Sender
+// fault. A refusal is a failed delivery: Publish does not count it, and
+// the subscription is destroyed after maxDeliveryFailures of them.
+func TestRefusedNotifyChargesItsSubscription(t *testing.T) {
+	h := newWSNHarness(t)
+	ctx := context.Background()
+	unmounted := wsa.NewEPR("inproc://client/unmounted")
+	err := h.producer.deliver(ctx, unmounted, []Notification{{Topic: "jobs/x", Producer: h.owner.EPR()}})
+	if f, ok := soap.AsFault(err); !ok || f.Code != soap.CodeSender {
+		t.Fatalf("Notify to an unmounted path: %v, want the Sender fault", err)
+	}
+	if _, err := h.producer.Subscribe(unmounted, Simple("jobs")); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= maxDeliveryFailures; i++ {
+		if n := h.producer.Publish(ctx, "jobs/x", h.owner.EPR(), nil); n != 0 {
+			t.Fatalf("publish %d: %d delivered to a path no service holds", i, n)
+		}
+		want := 1
+		if i == maxDeliveryFailures {
+			want = 0
+		}
+		if got := h.producer.subscriptionCount(); got != want {
+			t.Fatalf("%d subscriptions after %d refusals, want %d", got, i, want)
+		}
+	}
+}
+
 // deliver hands c one Notify of ns, as its endpoint receives it.
 func deliver(t *testing.T, c *Consumer, ns ...Notification) {
 	t.Helper()
