@@ -261,7 +261,8 @@ func (c *sideCounter) intercept(ctx context.Context, call *soap.CallInfo, next s
 // daemon advertising http:// — on loopback with journaled stores, and
 // runs the README's demo job set through it with the client wired as
 // cmd/gridsub wires it: gen on one machine, sum staged from it, the total
-// fetched back.
+// fetched back. A second set does the same with names, files and script
+// arguments that are not ASCII, and its output comes back byte for byte.
 //
 // Each process asks a port over HTTP until that port has answered it
 // once; from then on every message it sends there crosses as frames,
@@ -364,20 +365,37 @@ func TestShippedWiringRunsDemoJobSet(t *testing.T) {
 		}
 		client.AddFile(name, content)
 	}
-	sub, err := client.Submit(ctx, desc.Spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if status, err := sub.Wait(ctx); err != nil || status != scheduler.SetCompleted {
-		_, detail := sub.Status()
-		t.Fatalf("job set ended %q (%s), err %v", status, detail, err)
-	}
-	total, err := sub.FetchOutput(ctx, "sum", "total.txt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := strings.TrimSpace(string(total)); got != "100" {
-		t.Fatalf("sum/total.txt = %q, want 100", got)
+	// A set whose names, files and script arguments are not ASCII crosses
+	// every hop and every journal the demo does.
+	client.AddFile("générer.app", core.Script("write données.txt résultat ✓ 日本", "exit 0"))
+	client.AddFile("étape.app", core.Script("read entrée.txt", "transform entrée.txt sortie.txt upper", "exit 0"))
+	wide := core.NewJobSet("analyse-données")
+	wide.Add("générer", core.Local("générer.app")).Outputs("données.txt")
+	wide.Add("étape-日本", core.Local("étape.app")).
+		Input("entrée.txt", core.Output("générer", "données.txt")).Outputs("sortie.txt")
+	for _, set := range []struct {
+		spec      *core.JobSet
+		job, file string
+		want      string
+	}{
+		{desc.Spec, "sum", "total.txt", "100"},
+		{wide.Spec(), "étape-日本", "sortie.txt", "RÉSULTAT ✓ 日本"},
+	} {
+		sub, err := client.Submit(ctx, set.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if status, err := sub.Wait(ctx); err != nil || status != scheduler.SetCompleted {
+			_, detail := sub.Status()
+			t.Fatalf("job set %s ended %q (%s), err %v", set.spec.Name, status, detail, err)
+		}
+		got, err := sub.FetchOutput(ctx, set.job, set.file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != set.want {
+			t.Fatalf("%s/%s = %q, want %q", set.job, set.file, got, set.want)
+		}
 	}
 
 	// The nodes advertise http://, as the master does.

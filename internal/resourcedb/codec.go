@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"strings"
 
-	"uvacg/internal/soap/fastcodec"
 	"uvacg/internal/xmlutil"
 )
 
@@ -45,28 +44,20 @@ func (BlobCodec) Name() string { return "blob" }
 // Indexable implements Codec.
 func (BlobCodec) Indexable() bool { return false }
 
-// Encode implements Codec. Blob rows ride the fast-path codec when the
-// document fits its recognized shape — rows are written on every
-// journaled Put, so this is squarely on the WAL hot path — and fall
-// back to encoding/xml otherwise. Both encodings decode identically
-// under either decoder, so rows written before and after the fast path
-// interoperate.
+// Encode implements Codec. Rows are written on every journaled Put, so
+// this is squarely on the WAL hot path: the codec encodes into pooled
+// scratch and hands out one exact copy. Rows written by encoding/xml
+// before it left the product decode too.
 func (BlobCodec) Encode(doc *xmlutil.Element) ([]byte, error) {
-	if out, ok := fastcodec.EncodeElement(doc); ok {
-		return out, nil
-	}
 	return xmlutil.MarshalElement(doc)
 }
 
 // Decode implements Codec. The document's strings may point into data
-// (see fastcodec.Decode): once a row is passed here the document owns
-// it, and nobody may write to it again. Rows are never written in place:
-// Put stores Encode's fresh copy, and replay and snapshot load read each
-// row into a buffer of its own.
+// (see xmlutil.UnmarshalElement): once a row is passed here the document
+// owns it, and nobody may write to it again. Rows are never written in
+// place: Put stores Encode's fresh copy, and replay and snapshot load
+// read each row into a buffer of its own.
 func (BlobCodec) Decode(data []byte) (*xmlutil.Element, error) {
-	if root, ok := fastcodec.Decode(data); ok {
-		return root, nil
-	}
 	return xmlutil.UnmarshalElement(data)
 }
 

@@ -7,13 +7,8 @@
 package soap
 
 import (
-	"bytes"
-	"encoding/xml"
 	"fmt"
-	"io"
-	"sync"
 
-	"uvacg/internal/soap/fastcodec"
 	"uvacg/internal/xmlutil"
 )
 
@@ -100,93 +95,34 @@ func (e *Envelope) Clone() *Envelope {
 	return out
 }
 
-// MaxEnvelopeBytes bounds how much soap.Read (and the transport request
-// readers that feed Unmarshal) will buffer for one envelope. A corrupt
-// or malicious peer otherwise drives io.ReadAll into unbounded
-// allocation. It matches the soap.tcp frame cap.
+// MaxEnvelopeBytes bounds how much a binding's request reader buffers
+// for one envelope before Unmarshal sees it. A corrupt or malicious peer
+// otherwise drives the read into unbounded allocation. It is the
+// soap.tcp frame cap too.
 const MaxEnvelopeBytes = 64 << 20
 
-// maxEnvelope is the bound Read enforces: MaxEnvelopeBytes, lowered only
-// by tests.
-var maxEnvelope int64 = MaxEnvelopeBytes
-
-// ErrEnvelopeTooLarge is wrapped by the fault Read returns for an
+// ErrEnvelopeTooLarge is wrapped by the error a binding returns for an
 // oversized envelope, so transports can branch on it.
 var ErrEnvelopeTooLarge = fmt.Errorf("envelope exceeds size bound")
-
-// marshalBufPool recycles the scratch buffers envelopes are encoded
-// into on the encoding/xml fallback path: the buffer's growth is the
-// only allocation that encoder cannot avoid.
-var marshalBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // Marshal serializes the envelope (XML only; attachments travel in the
 // binding's framing or are inlined beforehand) to wire form: encoded into
 // pooled scratch, returned as one allocation of exactly its length.
 func (e *Envelope) Marshal() ([]byte, error) {
-	if out, ok := fastcodec.EncodeEnvelope(NS, e.Headers, e.Body); ok {
-		return out, nil
-	}
-	return e.marshalSlow()
-}
-
-// marshalSlow is the encoding/xml reference path: it materializes the
-// wrapper tree and runs the token encoder.
-func (e *Envelope) marshalSlow() ([]byte, error) {
-	buf := marshalBufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	defer marshalBufPool.Put(buf)
-	buf.WriteString(xml.Header)
-	enc := xml.NewEncoder(buf)
-	root := &xmlutil.Element{Name: qEnvelope}
-	if len(e.Headers) > 0 {
-		hdr := &xmlutil.Element{Name: qHeader}
-		hdr.Children = append(hdr.Children, e.Headers...)
-		root.Children = append(root.Children, hdr)
-	}
-	body := &xmlutil.Element{Name: qBody}
-	if e.Body != nil {
-		body.Children = []*xmlutil.Element{e.Body}
-	}
-	root.Children = append(root.Children, body)
-	if err := enc.Encode(root); err != nil {
-		return nil, fmt.Errorf("soap: marshal envelope: %w", err)
-	}
-	if err := enc.Flush(); err != nil {
-		return nil, err
-	}
-	return bytes.Clone(buf.Bytes()), nil
+	return xmlutil.MarshalEnvelope(NS, e.Headers, e.Body)
 }
 
 // Unmarshal parses wire bytes into an Envelope, validating the SOAP
 // structure (envelope/body element names, at most one body child). The
-// fast decoder handles recognized shapes; anything it refuses goes
-// through encoding/xml. The envelope's strings may point into data (see
-// fastcodec.Decode): once data is passed here the envelope owns it, and
-// nobody may write to it again.
+// envelope's strings may point into data (see xmlutil.UnmarshalElement):
+// once data is passed here the envelope owns it, and nobody may write to
+// it again.
 func Unmarshal(data []byte) (*Envelope, error) {
-	if root, ok := fastcodec.Decode(data); ok {
-		return fromElement(root)
-	}
 	root, err := xmlutil.UnmarshalElement(data)
 	if err != nil {
 		return nil, fmt.Errorf("soap: parse: %w", err)
 	}
 	return fromElement(root)
-}
-
-// Read parses an envelope from a stream, refusing to buffer more than
-// MaxEnvelopeBytes with a Sender fault.
-func Read(r io.Reader) (*Envelope, error) {
-	max := maxEnvelope
-	data, err := io.ReadAll(io.LimitReader(r, max+1))
-	if err != nil {
-		return nil, fmt.Errorf("soap: read: %w", err)
-	}
-	if int64(len(data)) > max {
-		return nil, fmt.Errorf("soap: read: %w: %w",
-			SenderFault("envelope exceeds %d byte limit", max), ErrEnvelopeTooLarge)
-	}
-	return Unmarshal(data)
 }
 
 func fromElement(root *xmlutil.Element) (*Envelope, error) {

@@ -104,17 +104,63 @@ func TestUnmarshalRejectsMalformed(t *testing.T) {
 	}
 }
 
-func TestReadFromStream(t *testing.T) {
-	data, err := testEnvelope().Marshal()
+// TestNoNamespaceChildKeepsItsNamespace: a child in no namespace under
+// a parent in one crosses the wire in no namespace. encoding/xml wrote
+// such a tree without undeclaring the default, so the child came back in
+// its parent's namespace.
+func TestNoNamespaceChildKeepsItsNamespace(t *testing.T) {
+	body := xmlutil.NewContainer(xmlutil.Q("urn:x", "a"), xmlutil.NewElement(xmlutil.Q("", "plain"), "t"))
+	data, err := New(body).Marshal()
 	if err != nil {
 		t.Fatal(err)
 	}
-	env, err := Read(strings.NewReader(string(data)))
+	back, err := Unmarshal(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if env.Body == nil {
-		t.Fatal("nil body from Read")
+	if !back.Body.Equal(body) {
+		t.Fatalf("%s came back as %s", body, back.Body)
+	}
+}
+
+// TestNonASCIIEnvelopeRoundTrips: names, attribute values and text
+// outside ASCII cross the wire through Marshal and Unmarshal unchanged.
+func TestNonASCIIEnvelopeRoundTrips(t *testing.T) {
+	op := xmlutil.NewContainer(xmlutil.Q("urn:x", "Opération"),
+		xmlutil.NewElement(xmlutil.Q("urn:x", "Fichier"), "données.txt"),
+		xmlutil.NewElement(xmlutil.Q("", "étape-日本"), "héllo ✓"))
+	op.SetAttr(xmlutil.Q("", "nom"), "résultat")
+	env := New(op).AddHeader(xmlutil.NewElement(xmlutil.Q(nsT, "To"), "soap.tcp://hôte:1/ES"))
+	wire, err := env.Marshal()
+	if err != nil {
+		t.Fatalf("marshal: %v", err)
+	}
+	back, err := Unmarshal(wire)
+	if err != nil {
+		t.Fatalf("unmarshal: %v\n%s", err, wire)
+	}
+	if !back.Body.Equal(env.Body) {
+		t.Fatalf("body changed on the wire:\n got %s\nwant %s", back.Body, env.Body)
+	}
+	if len(back.Headers) != 1 || !back.Headers[0].Equal(env.Headers[0]) {
+		t.Fatalf("headers changed on the wire: %v", back.Headers)
+	}
+}
+
+// TestMarshalOwnsItsBytes: Marshal encodes into pooled scratch, so what
+// it returns must be a copy the next marshal cannot overwrite.
+func TestMarshalOwnsItsBytes(t *testing.T) {
+	first, err := testEnvelope().Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := bytes.Clone(first)
+	other := New(xmlutil.NewElement(xmlutil.Q("urn:x", "Other"), strings.Repeat("z", len(first))))
+	if _, err := other.Marshal(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first, want) {
+		t.Fatalf("a later marshal overwrote an earlier result:\n got %q\nwant %q", first, want)
 	}
 }
 

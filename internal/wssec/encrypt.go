@@ -109,6 +109,8 @@ func DecryptSecurityHeader(env *soap.Envelope, id *Identity) error {
 	if err != nil {
 		return fmt.Errorf("wssec: decrypt: %w", err)
 	}
+	// The header owns plaintext from here: gcm.Open made it, and nothing
+	// else holds it.
 	sec, err := xmlutil.UnmarshalElement(plaintext)
 	if err != nil {
 		return fmt.Errorf("wssec: decrypted header is not XML: %w", err)

@@ -1,90 +1,65 @@
-package fastcodec
+package xmlutil
 
 import (
+	"fmt"
+	"strconv"
 	"strings"
 	"sync"
+	"unicode/utf8"
 	"unsafe"
-
-	"uvacg/internal/xmlutil"
 )
 
-// Decode tokenizes data directly into an xmlutil.Element tree and
-// reports whether the document was inside the fast path's recognized
-// shape. ok=false — for malformed input as much as for valid XML the
-// fast path does not handle — means the caller must fall back to the
-// encoding/xml path, so a successful Decode is the only observable
-// difference and it is checked (by FuzzCodecEquivalence) to agree with
-// encoding/xml exactly.
+// UnmarshalElement parses a document into its root element, text
+// trimmed and namespace declarations consumed. It reads what
+// encoding/xml's Unmarshal reads, to the same tree (FuzzCodecEquivalence
+// holds it to that), less what no SOAP message or stored row carries: a
+// DOCTYPE, a processing instruction inside the root, attributes not
+// separated by white space, bytes that are not UTF-8 encoded XML Chars, a
+// name that is no QName, and nesting deeper than maxDepth. What follows
+// the root's end tag is not read.
 //
-// Ownership: the returned tree's names, text and attribute values point
-// into data itself, so once data is passed here the tree owns it and
-// nobody may write to it again.
-//
-// Allocation discipline: nodes come from one slab and child slices from
-// one pointer arena, both sized from the input (so a retained element
-// pins its own document's nodes and no more), and strings are copied
-// only where an entity or line-ending normalization forces a rewrite.
-// The returned tree is garbage-collected; only the parser's scratch
-// stacks are pooled, cleared before they go back, so the pool never
-// references a returned tree and retaining decoded documents (as
-// resource property stores do) is safe.
-func Decode(data []byte) (*xmlutil.Element, bool) {
-	elems, dirty, ok := scan(data)
-	if !ok {
-		return nil, false
+// The tree aliases data: its names, text and attribute values point into
+// it, so once data is passed here nobody may write to it again. Nodes
+// come from one slab and child slices from one arena, both sized from the
+// input, so a retained element pins its own document's nodes and no
+// more; only the parser's scratch stacks are pooled, cleared before they
+// go back, so the pool never references a returned tree.
+func UnmarshalElement(data []byte) (*Element, error) {
+	elems, dirty, bad := scan(data)
+	if bad >= 0 {
+		return nil, malformed(bad)
 	}
 	p := parserPool.Get().(*parser)
 	defer p.release()
 	p.s, p.pos, p.dirty = unsafe.String(unsafe.SliceData(data), len(data)), 0, dirty
-	p.elemSlab, p.ptrSlab = make([]xmlutil.Element, elems), make([]*xmlutil.Element, elems)
-	p.skipSpace()
-	// Prolog and any leading processing instructions are skipped, as
-	// encoding/xml's Unmarshal skips ProcInst tokens before the root.
-	for strings.HasPrefix(p.s[p.pos:], "<?") {
-		// encoding/xml demands a target name right after "<?".
-		if p.pos+2 >= len(p.s) || !isNameStart(p.s[p.pos+2]) {
-			return nil, false
-		}
-		end := strings.Index(p.s[p.pos:], "?>")
-		if end < 0 {
-			return nil, false
-		}
-		// encoding/xml validates the xml declaration's version and
-		// encoding pseudo-attributes (a non-1.0 version or non-UTF-8
-		// charset is an error); rather than parse them, accept only the
-		// canonical prolog (Header less its newline) whenever either
-		// keyword appears.
-		pi := p.s[p.pos : p.pos+end+2]
-		if (strings.Contains(pi, "version") || strings.Contains(pi, "encoding")) && pi != Header[:len(Header)-1] {
-			return nil, false
-		}
-		p.pos += end + 2
-		p.skipSpace()
-	}
-	if p.pos >= len(p.s) || p.s[p.pos] != '<' {
-		return nil, false
-	}
-	root, ok := p.element(0)
+	p.elemSlab, p.ptrSlab = make([]Element, elems), make([]*Element, elems)
+	root, ok := p.document()
 	if !ok {
-		return nil, false
+		return nil, malformed(p.pos)
 	}
-	// Content after the root is ignored, matching xml.Unmarshal, which
-	// stops reading at the root's end tag.
-	return root, true
+	return root, nil
+}
+
+func malformed(pos int) error {
+	return fmt.Errorf("xmlutil: malformed or unsupported XML at byte %d", pos)
 }
 
 // Byte classes of scan's table.
 const (
 	plain   byte = iota
-	refused      // outside the admitted subset
+	refused      // a control character: no XML Char
 	slash        // one end of "</" or "/>"
 	rewrite      // '&' or '\r': text holding one needs decodeText
 	bracket      // ']', which may open a "]]>"
+	wide         // a byte of a multibyte UTF-8 sequence
 )
 
 var classes = func() (t [256]byte) {
 	for c := range t {
-		if c >= 0x7F || c < 0x20 && c != '\t' && c != '\n' && c != '\r' {
+		switch {
+		case c >= utf8.RuneSelf:
+			t[c] = wide
+		case c < 0x20 && c != '\t' && c != '\n' && c != '\r':
 			t[c] = refused
 		}
 	}
@@ -92,14 +67,15 @@ var classes = func() (t [256]byte) {
 	return t
 }()
 
-// scan is the one pass over the input before the parse. It refuses any
-// byte outside printable ASCII plus tab/newline/CR, where encoding/xml's
-// unicode handling is required; it bounds the elements a well-formed
-// document holds; and it reports whether any '&', '\r' or "]]>" occurs.
-// When none does, no text segment or attribute value needs a look beyond
-// finding where it ends.
-func scan(data []byte) (elems int, dirty, ok bool) {
-	ends := 0
+// scan is the one pass over the input before the parse. It refuses a
+// control character and, once it has seen a byte of 0x80 or above, input
+// that is not UTF-8 encoded Chars (so an ASCII document pays nothing for
+// UTF-8); it bounds the elements a well-formed document holds; and it
+// reports whether any '&', '\r' or "]]>" occurs, without which no text or
+// attribute value needs a look beyond finding its end. bad is the offset
+// of the first byte refused, or -1.
+func scan(data []byte) (elems int, dirty bool, bad int) {
+	ends, multibyte := 0, false
 	for i, c := range data {
 		k := classes[c]
 		if k == plain {
@@ -107,7 +83,7 @@ func scan(data []byte) (elems int, dirty, ok bool) {
 		}
 		switch k {
 		case refused:
-			return 0, false, false
+			return 0, false, i
 		case slash:
 			if i > 0 && data[i-1] == '<' {
 				ends++
@@ -121,12 +97,29 @@ func scan(data []byte) (elems int, dirty, ok bool) {
 			if i+2 < len(data) && data[i+1] == ']' && data[i+2] == '>' {
 				dirty = true
 			}
+		case wide:
+			multibyte = true
+		}
+	}
+	if multibyte {
+		for i := 0; i < len(data); {
+			r, n := utf8.DecodeRune(data[i:])
+			if r == utf8.RuneError && n == 1 || !isChar(r) {
+				return 0, false, i
+			}
+			i += n
 		}
 	}
 	// Every element ends in "</" or "/>", so their count bounds the nodes
 	// (and the child pointers) a well-formed document needs; the shortest
 	// element, <a/>, bounds what text full of either can ask for.
-	return min(ends, len(data)/4), dirty, true
+	return min(ends, len(data)/4), dirty, -1
+}
+
+// isChar is XML 1.0's Char production.
+func isChar(r rune) bool {
+	return r >= 0x20 && r <= 0xD7FF || r == '\t' || r == '\n' || r == '\r' ||
+		r >= 0xE000 && r <= 0xFFFD || r >= 0x10000 && r <= utf8.MaxRune
 }
 
 type nsBinding struct {
@@ -147,11 +140,11 @@ type parser struct {
 	dirty bool // scan found '&', '\r' or "]]>" somewhere in s
 
 	bindings []nsBinding // namespace scope stack
-	kids     []*xmlutil.Element
+	kids     []*Element
 	attrs    []rawAttr
 
-	elemSlab []xmlutil.Element
-	ptrSlab  []*xmlutil.Element
+	elemSlab []Element
+	ptrSlab  []*Element
 }
 
 var parserPool = sync.Pool{New: func() any { return new(parser) }}
@@ -167,11 +160,11 @@ func (p *parser) release() {
 }
 
 // alloc hands out one Element from the slab. The slab runs dry only on
-// input that opens more elements than it closes, which Decode refuses in
-// the end; small chunks carry the parse until it does.
-func (p *parser) alloc() *xmlutil.Element {
+// input that opens more elements than it closes, which the parse refuses
+// in the end; small chunks carry the parse until it does.
+func (p *parser) alloc() *Element {
 	if len(p.elemSlab) == 0 {
-		p.elemSlab = make([]xmlutil.Element, 8)
+		p.elemSlab = make([]Element, 8)
 	}
 	e := &p.elemSlab[0]
 	p.elemSlab = p.elemSlab[1:]
@@ -180,9 +173,9 @@ func (p *parser) alloc() *xmlutil.Element {
 
 // allocPtrs copies kids into an arena-backed slice of exactly that
 // length.
-func (p *parser) allocPtrs(kids []*xmlutil.Element) []*xmlutil.Element {
+func (p *parser) allocPtrs(kids []*Element) []*Element {
 	if len(p.ptrSlab) < len(kids) {
-		p.ptrSlab = make([]*xmlutil.Element, len(kids))
+		p.ptrSlab = make([]*Element, len(kids))
 	}
 	out := p.ptrSlab[:len(kids):len(kids)]
 	p.ptrSlab = p.ptrSlab[len(kids):]
@@ -201,42 +194,168 @@ func (p *parser) skipSpace() {
 	}
 }
 
-// name reads prefix:local at the cursor. An absent prefix returns "".
-func (p *parser) name() (prefix, local string, ok bool) {
-	start := p.pos
-	if p.pos >= len(p.s) || !isNameStart(p.s[p.pos]) {
-		return "", "", false
+// document skips what xml.Unmarshal skips before the root — character
+// data, comments, CDATA sections and processing instructions, among
+// them any XML declaration, whose version and encoding are checked —
+// and parses the root.
+func (p *parser) document() (*Element, bool) {
+	for {
+		lt := strings.IndexByte(p.s[p.pos:], '<')
+		if lt < 0 {
+			return nil, false
+		}
+		if _, ok := p.textSegment(p.s[p.pos : p.pos+lt]); !ok {
+			return nil, false
+		}
+		p.pos += lt
+		switch {
+		case strings.HasPrefix(p.s[p.pos:], "<?"):
+			if !p.procInst() {
+				return nil, false
+			}
+		case strings.HasPrefix(p.s[p.pos:], "<!"):
+			if _, ok := p.bang(); !ok {
+				return nil, false
+			}
+		default:
+			return p.element(0)
+		}
 	}
-	colon := -1
+}
+
+// procInst skips the processing instruction at the cursor. Its target
+// is a Name; an XML declaration (target "xml") that names a version
+// must name 1.0, and one that names an encoding must name UTF-8 in any
+// letter case, read as encoding/xml reads them (see pseudoAttr).
+func (p *parser) procInst() bool {
+	p.pos += 2 // "<?"
+	start := p.pos
+	if !p.nameRun(true) {
+		return false
+	}
+	target := p.s[start:p.pos]
+	p.skipSpace()
+	end := strings.Index(p.s[p.pos:], "?>")
+	if end < 0 {
+		return false
+	}
+	content := p.s[p.pos : p.pos+end]
+	p.pos += end + 2
+	if target != "xml" {
+		return true
+	}
+	v, enc := pseudoAttr("version", content), pseudoAttr("encoding", content)
+	return (v == "" || v == "1.0") && (enc == "" || strings.EqualFold(enc, "utf-8"))
+}
+
+// pseudoAttr is the value of name in an XML declaration's content as
+// encoding/xml reads it: the text up to the matching quote after the
+// first `name=` that a quote follows, or "" when there is none.
+func pseudoAttr(name, s string) string {
+	key := name + "="
+	for i := 0; i < len(s); {
+		k := strings.Index(s[i:], key)
+		if k < 0 || i+k+len(key) >= len(s) {
+			return ""
+		}
+		i += k + len(key)
+		if q := s[i]; q == '"' || q == '\'' {
+			if j := strings.IndexByte(s[i+1:], q); j >= 0 {
+				return s[i+1 : i+1+j]
+			}
+			return ""
+		}
+		i++
+	}
+	return ""
+}
+
+// bang reads the markup at "<!": a comment, skipped, or a CDATA
+// section, whose text it returns with line endings normalized. A
+// DOCTYPE, or any other declaration, is refused: SOAP forbids a DTD in
+// a message.
+func (p *parser) bang() (text string, ok bool) {
+	rest := p.s[p.pos:]
+	switch {
+	case strings.HasPrefix(rest, "<!--"):
+		// "--" may only close a comment.
+		end := strings.Index(rest[4:], "--")
+		if end < 0 || !strings.HasPrefix(rest[4+end:], "-->") {
+			return "", false
+		}
+		p.pos += 4 + end + 3
+		return "", true
+	case strings.HasPrefix(rest, "<![CDATA["):
+		end := strings.Index(rest[9:], "]]>")
+		if end < 0 {
+			return "", false
+		}
+		p.pos += 9 + end + 3
+		text = rest[9 : 9+end]
+		if p.dirty && strings.IndexByte(text, '\r') >= 0 {
+			text = strings.ReplaceAll(strings.ReplaceAll(text, "\r\n", "\n"), "\r", "\n")
+		}
+		return text, true
+	}
+	return "", false
+}
+
+// nameRun advances over one XML name: a NameStartChar, then NameChars,
+// with ':' among both only when colon is set.
+func (p *parser) nameRun(colon bool) bool {
+	start := p.pos
 	for p.pos < len(p.s) {
 		c := p.s[p.pos]
-		if isNameByte(c) {
+		if nameBytes[c] != 0 || colon && c == ':' {
 			p.pos++
 			continue
 		}
-		if c == ':' && colon < 0 {
-			colon = p.pos
-			p.pos++
-			// The part after the colon must restart a name.
-			if p.pos >= len(p.s) || !isNameStart(p.s[p.pos]) {
-				return "", "", false
-			}
-			continue
+		if c < utf8.RuneSelf {
+			break
 		}
-		break
+		// encoding/xml ends a name only at a single-byte character, so a
+		// multibyte one that is no NameChar fails the name.
+		r, n := utf8.DecodeRuneInString(p.s[p.pos:])
+		if !isNameRune(r, p.pos == start) {
+			return false
+		}
+		p.pos += n
 	}
-	if colon < 0 {
+	if p.pos == start {
+		return false
+	}
+	c := p.s[start]
+	return nameBytes[c] == nameStart || c >= utf8.RuneSelf || colon && c == ':'
+}
+
+// name reads a QName, prefix:local or local, at the cursor. An absent
+// prefix returns "".
+func (p *parser) name() (prefix, local string, ok bool) {
+	start := p.pos
+	if !p.nameRun(false) {
+		return "", "", false
+	}
+	if p.pos >= len(p.s) || p.s[p.pos] != ':' {
 		return "", p.s[start:p.pos], true
+	}
+	colon := p.pos
+	p.pos++
+	if !p.nameRun(false) {
+		return "", "", false
 	}
 	return p.s[start:colon], p.s[colon+1 : p.pos], true
 }
 
 // lookup resolves a namespace prefix against the scope stack,
-// mirroring encoding/xml: "xml" is predeclared, an undeclared prefix
-// resolves to itself, and "" resolves to the innermost default (or "").
+// mirroring encoding/xml: "xml" and "xmlns" are fixed, an undeclared
+// prefix resolves to itself, and "" resolves to the innermost default
+// (or "").
 func (p *parser) lookup(prefix string) string {
-	if prefix == "xml" {
+	switch prefix {
+	case "xml":
 		return xmlNamespace
+	case "xmlns":
+		return prefix
 	}
 	for i := len(p.bindings) - 1; i >= 0; i-- {
 		if p.bindings[i].prefix == prefix {
@@ -250,7 +369,7 @@ func (p *parser) lookup(prefix string) string {
 }
 
 // element parses one element at the cursor ('<' already verified).
-func (p *parser) element(depth int) (*xmlutil.Element, bool) {
+func (p *parser) element(depth int) (*Element, bool) {
 	if depth > maxDepth {
 		return nil, false
 	}
@@ -321,9 +440,12 @@ func (p *parser) element(depth int) (*xmlutil.Element, bool) {
 		}
 	}
 	e := p.alloc()
-	e.Name = xmlutil.QName{Space: p.lookup(prefix), Local: local}
+	e.Name = QName{Space: p.lookup(prefix), Local: local}
+	if prefix == "" && local == "xmlns" {
+		e.Name.Space = "" // encoding/xml leaves this name out of the default namespace
+	}
 	if plain > 0 {
-		e.Attrs = make([]xmlutil.Attr, 0, plain)
+		e.Attrs = make([]Attr, 0, plain)
 	}
 	for i := attrMark; i < len(p.attrs); i++ {
 		a := p.attrs[i]
@@ -338,7 +460,7 @@ func (p *parser) element(depth int) (*xmlutil.Element, bool) {
 		if !ok {
 			return nil, false
 		}
-		e.SetAttr(xmlutil.QName{Space: space, Local: a.local}, val)
+		e.SetAttr(QName{Space: space, Local: a.local}, val)
 	}
 	p.attrs = p.attrs[:attrMark] // consumed; a failed parse is abandoned whole
 	if selfClosing {
@@ -346,9 +468,9 @@ func (p *parser) element(depth int) (*xmlutil.Element, bool) {
 		return e, true
 	}
 
-	// Content: character data and child elements until the end tag.
-	// Text accumulates across children and is trimmed once, matching
-	// xmlutil's UnmarshalXML.
+	// Content: character data, CDATA sections, comments and child
+	// elements until the end tag. Text accumulates across children and
+	// is trimmed once, as encoding/xml's reading of an Element does.
 	kidMark := len(p.kids)
 	text := ""
 	var textBuf []byte
@@ -400,10 +522,14 @@ func (p *parser) element(depth int) (*xmlutil.Element, bool) {
 			p.kids = p.kids[:kidMark]
 			p.bindings = p.bindings[:nsMark]
 			return e, true
-		case '!', '?':
-			// Comments, CDATA, DOCTYPE, processing instructions: the
-			// fallback path's business.
-			return nil, false
+		case '!':
+			seg, ok := p.bang()
+			if !ok {
+				return nil, false
+			}
+			addSeg(seg)
+		case '?':
+			return nil, false // SOAP forbids processing instructions
 		default:
 			child, ok := p.element(depth + 1)
 			if !ok {
@@ -417,7 +543,7 @@ func (p *parser) element(depth int) (*xmlutil.Element, bool) {
 // textSegment validates and normalizes one run of character data:
 // entity references are decoded, raw \r\n / \r become \n (the XML
 // line-ending normalization encoding/xml applies), and an unescaped
-// "]]>" — a syntax error under encoding/xml — bows out.
+// "]]>" is refused.
 func (p *parser) textSegment(seg string) (string, bool) {
 	if !p.dirty {
 		return seg, true
@@ -462,8 +588,8 @@ func (p *parser) cleanValue(a rawAttr) (string, bool) {
 }
 
 // decodeText rewrites entity references and line endings. Only the
-// five predefined entities and ASCII-valued character references are
-// admitted; anything else falls back.
+// five predefined entities and character references to an XML Char are
+// admitted.
 func decodeText(s string) (string, bool) {
 	out := make([]byte, 0, len(s))
 	for i := 0; i < len(s); {
@@ -475,14 +601,14 @@ func decodeText(s string) (string, bool) {
 			}
 		case '&':
 			semi := strings.IndexByte(s[i:], ';')
-			if semi < 0 || semi > 10 {
+			if semi < 0 {
 				return "", false
 			}
 			r, ok := decodeEntity(s[i+1 : i+semi])
 			if !ok {
 				return "", false
 			}
-			out = append(out, r)
+			out = utf8.AppendRune(out, r)
 			i += semi + 1
 		default:
 			out = append(out, c)
@@ -492,7 +618,7 @@ func decodeText(s string) (string, bool) {
 	return string(out), true
 }
 
-func decodeEntity(name string) (byte, bool) {
+func decodeEntity(name string) (rune, bool) {
 	switch name {
 	case "amp":
 		return '&', true
@@ -512,33 +638,13 @@ func decodeEntity(name string) (byte, bool) {
 	if digits[0] == 'x' { // encoding/xml only honours lowercase x
 		digits, base = digits[1:], 16
 	}
-	if digits == "" {
+	n, err := strconv.ParseUint(digits, base, 32)
+	if err != nil || n > utf8.MaxRune {
 		return 0, false
 	}
-	n := 0
-	for i := 0; i < len(digits); i++ {
-		d := digitVal(digits[i], base)
-		if d < 0 {
-			return 0, false
-		}
-		if n = n*base + d; n > 0x7F {
-			return 0, false // non-ASCII reference: fallback
-		}
+	r := rune(n)
+	if r >= 0xD800 && r <= 0xDFFF {
+		r = utf8.RuneError // as encoding/xml's string(rune(n))
 	}
-	if n < 0x20 && n != '\t' && n != '\n' && n != '\r' {
-		return 0, false
-	}
-	return byte(n), true
-}
-
-func digitVal(c byte, base int) int {
-	switch {
-	case c >= '0' && c <= '9':
-		return int(c - '0')
-	case base == 16 && c >= 'a' && c <= 'f':
-		return int(c-'a') + 10
-	case base == 16 && c >= 'A' && c <= 'F':
-		return int(c-'A') + 10
-	}
-	return -1
+	return r, isChar(r)
 }

@@ -1,16 +1,14 @@
 package xmlutil
 
 import (
-	"encoding/xml"
 	"fmt"
 	"slices"
-	"strings"
 )
 
 // Element is a generic XML infoset node. Resource property documents,
 // notification message payloads and fault detail blocks are all trees of
-// Elements; the type round-trips through encoding/xml so payloads survive
-// SOAP serialization without schema-specific structs.
+// Elements; MarshalElement and UnmarshalElement carry one through SOAP
+// serialization and resource storage without schema-specific structs.
 type Element struct {
 	Name QName
 	// Attrs holds one entry per name in canonical (Space, Local) order,
@@ -139,80 +137,6 @@ func (e *Element) Equal(o *Element) bool {
 		}
 	}
 	return true
-}
-
-// MarshalXML implements xml.Marshaler. Attributes are emitted in their
-// canonical (sorted) order so serialized documents are comparable
-// byte-for-byte.
-func (e *Element) MarshalXML(enc *xml.Encoder, _ xml.StartElement) error {
-	start := xml.StartElement{Name: e.Name.Name()}
-	for _, a := range e.Attrs {
-		start.Attr = append(start.Attr, xml.Attr{Name: a.Name.Name(), Value: a.Value})
-	}
-	if err := enc.EncodeToken(start); err != nil {
-		return err
-	}
-	if e.Text != "" {
-		if err := enc.EncodeToken(xml.CharData(e.Text)); err != nil {
-			return err
-		}
-	}
-	for _, c := range e.Children {
-		if err := c.MarshalXML(enc, xml.StartElement{}); err != nil {
-			return err
-		}
-	}
-	return enc.EncodeToken(start.End())
-}
-
-// UnmarshalXML implements xml.Unmarshaler.
-func (e *Element) UnmarshalXML(dec *xml.Decoder, start xml.StartElement) error {
-	e.Name = FromName(start.Name)
-	e.Text = ""
-	e.Attrs = nil
-	e.Children = nil
-	for _, a := range start.Attr {
-		// Skip namespace declarations: encoding/xml resolves prefixes
-		// for us, and re-emitting xmlns attrs would double-declare.
-		if a.Name.Space == "xmlns" || (a.Name.Space == "" && a.Name.Local == "xmlns") {
-			continue
-		}
-		e.SetAttr(FromName(a.Name), a.Value)
-	}
-	var text strings.Builder
-	for {
-		tok, err := dec.Token()
-		if err != nil {
-			return err
-		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			child := &Element{}
-			if err := child.UnmarshalXML(dec, t); err != nil {
-				return err
-			}
-			e.Children = append(e.Children, child)
-		case xml.CharData:
-			text.Write(t)
-		case xml.EndElement:
-			e.Text = strings.TrimSpace(text.String())
-			return nil
-		}
-	}
-}
-
-// MarshalElement serializes an element tree to bytes.
-func MarshalElement(e *Element) ([]byte, error) {
-	return xml.Marshal(e)
-}
-
-// UnmarshalElement parses bytes into an element tree.
-func UnmarshalElement(data []byte) (*Element, error) {
-	var e Element
-	if err := xml.Unmarshal(data, &e); err != nil {
-		return nil, fmt.Errorf("xmlutil: unmarshal element: %w", err)
-	}
-	return &e, nil
 }
 
 // String renders the element as XML text, or a diagnostic on error.

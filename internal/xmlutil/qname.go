@@ -1,12 +1,12 @@
-// Package xmlutil provides small XML helpers shared by the SOAP,
-// WS-Addressing, WSRF and WS-Notification layers: qualified names,
-// escaping, a generic property document model, and the XPath-lite
-// expression evaluator used by QueryResourceProperties and by topic
-// expression dialects.
+// Package xmlutil provides the XML the SOAP, WS-Addressing, WSRF and
+// WS-Notification layers share: qualified names, a generic property
+// document model, the XPath-lite expression evaluator used by
+// QueryResourceProperties and topic expression dialects, and the one XML
+// codec (MarshalElement, MarshalEnvelope, UnmarshalElement) every message
+// and stored document goes through; encoding/xml is only its tests' oracle.
 package xmlutil
 
 import (
-	"encoding/xml"
 	"fmt"
 	"strings"
 )
@@ -32,12 +32,6 @@ func (q QName) String() string {
 
 // IsZero reports whether the QName is empty.
 func (q QName) IsZero() bool { return q.Space == "" && q.Local == "" }
-
-// Name converts the QName to an encoding/xml Name.
-func (q QName) Name() xml.Name { return xml.Name{Space: q.Space, Local: q.Local} }
-
-// FromName converts an encoding/xml Name to a QName.
-func FromName(n xml.Name) QName { return QName{Space: n.Space, Local: n.Local} }
 
 // ParseQName parses Clark notation ({ns}local) or a bare local name.
 func ParseQName(s string) (QName, error) {

@@ -2,7 +2,6 @@ package xmlutil
 
 import (
 	"math/rand"
-	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -84,12 +83,5 @@ func TestQNameClarkRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestFromNameRoundTrip(t *testing.T) {
-	q := Q("urn:x", "y")
-	if got := FromName(q.Name()); !reflect.DeepEqual(got, q) {
-		t.Fatalf("round trip changed qname: %v", got)
 	}
 }

@@ -1,16 +1,18 @@
-package fastcodec_test
+package xmlutil_test
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
 	"time"
+	"unicode/utf8"
 
 	"uvacg/internal/core"
 	"uvacg/internal/services/scheduler"
 	"uvacg/internal/soap"
-	"uvacg/internal/soap/fastcodec"
 	"uvacg/internal/warm"
 	"uvacg/internal/wssec"
 	"uvacg/internal/xmlutil"
@@ -23,8 +25,9 @@ var (
 )
 
 // gridTraffic is every envelope an in-process grid exchanged while it ran
-// one bag set and one chain set, as wire bytes: what the decoder meets on
-// the job's path, in the proportions a grid sends it.
+// one bag set, one chain set and one set whose names, files and script
+// arguments are not ASCII, as wire bytes: what the decoder meets on the
+// job's path, in the proportions a grid sends it.
 func gridTraffic(tb testing.TB) [][]byte {
 	tb.Helper()
 	trafficOnce.Do(func() { traffic, trafficErr = captureGridTraffic() })
@@ -52,15 +55,19 @@ func captureGridTraffic() ([][]byte, error) {
 	// reply are what crossed the wire.
 	var mu sync.Mutex
 	var wire [][]byte
+	var unencoded error
 	record := func(env *soap.Envelope) {
 		if env == nil {
 			return
 		}
-		if data, err := env.Marshal(); err == nil {
-			mu.Lock()
-			wire = append(wire, data)
-			mu.Unlock()
+		data, err := env.Marshal()
+		mu.Lock()
+		defer mu.Unlock()
+		if err != nil {
+			unencoded = errors.Join(unencoded, err)
+			return
 		}
+		wire = append(wire, data)
 	}
 	grid.Client.Use(func(ctx context.Context, call *soap.CallInfo, next soap.Handler) (*soap.Envelope, error) {
 		resp, err := next(ctx, call)
@@ -87,10 +94,16 @@ func captureGridTraffic() ([][]byte, error) {
 		chain.Add(fmt.Sprintf("s%d", i), core.Local("stage.app")).
 			Input("in.txt", core.Output(fmt.Sprintf("s%d", i-1), "out.txt")).Outputs("out.txt")
 	}
+	client.AddFile("générer.app", core.Script("write données.txt résultat-✓", "exit 0"))
+	client.AddFile("étape.app", core.Script("read entrée.txt", "transform entrée.txt sortie.txt copy", "exit 0"))
+	wide := core.NewJobSet("analyse-données")
+	wide.Add("générer", core.Local("générer.app")).Outputs("données.txt")
+	wide.Add("étape-日本", core.Local("étape.app")).
+		Input("entrée.txt", core.Output("générer", "données.txt")).Outputs("sortie.txt")
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	for _, spec := range []*core.JobSet{bag.Spec(), chain.Spec()} {
+	for _, spec := range []*core.JobSet{bag.Spec(), chain.Spec(), wide.Spec()} {
 		sub, err := client.Submit(ctx, spec)
 		if err != nil {
 			return nil, err
@@ -102,37 +115,44 @@ func captureGridTraffic() ([][]byte, error) {
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	return wire, nil
+	return wire, unencoded
 }
 
-// TestGridTrafficDecodesOnFastPath: every message a grid sends while it
-// runs jobs stays on the fast path, and decodes to the tree encoding/xml
-// reads.
-func TestGridTrafficDecodesOnFastPath(t *testing.T) {
+// TestGridTrafficMatchesOracle: every message a grid sends while it runs
+// jobs, non-ASCII names and files included, decodes to the tree
+// encoding/xml reads.
+func TestGridTrafficMatchesOracle(t *testing.T) {
 	msgs := gridTraffic(t)
-	if len(msgs) < 100 {
-		t.Fatalf("captured %d messages from two job sets of 12 jobs", len(msgs))
+	if len(msgs) < 130 {
+		t.Fatalf("captured %d messages from three job sets of 14 jobs", len(msgs))
 	}
+	wide := 0
 	for i, data := range msgs {
-		got, ok := fastcodec.Decode(data)
-		if !ok {
-			t.Errorf("message %d left the fast path:\n%s", i, data)
+		if bytes.ContainsFunc(data, func(r rune) bool { return r >= utf8.RuneSelf }) {
+			wide++
+		}
+		got, err := xmlutil.UnmarshalElement(data)
+		if err != nil {
+			t.Errorf("message %d: %v\n%s", i, err, data)
 			continue
 		}
-		want, err := xmlutil.UnmarshalElement(data)
+		want, err := xmlutil.OracleUnmarshal(data)
 		if err != nil {
 			t.Fatalf("message %d: encoding/xml rejects it: %v", i, err)
 		}
 		if !got.Equal(want) {
-			t.Errorf("message %d decodes differently:\n fast: %s\n want: %s", i, got, want)
+			t.Errorf("message %d decodes differently:\n got: %s\nwant: %s", i, got, want)
 		}
+	}
+	if wide < 20 {
+		t.Errorf("%d messages carry a non-ASCII name; the non-ASCII set sends more", wide)
 	}
 }
 
 var sinkTree *xmlutil.Element
 
 // BenchmarkDecodeGridTraffic decodes the messages of
-// TestGridTrafficDecodesOnFastPath, all of them per op.
+// TestGridTrafficMatchesOracle, all of them per op.
 func BenchmarkDecodeGridTraffic(b *testing.B) {
 	msgs := gridTraffic(b)
 	var size int64
@@ -144,7 +164,7 @@ func BenchmarkDecodeGridTraffic(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, m := range msgs {
-			sinkTree, _ = fastcodec.Decode(m)
+			sinkTree, _ = xmlutil.UnmarshalElement(m)
 		}
 	}
 }
@@ -170,12 +190,51 @@ func BenchmarkDecodeGridTrafficPerGoroutine(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for _, m := range msgs {
 					bc.run(func() {
-						tree, _ := fastcodec.Decode(m)
+						tree, _ := xmlutil.UnmarshalElement(m)
 						done <- tree
 					})
 					sinkTree = <-done
 				}
 			}
 		})
+	}
+}
+
+// TestEnvelopeMatchesOracle: an envelope soap.Marshal writes, WS-A
+// headers and all, reads back through soap.Unmarshal as the envelope
+// encoding/xml finds in the same bytes.
+func TestEnvelopeMatchesOracle(t *testing.T) {
+	const wsa = "http://www.w3.org/2005/08/addressing"
+	env := soap.New(xmlutil.NewContainer(xmlutil.Q("urn:uvacg:sched", "Submit"),
+		xmlutil.NewElement(xmlutil.Q("urn:uvacg:sched", "Document"), `<JobSet name="x"/>`)))
+	env.AddHeader(xmlutil.NewElement(xmlutil.Q(wsa, "Action"), "urn:Submit"))
+	env.AddHeader(xmlutil.NewElement(xmlutil.Q(wsa, "To"), "soap.tcp://h:1/p"))
+	wire, err := env.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := soap.Unmarshal(wire)
+	if err != nil {
+		t.Fatalf("unmarshal of %s: %v", wire, err)
+	}
+	root, err := xmlutil.OracleUnmarshal(wire)
+	if err != nil {
+		t.Fatalf("encoding/xml rejects %s: %v", wire, err)
+	}
+	header := root.Child(xmlutil.Q(soap.NS, "Header"))
+	body := root.Child(xmlutil.Q(soap.NS, "Body"))
+	if header == nil || body == nil || len(body.Children) != 1 {
+		t.Fatalf("encoding/xml finds no SOAP header and body in %s", wire)
+	}
+	if !back.Body.Equal(body.Children[0]) || !back.Body.Equal(env.Body) {
+		t.Fatalf("body: soap reads %s, encoding/xml %s, sent %s", back.Body, body.Children[0], env.Body)
+	}
+	if len(back.Headers) != len(header.Children) {
+		t.Fatalf("soap reads %d headers, encoding/xml %d", len(back.Headers), len(header.Children))
+	}
+	for i, h := range header.Children {
+		if !back.Headers[i].Equal(h) {
+			t.Errorf("header %d: soap reads %s, encoding/xml %s", i, back.Headers[i], h)
+		}
 	}
 }
