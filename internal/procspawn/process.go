@@ -1,7 +1,6 @@
 package procspawn
 
 import (
-	"context"
 	"sync"
 	"time"
 )
@@ -70,18 +69,6 @@ func (p *Process) killRequested() bool {
 		return true
 	default:
 		return false
-	}
-}
-
-// Wait blocks until the process finishes or ctx expires, returning the
-// exit code.
-func (p *Process) Wait(ctx context.Context) (int, error) {
-	select {
-	case <-p.done:
-		code, _ := p.ExitCode()
-		return code, nil
-	case <-ctx.Done():
-		return 0, ctx.Err()
 	}
 }
 

@@ -48,10 +48,22 @@ func spawnAndWait(t *testing.T, sp *Spawner, spec SpawnSpec) *Process {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if _, err := p.Wait(ctx); err != nil {
+	if _, err := waitExit(ctx, p); err != nil {
 		t.Fatal(err)
 	}
 	return p
+}
+
+// waitExit blocks until p finishes or ctx expires, returning its exit
+// code.
+func waitExit(ctx context.Context, p *Process) (int, error) {
+	select {
+	case <-p.Done():
+		code, _ := p.ExitCode()
+		return code, nil
+	case <-ctx.Done():
+		return 0, ctx.Err()
+	}
 }
 
 func TestParseScriptValidation(t *testing.T) {
@@ -174,7 +186,7 @@ func TestKillInterruptsCompute(t *testing.T) {
 	p.Kill() // idempotent
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	code, err := p.Wait(ctx)
+	code, err := waitExit(ctx, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +310,7 @@ func TestSpeedScalesComputeTime(t *testing.T) {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
 		start := time.Now()
-		if _, err := p.Wait(ctx); err != nil {
+		if _, err := waitExit(ctx, p); err != nil {
 			t.Fatal(err)
 		}
 		return time.Since(start)
@@ -344,7 +356,7 @@ func TestReapRefusesRunning(t *testing.T) {
 	p.Kill()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	p.Wait(ctx)
+	waitExit(ctx, p)
 }
 
 func TestNewSpawnerValidation(t *testing.T) {
@@ -402,7 +414,7 @@ func TestUtilizationMonitorThreshold(t *testing.T) {
 	p.Kill()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	p.Wait(ctx)
+	waitExit(ctx, p)
 }
 
 func TestUtilizationClamped(t *testing.T) {
@@ -479,7 +491,7 @@ func TestCoreContentionSlowsProcesses(t *testing.T) {
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		defer cancel()
 		for _, p := range procs {
-			if _, err := p.Wait(ctx); err != nil {
+			if _, err := waitExit(ctx, p); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -572,7 +584,7 @@ func TestRunningCountMatchesScan(t *testing.T) {
 					return
 				}
 				p.Kill() // a no-op on a quick one that already exited
-				if _, err := p.Wait(ctx); err != nil {
+				if _, err := waitExit(ctx, p); err != nil {
 					t.Error(err)
 				}
 				if i%2 == 0 && !sp.Reap(p.PID) {
@@ -589,7 +601,7 @@ func TestRunningCountMatchesScan(t *testing.T) {
 	}
 	for _, p := range held {
 		p.Kill()
-		if _, err := p.Wait(ctx); err != nil {
+		if _, err := waitExit(ctx, p); err != nil {
 			t.Fatal(err)
 		}
 	}

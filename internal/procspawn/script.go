@@ -14,7 +14,10 @@
 package procspawn
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"sort"
 	"strconv"
 	"strings"
@@ -141,18 +144,14 @@ func parseOp(fields []string) (op, error) {
 
 // transforms are the data operations a job can apply to a staged input
 // to produce an output — enough to build multi-stage pipelines whose
-// stages genuinely consume each other's bytes.
+// stages genuinely consume each other's bytes. The input is a stored
+// vfs.Content other directories share, so no transform writes it;
+// reverse, upper and lower make one pass and one allocation.
 var transforms = map[string]func([]byte) []byte{
-	"copy":  func(b []byte) []byte { return b },
-	"upper": func(b []byte) []byte { return []byte(strings.ToUpper(string(b))) },
-	"lower": func(b []byte) []byte { return []byte(strings.ToLower(string(b))) },
-	"reverse": func(b []byte) []byte {
-		out := make([]byte, len(b))
-		for i, c := range b {
-			out[len(b)-1-i] = c
-		}
-		return out
-	},
+	"copy":    func(b []byte) []byte { return b },
+	"upper":   bytes.ToUpper,
+	"lower":   bytes.ToLower,
+	"reverse": reverse,
 	// count emits "<lines> <words> <bytes>" like wc.
 	"count": func(b []byte) []byte {
 		lines := strings.Count(string(b), "\n")
@@ -175,6 +174,23 @@ var transforms = map[string]func([]byte) []byte{
 		sort.Strings(lines)
 		return []byte(strings.Join(lines, "\n") + "\n")
 	},
+}
+
+// reverse returns b's bytes in reverse order in one fresh slice. It moves
+// a word at a time: the word at offset i, byte-swapped, is the word that
+// ends len(b)-i bytes from the far end. The len(b)%8 bytes left over at
+// the end of b open the output and are moved one at a time.
+func reverse(b []byte) []byte {
+	n := len(b)
+	out := make([]byte, n)
+	i := 0
+	for ; i+8 <= n; i += 8 {
+		binary.LittleEndian.PutUint64(out[n-i-8:], bits.ReverseBytes64(binary.LittleEndian.Uint64(b[i:])))
+	}
+	for ; i < n; i++ {
+		out[n-1-i] = b[i]
+	}
+	return out
 }
 
 // BuildScript assembles script text from instruction lines, prepending

@@ -281,8 +281,12 @@ func TestSharedContentUnderConcurrentUse(t *testing.T) {
 		}
 		waitCtx, cancel := context.WithTimeout(ctx, 10*time.Second)
 		defer cancel()
-		_, err = p.Wait(waitCtx)
-		return err
+		select {
+		case <-p.Done():
+			return nil
+		case <-waitCtx.Done():
+			return waitCtx.Err()
+		}
 	})
 	everyoneHadTurns := func() bool {
 		for _, lap := range laps {
