@@ -11,10 +11,9 @@
 // job set it is given and dispatches it at once: there is no queue in
 // front of it.
 //
-// Jobs retry on failure up to their spec's per-job budget; -retry-default
-// gives a budget to jobs whose spec carries none.
-//
-//	gridmaster -addr :8700 -retry-default 2:500ms
+// Jobs retry on failure up to their spec's per-job budget (a .jobset
+// file's "retry 2 500ms" line), which the job set's resource keeps across
+// a restart; a job whose spec gives none runs once.
 package main
 
 import (
@@ -24,8 +23,6 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -45,7 +42,6 @@ var (
 	policyName   = flag.String("policy", "greedy", "scheduling policy: greedy (fastest, most available machine), round-robin or random")
 	accountsFlag = flag.String("accounts", "", "comma-separated user:password accounts; empty disables WS-Security")
 	jobTimeout   = flag.Duration("job-timeout", 0, "fail dispatched jobs with no completion inside this window (0 disables)")
-	retryDefault = flag.String("retry-default", "", "retry budget for jobs whose spec has none, as limit[:backoff], e.g. 2:500ms (empty disables)")
 )
 
 func main() {
@@ -63,12 +59,6 @@ func main() {
 	ssCfg := scheduler.Config{
 		Policy:     policy,
 		JobTimeout: *jobTimeout,
-	}
-	if *retryDefault != "" {
-		ssCfg.DefaultRetry, err = parseRetryDefault(*retryDefault)
-		if err != nil {
-			log.Fatalf("gridmaster: %v", err)
-		}
 	}
 	accounts, err := daemon.ParseAccounts(*accountsFlag)
 	if err != nil {
@@ -112,24 +102,6 @@ func main() {
 	<-sig
 	// The master has no background work of its own to stop.
 	host.Shutdown(stop, func() {}, os.Stderr)
-}
-
-// parseRetryDefault decodes the -retry-default flag: "limit" or
-// "limit:backoff". A limit with no backoff waits 1s between attempts.
-func parseRetryDefault(s string) (scheduler.RetryPolicy, error) {
-	limitStr, backoffStr, hasBackoff := strings.Cut(s, ":")
-	limit, err := strconv.Atoi(limitStr)
-	if err != nil || limit < 1 {
-		return scheduler.RetryPolicy{}, fmt.Errorf("bad -retry-default %q (want limit[:backoff], limit >= 1)", s)
-	}
-	backoff := time.Second
-	if hasBackoff {
-		backoff, err = time.ParseDuration(backoffStr)
-		if err != nil || backoff < 0 {
-			return scheduler.RetryPolicy{}, fmt.Errorf("bad -retry-default backoff in %q (want a duration like 500ms)", s)
-		}
-	}
-	return scheduler.RetryPolicy{Limit: limit, Backoff: backoff}, nil
 }
 
 // pickPolicy maps the -policy flag onto a scheduling policy; a name it

@@ -74,7 +74,7 @@ func storedSet(t testing.TB, s *Service, id string, spec *JobSetSpec) (*coreHarn
 		if !fx.persist {
 			return
 		}
-		if err := s.persist(r, fx, nil); err != nil {
+		if err := s.persist(r, fx); err != nil {
 			t.Fatalf("persist after %+v: %v", ev, err)
 		}
 	}
@@ -314,7 +314,7 @@ func TestDestroyRacingPersistLeavesNoRows(t *testing.T) {
 				r.mu.Lock()
 				r.st.jobs[k].state, r.st.jobs[k].node = JobRunning, fmt.Sprint("node-", i)
 				r.mu.Unlock()
-				if err := s.persist(r, effects{persist: true, touched: []int{k}}, nil); err != nil {
+				if err := s.persist(r, effects{persist: true, touched: []int{k}}); err != nil {
 					if !errors.Is(err, wsrf.ErrNoSuchResource) {
 						t.Errorf("persist: %v", err)
 					}
@@ -402,7 +402,7 @@ func TestCrashCutAtEveryRecord(t *testing.T) {
 	h, _ := storedSet(t, s, "set-1", spec)
 	runToCompletion(h, "b")
 	h.want(SetCompleted, nil)
-	if err := s.stampNotified("set-1", nil); err != nil {
+	if err := s.stampNotified("set-1"); err != nil {
 		t.Fatal(err)
 	}
 	if err := home.store.Close(); err != nil {
@@ -559,7 +559,7 @@ func TestJournalBytesPerJobFlatInN(t *testing.T) {
 		h, _ := storedSet(t, s, "set-1", spec)
 		runToCompletion(h, "")
 		h.want(SetCompleted, nil)
-		if err := s.stampNotified("set-1", nil); err != nil {
+		if err := s.stampNotified("set-1"); err != nil {
 			t.Fatal(err)
 		}
 		return float64(home.store.Stats().WAL.Bytes) / float64(n)

@@ -59,7 +59,6 @@ type event struct {
 type jobState struct {
 	spec     *JobSpec
 	deps     []int
-	retry    RetryPolicy
 	state    string
 	attempt  string
 	retries  int
@@ -139,7 +138,7 @@ func jobLive(state string) bool { return state == JobDispatched || state == JobR
 // successor. Dependencies the spec does not define are
 // dropped — only a spec that failed validation has them, and its state
 // is built only to be failed.
-func newSetState(spec *JobSetSpec, nonce string, defaultRetry RetryPolicy) *setState {
+func newSetState(spec *JobSetSpec, nonce string) *setState {
 	st := &setState{
 		status: SetRunning,
 		jobs:   make([]jobState, len(spec.Jobs)),
@@ -151,10 +150,7 @@ func newSetState(spec *JobSetSpec, nonce string, defaultRetry RetryPolicy) *setS
 	}
 	for i := range spec.Jobs {
 		j := &spec.Jobs[i]
-		js := jobState{spec: j, state: JobPending, retry: j.Retry}
-		if js.retry.Limit <= 0 {
-			js.retry = defaultRetry
-		}
+		js := jobState{spec: j, state: JobPending}
 		for _, dep := range j.Dependencies() {
 			if d, ok := st.index[dep]; ok {
 				js.deps = append(js.deps, d)
@@ -320,11 +316,11 @@ func (st *setState) jobEvent(ev event, now time.Time, fx *effects) {
 // handlers are left to run, and the set settles if nothing is.
 func (st *setState) fail(i int, reason string, allowRetry bool, now time.Time, fx *effects) {
 	j := &st.jobs[i]
-	if allowRetry && j.retries < j.retry.Limit {
+	if retry := j.spec.Retry; allowRetry && j.retries < retry.Limit {
 		j.retries++
 		st.abandon(i, JobPending, fx)
-		j.retryAt = now.Add(j.retry.Backoff)
-		fx.retry, fx.backoff = true, j.retry.Backoff
+		j.retryAt = now.Add(retry.Backoff)
+		fx.retry, fx.backoff = true, retry.Backoff
 		return
 	}
 	st.abandon(i, JobFailed, fx)

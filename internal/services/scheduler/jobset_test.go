@@ -33,7 +33,7 @@ type coreHarness struct {
 func newCoreHarness(t testing.TB, spec *JobSetSpec) *coreHarness {
 	return &coreHarness{
 		t:        t,
-		st:       newSetState(spec, "n0", RetryPolicy{}),
+		st:       newSetState(spec, "n0"),
 		now:      time.Unix(1000, 0),
 		attempts: make([][]string, len(spec.Jobs)),
 		seen:     make(map[string]bool),
@@ -338,7 +338,7 @@ func TestJobSetCoreLifecycleBugs(t *testing.T) {
 // the first incarnation's surviving process cannot speak for the second.
 func TestJobSetCoreRestoredAttemptsNeverCollide(t *testing.T) {
 	spec := oneJob(0)
-	before := newSetState(spec, "aaaa", RetryPolicy{})
+	before := newSetState(spec, "aaaa")
 	old := before.step(event{kind: evReserve}, time.Unix(0, 0)).reserved.attempt
 
 	h := newCoreHarness(t, spec)
@@ -417,8 +417,8 @@ func checkCore(h *coreHarness, wasTerminal string) {
 	live := make(map[watchKey]bool)
 	for i := range st.jobs {
 		j := &st.jobs[i]
-		if j.retries > j.retry.Limit {
-			h.t.Fatalf("job %s consumed %d retries, limit %d", j.spec.Name, j.retries, j.retry.Limit)
+		if j.retries > j.spec.Retry.Limit {
+			h.t.Fatalf("job %s consumed %d retries, limit %d", j.spec.Name, j.retries, j.spec.Retry.Limit)
 		}
 		if TerminalSetStatus(st.status) && !jobTerminal(j.state) {
 			h.t.Fatalf("%s set holds %s job %s", st.status, j.state, j.spec.Name)

@@ -94,8 +94,8 @@ func TestSubmitCleansUpOnSubscribeFailure(t *testing.T) {
 	}
 }
 
-// TestDestroyEvictsTerminalRun: a completed set keeps serving
-// OutputDirectory until the client destroys the resource; the destroy
+// TestDestroyEvictsTerminalRun: a completed set's document keeps its
+// output directories until the client destroys the resource; the destroy
 // then evicts the in-memory run, so terminal runs no longer accumulate
 // for the master's whole lifetime.
 func TestDestroyEvictsTerminalRun(t *testing.T) {
@@ -110,7 +110,7 @@ func TestDestroyEvictsTerminalRun(t *testing.T) {
 		t.Fatalf("terminal event %q", got)
 	}
 	// Completed but not destroyed: results stay retrievable.
-	if _, ok := h.ss.OutputDirectory(topic, "first"); !ok {
+	if !h.hasOutputDir(t, setEPR, "first") {
 		t.Fatal("completed set lost its output directory before destroy")
 	}
 
@@ -121,7 +121,7 @@ func TestDestroyEvictsTerminalRun(t *testing.T) {
 	if haveRun, n := h.ss.sets.live(topic) != nil, h.ss.sets.count(); haveRun || n != 0 {
 		t.Fatalf("destroy left run=%v, %d sets registered", haveRun, n)
 	}
-	if _, ok := h.ss.OutputDirectory(topic, "first"); ok {
+	if h.hasOutputDir(t, setEPR, "first") {
 		t.Fatal("destroyed set still serves an output directory")
 	}
 }
@@ -351,7 +351,7 @@ func TestJobDocWriteCarriesStateAtWriteTime(t *testing.T) {
 		r.st.jobs[0].state = JobCompleted
 		r.mu.Unlock()
 	}
-	if err := h.ss.persist(r, effects{touched: []int{0}}, nil); err != nil {
+	if err := h.ss.persist(r, effects{touched: []int{0}}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -378,7 +378,7 @@ func TestJobDocWriteCarriesStateAtWriteTime(t *testing.T) {
 	r.st.jobs[1].state = JobCancelled
 	r.mu.Unlock()
 	home.rows, home.docs = 0, 0
-	if err := h.ss.persist(r, effects{touched: []int{0, 1}}, nil); err != nil {
+	if err := h.ss.persist(r, effects{touched: []int{0, 1}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, got := read(); got["j"] != JobCompleted || got["k"] != JobCancelled {
@@ -397,13 +397,13 @@ func TestJobDocWriteCarriesStateAtWriteTime(t *testing.T) {
 	r.mu.Lock()
 	r.st.status, r.st.jobs[1].state = SetFailed, JobFailed
 	r.mu.Unlock()
-	if err := h.ss.persist(r, effects{touched: []int{0}}, nil); err != nil {
+	if err := h.ss.persist(r, effects{touched: []int{0}}); err != nil {
 		t.Fatal(err)
 	}
 	if status, got := read(); status != SetRunning {
 		t.Fatalf("a job-level write carried the verdict: %s over %v", status, got)
 	}
-	if err := h.ss.persist(r, effects{status: true}, nil); err != nil {
+	if err := h.ss.persist(r, effects{status: true}); err != nil {
 		t.Fatal(err)
 	}
 	if status, got := read(); status != SetFailed || got["k"] != JobFailed {
@@ -426,41 +426,59 @@ func (h *flakyHome) Save(id string, doc *xmlutil.Element) error {
 }
 
 // TestJournalFailureIsReturnedAndWithholdsThePublish: a transition whose
-// journal write fails hands the error to apply's caller instead of
-// dropping it, and does not announce a verdict the document does not
-// hold — after a restart Recover acts on the document, and a client told
-// "cancelled" would watch the set run again.
+// journal write fails hands the error to its caller instead of dropping
+// it, and does not announce a verdict the document does not hold — after
+// a restart Recover acts on the document, and a client told "cancelled"
+// would watch the set run again. A Cancel sent over the wire is one such
+// transition: it faults, and publishes nothing.
 func TestJournalFailureIsReturnedAndWithholdsThePublish(t *testing.T) {
-	home := &flakyHome{}
-	h := newSSHarnessCfg(t, nil, nil, func(cfg *Config) {
-		home.ResourceHome = cfg.Home
-		cfg.Home = home
-	})
-	spec := &JobSetSpec{Name: "set", Jobs: []JobSpec{{Name: "j"}}}
-	r := h.ss.newRun("set-1", spec, wsa.EndpointReference{}, wsa.EndpointReference{}, wssec.Credentials{})
-	if _, err := h.ss.svc.CreateResource(r.id, jobSetDocument(r)); err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	if _, err := wsn.SubscribeVia(ctx, h.client, h.ss.broker, h.listenerEPR(), wsn.Simple(r.topic)); err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		name   string
+		cancel func(ctx context.Context, h *ssHarness, r *run) error
+	}{
+		{"apply", func(ctx context.Context, h *ssHarness, r *run) error {
+			_, err := h.ss.apply(ctx, r, event{kind: evCancel, reason: "cancelled by client"})
+			return err
+		}},
+		{"wire-cancel", func(ctx context.Context, h *ssHarness, r *run) error {
+			_, err := h.client.Call(ctx, h.ss.WSRF().EPRFor(r.id), ActionCancel, cancelRequest())
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			home := &flakyHome{}
+			h := newSSHarnessCfg(t, nil, nil, func(cfg *Config) {
+				home.ResourceHome = cfg.Home
+				cfg.Home = home
+			})
+			spec := &JobSetSpec{Name: "set", Jobs: []JobSpec{{Name: "j"}}}
+			r := h.ss.newRun("set-1", spec, wsa.EndpointReference{}, wsa.EndpointReference{}, wssec.Credentials{})
+			if _, err := h.ss.svc.CreateResource(r.id, jobSetDocument(r)); err != nil {
+				t.Fatal(err)
+			}
+			h.ss.sets.add(r)
+			ctx := context.Background()
+			if _, err := wsn.SubscribeVia(ctx, h.client, h.ss.broker, h.listenerEPR(), wsn.Simple(r.topic)); err != nil {
+				t.Fatal(err)
+			}
 
-	home.failing = true
-	if _, err := h.ss.apply(ctx, r, event{kind: evCancel, reason: "cancelled by client"}); err == nil {
-		t.Fatal("apply swallowed the journal failure")
-	}
-	home.failing = false
-	select {
-	case n := <-h.events:
-		t.Fatalf("published %s for a transition that was never journaled", n.Topic)
-	case <-time.After(200 * time.Millisecond):
-	}
-	doc, err := h.ss.WSRF().Home().Load(r.id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := ParseJobSetDocument(doc); v.Status != SetRunning || v.Notified {
-		t.Fatalf("document says %s notified=%v after a failed write", v.Status, v.Notified)
+			home.failing = true
+			if err := tc.cancel(ctx, h, r); err == nil {
+				t.Fatal("the journal failure was swallowed")
+			}
+			home.failing = false
+			select {
+			case n := <-h.events:
+				t.Fatalf("published %s for a transition that was never journaled", n.Topic)
+			case <-time.After(200 * time.Millisecond):
+			}
+			doc, err := h.ss.WSRF().Home().Load(r.id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v := ParseJobSetDocument(doc); v.Status != SetRunning || v.Notified {
+				t.Fatalf("document says %s notified=%v after a failed write", v.Status, v.Notified)
+			}
+		})
 	}
 }

@@ -269,7 +269,7 @@ func TestStatusReadsDoNotWaitForAWriter(t *testing.T) {
 		r.mu.Unlock()
 		parked, release := home.arm()
 		written := make(chan error, 1)
-		go func() { written <- h.ss.persist(r, write, nil) }()
+		go func() { written <- h.ss.persist(r, write) }()
 		<-parked
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		if got := jobJ(ctx); got != before {

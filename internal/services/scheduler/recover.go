@@ -91,7 +91,7 @@ func (s *Service) sweep(ctx context.Context, unfinished func(id string, doc *xml
 			// A failed publish is not an error: the marker stays off and the
 			// next sweep tries again.
 			if doc.Attr(qNotifiedAttr) != "true" && s.publishSetEvent(ctx, id, topic, status, "replayed after scheduler restart") == nil {
-				err = s.stampNotified(id, nil)
+				err = s.stampNotified(id)
 			}
 		default:
 			err = unfinished(id, doc)

@@ -103,9 +103,6 @@ type Config struct {
 	// OnDispatch, when set, observes every committed job dispatch — the
 	// simulator's dispatch ledger.
 	OnDispatch func(rec DispatchRecord)
-	// DefaultRetry applies to jobs whose spec carries no retry policy of
-	// its own. Zero keeps the historical fail-on-first-error behaviour.
-	DefaultRetry RetryPolicy
 }
 
 // ServicePath is where a master mounts the SS, and consumerPath where it
@@ -125,18 +122,17 @@ const (
 
 // Service is the Scheduler Service.
 type Service struct {
-	svc          *wsrf.Service
-	home         *jobSetHome // svc's home: how a job set is laid out in cfg.Home
-	client       *transport.Client
-	nis          wsa.EndpointReference
-	broker       wsa.EndpointReference
-	policy       Policy
-	consumer     *wsn.Consumer
-	esCerts      func(wsa.EndpointReference) (wssec.Certificate, bool)
-	jobTimeout   time.Duration
-	dispatchSem  chan struct{} // bounds concurrent dispatches
-	onDispatch   func(rec DispatchRecord)
-	defaultRetry RetryPolicy
+	svc         *wsrf.Service
+	home        *jobSetHome // svc's home: how a job set is laid out in cfg.Home
+	client      *transport.Client
+	nis         wsa.EndpointReference
+	broker      wsa.EndpointReference
+	policy      Policy
+	consumer    *wsn.Consumer
+	esCerts     func(wsa.EndpointReference) (wssec.Certificate, bool)
+	jobTimeout  time.Duration
+	dispatchSem chan struct{} // bounds concurrent dispatches
+	onDispatch  func(rec DispatchRecord)
 
 	// sets is every job set this master remembers; takeOn and letGo are the
 	// way in and the way out.
@@ -235,7 +231,7 @@ func (s *Service) newRun(id string, spec *JobSetSpec, clientFiles, clientListene
 		clientFiles:    clientFiles,
 		clientListener: clientListener,
 		creds:          creds,
-		st:             newSetState(spec, nonce, s.defaultRetry),
+		st:             newSetState(spec, nonce),
 		watchdogs:      make(map[watchKey]*time.Timer),
 	}
 }
@@ -375,7 +371,7 @@ func (s *Service) watchdogFired(r *run, k watchKey) {
 // apply is the shell around the core: one event in, its effects done.
 func (s *Service) apply(ctx context.Context, r *run, ev event) (effects, error) {
 	fx := s.step(r, ev)
-	return fx, s.perform(ctx, r, fx, nil)
+	return fx, s.perform(ctx, r, fx)
 }
 
 // fire is apply for callers with nobody to return an error to: timers,
@@ -387,18 +383,17 @@ func (s *Service) fire(ctx context.Context, r *run, ev event) {
 // perform carries out a transition's effects in one fixed order: kill,
 // persist, publish, stamp notified, retry timer, schedule. Kills come first
 // so a retried job's old process is gone before the document admits a new
-// attempt. inHand is the set's document when the caller already holds the
-// resource (a WSRF method), else nil.
+// attempt.
 //
 // A journal write refused because the resource is gone or the set let go
 // is expected. Any other failure is logged (once per run) and returned,
 // and the publish is withheld: Recover acts on the document.
-func (s *Service) perform(ctx context.Context, r *run, fx effects, inHand *xmlutil.Element) error {
+func (s *Service) perform(ctx context.Context, r *run, fx effects) error {
 	s.kill(ctx, fx.kill)
 	var err error
 	journaled := true
 	if fx.persist {
-		if err = s.persist(r, fx, inHand); err != nil {
+		if err = s.persist(r, fx); err != nil {
 			journaled = false
 			if errors.Is(err, wsrf.ErrNoSuchResource) {
 				err = nil
@@ -409,7 +404,7 @@ func (s *Service) perform(ctx context.Context, r *run, fx effects, inHand *xmlut
 		// Only a publish the broker took earns the marker: without it
 		// Recover republishes (invariant I4, at-least-once delivery).
 		if s.publishSetEvent(ctx, r.id, r.topic, fx.publish, fx.detail) == nil && TerminalSetStatus(fx.publish) {
-			if nerr := s.stampNotified(r.id, inHand); nerr != nil && !errors.Is(nerr, wsrf.ErrNoSuchResource) {
+			if nerr := s.stampNotified(r.id); nerr != nil && !errors.Is(nerr, wsrf.ErrNoSuchResource) {
 				err = nerr
 			}
 		}
@@ -432,13 +427,12 @@ func (fx effects) callsOut() bool { return len(fx.kill) > 0 || fx.publish != "" 
 
 // persist is the one writer of lifecycle state into a job set's storage: a
 // job-level transition writes the touched jobs' rows, one that changes the
-// set status (or has the document in hand) the document. Either renders
-// from the state as it is when the write holds the resource (resource
-// lock, then r.mu — a WSRF method's order), never from a snapshot taken
-// before: that could wait behind a later transition's write and land on
-// top of it. A run letGo forgot writes nothing: as far as it is concerned,
-// its set no longer exists.
-func (s *Service) persist(r *run, fx effects, inHand *xmlutil.Element) error {
+// set status the document. Either renders from the state as it is when the
+// write holds the resource (resource lock, then r.mu — a WSRF method's
+// order), never from a snapshot taken before: that could wait behind a
+// later transition's write and land on top of it. A run letGo forgot
+// writes nothing: as far as it is concerned, its set no longer exists.
+func (s *Service) persist(r *run, fx effects) error {
 	var rows []*xmlutil.Element
 	render := func(doc *xmlutil.Element) error {
 		if r.forgotten.Load() {
@@ -449,8 +443,8 @@ func (s *Service) persist(r *run, fx effects, inHand *xmlutil.Element) error {
 		rows = r.st.render(doc, fx.touched)
 		return nil
 	}
-	if fx.status || inHand != nil {
-		return s.write(r.id, inHand, render)
+	if fx.status {
+		return s.svc.UpdateResource(r.id, render)
 	}
 	defer s.svc.LockResource(r.id)()
 	if !s.home.Exists(r.id) {
@@ -462,19 +456,10 @@ func (s *Service) persist(r *run, fx effects, inHand *xmlutil.Element) error {
 	return s.home.saveJobs(r.id, rows)
 }
 
-// write applies fn to a job-set document: the one in hand, or the stored
-// one under its resource lock.
-func (s *Service) write(id string, inHand *xmlutil.Element, fn func(doc *xmlutil.Element) error) error {
-	if inHand != nil {
-		return fn(inHand)
-	}
-	return s.svc.UpdateResource(id, fn)
-}
-
 // stampNotified records that the broker took the terminal set event —
 // a second write because that is only known after the status write.
-func (s *Service) stampNotified(id string, inHand *xmlutil.Element) error {
-	return s.write(id, inHand, func(doc *xmlutil.Element) error {
+func (s *Service) stampNotified(id string) error {
+	return s.svc.UpdateResource(id, func(doc *xmlutil.Element) error {
 		doc.SetAttr(qNotifiedAttr, "true")
 		return nil
 	})
@@ -507,20 +492,19 @@ func New(cfg Config) (*Service, error) {
 		return nil, err
 	}
 	s := &Service{
-		svc:          svc,
-		home:         home,
-		client:       cfg.Client,
-		nis:          cfg.NIS,
-		broker:       cfg.Broker,
-		policy:       cfg.Policy,
-		consumer:     wsn.NewConsumer(),
-		esCerts:      cfg.ESCerts,
-		jobTimeout:   cfg.JobTimeout,
-		dispatchSem:  make(chan struct{}, maxInflightDispatch),
-		onDispatch:   cfg.OnDispatch,
-		sets:         registry{sets: make(map[string]*run)},
-		placed:       placements{byHost: make(map[string]int)},
-		defaultRetry: cfg.DefaultRetry,
+		svc:         svc,
+		home:        home,
+		client:      cfg.Client,
+		nis:         cfg.NIS,
+		broker:      cfg.Broker,
+		policy:      cfg.Policy,
+		consumer:    wsn.NewConsumer(),
+		esCerts:     cfg.ESCerts,
+		jobTimeout:  cfg.JobTimeout,
+		dispatchSem: make(chan struct{}, maxInflightDispatch),
+		onDispatch:  cfg.OnDispatch,
+		sets:        registry{sets: make(map[string]*run)},
+		placed:      placements{byHost: make(map[string]int)},
 	}
 	svc.OnDestroy(s.onSetDestroyed)
 	// "*//" is the Full-dialect catch-all; onNotification finds the set by topic.
@@ -533,7 +517,7 @@ func New(cfg Config) (*Service, error) {
 	svc.Enable(wsrf.ResourcePropertiesPortType{})
 	svc.Enable(wsrf.LifetimePortType{})
 	svc.RegisterServiceMethod(ActionSubmit, s.handleSubmit)
-	svc.RegisterMethod(ActionCancel, s.handleCancel)
+	svc.RegisterReadMethod(ActionCancel, s.handleCancel)
 	return s, nil
 }
 
@@ -856,24 +840,23 @@ func (s *Service) onNotification(ctx context.Context, n wsn.Notification) {
 		ctx = pipeline.WithRequestID(ctx, r.flow)
 	}
 	if !fx.callsOut() {
-		_ = s.perform(ctx, r, fx, nil) // perform logged the failure with the set id
+		_ = s.perform(ctx, r, fx) // perform logged the failure with the set id
 		return
 	}
-	warm.Go(func() { _ = s.perform(ctx, r, fx, nil) })
+	warm.Go(func() { _ = s.perform(ctx, r, fx) })
 }
 
 // handleCancel aborts a job set on client request. A set that is already
-// terminal keeps its verdict: the core answers with no effects. The
-// wrapper pipeline holds this resource's lock — UpdateResource would
-// self-deadlock — so the transition is journaled onto the invocation's
-// own document.
+// terminal keeps its verdict: the core answers with no effects. It is a
+// read method — the wrapper only resolves the resource, holding no lock and
+// saving nothing back — so the transition is journaled by persist, like
+// every other, before anything of it is published.
 func (s *Service) handleCancel(ctx context.Context, inv *wsrf.Invocation, body *xmlutil.Element) (*xmlutil.Element, error) {
 	r := s.sets.get(inv.ResourceID)
 	if r == nil {
 		return nil, wsrf.NewBaseFault("NoSuchJobSetFault", "job set %q has no active run", inv.ResourceID).SOAPFault(soap.CodeSender)
 	}
-	fx := s.step(r, event{kind: evCancel, reason: "cancelled by client"})
-	if err := s.perform(ctx, r, fx, inv.Doc); err != nil {
+	if _, err := s.apply(ctx, r, event{kind: evCancel, reason: "cancelled by client"}); err != nil {
 		return nil, soap.ReceiverFault("scheduler: cancel: %v", err)
 	}
 	return &xmlutil.Element{Name: qCancelResp}, nil
@@ -940,8 +923,8 @@ func (s *Service) publishSetEvent(ctx context.Context, id, topic, status, detail
 
 // onSetDestroyed lets a set go when its job-set resource is destroyed —
 // by the client's Destroy or by lifetime expiry; until then a terminal run
-// stays, serving OutputDirectory. A set destroyed while still running is
-// treated as a cancel. The transition is taken at once; its effects
+// stays registered. A set destroyed while still running is treated as a
+// cancel. The transition is taken at once; its effects
 // (kills: round trips to other machines) run off this goroutine, because
 // the lifetime port calls this hook holding the resource lock.
 func (s *Service) onSetDestroyed(id string) {
@@ -953,24 +936,8 @@ func (s *Service) onSetDestroyed(id string) {
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
-		_ = s.perform(ctx, r, fx, nil) // destroy journals nothing: no error
+		_ = s.perform(ctx, r, fx) // destroy journals nothing: no error
 	}()
-}
-
-// OutputDirectory reports where a job's outputs live, once known —
-// clients use it to retrieve result files.
-func (s *Service) OutputDirectory(topic, jobName string) (wsa.EndpointReference, bool) {
-	r := s.sets.live(topic)
-	if r == nil {
-		return wsa.EndpointReference{}, false
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	i, ok := r.st.index[jobName]
-	if !ok || r.st.jobs[i].dirEPR.IsZero() {
-		return wsa.EndpointReference{}, false
-	}
-	return r.st.jobs[i].dirEPR, true
 }
 
 // InFlightJob is one unfinished job of a live running set here, with what

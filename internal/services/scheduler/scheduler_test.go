@@ -2,6 +2,7 @@ package scheduler
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -148,6 +149,22 @@ func (h *ssHarness) submit(t *testing.T, spec *JobSetSpec, creds *wssec.Credenti
 	return mustParseSubmitResponse(t, resp.Body)
 }
 
+// hasOutputDir reports whether a set's document names the directory a
+// job's outputs live in, as a client reads it; false too when the set has
+// no document.
+func (h *ssHarness) hasOutputDir(t *testing.T, set wsa.EndpointReference, job string) bool {
+	t.Helper()
+	doc, err := h.ss.WSRF().Home().Load(set.Property(wsrf.QResourceID))
+	if errors.Is(err, wsrf.ErrNoSuchResource) {
+		return false
+	} else if err != nil {
+		t.Fatal(err)
+	}
+	v := ParseJobSetDocument(doc)
+	j := v.Job(job)
+	return j != nil && !j.Dir.IsZero()
+}
+
 func mustParseSubmitResponse(t *testing.T, body *xmlutil.Element) (wsa.EndpointReference, string, error) {
 	t.Helper()
 	epr, topic, err := ParseSubmitResponse(body)
@@ -212,15 +229,15 @@ func TestSchedulerRunsDependentJobs(t *testing.T) {
 	if got, err := rc.GetPropertyText(ctx, QStatus); err != nil || got != SetCompleted {
 		t.Fatalf("status = %q %v", got, err)
 	}
-	// The scheduler knows where the first job's outputs live.
-	if _, ok := h.ss.OutputDirectory(topic, "first"); !ok {
+	// The document says where the first job's outputs live.
+	if !h.hasOutputDir(t, setEPR, "first") {
 		t.Fatal("output directory not recorded")
 	}
-	if _, ok := h.ss.OutputDirectory(topic, "ghost"); ok {
+	if h.hasOutputDir(t, setEPR, "ghost") {
 		t.Fatal("phantom job has an output directory")
 	}
-	if _, ok := h.ss.OutputDirectory("ghost-topic", "first"); ok {
-		t.Fatal("phantom topic has an output directory")
+	if h.hasOutputDir(t, h.ss.WSRF().EPRFor("ghost-set"), "first") {
+		t.Fatal("phantom set has an output directory")
 	}
 }
 

@@ -39,9 +39,6 @@ type ClusterConfig struct {
 	// JobTimeout is the scheduler watchdog window (default 1.5s) —
 	// without it a dropped exit event would stall a set forever.
 	JobTimeout time.Duration
-	// DefaultRetry applies to every job whose spec carries no retry
-	// policy of its own (the gridmaster -retry-default flag).
-	DefaultRetry scheduler.RetryPolicy
 }
 
 // Ack records one acknowledged submission: the scheduler accepted the
@@ -197,9 +194,8 @@ func (c *Cluster) startMaster(ctx context.Context) (unresumed, err error) {
 		return nil, fmt.Errorf("simgrid: open master store: %w", err)
 	}
 	ssCfg := scheduler.Config{
-		JobTimeout:   c.cfg.JobTimeout,
-		DefaultRetry: c.cfg.DefaultRetry,
-		OnDispatch:   c.noteDispatch,
+		JobTimeout: c.cfg.JobTimeout,
+		OnDispatch: c.noteDispatch,
 	}
 	f := &fence{}
 	m, err := master.Assemble(master.Config{

@@ -132,11 +132,7 @@ func CheckInvariants(c *Cluster, sc *Scenario) []string {
 			if !ok {
 				continue
 			}
-			limit := js.Retry.Limit
-			if limit == 0 {
-				limit = c.cfg.DefaultRetry.Limit
-			}
-			if jv.Attempt > limit {
+			if limit := js.Retry.Limit; jv.Attempt > limit {
 				violations = append(violations,
 					fmt.Sprintf("I8: job %s/%s consumed %d retry attempts, budget is %d", v.Name, jv.Name, jv.Attempt, limit))
 			}
