@@ -14,6 +14,12 @@
 // Jobs retry on failure up to their spec's per-job budget (a .jobset
 // file's "retry 2 500ms" line), which the job set's resource keeps across
 // a restart; a job whose spec gives none runs once.
+//
+// Every dispatched job is watched. When 1.5 s pass without its exit, the
+// Scheduler reads the job's Status from its Execution Service: a job that
+// is still Running is watched for another 1.5 s, however long it runs,
+// and anything else (a node that is down, an exit whose notification was
+// lost) fails the attempt, which its retry budget may run again.
 package main
 
 import (
@@ -41,7 +47,6 @@ var (
 	hostName     = flag.String("host", "localhost", "public host name services advertise in EPRs")
 	policyName   = flag.String("policy", "greedy", "scheduling policy: greedy (fastest, most available machine), round-robin or random")
 	accountsFlag = flag.String("accounts", "", "comma-separated user:password accounts; empty disables WS-Security")
-	jobTimeout   = flag.Duration("job-timeout", 0, "fail dispatched jobs with no completion inside this window (0 disables)")
 )
 
 func main() {
@@ -56,10 +61,7 @@ func main() {
 		log.Fatal(err)
 	}
 	address := daemon.Advertised(*hostName, *addr)
-	ssCfg := scheduler.Config{
-		Policy:     policy,
-		JobTimeout: *jobTimeout,
-	}
+	ssCfg := scheduler.Config{Policy: policy}
 	accounts, err := daemon.ParseAccounts(*accountsFlag)
 	if err != nil {
 		log.Fatalf("gridmaster: %v", err)

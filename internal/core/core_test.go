@@ -441,8 +441,8 @@ func TestLocalFilesOverRealTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if c.FilesEPR().Scheme() != "soap.tcp" {
-		t.Fatalf("files scheme = %q", c.FilesEPR().Scheme())
+	if addr := c.FilesEPR().Address; !strings.HasPrefix(addr, "soap.tcp://") {
+		t.Fatalf("files address = %q, want soap.tcp://", addr)
 	}
 	ctx := testCtx(t)
 	c.AddFile("t.app", Script("write done.txt ok", "exit 0"))

@@ -404,7 +404,7 @@ func TestShippedWiringRunsDemoJobSet(t *testing.T) {
 		t.Fatalf("catalog: %v, %v", procs, err)
 	}
 	for _, p := range procs {
-		if p.ES.Scheme() != "http" {
+		if schemeOf(p.ES.Address) != "http" {
 			t.Errorf("%s advertises its ES at %s, want http", p.Host, p.ES.Address)
 		}
 	}
@@ -760,14 +760,26 @@ func TestRunOnARestartedListenerRunsOnce(t *testing.T) {
 	}
 	t.Cleanup(stop)
 	run("third")
-	if jobs := len(n.ES.WSRF().Home().IDs()); jobs != 3 {
+	home := n.ES.WSRF().Home()
+	if jobs := len(home.IDs()); jobs != 3 {
 		t.Fatalf("the node holds %d job resources after three Runs", jobs)
 	}
-	if _, ok := n.Spawner.Process(4); ok {
-		t.Fatal("the node spawned a fourth process for three Runs")
+	for _, id := range home.IDs() {
+		if doc, err := home.Load(id); err != nil || doc.ChildText(execution.QStatus) != execution.StatusExited {
+			t.Fatalf("job %s did not run to its exit: %v, %v", id, doc, err)
+		}
 	}
-	if _, ok := n.Spawner.Process(3); !ok {
-		t.Fatal("the third Run spawned nothing")
+	// A fourth process, a Run spawned twice, would publish a fourth exit.
+	quiet := time.After(100 * time.Millisecond)
+	for waiting := true; waiting; {
+		select {
+		case note := <-events:
+			if ev, err := execution.ParseJobEvent(note.Message); err == nil && ev.Kind == execution.EventExited {
+				t.Fatal("the node spawned a fourth process for three Runs")
+			}
+		case <-quiet:
+			waiting = false
+		}
 	}
 	var schemes []string
 	for _, c := range dials.sent {

@@ -1,6 +1,7 @@
 package node
 
 import (
+	"bytes"
 	"context"
 	"strings"
 	"testing"
@@ -204,15 +205,23 @@ func TestNodeTablesKeepTheirJournaledCodec(t *testing.T) {
 	}
 	defer n.Stop()
 	jobs, _ := n.Store.Table("jobs")
-	if got := jobs.Codec().Name(); got != (resourcedb.StructuredCodec{}).Name() {
-		t.Fatalf("reopened jobs table codec %q", got)
-	}
 	if doc, ok, err := jobs.Get("j1"); err != nil || !ok || !doc.Equal(row) {
 		t.Fatalf("row written by the old codec: %v, found %v, err %v", doc, ok, err)
 	}
-	dirs, _ := n.Store.Table("directories") // never journaled: declared afresh
-	if got := dirs.Codec().Name(); got != (resourcedb.BlobCodec{}).Name() {
-		t.Fatalf("fresh directories table codec %q", got)
+	// A snapshot names each table's codec after the table's name, each as
+	// a length byte and the bytes.
+	var snap bytes.Buffer
+	if err := n.Store.Save(&snap); err != nil {
+		t.Fatal(err)
+	}
+	for table, codec := range map[string]resourcedb.Codec{
+		"jobs":        resourcedb.StructuredCodec{},
+		"directories": resourcedb.BlobCodec{}, // never journaled: declared afresh
+	} {
+		header := append(append([]byte{byte(len(table))}, table...), byte(len(codec.Name())))
+		if !bytes.Contains(snap.Bytes(), append(header, codec.Name()...)) {
+			t.Errorf("the %s table is not stored with the %s codec", table, codec.Name())
+		}
 	}
 }
 

@@ -326,7 +326,7 @@ func TestSpawnerBookkeeping(t *testing.T) {
 	sp, fs, dir := newTestSpawner(t)
 	stage(t, fs, dir, "app", BuildScript("exit 0"))
 	p := spawnAndWait(t, sp, SpawnSpec{Executable: "app", WorkingDir: dir, Username: "labuser", Password: "pw"})
-	if got, ok := sp.Process(p.PID); !ok || got != p {
+	if got, ok := sp.procs[p.PID]; !ok || got != p {
 		t.Fatal("process lookup failed")
 	}
 	if len(sp.procs) != 1 {
@@ -338,7 +338,7 @@ func TestSpawnerBookkeeping(t *testing.T) {
 	if sp.Reap(p.PID) {
 		t.Fatal("double reap succeeded")
 	}
-	if _, ok := sp.Process(p.PID); ok {
+	if _, ok := sp.procs[p.PID]; ok {
 		t.Fatal("reaped process still visible")
 	}
 }
@@ -433,7 +433,6 @@ func TestUtilizationMonitorStartStop(t *testing.T) {
 	sp, _, _ := newTestSpawner(t)
 	fired := make(chan float64, 1)
 	m := NewUtilizationMonitor(sp, MonitorConfig{
-		Interval: time.Millisecond,
 		Notify: func(u float64) {
 			select {
 			case fired <- u:
@@ -441,6 +440,7 @@ func TestUtilizationMonitorStartStop(t *testing.T) {
 			}
 		},
 	})
+	m.interval = time.Millisecond
 	m.Start()
 	m.Start() // idempotent
 	select {

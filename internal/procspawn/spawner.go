@@ -247,14 +247,6 @@ func (s *Spawner) compute(p *Process, units int64) bool {
 	return true
 }
 
-// Process looks up a live or finished process by PID.
-func (s *Spawner) Process(pid int64) (*Process, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	p, ok := s.procs[pid]
-	return p, ok
-}
-
 // Reserve claims a processor slot before the process exists — the
 // Execution Service holds one per job from the Run request until the
 // staged process actually spawns, so the machine's next utilization

@@ -16,7 +16,7 @@ import (
 type UtilizationMonitor struct {
 	spawner   *Spawner
 	threshold float64
-	interval  time.Duration
+	interval  time.Duration // sampleInterval; in-package tests shorten it
 	// background models load from outside the grid (the machine's owner
 	// using it); nil means idle.
 	background func() float64
@@ -29,13 +29,14 @@ type UtilizationMonitor struct {
 	stopped      chan struct{}
 }
 
+// sampleInterval is the sampling loop's period: the tick a Report rides.
+const sampleInterval = 50 * time.Millisecond
+
 // MonitorConfig configures a UtilizationMonitor.
 type MonitorConfig struct {
 	// Threshold is the minimum utilization delta (0..1) that triggers a
 	// notification. The paper calls this "a configurable amount".
 	Threshold float64
-	// Interval is the sampling period for the background loop.
-	Interval time.Duration
 	// Background, when set, supplies non-grid load (0..1).
 	Background func() float64
 	// Notify receives threshold-crossing utilization values.
@@ -44,13 +45,10 @@ type MonitorConfig struct {
 
 // NewUtilizationMonitor builds a monitor over a spawner.
 func NewUtilizationMonitor(s *Spawner, cfg MonitorConfig) *UtilizationMonitor {
-	if cfg.Interval == 0 {
-		cfg.Interval = 50 * time.Millisecond
-	}
 	return &UtilizationMonitor{
 		spawner:    s,
 		threshold:  cfg.Threshold,
-		interval:   cfg.Interval,
+		interval:   sampleInterval,
 		background: cfg.Background,
 		notify:     cfg.Notify,
 	}

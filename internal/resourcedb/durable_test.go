@@ -239,8 +239,8 @@ func TestDurableCompaction(t *testing.T) {
 	if !ok {
 		t.Fatal("table created after snapshot not recovered")
 	}
-	if late2.Codec().Name() != "blob" {
-		t.Fatalf("late codec = %q", late2.Codec().Name())
+	if late2.codec.Name() != "blob" {
+		t.Fatalf("late codec = %q", late2.codec.Name())
 	}
 	doc, ok, err := late2.Get("l1")
 	if err != nil || !ok || !doc.Equal(jobDoc("New", 1)) {

@@ -311,8 +311,8 @@ func TestStoreSnapshotRoundTrip(t *testing.T) {
 	if !ok || rj.Len() != 10 {
 		t.Fatalf("jobs table lost: ok=%v", ok)
 	}
-	if rj.Codec().Name() != "structured" {
-		t.Errorf("codec = %q", rj.Codec().Name())
+	if rj.codec.Name() != "structured" {
+		t.Errorf("codec = %q", rj.codec.Name())
 	}
 	// Index must be rebuilt on load.
 	got, err := rj.QueryProperty("Status", "Running")

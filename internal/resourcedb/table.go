@@ -49,9 +49,6 @@ func NewTable(name string, codec Codec) *Table {
 // Name returns the table name.
 func (t *Table) Name() string { return t.name }
 
-// Codec returns the table's codec.
-func (t *Table) Codec() Codec { return t.codec }
-
 // Len returns the row count.
 func (t *Table) Len() int {
 	t.mu.RLock()

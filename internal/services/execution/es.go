@@ -130,6 +130,9 @@ func New(cfg Config) (*Service, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := failOrphans(cfg.Home); err != nil {
+		return nil, err
+	}
 	s := &Service{
 		svc:          svc,
 		client:       cfg.Client,
@@ -169,6 +172,27 @@ func New(cfg Config) (*Service, error) {
 	svc.RegisterMethod(ActionKill, s.handleKill)
 	svc.RegisterMethod(filesystem.ActionUploadComplete, s.handleUploadComplete)
 	return s, nil
+}
+
+// failOrphans marks Failed every job the store says is Staging or Running.
+// Processes, credentials and slot reservations live in process memory
+// only, so no such job has anything behind it in a new ES: answering
+// Running for it would keep the Scheduler's watchdog waiting for ever.
+func failOrphans(home wsrf.ResourceHome) error {
+	for _, id := range home.IDs() {
+		doc, err := home.Load(id)
+		if err != nil {
+			return fmt.Errorf("es: load job %s: %w", id, err)
+		}
+		if st := doc.ChildText(QStatus); st != StatusStaging && st != StatusRunning {
+			continue
+		}
+		setChildText(doc, QStatus, StatusFailed)
+		if err := home.Save(id, doc); err != nil {
+			return fmt.Errorf("es: fail job %s left by the previous process: %w", id, err)
+		}
+	}
+	return nil
 }
 
 // WSRF returns the underlying service for mounting.

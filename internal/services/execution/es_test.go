@@ -359,20 +359,19 @@ func TestDestroyJobResourceKillsProcess(t *testing.T) {
 
 // TestDestroyReapsProcessRecord: destroying a job resource is what lets
 // ProcSpawn forget the job's process — at once if it has exited, when the
-// kill lands if it was still running.
+// kill lands if it was still running. A finished process keeps its record
+// until it is reaped (procspawn.TestSpawnerBookkeeping), so a Reap that
+// finds nothing after the destroy means the ES reaped it.
 func TestDestroyReapsProcessRecord(t *testing.T) {
 	t.Run("exited, then destroyed", func(t *testing.T) {
 		h := newESHarness(t, nil)
 		job, _ := h.runJob(t, nil, procspawn.BuildScript("exit 0"))
 		h.waitEvent(t, EventExited)
 		pid := h.pid(t, job)
-		if _, ok := h.spawner.Process(pid); !ok {
-			t.Fatalf("no record of process %d after its job exited", pid)
-		}
 		if err := wsrf.NewResourceClient(h.client, job).Destroy(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := h.spawner.Process(pid); ok {
+		if h.spawner.Reap(pid) {
 			t.Fatalf("process record %d outlives its destroyed job", pid)
 		}
 	})
@@ -388,10 +387,46 @@ func TestDestroyReapsProcessRecord(t *testing.T) {
 		if ev, _ := ParseJobEvent(h.waitEvent(t, EventExited).Message); ev.ExitCode != procspawn.ExitKilled {
 			t.Fatalf("exit = %d, want killed", ev.ExitCode)
 		}
-		if _, ok := h.spawner.Process(pid); ok {
+		if h.spawner.Reap(pid) {
 			t.Fatalf("process record %d outlives its destroyed job", pid)
 		}
 	})
+}
+
+// TestRestartedESClaimsNoProcess: an ES built over the store another ES
+// left behind holds none of its processes. A job that store says is
+// Running reads Failed from the new ES, and a job that had exited keeps
+// its verdict.
+func TestRestartedESClaimsNoProcess(t *testing.T) {
+	h := newESHarness(t, nil)
+	done, _ := h.runJob(t, nil, procspawn.BuildScript("exit 0"))
+	h.waitEvent(t, EventExited)
+	live, _ := h.runJob(t, nil, procspawn.BuildScript("compute 100000000", "exit 0"))
+	h.waitEvent(t, EventStarted)
+	status := func(home wsrf.ResourceHome, job wsa.EndpointReference) string {
+		t.Helper()
+		doc, err := home.Load(job.Property(wsrf.QResourceID))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return doc.ChildText(QStatus)
+	}
+	home := h.es.WSRF().Home()
+	// The started event leaves before UploadComplete saves the status.
+	for end := time.Now().Add(10 * time.Second); status(home, live) != StatusRunning; time.Sleep(time.Millisecond) {
+		if time.Now().After(end) {
+			t.Fatalf("live job reads %q before the restart", status(home, live))
+		}
+	}
+	if _, err := New(Config{Address: "inproc://node-a", Home: home, Client: h.client, FSS: h.fss.EPR(), Spawner: h.spawner}); err != nil {
+		t.Fatal(err)
+	}
+	if got := status(home, live); got != StatusFailed {
+		t.Fatalf("a job with no process reads %q after the restart, want %q", got, StatusFailed)
+	}
+	if got := status(home, done); got != StatusExited {
+		t.Fatalf("an exited job reads %q after the restart, want %q", got, StatusExited)
+	}
 }
 
 func TestJobEventRoundTrip(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -283,8 +284,8 @@ func TestUploadFromTCPFileServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fileServer.Close()
-	if serverEPR.Scheme() != transport.SchemeTCP {
-		t.Fatalf("scheme = %q", serverEPR.Scheme())
+	if addr := serverEPR.Address; !strings.HasPrefix(addr, transport.SchemeTCP+"://") {
+		t.Fatalf("address = %q, want %s://", addr, transport.SchemeTCP)
 	}
 
 	dstDir, _ := CreateDirectoryVia(ctx, h.client, h.fssA.EPR(), "work")

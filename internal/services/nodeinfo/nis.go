@@ -131,47 +131,47 @@ func processorContent(p Processor, now time.Time) *xmlutil.Element {
 	)
 }
 
-// gridLoad reads the optional GridLoad child of a processor element.
-func gridLoad(el *xmlutil.Element) (int, error) {
-	text := el.ChildText(qGridLoad)
-	if text == "" {
-		return 0, nil
-	}
-	n, err := strconv.Atoi(text)
-	if err != nil || n < 0 {
-		return 0, fmt.Errorf("nis: bad grid load %q", text)
-	}
-	return n, nil
-}
-
-func processorFromEntry(e wsrf.Entry) (Processor, error) {
-	c := e.Content
-	if c == nil || c.Name != qProcessor {
-		return Processor{}, fmt.Errorf("nis: entry %q has no processor content", e.Key)
-	}
-	p := Processor{Host: c.ChildText(qHost), ES: e.Member}
+// parseProcessor is the one decoder of a processor's fields, whether they
+// arrive as a Report, sit in a group entry or come back from GetProcessors:
+// the first field that does not parse is the error. The ES child is the
+// caller's.
+func parseProcessor(el *xmlutil.Element) (Processor, error) {
+	p := Processor{Host: el.ChildText(qHost)}
 	var err error
-	if p.Cores, err = strconv.Atoi(c.ChildText(qCores)); err != nil {
+	if p.Cores, err = strconv.Atoi(el.ChildText(qCores)); err != nil {
 		return p, fmt.Errorf("nis: bad cores: %w", err)
 	}
-	if p.SpeedMHz, err = strconv.ParseFloat(c.ChildText(qSpeedMHz), 64); err != nil {
+	if p.SpeedMHz, err = strconv.ParseFloat(el.ChildText(qSpeedMHz), 64); err != nil {
 		return p, fmt.Errorf("nis: bad speed: %w", err)
 	}
-	if p.RAMMB, err = strconv.Atoi(c.ChildText(qRAMMB)); err != nil {
+	if p.RAMMB, err = strconv.Atoi(el.ChildText(qRAMMB)); err != nil {
 		return p, fmt.Errorf("nis: bad ram: %w", err)
 	}
-	if p.Utilization, err = strconv.ParseFloat(c.ChildText(qUtilization), 64); err != nil {
+	if p.Utilization, err = strconv.ParseFloat(el.ChildText(qUtilization), 64); err != nil {
 		return p, fmt.Errorf("nis: bad utilization: %w", err)
 	}
-	if p.GridLoad, err = gridLoad(c); err != nil {
-		return p, err
+	// GridLoad is optional: a report without it (a node that predates it)
+	// reads as 0.
+	if text := el.ChildText(qGridLoad); text != "" {
+		if p.GridLoad, err = strconv.Atoi(text); err != nil || p.GridLoad < 0 {
+			return p, fmt.Errorf("nis: bad grid load %q", text)
+		}
 	}
-	if ts := c.ChildText(qUpdatedAt); ts != "" {
+	if ts := el.ChildText(qUpdatedAt); ts != "" {
 		if p.UpdatedAt, err = time.Parse(time.RFC3339Nano, ts); err != nil {
 			return p, fmt.Errorf("nis: bad timestamp: %w", err)
 		}
 	}
 	return p, nil
+}
+
+func processorFromEntry(e wsrf.Entry) (Processor, error) {
+	if e.Content == nil || e.Content.Name != qProcessor {
+		return Processor{}, fmt.Errorf("nis: entry %q has no processor content", e.Key)
+	}
+	p, err := parseProcessor(e.Content)
+	p.ES = e.Member
+	return p, err
 }
 
 // ReportRequest builds a utilization report body.
@@ -196,22 +196,11 @@ func (s *Service) handleReport(ctx context.Context, inv *wsrf.Invocation, body *
 	if err != nil {
 		return nil, soap.SenderFault("nis: bad member EPR: %v", err)
 	}
-	p := Processor{Host: body.ChildText(qHost), ES: member}
-	if p.Cores, err = strconv.Atoi(body.ChildText(qCores)); err != nil {
-		return nil, soap.SenderFault("nis: bad cores: %v", err)
-	}
-	if p.SpeedMHz, err = strconv.ParseFloat(body.ChildText(qSpeedMHz), 64); err != nil {
-		return nil, soap.SenderFault("nis: bad speed: %v", err)
-	}
-	if p.RAMMB, err = strconv.Atoi(body.ChildText(qRAMMB)); err != nil {
-		return nil, soap.SenderFault("nis: bad ram: %v", err)
-	}
-	if p.Utilization, err = strconv.ParseFloat(body.ChildText(qUtilization), 64); err != nil {
-		return nil, soap.SenderFault("nis: bad utilization: %v", err)
-	}
-	if p.GridLoad, err = gridLoad(body); err != nil {
+	p, err := parseProcessor(body)
+	if err != nil {
 		return nil, soap.SenderFault("%v", err)
 	}
+	p.ES = member
 	content := processorContent(p, s.now())
 	if err := s.svc.UpdateResource(GroupResourceID, func(doc *xmlutil.Element) error {
 		wsrf.AddEntry(doc, member, content)
@@ -243,21 +232,14 @@ func (s *Service) handleGetProcessors(ctx context.Context, inv *wsrf.Invocation,
 func parseProcessorElements(body *xmlutil.Element) ([]Processor, error) {
 	var out []Processor
 	for _, el := range body.ChildrenNamed(qProcessor) {
-		p := Processor{Host: el.ChildText(qHost)}
+		p, err := parseProcessor(el)
+		if err != nil {
+			return nil, err
+		}
 		if esEl := el.Child(qES); esEl != nil {
-			epr, err := wsa.ParseEPR(esEl)
-			if err != nil {
+			if p.ES, err = wsa.ParseEPR(esEl); err != nil {
 				return nil, err
 			}
-			p.ES = epr
-		}
-		p.Cores, _ = strconv.Atoi(el.ChildText(qCores))
-		p.SpeedMHz, _ = strconv.ParseFloat(el.ChildText(qSpeedMHz), 64)
-		p.RAMMB, _ = strconv.Atoi(el.ChildText(qRAMMB))
-		p.Utilization, _ = strconv.ParseFloat(el.ChildText(qUtilization), 64)
-		p.GridLoad, _ = gridLoad(el)
-		if ts := el.ChildText(qUpdatedAt); ts != "" {
-			p.UpdatedAt, _ = time.Parse(time.RFC3339Nano, ts)
 		}
 		out = append(out, p)
 	}

@@ -69,6 +69,17 @@ func TestReportAndPoll(t *testing.T) {
 	if procs[1].ES.Address != "inproc://win-b/ExecutionService" {
 		t.Fatalf("ES EPR = %v", procs[1].ES)
 	}
+
+	// A reply with a malformed row is refused, as a malformed Report is,
+	// not read as a machine with no cores.
+	reply := &xmlutil.Element{Name: qGetProcsResponse}
+	for _, p := range procs {
+		reply.Append(processorContent(p, p.UpdatedAt).Append(p.ES.ElementNamed(qES)))
+	}
+	reply.Children[1].Child(qCores).Text = "two"
+	if got, err := parseProcessorElements(reply); err == nil {
+		t.Fatalf("a reply whose second row has cores \"two\" decoded as %+v", got)
+	}
 }
 
 func TestReportUpsertsByMember(t *testing.T) {

@@ -7,11 +7,13 @@ package scheduler
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 	"time"
 
 	"uvacg/internal/procspawn"
+	"uvacg/internal/soap"
 	"uvacg/internal/wsrf"
 )
 
@@ -24,6 +26,13 @@ import (
 func TestWatchdogTimeoutKillsTimedOutJob(t *testing.T) {
 	h := newSSHarness(t, Greedy{}, nil, "node-a")
 	h.ss.jobTimeout = 300 * time.Millisecond
+	// Every Status read of a job is lost on the way; the Kill is not.
+	h.client.Use(func(ctx context.Context, call *soap.CallInfo, next soap.Handler) (*soap.Envelope, error) {
+		if call.Path == "/ExecutionService" && call.Action == wsrf.ActionGetResourceProperty {
+			return nil, errors.New("status read lost")
+		}
+		return next(ctx, call)
+	})
 	h.files.Publish("long.app", procspawn.BuildScript("compute 100000000", "exit 0"))
 	spec := &JobSetSpec{Name: "stuck", Jobs: []JobSpec{{Name: "long", Executable: "local://long.app"}}}
 	_, topic, err := h.submit(t, spec, nil)
@@ -32,8 +41,8 @@ func TestWatchdogTimeoutKillsTimedOutJob(t *testing.T) {
 	}
 	waitStarted(t, h.events)
 
-	// The node stays reachable: the job simply outlives its timeout.
-	// Expect both the set's terminal event and the evidence of the kill
+	// The node stays reachable but cannot be asked, so the watchdog fails
+	// the job. Expect both the set's terminal event and the evidence of the kill
 	// — the reaped process's exit event on the job's own topic.
 	var failed, killed bool
 	deadline := time.After(20 * time.Second)

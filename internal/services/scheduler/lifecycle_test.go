@@ -163,7 +163,7 @@ func TestDestroyCancelsRunningSet(t *testing.T) {
 // network host, so tests can make only the broker unreachable while the
 // scheduler, NIS and nodes keep running. Returns the broker's server for
 // re-registration after a simulated outage.
-func newSplitBrokerHarness(t *testing.T, jobTimeout time.Duration) (*ssHarness, *transport.Server) {
+func newSplitBrokerHarness(t *testing.T) (*ssHarness, *transport.Server) {
 	t.Helper()
 	network := transport.NewNetwork()
 	client := transport.NewClient().WithNetwork(network)
@@ -188,13 +188,12 @@ func newSplitBrokerHarness(t *testing.T, jobTimeout time.Duration) (*ssHarness, 
 		t.Fatal(err)
 	}
 	ss, err := New(Config{
-		Address:    "inproc://master",
-		Home:       wsrf.NewStateHome(store.MustTable("jobsets", resourcedb.BlobCodec{})),
-		Client:     client,
-		NIS:        nis.EPR(),
-		Broker:     broker.EPR(),
-		Policy:     Greedy{},
-		JobTimeout: jobTimeout,
+		Address: "inproc://master",
+		Home:    wsrf.NewStateHome(store.MustTable("jobsets", resourcedb.BlobCodec{})),
+		Client:  client,
+		NIS:     nis.EPR(),
+		Broker:  broker.EPR(),
+		Policy:  Greedy{},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -240,7 +239,7 @@ func newSplitBrokerHarness(t *testing.T, jobTimeout time.Duration) (*ssHarness, 
 // the set and the client waits forever. Once the broker returns, a
 // restarted scheduler replays the event and only then stamps the marker.
 func TestFailedTerminalPublishLeavesUnnotified(t *testing.T) {
-	h, brokerSrv := newSplitBrokerHarness(t, 700*time.Millisecond)
+	h, brokerSrv := newSplitBrokerHarness(t)
 	h.files.Publish("long.app", procspawn.BuildScript("compute 100000000", "exit 0"))
 	spec := &JobSetSpec{Name: "eaten", Jobs: []JobSpec{{Name: "long", Executable: "local://long.app"}}}
 	setEPR, topic, err := h.submit(t, spec, nil)
@@ -249,24 +248,19 @@ func TestFailedTerminalPublishLeavesUnnotified(t *testing.T) {
 	}
 	waitStarted(t, h.events)
 
-	// The broker vanishes. The watchdog fails the set, and the terminal
+	// The broker vanishes. The client cancels the set, and the terminal
 	// publish has nowhere to go.
 	h.network.Deregister("broker")
+	if _, err := h.client.Call(context.Background(), setEPR, ActionCancel, cancelRequest()); err != nil {
+		t.Fatal(err)
+	}
 	id := setEPR.Property(wsrf.QResourceID)
-	var doc *xmlutil.Element
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		doc, err = h.ss.WSRF().Home().Load(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if doc.ChildText(QStatus) == SetFailed {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("watchdog never failed the set (status %q)", doc.ChildText(QStatus))
-		}
-		time.Sleep(10 * time.Millisecond)
+	doc, err := h.ss.WSRF().Home().Load(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := doc.ChildText(QStatus); got != SetCancelled {
+		t.Fatalf("cancelled set reads %q", got)
 	}
 	if doc.Attr(qNotifiedAttr) == "true" {
 		t.Fatal("terminal publish failed but the set was stamped notified")
@@ -278,7 +272,7 @@ func TestFailedTerminalPublishLeavesUnnotified(t *testing.T) {
 	if _, err := h.ss.Recover(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if got := h.waitTerminal(t, topic); got != "failed" {
+	if got := h.waitTerminal(t, topic); got != "cancelled" {
 		t.Fatalf("replayed terminal event %q", got)
 	}
 	doc, err = h.ss.WSRF().Home().Load(id)

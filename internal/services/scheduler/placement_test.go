@@ -90,9 +90,9 @@ type fakeGrid struct {
 	answer func(fakeRun) error // how a Run is answered; nil acks
 }
 
-func newFakeGrid(t *testing.T, mutate func(*Config)) *fakeGrid {
+func newFakeGrid(t *testing.T) *fakeGrid {
 	t.Helper()
-	g := &fakeGrid{t: t, h: newSSHarnessCfg(t, Greedy{}, nil, mutate), runs: make(chan fakeRun, 16)}
+	g := &fakeGrid{t: t, h: newSSHarness(t, Greedy{}, nil), runs: make(chan fakeRun, 16)}
 	for _, host := range []string{"a", "b"} {
 		esEPR := wsa.NewEPR("inproc://" + host + "/ExecutionService")
 		es := soap.NewDispatcher()
@@ -217,22 +217,23 @@ func TestPlacementLedgerConserved(t *testing.T) {
 	both := map[string]int{"a": 1, "b": 1}
 	none := map[string]int{}
 	cases := []struct {
-		name   string
-		retry  int
-		mutate func(*Config)
+		name  string
+		retry int
+		// window, when set, shortens the watchdog's.
+		window time.Duration
 		// failFirst makes the first Run of j0 fault.
 		failFirst bool
 		end       func(g *fakeGrid, set wsa.EndpointReference, topic string, runs map[string]fakeRun)
 		verdict   string
 	}{
-		{"exit", 0, nil, false, func(g *fakeGrid, _ wsa.EndpointReference, topic string, runs map[string]fakeRun) {
+		{"exit", 0, 0, false, func(g *fakeGrid, _ wsa.EndpointReference, topic string, runs map[string]fakeRun) {
 			g.deliver(topic, runs["j0"], execution.EventStarted, 0)
 			g.deliver(topic, runs["j0"], execution.EventExited, 0)
 			g.ledgerIs("j0 exited", map[string]int{runs["j1"].host: 1})
 			g.deliver(topic, runs["j0"], execution.EventExited, 0) // a duplicate frees nothing more
 			g.deliver(topic, runs["j1"], execution.EventExited, 0)
 		}, "completed"},
-		{"nonzero exit, retried", 1, nil, false, func(g *fakeGrid, _ wsa.EndpointReference, topic string, runs map[string]fakeRun) {
+		{"nonzero exit, retried", 1, 0, false, func(g *fakeGrid, _ wsa.EndpointReference, topic string, runs map[string]fakeRun) {
 			g.deliver(topic, runs["j0"], execution.EventExited, 1)
 			again := g.acked(1)["j0"]
 			if again.attempt == runs["j0"].attempt || again.host != runs["j0"].host {
@@ -244,19 +245,19 @@ func TestPlacementLedgerConserved(t *testing.T) {
 			g.deliver(topic, again, execution.EventExited, 0)
 			g.deliver(topic, runs["j1"], execution.EventExited, 0)
 		}, "completed"},
-		{"dispatch failure, retried", 1, nil, true, func(g *fakeGrid, _ wsa.EndpointReference, topic string, runs map[string]fakeRun) {
+		{"dispatch failure, retried", 1, 0, true, func(g *fakeGrid, _ wsa.EndpointReference, topic string, runs map[string]fakeRun) {
 			g.deliver(topic, runs["j0"], execution.EventExited, 0)
 			g.deliver(topic, runs["j1"], execution.EventExited, 0)
 		}, "completed"},
-		{"dispatch failure, final", 0, nil, true, nil, "failed"},
-		{"watchdog", 0, func(cfg *Config) { cfg.JobTimeout = 500 * time.Millisecond }, false,
+		{"dispatch failure, final", 0, 0, true, nil, "failed"},
+		{"watchdog", 0, 500 * time.Millisecond, false,
 			func(*fakeGrid, wsa.EndpointReference, string, map[string]fakeRun) {}, "failed"},
-		{"Cancel", 0, nil, false, func(g *fakeGrid, set wsa.EndpointReference, _ string, _ map[string]fakeRun) {
+		{"Cancel", 0, 0, false, func(g *fakeGrid, set wsa.EndpointReference, _ string, _ map[string]fakeRun) {
 			if _, err := g.h.client.Call(context.Background(), set, ActionCancel, cancelRequest()); err != nil {
 				t.Fatal(err)
 			}
 		}, "cancelled"},
-		{"Destroy", 0, nil, false, func(g *fakeGrid, set wsa.EndpointReference, _ string, _ map[string]fakeRun) {
+		{"Destroy", 0, 0, false, func(g *fakeGrid, set wsa.EndpointReference, _ string, _ map[string]fakeRun) {
 			if err := wsrf.NewResourceClient(g.h.client, set).Destroy(context.Background()); err != nil {
 				t.Fatal(err)
 			}
@@ -264,7 +265,10 @@ func TestPlacementLedgerConserved(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			g := newFakeGrid(t, tc.mutate)
+			g := newFakeGrid(t)
+			if tc.window > 0 {
+				g.h.ss.jobTimeout = tc.window
+			}
 			if tc.failFirst {
 				failed := false
 				g.answerWith(func(run fakeRun) error {
@@ -299,7 +303,7 @@ func TestPlacementLedgerConserved(t *testing.T) {
 // the NIS — places nothing: no charge, and no Run that a Kill would then
 // have to chase.
 func TestPlacementLosingToCancelSendsNoRun(t *testing.T) {
-	g := newFakeGrid(t, nil)
+	g := newFakeGrid(t)
 	nis := g.h.ss.nis
 	polled, release := make(chan struct{}, 1), make(chan struct{})
 	proxy := soap.NewDispatcher()
@@ -350,7 +354,7 @@ func TestPlacementLosingToCancelSendsNoRun(t *testing.T) {
 // applied while its Run response is still on the way is journaled
 // Completed with its node.
 func TestVerdictNamesNodeWhenExitOvertakesRunResponse(t *testing.T) {
-	g := newFakeGrid(t, nil)
+	g := newFakeGrid(t)
 	held, release := make(chan fakeRun, 1), make(chan struct{})
 	g.answerWith(func(run fakeRun) error {
 		held <- run

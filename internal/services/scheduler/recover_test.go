@@ -342,7 +342,7 @@ func TestRecoverIgnoresFinishedSets(t *testing.T) {
 // for the next restart. (simgrid seed 26: a restarted master's Subscribe
 // was dropped and the set stayed Running forever.)
 func TestRecoverRetriesSetsTheBrokerRefused(t *testing.T) {
-	h, brokerSrv := newSplitBrokerHarness(t, 0)
+	h, brokerSrv := newSplitBrokerHarness(t)
 	h.files.Publish("j.app", procspawn.BuildScript("exit 0"))
 	spec := &JobSetSpec{Name: "later", Jobs: []JobSpec{{Name: "j", Executable: "local://j.app"}}}
 	setEPR, topic, err := h.submit(t, spec, nil)
@@ -381,7 +381,7 @@ func TestResweepLogsWhatItFails(t *testing.T) {
 	defer log.SetOutput(log.Writer())
 	log.SetOutput(logged)
 
-	h, brokerSrv := newSplitBrokerHarness(t, 0)
+	h, brokerSrv := newSplitBrokerHarness(t)
 	h.files.Publish("j.app", procspawn.BuildScript("exit 0"))
 	var eprs []wsa.EndpointReference
 	for _, name := range []string{"later", "broken"} {

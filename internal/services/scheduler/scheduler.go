@@ -95,11 +95,6 @@ type Config struct {
 	// ESCerts, when set, resolves an Execution Service's certificate so
 	// forwarded credentials are encrypted to it (paper §4.2).
 	ESCerts func(es wsa.EndpointReference) (wssec.Certificate, bool)
-	// JobTimeout, when positive, bounds each dispatched job: if no
-	// terminal event arrives in time (machine crashed, network
-	// partitioned), the job — and with it the set — fails instead of
-	// hanging forever. Zero disables the watchdog.
-	JobTimeout time.Duration
 	// OnDispatch, when set, observes every committed job dispatch — the
 	// simulator's dispatch ledger.
 	OnDispatch func(rec DispatchRecord)
@@ -113,11 +108,14 @@ const (
 )
 
 // Dispatch-path constants: how many jobs may be mid-dispatch (node
-// selection plus the Run round trip) at once across all job sets, and how
-// long a GetProcessors reply is trusted before a dispatch polls again.
+// selection plus the Run round trip) at once across all job sets, how
+// long a GetProcessors reply is trusted before a dispatch polls again,
+// and how long an acked attempt may go without a terminal event before
+// its ES is asked whether the job still runs (watchdogFired).
 const (
 	maxInflightDispatch = 8
 	catalogTTL          = 2 * time.Second
+	watchdogWindow      = 1500 * time.Millisecond
 )
 
 // Service is the Scheduler Service.
@@ -130,7 +128,7 @@ type Service struct {
 	policy      Policy
 	consumer    *wsn.Consumer
 	esCerts     func(wsa.EndpointReference) (wssec.Certificate, bool)
-	jobTimeout  time.Duration
+	jobTimeout  time.Duration // watchdogWindow; in-package tests shorten it
 	dispatchSem chan struct{} // bounds concurrent dispatches
 	onDispatch  func(rec DispatchRecord)
 
@@ -314,9 +312,7 @@ func (s *Service) step(r *run, ev event) effects {
 		}
 	}
 	for _, k := range fx.arm {
-		if s.jobTimeout > 0 {
-			r.watchdogs[k] = time.AfterFunc(s.jobTimeout, func() { s.watchdogFired(r, k) })
-		}
+		s.arm(r, k)
 	}
 	r.mu.Unlock()
 	s.placed.free(fx.free)
@@ -353,19 +349,49 @@ func (s *Service) Placed() map[string]int {
 	return maps.Clone(s.placed.byHost)
 }
 
-// watchdogFired reports that an attempt produced no terminal event in
-// time — the machine died or the network partitioned mid-job. Keyed by
-// attempt, a timer that fires late names an attempt the core has dropped.
+// arm starts an attempt's watchdog. The caller holds r.mu.
+func (s *Service) arm(r *run, k watchKey) {
+	r.watchdogs[k] = time.AfterFunc(s.jobTimeout, func() { s.watchdogFired(r, k) })
+}
+
+// watchdogFired: an attempt went a window without a terminal event. Its
+// ES is asked for the job's Status (paper §4.2: the Scheduler "can poll
+// the job for its status"), with at most one window to answer. Running is
+// a long job: the watchdog is armed again, under r.mu and only while the
+// attempt is still the job's live one, so no stop is overtaken by the arm.
+// Any other answer fails the attempt, naming what the ES said: staging
+// that waits past a window on a third process, an exit whose event never
+// arrived, a resource the ES does not know, an ES that cannot be reached.
+// The fired timer stays in r.watchdogs until then: the attempt is watched.
 func (s *Service) watchdogFired(r *run, k watchKey) {
 	r.mu.Lock()
-	delete(r.watchdogs, k)
+	j := &r.st.jobs[k.job]
+	current := j.attempt == k.attempt && jobLive(j.state)
+	jobEPR := j.jobEPR
 	r.mu.Unlock()
-	s.fire(context.Background(), r, event{
-		kind:    evTimeout,
-		job:     r.spec.Jobs[k.job].Name,
-		attempt: k.attempt,
-		reason:  fmt.Sprintf("no completion within %v (machine unreachable?)", s.jobTimeout),
-	})
+	if !current {
+		return // the stop that ended the attempt is on its way, or done
+	}
+	ctx := context.Background()
+	if r.flow != "" {
+		ctx = pipeline.WithRequestID(ctx, r.flow)
+	}
+	readCtx, cancel := context.WithTimeout(ctx, s.jobTimeout)
+	status, err := wsrf.NewResourceClient(s.client, jobEPR).GetPropertyText(readCtx, execution.QStatus)
+	cancel()
+	if err == nil && status == execution.StatusRunning {
+		r.mu.Lock()
+		if j.attempt == k.attempt && jobLive(j.state) {
+			s.arm(r, k)
+		}
+		r.mu.Unlock()
+		return
+	}
+	reason := fmt.Sprintf("no completion within %v and the ES reports the job %s", s.jobTimeout, status)
+	if err != nil {
+		reason = fmt.Sprintf("no completion within %v and the ES could not be asked: %v", s.jobTimeout, err)
+	}
+	s.fire(ctx, r, event{kind: evTimeout, job: j.spec.Name, attempt: k.attempt, reason: reason})
 }
 
 // apply is the shell around the core: one event in, its effects done.
@@ -500,7 +526,7 @@ func New(cfg Config) (*Service, error) {
 		policy:      cfg.Policy,
 		consumer:    wsn.NewConsumer(),
 		esCerts:     cfg.ESCerts,
-		jobTimeout:  cfg.JobTimeout,
+		jobTimeout:  watchdogWindow,
 		dispatchSem: make(chan struct{}, maxInflightDispatch),
 		onDispatch:  cfg.OnDispatch,
 		sets:        registry{sets: make(map[string]*run)},

@@ -425,7 +425,6 @@ func TestJobWatchdogFailsUnreachableMachine(t *testing.T) {
 
 func TestJobWatchdogDoesNotFireOnHealthyJobs(t *testing.T) {
 	h := newSSHarness(t, Greedy{}, nil, "node-a")
-	h.ss.jobTimeout = 30 * time.Second
 	h.files.Publish("j.app", procspawn.BuildScript("exit 0"))
 	spec := &JobSetSpec{Name: "fine", Jobs: []JobSpec{{Name: "j", Executable: "local://j.app"}}}
 	_, topic, err := h.submit(t, spec, nil)
@@ -434,5 +433,54 @@ func TestJobWatchdogDoesNotFireOnHealthyJobs(t *testing.T) {
 	}
 	if got := h.waitTerminal(t, topic); got != "completed" {
 		t.Fatalf("terminal event %q", got)
+	}
+}
+
+// TestLongJobOutlivesTheWatchdog: a job that runs for ten watchdog windows
+// on a reachable machine is long, not lost. Each time the watchdog fires
+// the ES says Running, so the job completes with one spawn and no retry
+// spent, though its budget would allow two.
+func TestLongJobOutlivesTheWatchdog(t *testing.T) {
+	const window = 50 * time.Millisecond
+	h := newSSHarness(t, Greedy{}, nil, "node-a")
+	h.ss.jobTimeout = window
+	// 200000 units at 2000 MHz and 5 µs a unit: 0.5 s, ten windows.
+	h.files.Publish("long.app", procspawn.BuildScript("compute 200000", "exit 0"))
+	spec := &JobSetSpec{Name: "long", Jobs: []JobSpec{{
+		Name: "long", Executable: "local://long.app", Retry: RetryPolicy{Limit: 2},
+	}}}
+	began := time.Now()
+	setEPR, topic, err := h.submit(t, spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	starts, verdict := 0, ""
+	deadline := time.After(30 * time.Second)
+	for verdict == "" {
+		select {
+		case n := <-h.events:
+			switch n.Topic {
+			case topic + "/long/started":
+				starts++
+			case topic + "/jobset/completed", topic + "/jobset/failed":
+				verdict = n.Topic[len(topic+"/jobset/"):]
+			}
+		case <-deadline:
+			t.Fatal("no terminal job-set event")
+		}
+	}
+	if verdict != "completed" || starts != 1 {
+		t.Fatalf("set %s after %d start(s), want completed after one", verdict, starts)
+	}
+	if took := time.Since(began); took < 10*window {
+		t.Fatalf("the job took %v, less than ten windows", took)
+	}
+	doc, err := h.ss.WSRF().Home().Load(setEPR.Property(wsrf.QResourceID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	view := ParseJobSetDocument(doc)
+	if jv := view.Job("long"); jv == nil || jv.Attempt != 0 {
+		t.Fatalf("job view %+v, want no retry spent", jv)
 	}
 }

@@ -33,10 +33,9 @@ type seam struct {
 
 func newSeam(t *testing.T) *seam {
 	c := &seam{t: t}
-	c.h = newSSHarnessCfg(t, Greedy{}, nil, func(cfg *Config) {
-		cfg.JobTimeout = time.Hour // every acked Run arms a watchdog
-	}, "node-a")
+	c.h = newSSHarness(t, Greedy{}, nil, "node-a")
 	c.m = c.h.ss
+	c.m.jobTimeout = time.Hour // every acked Run arms a watchdog that stays quiet
 	c.h.files.Publish("long.app", procspawn.BuildScript("compute 100000000", "exit 0"))
 	spec := &JobSetSpec{Name: "seam", Jobs: []JobSpec{{Name: "long", Executable: "local://long.app"}}}
 	_, topic, err := c.h.submit(t, spec, nil)

@@ -36,9 +36,6 @@ type ClusterConfig struct {
 	// DataDir roots every service's durable store; each host gets a
 	// subdirectory that survives Crash/Restart.
 	DataDir string
-	// JobTimeout is the scheduler watchdog window (default 1.5s) —
-	// without it a dropped exit event would stall a set forever.
-	JobTimeout time.Duration
 }
 
 // Ack records one acknowledged submission: the scheduler accepted the
@@ -108,9 +105,6 @@ type Cluster struct {
 func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.Nodes <= 0 {
 		cfg.Nodes = 1
-	}
-	if cfg.JobTimeout == 0 {
-		cfg.JobTimeout = 1500 * time.Millisecond
 	}
 	if cfg.DataDir == "" {
 		return nil, fmt.Errorf("simgrid: ClusterConfig.DataDir is required")
@@ -193,10 +187,7 @@ func (c *Cluster) startMaster(ctx context.Context) (unresumed, err error) {
 	if err != nil {
 		return nil, fmt.Errorf("simgrid: open master store: %w", err)
 	}
-	ssCfg := scheduler.Config{
-		JobTimeout: c.cfg.JobTimeout,
-		OnDispatch: c.noteDispatch,
-	}
+	ssCfg := scheduler.Config{OnDispatch: c.noteDispatch}
 	f := &fence{}
 	m, err := master.Assemble(master.Config{
 		Address:   "inproc://" + MasterHost,

@@ -171,12 +171,9 @@ func TestCrashBetweenRetryAttemptsKeepsBudget(t *testing.T) {
 // empty and the machine is still busy with the dead incarnation's process;
 // both sets must still reach Completed.
 func TestMasterCrashOverABusyMachine(t *testing.T) {
-	c, err := NewCluster(ClusterConfig{
-		Seed: 72, Nodes: 1, DataDir: t.TempDir(),
-		// The long job computes for about a second on a quiet box; the
-		// default 1.5 s watchdog fails it on a saturated one.
-		JobTimeout: 15 * time.Second,
-	})
+	// The long job computes for about a second on a quiet box, longer on
+	// a saturated one: the watchdog finds it Running and waits on.
+	c, err := NewCluster(ClusterConfig{Seed: 72, Nodes: 1, DataDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,10 +230,7 @@ func TestMasterCrashOverABusyMachine(t *testing.T) {
 // it must still run: the set ends Failed with work Failed and the
 // cleanup Completed, never stuck and never silently skipped.
 func TestCleanupRunsAfterPartitionHeals(t *testing.T) {
-	c, err := NewCluster(ClusterConfig{
-		Seed: 73, Nodes: 1, DataDir: t.TempDir(),
-		JobTimeout: 400 * time.Millisecond,
-	})
+	c, err := NewCluster(ClusterConfig{Seed: 73, Nodes: 1, DataDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,9 +258,18 @@ func TestCleanupRunsAfterPartitionHeals(t *testing.T) {
 
 	c.Chaos.Enable(true)
 	c.Chaos.PartitionBoth("node-1", MasterHost)
-	// The watchdog (400ms) fails work behind the cut and the sweeper's
-	// early dispatches die on it; heal inside its ~3s retry budget.
-	time.Sleep(1200 * time.Millisecond)
+	// A window on, the watchdog cannot ask the ES behind the cut and
+	// fails work; the sweeper's early dispatches die on the cut. Heal a
+	// second after, inside its ~3s retry budget.
+	for end := time.Now().Add(15 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		if v, ok := docFor(c, ack.Topic); ok && v.Job("work") != nil && v.Job("work").Status == scheduler.JobFailed {
+			break
+		}
+		if time.Now().After(end) {
+			t.Fatal("the watchdog never failed work behind the cut")
+		}
+	}
+	time.Sleep(time.Second)
 	c.Chaos.Heal("node-1", MasterHost)
 	c.Chaos.Heal(MasterHost, "node-1")
 

@@ -12,6 +12,7 @@ import (
 
 	"uvacg/internal/procspawn"
 	"uvacg/internal/services/scheduler"
+	"uvacg/internal/xmlutil"
 )
 
 // Replay knobs: `go test ./internal/simgrid -chaos.seed=N` re-runs one
@@ -174,10 +175,11 @@ func TestMasterCrashRecoversAckedSet(t *testing.T) {
 }
 
 // TestPartitionedNodeFailsSetNotHangs: a machine cut off from the master
-// cannot report exits; the watchdog must fail the set instead of letting
-// it hang (I1 under partition, pinned explicitly).
+// cannot report exits, nor answer the watchdog's Status read; the watchdog
+// must fail the set instead of letting it hang (I1 under partition, pinned
+// explicitly).
 func TestPartitionedNodeFailsSetNotHangs(t *testing.T) {
-	c, err := NewCluster(ClusterConfig{Seed: 42, Nodes: 1, DataDir: t.TempDir(), JobTimeout: 300 * time.Millisecond})
+	c, err := NewCluster(ClusterConfig{Seed: 42, Nodes: 1, DataDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,17 +239,14 @@ func waitDocStatus(t *testing.T, c *Cluster, topic, want string, deadline time.D
 // TestBrokerFaultedTerminalPublishRecovers drives the I4 edge the
 // notified-marker fix exists for, in two fault windows. First the
 // master's co-located broker eats everything the master sends it — the
-// acked terminal publish of the failing set included — so the set must
-// NOT be stamped notified and the listener must see nothing. Then the
-// fault narrows to one-way sends only, and the next set's acked terminal
-// publish goes through and IS stamped — the marker tracks actual delivery
-// per set. A master restart after the broker heals must replay the
-// starved set's terminal event to the listener.
+// acked terminal publish of the set the client cancels included — so the
+// set must NOT be stamped notified and the listener must see nothing.
+// Then the fault narrows to one-way sends only, and the next set's acked
+// terminal publish goes through and IS stamped — the marker tracks actual
+// delivery per set. A master restart after the broker heals must replay
+// the starved set's terminal event to the listener.
 func TestBrokerFaultedTerminalPublishRecovers(t *testing.T) {
-	c, err := NewCluster(ClusterConfig{
-		Seed: 41, Nodes: 2, DataDir: t.TempDir(),
-		JobTimeout: 800 * time.Millisecond,
-	})
+	c, err := NewCluster(ClusterConfig{Seed: 41, Nodes: 2, DataDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +262,7 @@ func TestBrokerFaultedTerminalPublishRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Wait until the job is running so the watchdog is armed.
+	// Wait until the job is running.
 	started := func() bool {
 		for _, ev := range c.Observer.Events() {
 			if ev.Set == wedge.Topic && ev.Kind == "started" {
@@ -287,9 +286,12 @@ func TestBrokerFaultedTerminalPublishRecovers(t *testing.T) {
 		TargetRule{Src: MasterHost, Faults: RouteFaults{Drop: 1}})
 	c.Chaos.Enable(true)
 
-	// The watchdog fails the set; its terminal publish is dropped, so
+	// The client cancels the set; its terminal publish is dropped, so
 	// the notified marker must stay off and the listener sees nothing.
-	view := waitDocStatus(t, c, wedge.Topic, scheduler.SetFailed, 15*time.Second)
+	if _, err := c.Observer.client.Call(ctx, wedge.Set, scheduler.ActionCancel, xmlutil.NewElement(xmlutil.Q(scheduler.NS, "Cancel"), "")); err != nil {
+		t.Fatal(err)
+	}
+	view := waitDocStatus(t, c, wedge.Topic, scheduler.SetCancelled, 15*time.Second)
 	if view.Notified {
 		t.Fatal("terminal publish was dropped but the set is stamped notified")
 	}

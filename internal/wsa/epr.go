@@ -7,7 +7,6 @@ package wsa
 import (
 	"crypto/rand"
 	"fmt"
-	"net/url"
 	"sort"
 	"strings"
 
@@ -68,15 +67,6 @@ func (e EndpointReference) Property(name xmlutil.QName) string {
 // IsZero reports whether the EPR is unset.
 func (e EndpointReference) IsZero() bool {
 	return e.Address == "" && len(e.ReferenceProperties) == 0
-}
-
-// Scheme returns the address URI scheme, or "" when unparseable.
-func (e EndpointReference) Scheme() string {
-	u, err := url.Parse(e.Address)
-	if err != nil {
-		return ""
-	}
-	return u.Scheme
 }
 
 // Equal reports whether two EPRs name the same WS-Resource.

@@ -78,20 +78,6 @@ func TestEPRStringCanonical(t *testing.T) {
 	}
 }
 
-func TestEPRScheme(t *testing.T) {
-	cases := map[string]string{
-		"http://a/S":        "http",
-		"soap.tcp://a:1/S":  "soap.tcp",
-		"inproc://node-a/S": "inproc",
-		"://":               "",
-	}
-	for addr, want := range cases {
-		if got := NewEPR(addr).Scheme(); got != want {
-			t.Errorf("Scheme(%q) = %q, want %q", addr, got, want)
-		}
-	}
-}
-
 func TestEPRIsZero(t *testing.T) {
 	if !(EndpointReference{}).IsZero() {
 		t.Error("zero EPR should report IsZero")

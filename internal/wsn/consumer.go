@@ -32,9 +32,6 @@ func NewConsumer() *Consumer {
 	return c
 }
 
-// Dispatcher exposes the endpoint for mounting on a transport mux.
-func (c *Consumer) Dispatcher() *soap.Dispatcher { return c.dispatcher }
-
 // Mount registers the consumer on a mux at path.
 func (c *Consumer) Mount(mux *soap.Mux, path string) { mux.Handle(path, c.dispatcher) }
 

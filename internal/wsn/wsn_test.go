@@ -347,7 +347,7 @@ func TestRefusedNotifyChargesItsSubscription(t *testing.T) {
 func deliver(t *testing.T, c *Consumer, ns ...Notification) {
 	t.Helper()
 	call := &soap.CallInfo{Side: soap.ServerSide, Action: ActionNotify, Request: soap.New(NotifyBody(ns...))}
-	if _, err := c.Dispatcher().DispatchCall(context.Background(), call); err != nil {
+	if _, err := c.dispatcher.DispatchCall(context.Background(), call); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -24,9 +24,6 @@ func NewResourceClient(c *transport.Client, epr wsa.EndpointReference) *Resource
 	return &ResourceClient{c: c, epr: epr}
 }
 
-// EPR returns the bound resource EPR.
-func (rc *ResourceClient) EPR() wsa.EndpointReference { return rc.epr }
-
 // GetProperty fetches one resource property's value elements.
 func (rc *ResourceClient) GetProperty(ctx context.Context, name xmlutil.QName) ([]*xmlutil.Element, error) {
 	body, err := rc.c.Call(ctx, rc.epr, ActionGetResourceProperty, GetResourcePropertyRequest(name))
@@ -86,14 +83,4 @@ func (rc *ResourceClient) Destroy(ctx context.Context) error {
 func (rc *ResourceClient) SetTerminationTime(ctx context.Context, tt time.Time) error {
 	_, err := rc.c.Call(ctx, rc.epr, ActionSetTerminationTime, SetTerminationTimeRequest(tt))
 	return err
-}
-
-// Add registers a member with a service-group resource, returning the
-// entry key.
-func (rc *ResourceClient) Add(ctx context.Context, member wsa.EndpointReference, content *xmlutil.Element) (string, error) {
-	body, err := rc.c.Call(ctx, rc.epr, ActionAdd, AddRequest(member, content))
-	if err != nil {
-		return "", err
-	}
-	return body.ChildText(xmlutil.Q(NSServiceGroup, "EntryKey")), nil
 }

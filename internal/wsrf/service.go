@@ -36,10 +36,7 @@ type Service struct {
 	dispatcher *soap.Dispatcher
 	locks      *resourceLocks
 	providers  map[xmlutil.QName]PropertyProvider
-	// RequireResource causes author methods to fault when the EPR names
-	// no resource id. Factories register with RegisterServiceMethod to
-	// bypass the load.
-	onDestroy []func(id string)
+	onDestroy  []func(id string)
 }
 
 // ServiceConfig configures a Service.

@@ -59,15 +59,6 @@ func (s *Service) handleAdd(ctx context.Context, inv *Invocation, body *xmlutil.
 	return xmlutil.NewContainer(qAddResponse, xmlutil.NewElement(xmlutil.Q(NSServiceGroup, "EntryKey"), key)), nil
 }
 
-// AddRequest builds the client request body for Add.
-func AddRequest(member wsa.EndpointReference, content *xmlutil.Element) *xmlutil.Element {
-	req := xmlutil.NewContainer(qAdd, member.ElementNamed(qMemberEPR))
-	if content != nil {
-		req.Append(xmlutil.NewContainer(qContent, content))
-	}
-	return req
-}
-
 // NewServiceGroupDocument builds the initial state document of a group
 // resource.
 func NewServiceGroupDocument() *xmlutil.Element {

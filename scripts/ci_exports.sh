@@ -34,7 +34,6 @@ allowed=$(
 transport.HTTPHandler.ServeHTTP      interface   net/http.Handler: net/http calls it on the HTTP binding's listener
 core.Submission.KillJob              wire        the ES kill operation (paper §4.2)
 filesystem.ListDirectory             wire        the FSS List operation (paper §4.1)
-wsrf.ResourceClient.GetPropertyText  wire        WS-ResourceProperties GetResourceProperty
 resourcedb.Table.QueryProperty       experiment  E3, BenchmarkE3_StateCodecs
 wsrf.NewReaper                       item1       the lifetime sweep, rebuilt on an index of termination times
 wsrf.Reaper.WithClock                item1       the lifetime sweep, rebuilt on an index of termination times
