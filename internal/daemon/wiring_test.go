@@ -77,7 +77,7 @@ type dialRecorder struct {
 	inner map[string]transport.RoundTripper // by scheme
 	mu    sync.Mutex
 	sent  []crossing
-	reads []*transport.Message
+	reads []read
 	// tick orders the starts and answers of crossings.
 	tick int64
 }
@@ -87,6 +87,12 @@ type dialRecorder struct {
 type crossing struct {
 	addr, action   string
 	left, answered int64
+}
+
+// read is the reply to an FSS Read and the scheme it crossed under.
+type read struct {
+	scheme string
+	reply  *transport.Message
 }
 
 // schemeOf is the URI scheme of addr.
@@ -127,7 +133,7 @@ func (d *dialRecorder) RoundTrip(ctx context.Context, addr string, request *tran
 	d.answered(i, err)
 	if err == nil && bytes.Contains(request.Envelope, []byte(">"+filesystem.ActionRead+"<")) {
 		d.mu.Lock()
-		d.reads = append(d.reads, reply)
+		d.reads = append(d.reads, read{schemeOf(addr), reply})
 		d.mu.Unlock()
 	}
 	return reply, err
@@ -154,29 +160,34 @@ func recordDials(host *daemon.Host) *dialRecorder {
 	return rec
 }
 
-// framedReads checks every FSS Read reply the recorder saw arrive — a
-// fault aside — carried its content as an attachment, not as base64
-// text, and returns how many there were.
-func (d *dialRecorder) framedReads(t *testing.T) int {
+// checkReads checks every FSS Read reply the recorder saw arrive — a
+// fault aside — carried its content as an attachment over soap.tcp and
+// as base64 text over HTTP, and returns how many crossed under each.
+func (d *dialRecorder) checkReads(t *testing.T) (framed, inline int) {
 	t.Helper()
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	n := 0
-	for _, reply := range d.reads {
-		env, err := soap.Unmarshal(reply.Envelope)
+	for _, r := range d.reads {
+		env, err := soap.Unmarshal(r.reply.Envelope)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if soap.IsFault(env.Body) {
 			continue
 		}
-		n++
 		content := env.Body.Child(xmlutil.Q(filesystem.NS, "Content"))
-		if len(reply.Attachments) != 1 || content == nil || content.Text != "" || len(content.Children) != 1 {
-			t.Errorf("an FSS Read crossed with %d attachment(s) and Content %v, want it attached", len(reply.Attachments), content)
+		attached := len(r.reply.Attachments) == 1 && content != nil && content.Text == "" && len(content.Children) == 1
+		plain := len(r.reply.Attachments) == 0 && content != nil && content.Text != "" && len(content.Children) == 0
+		switch {
+		case r.scheme == transport.SchemeTCP && attached:
+			framed++
+		case r.scheme == "http" && plain:
+			inline++
+		default:
+			t.Errorf("an FSS Read crossed %s with %d attachment(s) and Content %v", r.scheme, len(r.reply.Attachments), content)
 		}
 	}
-	return n
+	return framed, inline
 }
 
 // portOf is the host:port of addr.
@@ -441,17 +452,18 @@ func TestShippedWiringRunsDemoJobSet(t *testing.T) {
 			t.Errorf("%s dialled nobody: the recorder is not on the path the daemons use", port)
 		}
 	}
-	// Every file a host fetched crossed with its content attached, never as
-	// base64 text: the client's fetch of total.txt for certain, and every
-	// staging Read.
-	reads := clientDials.framedReads(t)
-	if reads == 0 {
+	// Every file a host fetched crossed with its content attached over
+	// soap.tcp and inline over HTTP: the client's fetch of total.txt for
+	// certain, and every staging Read.
+	framed, inline := clientDials.checkReads(t)
+	if framed+inline == 0 {
 		t.Error("the client fetched total.txt without an FSS Read on the wire: the recorder is not on the path gridsub uses")
 	}
 	for _, rec := range nodeDials {
-		reads += rec.framedReads(t)
+		f, i := rec.checkReads(t)
+		framed, inline = framed+f, inline+i
 	}
-	t.Logf("%d FSS Read(s) crossed, each with its content attached", reads)
+	t.Logf("%d FSS Read(s) crossed attached over soap.tcp, %d inline over HTTP", framed, inline)
 	// The broker → /SchedulerConsumer self-call: as many messages entered
 	// the server chain as left the client chain (one-way deliveries may
 	// still be landing), and the -metrics table counted both halves.

@@ -197,8 +197,8 @@ func queuedDocument(id, class string, seq int, spec *scheduler.JobSetSpec, done 
 // that ran admission control may hold sets it acked Queued and never
 // started — one fresh, one preempted back into the queue after its first
 // job completed. A master without admission control resumes both like any
-// unfinished set and runs them to Completed: the completed job is not run
-// again, and a status read beside a running job says Running, not Queued.
+// unfinished set and runs them to Completed, and the completed job is not
+// run again.
 func TestDataDirWithQueuedSetsRunsThem(t *testing.T) {
 	network := transport.NewNetwork()
 	client := transport.NewClient().WithNetwork(network)
@@ -263,7 +263,6 @@ func TestDataDirWithQueuedSetsRunsThem(t *testing.T) {
 	}
 
 	home := m.Scheduler.WSRF().Home()
-	sawRunning := false
 	for done := false; !done; time.Sleep(time.Millisecond) {
 		done = true
 		for _, id := range []string{"fresh-1", "preempted-1"} {
@@ -272,14 +271,6 @@ func TestDataDirWithQueuedSetsRunsThem(t *testing.T) {
 				t.Fatal(err)
 			}
 			v := scheduler.ParseJobSetDocument(doc)
-			for _, j := range v.Jobs {
-				if j.Status == scheduler.JobDispatched || j.Status == scheduler.JobRunning {
-					sawRunning = true
-					if v.Status != scheduler.SetRunning {
-						t.Fatalf("set %s reads %s while job %s is %s", id, v.Status, j.Name, j.Status)
-					}
-				}
-			}
 			done = done && v.Status == scheduler.SetCompleted
 			if scheduler.TerminalSetStatus(v.Status) && v.Status != scheduler.SetCompleted {
 				t.Fatalf("set %s ended %s: %+v", id, v.Status, v.Jobs)
@@ -288,9 +279,6 @@ func TestDataDirWithQueuedSetsRunsThem(t *testing.T) {
 		if ctx.Err() != nil {
 			t.Fatal("the Queued sets never completed")
 		}
-	}
-	if !sawRunning {
-		t.Fatal("no status read fell beside a running job")
 	}
 	doc, err := home.Load("preempted-1")
 	if err != nil {

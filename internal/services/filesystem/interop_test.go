@@ -38,11 +38,10 @@ func serveBoth(t *testing.T, mux *soap.Mux) (tcpBase, httpBase string) {
 	return tl.BaseURL(), hs.URL
 }
 
-// TestFSSOverTCPMixedVersions (the name predates the single framing, and
-// the row names predate HTTP carrying that framing as its body) serves
-// one FSS from one mux on both bindings and crosses file content between
-// them: what is written over soap.tcp must read back over HTTP and the
-// reverse, byte for byte.
+// TestFSSOverTCPMixedVersions (the name predates the single framing)
+// serves one FSS from one mux on both bindings and crosses file content
+// between them: what is written attached over soap.tcp must read back
+// inline over HTTP and the reverse, byte for byte.
 func TestFSSOverTCPMixedVersions(t *testing.T) {
 	mux := soap.NewMux()
 	tcpBase, httpBase := serveBoth(t, mux)
@@ -90,9 +89,9 @@ func TestFSSOverTCPMixedVersions(t *testing.T) {
 	}
 }
 
-// TestFileServerInlineFallback (the name predates HTTP's framed body)
-// fetches from the client's file server over both socket bindings: the
-// server attaches the bytes either way.
+// TestFileServerInlineFallback fetches from the client's file server over
+// both socket bindings: the bytes come back attached over soap.tcp and
+// inline over HTTP, intact either way.
 func TestFileServerInlineFallback(t *testing.T) {
 	fsrv := NewFileServer("")
 	mux := soap.NewMux()
@@ -111,9 +110,51 @@ func TestFileServerInlineFallback(t *testing.T) {
 	}
 }
 
+// TestWriteFileOverHTTPReadsBackIdentical: a file written with WriteFile
+// to an FSS served only by NewHTTPHandler, which announces no frames,
+// crosses HTTP inline and reads back byte for byte, as stored and as
+// fetched.
+func TestWriteFileOverHTTPReadsBackIdentical(t *testing.T) {
+	mux := soap.NewMux()
+	hs := httptest.NewServer(transport.NewHTTPHandler(transport.NewServer(mux)))
+	t.Cleanup(hs.Close)
+	client := transport.NewClient()
+	svc, err := New(Config{
+		Address: hs.URL,
+		FS:      vfs.New(),
+		Client:  client,
+		Home:    wsrf.NewStateHome(resourcedb.NewStore().MustTable("dirs", resourcedb.StructuredCodec{})),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mux.Handle(svc.WSRF().Path(), svc.WSRF().Dispatcher())
+
+	ctx := context.Background()
+	dir, path, err := svc.CreateDirectory("http")
+	if err != nil {
+		t.Fatal(err)
+	}
+	content := bytes.Repeat(hostileContent, 44) // ≈ 512 KiB
+	if err := WriteFile(ctx, client, dir, "big.bin", content); err != nil {
+		t.Fatal(err)
+	}
+	stored, err := svc.fs.Read(path, "big.bin")
+	if err != nil || !bytes.Equal(stored, content) {
+		t.Fatalf("stored %d bytes (err %v), want the %d written", len(stored), err, len(content))
+	}
+	got, err := FetchFile(ctx, client, dir, "big.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, content) {
+		t.Fatalf("read back %d bytes that differ from the %d written", len(got), len(content))
+	}
+}
+
 // TestPlainSOAPReadGetsInlineContent: a requester that is not this code
-// — no Accept header naming the frame — reads a 2 KiB binary file and
-// gets the envelope it always got: content inline as base64, no parts.
+// reads a 2 KiB binary file and gets the envelope it always got: content
+// inline as base64, no parts.
 func TestPlainSOAPReadGetsInlineContent(t *testing.T) {
 	mux := soap.NewMux()
 	_, httpBase := serveBoth(t, mux)
@@ -142,8 +183,8 @@ func TestPlainSOAPReadGetsInlineContent(t *testing.T) {
 }
 
 // postPlainRead reads name from a directory resource the way a requester
-// that is not this code would: a hand-written envelope POSTed with no
-// Accept header. It returns the reply body and its Content-Type.
+// that is not this code would: a hand-written envelope POSTed as plain
+// SOAP. It returns the reply body and its Content-Type.
 func postPlainRead(t *testing.T, dir wsa.EndpointReference, name string) (body, contentType string) {
 	t.Helper()
 	request := `<?xml version="1.0" encoding="utf-8"?>
@@ -178,8 +219,8 @@ func messageIDOf(t *testing.T, body string) string {
 	return m[1]
 }
 
-// plainReadReply is, byte for byte, what the commit before HTTP learned
-// to frame answered postPlainRead with, but for the reply's MessageID.
+// plainReadReply is, byte for byte, what HTTP has always answered
+// postPlainRead with, but for the reply's MessageID.
 func plainReadReply(messageID, name string, content []byte) string {
 	return `<?xml version="1.0" encoding="UTF-8"?>
 <Envelope xmlns="http://www.w3.org/2003/05/soap-envelope"><Header><Action xmlns="http://schemas.xmlsoap.org/ws/2004/08/addressing">urn:uvacg:fss/ReadResponse</Action><MessageID xmlns="http://schemas.xmlsoap.org/ws/2004/08/addressing">` + messageID + `</MessageID><RelatesTo xmlns="http://schemas.xmlsoap.org/ws/2004/08/addressing">urn:uuid:00000000-0000-4000-8000-000000000022</RelatesTo></Header><Body><ReadResponse xmlns="urn:uvacg:fss"><Filename>` + name + `</Filename><Content>` + base64.StdEncoding.EncodeToString(content) + `</Content></ReadResponse></Body></Envelope>`

@@ -36,8 +36,6 @@ func (s *Service) Recover(ctx context.Context) (int, error) {
 		if s.sets.get(id) != nil {
 			return nil
 		}
-		// A Queued document — a set a master that ran admission control
-		// acked and never started — is resumed like a Running one.
 		r, badSpec := s.restoreRun(id, doc, wssec.Credentials{})
 		live, err := s.takeOn(ctx, r, recovered)
 		if err != nil {

@@ -105,11 +105,6 @@ func (s *Service) takeOn(ctx context.Context, r *run, via way) (live bool, err e
 		s.fire(ctx, r, event{kind: evFailed, reason: r.cannotRun})
 		return false, nil
 	}
-	if r.queued {
-		// Running in the journal before anything is dispatched: a status read
-		// never reports Queued of a set that runs.
-		_ = s.perform(ctx, r, effects{persist: true, status: true}) // perform logged the failure
-	}
 	// Off the caller's path; a restored set with every job settled is
 	// closed out by the reservation that finds nothing to do.
 	go s.scheduleReady(ctx, r)

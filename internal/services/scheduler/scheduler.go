@@ -201,10 +201,6 @@ type run struct {
 	// cannotRun, when set, is why restoreRun found this set impossible to
 	// run; takeOn fails it with that reason.
 	cannotRun string
-	// queued: restoreRun found the document's status other than Running —
-	// Queued, as a master that ran admission control left a set it had
-	// acked and not yet started; takeOn journals it Running.
-	queued bool
 	// flow is the request ID the set was taken on under (its Submit's): what
 	// its events cause is done under it, whichever envelope brought them.
 	flow string
@@ -287,7 +283,6 @@ func (s *Service) restoreRun(id string, doc *xmlutil.Element, creds wssec.Creden
 	clientFiles, _ := wsa.ParseEPR(doc.Child(qClientFiles))
 	clientListener, _ := wsa.ParseEPR(doc.Child(qClientListener))
 	r := s.newRun(id, spec, clientFiles, clientListener, creds)
-	r.queued = view.Status != SetRunning
 	r.st.restore(view)
 	if err != nil {
 		r.cannotRun = err.Error()

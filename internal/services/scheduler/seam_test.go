@@ -217,62 +217,52 @@ func TestCredentialsLostIsOneVerdict(t *testing.T) {
 }
 
 // TestRacingWaysInRegisterOnce: a start's Recover and the Recovers it
-// booked to retry itself can all come by the same set at once. Whichever
-// unfinished document they find — Running after a crash, or Queued as a
-// master that ran admission control left a set it had acked and not yet
-// started — the set is registered once, dispatched once, and reads Running
-// while it runs.
+// booked to retry itself can all come by the same set at once. The set a
+// crash left Running is registered once, dispatched once, and reads
+// Running while it runs.
 func TestRacingWaysInRegisterOnce(t *testing.T) {
-	for _, status := range []string{SetRunning, "Queued"} {
-		name := "running at the crash"
-		if status != SetRunning {
-			name = "Queued by an admission master"
+	t.Run("running at the crash", func(t *testing.T) {
+		var dispatched atomic.Int32
+		h := newSSHarnessCfg(t, Greedy{}, nil, func(cfg *Config) {
+			cfg.OnDispatch = func(DispatchRecord) { dispatched.Add(1) }
+		}, "node-a")
+		m := h.ss
+		h.files.Publish("j.app", procspawn.BuildScript("compute 200000", "exit 0"))
+		spec := &JobSetSpec{Name: "raced", Jobs: []JobSpec{{Name: "j", Executable: "local://j.app"}}}
+		// Acked, and forgotten before anything was dispatched: the
+		// document is all there is of the set.
+		r := m.newRun("raced-1", spec, h.filesEPR(), h.listenerEPR(), wssec.Credentials{})
+		if _, err := m.svc.CreateResource(r.id, jobSetDocument(r)); err != nil {
+			t.Fatal(err)
 		}
-		t.Run(name, func(t *testing.T) {
-			var dispatched atomic.Int32
-			h := newSSHarnessCfg(t, Greedy{}, nil, func(cfg *Config) {
-				cfg.OnDispatch = func(DispatchRecord) { dispatched.Add(1) }
-			}, "node-a")
-			m := h.ss
-			h.files.Publish("j.app", procspawn.BuildScript("compute 200000", "exit 0"))
-			spec := &JobSetSpec{Name: "raced", Jobs: []JobSpec{{Name: "j", Executable: "local://j.app"}}}
-			// Acked, and forgotten before anything was dispatched: the
-			// document is all there is of the set.
-			r := m.newRun("raced-1", spec, h.filesEPR(), h.listenerEPR(), wssec.Credentials{})
-			doc := jobSetDocument(r)
-			doc.Child(QStatus).Text = status
-			if _, err := m.svc.CreateResource(r.id, doc); err != nil {
-				t.Fatal(err)
-			}
 
-			start := make(chan struct{})
-			var wg sync.WaitGroup
-			for range 3 {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					<-start
-					if _, err := m.Recover(context.Background()); err != nil {
-						t.Error(err)
-					}
-				}()
-			}
-			close(start)
-			wg.Wait()
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for range 3 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				if _, err := m.Recover(context.Background()); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
 
-			waitStarted(t, h.events)
-			if doc, err := m.home.Load(r.id); err != nil || doc.ChildText(QStatus) != SetRunning {
-				t.Fatalf("a status read beside the running job says %q (err %v), want %q", doc.ChildText(QStatus), err, SetRunning)
-			}
-			if got := h.waitTerminal(t, r.topic); got != "completed" {
-				t.Fatalf("terminal event %q", got)
-			}
-			if n := dispatched.Load(); n != 1 {
-				t.Fatalf("the one job was dispatched %d times", n)
-			}
-			if n := m.sets.count(); n != 1 {
-				t.Fatalf("registry holds %d entries for one set", n)
-			}
-		})
-	}
+		waitStarted(t, h.events)
+		if doc, err := m.home.Load(r.id); err != nil || doc.ChildText(QStatus) != SetRunning {
+			t.Fatalf("a status read beside the running job says %q (err %v), want %q", doc.ChildText(QStatus), err, SetRunning)
+		}
+		if got := h.waitTerminal(t, r.topic); got != "completed" {
+			t.Fatalf("terminal event %q", got)
+		}
+		if n := dispatched.Load(); n != 1 {
+			t.Fatalf("the one job was dispatched %d times", n)
+		}
+		if n := m.sets.count(); n != 1 {
+			t.Fatalf("registry holds %d entries for one set", n)
+		}
+	})
 }

@@ -18,11 +18,10 @@ var (
 	qHref    = xmlutil.Q("", "href")
 )
 
-// Attachment is one binary part riding outside the XML envelope. Every
-// shipped binding (soap.tcp, inproc, http between this code's client and
-// server) carries the bytes raw; for a requester that cannot take parts
-// they are inlined back into the body as base64 text before marshalling
-// (InlineAttachments).
+// Attachment is one binary part riding outside the XML envelope.
+// soap.tcp frames and the in-process bindings carry the bytes raw; HTTP
+// carries plain SOAP, so for it they are inlined back into the body as
+// base64 text before marshalling (InlineAttachments).
 type Attachment struct {
 	ID   string
 	Data []byte

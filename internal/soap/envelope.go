@@ -29,9 +29,9 @@ type Envelope struct {
 	Headers []*xmlutil.Element
 	Body    *xmlutil.Element
 	// Attachments are binary parts riding outside the XML, referenced
-	// from the body by <xop:Include> elements (see attach.go). Every
-	// binding carries them raw (inlined as base64 only for a plain SOAP
-	// requester over HTTP); Marshal serializes only the XML.
+	// from the body by <xop:Include> elements (see attach.go). soap.tcp
+	// and the in-process bindings carry them raw, HTTP inline as base64;
+	// Marshal serializes only the XML.
 	Attachments []Attachment
 }
 

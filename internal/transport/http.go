@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"errors"
@@ -16,9 +15,10 @@ import (
 	"uvacg/internal/soap"
 )
 
-// exactReadMax is the largest stated Content-Length read into a buffer
-// allocated before its bytes arrive. The length is say-so from whoever
-// reaches the port, so a larger body grows as it is read.
+// exactReadMax is the largest stated length — an HTTP Content-Length, a
+// frame section's prefix — read into a buffer allocated before its bytes
+// arrive. The length is say-so from whoever reaches the port, so a larger
+// body or section grows as it is read.
 const exactReadMax = 1 << 20
 
 // maxEnvelope is the bound every binding holds an envelope to — an HTTP
@@ -60,15 +60,6 @@ func bounded(n int64) error {
 // contentTypeSOAP is the SOAP 1.2 media type.
 const contentTypeSOAP = "application/soap+xml; charset=utf-8"
 
-// contentTypeFrame is the media type of an HTTP body that is one frame
-// (tcp.go: the envelope, then the attachment section raw) — how a message
-// with attachments crosses HTTP between this code's client and server
-// without becoming base64 text. A request that has attachments is sent
-// so; a reply is framed only for a requester whose Accept header names
-// this type, and a plain SOAP requester gets the attachments inlined into
-// an ordinary envelope.
-const contentTypeFrame = "application/vnd.uvacg.soap-frame"
-
 // headerOneWay marks a POST as a one-way message: the server acknowledges
 // receipt with 202 Accepted before dispatch, matching the paper's
 // "one-way message closes the connection immediately" semantics as
@@ -103,37 +94,6 @@ func announcesFrames(values []string, port string) bool {
 	return false
 }
 
-// readHTTPMessage reads an HTTP body of the given Content-Type and
-// Content-Length as a message: a frame of the wanted kind, or a bare
-// envelope.
-func readHTTPMessage(contentType string, body io.Reader, length int64, kind byte) (*Message, error) {
-	if contentType != contentTypeFrame {
-		data, err := readBounded(body, length)
-		return &Message{Envelope: data}, err
-	}
-	if length < 0 {
-		// A chunked body states no length: buffer it under the envelope
-		// bound as it arrives, and what arrived is what is left.
-		data, err := readBounded(body, -1)
-		if err != nil {
-			return nil, err
-		}
-		body, length = bytes.NewReader(data), int64(len(data))
-	}
-	br := serveReaderPool.Get().(*bufio.Reader)
-	br.Reset(body)
-	fr, err := readFrame(br, length)
-	br.Reset(nil)
-	serveReaderPool.Put(br)
-	if err != nil {
-		return nil, err
-	}
-	if fr.kind != kind {
-		return nil, fmt.Errorf("transport: unexpected frame kind %d in HTTP body", fr.kind)
-	}
-	return &Message{Envelope: fr.body, Attachments: fr.atts}, nil
-}
-
 // HTTPTransport is the http:// client binding.
 type HTTPTransport struct {
 	client *http.Client
@@ -152,30 +112,21 @@ func NewHTTPTransport() *HTTPTransport {
 	}}
 }
 
-// post sends msg as one POST: a framed body when it has attachments, a
-// bare envelope otherwise; marked one-way, or saying the caller takes a
-// framed reply. The caller closes the response body.
+// post sends msg as one POST of plain SOAP, marked one-way or not. HTTP
+// carries no attachment parts: a message that still has them is refused
+// rather than sent without them (Client.outbound inlines them first).
+// The caller closes the response body.
 func (t *HTTPTransport) post(ctx context.Context, addr string, msg *Message, oneWay bool) (*http.Response, error) {
-	body, contentType := msg.Envelope, contentTypeSOAP
 	if len(msg.Attachments) > 0 {
-		// The URL carries the service path and headerOneWay the kind; the
-		// frame's path stays empty and its kind a request's.
-		fr := &frame{kind: frameRequest, body: msg.Envelope, atts: msg.Attachments}
-		buf := bytes.NewBuffer(make([]byte, 0, frameLen(fr)))
-		if err := writeFrameTo(buf, fr); err != nil {
-			return nil, err
-		}
-		body, contentType = buf.Bytes(), contentTypeFrame
+		return nil, fmt.Errorf("transport: %d attachment part(s) on an HTTP message; HTTP carries plain SOAP", len(msg.Attachments))
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, addr, bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, addr, bytes.NewReader(msg.Envelope))
 	if err != nil {
 		return nil, err
 	}
-	req.Header.Set("Content-Type", contentType)
+	req.Header.Set("Content-Type", contentTypeSOAP)
 	if oneWay {
 		req.Header.Set(headerOneWay, "1")
-	} else {
-		req.Header.Set("Accept", "application/soap+xml, "+contentTypeFrame)
 	}
 	resp, err := t.client.Do(req)
 	if err == nil && t.learn != nil {
@@ -189,15 +140,15 @@ func (t *HTTPTransport) post(ctx context.Context, addr string, msg *Message, one
 	return resp, err
 }
 
-// RoundTrip implements RoundTripper: attachments travel raw in a framed
-// body, both ways.
+// RoundTrip implements RoundTripper for plain SOAP: the request carries
+// no attachment parts, and content in the reply is inline base64.
 func (t *HTTPTransport) RoundTrip(ctx context.Context, addr string, request *Message) (*Message, error) {
 	resp, err := t.post(ctx, addr, request, false)
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	reply, err := readHTTPMessage(resp.Header.Get("Content-Type"), resp.Body, resp.ContentLength, frameReply)
+	data, err := readBounded(resp.Body, resp.ContentLength)
 	if err != nil {
 		return nil, err
 	}
@@ -205,7 +156,7 @@ func (t *HTTPTransport) RoundTrip(ctx context.Context, addr string, request *Mes
 	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusInternalServerError {
 		return nil, fmt.Errorf("http status %s", resp.Status)
 	}
-	return reply, nil
+	return &Message{Envelope: data}, nil
 }
 
 // Send implements RoundTripper's one-way hand-off.
@@ -216,11 +167,11 @@ func (t *HTTPTransport) Send(ctx context.Context, addr string, request *Message)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode == http.StatusInternalServerError {
-		answer, err := readHTTPMessage(resp.Header.Get("Content-Type"), resp.Body, resp.ContentLength, frameReply)
+		answer, err := readBounded(resp.Body, resp.ContentLength)
 		if err != nil {
 			return err
 		}
-		return refusal(answer.Envelope)
+		return refusal(answer)
 	}
 	io.Copy(io.Discard, resp.Body)
 	if resp.StatusCode != http.StatusAccepted {
@@ -252,7 +203,7 @@ func (h *HTTPHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "SOAP endpoint: POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	msg, err := readHTTPMessage(r.Header.Get("Content-Type"), r.Body, r.ContentLength, frameRequest)
+	data, err := readBounded(r.Body, r.ContentLength)
 	if err != nil {
 		status := http.StatusBadRequest
 		if errors.Is(err, soap.ErrEnvelopeTooLarge) {
@@ -262,7 +213,7 @@ func (h *HTTPHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if r.Header.Get(headerOneWay) == "1" {
-		if fault := h.server.HandleOneWay(r.Context(), r.URL.Path, msg); fault != nil {
+		if fault := h.server.HandleOneWay(r.Context(), r.URL.Path, &Message{Envelope: data}); fault != nil {
 			w.Header().Set("Content-Type", contentTypeSOAP)
 			w.Header().Set("Content-Length", strconv.Itoa(len(fault.Envelope)))
 			w.WriteHeader(http.StatusInternalServerError)
@@ -272,21 +223,11 @@ func (h *HTTPHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusAccepted)
 		return
 	}
-	// The one inline fallback: a requester whose Accept does not name the
-	// frame is not this code's client and gets its reply as plain SOAP.
-	acceptFrame := strings.Contains(r.Header.Get("Accept"), contentTypeFrame)
-	resp := h.server.handle(r.Context(), r.URL.Path, msg, acceptFrame)
-	if len(resp.Attachments) == 0 {
-		// A stated length lets the requester read the reply into one
-		// buffer; net/http would chunk one over its 2 KiB write buffer.
-		w.Header().Set("Content-Type", contentTypeSOAP)
-		w.Header().Set("Content-Length", strconv.Itoa(len(resp.Envelope)))
-		w.Write(resp.Envelope)
-		return
-	}
-	fr := &frame{kind: frameReply, body: resp.Envelope, atts: resp.Attachments}
-	w.Header().Set("Content-Type", contentTypeFrame)
-	w.Header().Set("Content-Length", strconv.Itoa(frameLen(fr)))
-	// A write error means the requester went away; there is nobody to tell.
-	_ = writeFrameTo(w, fr)
+	// HTTP carries plain SOAP: reply content goes inline as base64.
+	resp := h.server.handle(r.Context(), r.URL.Path, &Message{Envelope: data}, false)
+	// A stated length lets the requester read the reply into one buffer;
+	// net/http would chunk one over its 2 KiB write buffer.
+	w.Header().Set("Content-Type", contentTypeSOAP)
+	w.Header().Set("Content-Length", strconv.Itoa(len(resp.Envelope)))
+	w.Write(resp.Envelope)
 }

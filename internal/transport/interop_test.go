@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"uvacg/internal/pipeline"
 	"uvacg/internal/soap"
 	"uvacg/internal/wsa"
 	"uvacg/internal/xmlutil"
@@ -320,8 +321,7 @@ func TestConcurrentPooledClients(t *testing.T) {
 var interopData = bytes.Repeat([]byte{0xC0, 0x01, '<', 0x00}, 512)
 
 // plainBlobRequest is the urn:Blob request as a requester that is not
-// this code would write it: content inline, no Accept header to go with
-// it.
+// this code would write it: content inline.
 func plainBlobRequest(data []byte) string {
 	return `<?xml version="1.0" encoding="utf-8"?>
 <s:Envelope xmlns:s="http://www.w3.org/2003/05/soap-envelope" xmlns:wsa="http://schemas.xmlsoap.org/ws/2004/08/addressing" xmlns:i="urn:interop">
@@ -334,9 +334,8 @@ func plainBlobRequest(data []byte) string {
 </s:Envelope>`
 }
 
-// plainBlobReply is, byte for byte, what the commit before HTTP learned
-// to frame answered plainBlobRequest(data) with, but for the reply's own
-// random MessageID.
+// plainBlobReply is, byte for byte, what HTTP has always answered
+// plainBlobRequest(data) with, but for the reply's own random MessageID.
 func plainBlobReply(messageID string, data []byte) string {
 	return `<?xml version="1.0" encoding="UTF-8"?>
 <Envelope xmlns="http://www.w3.org/2003/05/soap-envelope"><Header><Action xmlns="http://schemas.xmlsoap.org/ws/2004/08/addressing">urn:BlobResponse</Action><MessageID xmlns="http://schemas.xmlsoap.org/ws/2004/08/addressing">` + messageID + `</MessageID><RelatesTo xmlns="http://schemas.xmlsoap.org/ws/2004/08/addressing">urn:uuid:00000000-0000-4000-8000-000000000022</RelatesTo></Header><Body><BlobResponse xmlns="urn:interop"><Data>` + base64.StdEncoding.EncodeToString(data) + `</Data></BlobResponse></Body></Envelope>`
@@ -344,17 +343,16 @@ func plainBlobReply(messageID string, data []byte) string {
 
 var messageIDPattern = regexp.MustCompile(`<MessageID [^>]*>(urn:uuid:[0-9a-f-]{36})</MessageID>`)
 
-// TestHTTPStaysInlineWhereTCPAttaches (the name predates HTTP's framed
-// body: HTTP stays inline only for a requester that does not say it takes
-// frames) runs the same exchange over every carrier a Client can pick.
-// Between this code's client and server the content is a real attachment
-// — request, reply and one-way message alike — over soap.tcp, HTTP,
-// inproc, the co-located route and a fault-wrapped binding that parks the
-// one-way message before it hands it on; a plain SOAP POST of the same
-// request gets the reply it always got, content inline, byte for byte.
-// HTTP is served by NewHTTPHandler, which announces no frames, so the
-// "http" and "faulted" rows stay on HTTP.
-func TestHTTPStaysInlineWhereTCPAttaches(t *testing.T) {
+// TestOnlyHTTPCarriesContentInline runs the same exchange over every
+// carrier a Client can pick. HTTP carries plain SOAP: over it the content
+// is inline base64 — request, reply and one-way message alike — while
+// soap.tcp, inproc and the co-located route carry it as a real
+// attachment. A fault-wrapped binding that parks the one-way message
+// before it hands it on is still HTTP. A plain SOAP POST of the same
+// request gets the reply it always got, byte for byte. HTTP is served by
+// NewHTTPHandler, which announces no frames, so the "http" and "faulted"
+// rows stay on HTTP.
+func TestOnlyHTTPCarriesContentInline(t *testing.T) {
 	// The server notes how each message's content reached it.
 	type arrival struct {
 		attached bool
@@ -389,38 +387,43 @@ func TestHTTPStaysInlineWhereTCPAttaches(t *testing.T) {
 	})
 
 	for _, tc := range []struct {
-		name   string
-		client *Client
-		base   string
+		name     string
+		client   *Client
+		base     string
+		attached bool
 	}{
-		{"soap.tcp", NewClient(), tl.BaseURL()},
-		{"http", NewClient(), httpBase},
-		{"inproc", NewClient().WithNetwork(network), "inproc://interop"},
-		{"colocated", colocated, "http://interop.example"},
-		{"faulted", faulted, httpBase},
+		{"soap.tcp", NewClient(), tl.BaseURL(), true},
+		{"http", NewClient(), httpBase, false},
+		{"inproc", NewClient().WithNetwork(network), "inproc://interop", true},
+		{"colocated", colocated, "http://interop.example", true},
+		{"faulted", faulted, httpBase, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			to := wsa.NewEPR(tc.base + "/Blob")
-			resp, err := tc.client.Invoke(context.Background(), to, "urn:Blob", blobRequest(interopData))
+			req := blobRequest(interopData)
+			resp, err := tc.client.Invoke(context.Background(), to, "urn:Blob", req)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !requestAttached.Load() {
-				t.Fatal("the request's content reached the service inline")
+			if got := requestAttached.Load(); got != tc.attached {
+				t.Fatalf("the request's content reached the service attached=%v, want %v", got, tc.attached)
 			}
-			if len(resp.Attachments) == 0 {
-				t.Fatal("the reply's content came back inline")
+			if got := len(resp.Attachments) > 0; got != tc.attached {
+				t.Fatalf("the reply's content came back attached=%v, want %v", got, tc.attached)
 			}
 			if got := blobResponseData(t, resp); !bytes.Equal(got, interopData) {
 				t.Fatal("corrupted data")
+			}
+			if len(req.Attachments) != 1 || req.Body.Child(qData).Text != "" {
+				t.Fatal("sending the request changed the caller's envelope")
 			}
 			if err := tc.client.SendOneWay(context.Background(), to, "urn:Blob", blobRequest(interopData)); err != nil {
 				t.Fatal(err)
 			}
 			select {
 			case got := <-oneWay:
-				if !got.attached || !bytes.Equal(got.data, interopData) {
-					t.Fatalf("the one-way message's content arrived attached=%v, intact=%v", got.attached, bytes.Equal(got.data, interopData))
+				if got.attached != tc.attached || !bytes.Equal(got.data, interopData) {
+					t.Fatalf("the one-way message's content arrived attached=%v (want %v), intact=%v", got.attached, tc.attached, bytes.Equal(got.data, interopData))
 				}
 			case <-time.After(5 * time.Second):
 				t.Fatal("the one-way message never arrived")
@@ -451,4 +454,70 @@ func TestHTTPStaysInlineWhereTCPAttaches(t *testing.T) {
 			t.Fatalf("plain SOAP reply changed.\n got: %s\nwant: %s", body, want)
 		}
 	})
+}
+
+// discardFirstReplies is a binding whose first n exchanges reach the
+// server and then lose the reply — the failure a retry exists for, and
+// the one that re-sends a request the first attempt has already encoded.
+type discardFirstReplies struct {
+	*HTTPTransport
+	mu sync.Mutex
+	n  int
+}
+
+func (d *discardFirstReplies) RoundTrip(ctx context.Context, addr string, req *Message) (*Message, error) {
+	reply, err := d.HTTPTransport.RoundTrip(ctx, addr, req)
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if err == nil && d.n > 0 {
+		d.n--
+		return nil, errFlaky
+	}
+	return reply, err
+}
+
+// TestRetryResendsInlineRequestIntact: every attempt of a retried call
+// over HTTP carries the request's content inline and intact, the last as
+// the first, and the reply's content comes back inline and intact. The
+// server is NewHTTPHandler's, which announces no frames, so every
+// attempt stays on HTTP.
+func TestRetryResendsInlineRequestIntact(t *testing.T) {
+	var mu sync.Mutex
+	var arrivals [][]byte
+	srv := NewServer(blobService())
+	srv.Use(func(ctx context.Context, call *soap.CallInfo, next soap.Handler) (*soap.Envelope, error) {
+		if len(call.Request.Attachments) == 0 {
+			data, _ := call.Request.ContentBytes(call.Request.Body.Child(qData))
+			mu.Lock()
+			arrivals = append(arrivals, data)
+			mu.Unlock()
+		}
+		return next(ctx, call)
+	})
+	hs := httptest.NewServer(NewHTTPHandler(srv))
+	defer hs.Close()
+
+	client := NewClient()
+	client.RegisterScheme("http", &discardFirstReplies{HTTPTransport: NewHTTPTransport(), n: 2})
+	client.Use(pipeline.Retry(pipeline.RetryPolicy{
+		Idempotent: pipeline.IdempotentActions("urn:Blob"),
+		Sleep:      func(context.Context, time.Duration) error { return nil },
+	}))
+	resp, err := client.Invoke(context.Background(), wsa.NewEPR(hs.URL+"/Blob"), "urn:Blob", blobRequest(interopData))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(resp.Attachments) > 0 || !bytes.Equal(blobResponseData(t, resp), interopData) {
+		t.Fatal("the retried call's reply did not come back inline and intact")
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(arrivals) != 3 {
+		t.Fatalf("%d of 3 attempts reached the service inline", len(arrivals))
+	}
+	for i, got := range arrivals {
+		if !bytes.Equal(got, interopData) {
+			t.Fatalf("attempt %d carried corrupted content", i+1)
+		}
+	}
 }

@@ -40,7 +40,7 @@ func TestOneWayFrameIsAcknowledged(t *testing.T) {
 				return
 			}
 			defer conn.Close()
-			fr, err := readFrame(bufio.NewReader(conn), -1)
+			fr, err := readFrame(bufio.NewReader(conn))
 			if err != nil {
 				return
 			}
@@ -180,7 +180,7 @@ func TestOneWayFrameIsAcknowledged(t *testing.T) {
 			t.Fatal(err)
 		}
 		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-		fr, err := readFrame(bufio.NewReader(conn), -1)
+		fr, err := readFrame(bufio.NewReader(conn))
 		if err != nil || fr.kind != frameReply || !strings.Contains(string(fr.body), "no service at") {
 			t.Fatalf("the listener answered %+v (%v), want a reply carrying the fault", fr, err)
 		}

@@ -269,7 +269,7 @@ func (ln *Listener) serveFrames(conn net.Conn, br *bufio.Reader) {
 		if _, err := br.Peek(1); err != nil || !ln.mark(conn, true) {
 			return
 		}
-		fr, err := readFrame(br, -1)
+		fr, err := readFrame(br)
 		if err != nil {
 			// Includes an unknown frame kind — another protocol or
 			// corruption: drop the connection.

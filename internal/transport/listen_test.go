@@ -259,7 +259,7 @@ func TestReplyBegunIsNotReplayed(t *testing.T) {
 				defer conn.Close()
 				br := bufio.NewReader(conn)
 				for {
-					if _, err := readFrame(br, -1); err != nil {
+					if _, err := readFrame(br); err != nil {
 						return
 					}
 					var reply bytes.Buffer

@@ -40,7 +40,8 @@ func (s *Server) HandleRequest(ctx context.Context, path string, request *Messag
 
 // handle is the request-response exchange; attach says whether the
 // requester takes reply attachments raw or needs them inlined as base64
-// (a plain SOAP requester over HTTP, the one caller that passes false).
+// (HTTP, which carries plain SOAP: ServeHTTP, the one caller that passes
+// false).
 func (s *Server) handle(ctx context.Context, path string, request *Message, attach bool) *Message {
 	resp := s.process(ctx, path, request)
 	if !attach {

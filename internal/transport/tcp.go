@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -46,7 +47,7 @@ func answerKind(sent byte) byte {
 const maxAttachments = 256
 
 // Wire layout of a frame — what a soap.tcp connection carries back to
-// back, and what an HTTP body is under contentTypeFrame (http.go):
+// back:
 //
 //	kind    uint8
 //	pathLen uint16 (big endian)   service path, request/one-way only
@@ -215,91 +216,52 @@ func (fw *frameWriter) writeVectored(fr *frame) error {
 	return err
 }
 
-// frameLen is the encoded size of fr.
-func frameLen(fr *frame) int {
-	n := 1 + 2 + len(fr.path) + 4 + len(fr.body) + 2
-	for _, a := range fr.atts {
-		n += 2 + len(a.ID) + 4 + len(a.Data)
+// readSection reads a section whose length the frame declared. A length
+// prefix is four bytes of say-so, and a stream states no length of its
+// own: a section up to exactReadMax is read into one buffer of its
+// length, a longer one in exactReadMax pieces joined once all of it has
+// arrived, so a peer that declares more than it sends costs what it sent.
+func readSection(r io.Reader, n int) ([]byte, error) {
+	if n <= exactReadMax {
+		p := make([]byte, n)
+		_, err := io.ReadFull(r, p)
+		return p, err
 	}
-	return n
-}
-
-// writeFrameTo writes one whole frame to a writer that is not a
-// persistent connection (an HTTP body), through a pooled buffer: a small
-// frame leaves as one Write, a large attachment mostly bypasses the
-// buffer.
-func writeFrameTo(w io.Writer, fr *frame) error {
-	bw := serveWriterPool.Get().(*bufio.Writer)
-	fw := serveFramePool.Get().(*frameWriter)
-	bw.Reset(w)
-	fw.reset(bw, nil)
-	err := fw.writeFrame(fr)
-	if err == nil {
-		err = bw.Flush()
-	}
-	bw.Reset(nil)
-	fw.reset(nil, nil)
-	serveWriterPool.Put(bw)
-	serveFramePool.Put(fw)
-	return err
-}
-
-// frameSource is where readFrame reads from: r, and how many bytes the
-// carrier says are left of it (an HTTP Content-Length). A negative left
-// means the carrier states no length — a soap.tcp stream.
-type frameSource struct {
-	r    io.Reader
-	left int64
-}
-
-// fill reads exactly len(p) bytes.
-func (s *frameSource) fill(p []byte) error {
-	if s.left >= 0 {
-		if int64(len(p)) > s.left {
-			return io.ErrUnexpectedEOF
+	var pieces [][]byte
+	for left := n; left > 0; left -= exactReadMax {
+		p := make([]byte, min(left, exactReadMax))
+		if _, err := io.ReadFull(r, p); err != nil {
+			return nil, err
 		}
-		s.left -= int64(len(p))
+		pieces = append(pieces, p)
 	}
-	_, err := io.ReadFull(s.r, p)
-	return err
+	return bytes.Join(pieces, nil), nil
 }
 
-// section reads a section whose length the frame declared. A length
-// prefix is four bytes of say-so: where the carrier has stated how much
-// is left, a section that claims more is refused before it is allocated.
-func (s *frameSource) section(n int) ([]byte, error) {
-	if s.left >= 0 && int64(n) > s.left {
-		return nil, fmt.Errorf("transport: frame declares a %d-byte section, %d bytes are left", n, s.left)
-	}
-	p := make([]byte, n)
-	return p, s.fill(p)
-}
-
-// readFrame reads one frame; left is frameSource.left.
-func readFrame(r io.Reader, left int64) (*frame, error) {
+// readFrame reads one frame from a stream.
+func readFrame(r io.Reader) (*frame, error) {
 	// One fixed scratch buffer for every header field: the hot path
 	// reads with io.ReadFull only, no reflection, no per-field
 	// allocations.
 	var hdr [4]byte
-	src := frameSource{r: r, left: left}
-	if err := src.fill(hdr[:1]); err != nil {
+	if _, err := io.ReadFull(r, hdr[:1]); err != nil {
 		return nil, err
 	}
 	fr := &frame{kind: hdr[0]}
 	if fr.kind < frameRequest || fr.kind > frameReceipt {
 		return nil, fmt.Errorf("transport: unknown frame kind %d", fr.kind)
 	}
-	if err := src.fill(hdr[:2]); err != nil {
+	if _, err := io.ReadFull(r, hdr[:2]); err != nil {
 		return nil, err
 	}
 	if plen := binary.BigEndian.Uint16(hdr[:2]); plen > 0 {
-		pbuf, err := src.section(int(plen))
+		pbuf, err := readSection(r, int(plen))
 		if err != nil {
 			return nil, err
 		}
 		fr.path = string(pbuf)
 	}
-	if err := src.fill(hdr[:4]); err != nil {
+	if _, err := io.ReadFull(r, hdr[:4]); err != nil {
 		return nil, err
 	}
 	blen := binary.BigEndian.Uint32(hdr[:4])
@@ -307,10 +269,10 @@ func readFrame(r io.Reader, left int64) (*frame, error) {
 		return nil, fmt.Errorf("transport: frame body of %d bytes: %w", blen, err)
 	}
 	var err error
-	if fr.body, err = src.section(int(blen)); err != nil {
+	if fr.body, err = readSection(r, int(blen)); err != nil {
 		return nil, err
 	}
-	if err := src.fill(hdr[:2]); err != nil {
+	if _, err := io.ReadFull(r, hdr[:2]); err != nil {
 		return nil, err
 	}
 	count := binary.BigEndian.Uint16(hdr[:2])
@@ -319,14 +281,14 @@ func readFrame(r io.Reader, left int64) (*frame, error) {
 	}
 	var total int64
 	for i := 0; i < int(count); i++ {
-		if err := src.fill(hdr[:2]); err != nil {
+		if _, err := io.ReadFull(r, hdr[:2]); err != nil {
 			return nil, err
 		}
-		idbuf, err := src.section(int(binary.BigEndian.Uint16(hdr[:2])))
+		idbuf, err := readSection(r, int(binary.BigEndian.Uint16(hdr[:2])))
 		if err != nil {
 			return nil, err
 		}
-		if err := src.fill(hdr[:4]); err != nil {
+		if _, err := io.ReadFull(r, hdr[:4]); err != nil {
 			return nil, err
 		}
 		dlen := binary.BigEndian.Uint32(hdr[:4])
@@ -334,7 +296,7 @@ func readFrame(r io.Reader, left int64) (*frame, error) {
 		if err := bounded(total); err != nil {
 			return nil, fmt.Errorf("transport: attachment section: %w", err)
 		}
-		data, err := src.section(int(dlen))
+		data, err := readSection(r, int(dlen))
 		if err != nil {
 			return nil, err
 		}
@@ -475,7 +437,7 @@ func (t *TCPTransport) exchangeOn(ctx context.Context, pc *pooledConn, fr *frame
 	if _, err := pc.br.Peek(1); err != nil {
 		return nil, false, readErr(ctx, err)
 	}
-	if answer, err = readFrame(pc.br, -1); err != nil {
+	if answer, err = readFrame(pc.br); err != nil {
 		return nil, true, readErr(ctx, err)
 	}
 	return answer, true, nil

@@ -53,7 +53,7 @@ func TestFrameRoundTripProperty(t *testing.T) {
 		if err := writeFrame(&buf, fr); err != nil {
 			return false
 		}
-		got, err := readFrame(&buf, -1)
+		got, err := readFrame(&buf)
 		if err != nil {
 			return false
 		}
@@ -80,7 +80,7 @@ func TestFrameRejectsOversize(t *testing.T) {
 	// Forge a frame header that claims a body beyond the limit.
 	buf.Write([]byte{frameRequest, 0, 0})     // kind + empty path
 	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF}) // 4 GiB body length
-	if _, err := readFrame(&buf, -1); err == nil {
+	if _, err := readFrame(&buf); err == nil {
 		t.Fatal("oversize frame accepted")
 	}
 }
@@ -92,7 +92,7 @@ func TestFrameRejectsOversizeAttachmentSection(t *testing.T) {
 	buf.Write([]byte{0, 1})               // one attachment
 	buf.Write([]byte{0, 1, 'a'})          // id "a"
 	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF})
-	if _, err := readFrame(&buf, -1); err == nil {
+	if _, err := readFrame(&buf); err == nil {
 		t.Fatal("oversize attachment accepted")
 	}
 }
@@ -102,7 +102,7 @@ func TestFrameRejectsTooManyAttachments(t *testing.T) {
 	buf.Write([]byte{frameReply, 0, 0})
 	buf.Write([]byte{0, 0, 0, 0})
 	buf.Write([]byte{0xFF, 0xFF}) // 65535 attachments
-	if _, err := readFrame(&buf, -1); err == nil {
+	if _, err := readFrame(&buf); err == nil {
 		t.Fatal("attachment count beyond limit accepted")
 	}
 	fr := &frame{kind: frameReply, atts: make([]soap.Attachment, maxAttachments+1)}
@@ -128,7 +128,7 @@ func TestReadFrameRejectsRetiredKinds(t *testing.T) {
 		frame := []byte{kind, 0, 0}       // kind + empty path
 		frame = append(frame, 0, 0, 0, 0) // empty body
 		frame = append(frame, 0, 0)       // no attachments
-		if _, err := readFrame(bytes.NewReader(frame), -1); err == nil {
+		if _, err := readFrame(bytes.NewReader(frame)); err == nil {
 			t.Fatalf("frame kind %d accepted", kind)
 		}
 	}
@@ -146,7 +146,7 @@ func TestFrameTruncatedRead(t *testing.T) {
 		full := buf.Bytes()
 		for cut := 1; cut < len(full); cut += 3 {
 			trunc := bytes.NewReader(full[:cut])
-			if _, err := readFrame(trunc, -1); err == nil {
+			if _, err := readFrame(trunc); err == nil {
 				t.Fatalf("kind %d: truncation at %d bytes accepted", fr.kind, cut)
 			}
 		}

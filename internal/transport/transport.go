@@ -2,9 +2,8 @@
 // bindings are provided, selected by the URI scheme of the target EPR's
 // address, mirroring the paper's testbed:
 //
-//	http://     the ordinary web service binding (IIS/ASP.NET analog);
-//	            between this code's client and server a message with
-//	            attachments is an HTTP body in soap.tcp's frame layout
+//	http://     the ordinary web service binding (IIS/ASP.NET analog):
+//	            plain SOAP both ways, binary content inline as base64
 //	soap.tcp:// framed SOAP over raw TCP (the WSE messaging analog used
 //	            for large file movement from the client's machine)
 //	inproc://   in-process loopback; envelopes still round-trip through
@@ -178,11 +177,13 @@ func (c *Client) learn(hostport string) {
 }
 
 // route is where one message goes: the binding, the address handed to
-// it, and the learned port it goes to as frames ("" when none).
+// it, the learned port it goes to as frames ("" when none), and whether
+// it is plain HTTP, which carries attachment parts inline.
 type route struct {
 	rt      RoundTripper
 	addr    string
 	learned string
+	inline  bool
 }
 
 // failed forgets r's learned port, so the next message for it asks over
@@ -197,7 +198,8 @@ func (c *Client) failed(r route) {
 }
 
 // routeFor picks addr's route: the co-located server first, then a
-// learned port's frames, then the binding of addr's scheme.
+// learned port's frames, then the binding of addr's scheme — plain HTTP
+// for an http:// port not learned, or one behind NewHTTPHandler.
 func (c *Client) routeFor(addr string) (route, error) {
 	u, err := url.Parse(addr)
 	if err != nil {
@@ -217,7 +219,7 @@ func (c *Client) routeFor(addr string) (route, error) {
 	if !ok {
 		return route{}, fmt.Errorf("transport: no binding for scheme %q (address %q)", u.Scheme, addr)
 	}
-	return route{rt: rt, addr: addr}, nil
+	return route{rt: rt, addr: addr, inline: u.Scheme == "http"}, nil
 }
 
 // pathOf extracts the service path from a target address for CallInfo.
@@ -254,18 +256,25 @@ func (c *Client) Invoke(ctx context.Context, to wsa.EndpointReference, action st
 }
 
 // outbound is what both terminal handlers do before the wire: pick the
-// route for the target, stamp WS-Addressing and serialize.
+// route for the target, stamp WS-Addressing and serialize. On plain HTTP
+// the parts go inline as base64 into a copy: the caller's envelope keeps
+// them, for a retry that may find the port's frames.
 func (c *Client) outbound(to wsa.EndpointReference, call *soap.CallInfo) (route, *Message, error) {
 	r, err := c.routeFor(to.Address)
 	if err != nil {
 		return route{}, nil, err
 	}
 	wsa.Apply(call.Request, to, call.Action)
-	data, err := call.Request.Marshal()
+	env := call.Request
+	if r.inline && len(env.Attachments) > 0 {
+		env = env.Clone()
+		env.InlineAttachments()
+	}
+	data, err := env.Marshal()
 	if err != nil {
 		return route{}, nil, err
 	}
-	return r, &Message{Envelope: data, Attachments: call.Request.Attachments}, nil
+	return r, &Message{Envelope: data, Attachments: env.Attachments}, nil
 }
 
 // roundTrip is the terminal request-response handler under the chain.
