@@ -271,8 +271,9 @@ func (s *Submission) observe(h heard) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	je := h.ev.JobEvent // zero on a set-level event
-	if !je.Job.IsZero() {
-		s.jobs[je.JobName] = je.Job
+	// The ES publishes as the job.
+	if je.JobName != "" && !h.n.Producer.IsZero() {
+		s.jobs[je.JobName] = h.n.Producer
 	}
 	if !je.Directory.IsZero() && !je.Directory.Equal(s.dirs[je.JobName]) { // every event of a job repeats it
 		s.dirs[je.JobName] = je.Directory

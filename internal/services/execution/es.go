@@ -72,7 +72,7 @@ var (
 // Event kinds: the final topic segment of job lifecycle notifications.
 const (
 	EventDirectory = "directory" // working directory created; payload has its EPR
-	EventStarted   = "started"   // process launched; payload has the job EPR
+	EventStarted   = "started"   // process launched; its producer is the job EPR, as every event's is
 	EventExited    = "exited"    // process finished; payload has the exit code
 	EventFailed    = "failed"    // staging or spawn failed; payload has the error
 )
@@ -457,6 +457,9 @@ type jobRef struct {
 }
 
 // event builds a lifecycle notification on "<topic>/<jobName>/<kind>".
+// The job EPR is the notification's producer, so the payload does not
+// name it again; the directory rides on every event, since events may
+// arrive in any order.
 func (ref *jobRef) event(kind, exitCode, errMsg string) wsn.Notification {
 	payload := xmlutil.NewContainer(qJobEvent,
 		xmlutil.NewElement(QJobName, ref.name),
@@ -464,9 +467,6 @@ func (ref *jobRef) event(kind, exitCode, errMsg string) wsn.Notification {
 	)
 	if ref.attempt != "" {
 		payload.Append(xmlutil.NewElement(QAttempt, ref.attempt))
-	}
-	if !ref.job.IsZero() {
-		payload.Append(ref.job.ElementNamed(qJob))
 	}
 	if !ref.dir.IsZero() {
 		payload.Append(ref.dir.ElementNamed(QDirectory))
@@ -503,14 +503,15 @@ func (s *Service) publishEvents(ctx context.Context, ref *jobRef, events ...wsn.
 	s.out.Enqueue(ctx, deliveries...)
 }
 
-// JobEvent is a decoded lifecycle notification payload.
+// JobEvent is a decoded lifecycle notification payload. The job
+// resource it is about is the notification's producer, which the
+// payload does not repeat.
 type JobEvent struct {
 	JobName string
 	Kind    string
 	// Attempt echoes the identity the Run request carried; empty when the
 	// requester sent none.
 	Attempt   string
-	Job       wsa.EndpointReference
 	Directory wsa.EndpointReference
 	ExitCode  int
 	HasExit   bool
@@ -527,13 +528,6 @@ func ParseJobEvent(msg *xmlutil.Element) (JobEvent, error) {
 		Kind:    msg.ChildText(QStatus),
 		Attempt: msg.ChildText(QAttempt),
 		Error:   msg.ChildText(qEventError),
-	}
-	if j := msg.Child(qJob); j != nil {
-		epr, err := wsa.ParseEPR(j)
-		if err != nil {
-			return ev, err
-		}
-		ev.Job = epr
 	}
 	if d := msg.Child(QDirectory); d != nil {
 		epr, err := wsa.ParseEPR(d)

@@ -432,15 +432,8 @@ func TestRestartedESClaimsNoProcess(t *testing.T) {
 func TestJobEventRoundTrip(t *testing.T) {
 	job := wsa.NewEPR("inproc://a/ES").WithProperty(wsrf.QResourceID, "j1")
 	dir := wsa.NewEPR("inproc://a/FSS").WithProperty(wsrf.QResourceID, "d1")
-	payload := xmlutil.NewContainer(qJobEvent,
-		xmlutil.NewElement(QJobName, "job1"),
-		xmlutil.NewElement(QStatus, EventExited),
-		xmlutil.NewElement(QAttempt, testAttempt),
-		job.ElementNamed(qJob),
-		dir.ElementNamed(QDirectory),
-		xmlutil.NewElement(QExitCode, strconv.Itoa(137)),
-	)
-	data, err := xmlutil.MarshalElement(payload)
+	ref := &jobRef{topic: "jobset-t", name: "job1", attempt: testAttempt, job: job, dir: dir}
+	data, err := xmlutil.MarshalElement(wsn.NotifyBody(ref.event(EventExited, strconv.Itoa(137), "")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,15 +441,24 @@ func TestJobEventRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, err := ParseJobEvent(el)
+	ns, err := wsn.ParseNotifyBody(el)
+	if err != nil || len(ns) != 1 {
+		t.Fatalf("Notify = %v, %v", ns, err)
+	}
+	ev, err := ParseJobEvent(ns[0].Message)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ev.JobName != "job1" || ev.Kind != EventExited || ev.Attempt != testAttempt || !ev.HasExit || ev.ExitCode != 137 {
 		t.Fatalf("event = %+v", ev)
 	}
-	if !ev.Job.Equal(job) || !ev.Directory.Equal(dir) {
-		t.Fatalf("EPRs lost: %+v", ev)
+	// The job is named once, as the producer; the payload names the
+	// directory.
+	if !ns[0].Producer.Equal(job) || !ev.Directory.Equal(dir) {
+		t.Fatalf("EPRs lost: producer %v, event %+v", ns[0].Producer, ev)
+	}
+	if ns[0].Message.Child(qJob) != nil {
+		t.Fatalf("the payload repeats the job EPR: %s", data)
 	}
 }
 
@@ -536,7 +538,8 @@ func (h *esHarness) waitNotify(t *testing.T) string {
 
 // TestDirectoryRidesWithStarted: Fig. 3 step 9 is one broadcast — the
 // directory and job EPRs leave in one Notify, directory first, once the
-// process is up; Run itself publishes nothing.
+// process is up; Run itself publishes nothing. Every event names its job,
+// once, as the notification's producer, and its directory in the payload.
 func TestDirectoryRidesWithStarted(t *testing.T) {
 	h := newESHarness(t, nil)
 	job, _ := h.runJob(t, nil, procspawn.BuildScript("compute 100000000", "exit 0"))
@@ -550,9 +553,13 @@ func TestDirectoryRidesWithStarted(t *testing.T) {
 		t.Fatalf("the job's second Notify carries %s, want [exited]", got)
 	}
 	for _, kind := range []string{EventDirectory, EventStarted, EventExited} {
-		ev, err := ParseJobEvent(h.waitEvent(t, kind).Message)
-		if err != nil || !ev.Job.Equal(job) || ev.Directory.IsZero() {
-			t.Fatalf("%s event = %+v, %v: want the job and directory EPRs", kind, ev, err)
+		n := h.waitEvent(t, kind)
+		ev, err := ParseJobEvent(n.Message)
+		if err != nil || !n.Producer.Equal(job) || ev.Directory.IsZero() {
+			t.Fatalf("%s event = %+v from %v, %v: want the job as producer and the directory EPR", kind, ev, n.Producer, err)
+		}
+		if n.Message.Child(qJob) != nil {
+			t.Fatalf("%s event's payload repeats the job EPR", kind)
 		}
 	}
 }

@@ -850,7 +850,7 @@ func (s *Service) onNotification(ctx context.Context, n wsn.Notification) {
 		kind:     kind,
 		job:      ev.JobName,
 		attempt:  ev.Attempt,
-		jobEPR:   ev.Job,
+		jobEPR:   n.Producer, // the ES publishes as the job
 		dirEPR:   ev.Directory,
 		exitCode: ev.ExitCode,
 		hasExit:  ev.HasExit,

@@ -525,8 +525,8 @@ func (o *Observer) record(n wsn.Notification) {
 			ev.Kind, ev.Detail = "jobset:"+pe.Kind, pe.Detail
 		}
 		ev.ExitCode, ev.HasExit = pe.JobEvent.ExitCode, pe.JobEvent.HasExit
-		if !pe.JobEvent.Job.IsZero() {
-			ev.JobEPR = pe.JobEvent.Job.String()
+		if pe.JobEvent.JobName != "" && !n.Producer.IsZero() { // the ES publishes as the job
+			ev.JobEPR = n.Producer.String()
 		}
 	}
 	o.mu.Lock()

@@ -112,6 +112,14 @@ func (e *Envelope) Marshal() ([]byte, error) {
 	return xmlutil.MarshalEnvelope(NS, e.Headers, e.Body)
 }
 
+// AppendMarshal appends the wire form Marshal returns to dst, for a
+// writer that encodes into scratch of its own and reuses it once the
+// bytes are written (the soap.tcp frame writer). Bytes anyone decodes
+// must come from Marshal: a decoded tree points into them.
+func (e *Envelope) AppendMarshal(dst []byte) ([]byte, error) {
+	return xmlutil.AppendEnvelope(dst, NS, e.Headers, e.Body)
+}
+
 // Unmarshal parses wire bytes into an Envelope, validating the SOAP
 // structure (envelope/body element names, at most one body child). The
 // envelope's strings may point into data (see xmlutil.UnmarshalElement):

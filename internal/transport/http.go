@@ -224,7 +224,7 @@ func (h *HTTPHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// HTTP carries plain SOAP: reply content goes inline as base64.
-	resp := h.server.handle(r.Context(), r.URL.Path, &Message{Envelope: data}, false)
+	resp, _ := h.server.handle(r.Context(), r.URL.Path, &Message{Envelope: data}, false, marshalExact)
 	// A stated length lets the requester read the reply into one buffer;
 	// net/http would chunk one over its 2 KiB write buffer.
 	w.Header().Set("Content-Type", contentTypeSOAP)

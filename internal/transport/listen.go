@@ -276,6 +276,10 @@ func (ln *Listener) serveFrames(conn net.Conn, br *bufio.Reader) {
 			return
 		}
 		answer := &receipt
+		// A reply encoded into pooled scratch is given back once its
+		// frame has been written.
+		var reply *Message
+		var scratch *[]byte
 		switch fr.kind {
 		case frameOneWay:
 			// A message the server cannot take is answered by its fault
@@ -284,8 +288,8 @@ func (ln *Listener) serveFrames(conn net.Conn, br *bufio.Reader) {
 				answer = &frame{kind: frameReply, body: fault.Envelope}
 			}
 		case frameRequest:
-			resp := ln.srv.HandleRequest(ctx, fr.path, &Message{Envelope: fr.body, Attachments: fr.atts})
-			answer = &frame{kind: frameReply, body: resp.Envelope, atts: resp.Attachments}
+			reply, scratch = ln.srv.handle(ctx, fr.path, &Message{Envelope: fr.body, Attachments: fr.atts}, true, encodeScratch)
+			answer = &frame{kind: frameReply, body: reply.Envelope, atts: reply.Attachments}
 			if err := checkFrame(answer); err != nil {
 				// A reply no frame may carry is answered all the same: a
 				// connection dropped before its answer reads as stale to
@@ -297,10 +301,14 @@ func (ln *Listener) serveFrames(conn net.Conn, br *bufio.Reader) {
 			// A reply or a receipt has no business arriving at a server.
 			return
 		}
-		if err := fw.writeFrame(answer); err != nil {
-			return
+		err = fw.writeFrame(answer)
+		if err == nil {
+			err = bw.Flush()
 		}
-		if err := bw.Flush(); err != nil {
+		if scratch != nil {
+			releaseScratch(scratch, reply.Envelope)
+		}
+		if err != nil {
 			return
 		}
 		if !ln.mark(conn, false) {

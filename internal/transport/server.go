@@ -35,26 +35,41 @@ func (s *Server) Use(ics ...soap.Interceptor) {
 // at path, returning the serialized reply (possibly a fault envelope)
 // with its attachments raw.
 func (s *Server) HandleRequest(ctx context.Context, path string, request *Message) *Message {
-	return s.handle(ctx, path, request, true)
+	reply, _ := s.handle(ctx, path, request, true, marshalExact)
+	return reply
 }
 
-// handle is the request-response exchange; attach says whether the
-// requester takes reply attachments raw or needs them inlined as base64
-// (HTTP, which carries plain SOAP: ServeHTTP, the one caller that passes
-// false).
-func (s *Server) handle(ctx context.Context, path string, request *Message, attach bool) *Message {
+// handle is the request-response exchange, and the one place a reply is
+// serialized. attach says whether the requester takes reply attachments
+// raw or needs them inlined as base64 (HTTP, which carries plain SOAP:
+// ServeHTTP, the one caller that passes false). encode is marshalExact,
+// or encodeScratch for a soap.tcp frame, whose buffer handle returns for
+// the frame writer to give back once the frame is written.
+func (s *Server) handle(ctx context.Context, path string, request *Message, attach bool, encode encoder) (*Message, *[]byte) {
 	resp := s.process(ctx, path, request)
 	if !attach {
 		resp.InlineAttachments()
 	}
-	data, err := resp.Marshal()
+	data, scratch, err := encode(resp)
 	if err != nil {
 		// A reply we constructed failed to serialize: fall back to a
 		// minimal fault so the client is never left hanging.
 		data, _ = soap.ReceiverFault("response serialization failed: %v", err).Envelope().Marshal()
-		return &Message{Envelope: data}
+		return &Message{Envelope: data}, nil
 	}
-	return &Message{Envelope: data, Attachments: resp.Attachments}
+	return &Message{Envelope: data, Attachments: resp.Attachments}, scratch
+}
+
+// encoder serializes an envelope: marshalExact, or encodeScratch on the
+// soap.tcp write path, which also returns the pooled buffer its bytes
+// are in.
+type encoder func(*soap.Envelope) ([]byte, *[]byte, error)
+
+// marshalExact is Marshal's exact-length copy, the bytes an in-process
+// callee decodes in place and net/http may read after its exchange.
+func marshalExact(env *soap.Envelope) ([]byte, *[]byte, error) {
+	data, err := env.Marshal()
+	return data, nil, err
 }
 
 // HandleOneWay takes a one-way message for the service at path. It

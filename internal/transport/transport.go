@@ -176,6 +176,29 @@ func (c *Client) learn(hostport string) {
 	c.routesMu.Unlock()
 }
 
+// address is an outbound address, parsed once a message for the
+// client's own use: its path for CallInfo, its scheme and host for
+// routeFor. A binding parses the address string it is handed. No parse
+// is kept beyond its message: addresses arrive in peers' EPRs, so a
+// cache of them would grow without bound.
+type address struct {
+	raw, scheme, host, path string
+	// err is a parse failure, which the terminal handler returns.
+	err error
+}
+
+func parseAddress(raw string) address {
+	u, err := url.Parse(raw)
+	if err != nil {
+		return address{raw: raw, path: "/", err: fmt.Errorf("transport: bad address %q: %w", raw, err)}
+	}
+	path := u.Path
+	if path == "" {
+		path = "/"
+	}
+	return address{raw: raw, scheme: u.Scheme, host: u.Host, path: path}
+}
+
 // route is where one message goes: the binding, the address handed to
 // it, the learned port it goes to as frames ("" when none), and whether
 // it is plain HTTP, which carries attachment parts inline.
@@ -184,6 +207,18 @@ type route struct {
 	addr    string
 	learned string
 	inline  bool
+	// scratch is the pooled buffer a frame was encoded into (outbound),
+	// until done gives it back.
+	scratch *[]byte
+}
+
+// done gives back the scratch request was encoded into, once its frame
+// has been written: the exchange is over, and nothing reads it again.
+func (r *route) done(request *Message) {
+	if r.scratch != nil {
+		releaseScratch(r.scratch, request.Envelope)
+		r.scratch = nil
+	}
 }
 
 // failed forgets r's learned port, so the next message for it asks over
@@ -197,45 +232,36 @@ func (c *Client) failed(r route) {
 	c.routesMu.Unlock()
 }
 
-// routeFor picks addr's route: the co-located server first, then a
-// learned port's frames, then the binding of addr's scheme — plain HTTP
-// for an http:// port not learned, or one behind NewHTTPHandler.
-func (c *Client) routeFor(addr string) (route, error) {
-	u, err := url.Parse(addr)
-	if err != nil {
-		return route{}, fmt.Errorf("transport: bad address %q: %w", addr, err)
+// routeFor picks a's route: the co-located server first, then a learned
+// port's frames, then the binding of a's scheme — plain HTTP for an
+// http:// port not learned, or one behind NewHTTPHandler.
+func (c *Client) routeFor(a address) (route, error) {
+	if a.err != nil {
+		return route{}, a.err
 	}
 	c.routesMu.RLock()
-	local := c.colocated[u.Scheme+"://"+u.Host]
-	framed := u.Scheme == "http" && c.framed[u.Host]
+	local := c.colocated[a.scheme+"://"+a.host]
+	framed := a.scheme == "http" && c.framed[a.host]
 	c.routesMu.RUnlock()
 	if local != nil {
-		return route{rt: local, addr: addr}, nil
+		return route{rt: local, addr: a.raw}, nil
 	}
 	if tcp, ok := c.schemes[SchemeTCP]; ok && framed {
-		return route{rt: tcp, addr: SchemeTCP + addr[len(u.Scheme):], learned: u.Host}, nil
+		return route{rt: tcp, addr: SchemeTCP + a.raw[len(a.scheme):], learned: a.host}, nil
 	}
-	rt, ok := c.schemes[u.Scheme]
+	rt, ok := c.schemes[a.scheme]
 	if !ok {
-		return route{}, fmt.Errorf("transport: no binding for scheme %q (address %q)", u.Scheme, addr)
+		return route{}, fmt.Errorf("transport: no binding for scheme %q (address %q)", a.scheme, a.raw)
 	}
-	return route{rt: rt, addr: addr, inline: u.Scheme == "http"}, nil
-}
-
-// pathOf extracts the service path from a target address for CallInfo.
-func pathOf(addr string) string {
-	if u, err := url.Parse(addr); err == nil && u.Path != "" {
-		return u.Path
-	}
-	return "/"
+	return route{rt: rt, addr: a.raw, inline: a.scheme == "http"}, nil
 }
 
 // newCall describes an outbound invocation for the interceptor chain.
-func newCall(to wsa.EndpointReference, action string, env *soap.Envelope, oneWay bool) *soap.CallInfo {
+func newCall(to address, action string, env *soap.Envelope, oneWay bool) *soap.CallInfo {
 	return &soap.CallInfo{
 		Side:    soap.ClientSide,
-		Addr:    to.Address,
-		Path:    pathOf(to.Address),
+		Addr:    to.raw,
+		Path:    to.path,
 		Action:  action,
 		OneWay:  oneWay,
 		Request: env,
@@ -249,18 +275,23 @@ func newCall(to wsa.EndpointReference, action string, env *soap.Envelope, oneWay
 // carries a fresh MessageID). A SOAP fault reply is returned as a
 // *soap.Fault error.
 func (c *Client) Invoke(ctx context.Context, to wsa.EndpointReference, action string, env *soap.Envelope) (*soap.Envelope, error) {
+	addr := parseAddress(to.Address)
 	terminal := func(ctx context.Context, call *soap.CallInfo) (*soap.Envelope, error) {
-		return c.roundTrip(ctx, to, call)
+		return c.roundTrip(ctx, to, addr, call)
 	}
-	return c.chain.Bind(terminal)(ctx, newCall(to, action, env, false))
+	return c.chain.Bind(terminal)(ctx, newCall(addr, action, env, false))
 }
 
 // outbound is what both terminal handlers do before the wire: pick the
 // route for the target, stamp WS-Addressing and serialize. On plain HTTP
 // the parts go inline as base64 into a copy: the caller's envelope keeps
-// them, for a retry that may find the port's frames.
-func (c *Client) outbound(to wsa.EndpointReference, call *soap.CallInfo) (route, *Message, error) {
-	r, err := c.routeFor(to.Address)
+// them, for a retry that may find the port's frames. A frame is encoded
+// into pooled scratch, which the caller gives back (route.done) once the
+// exchange is over; every other route's bytes are an exact copy, which an
+// in-process callee decodes in place, net/http may read after its
+// exchange has returned and a wrapped binding may keep.
+func (c *Client) outbound(to wsa.EndpointReference, addr address, call *soap.CallInfo) (route, *Message, error) {
+	r, err := c.routeFor(addr)
 	if err != nil {
 		return route{}, nil, err
 	}
@@ -270,7 +301,12 @@ func (c *Client) outbound(to wsa.EndpointReference, call *soap.CallInfo) (route,
 		env = env.Clone()
 		env.InlineAttachments()
 	}
-	data, err := env.Marshal()
+	encode := marshalExact
+	if _, frames := r.rt.(*TCPTransport); frames {
+		encode = encodeScratch
+	}
+	data, scratch, err := encode(env)
+	r.scratch = scratch
 	if err != nil {
 		return route{}, nil, err
 	}
@@ -278,15 +314,16 @@ func (c *Client) outbound(to wsa.EndpointReference, call *soap.CallInfo) (route,
 }
 
 // roundTrip is the terminal request-response handler under the chain.
-func (c *Client) roundTrip(ctx context.Context, to wsa.EndpointReference, call *soap.CallInfo) (*soap.Envelope, error) {
+func (c *Client) roundTrip(ctx context.Context, to wsa.EndpointReference, addr address, call *soap.CallInfo) (*soap.Envelope, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("transport: %s %s: %w", call.Action, to.Address, err)
 	}
-	r, request, err := c.outbound(to, call)
+	r, request, err := c.outbound(to, addr, call)
 	if err != nil {
 		return nil, err
 	}
 	reply, err := r.rt.RoundTrip(ctx, r.addr, request)
+	r.done(request)
 	if err != nil {
 		c.failed(r)
 		return nil, fmt.Errorf("transport: %s %s: %w", call.Action, to.Address, err)
@@ -321,23 +358,26 @@ func (c *Client) Call(ctx context.Context, to wsa.EndpointReference, action stri
 // chain: it returns once the receiving server has taken the message, and
 // no reply is read.
 func (c *Client) SendOneWay(ctx context.Context, to wsa.EndpointReference, action string, env *soap.Envelope) error {
+	addr := parseAddress(to.Address)
 	terminal := func(ctx context.Context, call *soap.CallInfo) (*soap.Envelope, error) {
-		return nil, c.send(ctx, to, call)
+		return nil, c.send(ctx, to, addr, call)
 	}
-	_, err := c.chain.Bind(terminal)(ctx, newCall(to, action, env, true))
+	_, err := c.chain.Bind(terminal)(ctx, newCall(addr, action, env, true))
 	return err
 }
 
 // send is the terminal one-way handler under the chain.
-func (c *Client) send(ctx context.Context, to wsa.EndpointReference, call *soap.CallInfo) error {
+func (c *Client) send(ctx context.Context, to wsa.EndpointReference, addr address, call *soap.CallInfo) error {
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("transport: one-way %s %s: %w", call.Action, to.Address, err)
 	}
-	r, request, err := c.outbound(to, call)
+	r, request, err := c.outbound(to, addr, call)
 	if err != nil {
 		return err
 	}
-	if err := r.rt.Send(ctx, r.addr, request); err != nil {
+	err = r.rt.Send(ctx, r.addr, request)
+	r.done(request)
+	if err != nil {
 		var f *soap.Fault
 		if errors.As(err, &f) {
 			return f // the port answered: what it said is the error

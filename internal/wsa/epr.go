@@ -7,7 +7,7 @@ package wsa
 import (
 	"crypto/rand"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"uvacg/internal/xmlutil"
@@ -38,9 +38,42 @@ type EndpointReference struct {
 	// "http" for the normal binding, "soap.tcp" for the WSE-style framed
 	// TCP binding, "inproc" for in-process loopback.
 	Address string
-	// ReferenceProperties identify the resource at that service. Order
-	// is not significant; comparison and String canonicalize by name.
-	ReferenceProperties map[xmlutil.QName]string
+	// ReferenceProperties identify the resource at that service: one
+	// entry per name, sorted by name (namespace, then local part), the
+	// order String and both wire forms write them in. WithProperty and
+	// the parsers keep it so (canonical); build it through them.
+	ReferenceProperties []Property
+}
+
+// Property is one reference property of an EPR.
+type Property struct {
+	Name  xmlutil.QName
+	Value string
+}
+
+// propertyOrder is the canonical property order: namespace, then local
+// name.
+func propertyOrder(a, b Property) int {
+	if c := strings.Compare(a.Name.Space, b.Name.Space); c != 0 {
+		return c
+	}
+	return strings.Compare(a.Name.Local, b.Name.Local)
+}
+
+// canonical sorts props, a list given in arrival order, into the
+// canonical order and keeps the last value of each name, in place: one
+// sort, so a peer's message with many reference properties costs
+// O(n log n), not a scan per property.
+func canonical(props []Property) []Property {
+	slices.SortStableFunc(props, propertyOrder)
+	out := props[:0]
+	for i, p := range props {
+		if i+1 < len(props) && props[i+1].Name == p.Name {
+			continue // a later value of the name follows
+		}
+		out = append(out, p)
+	}
+	return out
 }
 
 // NewEPR builds an EPR with no reference properties (a plain service).
@@ -51,17 +84,20 @@ func NewEPR(address string) EndpointReference {
 // WithProperty returns a copy of the EPR with one reference property
 // added or replaced.
 func (e EndpointReference) WithProperty(name xmlutil.QName, value string) EndpointReference {
-	props := make(map[xmlutil.QName]string, len(e.ReferenceProperties)+1)
-	for k, v := range e.ReferenceProperties {
-		props[k] = v
-	}
-	props[name] = value
-	return EndpointReference{Address: e.Address, ReferenceProperties: props}
+	props := make([]Property, len(e.ReferenceProperties), len(e.ReferenceProperties)+1)
+	copy(props, e.ReferenceProperties)
+	props = append(props, Property{Name: name, Value: value})
+	return EndpointReference{Address: e.Address, ReferenceProperties: canonical(props)}
 }
 
 // Property returns a reference property value, or "".
 func (e EndpointReference) Property(name xmlutil.QName) string {
-	return e.ReferenceProperties[name]
+	for _, p := range e.ReferenceProperties {
+		if p.Name == name {
+			return p.Value
+		}
+	}
+	return ""
 }
 
 // IsZero reports whether the EPR is unset.
@@ -71,40 +107,36 @@ func (e EndpointReference) IsZero() bool {
 
 // Equal reports whether two EPRs name the same WS-Resource.
 func (e EndpointReference) Equal(o EndpointReference) bool {
-	if e.Address != o.Address || len(e.ReferenceProperties) != len(o.ReferenceProperties) {
-		return false
-	}
-	for k, v := range e.ReferenceProperties {
-		if ov, ok := o.ReferenceProperties[k]; !ok || ov != v {
-			return false
-		}
-	}
-	return true
+	return e.Address == o.Address && slices.Equal(e.ReferenceProperties, o.ReferenceProperties)
 }
 
-// String renders a canonical, human-readable form usable as a map key.
+// String renders a canonical, human-readable form usable as a map key:
+// the address, then "?{ns}local=value" pairs joined by "&" in name order.
 func (e EndpointReference) String() string {
 	if len(e.ReferenceProperties) == 0 {
 		return e.Address
 	}
-	keys := make([]xmlutil.QName, 0, len(e.ReferenceProperties))
-	for k := range e.ReferenceProperties {
-		keys = append(keys, k)
+	n := len(e.Address)
+	for _, p := range e.ReferenceProperties {
+		n += len("?{}=") + len(p.Name.Space) + len(p.Name.Local) + len(p.Value)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Space != keys[j].Space {
-			return keys[i].Space < keys[j].Space
-		}
-		return keys[i].Local < keys[j].Local
-	})
 	var b strings.Builder
+	b.Grow(n)
 	b.WriteString(e.Address)
-	b.WriteByte('?')
-	for i, k := range keys {
-		if i > 0 {
+	for i, p := range e.ReferenceProperties {
+		if i == 0 {
+			b.WriteByte('?')
+		} else {
 			b.WriteByte('&')
 		}
-		fmt.Fprintf(&b, "%s=%s", k, e.ReferenceProperties[k])
+		if p.Name.Space != "" {
+			b.WriteByte('{')
+			b.WriteString(p.Name.Space)
+			b.WriteByte('}')
+		}
+		b.WriteString(p.Name.Local)
+		b.WriteByte('=')
+		b.WriteString(p.Value)
 	}
 	return b.String()
 }
@@ -117,26 +149,27 @@ func (e EndpointReference) Element() *xmlutil.Element {
 
 // ElementNamed renders the EPR under an arbitrary element name, as specs
 // like WS-BaseNotification do (ConsumerReference, ProducerReference...).
+// The tree's elements share one array, and its child lists another.
 func (e EndpointReference) ElementNamed(name xmlutil.QName) *xmlutil.Element {
-	el := xmlutil.NewContainer(name, xmlutil.NewElement(qAddress, e.Address))
-	if len(e.ReferenceProperties) > 0 {
-		props := &xmlutil.Element{Name: qRefProps}
-		keys := make([]xmlutil.QName, 0, len(e.ReferenceProperties))
-		for k := range e.ReferenceProperties {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool {
-			if keys[i].Space != keys[j].Space {
-				return keys[i].Space < keys[j].Space
-			}
-			return keys[i].Local < keys[j].Local
-		})
-		for _, k := range keys {
-			props.Append(xmlutil.NewElement(k, e.ReferenceProperties[k]))
-		}
-		el.Append(props)
+	n := len(e.ReferenceProperties)
+	if n == 0 {
+		els := make([]xmlutil.Element, 2)
+		els[0] = xmlutil.Element{Name: name, Children: []*xmlutil.Element{&els[1]}}
+		els[1] = xmlutil.Element{Name: qAddress, Text: e.Address}
+		return &els[0]
 	}
-	return el
+	// The root, Address, ReferenceProperties and one element a property.
+	els := make([]xmlutil.Element, 3+n)
+	kids := make([]*xmlutil.Element, 2+n)
+	kids[0], kids[1] = &els[1], &els[2]
+	els[0] = xmlutil.Element{Name: name, Children: kids[:2:2]}
+	els[1] = xmlutil.Element{Name: qAddress, Text: e.Address}
+	els[2] = xmlutil.Element{Name: qRefProps, Children: kids[2:]}
+	for i, p := range e.ReferenceProperties {
+		els[3+i] = xmlutil.Element{Name: p.Name, Text: p.Value}
+		kids[2+i] = &els[3+i]
+	}
+	return &els[0]
 }
 
 // ParseEPR decodes an EPR from its element form (any element name whose
@@ -150,11 +183,12 @@ func ParseEPR(el *xmlutil.Element) (EndpointReference, error) {
 		return EndpointReference{}, fmt.Errorf("wsa: EPR %v has no Address", el.Name)
 	}
 	epr := EndpointReference{Address: addr.Text}
-	if props := el.Child(qRefProps); props != nil {
-		epr.ReferenceProperties = make(map[xmlutil.QName]string, len(props.Children))
-		for _, p := range props.Children {
-			epr.ReferenceProperties[p.Name] = p.Text
+	if props := el.Child(qRefProps); props != nil && len(props.Children) > 0 {
+		list := make([]Property, len(props.Children))
+		for i, p := range props.Children {
+			list[i] = Property{Name: p.Name, Value: p.Text}
 		}
+		epr.ReferenceProperties = canonical(list)
 	}
 	return epr, nil
 }
@@ -163,13 +197,27 @@ func ParseEPR(el *xmlutil.Element) (EndpointReference, error) {
 func NewMessageID() string {
 	var b [16]byte
 	if _, err := rand.Read(b[:]); err != nil {
-		panic(fmt.Sprintf("wsa: entropy unavailable: %v", err))
+		panic("wsa: entropy unavailable: " + err.Error())
 	}
 	// RFC 4122 version 4 variant bits.
 	b[6] = (b[6] & 0x0f) | 0x40
 	b[8] = (b[8] & 0x3f) | 0x80
-	return fmt.Sprintf("urn:uuid:%x-%x-%x-%x-%x", b[0:4], b[4:6], b[6:8], b[8:10], b[10:16])
+	const prefix = "urn:uuid:"
+	var id [len(prefix) + 36]byte
+	copy(id[:], prefix)
+	at := len(prefix)
+	for i, c := range b {
+		if i == 4 || i == 6 || i == 8 || i == 10 {
+			id[at] = '-'
+			at++
+		}
+		id[at], id[at+1] = hexDigits[c>>4], hexDigits[c&0x0f]
+		at += 2
+	}
+	return string(id[:])
 }
+
+const hexDigits = "0123456789abcdef"
 
 // ParseEPRString parses the canonical String() form
 // ("address?{ns}local=value&...") back into an EPR — the form humans
@@ -183,7 +231,6 @@ func ParseEPRString(s string) (EndpointReference, error) {
 	if !hasProps || props == "" {
 		return epr, nil
 	}
-	epr.ReferenceProperties = make(map[xmlutil.QName]string)
 	for _, pair := range strings.Split(props, "&") {
 		key, value, ok := strings.Cut(pair, "=")
 		if !ok {
@@ -193,7 +240,8 @@ func ParseEPRString(s string) (EndpointReference, error) {
 		if err != nil {
 			return EndpointReference{}, fmt.Errorf("wsa: reference property name: %w", err)
 		}
-		epr.ReferenceProperties[q] = value
+		epr.ReferenceProperties = append(epr.ReferenceProperties, Property{Name: q, Value: value})
 	}
+	epr.ReferenceProperties = canonical(epr.ReferenceProperties)
 	return epr, nil
 }

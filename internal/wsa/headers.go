@@ -31,8 +31,8 @@ func Apply(env *soap.Envelope, to EndpointReference, action string) *soap.Envelo
 	env.AddHeader(xmlutil.NewElement(qTo, to.Address))
 	env.AddHeader(xmlutil.NewElement(qAction, action))
 	env.AddHeader(xmlutil.NewElement(qMessageID, NewMessageID()))
-	for _, h := range refPropHeaders(to) {
-		env.AddHeader(h)
+	for _, p := range to.ReferenceProperties {
+		env.AddHeader(refPropHeader(p))
 	}
 	return env
 }
@@ -48,17 +48,9 @@ func ApplyReply(env *soap.Envelope, req MessageInfo, action string) *soap.Envelo
 	return env
 }
 
-func refPropHeaders(epr EndpointReference) []*xmlutil.Element {
-	if len(epr.ReferenceProperties) == 0 {
-		return nil
-	}
-	out := make([]*xmlutil.Element, 0, len(epr.ReferenceProperties))
-	for k, v := range epr.ReferenceProperties {
-		h := xmlutil.NewElement(k, v)
-		h.SetAttr(qIsRefProp, "true")
-		out = append(out, h)
-	}
-	return out
+// refPropHeader binds one reference property as a header block.
+func refPropHeader(p Property) *xmlutil.Element {
+	return xmlutil.NewElement(p.Name, p.Value).SetAttr(qIsRefProp, "true")
 }
 
 // Extract decodes the WS-Addressing headers from an envelope. The Action
@@ -75,12 +67,10 @@ func Extract(env *soap.Envelope) (MessageInfo, error) {
 	info.To.Address = env.HeaderText(qTo)
 	for _, h := range env.Headers {
 		if h.Attr(qIsRefProp) == "true" {
-			if info.To.ReferenceProperties == nil {
-				info.To.ReferenceProperties = make(map[xmlutil.QName]string)
-			}
-			info.To.ReferenceProperties[h.Name] = h.Text
+			info.To.ReferenceProperties = append(info.To.ReferenceProperties, Property{Name: h.Name, Value: h.Text})
 		}
 	}
+	info.To.ReferenceProperties = canonical(info.To.ReferenceProperties)
 	if rt := env.Header(qReplyTo); rt != nil {
 		epr, err := ParseEPR(rt)
 		if err != nil {

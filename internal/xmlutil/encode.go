@@ -39,10 +39,17 @@ func MarshalElement(e *Element) ([]byte, error) {
 // as MarshalElement writes them.
 func MarshalEnvelope(ns string, headers []*Element, body *Element) ([]byte, error) {
 	return exact(func(dst []byte) ([]byte, error) {
-		enc := encoder{dst: dst}
-		ok := enc.envelope(ns, headers, body)
-		return enc.dst, enc.done(ok)
+		return AppendEnvelope(dst, ns, headers, body)
 	})
+}
+
+// AppendEnvelope appends what MarshalEnvelope returns to dst: the form
+// for a writer that owns reusable scratch and is done with the bytes
+// once they are written, where nothing decodes them in place.
+func AppendEnvelope(dst []byte, ns string, headers []*Element, body *Element) ([]byte, error) {
+	enc := encoder{dst: dst}
+	ok := enc.envelope(ns, headers, body)
+	return enc.dst, enc.done(ok)
 }
 
 func (enc *encoder) envelope(ns string, headers []*Element, body *Element) bool {
