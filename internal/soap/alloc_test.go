@@ -21,9 +21,12 @@ import (
 // its pin judges the least over several calls, since a GC, or the race
 // detector, may empty the decoder's pooled scratch stacks. Marshal's one
 // allocation is its exact-length result; the encode buffer is pooled.
+// ReadBack, the in-process route's copy, allocates its slab's three
+// arrays and the envelope, however many nodes it copies.
 const (
 	maxMarshalAllocs   = 1
 	maxUnmarshalAllocs = 4
+	maxReadBackAllocs  = 4
 )
 
 func TestEnvelopeMarshalAllocs(t *testing.T) {
@@ -54,6 +57,22 @@ func TestEnvelopeUnmarshalAllocs(t *testing.T) {
 	}
 	if least > maxUnmarshalAllocs {
 		t.Errorf("envelope unmarshal allocates %d times per op, want <= %d", least, maxUnmarshalAllocs)
+	}
+}
+
+func TestEnvelopeReadBackAllocs(t *testing.T) {
+	env := notifyEnvelope("w03")
+	least := ^uint64(0)
+	for r := 0; r < 20; r++ {
+		mallocs, _ := allocated(func() {
+			if _, _, err := env.ReadBack(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		least = min(least, mallocs)
+	}
+	if least > maxReadBackAllocs {
+		t.Errorf("envelope read-back allocates %d times per op, want <= %d", least, maxReadBackAllocs)
 	}
 }
 

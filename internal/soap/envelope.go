@@ -80,19 +80,31 @@ func (e *Envelope) RemoveHeader(name xmlutil.QName) int {
 	return removed
 }
 
-// Clone deep-copies the envelope. Attachment data is shared (the parts
-// are treated as immutable once attached), but the list itself is
-// copied so Attach on the clone cannot disturb the original.
+// Clone deep-copies the envelope, its trees from one slab. Attachment
+// data is shared (the parts are treated as immutable once attached), but
+// the list itself is copied so Attach on the clone cannot disturb the
+// original.
 func (e *Envelope) Clone() *Envelope {
 	out := &Envelope{}
-	for _, h := range e.Headers {
-		out.Headers = append(out.Headers, h.Clone())
-	}
-	out.Body = e.Body.Clone()
+	out.Headers, out.Body = xmlutil.CloneEnvelope(e.Headers, e.Body)
 	if len(e.Attachments) > 0 {
 		out.Attachments = append([]Attachment(nil), e.Attachments...)
 	}
 	return out
+}
+
+// ReadBack returns what Unmarshal reads from Marshal's bytes for e, and
+// the length of those bytes, without keeping them: the form in which an
+// in-process route hands a receiver its own envelope, as a reader on a
+// socket would decode it (xmlutil.ReadBackEnvelope). It refuses what
+// Marshal refuses. Attachments are not carried, as the bytes do not
+// carry them.
+func (e *Envelope) ReadBack() (*Envelope, int, error) {
+	headers, body, size, err := xmlutil.ReadBackEnvelope(NS, e.Headers, e.Body)
+	if err != nil {
+		return nil, 0, err
+	}
+	return &Envelope{Headers: headers, Body: body}, size, nil
 }
 
 // MaxEnvelopeBytes bounds how much a binding's request reader buffers
@@ -112,12 +124,13 @@ func (e *Envelope) Marshal() ([]byte, error) {
 	return xmlutil.MarshalEnvelope(NS, e.Headers, e.Body)
 }
 
-// AppendMarshal appends the wire form Marshal returns to dst, for a
-// writer that encodes into scratch of its own and reuses it once the
-// bytes are written (the soap.tcp frame writer). Bytes anyone decodes
-// must come from Marshal: a decoded tree points into them.
-func (e *Envelope) AppendMarshal(dst []byte) ([]byte, error) {
-	return xmlutil.AppendEnvelope(dst, NS, e.Headers, e.Body)
+// MarshalScratch writes the wire form Marshal returns into a pooled
+// buffer, for a writer that is done with the bytes once they are written
+// (the soap.tcp frame writer), and returns the buffer for
+// xmlutil.ReleaseScratch. Bytes anyone decodes must come from Marshal: a
+// decoded tree points into them.
+func (e *Envelope) MarshalScratch() ([]byte, *[]byte, error) {
+	return xmlutil.MarshalScratch(NS, e.Headers, e.Body)
 }
 
 // Unmarshal parses wire bytes into an Envelope, validating the SOAP

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -141,10 +142,14 @@ func (f *FaultingTransport) Send(ctx context.Context, addr string, request *Mess
 
 // hold parks a one-way message until release(addr) or reorderHold.
 func (f *FaultingTransport) hold(ctx context.Context, addr string, request *Message) {
-	// The sender has long returned and may reuse its envelope buffer;
-	// attachment bytes are immutable by contract (soap.Attach).
+	// The sender has long returned and may reuse its envelope buffer or
+	// tree; attachment bytes are immutable by contract (soap.Attach).
 	ctx = context.WithoutCancel(ctx)
-	request = &Message{Envelope: append([]byte(nil), request.Envelope...), Attachments: request.Attachments}
+	held := &Message{Envelope: bytes.Clone(request.Envelope), Attachments: request.Attachments}
+	if request.Tree != nil {
+		held.Tree = request.Tree.Clone()
+	}
+	request = held
 	f.mu.Lock()
 	f.held[addr] = append(f.held[addr], func() {
 		// The sender was told the hand-off succeeded; a failure now is a

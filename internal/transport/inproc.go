@@ -8,9 +8,10 @@ import (
 )
 
 // SchemeInproc is the URI scheme of the in-process binding used by
-// simulated grids, tests and benchmarks. Messages still pass through
-// their full wire encoding, so a service behaves identically whether
-// reached via inproc://, http:// or soap.tcp://.
+// simulated grids, tests and benchmarks. A receiver is handed the tree a
+// reader would decode from the message's encoding, held to the same
+// envelope bound, so a service behaves identically whether reached via
+// inproc://, http:// or soap.tcp://.
 const SchemeInproc = "inproc"
 
 // Network is an in-process fabric of named hosts. Each simulated grid
@@ -68,14 +69,10 @@ type wireContext struct{ context.Context }
 
 func (wireContext) Value(any) any { return nil }
 
-// resolve finds the server and service path for addr, refusing a request
-// over the envelope bound as a reader on a socket would.
-func (t *inprocTransport) resolve(addr string, request []byte) (*Server, string, error) {
+// resolve finds the server and service path for addr.
+func (t *inprocTransport) resolve(addr string) (*Server, string, error) {
 	u, err := url.Parse(addr)
 	if err != nil {
-		return nil, "", err
-	}
-	if err := bounded(int64(len(request))); err != nil {
 		return nil, "", err
 	}
 	srv := t.server
@@ -95,31 +92,51 @@ func (t *inprocTransport) resolve(addr string, request []byte) (*Server, string,
 	return srv, path, nil
 }
 
-// RoundTrip implements RoundTripper: the envelope still round-trips its
-// wire encoding, but attachment bytes pass by reference — the in-process
-// analog of the binary fast path. Senders and receivers both treat
-// attachment data as immutable (soap.Attach, ContentBytes), so sharing is
-// safe; a receiver that keeps the bytes beyond the exchange copies them
-// (the FSS Write action does).
+// deliver finds the server for addr and makes what it is handed for
+// request: a tree of its own, made per delivery (a message delivered
+// twice is two trees), refused as a reader on a socket refuses an
+// envelope over the bound. Attachment bytes pass by reference — the
+// in-process analog of the binary fast path. Senders and receivers both
+// treat attachment data as immutable (soap.Attach, ContentBytes), so
+// sharing is safe; a receiver that keeps the bytes beyond the exchange
+// copies them (the FSS Write action does).
+func (t *inprocTransport) deliver(addr string, request *Message) (*Server, string, *Message, error) {
+	srv, path, err := t.resolve(addr)
+	if err != nil {
+		return nil, "", nil, err
+	}
+	if request.Tree == nil {
+		return nil, "", nil, fmt.Errorf("transport: an in-process route carries envelope trees, not bytes")
+	}
+	in, err := readBack(request.Tree)
+	if err != nil {
+		return nil, "", nil, err
+	}
+	in.Attachments = request.Attachments
+	return srv, path, in, bounded(int64(in.size))
+}
+
+// RoundTrip implements RoundTripper. The reply is the caller's own tree
+// already (Server.HandleRequest), held to the bound on the way back.
 func (t *inprocTransport) RoundTrip(ctx context.Context, addr string, request *Message) (*Message, error) {
-	srv, path, err := t.resolve(addr, request.Envelope)
+	srv, path, in, err := t.deliver(addr, request)
 	if err != nil {
 		return nil, err
 	}
-	reply := srv.HandleRequest(wireContext{ctx}, path, request)
-	return reply, bounded(int64(len(reply.Envelope)))
+	reply := srv.HandleRequest(wireContext{ctx}, path, in)
+	return reply, bounded(int64(reply.size))
 }
 
 // Send implements RoundTripper. HandleOneWay parses the message on this
 // goroutine, as a listener does before its receipt, then detaches the
 // dispatch from the caller's cancellation and runs it on a warm one.
 func (t *inprocTransport) Send(ctx context.Context, addr string, request *Message) error {
-	srv, path, err := t.resolve(addr, request.Envelope)
+	srv, path, in, err := t.deliver(addr, request)
 	if err != nil {
 		return err
 	}
-	if fault := srv.HandleOneWay(wireContext{ctx}, path, request); fault != nil {
-		return refusal(fault.Envelope)
+	if answer := srv.HandleOneWay(wireContext{ctx}, path, in); answer != nil {
+		return refusal(answer)
 	}
 	return nil
 }

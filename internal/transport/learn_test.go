@@ -131,10 +131,11 @@ func TestOneWayFrameIsAcknowledged(t *testing.T) {
 		defer tl.Close()
 		network := NewNetwork()
 		network.Register("local", srv)
+		tree := func(path string) *soap.Envelope {
+			return wsa.Apply(soap.New(xmlutil.NewElement(qPing, "taken")), wsa.NewEPR(tl.BaseURL()+path), "urn:Sink")
+		}
 		envelope := func(path string) []byte {
-			env := soap.New(xmlutil.NewElement(qPing, "taken"))
-			wsa.Apply(env, wsa.NewEPR(tl.BaseURL()+path), "urn:Sink")
-			data, err := env.Marshal()
+			data, err := tree(path).Marshal()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -157,14 +158,25 @@ func TestOneWayFrameIsAcknowledged(t *testing.T) {
 			{"http", NewHTTPTransport(), "http://" + tl.Addr()},
 			{SchemeInproc, &inprocTransport{network: network}, "inproc://local"},
 		} {
+			// The in-process route carries trees, and a tree is always
+			// an envelope: only its unknown path can be refused.
+			message := func(path string, body []byte) *Message {
+				if b.name == SchemeInproc {
+					return &Message{Tree: tree(path)}
+				}
+				return &Message{Envelope: body}
+			}
 			for _, row := range rows {
-				err := b.rt.Send(ctx, b.base+row.path, &Message{Envelope: row.body})
+				if b.name == SchemeInproc && row.name == "malformed" {
+					continue
+				}
+				err := b.rt.Send(ctx, b.base+row.path, message(row.path, row.body))
 				var f *soap.Fault
 				if !errors.As(err, &f) || f.Code != soap.CodeSender || !strings.Contains(f.Reason, row.reason) {
 					t.Fatalf("%s, %s: Send returned %v, want the Sender fault %q", b.name, row.name, err, row.reason)
 				}
 			}
-			if err := b.rt.Send(ctx, b.base+"/Test", &Message{Envelope: envelope("/Test")}); err != nil {
+			if err := b.rt.Send(ctx, b.base+"/Test", message("/Test", envelope("/Test"))); err != nil {
 				t.Fatalf("%s: a good message after the refused ones: %v", b.name, err)
 			}
 			sink.wait(t)

@@ -279,7 +279,6 @@ func (ln *Listener) serveFrames(conn net.Conn, br *bufio.Reader) {
 		// A reply encoded into pooled scratch is given back once its
 		// frame has been written.
 		var reply *Message
-		var scratch *[]byte
 		switch fr.kind {
 		case frameOneWay:
 			// A message the server cannot take is answered by its fault
@@ -288,7 +287,7 @@ func (ln *Listener) serveFrames(conn net.Conn, br *bufio.Reader) {
 				answer = &frame{kind: frameReply, body: fault.Envelope}
 			}
 		case frameRequest:
-			reply, scratch = ln.srv.handle(ctx, fr.path, &Message{Envelope: fr.body, Attachments: fr.atts}, true, encodeScratch)
+			reply = ln.srv.handle(ctx, fr.path, &Message{Envelope: fr.body, Attachments: fr.atts}, true, encodeScratch)
 			answer = &frame{kind: frameReply, body: reply.Envelope, atts: reply.Attachments}
 			if err := checkFrame(answer); err != nil {
 				// A reply no frame may carry is answered all the same: a
@@ -305,9 +304,7 @@ func (ln *Listener) serveFrames(conn net.Conn, br *bufio.Reader) {
 		if err == nil {
 			err = bw.Flush()
 		}
-		if scratch != nil {
-			releaseScratch(scratch, reply.Envelope)
-		}
+		reply.release()
 		if err != nil {
 			return
 		}

@@ -32,60 +32,53 @@ func (s *Server) Use(ics ...soap.Interceptor) {
 }
 
 // HandleRequest processes one request-response exchange for the service
-// at path, returning the serialized reply (possibly a fault envelope)
-// with its attachments raw.
+// at path, a message on an in-process route, and returns the reply
+// (possibly a fault) as a tree the caller owns, its attachments raw.
 func (s *Server) HandleRequest(ctx context.Context, path string, request *Message) *Message {
-	reply, _ := s.handle(ctx, path, request, true, marshalExact)
-	return reply
+	return s.handle(ctx, path, request, true, readBack)
 }
 
 // handle is the request-response exchange, and the one place a reply is
-// serialized. attach says whether the requester takes reply attachments
-// raw or needs them inlined as base64 (HTTP, which carries plain SOAP:
-// ServeHTTP, the one caller that passes false). encode is marshalExact,
-// or encodeScratch for a soap.tcp frame, whose buffer handle returns for
-// the frame writer to give back once the frame is written.
-func (s *Server) handle(ctx context.Context, path string, request *Message, attach bool, encode encoder) (*Message, *[]byte) {
+// put in the form its route carries. attach says whether the requester
+// takes reply attachments raw or needs them inlined as base64 (HTTP,
+// which carries plain SOAP: ServeHTTP, the one caller that passes
+// false). encode is marshalExact (HTTP), encodeScratch (a soap.tcp
+// frame, whose writer gives the buffer back once the frame is written)
+// or readBack (an in-process route).
+func (s *Server) handle(ctx context.Context, path string, request *Message, attach bool, encode encoder) *Message {
 	resp := s.process(ctx, path, request)
 	if !attach {
 		resp.InlineAttachments()
 	}
-	data, scratch, err := encode(resp)
+	reply, err := encode(resp)
 	if err != nil {
 		// A reply we constructed failed to serialize: fall back to a
-		// minimal fault so the client is never left hanging.
-		data, _ = soap.ReceiverFault("response serialization failed: %v", err).Envelope().Marshal()
-		return &Message{Envelope: data}, nil
+		// minimal fault so the client is never left hanging. A fault's
+		// names are fixed and its text is escaped: it encodes.
+		reply, _ = encode(soap.ReceiverFault("response serialization failed: %v", err).Envelope())
 	}
-	return &Message{Envelope: data, Attachments: resp.Attachments}, scratch
-}
-
-// encoder serializes an envelope: marshalExact, or encodeScratch on the
-// soap.tcp write path, which also returns the pooled buffer its bytes
-// are in.
-type encoder func(*soap.Envelope) ([]byte, *[]byte, error)
-
-// marshalExact is Marshal's exact-length copy, the bytes an in-process
-// callee decodes in place and net/http may read after its exchange.
-func marshalExact(env *soap.Envelope) ([]byte, *[]byte, error) {
-	data, err := env.Marshal()
-	return data, nil, err
+	return reply
 }
 
 // HandleOneWay takes a one-way message for the service at path. It
 // parses the envelope and finds its service on the caller's goroutine,
 // and the caller answers with what it returns: nil when the message was
 // taken (a receipt, HTTP's 202), or the Sender fault of a message that
-// does not parse or names no service, which the sender's Send returns.
+// does not parse or names no service, in the form the message came in
+// (bytes or a tree), which the sender's Send returns.
 // Dispatch proceeds on a warm goroutine, detached from the caller's
 // cancellation; its failures, which have no connection left to report
 // on, are logged.
 func (s *Server) HandleOneWay(ctx context.Context, path string, request *Message) *Message {
 	in, fault := s.parse(path, request)
 	if fault != nil {
+		encode := marshalExact
+		if request.Tree != nil {
+			encode = readBack
+		}
 		// A fault's names are fixed and its text is escaped: it encodes.
-		data, _ := fault.Envelope().Marshal()
-		return &Message{Envelope: data}
+		answer, _ := encode(fault.Envelope())
+		return answer
 	}
 	// The sender has gone away by design.
 	bg := context.WithoutCancel(ctx)
@@ -116,11 +109,10 @@ type inbound struct {
 // parse is the receive pipeline up to dispatch: envelope, WS-Addressing
 // headers, service. A message that fails it gets the Sender fault.
 func (s *Server) parse(path string, request *Message) (*inbound, *soap.Fault) {
-	env, err := soap.Unmarshal(request.Envelope)
+	env, err := request.open()
 	if err != nil {
 		return nil, soap.SenderFault("malformed envelope: %v", err)
 	}
-	env.Attachments = request.Attachments
 	info, err := wsa.Extract(env)
 	if err != nil {
 		return nil, soap.SenderFault("%v", err)

@@ -216,39 +216,6 @@ func (fw *frameWriter) writeVectored(fr *frame) error {
 	return err
 }
 
-// frameScratch recycles the buffers envelopes are encoded into on their
-// way to a soap.tcp socket, where nothing decodes them in place: the
-// client's request (Client.outbound) and the listener's reply. The
-// writer gives a buffer back once its frame has been written.
-var frameScratch = sync.Pool{New: func() any {
-	b := make([]byte, 0, 4<<10)
-	return &b
-}}
-
-// maxPooledScratch keeps a rare huge envelope from pinning its buffer in
-// the pool.
-const maxPooledScratch = 1 << 20
-
-// encodeScratch serializes env into a buffer from frameScratch; the
-// caller gives it back with releaseScratch once the bytes are written.
-func encodeScratch(env *soap.Envelope) (data []byte, bp *[]byte, err error) {
-	bp = frameScratch.Get().(*[]byte)
-	data, err = env.AppendMarshal((*bp)[:0])
-	if err != nil {
-		releaseScratch(bp, data)
-		return nil, nil, err
-	}
-	return data, bp, nil
-}
-
-// releaseScratch returns bp, last grown to used, to the pool.
-func releaseScratch(bp *[]byte, used []byte) {
-	if cap(used) <= maxPooledScratch {
-		*bp = used[:0]
-		frameScratch.Put(bp)
-	}
-}
-
 // readSection reads a section whose length the frame declared. A length
 // prefix is four bytes of say-so, and a stream states no length of its
 // own: a section up to exactReadMax is read into one buffer of its
@@ -512,7 +479,7 @@ func (t *TCPTransport) Send(ctx context.Context, addr string, request *Message) 
 		return err
 	}
 	if answer.kind == frameReply {
-		return refusal(answer.body)
+		return refusal(&Message{Envelope: answer.body})
 	}
 	return nil
 }

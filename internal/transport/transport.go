@@ -6,14 +6,14 @@
 //	            plain SOAP both ways, binary content inline as base64
 //	soap.tcp:// framed SOAP over raw TCP (the WSE messaging analog used
 //	            for large file movement from the client's machine)
-//	inproc://   in-process loopback; envelopes still round-trip through
-//	            their wire encoding so behaviour matches the networked
-//	            bindings byte-for-byte
+//	inproc://   in-process loopback: the receiver is handed its own copy
+//	            of the envelope tree, the tree a reader on a socket would
+//	            decode from the envelope's encoding
 //
 // A process never opens a socket to itself: a Client told (Colocate) that
 // a base URL is served by a Server in its own process hands messages for
-// it to that server the way inproc:// does — same bytes, same client and
-// server interceptor chains, no socket.
+// it to that server the way inproc:// does — the same copy, the same
+// client and server interceptor chains, no socket.
 //
 // A Listener serves both networked bindings on one port and says so in
 // every HTTP answer (Alt-Svc: soap.tcp=":<port>"). A Client that reads
@@ -40,12 +40,72 @@ import (
 	"uvacg/internal/xmlutil"
 )
 
-// Message is a serialized envelope plus its binary attachments — the
-// unit every binding moves, keeping file bytes out of the XML (no base64
-// inflation, no escaping scan).
+// Message is an envelope plus its binary attachments — the unit every
+// binding moves, keeping file bytes out of the XML (no base64 inflation,
+// no escaping scan). On a socket route the envelope is its encoding
+// (Envelope); on an in-process route it is a tree (Tree), never both. A
+// request's tree is the sender's, and the in-process binding hands each
+// delivery a copy of its own; a reply's tree is already the receiver's.
 type Message struct {
 	Envelope    []byte
+	Tree        *soap.Envelope
 	Attachments []soap.Attachment
+	// size is the length of Tree's encoding, which the receiver holds to
+	// the envelope bound.
+	size int
+	// scratch is the pooled buffer Envelope was encoded into, until
+	// release gives it back.
+	scratch *[]byte
+}
+
+// open returns the envelope m carries, its attachments on it: the tree
+// an in-process route handed over, or the bytes a socket carried,
+// decoded.
+func (m *Message) open() (*soap.Envelope, error) {
+	env := m.Tree
+	if env == nil {
+		var err error
+		if env, err = soap.Unmarshal(m.Envelope); err != nil {
+			return nil, err
+		}
+	}
+	env.Attachments = m.Attachments
+	return env, nil
+}
+
+// release gives back the scratch m's envelope was encoded into, if any,
+// once its frame has been written: nothing reads the bytes again.
+func (m *Message) release() {
+	if m != nil && m.scratch != nil {
+		xmlutil.ReleaseScratch(m.scratch, m.Envelope)
+		m.scratch = nil
+	}
+}
+
+// encoder puts an envelope in the form its route carries: marshalExact,
+// encodeScratch or readBack.
+type encoder func(*soap.Envelope) (*Message, error)
+
+// marshalExact is Marshal's exact-length copy, the bytes net/http may
+// read after its exchange and a wrapped binding may keep.
+func marshalExact(env *soap.Envelope) (*Message, error) {
+	data, err := env.Marshal()
+	return &Message{Envelope: data, Attachments: env.Attachments}, err
+}
+
+// encodeScratch encodes env into pooled scratch, for a soap.tcp frame:
+// the writer gives it back (release) once the frame is written.
+func encodeScratch(env *soap.Envelope) (*Message, error) {
+	data, bp, err := env.MarshalScratch()
+	return &Message{Envelope: data, Attachments: env.Attachments, scratch: bp}, err
+}
+
+// readBack is what an in-process receiver is handed for env: a tree of
+// its own, as a reader would decode env's encoding, and that encoding's
+// length.
+func readBack(env *soap.Envelope) (*Message, error) {
+	tree, size, err := env.ReadBack()
+	return &Message{Tree: tree, Attachments: env.Attachments, size: size}, err
 }
 
 // RoundTripper moves messages for one URI scheme, attachments raw in both
@@ -200,25 +260,15 @@ func parseAddress(raw string) address {
 }
 
 // route is where one message goes: the binding, the address handed to
-// it, the learned port it goes to as frames ("" when none), and whether
-// it is plain HTTP, which carries attachment parts inline.
+// it, the learned port it goes to as frames ("" when none), whether it
+// is plain HTTP, which carries attachment parts inline, and whether it
+// stays in the process (inproc:// or co-located), which carries trees.
 type route struct {
 	rt      RoundTripper
 	addr    string
 	learned string
 	inline  bool
-	// scratch is the pooled buffer a frame was encoded into (outbound),
-	// until done gives it back.
-	scratch *[]byte
-}
-
-// done gives back the scratch request was encoded into, once its frame
-// has been written: the exchange is over, and nothing reads it again.
-func (r *route) done(request *Message) {
-	if r.scratch != nil {
-		releaseScratch(r.scratch, request.Envelope)
-		r.scratch = nil
-	}
+	local   bool
 }
 
 // failed forgets r's learned port, so the next message for it asks over
@@ -244,7 +294,7 @@ func (c *Client) routeFor(a address) (route, error) {
 	framed := a.scheme == "http" && c.framed[a.host]
 	c.routesMu.RUnlock()
 	if local != nil {
-		return route{rt: local, addr: a.raw}, nil
+		return route{rt: local, addr: a.raw, local: true}, nil
 	}
 	if tcp, ok := c.schemes[SchemeTCP]; ok && framed {
 		return route{rt: tcp, addr: SchemeTCP + a.raw[len(a.scheme):], learned: a.host}, nil
@@ -253,7 +303,7 @@ func (c *Client) routeFor(a address) (route, error) {
 	if !ok {
 		return route{}, fmt.Errorf("transport: no binding for scheme %q (address %q)", a.scheme, a.raw)
 	}
-	return route{rt: rt, addr: a.raw, inline: a.scheme == "http"}, nil
+	return route{rt: rt, addr: a.raw, inline: a.scheme == "http", local: a.scheme == SchemeInproc}, nil
 }
 
 // newCall describes an outbound invocation for the interceptor chain.
@@ -283,13 +333,14 @@ func (c *Client) Invoke(ctx context.Context, to wsa.EndpointReference, action st
 }
 
 // outbound is what both terminal handlers do before the wire: pick the
-// route for the target, stamp WS-Addressing and serialize. On plain HTTP
-// the parts go inline as base64 into a copy: the caller's envelope keeps
-// them, for a retry that may find the port's frames. A frame is encoded
-// into pooled scratch, which the caller gives back (route.done) once the
-// exchange is over; every other route's bytes are an exact copy, which an
-// in-process callee decodes in place, net/http may read after its
-// exchange has returned and a wrapped binding may keep.
+// route for the target, stamp WS-Addressing and serialize. An in-process
+// route carries the caller's tree, which its binding copies per delivery
+// (readBack). On plain HTTP the parts go inline as base64 into a copy:
+// the caller's envelope keeps them, for a retry that may find the port's
+// frames. A frame is encoded into pooled scratch, which the caller gives
+// back (Message.release) once the exchange is over; any other bytes are
+// an exact copy, which net/http may read after its exchange has returned
+// and a wrapped binding may keep.
 func (c *Client) outbound(to wsa.EndpointReference, addr address, call *soap.CallInfo) (route, *Message, error) {
 	r, err := c.routeFor(addr)
 	if err != nil {
@@ -297,6 +348,9 @@ func (c *Client) outbound(to wsa.EndpointReference, addr address, call *soap.Cal
 	}
 	wsa.Apply(call.Request, to, call.Action)
 	env := call.Request
+	if r.local {
+		return r, &Message{Tree: env, Attachments: env.Attachments}, nil
+	}
 	if r.inline && len(env.Attachments) > 0 {
 		env = env.Clone()
 		env.InlineAttachments()
@@ -305,12 +359,11 @@ func (c *Client) outbound(to wsa.EndpointReference, addr address, call *soap.Cal
 	if _, frames := r.rt.(*TCPTransport); frames {
 		encode = encodeScratch
 	}
-	data, scratch, err := encode(env)
-	r.scratch = scratch
+	request, err := encode(env)
 	if err != nil {
 		return route{}, nil, err
 	}
-	return r, &Message{Envelope: data, Attachments: env.Attachments}, nil
+	return r, request, nil
 }
 
 // roundTrip is the terminal request-response handler under the chain.
@@ -323,16 +376,15 @@ func (c *Client) roundTrip(ctx context.Context, to wsa.EndpointReference, addr a
 		return nil, err
 	}
 	reply, err := r.rt.RoundTrip(ctx, r.addr, request)
-	r.done(request)
+	request.release()
 	if err != nil {
 		c.failed(r)
 		return nil, fmt.Errorf("transport: %s %s: %w", call.Action, to.Address, err)
 	}
-	resp, err := soap.Unmarshal(reply.Envelope)
+	resp, err := reply.open()
 	if err != nil {
 		return nil, fmt.Errorf("transport: bad response from %s: %w", to.Address, err)
 	}
-	resp.Attachments = reply.Attachments
 	if soap.IsFault(resp.Body) {
 		f, perr := soap.ParseFault(resp.Body)
 		if perr != nil {
@@ -376,7 +428,7 @@ func (c *Client) send(ctx context.Context, to wsa.EndpointReference, addr addres
 		return err
 	}
 	err = r.rt.Send(ctx, r.addr, request)
-	r.done(request)
+	request.release()
 	if err != nil {
 		var f *soap.Fault
 		if errors.As(err, &f) {
@@ -388,11 +440,11 @@ func (c *Client) send(ctx context.Context, to wsa.EndpointReference, addr addres
 	return nil
 }
 
-// refusal is the error of a one-way message answered by envelope instead
-// of a receipt: the fault it carries, the one reply a one-way message may
-// get.
-func refusal(envelope []byte) error {
-	env, err := soap.Unmarshal(envelope)
+// refusal is the error of a one-way message answered by a message
+// instead of a receipt: the fault it carries, the one reply a one-way
+// message may get.
+func refusal(answer *Message) error {
+	env, err := answer.open()
 	if err != nil {
 		return fmt.Errorf("transport: bad answer to a one-way message: %w", err)
 	}

@@ -108,19 +108,12 @@ func (e *Element) ChildrenNamed(name QName) []*Element {
 	return out
 }
 
-// Clone returns a deep copy of the element tree.
+// Clone returns a deep copy of the element tree, its nodes, child lists
+// and attribute lists from one slab (CloneEnvelope).
 func (e *Element) Clone() *Element {
-	if e == nil {
-		return nil
-	}
-	out := &Element{Name: e.Name, Text: e.Text, Attrs: slices.Clone(e.Attrs)}
-	if len(e.Children) > 0 {
-		out.Children = make([]*Element, len(e.Children))
-		for i, c := range e.Children {
-			out.Children[i] = c.Clone()
-		}
-	}
-	return out
+	var s slab
+	s.reserve(nil, e)
+	return s.copy(e)
 }
 
 // Equal reports deep equality of two element trees.

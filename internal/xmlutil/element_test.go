@@ -72,6 +72,15 @@ func TestElementCloneIsDeep(t *testing.T) {
 	}
 }
 
+// TestElementCloneAllocatesOneSlab: a copy takes its nodes, child lists
+// and attribute lists from one array each, not an allocation per node.
+func TestElementCloneAllocatesOneSlab(t *testing.T) {
+	doc := sampleDoc()
+	if allocs := testing.AllocsPerRun(100, func() { doc.Clone() }); allocs > 3 {
+		t.Errorf("Clone of a nine-node tree allocates %.0f times, want <= 3", allocs)
+	}
+}
+
 func TestElementEqualNegativeCases(t *testing.T) {
 	a := sampleDoc()
 	b := sampleDoc()

@@ -39,17 +39,24 @@ func MarshalElement(e *Element) ([]byte, error) {
 // as MarshalElement writes them.
 func MarshalEnvelope(ns string, headers []*Element, body *Element) ([]byte, error) {
 	return exact(func(dst []byte) ([]byte, error) {
-		return AppendEnvelope(dst, ns, headers, body)
+		enc := encoder{dst: dst}
+		ok := enc.envelope(ns, headers, body)
+		return enc.dst, enc.done(ok)
 	})
 }
 
-// AppendEnvelope appends what MarshalEnvelope returns to dst: the form
-// for a writer that owns reusable scratch and is done with the bytes
-// once they are written, where nothing decodes them in place.
-func AppendEnvelope(dst []byte, ns string, headers []*Element, body *Element) ([]byte, error) {
-	enc := encoder{dst: dst}
-	ok := enc.envelope(ns, headers, body)
-	return enc.dst, enc.done(ok)
+// MarshalScratch writes what MarshalEnvelope returns into a pooled
+// buffer: the form for a writer that is done with the bytes once they
+// are written, where nothing decodes them in place. The caller gives the
+// buffer back with ReleaseScratch.
+func MarshalScratch(ns string, headers []*Element, body *Element) (data []byte, bp *[]byte, err error) {
+	bp = scratch.Get().(*[]byte)
+	enc := encoder{dst: (*bp)[:0]}
+	if err := enc.done(enc.envelope(ns, headers, body)); err != nil {
+		ReleaseScratch(bp, enc.dst)
+		return nil, nil, err
+	}
+	return enc.dst, bp, nil
 }
 
 func (enc *encoder) envelope(ns string, headers []*Element, body *Element) bool {
@@ -74,7 +81,9 @@ func (enc *encoder) envelope(ns string, headers []*Element, body *Element) bool 
 	return true
 }
 
-// scratch recycles the buffers exact encodes into.
+// scratch recycles the buffers envelopes are encoded into: exact's, a
+// frame writer's (MarshalScratch) and ReadBackEnvelope's, which only
+// measures what it writes.
 var scratch = sync.Pool{New: func() any {
 	b := make([]byte, 0, 4<<10)
 	return &b
@@ -83,6 +92,15 @@ var scratch = sync.Pool{New: func() any {
 // maxPooledScratch keeps a rare huge document (inline content for a
 // plain SOAP requester) from pinning its buffer in the pool.
 const maxPooledScratch = 1 << 20
+
+// ReleaseScratch gives back bp, a buffer from MarshalScratch last grown
+// to used, once nothing reads used again.
+func ReleaseScratch(bp *[]byte, used []byte) {
+	if cap(used) <= maxPooledScratch {
+		*bp = used[:0]
+		scratch.Put(bp)
+	}
+}
 
 // exact runs encode on pooled scratch and returns one allocation of
 // exactly the bytes it wrote, so the document encoded before says
@@ -94,10 +112,7 @@ func exact(encode func(dst []byte) ([]byte, error)) ([]byte, error) {
 	if err == nil {
 		out = bytes.Clone(buf)
 	}
-	if cap(buf) <= maxPooledScratch {
-		*bp = buf[:0]
-		scratch.Put(bp)
-	}
+	ReleaseScratch(bp, buf)
 	return out, err
 }
 
@@ -114,6 +129,9 @@ type encoder struct {
 	// bad and why name what made the tree unencodable.
 	bad QName
 	why string
+	// rewrote records that escaped wrote U+FFFD for something that is no
+	// XML Char, so a reader reads a string back other than the one given.
+	rewrote bool
 }
 
 func (enc *encoder) fail(name QName, why string) bool {
@@ -258,11 +276,15 @@ func itoa(i int) string {
 	return string(buf[pos:])
 }
 
+// replacement is what escaped writes for a byte or rune that is no XML
+// Char.
+const replacement = "\uFFFD"
+
 // escapes is what escaped writes for each ASCII byte: "" for a byte
 // written as it is.
 var escapes = func() (t [utf8.RuneSelf]string) {
 	for c := 0; c < ' '; c++ {
-		t[c] = "\uFFFD"
+		t[c] = replacement
 	}
 	t['&'], t['<'], t['>'], t['"'], t['\''] = "&amp;", "&lt;", "&gt;", "&#34;", "&#39;"
 	t['\t'], t['\n'], t['\r'] = "&#x9;", "&#xA;", "&#xD;"
@@ -289,7 +311,10 @@ func (enc *encoder) escaped(s string) {
 				i += width
 				continue
 			}
-			esc = "\uFFFD"
+			esc = replacement
+		}
+		if esc == replacement {
+			enc.rewrote = true
 		}
 		enc.dst = append(enc.dst, s[last:i]...)
 		enc.dst = append(enc.dst, esc...)

@@ -150,7 +150,11 @@ func gluedAttrs(tag []byte) bool {
 //     unless encoding/xml refuses a name XML 1.0's fifth edition admits
 //     (encoding/xml carries the fourth edition's tables);
 //   - every tree the codec reads encodes, decodes back Equal, and reads
-//     the same under encoding/xml.
+//     the same under encoding/xml;
+//   - an envelope's read-back copy (ReadBackEnvelope, what an in-process
+//     route hands its receiver) is Equal to what its encoding decodes
+//     to, for the tree the codec reads and for one whose strings are raw
+//     pieces of the input.
 func FuzzCodecEquivalence(f *testing.F) {
 	// Captured wire envelopes from the services (scheduler submit,
 	// WS-Addressing headers, notification delivery, resource property
@@ -186,6 +190,7 @@ func FuzzCodecEquivalence(f *testing.F) {
 		f.Add([]byte(r.seed))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		checkReadBack(t, rough(data))
 		got, err := UnmarshalElement(data)
 		ref, refErr := oracleUnmarshal(data)
 		switch {
@@ -215,7 +220,70 @@ func FuzzCodecEquivalence(f *testing.F) {
 		if ref, err := oracleUnmarshal(enc); err == nil && !ref.Equal(got) || err != nil && !isNameError(err) {
 			t.Fatalf("encoding/xml reads the encoding %q of %q as %s (%v), want %s", enc, data, ref, err, got)
 		}
+		checkReadBack(t, got)
 	})
+}
+
+// envelopeNS is the namespace checkReadBack's envelopes are in.
+const envelopeNS = "http://www.w3.org/2003/05/soap-envelope"
+
+// checkReadBack holds ReadBackEnvelope to the bytes MarshalEnvelope
+// writes: for an envelope whose body is tree and whose header blocks are
+// tree's children, both refuse it, or the copy is Equal to what those
+// bytes decode to and its size is their length.
+func checkReadBack(t *testing.T, tree *Element) {
+	t.Helper()
+	headers := tree.Children
+	hs, body, size, err := ReadBackEnvelope(envelopeNS, headers, tree)
+	wire, werr := MarshalEnvelope(envelopeNS, headers, tree)
+	if (err == nil) != (werr == nil) {
+		t.Fatalf("read back of %s: %v; marshal: %v", tree, err, werr)
+	}
+	if err != nil {
+		return
+	}
+	root, err := UnmarshalElement(wire)
+	if err != nil {
+		t.Fatalf("cannot decode the envelope %q: %v", wire, err)
+	}
+	var wantHeaders []*Element
+	if h := root.Child(Q(envelopeNS, "Header")); h != nil {
+		wantHeaders = h.Children
+	}
+	wantBody := root.Child(Q(envelopeNS, "Body")).Children[0]
+	same := len(hs) == len(wantHeaders) && body.Equal(wantBody) && size == len(wire)
+	for i := 0; same && i < len(hs); i++ {
+		same = hs[i].Equal(wantHeaders[i])
+	}
+	if !same {
+		t.Fatalf("read back of %q (%d bytes) as %v %s, want %v %s", wire, size, hs, body, wantHeaders, wantBody)
+	}
+}
+
+// rough is a tree whose strings are raw pieces of data — text with the
+// white space, control characters and invalid UTF-8 no decoded tree
+// holds, namespaces as odd, and a name set twice out of canonical order —
+// the trees a sender may build and a reader never sees.
+func rough(data []byte) *Element {
+	pieces := make([]string, 4)
+	for i := range pieces {
+		pieces[i] = string(data[i*len(data)/4 : (i+1)*len(data)/4])
+	}
+	return &Element{
+		Name: Q(pieces[0], "r"),
+		Text: pieces[1],
+		Attrs: []Attr{
+			{Name: Q(pieces[2], "b"), Value: pieces[3]},
+			{Name: Q("", "a"), Value: pieces[0]},
+			{Name: Q("", "a"), Value: pieces[1]},
+		},
+		Children: []*Element{
+			{Name: Q("", "c"), Text: pieces[2]},
+			{Name: Q(pieces[3], "d"), Text: pieces[3], Children: []*Element{
+				{Name: Q(pieces[1], "e"), Text: string(data)},
+			}},
+		},
+	}
 }
 
 // isNameError reports whether encoding/xml refused a name: one it reads

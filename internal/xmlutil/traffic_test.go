@@ -19,9 +19,10 @@ import (
 )
 
 var (
-	trafficOnce sync.Once
-	traffic     [][]byte
-	trafficErr  error
+	trafficOnce  sync.Once
+	traffic      [][]byte
+	trafficTrees []*soap.Envelope
+	trafficErr   error
 )
 
 // gridTraffic is every envelope an in-process grid exchanged while it ran
@@ -30,14 +31,22 @@ var (
 // job's path, in the proportions a grid sends it.
 func gridTraffic(tb testing.TB) [][]byte {
 	tb.Helper()
-	trafficOnce.Do(func() { traffic, trafficErr = captureGridTraffic() })
+	trafficOnce.Do(func() { traffic, trafficTrees, trafficErr = captureGridTraffic() })
 	if trafficErr != nil {
 		tb.Fatal(trafficErr)
 	}
 	return traffic
 }
 
-func captureGridTraffic() ([][]byte, error) {
+// gridTrafficTrees is the same traffic as the trees that were sent:
+// copies of each request as its sender stamped it and of each reply as
+// its caller received it.
+func gridTrafficTrees(tb testing.TB) []*soap.Envelope {
+	gridTraffic(tb)
+	return trafficTrees
+}
+
+func captureGridTraffic() ([][]byte, []*soap.Envelope, error) {
 	grid, err := core.NewGrid(core.GridConfig{
 		Nodes: []core.NodeSpec{
 			{Name: "win-a", Cores: 4, SpeedMHz: 2800},
@@ -46,7 +55,7 @@ func captureGridTraffic() ([][]byte, error) {
 		Accounts: wssec.StaticAccounts{"scientist": "secret"},
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer grid.Close()
 
@@ -55,6 +64,7 @@ func captureGridTraffic() ([][]byte, error) {
 	// reply are what crossed the wire.
 	var mu sync.Mutex
 	var wire [][]byte
+	var trees []*soap.Envelope
 	var unencoded error
 	record := func(env *soap.Envelope) {
 		if env == nil {
@@ -68,6 +78,7 @@ func captureGridTraffic() ([][]byte, error) {
 			return
 		}
 		wire = append(wire, data)
+		trees = append(trees, env.Clone())
 	}
 	grid.Client.Use(func(ctx context.Context, call *soap.CallInfo, next soap.Handler) (*soap.Envelope, error) {
 		resp, err := next(ctx, call)
@@ -78,7 +89,7 @@ func captureGridTraffic() ([][]byte, error) {
 
 	client, err := grid.NewClient(wssec.Credentials{Username: "scientist", Password: "secret"}, false)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer client.Close()
 	client.AddFile("work.app", core.Script("write out.txt done", "exit 0"))
@@ -106,16 +117,16 @@ func captureGridTraffic() ([][]byte, error) {
 	for _, spec := range []*core.JobSet{bag.Spec(), chain.Spec(), wide.Spec()} {
 		sub, err := client.Submit(ctx, spec)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if status, err := sub.Wait(ctx); err != nil || status != scheduler.SetCompleted {
 			_, detail := sub.Status()
-			return nil, fmt.Errorf("job set %s ended %s (%s): %v", spec.Name, status, detail, err)
+			return nil, nil, fmt.Errorf("job set %s ended %s (%s): %v", spec.Name, status, detail, err)
 		}
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	return wire, unencoded
+	return wire, trees, unencoded
 }
 
 // TestGridTrafficMatchesOracle: every message a grid sends while it runs
@@ -146,6 +157,34 @@ func TestGridTrafficMatchesOracle(t *testing.T) {
 	}
 	if wide < 20 {
 		t.Errorf("%d messages carry a non-ASCII name; the non-ASCII set sends more", wide)
+	}
+}
+
+// TestGridTrafficReadsBackAsDecoded: every tree a grid sends, handed to
+// an in-process receiver, is the tree a reader decodes from its encoding
+// (the in-process route's contract), and its size is that encoding's
+// length.
+func TestGridTrafficReadsBackAsDecoded(t *testing.T) {
+	for i, env := range gridTrafficTrees(t) {
+		wire, err := env.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := soap.Unmarshal(wire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, size, err := env.ReadBack()
+		if err != nil {
+			t.Fatalf("message %d: %v", i, err)
+		}
+		same := size == len(wire) && len(got.Headers) == len(want.Headers) && got.Body.Equal(want.Body)
+		for h := 0; same && h < len(got.Headers); h++ {
+			same = got.Headers[h].Equal(want.Headers[h])
+		}
+		if !same {
+			t.Errorf("message %d reads back differently (%d bytes, want %d):\n got: %v %s\nwant: %v %s", i, size, len(wire), got.Headers, got.Body, want.Headers, want.Body)
+		}
 	}
 }
 
