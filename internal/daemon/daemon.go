@@ -38,9 +38,9 @@ func RegisterFlags(fs *flag.FlagSet) *Flags {
 	f := &Flags{}
 	fs.BoolVar(&f.Metrics, "metrics", false, "dump per-action call metrics on exit")
 	fs.BoolVar(&f.Trace, "trace", false, "log one line per call with its request ID")
-	fs.StringVar(&f.DataDir, "data-dir", "", "durable data directory (WAL + snapshot): every state change is journaled and survives a crash")
+	fs.StringVar(&f.DataDir, "data-dir", "", "durable data directory (a WAL, compacted into checkpoint segments): every state change is journaled and survives a crash")
 	fs.BoolVar(&f.Fsync, "fsync", true, "fsync each WAL group commit (with -data-dir); off trades machine-crash safety for throughput")
-	fs.Int64Var(&f.CompactBytes, "compact-bytes", 8<<20, "WAL bytes that trigger background snapshot compaction (with -data-dir); negative disables")
+	fs.Int64Var(&f.CompactBytes, "compact-bytes", 8<<20, "WAL bytes since the last checkpoint that trigger a background compaction into a new one (with -data-dir); negative disables")
 	return f
 }
 
@@ -156,7 +156,7 @@ func (h *Host) Shutdown(stop, stopServices func(), metrics io.Writer) {
 	h.DumpMetrics(metrics)
 }
 
-// Close folds the WAL into a snapshot, so the next start replays
+// Close folds the WAL into a checkpoint, so the next start replays
 // little, and stops journaling cleanly. A host without -data-dir has
 // nothing to close.
 func (h *Host) Close() {

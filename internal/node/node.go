@@ -225,18 +225,20 @@ func (n *Node) reportUtilization(float64) {
 	_, _ = n.client.Call(ctx, n.cfg.NIS, nodeinfo.ActionReport, nodeinfo.ReportRequest(n.Processor()))
 }
 
-// Register announces the machine to the NIS (initial catalog entry) and
-// takes the first utilization sample.
+// Register announces the machine to the NIS (initial catalog entry). The
+// reading it sends is the monitor's last report, so the first sample
+// reports only a change from it.
 func (n *Node) Register(ctx context.Context) error {
 	if n.cfg.NIS.IsZero() {
 		return fmt.Errorf("node: %s has no NIS configured", n.Name)
 	}
 	// Registration is answered before Register returns, so the machine is
 	// visible to the Scheduler from then on.
-	if _, err := n.client.Call(ctx, n.cfg.NIS, nodeinfo.ActionReport, nodeinfo.ReportRequest(n.Processor())); err != nil {
+	p := n.Processor()
+	if _, err := n.client.Call(ctx, n.cfg.NIS, nodeinfo.ActionReport, nodeinfo.ReportRequest(p)); err != nil {
 		return err
 	}
-	n.Monitor.Sample()
+	n.Monitor.Reported(p.Utilization)
 	return nil
 }
 

@@ -1,9 +1,9 @@
 package node
 
 import (
-	"bytes"
 	"context"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -14,6 +14,7 @@ import (
 	"uvacg/internal/services/nodeinfo"
 	"uvacg/internal/soap"
 	"uvacg/internal/transport"
+	"uvacg/internal/wal"
 	"uvacg/internal/wsa"
 	"uvacg/internal/wsn"
 	"uvacg/internal/wsrf"
@@ -157,6 +158,36 @@ func TestNodeUtilizationStreamReachesNIS(t *testing.T) {
 	}
 }
 
+// TestRegisterSendsOneReport: the reading Register sends is the
+// monitor's last report, so a sample of the unchanged machine right
+// after it reports nothing. The first sample used to notify whatever it
+// read, a second, identical Report at once.
+func TestRegisterSendsOneReport(t *testing.T) {
+	network := transport.NewNetwork()
+	var reports atomic.Int32
+	nis := soap.NewDispatcher()
+	nis.Register(nodeinfo.ActionReport, func(context.Context, *soap.Envelope) (*soap.Envelope, error) {
+		reports.Add(1)
+		return soap.New(xmlutil.NewElement(xmlutil.Q(nodeinfo.NS, "ReportResponse"), "")), nil
+	})
+	mux := soap.NewMux()
+	mux.Handle("/NodeInfoService", nis)
+	network.Register("master", transport.NewServer(mux))
+	n, err := New(Config{Name: "win-a", Network: network, Client: transport.NewClient().WithNetwork(network),
+		Cores: 2, NIS: wsa.NewEPR("inproc://master/NodeInfoService")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Stop()
+	if err := n.Register(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	n.Monitor.Sample()
+	if got := reports.Load(); got != 1 {
+		t.Fatalf("Register and a sample of the unchanged machine sent %d Reports, want 1", got)
+	}
+}
+
 func TestNodeCertificateStable(t *testing.T) {
 	network := transport.NewNetwork()
 	client := transport.NewClient().WithNetwork(network)
@@ -176,8 +207,8 @@ func TestNodeCertificateStable(t *testing.T) {
 // TestNodeTablesKeepTheirJournaledCodec: a fresh node stores its job and
 // directory resources as blobs — nothing reads the structured codec's
 // property index, which every Put would rebuild — but a -data-dir written
-// when they were structured names that codec in its WAL and snapshot and
-// keeps it, rows and all: nothing migrates.
+// when they were structured names that codec in its WAL and keeps it,
+// rows and all, through a compaction: nothing migrates.
 func TestNodeTablesKeepTheirJournaledCodec(t *testing.T) {
 	dir := t.TempDir()
 	old, err := resourcedb.OpenDurable(dir, resourcedb.DurableOptions{})
@@ -208,19 +239,32 @@ func TestNodeTablesKeepTheirJournaledCodec(t *testing.T) {
 	if doc, ok, err := jobs.Get("j1"); err != nil || !ok || !doc.Equal(row) {
 		t.Fatalf("row written by the old codec: %v, found %v, err %v", doc, ok, err)
 	}
-	// A snapshot names each table's codec after the table's name, each as
-	// a length byte and the bytes.
-	var snap bytes.Buffer
-	if err := n.Store.Save(&snap); err != nil {
+	// A checkpoint names each row's codec: the jobs table keeps the one
+	// it was journaled with, and the directories table, never journaled
+	// before, is declared afresh as a blob table.
+	dirs, ok := n.Store.Table("directories")
+	if !ok {
+		t.Fatal("the node declared no directories table")
+	}
+	if err := dirs.Put("d1", row); err != nil {
+		t.Fatal(err)
+	}
+	if err := reopened.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	stored := make(map[string]string)
+	if _, err := wal.Replay(dir, func(rec wal.Record) error {
+		stored[rec.Table] = rec.Codec
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
 	for table, codec := range map[string]resourcedb.Codec{
 		"jobs":        resourcedb.StructuredCodec{},
-		"directories": resourcedb.BlobCodec{}, // never journaled: declared afresh
+		"directories": resourcedb.BlobCodec{},
 	} {
-		header := append(append([]byte{byte(len(table))}, table...), byte(len(codec.Name())))
-		if !bytes.Contains(snap.Bytes(), append(header, codec.Name()...)) {
-			t.Errorf("the %s table is not stored with the %s codec", table, codec.Name())
+		if stored[table] != codec.Name() {
+			t.Errorf("the %s table is stored with the %q codec, want %q", table, stored[table], codec.Name())
 		}
 	}
 }

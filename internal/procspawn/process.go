@@ -71,6 +71,3 @@ func (p *Process) killRequested() bool {
 		return false
 	}
 }
-
-// Done exposes the completion channel for select loops.
-func (p *Process) Done() <-chan struct{} { return p.done }

@@ -58,7 +58,7 @@ func spawnAndWait(t *testing.T, sp *Spawner, spec SpawnSpec) *Process {
 // code.
 func waitExit(ctx context.Context, p *Process) (int, error) {
 	select {
-	case <-p.Done():
+	case <-p.done:
 		code, _ := p.ExitCode()
 		return code, nil
 	case <-ctx.Done():

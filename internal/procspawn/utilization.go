@@ -94,6 +94,15 @@ func (m *UtilizationMonitor) Sample() bool {
 	return shouldNotify
 }
 
+// Reported records utilization as the last reported value, sent by
+// someone else: the next sample notifies only if it moved past the
+// threshold from there.
+func (m *UtilizationMonitor) Reported(utilization float64) {
+	m.mu.Lock()
+	m.lastReported, m.reported = utilization, true
+	m.mu.Unlock()
+}
+
 func abs(f float64) float64 {
 	if f < 0 {
 		return -f

@@ -23,7 +23,7 @@ import (
 
 // Codec serializes resource state documents into row bytes.
 type Codec interface {
-	// Name identifies the codec in snapshots ("structured", "blob").
+	// Name identifies the codec in WAL records ("structured", "blob").
 	Name() string
 	// Encode serializes a state document.
 	Encode(doc *xmlutil.Element) ([]byte, error)
@@ -55,8 +55,8 @@ func (BlobCodec) Encode(doc *xmlutil.Element) ([]byte, error) {
 // Decode implements Codec. The document's strings may point into data
 // (see xmlutil.UnmarshalElement): once a row is passed here the document
 // owns it, and nobody may write to it again. Rows are never written in
-// place: Put stores Encode's fresh copy, and replay and snapshot load
-// read each row into a buffer of its own.
+// place: Put stores Encode's fresh copy, and replay reads each row into
+// a buffer of its own.
 func (BlobCodec) Decode(data []byte) (*xmlutil.Element, error) {
 	return xmlutil.UnmarshalElement(data)
 }

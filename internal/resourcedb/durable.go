@@ -15,17 +15,17 @@ import (
 // DurableStore is a Store whose every table mutation is write-ahead
 // logged before it is acknowledged: the crash-safe replacement for the
 // explicit whole-store snapshots WSRF.NET leans on its ODBC database
-// for. Open replays snapshot + log to the last committed write;
-// compaction folds the log back into the UVDB1 snapshot format and
-// truncates old segments.
+// for. The log is the only format on disk: compaction writes a
+// checkpoint segment holding every live row in the place of the
+// segment it seals and removes the segments below it, and Open replays
+// from the newest checkpoint to the last committed write.
 //
 // Layout under the data directory:
 //
-//	snapshot.db          last compacted UVDB1 snapshot (may be absent)
 //	wal-<index>.log      CRC-framed segments, replayed in index order
+//	                     from the newest checkpoint segment
 type DurableStore struct {
 	*Store
-	dir  string
 	opts DurableOptions
 	log  *wal.Log
 
@@ -57,12 +57,11 @@ type DurableOptions struct {
 	Metrics *pipeline.Metrics
 }
 
-const snapshotFile = "snapshot.db"
-
 // OpenDurable opens (or creates) the durable store rooted at dir,
-// recovering its state from the last snapshot plus the committed WAL
-// suffix. Tables created afterwards via MustTable are
-// journaled automatically.
+// recovering its state from the newest checkpoint plus the committed
+// WAL after it. Tables created afterwards via MustTable are journaled
+// automatically. A directory still holding a snapshot file of the
+// retired format is refused, not half-read.
 func OpenDurable(dir string, opts DurableOptions) (*DurableStore, error) {
 	if opts.CompactBytes == 0 {
 		opts.CompactBytes = 8 << 20
@@ -70,18 +69,15 @@ func OpenDurable(dir string, opts DurableOptions) (*DurableStore, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	ds := &DurableStore{Store: NewStore(), dir: dir, opts: opts}
+	ds := &DurableStore{Store: NewStore(), opts: opts}
 	ds.Store.journal = ds
 
-	start := time.Now()
-	snapPath := filepath.Join(dir, snapshotFile)
-	if _, err := os.Stat(snapPath); err == nil {
-		if err := ds.Store.LoadFile(snapPath); err != nil {
-			return nil, fmt.Errorf("resourcedb: load snapshot: %w", err)
-		}
+	if _, err := os.Stat(filepath.Join(dir, "snapshot.db")); err == nil {
+		return nil, fmt.Errorf("resourcedb: %s holds snapshot.db, a snapshot format this store no longer reads", dir)
 	} else if !os.IsNotExist(err) {
 		return nil, err
 	}
+	start := time.Now()
 	stats, err := wal.Replay(dir, ds.applyRecord)
 	if err != nil {
 		return nil, fmt.Errorf("resourcedb: wal replay: %w", err)
@@ -99,17 +95,19 @@ func OpenDurable(dir string, opts DurableOptions) (*DurableStore, error) {
 	// The growth trigger in maybeCompact counts only bytes written by
 	// this process; segments inherited from the last run would otherwise
 	// be invisible to it, leaving restart-heavy workloads paying full
-	// replay cost forever. Pay the replay debt down now.
+	// replay cost forever. Pay the replay debt — the log since the
+	// newest checkpoint, not the checkpoint itself — down now.
 	if opts.CompactBytes >= 0 && log.SizeBytes() >= opts.CompactBytes {
 		ds.kickCompaction()
 	}
 	return ds, nil
 }
 
-// applyRecord replays one journaled mutation onto the in-memory tables.
-// Replayed puts overwrite and replayed deletes tolerate missing rows,
-// so a log suffix overlapping the snapshot (the compaction boundary)
-// re-applies harmlessly.
+// applyRecord replays one journaled mutation onto the in-memory tables:
+// a checkpoint's rows and the log after it (Replay delivers no
+// checkpoint record). Replayed puts overwrite and replayed deletes
+// tolerate missing rows, so commits that a checkpoint already holds and
+// that replay again after it re-apply harmlessly.
 func (ds *DurableStore) applyRecord(rec wal.Record) error {
 	switch rec.Op {
 	case wal.OpPut:
@@ -181,22 +179,16 @@ func (ds *DurableStore) kickCompaction() {
 	}()
 }
 
-// Compact folds the committed log into a fresh snapshot and deletes the
-// segments it covers: rotate the WAL (sealing everything enqueued so
-// far below the returned boundary), snapshot the tables, then drop the
-// sealed segments. Records landing in the fresh segment during the
-// snapshot may appear in both — replay is idempotent, so the overlap is
-// harmless. Safe to call concurrently with commits.
+// Compact folds the committed log into a checkpoint segment holding
+// every live row and deletes the segments below it (wal.Log.Checkpoint).
+// Records landing in the fresh segment while the rows are written may
+// appear in both — replay is idempotent, so the overlap is harmless.
+// Safe to call concurrently with commits.
 func (ds *DurableStore) Compact() error {
 	ds.compactMu.Lock()
 	defer ds.compactMu.Unlock()
 	start := time.Now()
-	bound, err := ds.log.Rotate()
-	if err == nil {
-		if err = ds.Store.SaveFile(filepath.Join(ds.dir, snapshotFile)); err == nil {
-			err = ds.log.RemoveSegmentsBelow(bound)
-		}
-	}
+	err := ds.log.Checkpoint(ds.putRows)
 	if ds.opts.Metrics != nil {
 		ds.opts.Metrics.Record(pipeline.Key{Path: "/wal", Action: "compact"}, time.Since(start), err != nil)
 	}
@@ -205,6 +197,41 @@ func (ds *DurableStore) Compact() error {
 	}
 	ds.bytesAtCompact.Store(ds.log.Stats().Bytes)
 	ds.compactions.Add(1)
+	return nil
+}
+
+// putRows adds every live row as a put. Each table's rows are collected
+// under its read lock and written with no lock held: a stored row is
+// never written to, since Put swaps whole slices.
+func (ds *DurableStore) putRows(add func(wal.Record) error) error {
+	ds.Store.mu.RLock()
+	tables := make([]*Table, 0, len(ds.Store.tables))
+	for _, t := range ds.Store.tables {
+		tables = append(tables, t)
+	}
+	ds.Store.mu.RUnlock()
+	type row struct {
+		id   string
+		data []byte
+	}
+	var rows []row
+	for _, t := range tables {
+		t.mu.RLock()
+		if cap(rows) < len(t.rows) {
+			rows = make([]row, 0, len(t.rows))
+		}
+		rows = rows[:0]
+		for id, data := range t.rows {
+			rows = append(rows, row{id, data})
+		}
+		t.mu.RUnlock()
+		codec := t.codec.Name()
+		for _, r := range rows {
+			if err := add(wal.Record{Op: wal.OpPut, Table: t.name, Codec: codec, ID: r.id, Row: r.data}); err != nil {
+				return err
+			}
+		}
+	}
 	return nil
 }
 
@@ -222,7 +249,7 @@ type DurabilityStats struct {
 	ReplayedRecords uint64 // records replayed by OpenDurable
 	TornTail        bool   // last recovery ended at a torn frame
 	Compactions     uint64
-	WALBytes        int64 // live segment bytes (replay debt)
+	WALBytes        int64 // segment bytes since the newest checkpoint (replay debt)
 }
 
 // Stats returns current durability counters.

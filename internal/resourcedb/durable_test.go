@@ -21,7 +21,7 @@ func openDurable(t *testing.T, dir string, opts DurableOptions) *DurableStore {
 
 // TestDurableRoundTripRestart: puts and deletes made against a durable
 // store are all there after close + reopen, decoded through the same
-// codecs, with no snapshot ever written (pure log replay).
+// codecs, with no compaction ever run (pure log replay).
 func TestDurableRoundTripRestart(t *testing.T) {
 	dir := t.TempDir()
 	ds := openDurable(t, dir, DurableOptions{Sync: true, CompactBytes: -1})
@@ -181,10 +181,10 @@ func TestDurableCrashAtEveryWritePoint(t *testing.T) {
 	}
 }
 
-// TestDurableCompaction: Compact writes the snapshot, drops the sealed
-// segments, and a reopen recovers snapshot + post-compaction log suffix
-// — including a table first created after the snapshot, whose codec
-// rides in the WAL records.
+// TestDurableCompaction: Compact writes a checkpoint segment, drops the
+// segments below it, and a reopen recovers checkpoint + post-compaction
+// log suffix — including a table first created after the checkpoint,
+// whose codec rides in the WAL records.
 func TestDurableCompaction(t *testing.T) {
 	dir := t.TempDir()
 	ds := openDurable(t, dir, DurableOptions{Sync: true, CompactBytes: -1})
@@ -205,10 +205,10 @@ func TestDurableCompaction(t *testing.T) {
 	if st.WALBytes >= preCompact {
 		t.Fatalf("compaction did not shrink the log: %d -> %d", preCompact, st.WALBytes)
 	}
-	if _, err := os.Stat(filepath.Join(dir, snapshotFile)); err != nil {
-		t.Fatalf("snapshot missing after compaction: %v", err)
+	if segs := onlySegments(t, dir); len(segs) != 2 {
+		t.Fatalf("after compaction the log is %+v, want the checkpoint and the active segment", segs)
 	}
-	// Mutations after the snapshot, on an existing and a brand-new table.
+	// Mutations after the checkpoint, on an existing and a brand-new table.
 	if err := jobs.Put("post", jobDoc("Queued", 99)); err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestDurableCompaction(t *testing.T) {
 	}
 	late2, ok := ds2.Table("late")
 	if !ok {
-		t.Fatal("table created after snapshot not recovered")
+		t.Fatal("table created after the checkpoint not recovered")
 	}
 	if late2.codec.Name() != "blob" {
 		t.Fatalf("late codec = %q", late2.codec.Name())
@@ -249,7 +249,7 @@ func TestDurableCompaction(t *testing.T) {
 }
 
 // TestDurableAutoCompaction: commits past CompactBytes kick a background
-// compaction that produces a snapshot without any explicit call.
+// compaction that writes a checkpoint without any explicit call.
 func TestDurableAutoCompaction(t *testing.T) {
 	dir := t.TempDir()
 	ds := openDurable(t, dir, DurableOptions{CompactBytes: 4096})
@@ -265,9 +265,7 @@ func TestDurableAutoCompaction(t *testing.T) {
 	if ds.Stats().Compactions == 0 {
 		t.Fatal("no automatic compaction after 200 commits past the threshold")
 	}
-	if _, err := os.Stat(filepath.Join(dir, snapshotFile)); err != nil {
-		t.Fatalf("snapshot missing: %v", err)
-	}
+	onlySegments(t, dir)
 	ds2 := openDurable(t, dir, DurableOptions{CompactBytes: -1})
 	defer ds2.Close()
 	jobs2, _ := ds2.Table("jobs")
@@ -311,33 +309,5 @@ func TestDurableMetrics(t *testing.T) {
 	defer ds2.Close()
 	if s := m2.Snapshot()[pipeline.Key{Path: "/wal", Action: "replay"}]; s.Calls != 1 {
 		t.Fatalf("reopen replay metric calls = %d", s.Calls)
-	}
-}
-
-// TestDurableCorruptSnapshotRefused: a durable store with a corrupted
-// snapshot refuses to open rather than recovering partial state.
-func TestDurableCorruptSnapshotRefused(t *testing.T) {
-	dir := t.TempDir()
-	ds := openDurable(t, dir, DurableOptions{CompactBytes: -1})
-	jobs := ds.MustTable("jobs", BlobCodec{})
-	if err := jobs.Put("j1", jobDoc("Running", 1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := ds.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if err := ds.Close(); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, snapshotFile)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenDurable(dir, DurableOptions{CompactBytes: -1}); err == nil {
-		t.Fatal("OpenDurable accepted a truncated snapshot")
 	}
 }

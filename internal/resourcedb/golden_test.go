@@ -38,7 +38,7 @@ func goldenDoc() *xmlutil.Element {
 // TestRowsWrittenBeforeSliceAttributesReadBack: the rows under testdata
 // were written by the codecs when attributes were a map sorted at encode
 // time. Each must decode to the document and re-encode to its own bytes,
-// so journals and snapshots already on disk keep their meaning. A blob
+// so journals and checkpoints already on disk keep their meaning. A blob
 // row encoding/xml wrote, while it wrote the rows the hand-written
 // encoder refused (here for a non-ASCII text), must decode too; the
 // codec writes it differently now, so only the document is compared.

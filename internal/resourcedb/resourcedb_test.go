@@ -1,11 +1,8 @@
 package resourcedb
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -283,79 +280,5 @@ func TestStoreTables(t *testing.T) {
 	s.MustTable("dirs", BlobCodec{})
 	if _, ok := s.Table("ghost"); ok || len(s.tables) != 2 {
 		t.Fatalf("%d tables, want jobs and dirs", len(s.tables))
-	}
-}
-
-func TestStoreSnapshotRoundTrip(t *testing.T) {
-	s := NewStore()
-	jobs := s.MustTable("jobs", StructuredCodec{})
-	dirs := s.MustTable("dirs", BlobCodec{})
-	for i := 0; i < 10; i++ {
-		if err := jobs.Put(fmt.Sprintf("j%d", i), jobDoc("Running", i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := dirs.Put("d1", xmlutil.NewElement(xmlutil.Q(nsT, "Path"), "/grid/tmp")); err != nil {
-		t.Fatal(err)
-	}
-
-	var buf bytes.Buffer
-	if err := s.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	restored := NewStore()
-	if err := restored.Load(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	rj, ok := restored.Table("jobs")
-	if !ok || rj.Len() != 10 {
-		t.Fatalf("jobs table lost: ok=%v", ok)
-	}
-	if rj.codec.Name() != "structured" {
-		t.Errorf("codec = %q", rj.codec.Name())
-	}
-	// Index must be rebuilt on load.
-	got, err := rj.QueryProperty("Status", "Running")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 10 {
-		t.Fatalf("restored query = %v", got)
-	}
-	rd, _ := restored.Table("dirs")
-	doc, ok, err := rd.Get("d1")
-	if err != nil || !ok || doc.Text != "/grid/tmp" {
-		t.Fatalf("dirs row: %v %v %v", doc, ok, err)
-	}
-}
-
-func TestStoreSnapshotFile(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "grid.db")
-	s := NewStore()
-	if err := s.MustTable("jobs", BlobCodec{}).Put("j1", jobDoc("Exited", 3)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	restored := NewStore()
-	if err := restored.LoadFile(path); err != nil {
-		t.Fatal(err)
-	}
-	tbl, _ := restored.Table("jobs")
-	if !tbl.Exists("j1") {
-		t.Fatal("row lost through file snapshot")
-	}
-	// Atomic save leaves no temp file behind.
-	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
-		t.Errorf("temp file left behind: %v", err)
-	}
-}
-
-func TestStoreLoadRejectsGarbage(t *testing.T) {
-	s := NewStore()
-	if err := s.Load(strings.NewReader("not a snapshot")); err == nil {
-		t.Fatal("garbage snapshot accepted")
 	}
 }

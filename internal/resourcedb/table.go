@@ -46,16 +46,6 @@ func NewTable(name string, codec Codec) *Table {
 	return t
 }
 
-// Name returns the table name.
-func (t *Table) Name() string { return t.name }
-
-// Len returns the row count.
-func (t *Table) Len() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.rows)
-}
-
 // Put stores doc as the state of resource id, replacing any prior state.
 func (t *Table) Put(id string, doc *xmlutil.Element) error {
 	if id == "" {

@@ -281,11 +281,15 @@ func TestSharedContentUnderConcurrentUse(t *testing.T) {
 		}
 		waitCtx, cancel := context.WithTimeout(ctx, 10*time.Second)
 		defer cancel()
-		select {
-		case <-p.Done():
-			return nil
-		case <-waitCtx.Done():
-			return waitCtx.Err()
+		for {
+			if _, exited := p.ExitCode(); exited {
+				return nil
+			}
+			select {
+			case <-waitCtx.Done():
+				return waitCtx.Err()
+			case <-time.After(time.Millisecond):
+			}
 		}
 	})
 	everyoneHadTurns := func() bool {

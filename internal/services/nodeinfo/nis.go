@@ -76,7 +76,6 @@ type Processor struct {
 // Service is the NIS.
 type Service struct {
 	svc *wsrf.Service
-	now func() time.Time
 }
 
 // Config assembles a NIS.
@@ -96,7 +95,7 @@ func New(cfg Config) (*Service, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Service{svc: svc, now: time.Now}
+	s := &Service{svc: svc}
 	svc.Enable(wsrf.ResourcePropertiesPortType{})
 	svc.Enable(wsrf.ServiceGroupPortType{})
 	svc.RegisterServiceMethod(ActionReport, s.handleReport)
@@ -201,7 +200,7 @@ func (s *Service) handleReport(ctx context.Context, inv *wsrf.Invocation, body *
 		return nil, soap.SenderFault("%v", err)
 	}
 	p.ES = member
-	content := processorContent(p, s.now())
+	content := processorContent(p, time.Now())
 	if err := s.svc.UpdateResource(GroupResourceID, func(doc *xmlutil.Element) error {
 		wsrf.AddEntry(doc, member, content)
 		return nil

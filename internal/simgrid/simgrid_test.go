@@ -97,13 +97,20 @@ func TestRestartOverUnopenableStoreIsAHarnessError(t *testing.T) {
 	done := make(chan struct{})
 	sabotaged := make(chan error, 1)
 	go func() {
-		// Once the first incarnation has its store open, a directory goes
-		// where its snapshot would: the running store never looks there
-		// again, the reopening one cannot load it.
+		// Once the first incarnation has its store open, two segments of
+		// garbage go far above its own: the running store never reads its
+		// log, the reopening one finds the lower of them sealed, not a
+		// torn tail, and refuses it as corruption.
 		master := filepath.Join(dir, MasterHost)
 		for {
 			if segs, _ := filepath.Glob(filepath.Join(master, "wal-*.log")); len(segs) > 0 {
-				sabotaged <- os.Mkdir(filepath.Join(master, "snapshot.db"), 0o755)
+				var err error
+				for _, index := range []int{1 << 40, 1<<40 + 1} {
+					if err == nil {
+						err = os.WriteFile(filepath.Join(master, fmt.Sprintf("wal-%016x.log", index)), []byte("garbage"), 0o644)
+					}
+				}
+				sabotaged <- err
 				return
 			}
 			select {
@@ -119,7 +126,7 @@ func TestRestartOverUnopenableStoreIsAHarnessError(t *testing.T) {
 	if err := <-sabotaged; err != nil {
 		t.Fatal(err)
 	}
-	if res.Err == nil || !strings.Contains(res.Err.Error(), "snapshot") || len(res.Violations) != 0 {
+	if res.Err == nil || !strings.Contains(res.Err.Error(), "corrupt") || len(res.Violations) != 0 {
 		t.Fatalf("harness error %v, violations %v; want the store's refusal and no violation", res.Err, res.Violations)
 	}
 }

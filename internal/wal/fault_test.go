@@ -19,7 +19,7 @@ import (
 func buildLog(t *testing.T, n int) (data []byte, frameEnds []int) {
 	t.Helper()
 	dir := t.TempDir()
-	l, err := Open(dir, Options{Sync: true, SegmentBytes: 1 << 30})
+	l, err := Open(dir, Options{Sync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,13 +195,18 @@ func TestBitFlipEveryByte(t *testing.T) {
 // instead of silently skipping committed data.
 func TestInteriorCorruptionIsAnError(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{SegmentBytes: 128})
+	l, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 30; i++ {
 		if err := l.Append(put("t", fmt.Sprintf("id-%d", i), "some row content here")); err != nil {
 			t.Fatal(err)
+		}
+		if i%10 == 9 {
+			if _, err := l.Rotate(); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	if err := l.Close(); err != nil {

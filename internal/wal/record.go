@@ -14,12 +14,16 @@ type Op byte
 const (
 	OpPut    Op = 1
 	OpDelete Op = 2
+	// OpCheckpoint closes a checkpoint segment (Log.Checkpoint) and
+	// carries no table, id or row. Replay starts at the newest
+	// checkpoint and reads nothing below it.
+	OpCheckpoint Op = 3
 )
 
 // Record is one journaled table mutation. Row carries the codec-encoded
 // row bytes for OpPut and is empty for OpDelete. Codec names the row's
-// codec so replay can recreate tables that were born after the last
-// snapshot.
+// codec so replay can recreate a table from its first record, whether
+// that is a put in the log or a row of a checkpoint.
 type Record struct {
 	Op    Op
 	Table string
@@ -94,7 +98,7 @@ func decodePayload(payload []byte) (Record, error) {
 		return Record{}, fmt.Errorf("wal: empty record")
 	}
 	rec := Record{Op: Op(payload[0])}
-	if rec.Op != OpPut && rec.Op != OpDelete {
+	if rec.Op != OpPut && rec.Op != OpDelete && rec.Op != OpCheckpoint {
 		return Record{}, fmt.Errorf("wal: unknown record op %d", payload[0])
 	}
 	rest := payload[1:]
@@ -111,7 +115,7 @@ func decodePayload(payload []byte) (Record, error) {
 	if rec.Op == OpPut {
 		rec.Row = append([]byte(nil), rest...)
 	} else if len(rest) != 0 {
-		return Record{}, fmt.Errorf("wal: delete record carries %d trailing bytes", len(rest))
+		return Record{}, fmt.Errorf("wal: op %d record carries %d trailing bytes", rec.Op, len(rest))
 	}
 	return rec, nil
 }

@@ -2,9 +2,11 @@
 // group commit. It is the durability layer under resourcedb: every table
 // mutation is journaled as a Record and acknowledged only once the frame
 // is on disk (fsynced when Options.Sync is set), so a crash loses at
-// most the unacknowledged tail. Recovery replays the snapshot-plus-log
-// and stops at the first invalid frame — acknowledged commits form a
-// strict prefix of the replayed sequence, never a torn or phantom row.
+// most the unacknowledged tail. Compaction writes a checkpoint segment
+// (Checkpoint) holding the whole state; recovery replays from the newest
+// checkpoint and stops at the first invalid frame of the last segment —
+// acknowledged commits form a strict prefix of the replayed sequence,
+// never a torn or phantom row.
 //
 // Concurrency model: Enqueue assigns a sequence number and buffers the
 // encoded frame under the log mutex (no I/O); WaitDurable elects the
@@ -14,6 +16,7 @@
 package wal
 
 import (
+	"bufio"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -24,15 +27,26 @@ import (
 	"sync/atomic"
 )
 
-// segmentMagic opens every segment file.
-const segmentMagic = "UVWAL1\n"
+// segmentMagic opens every segment file but a checkpoint, which opens
+// with checkpointMagic: cut to its header, a checkpoint still does not
+// read as an empty segment. Both are as long.
+const (
+	segmentMagic    = "UVWAL1\n"
+	checkpointMagic = "UVCKP1\n"
+)
 
 // segmentPrefix/-Suffix name segment files: wal-<index>.log with a
-// fixed-width hex index so lexical order is replay order.
+// fixed-width hex index so lexical order is replay order. A checkpoint
+// is written as checkpointTemp and renamed.
 const (
-	segmentPrefix = "wal-"
-	segmentSuffix = ".log"
+	segmentPrefix  = "wal-"
+	segmentSuffix  = ".log"
+	checkpointTemp = "checkpoint.tmp"
 )
+
+// segmentBytes rotates to a fresh segment once the active one exceeds
+// this size.
+const segmentBytes = 4 << 20
 
 func segmentName(index uint64) string {
 	return fmt.Sprintf("%s%016x%s", segmentPrefix, index, segmentSuffix)
@@ -55,9 +69,6 @@ type Options struct {
 	// log still writes every frame but a machine crash can lose
 	// OS-buffered commits (a process crash cannot).
 	Sync bool
-	// SegmentBytes rotates to a fresh segment once the active one
-	// exceeds this size. Defaults to 4 MiB.
-	SegmentBytes int64
 }
 
 // Stats are monotonic counters accumulated by a Log.
@@ -87,16 +98,18 @@ type Log struct {
 	segIndex uint64
 	segSize  int64
 
+	// debtFrom is the first segment after the newest checkpoint (0 with
+	// none): what a restart replays beyond the checkpoint's rows.
+	debtFrom atomic.Uint64
+
 	commits, batches, syncs, bytes, rotations atomic.Uint64
 }
 
 // Open creates dir if needed and starts a fresh segment after any
 // existing ones. Appending never reuses an old segment, so a torn tail
-// left by a crash stays where replay can recognize it.
+// left by a crash stays where replay can recognize it. A temporary
+// checkpoint a crash left behind is removed.
 func Open(dir string, opts Options) (*Log, error) {
-	if opts.SegmentBytes <= 0 {
-		opts.SegmentBytes = 4 << 20
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
@@ -105,9 +118,19 @@ func Open(dir string, opts Options) (*Log, error) {
 	if err := syncDir(filepath.Dir(filepath.Clean(dir))); err != nil {
 		return nil, err
 	}
+	if err := os.Remove(filepath.Join(dir, checkpointTemp)); err != nil && !os.IsNotExist(err) {
+		return nil, err
+	}
 	segs, err := ListSegments(dir)
 	if err != nil {
 		return nil, err
+	}
+	l := &Log{dir: dir, opts: opts}
+	l.cond = sync.NewCond(&l.mu)
+	if c, ok, err := lastCheckpoint(segs); err != nil {
+		return nil, err
+	} else if ok {
+		l.debtFrom.Store(segs[c].Index + 1)
 	}
 	next := uint64(0)
 	if n := len(segs); n > 0 {
@@ -119,8 +142,6 @@ func Open(dir string, opts Options) (*Log, error) {
 			return nil, err
 		}
 	}
-	l := &Log{dir: dir, opts: opts}
-	l.cond = sync.NewCond(&l.mu)
 	if err := l.openSegmentLocked(next); err != nil {
 		return nil, err
 	}
@@ -260,7 +281,7 @@ func (l *Log) writeBatch(batch []byte) error {
 		}
 		l.syncs.Add(1)
 	}
-	if l.segSize >= l.opts.SegmentBytes {
+	if l.segSize >= segmentBytes {
 		if err := l.rotateSegment(); err != nil {
 			return err
 		}
@@ -282,7 +303,7 @@ func (l *Log) rotateSegment() error {
 // Rotate flushes everything buffered and seals the active segment,
 // returning the index of the fresh segment now accepting writes. Every
 // record enqueued before the call lives in a segment below the returned
-// index — the boundary compaction snapshots against.
+// index — the boundary a checkpoint takes the place of.
 func (l *Log) Rotate() (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -317,48 +338,98 @@ func (l *Log) Rotate() (uint64, error) {
 	return l.segIndex, nil
 }
 
-// RemoveSegmentsBelow deletes sealed segments with index < bound —
-// compaction's truncation step, safe once a snapshot covers them. The
-// removals are fsynced; if a crash resurrects a removed segment anyway,
-// replay over the covering snapshot converges (puts are whole-row
-// overwrites and every later write replays after it).
-func (l *Log) RemoveSegmentsBelow(bound uint64) error {
+// Checkpoint compacts the log into one segment; callers run one at a
+// time. It seals the active segment (Rotate), then calls write, which
+// must add the whole state as puts, one record a call to add. The file
+// holds checkpointMagic, those records and an OpCheckpoint record that
+// closes it, so a checkpoint cut short at a frame boundary lacks it. It
+// is written as checkpointTemp, fsynced whatever Options.Sync says, and
+// renamed into the sealed segment's place; once the directory is
+// fsynced, every segment below it is removed. Replay starts at the
+// newest checkpoint, so a removed segment that a crash brings back is
+// never read again.
+//
+// Commits go on meanwhile into the fresh segment. write may read state
+// that already holds some of them: they replay after the checkpoint,
+// and puts and deletes re-apply harmlessly.
+func (l *Log) Checkpoint(write func(add func(Record) error) error) error {
+	next, err := l.Rotate()
+	if err != nil {
+		return err
+	}
+	index, tmp := next-1, filepath.Join(l.dir, checkpointTemp)
+	if err := writeCheckpoint(tmp, write); err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	if err := os.Rename(tmp, filepath.Join(l.dir, segmentName(index))); err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	if err := syncDir(l.dir); err != nil {
+		return err
+	}
+	l.debtFrom.Store(next)
 	segs, err := ListSegments(l.dir)
 	if err != nil {
 		return err
 	}
-	removed := false
 	for _, s := range segs {
-		if s.Index >= bound {
-			continue
+		if s.Index < index {
+			if err := os.Remove(s.Path); err != nil {
+				return err
+			}
 		}
-		l.mu.Lock()
-		active := s.Index == l.segIndex
-		l.mu.Unlock()
-		if active {
-			continue
-		}
-		if err := os.Remove(s.Path); err != nil {
-			return err
-		}
-		removed = true
-	}
-	if !removed {
-		return nil
 	}
 	return syncDir(l.dir)
 }
 
-// SizeBytes reports the byte total of all live segments — the replay
-// debt a restart would pay, and the trigger for compaction.
+// writeCheckpoint writes and fsyncs a checkpoint segment at path.
+func writeCheckpoint(path string, write func(add func(Record) error) error) error {
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	bw := bufio.NewWriterSize(f, 64<<10)
+	var frame []byte
+	add := func(rec Record) error {
+		frame = appendFrame(frame[:0], rec)
+		_, err := bw.Write(frame)
+		return err
+	}
+	if _, err := bw.WriteString(checkpointMagic); err != nil {
+		return err
+	}
+	if err := write(add); err != nil {
+		return err
+	}
+	if err := add(Record{Op: OpCheckpoint}); err != nil {
+		return err
+	}
+	if err := bw.Flush(); err != nil {
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		return err
+	}
+	return f.Close()
+}
+
+// SizeBytes reports the byte total of the segments after the newest
+// checkpoint — the replay debt a restart pays beyond the checkpoint's
+// rows, and the trigger for compaction.
 func (l *Log) SizeBytes() int64 {
 	segs, err := ListSegments(l.dir)
 	if err != nil {
 		return 0
 	}
+	from := l.debtFrom.Load()
 	var total int64
 	for _, s := range segs {
-		total += s.Size
+		if s.Index >= from {
+			total += s.Size
+		}
 	}
 	return total
 }

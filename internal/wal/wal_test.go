@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -134,15 +135,18 @@ func TestGroupCommitConcurrent(t *testing.T) {
 	}
 }
 
+// TestSegmentRotationAndReplayOrder writes 10 MiB, past segmentBytes
+// twice, so the log rotates on size alone.
 func TestSegmentRotationAndReplayOrder(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, Options{SegmentBytes: 256})
+	l, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	const n = 50
+	const n = 40
+	row := strings.Repeat("rowdata-", segmentBytes/16/8)
 	for i := 0; i < n; i++ {
-		if err := l.Append(put("t", fmt.Sprintf("id-%03d", i), "rowdata-rowdata-rowdata")); err != nil {
+		if err := l.Append(put("t", fmt.Sprintf("id-%03d", i), row)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -170,6 +174,9 @@ func TestSegmentRotationAndReplayOrder(t *testing.T) {
 	}
 }
 
+// TestRotateAndRemoveSegments: a checkpoint takes the place of the
+// segment it seals, the segments below it go, and replay reads the
+// checkpoint's records and then what was committed after it.
 func TestRotateAndRemoveSegments(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(dir, Options{})
@@ -180,23 +187,36 @@ func TestRotateAndRemoveSegments(t *testing.T) {
 		if err := l.Append(put("t", fmt.Sprintf("old-%d", i), "x")); err != nil {
 			t.Fatal(err)
 		}
+		if i == 4 {
+			if _, err := l.Rotate(); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	bound, err := l.Rotate()
-	if err != nil {
+	before, _ := ListSegments(dir)
+	if err := l.Checkpoint(func(add func(Record) error) error {
+		return add(put("t", "kept", "k"))
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Append(put("t", "new-0", "y")); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.RemoveSegmentsBelow(bound); err != nil {
-		t.Fatal(err)
-	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
+	for _, s := range before[:len(before)-1] {
+		if _, err := os.Stat(s.Path); !os.IsNotExist(err) {
+			t.Fatalf("segment %s below the checkpoint survived: %v", s.Path, err)
+		}
+	}
 	recs, _ := replayAll(t, dir)
-	if len(recs) != 1 || recs[0].ID != "new-0" {
-		t.Fatalf("after truncation, replay = %+v", recs)
+	var ids []string
+	for _, r := range recs {
+		ids = append(ids, r.ID)
+	}
+	if !reflect.DeepEqual(ids, []string{"kept", "new-0"}) {
+		t.Fatalf("after the checkpoint, replay ids = %v", ids)
 	}
 }
 
