@@ -45,8 +45,10 @@ type Master struct {
 	Mux *soap.Mux
 }
 
-// Assemble builds the host's services and mounts them on one mux.
-// Nothing runs yet: no job set is recovered.
+// Assemble builds the host's services, mounts them on one mux and
+// subscribes the scheduler to every set's events, once: the subscription
+// is durable and Subscribe idempotent. Nothing runs yet: no job set is
+// recovered.
 func Assemble(cfg Config) (*Master, error) {
 	if cfg.Store == nil {
 		return nil, fmt.Errorf("master: config requires a Store")
@@ -79,6 +81,9 @@ func Assemble(cfg Config) (*Master, error) {
 	}
 	m.Mux.Handle(m.Scheduler.WSRF().Path(), m.Scheduler.WSRF().Dispatcher())
 	m.Scheduler.Consumer().Mount(m.Mux, m.Scheduler.ConsumerPath())
+	if _, err := m.Broker.Producer().Subscribe(m.Scheduler.ConsumerEPR(), m.Scheduler.ConsumerTopics()); err != nil {
+		return nil, fmt.Errorf("master: subscribe the scheduler: %w", err)
+	}
 	return m, nil
 }
 

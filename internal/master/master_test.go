@@ -17,6 +17,7 @@ import (
 	"uvacg/internal/soap"
 	"uvacg/internal/transport"
 	"uvacg/internal/wsa"
+	"uvacg/internal/wsn"
 	"uvacg/internal/wsrf"
 	"uvacg/internal/xmlutil"
 )
@@ -64,6 +65,56 @@ func awaitAttempts(t *testing.T, m *master.Master, n int) {
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("the set never reached %d journaled attempt(s) while Running", n)
+		}
+	}
+}
+
+// ssSubscriptions counts the broker's subscriptions whose consumer is the
+// scheduler's.
+func ssSubscriptions(t *testing.T, m *master.Master) int {
+	t.Helper()
+	home := m.Broker.Producer().SubscriptionService().Home()
+	n := 0
+	for _, id := range home.IDs() {
+		doc, err := home.Load(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		consumer, err := wsa.ParseEPR(doc.Child(xmlutil.Q(wsn.NS, "ConsumerReference")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if consumer.Address == m.Scheduler.ConsumerEPR().Address {
+			n++
+		}
+	}
+	return n
+}
+
+// TestOneStandingSchedulerSubscription: Assemble subscribes the
+// scheduler's consumer to every set once, and no set adds another — the
+// broker holds exactly one subscription for it after several Submits, and
+// still one after the host is reassembled twice over the same store.
+func TestOneStandingSchedulerSubscription(t *testing.T) {
+	network := transport.NewNetwork()
+	client := transport.NewClient().WithNetwork(network)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	store := resourcedb.NewStore()
+	m := assemble(t, network, client, store, scheduler.Config{})
+	if got := ssSubscriptions(t, m); got != 1 {
+		t.Fatalf("an assembled master's broker holds %d subscriptions for the scheduler, want 1", got)
+	}
+	for i := range 3 {
+		submitStillRunning(t, ctx, client, m, fmt.Sprint("set-", i))
+	}
+	if got := ssSubscriptions(t, m); got != 1 {
+		t.Fatalf("after 3 sets the broker holds %d subscriptions for the scheduler, want 1", got)
+	}
+	for restart := 1; restart <= 2; restart++ {
+		m = assemble(t, network, client, store, scheduler.Config{})
+		if got := ssSubscriptions(t, m); got != 1 {
+			t.Fatalf("reassembly %d: the broker holds %d subscriptions for the scheduler, want 1", restart, got)
 		}
 	}
 }

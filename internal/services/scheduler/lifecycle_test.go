@@ -7,13 +7,8 @@ import (
 	"testing"
 	"time"
 
-	"uvacg/internal/node"
 	"uvacg/internal/procspawn"
-	"uvacg/internal/resourcedb"
-	"uvacg/internal/services/filesystem"
-	"uvacg/internal/services/nodeinfo"
 	"uvacg/internal/soap"
-	"uvacg/internal/transport"
 	"uvacg/internal/wsa"
 	"uvacg/internal/wsn"
 	"uvacg/internal/wsrf"
@@ -159,87 +154,13 @@ func TestDestroyCancelsRunningSet(t *testing.T) {
 	}
 }
 
-// newSplitBrokerHarness is newSSHarness with the broker on its own
-// network host, so tests can make only the broker unreachable while the
-// scheduler, NIS and nodes keep running. Returns the broker's server for
-// re-registration after a simulated outage.
-func newSplitBrokerHarness(t *testing.T) (*ssHarness, *transport.Server) {
-	t.Helper()
-	network := transport.NewNetwork()
-	client := transport.NewClient().WithNetwork(network)
-	store := resourcedb.NewStore()
-
-	broker, err := wsn.NewBroker("/NB", "inproc://broker",
-		wsrf.NewStateHome(store.MustTable("subs", resourcedb.BlobCodec{})), client)
-	if err != nil {
-		t.Fatal(err)
-	}
-	brokerMux := soap.NewMux()
-	brokerMux.Handle(broker.Service().Path(), broker.Service().Dispatcher())
-	brokerMux.Handle(broker.Producer().SubscriptionService().Path(), broker.Producer().SubscriptionService().Dispatcher())
-	brokerSrv := transport.NewServer(brokerMux)
-	network.Register("broker", brokerSrv)
-
-	nis, err := nodeinfo.New(nodeinfo.Config{
-		Address: "inproc://master",
-		Home:    wsrf.NewStateHome(store.MustTable("nis", resourcedb.BlobCodec{})),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ss, err := New(Config{
-		Address: "inproc://master",
-		Home:    wsrf.NewStateHome(store.MustTable("jobsets", resourcedb.BlobCodec{})),
-		Client:  client,
-		NIS:     nis.EPR(),
-		Broker:  broker.EPR(),
-		Policy:  Greedy{},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	masterMux := soap.NewMux()
-	masterMux.Handle(nis.WSRF().Path(), nis.WSRF().Dispatcher())
-	masterMux.Handle(ss.WSRF().Path(), ss.WSRF().Dispatcher())
-	ss.Consumer().Mount(masterMux, ss.ConsumerPath())
-	network.Register("master", transport.NewServer(masterMux))
-
-	n, err := node.New(node.Config{
-		Name:     "node-a",
-		Network:  network,
-		Client:   client,
-		Cores:    2,
-		SpeedMHz: 2000,
-		UnitTime: 5 * time.Microsecond,
-		Broker:   broker.EPR(),
-		NIS:      nis.EPR(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := n.Register(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(n.Stop)
-
-	files := filesystem.NewFileServer("/files")
-	consumer := wsn.NewConsumer()
-	events := consumer.Channel(wsn.MustTopicExpression(wsn.DialectFull, "*//"), 128)
-	clientMux := soap.NewMux()
-	files.Mount(clientMux)
-	consumer.Mount(clientMux, "/listener")
-	network.Register("client", transport.NewServer(clientMux))
-
-	return &ssHarness{network: network, client: client, ss: ss, broker: broker, files: files, events: events}, brokerSrv
-}
-
 // TestFailedTerminalPublishLeavesUnnotified is the I4 regression: when
 // the terminal publish cannot reach the broker, the notified marker must
 // stay off — stamping it anyway (the old behaviour) makes Recover skip
 // the set and the client waits forever. Once the broker returns, a
 // restarted scheduler replays the event and only then stamps the marker.
 func TestFailedTerminalPublishLeavesUnnotified(t *testing.T) {
-	h, brokerSrv := newSplitBrokerHarness(t)
+	h := newSSHarness(t, Greedy{}, nil, "node-a")
 	h.files.Publish("long.app", procspawn.BuildScript("compute 100000000", "exit 0"))
 	spec := &JobSetSpec{Name: "eaten", Jobs: []JobSpec{{Name: "long", Executable: "local://long.app"}}}
 	setEPR, topic, err := h.submit(t, spec, nil)
@@ -248,9 +169,12 @@ func TestFailedTerminalPublishLeavesUnnotified(t *testing.T) {
 	}
 	waitStarted(t, h.events)
 
-	// The broker vanishes. The client cancels the set, and the terminal
-	// publish has nowhere to go.
-	h.network.Deregister("broker")
+	// The broker refuses the acked Notify, request-response only: the
+	// ES's one-way events still flow. The client cancels the set, and the
+	// terminal publish has nowhere to go.
+	refused := h.refuse(func(call *soap.CallInfo) bool {
+		return call.Path == "/NB" && call.Action == wsn.ActionNotify && !call.OneWay
+	})
 	if _, err := h.client.Call(context.Background(), setEPR, ActionCancel, cancelRequest()); err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +191,7 @@ func TestFailedTerminalPublishLeavesUnnotified(t *testing.T) {
 	}
 
 	// Broker heals; a restarted scheduler must replay the event.
-	h.network.Register("broker", brokerSrv)
+	refused.Store(false)
 	h.ss.sets.forgetAll()
 	if _, err := h.ss.Recover(context.Background()); err != nil {
 		t.Fatal(err)

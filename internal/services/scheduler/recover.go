@@ -4,9 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"log"
-	"time"
 
+	"uvacg/internal/wsrf"
 	"uvacg/internal/wssec"
 	"uvacg/internal/xmlutil"
 )
@@ -20,74 +19,53 @@ import (
 // A set that cannot be resumed — no readable or valid spec snapshot, or
 // secured with work left: credentials are never persisted — is failed
 // explicitly rather than left hanging. Call Recover once, after the
-// scheduler's services and consumer are mounted.
+// scheduler's services and consumer are mounted and its standing
+// subscription made (master.Assemble).
 //
-// It returns how many runs were resumed. A job set that was not (bad
-// spec snapshot, broker subscription failure) is not fatal: the remaining
-// sets still recover, and the per-set failures come back joined in the
-// error.
-//
-// Sets the registry already holds are left alone, so overlapping sweeps (a
-// start's Recover racing the one it booked to retry itself) are
-// idempotent.
+// It returns how many runs were resumed. A job set that was not (a bad
+// spec snapshot, an unreadable document) is not fatal: the remaining sets
+// still recover, and the per-set failures come back joined in the error.
+// Sets the registry already holds are left alone.
 func (s *Service) Recover(ctx context.Context) (int, error) {
-	resumed, unsubscribed := 0, false
+	resumed := 0
 	err := s.sweep(ctx, func(id string, doc *xmlutil.Element) error {
 		if s.sets.get(id) != nil {
 			return nil
 		}
 		r, badSpec := s.restoreRun(id, doc, wssec.Credentials{})
-		live, err := s.takeOn(ctx, r, recovered)
-		if err != nil {
-			unsubscribed = true
-			return fmt.Errorf("recover: %w", err)
-		}
-		if live {
+		// Only a Submit's takeOn can fail: a recovered set's listener is
+		// subscribed again best-effort.
+		if live, _ := s.takeOn(ctx, r, recovered); live {
 			resumed++
 		}
 		return badSpec // failed as a set, not resumed: the caller hears why
 	})
-	if unsubscribed {
-		// Sets skipped because the broker did not answer are acked work
-		// nothing else would pick up: sweep again (idempotent) until it
-		// does. The caller has this pass's errors; a later pass has no
-		// caller, so its errors, each under its set's id, are logged.
-		time.AfterFunc(resweepDelay, func() {
-			if _, err := s.Recover(context.WithoutCancel(ctx)); err != nil {
-				log.Printf("scheduler: recover resweep: %v", err)
-			}
-		})
-	}
 	return resumed, err
 }
-
-// resweepDelay paces Recover's sweeps while the broker does not answer: the
-// sets it skipped were acked, so it never gives up on them, and the pause
-// only keeps a dead broker from spinning it.
-const resweepDelay = 500 * time.Millisecond
 
 // sweep is the one walk over the stored job sets. A terminal one whose
 // completion event may never have left the building — the status write
 // and the broker publish are not atomic — is republished unless its
 // notified marker proves the broker took it; duplicates are fine, the
 // contract is at-least-once, and the event's detail says why it is late.
-// Every other goes to unfinished. Failures come back joined, each under
-// its set's id; none stops the walk.
+// Every other goes to unfinished. A document that cannot be read may be
+// acked work, so it is reported, not skipped. Failures come back joined,
+// each under its set's id; none stops the walk.
 func (s *Service) sweep(ctx context.Context, unfinished func(id string, doc *xmlutil.Element) error) error {
 	var errs []error
 	home := s.svc.Home()
 	for _, id := range home.IDs() {
 		doc, err := home.Load(id)
-		if err != nil {
-			continue
-		}
-		topic, status := doc.ChildText(QTopic), doc.ChildText(QStatus)
 		switch {
-		case topic == "":
+		case errors.Is(err, wsrf.ErrNoSuchResource):
+			continue // destroyed since IDs listed it
+		case err != nil: // reported below
+		case doc.ChildText(QTopic) == "":
 			// Half-born before the topic was in the first write: never acked.
-		case TerminalSetStatus(status):
+		case TerminalSetStatus(doc.ChildText(QStatus)):
 			// A failed publish is not an error: the marker stays off and the
-			// next sweep tries again.
+			// next start's sweep tries again.
+			topic, status := doc.ChildText(QTopic), doc.ChildText(QStatus)
 			if doc.Attr(qNotifiedAttr) != "true" && s.publishSetEvent(ctx, id, topic, status, "replayed after scheduler restart") == nil {
 				err = s.stampNotified(id)
 			}

@@ -2,14 +2,18 @@ package scheduler
 
 import (
 	"context"
-	"log"
+	"fmt"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"uvacg/internal/procspawn"
+	"uvacg/internal/soap"
 	"uvacg/internal/wsa"
+	"uvacg/internal/wsn"
 	"uvacg/internal/wsrf"
 	"uvacg/internal/wssec"
 	"uvacg/internal/xmlutil"
@@ -336,13 +340,33 @@ func TestRecoverIgnoresFinishedSets(t *testing.T) {
 	}
 }
 
-// TestRecoverRetriesSetsTheBrokerRefused: a set whose broker subscription
-// fails during Recover is acked work nobody else will ever pick up — the
-// sweep must come back for it once the broker answers, without waiting
-// for the next restart. (simgrid seed 26: a restarted master's Subscribe
-// was dropped and the set stayed Running forever.)
-func TestRecoverRetriesSetsTheBrokerRefused(t *testing.T) {
-	h, brokerSrv := newSplitBrokerHarness(t)
+// crashMidRun is a crash after set id's run and the start's view of it: the
+// master forgets every run, and the set's document reads Running again
+// with every job Pending.
+func crashMidRun(t *testing.T, h *ssHarness, id string) {
+	t.Helper()
+	h.ss.sets.forgetAll()
+	err := h.ss.WSRF().UpdateResource(id, func(doc *xmlutil.Element) error {
+		doc.Child(QStatus).Text = SetRunning
+		for _, st := range doc.ChildrenNamed(QJobState) {
+			st.SetAttr(qStatusAttr, JobPending)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRecoverWithoutTheBrokersSubscribe: a restarted master whose broker
+// takes no Subscribe still resumes its sets and runs them to the end. Its
+// consumer's standing subscription was made when the master was
+// assembled; only the client's listener, best-effort on Recover, is
+// subscribed again, so nothing in Recover can fail for want of one.
+// (simgrid seed 26: a restarted master's per-set Subscribe was dropped and
+// the set stayed Running until a sweep got one through.)
+func TestRecoverWithoutTheBrokersSubscribe(t *testing.T) {
+	h := newSSHarness(t, Greedy{}, nil, "node-a")
 	h.files.Publish("j.app", procspawn.BuildScript("exit 0"))
 	spec := &JobSetSpec{Name: "later", Jobs: []JobSpec{{Name: "j", Executable: "local://j.app"}}}
 	setEPR, topic, err := h.submit(t, spec, nil)
@@ -352,39 +376,71 @@ func TestRecoverRetriesSetsTheBrokerRefused(t *testing.T) {
 	if got := h.waitTerminal(t, topic); got != "completed" {
 		t.Fatalf("initial run: %q", got)
 	}
-	// "Crash" mid-run, and restart while the broker is unreachable.
-	h.ss.sets.forgetAll()
-	err = h.ss.WSRF().UpdateResource(setEPR.Property(wsrf.QResourceID), func(doc *xmlutil.Element) error {
-		doc.Child(QStatus).Text = SetRunning
-		doc.ChildrenNamed(QJobState)[0].SetAttr(qStatusAttr, JobPending)
-		return nil
+	id := setEPR.Property(wsrf.QResourceID)
+	crashMidRun(t, h, id)
+	h.refuse(func(call *soap.CallInfo) bool { return call.Action == wsn.ActionSubscribe })
+	if resumed, err := h.ss.Recover(context.Background()); err != nil || resumed != 1 {
+		t.Fatalf("Recover with every Subscribe refused: resumed %d, err %v", resumed, err)
+	}
+	eventually(t, "the recovered set Completed in its document", func() bool {
+		doc, err := h.ss.WSRF().Home().Load(id)
+		return err == nil && doc.ChildText(QStatus) == SetCompleted
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.network.Deregister("broker")
-	if resumed, err := h.ss.Recover(context.Background()); err == nil || resumed != 0 {
-		t.Fatalf("Recover with no broker: resumed %d, err %v", resumed, err)
-	}
-	h.network.Register("broker", brokerSrv)
-	if got := h.waitTerminal(t, topic); got != "completed" {
-		t.Fatalf("set the broker refused was never picked up again: %q", got)
+}
+
+// TestSubmitSubscribesOnlyTheListener: a Submit sends the broker one
+// Subscribe, for the client's listener. The SS's consumer is subscribed to
+// every set once, by the wiring; it is not subscribed again per set.
+func TestSubmitSubscribesOnlyTheListener(t *testing.T) {
+	h := newSSHarness(t, Greedy{}, nil, "node-a")
+	var mu sync.Mutex
+	var consumers []string
+	h.client.Use(func(ctx context.Context, call *soap.CallInfo, next soap.Handler) (*soap.Envelope, error) {
+		if call.Action == wsn.ActionSubscribe {
+			consumer, _, err := wsn.ParseSubscribeRequest(call.Request.Body)
+			if err != nil {
+				t.Error(err)
+			}
+			mu.Lock()
+			consumers = append(consumers, consumer.Address)
+			mu.Unlock()
+		}
+		return next(ctx, call)
+	})
+	h.files.Publish("j.app", procspawn.BuildScript("exit 0"))
+	for i := range 3 {
+		spec := &JobSetSpec{Name: fmt.Sprint("set-", i), Jobs: []JobSpec{{Name: "j", Executable: "local://j.app"}}}
+		_, topic, err := h.submit(t, spec, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := h.waitTerminal(t, topic); got != "completed" {
+			t.Fatalf("set %d: %q", i, got)
+		}
+		mu.Lock()
+		got := slices.Clone(consumers)
+		consumers = nil
+		mu.Unlock()
+		if len(got) != 1 || got[0] != h.listenerEPR().Address {
+			t.Fatalf("set %d sent Subscribe for %v, want one for the listener %s", i, got, h.listenerEPR().Address)
+		}
 	}
 }
 
-// TestResweepLogsWhatItFails: Recover's own later passes have no caller to
-// hand their errors to, so each logs its joined error once, under the ids
-// of the sets that failed. A set whose spec snapshot is found broken only
-// by the second sweep is named in the log, and failed as a set.
-func TestResweepLogsWhatItFails(t *testing.T) {
-	logged := new(lockedLog)
-	defer log.SetOutput(log.Writer())
-	log.SetOutput(logged)
-
-	h, brokerSrv := newSplitBrokerHarness(t)
+// TestRecoverReportsAnUnreadableSet: a set whose document cannot be read —
+// a row journaled under another codec — may be acked work, so Recover
+// names it in its error instead of passing over it, and the walk goes on:
+// the readable set beside it still resumes and completes.
+func TestRecoverReportsAnUnreadableSet(t *testing.T) {
+	home := &loadFailingHome{}
+	h := newSSHarnessCfg(t, Greedy{}, nil, func(cfg *Config) {
+		home.ResourceHome = cfg.Home
+		cfg.Home = home
+	}, "node-a")
 	h.files.Publish("j.app", procspawn.BuildScript("exit 0"))
-	var eprs []wsa.EndpointReference
-	for _, name := range []string{"later", "broken"} {
+	var ids []string
+	var topics []string
+	for _, name := range []string{"readable", "unreadable"} {
 		spec := &JobSetSpec{Name: name, Jobs: []JobSpec{{Name: "j", Executable: "local://j.app"}}}
 		epr, topic, err := h.submit(t, spec, nil)
 		if err != nil {
@@ -393,70 +449,32 @@ func TestResweepLogsWhatItFails(t *testing.T) {
 		if got := h.waitTerminal(t, topic); got != "completed" {
 			t.Fatalf("initial run of %s: %q", name, got)
 		}
-		eprs = append(eprs, epr)
+		ids, topics = append(ids, epr.Property(wsrf.QResourceID)), append(topics, topic)
+		waitNotified(t, h.ss, ids[len(ids)-1])
+		crashMidRun(t, h, ids[len(ids)-1])
 	}
-	// rerun marks a set Running with its job pending, as a crash mid-run
-	// leaves it; gut also empties its spec snapshot.
-	rerun := func(epr wsa.EndpointReference, gut bool) {
-		err := h.ss.WSRF().UpdateResource(epr.Property(wsrf.QResourceID), func(doc *xmlutil.Element) error {
-			doc.Child(QStatus).Text = SetRunning
-			doc.ChildrenNamed(QJobState)[0].SetAttr(qStatusAttr, JobPending)
-			if gut {
-				doc.Child(qSpecSnapshot).Children = nil
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+	home.bad.Store(ids[1])
+	resumed, err := h.ss.Recover(context.Background())
+	if err == nil || !strings.Contains(err.Error(), ids[1]) || resumed != 1 {
+		t.Fatalf("Recover over an unreadable set: resumed %d, err %v; want 1 and an error naming %s", resumed, err, ids[1])
 	}
-	h.ss.sets.forgetAll()
-	rerun(eprs[0], false)
-	h.network.Deregister("broker")
-	if resumed, err := h.ss.Recover(context.Background()); err == nil || resumed != 0 {
-		t.Fatalf("Recover with no broker: resumed %d, err %v", resumed, err)
-	}
-	// Between the sweeps the second set is found Running with no spec.
-	rerun(eprs[1], true)
-	h.network.Register("broker", brokerSrv)
-	// The two end in either order: read their documents, not the events.
-	status := func(epr wsa.EndpointReference) string {
-		doc, err := h.ss.WSRF().Home().Load(epr.Property(wsrf.QResourceID))
-		if err != nil {
-			return err.Error()
-		}
-		return doc.ChildText(QStatus)
-	}
-	eventually(t, "the set with no spec failed and the one the broker refused completed", func() bool {
-		return status(eprs[1]) == SetFailed && status(eprs[0]) == SetCompleted
-	})
-	broken := eprs[1].Property(wsrf.QResourceID)
-	for deadline := time.Now().Add(5 * time.Second); !strings.Contains(logged.String(), broken); time.Sleep(5 * time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("the resweep that failed set %s logged %q", broken, logged.String())
-		}
-	}
-	if got := logged.String(); strings.Count(got, broken) != 1 || !strings.Contains(got, "no recoverable spec") {
-		t.Fatalf("log %q: want one resweep error naming set %s and its bad spec", got, broken)
+	if got := h.waitTerminal(t, topics[0]); got != "completed" {
+		t.Fatalf("the readable set after the unreadable one: %q", got)
 	}
 }
 
-// lockedLog collects what the log package writes, from any goroutine.
-type lockedLog struct {
-	mu  sync.Mutex
-	buf strings.Builder
+// loadFailingHome is the home under the scheduler's; Load fails for the
+// one id bad names, as for a row that does not decode.
+type loadFailingHome struct {
+	wsrf.ResourceHome
+	bad atomic.Value // string
 }
 
-func (l *lockedLog) Write(p []byte) (int, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.buf.Write(p)
-}
-
-func (l *lockedLog) String() string {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.buf.String()
+func (h *loadFailingHome) Load(id string) (*xmlutil.Element, error) {
+	if bad, _ := h.bad.Load().(string); id == bad {
+		return nil, fmt.Errorf("row %q does not decode", id)
+	}
+	return h.ResourceHome.Load(id)
 }
 
 // waitNotified blocks until the scheduler has stamped a terminal set's
@@ -479,10 +497,11 @@ func waitNotified(t *testing.T, ss *Service, id string) {
 }
 
 // TestRecoveredSetEventsArriveOnce: the broker's subscriptions are durable
-// and a restarted master subscribes again for every set it recovers. The
-// broker answers with the subscriptions it has, so each event of the
-// recovered set still reaches the client's listener once — not once per
-// restart survived.
+// and a restarted master subscribes the client's listener again for every
+// set it recovers. The broker answers with the subscriptions it has, so
+// each event of the recovered set still reaches the client's listener
+// once — not once per restart survived — and the broker holds no more
+// subscriptions than before.
 func TestRecoveredSetEventsArriveOnce(t *testing.T) {
 	h := newSSHarness(t, Greedy{}, nil, "node-a")
 	h.files.Publish("first.app", procspawn.BuildScript("write out.txt hello", "exit 0"))

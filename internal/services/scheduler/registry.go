@@ -78,19 +78,19 @@ const (
 )
 
 // takeOn is the one way in: it turns a new or restored run into a live one
-// (Fig. 3 steps 1-2) — subscribe the SS and the client's listener to the
-// set's topic, poll the catalog, make the run visible and start
-// dispatching. live is false when nothing was
-// started: on an error, which the caller undoes or retries; when a run of
-// this set was live already; and when the set cannot be run (restoreRun
-// says why) and was taken on, like any set that ends here, only to be
-// failed.
+// (Fig. 3 steps 1-2) — subscribe the client's listener to the set's topic,
+// poll the catalog, make the run visible and start dispatching. live is
+// false when nothing was started: on an error, which only a Submit can
+// meet and undoes; when a run of this set was live already; and when the
+// set cannot be run (restoreRun says why) and was taken on, like any set
+// that ends here, only to be failed.
 func (s *Service) takeOn(ctx context.Context, r *run, via way) (live bool, err error) {
 	// The set outlives the request or sweep that brought it.
 	ctx = context.WithoutCancel(ctx)
 	r.flow, _ = pipeline.RequestIDFrom(ctx)
 	// "subscribe both itself and the client's notification listener",
-	// before any event can be published; strictly only for Submit.
+	// before any event can be published: the SS is subscribed to every set
+	// already; the listener strictly only for Submit.
 	if err := s.subscribeRun(ctx, r, via == submitted); err != nil {
 		return false, err
 	}

@@ -528,8 +528,7 @@ func New(cfg Config) (*Service, error) {
 		placed:      placements{byHost: make(map[string]int)},
 	}
 	svc.OnDestroy(s.onSetDestroyed)
-	// "*//" is the Full-dialect catch-all; onNotification finds the set by topic.
-	s.consumer.Handle(wsn.MustTopicExpression(wsn.DialectFull, "*//"), s.onNotification)
+	s.consumer.Handle(s.ConsumerTopics(), s.onNotification) // onNotification finds the set by topic
 	if cfg.Security != nil {
 		// Submit carries the account credentials; status reads and
 		// cancellation stay open like the rest of the WSRF surface.
@@ -558,6 +557,12 @@ func (s *Service) ConsumerPath() string { return consumerPath }
 // ConsumerEPR returns the consumer's endpoint.
 func (s *Service) ConsumerEPR() wsa.EndpointReference {
 	return wsa.NewEPR(s.svc.Address() + consumerPath)
+}
+
+// ConsumerTopics is the Full-dialect catch-all the consumer handles, and
+// so what its one standing subscription, made by the wiring, must name.
+func (s *Service) ConsumerTopics() *wsn.TopicExpression {
+	return wsn.MustTopicExpression(wsn.DialectFull, "*//")
 }
 
 // SubmitRequest builds a Submit body: the job set description plus the
@@ -640,17 +645,15 @@ func (s *Service) handleSubmit(ctx context.Context, inv *wsrf.Invocation, body *
 	), nil
 }
 
-// subscribeRun subscribes the SS's consumer, then the client's listener,
-// to a run's topic. The client's subscription is best-effort unless
-// strict: only Submit can still tell the client it failed.
+// subscribeRun subscribes the client's listener to a run's topic; the SS
+// hears every set already (ConsumerTopics). Best-effort unless strict:
+// only Submit can still tell the client it failed.
 func (s *Service) subscribeRun(ctx context.Context, r *run, strict bool) error {
-	if _, err := wsn.SubscribeVia(ctx, s.client, s.broker, s.ConsumerEPR(), wsn.Simple(r.topic)); err != nil {
-		return fmt.Errorf("broker subscription: %w", err)
+	if r.clientListener.IsZero() {
+		return nil
 	}
-	if !r.clientListener.IsZero() {
-		if _, err := wsn.SubscribeVia(ctx, s.client, s.broker, r.clientListener, wsn.Simple(r.topic)); err != nil && strict {
-			return fmt.Errorf("client subscription: %w", err)
-		}
+	if _, err := wsn.SubscribeVia(ctx, s.client, s.broker, r.clientListener, wsn.Simple(r.topic)); err != nil && strict {
+		return fmt.Errorf("client subscription: %w", err)
 	}
 	return nil
 }

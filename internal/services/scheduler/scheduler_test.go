@@ -3,7 +3,9 @@ package scheduler
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -83,6 +85,10 @@ func newSSHarnessCfg(t *testing.T, policy Policy, accounts wssec.StaticAccounts,
 	if err != nil {
 		t.Fatal(err)
 	}
+	// As master.Assemble does: the SS's one standing subscription.
+	if _, err := broker.Producer().Subscribe(ss.ConsumerEPR(), ss.ConsumerTopics()); err != nil {
+		t.Fatal(err)
+	}
 
 	masterMux := soap.NewMux()
 	masterMux.Handle(broker.Service().Path(), broker.Service().Dispatcher())
@@ -126,6 +132,20 @@ func newSSHarnessCfg(t *testing.T, policy Policy, accounts wssec.StaticAccounts,
 	network.Register("client", transport.NewServer(clientMux))
 
 	return &ssHarness{network: network, client: client, ss: ss, broker: broker, files: files, events: events}
+}
+
+// refuse makes the harness's client fail every call match picks, while
+// the returned switch is on (it starts on).
+func (h *ssHarness) refuse(match func(call *soap.CallInfo) bool) *atomic.Bool {
+	on := new(atomic.Bool)
+	on.Store(true)
+	h.client.Use(func(ctx context.Context, call *soap.CallInfo, next soap.Handler) (*soap.Envelope, error) {
+		if on.Load() && match(call) {
+			return nil, fmt.Errorf("refused %s to %s", call.Action, call.Addr)
+		}
+		return next(ctx, call)
+	})
+	return on
 }
 
 func (h *ssHarness) filesEPR() wsa.EndpointReference { return wsa.NewEPR("inproc://client/files") }

@@ -2,6 +2,7 @@ package wsn
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log"
 	"strings"
@@ -111,13 +112,17 @@ func NewProducer(owner *wsrf.Service, subHome wsrf.ResourceHome, client *transpo
 // alongside the owner.
 func (p *Producer) SubscriptionService() *wsrf.Service { return p.subSvc }
 
-// recover rebuilds the in-memory subscription cache from the home.
+// recover rebuilds the in-memory subscription cache from the home. An
+// unreadable subscription is refused like a corrupt one, not dropped.
 func (p *Producer) recover() error {
 	home := p.subSvc.Home()
 	for _, id := range home.IDs() {
 		doc, err := home.Load(id)
+		if errors.Is(err, wsrf.ErrNoSuchResource) {
+			continue // destroyed since IDs listed it
+		}
 		if err != nil {
-			continue
+			return fmt.Errorf("wsn: unreadable subscription %q: %w", id, err)
 		}
 		sub, err := subscriptionFromDoc(id, doc)
 		if err != nil {

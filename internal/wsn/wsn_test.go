@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -296,6 +297,47 @@ func TestProducerRecoversSubscriptionsFromHome(t *testing.T) {
 	p2 := mustProducer(owner2, home, client)
 	if p2.subscriptionCount() != 1 {
 		t.Fatalf("recovered %d subscriptions", p2.subscriptionCount())
+	}
+}
+
+// failingHome fails Load for one id with err; IDs still lists it.
+type failingHome struct {
+	wsrf.ResourceHome
+	bad string
+	err error
+}
+
+func (h failingHome) Load(id string) (*xmlutil.Element, error) {
+	if id == h.bad {
+		return nil, h.err
+	}
+	return h.ResourceHome.Load(id)
+}
+
+// TestProducerRefusesAnUnreadableSubscription: a restarted producer that
+// cannot read one of its subscriptions — a row journaled under another
+// codec — refuses to start, naming it, as it refuses a corrupt one.
+// Skipping it would leave its consumer subscribed on the books and deaf
+// in fact. A subscription destroyed since IDs listed it is still skipped.
+func TestProducerRefusesAnUnreadableSubscription(t *testing.T) {
+	client := transport.NewClient().WithNetwork(transport.NewNetwork())
+	home := wsrf.NewStateHome(resourcedb.NewStore().MustTable("subs", resourcedb.BlobCodec{}))
+	owner := func() *wsrf.Service {
+		return wsrf.MustService(wsrf.ServiceConfig{Path: "/NB", Address: "inproc://master"})
+	}
+	epr, err := mustProducer(owner(), home, client).Subscribe(wsa.NewEPR("inproc://client/listener"), Simple("jobs"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := epr.Property(wsrf.QResourceID)
+
+	_, err = NewProducer(owner(), failingHome{home, id, fmt.Errorf("row %q does not decode", id)}, client)
+	if err == nil || !strings.Contains(err.Error(), id) {
+		t.Fatalf("a producer over an unreadable subscription started: %v", err)
+	}
+	p, err := NewProducer(owner(), failingHome{home, id, fmt.Errorf("%w: %q", wsrf.ErrNoSuchResource, id)}, client)
+	if err != nil || p.subscriptionCount() != 0 {
+		t.Fatalf("a subscription destroyed since IDs listed it: %v", err)
 	}
 }
 
