@@ -11,6 +11,8 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"os"
+	"runtime/debug"
 	"runtime/metrics"
 	"strings"
 	"time"
@@ -59,8 +61,21 @@ type Host struct {
 	trace *log.Logger // nil unless -trace was given
 }
 
-// Open builds the host's client and opens its store.
+// gcPercent is the collector's target for every grid binary, unless the
+// GOGC environment variable names one. What a daemon keeps is copied out
+// of the frames it came in, so its live heap is about half what it was
+// when kept strings pinned whole frames, and at Go's default of 100 the
+// collector runs so often that a job costs 8–12 % more CPU than at 150.
+// 200 gives back more heap than copying freed on chain8 and wide64d
+// (EXPERIMENTS.md, E27).
+const gcPercent = 150
+
+// Open sets the process's GC target (gcPercent), builds the host's client
+// and opens its store.
 func (f *Flags) Open() (*Host, error) {
+	if os.Getenv("GOGC") == "" {
+		debug.SetGCPercent(gcPercent)
+	}
 	h := &Host{Client: transport.NewClient()}
 	if f.Trace {
 		h.trace = log.Default()

@@ -266,6 +266,97 @@ func (c *sideCounter) intercept(ctx context.Context, call *soap.CallInfo, next s
 	return next(ctx, call)
 }
 
+// shippedGrid is a master and two nodes ("win-a", "win-b", two cores
+// each) stood up the way the binaries do — daemon.Flags.Open,
+// master.Assemble / node.New, Host.ListenHTTP, Start / Register, in
+// cmd/gridmaster's and cmd/gridnode's order, every daemon advertising
+// http:// — on loopback with journaled stores; the master keeps
+// -metrics.
+type shippedGrid struct {
+	mhost            *daemon.Host
+	m                *master.Master
+	maddr, masterURL string
+}
+
+// standShippedGrid stands the grid up. wire, when given, sees each host
+// before it carries traffic — "gridmaster" or the node's name, its listen
+// address and its server, whose host interceptors are installed already.
+func standShippedGrid(t *testing.T, ctx context.Context, wire func(name string, host *daemon.Host, addr string, srv *transport.Server)) *shippedGrid {
+	t.Helper()
+	if wire == nil {
+		wire = func(string, *daemon.Host, string, *transport.Server) {}
+	}
+	g := &shippedGrid{mhost: openHost(t, "-data-dir", t.TempDir(), "-fsync=false", "-metrics"), maddr: freeAddr(t)}
+	g.masterURL = daemon.Advertised("127.0.0.1", g.maddr)
+	var err error
+	if g.m, err = master.Assemble(g.mhost.MasterConfig(g.masterURL)); err != nil {
+		t.Fatal(err)
+	}
+	srv := transport.NewServer(g.m.Mux)
+	srv.Use(g.mhost.Interceptors()...)
+	wire("gridmaster", g.mhost, g.maddr, srv)
+	_, stop, err := g.mhost.ListenHTTP(srv, g.maddr, g.masterURL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(stop)
+	if _, err := g.m.Start(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"win-a", "win-b"} {
+		nhost := openHost(t, "-data-dir", t.TempDir(), "-fsync=false")
+		naddr := freeAddr(t)
+		nodeURL := daemon.Advertised("127.0.0.1", naddr)
+		n, err := node.New(node.Config{
+			Name:         name,
+			Address:      nodeURL,
+			Client:       nhost.Client,
+			Cores:        2,
+			Broker:       wsa.NewEPR(g.masterURL + "/NotificationBroker"),
+			NIS:          wsa.NewEPR(g.masterURL + "/NodeInfoService"),
+			Store:        nhost.Store,
+			Interceptors: nhost.Interceptors(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wire(name, nhost, naddr, n.Server())
+		_, stop, err := nhost.ListenHTTP(n.Server(), naddr, nodeURL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(stop)
+		if err := n.Register(ctx); err != nil {
+			t.Fatal(err)
+		}
+		n.Start()
+		t.Cleanup(n.Stop)
+	}
+	return g
+}
+
+// demoJobSet reads the README's demo job set and the files it publishes.
+func demoJobSet(t *testing.T) (*core.JobSetFile, map[string][]byte) {
+	t.Helper()
+	jobset := filepath.Join("..", "..", "examples", "gridsub-demo", "analysis.jobset")
+	f, err := os.Open(jobset)
+	if err != nil {
+		t.Fatal(err)
+	}
+	desc, err := core.ParseJobSetFile(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := make(map[string][]byte, len(desc.Files))
+	for name, path := range desc.Files {
+		if files[name], err = os.ReadFile(filepath.Join(filepath.Dir(jobset), path)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return desc, files
+}
+
 // TestShippedWiringRunsDemoJobSet stands a grid up the way the binaries
 // do — daemon.Flags.Open, master.Assemble / node.New, Host.ListenHTTP,
 // Start / Register, in cmd/gridmaster's and cmd/gridnode's order, every
@@ -288,69 +379,21 @@ func (c *sideCounter) intercept(ctx context.Context, call *soap.CallInfo, next s
 func TestShippedWiringRunsDemoJobSet(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	mhost := openHost(t, "-data-dir", t.TempDir(), "-fsync=false", "-metrics")
-	masterDials := recordDials(mhost)
+	var masterDials *dialRecorder
 	consumer := &sideCounter{path: "/SchedulerConsumer"}
-	mhost.Client.Use(consumer.intercept)
-	maddr := freeAddr(t)
-	masterURL := daemon.Advertised("127.0.0.1", maddr)
-	m, err := master.Assemble(mhost.MasterConfig(masterURL))
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := transport.NewServer(m.Mux)
-	srv.Use(mhost.Interceptors()...)
-	srv.Use(consumer.intercept)
-	_, stop, err := mhost.ListenHTTP(srv, maddr, masterURL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(stop)
-	if _, err := m.Start(ctx); err != nil {
-		t.Fatal(err)
-	}
-
 	nodeDials := make(map[string]*dialRecorder) // by the node's own port
-	for _, name := range []string{"win-a", "win-b"} {
-		nhost := openHost(t, "-data-dir", t.TempDir(), "-fsync=false")
-		naddr := freeAddr(t)
-		nodeURL := daemon.Advertised("127.0.0.1", naddr)
-		nodeDials[naddr] = recordDials(nhost)
-		n, err := node.New(node.Config{
-			Name:         name,
-			Address:      nodeURL,
-			Client:       nhost.Client,
-			Cores:        2,
-			Broker:       wsa.NewEPR(masterURL + "/NotificationBroker"),
-			NIS:          wsa.NewEPR(masterURL + "/NodeInfoService"),
-			Store:        nhost.Store,
-			Interceptors: nhost.Interceptors(),
-		})
-		if err != nil {
-			t.Fatal(err)
+	g := standShippedGrid(t, ctx, func(name string, host *daemon.Host, addr string, srv *transport.Server) {
+		if name != "gridmaster" {
+			nodeDials[addr] = recordDials(host)
+			return
 		}
-		_, stop, err := nhost.ListenHTTP(n.Server(), naddr, nodeURL)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(stop)
-		if err := n.Register(ctx); err != nil {
-			t.Fatal(err)
-		}
-		n.Start()
-		t.Cleanup(n.Stop)
-	}
+		masterDials = recordDials(host)
+		host.Client.Use(consumer.intercept)
+		srv.Use(consumer.intercept)
+	})
+	mhost, m, maddr, masterURL := g.mhost, g.m, g.maddr, g.masterURL
 
-	jobset := filepath.Join("..", "..", "examples", "gridsub-demo", "analysis.jobset")
-	f, err := os.Open(jobset)
-	if err != nil {
-		t.Fatal(err)
-	}
-	desc, err := core.ParseJobSetFile(f)
-	f.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
+	desc, files := demoJobSet(t)
 	chost := openHost(t)
 	clientDials := recordDials(chost)
 	var listenerBase string
@@ -369,11 +412,7 @@ func TestShippedWiringRunsDemoJobSet(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	for name, path := range desc.Files {
-		content, err := os.ReadFile(filepath.Join(filepath.Dir(jobset), path))
-		if err != nil {
-			t.Fatal(err)
-		}
+	for name, content := range files {
 		client.AddFile(name, content)
 	}
 	// A set whose names, files and script arguments are not ASCII crosses

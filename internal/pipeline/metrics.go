@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -87,8 +88,10 @@ func (m *Metrics) Record(k Key, d time.Duration, fault bool) {
 	defer m.mu.Unlock()
 	s, ok := m.stats[k]
 	if !ok {
+		// The table outlives the call: its key is a copy, not a view of
+		// the message the path and action were read from.
 		s = &Stats{Min: d}
-		m.stats[k] = s
+		m.stats[Key{Path: strings.Clone(k.Path), Action: strings.Clone(k.Action)}] = s
 	}
 	s.Calls++
 	if fault {

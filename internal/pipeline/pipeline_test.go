@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"uvacg/internal/soap"
 	"uvacg/internal/xmlutil"
@@ -298,5 +299,27 @@ func TestMetricsDump(t *testing.T) {
 	NewMetrics().Dump(&empty)
 	if !strings.Contains(empty.String(), "no calls recorded") {
 		t.Fatalf("empty dump = %q", empty.String())
+	}
+}
+
+// TestMetricsKeepCopiesOfKeys: the table outlives every call it counts,
+// and a call's path and action are read from its message; the key the
+// table keeps is a copy that points into none of the message's bytes.
+func TestMetricsKeepCopiesOfKeys(t *testing.T) {
+	msg := []byte("/Scheduler urn:uvacg:ss/Submit")
+	key := Key{Path: unsafe.String(&msg[0], len("/Scheduler")), Action: unsafe.String(&msg[len("/Scheduler ")], len("urn:uvacg:ss/Submit"))}
+	m := NewMetrics()
+	m.Record(key, time.Millisecond, false)
+	m.Record(key, time.Millisecond, false)
+	lo := uintptr(unsafe.Pointer(unsafe.SliceData(msg)))
+	for k, s := range m.stats {
+		if s.Calls != 2 {
+			t.Fatalf("%v counts %d calls, want 2", k, s.Calls)
+		}
+		for _, v := range []string{k.Path, k.Action} {
+			if at := uintptr(unsafe.Pointer(unsafe.StringData(v))); at >= lo && at < lo+uintptr(len(msg)) {
+				t.Errorf("the table keeps %q as a view of the message", v)
+			}
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"uvacg/internal/vfs"
 	"uvacg/internal/wssec"
@@ -610,5 +611,31 @@ func TestRunningCountMatchesScan(t *testing.T) {
 	}
 	if sp.Load() != 0 {
 		t.Fatalf("Load = %d on an idle spawner", sp.Load())
+	}
+}
+
+// TestSpawnKeepsCopies: a process outlives the Run message its spec was
+// read from; its owner, working directory and executable are copies,
+// which point into none of the message's bytes.
+func TestSpawnKeepsCopies(t *testing.T) {
+	sp, fs, dir := newTestSpawner(t)
+	stage(t, fs, dir, "job.app", BuildScript("exit 0"))
+	msg := []byte("labuser " + dir + " job.app")
+	view := func(at, n int) string { return unsafe.String(&msg[at], n) }
+	spec := SpawnSpec{
+		Username:   view(0, len("labuser")),
+		Password:   "pw",
+		WorkingDir: view(len("labuser "), len(dir)),
+		Executable: view(len("labuser ")+len(dir)+1, len("job.app")),
+	}
+	p := spawnAndWait(t, sp, spec)
+	if p.Owner != "labuser" || p.WorkingDir != dir || p.Executable != "job.app" {
+		t.Fatalf("process kept %q, %q, %q", p.Owner, p.WorkingDir, p.Executable)
+	}
+	lo := uintptr(unsafe.Pointer(unsafe.SliceData(msg)))
+	for _, s := range []string{p.Owner, p.WorkingDir, p.Executable} {
+		if at := uintptr(unsafe.Pointer(unsafe.StringData(s))); at >= lo && at < lo+uintptr(len(msg)) {
+			t.Errorf("the process keeps %q as a view of the message", s)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package procspawn
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -122,11 +123,13 @@ func (s *Spawner) Spawn(spec SpawnSpec) (*Process, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The process outlives the Run message its spec was read from: it
+	// keeps copies.
 	p := &Process{
 		PID:        atomic.AddInt64(&s.nextPID, 1),
-		Owner:      spec.Username,
-		WorkingDir: spec.WorkingDir,
-		Executable: spec.Executable,
+		Owner:      strings.Clone(spec.Username),
+		WorkingDir: strings.Clone(spec.WorkingDir),
+		Executable: strings.Clone(spec.Executable),
 		state:      StateRunning,
 		kill:       make(chan struct{}),
 		done:       make(chan struct{}),

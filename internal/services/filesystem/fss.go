@@ -176,9 +176,11 @@ func New(cfg Config) (*Service, error) {
 	svc.RegisterProperty(QFileCount, usage(true))
 	svc.RegisterProperty(QByteCount, usage(false))
 	svc.RegisterServiceMethod(ActionCreateDirectory, s.handleCreateDirectory)
-	svc.RegisterMethod(ActionRead, s.handleRead)
+	// Read and List only read the directory's document, which nothing
+	// changes after CreateDirectory: they take no lock and save nothing.
+	svc.RegisterReadMethod(ActionRead, s.handleRead)
 	svc.RegisterMethod(ActionWrite, s.handleWrite)
-	svc.RegisterMethod(ActionList, s.handleList)
+	svc.RegisterReadMethod(ActionList, s.handleList)
 	svc.RegisterMethod(ActionUpload, s.handleUpload)
 	svc.RegisterMethod(ActionUploadSync, s.handleUploadSync)
 	return s, nil

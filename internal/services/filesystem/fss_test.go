@@ -5,6 +5,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"strconv"
 	"strings"
 	"sync"
@@ -541,4 +542,45 @@ func TestDirectoryUsageProperties(t *testing.T) {
 func dirExists(fs *vfs.FS, path string) bool {
 	_, err := fs.List(path)
 	return err == nil
+}
+
+// TestReadAndListAnswerWhileTheDirectoryIsLocked: Read and List only read
+// a directory's document, which nothing changes after CreateDirectory, so
+// neither waits for the directory's lock, which a Write or an Upload
+// holds while it runs.
+func TestReadAndListAnswerWhileTheDirectoryIsLocked(t *testing.T) {
+	h := newFSSHarness(t)
+	ctx := context.Background()
+	dir, err := CreateDirectoryVia(ctx, h.client, h.fssA.EPR(), "job")
+	if err != nil {
+		t.Fatal(err)
+	}
+	content := []byte("simulation input\n")
+	if err := WriteFile(ctx, h.client, dir, "in.dat", content); err != nil {
+		t.Fatal(err)
+	}
+	release := h.fssA.WSRF().LockResource(dir.Property(wsrf.QResourceID))
+	defer release()
+	done := make(chan error, 1)
+	go func() {
+		got, err := FetchFile(ctx, h.client, dir, "in.dat")
+		if err == nil && !bytes.Equal(got, content) {
+			err = fmt.Errorf("read back %q", got)
+		}
+		if err == nil {
+			var files map[string]int64
+			if files, err = ListDirectory(ctx, h.client, dir); err == nil && files["in.dat"] != int64(len(content)) {
+				err = fmt.Errorf("list = %v", files)
+			}
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Read or List waited for the directory's lock")
+	}
 }

@@ -39,22 +39,33 @@ func jobSetDocument(r *run) *xmlutil.Element {
 // element renders a job's JobState: a pure function of its state, so an
 // attempt that was abandoned leaves nothing of itself behind — a job back
 // at Pending shows no node, directory or exit code, only the retries it
-// has consumed.
+// has consumed. Its attributes are written into one list sized for them,
+// in the canonical order SetAttr keeps (attempt, dir, exitCode, name,
+// node, status).
 func (j *jobState) element() *xmlutil.Element {
-	el := xmlutil.NewElement(QJobState, "").SetAttr(qNameAttr, j.spec.Name).SetAttr(qStatusAttr, j.state)
-	if j.node != "" {
-		el.SetAttr(qNodeAttr, j.node)
+	terminal := j.state == JobCompleted || j.state == JobFailed
+	n := 2 // name, status
+	for _, set := range []bool{j.retries > 0, !j.dirEPR.IsZero(), terminal, j.node != ""} {
+		if set {
+			n++
+		}
+	}
+	attrs := make([]xmlutil.Attr, 0, n)
+	if j.retries > 0 {
+		attrs = append(attrs, xmlutil.Attr{Name: qAttemptAttr, Value: strconv.Itoa(j.retries)})
 	}
 	if !j.dirEPR.IsZero() {
-		el.SetAttr(qDirAttr, j.dirEPR.String())
+		attrs = append(attrs, xmlutil.Attr{Name: qDirAttr, Value: j.dirEPR.String()})
 	}
-	if j.retries > 0 {
-		el.SetAttr(qAttemptAttr, strconv.Itoa(j.retries))
+	if terminal {
+		attrs = append(attrs, xmlutil.Attr{Name: qExitAttr, Value: strconv.Itoa(j.exitCode)})
 	}
-	if j.state == JobCompleted || j.state == JobFailed {
-		el.SetAttr(qExitAttr, strconv.Itoa(j.exitCode))
+	attrs = append(attrs, xmlutil.Attr{Name: qNameAttr, Value: j.spec.Name})
+	if j.node != "" {
+		attrs = append(attrs, xmlutil.Attr{Name: qNodeAttr, Value: j.node})
 	}
-	return el
+	attrs = append(attrs, xmlutil.Attr{Name: qStatusAttr, Value: j.state})
+	return &xmlutil.Element{Name: QJobState, Attrs: attrs}
 }
 
 // render is what a write of the set carries. A set-level write has the

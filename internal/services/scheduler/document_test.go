@@ -3,6 +3,8 @@ package scheduler
 import (
 	"testing"
 
+	"uvacg/internal/wsa"
+	"uvacg/internal/wsrf"
 	"uvacg/internal/xmlutil"
 )
 
@@ -69,5 +71,33 @@ func TestParseJobSetDocumentDegradesGracefully(t *testing.T) {
 	}
 	if v.Jobs[1].Name != "" || v.Jobs[1].Status != JobPending {
 		t.Fatalf("nameless job state projected %+v", v.Jobs[1])
+	}
+}
+
+// TestJobStateElementAllocatesItsAttributesOnce: a JobState row is one
+// element and one attribute list sized for it, in the order SetAttr
+// keeps, so it reads back as the row SetAttr builds; the directory EPR's
+// string is the only other allocation.
+func TestJobStateElementAllocatesItsAttributesOnce(t *testing.T) {
+	j := jobState{
+		spec:     &JobSpec{Name: "gen"},
+		state:    JobCompleted,
+		retries:  2,
+		node:     "node-a",
+		dirEPR:   wsa.NewEPR("inproc://node-a/FileSystemService").WithProperty(wsrf.QResourceID, "dir-1"),
+		exitCode: 0,
+	}
+	want := xmlutil.NewElement(QJobState, "").
+		SetAttr(qNameAttr, "gen").SetAttr(qStatusAttr, JobCompleted).SetAttr(qNodeAttr, "node-a").
+		SetAttr(qDirAttr, j.dirEPR.String()).SetAttr(qAttemptAttr, "2").SetAttr(qExitAttr, "0")
+	if got := j.element(); !got.Equal(want) || len(got.Attrs) != cap(got.Attrs) {
+		t.Fatalf("element = %s (%d attributes, room for %d), want %s", got, len(got.Attrs), cap(got.Attrs), want)
+	}
+	pending := jobState{spec: j.spec, state: JobPending}
+	if got, want := pending.element(), xmlutil.NewElement(QJobState, "").SetAttr(qNameAttr, "gen").SetAttr(qStatusAttr, JobPending); !got.Equal(want) {
+		t.Fatalf("element = %s, want %s", got, want)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { j.element() }); allocs > 3 {
+		t.Errorf("element allocates %.0f times, want 3: the element, its attributes and the directory EPR's string", allocs)
 	}
 }

@@ -254,11 +254,13 @@ func (st *setState) jobEvent(ev event, now time.Time, fx *effects) {
 		}
 		return
 	}
-	if !ev.dirEPR.IsZero() {
-		j.dirEPR = ev.dirEPR
+	// The EPRs came in a message; the job keeps copies of its own, made
+	// once, when one first arrives.
+	if !ev.dirEPR.IsZero() && !ev.dirEPR.Equal(j.dirEPR) {
+		j.dirEPR = ev.dirEPR.Own()
 	}
-	if !ev.jobEPR.IsZero() {
-		j.jobEPR = ev.jobEPR
+	if !ev.jobEPR.IsZero() && !ev.jobEPR.Equal(j.jobEPR) {
+		j.jobEPR = ev.jobEPR.Own()
 	}
 	live := jobLive(j.state)
 	switch ev.kind {

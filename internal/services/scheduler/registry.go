@@ -87,7 +87,8 @@ const (
 func (s *Service) takeOn(ctx context.Context, r *run, via way) (live bool, err error) {
 	// The set outlives the request or sweep that brought it.
 	ctx = context.WithoutCancel(ctx)
-	r.flow, _ = pipeline.RequestIDFrom(ctx)
+	flow, _ := pipeline.RequestIDFrom(ctx)
+	r.flow = strings.Clone(flow) // kept past the request it came in
 	// "subscribe both itself and the client's notification listener",
 	// before any event can be published: the SS is subscribed to every set
 	// already; the listener strictly only for Submit.

@@ -607,23 +607,27 @@ func (s *Service) handleSubmit(ctx context.Context, inv *wsrf.Invocation, body *
 	if err := spec.Validate(); err != nil {
 		return nil, wsrf.NewBaseFault("InvalidJobSetFault", "%v", err).SOAPFault(soap.CodeSender)
 	}
+	// The run keeps the client's EPRs and credentials for the set's life:
+	// copies, not views of the Submit's frame.
 	var clientFiles, clientListener wsa.EndpointReference
 	if el := body.Child(qClientFiles); el != nil {
 		if clientFiles, err = wsa.ParseEPR(el); err != nil {
 			return nil, soap.SenderFault("scheduler: bad client files EPR: %v", err)
 		}
+		clientFiles = clientFiles.Own()
 	}
 	if el := body.Child(qClientListener); el != nil {
 		if clientListener, err = wsa.ParseEPR(el); err != nil {
 			return nil, soap.SenderFault("scheduler: bad client listener EPR: %v", err)
 		}
+		clientListener = clientListener.Own()
 	}
 	if needsClientFiles(spec) && clientFiles.IsZero() {
 		return nil, soap.SenderFault("scheduler: job set references local:// files but no client file server EPR was given")
 	}
 
 	principal, _ := wssec.PrincipalFrom(ctx)
-	creds := wssec.Credentials{Username: principal.Username, Password: principal.Password}
+	creds := wssec.Credentials{Username: strings.Clone(principal.Username), Password: strings.Clone(principal.Password)}
 	// Minted here, so the topic is in the document's first and only write.
 	id := wsa.NewMessageID()[len("urn:uuid:"):]
 	r := s.newRun(id, spec, clientFiles, clientListener, creds)

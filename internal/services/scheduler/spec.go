@@ -323,13 +323,15 @@ func specElement(js *JobSetSpec) []*xmlutil.Element {
 
 // parseSpec decodes the job set portion of a Submit body. Children it does
 // not know are ignored, such as the <Replicas> count and the <Class> earlier
-// clients sent.
+// clients sent. The spec outlives the message, so every string it keeps is
+// a copy (strings.Clone): the decoded body points into the frame it came in.
 func parseSpec(body *xmlutil.Element) (*JobSetSpec, error) {
-	js := &JobSetSpec{Name: body.ChildText(qSetName)}
+	own := strings.Clone
+	js := &JobSetSpec{Name: own(body.ChildText(qSetName))}
 	for _, jobEl := range body.ChildrenNamed(qJobSpec) {
-		j := JobSpec{Name: jobEl.ChildText(qJobName), RunOn: jobEl.Attr(qRunOnAttr)}
+		j := JobSpec{Name: own(jobEl.ChildText(qJobName)), RunOn: own(jobEl.Attr(qRunOnAttr))}
 		if exe := jobEl.Child(qExecutable); exe != nil {
-			j.Executable = exe.Attr(qSourceAttr)
+			j.Executable = own(exe.Attr(qSourceAttr))
 		}
 		if txt := jobEl.Attr(qRetryLimitAttr); txt != "" {
 			n, err := strconv.Atoi(txt)
@@ -347,15 +349,15 @@ func parseSpec(body *xmlutil.Element) (*JobSetSpec, error) {
 		}
 		for _, in := range jobEl.ChildrenNamed(qInput) {
 			j.Inputs = append(j.Inputs, FileSpec{
-				LocalName: in.Attr(qNameAttr),
-				Source:    in.Attr(qSourceAttr),
+				LocalName: own(in.Attr(qNameAttr)),
+				Source:    own(in.Attr(qSourceAttr)),
 			})
 		}
 		for _, o := range jobEl.ChildrenNamed(qOutput) {
-			j.Outputs = append(j.Outputs, o.Text)
+			j.Outputs = append(j.Outputs, own(o.Text))
 		}
 		for _, a := range jobEl.ChildrenNamed(qAfter) {
-			j.After = append(j.After, a.Text)
+			j.After = append(j.After, own(a.Text))
 		}
 		js.Jobs = append(js.Jobs, j)
 	}

@@ -218,3 +218,36 @@ func TestLargeReplyStatesItsLength(t *testing.T) {
 			len(body), resp.ContentLength, resp.TransferEncoding)
 	}
 }
+
+// TestOneWayDispatchStampsNoReply: a one-way message's reply is dropped
+// (HandleOneWay reads it only for a fault to log), so its dispatch stamps
+// no WS-Addressing headers on it and allocates less than a request's
+// dispatch by what the stamp costs: a MessageID, the Action string, the
+// header elements and the header list.
+func TestOneWayDispatchStampsNoReply(t *testing.T) {
+	const action = "urn:test/Ping"
+	d := soap.NewDispatcher()
+	d.Register(action, func(context.Context, *soap.Envelope) (*soap.Envelope, error) { return nil, nil })
+	mux := soap.NewMux()
+	mux.Handle("/svc", d)
+	s := NewServer(mux)
+	in := &inbound{
+		path:       "/svc",
+		env:        soap.New(nil),
+		info:       wsa.MessageInfo{Action: action, MessageID: wsa.NewMessageID()},
+		dispatcher: d,
+	}
+	ctx := context.Background()
+	if resp := s.dispatch(ctx, in, true); len(resp.Headers) != 0 {
+		t.Fatalf("one-way reply carries %d header(s), want none", len(resp.Headers))
+	}
+	if resp := s.dispatch(ctx, in, false); len(resp.Headers) != 3 {
+		t.Fatalf("request reply carries %d header(s), want Action, MessageID and RelatesTo", len(resp.Headers))
+	}
+	oneWay := testing.AllocsPerRun(200, func() { s.dispatch(ctx, in, true) })
+	request := testing.AllocsPerRun(200, func() { s.dispatch(ctx, in, false) })
+	t.Logf("dispatch allocates %.0f times one-way, %.0f as a request", oneWay, request)
+	if request-oneWay < 5 {
+		t.Errorf("one-way dispatch allocates %.0f times, a request's %.0f: the stamp is still made", oneWay, request)
+	}
+}

@@ -112,6 +112,10 @@ func NewHTTPTransport() *HTTPTransport {
 	}}
 }
 
+// CloseIdleConnections drops the keep-alive connections the binding
+// holds.
+func (t *HTTPTransport) CloseIdleConnections() { t.client.CloseIdleConnections() }
+
 // post sends msg as one POST of plain SOAP, marked one-way or not. HTTP
 // carries no attachment parts: a message that still has them is refused
 // rather than sent without them (Client.outbound inlines them first).

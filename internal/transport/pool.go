@@ -3,6 +3,7 @@ package transport
 import (
 	"bufio"
 	"net"
+	"strings"
 	"sync"
 	"time"
 )
@@ -43,10 +44,13 @@ const (
 
 // connPool keeps idle soap.tcp connections per host:port for reuse, the
 // analog of net/http's Transport pooling that the framed binding lacked
-// — every message used to pay a fresh dial (E6).
+// — every message used to pay a fresh dial (E6). A host's list is
+// reached through a pointer, so the map is written only when a host is
+// first seen: a map assignment stores its key, and the hostport a
+// message hands in points into that message's address.
 type connPool struct {
 	mu   sync.Mutex
-	idle map[string][]*pooledConn
+	idle map[string]*[]*pooledConn
 }
 
 // get pops the most recently used idle connection for hostport, dropping
@@ -55,10 +59,12 @@ func (p *connPool) get(hostport string) *pooledConn {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	list := p.idle[hostport]
-	for len(list) > 0 {
-		pc := list[len(list)-1]
-		list = list[:len(list)-1]
-		p.idle[hostport] = list
+	if list == nil {
+		return nil
+	}
+	for len(*list) > 0 {
+		pc := (*list)[len(*list)-1]
+		*list = (*list)[:len(*list)-1]
 		if time.Since(pc.idleSince) > idleTimeout {
 			pc.Close()
 			continue
@@ -78,12 +84,16 @@ func (p *connPool) put(hostport string, pc *pooledConn) {
 	pc.idleSince = time.Now()
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.idle == nil {
-		p.idle = make(map[string][]*pooledConn)
-	}
 	list := p.idle[hostport]
-	kept := list[:0]
-	for _, old := range list {
+	if list == nil {
+		if p.idle == nil {
+			p.idle = make(map[string]*[]*pooledConn)
+		}
+		list = new([]*pooledConn)
+		p.idle[strings.Clone(hostport)] = list
+	}
+	kept := (*list)[:0]
+	for _, old := range *list {
 		if time.Since(old.idleSince) > idleTimeout {
 			old.Close()
 			continue
@@ -92,10 +102,10 @@ func (p *connPool) put(hostport string, pc *pooledConn) {
 	}
 	if len(kept) >= maxIdlePerHost {
 		pc.Close()
-		p.idle[hostport] = kept
+		*list = kept
 		return
 	}
-	p.idle[hostport] = append(kept, pc)
+	*list = append(kept, pc)
 }
 
 // closeIdle drops every pooled connection.
@@ -103,7 +113,7 @@ func (p *connPool) closeIdle() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for host, list := range p.idle {
-		for _, pc := range list {
+		for _, pc := range *list {
 			pc.Close()
 		}
 		delete(p.idle, host)

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"uvacg/internal/wsa"
 )
@@ -211,5 +212,39 @@ func TestPoolDirectConcurrency(t *testing.T) {
 	defer p.mu.Unlock()
 	if len(p.idle) != 0 {
 		t.Fatalf("pool retained %d hosts after closeIdle", len(p.idle))
+	}
+}
+
+// TestHostMapsKeepCopies: the idle pool and the learned ports outlive
+// the message whose address named a host, and the host:port a message
+// hands in points into that message's bytes. Each map keeps a copy,
+// written once, when the host is first seen.
+func TestHostMapsKeepCopies(t *testing.T) {
+	msg := []byte("soap.tcp://127.0.0.1:9/Files")
+	host := unsafe.String(&msg[len("soap.tcp://")], len("127.0.0.1:9"))
+	var p connPool
+	for i := 0; i < 2; i++ {
+		conn, peer := net.Pipe()
+		defer peer.Close()
+		p.put(host, newPooledConn(conn))
+	}
+	defer p.closeIdle()
+	p.put(host, p.get(host)) // a checkout and its return
+	c := NewClient()
+	c.learn(host)
+	lo := uintptr(unsafe.Pointer(unsafe.SliceData(msg)))
+	check := func(what, key string) {
+		if at := uintptr(unsafe.Pointer(unsafe.StringData(key))); at >= lo && at < lo+uintptr(len(msg)) {
+			t.Errorf("the %s keeps %q as a view of the message", what, key)
+		}
+	}
+	for key, idle := range p.idle {
+		if key != "127.0.0.1:9" || len(*idle) != 2 {
+			t.Fatalf("pool holds %d connection(s) under %q", len(*idle), key)
+		}
+		check("pool", key)
+	}
+	for key := range c.framed {
+		check("learned ports", key)
 	}
 }

@@ -344,8 +344,10 @@ func TestStaleRedialResendsIntactFrame(t *testing.T) {
 				// Drop every idle connection as an idle-timeout-closing
 				// peer would: the next checkout is stale.
 				tr.pool.mu.Lock()
-				for _, pc := range tr.pool.idle[ln.Addr()] {
-					pc.conn.Close()
+				if idle := tr.pool.idle[ln.Addr()]; idle != nil {
+					for _, pc := range *idle {
+						pc.conn.Close()
+					}
 				}
 				tr.pool.mu.Unlock()
 				if err := echo(ctx, client, to, w, i); err != nil {

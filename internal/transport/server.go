@@ -136,7 +136,10 @@ func (s *Server) process(ctx context.Context, path string, request *Message) *so
 }
 
 // dispatch runs a parsed message through the server chain and its
-// service, and stamps the reply's WS-Addressing headers.
+// service, and stamps the reply's WS-Addressing headers — unless the
+// message is one-way: HandleOneWay only reads a one-way's reply for a
+// fault to log, so a stamp would be a MessageID and three headers made
+// for nobody.
 func (s *Server) dispatch(ctx context.Context, in *inbound, oneWay bool) *soap.Envelope {
 	ctx = wsa.NewContext(ctx, in.info)
 	call := &soap.CallInfo{
@@ -158,6 +161,8 @@ func (s *Server) dispatch(ctx context.Context, in *inbound, oneWay bool) *soap.E
 	default:
 		resp = out
 	}
-	wsa.ApplyReply(resp, in.info, in.info.Action+"Response")
+	if !oneWay {
+		wsa.ApplyReply(resp, in.info, in.info.Action+"Response")
+	}
 	return resp
 }

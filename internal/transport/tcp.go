@@ -272,6 +272,17 @@ func readFrame(r io.Reader) (*frame, error) {
 	if fr.body, err = readSection(r, int(blen)); err != nil {
 		return nil, err
 	}
+	if fr.atts, err = readAttachments(r, &hdr); err != nil {
+		return nil, err
+	}
+	return fr, nil
+}
+
+// readAttachments reads a frame's attachment section, through readFrame's
+// header scratch: a count, then each part's id and data. The data is
+// content its reader may keep, as a staged file is kept (vfs.NewContent);
+// the envelope a frame carries is its body.
+func readAttachments(r io.Reader, hdr *[4]byte) ([]soap.Attachment, error) {
 	if _, err := io.ReadFull(r, hdr[:2]); err != nil {
 		return nil, err
 	}
@@ -279,6 +290,7 @@ func readFrame(r io.Reader) (*frame, error) {
 	if count > maxAttachments {
 		return nil, fmt.Errorf("transport: %d attachments exceed limit %d: %w", count, maxAttachments, soap.ErrEnvelopeTooLarge)
 	}
+	var atts []soap.Attachment
 	var total int64
 	for i := 0; i < int(count); i++ {
 		if _, err := io.ReadFull(r, hdr[:2]); err != nil {
@@ -300,9 +312,9 @@ func readFrame(r io.Reader) (*frame, error) {
 		if err != nil {
 			return nil, err
 		}
-		fr.atts = append(fr.atts, soap.Attachment{ID: string(idbuf), Data: data})
+		atts = append(atts, soap.Attachment{ID: string(idbuf), Data: data})
 	}
-	return fr, nil
+	return atts, nil
 }
 
 // TCPTransport is the soap.tcp:// client binding. Connections persist

@@ -33,6 +33,7 @@ import (
 	"errors"
 	"fmt"
 	"net/url"
+	"strings"
 	"sync"
 
 	"uvacg/internal/soap"
@@ -229,10 +230,11 @@ func (c *Client) Use(ics ...soap.Interceptor) {
 	c.chain.Use(ics...)
 }
 
-// learn records that the HTTP port hostport answers frames.
+// learn records that the HTTP port hostport answers frames. The map
+// keeps a copy: hostport points into a message's address.
 func (c *Client) learn(hostport string) {
 	c.routesMu.Lock()
-	c.framed[hostport] = true
+	c.framed[strings.Clone(hostport)] = true
 	c.routesMu.Unlock()
 }
 

@@ -155,7 +155,9 @@ func (fs *FS) Link(dir, name string, c *Content) error {
 	if !ok {
 		return fmt.Errorf("vfs: no such directory %q", clean)
 	}
-	d[name] = c
+	// A map assignment stores its key, and name may point into the
+	// message that asked for the file: the directory keeps a copy.
+	d[strings.Clone(name)] = c
 	return nil
 }
 

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestCleanPath(t *testing.T) {
@@ -352,5 +353,32 @@ func TestConcurrentUse(t *testing.T) {
 	files, _ := fs.Usage()
 	if files != 400 {
 		t.Fatalf("files = %d", files)
+	}
+}
+
+// TestLinkKeepsACopyOfTheName: a file name read from a message points
+// into that message's bytes, and a map assignment stores its key, on a
+// new file and on a replaced one; the directory keeps a copy.
+func TestLinkKeepsACopyOfTheName(t *testing.T) {
+	fs := New()
+	dir, err := fs.MkdirUnique("/grid", "job")
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg := []byte("<Filename>in.dat</Filename>")
+	name := unsafe.String(&msg[len("<Filename>")], len("in.dat"))
+	for _, data := range []string{"first", "second"} {
+		if err := fs.Link(dir, name, NewContent([]byte(data))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lo := uintptr(unsafe.Pointer(unsafe.SliceData(msg)))
+	for key := range fs.dirs[dir] {
+		if p := uintptr(unsafe.Pointer(unsafe.StringData(key))); p >= lo && p < lo+uintptr(len(msg)) {
+			t.Errorf("the directory keeps %q as a view of the message", key)
+		}
+	}
+	if got, err := fs.Read(dir, "in.dat"); err != nil || string(got) != "second" {
+		t.Fatalf("in.dat = %q, %v", got, err)
 	}
 }

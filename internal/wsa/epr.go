@@ -90,6 +90,46 @@ func (e EndpointReference) WithProperty(name xmlutil.QName, value string) Endpoi
 	return EndpointReference{Address: e.Address, ReferenceProperties: canonical(props)}
 }
 
+// Own returns a copy of the EPR that shares no memory with e: its address
+// and every property name and value are cut from one string of its own.
+// An EPR read from a message points into that message's bytes (the
+// decoder copies nothing), so a structure that keeps one past the message
+// keeps Own's copy, which holds its own bytes and not the whole frame.
+func (e EndpointReference) Own() EndpointReference {
+	if e.IsZero() {
+		return EndpointReference{}
+	}
+	n := len(e.Address)
+	for _, p := range e.ReferenceProperties {
+		n += len(p.Name.Space) + len(p.Name.Local) + len(p.Value)
+	}
+	var b strings.Builder
+	b.Grow(n)
+	b.WriteString(e.Address)
+	for _, p := range e.ReferenceProperties {
+		b.WriteString(p.Name.Space)
+		b.WriteString(p.Name.Local)
+		b.WriteString(p.Value)
+	}
+	s := b.String()
+	take := func(k int) string {
+		v := s[:k]
+		s = s[k:]
+		return v
+	}
+	out := EndpointReference{Address: take(len(e.Address))}
+	if len(e.ReferenceProperties) > 0 {
+		out.ReferenceProperties = make([]Property, len(e.ReferenceProperties))
+		for i, p := range e.ReferenceProperties {
+			out.ReferenceProperties[i] = Property{
+				Name:  xmlutil.QName{Space: take(len(p.Name.Space)), Local: take(len(p.Name.Local))},
+				Value: take(len(p.Value)),
+			}
+		}
+	}
+	return out
+}
+
 // Property returns a reference property value, or "".
 func (e EndpointReference) Property(name xmlutil.QName) string {
 	for _, p := range e.ReferenceProperties {

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"uvacg/internal/xmlutil"
 )
@@ -171,5 +172,53 @@ func TestParseEPRStringRoundTrip(t *testing.T) {
 		if _, err := ParseEPRString(bad); err == nil {
 			t.Errorf("ParseEPRString(%q): expected error", bad)
 		}
+	}
+}
+
+// pointsInto reports whether s is a view of buf's bytes.
+func pointsInto(s string, buf []byte) bool {
+	if s == "" || len(buf) == 0 {
+		return false
+	}
+	p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+	lo := uintptr(unsafe.Pointer(unsafe.SliceData(buf)))
+	return p >= lo && p < lo+uintptr(len(buf))
+}
+
+// TestOwnSharesNoBytes: an EPR parsed from a message points into the
+// message's bytes; Own's copy names the same resource and points into
+// none of them.
+func TestOwnSharesNoBytes(t *testing.T) {
+	epr := NewEPR("http://node-a:8080/FileSystemService").WithProperty(qRID, "dir-42").WithProperty(qDir, "jobs/7")
+	data, err := xmlutil.MarshalElement(epr.Element())
+	if err != nil {
+		t.Fatal(err)
+	}
+	el, err := xmlutil.UnmarshalElement(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parsed, err := ParseEPR(el)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !pointsInto(parsed.Address, data) {
+		t.Fatal("the parsed EPR is a copy already: the test reads nothing")
+	}
+	owned := parsed.Own()
+	if !owned.Equal(epr) {
+		t.Fatalf("Own = %v, want %v", owned, epr)
+	}
+	strs := []string{owned.Address}
+	for _, p := range owned.ReferenceProperties {
+		strs = append(strs, p.Name.Space, p.Name.Local, p.Value)
+	}
+	for _, s := range strs {
+		if pointsInto(s, data) {
+			t.Errorf("Own kept %q as a view of the message", s)
+		}
+	}
+	if !(EndpointReference{}).Own().IsZero() {
+		t.Error("the zero EPR's copy is not zero")
 	}
 }

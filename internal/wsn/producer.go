@@ -224,6 +224,9 @@ func (p *Producer) Subscribe(consumer wsa.EndpointReference, te *TopicExpression
 		return wsa.EndpointReference{}, err
 	}
 	sub.id = epr.Property(wsrf.QResourceID)
+	// The index outlives the Subscribe message consumer and te may have
+	// come in: it keeps copies.
+	sub.consumer, sub.te = consumer.Own(), te.own()
 	p.mu.Lock()
 	p.index(sub)
 	p.mu.Unlock()

@@ -68,6 +68,21 @@ func ParseTopicExpression(dialect, expr string) (*TopicExpression, error) {
 	return &TopicExpression{Dialect: dialect, Expr: expr, segs: segs}, nil
 }
 
+// own returns te with strings of its own: an expression parsed from a
+// message points into that message's bytes. Its dialect is one of the
+// three ParseTopicExpression accepts, so it takes the constant's.
+func (te *TopicExpression) own() *TopicExpression {
+	dialect := DialectFull
+	switch te.Dialect {
+	case DialectSimple:
+		dialect = DialectSimple
+	case DialectConcrete:
+		dialect = DialectConcrete
+	}
+	expr := strings.Clone(te.Expr)
+	return &TopicExpression{Dialect: dialect, Expr: expr, segs: splitTopic(expr)}
+}
+
 // MustTopicExpression is ParseTopicExpression that panics on error.
 func MustTopicExpression(dialect, expr string) *TopicExpression {
 	te, err := ParseTopicExpression(dialect, expr)

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"uvacg/internal/resourcedb"
 	"uvacg/internal/soap"
@@ -612,5 +613,60 @@ func TestSubscribeIsIdempotent(t *testing.T) {
 	fresh, err := h.producer.Subscribe(h.consEPR, Simple("jobset-1"))
 	if err != nil || fresh.Equal(first) {
 		t.Fatalf("subscribing after an unsubscribe returned %v, %v: want a new subscription", fresh, err)
+	}
+}
+
+// pointsInto reports whether s is a view of buf's bytes.
+func pointsInto(s string, buf []byte) bool {
+	if s == "" || len(buf) == 0 {
+		return false
+	}
+	p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+	lo := uintptr(unsafe.Pointer(unsafe.SliceData(buf)))
+	return p >= lo && p < lo+uintptr(len(buf))
+}
+
+// TestSubscribeKeepsCopies: a subscription outlives the Subscribe message
+// its consumer EPR and topic expression were read from; the producer's
+// index keeps copies of them, which point into none of its bytes.
+func TestSubscribeKeepsCopies(t *testing.T) {
+	h := newWSNHarness(t)
+	consumer := h.consEPR.WithProperty(wsrf.QResourceID, "listener-1")
+	data, err := xmlutil.MarshalElement(SubscribeRequest(consumer, MustTopicExpression(DialectFull, "jobset-1/*/exited")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := xmlutil.UnmarshalElement(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotConsumer, te, err := ParseSubscribeRequest(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !pointsInto(te.Expr, data) {
+		t.Fatal("the parsed expression is a copy already: the test reads nothing")
+	}
+	if _, err := h.producer.Subscribe(gotConsumer, te); err != nil {
+		t.Fatal(err)
+	}
+	h.producer.mu.RLock()
+	defer h.producer.mu.RUnlock()
+	for _, sub := range h.producer.subs {
+		if !sub.consumer.Equal(consumer) || sub.te.Dialect != DialectFull || sub.te.Expr != "jobset-1/*/exited" {
+			t.Fatalf("kept %v on %s %q", sub.consumer, sub.te.Dialect, sub.te.Expr)
+		}
+		kept := append([]string{sub.consumer.Address, sub.te.Dialect, sub.te.Expr}, sub.te.segs...)
+		for _, p := range sub.consumer.ReferenceProperties {
+			kept = append(kept, p.Name.Space, p.Name.Local, p.Value)
+		}
+		for root := range h.producer.byRoot {
+			kept = append(kept, root)
+		}
+		for _, s := range kept {
+			if pointsInto(s, data) {
+				t.Errorf("the subscription keeps %q as a view of the message", s)
+			}
+		}
 	}
 }

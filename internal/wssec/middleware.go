@@ -2,6 +2,7 @@ package wssec
 
 import (
 	"context"
+	"strings"
 	"sync"
 	"time"
 
@@ -73,7 +74,8 @@ func (rc *replayCache) check(nonce string, created, now time.Time) error {
 	if _, dup := rc.seen[nonce]; dup {
 		return errReplay
 	}
-	rc.seen[nonce] = created
+	// Kept for two windows: a copy, not a view of the message's header.
+	rc.seen[strings.Clone(nonce)] = created
 	return nil
 }
 

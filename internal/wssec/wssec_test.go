@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"uvacg/internal/soap"
 	"uvacg/internal/xmlutil"
@@ -319,4 +320,26 @@ func TestMiddlewareRejections(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestReplayCacheKeepsCopiesOfNonces: a nonce is kept for two windows,
+// and it is read from a message's header; the cache keeps a copy that
+// points into none of the message's bytes.
+func TestReplayCacheKeepsCopiesOfNonces(t *testing.T) {
+	msg := []byte("<Nonce>bm9uY2UtMQ==</Nonce>")
+	nonce := unsafe.String(&msg[len("<Nonce>")], len("bm9uY2UtMQ=="))
+	rc := newReplayCache(time.Minute)
+	now := time.Now()
+	if err := rc.check(nonce, now, now); err != nil {
+		t.Fatal(err)
+	}
+	lo := uintptr(unsafe.Pointer(unsafe.SliceData(msg)))
+	for kept := range rc.seen {
+		if at := uintptr(unsafe.Pointer(unsafe.StringData(kept))); at >= lo && at < lo+uintptr(len(msg)) {
+			t.Errorf("the cache keeps %q as a view of the message", kept)
+		}
+	}
+	if err := rc.check("bm9uY2UtMQ==", now, now); err == nil {
+		t.Fatal("replay accepted")
+	}
 }
