@@ -68,8 +68,9 @@ func main() {
 	}
 	if accounts != nil {
 		// HTTP deployment note: credentials cross as UsernameToken
-		// digests; header encryption needs out-of-band certificate
-		// distribution, which the CLI deployment does not do.
+		// digests, gridsub to Scheduler and Scheduler to each ES; header
+		// encryption needs out-of-band certificate distribution, which
+		// the CLI deployment does not do.
 		ssCfg.Security = &wssec.VerifierConfig{Accounts: accounts}
 	}
 

@@ -1,6 +1,6 @@
 // Command wsrfget is the generic WSRF client tool: because every
 // resource in the grid exposes the same standardized port types, one
-// tool can read, query, modify and destroy any of them — the "plumbing
+// tool can read, query and destroy any of them — the "plumbing
 // ... provided to all clients and work on all services" of the paper's
 // §5. Point it at any EPR printed by gridsub, gridmaster or a service
 // log.
@@ -8,7 +8,6 @@
 //	wsrfget -epr 'http://host:8700/SchedulerService?{urn:uvacg:wsrf}ResourceID=...' -doc
 //	wsrfget -epr '<epr>' -prop '{urn:uvacg:es}Status'
 //	wsrfget -epr '<epr>' -query '/JobState[@status="Completed"]'
-//	wsrfget -epr '<epr>' -set '{urn:uvacg:es}Priority=high'
 //	wsrfget -epr '<epr>' -destroy
 //	wsrfget -epr '<epr>' -ttl 10m
 package main
@@ -18,7 +17,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"strings"
 	"time"
 
 	"uvacg/internal/transport"
@@ -32,8 +30,6 @@ func main() {
 	prop := flag.String("prop", "", "GetResourceProperty: Clark-notation QName")
 	query := flag.String("query", "", "QueryResourceProperties: XPath-lite expression")
 	doc := flag.Bool("doc", false, "GetResourcePropertyDocument: print the whole document")
-	set := flag.String("set", "", "SetResourceProperties update: '{ns}Name=value'")
-	del := flag.String("delete", "", "SetResourceProperties delete: '{ns}Name'")
 	destroy := flag.Bool("destroy", false, "destroy the resource")
 	ttl := flag.Duration("ttl", 0, "SetTerminationTime this far in the future")
 	timeout := flag.Duration("timeout", 15*time.Second, "request deadline")
@@ -80,28 +76,6 @@ func main() {
 			log.Fatal(describe(err))
 		}
 		fmt.Println(document)
-	case *set != "":
-		key, value, ok := strings.Cut(*set, "=")
-		if !ok {
-			log.Fatal("wsrfget: -set wants '{ns}Name=value'")
-		}
-		name, err := xmlutil.ParseQName(key)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := rc.Set(ctx, wsrf.UpdateComponent(xmlutil.NewElement(name, value))); err != nil {
-			log.Fatal(describe(err))
-		}
-		fmt.Println("updated")
-	case *del != "":
-		name, err := xmlutil.ParseQName(*del)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := rc.Set(ctx, wsrf.DeleteComponent(name)); err != nil {
-			log.Fatal(describe(err))
-		}
-		fmt.Println("deleted")
 	case *destroy:
 		if err := rc.Destroy(ctx); err != nil {
 			log.Fatal(describe(err))
@@ -114,7 +88,7 @@ func main() {
 		}
 		fmt.Printf("termination scheduled for %s\n", when.UTC().Format(time.RFC3339))
 	default:
-		log.Fatal("wsrfget: pick one of -prop, -query, -doc, -set, -delete, -destroy, -ttl")
+		log.Fatal("wsrfget: pick one of -prop, -query, -doc, -destroy, -ttl")
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/url"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -271,12 +272,13 @@ func (s *Submission) observe(h heard) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	je := h.ev.JobEvent // zero on a set-level event
-	// The ES publishes as the job.
-	if je.JobName != "" && !h.n.Producer.IsZero() {
-		s.jobs[je.JobName] = h.n.Producer
+	// The ES publishes as the job. Both EPRs, and the name they are kept
+	// under, are views of the Notify's bytes: what is kept is copied.
+	if je.JobName != "" && !h.n.Producer.IsZero() && !h.n.Producer.Equal(s.jobs[je.JobName]) {
+		s.jobs[strings.Clone(je.JobName)] = h.n.Producer.Own()
 	}
 	if !je.Directory.IsZero() && !je.Directory.Equal(s.dirs[je.JobName]) { // every event of a job repeats it
-		s.dirs[je.JobName] = je.Directory
+		s.dirs[strings.Clone(je.JobName)] = je.Directory.Own()
 		s.save()
 	}
 	select {

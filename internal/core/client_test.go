@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"uvacg/internal/resourcedb"
 	"uvacg/internal/services/execution"
@@ -376,5 +377,60 @@ func TestResumeReadsAParentRow(t *testing.T) {
 	}
 	if out, err := sub.FetchOutput(ctx, "j", "out.txt"); err != nil || string(out) != "data" {
 		t.Fatalf("fetch = %q, %v", out, err)
+	}
+}
+
+// TestSubmissionKeepsCopiesOfEPRs: the job and directory EPRs a
+// submission learns arrive in a Notify, and so does the job name they
+// are kept under. The submission keeps copies, not views of its bytes.
+func TestSubmissionKeepsCopiesOfEPRs(t *testing.T) {
+	job := wsa.NewEPR("http://node-a:8701/ExecutionService").WithProperty(wsrf.QResourceID, "job-1")
+	dir := wsa.NewEPR("http://node-a:8701/FileSystemService").WithProperty(wsrf.QResourceID, "dir-1")
+	payload := xmlutil.NewContainer(xmlutil.Q(execution.NS, "JobEvent"),
+		xmlutil.NewElement(execution.QJobName, "sum"),
+		xmlutil.NewElement(execution.QStatus, "started"),
+		dir.ElementNamed(execution.QDirectory))
+	data, err := xmlutil.MarshalElement(wsn.NotifyBody(wsn.Notification{Topic: "set-1/sum/started", Producer: job, Message: payload}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := xmlutil.UnmarshalElement(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ns, err := wsn.ParseNotifyBody(body)
+	if err != nil || len(ns) != 1 {
+		t.Fatalf("%d notifications, %v", len(ns), err)
+	}
+	ev, ok := scheduler.ParseEvent(ns[0])
+	if !ok {
+		t.Fatal("the event does not parse")
+	}
+
+	sub := &Submission{
+		client: &Client{},
+		dirs:   make(map[string]wsa.EndpointReference),
+		jobs:   make(map[string]wsa.EndpointReference),
+		done:   make(chan struct{}),
+		events: make(chan wsn.Notification, 1),
+	}
+	sub.observe(heard{ns[0], ev})
+	if !sub.jobs["sum"].Equal(job) || !sub.dirs["sum"].Equal(dir) {
+		t.Fatalf("kept job %v, directory %v", sub.jobs["sum"], sub.dirs["sum"])
+	}
+	var kept []string
+	for _, m := range []map[string]wsa.EndpointReference{sub.jobs, sub.dirs} {
+		for name, e := range m {
+			kept = append(kept, name, e.Address)
+			for _, p := range e.ReferenceProperties {
+				kept = append(kept, p.Name.Space, p.Name.Local, p.Value)
+			}
+		}
+	}
+	lo := uintptr(unsafe.Pointer(unsafe.SliceData(data)))
+	for _, s := range kept {
+		if p := uintptr(unsafe.Pointer(unsafe.StringData(s))); s != "" && p >= lo && p < lo+uintptr(len(data)) {
+			t.Errorf("the submission keeps %q as a view of the Notify", s)
+		}
 	}
 }

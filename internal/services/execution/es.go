@@ -152,8 +152,8 @@ func New(cfg Config) (*Service, error) {
 		svc.Use(wssec.InterceptorFor(*cfg.Security, ActionRun))
 	}
 	svc.Enable(wsrf.ResourcePropertiesPortType{})
-	svc.Enable(wsrf.LifetimePortType{})
 	svc.OnDestroy(s.onJobDestroyed)
+	svc.Enable(wsrf.LifetimePortType{})
 
 	// CPUTime is computed from the live process while running — a
 	// [ResourceProperty] getter over the process handle.

@@ -150,8 +150,8 @@ func New(cfg Config) (*Service, error) {
 		onStage: cfg.OnStage,
 	}
 	svc.Enable(wsrf.ResourcePropertiesPortType{})
-	svc.Enable(wsrf.LifetimePortType{})
 	svc.OnDestroy(s.removeDirectory)
+	svc.Enable(wsrf.LifetimePortType{})
 
 	// Live usage of the directory, computed from the file system on each
 	// read — the "WS-Resource as directory" analog of the job resource's

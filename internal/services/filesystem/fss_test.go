@@ -337,21 +337,60 @@ func TestDestroyDirectoryRemovesFiles(t *testing.T) {
 	}
 }
 
+// TestDirectoryLifetimeViaTerminationTime: a directory whose termination
+// time comes is destroyed, and the directory with it.
 func TestDirectoryLifetimeViaTerminationTime(t *testing.T) {
 	h := newFSSHarness(t)
 	ctx := context.Background()
 	dir, _ := CreateDirectoryVia(ctx, h.client, h.fssA.EPR(), "tmp")
 	rc := wsrf.NewResourceClient(h.client, dir)
-	if err := rc.SetTerminationTime(ctx, time.Now().Add(-time.Second)); err != nil {
+	path, err := rc.GetPropertyText(ctx, QPath)
+	if err != nil {
 		t.Fatal(err)
 	}
-	reaper := wsrf.NewReaper(h.fssA.WSRF(), time.Hour)
-	if n := reaper.SweepOnce(); n != 1 {
-		t.Fatalf("reaped %d", n)
+	if err := rc.SetTerminationTime(ctx, time.Now().Add(20*time.Millisecond)); err != nil {
+		t.Fatal(err)
 	}
-	path, err := rc.GetPropertyText(ctx, QPath)
-	if err == nil {
-		t.Fatalf("destroyed directory still answers: %q", path)
+	deadline := time.Now().Add(5 * time.Second)
+	for dirExists(h.fsA, path) {
+		if time.Now().After(deadline) {
+			t.Fatal("the directory outlived its termination time")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if _, err := rc.GetPropertyText(ctx, QPath); err == nil {
+		t.Fatal("destroyed directory still answers")
+	}
+}
+
+// TestClientCannotRewriteADirectorysPath: a directory's Path is the FSS's
+// own state. A client that could rewrite it through SetResourceProperties
+// would read and write another directory's files through its own EPR.
+func TestClientCannotRewriteADirectorysPath(t *testing.T) {
+	h := newFSSHarness(t)
+	ctx := context.Background()
+	victim, victimPath, err := h.fssA.CreateDirectory("victim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mine, _ := CreateDirectoryVia(ctx, h.client, h.fssA.EPR(), "mine")
+	for dir, data := range map[*wsa.EndpointReference]string{&victim: "victim data", &mine: "my data"} {
+		if err := WriteFile(ctx, h.client, *dir, "f.txt", []byte(data)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	rewrite := xmlutil.NewContainer(xmlutil.Q(wsrf.NSResourceProperties, "SetResourceProperties"),
+		xmlutil.NewContainer(xmlutil.Q(wsrf.NSResourceProperties, "Update"), xmlutil.NewElement(QPath, victimPath)))
+	if _, err := h.client.Call(ctx, mine, wsrf.ActionSetResourceProperties, rewrite); err == nil {
+		t.Error("SetResourceProperties rewrote the directory's Path")
+	}
+	got, err := FetchFile(ctx, h.client, mine, "f.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != "my data" {
+		t.Fatalf("the directory reads %q, want its own file", got)
 	}
 }
 

@@ -96,8 +96,9 @@ func New(cfg Config) (*Service, error) {
 		return nil, err
 	}
 	s := &Service{svc: svc}
+	// Report is the group's one writer: it validates a processor before
+	// its entry goes in, and GetProcessors reads every entry back.
 	svc.Enable(wsrf.ResourcePropertiesPortType{})
-	svc.Enable(wsrf.ServiceGroupPortType{})
 	svc.RegisterServiceMethod(ActionReport, s.handleReport)
 	svc.RegisterServiceMethod(ActionGetProcessors, s.handleGetProcessors)
 	if !svc.Home().Exists(GroupResourceID) {
@@ -215,7 +216,7 @@ func (s *Service) handleReport(ctx context.Context, inv *wsrf.Invocation, body *
 func (s *Service) handleGetProcessors(ctx context.Context, inv *wsrf.Invocation, body *xmlutil.Element) (*xmlutil.Element, error) {
 	procs, err := s.Processors()
 	if err != nil {
-		return nil, soap.ReceiverFault("nis: %v", err)
+		return nil, soap.ReceiverFault("%v", err)
 	}
 	resp := &xmlutil.Element{Name: qGetProcsResponse}
 	for _, p := range procs {

@@ -2,6 +2,7 @@ package nodeinfo
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 
@@ -207,5 +208,48 @@ func TestGridLoadRidesWithUtilization(t *testing.T) {
 		if _, err := client.Call(ctx, nis.EPR(), ActionReport, bad); err == nil {
 			t.Errorf("a report with GridLoad %q was accepted", text)
 		}
+	}
+}
+
+// TestGenericAddCannotPoisonTheCatalog: Report is the group's one writer.
+// A WS-ServiceGroup Add with no processor content, or the same entry
+// written through SetResourceProperties, would make every GetProcessors
+// fault, and durably so on a data dir. Both are refused.
+func TestGenericAddCannotPoisonTheCatalog(t *testing.T) {
+	nis, client := newNISHarness(t)
+	ctx := context.Background()
+	if _, err := client.Call(ctx, nis.EPR(), ActionReport, ReportRequest(proc("win-a", 0.2))); err != nil {
+		t.Fatal(err)
+	}
+	sg := func(local string) xmlutil.QName { return xmlutil.Q(wsrf.NSServiceGroup, local) }
+	member := wsa.NewEPR("inproc://mallory/ExecutionService").ElementNamed(sg("MemberServiceEPR"))
+	rp := func(local string) xmlutil.QName { return xmlutil.Q(wsrf.NSResourceProperties, local) }
+	for action, body := range map[string]*xmlutil.Element{
+		wsrf.NSServiceGroup + "/Add":     xmlutil.NewContainer(sg("Add"), member),
+		wsrf.ActionSetResourceProperties: xmlutil.NewContainer(rp("SetResourceProperties"), xmlutil.NewContainer(rp("Insert"), xmlutil.NewContainer(sg("Entry"), member))),
+	} {
+		if _, err := client.Call(ctx, nis.GroupEPR(), action, body); err == nil {
+			t.Errorf("%s to the processors group was accepted", action)
+		}
+	}
+	procs, err := GetProcessorsVia(ctx, client, nis.EPR())
+	if err != nil {
+		t.Fatalf("GetProcessors after the refused writes: %v", err)
+	}
+	if len(procs) != 1 || procs[0].Host != "win-a" {
+		t.Fatalf("catalog = %+v, want win-a alone", procs)
+	}
+
+	// A group document that holds such an entry anyway faults once, with
+	// one prefix.
+	if err := nis.WSRF().UpdateResource(GroupResourceID, func(doc *xmlutil.Element) error {
+		wsrf.AddEntry(doc, wsa.NewEPR("inproc://mallory/ExecutionService"), nil)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	_, err = GetProcessorsVia(ctx, client, nis.EPR())
+	if err == nil || !strings.Contains(err.Error(), "nis: entry") || strings.Contains(err.Error(), "nis: nis:") {
+		t.Fatalf("GetProcessors over an entry without content: %v", err)
 	}
 }

@@ -269,9 +269,10 @@ func TestRowsAreNotResources(t *testing.T) {
 }
 
 // TestDestroyRacingPersistLeavesNoRows: a job-level write that loses the
-// race with the set's destruction — by the Destroy handler, the lifetime
-// reaper or DestroyResource (Submit's undo) — must neither leave nor
-// resurrect a row: after any destroy the home holds nothing naming the set.
+// race with the set's destruction — by the Destroy handler, its
+// termination timer or DestroyResource (Submit's undo) — must neither
+// leave nor resurrect a row: after any destroy the home holds nothing
+// naming the set.
 func TestDestroyRacingPersistLeavesNoRows(t *testing.T) {
 	inner := memHome()
 	s := newBareService(t, inner)
@@ -288,15 +289,16 @@ func TestDestroyRacingPersistLeavesNoRows(t *testing.T) {
 			_, err := client.Call(ctx, s.WSRF().EPRFor(id), wsrf.ActionDestroy, wsrf.DestroyRequest())
 			return err
 		},
-		func(id string) error {
-			err := s.WSRF().UpdateResource(id, func(doc *xmlutil.Element) error {
-				doc.Append(xmlutil.NewElement(wsrf.QTerminationTime, time.Now().Add(-time.Hour).UTC().Format(time.RFC3339Nano)))
-				return nil
-			})
-			if err == nil && wsrf.NewReaper(s.WSRF(), time.Hour).SweepOnce() != 1 {
-				err = errors.New("the reaper did not destroy the expired set")
+		func(id string) error { // a termination time that has come
+			if _, err := client.Call(ctx, s.WSRF().EPRFor(id), wsrf.ActionSetTerminationTime, wsrf.SetTerminationTimeRequest(time.Now())); err != nil {
+				return err
 			}
-			return err
+			for deadline := time.Now().Add(5 * time.Second); inner.Exists(id); time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					return errors.New("the expired set was not destroyed")
+				}
+			}
+			return nil
 		},
 	}
 	for n := 0; n < 60; n++ {

@@ -737,14 +737,20 @@ func (s *Service) runJob(ctx context.Context, r *run, res reservation) (event, e
 	}
 	req := soap.New(execution.WithAttempt(execution.RunRequest(spec.Name, r.topic, executable, files), res.attempt))
 	if r.creds.Username != "" {
-		if err := wssec.AttachUsernameToken(req, r.creds, false, time.Now()); err != nil {
+		// The ES verifies the token against its own account table and
+		// spawns with the password it holds there, so a digest serves; the
+		// password itself crosses only inside an encrypted header.
+		var cert wssec.Certificate
+		encrypt := false
+		if s.esCerts != nil {
+			cert, encrypt = s.esCerts(node.ES)
+		}
+		if err := wssec.AttachUsernameToken(req, r.creds, !encrypt, time.Now()); err != nil {
 			return ack, err
 		}
-		if s.esCerts != nil {
-			if cert, ok := s.esCerts(node.ES); ok {
-				if err := wssec.EncryptSecurityHeader(req, cert); err != nil {
-					return ack, err
-				}
+		if encrypt {
+			if err := wssec.EncryptSecurityHeader(req, cert); err != nil {
+				return ack, err
 			}
 		}
 	}

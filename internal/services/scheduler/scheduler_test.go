@@ -12,6 +12,7 @@ import (
 	"uvacg/internal/node"
 	"uvacg/internal/procspawn"
 	"uvacg/internal/resourcedb"
+	"uvacg/internal/services/execution"
 	"uvacg/internal/services/filesystem"
 	"uvacg/internal/services/nodeinfo"
 	"uvacg/internal/soap"
@@ -280,6 +281,51 @@ func TestSchedulerSecuredSubmitForwardsEncryptedCredentials(t *testing.T) {
 	}
 	if got := h.waitTerminal(t, topic); got != "completed" {
 		t.Fatalf("terminal event %q", got)
+	}
+}
+
+// TestRunWithoutESCertsSendsADigest: with no certificate to encrypt to,
+// as gridmaster runs, the SS's Run carries a UsernameToken digest, never
+// the password itself. The ES verifies it against its own account table,
+// so the set still completes, its job owned by the account.
+func TestRunWithoutESCertsSendsADigest(t *testing.T) {
+	accounts := wssec.StaticAccounts{"scientist": "s3cret-pw"}
+	h := newSSHarnessCfg(t, Greedy{}, accounts, func(cfg *Config) { cfg.ESCerts = nil }, "node-a")
+	var wire, job atomic.Value // the last Run as it went on the wire, and its job
+	h.client.Use(func(ctx context.Context, call *soap.CallInfo, next soap.Handler) (*soap.Envelope, error) {
+		if call.Action != execution.ActionRun {
+			return next(ctx, call)
+		}
+		data, err := call.Request.Marshal()
+		if err != nil {
+			return nil, err
+		}
+		wire.Store(string(data))
+		resp, err := next(ctx, call)
+		if err == nil {
+			if epr, _, err := execution.ParseRunResponse(resp.Body); err == nil {
+				job.Store(epr)
+			}
+		}
+		return resp, err
+	})
+	h.files.Publish("j.app", procspawn.BuildScript("exit 0"))
+	spec := &JobSetSpec{Name: "digest", Jobs: []JobSpec{{Name: "j", Executable: "local://j.app"}}}
+	_, topic, err := h.submit(t, spec, &wssec.Credentials{Username: "scientist", Password: "s3cret-pw"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := h.waitTerminal(t, topic); got != "completed" {
+		t.Fatalf("terminal event %q", got)
+	}
+	run, _ := wire.Load().(string)
+	if !strings.Contains(run, wssec.PasswordDigest) || strings.Contains(run, "s3cret-pw") || strings.Contains(run, wssec.PasswordText) {
+		t.Fatalf("Run's security header is not a digest:\n%s", run)
+	}
+	jobEPR, _ := job.Load().(wsa.EndpointReference)
+	owner, err := wsrf.NewResourceClient(h.client, jobEPR).GetPropertyText(context.Background(), execution.QOwner)
+	if err != nil || owner != "scientist" {
+		t.Fatalf("the job's owner: %q, %v", owner, err)
 	}
 }
 

@@ -82,7 +82,6 @@ func NewProducer(owner *wsrf.Service, subHome wsrf.ResourceHome, client *transpo
 		return nil, err
 	}
 	subSvc.Enable(wsrf.ResourcePropertiesPortType{})
-	subSvc.Enable(wsrf.LifetimePortType{})
 
 	p := &Producer{
 		owner:    owner,
@@ -104,6 +103,9 @@ func NewProducer(owner *wsrf.Service, subHome wsrf.ResourceHome, client *transpo
 	if err := p.recover(); err != nil {
 		return nil, err
 	}
+	// After recover: a subscription whose time passed while the service
+	// was down is indexed before its timer unindexes it.
+	subSvc.Enable(wsrf.LifetimePortType{})
 	owner.RegisterServiceMethod(ActionSubscribe, p.handleSubscribe)
 	return p, nil
 }

@@ -263,6 +263,64 @@ func TestUnsubscribeViaResourceDestroy(t *testing.T) {
 	}
 }
 
+// waitUnsubscribed waits for p's subscriptions to be gone.
+func waitUnsubscribed(t *testing.T, p *Producer) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); p.subscriptionCount() != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("a subscription outlived its termination time")
+		}
+	}
+}
+
+// TestSubscriptionExpiresAtItsTerminationTime: a subscription whose
+// termination time comes is destroyed, and delivers nothing after.
+func TestSubscriptionExpiresAtItsTerminationTime(t *testing.T) {
+	h := newWSNHarness(t)
+	ctx := context.Background()
+	subEPR, err := SubscribeVia(ctx, h.client, h.owner.EPR(), h.consEPR, Simple("jobset-1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := wsrf.NewResourceClient(h.client, subEPR).SetTerminationTime(ctx, time.Now().Add(20*time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	waitUnsubscribed(t, h.producer)
+	if n := h.producer.Publish(ctx, "jobset-1/x", h.owner.EPR(), nil); n != 0 {
+		t.Fatalf("an expired subscription still delivered (%d)", n)
+	}
+}
+
+// TestSubscriptionExpiredWhileDownIsDestroyedOnStart: a producer started
+// over a subscription whose termination time passed while none ran
+// destroys it, and keeps no index entry for it.
+func TestSubscriptionExpiredWhileDownIsDestroyedOnStart(t *testing.T) {
+	client := transport.NewClient().WithNetwork(transport.NewNetwork())
+	home := wsrf.NewStateHome(resourcedb.NewStore().MustTable("subs", resourcedb.BlobCodec{}))
+	owner := func() *wsrf.Service {
+		return wsrf.MustService(wsrf.ServiceConfig{Path: "/NB", Address: "inproc://master"})
+	}
+	epr, err := mustProducer(owner(), home, client).Subscribe(wsa.NewEPR("inproc://client/listener"), Simple("jobs"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := epr.Property(wsrf.QResourceID)
+	doc, err := home.Load(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc.Append(xmlutil.NewElement(wsrf.QTerminationTime, time.Now().Add(-time.Minute).UTC().Format(time.RFC3339Nano)))
+	if err := home.Save(id, doc); err != nil {
+		t.Fatal(err)
+	}
+
+	p := mustProducer(owner(), home, client)
+	waitUnsubscribed(t, p)
+	if home.Exists(id) {
+		t.Fatal("the expired subscription is still stored")
+	}
+}
+
 func TestSubscriptionPropertiesReadable(t *testing.T) {
 	h := newWSNHarness(t)
 	ctx := context.Background()

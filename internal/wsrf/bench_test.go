@@ -1,7 +1,7 @@
 package wsrf_test
 
 // The paper-reproduction rigs this package owns (EXPERIMENTS.md F1, E1,
-// E2, E9): each assembles just enough of the testbed to exercise one
+// E2; E9's is in lifetime_test.go, inside the package): each assembles just enough of the testbed to exercise one
 // claim from the paper's evaluation. `go test -run '^$' -bench .`
 // regenerates their tables.
 
@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"strconv"
 	"testing"
-	"time"
 
 	"uvacg/internal/pipeline"
 	"uvacg/internal/resourcedb"
@@ -71,6 +70,7 @@ func newPropertyHarness(tb testing.TB, nprops int) *propertyHarness {
 		tb.Fatal(err)
 	}
 	svc.Enable(wsrf.ResourcePropertiesPortType{})
+	svc.Enable(wsrf.SetResourcePropertiesPortType{})
 	svc.Enable(wsrf.LifetimePortType{})
 	svc.RegisterProperty(qBanner, func(ctx context.Context, inv *wsrf.Invocation) ([]*xmlutil.Element, error) {
 		return []*xmlutil.Element{xmlutil.NewElement(qBanner, "state is "+inv.Property(qProp0))}, nil
@@ -236,36 +236,6 @@ func (h *rediscoveryHarness) rediscover() (int, error) {
 	return len(recovered), nil
 }
 
-// newLifetimeReaper is the E9 rig: a service with n resources, every
-// eighth carrying an already-expired termination time, under a reaper.
-// Only the first SweepOnce finds expired resources; later sweeps
-// measure pure scan cost.
-func newLifetimeReaper(tb testing.TB, n int) *wsrf.Reaper {
-	tb.Helper()
-	store := resourcedb.NewStore()
-	svc, err := wsrf.NewService(wsrf.ServiceConfig{
-		Path:    "/S",
-		Address: "inproc://bench",
-		Home:    wsrf.NewStateHome(store.MustTable("r", resourcedb.StructuredCodec{})),
-	})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	past := time.Now().Add(-time.Hour).UTC().Format(time.RFC3339Nano)
-	for i := 0; i < n; i++ {
-		doc := xmlutil.NewContainer(xmlutil.Q(nsBench, "State"),
-			xmlutil.NewElement(xmlutil.Q(nsBench, "Payload"), "x"),
-		)
-		if i%8 == 0 {
-			doc.Append(xmlutil.NewElement(wsrf.QTerminationTime, past))
-		}
-		if _, err := svc.CreateResource(fmt.Sprintf("res-%06d", i), doc); err != nil {
-			tb.Fatal(err)
-		}
-	}
-	return wsrf.NewReaper(svc, time.Hour)
-}
-
 // BenchmarkF1_WrapperPipeline measures the Fig. 1 wrapper's cost: every
 // resource invocation pays an EPR resolution plus a database load (and
 // a save when state changed) that a stateless dispatch does not.
@@ -354,21 +324,6 @@ func BenchmarkE2_EPRRediscovery(b *testing.B) {
 	}
 }
 
-// BenchmarkE9_Lifetime measures the termination-time reaper's sweep
-// cost as the resource population grows.
-func BenchmarkE9_Lifetime(b *testing.B) {
-	for _, n := range []int{100, 1000, 10000} {
-		b.Run(fmt.Sprintf("resources=%d", n), func(b *testing.B) {
-			reaper := newLifetimeReaper(b, n)
-			reaper.SweepOnce() // collect the expired eighth once
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				reaper.SweepOnce() // steady-state scan cost
-			}
-		})
-	}
-}
-
 // The tests below keep the rigs honest: every operation the benchmarks
 // time must actually succeed and observe real effects.
 
@@ -401,15 +356,5 @@ func TestRediscoveryHarness(t *testing.T) {
 	}
 	if h.clientTableBytes() == 0 {
 		t.Fatal("EPR table size is zero")
-	}
-}
-
-func TestLifetimeHarness(t *testing.T) {
-	reaper := newLifetimeReaper(t, 64)
-	if destroyed := reaper.SweepOnce(); destroyed != 8 {
-		t.Fatalf("first sweep destroyed %d, want 8", destroyed)
-	}
-	if destroyed := reaper.SweepOnce(); destroyed != 0 {
-		t.Fatalf("steady-state sweep destroyed %d", destroyed)
 	}
 }

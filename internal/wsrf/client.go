@@ -67,12 +67,6 @@ func (rc *ResourceClient) Query(ctx context.Context, expr string) ([]*xmlutil.El
 	return body.Children, nil
 }
 
-// Set applies Insert/Update/Delete components.
-func (rc *ResourceClient) Set(ctx context.Context, components ...*xmlutil.Element) error {
-	_, err := rc.c.Call(ctx, rc.epr, ActionSetResourceProperties, SetRequest(components...))
-	return err
-}
-
 // Destroy destroys the resource immediately.
 func (rc *ResourceClient) Destroy(ctx context.Context) error {
 	_, err := rc.c.Call(ctx, rc.epr, ActionDestroy, DestroyRequest())

@@ -28,16 +28,25 @@ func (rc *ResourceClient) GetMultiple(ctx context.Context, names ...xmlutil.QNam
 	return out, nil
 }
 
-// Add registers a member with a service-group resource, returning the
-// entry key.
-func (rc *ResourceClient) Add(ctx context.Context, member wsa.EndpointReference, content *xmlutil.Element) (string, error) {
-	req := xmlutil.NewContainer(qAdd, member.ElementNamed(qMemberEPR))
-	if content != nil {
-		req.Append(xmlutil.NewContainer(qContent, content))
-	}
-	body, err := rc.c.Call(ctx, rc.epr, ActionAdd, req)
-	if err != nil {
-		return "", err
-	}
-	return body.ChildText(xmlutil.Q(NSServiceGroup, "EntryKey")), nil
+// Set applies Insert, Update (UpdateComponent) and Delete
+// (DeleteComponent) components through SetResourceProperties.
+func (rc *ResourceClient) Set(ctx context.Context, components ...*xmlutil.Element) error {
+	req := &xmlutil.Element{Name: qSetRP}
+	req.Append(components...)
+	_, err := rc.c.Call(ctx, rc.epr, ActionSetResourceProperties, req)
+	return err
+}
+
+// UpdateComponent builds an Update component.
+func UpdateComponent(values ...*xmlutil.Element) *xmlutil.Element {
+	c := &xmlutil.Element{Name: qUpdate}
+	c.Append(values...)
+	return c
+}
+
+// DeleteComponent builds a Delete component.
+func DeleteComponent(name xmlutil.QName) *xmlutil.Element {
+	c := &xmlutil.Element{Name: qDelete}
+	c.SetAttr(qResourcePropertyName, name.String())
+	return c
 }

@@ -27,8 +27,8 @@ type ResourceHome interface {
 	Destroy(id string) error
 	// Exists reports whether the resource is known.
 	Exists(id string) bool
-	// IDs enumerates all resources (used by the lifetime reaper and by
-	// rediscovery queries).
+	// IDs enumerates all resources (used by the lifetime port type's
+	// start-up walk and by rediscovery queries).
 	IDs() []string
 }
 

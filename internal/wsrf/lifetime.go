@@ -13,13 +13,100 @@ import (
 // LifetimePortType implements WS-ResourceLifetime: immediate destruction
 // (Destroy) and scheduled destruction (SetTerminationTime). The
 // termination time is itself a resource property, visible through
-// WS-ResourceProperties.
+// WS-ResourceProperties. A scheduled resource has one runtime timer,
+// armed where its time is written and disarmed when it is destroyed; no
+// walk over the home runs after start-up.
 type LifetimePortType struct{}
 
-// Attach implements PortType.
+// Attach implements PortType. It arms a timer for every termination time
+// the home already stores, once: a time that passed while the service
+// was down fires at once. A service therefore registers its OnDestroy
+// hooks before it enables this port type. A row the walk cannot read is
+// left to the service's own recovery.
 func (LifetimePortType) Attach(s *Service) {
 	s.RegisterMethod(ActionDestroy, s.handleDestroy)
 	s.RegisterMethod(ActionSetTerminationTime, s.handleSetTerminationTime)
+	if s.home == nil {
+		return
+	}
+	for _, id := range s.home.IDs() {
+		if doc, err := s.home.Load(id); err == nil {
+			if tt, ok := TerminationTimeOf(doc); ok {
+				s.arm(id, tt)
+			}
+		}
+	}
+}
+
+// terminations holds the armed timer of each resource with a scheduled
+// termination.
+type terminations struct {
+	mu     sync.Mutex
+	timers map[string]*termination
+}
+
+// termination is one armed timer. Its identity tells a firing timer
+// whether it is still its resource's current one.
+type termination struct{ timer *time.Timer }
+
+// arm replaces id's timer with one that fires at tt.
+func (s *Service) arm(id string, tt time.Time) {
+	ts := &s.terms
+	ts.mu.Lock()
+	defer ts.mu.Unlock()
+	ts.stop(id)
+	if ts.timers == nil {
+		ts.timers = make(map[string]*termination)
+	}
+	t := &termination{}
+	t.timer = time.AfterFunc(time.Until(tt), func() { s.expire(id, t) })
+	ts.timers[id] = t
+}
+
+// disarm stops id's timer, if it has one.
+func (s *Service) disarm(id string) {
+	s.terms.mu.Lock()
+	defer s.terms.mu.Unlock()
+	s.terms.stop(id)
+}
+
+// stop stops and forgets id's timer. The caller holds mu.
+func (ts *terminations) stop(id string) {
+	if t := ts.timers[id]; t != nil {
+		t.timer.Stop()
+		delete(ts.timers, id)
+	}
+}
+
+// expire runs when t fires. Under the resource's lock it reloads the
+// document and destroys the resource only if the stored time has passed.
+// An extension or a cancel that raced the timer has replaced or stopped
+// t, so t does nothing; a write whose save failed left the stored time,
+// and that is the one obeyed.
+func (s *Service) expire(id string, t *termination) {
+	defer s.locks.acquire(id)()
+	s.terms.mu.Lock()
+	current := s.terms.timers[id] == t
+	if current {
+		delete(s.terms.timers, id)
+	}
+	s.terms.mu.Unlock()
+	if !current {
+		return
+	}
+	doc, err := s.home.Load(id)
+	if err != nil {
+		return
+	}
+	tt, ok := TerminationTimeOf(doc)
+	if !ok {
+		return
+	}
+	if tt.After(time.Now()) {
+		s.arm(id, tt)
+		return
+	}
+	_ = s.destroy(id) // one that fails is left to the next start's walk
 }
 
 func (s *Service) handleDestroy(ctx context.Context, inv *Invocation, body *xmlutil.Element) (*xmlutil.Element, error) {
@@ -39,6 +126,7 @@ func (s *Service) handleSetTerminationTime(ctx context.Context, inv *Invocation,
 	if requested == "" {
 		// Empty/absent termination time = live indefinitely.
 		inv.RemoveProperty(QTerminationTime)
+		s.disarm(inv.ResourceID)
 		resp := xmlutil.NewContainer(qSetTermTimeResponse,
 			xmlutil.NewElement(qNewTermTime, ""),
 			xmlutil.NewElement(qCurrentTime, now.Format(time.RFC3339Nano)),
@@ -50,6 +138,7 @@ func (s *Service) handleSetTerminationTime(ctx context.Context, inv *Invocation,
 		return nil, NewBaseFault("UnableToSetTerminationTimeFault", "bad termination time %q: %v", requested, err).SOAPFault(soap.CodeSender)
 	}
 	inv.SetProperty(QTerminationTime, tt.UTC().Format(time.RFC3339Nano))
+	s.arm(inv.ResourceID, tt)
 	resp := xmlutil.NewContainer(qSetTermTimeResponse,
 		xmlutil.NewElement(qNewTermTime, tt.UTC().Format(time.RFC3339Nano)),
 		xmlutil.NewElement(qCurrentTime, now.Format(time.RFC3339Nano)),
@@ -85,85 +174,4 @@ func TerminationTimeOf(doc *xmlutil.Element) (time.Time, bool) {
 		return time.Time{}, false
 	}
 	return tt, true
-}
-
-// Reaper sweeps a service's resources, destroying any whose termination
-// time has passed — the background half of scheduled destruction.
-type Reaper struct {
-	service  *Service
-	interval time.Duration
-	now      func() time.Time
-
-	mu      sync.Mutex
-	stop    chan struct{}
-	stopped chan struct{}
-}
-
-// NewReaper builds a reaper over s sweeping at the given interval.
-func NewReaper(s *Service, interval time.Duration) *Reaper {
-	return &Reaper{service: s, interval: interval, now: time.Now}
-}
-
-// WithClock overrides the time source (tests, simulated time).
-func (r *Reaper) WithClock(now func() time.Time) *Reaper {
-	r.now = now
-	return r
-}
-
-// SweepOnce destroys every expired resource and returns the count.
-func (r *Reaper) SweepOnce() int {
-	home := r.service.Home()
-	if home == nil {
-		return 0
-	}
-	now := r.now()
-	destroyed := 0
-	for _, id := range home.IDs() {
-		doc, err := home.Load(id)
-		if err != nil {
-			continue // destroyed concurrently
-		}
-		if tt, ok := TerminationTimeOf(doc); ok && !tt.After(now) {
-			if err := r.service.DestroyResource(id); err == nil {
-				destroyed++
-			}
-		}
-	}
-	return destroyed
-}
-
-// Start launches the background sweep loop. Stop with Stop.
-func (r *Reaper) Start() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.stop != nil {
-		return
-	}
-	r.stop = make(chan struct{})
-	r.stopped = make(chan struct{})
-	go func(stop, stopped chan struct{}) {
-		defer close(stopped)
-		ticker := time.NewTicker(r.interval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-ticker.C:
-				r.SweepOnce()
-			}
-		}
-	}(r.stop, r.stopped)
-}
-
-// Stop halts the sweep loop and waits for it to exit.
-func (r *Reaper) Stop() {
-	r.mu.Lock()
-	stop, stopped := r.stop, r.stopped
-	r.stop, r.stopped = nil, nil
-	r.mu.Unlock()
-	if stop != nil {
-		close(stop)
-		<-stopped
-	}
 }

@@ -2,9 +2,14 @@ package wsrf
 
 import (
 	"context"
+	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
+
+	"uvacg/internal/resourcedb"
+	"uvacg/internal/xmlutil"
 )
 
 func TestDestroyViaPortType(t *testing.T) {
@@ -43,35 +48,95 @@ func TestDestroyViaPortType(t *testing.T) {
 	}
 }
 
+// waitGone waits for scheduled destruction to take id out of the home.
+func waitGone(t *testing.T, home ResourceHome, id string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for home.Exists(id) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s outlived its termination time", id)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// waiting counts the holders of id's lock and those waiting for it.
+func (rl *resourceLocks) waiting(id string) int {
+	rl.mu.Lock()
+	defer rl.mu.Unlock()
+	if e := rl.locks[id]; e != nil {
+		return e.refs
+	}
+	return 0
+}
+
+// setTermination runs SetTerminationTime on id as the pipeline does: under
+// the resource's lock, handler then save.
+func (s *Service) setTermination(id string, tt time.Time) error {
+	defer s.LockResource(id)()
+	return s.setTerminationLocked(id, tt)
+}
+
+// setTerminationLocked is setTermination for a caller holding id's lock.
+func (s *Service) setTerminationLocked(id string, tt time.Time) error {
+	doc, err := s.home.Load(id)
+	if err != nil {
+		return err
+	}
+	inv := &Invocation{Service: s, ResourceID: id, Doc: doc}
+	if _, err := s.handleSetTerminationTime(context.Background(), inv, SetTerminationTimeRequest(tt)); err != nil {
+		return err
+	}
+	return s.home.Save(id, inv.Doc)
+}
+
+// disarmAll stops every termination timer of s.
+func (s *Service) disarmAll() {
+	s.terms.mu.Lock()
+	defer s.terms.mu.Unlock()
+	for id := range s.terms.timers {
+		s.terms.stop(id)
+	}
+}
+
+// armed reports whether id has a termination timer.
+func (s *Service) armed(id string) bool {
+	s.terms.mu.Lock()
+	defer s.terms.mu.Unlock()
+	return s.terms.timers[id] != nil
+}
+
+// TestSetTerminationTimeAndReaper: the reaper is the timer that
+// SetTerminationTime arms; it destroys the resource at that time and
+// leaves an unscheduled one alone.
 func TestSetTerminationTimeAndReaper(t *testing.T) {
 	h := newHarness(t)
 	rc1 := h.mustCreate(t, "job-1")
 	h.mustCreate(t, "job-2")
 	ctx := context.Background()
+	destroyed := make(chan string, 2)
+	h.svc.OnDestroy(func(id string) { destroyed <- id })
 
-	base := time.Now().UTC()
-	if err := rc1.SetTerminationTime(ctx, base.Add(time.Hour)); err != nil {
+	tt := time.Now().Add(50 * time.Millisecond)
+	if err := rc1.SetTerminationTime(ctx, tt); err != nil {
 		t.Fatal(err)
 	}
 	// Termination time is itself a readable resource property.
 	if got, err := rc1.GetPropertyText(ctx, QTerminationTime); err != nil || got == "" {
 		t.Fatalf("TerminationTime property: %q %v", got, err)
 	}
-
-	clock := base
-	reaper := NewReaper(h.svc, time.Hour).WithClock(func() time.Time { return clock })
-	if n := reaper.SweepOnce(); n != 0 {
-		t.Fatalf("premature reap of %d resources", n)
+	waitGone(t, h.svc.Home(), "job-1")
+	if time.Now().Before(tt) {
+		t.Fatal("resource destroyed before its termination time")
 	}
-	clock = base.Add(2 * time.Hour)
-	if n := reaper.SweepOnce(); n != 1 {
-		t.Fatalf("reaped %d resources, want 1", n)
+	if id := <-destroyed; id != "job-1" {
+		t.Fatalf("destroy hook saw %q", id)
 	}
-	if h.svc.Home().Exists("job-1") {
-		t.Fatal("expired resource survived sweep")
+	if h.svc.armed("job-1") {
+		t.Fatal("a destroyed resource keeps its timer")
 	}
 	if !h.svc.Home().Exists("job-2") {
-		t.Fatal("unscheduled resource was reaped")
+		t.Fatal("unscheduled resource was destroyed")
 	}
 }
 
@@ -106,70 +171,139 @@ func TestSetTerminationTimeRejectsGarbage(t *testing.T) {
 	}
 }
 
-func TestReaperStartStop(t *testing.T) {
-	h := newHarness(t)
-	rc := h.mustCreate(t, "job-1")
-	if err := rc.SetTerminationTime(context.Background(), time.Now().Add(-time.Second)); err != nil {
-		t.Fatal(err)
-	}
-	reaper := NewReaper(h.svc, time.Millisecond)
-	reaper.Start()
-	reaper.Start() // idempotent
-	deadline := time.Now().Add(5 * time.Second)
-	for h.svc.Home().Exists("job-1") {
-		if time.Now().After(deadline) {
-			t.Fatal("reaper never collected the expired resource")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	reaper.Stop()
-	reaper.Stop() // idempotent
-}
-
 // TestReaperHonorsExtendAndCancel: re-setting the termination time
-// postpones reaping — a sweep past the original deadline must not
-// collect an extended resource — and clearing it cancels scheduled
-// destruction entirely.
+// postpones the destruction, clearing it cancels the destruction, and
+// destroying the resource another way disarms its timer.
 func TestReaperHonorsExtendAndCancel(t *testing.T) {
 	h := newHarness(t)
 	rcExtended := h.mustCreate(t, "job-extended")
+	rcCancelled := h.mustCreate(t, "job-cancelled")
+	rcDestroyed := h.mustCreate(t, "job-destroyed")
 	rcExpiring := h.mustCreate(t, "job-expiring")
 	ctx := context.Background()
-	base := time.Now().UTC()
+	soon := time.Now().Add(200 * time.Millisecond) // well after the writes below
 
-	for _, rc := range []*ResourceClient{rcExtended, rcExpiring} {
-		if err := rc.SetTerminationTime(ctx, base.Add(time.Hour)); err != nil {
+	for _, rc := range []*ResourceClient{rcExtended, rcCancelled, rcDestroyed, rcExpiring} {
+		if err := rc.SetTerminationTime(ctx, soon); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Extend one lease past the sweep horizon.
-	if err := rcExtended.SetTerminationTime(ctx, base.Add(3*time.Hour)); err != nil {
+	if err := rcExtended.SetTerminationTime(ctx, soon.Add(time.Hour)); err != nil {
+		t.Fatal(err)
+	}
+	if err := rcCancelled.SetTerminationTime(ctx, time.Time{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := rcDestroyed.Destroy(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if h.svc.armed("job-cancelled") || h.svc.armed("job-destroyed") {
+		t.Fatal("a cancelled or destroyed resource keeps its timer")
+	}
+	waitGone(t, h.svc.Home(), "job-expiring")
+	time.Sleep(20 * time.Millisecond) // past the superseded deadline too
+	if !h.svc.Home().Exists("job-extended") {
+		t.Fatal("extended resource destroyed at its superseded deadline")
+	}
+	if !h.svc.Home().Exists("job-cancelled") {
+		t.Fatal("cancelled termination still destroyed the resource")
+	}
+	if !h.svc.armed("job-extended") {
+		t.Fatal("the extension armed no timer")
+	}
+}
+
+// TestExtendRacingTheFiringTimerKeepsTheResource: the timer fires while an
+// extension holds the resource's lock. The extension commits first, so
+// the fired timer, let in after it, must leave the resource alone.
+func TestExtendRacingTheFiringTimerKeepsTheResource(t *testing.T) {
+	h := newHarness(t)
+	h.mustCreate(t, "job-1")
+	release := h.svc.LockResource("job-1")
+	if err := h.svc.setTerminationLocked("job-1", time.Now()); err != nil {
+		release()
+		t.Fatal(err)
+	}
+	// The timer fires at once and waits for the lock: a second holder of
+	// its entry.
+	deadline := time.Now().Add(5 * time.Second)
+	for h.svc.locks.waiting("job-1") < 2 {
+		if time.Now().After(deadline) {
+			release()
+			t.Fatal("the timer never came for the lock")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	err := h.svc.setTerminationLocked("job-1", time.Now().Add(time.Hour))
+	release()
+	if err != nil {
 		t.Fatal(err)
 	}
 
-	clock := base.Add(2 * time.Hour)
-	reaper := NewReaper(h.svc, time.Hour).WithClock(func() time.Time { return clock })
-	if n := reaper.SweepOnce(); n != 1 {
-		t.Fatalf("sweep past the original deadline reaped %d, want only the unextended resource", n)
+	// The fired timer has the lock now; once it is through, the
+	// resource's lock entry is gone.
+	for h.svc.locks.waiting("job-1") > 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the fired timer never finished")
+		}
+		time.Sleep(time.Millisecond)
 	}
-	if !h.svc.Home().Exists("job-extended") {
-		t.Fatal("extended resource reaped at its superseded deadline")
+	if !h.svc.Home().Exists("job-1") {
+		t.Fatal("a timer that fired before the extension destroyed the resource")
 	}
-	if h.svc.Home().Exists("job-expiring") {
-		t.Fatal("expired resource survived")
+	if !h.svc.armed("job-1") {
+		t.Fatal("the extension's timer is gone")
+	}
+}
+
+// TestReopenedServiceDestroysWhatExpiredWhileClosed: a termination time
+// that passed while the service was down fires as soon as a service over
+// the same durable store enables the lifetime port type, and the destroy
+// hooks registered before it see the destroy.
+func TestReopenedServiceDestroysWhatExpiredWhileClosed(t *testing.T) {
+	dir := t.TempDir()
+	open := func() (*resourcedb.DurableStore, *Service) {
+		ds, err := resourcedb.OpenDurable(dir, resourcedb.DurableOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		svc := MustService(ServiceConfig{Path: "/S", Address: "inproc://node-a", Home: NewStateHome(ds.MustTable("jobs", resourcedb.StructuredCodec{}))})
+		return ds, svc
 	}
 
-	// Cancel the remaining lease: even a sweep far in the future must
-	// leave the resource alone.
-	if err := rcExtended.SetTerminationTime(ctx, time.Time{}); err != nil {
+	// What a process that went down left: two stored termination times,
+	// one of them passed, and no timer.
+	ds, svc := open()
+	tt := time.Now()
+	for id, when := range map[string]time.Time{"expiring": tt, "kept": tt.Add(time.Hour)} {
+		doc := jobStateDoc("Running", 0)
+		doc.Append(xmlutil.NewElement(QTerminationTime, when.UTC().Format(time.RFC3339Nano)))
+		if _, err := svc.CreateResource(id, doc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ds.Close(); err != nil {
 		t.Fatal(err)
 	}
-	clock = base.Add(100 * time.Hour)
-	if n := reaper.SweepOnce(); n != 0 {
-		t.Fatalf("sweep after cancel reaped %d resources", n)
+
+	ds, svc = open()
+	defer ds.Close()
+	destroyed := make(chan string, 2)
+	svc.OnDestroy(func(id string) { destroyed <- id })
+	svc.Enable(LifetimePortType{})
+	select {
+	case id := <-destroyed:
+		if id != "expiring" {
+			t.Fatalf("the reopened service destroyed %q", id)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a termination time that passed while the service was down never fired")
 	}
-	if !h.svc.Home().Exists("job-extended") {
-		t.Fatal("cancelled lease did not stop the reaper")
+	if svc.Home().Exists("expiring") || !svc.Home().Exists("kept") {
+		t.Fatal("the start-up walk destroyed the wrong resource")
+	}
+	if !svc.armed("kept") {
+		t.Fatal("the start-up walk armed no timer for a future termination time")
 	}
 }
 
@@ -180,5 +314,122 @@ func TestTerminationTimeOfMalformed(t *testing.T) {
 	}
 	if _, ok := TerminationTimeOf(nil); ok {
 		t.Fatal("nil doc reported scheduled")
+	}
+}
+
+// newLifetimeService is the E9 rig: n resources in an in-memory store
+// and a service over them, its lifetime port type not yet enabled. Every
+// eighth resource is stored with termination time tt, unless tt is zero.
+func newLifetimeService(tb testing.TB, n int, tt time.Time) (*Service, []string) {
+	tb.Helper()
+	svc := MustService(ServiceConfig{Path: "/S", Address: "inproc://bench", Home: NewStateHome(resourcedb.NewStore().MustTable("r", resourcedb.StructuredCodec{}))})
+	ids := make([]string, n)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("res-%06d", i)
+		doc := xmlutil.NewContainer(xmlutil.Q(nsJob, "State"), xmlutil.NewElement(xmlutil.Q(nsJob, "Payload"), "x"))
+		if i%8 == 0 && !tt.IsZero() {
+			doc.Append(xmlutil.NewElement(QTerminationTime, tt.UTC().Format(time.RFC3339Nano)))
+		}
+		if _, err := svc.CreateResource(ids[i], doc); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return svc, ids
+}
+
+// BenchmarkE9_Lifetime measures scheduled destruction as resource
+// populations grow: arm, one SetTerminationTime's timer work against a
+// heap of n timers; walk, the start-up pass that arms the stored times of
+// n resources (an eighth of them scheduled); fire, how late the timers of
+// n/8 resources due at one instant destroy them (late-p50-us,
+// late-p99-us; its ns/op is mostly the 20 ms it waits).
+func BenchmarkE9_Lifetime(b *testing.B) {
+	for _, n := range []int{100, 1000, 10000} {
+		b.Run(fmt.Sprintf("arm/resources=%d", n), func(b *testing.B) {
+			svc, ids := newLifetimeService(b, n, time.Time{})
+			far := time.Now().Add(time.Hour)
+			for _, id := range ids {
+				svc.arm(id, far)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				svc.arm(ids[i%n], far)
+			}
+			b.StopTimer()
+			svc.disarmAll()
+		})
+		b.Run(fmt.Sprintf("walk/resources=%d", n), func(b *testing.B) {
+			stored, _ := newLifetimeService(b, n, time.Now().Add(time.Hour))
+			cfg := ServiceConfig{Path: "/S", Address: "inproc://bench", Home: stored.Home()}
+			var walking time.Duration // Enable alone: not the disarm after it
+			for i := 0; i < b.N; i++ {
+				svc := MustService(cfg)
+				start := time.Now()
+				svc.Enable(LifetimePortType{})
+				walking += time.Since(start)
+				svc.disarmAll()
+			}
+			b.ReportMetric(float64(walking.Nanoseconds())/float64(b.N), "ns/op")
+		})
+		b.Run(fmt.Sprintf("fire/resources=%d", n), func(b *testing.B) {
+			var late []time.Duration
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				svc, ids := newLifetimeService(b, n, time.Time{})
+				svc.Enable(LifetimePortType{})
+				tt := time.Now().Add(20 * time.Millisecond)
+				var mu sync.Mutex
+				done := make(chan struct{})
+				left := (n + 7) / 8
+				svc.OnDestroy(func(string) {
+					mu.Lock()
+					defer mu.Unlock()
+					late = append(late, time.Since(tt))
+					if left--; left == 0 {
+						close(done)
+					}
+				})
+				for k := 0; k < n; k += 8 {
+					if err := svc.setTermination(ids[k], tt); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StartTimer()
+				<-done
+			}
+			slices.Sort(late)
+			b.ReportMetric(float64(late[len(late)/2].Microseconds()), "late-p50-us")
+			b.ReportMetric(float64(late[len(late)*99/100].Microseconds()), "late-p99-us")
+		})
+	}
+}
+
+// TestLifetimeHarness keeps the E9 rig honest: the start-up walk arms the
+// eighth of the resources stored with a termination time, and when that
+// time comes their timers destroy exactly those.
+func TestLifetimeHarness(t *testing.T) {
+	tt := time.Now().Add(200 * time.Millisecond) // after the walk below
+	svc, ids := newLifetimeService(t, 64, tt)
+	destroyed := make(chan string, len(ids))
+	svc.OnDestroy(func(id string) { destroyed <- id })
+	svc.Enable(LifetimePortType{})
+	for i, id := range ids {
+		if svc.armed(id) != (i%8 == 0) {
+			t.Fatalf("after the walk %s armed=%v", id, svc.armed(id))
+		}
+	}
+	for range 8 {
+		select {
+		case id := <-destroyed:
+			if i := slices.Index(ids, id); i%8 != 0 {
+				t.Fatalf("%s destroyed, which has no termination time", id)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("a scheduled resource outlived its termination time")
+		}
+	}
+	time.Sleep(10 * time.Millisecond)
+	if n := len(svc.Home().IDs()); n != 56 || len(destroyed) != 0 {
+		t.Fatalf("%d resources left and %d more destroyed; want 56 and 0", n, len(destroyed))
 	}
 }

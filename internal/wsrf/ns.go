@@ -44,7 +44,6 @@ const (
 	ActionSetResourceProperties         = NSResourceProperties + "/SetResourceProperties"
 	ActionDestroy                       = NSResourceLifetime + "/Destroy"
 	ActionSetTerminationTime            = NSResourceLifetime + "/SetTerminationTime"
-	ActionAdd                           = NSServiceGroup + "/Add"
 )
 
 // XPathDialect identifies this implementation's XPath-lite query dialect.

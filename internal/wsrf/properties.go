@@ -8,10 +8,11 @@ import (
 	"uvacg/internal/xmlutil"
 )
 
-// ResourcePropertiesPortType implements WS-ResourceProperties: the
-// standardized view of a resource's state that §5 of the paper credits
-// with letting one set of client plumbing work against every service.
-// Enable it with Service.Enable(ResourcePropertiesPortType{}).
+// ResourcePropertiesPortType implements the read operations of
+// WS-ResourceProperties: the standardized view of a resource's state that
+// §5 of the paper credits with letting one set of client plumbing work
+// against every service. Enable it with
+// Service.Enable(ResourcePropertiesPortType{}).
 type ResourcePropertiesPortType struct{}
 
 // Attach implements PortType.
@@ -20,6 +21,17 @@ func (ResourcePropertiesPortType) Attach(s *Service) {
 	s.RegisterReadMethod(ActionGetResourcePropertyDocument, s.handleGetDocument)
 	s.RegisterReadMethod(ActionGetMultipleResourceProperties, s.handleGetMultiple)
 	s.RegisterReadMethod(ActionQueryResourceProperties, s.handleQuery)
+}
+
+// SetResourcePropertiesPortType implements WS-ResourceProperties'
+// SetResourceProperties, a port type of its own as in WS-RP 1.2: a client
+// that may write a resource's properties may rewrite whatever state the
+// service keeps in them, so a service enables it only where that state
+// is the client's. No grid service does.
+type SetResourcePropertiesPortType struct{}
+
+// Attach implements PortType.
+func (SetResourcePropertiesPortType) Attach(s *Service) {
 	s.RegisterMethod(ActionSetResourceProperties, s.handleSet)
 }
 
@@ -212,9 +224,15 @@ func (s *Service) handleSet(ctx context.Context, inv *Invocation, body *xmlutil.
 	return &xmlutil.Element{Name: qSetRPResponse}, nil
 }
 
+// checkModifiable refuses computed properties and TerminationTime, which
+// WS-ResourceLifetime makes read-only: SetTerminationTime is its one
+// writer, and the one that arms its timer.
 func (s *Service) checkModifiable(name xmlutil.QName) error {
 	if _, computed := s.providers[name]; computed {
 		return NewBaseFault("UnableToModifyResourcePropertyFault", "property %s is computed and read-only", name).SOAPFault(soap.CodeSender)
+	}
+	if name == QTerminationTime {
+		return NewBaseFault("UnableToModifyResourcePropertyFault", "property %s is read-only: use SetTerminationTime", name).SOAPFault(soap.CodeSender)
 	}
 	return nil
 }
@@ -238,27 +256,4 @@ func QueryResourcePropertiesRequest(expr string) *xmlutil.Element {
 	q := xmlutil.NewElement(qQueryExpression, expr)
 	q.SetAttr(qDialect, XPathDialect)
 	return xmlutil.NewContainer(qQueryRP, q)
-}
-
-// SetRequest assembles a SetResourceProperties request body from
-// Insert, Update (UpdateComponent) and Delete (DeleteComponent)
-// components.
-func SetRequest(components ...*xmlutil.Element) *xmlutil.Element {
-	req := &xmlutil.Element{Name: qSetRP}
-	req.Append(components...)
-	return req
-}
-
-// UpdateComponent builds an Update component.
-func UpdateComponent(values ...*xmlutil.Element) *xmlutil.Element {
-	c := &xmlutil.Element{Name: qUpdate}
-	c.Append(values...)
-	return c
-}
-
-// DeleteComponent builds a Delete component.
-func DeleteComponent(name xmlutil.QName) *xmlutil.Element {
-	c := &xmlutil.Element{Name: qDelete}
-	c.SetAttr(qResourcePropertyName, name.String())
-	return c
 }

@@ -37,6 +37,7 @@ type Service struct {
 	locks      *resourceLocks
 	providers  map[xmlutil.QName]PropertyProvider
 	onDestroy  []func(id string)
+	terms      terminations
 }
 
 // ServiceConfig configures a Service.
@@ -117,7 +118,8 @@ func (s *Service) Enable(pt PortType) *Service {
 }
 
 // OnDestroy registers a hook observing resource destruction through the
-// lifetime port type or DestroyResource.
+// lifetime port type or DestroyResource. A service registers its hooks
+// before it enables LifetimePortType, whose start-up walk may destroy.
 func (s *Service) OnDestroy(fn func(id string)) { s.onDestroy = append(s.onDestroy, fn) }
 
 // RegisterProperty declares a computed resource property (a
@@ -237,6 +239,7 @@ func (s *Service) DestroyResource(id string) error {
 }
 
 // destroy is DestroyResource for a caller that holds the resource's lock.
+// It disarms the resource's termination timer, whichever way it came.
 func (s *Service) destroy(id string) error {
 	if s.home == nil {
 		return fmt.Errorf("wsrf: service %s has no resource home", s.path)
@@ -244,6 +247,7 @@ func (s *Service) destroy(id string) error {
 	if err := s.home.Destroy(id); err != nil {
 		return err
 	}
+	s.disarm(id)
 	for _, fn := range s.onDestroy {
 		fn(id)
 	}

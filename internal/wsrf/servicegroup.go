@@ -1,22 +1,18 @@
 package wsrf
 
 import (
-	"context"
 	"fmt"
 
-	"uvacg/internal/soap"
 	"uvacg/internal/wsa"
 	"uvacg/internal/xmlutil"
 )
 
 // WS-ServiceGroup element names.
 var (
-	qEntry       = xmlutil.Q(NSServiceGroup, "Entry")
-	qMemberEPR   = xmlutil.Q(NSServiceGroup, "MemberServiceEPR")
-	qContent     = xmlutil.Q(NSServiceGroup, "Content")
-	qAdd         = xmlutil.Q(NSServiceGroup, "Add")
-	qAddResponse = xmlutil.Q(NSServiceGroup, "AddResponse")
-	qEntryKey    = xmlutil.Q("", "key")
+	qEntry     = xmlutil.Q(NSServiceGroup, "Entry")
+	qMemberEPR = xmlutil.Q(NSServiceGroup, "MemberServiceEPR")
+	qContent   = xmlutil.Q(NSServiceGroup, "Content")
+	qEntryKey  = xmlutil.Q("", "key")
 )
 
 // Entry is one member of a service group: a member EPR plus arbitrary
@@ -28,39 +24,12 @@ type Entry struct {
 	Content *xmlutil.Element
 }
 
-// ServiceGroupPortType implements WS-ServiceGroup over a group resource
-// whose state document holds the Entry elements. The Node Info Service
-// is a service group "whose members represent the processors available
-// for scheduling" (paper §4.4).
-type ServiceGroupPortType struct{}
-
-// Attach implements PortType.
-func (ServiceGroupPortType) Attach(s *Service) {
-	s.RegisterMethod(ActionAdd, s.handleAdd)
-}
-
-func (s *Service) handleAdd(ctx context.Context, inv *Invocation, body *xmlutil.Element) (*xmlutil.Element, error) {
-	if body == nil {
-		return nil, soap.SenderFault("Add requires a request body")
-	}
-	memberEl := body.Child(qMemberEPR)
-	if memberEl == nil {
-		return nil, soap.SenderFault("Add requires a MemberServiceEPR")
-	}
-	member, err := wsa.ParseEPR(memberEl)
-	if err != nil {
-		return nil, soap.SenderFault("bad member EPR: %v", err)
-	}
-	var content *xmlutil.Element
-	if c := body.Child(qContent); c != nil && len(c.Children) > 0 {
-		content = c.Children[0].Clone()
-	}
-	key := AddEntry(inv.Doc, member, content)
-	return xmlutil.NewContainer(qAddResponse, xmlutil.NewElement(xmlutil.Q(NSServiceGroup, "EntryKey"), key)), nil
-}
-
 // NewServiceGroupDocument builds the initial state document of a group
-// resource.
+// resource, whose Entry elements are its members. The Node Info Service
+// is a service group "whose members represent the processors available
+// for scheduling" (paper §4.4). No generic WS-ServiceGroup Add reaches a
+// group here: the service that owns one writes it with AddEntry, from
+// messages it validates itself.
 func NewServiceGroupDocument() *xmlutil.Element {
 	return xmlutil.NewContainer(xmlutil.Q(NSServiceGroup, "ServiceGroupRP"))
 }

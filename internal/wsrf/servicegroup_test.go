@@ -25,7 +25,6 @@ func newGroupHarness(t *testing.T) (*Service, *ResourceClient) {
 	store := resourcedb.NewStore()
 	home := NewStateHome(store.MustTable("groups", resourcedb.BlobCodec{}))
 	svc := MustService(ServiceConfig{Path: "/NodeInfo", Address: "inproc://master", Home: home})
-	svc.Enable(ServiceGroupPortType{})
 	svc.Enable(ResourcePropertiesPortType{})
 
 	mux := soap.NewMux()
@@ -41,20 +40,54 @@ func newGroupHarness(t *testing.T) (*Service, *ResourceClient) {
 	return svc, NewResourceClient(client, epr)
 }
 
+// add writes one entry into the harness's group, as its owning service
+// does.
+func add(t *testing.T, svc *Service, member wsa.EndpointReference, content *xmlutil.Element) (key string) {
+	t.Helper()
+	if err := svc.UpdateResource("processors", func(doc *xmlutil.Element) error {
+		key = AddEntry(doc, member, content)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return key
+}
+
+// TestServiceGroupAddViaWire: a group's entries are written by the
+// service that owns it, never by a client. A WS-ServiceGroup Add over the
+// wire faults and leaves the group as it was.
 func TestServiceGroupAddViaWire(t *testing.T) {
 	svc, rc := newGroupHarness(t)
-	ctx := context.Background()
+	add(t, svc, wsa.NewEPR("inproc://node-a/Utilization"), processorContent("10"))
+	sg := func(local string) xmlutil.QName { return xmlutil.Q(NSServiceGroup, local) }
+	for _, req := range []*xmlutil.Element{
+		xmlutil.NewContainer(sg("Add")),
+		xmlutil.NewContainer(sg("Add"), wsa.NewEPR("inproc://mallory/Utilization").ElementNamed(qMemberEPR), xmlutil.NewContainer(qContent)),
+	} {
+		_, err := rc.c.Call(context.Background(), rc.EPR(), NSServiceGroup+"/Add", req)
+		if _, ok := soap.AsFault(err); !ok {
+			t.Fatalf("want fault, got %v", err)
+		}
+	}
+	doc, err := svc.LoadResource("processors")
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries, err := Entries(doc)
+	if err != nil {
+		t.Fatalf("the group no longer reads: %v", err)
+	}
+	if len(entries) != 1 || entries[0].Content.ChildText(qUtil) != "10" {
+		t.Fatalf("entries after a refused Add: %+v", entries)
+	}
+}
 
+func TestServiceGroupAddEntry(t *testing.T) {
+	svc, _ := newGroupHarness(t)
 	memberA := wsa.NewEPR("inproc://node-a/Utilization")
 	memberB := wsa.NewEPR("inproc://node-b/Utilization")
-	keyA, err := rc.Add(ctx, memberA, processorContent("10"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	keyB, err := rc.Add(ctx, memberB, processorContent("90"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	keyA := add(t, svc, memberA, processorContent("10"))
+	keyB := add(t, svc, memberB, processorContent("90"))
 	if keyA == "" || keyB == "" || keyA == keyB {
 		t.Fatalf("keys %q %q", keyA, keyB)
 	}
@@ -76,18 +109,11 @@ func TestServiceGroupAddViaWire(t *testing.T) {
 }
 
 func TestServiceGroupReregistrationReplaces(t *testing.T) {
-	svc, rc := newGroupHarness(t)
-	ctx := context.Background()
+	svc, _ := newGroupHarness(t)
 	member := wsa.NewEPR("inproc://node-a/Utilization")
 
-	key1, err := rc.Add(ctx, member, processorContent("10"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	key2, err := rc.Add(ctx, member, processorContent("55"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	key1 := add(t, svc, member, processorContent("10"))
+	key2 := add(t, svc, member, processorContent("55"))
 	if key1 != key2 {
 		t.Fatalf("re-registration minted new key: %q vs %q", key1, key2)
 	}
@@ -102,14 +128,10 @@ func TestServiceGroupReregistrationReplaces(t *testing.T) {
 }
 
 func TestServiceGroupEntriesAreQueryable(t *testing.T) {
-	_, rc := newGroupHarness(t)
+	svc, rc := newGroupHarness(t)
 	ctx := context.Background()
-	if _, err := rc.Add(ctx, wsa.NewEPR("inproc://node-a/U"), processorContent("10")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rc.Add(ctx, wsa.NewEPR("inproc://node-b/U"), processorContent("90")); err != nil {
-		t.Fatal(err)
-	}
+	add(t, svc, wsa.NewEPR("inproc://node-a/U"), processorContent("10"))
+	add(t, svc, wsa.NewEPR("inproc://node-b/U"), processorContent("90"))
 	// The Entry elements are resource properties: query them like any
 	// other state (this is how the Scheduler could find idle nodes).
 	matches, err := rc.Query(ctx, "/Entry/Content/Processor[Utilization='10']")
@@ -141,15 +163,5 @@ func TestServiceGroupDocumentHelpers(t *testing.T) {
 	}
 	if len(entries) != 2 || entries[0].Key != k2 || entries[1].Key != k3 || k3 == k2 {
 		t.Fatalf("entries after a removal and an add: %+v", entries)
-	}
-}
-
-func TestServiceGroupAddRequestValidation(t *testing.T) {
-	_, rc := newGroupHarness(t)
-	ctx := context.Background()
-	// Missing member EPR.
-	_, err := rc.c.Call(ctx, rc.EPR(), ActionAdd, xmlutil.NewContainer(qAdd))
-	if _, ok := soap.AsFault(err); !ok {
-		t.Fatalf("want fault, got %v", err)
 	}
 }

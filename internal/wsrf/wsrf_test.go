@@ -80,6 +80,7 @@ func newHarness(t *testing.T) *testHarness {
 	home := &countingHome{ResourceHome: NewStateHome(store.MustTable("jobs", resourcedb.StructuredCodec{}))}
 	svc := MustService(ServiceConfig{Path: "/ExecutionService", Address: "inproc://node-a", Home: home})
 	svc.Enable(ResourcePropertiesPortType{})
+	svc.Enable(SetResourcePropertiesPortType{})
 	svc.Enable(LifetimePortType{})
 
 	// A computed property, the [ResourceProperty] getter of Fig. 2:
@@ -232,10 +233,41 @@ func TestSetResourceProperties(t *testing.T) {
 	if _, err := rc.GetProperty(ctx, qOwner); err == nil {
 		t.Fatal("deleted property still readable")
 	}
-	// Computed properties are read-only.
-	err := rc.Set(ctx, UpdateComponent(xmlutil.NewElement(qBanner, "nope")))
-	if bf, ok := BaseFaultFromError(err); !ok || bf.ErrorCode != "UnableToModifyResourcePropertyFault" {
-		t.Fatalf("want UnableToModifyResourcePropertyFault, got %v", err)
+	// Computed properties are read-only, and so is TerminationTime:
+	// SetTerminationTime is its one writer, the one that arms its timer.
+	for _, c := range []*xmlutil.Element{
+		UpdateComponent(xmlutil.NewElement(qBanner, "nope")),
+		UpdateComponent(xmlutil.NewElement(QTerminationTime, time.Now().UTC().Format(time.RFC3339Nano))),
+		xmlutil.NewContainer(qInsert, xmlutil.NewElement(QTerminationTime, time.Now().UTC().Format(time.RFC3339Nano))),
+		DeleteComponent(QTerminationTime),
+	} {
+		err := rc.Set(ctx, c)
+		if bf, ok := BaseFaultFromError(err); !ok || bf.ErrorCode != "UnableToModifyResourcePropertyFault" {
+			t.Fatalf("%v: want UnableToModifyResourcePropertyFault, got %v", c, err)
+		}
+	}
+}
+
+// TestSetResourcePropertiesIsItsOwnPortType: the read operations of
+// WS-ResourceProperties do not bring SetResourceProperties with them.
+func TestSetResourcePropertiesIsItsOwnPortType(t *testing.T) {
+	store := resourcedb.NewStore()
+	svc := MustService(ServiceConfig{Path: "/S", Address: "inproc://node-a", Home: NewStateHome(store.MustTable("r", resourcedb.StructuredCodec{}))})
+	svc.Enable(ResourcePropertiesPortType{})
+	mux := soap.NewMux()
+	mux.Handle(svc.Path(), svc.Dispatcher())
+	network := transport.NewNetwork()
+	network.Register("node-a", transport.NewServer(mux))
+	epr, err := svc.CreateResource("job-1", jobStateDoc("Running", 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc := NewResourceClient(transport.NewClient().WithNetwork(network), epr)
+	if err := rc.Set(context.Background(), UpdateComponent(xmlutil.NewElement(qStatus, "Exited"))); err == nil {
+		t.Fatal("a service without the Set port type took SetResourceProperties")
+	}
+	if got, err := rc.GetPropertyText(context.Background(), qStatus); err != nil || got != "Running" {
+		t.Fatalf("status = %q, %v", got, err)
 	}
 }
 

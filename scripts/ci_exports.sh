@@ -19,14 +19,12 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# One entry a line: <package>.[<Type>.]<Name>, one of the five reasons,
+# One entry a line: <package>.[<Type>.]<Name>, one of the four reasons,
 # and what the reason rests on.
 #   interface   it implements an interface that only code outside both
 #               modules calls it through;
 #   wire        it is the client side of a wire operation the paper names;
 #   experiment  a paper experiment's benchmark calls it;
-#   item1       ROADMAP item 1 rebuilds it on an index of termination
-#               times, or deletes it;
 #   tests       tests in another package call it, and a copy there would
 #               be longer than the function (the tests are named).
 allowed=$(
@@ -34,10 +32,6 @@ allowed=$(
 core.Submission.KillJob              wire        the ES kill operation (paper §4.2)
 filesystem.ListDirectory             wire        the FSS List operation (paper §4.1)
 resourcedb.Table.QueryProperty       experiment  E3, BenchmarkE3_StateCodecs
-wsrf.NewReaper                       item1       the lifetime sweep, rebuilt on an index of termination times
-wsrf.Reaper.Start                    item1       the lifetime sweep, rebuilt on an index of termination times
-wsrf.Reaper.Stop                     item1       the lifetime sweep, rebuilt on an index of termination times
-wsrf.Reaper.WithClock                item1       the lifetime sweep, rebuilt on an index of termination times
 wsrf.MustService                     tests       transport.TestColocatedCalleeSeesWhatASocketCarries, the wsn harnesses, wsrf.Example_programmingModel
 wsn.Consumer.Channel                 tests       newESHarness, newSSHarnessCfg, node.TestJobPathNeverWaitsForNIS, daemon.TestShippedMasterRetriesNotificationDelivery
 vfs.FS.Usage                         tests       filesystem.TestDestroyFreesDirectoryBytes
@@ -61,7 +55,7 @@ done <<<"$unused"
 
 while read -r fn reason _; do
 	case $reason in
-	interface | wire | experiment | item1 | tests) ;;
+	interface | wire | experiment | tests) ;;
 	*)
 		echo "ci_exports: $fn: unknown reason '$reason'" >&2
 		failed=$((failed + 1))
