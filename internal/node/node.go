@@ -70,7 +70,8 @@ type Config struct {
 	// FSS and ES it hosts.
 	Interceptors []soap.Interceptor
 	// OnStage, when set, observes every file the machine's FSS stages —
-	// the simulator's I7 ledger and the bench rigs' byte counters.
+	// the simulator's I7 ledger. One job's files are staged at once, so
+	// it is called from several goroutines.
 	OnStage func(rec filesystem.StageRecord)
 }
 

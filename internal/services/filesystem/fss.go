@@ -129,7 +129,8 @@ type Config struct {
 	Home wsrf.ResourceHome
 	// Host names this machine in stage records.
 	Host string
-	// OnStage, when set, observes every completed staging.
+	// OnStage, when set, observes every completed staging. One job's
+	// files are staged at once, so it is called from several goroutines.
 	OnStage func(StageRecord)
 }
 

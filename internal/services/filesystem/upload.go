@@ -3,9 +3,12 @@ package filesystem
 import (
 	"context"
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	"uvacg/internal/soap"
 	"uvacg/internal/vfs"
+	"uvacg/internal/warm"
 	"uvacg/internal/wsa"
 	"uvacg/internal/wsrf"
 	"uvacg/internal/xmlutil"
@@ -53,10 +56,14 @@ func FileRefElements(files []FileRef) []*xmlutil.Element {
 
 // ParseFileRefElements decodes every <fss:File> child of parent. Children
 // it does not know are ignored, so the content-hash and replica
-// annotations older masters attached still stage, by the wire route.
+// annotations older masters attached still stage, by the wire route. Two
+// files under one local name are refused: which one a job found would
+// depend on which fetch finished last.
 func ParseFileRefElements(parent *xmlutil.Element) ([]FileRef, error) {
 	var files []FileRef
-	for _, f := range parent.ChildrenNamed(qFile) {
+	entries := parent.ChildrenNamed(qFile)
+	staged := make(map[string]bool, len(entries))
+	for _, f := range entries {
 		src := f.Child(qSourceEPR)
 		if src == nil {
 			return nil, fmt.Errorf("fss: file entry has no source EPR")
@@ -76,6 +83,10 @@ func ParseFileRefElements(parent *xmlutil.Element) ([]FileRef, error) {
 		if ref.LocalName == "" {
 			ref.LocalName = ref.RemoteName
 		}
+		if staged[ref.LocalName] {
+			return nil, fmt.Errorf("fss: two files are staged as %q", ref.LocalName)
+		}
+		staged[ref.LocalName] = true
 		files = append(files, ref)
 	}
 	return files, nil
@@ -153,11 +164,42 @@ func (s *Service) handleUploadSync(ctx context.Context, inv *wsrf.Invocation, bo
 	return nil, nil
 }
 
-// stageFiles retrieves every file into the working directory.
+// maxFetches bounds how many of one job's files are fetched at once, so
+// that a job naming hundreds of inputs cannot open hundreds of
+// connections to one producer.
+const maxFetches = 8
+
+// stageFiles retrieves every file into the working directory. The fetches
+// overlap: this goroutine stages the first file and up to maxFetches-1
+// warm workers take the rest, each staging one file after another, and
+// every fetch links its own file as soon as it has it. The staged names
+// are unique (ParseFileRefElements), so the directory ends the same
+// whatever order the fetches finish in. Once every fetch has ended, the
+// first failure in request order is the verdict.
 func (s *Service) stageFiles(ctx context.Context, path string, files []FileRef) error {
-	for _, f := range files {
-		if err := s.stageOne(ctx, path, f); err != nil {
-			return fmt.Errorf("stage %q as %q: %w", f.RemoteName, f.LocalName, err)
+	errs := make([]error, len(files))
+	var next atomic.Int64 // the last file index taken; this goroutine holds 0
+	fetch := func() {
+		for i := int(next.Add(1)); i < len(files); i = int(next.Add(1)) {
+			errs[i] = s.stageOne(ctx, path, files[i])
+		}
+	}
+	var wg sync.WaitGroup
+	for range min(len(files), maxFetches) - 1 {
+		wg.Add(1)
+		warm.Go(func() {
+			defer wg.Done()
+			fetch()
+		})
+	}
+	if len(files) > 0 {
+		errs[0] = s.stageOne(ctx, path, files[0])
+		fetch()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			return fmt.Errorf("stage %q as %q: %w", files[i].RemoteName, files[i].LocalName, err)
 		}
 	}
 	return nil

@@ -118,8 +118,8 @@ func DependencyOf(source string) (job string, ok bool) {
 }
 
 // Validate checks structural soundness: unique non-empty job names,
-// executables present, every dependency resolvable to a declared
-// output, and no cycles.
+// executables present, unique staged file names within each job, every
+// dependency resolvable to a declared output, and no cycles.
 func (js *JobSetSpec) Validate() error {
 	if len(js.Jobs) == 0 {
 		return fmt.Errorf("scheduler: job set %q has no jobs", js.Name)
@@ -182,6 +182,11 @@ func (js *JobSetSpec) Validate() error {
 		if err := check(j.Name, j.Executable); err != nil {
 			return err
 		}
+		// Every file is staged under its own name: the executable under
+		// its basename (check has parsed it), each input under its local
+		// name.
+		_, exeName, _ := sourceParts(j.Executable)
+		staged := map[string]bool{exeName: true}
 		for _, in := range j.Inputs {
 			if in.LocalName == "" {
 				return fmt.Errorf("scheduler: job %q has an input without a local name", j.Name)
@@ -189,6 +194,10 @@ func (js *JobSetSpec) Validate() error {
 			if err := check(j.Name, in.Source); err != nil {
 				return err
 			}
+			if staged[in.LocalName] {
+				return fmt.Errorf("scheduler: job %q stages two files as %q", j.Name, in.LocalName)
+			}
+			staged[in.LocalName] = true
 		}
 		for _, after := range j.After {
 			if after == j.Name {

@@ -3,6 +3,7 @@ package scheduler
 import (
 	"reflect"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -57,6 +58,39 @@ func TestValidateRejections(t *testing.T) {
 		if err := js.Validate(); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
+	}
+}
+
+// TestValidateRefusesCollidingStagedNames: a job's files are staged
+// under their own names. An input named as the executable's basename, or
+// two inputs under one name, would leave the job whichever file landed
+// last; Validate refuses both and names the job and the file.
+func TestValidateRefusesCollidingStagedNames(t *testing.T) {
+	cases := map[string]func(*JobSetSpec){
+		"input replaces the executable": func(js *JobSetSpec) {
+			js.Jobs[1].Inputs[0].LocalName = "proc.app"
+		},
+		"two inputs under one name": func(js *JobSetSpec) {
+			js.Jobs[1].Inputs = append(js.Jobs[1].Inputs, FileSpec{LocalName: "in", Source: "local://cfg"})
+		},
+	}
+	for name, mutate := range cases {
+		js := pipelineSpec()
+		mutate(js)
+		err := js.Validate()
+		if err == nil {
+			t.Errorf("%s: accepted", name)
+			continue
+		}
+		if file := js.Jobs[1].Inputs[len(js.Jobs[1].Inputs)-1].LocalName; !strings.Contains(err.Error(), `"proc"`) || !strings.Contains(err.Error(), strconv.Quote(file)) {
+			t.Errorf("%s: %v does not name job \"proc\" and file %q", name, err, file)
+		}
+	}
+	// The same name in two jobs' directories is no collision.
+	js := pipelineSpec()
+	js.Jobs[2].Inputs[0].LocalName = "in"
+	if err := js.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -2,6 +2,7 @@ package wsrf
 
 import (
 	"context"
+	"log"
 	"strings"
 	"sync"
 	"time"
@@ -47,10 +48,22 @@ type terminations struct {
 
 // termination is one armed timer. Its identity tells a firing timer
 // whether it is still its resource's current one.
-type termination struct{ timer *time.Timer }
+type termination struct {
+	timer *time.Timer
+	// retry marks the one timer armed again after a failed destroy.
+	retry bool
+}
+
+// destroyRetryDelay is how long an expired resource whose destroy failed
+// waits for its one retry. A retry that fails too is left to the next
+// start's walk.
+const destroyRetryDelay = 500 * time.Millisecond
 
 // arm replaces id's timer with one that fires at tt.
-func (s *Service) arm(id string, tt time.Time) {
+func (s *Service) arm(id string, tt time.Time) { s.armIn(id, time.Until(tt), false) }
+
+// armIn replaces id's timer with one that fires after d.
+func (s *Service) armIn(id string, d time.Duration, retry bool) {
 	ts := &s.terms
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
@@ -58,8 +71,8 @@ func (s *Service) arm(id string, tt time.Time) {
 	if ts.timers == nil {
 		ts.timers = make(map[string]*termination)
 	}
-	t := &termination{}
-	t.timer = time.AfterFunc(time.Until(tt), func() { s.expire(id, t) })
+	t := &termination{retry: retry}
+	t.timer = time.AfterFunc(d, func() { s.expire(id, t) })
 	ts.timers[id] = t
 }
 
@@ -82,7 +95,8 @@ func (ts *terminations) stop(id string) {
 // document and destroys the resource only if the stored time has passed.
 // An extension or a cancel that raced the timer has replaced or stopped
 // t, so t does nothing; a write whose save failed left the stored time,
-// and that is the one obeyed.
+// and that is the one obeyed. A destroy that fails is tried once more,
+// destroyRetryDelay later.
 func (s *Service) expire(id string, t *termination) {
 	defer s.locks.acquire(id)()
 	s.terms.mu.Lock()
@@ -96,6 +110,7 @@ func (s *Service) expire(id string, t *termination) {
 	}
 	doc, err := s.home.Load(id)
 	if err != nil {
+		log.Printf("wsrf: %s: resource %s: termination timer cannot read it: %v", s.path, id, err)
 		return
 	}
 	tt, ok := TerminationTimeOf(doc)
@@ -106,7 +121,14 @@ func (s *Service) expire(id string, t *termination) {
 		s.arm(id, tt)
 		return
 	}
-	_ = s.destroy(id) // one that fails is left to the next start's walk
+	if err := s.destroy(id); err != nil {
+		if t.retry {
+			log.Printf("wsrf: %s: resource %s expired, and its destroy failed again; the next start retries it: %v", s.path, id, err)
+			return
+		}
+		log.Printf("wsrf: %s: resource %s expired, and its destroy failed; retrying in %v: %v", s.path, id, destroyRetryDelay, err)
+		s.armIn(id, destroyRetryDelay, true)
+	}
 }
 
 func (s *Service) handleDestroy(ctx context.Context, inv *Invocation, body *xmlutil.Element) (*xmlutil.Element, error) {

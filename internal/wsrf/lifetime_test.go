@@ -2,9 +2,13 @@ package wsrf
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"log"
 	"slices"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -106,10 +110,10 @@ func (s *Service) armed(id string) bool {
 	return s.terms.timers[id] != nil
 }
 
-// TestSetTerminationTimeAndReaper: the reaper is the timer that
-// SetTerminationTime arms; it destroys the resource at that time and
-// leaves an unscheduled one alone.
-func TestSetTerminationTimeAndReaper(t *testing.T) {
+// TestSetTerminationTimeArmsATimer: SetTerminationTime arms a timer
+// that destroys the resource at that time and leaves an unscheduled one
+// alone.
+func TestSetTerminationTimeArmsATimer(t *testing.T) {
 	h := newHarness(t)
 	rc1 := h.mustCreate(t, "job-1")
 	h.mustCreate(t, "job-2")
@@ -171,10 +175,10 @@ func TestSetTerminationTimeRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestReaperHonorsExtendAndCancel: re-setting the termination time
-// postpones the destruction, clearing it cancels the destruction, and
-// destroying the resource another way disarms its timer.
-func TestReaperHonorsExtendAndCancel(t *testing.T) {
+// TestTerminationTimerHonorsExtendAndCancel: re-setting the termination
+// time postpones the destruction, clearing it cancels the destruction,
+// and destroying the resource another way disarms its timer.
+func TestTerminationTimerHonorsExtendAndCancel(t *testing.T) {
 	h := newHarness(t)
 	rcExtended := h.mustCreate(t, "job-extended")
 	rcCancelled := h.mustCreate(t, "job-cancelled")
@@ -304,6 +308,113 @@ func TestReopenedServiceDestroysWhatExpiredWhileClosed(t *testing.T) {
 	}
 	if !svc.armed("kept") {
 		t.Fatal("the start-up walk armed no timer for a future termination time")
+	}
+}
+
+// flakyDestroyHome refuses its first failures Destroys, or every one when
+// failures is negative.
+type flakyDestroyHome struct {
+	ResourceHome
+	failures int32
+	tries    atomic.Int32
+}
+
+func (h *flakyDestroyHome) Destroy(id string) error {
+	if n := h.tries.Add(1); h.failures < 0 || n <= h.failures {
+		return errors.New("the store refuses the delete")
+	}
+	return h.ResourceHome.Destroy(id)
+}
+
+// lockedBuffer is a log destination tests read while timers write.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf strings.Builder
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+// lines returns the logged lines that contain every one of words.
+func (b *lockedBuffer) lines(words ...string) []string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	var out []string
+next:
+	for _, line := range strings.Split(b.buf.String(), "\n") {
+		for _, w := range words {
+			if !strings.Contains(line, w) {
+				continue next
+			}
+		}
+		out = append(out, line)
+	}
+	return out
+}
+
+// TestFailedExpiryDestroyIsRetriedOnce: a fired timer whose destroy fails
+// logs it under the service's path and the resource's ID and tries once
+// more destroyRetryDelay later. A retry that fails too is logged, arms no
+// third timer, and leaves the resource and its stored time to the next
+// start's walk.
+func TestFailedExpiryDestroyIsRetriedOnce(t *testing.T) {
+	logged := &lockedBuffer{}
+	defer log.SetOutput(log.Writer())
+	log.SetOutput(logged)
+
+	for _, tc := range []struct {
+		name     string
+		failures int32
+	}{{"fails-once", 1}, {"always-fails", -1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := "/Flaky-" + tc.name
+			inner := NewStateHome(resourcedb.NewStore().MustTable("r", resourcedb.StructuredCodec{}))
+			home := &flakyDestroyHome{ResourceHome: inner, failures: tc.failures}
+			svc := MustService(ServiceConfig{Path: path, Address: "inproc://node-a", Home: home})
+			svc.Enable(LifetimePortType{})
+			defer svc.disarmAll()
+			if _, err := svc.CreateResource("r", jobStateDoc("Running", 0)); err != nil {
+				t.Fatal(err)
+			}
+			if err := svc.setTermination("r", time.Now().Add(10*time.Millisecond)); err != nil {
+				t.Fatal(err)
+			}
+
+			if tc.failures > 0 {
+				waitGone(t, home, "r")
+				if n := home.tries.Load(); n != 2 {
+					t.Fatalf("the resource went after %d destroys, want 2", n)
+				}
+				if got := logged.lines(path, "resource r", "retrying"); len(got) != 1 {
+					t.Fatalf("logged %q, want the failed destroy once", got)
+				}
+				return
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for len(logged.lines(path, "resource r")) < 2 {
+				if time.Now().After(deadline) {
+					t.Fatalf("logged %q, want both failed destroys", logged.lines(path))
+				}
+				time.Sleep(time.Millisecond)
+			}
+			if n := home.tries.Load(); n != 2 || svc.armed("r") {
+				t.Fatalf("after %d destroys the resource is armed=%v, want 2 and no third timer", n, svc.armed("r"))
+			}
+			doc, err := inner.Load("r")
+			if err != nil {
+				t.Fatalf("a resource whose destroy failed twice is gone: %v", err)
+			}
+			if _, ok := TerminationTimeOf(doc); !ok {
+				t.Fatal("the resource lost the termination time the next start obeys")
+			}
+			// The next start's walk, over a store that deletes again.
+			restarted := MustService(ServiceConfig{Path: path, Address: "inproc://node-a", Home: inner})
+			restarted.Enable(LifetimePortType{})
+			waitGone(t, inner, "r")
+		})
 	}
 }
 
