@@ -36,7 +36,6 @@ import (
 	"uvacg/internal/master"
 	"uvacg/internal/services/scheduler"
 	"uvacg/internal/transport"
-	"uvacg/internal/wssec"
 )
 
 // The flag surface: the process flags every grid binary shares, plus the
@@ -67,11 +66,11 @@ func main() {
 		log.Fatalf("gridmaster: %v", err)
 	}
 	if accounts != nil {
-		// HTTP deployment note: credentials cross as UsernameToken
-		// digests, gridsub to Scheduler and Scheduler to each ES; header
-		// encryption needs out-of-band certificate distribution, which
-		// the CLI deployment does not do.
-		ssCfg.Security = &wssec.VerifierConfig{Accounts: accounts}
+		// Credentials cross as UsernameToken digests, gridsub to Scheduler
+		// and Scheduler to each ES. The guard matters: ParseAccounts
+		// returns a nil table when -accounts is empty, and that nil in the
+		// interface would refuse every Submit.
+		ssCfg.Accounts = accounts
 	}
 
 	mcfg := host.MasterConfig(address)

@@ -2,12 +2,13 @@ package core
 
 // EXPERIMENTS.md E7, E8 and F3, the paper-reproduction rigs that need a
 // whole grid (E8 rides along: its monitor is the one every grid node
-// runs).
+// runs), and E10's whole-grid row, BenchmarkSecuredGrid.
 
 import (
 	"context"
 	"fmt"
 	"math"
+	"syscall"
 	"testing"
 	"time"
 
@@ -195,6 +196,82 @@ func BenchmarkF3_JobSetEndToEnd(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkSecuredGrid prices the grid's credential path per job: two
+// 4-core nodes, Greedy, bags of 64 no-op jobs, once with no accounts and
+// once with accounts on every host, so that each Submit and each Run
+// carries a UsernameToken digest the receiver verifies. CPU is the whole
+// process's, from getrusage: the master, the nodes and the client share
+// it, as they share the job's work.
+func BenchmarkSecuredGrid(b *testing.B) {
+	const jobs = 64
+	for _, posture := range []struct {
+		name     string
+		accounts wssec.StaticAccounts
+		creds    wssec.Credentials
+	}{
+		{"plain", nil, wssec.Credentials{}},
+		{"secured", wssec.StaticAccounts{"scientist": "secret"}, wssec.Credentials{Username: "scientist", Password: "secret"}},
+	} {
+		b.Run(posture.name, func(b *testing.B) {
+			grid, err := NewGrid(GridConfig{
+				Nodes: []NodeSpec{
+					{Name: "node-a", Cores: 4, SpeedMHz: 2000, RAMMB: 2048},
+					{Name: "node-b", Cores: 4, SpeedMHz: 2000, RAMMB: 2048},
+				},
+				Policy:   scheduler.Greedy{},
+				Accounts: posture.accounts,
+				UnitTime: 5 * time.Microsecond,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Cleanup(grid.Close)
+			client, err := grid.NewClient(posture.creds, false)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Cleanup(client.Close)
+			client.AddFile("noop.app", procspawn.BuildScript("exit 0"))
+			h := &gridHarness{client: client}
+			sets := 0
+			bag := func() error {
+				sets++
+				set := NewJobSet(fmt.Sprintf("bag-%d", sets))
+				for i := 0; i < jobs; i++ {
+					set.Add(fmt.Sprintf("j%02d", i), Local("noop.app"))
+				}
+				_, err := h.runToCompletion(context.Background(), set.Spec())
+				return err
+			}
+			for i := 0; i < 3; i++ { // warm up pools, caches and the heap
+				if err := bag(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			cpu := processCPU(b)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := bag(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			perJob := float64(b.N * jobs)
+			b.ReportMetric(float64((processCPU(b)-cpu).Microseconds())/perJob, "cpu-us/job")
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/perJob, "wall-us/job")
+		})
+	}
+}
+
+// processCPU is the CPU time, user and system, the process has used.
+func processCPU(tb testing.TB) time.Duration {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		tb.Fatal(err)
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 }
 
 // TestGridHarnessWorkloads keeps the E7/F3 rig honest: both workloads

@@ -38,11 +38,9 @@ type ClientConfig struct {
 	// TCPFiles serves local files from a soap.tcp listener of their own
 	// (the paper's WSE TCP server thread).
 	TCPFiles bool
-	// Credentials, when set, ride every Submit: encrypted to
-	// SchedulerCertificate when there is one, as a password digest when
-	// not. Password text never crosses unencrypted.
-	Credentials          wssec.Credentials
-	SchedulerCertificate *wssec.Certificate
+	// Credentials, when set, ride every Submit as a password digest; the
+	// password itself never crosses.
+	Credentials wssec.Credentials
 	// Journal, when set, holds one row per submitted job set so that a
 	// restarted process can Resume instead of resubmitting.
 	Journal *resourcedb.Table
@@ -122,7 +120,7 @@ func (g *Grid) NewClient(creds wssec.Credentials, useTCP bool) (*Client, error) 
 func (g *Grid) clientConfig(creds wssec.Credentials, useTCP bool) ClientConfig {
 	g.clientSeq++
 	host := fmt.Sprintf("client-%d", g.clientSeq)
-	cfg := ClientConfig{
+	return ClientConfig{
 		Transport:   g.Client,
 		Master:      "inproc://" + masterHost,
 		TCPFiles:    useTCP,
@@ -133,10 +131,6 @@ func (g *Grid) clientConfig(creds wssec.Credentials, useTCP bool) ClientConfig {
 			return "inproc://" + host, func() { g.Network.Deregister(host) }, nil
 		},
 	}
-	if cert, ok := g.SchedulerCertificate(); ok {
-		cfg.SchedulerCertificate = &cert
-	}
-	return cfg
 }
 
 // Close releases the client's endpoints.
@@ -186,14 +180,8 @@ func (c *Client) Submit(ctx context.Context, spec *JobSet) (*Submission, error) 
 func (c *Client) SubmitTo(ctx context.Context, target wsa.EndpointReference, creds wssec.Credentials, spec *JobSet) (*Submission, error) {
 	env := soap.New(scheduler.SubmitRequest(spec, c.filesEPR, c.ListenerEPR()))
 	if creds.Username != "" {
-		cert := c.cfg.SchedulerCertificate
-		if err := wssec.AttachUsernameToken(env, creds, cert == nil, time.Now()); err != nil {
+		if err := wssec.AttachUsernameToken(env, creds, time.Now()); err != nil {
 			return nil, err
-		}
-		if cert != nil {
-			if err := wssec.EncryptSecurityHeader(env, *cert); err != nil {
-				return nil, err
-			}
 		}
 	}
 	resp, err := c.cfg.Transport.Invoke(ctx, target, scheduler.ActionSubmit, env)

@@ -73,38 +73,28 @@ func TestSubmitLoop(t *testing.T) {
 	})
 }
 
-// TestCredentialRule: the password crosses encrypted to the Scheduler's
-// certificate when the client was given one and as a digest when not —
-// never as text.
+// TestCredentialRule: the password crosses as a digest, never as text.
 func TestCredentialRule(t *testing.T) {
 	g := testGrid(t, NodeSpec{Name: "solo"})
-	cert, _ := g.SchedulerCertificate()
-	for name, given := range map[string]*wssec.Certificate{"encrypted": &cert, "digest": nil} {
-		t.Run(name, func(t *testing.T) {
-			var seen *soap.Envelope
-			a, _ := door(g, "a", func(_ int, req *soap.Envelope) error {
-				seen = req
-				return nil
-			})
-			defer g.Network.Deregister("a")
-			c := configuredClient(t, g, false, func(cfg *ClientConfig) { cfg.SchedulerCertificate = given })
-			c.AddFile("j.app", Script("exit 0"))
-			if _, err := c.SubmitTo(testCtx(t), a, scientist, NewJobSet("creds-"+name).Add("j", Local("j.app")).Spec()); err != nil {
-				t.Fatal(err) // the real Scheduler verified what the door passed on
-			}
-			if raw, _ := seen.Marshal(); strings.Contains(string(raw), ">pw<") {
-				t.Fatalf("password text on the wire:\n%s", raw)
-			}
-			if encrypted := wssec.HasEncryptedHeader(seen); encrypted != (given != nil) {
-				t.Fatalf("encrypted header = %v with certificate given = %v", encrypted, given != nil)
-			}
-			if given == nil {
-				if tok, err := wssec.ExtractToken(seen); err != nil || tok.PasswordType != wssec.PasswordDigest {
-					t.Fatalf("token %+v, %v; want a password digest", tok, err)
-				}
-			}
+	t.Run("digest", func(t *testing.T) {
+		var seen *soap.Envelope
+		a, _ := door(g, "a", func(_ int, req *soap.Envelope) error {
+			seen = req
+			return nil
 		})
-	}
+		defer g.Network.Deregister("a")
+		c := testClient(t, g)
+		c.AddFile("j.app", Script("exit 0"))
+		if _, err := c.SubmitTo(testCtx(t), a, scientist, NewJobSet("creds-digest").Add("j", Local("j.app")).Spec()); err != nil {
+			t.Fatal(err) // the real Scheduler verified what the door passed on
+		}
+		if raw, _ := seen.Marshal(); strings.Contains(string(raw), ">pw<") {
+			t.Fatalf("password text on the wire:\n%s", raw)
+		}
+		if tok, err := wssec.ExtractToken(seen); err != nil || tok.PasswordType != wssec.PasswordDigest {
+			t.Fatalf("token %+v, %v; want a password digest", tok, err)
+		}
+	})
 }
 
 // setEvent and jobEvent build notifications as their publishers do.

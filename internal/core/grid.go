@@ -21,7 +21,6 @@ import (
 	"uvacg/internal/services/scheduler"
 	"uvacg/internal/soap"
 	"uvacg/internal/transport"
-	"uvacg/internal/wsa"
 	"uvacg/internal/wsn"
 	"uvacg/internal/wsrf"
 	"uvacg/internal/wssec"
@@ -82,9 +81,8 @@ type Grid struct {
 	NIS       *nodeinfo.Service
 	Scheduler *scheduler.Service
 
-	cfg        GridConfig
-	ssIdentity *wssec.Identity
-	clientSeq  int
+	cfg       GridConfig
+	clientSeq int
 }
 
 // masterHost names the master machine on the grid's network.
@@ -101,20 +99,10 @@ func NewGrid(cfg GridConfig) (*Grid, error) {
 
 	g := &Grid{Network: network, Client: client, cfg: cfg}
 
-	ssCfg := scheduler.Config{
-		Policy:  cfg.Policy,
-		ESCerts: g.certFor,
-	}
+	ssCfg := scheduler.Config{Policy: cfg.Policy}
 	if cfg.Accounts != nil {
-		var err error
-		g.ssIdentity, err = wssec.NewIdentity("CN=SchedulerService/" + masterHost)
-		if err != nil {
-			return nil, err
-		}
-		ssCfg.Security = &wssec.VerifierConfig{
-			Identity: g.ssIdentity,
-			Accounts: cfg.Accounts,
-		}
+		// Only a real table: a nil map in the interface would refuse every Submit.
+		ssCfg.Accounts = cfg.Accounts
 	}
 	m, err := master.Assemble(master.Config{
 		Address:   "inproc://" + masterHost,
@@ -186,25 +174,6 @@ func ClientInterceptors(trace *log.Logger, metrics *pipeline.Metrics) []soap.Int
 // re-establish the caller's deadline.
 func ServerInterceptors() []soap.Interceptor {
 	return []soap.Interceptor{pipeline.ServerRequestID(), pipeline.ServerDeadline()}
-}
-
-// certFor resolves the ES certificate for credential encryption.
-func (g *Grid) certFor(es wsa.EndpointReference) (wssec.Certificate, bool) {
-	for _, n := range g.Nodes {
-		if n.ES.EPR().Address == es.Address {
-			return n.Certificate(), true
-		}
-	}
-	return wssec.Certificate{}, false
-}
-
-// SchedulerCertificate returns the SS certificate clients encrypt their
-// Submit credentials to; zero when security is off.
-func (g *Grid) SchedulerCertificate() (wssec.Certificate, bool) {
-	if g.ssIdentity == nil {
-		return wssec.Certificate{}, false
-	}
-	return g.ssIdentity.Certificate(), true
 }
 
 // StartMonitors launches every machine's background utilization

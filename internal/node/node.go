@@ -77,14 +77,13 @@ type Config struct {
 
 // Node is a running grid machine.
 type Node struct {
-	Name     string
-	FS       *vfs.FS
-	Spawner  *procspawn.Spawner
-	FSS      *filesystem.Service
-	ES       *execution.Service
-	Monitor  *procspawn.UtilizationMonitor
-	Identity *wssec.Identity
-	Store    *resourcedb.Store
+	Name    string
+	FS      *vfs.FS
+	Spawner *procspawn.Spawner
+	FSS     *filesystem.Service
+	ES      *execution.Service
+	Monitor *procspawn.UtilizationMonitor
+	Store   *resourcedb.Store
 
 	cfg    Config
 	client *transport.Client
@@ -120,19 +119,20 @@ func New(cfg Config) (*Node, error) {
 		n.Store = resourcedb.NewStore()
 	}
 
+	// Set only when an account table exists: a nil map inside a non-nil
+	// interface would demand credentials nobody can supply.
+	var accounts wssec.CredentialStore
+	if cfg.Accounts != nil {
+		accounts = cfg.Accounts
+	}
 	var err error
-	spawnCfg := procspawn.Config{
+	n.Spawner, err = procspawn.NewSpawner(procspawn.Config{
 		FS:       n.FS,
 		Cores:    cfg.Cores,
 		SpeedMHz: cfg.SpeedMHz,
 		UnitTime: cfg.UnitTime,
-	}
-	if cfg.Accounts != nil {
-		// Assign only when an account table exists: a nil map inside a
-		// non-nil interface would demand credentials nobody can supply.
-		spawnCfg.Accounts = cfg.Accounts
-	}
-	n.Spawner, err = procspawn.NewSpawner(spawnCfg)
+		Accounts: accounts,
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -149,26 +149,15 @@ func New(cfg Config) (*Node, error) {
 		return nil, err
 	}
 
-	esCfg := execution.Config{
-		Address: address,
-		Home:    wsrf.NewStateHome(n.Store.MustTable("jobs", resourcedb.BlobCodec{})),
-		Client:  cfg.Client,
-		FSS:     n.FSS.EPR(),
-		Spawner: n.Spawner,
-		Broker:  cfg.Broker,
-	}
-	if cfg.Accounts != nil {
-		// Only a secured ES has use for a key pair, and minting one costs
-		// tens of milliseconds of start-up.
-		if n.Identity, err = wssec.NewIdentity("CN=ExecutionService/" + cfg.Name); err != nil {
-			return nil, err
-		}
-		esCfg.Security = &wssec.VerifierConfig{
-			Identity: n.Identity,
-			Accounts: cfg.Accounts,
-		}
-	}
-	n.ES, err = execution.New(esCfg)
+	n.ES, err = execution.New(execution.Config{
+		Address:  address,
+		Home:     wsrf.NewStateHome(n.Store.MustTable("jobs", resourcedb.BlobCodec{})),
+		Client:   cfg.Client,
+		FSS:      n.FSS.EPR(),
+		Spawner:  n.Spawner,
+		Broker:   cfg.Broker,
+		Accounts: accounts,
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -259,13 +248,4 @@ func (n *Node) Stop() {
 	if n.cfg.Network != nil {
 		n.cfg.Network.Deregister(n.Name)
 	}
-}
-
-// Certificate returns the machine's ES certificate for credential
-// encryption; zero on a machine that runs unsecured.
-func (n *Node) Certificate() wssec.Certificate {
-	if n.Identity == nil {
-		return wssec.Certificate{}
-	}
-	return n.Identity.Certificate()
 }

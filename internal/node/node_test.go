@@ -188,22 +188,6 @@ func TestRegisterSendsOneReport(t *testing.T) {
 	}
 }
 
-func TestNodeCertificateStable(t *testing.T) {
-	network := transport.NewNetwork()
-	client := transport.NewClient().WithNetwork(network)
-	n, err := New(Config{Name: "c", Network: network, Client: client, Accounts: wssec.StaticAccounts{"u": "p"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer n.Stop()
-	if n.Certificate().Fingerprint() != n.Certificate().Fingerprint() {
-		t.Fatal("certificate fingerprint unstable")
-	}
-	if n.Certificate().Subject == "" {
-		t.Fatal("certificate has no subject")
-	}
-}
-
 // TestNodeTablesKeepTheirJournaledCodec: a fresh node stores its job and
 // directory resources as blobs — nothing reads the structured codec's
 // property index, which every Put would rebuild — but a -data-dir written

@@ -92,10 +92,10 @@ type Config struct {
 	// Broker is the Notification Broker's EPR; lifecycle events are
 	// published through it. Zero disables event publication.
 	Broker wsa.EndpointReference
-	// Security, when non-nil, is installed as dispatcher middleware:
-	// Run requests must then carry valid (optionally encrypted)
-	// WS-Security credentials, and the job runs as that account.
-	Security *wssec.VerifierConfig
+	// Accounts, when non-nil, is installed as dispatcher middleware: Run
+	// requests must then carry a valid UsernameToken for one of its
+	// accounts, and the job runs as that account.
+	Accounts wssec.CredentialStore
 }
 
 // Service is one machine's ES.
@@ -146,10 +146,10 @@ func New(cfg Config) (*Service, error) {
 	s.out = wsn.NewOutbox(func(ctx context.Context, to wsa.EndpointReference, batch []wsn.Notification) error {
 		return wsn.PublishViaBroker(ctx, s.client, to, batch...)
 	})
-	if cfg.Security != nil {
+	if cfg.Accounts != nil {
 		// Only Run carries credentials; FSS callbacks and WSRF property
 		// reads are unauthenticated, as in the paper's testbed.
-		svc.Use(wssec.InterceptorFor(*cfg.Security, ActionRun))
+		svc.Use(wssec.InterceptorFor(cfg.Accounts, ActionRun))
 	}
 	svc.Enable(wsrf.ResourcePropertiesPortType{})
 	svc.OnDestroy(s.onJobDestroyed)

@@ -40,14 +40,6 @@ type esHarness struct {
 
 func newESHarness(t *testing.T, accounts wssec.StaticAccounts) *esHarness {
 	t.Helper()
-	var sec *wssec.VerifierConfig
-	if accounts != nil {
-		id, err := wssec.NewIdentity("CN=ES/node-a")
-		if err != nil {
-			t.Fatal(err)
-		}
-		sec = &wssec.VerifierConfig{Identity: id, Accounts: accounts}
-	}
 	network := transport.NewNetwork()
 	client := transport.NewClient().WithNetwork(network)
 	fs := vfs.New()
@@ -97,13 +89,15 @@ func newESHarness(t *testing.T, accounts wssec.StaticAccounts) *esHarness {
 	network.Register("master", brokerSrv)
 
 	esCfg := Config{
-		Address:  "inproc://node-a",
-		Home:     wsrf.NewStateHome(store.MustTable("jobs", resourcedb.StructuredCodec{})),
-		Client:   client,
-		FSS:      fss.EPR(),
-		Spawner:  spawner,
-		Broker:   wsa.NewEPR("inproc://master/NotificationBroker"),
-		Security: sec,
+		Address: "inproc://node-a",
+		Home:    wsrf.NewStateHome(store.MustTable("jobs", resourcedb.StructuredCodec{})),
+		Client:  client,
+		FSS:     fss.EPR(),
+		Spawner: spawner,
+		Broker:  wsa.NewEPR("inproc://master/NotificationBroker"),
+	}
+	if accounts != nil {
+		esCfg.Accounts = accounts
 	}
 	es, err := New(esCfg)
 	if err != nil {
@@ -137,7 +131,7 @@ func (h *esHarness) runJob(t *testing.T, creds *wssec.Credentials, script []byte
 		{Source: h.filesEPR(), RemoteName: "job.app"},
 	}), testAttempt))
 	if creds != nil {
-		if err := wssec.AttachUsernameToken(env, *creds, false, time.Now()); err != nil {
+		if err := wssec.AttachUsernameToken(env, *creds, time.Now()); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -104,7 +104,7 @@ func TestSubmitKeepsCopiesOfItsMessage(t *testing.T) {
 		return next(ctx, call)
 	})
 	env := soap.New(SubmitRequest(twoJobSpec(), h.filesEPR(), h.listenerEPR()))
-	if err := wssec.AttachUsernameToken(env, wssec.Credentials{Username: "alice", Password: "secret"}, false, time.Now()); err != nil {
+	if err := wssec.AttachUsernameToken(env, wssec.Credentials{Username: "alice", Password: "secret"}, time.Now()); err != nil {
 		t.Fatal(err)
 	}
 	data, err := env.Marshal()
@@ -118,7 +118,7 @@ func TestSubmitKeepsCopiesOfItsMessage(t *testing.T) {
 	// A request ID that, like one the pipeline lifts from a header, is a
 	// view of the message.
 	ctx := pipeline.WithRequestID(context.Background(), req.Body.ChildText(qSetName))
-	verify := wssec.Interceptor(wssec.VerifierConfig{Accounts: accounts})
+	verify := wssec.Interceptor(accounts)
 	resp, err := verify(ctx, &soap.CallInfo{Request: req}, func(ctx context.Context, call *soap.CallInfo) (*soap.Envelope, error) {
 		body, err := h.ss.handleSubmit(ctx, nil, call.Request.Body)
 		return soap.New(body), err

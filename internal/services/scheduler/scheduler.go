@@ -90,11 +90,9 @@ type Config struct {
 	Broker wsa.EndpointReference
 	// Policy picks nodes; defaults to Greedy{}.
 	Policy Policy
-	// Security, when non-nil, protects Submit with WS-Security.
-	Security *wssec.VerifierConfig
-	// ESCerts, when set, resolves an Execution Service's certificate so
-	// forwarded credentials are encrypted to it (paper §4.2).
-	ESCerts func(es wsa.EndpointReference) (wssec.Certificate, bool)
+	// Accounts, when non-nil, protects Submit with WS-Security: a Submit
+	// must carry a UsernameToken for one of its accounts.
+	Accounts wssec.CredentialStore
 	// OnDispatch, when set, observes every committed job dispatch — the
 	// simulator's dispatch ledger.
 	OnDispatch func(rec DispatchRecord)
@@ -127,7 +125,6 @@ type Service struct {
 	broker      wsa.EndpointReference
 	policy      Policy
 	consumer    *wsn.Consumer
-	esCerts     func(wsa.EndpointReference) (wssec.Certificate, bool)
 	jobTimeout  time.Duration // watchdogWindow; in-package tests shorten it
 	dispatchSem chan struct{} // bounds concurrent dispatches
 	onDispatch  func(rec DispatchRecord)
@@ -520,7 +517,6 @@ func New(cfg Config) (*Service, error) {
 		broker:      cfg.Broker,
 		policy:      cfg.Policy,
 		consumer:    wsn.NewConsumer(),
-		esCerts:     cfg.ESCerts,
 		jobTimeout:  watchdogWindow,
 		dispatchSem: make(chan struct{}, maxInflightDispatch),
 		onDispatch:  cfg.OnDispatch,
@@ -529,10 +525,10 @@ func New(cfg Config) (*Service, error) {
 	}
 	svc.OnDestroy(s.onSetDestroyed)
 	s.consumer.Handle(s.ConsumerTopics(), s.onNotification) // onNotification finds the set by topic
-	if cfg.Security != nil {
+	if cfg.Accounts != nil {
 		// Submit carries the account credentials; status reads and
 		// cancellation stay open like the rest of the WSRF surface.
-		svc.Use(wssec.InterceptorFor(*cfg.Security, ActionSubmit))
+		svc.Use(wssec.InterceptorFor(cfg.Accounts, ActionSubmit))
 	}
 	svc.Enable(wsrf.ResourcePropertiesPortType{})
 	svc.Enable(wsrf.LifetimePortType{})
@@ -738,20 +734,10 @@ func (s *Service) runJob(ctx context.Context, r *run, res reservation) (event, e
 	req := soap.New(execution.WithAttempt(execution.RunRequest(spec.Name, r.topic, executable, files), res.attempt))
 	if r.creds.Username != "" {
 		// The ES verifies the token against its own account table and
-		// spawns with the password it holds there, so a digest serves; the
-		// password itself crosses only inside an encrypted header.
-		var cert wssec.Certificate
-		encrypt := false
-		if s.esCerts != nil {
-			cert, encrypt = s.esCerts(node.ES)
-		}
-		if err := wssec.AttachUsernameToken(req, r.creds, !encrypt, time.Now()); err != nil {
+		// spawns with the password it holds there, so a digest serves and
+		// the password itself never crosses.
+		if err := wssec.AttachUsernameToken(req, r.creds, time.Now()); err != nil {
 			return ack, err
-		}
-		if encrypt {
-			if err := wssec.EncryptSecurityHeader(req, cert); err != nil {
-				return ack, err
-			}
 		}
 	}
 	if s.onDispatch != nil {

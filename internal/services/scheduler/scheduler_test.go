@@ -62,7 +62,6 @@ func newSSHarnessCfg(t *testing.T, policy Policy, accounts wssec.StaticAccounts,
 	if err != nil {
 		t.Fatal(err)
 	}
-	var esCerts map[string]wssec.Certificate
 	ssCfg := Config{
 		Address: "inproc://master",
 		Home:    wsrf.NewStateHome(store.MustTable("jobsets", resourcedb.BlobCodec{})),
@@ -72,12 +71,7 @@ func newSSHarnessCfg(t *testing.T, policy Policy, accounts wssec.StaticAccounts,
 		Policy:  policy,
 	}
 	if accounts != nil {
-		ssCfg.Security = &wssec.VerifierConfig{Accounts: accounts}
-		esCerts = make(map[string]wssec.Certificate)
-		ssCfg.ESCerts = func(es wsa.EndpointReference) (wssec.Certificate, bool) {
-			cert, ok := esCerts[es.Address]
-			return cert, ok
-		}
+		ssCfg.Accounts = accounts
 	}
 	if mutate != nil {
 		mutate(&ssCfg)
@@ -116,9 +110,6 @@ func newSSHarnessCfg(t *testing.T, policy Policy, accounts wssec.StaticAccounts,
 		}
 		if err := n.Register(context.Background()); err != nil {
 			t.Fatal(err)
-		}
-		if esCerts != nil {
-			esCerts[n.ES.EPR().Address] = n.Certificate()
 		}
 		t.Cleanup(n.Stop)
 	}
@@ -159,7 +150,7 @@ func (h *ssHarness) submit(t *testing.T, spec *JobSetSpec, creds *wssec.Credenti
 	t.Helper()
 	env := soap.New(SubmitRequest(spec, h.filesEPR(), h.listenerEPR()))
 	if creds != nil {
-		if err := wssec.AttachUsernameToken(env, *creds, false, time.Now()); err != nil {
+		if err := wssec.AttachUsernameToken(env, *creds, time.Now()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -272,8 +263,9 @@ func TestSchedulerSecuredSubmitForwardsEncryptedCredentials(t *testing.T) {
 	if _, _, err := h.submit(t, spec, nil); err == nil {
 		t.Fatal("anonymous submit accepted")
 	}
-	// With credentials, the SS encrypts them to the node's ES identity
-	// (ESCerts is wired) and the job runs as that account end to end.
+	// With credentials, the SS forwards them to the node's ES as a
+	// digest (the name is older than the digest-only posture) and the
+	// job runs as that account end to end.
 	creds := wssec.Credentials{Username: "scientist", Password: "pw"}
 	_, topic, err := h.submit(t, spec, &creds)
 	if err != nil {
@@ -284,13 +276,13 @@ func TestSchedulerSecuredSubmitForwardsEncryptedCredentials(t *testing.T) {
 	}
 }
 
-// TestRunWithoutESCertsSendsADigest: with no certificate to encrypt to,
-// as gridmaster runs, the SS's Run carries a UsernameToken digest, never
-// the password itself. The ES verifies it against its own account table,
-// so the set still completes, its job owned by the account.
+// TestRunWithoutESCertsSendsADigest: the SS has no certificate to
+// encrypt to, so its Run carries a UsernameToken digest, never the
+// password itself. The ES verifies it against its own account table, so
+// the set still completes, its job owned by the account.
 func TestRunWithoutESCertsSendsADigest(t *testing.T) {
 	accounts := wssec.StaticAccounts{"scientist": "s3cret-pw"}
-	h := newSSHarnessCfg(t, Greedy{}, accounts, func(cfg *Config) { cfg.ESCerts = nil }, "node-a")
+	h := newSSHarness(t, Greedy{}, accounts, "node-a")
 	var wire, job atomic.Value // the last Run as it went on the wire, and its job
 	h.client.Use(func(ctx context.Context, call *soap.CallInfo, next soap.Handler) (*soap.Envelope, error) {
 		if call.Action != execution.ActionRun {

@@ -266,7 +266,7 @@ func TestColocatedCalleeSeesWhatASocketCarries(t *testing.T) {
 	// well, that calls its neighbour from inside its own invocation.
 	outerSaw := make(chan seen, 1)
 	caller := wsrf.MustService(wsrf.ServiceConfig{Path: "/Caller", Address: base})
-	caller.Use(wssec.Interceptor(wssec.VerifierConfig{Accounts: wssec.StaticAccounts{"alice": "pw"}}))
+	caller.Use(wssec.Interceptor(wssec.StaticAccounts{"alice": "pw"}))
 	caller.RegisterServiceMethod("urn:Outer", func(ctx context.Context, inv *wsrf.Invocation, body *xmlutil.Element) (*xmlutil.Element, error) {
 		ctx = context.WithValue(ctx, ctxKey{}, "the caller's own")
 		outerSaw <- look(ctx)
@@ -278,7 +278,7 @@ func TestColocatedCalleeSeesWhatASocketCarries(t *testing.T) {
 	srv.Use(pipeline.ServerRequestID())
 
 	req := soap.New(xmlutil.NewElement(qAsk, ""))
-	if err := wssec.AttachUsernameToken(req, wssec.Credentials{Username: "alice", Password: "pw"}, true, time.Now()); err != nil {
+	if err := wssec.AttachUsernameToken(req, wssec.Credentials{Username: "alice", Password: "pw"}, time.Now()); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := routed.Invoke(context.Background(), caller.EPR(), "urn:Outer", req); err != nil {

@@ -49,8 +49,9 @@ const (
 // first seen: a map assignment stores its key, and the hostport a
 // message hands in points into that message's address.
 type connPool struct {
-	mu   sync.Mutex
-	idle map[string]*[]*pooledConn
+	mu    sync.Mutex
+	idle  map[string]*[]*pooledConn
+	swept time.Time // when every host last lost its expired connections
 }
 
 // get pops the most recently used idle connection for hostport, dropping
@@ -64,6 +65,7 @@ func (p *connPool) get(hostport string) *pooledConn {
 	}
 	for len(*list) > 0 {
 		pc := (*list)[len(*list)-1]
+		(*list)[len(*list)-1] = nil
 		*list = (*list)[:len(*list)-1]
 		if time.Since(pc.idleSince) > idleTimeout {
 			pc.Close()
@@ -76,14 +78,21 @@ func (p *connPool) get(hostport string) *pooledConn {
 }
 
 // put returns a healthy connection to the pool, closing it instead when
-// the per-host cap is reached. Expired siblings are pruned on the way.
+// the per-host cap is reached. Expired siblings are pruned on the way,
+// and at most once per idleTimeout so are every other host's: a peer
+// that is never addressed again (a departed gridsub's file server) would
+// otherwise keep its connections open for the life of the process.
 func (p *connPool) put(hostport string, pc *pooledConn) {
 	// Clear any exchange deadline so the idle connection cannot poison
 	// the next checkout.
 	pc.conn.SetDeadline(time.Time{})
-	pc.idleSince = time.Now()
+	now := time.Now()
+	pc.idleSince = now
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	if now.Sub(p.swept) > idleTimeout {
+		p.sweep(now)
+	}
 	list := p.idle[hostport]
 	if list == nil {
 		if p.idle == nil {
@@ -92,20 +101,40 @@ func (p *connPool) put(hostport string, pc *pooledConn) {
 		list = new([]*pooledConn)
 		p.idle[strings.Clone(hostport)] = list
 	}
-	kept := (*list)[:0]
-	for _, old := range *list {
-		if time.Since(old.idleSince) > idleTimeout {
-			old.Close()
-			continue
-		}
-		kept = append(kept, old)
-	}
+	kept := prune(*list, now)
 	if len(kept) >= maxIdlePerHost {
 		pc.Close()
 		*list = kept
 		return
 	}
 	*list = append(kept, pc)
+}
+
+// sweep closes every host's connections idle past idleTimeout and
+// forgets the hosts left with none.
+func (p *connPool) sweep(now time.Time) {
+	for host, list := range p.idle {
+		if *list = prune(*list, now); len(*list) == 0 {
+			delete(p.idle, host)
+		}
+	}
+	p.swept = now
+}
+
+// prune closes the connections in list idle past idleTimeout and
+// returns the rest, in order, in list's array. The slots it vacates are
+// cleared, so a closed connection's buffers are not kept reachable.
+func prune(list []*pooledConn, now time.Time) []*pooledConn {
+	kept := list[:0]
+	for _, pc := range list {
+		if now.Sub(pc.idleSince) > idleTimeout {
+			pc.Close()
+			continue
+		}
+		kept = append(kept, pc)
+	}
+	clear(list[len(kept):])
+	return kept
 }
 
 // closeIdle drops every pooled connection.

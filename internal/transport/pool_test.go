@@ -7,6 +7,7 @@ import (
 	"errors"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 	"unsafe"
@@ -212,6 +213,61 @@ func TestPoolDirectConcurrency(t *testing.T) {
 	defer p.mu.Unlock()
 	if len(p.idle) != 0 {
 		t.Fatalf("pool retained %d hosts after closeIdle", len(p.idle))
+	}
+}
+
+// closeSeen is a connection that remembers being closed.
+type closeSeen struct {
+	net.Conn
+	closed atomic.Bool
+}
+
+func (c *closeSeen) Close() error {
+	c.closed.Store(true)
+	return c.Conn.Close()
+}
+
+// TestPoolSweepsHostsNeverAddressedAgain: a put for one host also closes
+// every other host's connections idle past idleTimeout, at most once per
+// idleTimeout, and forgets a host left with none. Without the sweep, a
+// peer that is never addressed again keeps its connections open for the
+// life of the process.
+func TestPoolSweepsHostsNeverAddressedAgain(t *testing.T) {
+	var p connPool
+	defer p.closeIdle()
+	pipe := func() (*pooledConn, *closeSeen) {
+		conn, peer := net.Pipe()
+		t.Cleanup(func() { peer.Close() })
+		seen := &closeSeen{Conn: conn}
+		return newPooledConn(seen), seen
+	}
+	departed, departedConn := pipe()
+	live, liveConn := pipe()
+	p.put("departed:1", departed)
+	p.put("live:1", live)
+
+	// The departed peer's connection has sat idle past the timeout, and
+	// so long ago was the last sweep.
+	past := time.Now().Add(-2 * idleTimeout)
+	departed.idleSince, p.swept = past, past
+	other, _ := pipe()
+	p.put("other:1", other)
+	if !departedConn.closed.Load() {
+		t.Fatal("the departed peer's expired connection is still open")
+	}
+	if _, kept := p.idle["departed:1"]; kept {
+		t.Fatal("the pool still lists a host with no connection")
+	}
+	if list := p.idle["live:1"]; list == nil || len(*list) != 1 || liveConn.closed.Load() {
+		t.Fatal("the sweep closed a connection that had not expired")
+	}
+
+	// Inside the window a put prunes only its own host.
+	live.idleSince = past
+	another, _ := pipe()
+	p.put("other:1", another)
+	if liveConn.closed.Load() {
+		t.Fatal("a second sweep ran inside idleTimeout")
 	}
 }
 

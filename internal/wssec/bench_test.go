@@ -29,10 +29,7 @@ func newSecurityHarness(tb testing.TB) *securityHarness {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	ic := Interceptor(VerifierConfig{
-		Identity: id,
-		Accounts: StaticAccounts{"scientist": "secret"},
-	})
+	ic := Interceptor(StaticAccounts{"scientist": "secret"})
 	verify := func(ctx context.Context, req *soap.Envelope) (*soap.Envelope, error) {
 		call := &soap.CallInfo{Side: soap.ServerSide, Request: req}
 		return ic(ctx, call, func(ctx context.Context, call *soap.CallInfo) (*soap.Envelope, error) {
@@ -63,11 +60,15 @@ func (h *securityHarness) plain(ctx context.Context) error {
 }
 
 // roundTrip attaches credentials per mode, crosses the wire encoding,
-// and verifies server-side.
+// and verifies server-side. An encrypted header is opened before the
+// verifier sees it, as a service holding the identity's key would.
 func (h *securityHarness) roundTrip(ctx context.Context, digest, encrypt bool) error {
 	env := soap.New(h.body.Clone())
-	if err := AttachUsernameToken(env, h.creds, digest, time.Now()); err != nil {
+	if err := AttachUsernameToken(env, h.creds, time.Now()); err != nil {
 		return err
+	}
+	if !digest {
+		asText(env, h.creds.Password)
 	}
 	if encrypt {
 		if err := EncryptSecurityHeader(env, h.identity.Certificate()); err != nil {
@@ -81,6 +82,11 @@ func (h *securityHarness) roundTrip(ctx context.Context, digest, encrypt bool) e
 	received, err := soap.Unmarshal(data)
 	if err != nil {
 		return err
+	}
+	if encrypt {
+		if err := DecryptSecurityHeader(received, h.identity); err != nil {
+			return err
+		}
 	}
 	_, err = h.verify(ctx, received)
 	return err

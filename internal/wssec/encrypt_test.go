@@ -28,7 +28,7 @@ var (
 // a fresh AES-256-GCM content key encrypts the serialized header, and
 // RSA-OAEP under cert encrypts the content key (standard XML-Encryption
 // hybrid shape). This is the simulation of the paper's "encrypted using
-// the X509 certificate" credential protection.
+// the X509 certificate" credential protection, which E10 prices.
 func EncryptSecurityHeader(env *soap.Envelope, cert Certificate) error {
 	sec := env.Header(qSecurity)
 	if sec == nil {

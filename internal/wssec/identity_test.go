@@ -1,13 +1,10 @@
-// Package wssec implements the WS-Security slice the testbed uses: the
-// UsernameToken password profile (plain and digest forms), timestamps
-// with a replay cache, and hybrid public-key encryption of the token so
-// credentials cross the wire opaquely — the paper's Execution Service
-// receives the username/password "using a WS-Security password profile
-// SOAP header, which is then encrypted using the X509 certificate"
-// (paper §4.2). Real X.509 machinery is simulated by bare RSA identities
-// with a subject name; the header formats and the verification pipeline
-// are faithful.
 package wssec
+
+// The paper's credential protection (§4.2) encrypts the UsernameToken to
+// the receiving service's X.509 certificate. The grid distributes no
+// certificates and sends digests instead; this file and encrypt_test.go
+// keep the encrypting mechanism as E10's measured alternative. X.509 is
+// simulated by bare RSA identities with a subject name.
 
 import (
 	"crypto/rand"

@@ -101,26 +101,18 @@ func PrincipalFrom(ctx context.Context) (Principal, bool) {
 	return p, ok
 }
 
-// VerifierConfig configures the server-side security middleware.
-type VerifierConfig struct {
-	// Identity, when set, decrypts EncryptedData security headers.
-	Identity *Identity
-	// Accounts validates the UsernameToken.
-	Accounts CredentialStore
-}
-
-// InterceptorFor scopes Interceptor(cfg) to specific WS-Addressing
+// InterceptorFor scopes Interceptor(accounts) to specific WS-Addressing
 // actions: listed actions get the full verification pipeline, all
 // others pass through untouched. The testbed secures exactly the
 // operations that carry account credentials (the ES Run and the SS
 // Submit, paper §4.2) while service-to-service callbacks and standard
 // WSRF property reads stay open.
-func InterceptorFor(cfg VerifierConfig, actions ...string) soap.Interceptor {
+func InterceptorFor(accounts CredentialStore, actions ...string) soap.Interceptor {
 	guarded := make(map[string]bool, len(actions))
 	for _, a := range actions {
 		guarded[a] = true
 	}
-	full := Interceptor(cfg)
+	full := Interceptor(accounts)
 	return func(ctx context.Context, call *soap.CallInfo, next soap.Handler) (*soap.Envelope, error) {
 		if guarded[call.Action] {
 			return full(ctx, call, next)
@@ -129,31 +121,22 @@ func InterceptorFor(cfg VerifierConfig, actions ...string) soap.Interceptor {
 	}
 }
 
-// Interceptor builds a server-side soap.Interceptor enforcing cfg: it
-// decrypts the security header if needed, requires a UsernameToken and
-// validates it against the account store, accepts each token once and
-// only inside replayWindow, and attaches the Principal to the request
-// context for the handler (the ES reads it to pick the spawn account).
-func Interceptor(cfg VerifierConfig) soap.Interceptor {
+// Interceptor builds a server-side soap.Interceptor enforcing accounts:
+// it requires a UsernameToken and validates it against the account
+// store, accepts each token once and only inside replayWindow, and
+// attaches the Principal to the request context for the handler (the ES
+// reads it to pick the spawn account).
+func Interceptor(accounts CredentialStore) soap.Interceptor {
 	replay := newReplayCache(replayWindow)
 	return func(ctx context.Context, call *soap.CallInfo, next soap.Handler) (*soap.Envelope, error) {
-		req := call.Request
-		if HasEncryptedHeader(req) {
-			if cfg.Identity == nil {
-				return nil, soap.SenderFault("wssec: service cannot decrypt security headers")
-			}
-			if err := DecryptSecurityHeader(req, cfg.Identity); err != nil {
-				return nil, soap.SenderFault("wssec: %v", err)
-			}
-		}
-		tok, err := ExtractToken(req)
+		tok, err := ExtractToken(call.Request)
 		if err != nil {
 			return nil, soap.SenderFault("wssec: authentication required: %v", err)
 		}
-		if cfg.Accounts == nil {
+		if accounts == nil {
 			return nil, soap.ReceiverFault("wssec: no account store configured")
 		}
-		expected, ok := cfg.Accounts.LookupPassword(tok.Username)
+		expected, ok := accounts.LookupPassword(tok.Username)
 		if !ok {
 			return nil, soap.SenderFault("wssec: unknown account %q", tok.Username)
 		}

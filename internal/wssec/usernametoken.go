@@ -1,3 +1,14 @@
+// Package wssec implements the WS-Security slice the testbed uses: the
+// UsernameToken password profile, timestamps with a replay cache, and
+// the server-side verifier that turns a token into the account a job
+// runs as. In the paper the Execution Service receives the
+// username/password "using a WS-Security password profile SOAP header,
+// which is then encrypted using the X509 certificate" (paper §4.2).
+// This reproduction distributes no certificates: every token it sends
+// carries the password as a digest, Base64(SHA256(nonce || created ||
+// password)), which the receiver checks against its own account table,
+// so the password itself never crosses. The hybrid RSA/AES encryption of
+// the header lives in the package's tests, where E10 prices it.
 package wssec
 
 import (
@@ -51,11 +62,10 @@ type Token struct {
 // timeLayout is the WSS utility timestamp layout.
 const timeLayout = time.RFC3339Nano
 
-// AttachUsernameToken adds a wsse:Security header carrying creds. With
-// digest=true the password crosses as
-// Base64(SHA256(nonce || created || password)) per the password-digest
-// profile; otherwise as text (intended to be wrapped by EncryptSecurityHeader).
-func AttachUsernameToken(env *soap.Envelope, creds Credentials, digest bool, now time.Time) error {
+// AttachUsernameToken adds a wsse:Security header carrying creds, the
+// password as Base64(SHA256(nonce || created || password)) per the
+// password-digest profile.
+func AttachUsernameToken(env *soap.Envelope, creds Credentials, now time.Time) error {
 	if creds.Username == "" {
 		return fmt.Errorf("wssec: empty username")
 	}
@@ -66,15 +76,9 @@ func AttachUsernameToken(env *soap.Envelope, creds Credentials, digest bool, now
 	nonceB64 := base64.StdEncoding.EncodeToString(nonce)
 	created := now.UTC().Format(timeLayout)
 
-	password := creds.Password
-	passType := PasswordText
-	if digest {
-		password = digestPassword(nonceB64, created, creds.Password)
-		passType = PasswordDigest
-	}
 	token := xmlutil.NewContainer(qUsernameToken,
 		xmlutil.NewElement(qUsername, creds.Username),
-		xmlutil.NewElement(qPassword, password).SetAttr(qType, passType),
+		xmlutil.NewElement(qPassword, digestPassword(nonceB64, created, creds.Password)).SetAttr(qType, PasswordDigest),
 		xmlutil.NewElement(qNonce, nonceB64),
 		xmlutil.NewElement(qCreated, created),
 	)

@@ -15,12 +15,22 @@ var qBody = xmlutil.Q("urn:uvacg:test", "Run")
 
 func newEnv() *soap.Envelope { return soap.New(xmlutil.NewElement(qBody, "payload")) }
 
+// asText rewrites env's UsernameToken to carry password as text, the
+// profile's other form: the grid never sends it, but Token.Verify
+// accepts it from outside callers.
+func asText(env *soap.Envelope, password string) {
+	pw := env.Header(qSecurity).Child(qUsernameToken).Child(qPassword)
+	pw.Text = password
+	pw.SetAttr(qType, PasswordText)
+}
+
 func TestUsernameTokenPlainRoundTrip(t *testing.T) {
 	env := newEnv()
 	creds := Credentials{Username: "gridimp", Password: "s3cret"}
-	if err := AttachUsernameToken(env, creds, false, time.Now()); err != nil {
+	if err := AttachUsernameToken(env, creds, time.Now()); err != nil {
 		t.Fatal(err)
 	}
+	asText(env, creds.Password)
 	data, err := env.Marshal()
 	if err != nil {
 		t.Fatal(err)
@@ -46,7 +56,7 @@ func TestUsernameTokenPlainRoundTrip(t *testing.T) {
 
 func TestUsernameTokenDigest(t *testing.T) {
 	env := newEnv()
-	if err := AttachUsernameToken(env, Credentials{Username: "u", Password: "pw"}, true, time.Now()); err != nil {
+	if err := AttachUsernameToken(env, Credentials{Username: "u", Password: "pw"}, time.Now()); err != nil {
 		t.Fatal(err)
 	}
 	tok, err := ExtractToken(env)
@@ -75,8 +85,8 @@ func TestAttachUsernameTokenReplaces(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	must(AttachUsernameToken(env, Credentials{Username: "a", Password: "1"}, false, time.Now()))
-	must(AttachUsernameToken(env, Credentials{Username: "b", Password: "2"}, false, time.Now()))
+	must(AttachUsernameToken(env, Credentials{Username: "a", Password: "1"}, time.Now()))
+	must(AttachUsernameToken(env, Credentials{Username: "b", Password: "2"}, time.Now()))
 	tok, err := ExtractToken(env)
 	must(err)
 	if tok.Username != "b" {
@@ -94,7 +104,7 @@ func TestAttachUsernameTokenReplaces(t *testing.T) {
 }
 
 func TestAttachRequiresUsername(t *testing.T) {
-	if err := AttachUsernameToken(newEnv(), Credentials{}, false, time.Now()); err == nil {
+	if err := AttachUsernameToken(newEnv(), Credentials{}, time.Now()); err == nil {
 		t.Fatal("empty username accepted")
 	}
 }
@@ -117,7 +127,7 @@ func TestEncryptDecryptSecurityHeader(t *testing.T) {
 	}
 	env := newEnv()
 	creds := Credentials{Username: "labuser", Password: "hunter2"}
-	if err := AttachUsernameToken(env, creds, false, time.Now()); err != nil {
+	if err := AttachUsernameToken(env, creds, time.Now()); err != nil {
 		t.Fatal(err)
 	}
 	if err := EncryptSecurityHeader(env, service.Certificate()); err != nil {
@@ -158,7 +168,7 @@ func TestDecryptWithWrongIdentityFails(t *testing.T) {
 	right, _ := NewIdentity("CN=right")
 	wrong, _ := NewIdentity("CN=wrong")
 	env := newEnv()
-	if err := AttachUsernameToken(env, Credentials{Username: "u", Password: "p"}, false, time.Now()); err != nil {
+	if err := AttachUsernameToken(env, Credentials{Username: "u", Password: "p"}, time.Now()); err != nil {
 		t.Fatal(err)
 	}
 	if err := EncryptSecurityHeader(env, right.Certificate()); err != nil {
@@ -241,16 +251,10 @@ func bind(ic soap.Interceptor, h soap.HandlerFunc) soap.HandlerFunc {
 }
 
 func TestMiddlewareAuthenticates(t *testing.T) {
-	service, _ := NewIdentity("CN=ES")
-	accounts := StaticAccounts{"labuser": "pw"}
-	ic := Interceptor(VerifierConfig{Identity: service, Accounts: accounts})
-	h := bind(ic, okHandler)
+	h := bind(Interceptor(StaticAccounts{"labuser": "pw"}), okHandler)
 
 	env := newEnv()
-	if err := AttachUsernameToken(env, Credentials{Username: "labuser", Password: "pw"}, false, time.Now()); err != nil {
-		t.Fatal(err)
-	}
-	if err := EncryptSecurityHeader(env, service.Certificate()); err != nil {
+	if err := AttachUsernameToken(env, Credentials{Username: "labuser", Password: "pw"}, time.Now()); err != nil {
 		t.Fatal(err)
 	}
 	resp, err := h(context.Background(), env)
@@ -263,9 +267,7 @@ func TestMiddlewareAuthenticates(t *testing.T) {
 }
 
 func TestMiddlewareRejections(t *testing.T) {
-	service, _ := NewIdentity("CN=ES")
-	accounts := StaticAccounts{"u": "pw"}
-	h := bind(Interceptor(VerifierConfig{Identity: service, Accounts: accounts}), okHandler)
+	h := bind(Interceptor(StaticAccounts{"u": "pw"}), okHandler)
 	ctx := context.Background()
 
 	t.Run("missing header", func(t *testing.T) {
@@ -273,9 +275,28 @@ func TestMiddlewareRejections(t *testing.T) {
 			t.Fatal("unauthenticated request accepted")
 		}
 	})
+	t.Run("encrypted header only", func(t *testing.T) {
+		// The verifier decrypts nothing: a token inside EncryptedData is
+		// no token at all.
+		service, err := NewIdentity("CN=ES")
+		if err != nil {
+			t.Fatal(err)
+		}
+		env := newEnv()
+		if err := AttachUsernameToken(env, Credentials{Username: "u", Password: "pw"}, time.Now()); err != nil {
+			t.Fatal(err)
+		}
+		if err := EncryptSecurityHeader(env, service.Certificate()); err != nil {
+			t.Fatal(err)
+		}
+		_, err = h(ctx, env)
+		if f, ok := soap.AsFault(err); !ok || f.Code != soap.CodeSender || !strings.Contains(f.Reason, "authentication required") {
+			t.Fatalf("encrypted-only request: %v, want a Sender fault naming authentication required", err)
+		}
+	})
 	t.Run("unknown account", func(t *testing.T) {
 		env := newEnv()
-		if err := AttachUsernameToken(env, Credentials{Username: "ghost", Password: "x"}, false, time.Now()); err != nil {
+		if err := AttachUsernameToken(env, Credentials{Username: "ghost", Password: "x"}, time.Now()); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := h(ctx, env); err == nil {
@@ -284,7 +305,7 @@ func TestMiddlewareRejections(t *testing.T) {
 	})
 	t.Run("wrong password", func(t *testing.T) {
 		env := newEnv()
-		if err := AttachUsernameToken(env, Credentials{Username: "u", Password: "bad"}, true, time.Now()); err != nil {
+		if err := AttachUsernameToken(env, Credentials{Username: "u", Password: "bad"}, time.Now()); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := h(ctx, env); err == nil {
@@ -293,7 +314,7 @@ func TestMiddlewareRejections(t *testing.T) {
 	})
 	t.Run("replay", func(t *testing.T) {
 		env := newEnv()
-		if err := AttachUsernameToken(env, Credentials{Username: "u", Password: "pw"}, true, time.Now()); err != nil {
+		if err := AttachUsernameToken(env, Credentials{Username: "u", Password: "pw"}, time.Now()); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := h(ctx, env.Clone()); err != nil {
@@ -312,7 +333,7 @@ func TestMiddlewareRejections(t *testing.T) {
 		}{{replayWindow - time.Second, true}, {-replayWindow + time.Second, true}, {replayWindow + time.Second, false}, {-replayWindow - time.Second, false}} {
 			now = func() time.Time { return created.Add(c.skew) }
 			env := newEnv()
-			if err := AttachUsernameToken(env, Credentials{Username: "u", Password: "pw"}, true, created); err != nil {
+			if err := AttachUsernameToken(env, Credentials{Username: "u", Password: "pw"}, created); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := h(ctx, env); (err == nil) != c.ok {
