@@ -80,7 +80,9 @@ var (
 type Config struct {
 	// Address is the master host's base address.
 	Address string
-	// Home backs the job-set WS-Resources.
+	// Home backs the job-set WS-Resources. It must store with
+	// resourcedb.BlobCodec: the Scheduler keeps each live set as that
+	// codec reads it back.
 	Home wsrf.ResourceHome
 	// Client performs outbound calls.
 	Client *transport.Client
@@ -504,7 +506,7 @@ func New(cfg Config) (*Service, error) {
 	if cfg.Policy == nil {
 		cfg.Policy = Greedy{}
 	}
-	home := &jobSetHome{cfg.Home}
+	home := newJobSetHome(cfg.Home)
 	svc, err := wsrf.NewService(wsrf.ServiceConfig{Path: ServicePath, Address: cfg.Address, Home: home})
 	if err != nil {
 		return nil, err

@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httptrace"
 	"strings"
 	"sync"
 	"testing"
@@ -398,4 +399,74 @@ func TestAltSvcLearnsItsOwnPortOnly(t *testing.T) {
 			t.Fatalf("frames went to %v, want the two learned exchanges and the failed one", seen)
 		}
 	})
+}
+
+// refusingFrames fails every frame exchange; with a cancel, it ends the
+// caller's context first, as a caller's deadline does.
+type refusingFrames struct{ cancel context.CancelFunc }
+
+func (f refusingFrames) RoundTrip(ctx context.Context, _ string, _ *Message) (*Message, error) {
+	if f.cancel != nil {
+		f.cancel()
+		return nil, ctx.Err()
+	}
+	return nil, io.ErrUnexpectedEOF
+}
+
+func (f refusingFrames) Send(ctx context.Context, addr string, m *Message) error {
+	_, err := f.RoundTrip(ctx, addr, m)
+	return err
+}
+
+// TestForgottenPortDropsIdleHTTPConnections: when a learned port's frame
+// exchange fails, the next message asks over a new HTTP connection, not
+// over one the first asking left idle. A peer restarted on the port has
+// closed that one, and a client that has not yet read the close would
+// send its POST into it and read EOF. An exchange the caller's own
+// context ended says nothing of the peer, and the idle connections stay.
+func TestForgottenPortDropsIdleHTTPConnections(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		cancelled bool // the failing exchange's context is ended by its caller
+	}{{"failed", false}, {"caller-cancelled", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			mux, _ := testService(t)
+			tl, err := ListenTCP(NewServer(mux), "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer tl.Close()
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			failCtx, failCancel := context.WithCancel(ctx)
+			defer failCancel()
+			frames := refusingFrames{}
+			if tc.cancelled {
+				frames.cancel = failCancel
+			}
+			c := NewClient()
+			c.WrapSchemes(func(scheme string, rt RoundTripper) RoundTripper {
+				if scheme == SchemeTCP {
+					return frames
+				}
+				return nil
+			})
+			var reused []bool
+			trace := &httptrace.ClientTrace{GotConn: func(info httptrace.GotConnInfo) {
+				reused = append(reused, info.Reused)
+			}}
+			epr := wsa.NewEPR("http://" + tl.Addr() + "/Test")
+			for i, call := range []struct { // ask, fail as frames, ask again
+				ctx     context.Context
+				wantErr bool
+			}{{ctx, false}, {failCtx, true}, {ctx, false}} {
+				if _, err := c.Call(httptrace.WithClientTrace(call.ctx, trace), epr, "urn:Echo", xmlutil.NewElement(qPing, "hi")); (err != nil) != call.wantErr {
+					t.Fatalf("call %d: %v", i, err)
+				}
+			}
+			if len(reused) != 2 || reused[1] != tc.cancelled {
+				t.Fatalf("HTTP connections reused: %v, want the asking after the failure to reuse one: %v", reused, tc.cancelled)
+			}
+		})
+	}
 }

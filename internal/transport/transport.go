@@ -142,6 +142,8 @@ type Client struct {
 	// frames (Alt-Svc): a message for http://host:port goes through the
 	// soap.tcp binding until an exchange there fails.
 	framed map[string]bool
+	// asker is the http binding that learns ports.
+	asker *HTTPTransport
 }
 
 // NewClient builds a client with the http and soap.tcp bindings
@@ -154,9 +156,9 @@ func NewClient() *Client {
 		colocated: make(map[string]*inprocTransport),
 		framed:    make(map[string]bool),
 	}
-	h := NewHTTPTransport()
-	h.learn = c.learn
-	c.RegisterScheme("http", h)
+	c.asker = NewHTTPTransport()
+	c.asker.learn = c.learn
+	c.RegisterScheme("http", c.asker)
 	c.RegisterScheme(SchemeTCP, NewTCPTransport())
 	return c
 }
@@ -274,14 +276,21 @@ type route struct {
 }
 
 // failed forgets r's learned port, so the next message for it asks over
-// HTTP again: the port may have gone, or come back without frames.
-func (c *Client) failed(r route) {
+// HTTP again: the port may have gone, or come back without frames. Unless
+// the caller's own context ended the exchange, the keep-alive connections
+// the asking left idle go too, to every host (net/http closes no fewer): a
+// peer that went has closed its end, and a reader that has not yet seen
+// the close would hand the next POST a connection that answers EOF.
+func (c *Client) failed(ctx context.Context, r route) {
 	if r.learned == "" {
 		return
 	}
 	c.routesMu.Lock()
 	delete(c.framed, r.learned)
 	c.routesMu.Unlock()
+	if ctx.Err() == nil {
+		c.asker.CloseIdleConnections()
+	}
 }
 
 // routeFor picks a's route: the co-located server first, then a learned
@@ -380,7 +389,7 @@ func (c *Client) roundTrip(ctx context.Context, to wsa.EndpointReference, addr a
 	reply, err := r.rt.RoundTrip(ctx, r.addr, request)
 	request.release()
 	if err != nil {
-		c.failed(r)
+		c.failed(ctx, r)
 		return nil, fmt.Errorf("transport: %s %s: %w", call.Action, to.Address, err)
 	}
 	resp, err := reply.open()
@@ -436,7 +445,7 @@ func (c *Client) send(ctx context.Context, to wsa.EndpointReference, addr addres
 		if errors.As(err, &f) {
 			return f // the port answered: what it said is the error
 		}
-		c.failed(r)
+		c.failed(ctx, r)
 		return fmt.Errorf("transport: one-way %s %s: %w", call.Action, to.Address, err)
 	}
 	return nil

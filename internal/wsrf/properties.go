@@ -37,7 +37,10 @@ func (SetResourcePropertiesPortType) Attach(s *Service) {
 
 // resolveProperty produces the current value(s) of one property:
 // provider-computed values win (the [ResourceProperty] getter), else
-// matching children of the state document (the [Resource] data members).
+// matching children of the state document (the [Resource] data members),
+// uncopied: the document is the invocation's own, loaded for it and
+// dropped after, and a reply is encoded or copied before its caller
+// sees it.
 func (s *Service) resolveProperty(ctx context.Context, inv *Invocation, name xmlutil.QName) ([]*xmlutil.Element, error) {
 	if p, ok := s.providers[name]; ok {
 		return p(ctx, inv)
@@ -48,7 +51,7 @@ func (s *Service) resolveProperty(ctx context.Context, inv *Invocation, name xml
 	var out []*xmlutil.Element
 	for _, c := range inv.Doc.Children {
 		if c.Name == name || (name.Space == "" && c.Name.Local == name.Local) {
-			out = append(out, c.Clone())
+			out = append(out, c)
 		}
 	}
 	return out, nil

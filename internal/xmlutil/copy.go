@@ -36,6 +36,24 @@ func ReadBackEnvelope(ns string, headers []*Element, body *Element) ([]*Element,
 	return hs, b, size, nil
 }
 
+// ReadBack returns what UnmarshalElement decodes from the bytes
+// MarshalElement writes for e, as ReadBackEnvelope does for an
+// envelope: one slab copy, text trimmed and, where the encoder wrote
+// U+FFFD, every string as it wrote it. It refuses what MarshalElement
+// refuses.
+func ReadBack(e *Element) (*Element, error) {
+	bp := scratch.Get().(*[]byte)
+	enc := encoder{dst: (*bp)[:0]}
+	ok := enc.element(e, "", 0)
+	ReleaseScratch(bp, enc.dst)
+	if err := enc.done(ok); err != nil {
+		return nil, err
+	}
+	s := slab{read: true, scrub: enc.rewrote}
+	s.reserve(nil, e)
+	return s.copy(e), nil
+}
+
 // slab is the memory of one deep copy: its nodes, child lists and
 // attribute lists come from three arrays, each allocated once at the
 // size a count of the originals gives. A child or attribute list is cut

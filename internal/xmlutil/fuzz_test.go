@@ -258,6 +258,27 @@ func checkReadBack(t *testing.T, tree *Element) {
 	if !same {
 		t.Fatalf("read back of %q (%d bytes) as %v %s, want %v %s", wire, size, hs, body, wantHeaders, wantBody)
 	}
+	got, err := ReadBack(tree)
+	if err != nil {
+		t.Fatalf("ReadBack of %s refuses what the envelope carried: %v", tree, err)
+	}
+	if want := viaElement(t, tree); !got.Equal(want) {
+		t.Fatalf("ReadBack of %s is %s, want %s", tree, got, want)
+	}
+}
+
+// viaElement is what a reader decodes from MarshalElement's bytes of e.
+func viaElement(t *testing.T, e *Element) *Element {
+	t.Helper()
+	data, err := MarshalElement(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := UnmarshalElement(data)
+	if err != nil {
+		t.Fatalf("cannot decode %q: %v", data, err)
+	}
+	return out
 }
 
 // rough is a tree whose strings are raw pieces of data — text with the
