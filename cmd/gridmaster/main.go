@@ -60,21 +60,13 @@ func main() {
 		log.Fatal(err)
 	}
 	address := daemon.Advertised(*hostName, *addr)
-	ssCfg := scheduler.Config{Policy: policy}
 	accounts, err := daemon.ParseAccounts(*accountsFlag)
 	if err != nil {
 		log.Fatalf("gridmaster: %v", err)
 	}
-	if accounts != nil {
-		// Credentials cross as UsernameToken digests, gridsub to Scheduler
-		// and Scheduler to each ES. The guard matters: ParseAccounts
-		// returns a nil table when -accounts is empty, and that nil in the
-		// interface would refuse every Submit.
-		ssCfg.Accounts = accounts
-	}
 
 	mcfg := host.MasterConfig(address)
-	mcfg.Scheduler = ssCfg
+	mcfg.Scheduler = scheduler.Config{Policy: policy, Accounts: accounts}
 	m, err := master.Assemble(mcfg)
 	if err != nil {
 		log.Fatal(err)

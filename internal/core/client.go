@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net/url"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -193,22 +192,19 @@ func (c *Client) SubmitTo(ctx context.Context, target wsa.EndpointReference, cre
 		return nil, err
 	}
 	c.cfg.Logf("submitted %q as %s (topic %s)", spec.Name, setEPR, topic)
-	return c.follow(spec.Name, setEPR, topic, nil), nil
+	return c.follow(spec.Name, setEPR, topic), nil
 }
 
 // follow registers a submission for routing, journals it, and hands it
 // the events that arrived before the Submit reply was processed (the
 // broker races the response).
-func (c *Client) follow(name string, set wsa.EndpointReference, topic string, dirs map[string]wsa.EndpointReference) *Submission {
-	if dirs == nil {
-		dirs = make(map[string]wsa.EndpointReference)
-	}
+func (c *Client) follow(name string, set wsa.EndpointReference, topic string) *Submission {
 	sub := &Submission{
 		Topic:  topic,
 		JobSet: set,
 		client: c,
 		name:   name,
-		dirs:   dirs,
+		dirs:   make(map[string]wsa.EndpointReference),
 		jobs:   make(map[string]wsa.EndpointReference),
 		done:   make(chan struct{}),
 		events: make(chan wsn.Notification, 256),
@@ -267,7 +263,6 @@ func (s *Submission) observe(h heard) {
 	}
 	if !je.Directory.IsZero() && !je.Directory.Equal(s.dirs[je.JobName]) { // every event of a job repeats it
 		s.dirs[strings.Clone(je.JobName)] = je.Directory.Own()
-		s.save()
 	}
 	select {
 	case s.events <- h.n:
@@ -351,7 +346,6 @@ func (s *Submission) FetchOutput(ctx context.Context, jobName, fileName string) 
 		dir = j.Dir
 		s.mu.Lock()
 		s.dirs[jobName] = dir
-		s.save()
 		s.mu.Unlock()
 	}
 	return filesystem.FetchFile(ctx, s.client.cfg.Transport, dir, fileName)
@@ -369,8 +363,9 @@ func (s *Submission) KillJob(ctx context.Context, jobName string) error {
 
 // The submission journal: one structured row per job set name, holding
 // the set EPR, the topic, the file server address the Scheduler stages
-// local:// sources from, the terminal status once reached, and the
-// per-job output directories collected so far.
+// local:// sources from, and the terminal status once reached. The jobs'
+// output directories are not copied: the set's document holds them, and
+// Resume reads them from there.
 
 const nsSub = "urn:uvacg:gridsub"
 
@@ -380,9 +375,6 @@ var (
 	qSubTopic   = xmlutil.Q(nsSub, "Topic")
 	qSubStatus  = xmlutil.Q(nsSub, "Status")
 	qSubFiles   = xmlutil.Q(nsSub, "Files")
-	qSubJob     = xmlutil.Q(nsSub, "Job")
-	qSubName    = xmlutil.Q("", "name")
-	qSubDir     = xmlutil.Q("", "dir")
 )
 
 // save writes the submission's journal row. The caller holds s.mu (or
@@ -398,17 +390,6 @@ func (s *Submission) save() {
 		xmlutil.NewElement(qSubStatus, s.status),
 		xmlutil.NewElement(qSubFiles, s.client.filesEPR.Address),
 	)
-	jobs := make([]string, 0, len(s.dirs))
-	for j := range s.dirs {
-		jobs = append(jobs, j)
-	}
-	sort.Strings(jobs)
-	for _, j := range jobs {
-		el := xmlutil.NewElement(qSubJob, "")
-		el.SetAttr(qSubName, j)
-		el.SetAttr(qSubDir, s.dirs[j].String())
-		doc.Children = append(doc.Children, el)
-	}
 	if err := journal.Put(s.name, doc); err != nil {
 		s.client.cfg.Logf("journal submission %q: %v", s.name, err)
 	}
@@ -443,19 +424,13 @@ func (c *Client) Resume(ctx context.Context, name string) (*Submission, error) {
 			return nil, fmt.Errorf("core: job set %q stages its local files from %s, which cannot be served again: %w", name, files, err)
 		}
 	}
-	dirs := make(map[string]wsa.EndpointReference)
-	for _, j := range row.ChildrenNamed(qSubJob) {
-		if dir, err := wsa.ParseEPRString(j.Attr(qSubDir)); err == nil {
-			dirs[j.Attr(qSubName)] = dir
-		}
-	}
 	// The old listener address died with the old process: subscribe this
 	// one, then read what happened in between.
 	broker := wsa.NewEPR(c.cfg.Master + "/NotificationBroker")
 	if _, err := wsn.SubscribeVia(ctx, c.cfg.Transport, broker, c.ListenerEPR(), wsn.Simple(topic)); err != nil {
 		return nil, fmt.Errorf("resubscribe: %w", err)
 	}
-	sub := c.follow(name, set, topic, dirs)
+	sub := c.follow(name, set, topic)
 	doc, err := wsrf.NewResourceClient(c.cfg.Transport, set).GetDocument(ctx)
 	if bf, ok := wsrf.BaseFaultFromError(err); ok && bf.ErrorCode == "ResourceUnknownFault" {
 		if _, derr := c.cfg.Journal.Delete(name); derr != nil {
@@ -474,7 +449,6 @@ func (c *Client) Resume(ctx context.Context, name string) (*Submission, error) {
 			sub.dirs[j.Name] = j.Dir
 		}
 	}
-	sub.save()
 	if scheduler.TerminalSetStatus(view.Status) {
 		sub.finish(view.Status, "")
 	}

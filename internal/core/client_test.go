@@ -124,7 +124,7 @@ func TestEventsAheadOfTheSubmitReplyAreReplayed(t *testing.T) {
 	c.route(context.Background(), directoryEvent("topic-r", "j", dir))
 	c.route(context.Background(), setEvent("topic-r", scheduler.SetCompleted))
 	c.route(context.Background(), setEvent("topic-other", scheduler.SetFailed))
-	sub := c.follow("raced", wsa.NewEPR("inproc://master/x"), "topic-r", nil)
+	sub := c.follow("raced", wsa.NewEPR("inproc://master/x"), "topic-r")
 	if status, _ := sub.Status(); status != scheduler.SetCompleted {
 		t.Fatalf("status = %q, want the raced verdict", status)
 	}
@@ -323,7 +323,7 @@ func TestResume(t *testing.T) {
 }
 
 // forgetProgress rewrites a journal row to what a client killed right
-// after Submit left behind: no status, no directories.
+// after Submit left behind: no status.
 func forgetProgress(t *testing.T, journal *resourcedb.Table, name string) *xmlutil.Element {
 	t.Helper()
 	row, ok, err := journal.Get(name)
@@ -331,42 +331,70 @@ func forgetProgress(t *testing.T, journal *resourcedb.Table, name string) *xmlut
 		t.Fatalf("journal row %q: %v %v", name, ok, err)
 	}
 	row.Child(qSubStatus).Text = ""
-	kept := row.Children[:0]
-	for _, el := range row.Children {
-		if el.Name != qSubJob {
-			kept = append(kept, el)
-		}
-	}
-	row.Children = kept
 	return row
 }
 
-// TestResumeReadsAParentRow: a row written before the file server
-// address was journaled (no Files element) still resumes.
+// TestResumeReadsAParentRow: a set's journal row holds no job of the
+// set, whose document has them all; and rows earlier clients wrote still
+// resume: one from before the file server address was journaled (no
+// Files element), one from when each job's output directory was copied
+// into the row as a Job element.
 func TestResumeReadsAParentRow(t *testing.T) {
 	g := testGrid(t, NodeSpec{Name: "solo"})
 	ctx := testCtx(t)
-	c := testClient(t, g)
+	submitted := resourcedb.NewStore().MustTable("submissions", resourcedb.StructuredCodec{})
+	c := configuredClient(t, g, false, func(cfg *ClientConfig) { cfg.Journal = submitted })
 	c.AddFile("j.app", Script("write out.txt data", "exit 0"))
-	old, err := c.Submit(ctx, NewJobSet("parent-row").Add("j", Local("j.app")).Outputs("out.txt").Spec())
+	spec := NewJobSet("parent-row")
+	for _, j := range []string{"j", "k", "l"} {
+		spec.Add(j, Local("j.app")).Outputs("out.txt")
+	}
+	old, err := c.Submit(ctx, spec.Spec())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := old.Wait(ctx); err != nil {
 		t.Fatal(err)
 	}
-	journal := resourcedb.NewStore().MustTable("submissions", resourcedb.StructuredCodec{})
-	journal.Put("parent-row", xmlutil.NewContainer(qSubmission,
-		xmlutil.NewElement(qSubSet, old.JobSet.String()),
-		xmlutil.NewElement(qSubTopic, old.Topic),
-		xmlutil.NewElement(qSubStatus, ""),
-	))
-	sub, err := configuredClient(t, g, true, func(cfg *ClientConfig) { cfg.Journal = journal }).Resume(ctx, "parent-row")
-	if err != nil || sub == nil {
-		t.Fatalf("Resume = %v, %v", sub, err)
+	row, ok, err := submitted.Get("parent-row")
+	if err != nil || !ok {
+		t.Fatalf("journal row: %v %v", ok, err)
 	}
-	if out, err := sub.FetchOutput(ctx, "j", "out.txt"); err != nil || string(out) != "data" {
-		t.Fatalf("fetch = %q, %v", out, err)
+	if got := len(row.Children); got != 4 || row.ChildText(qSubStatus) != scheduler.SetCompleted {
+		t.Fatalf("the finished set's journal row is\n%s\nwant its set, topic, status and file server only", row)
+	}
+	dir, _ := old.OutputDirectory("j")
+
+	for _, tc := range []struct {
+		name string
+		row  func(files string) []*xmlutil.Element // what follows SetEPR, Topic and Status
+	}{
+		{"no-files", func(string) []*xmlutil.Element { return nil }},
+		{"job-directories", func(files string) []*xmlutil.Element {
+			job := xmlutil.NewElement(xmlutil.Q(nsSub, "Job"), "")
+			job.SetAttr(xmlutil.Q("", "name"), "j")
+			job.SetAttr(xmlutil.Q("", "dir"), dir.String())
+			return []*xmlutil.Element{xmlutil.NewElement(qSubFiles, files), job}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			journal := resourcedb.NewStore().MustTable("submissions", resourcedb.StructuredCodec{})
+			c := configuredClient(t, g, true, func(cfg *ClientConfig) { cfg.Journal = journal })
+			journal.Put("parent-row", xmlutil.NewContainer(qSubmission, append([]*xmlutil.Element{
+				xmlutil.NewElement(qSubSet, old.JobSet.String()),
+				xmlutil.NewElement(qSubTopic, old.Topic),
+				xmlutil.NewElement(qSubStatus, ""),
+			}, tc.row(c.FilesEPR().Address)...)...))
+			sub, err := c.Resume(ctx, "parent-row")
+			if err != nil || sub == nil {
+				t.Fatalf("Resume = %v, %v", sub, err)
+			}
+			for _, j := range []string{"j", "k", "l"} {
+				if out, err := sub.FetchOutput(ctx, j, "out.txt"); err != nil || string(out) != "data" {
+					t.Fatalf("fetch %s = %q, %v", j, out, err)
+				}
+			}
+		})
 	}
 }
 

@@ -7,8 +7,15 @@ import (
 	"testing"
 	"time"
 
+	"uvacg/internal/master"
+	"uvacg/internal/procspawn"
+	"uvacg/internal/resourcedb"
+	"uvacg/internal/services/execution"
+	"uvacg/internal/services/filesystem"
 	"uvacg/internal/services/scheduler"
 	"uvacg/internal/soap"
+	"uvacg/internal/transport"
+	"uvacg/internal/vfs"
 	"uvacg/internal/wsa"
 	"uvacg/internal/wsn"
 	"uvacg/internal/wsrf"
@@ -424,6 +431,100 @@ func TestShippedVerifierRefusesAReplayedSubmit(t *testing.T) {
 	_, err := g.Client.Invoke(ctx, ss, scheduler.ActionSubmit, env.Clone())
 	if f, ok := soap.AsFault(err); !ok || f.Code != soap.CodeSender || !strings.Contains(f.Reason, "replay") {
 		t.Fatalf("replayed Submit: %v, want a Sender fault naming the replay", err)
+	}
+}
+
+// TestNilAccountsLeaveServicesOpen: a nil account table is no security.
+// Given one, the Scheduler takes a Submit, the ES a Run that it stages
+// and spawns to exit 0, and ProcSpawn a spawn, none carrying credentials.
+func TestNilAccountsLeaveServicesOpen(t *testing.T) {
+	var accounts wssec.StaticAccounts
+	g := testGrid(t, NodeSpec{Name: "solo"})
+	c := testClient(t, g)
+	c.AddFile("j.app", Script("exit 0"))
+	ctx := testCtx(t)
+	serve := func(t *testing.T, host string, mux *soap.Mux) {
+		g.Network.Register(host, transport.NewServer(mux))
+		t.Cleanup(func() { g.Network.Deregister(host) })
+	}
+	for _, tc := range []struct {
+		name string
+		run  func(t *testing.T) error
+	}{
+		{"scheduler-submit", func(t *testing.T) error {
+			m, err := master.Assemble(master.Config{Address: "inproc://open-master", Store: resourcedb.NewStore(), Client: g.Client,
+				Scheduler: scheduler.Config{Accounts: accounts}})
+			if err != nil {
+				return err
+			}
+			serve(t, "open-master", m.Mux)
+			spec := NewJobSet("open").Add("j", Local("j.app")).Spec()
+			_, err = g.Client.Call(ctx, m.Scheduler.EPR(), scheduler.ActionSubmit, scheduler.SubmitRequest(spec, c.FilesEPR(), wsa.EndpointReference{}))
+			return err
+		}},
+		{"execution-run", func(t *testing.T) error {
+			fs, store := vfs.New(), resourcedb.NewStore()
+			fss, err := filesystem.New(filesystem.Config{Address: "inproc://open-node", FS: fs, Client: g.Client,
+				Home: wsrf.NewStateHome(store.MustTable("dirs", resourcedb.StructuredCodec{}))})
+			if err != nil {
+				return err
+			}
+			spawner, err := procspawn.NewSpawner(procspawn.Config{FS: fs, Cores: 1, SpeedMHz: 1000, Accounts: accounts})
+			if err != nil {
+				return err
+			}
+			es, err := execution.New(execution.Config{Address: "inproc://open-node", Client: g.Client, FSS: fss.EPR(), Spawner: spawner, Accounts: accounts,
+				Home: wsrf.NewStateHome(store.MustTable("jobs", resourcedb.StructuredCodec{}))})
+			if err != nil {
+				return err
+			}
+			mux := soap.NewMux()
+			mux.Handle(fss.WSRF().Path(), fss.WSRF().Dispatcher())
+			mux.Handle(es.WSRF().Path(), es.WSRF().Dispatcher())
+			serve(t, "open-node", mux)
+			resp, err := g.Client.Call(ctx, es.EPR(), execution.ActionRun,
+				execution.RunRequest("j", "open", "j.app", []filesystem.FileRef{{Source: c.FilesEPR(), RemoteName: "j.app"}}))
+			if err != nil {
+				return err
+			}
+			job, err := wsa.ParseEPR(resp.Children[0])
+			if err != nil {
+				return err
+			}
+			rc := wsrf.NewResourceClient(g.Client, job)
+			for {
+				status, err := rc.GetPropertyText(ctx, execution.QStatus)
+				if err != nil || status == execution.StatusFailed {
+					return fmt.Errorf("job status %q, %v", status, err)
+				}
+				if status == execution.StatusExited {
+					return nil
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}},
+		{"procspawn-spawn", func(t *testing.T) error {
+			fs := vfs.New()
+			dir, err := fs.Mkdir("/w")
+			if err != nil {
+				return err
+			}
+			if err := fs.Write(dir, "j.app", Script("exit 0")); err != nil {
+				return err
+			}
+			spawner, err := procspawn.NewSpawner(procspawn.Config{FS: fs, Cores: 1, SpeedMHz: 1000, Accounts: accounts})
+			if err != nil {
+				return err
+			}
+			_, err = spawner.Spawn(procspawn.SpawnSpec{Executable: "j.app", WorkingDir: dir})
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := tc.run(t); err != nil {
+				t.Fatalf("with no credentials: %v", err)
+			}
+		})
 	}
 }
 

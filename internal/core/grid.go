@@ -99,16 +99,11 @@ func NewGrid(cfg GridConfig) (*Grid, error) {
 
 	g := &Grid{Network: network, Client: client, cfg: cfg}
 
-	ssCfg := scheduler.Config{Policy: cfg.Policy}
-	if cfg.Accounts != nil {
-		// Only a real table: a nil map in the interface would refuse every Submit.
-		ssCfg.Accounts = cfg.Accounts
-	}
 	m, err := master.Assemble(master.Config{
 		Address:   "inproc://" + masterHost,
 		Store:     resourcedb.NewStore(),
 		Client:    client,
-		Scheduler: ssCfg,
+		Scheduler: scheduler.Config{Policy: cfg.Policy, Accounts: cfg.Accounts},
 	})
 	if err != nil {
 		return nil, err

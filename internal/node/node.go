@@ -119,19 +119,13 @@ func New(cfg Config) (*Node, error) {
 		n.Store = resourcedb.NewStore()
 	}
 
-	// Set only when an account table exists: a nil map inside a non-nil
-	// interface would demand credentials nobody can supply.
-	var accounts wssec.CredentialStore
-	if cfg.Accounts != nil {
-		accounts = cfg.Accounts
-	}
 	var err error
 	n.Spawner, err = procspawn.NewSpawner(procspawn.Config{
 		FS:       n.FS,
 		Cores:    cfg.Cores,
 		SpeedMHz: cfg.SpeedMHz,
 		UnitTime: cfg.UnitTime,
-		Accounts: accounts,
+		Accounts: cfg.Accounts,
 	})
 	if err != nil {
 		return nil, err
@@ -156,7 +150,7 @@ func New(cfg Config) (*Node, error) {
 		FSS:      n.FSS.EPR(),
 		Spawner:  n.Spawner,
 		Broker:   cfg.Broker,
-		Accounts: accounts,
+		Accounts: cfg.Accounts,
 	})
 	if err != nil {
 		return nil, err

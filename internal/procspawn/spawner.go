@@ -34,9 +34,9 @@ const (
 
 // Config describes the simulated machine the spawner runs on.
 type Config struct {
-	// Accounts verifies the username/password each spawn request must
-	// carry (paper §4.2).
-	Accounts wssec.CredentialStore
+	// Accounts, when non-nil, verifies the username/password each spawn
+	// request must carry (paper §4.2).
+	Accounts wssec.StaticAccounts
 	// FS is the machine's grid file system; working directories live in
 	// it.
 	FS *vfs.FS
@@ -93,7 +93,7 @@ type SpawnSpec struct {
 	// WorkingDir is the job directory the FSS created.
 	WorkingDir string
 	// Username/Password select the account the process runs as; they
-	// must verify against the spawner's account store.
+	// must verify against the spawner's account table.
 	Username string
 	Password string
 	// OnExit, when set, is called exactly once from the process
@@ -107,7 +107,7 @@ type SpawnSpec struct {
 // process.
 func (s *Spawner) Spawn(spec SpawnSpec) (*Process, error) {
 	if s.cfg.Accounts != nil {
-		expected, ok := s.cfg.Accounts.LookupPassword(spec.Username)
+		expected, ok := s.cfg.Accounts[spec.Username]
 		if !ok {
 			return nil, fmt.Errorf("procspawn: unknown account %q", spec.Username)
 		}

@@ -125,18 +125,19 @@ func (ds *DurableStore) applyRecord(rec wal.Record) error {
 	return fmt.Errorf("resourcedb: unknown wal op %d", rec.Op)
 }
 
-// enqueuePut implements tableJournal.
+// enqueuePut logs a table's Put; it returns the record's sequence for
+// waitDurable.
 func (ds *DurableStore) enqueuePut(table, codec, id string, row []byte) (uint64, error) {
 	return ds.log.Enqueue(wal.Record{Op: wal.OpPut, Table: table, Codec: codec, ID: id, Row: row})
 }
 
-// enqueueDelete implements tableJournal.
+// enqueueDelete logs a table's Delete.
 func (ds *DurableStore) enqueueDelete(table, id string) (uint64, error) {
 	return ds.log.Enqueue(wal.Record{Op: wal.OpDelete, Table: table, ID: id})
 }
 
-// waitDurable implements tableJournal: the group-commit wait, plus the
-// compaction trigger and commit metrics.
+// waitDurable is a table write's group-commit wait, plus the compaction
+// trigger and commit metrics.
 func (ds *DurableStore) waitDurable(seq uint64) error {
 	start := time.Now()
 	err := ds.log.WaitDurable(seq)

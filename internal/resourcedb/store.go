@@ -10,7 +10,7 @@ import (
 type Store struct {
 	// journal, when set, is installed on every table the store creates,
 	// so all mutations are write-ahead logged (DurableStore).
-	journal tableJournal
+	journal *DurableStore
 
 	mu     sync.RWMutex
 	tables map[string]*Table

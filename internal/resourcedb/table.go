@@ -21,20 +21,13 @@ type Table struct {
 	// happens under mu so log order matches in-memory apply order; the
 	// durability wait happens after mu is released so concurrent
 	// committers share one group commit.
-	journal tableJournal
+	journal *DurableStore
 
 	mu   sync.RWMutex
 	rows map[string][]byte
 	// index[localName][text] = set of ids; maintained only for
 	// indexable codecs.
 	index map[string]map[string]map[string]struct{}
-}
-
-// tableJournal is the write-ahead hook DurableStore installs on tables.
-type tableJournal interface {
-	enqueuePut(table, codec, id string, row []byte) (seq uint64, err error)
-	enqueueDelete(table, id string) (seq uint64, err error)
-	waitDurable(seq uint64) error
 }
 
 // NewTable builds a table with the given codec.

@@ -95,7 +95,7 @@ type Config struct {
 	// Accounts, when non-nil, is installed as dispatcher middleware: Run
 	// requests must then carry a valid UsernameToken for one of its
 	// accounts, and the job runs as that account.
-	Accounts wssec.CredentialStore
+	Accounts wssec.StaticAccounts
 }
 
 // Service is one machine's ES.

@@ -54,16 +54,13 @@ func newESHarness(t *testing.T, accounts wssec.StaticAccounts) *esHarness {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spawnCfg := procspawn.Config{
+	spawner, err := procspawn.NewSpawner(procspawn.Config{
 		FS:       fs,
 		Cores:    2,
 		SpeedMHz: 2000,
 		UnitTime: 5 * time.Microsecond,
-	}
-	if accounts != nil {
-		spawnCfg.Accounts = accounts
-	}
-	spawner, err := procspawn.NewSpawner(spawnCfg)
+		Accounts: accounts,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,18 +85,15 @@ func newESHarness(t *testing.T, accounts wssec.StaticAccounts) *esHarness {
 	})
 	network.Register("master", brokerSrv)
 
-	esCfg := Config{
-		Address: "inproc://node-a",
-		Home:    wsrf.NewStateHome(store.MustTable("jobs", resourcedb.StructuredCodec{})),
-		Client:  client,
-		FSS:     fss.EPR(),
-		Spawner: spawner,
-		Broker:  wsa.NewEPR("inproc://master/NotificationBroker"),
-	}
-	if accounts != nil {
-		esCfg.Accounts = accounts
-	}
-	es, err := New(esCfg)
+	es, err := New(Config{
+		Address:  "inproc://node-a",
+		Home:     wsrf.NewStateHome(store.MustTable("jobs", resourcedb.StructuredCodec{})),
+		Client:   client,
+		FSS:      fss.EPR(),
+		Spawner:  spawner,
+		Broker:   wsa.NewEPR("inproc://master/NotificationBroker"),
+		Accounts: accounts,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

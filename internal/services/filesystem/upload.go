@@ -7,21 +7,13 @@ import (
 	"sync/atomic"
 
 	"uvacg/internal/soap"
+	"uvacg/internal/transport"
 	"uvacg/internal/vfs"
 	"uvacg/internal/warm"
 	"uvacg/internal/wsa"
 	"uvacg/internal/wsrf"
 	"uvacg/internal/xmlutil"
 )
-
-// Caller is the request-response slice of transport.Client these wire
-// helpers need; *transport.Client satisfies it. Invoke gives the file
-// helpers the full reply envelope, whose binary attachments carry file
-// bytes.
-type Caller interface {
-	Call(ctx context.Context, to wsa.EndpointReference, action string, body *xmlutil.Element) (*xmlutil.Element, error)
-	Invoke(ctx context.Context, to wsa.EndpointReference, action string, env *soap.Envelope) (*soap.Envelope, error)
-}
 
 // UploadRequest builds the body of an Upload (or UploadSync) message:
 // the set of {EPR, filename, jobname} tuples plus, for the async form,
@@ -246,7 +238,7 @@ func (s *Service) stageOne(ctx context.Context, destPath string, f FileRef) erro
 // arrives as a binary attachment, or as inline base64 from a server that
 // does not attach; ContentBytes decodes either form, and as there the
 // returned bytes may be the holder's own: do not modify them.
-func FetchFile(ctx context.Context, c Caller, source wsa.EndpointReference, name string) ([]byte, error) {
+func FetchFile(ctx context.Context, c *transport.Client, source wsa.EndpointReference, name string) ([]byte, error) {
 	req := soap.New(xmlutil.NewContainer(qRead, xmlutil.NewElement(qFilename, name)))
 	resp, err := c.Invoke(ctx, source, ActionRead, req)
 	if err != nil {
@@ -260,7 +252,7 @@ func FetchFile(ctx context.Context, c Caller, source wsa.EndpointReference, name
 
 // WriteFile writes one file into a directory resource over the wire,
 // attaching the bytes rather than inlining them.
-func WriteFile(ctx context.Context, c Caller, dir wsa.EndpointReference, name string, data []byte) error {
+func WriteFile(ctx context.Context, c *transport.Client, dir wsa.EndpointReference, name string, data []byte) error {
 	req := &soap.Envelope{}
 	req.Body = xmlutil.NewContainer(qWrite,
 		xmlutil.NewElement(qFilename, name),
@@ -271,7 +263,7 @@ func WriteFile(ctx context.Context, c Caller, dir wsa.EndpointReference, name st
 }
 
 // ListDirectory lists a directory resource over the wire.
-func ListDirectory(ctx context.Context, c Caller, dir wsa.EndpointReference) (map[string]int64, error) {
+func ListDirectory(ctx context.Context, c *transport.Client, dir wsa.EndpointReference) (map[string]int64, error) {
 	body, err := c.Call(ctx, dir, ActionList, &xmlutil.Element{Name: qList})
 	if err != nil {
 		return nil, err
@@ -321,7 +313,7 @@ func ParseUploadComplete(body *xmlutil.Element) (UploadCompletion, error) {
 
 // CreateDirectoryVia asks a remote FSS for a fresh working directory and
 // returns its resource EPR.
-func CreateDirectoryVia(ctx context.Context, c Caller, fss wsa.EndpointReference, prefix string) (wsa.EndpointReference, error) {
+func CreateDirectoryVia(ctx context.Context, c *transport.Client, fss wsa.EndpointReference, prefix string) (wsa.EndpointReference, error) {
 	body, err := c.Call(ctx, fss, ActionCreateDirectory, xmlutil.NewContainer(qCreateDirectory, xmlutil.NewElement(qPrefix, prefix)))
 	if err != nil {
 		return wsa.EndpointReference{}, err

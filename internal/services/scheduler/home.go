@@ -224,11 +224,11 @@ func (h *jobSetHome) saveRow(l *liveSet, set string, job *xmlutil.Element) error
 func (h *jobSetHome) saveJobs(set string, jobs []*xmlutil.Element) error {
 	l := h.liveOf(set)
 	for _, job := range jobs {
-		id, save := rowID(set, job), h.ResourceHome.Save
-		if !h.ResourceHome.Exists(id) {
-			save = h.ResourceHome.Create // a row is no set: it is never live
+		id := rowID(set, job)
+		err := h.ResourceHome.Save(id, job)
+		if errors.Is(err, wsrf.ErrNoSuchResource) {
+			err = h.ResourceHome.Create(id, job) // a row is no set: it is never live
 		}
-		err := save(id, job)
 		if err == nil {
 			err = l.put(job)
 		}

@@ -226,22 +226,23 @@ func (h *hookHome) Exists(id string) bool {
 	return h.ResourceHome.Exists(id)
 }
 
-func (h *hookHome) count(id string) {
-	if isRow(id) {
+// count counts a write that the home took: a Save refused for want of
+// the row wrote nothing.
+func (h *hookHome) count(id string, err error) error {
+	if err == nil && isRow(id) {
 		h.rows++
-	} else {
+	} else if err == nil {
 		h.docs++
 	}
+	return err
 }
 
 func (h *hookHome) Create(id string, doc *xmlutil.Element) error {
-	h.count(id)
-	return h.ResourceHome.Create(id, doc)
+	return h.count(id, h.ResourceHome.Create(id, doc))
 }
 
 func (h *hookHome) Save(id string, doc *xmlutil.Element) error {
-	h.count(id)
-	return h.ResourceHome.Save(id, doc)
+	return h.count(id, h.ResourceHome.Save(id, doc))
 }
 
 // TestJobDocWriteCarriesStateAtWriteTime is the I8 regression: the

@@ -281,3 +281,47 @@ func TestLiveSetReadsDecodeNothing(t *testing.T) {
 		t.Fatalf("a read of the finished set decoded %d rows, want its document and its %d rows", n, len(spec.Jobs))
 	}
 }
+
+// existsCounting is a home that counts the Exists calls made of it.
+type existsCounting struct {
+	wsrf.ResourceHome
+	exists int
+}
+
+func (h *existsCounting) Exists(id string) bool {
+	h.exists++
+	return h.ResourceHome.Exists(id)
+}
+
+// TestRowWriteAsksNoExists: a job's row write leaves the existence check
+// to the store's Save, which makes it anyway; the row is created only
+// when that Save finds none. Neither the first write of a row nor its
+// rewrite asks the inner home whether the row exists.
+func TestRowWriteAsksNoExists(t *testing.T) {
+	inner := &existsCounting{ResourceHome: wsrf.NewStateHome(resourcedb.NewStore().MustTable("jobsets", resourcedb.BlobCodec{}))}
+	home := newJobSetHome(inner)
+	job := func(status string) *xmlutil.Element {
+		return (&xmlutil.Element{Name: QJobState}).SetAttr(qNameAttr, "j0").SetAttr(qStatusAttr, status)
+	}
+	doc := xmlutil.NewContainer(xmlutil.Q(NS, "JobSetState"),
+		xmlutil.NewElement(QName, "s"), xmlutil.NewElement(QStatus, SetRunning), job(JobPending), xmlutil.NewElement(QTopic, "t"))
+	if err := home.Create("set-1", doc); err != nil {
+		t.Fatal(err)
+	}
+	for _, status := range []string{JobRunning, JobCompleted} {
+		inner.exists = 0
+		if err := home.saveJobs("set-1", []*xmlutil.Element{job(status)}); err != nil {
+			t.Fatal(err)
+		}
+		if inner.exists != 0 {
+			t.Errorf("writing the row as %s asked Exists %d times", status, inner.exists)
+		}
+		got, err := newJobSetHome(inner.ResourceHome).Load("set-1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v := ParseJobSetDocument(got); v.Job("j0").Status != status {
+			t.Fatalf("after writing the row as %s the store reads %+v", status, v.Job("j0"))
+		}
+	}
+}

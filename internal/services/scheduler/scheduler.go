@@ -94,7 +94,7 @@ type Config struct {
 	Policy Policy
 	// Accounts, when non-nil, protects Submit with WS-Security: a Submit
 	// must carry a UsernameToken for one of its accounts.
-	Accounts wssec.CredentialStore
+	Accounts wssec.StaticAccounts
 	// OnDispatch, when set, observes every committed job dispatch — the
 	// simulator's dispatch ledger.
 	OnDispatch func(rec DispatchRecord)

@@ -63,15 +63,13 @@ func newSSHarnessCfg(t *testing.T, policy Policy, accounts wssec.StaticAccounts,
 		t.Fatal(err)
 	}
 	ssCfg := Config{
-		Address: "inproc://master",
-		Home:    wsrf.NewStateHome(store.MustTable("jobsets", resourcedb.BlobCodec{})),
-		Client:  client,
-		NIS:     nis.EPR(),
-		Broker:  broker.EPR(),
-		Policy:  policy,
-	}
-	if accounts != nil {
-		ssCfg.Accounts = accounts
+		Address:  "inproc://master",
+		Home:     wsrf.NewStateHome(store.MustTable("jobsets", resourcedb.BlobCodec{})),
+		Client:   client,
+		NIS:      nis.EPR(),
+		Broker:   broker.EPR(),
+		Policy:   policy,
+		Accounts: accounts,
 	}
 	if mutate != nil {
 		mutate(&ssCfg)

@@ -9,21 +9,9 @@ import (
 	"uvacg/internal/soap"
 )
 
-// CredentialStore resolves a username to its expected password. The
-// testbed uses a static account table per machine; the interface leaves
-// room for the "grid credential mapping" the paper anticipates.
-type CredentialStore interface {
-	LookupPassword(username string) (string, bool)
-}
-
-// StaticAccounts is an in-memory CredentialStore.
+// StaticAccounts is a machine's local account table, username to
+// password (paper §4.2). A nil table knows no account.
 type StaticAccounts map[string]string
-
-// LookupPassword implements CredentialStore.
-func (s StaticAccounts) LookupPassword(username string) (string, bool) {
-	pw, ok := s[username]
-	return pw, ok
-}
 
 // replayWindow is how far a token's Created may lie from the verifier's
 // clock, either way, and so how long its nonce is remembered. Clients,
@@ -107,7 +95,7 @@ func PrincipalFrom(ctx context.Context) (Principal, bool) {
 // operations that carry account credentials (the ES Run and the SS
 // Submit, paper §4.2) while service-to-service callbacks and standard
 // WSRF property reads stay open.
-func InterceptorFor(accounts CredentialStore, actions ...string) soap.Interceptor {
+func InterceptorFor(accounts StaticAccounts, actions ...string) soap.Interceptor {
 	guarded := make(map[string]bool, len(actions))
 	for _, a := range actions {
 		guarded[a] = true
@@ -123,20 +111,17 @@ func InterceptorFor(accounts CredentialStore, actions ...string) soap.Intercepto
 
 // Interceptor builds a server-side soap.Interceptor enforcing accounts:
 // it requires a UsernameToken and validates it against the account
-// store, accepts each token once and only inside replayWindow, and
+// table, accepts each token once and only inside replayWindow, and
 // attaches the Principal to the request context for the handler (the ES
 // reads it to pick the spawn account).
-func Interceptor(accounts CredentialStore) soap.Interceptor {
+func Interceptor(accounts StaticAccounts) soap.Interceptor {
 	replay := newReplayCache(replayWindow)
 	return func(ctx context.Context, call *soap.CallInfo, next soap.Handler) (*soap.Envelope, error) {
 		tok, err := ExtractToken(call.Request)
 		if err != nil {
 			return nil, soap.SenderFault("wssec: authentication required: %v", err)
 		}
-		if accounts == nil {
-			return nil, soap.ReceiverFault("wssec: no account store configured")
-		}
-		expected, ok := accounts.LookupPassword(tok.Username)
+		expected, ok := accounts[tok.Username]
 		if !ok {
 			return nil, soap.SenderFault("wssec: unknown account %q", tok.Username)
 		}

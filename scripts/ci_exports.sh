@@ -15,6 +15,13 @@
 # is stale: its function is gone, or it now has a caller outside the
 # tests.
 #
+# An interface declared under internal/ needs two implementations among
+# the non-test types of both modules, or an entry on the second list: an
+# interface with one implementation is a layer its callers could skip by
+# calling that implementation. scripts/exports counts the named types
+# that implement each, as T or *T. An entry is stale
+# when its interface is gone or has found a second implementation.
+#
 #   scripts/ci_exports.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -38,10 +45,20 @@ vfs.FS.Usage                         tests       filesystem.TestDestroyFreesDire
 EOF
 )
 
+# One entry a line: <package>.<Interface>, the reason, and what it rests on.
+#   fake        a test substitutes a fake for the implementation (named).
+single=$(
+	cat <<'EOF'
+EOF
+)
+
 scan=$(go run ./scripts/exports)
-declared=$(awk '{print $1}' <<<"$scan")
+declared=$(awk '$2 != "interface" {print $1}' <<<"$scan")
 unused=$(awk '$2 == "unused" {print $1}' <<<"$scan")
 listed=$(awk '{print $1}' <<<"$allowed")
+interfaces=$(awk '$2 == "interface" {print $1}' <<<"$scan")
+lonely=$(awk '$2 == "interface" && $3 < 2 {print $1}' <<<"$scan")
+singles=$(awk '{print $1}' <<<"$single")
 in_set() { grep -qxF -- "$1" <<<"$2"; }
 
 failed=0
@@ -70,5 +87,28 @@ while read -r fn reason _; do
 	fi
 done <<<"$allowed"
 
-echo "ci_exports: $(grep -c . <<<"$declared") exported function(s), $(grep -c . <<<"$unused") without a product caller, $(grep -c . <<<"$listed") listed, $failed failure(s)"
+while IFS= read -r it; do
+	[ -n "$it" ] || continue
+	if ! in_set "$it" "$singles"; then
+		echo "ci_exports: interface $it has fewer than two implementations: call the implementation directly, or list it with its reason" >&2
+		failed=$((failed + 1))
+	fi
+done <<<"$lonely"
+
+while read -r it reason _; do
+	[ -n "$it" ] || continue
+	if [ "$reason" != fake ]; then
+		echo "ci_exports: $it: unknown reason '$reason'" >&2
+		failed=$((failed + 1))
+	fi
+	if ! in_set "$it" "$interfaces"; then
+		echo "ci_exports: stale entry $it: no such interface in internal/" >&2
+		failed=$((failed + 1))
+	elif ! in_set "$it" "$lonely"; then
+		echo "ci_exports: stale entry $it: it now has two implementations" >&2
+		failed=$((failed + 1))
+	fi
+done <<<"$single"
+
+echo "ci_exports: $(grep -c . <<<"$declared") exported function(s), $(grep -c . <<<"$unused") without a product caller, $(grep -c . <<<"$listed") listed; $(grep -c . <<<"$interfaces") interface(s), $(grep -c . <<<"$lonely") with fewer than two implementations, $(grep -c . <<<"$singles") listed; $failed failure(s)"
 [ "$failed" -eq 0 ]

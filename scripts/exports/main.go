@@ -6,9 +6,16 @@
 // refers to it as the type checker resolves the reference, so a method
 // is matched by its receiver type, not by its name; or it is a method
 // by which its type satisfies an interface those files can see (their
-// own, their dependencies', error). Dependencies are read from the
-// compiler's export data that `go list -export -deps -json` reports.
-// scripts/ci_exports.sh judges the unused ones.
+// own, their dependencies', error). Dependencies outside both modules
+// are read from the compiler's export data that `go list -export -deps
+// -json` reports; a package of either module is the one type-checked
+// from its source, so both modules share one set of types.
+//
+// Then it lists every named interface declared in a non-test file under
+// internal/, exported or not, as <package>.<Name> interface N: N named
+// types of both modules' non-test files implement it, as T or *T.
+// scripts/ci_exports.sh judges the unused functions and the interfaces
+// with fewer than two implementations.
 //
 //	go run ./scripts/exports
 package main
@@ -36,15 +43,43 @@ func main() {
 	ifaces := []*types.Interface{types.Universe.Lookup("error").Type().Underlying().(*types.Interface)}
 	seen := make(map[*types.Package]bool)
 	var declared []*types.Func
+	var interfaces []*types.TypeName
+	var named []*types.Named
+	checked := make(map[string]*types.Package)
+	exports := make(map[string]string)
+	gc := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+		return os.Open(exports[path])
+	})
+	imp := importerFunc(func(path string) (*types.Package, error) {
+		if pkg := checked[path]; pkg != nil {
+			return pkg, nil
+		}
+		return gc.Import(path)
+	})
 	for _, mod := range [][2]string{{".", "uvacg"}, {"bench", "uvacg/bench"}} {
-		err := check(fset, mod[0], mod[1], func(pkg *types.Package, files []*ast.File, info *types.Info) {
+		err := check(fset, mod[0], mod[1], exports, imp, func(pkg *types.Package, files []*ast.File, info *types.Info) {
+			checked[pkg.Path()] = pkg
 			for _, obj := range info.Uses {
 				if fn, ok := obj.(*types.Func); ok {
 					used[key(fn)] = true
 				}
 			}
 			ifaces = appendInterfaces(ifaces, pkg, seen)
-			if !strings.HasPrefix(pkg.Path(), "uvacg/internal/") {
+			internal := strings.HasPrefix(pkg.Path(), "uvacg/internal/")
+			for _, obj := range info.Defs {
+				tn, ok := obj.(*types.TypeName)
+				if !ok || tn.IsAlias() {
+					continue
+				}
+				if t, ok := tn.Type().(*types.Named); !ok || t.TypeParams().Len() > 0 {
+					continue
+				} else if !types.IsInterface(t) {
+					named = append(named, t)
+				} else if internal {
+					interfaces = append(interfaces, tn)
+				}
+			}
+			if !internal {
 				return
 			}
 			for _, f := range files {
@@ -69,12 +104,31 @@ func main() {
 		out = append(out, k[strings.LastIndex(k, "/")+1:]+" "+state)
 	}
 	sort.Strings(out)
-	fmt.Println(strings.Join(out, "\n"))
+	var impls []string
+	for _, tn := range interfaces {
+		it, n := tn.Type().Underlying().(*types.Interface), 0
+		for _, t := range named {
+			if types.Implements(types.NewPointer(t), it) {
+				n++
+			}
+		}
+		name := tn.Pkg().Path() + "." + tn.Name()
+		impls = append(impls, fmt.Sprintf("%s interface %d", name[strings.LastIndex(name, "/")+1:], n))
+	}
+	sort.Strings(impls)
+	fmt.Println(strings.Join(append(out, impls...), "\n"))
 }
 
+// importerFunc is a function as a types.Importer.
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
 // check type-checks the non-test files of each package of the module at
-// dir and hands each to visit.
-func check(fset *token.FileSet, dir, module string, visit func(*types.Package, []*ast.File, *types.Info)) error {
+// dir, dependencies first, and hands each to visit. It records where the
+// export data of every package the module depends on lies in exports,
+// which imp reads.
+func check(fset *token.FileSet, dir, module string, exports map[string]string, imp types.Importer, visit func(*types.Package, []*ast.File, *types.Info)) error {
 	cmd := exec.Command("go", "list", "-export", "-deps", "-json", "./...")
 	cmd.Dir, cmd.Stderr = dir, os.Stderr
 	data, err := cmd.Output()
@@ -86,7 +140,6 @@ func check(fset *token.FileSet, dir, module string, visit func(*types.Package, [
 		GoFiles                 []string
 		Module                  *struct{ Path string }
 	}
-	exports := make(map[string]string)
 	var own []listed
 	for dec := json.NewDecoder(bytes.NewReader(data)); dec.More(); {
 		var p listed
@@ -98,9 +151,7 @@ func check(fset *token.FileSet, dir, module string, visit func(*types.Package, [
 			own = append(own, p)
 		}
 	}
-	conf := types.Config{Importer: importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		return os.Open(exports[path])
-	})}
+	conf := types.Config{Importer: imp}
 	for _, p := range own {
 		var files []*ast.File
 		for _, name := range p.GoFiles {
