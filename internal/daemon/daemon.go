@@ -219,7 +219,9 @@ func Advertised(host, listen string) string {
 }
 
 // ParseAccounts decodes a comma-separated user:password list; empty
-// means no accounts (WS-Security off).
+// means no accounts (WS-Security off). A password may hold ':' (the
+// first one ends the user name). An empty user name, which no token can
+// name, and a user given twice are refused, naming the pair.
 func ParseAccounts(s string) (wssec.StaticAccounts, error) {
 	if s == "" {
 		return nil, nil
@@ -227,8 +229,11 @@ func ParseAccounts(s string) (wssec.StaticAccounts, error) {
 	accounts := make(wssec.StaticAccounts)
 	for _, pair := range strings.Split(s, ",") {
 		user, pw, ok := strings.Cut(pair, ":")
-		if !ok {
+		if !ok || user == "" {
 			return nil, fmt.Errorf("bad account %q (want user:password)", pair)
+		}
+		if _, dup := accounts[user]; dup {
+			return nil, fmt.Errorf("bad account %q: user %q is given twice", pair, user)
 		}
 		accounts[user] = pw
 	}

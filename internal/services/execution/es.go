@@ -92,9 +92,9 @@ type Config struct {
 	// Broker is the Notification Broker's EPR; lifecycle events are
 	// published through it. Zero disables event publication.
 	Broker wsa.EndpointReference
-	// Accounts, when non-nil, is installed as dispatcher middleware: Run
-	// requests must then carry a valid UsernameToken for one of its
-	// accounts, and the job runs as that account.
+	// Accounts, when non-nil, secures Run: a Run request must then carry
+	// a valid UsernameToken for one of its accounts, and the job runs as
+	// that account.
 	Accounts wssec.StaticAccounts
 }
 
@@ -116,6 +116,9 @@ type Service struct {
 	procs map[string]*procspawn.Process
 	// reservations holds each staging job's processor-slot release.
 	reservations map[string]func()
+	// verifier checks Run's token; FSS callbacks and WSRF property reads
+	// are unauthenticated, as in the paper's testbed.
+	verifier *wssec.Verifier
 }
 
 // New builds the ES.
@@ -142,15 +145,11 @@ func New(cfg Config) (*Service, error) {
 		creds:        make(map[string]wssec.Credentials),
 		procs:        make(map[string]*procspawn.Process),
 		reservations: make(map[string]func()),
+		verifier:     wssec.NewVerifier(cfg.Accounts),
 	}
 	s.out = wsn.NewOutbox(func(ctx context.Context, to wsa.EndpointReference, batch []wsn.Notification) error {
 		return wsn.PublishViaBroker(ctx, s.client, to, batch...)
 	})
-	if cfg.Accounts != nil {
-		// Only Run carries credentials; FSS callbacks and WSRF property
-		// reads are unauthenticated, as in the paper's testbed.
-		svc.Use(wssec.InterceptorFor(cfg.Accounts, ActionRun))
-	}
 	svc.Enable(wsrf.ResourcePropertiesPortType{})
 	svc.OnDestroy(s.onJobDestroyed)
 	svc.Enable(wsrf.LifetimePortType{})
@@ -273,6 +272,12 @@ func ParseRunResponse(body *xmlutil.Element) (job, dir wsa.EndpointReference, er
 // It publishes nothing: the response carries both EPRs to the Scheduler,
 // and the broadcast of step 9 waits for the process.
 func (s *Service) handleRun(ctx context.Context, inv *wsrf.Invocation, body *xmlutil.Element) (*xmlutil.Element, error) {
+	// The job runs as the authenticated account: the Run request carries
+	// the local account itself.
+	local, err := s.verifier.Verify(inv.Req)
+	if err != nil {
+		return nil, err
+	}
 	if body == nil {
 		return nil, soap.SenderFault("es: Run requires a body")
 	}
@@ -295,10 +300,6 @@ func (s *Service) handleRun(ctx context.Context, inv *wsrf.Invocation, body *xml
 		return nil, wsrf.NewBaseFault("JobStartFault", "create working directory: %v", err).SOAPFault(soap.CodeReceiver)
 	}
 
-	// The job runs as the authenticated principal: the Run request carries
-	// the local account itself.
-	principal, _ := wssec.PrincipalFrom(ctx)
-	local := wssec.Credentials{Username: principal.Username, Password: principal.Password}
 	doc := xmlutil.NewContainer(xmlutil.Q(NS, "JobState"),
 		xmlutil.NewElement(QJobName, jobName),
 		xmlutil.NewElement(QStatus, StatusStaging),

@@ -247,8 +247,8 @@ func TestRunRequiresCredentialsWhenSecured(t *testing.T) {
 }
 
 func TestRunSpawnsAsRequestedUserOnly(t *testing.T) {
-	// Spawner-level enforcement: valid WS-Security principal flows to
-	// ProcSpawn, which runs the job as that user.
+	// Spawner-level enforcement: the account Run's token verified flows
+	// to ProcSpawn, which runs the job as that user.
 	h := newESHarness(t, wssec.StaticAccounts{"u": "p"})
 	creds := wssec.Credentials{Username: "u", Password: "p"}
 	job, _ := h.runJob(t, &creds, procspawn.BuildScript("exit 0"))

@@ -6,6 +6,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -299,6 +300,30 @@ func TestUploadFromTCPFileServer(t *testing.T) {
 	got, err := FetchFile(ctx, h.client, dstDir, "app.exe")
 	if err != nil || !bytes.Contains(got, []byte("exit 0")) {
 		t.Fatalf("tcp staging: %q %v", got, err)
+	}
+}
+
+// TestListDirectoryOfAFileServer: a client's file server answers the
+// FSS List a directory answers, every published file by name and size.
+func TestListDirectoryOfAFileServer(t *testing.T) {
+	fsrv := NewFileServer("")
+	fsrv.Publish("app.exe", []byte("#uvacg-job\nexit 0\n"))
+	fsrv.Publish("in.dat", bytes.Repeat([]byte{7}, 4096))
+	fsrv.Publish("empty", nil)
+	fsrv.Publish("gone", []byte("x"))
+	fsrv.Unpublish("gone")
+	epr, err := fsrv.ListenTCP("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fsrv.Close()
+	files, err := ListDirectory(context.Background(), transport.NewClient(), epr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]int64{"app.exe": 18, "in.dat": 4096, "empty": 0}
+	if !reflect.DeepEqual(files, want) {
+		t.Fatalf("listed %v, want %v", files, want)
 	}
 }
 

@@ -437,7 +437,7 @@ func TestCrashCutAtEveryRecord(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cut %d: %v", i, err)
 		}
-		r, err := s.restoreRun("set-1", doc, wssec.Credentials{})
+		r, err := s.restoreRun("set-1", doc)
 		if err != nil {
 			t.Fatalf("cut %d: restoreRun: %v", i, err)
 		}

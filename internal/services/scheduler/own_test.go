@@ -118,15 +118,11 @@ func TestSubmitKeepsCopiesOfItsMessage(t *testing.T) {
 	// A request ID that, like one the pipeline lifts from a header, is a
 	// view of the message.
 	ctx := pipeline.WithRequestID(context.Background(), req.Body.ChildText(qSetName))
-	verify := wssec.Interceptor(accounts)
-	resp, err := verify(ctx, &soap.CallInfo{Request: req}, func(ctx context.Context, call *soap.CallInfo) (*soap.Envelope, error) {
-		body, err := h.ss.handleSubmit(ctx, nil, call.Request.Body)
-		return soap.New(body), err
-	})
+	body, err := h.ss.handleSubmit(ctx, &wsrf.Invocation{Req: req}, req.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	set, _, err := ParseSubmitResponse(resp.Body)
+	set, _, err := ParseSubmitResponse(body)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,8 +6,6 @@ import (
 	"fmt"
 
 	"uvacg/internal/wsrf"
-	"uvacg/internal/wssec"
-	"uvacg/internal/xmlutil"
 )
 
 // Recover rebuilds in-memory runs for every job set that was still
@@ -22,36 +20,18 @@ import (
 // scheduler's services and consumer are mounted and its standing
 // subscription made (master.Assemble).
 //
-// It returns how many runs were resumed. A job set that was not (a bad
-// spec snapshot, an unreadable document) is not fatal: the remaining sets
-// still recover, and the per-set failures come back joined in the error.
-// Sets the registry already holds are left alone.
+// A terminal set whose completion event may never have left the
+// building — the status write and the broker publish are not atomic — is
+// republished unless its notified marker proves the broker took it;
+// duplicates are fine, the contract is at-least-once, and the event's
+// detail says why it is late. Sets the registry holds are left alone.
+//
+// It returns how many runs were resumed. A set that was not (a bad spec
+// snapshot; an unreadable document, which may be acked work) is not
+// fatal: the rest still recover, and the failures come back joined in
+// the error, each under its set's id.
 func (s *Service) Recover(ctx context.Context) (int, error) {
 	resumed := 0
-	err := s.sweep(ctx, func(id string, doc *xmlutil.Element) error {
-		if s.sets.get(id) != nil {
-			return nil
-		}
-		r, badSpec := s.restoreRun(id, doc, wssec.Credentials{})
-		// Only a Submit's takeOn can fail: a recovered set's listener is
-		// subscribed again best-effort.
-		if live, _ := s.takeOn(ctx, r, recovered); live {
-			resumed++
-		}
-		return badSpec // failed as a set, not resumed: the caller hears why
-	})
-	return resumed, err
-}
-
-// sweep is the one walk over the stored job sets. A terminal one whose
-// completion event may never have left the building — the status write
-// and the broker publish are not atomic — is republished unless its
-// notified marker proves the broker took it; duplicates are fine, the
-// contract is at-least-once, and the event's detail says why it is late.
-// Every other goes to unfinished. A document that cannot be read may be
-// acked work, so it is reported, not skipped. Failures come back joined,
-// each under its set's id; none stops the walk.
-func (s *Service) sweep(ctx context.Context, unfinished func(id string, doc *xmlutil.Element) error) error {
 	var errs []error
 	home := s.svc.Home()
 	for _, id := range home.IDs() {
@@ -64,19 +44,26 @@ func (s *Service) sweep(ctx context.Context, unfinished func(id string, doc *xml
 			// Half-born before the topic was in the first write: never acked.
 		case TerminalSetStatus(doc.ChildText(QStatus)):
 			// A failed publish is not an error: the marker stays off and the
-			// next start's sweep tries again.
+			// next start's walk tries again.
 			topic, status := doc.ChildText(QTopic), doc.ChildText(QStatus)
 			if doc.Attr(qNotifiedAttr) != "true" && s.publishSetEvent(ctx, id, topic, status, "replayed after scheduler restart") == nil {
 				err = s.stampNotified(id)
 			}
+		case s.sets.get(id) != nil: // live already: left alone
 		default:
-			err = unfinished(id, doc)
+			var r *run
+			r, err = s.restoreRun(id, doc) // a bad spec: failed as a set, not resumed, and the caller hears why
+			// Only a Submit's takeOn can fail: a recovered set's listener is
+			// subscribed again best-effort.
+			if live, _ := s.takeOn(ctx, r, recovered); live {
+				resumed++
+			}
 		}
 		if err != nil {
 			errs = append(errs, fmt.Errorf("scheduler: job set %q: %w", id, err))
 		}
 	}
-	return errors.Join(errs...)
+	return resumed, errors.Join(errs...)
 }
 
 // TerminalSetStatus reports whether status is one of the three

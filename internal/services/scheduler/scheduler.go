@@ -130,6 +130,7 @@ type Service struct {
 	jobTimeout  time.Duration // watchdogWindow; in-package tests shorten it
 	dispatchSem chan struct{} // bounds concurrent dispatches
 	onDispatch  func(rec DispatchRecord)
+	verifier    *wssec.Verifier // Submit's; open under a nil Config.Accounts
 
 	// sets is every job set this master remembers; takeOn and letGo are the
 	// way in and the way out.
@@ -254,11 +255,12 @@ const credentialsLost = "scheduler restarted; credentials are not persisted, res
 // (cannotRun) for takeOn to fail as a set: its snapshot cannot be read
 // (errNoSpec) or fails validation (any other error) — the run is then
 // built over the document's own job list, good only for failing or
-// cancelling the set — or it was secured, has work left and no
-// credentials: nothing of it, failure handlers included, can be
-// dispatched without them. A secured set with nothing left to dispatch
-// needs none; the reservation that finds nothing to do closes it out.
-func (s *Service) restoreRun(id string, doc *xmlutil.Element, creds wssec.Credentials) (*run, error) {
+// cancelling the set — or it was secured and has work left: its
+// credentials were never journaled, and nothing of it, failure handlers
+// included, can be dispatched without them. A secured set with nothing
+// left to dispatch needs none; the reservation that finds nothing to do
+// closes it out.
+func (s *Service) restoreRun(id string, doc *xmlutil.Element) (*run, error) {
 	view := ParseJobSetDocument(doc)
 	var spec *JobSetSpec
 	err := errNoSpec
@@ -281,11 +283,11 @@ func (s *Service) restoreRun(id string, doc *xmlutil.Element, creds wssec.Creden
 	// drops any unparseable fragment.
 	clientFiles, _ := wsa.ParseEPR(doc.Child(qClientFiles))
 	clientListener, _ := wsa.ParseEPR(doc.Child(qClientListener))
-	r := s.newRun(id, spec, clientFiles, clientListener, creds)
+	r := s.newRun(id, spec, clientFiles, clientListener, wssec.Credentials{})
 	r.st.restore(view)
 	if err != nil {
 		r.cannotRun = err.Error()
-	} else if doc.Attr(qSecured) == "true" && creds.Username == "" && r.st.firstUnfinished() != "" {
+	} else if doc.Attr(qSecured) == "true" && r.st.firstUnfinished() != "" {
 		r.cannotRun = credentialsLost
 	}
 	return r, err
@@ -522,16 +524,12 @@ func New(cfg Config) (*Service, error) {
 		jobTimeout:  watchdogWindow,
 		dispatchSem: make(chan struct{}, maxInflightDispatch),
 		onDispatch:  cfg.OnDispatch,
+		verifier:    wssec.NewVerifier(cfg.Accounts),
 		sets:        registry{sets: make(map[string]*run)},
 		placed:      placements{byHost: make(map[string]int)},
 	}
 	svc.OnDestroy(s.onSetDestroyed)
 	s.consumer.Handle(s.ConsumerTopics(), s.onNotification) // onNotification finds the set by topic
-	if cfg.Accounts != nil {
-		// Submit carries the account credentials; status reads and
-		// cancellation stay open like the rest of the WSRF surface.
-		svc.Use(wssec.InterceptorFor(cfg.Accounts, ActionSubmit))
-	}
 	svc.Enable(wsrf.ResourcePropertiesPortType{})
 	svc.Enable(wsrf.LifetimePortType{})
 	svc.RegisterServiceMethod(ActionSubmit, s.handleSubmit)
@@ -593,8 +591,14 @@ func ParseSubmitResponse(body *xmlutil.Element) (jobSet wsa.EndpointReference, t
 	return jobSet, body.ChildText(qTopicOut), nil
 }
 
-// handleSubmit is step 1 of Fig. 3.
+// handleSubmit is step 1 of Fig. 3. Submit carries the account
+// credentials, so it verifies its token before anything else; status
+// reads and cancellation stay open like the rest of the WSRF surface.
 func (s *Service) handleSubmit(ctx context.Context, inv *wsrf.Invocation, body *xmlutil.Element) (*xmlutil.Element, error) {
+	creds, err := s.verifier.Verify(inv.Req)
+	if err != nil {
+		return nil, err
+	}
 	if body == nil {
 		return nil, soap.SenderFault("scheduler: Submit requires a body")
 	}
@@ -606,7 +610,7 @@ func (s *Service) handleSubmit(ctx context.Context, inv *wsrf.Invocation, body *
 		return nil, wsrf.NewBaseFault("InvalidJobSetFault", "%v", err).SOAPFault(soap.CodeSender)
 	}
 	// The run keeps the client's EPRs and credentials for the set's life:
-	// copies, not views of the Submit's frame.
+	// copies, not views of the Submit's frame (Verify copies the user name).
 	var clientFiles, clientListener wsa.EndpointReference
 	if el := body.Child(qClientFiles); el != nil {
 		if clientFiles, err = wsa.ParseEPR(el); err != nil {
@@ -624,8 +628,6 @@ func (s *Service) handleSubmit(ctx context.Context, inv *wsrf.Invocation, body *
 		return nil, soap.SenderFault("scheduler: job set references local:// files but no client file server EPR was given")
 	}
 
-	principal, _ := wssec.PrincipalFrom(ctx)
-	creds := wssec.Credentials{Username: strings.Clone(principal.Username), Password: strings.Clone(principal.Password)}
 	// Minted here, so the topic is in the document's first and only write.
 	id := wsa.NewMessageID()[len("urn:uuid:"):]
 	r := s.newRun(id, spec, clientFiles, clientListener, creds)

@@ -216,7 +216,7 @@ func TestSpecWithReplicasCountParses(t *testing.T) {
 		s := &Service{}
 		doc := jobSetDocument(s.newRun("old", js, wsa.NewEPR("soap.tcp://client:9/files"), wsa.EndpointReference{}, wssec.Credentials{}))
 		withOld(doc.Child(qSpecSnapshot))
-		r, err := s.restoreRun("old", doc, wssec.Credentials{})
+		r, err := s.restoreRun("old", doc)
 		if err != nil || r.cannotRun != "" || !reflect.DeepEqual(r.spec, js) {
 			t.Fatalf("snapshot with <%s> restored as %+v (cannot run: %q), %v", old.Name.Local, r.spec, r.cannotRun, err)
 		}

@@ -15,25 +15,18 @@ type HandlerFunc func(ctx context.Context, req *Envelope) (*Envelope, error)
 
 // Dispatcher routes envelopes to handlers by WS-Addressing action URI.
 // It is the Go analog of the ASP.NET dispatch step in WSRF.NET's wrapper
-// service (paper Fig. 1): one dispatcher per hosted service. Per-service
-// cross-cutting layers (security verification, logging) are Interceptors
-// installed with Use — the same pipeline type transport clients and
-// servers compose.
+// service (paper Fig. 1): one dispatcher per hosted service. It has no
+// layers of its own: the transport server's chain runs around every
+// dispatch, and a handler that secures its action verifies the request
+// itself.
 type Dispatcher struct {
 	mu       sync.RWMutex
 	handlers map[string]HandlerFunc
-	chain    Chain
 }
 
 // NewDispatcher creates an empty dispatcher.
 func NewDispatcher() *Dispatcher {
 	return &Dispatcher{handlers: make(map[string]HandlerFunc)}
-}
-
-// Use appends interceptors to the dispatcher's pipeline. Interceptors
-// registered earlier run outermost.
-func (d *Dispatcher) Use(ics ...Interceptor) {
-	d.chain.Use(ics...)
 }
 
 // Register binds an action URI to a handler. Registering a duplicate
@@ -54,11 +47,9 @@ func (d *Dispatcher) Register(action string, h HandlerFunc) {
 	d.handlers[action] = h
 }
 
-// DispatchCall routes a call to the handler for its action, running the
-// interceptor chain around it; unknown actions yield a Sender fault. The
-// transport server builds the CallInfo (with path and one-way flag) so the
-// dispatcher's interceptors see the same call description the server's
-// own pipeline does.
+// DispatchCall hands a call's request to the handler for its action;
+// unknown actions yield a Sender fault. The transport server builds the
+// CallInfo its own chain ran with.
 func (d *Dispatcher) DispatchCall(ctx context.Context, call *CallInfo) (*Envelope, error) {
 	d.mu.RLock()
 	h, ok := d.handlers[call.Action]
@@ -66,9 +57,7 @@ func (d *Dispatcher) DispatchCall(ctx context.Context, call *CallInfo) (*Envelop
 	if !ok {
 		return nil, SenderFault("no handler for action %q", call.Action)
 	}
-	return d.chain.Bind(func(ctx context.Context, call *CallInfo) (*Envelope, error) {
-		return h(ctx, call.Request)
-	})(ctx, call)
+	return h(ctx, call.Request)
 }
 
 // Mux routes to one of several dispatchers by service path, letting a

@@ -45,12 +45,11 @@ func TestDispatcherRoutesByAction(t *testing.T) {
 	}
 }
 
-// TestDispatcherVoidResponse: a void method's (nil, nil) comes through the
-// interceptor chain as it left the handler; the transport sends it as the
+// TestDispatcherVoidResponse: a void method's (nil, nil) comes back from
+// the dispatcher as it left the handler; the transport sends it as the
 // empty reply.
 func TestDispatcherVoidResponse(t *testing.T) {
 	d := NewDispatcher()
-	d.Use(func(ctx context.Context, call *CallInfo, next Handler) (*Envelope, error) { return next(ctx, call) })
 	d.Register("urn:Void", func(ctx context.Context, req *Envelope) (*Envelope, error) {
 		return nil, nil
 	})
@@ -68,8 +67,10 @@ func TestDispatchToEnvelopeFault(t *testing.T) {
 	}
 }
 
-func TestDispatcherInterceptorOrder(t *testing.T) {
-	d := NewDispatcher()
+// TestChainOrder: interceptors added earlier run outermost, each around
+// the terminal handler Bind is given, which is handed the call.
+func TestChainOrder(t *testing.T) {
+	var c Chain
 	var order []string
 	mk := func(name string) Interceptor {
 		return func(ctx context.Context, call *CallInfo, next Handler) (*Envelope, error) {
@@ -79,51 +80,35 @@ func TestDispatcherInterceptorOrder(t *testing.T) {
 			return resp, err
 		}
 	}
-	d.Use(mk("outer"))
-	d.Use(mk("inner"))
-	d.Register("urn:Echo", echoHandler)
-	if _, err := d.Dispatch(context.Background(), "urn:Echo", New(xmlutil.NewElement(xmlutil.Q(nsT, "p"), ""))); err != nil {
+	c.Use(mk("outer"))
+	c.Use(mk("inner"))
+	call := &CallInfo{Side: ServerSide, Path: "/Svc", Action: "urn:Echo", Request: New(xmlutil.NewElement(xmlutil.Q(nsT, "p"), ""))}
+	_, err := c.Bind(func(ctx context.Context, got *CallInfo) (*Envelope, error) {
+		if got != call {
+			t.Errorf("the terminal handler got %+v, want the bound call", got)
+		}
+		order = append(order, "terminal")
+		return nil, nil
+	})(context.Background(), call)
+	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"outer-in", "inner-in", "inner-out", "outer-out"}
+	want := []string{"outer-in", "inner-in", "terminal", "inner-out", "outer-out"}
 	if !reflect.DeepEqual(order, want) {
 		t.Fatalf("interceptor order = %v", order)
 	}
 }
 
-func TestDispatcherInterceptorSeesCallInfo(t *testing.T) {
-	d := NewDispatcher()
-	var seen CallInfo
-	d.Use(func(ctx context.Context, call *CallInfo, next Handler) (*Envelope, error) {
-		seen = *call
-		return next(ctx, call)
-	})
-	d.Register("urn:Echo", echoHandler)
-	call := &CallInfo{
-		Side:    ServerSide,
-		Path:    "/Svc",
-		Action:  "urn:Echo",
-		Request: New(xmlutil.NewElement(xmlutil.Q(nsT, "p"), "x")),
-	}
-	if _, err := d.DispatchCall(context.Background(), call); err != nil {
-		t.Fatal(err)
-	}
-	if seen.Path != "/Svc" || seen.Action != "urn:Echo" || seen.Side != ServerSide {
-		t.Fatalf("interceptor saw %+v", seen)
-	}
-}
-
 func TestChainShortCircuit(t *testing.T) {
-	d := NewDispatcher()
-	d.Use(func(ctx context.Context, call *CallInfo, next Handler) (*Envelope, error) {
+	var c Chain
+	c.Use(func(ctx context.Context, call *CallInfo, next Handler) (*Envelope, error) {
 		return nil, SenderFault("blocked")
 	})
 	reached := false
-	d.Register("urn:Echo", func(ctx context.Context, req *Envelope) (*Envelope, error) {
+	_, err := c.Bind(func(ctx context.Context, call *CallInfo) (*Envelope, error) {
 		reached = true
 		return nil, nil
-	})
-	_, err := d.Dispatch(context.Background(), "urn:Echo", &Envelope{})
+	})(context.Background(), &CallInfo{Action: "urn:Echo", Request: &Envelope{}})
 	if f, ok := AsFault(err); !ok || f.Code != CodeSender {
 		t.Fatalf("want sender fault, got %v", err)
 	}

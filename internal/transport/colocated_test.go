@@ -21,7 +21,6 @@ import (
 	"uvacg/internal/transport"
 	"uvacg/internal/wsa"
 	"uvacg/internal/wsrf"
-	"uvacg/internal/wssec"
 	"uvacg/internal/xmlutil"
 )
 
@@ -208,16 +207,16 @@ func TestColocatedRefusesOversizedEnvelopes(t *testing.T) {
 
 type ctxKey struct{}
 
-// TestColocatedCalleeSeesWhatASocketCarries: a handler that holds an
-// authenticated principal, a request ID and a value of its own on its
-// context calls a neighbour on the same server over
+// TestColocatedCalleeSeesWhatASocketCarries: a handler that holds a
+// request ID and a value of its own on its context calls a neighbour on
+// the same server over
 // the route, as the ES calls its FSS. The neighbour sees none of them —
 // no wire carries a context — but does see the caller's cancellation;
 // and a one-way callee outlives it.
 func TestColocatedCalleeSeesWhatASocketCarries(t *testing.T) {
 	type seen struct {
-		principal, requestID, value bool
-		to                          string
+		requestID, value bool
+		to               string
 	}
 	observed := make(chan seen, 1)
 	cancelled := make(chan error, 1)
@@ -227,7 +226,6 @@ func TestColocatedCalleeSeesWhatASocketCarries(t *testing.T) {
 
 	look := func(ctx context.Context) seen {
 		var s seen
-		_, s.principal = wssec.PrincipalFrom(ctx)
 		_, s.requestID = pipeline.RequestIDFrom(ctx)
 		s.value = ctx.Value(ctxKey{}) != nil
 		info, _ := wsa.FromContext(ctx)
@@ -262,11 +260,10 @@ func TestColocatedCalleeSeesWhatASocketCarries(t *testing.T) {
 	routed.Use(pipeline.ClientRequestID())
 	neighbour := wsa.NewEPR(base + "/Callee")
 
-	// The caller: a secured WSRF service method, reached over the route as
-	// well, that calls its neighbour from inside its own invocation.
+	// The caller: a WSRF service method, reached over the route as well,
+	// that calls its neighbour from inside its own invocation.
 	outerSaw := make(chan seen, 1)
 	caller := wsrf.MustService(wsrf.ServiceConfig{Path: "/Caller", Address: base})
-	caller.Use(wssec.Interceptor(wssec.StaticAccounts{"alice": "pw"}))
 	caller.RegisterServiceMethod("urn:Outer", func(ctx context.Context, inv *wsrf.Invocation, body *xmlutil.Element) (*xmlutil.Element, error) {
 		ctx = context.WithValue(ctx, ctxKey{}, "the caller's own")
 		outerSaw <- look(ctx)
@@ -277,19 +274,15 @@ func TestColocatedCalleeSeesWhatASocketCarries(t *testing.T) {
 	mux.Handle("/Callee", callee)
 	srv.Use(pipeline.ServerRequestID())
 
-	req := soap.New(xmlutil.NewElement(qAsk, ""))
-	if err := wssec.AttachUsernameToken(req, wssec.Credentials{Username: "alice", Password: "pw"}, time.Now()); err != nil {
+	if _, err := routed.Call(context.Background(), caller.EPR(), "urn:Outer", xmlutil.NewElement(qAsk, "")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := routed.Invoke(context.Background(), caller.EPR(), "urn:Outer", req); err != nil {
-		t.Fatal(err)
-	}
-	if got := <-outerSaw; !got.principal || !got.requestID || !got.value {
+	if got := <-outerSaw; !got.requestID || !got.value {
 		t.Fatalf("the caller's own context lacks what the test means to hide: %+v", got)
 	}
 	// The request ID is the one thing that crosses, and it crosses in the
 	// header ClientRequestID stamps and ServerRequestID lifts.
-	if got := <-observed; got.principal || got.value || !got.requestID || got.to != neighbour.Address {
+	if got := <-observed; got.value || !got.requestID || got.to != neighbour.Address {
 		t.Fatalf("callee context: %+v; want only the header-borne request ID and its own addressing", got)
 	}
 	// Without the header there is no request ID either.

@@ -52,10 +52,7 @@ func allBindings() []bindingFixture {
 			client := NewClient()
 			// Any answer of the port announces its frames, a fault too.
 			client.Call(context.Background(), wsa.NewEPR(base+"/"), "urn:Learn", nil)
-			client.routesMu.RLock()
-			learned := client.framed[strings.TrimPrefix(base, "http://")]
-			client.routesMu.RUnlock()
-			if !learned {
+			if !client.frames.learned(strings.TrimPrefix(base, "http://")) {
 				t.Fatal("the client did not learn the listener's frames")
 			}
 			return base, client

@@ -98,7 +98,7 @@ func announcesFrames(values []string, port string) bool {
 type HTTPTransport struct {
 	client *http.Client
 	// learn, when set, is told the host:port of every answer that
-	// announced the port's own frames (Client.learn).
+	// announced the port's own frames (the client's frame pool learns it).
 	learn func(hostport string)
 }
 

@@ -63,8 +63,8 @@ type inprocTransport struct {
 }
 
 // wireContext is what a socket would leave of the caller's context: it
-// ends when the caller's does and carries none of its values (no
-// principal, no request ID except through the headers).
+// ends when the caller's does and carries none of its values (no request
+// ID except through the headers).
 type wireContext struct{ context.Context }
 
 func (wireContext) Value(any) any { return nil }

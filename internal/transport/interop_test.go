@@ -226,14 +226,14 @@ func TestPoolReuseAndPeerTracking(t *testing.T) {
 		t.Fatalf("server tracked %d connections, want 1 (pooled reuse)", live)
 	}
 	tr.pool.mu.Lock()
-	idle := len(*tr.pool.idle[tl.Addr()])
+	idle := len(tr.pool.hosts[tl.Addr()].idle)
 	tr.pool.mu.Unlock()
 	if idle != 1 {
 		t.Fatalf("pool holds %d idle connections, want 1", idle)
 	}
 	tr.CloseIdleConnections()
 	tr.pool.mu.Lock()
-	idle = len(tr.pool.idle)
+	idle = len(tr.pool.hosts)
 	tr.pool.mu.Unlock()
 	if idle != 0 {
 		t.Fatalf("pool not empty after CloseIdleConnections: %d hosts", idle)
@@ -260,7 +260,7 @@ func TestStalePooledConnectionRetry(t *testing.T) {
 	}
 	// Kill the pooled connection as an idle-timeout-closing peer would.
 	tr.pool.mu.Lock()
-	for _, pc := range *tr.pool.idle[tl.Addr()] {
+	for _, pc := range tr.pool.hosts[tl.Addr()].idle {
 		pc.conn.Close()
 	}
 	tr.pool.mu.Unlock()

@@ -158,7 +158,7 @@ func TestShutdownAnswersTheFrameInside(t *testing.T) {
 	go func() { down <- tl.shutdown(ctx) }()
 	// The idle pooled connection is closed without waiting for the drain.
 	idle.pool.mu.Lock()
-	pc := (*idle.pool.idle[tl.Addr()])[0]
+	pc := idle.pool.hosts[tl.Addr()].idle[0]
 	idle.pool.mu.Unlock()
 	pc.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 	if _, err := pc.br.Peek(1); err != io.EOF {

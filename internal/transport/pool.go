@@ -44,30 +44,81 @@ const (
 
 // connPool keeps idle soap.tcp connections per host:port for reuse, the
 // analog of net/http's Transport pooling that the framed binding lacked
-// — every message used to pay a fresh dial (E6). A host's list is
+// — every message used to pay a fresh dial (E6). Its hosts are also the
+// ports a client sends http:// messages as frames (routeFor): each
+// answered a frame exchange or announced its frames (learn). A host is
 // reached through a pointer, so the map is written only when a host is
 // first seen: a map assignment stores its key, and the hostport a
 // message hands in points into that message's address.
 type connPool struct {
-	mu    sync.Mutex
-	idle  map[string]*[]*pooledConn
+	mu    sync.RWMutex
+	hosts map[string]*poolHost
 	swept time.Time // when every host last lost its expired connections
+}
+
+// poolHost is one host:port's idle connections and when it was last
+// learned or checked out of.
+type poolHost struct {
+	idle []*pooledConn
+	used time.Time
+}
+
+// host is hostport's entry, made under a copy of the key if new; the
+// caller holds p.mu.
+func (p *connPool) host(hostport string) *poolHost {
+	if h := p.hosts[hostport]; h != nil {
+		return h
+	}
+	if p.hosts == nil {
+		p.hosts = make(map[string]*poolHost)
+	}
+	h := &poolHost{}
+	p.hosts[strings.Clone(hostport)] = h
+	return h
+}
+
+// learn enters hostport, whose HTTP answer announced its own frames.
+func (p *connPool) learn(hostport string) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.host(hostport).used = time.Now()
+}
+
+// learned reports whether hostport takes frames: the pool holds it.
+func (p *connPool) learned(hostport string) bool {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	return p.hosts[hostport] != nil
+}
+
+// forget drops hostport and closes its idle connections.
+func (p *connPool) forget(hostport string) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if h := p.hosts[hostport]; h != nil {
+		for _, pc := range h.idle {
+			pc.Close()
+		}
+		delete(p.hosts, hostport)
+	}
 }
 
 // get pops the most recently used idle connection for hostport, dropping
 // any that have sat idle past idleTimeout. Returns nil when none is usable.
 func (p *connPool) get(hostport string) *pooledConn {
+	now := time.Now()
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	list := p.idle[hostport]
-	if list == nil {
+	h := p.hosts[hostport]
+	if h == nil {
 		return nil
 	}
-	for len(*list) > 0 {
-		pc := (*list)[len(*list)-1]
-		(*list)[len(*list)-1] = nil
-		*list = (*list)[:len(*list)-1]
-		if time.Since(pc.idleSince) > idleTimeout {
+	h.used = now
+	for len(h.idle) > 0 {
+		pc := h.idle[len(h.idle)-1]
+		h.idle[len(h.idle)-1] = nil
+		h.idle = h.idle[:len(h.idle)-1]
+		if now.Sub(pc.idleSince) > idleTimeout {
 			pc.Close()
 			continue
 		}
@@ -81,7 +132,8 @@ func (p *connPool) get(hostport string) *pooledConn {
 // the per-host cap is reached. Expired siblings are pruned on the way,
 // and at most once per idleTimeout so are every other host's: a peer
 // that is never addressed again (a departed gridsub's file server) would
-// otherwise keep its connections open for the life of the process.
+// otherwise keep its connections open, and its entry, for the life of
+// the process.
 func (p *connPool) put(hostport string, pc *pooledConn) {
 	// Clear any exchange deadline so the idle connection cannot poison
 	// the next checkout.
@@ -93,29 +145,22 @@ func (p *connPool) put(hostport string, pc *pooledConn) {
 	if now.Sub(p.swept) > idleTimeout {
 		p.sweep(now)
 	}
-	list := p.idle[hostport]
-	if list == nil {
-		if p.idle == nil {
-			p.idle = make(map[string]*[]*pooledConn)
-		}
-		list = new([]*pooledConn)
-		p.idle[strings.Clone(hostport)] = list
-	}
-	kept := prune(*list, now)
-	if len(kept) >= maxIdlePerHost {
+	h := p.host(hostport)
+	h.idle = prune(h.idle, now)
+	if len(h.idle) >= maxIdlePerHost {
 		pc.Close()
-		*list = kept
 		return
 	}
-	*list = append(kept, pc)
+	h.idle = append(h.idle, pc)
 }
 
 // sweep closes every host's connections idle past idleTimeout and
-// forgets the hosts left with none.
+// forgets the hosts left with none and not learned or checked out of
+// within idleTimeout either.
 func (p *connPool) sweep(now time.Time) {
-	for host, list := range p.idle {
-		if *list = prune(*list, now); len(*list) == 0 {
-			delete(p.idle, host)
+	for hostport, h := range p.hosts {
+		if h.idle = prune(h.idle, now); len(h.idle) == 0 && now.Sub(h.used) > idleTimeout {
+			delete(p.hosts, hostport)
 		}
 	}
 	p.swept = now
@@ -137,14 +182,15 @@ func prune(list []*pooledConn, now time.Time) []*pooledConn {
 	return kept
 }
 
-// closeIdle drops every pooled connection.
+// closeIdle drops every pooled connection and forgets every host, learned
+// ones too.
 func (p *connPool) closeIdle() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for host, list := range p.idle {
-		for _, pc := range *list {
+	for hostport, h := range p.hosts {
+		for _, pc := range h.idle {
 			pc.Close()
 		}
-		delete(p.idle, host)
+		delete(p.hosts, hostport)
 	}
 }

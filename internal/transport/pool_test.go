@@ -78,7 +78,7 @@ func TestPoolConcurrentCheckoutClose(t *testing.T) {
 
 	tr.CloseIdleConnections()
 	tr.pool.mu.Lock()
-	idle := len(tr.pool.idle)
+	idle := len(tr.pool.hosts)
 	tr.pool.mu.Unlock()
 	if idle != 0 {
 		t.Fatalf("pool not empty after final close: %d hosts", idle)
@@ -211,8 +211,8 @@ func TestPoolDirectConcurrency(t *testing.T) {
 	p.closeIdle()
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if len(p.idle) != 0 {
-		t.Fatalf("pool retained %d hosts after closeIdle", len(p.idle))
+	if len(p.hosts) != 0 {
+		t.Fatalf("pool retained %d hosts after closeIdle", len(p.hosts))
 	}
 }
 
@@ -255,10 +255,10 @@ func TestPoolSweepsHostsNeverAddressedAgain(t *testing.T) {
 	if !departedConn.closed.Load() {
 		t.Fatal("the departed peer's expired connection is still open")
 	}
-	if _, kept := p.idle["departed:1"]; kept {
+	if _, kept := p.hosts["departed:1"]; kept {
 		t.Fatal("the pool still lists a host with no connection")
 	}
-	if list := p.idle["live:1"]; list == nil || len(*list) != 1 || liveConn.closed.Load() {
+	if h := p.hosts["live:1"]; h == nil || len(h.idle) != 1 || liveConn.closed.Load() {
 		t.Fatal("the sweep closed a connection that had not expired")
 	}
 
@@ -271,10 +271,64 @@ func TestPoolSweepsHostsNeverAddressedAgain(t *testing.T) {
 	}
 }
 
-// TestHostMapsKeepCopies: the idle pool and the learned ports outlive
-// the message whose address named a host, and the host:port a message
-// hands in points into that message's bytes. Each map keeps a copy,
-// written once, when the host is first seen.
+// TestPoolForgetsLearnedHostsLeftUnused: a learned port is an entry in
+// the frame pool, and the pool's sweep forgets it once it has gone
+// idleTimeout without being learned or used, as it forgets a host whose
+// connections expired. A node that stages from a new gridsub's file
+// server on every set learns each one's port once and must not keep
+// them all. A port just learned, with no connection yet, and one whose
+// connection is out are kept.
+func TestPoolForgetsLearnedHostsLeftUnused(t *testing.T) {
+	c := NewClient()
+	p := c.frames
+	defer p.closeIdle()
+	for _, host := range []string{"departed:1", "fresh:1", "busy:1"} {
+		c.asker.learn(host)
+		if !p.learned(host) {
+			t.Fatalf("%s: learning made no pool entry", host)
+		}
+	}
+	// The first put sweeps: no sweep has run yet.
+	conn, peer := net.Pipe()
+	defer peer.Close()
+	p.put("busy:1", newPooledConn(conn))
+	for _, host := range []string{"departed:1", "fresh:1"} {
+		if !p.learned(host) {
+			t.Fatalf("the first sweep forgot %s, a port just learned", host)
+		}
+	}
+
+	// Both ports were learned long ago, and so long ago was the last
+	// sweep; the busy one's connection is checked out now.
+	past := time.Now().Add(-2 * idleTimeout)
+	p.hosts["departed:1"].used, p.hosts["busy:1"].used, p.swept = past, past, past
+	busy := p.get("busy:1")
+	if busy == nil {
+		t.Fatal("the busy port's connection is not there to check out")
+	}
+	defer busy.Close()
+	other, otherPeer := net.Pipe()
+	defer otherPeer.Close()
+	p.put("other:1", newPooledConn(other))
+
+	if p.learned("departed:1") {
+		t.Error("the sweep kept a port learned idleTimeout ago and never used since")
+	}
+	if !p.learned("fresh:1") {
+		t.Error("the sweep forgot a port just learned")
+	}
+	if !p.learned("busy:1") {
+		t.Error("the sweep forgot a port whose connection is checked out")
+	}
+	if r, err := c.routeFor(parseAddress("http://departed:1/Svc")); err != nil || r.learned != "" {
+		t.Errorf("a message for the forgotten port goes %+v (%v), want plain HTTP", r, err)
+	}
+}
+
+// TestHostMapsKeepCopies: the pool's hosts, learned ports among them,
+// outlive the message whose address named a host, and the host:port a
+// message hands in points into that message's bytes. The map keeps a
+// copy, written once, when the host is first seen.
 func TestHostMapsKeepCopies(t *testing.T) {
 	msg := []byte("soap.tcp://127.0.0.1:9/Files")
 	host := unsafe.String(&msg[len("soap.tcp://")], len("127.0.0.1:9"))
@@ -287,20 +341,20 @@ func TestHostMapsKeepCopies(t *testing.T) {
 	defer p.closeIdle()
 	p.put(host, p.get(host)) // a checkout and its return
 	c := NewClient()
-	c.learn(host)
+	c.frames.learn(host)
 	lo := uintptr(unsafe.Pointer(unsafe.SliceData(msg)))
 	check := func(what, key string) {
 		if at := uintptr(unsafe.Pointer(unsafe.StringData(key))); at >= lo && at < lo+uintptr(len(msg)) {
 			t.Errorf("the %s keeps %q as a view of the message", what, key)
 		}
 	}
-	for key, idle := range p.idle {
-		if key != "127.0.0.1:9" || len(*idle) != 2 {
-			t.Fatalf("pool holds %d connection(s) under %q", len(*idle), key)
+	for key, h := range p.hosts {
+		if key != "127.0.0.1:9" || len(h.idle) != 2 {
+			t.Fatalf("pool holds %d connection(s) under %q", len(h.idle), key)
 		}
 		check("pool", key)
 	}
-	for key := range c.framed {
+	for key := range c.frames.hosts {
 		check("learned ports", key)
 	}
 }

@@ -344,8 +344,8 @@ func TestStaleRedialResendsIntactFrame(t *testing.T) {
 				// Drop every idle connection as an idle-timeout-closing
 				// peer would: the next checkout is stale.
 				tr.pool.mu.Lock()
-				if idle := tr.pool.idle[ln.Addr()]; idle != nil {
-					for _, pc := range *idle {
+				if h := tr.pool.hosts[ln.Addr()]; h != nil {
+					for _, pc := range h.idle {
 						pc.conn.Close()
 					}
 				}

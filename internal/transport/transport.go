@@ -33,7 +33,6 @@ import (
 	"errors"
 	"fmt"
 	"net/url"
-	"strings"
 	"sync"
 
 	"uvacg/internal/soap"
@@ -132,16 +131,16 @@ type idleCloser interface{ CloseIdleConnections() }
 type Client struct {
 	schemes map[string]RoundTripper
 	chain   soap.Chain
-	// routesMu guards the two route tables, read on every call.
+	// routesMu guards colocated, read on every call.
 	routesMu sync.RWMutex
 	// colocated maps a base URL ("http://host:port") this process serves
 	// itself to the in-process delivery for its Server; written when a
 	// listener opens and closes.
 	colocated map[string]*inprocTransport
-	// framed holds the host:ports whose HTTP answer announced their own
-	// frames (Alt-Svc): a message for http://host:port goes through the
-	// soap.tcp binding until an exchange there fails.
-	framed map[string]bool
+	// frames is the pool of the soap.tcp binding NewClient installed: a
+	// message for http://host:port goes as frames while it holds the host,
+	// entered when the port's HTTP answer announced them (Alt-Svc).
+	frames *connPool
 	// asker is the http binding that learns ports.
 	asker *HTTPTransport
 }
@@ -151,15 +150,16 @@ type Client struct {
 // inproc Network with WithNetwork when simulated in-process grids are in
 // play.
 func NewClient() *Client {
+	tcp := NewTCPTransport()
 	c := &Client{
 		schemes:   make(map[string]RoundTripper),
 		colocated: make(map[string]*inprocTransport),
-		framed:    make(map[string]bool),
+		frames:    &tcp.pool,
+		asker:     NewHTTPTransport(),
 	}
-	c.asker = NewHTTPTransport()
-	c.asker.learn = c.learn
+	c.asker.learn = c.frames.learn
 	c.RegisterScheme("http", c.asker)
-	c.RegisterScheme(SchemeTCP, NewTCPTransport())
+	c.RegisterScheme(SchemeTCP, tcp)
 	return c
 }
 
@@ -232,14 +232,6 @@ func (c *Client) Use(ics ...soap.Interceptor) {
 	c.chain.Use(ics...)
 }
 
-// learn records that the HTTP port hostport answers frames. The map
-// keeps a copy: hostport points into a message's address.
-func (c *Client) learn(hostport string) {
-	c.routesMu.Lock()
-	c.framed[strings.Clone(hostport)] = true
-	c.routesMu.Unlock()
-}
-
 // address is an outbound address, parsed once a message for the
 // client's own use: its path for CallInfo, its scheme and host for
 // routeFor. A binding parses the address string it is handed. No parse
@@ -275,8 +267,9 @@ type route struct {
 	local   bool
 }
 
-// failed forgets r's learned port, so the next message for it asks over
-// HTTP again: the port may have gone, or come back without frames. Unless
+// failed forgets r's learned port, and with it the port's idle frame
+// connections, so the next message for it asks over HTTP again: the port
+// may have gone, or come back without frames. Unless
 // the caller's own context ended the exchange, the keep-alive connections
 // the asking left idle go too, to every host (net/http closes no fewer): a
 // peer that went has closed its end, and a reader that has not yet seen
@@ -285,9 +278,7 @@ func (c *Client) failed(ctx context.Context, r route) {
 	if r.learned == "" {
 		return
 	}
-	c.routesMu.Lock()
-	delete(c.framed, r.learned)
-	c.routesMu.Unlock()
+	c.frames.forget(r.learned)
 	if ctx.Err() == nil {
 		c.asker.CloseIdleConnections()
 	}
@@ -302,12 +293,11 @@ func (c *Client) routeFor(a address) (route, error) {
 	}
 	c.routesMu.RLock()
 	local := c.colocated[a.scheme+"://"+a.host]
-	framed := a.scheme == "http" && c.framed[a.host]
 	c.routesMu.RUnlock()
 	if local != nil {
 		return route{rt: local, addr: a.raw, local: true}, nil
 	}
-	if tcp, ok := c.schemes[SchemeTCP]; ok && framed {
+	if tcp, ok := c.schemes[SchemeTCP]; ok && a.scheme == "http" && c.frames.learned(a.host) {
 		return route{rt: tcp, addr: SchemeTCP + a.raw[len(a.scheme):], learned: a.host}, nil
 	}
 	rt, ok := c.schemes[a.scheme]

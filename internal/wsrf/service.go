@@ -94,10 +94,6 @@ func (s *Service) Home() ResourceHome { return s.home }
 // Dispatcher exposes the action dispatcher for transport registration.
 func (s *Service) Dispatcher() *soap.Dispatcher { return s.dispatcher }
 
-// Use installs interceptors (e.g. wssec verification) on the
-// dispatcher, outside the wrapper pipeline.
-func (s *Service) Use(ics ...soap.Interceptor) { s.dispatcher.Use(ics...) }
-
 // EPR returns the service's resource-less EPR.
 func (s *Service) EPR() wsa.EndpointReference {
 	return wsa.NewEPR(s.address + s.path)

@@ -19,7 +19,7 @@ import (
 type securityHarness struct {
 	identity *Identity
 	creds    Credentials
-	verify   soap.HandlerFunc
+	verifier *Verifier
 	body     *xmlutil.Element
 }
 
@@ -29,20 +29,10 @@ func newSecurityHarness(tb testing.TB) *securityHarness {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	ic := Interceptor(StaticAccounts{"scientist": "secret"})
-	verify := func(ctx context.Context, req *soap.Envelope) (*soap.Envelope, error) {
-		call := &soap.CallInfo{Side: soap.ServerSide, Request: req}
-		return ic(ctx, call, func(ctx context.Context, call *soap.CallInfo) (*soap.Envelope, error) {
-			if _, ok := PrincipalFrom(ctx); !ok {
-				return nil, fmt.Errorf("no principal after verification")
-			}
-			return nil, nil
-		})
-	}
 	return &securityHarness{
 		identity: id,
 		creds:    Credentials{Username: "scientist", Password: "secret"},
-		verify:   verify,
+		verifier: NewVerifier(StaticAccounts{"scientist": "secret"}),
 		body:     xmlutil.NewElement(xmlutil.Q("urn:uvacg:bench", "RunJob"), "payload"),
 	}
 }
@@ -88,7 +78,10 @@ func (h *securityHarness) roundTrip(ctx context.Context, digest, encrypt bool) e
 			return err
 		}
 	}
-	_, err = h.verify(ctx, received)
+	creds, err := h.verifier.Verify(received)
+	if err == nil && creds != h.creds {
+		err = fmt.Errorf("verified as %+v, want %+v", creds, h.creds)
+	}
 	return err
 }
 
@@ -127,7 +120,7 @@ func BenchmarkE10_Security(b *testing.B) {
 }
 
 // TestSecurityHarnessModes keeps the rig honest: every mode must verify
-// server-side and yield a principal.
+// server-side and yield the account.
 func TestSecurityHarnessModes(t *testing.T) {
 	for _, c := range newSecurityHarness(t).modes() {
 		if err := c.fn(context.Background()); err != nil {

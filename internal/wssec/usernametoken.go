@@ -96,15 +96,17 @@ func digestPassword(nonceB64, created, password string) string {
 }
 
 // ExtractToken decodes the UsernameToken from an envelope's Security
-// header, if present.
+// header, if present. Its errors, and Token.Verify's, say what is wrong
+// with the token and name no package: the Verifier's refusal carries the
+// one "wssec:" prefix.
 func ExtractToken(env *soap.Envelope) (Token, error) {
 	sec := env.Header(qSecurity)
 	if sec == nil {
-		return Token{}, fmt.Errorf("wssec: no Security header")
+		return Token{}, fmt.Errorf("no Security header")
 	}
 	ut := sec.Child(qUsernameToken)
 	if ut == nil {
-		return Token{}, fmt.Errorf("wssec: Security header has no UsernameToken")
+		return Token{}, fmt.Errorf("no UsernameToken in the Security header")
 	}
 	tok := Token{
 		Username: ut.ChildText(qUsername),
@@ -120,12 +122,12 @@ func ExtractToken(env *soap.Envelope) (Token, error) {
 	if created := ut.ChildText(qCreated); created != "" {
 		t, err := time.Parse(timeLayout, created)
 		if err != nil {
-			return tok, fmt.Errorf("wssec: bad Created timestamp %q: %w", created, err)
+			return tok, fmt.Errorf("bad Created timestamp %q: %w", created, err)
 		}
 		tok.Created = t
 	}
 	if tok.Username == "" {
-		return tok, fmt.Errorf("wssec: UsernameToken has no Username")
+		return tok, fmt.Errorf("no Username in the UsernameToken")
 	}
 	return tok, nil
 }
@@ -137,14 +139,14 @@ func (t Token) Verify(expectedPassword string) error {
 	case PasswordDigest:
 		want := digestPassword(t.Nonce, t.Created.UTC().Format(timeLayout), expectedPassword)
 		if !hmac.Equal([]byte(want), []byte(t.Password)) {
-			return fmt.Errorf("wssec: password digest mismatch for %q", t.Username)
+			return fmt.Errorf("password digest mismatch for %q", t.Username)
 		}
 	case PasswordText, "":
 		if !hmac.Equal([]byte(expectedPassword), []byte(t.Password)) {
-			return fmt.Errorf("wssec: password mismatch for %q", t.Username)
+			return fmt.Errorf("password mismatch for %q", t.Username)
 		}
 	default:
-		return fmt.Errorf("wssec: unsupported password type %q", t.PasswordType)
+		return fmt.Errorf("unsupported password type %q", t.PasswordType)
 	}
 	return nil
 }

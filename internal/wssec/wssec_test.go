@@ -1,7 +1,6 @@
 package wssec
 
 import (
-	"context"
 	"strings"
 	"testing"
 	"time"
@@ -234,46 +233,51 @@ func TestNewIdentityRequiresSubject(t *testing.T) {
 	}
 }
 
-func okHandler(ctx context.Context, req *soap.Envelope) (*soap.Envelope, error) {
-	p, _ := PrincipalFrom(ctx)
-	return soap.New(xmlutil.NewElement(qBody, p.Username)), nil
-}
-
-// bind adapts an interceptor plus leaf handler into the plain
-// envelope-handler shape the tests drive directly.
-func bind(ic soap.Interceptor, h soap.HandlerFunc) soap.HandlerFunc {
-	return func(ctx context.Context, req *soap.Envelope) (*soap.Envelope, error) {
-		call := &soap.CallInfo{Side: soap.ServerSide, Request: req}
-		return ic(ctx, call, func(ctx context.Context, call *soap.CallInfo) (*soap.Envelope, error) {
-			return h(ctx, call.Request)
-		})
-	}
-}
-
 func TestMiddlewareAuthenticates(t *testing.T) {
-	h := bind(Interceptor(StaticAccounts{"labuser": "pw"}), okHandler)
-
+	v := NewVerifier(StaticAccounts{"labuser": "pw"})
 	env := newEnv()
 	if err := AttachUsernameToken(env, Credentials{Username: "labuser", Password: "pw"}, time.Now()); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := h(context.Background(), env)
+	creds, err := v.Verify(env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Body.Text != "labuser" {
-		t.Fatalf("principal = %q", resp.Body.Text)
+	if creds != (Credentials{Username: "labuser", Password: "pw"}) {
+		t.Fatalf("credentials = %+v", creds)
+	}
+	// A nil table is no security: every request passes, naming no account.
+	if creds, err := NewVerifier(nil).Verify(newEnv()); err != nil || creds != (Credentials{}) {
+		t.Fatalf("nil table: %+v, %v; want no credentials and no error", creds, err)
 	}
 }
 
+// TestMiddlewareRejections: every refusal is a Sender fault whose reason
+// names the package once.
 func TestMiddlewareRejections(t *testing.T) {
-	h := bind(Interceptor(StaticAccounts{"u": "pw"}), okHandler)
-	ctx := context.Background()
+	verify := NewVerifier(StaticAccounts{"u": "pw"}).Verify
+	refused := func(t *testing.T, err error, says string) {
+		t.Helper()
+		f, ok := soap.AsFault(err)
+		if !ok || f.Code != soap.CodeSender {
+			t.Fatalf("got %v, want a Sender fault", err)
+		}
+		if !strings.HasPrefix(f.Reason, "wssec: ") || strings.Count(f.Reason, "wssec:") != 1 || !strings.Contains(f.Reason, says) {
+			t.Fatalf("reason %q, want one \"wssec: \" prefix and %q", f.Reason, says)
+		}
+	}
+	attach := func(t *testing.T, creds Credentials, created time.Time) *soap.Envelope {
+		t.Helper()
+		env := newEnv()
+		if err := AttachUsernameToken(env, creds, created); err != nil {
+			t.Fatal(err)
+		}
+		return env
+	}
 
 	t.Run("missing header", func(t *testing.T) {
-		if _, err := h(ctx, newEnv()); err == nil {
-			t.Fatal("unauthenticated request accepted")
-		}
+		_, err := verify(newEnv())
+		refused(t, err, "authentication required: no Security header")
 	})
 	t.Run("encrypted header only", func(t *testing.T) {
 		// The verifier decrypts nothing: a token inside EncryptedData is
@@ -282,47 +286,28 @@ func TestMiddlewareRejections(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		env := newEnv()
-		if err := AttachUsernameToken(env, Credentials{Username: "u", Password: "pw"}, time.Now()); err != nil {
-			t.Fatal(err)
-		}
+		env := attach(t, Credentials{Username: "u", Password: "pw"}, time.Now())
 		if err := EncryptSecurityHeader(env, service.Certificate()); err != nil {
 			t.Fatal(err)
 		}
-		_, err = h(ctx, env)
-		if f, ok := soap.AsFault(err); !ok || f.Code != soap.CodeSender || !strings.Contains(f.Reason, "authentication required") {
-			t.Fatalf("encrypted-only request: %v, want a Sender fault naming authentication required", err)
-		}
+		_, err = verify(env)
+		refused(t, err, "authentication required")
 	})
 	t.Run("unknown account", func(t *testing.T) {
-		env := newEnv()
-		if err := AttachUsernameToken(env, Credentials{Username: "ghost", Password: "x"}, time.Now()); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := h(ctx, env); err == nil {
-			t.Fatal("unknown account accepted")
-		}
+		_, err := verify(attach(t, Credentials{Username: "ghost", Password: "x"}, time.Now()))
+		refused(t, err, `unknown account "ghost"`)
 	})
 	t.Run("wrong password", func(t *testing.T) {
-		env := newEnv()
-		if err := AttachUsernameToken(env, Credentials{Username: "u", Password: "bad"}, time.Now()); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := h(ctx, env); err == nil {
-			t.Fatal("wrong password accepted")
-		}
+		_, err := verify(attach(t, Credentials{Username: "u", Password: "bad"}, time.Now()))
+		refused(t, err, `password digest mismatch for "u"`)
 	})
 	t.Run("replay", func(t *testing.T) {
-		env := newEnv()
-		if err := AttachUsernameToken(env, Credentials{Username: "u", Password: "pw"}, time.Now()); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := h(ctx, env.Clone()); err != nil {
+		env := attach(t, Credentials{Username: "u", Password: "pw"}, time.Now())
+		if _, err := verify(env.Clone()); err != nil {
 			t.Fatalf("first use rejected: %v", err)
 		}
-		if _, err := h(ctx, env.Clone()); err == nil {
-			t.Fatal("replayed envelope accepted")
-		}
+		_, err := verify(env.Clone())
+		refused(t, err, "replay")
 	})
 	t.Run("outside the window", func(t *testing.T) {
 		created := time.Date(2005, 4, 4, 12, 0, 0, 0, time.UTC)
@@ -332,15 +317,45 @@ func TestMiddlewareRejections(t *testing.T) {
 			ok   bool
 		}{{replayWindow - time.Second, true}, {-replayWindow + time.Second, true}, {replayWindow + time.Second, false}, {-replayWindow - time.Second, false}} {
 			now = func() time.Time { return created.Add(c.skew) }
-			env := newEnv()
-			if err := AttachUsernameToken(env, Credentials{Username: "u", Password: "pw"}, created); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := h(ctx, env); (err == nil) != c.ok {
+			_, err := verify(attach(t, Credentials{Username: "u", Password: "pw"}, created))
+			if (err == nil) != c.ok {
 				t.Errorf("verifier clock %v from Created: err %v, want accepted=%v", c.skew, err, c.ok)
+			}
+			if !c.ok {
+				refused(t, err, "freshness window")
 			}
 		}
 	})
+}
+
+// TestVerifierKeepsACopyOfTheUsername: the account Verify returns
+// outlives the request (a run keeps it for its set's life, the ES until
+// its job spawns), and the token's user name is read from the message.
+// It is a copy that points into none of the message's bytes.
+func TestVerifierKeepsACopyOfTheUsername(t *testing.T) {
+	env := newEnv()
+	if err := AttachUsernameToken(env, Credentials{Username: "labuser", Password: "pw"}, time.Now()); err != nil {
+		t.Fatal(err)
+	}
+	data, err := env.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := soap.Unmarshal(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	creds, err := NewVerifier(StaticAccounts{"labuser": "pw"}).Verify(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if creds.Username != "labuser" {
+		t.Fatalf("credentials = %+v", creds)
+	}
+	lo := uintptr(unsafe.Pointer(unsafe.SliceData(data)))
+	if at := uintptr(unsafe.Pointer(unsafe.StringData(creds.Username))); at >= lo && at < lo+uintptr(len(data)) {
+		t.Errorf("the verifier returns %q as a view of the message", creds.Username)
+	}
 }
 
 // TestReplayCacheKeepsCopiesOfNonces: a nonce is kept for two windows,
