@@ -19,7 +19,9 @@ import (
 	"time"
 
 	"uvacg/internal/daemon"
+	"uvacg/internal/master"
 	"uvacg/internal/node"
+	"uvacg/internal/services/nodeinfo"
 	"uvacg/internal/wsa"
 )
 
@@ -53,7 +55,7 @@ func main() {
 	}
 
 	address := daemon.Advertised(*hostName, *addr)
-	nisEPR := wsa.NewEPR(*masterURL + "/NodeInfoService")
+	nisEPR := wsa.NewEPR(*masterURL + nodeinfo.ServicePath)
 	n, err := node.New(node.Config{
 		Name:                 *name,
 		Address:              address,
@@ -62,7 +64,7 @@ func main() {
 		SpeedMHz:             *speed,
 		RAMMB:                *ram,
 		Accounts:             accounts,
-		Broker:               wsa.NewEPR(*masterURL + "/NotificationBroker"),
+		Broker:               wsa.NewEPR(*masterURL + master.BrokerPath),
 		NIS:                  nisEPR,
 		UtilizationThreshold: *threshold,
 		Store:                host.Store,

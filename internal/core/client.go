@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"uvacg/internal/master"
 	"uvacg/internal/resourcedb"
 	"uvacg/internal/services/execution"
 	"uvacg/internal/services/filesystem"
@@ -426,7 +427,7 @@ func (c *Client) Resume(ctx context.Context, name string) (*Submission, error) {
 	}
 	// The old listener address died with the old process: subscribe this
 	// one, then read what happened in between.
-	broker := wsa.NewEPR(c.cfg.Master + "/NotificationBroker")
+	broker := wsa.NewEPR(c.cfg.Master + master.BrokerPath)
 	if _, err := wsn.SubscribeVia(ctx, c.cfg.Transport, broker, c.ListenerEPR(), wsn.Simple(topic)); err != nil {
 		return nil, fmt.Errorf("resubscribe: %w", err)
 	}

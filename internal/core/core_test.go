@@ -2,8 +2,10 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -689,6 +691,54 @@ func TestVanishedNodeFailsJobSet(t *testing.T) {
 	if !strings.Contains(detail, "dispatch") {
 		t.Errorf("detail = %q", detail)
 	}
+}
+
+// TestExitedSurvivesATransientNotifyError: one transport error on the
+// one-way Notify that carries a job's exited event is absorbed by the
+// client chain's retry. Unretried, the event was lost and the watchdog
+// failed the set, the job having exited 0.
+func TestExitedSurvivesATransientNotifyError(t *testing.T) {
+	g := testGrid(t, NodeSpec{Name: "solo"})
+	// Innermost on the grid's client, so each call here is one wire
+	// attempt. One-way only: the scheduler's acked set events to the
+	// broker are round trips. Matched by content, since exited rides
+	// alone or with directory and started, as the outbox batches them.
+	var sends atomic.Int32
+	g.Client.Use(func(ctx context.Context, call *soap.CallInfo, next soap.Handler) (*soap.Envelope, error) {
+		if call.OneWay && call.Path == master.BrokerPath && carriesExited(call.Request) {
+			if sends.Add(1) == 1 {
+				return nil, errors.New("connection reset by peer")
+			}
+		}
+		return next(ctx, call)
+	})
+	c := testClient(t, g)
+	ctx := testCtx(t)
+	c.AddFile("t.app", Script("exit 0"))
+	sub, err := c.Submit(ctx, NewJobSet("resent").Add("t", Local("t.app")).Spec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if status, err := sub.Wait(ctx); err != nil || status != scheduler.SetCompleted {
+		_, detail := sub.Status()
+		t.Fatalf("status %q (%s), %v", status, detail, err)
+	}
+	if got := sends.Load(); got != 2 {
+		t.Fatalf("the Notify carrying exited crossed to the broker %d time(s), want 2", got)
+	}
+}
+
+func carriesExited(env *soap.Envelope) bool {
+	ns, err := wsn.ParseNotifyBody(env.Body)
+	if err != nil {
+		return false
+	}
+	for _, n := range ns {
+		if strings.HasSuffix(n.Topic, "/"+execution.EventExited) {
+			return true
+		}
+	}
+	return false
 }
 
 func TestFetchOutputFallsBackToJobSetResource(t *testing.T) {

@@ -27,10 +27,11 @@ import (
 )
 
 // IdempotentActions is the grid's safe-to-retry predicate: the pure
-// reads of the WSRF property port types, the NIS processor query and
-// the FSS file reads. Mutating operations — Submit, Run, uploads,
-// lifetime changes — are excluded; they must reach a service at most
-// once.
+// reads of the WSRF property port types, the NIS processor query, the
+// FSS file reads, and Notify, whose delivery is at-least-once by
+// contract (the Scheduler ignores a repeated job event by its attempt
+// identity). Mutating operations — Submit, Run, uploads, lifetime
+// changes — are excluded; they must reach a service at most once.
 func IdempotentActions() func(string) bool {
 	return pipeline.IdempotentActions(
 		wsrf.ActionGetResourceProperty,
@@ -40,6 +41,7 @@ func IdempotentActions() func(string) bool {
 		nodeinfo.ActionGetProcessors,
 		filesystem.ActionRead,
 		filesystem.ActionList,
+		wsn.ActionNotify,
 	)
 }
 

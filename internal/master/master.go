@@ -19,6 +19,10 @@ import (
 	"uvacg/internal/wsrf"
 )
 
+// BrokerPath is where a master mounts its notification broker; the NIS
+// sits at nodeinfo.ServicePath and the SS at scheduler.ServicePath.
+const BrokerPath = "/NotificationBroker"
+
 // Config describes one master host.
 type Config struct {
 	// Address is the base address the host's services advertise in
@@ -57,7 +61,7 @@ func Assemble(cfg Config) (*Master, error) {
 	m := &Master{Mux: soap.NewMux()}
 	var err error
 
-	m.Broker, err = wsn.NewBroker("/NotificationBroker", cfg.Address, wsrf.NewStateHome(table("subscriptions")), cfg.Client)
+	m.Broker, err = wsn.NewBroker(BrokerPath, cfg.Address, wsrf.NewStateHome(table("subscriptions")), cfg.Client)
 	if err != nil {
 		return nil, err
 	}

@@ -166,8 +166,8 @@ func TestRetryFlakyTransportEventuallySucceeds(t *testing.T) {
 		if failures == retryAttempts && err == nil {
 			t.Fatal("a call that failed every attempt succeeded")
 		}
-		if calls != retryAttempts || call.Attempt != retryAttempts {
-			t.Fatalf("%d failures: wire attempts = %d, call.Attempt = %d, want %d", failures, calls, call.Attempt, retryAttempts)
+		if calls != retryAttempts {
+			t.Fatalf("%d failures: wire attempts = %d, want %d", failures, calls, retryAttempts)
 		}
 		want := []time.Duration{2 * time.Millisecond, 4 * time.Millisecond}
 		if fmt.Sprint(delays) != fmt.Sprint(want) {

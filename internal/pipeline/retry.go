@@ -70,11 +70,10 @@ func defaultSleep(ctx context.Context, d time.Duration) error {
 }
 
 // Retry returns a client-side interceptor applying the one retry to the
-// actions p admits. It numbers the attempts on call.Attempt (1-based);
-// the terminal handler re-stamps WS-Addressing per attempt, so every
-// retry carries a fresh MessageID. Install it outside the metrics
-// interceptor when per-wire-attempt counts are wanted, inside when
-// per-logical-call counts are.
+// actions p admits. The terminal handler re-stamps WS-Addressing per
+// attempt, so every retry carries a fresh MessageID. Install it outside
+// the metrics interceptor when per-wire-attempt counts are wanted, inside
+// when per-logical-call counts are.
 func Retry(p RetryPolicy) soap.Interceptor {
 	sleep := p.Sleep
 	if sleep == nil {
@@ -86,7 +85,6 @@ func Retry(p RetryPolicy) soap.Interceptor {
 		}
 		delay := retryBaseDelay
 		for attempt := 1; ; attempt++ {
-			call.Attempt = attempt
 			resp, err := next(ctx, call)
 			if err == nil || attempt >= retryAttempts || !retryable(err) {
 				return resp, err

@@ -32,6 +32,9 @@ const (
 	ActionGetProcessors = NS + "/GetProcessors"
 )
 
+// ServicePath is where a master mounts the NIS.
+const ServicePath = "/NodeInfoService"
+
 // GroupResourceID is the well-known id of the processors service-group
 // resource.
 const GroupResourceID = "processors"
@@ -91,7 +94,7 @@ func New(cfg Config) (*Service, error) {
 	if cfg.Home == nil {
 		return nil, fmt.Errorf("nis: config requires Home")
 	}
-	svc, err := wsrf.NewService(wsrf.ServiceConfig{Path: "/NodeInfoService", Address: cfg.Address, Home: cfg.Home})
+	svc, err := wsrf.NewService(wsrf.ServiceConfig{Path: ServicePath, Address: cfg.Address, Home: cfg.Home})
 	if err != nil {
 		return nil, err
 	}

@@ -234,9 +234,10 @@ type RunOptions struct {
 	// Faults, when non-empty, overrides the scenario's generated fault
 	// profile with a named one from FaultProfiles.
 	Faults string
-	// Quiescence bounds the terminal wait (default 30s).
-	Quiescence time.Duration
 }
+
+// quiescenceWait bounds RunSeed's terminal wait for every set to settle.
+const quiescenceWait = 30 * time.Second
 
 // Result is one scenario run's verdict.
 type Result struct {
@@ -260,9 +261,6 @@ func RunSeed(seed int64, opts RunOptions) Result {
 	sc := Generate(seed)
 	if opts.Faults != "" {
 		sc.Profile = opts.Faults
-	}
-	if opts.Quiescence == 0 {
-		opts.Quiescence = 30 * time.Second
 	}
 	res := Result{Seed: seed, Transcript: sc.Transcript()}
 
@@ -346,7 +344,7 @@ func RunSeed(seed int64, opts RunOptions) Result {
 		return res
 	}
 
-	quiesceErr := cluster.AwaitQuiescence(opts.Quiescence)
+	quiesceErr := cluster.AwaitQuiescence(quiescenceWait)
 	// Let in-flight broker fan-out land before snapshotting the event
 	// log: delivery to the observer races the final document write.
 	time.Sleep(300 * time.Millisecond)

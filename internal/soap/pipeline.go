@@ -46,9 +46,6 @@ type CallInfo struct {
 	Action string
 	// OneWay marks a one-way message: no reply envelope ever exists.
 	OneWay bool
-	// Attempt is the zero-based delivery attempt, maintained by the
-	// retry interceptor; 0 for never-retried calls.
-	Attempt int
 	// Request is the envelope being sent (client) or received (server).
 	Request *Envelope
 }

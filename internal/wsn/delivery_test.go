@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"uvacg/internal/pipeline"
 	"uvacg/internal/resourcedb"
 	"uvacg/internal/soap"
 	"uvacg/internal/transport"
@@ -19,7 +20,8 @@ import (
 
 // deliveryHarness is a producer plus two consumer hosts, with the
 // client's transports wrapped in fault injection: deliveries to the
-// "flaky" host fail while failRemaining is positive.
+// "flaky" host fail while failRemaining is positive. The client retries
+// Notify, as every grid host's chain does.
 type deliveryHarness struct {
 	producer      *Producer
 	okEvents      <-chan Notification
@@ -32,6 +34,7 @@ func newDeliveryHarness(t *testing.T) *deliveryHarness {
 	h := &deliveryHarness{}
 	network := transport.NewNetwork()
 	client := transport.NewClient().WithNetwork(network)
+	client.Use(pipeline.Retry(pipeline.RetryPolicy{Idempotent: pipeline.IdempotentActions(ActionNotify)}))
 	client.WrapSchemes(func(_ string, rt transport.RoundTripper) transport.RoundTripper {
 		return transport.WrapFaults(rt, func(op transport.FaultOp, addr string) transport.FaultDecision {
 			if strings.Contains(addr, "flaky") && h.failRemaining.Add(-1) >= 0 {

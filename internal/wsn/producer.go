@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"uvacg/internal/pipeline"
 	"uvacg/internal/soap"
 	"uvacg/internal/transport"
 	"uvacg/internal/wsa"
@@ -45,8 +44,7 @@ type Producer struct {
 	owner  *wsrf.Service
 	subSvc *wsrf.Service
 	client *transport.Client
-	out    *Outbox          // every delivery leaves through it
-	retry  soap.Interceptor // the one retry, around each Notify delivery
+	out    *Outbox // every delivery leaves through it
 
 	subscribeMu sync.Mutex // serializes Subscribe's look-up-then-create
 
@@ -67,11 +65,11 @@ type Producer struct {
 // NewProducer wires notification production into owner. The returned
 // producer's SubscriptionService must be mounted on the same mux as the
 // owner. Existing subscriptions in subHome are recovered (surviving a
-// service restart). Every delivery runs under the one retry
-// (pipeline.Retry): notification delivery is at-least-once by contract,
-// so re-sending a Notify is always safe, and a consumer's transient
-// failure is absorbed instead of counting toward its subscription's
-// destruction.
+// service restart). Deliveries are sent on client and retried by its
+// chain, not here: every grid host's chain re-sends a Notify
+// (core.IdempotentActions) as notification delivery is at-least-once by
+// contract, so a consumer's transient failure is absorbed instead of
+// counting toward its subscription's destruction.
 func NewProducer(owner *wsrf.Service, subHome wsrf.ResourceHome, client *transport.Client) (*Producer, error) {
 	subSvc, err := wsrf.NewService(wsrf.ServiceConfig{
 		Path:    owner.Path() + "-subscriptions",
@@ -87,7 +85,6 @@ func NewProducer(owner *wsrf.Service, subHome wsrf.ResourceHome, client *transpo
 		owner:    owner,
 		subSvc:   subSvc,
 		client:   client,
-		retry:    pipeline.Retry(pipeline.RetryPolicy{Idempotent: pipeline.IdempotentActions(ActionNotify)}),
 		subs:     make(map[string]subscription),
 		byKey:    make(map[string]string),
 		byRoot:   make(map[string]map[string]struct{}),
@@ -292,20 +289,10 @@ func (p *Producer) matching(topic string) []subscription {
 	return matched
 }
 
-// deliver is the outbox's send: one Notify carrying batch to one consumer,
-// through the delivery retry. The notify body is rebuilt per attempt by
-// the client, so each retry carries fresh WS-Addressing headers.
+// deliver is the outbox's send: one Notify carrying batch to one consumer.
+// The client's chain retries it like any idempotent call.
 func (p *Producer) deliver(ctx context.Context, to wsa.EndpointReference, batch []Notification) error {
-	call := &soap.CallInfo{
-		Side:   soap.ClientSide,
-		Addr:   to.Address,
-		Action: ActionNotify,
-		OneWay: true,
-	}
-	_, err := p.retry(ctx, call, func(ctx context.Context, _ *soap.CallInfo) (*soap.Envelope, error) {
-		return nil, p.client.Notify(ctx, to, ActionNotify, NotifyBody(batch...))
-	})
-	return err
+	return p.client.Notify(ctx, to, ActionNotify, NotifyBody(batch...))
 }
 
 func (p *Producer) recordFailure(id string) {
