@@ -11,6 +11,11 @@
 // job set it is given and dispatches it at once: there is no queue in
 // front of it.
 //
+// The Node Info Service's catalog is in memory: each gridnode renews its
+// entry once a second, and one not renewed for 3 s leaves. A restarted
+// gridmaster, with or without -data-dir, hears from the running nodes
+// within a second; a dispatch that finds no machine waits up to 1.5 s.
+//
 // Jobs retry on failure up to their spec's per-job budget (a .jobset
 // file's "retry 2 500ms" line), which the job set's resource keeps across
 // a restart; a job whose spec gives none runs once.

@@ -3,7 +3,8 @@
 // monitor, on one port that answers soap.tcp and HTTP. Its EPRs name
 // http://, and peers learn from the port's first answer to send frames.
 // On startup it registers with the master's Node Info Service and then
-// streams utilization changes to it.
+// streams utilization changes to it, renewing its catalog entry at least
+// once a second, so a restarted master learns of it within a second.
 //
 //	gridnode -name win-a -addr :8701 -master http://localhost:8700 \
 //	         [-cores 2] [-speed 2800] [-ram 1024] [-accounts user:pw]
@@ -37,7 +38,7 @@ var (
 	speed        = flag.Float64("speed", 2000, "clock speed (MHz)")
 	ram          = flag.Int("ram", 1024, "RAM (MB)")
 	accountsFlag = flag.String("accounts", "", "comma-separated user:password local accounts")
-	threshold    = flag.Float64("threshold", 0.1, "report utilization to the NIS when a 50 ms sample finds it moved by this much (0..1)")
+	threshold    = flag.Float64("threshold", 0.1, "report utilization to the NIS when a 50 ms sample finds it moved by this much (0..1); it is reported at least once a second regardless")
 )
 
 func main() {

@@ -35,7 +35,6 @@ func main() {
 		log.Fatal(err)
 	}
 	defer grid.Close()
-	grid.StartMonitors() // background Processor Utilization services
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()

@@ -36,9 +36,9 @@ func main() {
 		log.Fatal(err)
 	}
 	defer grid.Close()
-	// Background Processor Utilization services keep the NIS fresh, so
-	// the greedy policy sees machines fill up and spreads the load.
-	grid.StartMonitors()
+	// Each machine's Processor Utilization service, running from NewGrid
+	// on, keeps the NIS fresh, so the greedy policy sees machines fill up
+	// and spreads the load.
 
 	client, err := grid.NewClient(wssec.Credentials{Username: "scientist", Password: "secret"}, false)
 	if err != nil {

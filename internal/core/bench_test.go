@@ -8,12 +8,15 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
 
 	"uvacg/internal/procspawn"
+	"uvacg/internal/services/nodeinfo"
 	"uvacg/internal/services/scheduler"
+	"uvacg/internal/soap"
 	"uvacg/internal/vfs"
 	"uvacg/internal/wssec"
 )
@@ -180,6 +183,34 @@ func BenchmarkE8_UtilizationThreshold(b *testing.B) {
 			b.ReportMetric(meanErr, "mean-staleness")
 		})
 	}
+}
+
+// BenchmarkE8_IdleRenewal counts the Reports an idle machine sends the
+// NIS: with nothing to cross any threshold, only its renewals, which
+// should be one per nodeinfo.RenewEvery. Each iteration watches three
+// renewal periods of a grid whose one machine runs nothing.
+func BenchmarkE8_IdleRenewal(b *testing.B) {
+	grid, err := NewGrid(GridConfig{Nodes: []NodeSpec{{Name: "idle", Cores: 2, SpeedMHz: 2000}}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(grid.Close)
+	var reports atomic.Int64
+	grid.Client.Use(func(ctx context.Context, call *soap.CallInfo, next soap.Handler) (*soap.Envelope, error) {
+		if call.Action == nodeinfo.ActionReport {
+			reports.Add(1)
+		}
+		return next(ctx, call)
+	})
+	const periods = 3
+	var watched time.Duration
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		start := time.Now()
+		time.Sleep(periods * nodeinfo.RenewEvery)
+		watched += time.Since(start)
+	}
+	b.ReportMetric(float64(reports.Load())/(float64(watched)/float64(nodeinfo.RenewEvery)), "reports/renewal-period")
 }
 
 // BenchmarkF3_JobSetEndToEnd runs the whole Fig. 3 sequence — submit,

@@ -14,6 +14,7 @@ import (
 	"uvacg/internal/resourcedb"
 	"uvacg/internal/services/execution"
 	"uvacg/internal/services/filesystem"
+	"uvacg/internal/services/nodeinfo"
 	"uvacg/internal/services/scheduler"
 	"uvacg/internal/soap"
 	"uvacg/internal/transport"
@@ -322,12 +323,12 @@ func TestGreedyPolicyPicksFastestMostAvailable(t *testing.T) {
 	}
 }
 
-// TestPlacementDoesNotNeedReports: two equal machines that never report
-// again after registration — no monitor runs, and no sample could cross this
-// threshold if one did — and a 16-wide bag dispatched eight at a time over
-// the cached catalog. The master counts its own placements, so the bag lands
-// eight and eight; placed on reports alone, all sixteen herd onto the
-// machine that still looks idle.
+// TestPlacementDoesNotNeedReports: two equal machines that do not report
+// again while the bag is placed — no sample can cross this threshold, and
+// the first renewal is a second away — and a 16-wide bag dispatched eight
+// at a time over the cached catalog. The master counts its own
+// placements, so the bag lands eight and eight; placed on reports alone,
+// all sixteen herd onto the machine that still looks idle.
 func TestPlacementDoesNotNeedReports(t *testing.T) {
 	g, err := NewGrid(GridConfig{
 		Nodes: []NodeSpec{
@@ -661,35 +662,49 @@ func TestJobResourcePropertiesDuringRun(t *testing.T) {
 // Keep wsn referenced for the event-channel API assertions above.
 var _ = wsn.DialectSimple
 
-func TestVanishedNodeFailsJobSet(t *testing.T) {
+// TestVanishedNodeLeavesTheCatalog: a machine that stops — monitor and
+// all — renews its catalog entry no more, and the entry's own timer
+// destroys it within three renewal periods of the machine's last Report.
+// A set submitted after that runs on the machine that is left. While the
+// catalog kept every member for ever, Greedy picked the dead fastest
+// machine and the set failed.
+func TestVanishedNodeLeavesTheCatalog(t *testing.T) {
 	g := testGrid(t, NodeSpec{Name: "flaky"}, NodeSpec{Name: "absent", SpeedMHz: 9000})
 	c := testClient(t, g)
 	ctx := testCtx(t)
-	// The fastest machine drops off the network after registering with
-	// the NIS: its catalog entry is now a dangling EPR.
 	absent := g.Nodes[1]
 	if absent.Name != "absent" {
 		t.Fatalf("second machine is %q", absent.Name)
 	}
 	absent.Stop()
+	stopped := time.Now()
+	for {
+		procs, err := g.NIS.Processors()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(procs) == 1 && procs[0].Host == "flaky" {
+			break
+		}
+		// The last Report left at most one sampling tick before Stop.
+		if waited := time.Since(stopped); waited > 3*nodeinfo.RenewEvery+time.Second {
+			t.Fatalf("catalog %+v %v after the fastest machine stopped", procs, waited)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 
 	c.AddFile("j.app", Script("exit 0"))
-	sub, err := c.Submit(ctx, NewJobSet("dangling").Add("j", Local("j.app")).Spec())
+	sub, err := c.Submit(ctx, NewJobSet("survivor").Add("j", Local("j.app")).Spec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The greedy policy picks the (dead) fastest machine, the Run call
-	// fails, and the scheduler fails the set rather than hanging.
-	status, err := sub.Wait(ctx)
-	if err != nil {
-		t.Fatal(err)
+	if status, err := sub.Wait(ctx); err != nil || status != scheduler.SetCompleted {
+		_, detail := sub.Status()
+		t.Fatalf("status %q (%s), %v", status, detail, err)
 	}
-	if status != scheduler.SetFailed {
-		t.Fatalf("status = %s", status)
-	}
-	_, detail := sub.Status()
-	if !strings.Contains(detail, "dispatch") {
-		t.Errorf("detail = %q", detail)
+	states := placedJobStates(t, ctx, wsrf.NewResourceClient(g.Client, sub.JobSet))
+	if node := states[0].Attr(xmlutil.Q("", "node")); node != "flaky" {
+		t.Fatalf("j ran on %q", node)
 	}
 }
 

@@ -90,7 +90,8 @@ type Grid struct {
 // masterHost names the master machine on the grid's network.
 const masterHost = "master"
 
-// NewGrid builds and starts a grid.
+// NewGrid builds and starts a grid: every machine registers with the NIS
+// and runs its utilization monitor, which renews its entry.
 func NewGrid(cfg GridConfig) (*Grid, error) {
 	if len(cfg.Nodes) == 0 {
 		return nil, fmt.Errorf("core: grid needs at least one node")
@@ -145,6 +146,7 @@ func NewGrid(cfg GridConfig) (*Grid, error) {
 		if err := n.Register(ctx); err != nil {
 			return nil, fmt.Errorf("core: register %s with NIS: %w", n.Name, err)
 		}
+		n.Start()
 	}
 	return g, nil
 }
@@ -171,14 +173,6 @@ func ClientInterceptors(trace *log.Logger, metrics *pipeline.Metrics) []soap.Int
 // re-establish the caller's deadline.
 func ServerInterceptors() []soap.Interceptor {
 	return []soap.Interceptor{pipeline.ServerRequestID(), pipeline.ServerDeadline()}
-}
-
-// StartMonitors launches every machine's background utilization
-// monitor.
-func (g *Grid) StartMonitors() {
-	for _, n := range g.Nodes {
-		n.Start()
-	}
 }
 
 // Close stops the grid's background activity.

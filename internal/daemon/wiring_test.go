@@ -276,6 +276,9 @@ type shippedGrid struct {
 	mhost            *daemon.Host
 	m                *master.Master
 	maddr, masterURL string
+	// stopMaster takes the master's listener down; the test's cleanup
+	// does it too.
+	stopMaster func()
 }
 
 // standShippedGrid stands the grid up. wire, when given, sees each host
@@ -299,7 +302,8 @@ func standShippedGrid(t *testing.T, ctx context.Context, wire func(name string, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(stop)
+	g.stopMaster = sync.OnceFunc(stop)
+	t.Cleanup(g.stopMaster)
 	if _, err := g.m.Start(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -522,6 +526,72 @@ func TestShippedWiringRunsDemoJobSet(t *testing.T) {
 	}
 	if got != uint64(sent+handled) {
 		t.Fatalf("-metrics row %v counts %d calls, want %d client-side + %d server-side", row, got, sent, handled)
+	}
+}
+
+// TestRestartedMasterSchedulesOnNodesAlreadyUp: a gridmaster restarted
+// with no -data-dir, on the port its nodes report to, starts with an empty
+// catalog. The nodes, idle and up all along, renew their entries within a
+// renewal period, and the demo set submitted at once waits for them and
+// runs to completion. While a node reported only at start and on a
+// threshold crossing, the restarted master never heard of the idle nodes
+// and failed the set with "no processors available".
+func TestRestartedMasterSchedulesOnNodesAlreadyUp(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	g := standShippedGrid(t, ctx, nil)
+	g.stopMaster()
+
+	mhost := openHost(t)
+	m, err := master.Assemble(mhost.MasterConfig(g.masterURL))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := transport.NewServer(m.Mux)
+	srv.Use(mhost.Interceptors()...)
+	_, stop, err := mhost.ListenHTTP(srv, g.maddr, g.masterURL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(stop)
+	if _, err := m.Start(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if procs, err := m.NIS.Processors(); err != nil || len(procs) != 0 {
+		t.Fatalf("the restarted master's catalog before any renewal: %+v, %v", procs, err)
+	}
+
+	desc, files := demoJobSet(t)
+	chost := openHost(t)
+	client, err := core.NewClient(core.ClientConfig{
+		Transport: chost.Client,
+		Master:    g.masterURL,
+		TCPFiles:  true,
+		Expose: func(srv *transport.Server) (string, func(), error) {
+			srv.Use(chost.Interceptors()...)
+			return chost.ListenHTTP(srv, "127.0.0.1:0")
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	for name, content := range files {
+		client.AddFile(name, content)
+	}
+	sub, err := client.Submit(ctx, desc.Spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if status, err := sub.Wait(ctx); err != nil || status != scheduler.SetCompleted {
+		_, detail := sub.Status()
+		t.Fatalf("job set ended %q (%s), err %v", status, detail, err)
+	}
+	if got, err := sub.FetchOutput(ctx, "sum", "total.txt"); err != nil || string(got) != "100" {
+		t.Fatalf("sum/total.txt = %q, %v", got, err)
+	}
+	if procs, err := m.NIS.Processors(); err != nil || len(procs) != 2 {
+		t.Fatalf("the restarted master's catalog: %+v, %v", procs, err)
 	}
 }
 

@@ -28,9 +28,11 @@ type Config struct {
 	// Address is the base address the host's services advertise in
 	// their EPRs ("inproc://master", "http://host:8700").
 	Address string
-	// Store holds the host's tables: subscriptions, nodeinfo and jobsets.
-	// A table it does not name, such as the replicas journal of an earlier
-	// release, is replayed and left alone.
+	// Store holds the host's tables: subscriptions and jobsets. A table
+	// it does not name, such as the replicas journal of an earlier release
+	// or the nodeinfo journal of one that kept the catalog on disk, is
+	// replayed and left alone. The NIS keeps its catalog in memory, since
+	// the machines' renewals rebuild it.
 	Store *resourcedb.Store
 	// Client performs the host's outbound calls.
 	Client *transport.Client
@@ -69,7 +71,7 @@ func Assemble(cfg Config) (*Master, error) {
 	subSvc := m.Broker.Producer().SubscriptionService()
 	m.Mux.Handle(subSvc.Path(), subSvc.Dispatcher())
 
-	m.NIS, err = nodeinfo.New(nodeinfo.Config{Address: cfg.Address, Home: wsrf.NewStateHome(table("nodeinfo"))})
+	m.NIS, err = nodeinfo.New(nodeinfo.Config{Address: cfg.Address})
 	if err != nil {
 		return nil, err
 	}

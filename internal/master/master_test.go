@@ -16,6 +16,7 @@ import (
 	"uvacg/internal/services/scheduler"
 	"uvacg/internal/soap"
 	"uvacg/internal/transport"
+	"uvacg/internal/wal"
 	"uvacg/internal/wsa"
 	"uvacg/internal/wsn"
 	"uvacg/internal/wsrf"
@@ -36,7 +37,8 @@ func assemble(t *testing.T, network *transport.Network, client *transport.Client
 }
 
 // submitStillRunning submits a one-job set that stays Running: no machine
-// is registered, so every dispatch fails and the next waits an hour.
+// is registered, so every dispatch fails once its wait for a renewal ends,
+// and the next waits an hour.
 func submitStillRunning(t *testing.T, ctx context.Context, client *transport.Client, m *master.Master, name string) {
 	t.Helper()
 	spec := &scheduler.JobSetSpec{Name: name, Jobs: []scheduler.JobSpec{{
@@ -344,5 +346,56 @@ func TestDataDirWithQueuedSetsRunsThem(t *testing.T) {
 	want := map[string]int{"jobset-fresh-1/only": 1, "jobset-preempted-1/second": 1}
 	if fmt.Sprint(dispatched) != fmt.Sprint(want) {
 		t.Fatalf("dispatched %v, want %v: the completed job must not run again", dispatched, want)
+	}
+}
+
+// TestCatalogIsNotJournaled: the NIS's members are soft state. A master on
+// a journaled store takes Reports and writes no nodeinfo record; a master
+// reassembled over that store starts with an empty catalog, which the
+// machines' renewals fill.
+func TestCatalogIsNotJournaled(t *testing.T) {
+	network := transport.NewNetwork()
+	client := transport.NewClient().WithNetwork(network)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	dir := t.TempDir()
+	store, err := resourcedb.OpenDurable(dir, resourcedb.DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := assemble(t, network, client, store.Store, scheduler.Config{})
+	n, err := node.New(node.Config{Name: "win-a", Network: network, Client: client, NIS: m.NIS.EPR()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Stop()
+	if err := n.Register(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if procs, err := m.NIS.Processors(); err != nil || len(procs) != 1 {
+		t.Fatalf("catalog after the Report: %+v, %v", procs, err)
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	tables := make(map[string]int)
+	if _, err := wal.Replay(dir, func(rec wal.Record) error {
+		tables[rec.Table]++
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if tables["nodeinfo"] != 0 || tables["subscriptions"] == 0 {
+		t.Fatalf("journaled records by table: %v, want subscriptions and no nodeinfo", tables)
+	}
+
+	reopened, err := resourcedb.OpenDurable(dir, resourcedb.DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	second := assemble(t, network, client, reopened.Store, scheduler.Config{})
+	if procs, err := second.NIS.Processors(); err != nil || len(procs) != 0 {
+		t.Fatalf("a reassembled master's catalog before any renewal: %+v, %v", procs, err)
 	}
 }

@@ -204,14 +204,15 @@ func (n *Node) reportUtilization(float64) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	// Best effort: a report the NIS never got is superseded by the next
-	// threshold crossing, and the Scheduler places on its own count of
-	// what it sent here meanwhile.
+	// threshold crossing or renewal, and the Scheduler places on its own
+	// count of what it sent here meanwhile.
 	_, _ = n.client.Call(ctx, n.cfg.NIS, nodeinfo.ActionReport, nodeinfo.ReportRequest(n.Processor()))
 }
 
 // Register announces the machine to the NIS (initial catalog entry). The
 // reading it sends is the monitor's last report, so the first sample
-// reports only a change from it.
+// reports only a change from it. The entry lapses unless the machine is
+// Started too: the monitor renews it.
 func (n *Node) Register(ctx context.Context) error {
 	if n.cfg.NIS.IsZero() {
 		return fmt.Errorf("node: %s has no NIS configured", n.Name)
@@ -226,7 +227,8 @@ func (n *Node) Register(ctx context.Context) error {
 	return nil
 }
 
-// Start launches the background utilization monitor.
+// Start launches the background utilization monitor, which reports
+// every threshold crossing and renews the machine's catalog entry.
 func (n *Node) Start() { n.Monitor.Start() }
 
 // Stop halts background activity, gives the ES's queued lifecycle events

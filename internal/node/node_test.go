@@ -25,11 +25,7 @@ import (
 // newMasterNIS hosts a bare NIS on the network for nodes to report to.
 func newMasterNIS(t *testing.T, network *transport.Network) *nodeinfo.Service {
 	t.Helper()
-	store := resourcedb.NewStore()
-	nis, err := nodeinfo.New(nodeinfo.Config{
-		Address: "inproc://master",
-		Home:    wsrf.NewStateHome(store.MustTable("nis", resourcedb.BlobCodec{})),
-	})
+	nis, err := nodeinfo.New(nodeinfo.Config{Address: "inproc://master"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,4 +401,63 @@ func TestTickReportsGridLoad(t *testing.T) {
 	catalogued(0.75, 1)
 	release()
 	catalogued(0.25, 0)
+}
+
+// TestOldDirectoryReadsNothingAfterRestart: a directory's path is made
+// from its resource ID. A machine on a journaled store makes a directory
+// and writes out.dat; restarted on the reopened store, with a fresh file
+// system, it makes a new directory with a file of its own. A Read through
+// the first directory's EPR, which the Scheduler keeps for a finished
+// producer, fails. While paths came from a counter that a restart set back
+// to zero, the new directory took the old one's path and the Read returned
+// the new job's file.
+func TestOldDirectoryReadsNothingAfterRestart(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	network := transport.NewNetwork()
+	client := transport.NewClient().WithNetwork(network)
+	start := func() (*Node, *resourcedb.DurableStore) {
+		t.Helper()
+		store, err := resourcedb.OpenDurable(dir, resourcedb.DurableOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := New(Config{Name: "win-a", Network: network, Client: client, Store: store.Store})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n, store
+	}
+	mkdir := func(n *Node, job, content string) wsa.EndpointReference {
+		t.Helper()
+		epr, err := filesystem.CreateDirectoryVia(ctx, client, n.FSS.EPR(), job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := filesystem.WriteFile(ctx, client, epr, "out.dat", []byte(content)); err != nil {
+			t.Fatal(err)
+		}
+		return epr
+	}
+
+	first, store := start()
+	old := mkdir(first, "job", "first job's output")
+	first.Stop()
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	second, store := start()
+	defer store.Close()
+	defer second.Stop()
+	fresh := mkdir(second, "job", "second job's output")
+	if fresh.Equal(old) {
+		t.Fatalf("the restarted machine handed out the old directory's EPR %v again", old)
+	}
+	if got, err := filesystem.FetchFile(ctx, client, old, "out.dat"); err == nil {
+		t.Fatalf("a Read through the old directory's EPR returned %q", got)
+	}
+	if got, err := filesystem.FetchFile(ctx, client, fresh, "out.dat"); err != nil || string(got) != "second job's output" {
+		t.Fatalf("the new directory's out.dat: %q, %v", got, err)
+	}
 }

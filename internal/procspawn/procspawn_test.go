@@ -17,7 +17,7 @@ import (
 func newTestSpawner(t *testing.T) (*Spawner, *vfs.FS, string) {
 	t.Helper()
 	fs := vfs.New()
-	dir, err := fs.MkdirUnique("/grid", "job")
+	dir, err := fs.Mkdir("/grid/job-a")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestAppendAccumulates(t *testing.T) {
 // that shared capacity, on top of what the first job's file now shows.
 func TestAppendLeavesSharedContentUntouched(t *testing.T) {
 	sp, fs, dirA := newTestSpawner(t)
-	dirB, err := fs.MkdirUnique("/grid", "job")
+	dirB, err := fs.Mkdir("/grid/job-b")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -453,6 +453,31 @@ func TestUtilizationMonitorStartStop(t *testing.T) {
 	m.Stop() // idempotent
 }
 
+// TestIdleMonitorRenews: a machine whose utilization never moves still
+// reports once per renewal period, and not more often: its catalog entry
+// lapses otherwise, and a threshold it never crosses must not turn into a
+// report on every tick.
+func TestIdleMonitorRenews(t *testing.T) {
+	sp, _, _ := newTestSpawner(t)
+	var reports atomic.Int64
+	m := NewUtilizationMonitor(sp, MonitorConfig{Threshold: 0.1, Notify: func(float64) { reports.Add(1) }})
+	m.interval, m.renewEvery = time.Millisecond, 40*time.Millisecond
+	if !m.Sample() || m.Sample() {
+		t.Fatal("the first sample must report and an unchanged second one must not")
+	}
+	const periods = 10
+	start := time.Now()
+	m.Start()
+	time.Sleep(periods * m.renewEvery)
+	m.Stop()
+	// Each renewal waits a full period from the last report, and a
+	// ticker on a loaded machine may be late, never early.
+	elapsed := time.Since(start)
+	if got, most := reports.Load()-1, int64(elapsed/m.renewEvery); got < periods/2 || got > most {
+		t.Fatalf("an idle monitor renewed %d times in %v, want %d..%d (one per %v at most)", got, elapsed, periods/2, most, m.renewEvery)
+	}
+}
+
 func TestScriptSortTransform(t *testing.T) {
 	sp, fs, dir := newTestSpawner(t)
 	stage(t, fs, dir, "in", []byte("c\na\nb\n"))
@@ -529,7 +554,7 @@ func scanRunning(sp *Spawner) int {
 // ticker does) it never leaves [0, spawned].
 func TestRunningCountMatchesScan(t *testing.T) {
 	fs := vfs.New()
-	dir, err := fs.MkdirUnique("/grid", "job")
+	dir, err := fs.Mkdir("/grid/job-a")
 	if err != nil {
 		t.Fatal(err)
 	}

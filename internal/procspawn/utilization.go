@@ -3,20 +3,24 @@ package procspawn
 import (
 	"sync"
 	"time"
+
+	"uvacg/internal/services/nodeinfo"
 )
 
 // UtilizationMonitor is the Processor Utilization Windows service: it
 // samples the machine's processor utilization and calls its notify
 // function "whenever the utilization of the machine's processors
-// changes by more than a configurable amount" (paper §4.4). The Node
-// Info Service is the usual recipient. Its ticker is the only thing that
-// samples: no spawn, reservation or exit waits for a sample or for the
-// report one may send, and one goroutine sampling means at most one
-// report in flight, carrying the latest value.
+// changes by more than a configurable amount" (paper §4.4), and at least
+// every nodeinfo.RenewEvery whether or not it changed: the Node Info
+// Service, the usual recipient, keeps a machine's entry only while it
+// hears from it. Its ticker is the only thing that samples: no spawn,
+// reservation or exit waits for a sample or for the report one may send,
+// and one goroutine sampling means at most one report in flight,
+// carrying the latest value.
 type UtilizationMonitor struct {
-	spawner   *Spawner
-	threshold float64
-	interval  time.Duration // sampleInterval; in-package tests shorten it
+	spawner              *Spawner
+	threshold            float64
+	interval, renewEvery time.Duration // sampleInterval, nodeinfo.RenewEvery; in-package tests shorten them
 	// background models load from outside the grid (the machine's owner
 	// using it); nil means idle.
 	background func() float64
@@ -24,7 +28,7 @@ type UtilizationMonitor struct {
 
 	mu           sync.Mutex
 	lastReported float64
-	reported     bool
+	reportedAt   time.Time // zero until the first report
 	stop         chan struct{}
 	stopped      chan struct{}
 }
@@ -39,7 +43,7 @@ type MonitorConfig struct {
 	Threshold float64
 	// Background, when set, supplies non-grid load (0..1).
 	Background func() float64
-	// Notify receives threshold-crossing utilization values.
+	// Notify receives threshold-crossing utilization values and renewals.
 	Notify func(utilization float64)
 }
 
@@ -49,6 +53,7 @@ func NewUtilizationMonitor(s *Spawner, cfg MonitorConfig) *UtilizationMonitor {
 		spawner:    s,
 		threshold:  cfg.Threshold,
 		interval:   sampleInterval,
+		renewEvery: nodeinfo.RenewEvery,
 		background: cfg.Background,
 		notify:     cfg.Notify,
 	}
@@ -75,16 +80,16 @@ func (m *UtilizationMonitor) Reading() (utilization float64, gridLoad int) {
 }
 
 // Sample takes one sample, notifying if the delta from the last
-// *reported* value meets the threshold. The first sample always
-// notifies (the NIS needs an initial value). It reports whether a
-// notification fired.
+// *reported* value meets the threshold or the last report is renewEvery
+// old. The first sample always notifies (the NIS needs an initial
+// value). It reports whether a notification fired.
 func (m *UtilizationMonitor) Sample() bool {
 	util := m.Utilization()
+	now := time.Now()
 	m.mu.Lock()
-	shouldNotify := !m.reported || abs(util-m.lastReported) >= m.threshold
+	shouldNotify := m.reportedAt.IsZero() || abs(util-m.lastReported) >= m.threshold || now.Sub(m.reportedAt) >= m.renewEvery
 	if shouldNotify {
-		m.lastReported = util
-		m.reported = true
+		m.lastReported, m.reportedAt = util, now
 	}
 	notify := m.notify
 	m.mu.Unlock()
@@ -95,11 +100,11 @@ func (m *UtilizationMonitor) Sample() bool {
 }
 
 // Reported records utilization as the last reported value, sent by
-// someone else: the next sample notifies only if it moved past the
-// threshold from there.
+// someone else just now: the next sample notifies only if it moved past
+// the threshold from there, or once the renewal is due.
 func (m *UtilizationMonitor) Reported(utilization float64) {
 	m.mu.Lock()
-	m.lastReported, m.reported = utilization, true
+	m.lastReported, m.reportedAt = utilization, time.Now()
 	m.mu.Unlock()
 }
 

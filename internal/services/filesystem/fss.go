@@ -15,7 +15,6 @@ import (
 	"context"
 	"fmt"
 	"strconv"
-	"sync"
 
 	"uvacg/internal/soap"
 	"uvacg/internal/transport"
@@ -108,9 +107,6 @@ type Service struct {
 	svc    *wsrf.Service
 	fs     *vfs.FS
 	client *transport.Client
-	// paths maps directory resource ids to their vfs paths so the
-	// destroy hook can remove the directory itself.
-	paths sync.Map
 
 	// host names this machine in stage records, which onStage observes.
 	host    string
@@ -193,15 +189,18 @@ func (s *Service) WSRF() *wsrf.Service { return s.svc }
 // EPR returns the service endpoint.
 func (s *Service) EPR() wsa.EndpointReference { return s.svc.EPR() }
 
+// directoryPath is where the directory resource id keeps its files. The
+// path is made from the resource's ID, so no directory can take the path
+// of another, not even one made before the machine restarted.
+func directoryPath(id string) string { return gridRoot + "/" + id }
+
 // removeDirectory is the destroy hook: destroying a directory
 // WS-Resource removes the directory itself. Its files' bytes go with the
 // last directory entry that links them; a staging still in flight into
 // it fails its Link.
 func (s *Service) removeDirectory(id string) {
-	if v, ok := s.paths.LoadAndDelete(id); ok {
-		// The only error is "no such directory": already gone is gone.
-		_ = s.fs.RemoveDir(v.(string))
-	}
+	// The only error is "no such directory": already gone is gone.
+	_ = s.fs.RemoveDir(directoryPath(id))
 }
 
 // CreateDirectory provisions a working directory locally (server-side
@@ -210,18 +209,18 @@ func (s *Service) CreateDirectory(prefix string) (wsa.EndpointReference, string,
 	if prefix == "" {
 		prefix = "dir"
 	}
-	path, err := s.fs.MkdirUnique(gridRoot, prefix)
+	id := prefix + "-" + wsa.NewMessageID()[len("urn:uuid:"):]
+	path, err := s.fs.Mkdir(directoryPath(id))
 	if err != nil {
 		return wsa.EndpointReference{}, "", err
 	}
 	doc := xmlutil.NewContainer(xmlutil.Q(NS, "DirectoryState"),
 		xmlutil.NewElement(QPath, path),
 	)
-	epr, err := s.svc.CreateResource("", doc)
+	epr, err := s.svc.CreateResource(id, doc)
 	if err != nil {
 		return wsa.EndpointReference{}, "", err
 	}
-	s.paths.Store(epr.Property(wsrf.QResourceID), path)
 	return epr, path, nil
 }
 

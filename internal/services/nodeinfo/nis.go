@@ -3,7 +3,9 @@
 // available for scheduling". Each machine's Processor Utilization
 // service asynchronously reports threshold-crossing utilization changes;
 // the NIS catalogs hardware characteristics and current load "and
-// delivers it to the Scheduler service upon request".
+// delivers it to the Scheduler service upon request". Membership is a
+// lease: each Report writes its machine's row, in memory only, to
+// terminate leaseTerm later, and renewals refill a restarted master's.
 package nodeinfo
 
 import (
@@ -13,6 +15,7 @@ import (
 	"strconv"
 	"time"
 
+	"uvacg/internal/resourcedb"
 	"uvacg/internal/soap"
 	"uvacg/internal/transport"
 	"uvacg/internal/wsa"
@@ -38,6 +41,14 @@ const ServicePath = "/NodeInfoService"
 // GroupResourceID is the well-known id of the processors service-group
 // resource.
 const GroupResourceID = "processors"
+
+// RenewEvery is the longest a member's monitor goes between Reports.
+// leaseTerm is how long an entry outlives its last Report: three renewal
+// periods, so that a lost Report or two do not drop a live machine.
+const (
+	RenewEvery = time.Second
+	leaseTerm  = 3 * RenewEvery
+)
 
 // Message QNames.
 var (
@@ -78,37 +89,32 @@ type Processor struct {
 
 // Service is the NIS.
 type Service struct {
-	svc *wsrf.Service
+	svc   *wsrf.Service
+	lease time.Duration // leaseTerm; in-package tests shorten it
 }
 
 // Config assembles a NIS.
 type Config struct {
 	// Address is the master host's base address.
 	Address string
-	// Home backs the service-group resource.
-	Home wsrf.ResourceHome
 }
 
-// New builds the NIS and provisions its processors group resource.
+// New builds the NIS over an in-memory table of members.
 func New(cfg Config) (*Service, error) {
-	if cfg.Home == nil {
-		return nil, fmt.Errorf("nis: config requires Home")
-	}
-	svc, err := wsrf.NewService(wsrf.ServiceConfig{Path: ServicePath, Address: cfg.Address, Home: cfg.Home})
+	return newService(cfg.Address, resourcedb.NewTable("nodeinfo", resourcedb.BlobCodec{}))
+}
+
+func newService(address string, rows *resourcedb.Table) (*Service, error) {
+	svc, err := wsrf.NewService(wsrf.ServiceConfig{Path: ServicePath, Address: address, Home: wsrf.NewGroupHome(GroupResourceID, rows)})
 	if err != nil {
 		return nil, err
 	}
-	s := &Service{svc: svc}
+	s := &Service{svc: svc, lease: leaseTerm}
 	// Report is the group's one writer: it validates a processor before
 	// its entry goes in, and GetProcessors reads every entry back.
 	svc.Enable(wsrf.ResourcePropertiesPortType{})
 	svc.RegisterServiceMethod(ActionReport, s.handleReport)
 	svc.RegisterServiceMethod(ActionGetProcessors, s.handleGetProcessors)
-	if !svc.Home().Exists(GroupResourceID) {
-		if _, err := svc.CreateResource(GroupResourceID, wsrf.NewServiceGroupDocument()); err != nil {
-			return nil, err
-		}
-	}
 	return s, nil
 }
 
@@ -170,7 +176,7 @@ func parseProcessor(el *xmlutil.Element) (Processor, error) {
 
 func processorFromEntry(e wsrf.Entry) (Processor, error) {
 	if e.Content == nil || e.Content.Name != qProcessor {
-		return Processor{}, fmt.Errorf("nis: entry %q has no processor content", e.Key)
+		return Processor{}, fmt.Errorf("nis: entry %s has no processor content", e.Member.Address)
 	}
 	p, err := parseProcessor(e.Content)
 	p.ES = e.Member
@@ -185,8 +191,8 @@ func ReportRequest(p Processor) *xmlutil.Element {
 	return body
 }
 
-// handleReport ingests a utilization report, upserting the machine's
-// group entry.
+// handleReport ingests a utilization report: the machine's entry is
+// written whole and renewed for the lease term.
 func (s *Service) handleReport(ctx context.Context, inv *wsrf.Invocation, body *xmlutil.Element) (*xmlutil.Element, error) {
 	if body == nil || body.Name != qReport {
 		return nil, soap.SenderFault("nis: body is not a ProcessorReport")
@@ -203,12 +209,8 @@ func (s *Service) handleReport(ctx context.Context, inv *wsrf.Invocation, body *
 	if err != nil {
 		return nil, soap.SenderFault("%v", err)
 	}
-	p.ES = member
-	content := processorContent(p, time.Now())
-	if err := s.svc.UpdateResource(GroupResourceID, func(doc *xmlutil.Element) error {
-		wsrf.AddEntry(doc, member, content)
-		return nil
-	}); err != nil {
+	now := time.Now()
+	if err := s.svc.Renew(member.String(), wsrf.NewEntry(member, processorContent(p, now)), now.Add(s.lease)); err != nil {
 		return nil, err
 	}
 	return nil, nil
@@ -249,7 +251,8 @@ func parseProcessorElements(body *xmlutil.Element) ([]Processor, error) {
 	return out, nil
 }
 
-// Processors reads the catalog server-side, sorted by host.
+// Processors reads the catalog server-side, sorted by host: every entry
+// whose lease has not run out.
 func (s *Service) Processors() ([]Processor, error) {
 	doc, err := s.svc.LoadResource(GroupResourceID)
 	if err != nil {

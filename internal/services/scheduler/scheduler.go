@@ -110,11 +110,15 @@ const (
 // Dispatch-path constants: how many jobs may be mid-dispatch (node
 // selection plus the Run round trip) at once across all job sets, how
 // long a GetProcessors reply is trusted before a dispatch polls again,
-// and how long an acked attempt may go without a terminal event before
-// its ES is asked whether the job still runs (watchdogFired).
+// how long and how often a dispatch polls an empty catalog (a renewal
+// period and half one more, for the renewal due at its end to arrive),
+// and how long an acked attempt may go without a terminal event before its
+// ES is asked whether the job still runs (watchdogFired).
 const (
 	maxInflightDispatch = 8
 	catalogTTL          = 2 * time.Second
+	catalogWait         = nodeinfo.RenewEvery * 3 / 2
+	catalogRetry        = 50 * time.Millisecond
 	watchdogWindow      = 1500 * time.Millisecond
 )
 
@@ -757,7 +761,9 @@ func (s *Service) runJob(ctx context.Context, r *run, res reservation) (event, e
 
 // processors returns the catalog a dispatch decision should see: the last
 // GetProcessors reply while it is younger than catalogTTL, otherwise a
-// fresh poll.
+// fresh poll. An empty catalog is polled again for up to catalogWait: a
+// master that has just started, a recovering one included, has heard no
+// machine's renewal yet.
 func (s *Service) processors(ctx context.Context) ([]nodeinfo.Processor, error) {
 	s.cat.mu.RLock()
 	procs, updated := s.cat.procs, s.cat.updated
@@ -765,7 +771,12 @@ func (s *Service) processors(ctx context.Context) ([]nodeinfo.Processor, error) 
 	if len(procs) > 0 && time.Since(updated) < catalogTTL {
 		return procs, nil
 	}
-	return s.pollCatalog(ctx)
+	for deadline := time.Now().Add(catalogWait); ; time.Sleep(catalogRetry) {
+		procs, err := s.pollCatalog(ctx)
+		if err != nil || len(procs) > 0 || time.Now().After(deadline) {
+			return procs, err
+		}
+	}
 }
 
 // pollCatalog asks the NIS, whatever the cache holds, and keeps the reply.

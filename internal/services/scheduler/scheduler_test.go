@@ -55,10 +55,7 @@ func newSSHarnessCfg(t *testing.T, policy Policy, accounts wssec.StaticAccounts,
 	if err != nil {
 		t.Fatal(err)
 	}
-	nis, err := nodeinfo.New(nodeinfo.Config{
-		Address: "inproc://master",
-		Home:    wsrf.NewStateHome(store.MustTable("nis", resourcedb.BlobCodec{})),
-	})
+	nis, err := nodeinfo.New(nodeinfo.Config{Address: "inproc://master"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,6 +106,7 @@ func newSSHarnessCfg(t *testing.T, policy Policy, accounts wssec.StaticAccounts,
 		if err := n.Register(context.Background()); err != nil {
 			t.Fatal(err)
 		}
+		n.Start()
 		t.Cleanup(n.Stop)
 	}
 

@@ -209,13 +209,11 @@ func (c *Cluster) startMaster(ctx context.Context) (unresumed, err error) {
 	return unresumed, nil
 }
 
-// startNode opens (or reopens) one machine's durable store and joins it
-// to the network. Registration with the NIS is retried a few times —
-// under chaos the report can be dropped — and a final failure is
-// tolerated when the catalog already lists the machine from a previous
-// incarnation. err means there is no machine: its store would not open
-// or its services not assemble. unregistered is why one that is up is
-// unknown to the NIS.
+// startNode opens (or reopens) one machine's durable store, joins it to
+// the network and starts its monitor, whose renewals keep it in the NIS
+// catalog. err means there is no machine: its store would not open or its
+// services not assemble. unregistered is why one that is up is not listed
+// yet — under chaos the Report can be dropped: its next renewal lists it.
 func (c *Cluster) startNode(ctx context.Context, name string) (unregistered, err error) {
 	store, err := resourcedb.OpenDurable(filepath.Join(c.cfg.DataDir, name), resourcedb.DurableOptions{})
 	if err != nil {
@@ -238,35 +236,15 @@ func (c *Cluster) startNode(ctx context.Context, name string) (unregistered, err
 		store.Close()
 		return nil, err
 	}
-	var regErr error
-	for attempt := 0; attempt < 5; attempt++ {
-		if regErr = n.Register(ctx); regErr == nil {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	regErr := n.Register(ctx)
+	n.Start()
 	c.mu.Lock()
 	c.nodes[name] = &nodeHost{store: store, node: n}
 	c.mu.Unlock()
-	if regErr != nil && !c.nisKnows(ctx, name) {
+	if regErr != nil {
 		return fmt.Errorf("simgrid: register %s: %w", name, regErr), nil
 	}
 	return nil, nil
-}
-
-// nisKnows reports whether the NIS catalog (read locally on its host)
-// already lists host from an earlier incarnation.
-func (c *Cluster) nisKnows(ctx context.Context, host string) bool {
-	procs, err := c.Master().m.NIS.Processors()
-	if err != nil {
-		return false
-	}
-	for _, p := range procs {
-		if p.Host == host {
-			return true
-		}
-	}
-	return false
 }
 
 // Master returns the current master incarnation.
@@ -334,8 +312,8 @@ func (c *Cluster) CrashNode(name string) error {
 }
 
 // RestartNode brings a crashed machine back over its data directory. err
-// means it did not come back; unregistered, that it is up and the NIS does
-// not know.
+// means it did not come back; unregistered, that it is up and not listed
+// until its next renewal.
 func (c *Cluster) RestartNode(ctx context.Context, name string) (unregistered, err error) {
 	return c.startNode(ctx, name)
 }

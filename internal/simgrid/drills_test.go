@@ -12,11 +12,14 @@ package simgrid
 import (
 	"context"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"uvacg/internal/procspawn"
+	"uvacg/internal/services/nodeinfo"
 	"uvacg/internal/services/scheduler"
 )
 
@@ -219,6 +222,57 @@ func TestMasterCrashOverABusyMachine(t *testing.T) {
 		}
 	}
 	if viol := CheckInvariants(c, &Scenario{Sets: []*scheduler.JobSetSpec{long, quick}}); len(viol) > 0 {
+		t.Fatalf("invariant violations: %v", viol)
+	}
+}
+
+// TestMasterRestartOnAnEmptyCatalog: the master restarts on a fresh data
+// dir while both machines are idle, so it knows no machine and no machine
+// has a threshold to cross. Their renewals fill the catalog, and a set
+// submitted the moment the master is back completes within one renewal
+// period plus its run time: its dispatch waits for a non-empty catalog
+// instead of failing with "no processors available".
+func TestMasterRestartOnAnEmptyCatalog(t *testing.T) {
+	c, err := NewCluster(ClusterConfig{Seed: 61, Nodes: 2, DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.Observer.Files.Publish("quick.app", procspawn.BuildScript("write out.txt ok", "exit 0"))
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+
+	c.CrashMaster()
+	if err := os.RemoveAll(filepath.Join(c.cfg.DataDir, MasterHost)); err != nil {
+		t.Fatal(err)
+	}
+	restartMaster(t, ctx, c)
+	if procs, err := c.Master().m.NIS.Processors(); err != nil || len(procs) != 0 {
+		t.Fatalf("the master on a fresh data dir lists %+v, %v", procs, err)
+	}
+	start := time.Now()
+	spec := &scheduler.JobSetSpec{Name: "after", Jobs: []scheduler.JobSpec{{Name: "q", Executable: "local://quick.app", Outputs: []string{"out.txt"}}}}
+	ack, err := c.Submit(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for !c.Observer.TerminalSets()[ack.Topic] {
+		if time.Since(start) > 10*time.Second {
+			t.Fatalf("no terminal event in 10 s\n%s", explain(c, ack.Topic))
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	took := time.Since(start)
+	if v, _ := docFor(c, ack.Topic); v.Status != scheduler.SetCompleted {
+		t.Fatalf("set %q, want %q\n%s", v.Status, scheduler.SetCompleted, explain(c, ack.Topic))
+	}
+	// A renewal is due at most one period after the last Report, plus the
+	// sampling tick it rides; the job itself takes milliseconds.
+	if limit := nodeinfo.RenewEvery + 500*time.Millisecond; took > limit {
+		t.Fatalf("the set took %v after the restart, over one renewal period and its run time (%v)", took, limit)
+	}
+	t.Logf("the set completed %v after the restarted master took it", took)
+	if viol := CheckInvariants(c, &Scenario{Sets: []*scheduler.JobSetSpec{spec}}); len(viol) > 0 {
 		t.Fatalf("invariant violations: %v", viol)
 	}
 }

@@ -47,7 +47,6 @@ type FileInfo struct {
 type FS struct {
 	mu   sync.RWMutex
 	dirs map[string]map[string]*Content
-	seq  int
 }
 
 // New creates a file system containing only the root directory "/".
@@ -97,30 +96,6 @@ func (fs *FS) mkdirLocked(clean string) {
 		cur = cur + "/" + s
 		if _, ok := fs.dirs[cur]; !ok {
 			fs.dirs[cur] = make(map[string]*Content)
-		}
-	}
-}
-
-// MkdirUnique creates a fresh directory under parent with the given
-// prefix and returns its path — how the FSS provisions a working
-// directory per job.
-func (fs *FS) MkdirUnique(parent, prefix string) (string, error) {
-	clean, err := CleanPath(parent)
-	if err != nil {
-		return "", err
-	}
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	fs.mkdirLocked(clean)
-	for {
-		fs.seq++
-		candidate := fmt.Sprintf("%s/%s-%06d", strings.TrimSuffix(clean, "/"), prefix, fs.seq)
-		if candidate[0] != '/' {
-			candidate = "/" + candidate
-		}
-		if _, exists := fs.dirs[candidate]; !exists {
-			fs.dirs[candidate] = make(map[string]*Content)
-			return candidate, nil
 		}
 	}
 }

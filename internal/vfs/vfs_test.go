@@ -53,24 +53,6 @@ func TestMkdirCreatesParents(t *testing.T) {
 	}
 }
 
-func TestMkdirUnique(t *testing.T) {
-	fs := New()
-	seen := make(map[string]bool)
-	for i := 0; i < 20; i++ {
-		d, err := fs.MkdirUnique("/grid", "job")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if seen[d] {
-			t.Fatalf("duplicate unique dir %q", d)
-		}
-		seen[d] = true
-		if !dirExists(fs, d) {
-			t.Fatalf("unique dir %q not created", d)
-		}
-	}
-}
-
 func TestWriteReadList(t *testing.T) {
 	fs := New()
 	if _, err := fs.Mkdir("/work"); err != nil {
@@ -361,7 +343,7 @@ func TestConcurrentUse(t *testing.T) {
 // new file and on a replaced one; the directory keeps a copy.
 func TestLinkKeepsACopyOfTheName(t *testing.T) {
 	fs := New()
-	dir, err := fs.MkdirUnique("/grid", "job")
+	dir, err := fs.Mkdir("/grid/job")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -76,6 +76,26 @@ func (s *Service) armIn(id string, d time.Duration, retry bool) {
 	ts.timers[id] = t
 }
 
+// Renew writes doc as resource id's whole state, creating the resource if
+// it is new, with its termination time set to tt, and arms its timer: the
+// one write of a soft-state resource, which lives only as long as its
+// writer keeps renewing it. doc carries no termination time of its own.
+func (s *Service) Renew(id string, doc *xmlutil.Element, tt time.Time) error {
+	defer s.locks.acquire(id)()
+	doc.Append(xmlutil.NewElement(QTerminationTime, tt.UTC().Format(time.RFC3339Nano)))
+	var err error
+	if s.home.Exists(id) {
+		err = s.home.Save(id, doc)
+	} else {
+		err = s.home.Create(id, doc)
+	}
+	if err != nil {
+		return err
+	}
+	s.arm(id, tt)
+	return nil
+}
+
 // disarm stops id's timer, if it has one.
 func (s *Service) disarm(id string) {
 	s.terms.mu.Lock()

@@ -3,6 +3,7 @@ package wsrf
 import (
 	"fmt"
 
+	"uvacg/internal/resourcedb"
 	"uvacg/internal/wsa"
 	"uvacg/internal/xmlutil"
 )
@@ -12,68 +13,73 @@ var (
 	qEntry     = xmlutil.Q(NSServiceGroup, "Entry")
 	qMemberEPR = xmlutil.Q(NSServiceGroup, "MemberServiceEPR")
 	qContent   = xmlutil.Q(NSServiceGroup, "Content")
-	qEntryKey  = xmlutil.Q("", "key")
 )
 
 // Entry is one member of a service group: a member EPR plus arbitrary
 // content describing it (for the Node Info Service, the processor's
 // hardware description and current utilization).
 type Entry struct {
-	Key     string
 	Member  wsa.EndpointReference
 	Content *xmlutil.Element
 }
 
-// NewServiceGroupDocument builds the initial state document of a group
-// resource, whose Entry elements are its members. The Node Info Service
-// is a service group "whose members represent the processors available
-// for scheduling" (paper §4.4). No generic WS-ServiceGroup Add reaches a
-// group here: the service that owns one writes it with AddEntry, from
-// messages it validates itself.
+// NewServiceGroupDocument builds an empty group document, whose Entry
+// elements are its members. The Node Info Service is a service group
+// "whose members represent the processors available for scheduling"
+// (paper §4.4).
 func NewServiceGroupDocument() *xmlutil.Element {
 	return xmlutil.NewContainer(xmlutil.Q(NSServiceGroup, "ServiceGroupRP"))
 }
 
-// AddEntry appends a member entry to a group document, returning its
-// key. If an entry for the same member EPR exists, its content is
-// replaced instead (re-registration is idempotent, which lets machines
-// rejoin the grid after restart).
-func AddEntry(groupDoc *xmlutil.Element, member wsa.EndpointReference, content *xmlutil.Element) string {
-	memberKey := member.String()
-	for _, e := range groupDoc.ChildrenNamed(qEntry) {
-		existing, err := entryFromElement(e)
-		if err == nil && existing.Member.String() == memberKey {
-			// Replace content in place.
-			e.Children = e.Children[:0]
-			e.Append(member.ElementNamed(qMemberEPR))
-			if content != nil {
-				e.Append(xmlutil.NewContainer(qContent, content.Clone()))
-			}
-			return existing.Key
-		}
-	}
-	key := fmt.Sprintf("entry-%d", len(groupDoc.ChildrenNamed(qEntry))+1)
-	// Guard against key collisions after removals.
-	for keyInUse(groupDoc, key) {
-		key += "x"
-	}
+// NewEntry builds the document of one member's entry.
+func NewEntry(member wsa.EndpointReference, content *xmlutil.Element) *xmlutil.Element {
 	entry := xmlutil.NewContainer(qEntry, member.ElementNamed(qMemberEPR))
-	entry.SetAttr(qEntryKey, key)
 	if content != nil {
-		entry.Append(xmlutil.NewContainer(qContent, content.Clone()))
+		entry.Append(xmlutil.NewContainer(qContent, content))
 	}
-	groupDoc.Append(entry)
-	return key
+	return entry
 }
 
-func keyInUse(groupDoc *xmlutil.Element, key string) bool {
-	for _, e := range groupDoc.ChildrenNamed(qEntry) {
-		if e.Attr(qEntryKey) == key {
-			return true
+// GroupHome is the home of a service group whose entries are
+// WS-Resources of their own, as WS-ServiceGroup has them: one row per
+// member, keyed by the member's EPR and written whole by Service.Renew,
+// so that each entry carries its own termination time. The group
+// resource has no row. Its document is assembled from the entries on
+// each read, and nothing writes it.
+type GroupHome struct {
+	*StateHome
+	group string
+}
+
+// NewGroupHome keeps the entries of the group resource group in table.
+func NewGroupHome(group string, table *resourcedb.Table) *GroupHome {
+	return &GroupHome{StateHome: NewStateHome(table), group: group}
+}
+
+// Load implements ResourceHome. An entry that expires while the group is
+// assembled is left out.
+func (h *GroupHome) Load(id string) (*xmlutil.Element, error) {
+	if id != h.group {
+		return h.StateHome.Load(id)
+	}
+	doc := NewServiceGroupDocument()
+	for _, entry := range h.table.IDs() {
+		row, ok, err := h.table.Get(entry)
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			doc.Append(row)
 		}
 	}
-	return false
+	return doc, nil
 }
+
+// Exists implements ResourceHome.
+func (h *GroupHome) Exists(id string) bool { return id == h.group || h.StateHome.Exists(id) }
+
+// IDs implements ResourceHome.
+func (h *GroupHome) IDs() []string { return append([]string{h.group}, h.StateHome.IDs()...) }
 
 // Entries decodes every entry in a group document.
 func Entries(groupDoc *xmlutil.Element) ([]Entry, error) {
@@ -97,7 +103,7 @@ func entryFromElement(e *xmlutil.Element) (Entry, error) {
 	if err != nil {
 		return Entry{}, err
 	}
-	entry := Entry{Key: e.Attr(qEntryKey), Member: member}
+	entry := Entry{Member: member}
 	if c := e.Child(qContent); c != nil && len(c.Children) > 0 {
 		entry.Content = c.Children[0]
 	}
