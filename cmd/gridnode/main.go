@@ -3,8 +3,9 @@
 // monitor, on one port that answers soap.tcp and HTTP. Its EPRs name
 // http://, and peers learn from the port's first answer to send frames.
 // On startup it registers with the master's Node Info Service and then
-// streams utilization changes to it, renewing its catalog entry at least
-// once a second, so a restarted master learns of it within a second.
+// streams utilization changes to it, renewing its catalog entry — with the
+// job attempts it runs, the master's one sign they live — at least once a
+// second, so a restarted master learns of it within a second.
 //
 //	gridnode -name win-a -addr :8701 -master http://localhost:8700 \
 //	         [-cores 2] [-speed 2800] [-ram 1024] [-accounts user:pw]

@@ -178,7 +178,7 @@ func New(cfg Config) (*Node, error) {
 // the caller to put behind a listener.
 func (n *Node) Server() *transport.Server { return n.server }
 
-// Processor describes this machine for the NIS.
+// Processor describes this machine, and the attempts its ES runs, for the NIS.
 func (n *Node) Processor() nodeinfo.Processor {
 	util, load := n.Monitor.Reading()
 	return nodeinfo.Processor{
@@ -189,6 +189,7 @@ func (n *Node) Processor() nodeinfo.Processor {
 		RAMMB:       n.cfg.RAMMB,
 		Utilization: util,
 		GridLoad:    load,
+		Attempts:    n.ES.RunningAttempts(),
 	}
 }
 
@@ -196,12 +197,13 @@ func (n *Node) Processor() nodeinfo.Processor {
 // called on the monitor's ticker goroutine and nowhere on a job's path.
 // The monitor says when; what is sent is the machine as it reads now, so
 // Utilization and GridLoad are one sample. Request-response, so the next
-// tick cannot start a second report while this one is in flight.
+// tick cannot start a second report while this one is in flight: it gets
+// one renewal period, or a stalled one could outlast the machine's lease.
 func (n *Node) reportUtilization(float64) {
 	if n.cfg.NIS.IsZero() {
 		return
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	ctx, cancel := context.WithTimeout(context.Background(), nodeinfo.RenewEvery)
 	defer cancel()
 	// Best effort: a report the NIS never got is superseded by the next
 	// threshold crossing or renewal, and the Scheduler places on its own

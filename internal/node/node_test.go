@@ -184,6 +184,52 @@ func TestRegisterSendsOneReport(t *testing.T) {
 	}
 }
 
+// TestStalledReportDoesNotOutliveTheLease: the monitor's one goroutine
+// sends nothing while a Report is out, and a machine's entry lapses three
+// renewal periods after the last Report the NIS took. So a Report is given
+// one period: when the NIS stalls the first for longer than the lease, the
+// next arrives a period and a sampling tick after it, not after the stall.
+func TestStalledReportDoesNotOutliveTheLease(t *testing.T) {
+	network := transport.NewNetwork()
+	arrived := make(chan time.Time, 8) // more Reports than the test waits for; later ones are dropped
+	var reports atomic.Int32
+	nis := soap.NewDispatcher()
+	nis.Register(nodeinfo.ActionReport, func(ctx context.Context, _ *soap.Envelope) (*soap.Envelope, error) {
+		select {
+		case arrived <- time.Now():
+		default:
+		}
+		if reports.Add(1) == 1 {
+			select {
+			case <-ctx.Done():
+			case <-time.After(6 * nodeinfo.RenewEvery): // twice the lease
+			}
+		}
+		return soap.New(xmlutil.NewElement(xmlutil.Q(nodeinfo.NS, "ReportResponse"), "")), nil
+	})
+	mux := soap.NewMux()
+	mux.Handle("/NodeInfoService", nis)
+	network.Register("master", transport.NewServer(mux))
+	n, err := New(Config{Name: "win-a", Network: network, Client: transport.NewClient().WithNetwork(network),
+		Cores: 2, NIS: wsa.NewEPR("inproc://master/NodeInfoService")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.Start() // the first sample always reports
+	defer n.Stop()
+	var at [2]time.Time
+	for i := range at {
+		select {
+		case at[i] = <-arrived:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("Report %d never arrived", i+1)
+		}
+	}
+	if gap, most := at[1].Sub(at[0]), nodeinfo.RenewEvery+250*time.Millisecond; gap > most {
+		t.Fatalf("the Report after a stalled one arrived %v later, over a renewal period and a tick (%v)", gap, most)
+	}
+}
+
 // TestNodeTablesKeepTheirJournaledCodec: a fresh node stores its job and
 // directory resources as blobs — nothing reads the structured codec's
 // property index, which every Put would rebuild — but a -data-dir written
@@ -253,7 +299,8 @@ func TestNodeTablesKeepTheirJournaledCodec(t *testing.T) {
 // — a slow master, a partition that swallows replies — holds up the
 // Processor Utilization service's ticker and nothing else: the machine
 // takes a Run, stages, starts and ends the job, answers a CPUTime read and
-// kills a second job, all well inside the Report's five-second timeout.
+// kills a second job, all in under a second, while each Report hangs for
+// as long as it is given.
 // When utilization was sampled inside Reserve, Spawn and the process's
 // exit, each of those waited out a hung Report, the first of them holding
 // the Execution Service's lock.

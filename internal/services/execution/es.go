@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -114,6 +115,10 @@ type Service struct {
 	// procs maps job resource ids to live process handles — the "WS-
 	// Resource as process" half of the job resource.
 	procs map[string]*procspawn.Process
+	// running maps the id of each job whose process is running to the
+	// scheduler's attempt: added before the spawn, removed at the exit or
+	// the destroy. It is what the machine's renewals list (RunningAttempts).
+	running map[string]string
 	// reservations holds each staging job's processor-slot release.
 	reservations map[string]func()
 	// verifier checks Run's token; FSS callbacks and WSRF property reads
@@ -144,6 +149,7 @@ func New(cfg Config) (*Service, error) {
 		broker:       cfg.Broker,
 		creds:        make(map[string]wssec.Credentials),
 		procs:        make(map[string]*procspawn.Process),
+		running:      make(map[string]string),
 		reservations: make(map[string]func()),
 		verifier:     wssec.NewVerifier(cfg.Accounts),
 	}
@@ -175,8 +181,8 @@ func New(cfg Config) (*Service, error) {
 
 // failOrphans marks Failed every job the store says is Staging or Running.
 // Processes, credentials and slot reservations live in process memory
-// only, so no such job has anything behind it in a new ES: answering
-// Running for it would keep the Scheduler's watchdog waiting for ever.
+// only, so no such job has anything behind it in a new ES: its Status must
+// not say Running to a reader, as the machine's renewals do not list it.
 func failOrphans(home wsrf.ResourceHome) error {
 	for _, id := range home.IDs() {
 		doc, err := home.Load(id)
@@ -200,6 +206,21 @@ func (s *Service) WSRF() *wsrf.Service { return s.svc }
 // EPR returns the service endpoint.
 func (s *Service) EPR() wsa.EndpointReference { return s.svc.EPR() }
 
+// RunningAttempts lists, sorted, the scheduler's attempts whose process
+// this ES runs: what the machine's next renewal tells the master is alive.
+func (s *Service) RunningAttempts() []string {
+	s.mu.Lock()
+	out := make([]string, 0, len(s.running))
+	for _, attempt := range s.running {
+		if attempt != "" {
+			out = append(out, attempt)
+		}
+	}
+	s.mu.Unlock()
+	sort.Strings(out)
+	return out
+}
+
 // DrainEvents waits until every lifecycle event queued for the broker was
 // sent (or refused), or ctx ends: a machine going down says what it has to.
 func (s *Service) DrainEvents(ctx context.Context) error { return s.out.Drain(ctx) }
@@ -212,6 +233,7 @@ func (s *Service) onJobDestroyed(id string) {
 	s.mu.Lock()
 	p := s.procs[id]
 	delete(s.procs, id)
+	delete(s.running, id)
 	delete(s.creds, id)
 	release := s.reservations[id]
 	delete(s.reservations, id)
@@ -374,6 +396,10 @@ func (s *Service) handleUploadComplete(ctx context.Context, inv *wsrf.Invocation
 		return fail("upload completion names no working directory")
 	}
 
+	// Listed before the spawn, so the exit, whenever it comes, unlists it.
+	s.mu.Lock()
+	s.running[jobID] = ref.attempt
+	s.mu.Unlock()
 	proc, err := s.spawner.Spawn(procspawn.SpawnSpec{
 		// The upload token is the executable's name (handleRun).
 		Executable: done.Token,
@@ -388,6 +414,9 @@ func (s *Service) handleUploadComplete(ctx context.Context, inv *wsrf.Invocation
 		},
 	})
 	if err != nil {
+		s.mu.Lock()
+		delete(s.running, jobID)
+		s.mu.Unlock()
 		return fail("spawn: " + err.Error())
 	}
 	s.mu.Lock()
@@ -403,6 +432,9 @@ func (s *Service) handleUploadComplete(ctx context.Context, inv *wsrf.Invocation
 
 // onProcessExit is step 10: record the exit and broadcast it.
 func (s *Service) onProcessExit(ctx context.Context, jobID string, ref *jobRef, p *procspawn.Process) {
+	s.mu.Lock()
+	delete(s.running, jobID)
+	s.mu.Unlock()
 	code, _ := p.ExitCode()
 	status := StatusExited
 	if p.State() == procspawn.StateKilled {

@@ -381,6 +381,50 @@ func TestDestroyReapsProcessRecord(t *testing.T) {
 	})
 }
 
+// TestRunningAttemptsFollowTheProcess: the attempts a machine's renewal
+// lists are those whose process the ES runs — from the spawn, not the Run,
+// to the exit, a kill's included, or the destroy — and an ES restarted over
+// the same store runs none.
+func TestRunningAttemptsFollowTheProcess(t *testing.T) {
+	h := newESHarness(t, nil)
+	listed := func(when string, want ...string) {
+		t.Helper()
+		if got := h.es.RunningAttempts(); strings.Join(got, " ") != strings.Join(want, " ") {
+			t.Fatalf("%s: running attempts %q, want %q", when, got, want)
+		}
+	}
+	h.runJob(t, nil, procspawn.BuildScript("exit 0"))
+	h.waitEvent(t, EventStarted) // its exit may overtake it
+	h.waitEvent(t, EventExited)
+	listed("after an exit")
+
+	clear(h.seen)
+	job, _ := h.runJob(t, nil, procspawn.BuildScript("compute 100000000", "exit 0"))
+	h.waitEvent(t, EventStarted)
+	listed("while it runs", testAttempt)
+	restarted, err := New(Config{Address: "inproc://node-a", Home: h.es.WSRF().Home(), Client: h.client, FSS: h.fss.EPR(), Spawner: h.spawner})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := restarted.RunningAttempts(); len(got) != 0 {
+		t.Fatalf("an ES restarted over the store lists %q", got)
+	}
+	if _, err := h.client.Call(context.Background(), job, ActionKill, KillRequest()); err != nil {
+		t.Fatal(err)
+	}
+	h.waitEvent(t, EventExited)
+	listed("after a kill")
+
+	clear(h.seen)
+	job, _ = h.runJob(t, nil, procspawn.BuildScript("compute 100000000", "exit 0"))
+	h.waitEvent(t, EventStarted)
+	listed("while the next one runs", testAttempt)
+	if err := wsrf.NewResourceClient(h.client, job).Destroy(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	listed("after the destroy")
+}
+
 // TestRestartedESClaimsNoProcess: an ES built over the store another ES
 // left behind holds none of its processes. A job that store says is
 // Running reads Failed from the new ES, and a job that had exited keeps

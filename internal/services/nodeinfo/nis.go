@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
+	"strings"
 	"time"
 
 	"uvacg/internal/resourcedb"
@@ -64,6 +65,7 @@ var (
 	qUtilization      = xmlutil.Q(NS, "Utilization")
 	qGridLoad         = xmlutil.Q(NS, "GridLoad")
 	qUpdatedAt        = xmlutil.Q(NS, "UpdatedAt")
+	qAttempt          = xmlutil.Q(NS, "Attempt")
 )
 
 // Processor describes one machine's processors: the hardware
@@ -85,6 +87,9 @@ type Processor struct {
 	// that predates it) reads as 0, all of its load foreign.
 	GridLoad  int
 	UpdatedAt time.Time
+	// Attempts are the Scheduler's attempts whose process the machine's ES
+	// ran when it reported: each renewal says which attempts are alive.
+	Attempts []string
 }
 
 // Service is the NIS.
@@ -128,8 +133,9 @@ func (s *Service) EPR() wsa.EndpointReference { return s.svc.EPR() }
 func (s *Service) GroupEPR() wsa.EndpointReference { return s.svc.EPRFor(GroupResourceID) }
 
 // processorContent renders a Processor as group-entry content.
+// An idle machine's entry has no Attempt children.
 func processorContent(p Processor, now time.Time) *xmlutil.Element {
-	return xmlutil.NewContainer(qProcessor,
+	el := xmlutil.NewContainer(qProcessor,
 		xmlutil.NewElement(qHost, p.Host),
 		xmlutil.NewElement(qCores, strconv.Itoa(p.Cores)),
 		xmlutil.NewElement(qSpeedMHz, strconv.FormatFloat(p.SpeedMHz, 'f', -1, 64)),
@@ -138,12 +144,17 @@ func processorContent(p Processor, now time.Time) *xmlutil.Element {
 		xmlutil.NewElement(qGridLoad, strconv.Itoa(p.GridLoad)),
 		xmlutil.NewElement(qUpdatedAt, now.UTC().Format(time.RFC3339Nano)),
 	)
+	for _, attempt := range p.Attempts {
+		el.Append(xmlutil.NewElement(qAttempt, attempt))
+	}
+	return el
 }
 
 // parseProcessor is the one decoder of a processor's fields, whether they
 // arrive as a Report, sit in a group entry or come back from GetProcessors:
 // the first field that does not parse is the error. The ES child is the
-// caller's.
+// caller's. Attempts are copies: the Scheduler's catalog keeps them past
+// the message.
 func parseProcessor(el *xmlutil.Element) (Processor, error) {
 	p := Processor{Host: el.ChildText(qHost)}
 	var err error
@@ -171,6 +182,11 @@ func parseProcessor(el *xmlutil.Element) (Processor, error) {
 			return p, fmt.Errorf("nis: bad timestamp: %w", err)
 		}
 	}
+	for _, c := range el.Children {
+		if c.Name == qAttempt {
+			p.Attempts = append(p.Attempts, strings.Clone(c.Text))
+		}
+	}
 	return p, nil
 }
 
@@ -192,7 +208,8 @@ func ReportRequest(p Processor) *xmlutil.Element {
 }
 
 // handleReport ingests a utilization report: the machine's entry is
-// written whole and renewed for the lease term.
+// written whole, the attempts it runs included, and renewed for the lease
+// term.
 func (s *Service) handleReport(ctx context.Context, inv *wsrf.Invocation, body *xmlutil.Element) (*xmlutil.Element, error) {
 	if body == nil || body.Name != qReport {
 		return nil, soap.SenderFault("nis: body is not a ProcessorReport")

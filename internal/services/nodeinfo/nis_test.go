@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"uvacg/internal/resourcedb"
 	"uvacg/internal/soap"
@@ -211,6 +212,59 @@ func TestGridLoadRidesWithUtilization(t *testing.T) {
 		bad.Child(qGridLoad).Text = text
 		if _, err := client.Call(ctx, nis.EPR(), ActionReport, bad); err == nil {
 			t.Errorf("a report with GridLoad %q was accepted", text)
+		}
+	}
+}
+
+// TestAttemptsRideWithTheRenewal: a Report lists the attempts the machine
+// runs, each renewal replacing the last one's, and GetProcessors hands them
+// to the Scheduler as copies: its catalog keeps them past the message.
+func TestAttemptsRideWithTheRenewal(t *testing.T) {
+	nis, client := newNISHarness(t)
+	ctx := context.Background()
+	busy := proc("win-a", 0.5)
+	for _, attempts := range [][]string{{"n1.1", "n1.2"}, {"n1.2", "n2.1"}} {
+		busy.Attempts = attempts
+		for _, p := range []Processor{busy, proc("win-b", 0)} {
+			if _, err := client.Call(ctx, nis.EPR(), ActionReport, ReportRequest(p)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	polled, err := GetProcessorsVia(ctx, client, nis.EPR())
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, err := nis.Processors()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, procs := range map[string][]Processor{"GetProcessors": polled, "Processors": local} {
+		if len(procs) != 2 || strings.Join(procs[0].Attempts, " ") != "n1.2 n2.1" || procs[1].Attempts != nil {
+			t.Errorf("%s: %+v", name, procs)
+		}
+	}
+
+	resp, err := nis.handleGetProcessors(ctx, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := xmlutil.MarshalElement(resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := xmlutil.UnmarshalElement(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parsed, err := parseProcessorElements(decoded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo := uintptr(unsafe.Pointer(unsafe.SliceData(data)))
+	for _, a := range parsed[0].Attempts {
+		if at := uintptr(unsafe.Pointer(unsafe.StringData(a))); at >= lo && at < lo+uintptr(len(data)) {
+			t.Errorf("attempt %q points into the message it was parsed from", a)
 		}
 	}
 }

@@ -67,6 +67,7 @@ type jobState struct {
 	dirEPR   wsa.EndpointReference
 	exitCode int
 	retryAt  time.Time
+	ackedAt  time.Time // when the live attempt's Run was answered
 }
 
 // setState is a job set: its status and its jobs in declaration order.
@@ -275,6 +276,7 @@ func (st *setState) jobEvent(ev event, now time.Time, fx *effects) {
 		// The attempt's own started/exited may have overtaken the
 		// response; only an attempt still in flight needs a watchdog.
 		if live {
+			j.ackedAt = now
 			fx.arm = append(fx.arm, watchKey{i, j.attempt})
 		}
 		fx.touch(i)

@@ -7,14 +7,15 @@ package scheduler
 
 import (
 	"context"
-	"errors"
 	"strings"
 	"testing"
 	"time"
 
 	"uvacg/internal/procspawn"
+	"uvacg/internal/services/nodeinfo"
 	"uvacg/internal/soap"
 	"uvacg/internal/wsrf"
+	"uvacg/internal/xmlutil"
 )
 
 // TestWatchdogTimeoutKillsTimedOutJob: when the watchdog fails a job
@@ -26,10 +27,18 @@ import (
 func TestWatchdogTimeoutKillsTimedOutJob(t *testing.T) {
 	h := newSSHarness(t, Greedy{}, nil, "node-a")
 	h.ss.jobTimeout = 300 * time.Millisecond
-	// Every Status read of a job is lost on the way; the Kill is not.
+	// Every Report of the machine loses its attempts on the way; the Kill
+	// goes through.
+	qAttempt := xmlutil.Q(nodeinfo.NS, "Attempt")
 	h.client.Use(func(ctx context.Context, call *soap.CallInfo, next soap.Handler) (*soap.Envelope, error) {
-		if call.Path == "/ExecutionService" && call.Action == wsrf.ActionGetResourceProperty {
-			return nil, errors.New("status read lost")
+		if body := call.Request.Body; call.Action == nodeinfo.ActionReport && body != nil {
+			var kept []*xmlutil.Element
+			for _, c := range body.Children {
+				if c.Name != qAttempt {
+					kept = append(kept, c)
+				}
+			}
+			body.Children = kept
 		}
 		return next(ctx, call)
 	})
@@ -41,8 +50,8 @@ func TestWatchdogTimeoutKillsTimedOutJob(t *testing.T) {
 	}
 	waitStarted(t, h.events)
 
-	// The node stays reachable but cannot be asked, so the watchdog fails
-	// the job. Expect both the set's terminal event and the evidence of the kill
+	// The node stays reachable and renews, but its renewals do not list
+	// the attempt, so the watchdog fails the job. Expect both the set's terminal event and the evidence of the kill
 	// — the reaped process's exit event on the job's own topic.
 	var failed, killed bool
 	deadline := time.After(20 * time.Second)

@@ -98,7 +98,7 @@ func (s *Service) takeOn(ctx context.Context, r *run, via way) (live bool, err e
 	// Fig. 3 step 2, once per set: the NIS itself, so a machine whose
 	// registration returned before the Submit is seen by this set's first
 	// dispatch. Best-effort: a failed poll leaves the cache as it was.
-	_, _ = s.pollCatalog(ctx)
+	_, _ = s.pollCatalog(ctx, 0)
 	if !s.sets.add(r) {
 		return false, nil
 	}

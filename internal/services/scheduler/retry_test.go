@@ -77,33 +77,28 @@ func TestRetryExhaustsBudgetThenFails(t *testing.T) {
 	}
 }
 
-// TestRetryRecoversAfterPartitionHeals: a watchdog timeout on a
-// partitioned node burns one retry attempt; when the partition heals
-// before the backoff lapses, the re-dispatch (with its own fresh
-// watchdog) runs the job to completion and the set completes.
+// TestRetryRecoversAfterPartitionHeals: a watchdog timeout on a node cut
+// off both ways — unreachable, its renewals stopped — burns one retry
+// attempt; when the partition heals before the backoff lapses, the
+// re-dispatch (with its own fresh watchdog) runs the job to completion and
+// the set completes.
 func TestRetryRecoversAfterPartitionHeals(t *testing.T) {
 	h := newSSHarness(t, Greedy{}, nil, "node-a")
 	h.ss.jobTimeout = 250 * time.Millisecond
-	// ~1s of compute: long enough that the partition lands while the
-	// first attempt is still running (its exit is then a stale-attempt
-	// event the scheduler must ignore), short enough that the healed
-	// re-dispatch finishes quickly.
-	h.files.Publish("j.app", procspawn.BuildScript("compute 200000", "exit 0"))
+	// The first attempt computes past the test, so the partition lands
+	// while it runs; the retry stages what is published by then.
+	h.files.Publish("j.app", procspawn.BuildScript("compute 100000000", "exit 0"))
 	spec := &JobSetSpec{Name: "healme", Jobs: []JobSpec{{
 		Name:       "j",
 		Executable: "local://j.app",
 		Retry:      RetryPolicy{Limit: 3, Backoff: 600 * time.Millisecond},
 	}}}
-	srv, ok := h.network.Lookup("node-a")
-	if !ok {
-		t.Fatal("node-a not registered")
-	}
 	setEPR, topic, err := h.submit(t, spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitStarted(t, h.events)
-	h.network.Deregister("node-a")
+	heal := h.silence(t, "node-a")
 
 	// Wait for the journaled attempt counter: proof the watchdog fired
 	// and the retry was booked — all master-local, no network needed.
@@ -124,8 +119,9 @@ func TestRetryRecoversAfterPartitionHeals(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	// Heal inside the backoff window; the re-dispatch must succeed. Its
-	// ~1s of compute outlives the window: the ES says Running each time.
-	h.network.Register("node-a", srv)
+	// ~0.5 s of compute outlives the window: each renewal lists it.
+	h.files.Publish("j.app", procspawn.BuildScript("compute 200000", "exit 0"))
+	heal()
 
 	if got := h.waitTerminal(t, topic); got != "completed" {
 		t.Fatalf("terminal event %q", got)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"log"
 	"maps"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -113,7 +114,7 @@ const (
 // how long and how often a dispatch polls an empty catalog (a renewal
 // period and half one more, for the renewal due at its end to arrive),
 // and how long an acked attempt may go without a terminal event before its
-// ES is asked whether the job still runs (watchdogFired).
+// machine's renewal must list it (watchdogFired).
 const (
 	maxInflightDispatch = 8
 	catalogTTL          = 2 * time.Second
@@ -187,9 +188,9 @@ func (p *placements) free(hosts []string) {
 	}
 }
 
-// catalogCache is the last GetProcessors reply, kept for catalogTTL.
+// catalogCache is the last GetProcessors reply; mu is held across a poll.
 type catalogCache struct {
-	mu      sync.RWMutex
+	mu      sync.Mutex
 	procs   []nodeinfo.Processor
 	updated time.Time
 }
@@ -354,44 +355,44 @@ func (s *Service) arm(r *run, k watchKey) {
 	r.watchdogs[k] = time.AfterFunc(s.jobTimeout, func() { s.watchdogFired(r, k) })
 }
 
-// watchdogFired: an attempt went a window without a terminal event. Its
-// ES is asked for the job's Status (paper §4.2: the Scheduler "can poll
-// the job for its status"), with at most one window to answer. Running is
-// a long job: the watchdog is armed again, under r.mu and only while the
-// attempt is still the job's live one, so no stop is overtaken by the arm.
-// Any other answer fails the attempt, naming what the ES said: staging
-// that waits past a window on a third process, an exit whose event never
-// arrived, a resource the ES does not know, an ES that cannot be reached.
-// The fired timer stays in r.watchdogs until then: the attempt is watched.
+// watchdogFired: an attempt went a window without a terminal event. The
+// one sign it lives is its machine's renewal, which lists the attempts its
+// ES runs, read from the catalog cache: watchdogs poll the NIS at most once
+// per catalogTTL between them. A row that lists the attempt, or was renewed
+// too soon after the ack to list a process still staging, arms it again; a
+// row gone (an empty or unreadable catalog has none) or a renewal without the
+// attempt fails it, naming the machine — either under r.mu, only while the
+// attempt is the job's live one, so no stop is overtaken. Until then the
+// fired timer stays in r.watchdogs: the attempt is watched.
 func (s *Service) watchdogFired(r *run, k watchKey) {
 	r.mu.Lock()
 	j := &r.st.jobs[k.job]
-	current := j.attempt == k.attempt && jobLive(j.state)
-	jobEPR := j.jobEPR
+	host, acked := j.node, j.ackedAt
 	r.mu.Unlock()
-	if !current {
-		return // the stop that ended the attempt is on its way, or done
-	}
 	ctx := context.Background()
 	if r.flow != "" {
 		ctx = pipeline.WithRequestID(ctx, r.flow)
 	}
-	readCtx, cancel := context.WithTimeout(ctx, s.jobTimeout)
-	status, err := wsrf.NewResourceClient(s.client, jobEPR).GetPropertyText(readCtx, execution.QStatus)
-	cancel()
-	if err == nil && status == execution.StatusRunning {
-		r.mu.Lock()
-		if j.attempt == k.attempt && jobLive(j.state) {
-			s.arm(r, k)
-		}
-		r.mu.Unlock()
-		return
+	procs, _ := s.pollCatalog(ctx, catalogTTL)
+	i := slices.IndexFunc(procs, func(p nodeinfo.Processor) bool { return p.Host == host })
+	reason := ""
+	switch {
+	case i < 0:
+		reason = fmt.Sprintf("machine %s left the catalog: its lease lapsed", host)
+	case !slices.Contains(procs[i].Attempts, k.attempt) && procs[i].UpdatedAt.Sub(acked) >= s.jobTimeout:
+		reason = fmt.Sprintf("machine %s renewed %v after the Run was acked without listing the attempt", host, procs[i].UpdatedAt.Sub(acked).Round(time.Millisecond))
 	}
-	reason := fmt.Sprintf("no completion within %v and the ES reports the job %s", s.jobTimeout, status)
-	if err != nil {
-		reason = fmt.Sprintf("no completion within %v and the ES could not be asked: %v", s.jobTimeout, err)
+	r.mu.Lock()
+	current := j.attempt == k.attempt && jobLive(j.state)
+	if current && reason == "" {
+		s.arm(r, k)
 	}
-	s.fire(ctx, r, event{kind: evTimeout, job: j.spec.Name, attempt: k.attempt, reason: reason})
+	r.mu.Unlock()
+	if current && reason != "" {
+		reason = fmt.Sprintf("no completion within %v and %s", s.jobTimeout, reason)
+		log.Printf("scheduler: job set %s: job %q: %s", r.id, j.spec.Name, reason)
+		s.fire(ctx, r, event{kind: evTimeout, job: j.spec.Name, attempt: k.attempt, reason: reason})
+	}
 }
 
 // apply is the shell around the core: one event in, its effects done.
@@ -765,35 +766,31 @@ func (s *Service) runJob(ctx context.Context, r *run, res reservation) (event, e
 // master that has just started, a recovering one included, has heard no
 // machine's renewal yet.
 func (s *Service) processors(ctx context.Context) ([]nodeinfo.Processor, error) {
-	s.cat.mu.RLock()
-	procs, updated := s.cat.procs, s.cat.updated
-	s.cat.mu.RUnlock()
-	if len(procs) > 0 && time.Since(updated) < catalogTTL {
-		return procs, nil
-	}
 	for deadline := time.Now().Add(catalogWait); ; time.Sleep(catalogRetry) {
-		procs, err := s.pollCatalog(ctx)
+		procs, err := s.pollCatalog(ctx, catalogTTL)
 		if err != nil || len(procs) > 0 || time.Now().After(deadline) {
 			return procs, err
 		}
 	}
 }
 
-// pollCatalog asks the NIS, whatever the cache holds, and keeps the reply.
-// When the poll fails the stale copy is served, if there is one —
-// dispatching on old load data beats failing the job outright.
-func (s *Service) pollCatalog(ctx context.Context) ([]nodeinfo.Processor, error) {
-	polled, err := nodeinfo.GetProcessorsVia(ctx, s.client, s.nis)
+// pollCatalog serves a non-empty reply younger than maxAge, and otherwise
+// asks the NIS and keeps the reply: callers that find the cache stale
+// together poll once. When the poll fails the stale copy is served, if
+// there is one.
+func (s *Service) pollCatalog(ctx context.Context, maxAge time.Duration) ([]nodeinfo.Processor, error) {
 	s.cat.mu.Lock()
 	defer s.cat.mu.Unlock()
-	if err != nil {
-		if len(s.cat.procs) > 0 {
-			return s.cat.procs, nil
-		}
+	if len(s.cat.procs) > 0 && time.Since(s.cat.updated) < maxAge {
+		return s.cat.procs, nil
+	}
+	polled, err := nodeinfo.GetProcessorsVia(ctx, s.client, s.nis)
+	if err == nil {
+		s.cat.procs, s.cat.updated = polled, time.Now()
+	} else if len(s.cat.procs) == 0 {
 		return nil, fmt.Errorf("poll NIS: %w", err)
 	}
-	s.cat.procs, s.cat.updated = polled, time.Now()
-	return polled, nil
+	return s.cat.procs, nil
 }
 
 // resolveFiles turns spec sources into FSS file references — the

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -33,6 +34,7 @@ type ssHarness struct {
 	broker  *wsn.Broker
 	files   *filesystem.FileServer
 	events  <-chan wsn.Notification
+	nodes   map[string]*node.Node
 }
 
 // cancelRequest builds the Cancel body.
@@ -88,6 +90,7 @@ func newSSHarnessCfg(t *testing.T, policy Policy, accounts wssec.StaticAccounts,
 	ss.Consumer().Mount(masterMux, ss.ConsumerPath())
 	network.Register("master", transport.NewServer(masterMux))
 
+	nodes := make(map[string]*node.Node, len(nodeNames))
 	for _, name := range nodeNames {
 		n, err := node.New(node.Config{
 			Name:     name,
@@ -108,6 +111,7 @@ func newSSHarnessCfg(t *testing.T, policy Policy, accounts wssec.StaticAccounts,
 		}
 		n.Start()
 		t.Cleanup(n.Stop)
+		nodes[name] = n
 	}
 
 	// The client side: a file server plus a notification listener.
@@ -119,7 +123,24 @@ func newSSHarnessCfg(t *testing.T, policy Policy, accounts wssec.StaticAccounts,
 	consumer.Mount(clientMux, "/listener")
 	network.Register("client", transport.NewServer(clientMux))
 
-	return &ssHarness{network: network, client: client, ss: ss, broker: broker, files: files, events: events}
+	return &ssHarness{network: network, client: client, ss: ss, broker: broker, files: files, events: events, nodes: nodes}
+}
+
+// silence takes a machine off the network and stops its renewals: the
+// master neither reaches it nor hears from it, and its catalog entry
+// lapses. heal puts it back as it was.
+func (h *ssHarness) silence(t *testing.T, name string) (heal func()) {
+	t.Helper()
+	srv, ok := h.network.Lookup(name)
+	if !ok {
+		t.Fatalf("%s is not on the network", name)
+	}
+	h.nodes[name].Monitor.Stop()
+	h.network.Deregister(name)
+	return func() {
+		h.network.Register(name, srv)
+		h.nodes[name].Monitor.Start()
+	}
 }
 
 // refuse makes the harness's client fail every call match picks, while
@@ -185,13 +206,19 @@ func mustParseSubmitResponse(t *testing.T, body *xmlutil.Element) (wsa.EndpointR
 // waitTerminal drains the client's event stream until a job-set event.
 func (h *ssHarness) waitTerminal(t *testing.T, topic string) string {
 	t.Helper()
+	return h.waitVerdict(t, topic).Kind
+}
+
+// waitVerdict drains the client's event stream until a job-set event of
+// the set and returns it.
+func (h *ssHarness) waitVerdict(t *testing.T, topic string) Event {
+	t.Helper()
 	deadline := time.After(30 * time.Second)
 	for {
 		select {
 		case n := <-h.events:
-			segs := strings.Split(n.Topic, "/")
-			if len(segs) == 3 && segs[0] == topic && segs[1] == "jobset" {
-				return segs[2]
+			if ev, ok := ParseEvent(n); ok && ev.Set == topic && ev.Job == "" {
+				return ev
 			}
 		case <-deadline:
 			t.Fatal("no terminal job-set event")
@@ -445,35 +472,178 @@ func TestNewConfigValidation(t *testing.T) {
 	}
 }
 
+// TestJobWatchdogFailsUnreachableMachine: a machine that cannot be reached
+// and has stopped renewing loses its lease; the watchdog then fails its
+// attempt, and the set's verdict names the machine.
 func TestJobWatchdogFailsUnreachableMachine(t *testing.T) {
 	h := newSSHarness(t, Greedy{}, nil, "node-a")
 	h.ss.jobTimeout = 200 * time.Millisecond
 	h.files.Publish("j.app", procspawn.BuildScript("compute 100000000", "exit 0"))
 	spec := &JobSetSpec{Name: "wedge", Jobs: []JobSpec{{Name: "j", Executable: "local://j.app"}}}
-
-	// The machine vanishes right after submission is accepted: the job
-	// will be dispatched (the Run call still succeeds because the node
-	// leaves after) — so instead, drop the node the moment it starts.
 	_, topic, err := h.submit(t, spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Partition the machine: no exit event will ever arrive.
-	deadline := time.After(20 * time.Second)
-	for started := false; !started; {
+	waitStarted(t, h.events)
+	h.silence(t, "node-a")
+
+	ev := h.waitVerdict(t, topic)
+	if ev.Status != SetFailed || !strings.Contains(ev.Detail, "node-a left the catalog") {
+		t.Fatalf("verdict %s (%q), want failed, naming node-a's lapsed lease", ev.Status, ev.Detail)
+	}
+}
+
+// TestLongAttemptsSendNoStatusReads: 64 attempts, each running for more
+// than ten watchdog windows, are watched through their machines' renewals
+// alone. No job's Status is read from its ES, the catalog is polled once
+// per set taken on and at most once per TTL besides, however many
+// watchdogs fire, and every set completes with one dispatch and one start
+// per job.
+func TestLongAttemptsSendNoStatusReads(t *testing.T) {
+	const window, sets, jobs = 25 * time.Millisecond, 4, 16
+	var mu sync.Mutex
+	dispatched := make(map[string]int)
+	h := newSSHarnessCfg(t, RoundRobin{}, nil, func(cfg *Config) {
+		cfg.OnDispatch = func(rec DispatchRecord) {
+			mu.Lock()
+			dispatched[rec.Topic+"/"+rec.Job]++
+			mu.Unlock()
+		}
+	}, "node-a", "node-b", "node-c", "node-d", "node-e", "node-f", "node-g", "node-h")
+	h.ss.jobTimeout = window
+	var statusReads, polls atomic.Int64
+	h.client.Use(func(ctx context.Context, call *soap.CallInfo, next soap.Handler) (*soap.Envelope, error) {
+		switch {
+		case call.Path == "/ExecutionService" && call.Action == wsrf.ActionGetResourceProperty:
+			statusReads.Add(1)
+		case call.Action == nodeinfo.ActionGetProcessors:
+			polls.Add(1)
+		}
+		return next(ctx, call)
+	})
+	// 300000 units: 0.75 s on a core of its own, thirty windows; 64 jobs
+	// on 16 cores take about four times as long, past the catalog's TTL,
+	// so the watchdogs find it stale at least once.
+	h.files.Publish("long.app", procspawn.BuildScript("compute 300000", "exit 0"))
+	began := time.Now()
+	topics := make(map[string]bool, sets)
+	for i := 0; i < sets; i++ {
+		spec := &JobSetSpec{Name: fmt.Sprintf("long-%d", i)}
+		for j := 0; j < jobs; j++ {
+			spec.Jobs = append(spec.Jobs, JobSpec{Name: fmt.Sprintf("j%d", j), Executable: "local://long.app", Retry: RetryPolicy{Limit: 1}})
+		}
+		_, topic, err := h.submit(t, spec, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		topics[topic] = true
+	}
+	started, exited := make(map[string]time.Time), make(map[string]time.Duration)
+	starts := make(map[string]int)
+	verdicts := make(map[string]string)
+	deadline := time.After(60 * time.Second)
+	for len(verdicts) < sets {
 		select {
 		case n := <-h.events:
-			if strings.HasSuffix(n.Topic, "/started") {
-				started = true
+			ev, ok := ParseEvent(n)
+			if !ok || !topics[ev.Set] {
+				continue
+			}
+			job := ev.Set + "/" + ev.Job
+			switch ev.Kind {
+			case execution.EventStarted:
+				starts[job]++
+				started[job] = time.Now()
+			case execution.EventExited:
+				exited[job] = time.Since(started[job])
+			default:
+				if ev.Job == "" {
+					verdicts[ev.Set] = ev.Status
+				}
 			}
 		case <-deadline:
-			t.Fatal("job never started")
+			t.Fatalf("%d of %d sets have a verdict", len(verdicts), sets)
 		}
 	}
-	h.network.Deregister("node-a")
+	took := time.Since(began)
+	for topic, status := range verdicts {
+		if status != SetCompleted {
+			t.Errorf("set %s %s, want %s", topic, status, SetCompleted)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(dispatched) != sets*jobs {
+		t.Errorf("%d jobs dispatched, want %d", len(dispatched), sets*jobs)
+	}
+	for job, n := range dispatched {
+		if n != 1 {
+			t.Errorf("%s dispatched %d times, want once", job, n)
+		}
+	}
+	// The listener's buffer may drop an event; it never invents one.
+	for job, n := range starts {
+		if n != 1 {
+			t.Errorf("%s started %d times, want once", job, n)
+		}
+		if ran, ok := exited[job]; ok && ran < 10*window {
+			t.Errorf("%s ran %v, under ten windows", job, ran)
+		}
+	}
+	if n := statusReads.Load(); n != 0 {
+		t.Errorf("%d Status reads to an ES, want 0", n)
+	}
+	// One poll per set taken on, one per TTL since the first, and the one
+	// that finds the cache stale at the end.
+	if n, most := polls.Load(), int64(sets)+int64(took/catalogTTL)+1; n > most {
+		t.Errorf("%d GetProcessors polls in %v, want at most %d", n, took, most)
+	}
+	t.Logf("%d attempts in %v: %d Status reads, %d polls", len(starts), took.Round(time.Millisecond), statusReads.Load(), polls.Load())
+}
 
-	if got := h.waitTerminal(t, topic); got != "failed" {
-		t.Fatalf("terminal event %q", got)
+// TestRestartedMachineFailsItsOldAttempts: a machine restarted on its
+// store renews at once, but its new ES runs none of the old process's
+// attempts, so its renewals do not list them: the watchdog fails the
+// attempt, naming the renewal.
+func TestRestartedMachineFailsItsOldAttempts(t *testing.T) {
+	h := newSSHarness(t, Greedy{}, nil)
+	h.ss.jobTimeout = 100 * time.Millisecond
+	store := resourcedb.NewStore()
+	start := func() (n *node.Node, kill func()) {
+		var dead atomic.Bool // a killed process sends nothing more
+		client := transport.NewClient().WithNetwork(h.network)
+		client.Use(func(ctx context.Context, call *soap.CallInfo, next soap.Handler) (*soap.Envelope, error) {
+			if dead.Load() {
+				return nil, errors.New("the process is gone")
+			}
+			return next(ctx, call)
+		})
+		n, err := node.New(node.Config{Name: "node-a", Network: h.network, Client: client, Cores: 2, SpeedMHz: 2000,
+			UnitTime: 5 * time.Microsecond, Broker: h.broker.EPR(), NIS: h.ss.nis, Store: store})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := n.Register(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		n.Start()
+		t.Cleanup(n.Stop)
+		return n, func() { n.Stop(); dead.Store(true) }
+	}
+	_, kill := start()
+	h.files.Publish("j.app", procspawn.BuildScript("compute 100000000", "exit 0"))
+	spec := &JobSetSpec{Name: "restarted", Jobs: []JobSpec{{Name: "j", Executable: "local://j.app"}}}
+	_, topic, err := h.submit(t, spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitStarted(t, h.events)
+	kill()
+	start()
+
+	ev := h.waitVerdict(t, topic)
+	if ev.Status != SetFailed || !strings.Contains(ev.Detail, "node-a renewed") || !strings.Contains(ev.Detail, "without listing the attempt") {
+		t.Fatalf("verdict %s (%q), want failed, naming node-a's renewal", ev.Status, ev.Detail)
 	}
 }
 
@@ -491,9 +661,10 @@ func TestJobWatchdogDoesNotFireOnHealthyJobs(t *testing.T) {
 }
 
 // TestLongJobOutlivesTheWatchdog: a job that runs for ten watchdog windows
-// on a reachable machine is long, not lost. Each time the watchdog fires
-// the ES says Running, so the job completes with one spawn and no retry
-// spent, though its budget would allow two.
+// on a renewing machine is long, not lost. Each time the watchdog fires
+// the machine's last renewal lists the attempt, or came too soon to, so the
+// job completes with one spawn and no retry spent, though its budget would
+// allow two.
 func TestLongJobOutlivesTheWatchdog(t *testing.T) {
 	const window = 50 * time.Millisecond
 	h := newSSHarness(t, Greedy{}, nil, "node-a")

@@ -58,19 +58,19 @@ type masterHost struct {
 }
 
 // fence models SIGKILL for outbound traffic: once tripped, every message
-// the incarnation's surviving goroutines (watchdogs, retry-backoff timers)
-// still try to send fails — a dead process makes no network calls. A
-// restart builds a fresh incarnation with a fresh fence; the old one
-// stays dead for ever.
+// the incarnation's surviving goroutines (watchdogs, retry-backoff timers,
+// a machine's processes) still try to send fails — a dead process makes no
+// network calls. A restart builds a fresh incarnation with a fresh fence.
 type fence struct{ dead atomic.Bool }
 
-// errMasterDead fails every outbound message of a crashed incarnation.
-var errMasterDead = errors.New("simgrid: master incarnation is dead")
+// errDead fails every outbound message of a crashed incarnation.
+var errDead = errors.New("simgrid: host incarnation is dead")
 
 // nodeHost is one incarnation of an execution machine.
 type nodeHost struct {
 	store *resourcedb.DurableStore
 	node  *node.Node
+	f     *fence // trips on crash: no outbound I/O survives
 }
 
 // Cluster is a whole in-process grid wired over fault-injecting
@@ -167,7 +167,7 @@ func (c *Cluster) clientWith(host string, f *fence) *transport.Client {
 	client.WrapSchemes(func(_ string, rt transport.RoundTripper) transport.RoundTripper {
 		return transport.WrapFaults(rt, func(op transport.FaultOp, addr string) transport.FaultDecision {
 			if f != nil && f.dead.Load() {
-				return transport.FaultDecision{Err: errMasterDead}
+				return transport.FaultDecision{Err: errDead}
 			}
 			return decide(op, addr)
 		})
@@ -219,11 +219,12 @@ func (c *Cluster) startNode(ctx context.Context, name string) (unregistered, err
 	if err != nil {
 		return nil, fmt.Errorf("simgrid: open %s store: %w", name, err)
 	}
+	f := &fence{}
 	n, err := node.New(node.Config{
 		Interceptors: core.ServerInterceptors(),
 		Name:         name,
 		Network:      c.Network,
-		Client:       c.clientWith(name, nil),
+		Client:       c.clientWith(name, f),
 		Cores:        2,
 		SpeedMHz:     2000,
 		UnitTime:     5 * time.Microsecond,
@@ -239,7 +240,7 @@ func (c *Cluster) startNode(ctx context.Context, name string) (unregistered, err
 	regErr := n.Register(ctx)
 	n.Start()
 	c.mu.Lock()
-	c.nodes[name] = &nodeHost{store: store, node: n}
+	c.nodes[name] = &nodeHost{store: store, node: n, f: f}
 	c.mu.Unlock()
 	if regErr != nil {
 		return fmt.Errorf("simgrid: register %s: %w", name, regErr), nil
@@ -268,12 +269,12 @@ func (c *Cluster) liveScheduler() *scheduler.Service {
 }
 
 // busy reports whether a machine — any machine, for a job not placed yet —
-// is staging or running a process.
+// is staging or running a process that can still report, as no crashed one can.
 func (c *Cluster) busy(name string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for n, h := range c.nodes {
-		if (name == "" || n == name) && h.node.Spawner.Load() > 0 {
+		if (name == "" || n == name) && !h.f.dead.Load() && h.node.Spawner.Load() > 0 {
 			return true
 		}
 	}
@@ -298,8 +299,8 @@ func (c *Cluster) RestartMaster(ctx context.Context) (unresumed, err error) {
 	return c.startMaster(ctx)
 }
 
-// CrashNode kills one machine: network drop plus store close. Jobs it
-// was running never report an exit — the scheduler watchdog's problem.
+// CrashNode kills one machine: fence trip, network drop, store close. Jobs
+// it was running never report an exit — the scheduler watchdog's problem.
 func (c *Cluster) CrashNode(name string) error {
 	c.mu.Lock()
 	h, ok := c.nodes[name]
@@ -307,6 +308,7 @@ func (c *Cluster) CrashNode(name string) error {
 	if !ok {
 		return fmt.Errorf("simgrid: unknown node %q", name)
 	}
+	h.f.dead.Store(true)
 	h.node.Stop()
 	return h.store.Close()
 }

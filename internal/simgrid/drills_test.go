@@ -12,15 +12,19 @@ package simgrid
 import (
 	"context"
 	"fmt"
+	"io"
+	"log"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"uvacg/internal/procspawn"
 	"uvacg/internal/services/nodeinfo"
 	"uvacg/internal/services/scheduler"
+	"uvacg/internal/wsrf"
 )
 
 // countObserved tallies observer events on one set topic by kind+job.
@@ -175,7 +179,8 @@ func TestCrashBetweenRetryAttemptsKeepsBudget(t *testing.T) {
 // both sets must still reach Completed.
 func TestMasterCrashOverABusyMachine(t *testing.T) {
 	// The long job computes for about a second on a quiet box, longer on
-	// a saturated one: the watchdog finds it Running and waits on.
+	// a saturated one: the watchdog finds it in the machine's renewals and
+	// waits on.
 	c, err := NewCluster(ClusterConfig{Seed: 72, Nodes: 1, DataDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
@@ -222,6 +227,118 @@ func TestMasterCrashOverABusyMachine(t *testing.T) {
 		}
 	}
 	if viol := CheckInvariants(c, &Scenario{Sets: []*scheduler.JobSetSpec{long, quick}}); len(viol) > 0 {
+		t.Fatalf("invariant violations: %v", viol)
+	}
+}
+
+// lockedBuffer is a log destination the drill reads while the grid
+// writes.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf strings.Builder
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestSilentMachineFailsOverToTheSurvivor: one of two machines crashes
+// while sets with a retry to spare run on both, and never comes back. It
+// stops renewing, its lease lapses, and the watchdog fails every attempt
+// it held, naming it; each set then completes on the survivor.
+func TestSilentMachineFailsOverToTheSurvivor(t *testing.T) {
+	logs := new(lockedBuffer)
+	defer log.SetOutput(log.Writer())
+	log.SetOutput(io.MultiWriter(log.Writer(), logs))
+
+	c, err := NewCluster(ClusterConfig{Seed: 74, Nodes: 2, DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	// A second on a quiet core: the crash lands while both machines run.
+	c.Observer.Files.Publish("work.app", procspawn.BuildScript("compute 400000", "exit 0"))
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	var specs []*scheduler.JobSetSpec
+	var acks []Ack
+	for i := 0; i < 3; i++ {
+		spec := &scheduler.JobSetSpec{Name: fmt.Sprintf("failover-%d", i)}
+		for j := 0; j < 2; j++ {
+			spec.Jobs = append(spec.Jobs, scheduler.JobSpec{Name: fmt.Sprintf("w%d", j), Executable: "local://work.app",
+				Retry: scheduler.RetryPolicy{Limit: 1, Backoff: 100 * time.Millisecond}})
+		}
+		ack, err := c.Submit(ctx, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs, acks = append(specs, spec), append(acks, ack)
+	}
+	// Every job runs before the crash: what fails over is the watchdog's
+	// doing, not a dispatch that met the dead machine.
+	running := func() bool {
+		for i, ack := range acks {
+			for _, j := range specs[i].Jobs {
+				if countObserved(c, ack.Topic, j.Name, "started") == 0 {
+					return false
+				}
+			}
+		}
+		return c.busy("node-1") && c.busy("node-2")
+	}
+	for end := time.Now().Add(15 * time.Second); !running(); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(end) {
+			t.Fatal("the work never ran on both machines")
+		}
+	}
+	if err := c.CrashNode("node-1"); err != nil {
+		t.Fatal(err)
+	}
+
+	topics := make([]string, len(acks))
+	for i, ack := range acks {
+		topics[i] = ack.Topic
+	}
+	if err := c.AwaitQuiescence(40 * time.Second); err != nil {
+		t.Fatalf("cluster never quiesced: %v\n%s", err, explain(c, topics...))
+	}
+	for _, topic := range topics {
+		v, _ := docFor(c, topic)
+		if v.Status != scheduler.SetCompleted {
+			t.Fatalf("set %s %q, want %q\n%s", v.Name, v.Status, scheduler.SetCompleted, explain(c, topics...))
+		}
+		for _, j := range v.Jobs {
+			if j.Node != "node-2" {
+				t.Fatalf("job %s/%s completed on %q, not the survivor\n%s", v.Name, j.Name, j.Node, explain(c, topics...))
+			}
+		}
+	}
+	// The watchdog's verdicts on these sets, as the master logs them.
+	var verdicts []string
+	for _, line := range strings.Split(logs.String(), "\n") {
+		for _, ack := range acks {
+			if strings.Contains(line, "job set "+ack.Set.Property(wsrf.QResourceID)+":") && strings.Contains(line, "no completion within") {
+				verdicts = append(verdicts, line)
+			}
+		}
+	}
+	if len(verdicts) == 0 {
+		t.Fatal("the watchdog failed no attempt of the crashed machine")
+	}
+	for _, line := range verdicts {
+		if !strings.Contains(line, "machine node-1 ") {
+			t.Errorf("a verdict does not name the silent machine: %s", line)
+		}
+	}
+	if viol := CheckInvariants(c, &Scenario{Sets: specs}); len(viol) > 0 {
 		t.Fatalf("invariant violations: %v", viol)
 	}
 }
@@ -279,8 +396,8 @@ func TestMasterRestartOnAnEmptyCatalog(t *testing.T) {
 
 // TestCleanupRunsAfterPartitionHeals: the work job's node partitions,
 // the watchdog fails the job, and the run-on-failure sweeper's gate
-// opens — but every dispatch it tries dies on the cut wire, burning
-// retry attempts. Once the partition heals inside the sweeper's budget
+// opens — but every dispatch it tries finds no machine, burning retry
+// attempts. Once the partition heals inside the sweeper's budget
 // it must still run: the set ends Failed with work Failed and the
 // cleanup Completed, never stuck and never silently skipped.
 func TestCleanupRunsAfterPartitionHeals(t *testing.T) {
@@ -312,9 +429,9 @@ func TestCleanupRunsAfterPartitionHeals(t *testing.T) {
 
 	c.Chaos.Enable(true)
 	c.Chaos.PartitionBoth("node-1", MasterHost)
-	// A window on, the watchdog cannot ask the ES behind the cut and
-	// fails work; the sweeper's early dispatches die on the cut. Heal a
-	// second after, inside its ~3s retry budget.
+	// Once the machine's lease lapses behind the cut, the watchdog fails
+	// work; the sweeper's early dispatches find no machine. Heal a second
+	// after, inside its retry budget.
 	for end := time.Now().Add(15 * time.Second); ; time.Sleep(10 * time.Millisecond) {
 		if v, ok := docFor(c, ack.Topic); ok && v.Job("work") != nil && v.Job("work").Status == scheduler.JobFailed {
 			break

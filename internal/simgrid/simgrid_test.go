@@ -182,9 +182,9 @@ func TestMasterCrashRecoversAckedSet(t *testing.T) {
 }
 
 // TestPartitionedNodeFailsSetNotHangs: a machine cut off from the master
-// cannot report exits, nor answer the watchdog's Status read; the watchdog
-// must fail the set instead of letting it hang (I1 under partition, pinned
-// explicitly).
+// can neither report exits nor renew its lease; once the lease lapses the
+// watchdog must fail the set instead of letting it hang (I1 under
+// partition, pinned explicitly).
 func TestPartitionedNodeFailsSetNotHangs(t *testing.T) {
 	c, err := NewCluster(ClusterConfig{Seed: 42, Nodes: 1, DataDir: t.TempDir()})
 	if err != nil {

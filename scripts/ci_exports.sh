@@ -42,6 +42,7 @@ resourcedb.Table.QueryProperty       experiment  E3, BenchmarkE3_StateCodecs
 wsrf.MustService                     tests       transport.TestColocatedCalleeSeesWhatASocketCarries, the wsn harnesses, wsrf.Example_programmingModel
 wsn.Consumer.Channel                 tests       newESHarness, newSSHarnessCfg, node.TestJobPathNeverWaitsForNIS, daemon.TestShippedMasterRetriesNotificationDelivery
 vfs.FS.Usage                         tests       filesystem.TestDestroyFreesDirectoryBytes
+wsrf.ResourceClient.GetPropertyText  tests       the property reads of the execution, filesystem, scheduler, node, core and wsn tests (about 30 calls)
 EOF
 )
 
