@@ -46,7 +46,7 @@ import (
 // The flag surface: the process flags every grid binary shares, plus the
 // master's own.
 var (
-	shared       = daemon.RegisterFlags(flag.CommandLine)
+	shared       = daemon.RegisterFlags(flag.CommandLine).RegisterJournalFlags(flag.CommandLine)
 	addr         = flag.String("addr", ":8700", "listen address (host:port)")
 	hostName     = flag.String("host", "localhost", "public host name services advertise in EPRs")
 	policyName   = flag.String("policy", "greedy", "scheduling policy: greedy (fastest, most available machine), round-robin or random")

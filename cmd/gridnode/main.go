@@ -30,7 +30,7 @@ import (
 // The flag surface: the process flags every grid binary shares, plus the
 // machine's own.
 var (
-	shared       = daemon.RegisterFlags(flag.CommandLine)
+	shared       = daemon.RegisterFlags(flag.CommandLine).RegisterJournalFlags(flag.CommandLine)
 	name         = flag.String("name", "", "machine name (required)")
 	addr         = flag.String("addr", ":8701", "listen address")
 	hostName     = flag.String("host", "localhost", "public host name for EPRs")

@@ -22,7 +22,7 @@ import (
 // out) unnoticed: every flag is a configuration the tests and the
 // benchmark would have to cover.
 func TestFlagSurface(t *testing.T) {
-	const want = "compact-bytes data-dir fsync jobset listen master metrics out pass timeout trace user"
+	const want = "data-dir jobset listen master metrics out pass timeout trace user"
 	fs := flag.NewFlagSet("gridsub", flag.ContinueOnError)
 	registerFlags(fs)
 	var got []string

@@ -35,14 +35,22 @@ type Flags struct {
 	CompactBytes int64
 }
 
-// RegisterFlags declares the shared flags on fs.
+// RegisterFlags declares the shared flags on fs. The journal fsyncs each
+// group commit and compacts at 8 MiB unless the binary declares the flags
+// that say otherwise (RegisterJournalFlags).
 func RegisterFlags(fs *flag.FlagSet) *Flags {
-	f := &Flags{}
+	f := &Flags{Fsync: true, CompactBytes: 8 << 20}
 	fs.BoolVar(&f.Metrics, "metrics", false, "dump per-action call metrics on exit")
 	fs.BoolVar(&f.Trace, "trace", false, "log one line per call with its request ID")
 	fs.StringVar(&f.DataDir, "data-dir", "", "durable data directory (a WAL, compacted into checkpoint segments): every state change is journaled and survives a crash")
-	fs.BoolVar(&f.Fsync, "fsync", true, "fsync each WAL group commit (with -data-dir); off trades machine-crash safety for throughput")
-	fs.Int64Var(&f.CompactBytes, "compact-bytes", 8<<20, "WAL bytes since the last checkpoint that trigger a background compaction into a new one (with -data-dir); negative disables")
+	return f
+}
+
+// RegisterJournalFlags declares -fsync and -compact-bytes on fs: the
+// daemons, whose journals take every job's writes, tune them.
+func (f *Flags) RegisterJournalFlags(fs *flag.FlagSet) *Flags {
+	fs.BoolVar(&f.Fsync, "fsync", f.Fsync, "fsync each WAL group commit (with -data-dir); off trades machine-crash safety for throughput")
+	fs.Int64Var(&f.CompactBytes, "compact-bytes", f.CompactBytes, "WAL bytes since the last checkpoint that trigger a background compaction into a new one (with -data-dir); negative disables")
 	return f
 }
 

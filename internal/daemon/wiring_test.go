@@ -46,7 +46,8 @@ func freeAddr(t *testing.T) string {
 	return l.Addr().String()
 }
 
-// openHost parses args as a grid binary would and opens its plumbing.
+// openHost parses args as gridmaster and gridnode would and opens their
+// plumbing.
 func openHost(t *testing.T, args ...string) *daemon.Host {
 	t.Helper()
 	host := openHostUnclosed(t, args...)
@@ -59,7 +60,7 @@ func openHost(t *testing.T, args ...string) *daemon.Host {
 func openHostUnclosed(t *testing.T, args ...string) *daemon.Host {
 	t.Helper()
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	flags := daemon.RegisterFlags(fs)
+	flags := daemon.RegisterFlags(fs).RegisterJournalFlags(fs) // as the daemons declare them
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
 	}

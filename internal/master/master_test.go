@@ -12,6 +12,7 @@ import (
 	"uvacg/internal/node"
 	"uvacg/internal/procspawn"
 	"uvacg/internal/resourcedb"
+	"uvacg/internal/services/execution"
 	"uvacg/internal/services/filesystem"
 	"uvacg/internal/services/scheduler"
 	"uvacg/internal/soap"
@@ -293,13 +294,19 @@ func TestDataDirWithQueuedSetsRunsThem(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer reopened.Close()
+	// Runs sent, by "topic/job": Run is not idempotent, so the client
+	// sends one per dispatch.
 	var mu sync.Mutex
-	dispatched := make(map[string]int) // by "topic/job"
-	m := assemble(t, network, client, reopened.Store, scheduler.Config{OnDispatch: func(rec scheduler.DispatchRecord) {
-		mu.Lock()
-		dispatched[rec.Topic+"/"+rec.Job]++
-		mu.Unlock()
-	}})
+	dispatched := make(map[string]int)
+	client.Use(func(ctx context.Context, call *soap.CallInfo, next soap.Handler) (*soap.Envelope, error) {
+		if call.Action == execution.ActionRun {
+			mu.Lock()
+			dispatched[call.Request.Body.ChildText(execution.QTopic)+"/"+call.Request.Body.ChildText(execution.QJobName)]++
+			mu.Unlock()
+		}
+		return next(ctx, call)
+	})
+	m := assemble(t, network, client, reopened.Store, scheduler.Config{})
 	n, err := node.New(node.Config{
 		Name: "node-a", Network: network, Client: client, Cores: 2, SpeedMHz: 2000, UnitTime: 5 * time.Microsecond,
 		Broker: m.Broker.EPR(), NIS: m.NIS.EPR(),

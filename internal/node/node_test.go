@@ -295,6 +295,73 @@ func TestNodeTablesKeepTheirJournaledCodec(t *testing.T) {
 	}
 }
 
+// TestJournalCommitsPerJob: a machine on a journaled store commits three
+// records per job that runs to its exit — the FSS's working directory and
+// the ES's job at its creation and at its verdict — and none when the
+// process starts.
+func TestJournalCommitsPerJob(t *testing.T) {
+	const jobs = 4
+	dir := t.TempDir()
+	store, err := resourcedb.OpenDurable(dir, resourcedb.DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	network := transport.NewNetwork()
+	client := transport.NewClient().WithNetwork(network)
+	broker := wsn.NewConsumer()
+	events := broker.Channel(wsn.MustTopicExpression(wsn.DialectFull, "*//"), 4*jobs)
+	masterMux := soap.NewMux()
+	broker.Mount(masterMux, "/NotificationBroker")
+	network.Register("master", transport.NewServer(masterMux))
+	files := filesystem.NewFileServer("/files")
+	clientMux := soap.NewMux()
+	files.Mount(clientMux)
+	network.Register("client", transport.NewServer(clientMux))
+	files.Publish("job.app", procspawn.BuildScript("write out.txt done", "exit 0"))
+
+	n, err := New(Config{Name: "win-a", Network: network, Client: client, Store: store.Store,
+		Broker: wsa.NewEPR("inproc://master/NotificationBroker")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	before := store.Stats().WAL.Commits
+	for i := 0; i < jobs; i++ {
+		if _, err := client.Call(ctx, n.ES.EPR(), execution.ActionRun, execution.RunRequest("job", "jobset-t", "job.app",
+			[]filesystem.FileRef{{Source: wsa.NewEPR("inproc://client/files"), RemoteName: "job.app"}})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for exited := 0; exited < jobs; {
+		select {
+		case note := <-events:
+			if ev, err := execution.ParseJobEvent(note.Message); err == nil && ev.Kind == execution.EventExited {
+				exited++ // published after its verdict is journaled
+			}
+		case <-ctx.Done():
+			t.Fatalf("%d of %d jobs exited", exited, jobs)
+		}
+	}
+	if got := store.Stats().WAL.Commits - before; got != 3*jobs {
+		t.Errorf("the machine journaled %d commits for %d jobs, want %d", got, jobs, 3*jobs)
+	}
+	n.Stop()
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rows := make(map[string]int)
+	if _, err := wal.Replay(dir, func(rec wal.Record) error {
+		rows[rec.Table]++
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if rows["jobs"] != 2*jobs || rows["directories"] != jobs {
+		t.Errorf("journaled rows by table %v, want jobs %d, directories %d", rows, 2*jobs, jobs)
+	}
+}
+
 // TestJobPathNeverWaitsForNIS: a NIS that takes a Report and never answers
 // — a slow master, a partition that swallows replies — holds up the
 // Processor Utilization service's ticker and nothing else: the machine

@@ -133,30 +133,18 @@ func TestRequestIDHonorsCallerChoice(t *testing.T) {
 	}
 }
 
-// noSleep makes backoff instantaneous for tests while recording delays.
-func noSleep(delays *[]time.Duration) func(context.Context, time.Duration) error {
-	return func(ctx context.Context, d time.Duration) error {
-		*delays = append(*delays, d)
-		return nil
-	}
-}
-
 // TestRetryFlakyTransportEventuallySucceeds: an idempotent call whose
 // first two wire attempts fail succeeds on the third, after 2 ms and then
 // 4 ms; one that keeps failing stops at the third attempt.
 func TestRetryFlakyTransportEventuallySucceeds(t *testing.T) {
 	for _, failures := range []int{retryAttempts - 1, retryAttempts} {
-		var delays []time.Duration
-		p := RetryPolicy{
-			Idempotent: IdempotentActions("urn:GetResourceProperty"),
-			Sleep:      noSleep(&delays),
-		}
-		calls := 0
+		p := RetryPolicy{Idempotent: IdempotentActions("urn:GetResourceProperty")}
+		var sent []time.Time
 		call := newCall("urn:GetResourceProperty")
 		resp, err := Retry(p)(context.Background(), call, func(ctx context.Context, call *soap.CallInfo) (*soap.Envelope, error) {
-			calls++
-			if calls <= failures {
-				return nil, fmt.Errorf("transport: connection refused (attempt %d)", calls)
+			sent = append(sent, time.Now())
+			if len(sent) <= failures {
+				return nil, fmt.Errorf("transport: connection refused (attempt %d)", len(sent))
 			}
 			return okTerminal(ctx, call)
 		})
@@ -166,12 +154,14 @@ func TestRetryFlakyTransportEventuallySucceeds(t *testing.T) {
 		if failures == retryAttempts && err == nil {
 			t.Fatal("a call that failed every attempt succeeded")
 		}
-		if calls != retryAttempts {
-			t.Fatalf("%d failures: wire attempts = %d, want %d", failures, calls, retryAttempts)
+		if len(sent) != retryAttempts {
+			t.Fatalf("%d failures: wire attempts = %d, want %d", failures, len(sent), retryAttempts)
 		}
-		want := []time.Duration{2 * time.Millisecond, 4 * time.Millisecond}
-		if fmt.Sprint(delays) != fmt.Sprint(want) {
-			t.Fatalf("%d failures: delays %v, want %v", failures, delays, want)
+		// A timer never fires early: each wait is at least its backoff.
+		for i, want := range []time.Duration{2 * time.Millisecond, 4 * time.Millisecond} {
+			if waited := sent[i+1].Sub(sent[i]); waited < want {
+				t.Fatalf("%d failures: attempt %d followed %v after the one before, want at least %v", failures, i+2, waited, want)
+			}
 		}
 	}
 }
@@ -179,7 +169,6 @@ func TestRetryFlakyTransportEventuallySucceeds(t *testing.T) {
 func TestRetryNeverRepeatsNonIdempotentAction(t *testing.T) {
 	p := RetryPolicy{
 		Idempotent: IdempotentActions("urn:GetResourceProperty"),
-		Sleep:      func(context.Context, time.Duration) error { return nil },
 	}
 	calls := 0
 	_, err := Retry(p)(context.Background(), newCall("urn:Run"), func(ctx context.Context, call *soap.CallInfo) (*soap.Envelope, error) {
@@ -197,7 +186,6 @@ func TestRetryNeverRepeatsNonIdempotentAction(t *testing.T) {
 func TestRetryStopsOnFault(t *testing.T) {
 	p := RetryPolicy{
 		Idempotent: func(string) bool { return true },
-		Sleep:      func(context.Context, time.Duration) error { return nil },
 	}
 	calls := 0
 	_, err := Retry(p)(context.Background(), newCall("urn:Get"), func(ctx context.Context, call *soap.CallInfo) (*soap.Envelope, error) {
@@ -215,7 +203,6 @@ func TestRetryStopsOnFault(t *testing.T) {
 func TestRetryStopsOnContextError(t *testing.T) {
 	p := RetryPolicy{
 		Idempotent: func(string) bool { return true },
-		Sleep:      func(context.Context, time.Duration) error { return nil },
 	}
 	for _, ctxErr := range []error{context.Canceled, context.DeadlineExceeded} {
 		calls := 0
@@ -232,17 +219,20 @@ func TestRetryStopsOnContextError(t *testing.T) {
 	}
 }
 
+// TestRetryAbortsWhenSleepCancelled: a caller that gives up as the
+// first attempt fails is not sent a second: the backoff ends with the
+// context, and the transport error, the informative one, comes back.
 func TestRetryAbortsWhenSleepCancelled(t *testing.T) {
-	p := RetryPolicy{
-		Idempotent: func(string) bool { return true },
-		Sleep:      func(context.Context, time.Duration) error { return context.Canceled },
-	}
+	p := RetryPolicy{Idempotent: func(string) bool { return true }}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	calls := 0
-	_, err := Retry(p)(context.Background(), newCall("urn:Get"), func(ctx context.Context, call *soap.CallInfo) (*soap.Envelope, error) {
+	_, err := Retry(p)(ctx, newCall("urn:Get"), func(ctx context.Context, call *soap.CallInfo) (*soap.Envelope, error) {
 		calls++
+		cancel()
 		return nil, errors.New("transport: timeout")
 	})
-	if err == nil || calls != 1 {
+	if err == nil || err.Error() != "transport: timeout" || calls != 1 {
 		t.Fatalf("cancelled backoff must abort: calls=%d err=%v", calls, err)
 	}
 }

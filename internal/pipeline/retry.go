@@ -25,9 +25,6 @@ type RetryPolicy struct {
 	// Idempotent reports whether an action is safe to re-send. Nil
 	// means nothing is retried.
 	Idempotent func(action string) bool
-
-	// Sleep is a test seam; nil means real sleeping.
-	Sleep func(ctx context.Context, d time.Duration) error
 }
 
 // IdempotentActions builds an Idempotent predicate admitting exactly
@@ -58,7 +55,8 @@ func retryable(err error) bool {
 	return true
 }
 
-func defaultSleep(ctx context.Context, d time.Duration) error {
+// sleep waits d, or until ctx ends.
+func sleep(ctx context.Context, d time.Duration) error {
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
@@ -75,10 +73,6 @@ func defaultSleep(ctx context.Context, d time.Duration) error {
 // the metrics interceptor when per-wire-attempt counts are wanted, inside
 // when per-logical-call counts are.
 func Retry(p RetryPolicy) soap.Interceptor {
-	sleep := p.Sleep
-	if sleep == nil {
-		sleep = defaultSleep
-	}
 	return func(ctx context.Context, call *soap.CallInfo, next soap.Handler) (*soap.Envelope, error) {
 		if p.Idempotent == nil || !p.Idempotent(call.Action) {
 			return next(ctx, call)

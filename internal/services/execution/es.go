@@ -107,23 +107,34 @@ type Service struct {
 	spawner *procspawn.Spawner
 	broker  wsa.EndpointReference
 	out     *wsn.Outbox // every lifecycle event leaves through it: in order, off the job's path
-
-	mu sync.Mutex
-	// creds holds each staged job's spawn credentials until launch; it
-	// is deliberately process-memory only, never persisted.
-	creds map[string]wssec.Credentials
-	// procs maps job resource ids to live process handles — the "WS-
-	// Resource as process" half of the job resource.
-	procs map[string]*procspawn.Process
-	// running maps the id of each job whose process is running to the
-	// scheduler's attempt: added before the spawn, removed at the exit or
-	// the destroy. It is what the machine's renewals list (RunningAttempts).
-	running map[string]string
-	// reservations holds each staging job's processor-slot release.
-	reservations map[string]func()
 	// verifier checks Run's token; FSS callbacks and WSRF property reads
 	// are unauthenticated, as in the paper's testbed.
 	verifier *wssec.Verifier
+
+	mu sync.Mutex
+	// jobs holds the record of each live job, from its Run to its journaled
+	// verdict or its destroy. It lives in process memory only: a job whose
+	// record another process held reads Failed.
+	jobs map[string]*liveJob
+}
+
+// liveJob is one job while it lives — the "WS-Resource as process" half of
+// the job resource that no journal holds. Its mutable fields are guarded
+// by the Service's mu.
+type liveJob struct {
+	creds   wssec.Credentials // the account it runs as, until the spawn
+	release func()            // the processor slot it holds while it stages
+	proc    *procspawn.Process
+	// running lists it in the machine's renewals (RunningAttempts): set
+	// once it has staged, before the spawn, so the exit finds it set.
+	running bool
+
+	// What every lifecycle event of the job carries: where to publish it,
+	// which job and which of the scheduler's attempts it is about, and the
+	// job and working-directory resources.
+	topic, name, attempt string
+	job, dir             wsa.EndpointReference
+	sendFailed           atomic.Bool // a refused event is logged once per job
 }
 
 // New builds the ES.
@@ -138,67 +149,72 @@ func New(cfg Config) (*Service, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := failOrphans(cfg.Home); err != nil {
-		return nil, err
-	}
 	s := &Service{
-		svc:          svc,
-		client:       cfg.Client,
-		fss:          cfg.FSS,
-		spawner:      cfg.Spawner,
-		broker:       cfg.Broker,
-		creds:        make(map[string]wssec.Credentials),
-		procs:        make(map[string]*procspawn.Process),
-		running:      make(map[string]string),
-		reservations: make(map[string]func()),
-		verifier:     wssec.NewVerifier(cfg.Accounts),
+		svc:      svc,
+		client:   cfg.Client,
+		fss:      cfg.FSS,
+		spawner:  cfg.Spawner,
+		broker:   cfg.Broker,
+		verifier: wssec.NewVerifier(cfg.Accounts),
+		jobs:     make(map[string]*liveJob),
 	}
 	s.out = wsn.NewOutbox(func(ctx context.Context, to wsa.EndpointReference, batch []wsn.Notification) error {
 		return wsn.PublishViaBroker(ctx, s.client, to, batch...)
 	})
 	svc.Enable(wsrf.ResourcePropertiesPortType{})
-	svc.OnDestroy(s.onJobDestroyed)
+	svc.OnDestroy(s.drop)
 	svc.Enable(wsrf.LifetimePortType{})
 
-	// CPUTime is computed from the live process while running — a
-	// [ResourceProperty] getter over the process handle.
-	svc.RegisterProperty(QCPUTime, func(ctx context.Context, inv *wsrf.Invocation) ([]*xmlutil.Element, error) {
-		s.mu.Lock()
-		p := s.procs[inv.ResourceID]
-		s.mu.Unlock()
-		var cpu time.Duration
-		if p != nil {
-			cpu = p.CPUTime()
+	// Status and CPUTime are computed — [ResourceProperty] getters.
+	s.computed(QStatus, StatusFailed, func(j *liveJob) string {
+		if j.running {
+			return StatusRunning
 		}
-		return []*xmlutil.Element{xmlutil.NewElement(QCPUTime, strconv.FormatInt(cpu.Milliseconds(), 10))}, nil
+		return StatusStaging
+	})
+	s.computed(QCPUTime, "0", func(j *liveJob) string {
+		if j.proc == nil {
+			return "0"
+		}
+		return milliseconds(j.proc.CPUTime())
 	})
 
 	svc.RegisterServiceMethod(ActionRun, s.handleRun)
 	svc.RegisterMethod(ActionKill, s.handleKill)
-	svc.RegisterMethod(filesystem.ActionUploadComplete, s.handleUploadComplete)
+	// Addressed to a job, but it reads the job's record, not its document.
+	svc.RegisterServiceMethod(filesystem.ActionUploadComplete, s.handleUploadComplete)
 	return s, nil
 }
 
-// failOrphans marks Failed every job the store says is Staging or Running.
-// Processes, credentials and slot reservations live in process memory
-// only, so no such job has anything behind it in a new ES: its Status must
-// not say Running to a reader, as the machine's renewals do not list it.
-func failOrphans(home wsrf.ResourceHome) error {
-	for _, id := range home.IDs() {
-		doc, err := home.Load(id)
-		if err != nil {
-			return fmt.Errorf("es: load job %s: %w", id, err)
+// computed registers a property that reads the job's live record while
+// there is one, then the verdict its exit journaled — with its ExitCode,
+// so a Status without one is an earlier ES's, not a verdict — and none
+// with neither: the job failed to stage or spawn, or was another
+// process's. The record goes after the verdict is journaled, so a
+// document loaded before that is read again.
+func (s *Service) computed(name xmlutil.QName, none string, live func(*liveJob) string) {
+	s.svc.RegisterProperty(name, func(ctx context.Context, inv *wsrf.Invocation) ([]*xmlutil.Element, error) {
+		v := none
+		s.mu.Lock()
+		j := s.jobs[inv.ResourceID]
+		if j != nil {
+			v = live(j)
 		}
-		if st := doc.ChildText(QStatus); st != StatusStaging && st != StatusRunning {
-			continue
+		s.mu.Unlock()
+		if j == nil {
+			doc := inv.Doc
+			if doc.Child(QExitCode) == nil {
+				doc, _ = s.svc.LoadResource(inv.ResourceID) // nil if destroyed meanwhile
+			}
+			if doc != nil && doc.Child(QExitCode) != nil && doc.ChildText(name) != "" {
+				v = doc.ChildText(name)
+			}
 		}
-		setChildText(doc, QStatus, StatusFailed)
-		if err := home.Save(id, doc); err != nil {
-			return fmt.Errorf("es: fail job %s left by the previous process: %w", id, err)
-		}
-	}
-	return nil
+		return []*xmlutil.Element{xmlutil.NewElement(name, v)}, nil
+	})
 }
+
+func milliseconds(d time.Duration) string { return strconv.FormatInt(d.Milliseconds(), 10) }
 
 // WSRF returns the underlying service for mounting.
 func (s *Service) WSRF() *wsrf.Service { return s.svc }
@@ -210,10 +226,10 @@ func (s *Service) EPR() wsa.EndpointReference { return s.svc.EPR() }
 // this ES runs: what the machine's next renewal tells the master is alive.
 func (s *Service) RunningAttempts() []string {
 	s.mu.Lock()
-	out := make([]string, 0, len(s.running))
-	for _, attempt := range s.running {
-		if attempt != "" {
-			out = append(out, attempt)
+	var out []string
+	for _, j := range s.jobs {
+		if j.running && j.attempt != "" {
+			out = append(out, j.attempt)
 		}
 	}
 	s.mu.Unlock()
@@ -225,25 +241,20 @@ func (s *Service) RunningAttempts() []string {
 // sent (or refused), or ctx ends: a machine going down says what it has to.
 func (s *Service) DrainEvents(ctx context.Context) error { return s.out.Drain(ctx) }
 
-// onJobDestroyed kills any live process when a job resource is
-// destroyed, drops retained credentials and forgets the process: its
-// record is reaped here if it has left Running, otherwise by
-// onProcessExit when the kill lands and finds the resource gone.
-func (s *Service) onJobDestroyed(id string) {
+// drop forgets a job's record — when its resource is destroyed, or its
+// Run or staging fails — giving back its processor slot and killing its
+// process, whose exit then reaps it.
+func (s *Service) drop(id string) {
 	s.mu.Lock()
-	p := s.procs[id]
-	delete(s.procs, id)
-	delete(s.running, id)
-	delete(s.creds, id)
-	release := s.reservations[id]
-	delete(s.reservations, id)
-	s.mu.Unlock()
-	if release != nil {
-		release()
-	}
-	if p != nil {
-		p.Kill()
-		s.spawner.Reap(p.PID)
+	defer s.mu.Unlock()
+	if j := s.jobs[id]; j != nil {
+		delete(s.jobs, id)
+		if j.release != nil {
+			j.release()
+		}
+		if j.proc != nil {
+			j.proc.Kill()
+		}
 	}
 }
 
@@ -322,43 +333,40 @@ func (s *Service) handleRun(ctx context.Context, inv *wsrf.Invocation, body *xml
 		return nil, wsrf.NewBaseFault("JobStartFault", "create working directory: %v", err).SOAPFault(soap.CodeReceiver)
 	}
 
+	// The record comes first, so the resource reads Staging from the
+	// moment it exists. It holds a processor slot while the job stages, so
+	// the machine's next utilization sample counts it before the process
+	// exists.
+	id := wsa.NewMessageID()[len("urn:uuid:"):]
+	j := &liveJob{creds: local, release: s.spawner.Reserve(), topic: topic, name: jobName, attempt: attempt, job: s.svc.EPRFor(id), dir: dirEPR}
+	s.mu.Lock()
+	s.jobs[id] = j
+	s.mu.Unlock()
+
+	// The document journals the job's creation; its exit adds the verdict.
 	doc := xmlutil.NewContainer(xmlutil.Q(NS, "JobState"),
 		xmlutil.NewElement(QJobName, jobName),
-		xmlutil.NewElement(QStatus, StatusStaging),
 		xmlutil.NewElement(QTopic, topic),
 		xmlutil.NewElement(QAttempt, attempt),
 		xmlutil.NewElement(QOwner, local.Username),
-		dirEPR.Element().Clone(),
+		dirEPR.ElementNamed(QDirectory),
 	)
-	// Rename the embedded EPR element to the Directory property name.
-	doc.Children[len(doc.Children)-1].Name = QDirectory
-
-	jobEPR, err := s.svc.CreateResource("", doc)
-	if err != nil {
+	if _, err := s.svc.CreateResource(id, doc); err != nil {
+		s.drop(id)
 		return nil, soap.ReceiverFault("es: create job resource: %v", err)
 	}
-	jobID := jobEPR.Property(wsrf.QResourceID)
-	s.mu.Lock()
-	s.creds[jobID] = local
-	// Hold a processor slot while the job stages, so the machine's next
-	// utilization sample counts it before the process exists.
-	s.reservations[jobID] = s.spawner.Reserve()
-	s.mu.Unlock()
 
 	// Step 4: one-way upload request; the FSS notifies the job resource
 	// when staging finishes (step 7). The upload token carries the
 	// executable's name so the completion handler knows what to launch
 	// without another database read.
-	upload := filesystem.UploadRequest(jobEPR, executable, files)
+	upload := filesystem.UploadRequest(j.job, executable, files)
 	if err := s.client.Notify(ctx, dirEPR, filesystem.ActionUpload, upload); err != nil {
+		s.drop(id)
 		return nil, soap.ReceiverFault("es: dispatch upload: %v", err)
 	}
 
-	resp := xmlutil.NewContainer(qRunJobResponse,
-		jobEPR.ElementNamed(qJob),
-		dirEPR.ElementNamed(QDirectory),
-	)
-	return resp, nil
+	return xmlutil.NewContainer(qRunJobResponse, j.job.ElementNamed(qJob), dirEPR.ElementNamed(QDirectory)), nil
 }
 
 // handleUploadComplete is step 7→8 of Fig. 3: inputs staged, launch the
@@ -369,23 +377,26 @@ func (s *Service) handleUploadComplete(ctx context.Context, inv *wsrf.Invocation
 	if err != nil {
 		return nil, soap.SenderFault("%v", err)
 	}
-	jobID := inv.ResourceID
-	ref := &jobRef{topic: inv.Property(QTopic), name: inv.Property(QJobName), attempt: inv.Property(QAttempt), job: inv.EPR(), dir: done.Directory}
-
+	id := inv.ResourceID
+	staged := done.Success && done.Path != ""
 	s.mu.Lock()
-	creds := s.creds[jobID]
-	delete(s.creds, jobID)
-	release := s.reservations[jobID]
-	delete(s.reservations, jobID)
-	s.mu.Unlock()
-	if release != nil {
-		// Released in every branch below: the slot is either replaced
-		// by the real running process or freed on failure.
-		defer release()
+	j := s.jobs[id]
+	var creds wssec.Credentials
+	var release func()
+	if j != nil && j.release != nil {
+		creds, release = j.creds, j.release
+		j.creds, j.release, j.running = wssec.Credentials{}, nil, staged
 	}
+	s.mu.Unlock()
+	if release == nil {
+		return nil, nil // destroyed while it staged, staged already, or another process's
+	}
+	// Released in every branch below: the slot is either replaced by the
+	// real running process or freed on failure.
+	defer release()
 	fail := func(reason string) (*xmlutil.Element, error) {
-		inv.SetProperty(QStatus, StatusFailed)
-		s.publishEvents(ctx, ref, ref.event(EventDirectory, "", ""), ref.event(EventFailed, "", reason))
+		s.drop(id)
+		s.publishEvents(ctx, j, j.event(EventDirectory, "", ""), j.event(EventFailed, "", reason))
 		return nil, nil
 	}
 
@@ -395,11 +406,6 @@ func (s *Service) handleUploadComplete(ctx context.Context, inv *wsrf.Invocation
 	if done.Path == "" {
 		return fail("upload completion names no working directory")
 	}
-
-	// Listed before the spawn, so the exit, whenever it comes, unlists it.
-	s.mu.Lock()
-	s.running[jobID] = ref.attempt
-	s.mu.Unlock()
 	proc, err := s.spawner.Spawn(procspawn.SpawnSpec{
 		// The upload token is the executable's name (handleRun).
 		Executable: done.Token,
@@ -410,65 +416,60 @@ func (s *Service) handleUploadComplete(ctx context.Context, inv *wsrf.Invocation
 			// Detach from the Run request's cancellation but keep its
 			// values, so the exit event publishes under the same
 			// request ID as the rest of the job's lifecycle.
-			s.onProcessExit(context.WithoutCancel(ctx), jobID, ref, p)
+			s.onProcessExit(context.WithoutCancel(ctx), id, j, p)
 		},
 	})
 	if err != nil {
-		s.mu.Lock()
-		delete(s.running, jobID)
-		s.mu.Unlock()
 		return fail("spawn: " + err.Error())
 	}
 	s.mu.Lock()
-	s.procs[jobID] = proc
+	j.proc = proc
+	_, live := s.jobs[id]
 	s.mu.Unlock()
-	inv.SetProperty(QStatus, StatusRunning)
+	if !live {
+		proc.Kill() // destroyed while it spawned; a no-op if it has exited
+	}
 	// Step 9, one broadcast: the directory EPR, for the client to watch, and
 	// the job EPR, so Scheduler and client "can poll the job for its status".
 	// Queued back to back, after the spawn: one Notify, directory first.
-	s.publishEvents(ctx, ref, ref.event(EventDirectory, "", ""), ref.event(EventStarted, "", ""))
+	s.publishEvents(ctx, j, j.event(EventDirectory, "", ""), j.event(EventStarted, "", ""))
 	return nil, nil
 }
 
-// onProcessExit is step 10: record the exit and broadcast it.
-func (s *Service) onProcessExit(ctx context.Context, jobID string, ref *jobRef, p *procspawn.Process) {
-	s.mu.Lock()
-	delete(s.running, jobID)
-	s.mu.Unlock()
+// onProcessExit is step 10: journal the verdict, forget the job and its
+// process, and broadcast the exit.
+func (s *Service) onProcessExit(ctx context.Context, id string, j *liveJob, p *procspawn.Process) {
 	code, _ := p.ExitCode()
 	status := StatusExited
 	if p.State() == procspawn.StateKilled {
 		status = StatusKilled
 	}
-	err := s.svc.UpdateResource(jobID, func(doc *xmlutil.Element) error {
-		setChildText(doc, QStatus, status)
-		setChildText(doc, QExitCode, strconv.Itoa(code))
+	// The one write after the job's creation: the document holds none of
+	// the three before.
+	err := s.svc.UpdateResource(id, func(doc *xmlutil.Element) error {
+		doc.Append(xmlutil.NewElement(QStatus, status), xmlutil.NewElement(QExitCode, strconv.Itoa(code)),
+			xmlutil.NewElement(QCPUTime, milliseconds(p.CPUTime())))
 		return nil
 	})
-	switch {
-	case errors.Is(err, wsrf.ErrNoSuchResource):
-		// Destroyed while it ran: nobody can ask for this process again.
-		s.spawner.Reap(p.PID)
-	case err != nil:
-		// Not destroyed: the resource says Running for ever. Still publish.
-		log.Printf("es: job %s (%s): recording exit: %v", jobID, ref.name, err)
+	if err != nil && !errors.Is(err, wsrf.ErrNoSuchResource) {
+		// Not destroyed: with neither verdict nor record it reads Failed.
+		log.Printf("es: job %s (%s): recording exit: %v", id, j.name, err)
 	}
-	s.publishEvents(ctx, ref, ref.event(EventExited, strconv.Itoa(code), ""))
-}
-
-func setChildText(doc *xmlutil.Element, name xmlutil.QName, text string) {
-	if c := doc.Child(name); c != nil {
-		c.Text = text
-		return
-	}
-	doc.Append(xmlutil.NewElement(name, text))
+	s.mu.Lock()
+	delete(s.jobs, id)
+	s.mu.Unlock()
+	s.spawner.Reap(p.PID)
+	s.publishEvents(ctx, j, j.event(EventExited, strconv.Itoa(code), ""))
 }
 
 // handleKill terminates the job's process — the client-facing method
 // the paper gives job resources ("kill the job").
 func (s *Service) handleKill(ctx context.Context, inv *wsrf.Invocation, body *xmlutil.Element) (*xmlutil.Element, error) {
+	var p *procspawn.Process
 	s.mu.Lock()
-	p := s.procs[inv.ResourceID]
+	if j := s.jobs[inv.ResourceID]; j != nil {
+		p = j.proc
+	}
 	s.mu.Unlock()
 	if p == nil {
 		return nil, wsrf.NewBaseFault("NoSuchProcessFault", "job %q has no live process", inv.ResourceID).SOAPFault(soap.CodeSender)
@@ -480,29 +481,20 @@ func (s *Service) handleKill(ctx context.Context, inv *wsrf.Invocation, body *xm
 // KillRequest builds the Kill body.
 func KillRequest() *xmlutil.Element { return &xmlutil.Element{Name: qKill} }
 
-// jobRef is what every lifecycle event of one job carries: where to
-// publish it, which job and which of the scheduler's attempts it is
-// about, and the job and working-directory resources.
-type jobRef struct {
-	topic, name, attempt string
-	job, dir             wsa.EndpointReference
-	sendFailed           atomic.Bool // a refused event is logged once per job
-}
-
 // event builds a lifecycle notification on "<topic>/<jobName>/<kind>".
 // The job EPR is the notification's producer, so the payload does not
 // name it again; the directory rides on every event, since events may
 // arrive in any order.
-func (ref *jobRef) event(kind, exitCode, errMsg string) wsn.Notification {
+func (j *liveJob) event(kind, exitCode, errMsg string) wsn.Notification {
 	payload := xmlutil.NewContainer(qJobEvent,
-		xmlutil.NewElement(QJobName, ref.name),
+		xmlutil.NewElement(QJobName, j.name),
 		xmlutil.NewElement(QStatus, kind),
 	)
-	if ref.attempt != "" {
-		payload.Append(xmlutil.NewElement(QAttempt, ref.attempt))
+	if j.attempt != "" {
+		payload.Append(xmlutil.NewElement(QAttempt, j.attempt))
 	}
-	if !ref.dir.IsZero() {
-		payload.Append(ref.dir.ElementNamed(QDirectory))
+	if !j.dir.IsZero() {
+		payload.Append(j.dir.ElementNamed(QDirectory))
 	}
 	if exitCode != "" {
 		payload.Append(xmlutil.NewElement(QExitCode, exitCode))
@@ -511,8 +503,8 @@ func (ref *jobRef) event(kind, exitCode, errMsg string) wsn.Notification {
 		payload.Append(xmlutil.NewElement(qEventError, errMsg))
 	}
 	return wsn.Notification{
-		Topic:    ref.topic + "/" + ref.name + "/" + kind,
-		Producer: ref.job,
+		Topic:    j.topic + "/" + j.name + "/" + kind,
+		Producer: j.job,
 		Message:  payload,
 	}
 }
@@ -520,13 +512,13 @@ func (ref *jobRef) event(kind, exitCode, errMsg string) wsn.Notification {
 // publishEvents queues lifecycle events of one job for the broker and
 // returns: they leave in order, those of one call in one Notify. Best
 // effort — a broker outage must not take jobs down — but not silent.
-func (s *Service) publishEvents(ctx context.Context, ref *jobRef, events ...wsn.Notification) {
-	if s.broker.IsZero() || ref.topic == "" {
+func (s *Service) publishEvents(ctx context.Context, j *liveJob, events ...wsn.Notification) {
+	if s.broker.IsZero() || j.topic == "" {
 		return
 	}
 	sent := func(err error) {
-		if err != nil && !ref.sendFailed.Swap(true) {
-			log.Printf("es: job %s: publishing lifecycle events: %v", ref.name, err)
+		if err != nil && !j.sendFailed.Swap(true) {
+			log.Printf("es: job %s: publishing lifecycle events: %v", j.name, err)
 		}
 	}
 	deliveries := make([]wsn.Delivery, len(events))

@@ -25,6 +25,7 @@ import (
 // esHarness is one machine (FSS + ES) plus a broker-like consumer that
 // records every published event.
 type esHarness struct {
+	network *transport.Network
 	client  *transport.Client
 	node    *transport.Server // serves the FSS and the ES
 	es      *Service
@@ -109,7 +110,7 @@ func newESHarness(t *testing.T, accounts wssec.StaticAccounts) *esHarness {
 	files.Mount(clientMux)
 	network.Register("client", transport.NewServer(clientMux))
 
-	return &esHarness{client: client, node: node, es: es, spawner: spawner, fss: fss, files: files, events: events, seen: make(map[string]wsn.Notification), notifies: notifies}
+	return &esHarness{network: network, client: client, node: node, es: es, spawner: spawner, fss: fss, files: files, events: events, seen: make(map[string]wsn.Notification), notifies: notifies}
 }
 
 func (h *esHarness) filesEPR() wsa.EndpointReference { return wsa.NewEPR("inproc://client/files") }
@@ -140,16 +141,16 @@ func (h *esHarness) runJob(t *testing.T, creds *wssec.Credentials, script []byte
 	return job, dir
 }
 
-// pid names the process the ES spawned for a job resource.
+// pid names the process the ES runs for a live job resource.
 func (h *esHarness) pid(t *testing.T, job wsa.EndpointReference) int64 {
 	t.Helper()
 	h.es.mu.Lock()
 	defer h.es.mu.Unlock()
-	p := h.es.procs[job.Property(wsrf.QResourceID)]
-	if p == nil {
+	j := h.es.jobs[job.Property(wsrf.QResourceID)]
+	if j == nil || j.proc == nil {
 		t.Fatalf("job %s has no process", job)
 	}
-	return p.PID
+	return j.proc.PID
 }
 
 // waitEvent returns the first event of the given kind. One-way delivery
@@ -318,15 +319,16 @@ func TestKillWithoutProcessFaults(t *testing.T) {
 	h := newESHarness(t, nil)
 	job, _ := h.runJob(t, nil, procspawn.BuildScript("exit 0"))
 	h.waitEvent(t, EventExited)
-	// The process has exited; once the exit event is out, killing may
-	// still succeed briefly (handle retained) — destroy the resource and
-	// kill THAT.
-	ghost := h.es.WSRF().EPRFor("no-such-job")
-	_, err := h.client.Call(context.Background(), ghost, ActionKill, KillRequest())
+	// The exit dropped the job's record and its process with it: a Kill
+	// finds nothing to kill, and one of a job that never was faults too.
+	_, err := h.client.Call(context.Background(), job, ActionKill, KillRequest())
+	if f, _ := wsrf.BaseFaultFromError(err); f == nil || f.ErrorCode != "NoSuchProcessFault" {
+		t.Fatalf("Kill of an exited job answered %v, want NoSuchProcessFault", err)
+	}
+	_, err = h.client.Call(context.Background(), h.es.WSRF().EPRFor("no-such-job"), ActionKill, KillRequest())
 	if _, ok := wsrf.BaseFaultFromError(err); !ok {
 		t.Fatalf("want BaseFault, got %v", err)
 	}
-	_ = job
 }
 
 func TestDestroyJobResourceKillsProcess(t *testing.T) {
@@ -345,22 +347,18 @@ func TestDestroyJobResourceKillsProcess(t *testing.T) {
 	}
 }
 
-// TestDestroyReapsProcessRecord: destroying a job resource is what lets
-// ProcSpawn forget the job's process — at once if it has exited, when the
-// kill lands if it was still running. A finished process keeps its record
-// until it is reaped (procspawn.TestSpawnerBookkeeping), so a Reap that
-// finds nothing after the destroy means the ES reaped it.
+// TestDestroyReapsProcessRecord: ProcSpawn forgets a job's process when
+// it exits, a kill by destroy's included. A finished process keeps its
+// record until it is reaped (procspawn.TestSpawnerBookkeeping), so a Reap
+// that finds nothing after the exit means the ES reaped it.
 func TestDestroyReapsProcessRecord(t *testing.T) {
-	t.Run("exited, then destroyed", func(t *testing.T) {
+	t.Run("reaped at the exit", func(t *testing.T) {
 		h := newESHarness(t, nil)
-		job, _ := h.runJob(t, nil, procspawn.BuildScript("exit 0"))
+		h.runJob(t, nil, procspawn.BuildScript("exit 0"))
 		h.waitEvent(t, EventExited)
-		pid := h.pid(t, job)
-		if err := wsrf.NewResourceClient(h.client, job).Destroy(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		if h.spawner.Reap(pid) {
-			t.Fatalf("process record %d outlives its destroyed job", pid)
+		// A fresh spawner numbers its processes from 1.
+		if h.spawner.Reap(1) {
+			t.Fatal("process record 1 outlives its exit")
 		}
 	})
 	t.Run("destroyed while running", func(t *testing.T) {
@@ -379,6 +377,127 @@ func TestDestroyReapsProcessRecord(t *testing.T) {
 			t.Fatalf("process record %d outlives its destroyed job", pid)
 		}
 	})
+}
+
+// TestFinishedJobsLeaveNothingBehind: a job the scheduler never destroys
+// leaves neither its record in the ES nor its process in ProcSpawn once it
+// has exited.
+func TestFinishedJobsLeaveNothingBehind(t *testing.T) {
+	const jobs = 8
+	h := newESHarness(t, nil)
+	for i := 0; i < jobs; i++ {
+		h.runJob(t, nil, procspawn.BuildScript("exit 0"))
+	}
+	for exited := 0; exited < jobs; {
+		select {
+		case n := <-h.events:
+			if ev, err := ParseJobEvent(n.Message); err == nil && ev.Kind == EventExited {
+				exited++
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%d of %d jobs exited", exited, jobs)
+		}
+	}
+	h.es.mu.Lock()
+	live := len(h.es.jobs)
+	h.es.mu.Unlock()
+	if live != 0 {
+		t.Errorf("the ES holds %d live records after %d exits", live, jobs)
+	}
+	// A fresh spawner numbers its processes from 1.
+	for pid := int64(1); pid <= jobs; pid++ {
+		if h.spawner.Reap(pid) {
+			t.Errorf("process record %d outlives its exit", pid)
+		}
+	}
+}
+
+// TestPropertiesFollowTheJob: Status, ExitCode and CPUTime read through
+// the resource-properties port types — one property and the whole
+// document — for a job at each step of its life: the live record's while
+// it stages and runs, the journaled verdict after.
+func TestPropertiesFollowTheJob(t *testing.T) {
+	h := newESHarness(t, nil)
+	ctx := context.Background()
+	// read answers Status, ExitCode ("-" when the job has none) and
+	// CPUTime, checking the properties document agrees.
+	read := func(job wsa.EndpointReference) (status, exit, cpu string) {
+		t.Helper()
+		rc := wsrf.NewResourceClient(h.client, job)
+		var err error
+		if status, err = rc.GetPropertyText(ctx, QStatus); err != nil {
+			t.Fatal(err)
+		}
+		if cpu, err = rc.GetPropertyText(ctx, QCPUTime); err != nil {
+			t.Fatal(err)
+		}
+		exit = "-"
+		if code, err := rc.GetPropertyText(ctx, QExitCode); err == nil {
+			exit = code
+		} else if f, _ := wsrf.BaseFaultFromError(err); f == nil || f.ErrorCode != "InvalidResourcePropertyQNameFault" {
+			t.Fatalf("ExitCode read: %v", err)
+		}
+		doc, err := rc.GetDocument(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		docExit := doc.ChildText(QExitCode)
+		if docExit == "" {
+			docExit = "-"
+		}
+		if doc.ChildText(QStatus) != status || docExit != exit || len(doc.ChildrenNamed(QStatus)) != 1 {
+			t.Fatalf("the properties document reads %v, the properties %s %s", doc, status, exit)
+		}
+		return status, exit, cpu
+	}
+	want := func(job wsa.EndpointReference, when, status, exit, cpu string) {
+		t.Helper()
+		gotStatus, gotExit, gotCPU := read(job)
+		if gotStatus != status || gotExit != exit || (cpu != "" && gotCPU != cpu) {
+			t.Fatalf("%s: Status %s, ExitCode %s, CPUTime %s; want %s, %s, %s", when, gotStatus, gotExit, gotCPU, status, exit, cpu)
+		}
+	}
+	run := func(source wsa.EndpointReference, app string) wsa.EndpointReference {
+		t.Helper()
+		env := soap.New(WithAttempt(RunRequest("job1", "jobset-t", app, []filesystem.FileRef{{Source: source, RemoteName: app}}), testAttempt))
+		resp, err := h.client.Invoke(ctx, h.es.EPR(), ActionRun, env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		job, _, err := ParseRunResponse(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return job
+	}
+
+	// Staging from a file server that never answers.
+	hung := hungTransport{release: make(chan struct{})}
+	t.Cleanup(func() { close(hung.release) })
+	h.client.RegisterScheme("hung", hung)
+	want(run(wsa.NewEPR("hung://client/files"), "job.app"), "staging", StatusStaging, "-", "0")
+
+	// 4000 units at 2000 MHz are 10 ms of CPU.
+	h.files.Publish("done.app", procspawn.BuildScript("compute 4000", "exit 3"))
+	done := run(h.filesEPR(), "done.app")
+	h.waitEvent(t, EventExited)
+	want(done, "exited", StatusExited, "3", "10")
+
+	clear(h.seen)
+	h.files.Publish("long.app", procspawn.BuildScript("compute 100000000", "exit 0"))
+	long := run(h.filesEPR(), "long.app")
+	h.waitEvent(t, EventStarted)
+	want(long, "running", StatusRunning, "-", "")
+	if _, err := h.client.Call(ctx, long, ActionKill, KillRequest()); err != nil {
+		t.Fatal(err)
+	}
+	h.waitEvent(t, EventExited)
+	want(long, "killed", StatusKilled, strconv.Itoa(procspawn.ExitKilled), "")
+
+	clear(h.seen)
+	ghost := run(h.filesEPR(), "ghost.app")
+	h.waitEvent(t, EventFailed)
+	want(ghost, "failed staging", StatusFailed, "-", "0")
 }
 
 // TestRunningAttemptsFollowTheProcess: the attempts a machine's renewal
@@ -426,46 +545,52 @@ func TestRunningAttemptsFollowTheProcess(t *testing.T) {
 }
 
 // TestRestartedESClaimsNoProcess: an ES built over the store another ES
-// left behind holds none of its processes. A job that store says is
-// Running reads Failed from the new ES, and a job that had exited keeps
-// its verdict.
+// left behind holds none of its processes. A job that was running reads
+// Failed through the new ES's property port, and a job that had exited
+// keeps its verdict.
 func TestRestartedESClaimsNoProcess(t *testing.T) {
 	h := newESHarness(t, nil)
 	done, _ := h.runJob(t, nil, procspawn.BuildScript("exit 0"))
 	h.waitEvent(t, EventExited)
 	live, _ := h.runJob(t, nil, procspawn.BuildScript("compute 100000000", "exit 0"))
 	h.waitEvent(t, EventStarted)
-	status := func(home wsrf.ResourceHome, job wsa.EndpointReference) string {
+	restarted, err := New(Config{Address: "inproc://node-b", Home: h.es.WSRF().Home(), Client: h.client, FSS: h.fss.EPR(), Spawner: h.spawner})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mux := soap.NewMux()
+	mux.Handle(restarted.WSRF().Path(), restarted.WSRF().Dispatcher())
+	h.network.Register("node-b", transport.NewServer(mux))
+	status := func(job wsa.EndpointReference) string {
 		t.Helper()
-		doc, err := home.Load(job.Property(wsrf.QResourceID))
+		epr := restarted.WSRF().EPRFor(job.Property(wsrf.QResourceID))
+		got, err := wsrf.NewResourceClient(h.client, epr).GetPropertyText(context.Background(), QStatus)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return doc.ChildText(QStatus)
+		return got
 	}
-	home := h.es.WSRF().Home()
-	// The started event leaves before UploadComplete saves the status.
-	for end := time.Now().Add(10 * time.Second); status(home, live) != StatusRunning; time.Sleep(time.Millisecond) {
-		if time.Now().After(end) {
-			t.Fatalf("live job reads %q before the restart", status(home, live))
-		}
-	}
-	if _, err := New(Config{Address: "inproc://node-a", Home: home, Client: h.client, FSS: h.fss.EPR(), Spawner: h.spawner}); err != nil {
-		t.Fatal(err)
-	}
-	if got := status(home, live); got != StatusFailed {
+	if got := status(live); got != StatusFailed {
 		t.Fatalf("a job with no process reads %q after the restart, want %q", got, StatusFailed)
 	}
-	if got := status(home, done); got != StatusExited {
+	if got := status(done); got != StatusExited {
 		t.Fatalf("an exited job reads %q after the restart, want %q", got, StatusExited)
+	}
+	// An ES that journaled Running at the spawn left no verdict either.
+	old := xmlutil.NewContainer(xmlutil.Q(NS, "JobState"), xmlutil.NewElement(QStatus, StatusRunning))
+	if err := h.es.WSRF().Home().Create("spawned-earlier", old); err != nil {
+		t.Fatal(err)
+	}
+	if got := status(h.es.WSRF().EPRFor("spawned-earlier")); got != StatusFailed {
+		t.Fatalf("a job journaled Running by an earlier ES reads %q, want %q", got, StatusFailed)
 	}
 }
 
 func TestJobEventRoundTrip(t *testing.T) {
 	job := wsa.NewEPR("inproc://a/ES").WithProperty(wsrf.QResourceID, "j1")
 	dir := wsa.NewEPR("inproc://a/FSS").WithProperty(wsrf.QResourceID, "d1")
-	ref := &jobRef{topic: "jobset-t", name: "job1", attempt: testAttempt, job: job, dir: dir}
-	data, err := xmlutil.MarshalElement(wsn.NotifyBody(ref.event(EventExited, strconv.Itoa(137), "")))
+	j := &liveJob{topic: "jobset-t", name: "job1", attempt: testAttempt, job: job, dir: dir}
+	data, err := xmlutil.MarshalElement(wsn.NotifyBody(j.event(EventExited, strconv.Itoa(137), "")))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,7 +63,6 @@ var (
 	qLocalName       = xmlutil.Q(NS, "LocalName")
 	qSuccess         = xmlutil.Q(NS, "Success")
 	qError           = xmlutil.Q(NS, "Error")
-	qDirectory       = xmlutil.Q(NS, "Directory")
 	qToken           = xmlutil.Q(NS, "Token")
 )
 

@@ -181,8 +181,8 @@ func TestAsyncUploadBetweenMachines(t *testing.T) {
 	if done.Token != "job-7" {
 		t.Fatalf("token = %q", done.Token)
 	}
-	if !done.Directory.Equal(dstDir) {
-		t.Fatalf("directory EPR = %v", done.Directory)
+	if path, err := wsrf.NewResourceClient(h.client, dstDir).GetPropertyText(ctx, QPath); err != nil || done.Path != path {
+		t.Fatalf("completion names path %q, the directory's is %q (%v)", done.Path, path, err)
 	}
 	// The file is really there under the job's expected name.
 	got, err := FetchFile(ctx, h.client, dstDir, "input.dat")

@@ -120,7 +120,6 @@ func (s *Service) handleUpload(ctx context.Context, inv *wsrf.Invocation, body *
 
 	if !notifyTo.IsZero() {
 		complete := xmlutil.NewContainer(qUploadComplete,
-			inv.EPR().ElementNamed(qDirectory),
 			xmlutil.NewElement(QPath, path),
 			xmlutil.NewElement(qToken, token),
 			xmlutil.NewElement(qSuccess, fmt.Sprint(uploadErr == nil)),
@@ -279,11 +278,10 @@ func ListDirectory(ctx context.Context, c *transport.Client, dir wsa.EndpointRef
 
 // UploadCompletion is what an UploadComplete notification says.
 type UploadCompletion struct {
-	// Directory is the working directory's resource; Path is where that
-	// directory lives on the FSS's machine, so the receiver — the same
-	// machine's ES — spawns in it without reading it back.
-	Directory wsa.EndpointReference
-	Path      string
+	// Path is where the working directory lives on the FSS's machine, so
+	// the receiver — the same machine's ES — spawns in it without reading
+	// it back.
+	Path string
 	// Token echoes the Upload request's.
 	Token   string
 	Success bool
@@ -296,13 +294,6 @@ func ParseUploadComplete(body *xmlutil.Element) (UploadCompletion, error) {
 	var c UploadCompletion
 	if body == nil || body.Name != qUploadComplete {
 		return c, fmt.Errorf("fss: body is not an UploadComplete message")
-	}
-	if d := body.Child(qDirectory); d != nil {
-		dir, err := wsa.ParseEPR(d)
-		if err != nil {
-			return c, err
-		}
-		c.Directory = dir
 	}
 	c.Path = body.ChildText(QPath)
 	c.Token = body.ChildText(qToken)

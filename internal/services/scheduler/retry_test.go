@@ -139,6 +139,26 @@ func TestRetryRecoversAfterPartitionHeals(t *testing.T) {
 	}
 }
 
+// TestRetryPassesOverAnUnreachableMachine: a Run no ES answered — its
+// machine has just gone, its lease not yet lapsed — frees that machine's
+// charge, so it looks the idlest of the catalog. The retry goes to another
+// machine all the same, and the set completes there.
+func TestRetryPassesOverAnUnreachableMachine(t *testing.T) {
+	h := newSSHarness(t, Greedy{}, nil, "node-a", "node-b")
+	h.silence(t, "node-a") // Greedy's pick of two equal machines: the name breaks the tie
+	h.files.Publish("j.app", procspawn.BuildScript("exit 0"))
+	spec := &JobSetSpec{Name: "failover", Jobs: []JobSpec{{
+		Name: "j", Executable: "local://j.app", Retry: RetryPolicy{Limit: 1},
+	}}}
+	_, topic, err := h.submit(t, spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ev := h.waitVerdict(t, topic); ev.Status != SetCompleted {
+		t.Fatalf("verdict %s (%q), want completed on node-b", ev.Status, ev.Detail)
+	}
+}
+
 // condSpec builds work + a run-on-failure sweeper + a run-on-always
 // auditor, both ordered after work.
 func condSpec(workApp string) *JobSetSpec {

@@ -96,9 +96,6 @@ type Config struct {
 	// Accounts, when non-nil, protects Submit with WS-Security: a Submit
 	// must carry a UsernameToken for one of its accounts.
 	Accounts wssec.StaticAccounts
-	// OnDispatch, when set, observes every committed job dispatch — the
-	// simulator's dispatch ledger.
-	OnDispatch func(rec DispatchRecord)
 }
 
 // ServicePath is where a master mounts the SS, and consumerPath where it
@@ -132,9 +129,8 @@ type Service struct {
 	broker      wsa.EndpointReference
 	policy      Policy
 	consumer    *wsn.Consumer
-	jobTimeout  time.Duration // watchdogWindow; in-package tests shorten it
-	dispatchSem chan struct{} // bounds concurrent dispatches
-	onDispatch  func(rec DispatchRecord)
+	jobTimeout  time.Duration   // watchdogWindow; in-package tests shorten it
+	dispatchSem chan struct{}   // bounds concurrent dispatches
 	verifier    *wssec.Verifier // Submit's; open under a nil Config.Accounts
 
 	// sets is every job set this master remembers; takeOn and letGo are the
@@ -154,6 +150,10 @@ type Service struct {
 type placements struct {
 	mu     sync.Mutex
 	byHost map[string]int
+	// unreached holds when a Run last failed to reach each host — failed
+	// below SOAP, so no ES answered it. Such a host is passed over until
+	// the catalog shows a renewal it sent after that.
+	unreached map[string]time.Time
 }
 
 // view is the catalog as a policy should see it. Each machine's Utilization
@@ -161,17 +161,34 @@ type placements struct {
 // load this grid did not cause — what it reported less the share of that
 // its own GridLoad accounts for — plus the attempts charged here, clamped
 // at 1 as the machine's monitor clamps it (unclamped, oversubscription
-// scores negative and penalises the fastest machine most).
+// scores negative and penalises the fastest machine most). A machine a Run
+// could not reach is left out until it renews, unless that leaves none:
+// freed of its charge, it would otherwise look the idlest.
 func (p *placements) view(procs []nodeinfo.Processor) []nodeinfo.Processor {
 	out := make([]nodeinfo.Processor, len(procs))
+	reached := make([]nodeinfo.Processor, 0, len(procs))
 	for i, proc := range procs {
 		if cores := float64(proc.Cores); cores > 0 {
 			foreign := max(0, proc.Utilization-float64(proc.GridLoad)/cores)
 			proc.Utilization = min(1, foreign+float64(p.byHost[proc.Host])/cores)
 		}
 		out[i] = proc
+		if failed, ok := p.unreached[proc.Host]; !ok || proc.UpdatedAt.After(failed) {
+			delete(p.unreached, proc.Host)
+			reached = append(reached, proc)
+		}
 	}
-	return out
+	if len(reached) == 0 {
+		return out
+	}
+	return reached
+}
+
+// unreachable passes host over from now until it renews.
+func (p *placements) unreachable(host string) {
+	p.mu.Lock()
+	p.unreached[host] = time.Now()
+	p.mu.Unlock()
 }
 
 // free gives back the placements of attempts that ended.
@@ -242,13 +259,6 @@ var (
 	// destroyed — between its reservation and its placement.
 	errNotPlaced = errors.New("scheduler: attempt ended before it was placed")
 )
-
-// DispatchRecord describes one job dispatch as the scheduler commits to it.
-type DispatchRecord struct {
-	Topic string
-	Job   string
-	Node  string
-}
 
 // credentialsLost is the one verdict on a secured set whose credentials
 // died with the process that accepted it (they are never journaled).
@@ -528,10 +538,9 @@ func New(cfg Config) (*Service, error) {
 		consumer:    wsn.NewConsumer(),
 		jobTimeout:  watchdogWindow,
 		dispatchSem: make(chan struct{}, maxInflightDispatch),
-		onDispatch:  cfg.OnDispatch,
 		verifier:    wssec.NewVerifier(cfg.Accounts),
 		sets:        registry{sets: make(map[string]*run)},
-		placed:      placements{byHost: make(map[string]int)},
+		placed:      placements{byHost: make(map[string]int), unreached: make(map[string]time.Time)},
 	}
 	svc.OnDestroy(s.onSetDestroyed)
 	s.consumer.Handle(s.ConsumerTopics(), s.onNotification) // onNotification finds the set by topic
@@ -749,11 +758,11 @@ func (s *Service) runJob(ctx context.Context, r *run, res reservation) (event, e
 			return ack, err
 		}
 	}
-	if s.onDispatch != nil {
-		s.onDispatch(DispatchRecord{Topic: r.topic, Job: spec.Name, Node: node.Host})
-	}
 	resp, err := s.client.Invoke(ctx, node.ES, execution.ActionRun, req)
 	if err != nil {
+		if _, answered := soap.AsFault(err); !answered && ctx.Err() == nil {
+			s.placed.unreachable(node.Host)
+		}
 		return ack, fmt.Errorf("run on %s: %w", node.Host, err)
 	}
 	ack.jobEPR, ack.dirEPR, err = execution.ParseRunResponse(resp.Body)

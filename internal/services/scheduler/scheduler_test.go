@@ -157,6 +157,39 @@ func (h *ssHarness) refuse(match func(call *soap.CallInfo) bool) *atomic.Bool {
 	return on
 }
 
+// runsSent counts the Runs the harness's client sends, by "<topic>/<job>"
+// as the RunJob body names them. Run is not idempotent: the client sends
+// one per dispatch.
+type runsSent struct {
+	mu    sync.Mutex
+	byJob map[string]int
+}
+
+func (h *ssHarness) countRuns() *runsSent {
+	rs := &runsSent{byJob: make(map[string]int)}
+	h.client.Use(func(ctx context.Context, call *soap.CallInfo, next soap.Handler) (*soap.Envelope, error) {
+		if call.Action == execution.ActionRun {
+			body := call.Request.Body
+			rs.mu.Lock()
+			rs.byJob[body.ChildText(execution.QTopic)+"/"+body.ChildText(execution.QJobName)]++
+			rs.mu.Unlock()
+		}
+		return next(ctx, call)
+	})
+	return rs
+}
+
+// total is how many Runs were sent.
+func (rs *runsSent) total() int {
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	n := 0
+	for _, runs := range rs.byJob {
+		n += runs
+	}
+	return n
+}
+
 func (h *ssHarness) filesEPR() wsa.EndpointReference { return wsa.NewEPR("inproc://client/files") }
 func (h *ssHarness) listenerEPR() wsa.EndpointReference {
 	return wsa.NewEPR("inproc://client/listener")
@@ -501,16 +534,9 @@ func TestJobWatchdogFailsUnreachableMachine(t *testing.T) {
 // per job.
 func TestLongAttemptsSendNoStatusReads(t *testing.T) {
 	const window, sets, jobs = 25 * time.Millisecond, 4, 16
-	var mu sync.Mutex
-	dispatched := make(map[string]int)
-	h := newSSHarnessCfg(t, RoundRobin{}, nil, func(cfg *Config) {
-		cfg.OnDispatch = func(rec DispatchRecord) {
-			mu.Lock()
-			dispatched[rec.Topic+"/"+rec.Job]++
-			mu.Unlock()
-		}
-	}, "node-a", "node-b", "node-c", "node-d", "node-e", "node-f", "node-g", "node-h")
+	h := newSSHarness(t, RoundRobin{}, nil, "node-a", "node-b", "node-c", "node-d", "node-e", "node-f", "node-g", "node-h")
 	h.ss.jobTimeout = window
+	runs := h.countRuns()
 	var statusReads, polls atomic.Int64
 	h.client.Use(func(ctx context.Context, call *soap.CallInfo, next soap.Handler) (*soap.Envelope, error) {
 		switch {
@@ -571,12 +597,12 @@ func TestLongAttemptsSendNoStatusReads(t *testing.T) {
 			t.Errorf("set %s %s, want %s", topic, status, SetCompleted)
 		}
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(dispatched) != sets*jobs {
-		t.Errorf("%d jobs dispatched, want %d", len(dispatched), sets*jobs)
+	runs.mu.Lock()
+	defer runs.mu.Unlock()
+	if len(runs.byJob) != sets*jobs {
+		t.Errorf("%d jobs dispatched, want %d", len(runs.byJob), sets*jobs)
 	}
-	for job, n := range dispatched {
+	for job, n := range runs.byJob {
 		if n != 1 {
 			t.Errorf("%s dispatched %d times, want once", job, n)
 		}

@@ -10,7 +10,6 @@ import (
 	"context"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -154,12 +153,10 @@ func TestEnterLeaveSeam(t *testing.T) {
 // it can be dispatched, its failure handler included.
 func TestCredentialsLostIsOneVerdict(t *testing.T) {
 	t.Run("Recover", func(t *testing.T) {
-		var dispatched atomic.Int32
 		accounts := wssec.StaticAccounts{"scientist": "pw"}
 		creds := wssec.Credentials{Username: "scientist", Password: "pw"}
-		h := newSSHarnessCfg(t, Greedy{}, accounts, func(cfg *Config) {
-			cfg.OnDispatch = func(DispatchRecord) { dispatched.Add(1) }
-		}, "node-a")
+		h := newSSHarness(t, Greedy{}, accounts, "node-a")
+		runs := h.countRuns()
 		h.files.Publish("long.app", procspawn.BuildScript("compute 100000000", "exit 0"))
 		h.files.Publish("sweep.app", procspawn.BuildScript("exit 0"))
 		spec := &JobSetSpec{Name: "sec", Jobs: []JobSpec{
@@ -171,7 +168,7 @@ func TestCredentialsLostIsOneVerdict(t *testing.T) {
 			t.Fatal(err)
 		}
 		waitStarted(t, h.events)
-		before := dispatched.Load()
+		before := runs.total()
 
 		// The crash takes the credentials with it.
 		h.ss.sets.forgetAll()
@@ -201,7 +198,7 @@ func TestCredentialsLostIsOneVerdict(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n := dispatched.Load() - before; n != 0 {
+		if n := runs.total() - before; n != 0 {
 			t.Fatalf("%d jobs dispatched without credentials", n)
 		}
 		v := ParseJobSetDocument(doc)
@@ -222,10 +219,8 @@ func TestCredentialsLostIsOneVerdict(t *testing.T) {
 // Running while it runs.
 func TestRacingWaysInRegisterOnce(t *testing.T) {
 	t.Run("running at the crash", func(t *testing.T) {
-		var dispatched atomic.Int32
-		h := newSSHarnessCfg(t, Greedy{}, nil, func(cfg *Config) {
-			cfg.OnDispatch = func(DispatchRecord) { dispatched.Add(1) }
-		}, "node-a")
+		h := newSSHarness(t, Greedy{}, nil, "node-a")
+		runs := h.countRuns()
 		m := h.ss
 		h.files.Publish("j.app", procspawn.BuildScript("compute 200000", "exit 0"))
 		spec := &JobSetSpec{Name: "raced", Jobs: []JobSpec{{Name: "j", Executable: "local://j.app"}}}
@@ -258,7 +253,7 @@ func TestRacingWaysInRegisterOnce(t *testing.T) {
 		if got := h.waitTerminal(t, r.topic); got != "completed" {
 			t.Fatalf("terminal event %q", got)
 		}
-		if n := dispatched.Load(); n != 1 {
+		if n := runs.total(); n != 1 {
 			t.Fatalf("the one job was dispatched %d times", n)
 		}
 		if n := m.sets.count(); n != 1 {

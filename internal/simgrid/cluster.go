@@ -14,8 +14,10 @@ import (
 	"uvacg/internal/master"
 	"uvacg/internal/node"
 	"uvacg/internal/resourcedb"
+	"uvacg/internal/services/execution"
 	"uvacg/internal/services/filesystem"
 	"uvacg/internal/services/scheduler"
+	"uvacg/internal/soap"
 	"uvacg/internal/transport"
 	"uvacg/internal/wsa"
 	"uvacg/internal/wsn"
@@ -91,9 +93,10 @@ type Cluster struct {
 	nodes  map[string]*nodeHost
 	acked  []Ack
 
-	// Every committed dispatch of every master incarnation, in commit
-	// order (the retry-storm drill counts them).
-	dispatches []scheduler.DispatchRecord
+	// The topic of every Run any master incarnation sent, in order (the
+	// retry-storm drill counts them). Run is not idempotent: its client
+	// sends one per dispatch.
+	runs []string
 	// Ledger for invariant I7: every file any FSS staged, with the bytes
 	// it installed.
 	stages []filesystem.StageRecord
@@ -187,13 +190,13 @@ func (c *Cluster) startMaster(ctx context.Context) (unresumed, err error) {
 	if err != nil {
 		return nil, fmt.Errorf("simgrid: open master store: %w", err)
 	}
-	ssCfg := scheduler.Config{OnDispatch: c.noteDispatch}
 	f := &fence{}
+	client := c.clientWith(MasterHost, f)
+	client.Use(c.noteRun)
 	m, err := master.Assemble(master.Config{
-		Address:   "inproc://" + MasterHost,
-		Store:     store.Store,
-		Client:    c.clientWith(MasterHost, f),
-		Scheduler: ssCfg,
+		Address: "inproc://" + MasterHost,
+		Store:   store.Store,
+		Client:  client,
 	})
 	if err != nil {
 		store.Close()
@@ -353,11 +356,15 @@ func (c *Cluster) Acked() []Ack {
 	return append([]Ack(nil), c.acked...)
 }
 
-// noteDispatch appends one committed dispatch to the dispatch ledger.
-func (c *Cluster) noteDispatch(rec scheduler.DispatchRecord) {
-	c.mu.Lock()
-	c.dispatches = append(c.dispatches, rec)
-	c.mu.Unlock()
+// noteRun is a master client's interceptor: it appends the topic of each
+// Run sent to the run ledger.
+func (c *Cluster) noteRun(ctx context.Context, call *soap.CallInfo, next soap.Handler) (*soap.Envelope, error) {
+	if call.Action == execution.ActionRun {
+		c.mu.Lock()
+		c.runs = append(c.runs, call.Request.Body.ChildText(execution.QTopic))
+		c.mu.Unlock()
+	}
+	return next(ctx, call)
 }
 
 // noteStage appends one staged file to the stage ledger (node.Config

@@ -504,8 +504,8 @@ func TestRetryStormAccountsEveryDispatch(t *testing.T) {
 	}
 	dispatches := 0
 	c.mu.Lock()
-	for _, d := range c.dispatches {
-		if storm[d.Topic] {
+	for _, topic := range c.runs {
+		if storm[topic] {
 			dispatches++
 		}
 	}

@@ -501,7 +501,6 @@ func TestRetryResendsInlineRequestIntact(t *testing.T) {
 	client.RegisterScheme("http", &discardFirstReplies{HTTPTransport: NewHTTPTransport(), n: 2})
 	client.Use(pipeline.Retry(pipeline.RetryPolicy{
 		Idempotent: pipeline.IdempotentActions("urn:Blob"),
-		Sleep:      func(context.Context, time.Duration) error { return nil },
 	}))
 	resp, err := client.Invoke(context.Background(), wsa.NewEPR(hs.URL+"/Blob"), "urn:Blob", blobRequest(interopData))
 	if err != nil {

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"sync"
 	"testing"
-	"time"
 
 	"uvacg/internal/pipeline"
 	"uvacg/internal/soap"
@@ -78,7 +77,6 @@ func retryRig(t *testing.T, failures int) (*Client, *flakyTransport, *[]string) 
 	client.RegisterScheme(SchemeInproc, flaky)
 	client.Use(pipeline.Retry(pipeline.RetryPolicy{
 		Idempotent: pipeline.IdempotentActions("urn:GetResourceProperty"),
-		Sleep:      func(context.Context, time.Duration) error { return nil },
 	}))
 	return client, flaky, &mids
 }

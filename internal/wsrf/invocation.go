@@ -85,11 +85,6 @@ func (inv *Invocation) RemoveProperty(name xmlutil.QName) int {
 	return removed
 }
 
-// EPR returns the full EPR of the addressed resource.
-func (inv *Invocation) EPR() wsa.EndpointReference {
-	return inv.Service.EPRFor(inv.ResourceID)
-}
-
 // markDestroyed tells the pipeline the resource is gone and its state
 // must not be written back.
 func (inv *Invocation) markDestroyed() { inv.destroyed = true }
